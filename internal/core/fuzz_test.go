@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 )
 
@@ -30,36 +31,26 @@ func FuzzUnmarshalRecord(f *testing.F) {
 	})
 }
 
-// FuzzFrameRequests must never panic and must never consume more bytes
-// than it was given.
+// FuzzFrameRequests must never panic, and the frames plus what stays
+// held must be exactly the bytes given, in order.
 func FuzzFrameRequests(f *testing.F) {
 	f.Add([]byte("GET /a HTTP/1.1\r\nHost: h\r\n\r\n"))
 	f.Add([]byte("POST /b HTTP/1.1\r\nContent-Length: 4\r\n\r\nBODY"))
 	f.Add([]byte("\r\n\r\n\r\n\r\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		frames, consumed := frameRequests(data)
-		if consumed < 0 || consumed > len(data) {
-			t.Fatalf("consumed %d of %d", consumed, len(data))
+		ka := &kaState{held: data, heldSeq: 1000}
+		ka.frame()
+		var joined []byte
+		seq := uint32(1000)
+		for _, fr := range ka.queue {
+			if fr.startSeq != seq {
+				t.Fatalf("frame starts at %d, want %d", fr.startSeq, seq)
+			}
+			seq += uint32(len(fr.raw))
+			joined = append(joined, fr.raw...)
 		}
-		total := 0
-		for _, fr := range frames {
-			total += len(fr.raw)
-		}
-		if total != consumed {
-			t.Fatalf("frame bytes %d != consumed %d", total, consumed)
-		}
-	})
-}
-
-// FuzzFrameResponseLen must never panic and never report a frame longer
-// than the buffer.
-func FuzzFrameResponseLen(f *testing.F) {
-	f.Add([]byte("HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello"))
-	f.Add([]byte("HTTP/1.1 204 No Content\r\n\r\n"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		n := frameResponseLen(data)
-		if n < 0 || n > len(data) {
-			t.Fatalf("frame length %d of %d", n, len(data))
+		if ka.heldSeq != seq || !bytes.Equal(append(joined, ka.held...), data) {
+			t.Fatalf("%d frames + %d held bytes (seq %d) do not add up to the %d given", len(ka.queue), len(ka.held), ka.heldSeq, len(data))
 		}
 	})
 }

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/httpsim"
@@ -43,8 +40,12 @@ type kaState struct {
 
 	respOutstanding int // responses owed before the next request may go
 
-	// Response framing over the raw (untranslated) server byte stream.
+	// Response framing over the raw (untranslated) server byte stream:
+	// respBuf holds only a header block that is still incomplete, respBody
+	// counts the body bytes of the current response still to pass. Bodies
+	// are never buffered.
 	respBuf       []byte
+	respBody      int
 	serverNextSeq uint32
 	serverOOO     map[uint32][]byte
 
@@ -74,79 +75,43 @@ func (in *Instance) initKeepAlive(f *flow) []byte {
 		respOutstanding: 1,
 	}
 	f.ka = ka
-	frames, consumed := frameRequests(f.reqBuf)
-	if len(frames) == 0 {
-		// The first request's header is complete (selection ran) but its
-		// body is still arriving: stream the rest through as it lands.
+	// The first request's header is complete: selection ran on it.
+	h, b, err := httpsim.Frame(f.reqBuf)
+	if rest := len(f.reqBuf) - h; err != nil || rest < b {
+		// Its body is still arriving: stream the rest through as it lands.
 		ka.heldSeq = f.clientISN + 1 + uint32(len(f.reqBuf))
-		ka.streamBytes = firstRequestLen(f.reqBuf) - len(f.reqBuf)
+		ka.streamBytes = b - rest
 		return f.reqBuf
 	}
-	first := frames[0]
-	seq := f.clientISN + 1 + uint32(len(first.raw))
-	for _, fr := range frames[1:] {
-		fr.startSeq = seq
-		seq += uint32(len(fr.raw))
-		ka.queue = append(ka.queue, fr)
-	}
-	ka.held = append([]byte(nil), f.reqBuf[consumed:]...)
-	ka.heldSeq = f.clientISN + 1 + uint32(consumed)
-	return first.raw
+	total := h + b
+	ka.held = append([]byte(nil), f.reqBuf[total:]...)
+	ka.heldSeq = f.clientISN + 1 + uint32(total)
+	ka.frame()
+	return f.reqBuf[:total:total]
 }
 
-// firstRequestLen returns the full wire length (header + declared body)
-// of the request at the front of buf. The header must be complete.
-func firstRequestLen(buf []byte) int {
-	req, err := httpsim.ParseRequestHeader(buf)
-	if err != nil || req == nil {
-		return len(buf)
-	}
-	total := headerBlockLen(buf)
-	if cl := req.Header("Content-Length"); cl != "" {
-		if n, err := strconv.Atoi(cl); err == nil && n > 0 {
-			total += n
-		}
-	}
-	return total
-}
-
-// frameRequests splits buf into complete HTTP request frames, returning
-// the frames and the number of bytes they consume.
-func frameRequests(buf []byte) ([]kaRequest, int) {
-	var frames []kaRequest
-	consumed := 0
+// frame moves the complete requests at the front of the held bytes onto
+// the queue. The frames are sub-slices of the old held buffer, which is
+// given up to them; the rest is kept as a copy.
+func (ka *kaState) frame() {
+	rest := ka.held
 	for {
-		rest := buf[consumed:]
-		req, err := httpsim.ParseRequestHeader(rest)
-		if err != nil || req == nil {
-			return frames, consumed
+		h, b, err := httpsim.Frame(rest)
+		if err != nil || h == 0 || len(rest)-h < b {
+			break
 		}
-		headerLen := headerBlockLen(rest)
-		bodyLen := 0
-		if cl := req.Header("Content-Length"); cl != "" {
-			n, cerr := strconv.Atoi(cl)
-			if cerr != nil || n < 0 {
-				return frames, consumed
-			}
-			bodyLen = n
+		req, err := httpsim.ParseRequestHeader(rest[:h])
+		if err != nil {
+			break
 		}
-		total := headerLen + bodyLen
-		if len(rest) < total {
-			return frames, consumed
-		}
-		frames = append(frames, kaRequest{
-			raw: append([]byte(nil), rest[:total]...),
-			req: req,
-		})
-		consumed += total
+		n := h + b
+		ka.queue = append(ka.queue, kaRequest{raw: rest[:n:n], startSeq: ka.heldSeq, req: req})
+		ka.heldSeq += uint32(n)
+		rest = rest[n:]
 	}
-}
-
-// headerBlockLen returns the length of the header block including the
-// terminating CRLFCRLF. The caller has already verified it is complete.
-func headerBlockLen(buf []byte) int {
-	idx := bytes.Index(buf, []byte("\r\n\r\n"))
-	return idx + 4
+	if len(rest) < len(ka.held) {
+		ka.held = append([]byte(nil), rest...)
+	}
 }
 
 // kaFromClient processes a client packet on an inspected keep-alive flow.
@@ -218,23 +183,7 @@ func (in *Instance) kaFrameAndFlush(f *flow) {
 		ka.heldSeq += uint32(n)
 		ka.streamBytes -= n
 	}
-	frames, consumed := frameRequests(ka.held)
-	if consumed > 0 {
-		for i := range frames {
-			frames[i].startSeq = ka.heldSeq
-			ka.heldSeq += uint32(len(frames[i].raw))
-			// recompute per frame: startSeq advances by each frame's size
-		}
-		// The loop above advanced heldSeq frame by frame; fix startSeq to
-		// be each frame's own beginning.
-		seq := frames[0].startSeq
-		for i := range frames {
-			frames[i].startSeq = seq
-			seq += uint32(len(frames[i].raw))
-		}
-		ka.held = append([]byte(nil), ka.held[consumed:]...)
-		ka.queue = append(ka.queue, frames...)
-	}
+	ka.frame()
 	in.kaFlush(f)
 }
 
@@ -337,7 +286,7 @@ func (in *Instance) kaCompleteSwitch(f *flow, pkt *netsim.Packet) {
 	// toClientNext in its own view; the new server starts at S+1.
 	f.delta = f.toClientNext - (f.s + 1)
 	ka.serverNextSeq = f.s + 1
-	ka.respBuf = nil
+	ka.respBuf, ka.respBody = nil, 0
 	ka.serverOOO = make(map[uint32][]byte)
 	ka.committing = true
 	// Rewrite the decoupled state so recovery lands on the new backend —
@@ -424,30 +373,45 @@ func (in *Instance) kaAssembleServer(f *flow, seq uint32, data []byte) {
 		ka.serverOOO[seq] = append([]byte(nil), data...)
 		return
 	}
-	ka.respBuf = append(ka.respBuf, data...)
-	ka.serverNextSeq += uint32(len(data))
-	for {
-		d, ok := ka.serverOOO[ka.serverNextSeq]
-		if !ok {
-			break
-		}
+	// The in-order bytes, then every parked segment they make contiguous.
+	for ok := true; ok; data, ok = ka.serverOOO[ka.serverNextSeq] {
 		delete(ka.serverOOO, ka.serverNextSeq)
-		ka.respBuf = append(ka.respBuf, d...)
-		ka.serverNextSeq += uint32(len(d))
+		ka.serverNextSeq += uint32(len(data))
+		in.kaTrackResponses(f, data)
 	}
-	in.kaConsumeResponses(f)
 }
 
-// kaConsumeResponses pops complete responses off the buffer, releasing
-// held requests as each one finishes.
-func (in *Instance) kaConsumeResponses(f *flow) {
+// kaTrackResponses follows response boundaries through the next in-order
+// bytes of the server stream, releasing held requests as each response
+// finishes.
+func (in *Instance) kaTrackResponses(f *flow, data []byte) {
 	ka := f.ka
-	for {
-		n := frameResponseLen(ka.respBuf)
-		if n <= 0 {
+	for len(data) > 0 {
+		if ka.respBody == 0 { // at, or inside, a header block
+			buf := data
+			if ka.respBuf != nil {
+				ka.respBuf = append(ka.respBuf, data...)
+				buf = ka.respBuf
+			}
+			h, b, err := httpsim.Frame(buf)
+			if err != nil {
+				return
+			}
+			if h == 0 {
+				if ka.respBuf == nil {
+					ka.respBuf = append(ka.respBuf, data...)
+				}
+				return
+			}
+			data = data[len(data)-(len(buf)-h):]
+			ka.respBuf, ka.respBody = nil, b
+		}
+		n := min(ka.respBody, len(data))
+		ka.respBody -= n
+		data = data[n:]
+		if ka.respBody > 0 {
 			return
 		}
-		ka.respBuf = append([]byte(nil), ka.respBuf[n:]...)
 		if ka.respOutstanding > 0 {
 			ka.respOutstanding--
 		}
@@ -455,44 +419,6 @@ func (in *Instance) kaConsumeResponses(f *flow) {
 			in.kaFlush(f)
 		}
 	}
-}
-
-// frameResponseLen returns the wire length of the first complete HTTP
-// response in buf, or 0 if incomplete/unparseable-yet.
-func frameResponseLen(buf []byte) int {
-	idx := bytes.Index(buf, []byte("\r\n\r\n"))
-	if idx < 0 {
-		return 0
-	}
-	head := buf[:idx]
-	total := idx + 4
-	// Walk header lines without converting the buffer to a string: the hot
-	// response path runs this on every ACKed segment.
-	for len(head) > 0 {
-		eol := bytes.Index(head, []byte("\r\n"))
-		var line []byte
-		if eol < 0 {
-			line, head = head, nil
-		} else {
-			line, head = head[:eol], head[eol+2:]
-		}
-		colon := bytes.IndexByte(line, ':')
-		if colon < 0 {
-			continue
-		}
-		if strings.EqualFold(string(bytes.TrimSpace(line[:colon])), "Content-Length") {
-			n, err := strconv.Atoi(string(bytes.TrimSpace(line[colon+1:])))
-			if err != nil || n < 0 {
-				return 0
-			}
-			total += n
-			break
-		}
-	}
-	if len(buf) < total {
-		return 0
-	}
-	return total
 }
 
 // kaMaybeForwardFin forwards a deferred client FIN once all held requests

@@ -139,42 +139,27 @@ func TestFrameRequests(t *testing.T) {
 	r1 := []byte("GET /a HTTP/1.1\r\nHost: h\r\n\r\n")
 	r2 := []byte("POST /b HTTP/1.1\r\nHost: h\r\nContent-Length: 4\r\n\r\nBODY")
 	buf := append(append([]byte(nil), r1...), r2...)
-	frames, consumed := frameRequests(buf)
-	if len(frames) != 2 || consumed != len(buf) {
-		t.Fatalf("frames=%d consumed=%d want 2/%d", len(frames), consumed, len(buf))
+	frame := func(held []byte) *kaState {
+		ka := &kaState{held: held, heldSeq: 7}
+		ka.frame()
+		return ka
 	}
-	if frames[0].req.Path != "/a" || frames[1].req.Path != "/b" {
-		t.Fatalf("paths: %s %s", frames[0].req.Path, frames[1].req.Path)
+	ka := frame(buf)
+	if len(ka.queue) != 2 || len(ka.held) != 0 || ka.heldSeq != 7+uint32(len(buf)) {
+		t.Fatalf("frames=%d held=%d heldSeq=%d", len(ka.queue), len(ka.held), ka.heldSeq)
 	}
-	if string(frames[1].raw) != string(r2) {
-		t.Fatalf("raw frame 2 mismatch")
+	if ka.queue[0].req.Path != "/a" || ka.queue[1].req.Path != "/b" {
+		t.Fatalf("paths: %s %s", ka.queue[0].req.Path, ka.queue[1].req.Path)
 	}
-	// Partial request: nothing framed.
-	frames, consumed = frameRequests(r2[:20])
-	if len(frames) != 0 || consumed != 0 {
-		t.Fatalf("partial framed: %d %d", len(frames), consumed)
+	if string(ka.queue[1].raw) != string(r2) || ka.queue[1].startSeq != 7+uint32(len(r1)) {
+		t.Fatalf("frame 2: %q at %d", ka.queue[1].raw, ka.queue[1].startSeq)
 	}
-	// Partial body.
-	frames, consumed = frameRequests(buf[:len(buf)-2])
-	if len(frames) != 1 || consumed != len(r1) {
-		t.Fatalf("partial body framed: %d %d", len(frames), consumed)
+	// Partial request: nothing framed, nothing given up.
+	if ka = frame(r2[:20]); len(ka.queue) != 0 || len(ka.held) != 20 || ka.heldSeq != 7 {
+		t.Fatalf("partial framed: %d %d", len(ka.queue), len(ka.held))
 	}
-}
-
-func TestFrameResponseLen(t *testing.T) {
-	resp := []byte("HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello")
-	if n := frameResponseLen(resp); n != len(resp) {
-		t.Fatalf("n=%d want %d", n, len(resp))
-	}
-	if n := frameResponseLen(resp[:10]); n != 0 {
-		t.Fatalf("partial header framed: %d", n)
-	}
-	if n := frameResponseLen(resp[:len(resp)-1]); n != 0 {
-		t.Fatalf("partial body framed: %d", n)
-	}
-	// No content-length: header-only frame.
-	hdrOnly := []byte("HTTP/1.1 204 No Content\r\n\r\n")
-	if n := frameResponseLen(hdrOnly); n != len(hdrOnly) {
-		t.Fatalf("no-CL frame: %d", n)
+	// Partial body: the first request goes, the second stays held.
+	if ka = frame(buf[:len(buf)-2]); len(ka.queue) != 1 || string(ka.held) != string(r2[:len(r2)-2]) {
+		t.Fatalf("partial body framed: %d %q", len(ka.queue), ka.held)
 	}
 }

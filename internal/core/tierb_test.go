@@ -82,9 +82,7 @@ func TestTierBFetchCoalesces(t *testing.T) {
 	}
 	trains := 0
 	for _, b := range tb.c.Backends {
-		for _, sc := range b.Server.Conns() {
-			trains += sc.GSOTrainsSent
-		}
+		trains += b.Server.ClosedGSOTrains
 	}
 	if trains == 0 {
 		t.Fatal("backend sent no GSO trains for a 100k response")

@@ -108,13 +108,13 @@ func (cl *Client) attempt(addr netsim.HostPort, req *Request, res *FetchResult, 
 		finish(nil, ErrHTTPTimeout)
 	})
 
-	r := *req // shallow copy so Connection header tweaks don't leak
-	r.Headers = cloneHeaders(req.Headers)
-	r.Headers["Connection"] = "close"
+	r := req.Clone() // so the Connection header tweak doesn't leak
+	r.SetHeader("Connection", "close")
 
 	conn = tcp.Dial(cl.host, addr, tcp.Callbacks{
 		OnEstablished: func(c *tcp.Conn) {
-			c.Write(r.Marshal())
+			var head [256]byte // Writev copies it out before returning
+			c.Writev(r.appendHead(head[:0]), r.Body)
 		},
 		OnData: func(c *tcp.Conn, d []byte) {
 			resps, err := parser.Feed(d)
@@ -138,14 +138,6 @@ func (cl *Client) attempt(addr netsim.HostPort, req *Request, res *FetchResult, 
 		},
 	}, cl.cfg.TCP)
 	res.Conn = conn
-}
-
-func cloneHeaders(h map[string]string) map[string]string {
-	out := make(map[string]string, len(h)+1)
-	for k, v := range h {
-		out[k] = v
-	}
-	return out
 }
 
 // PageResult reports the outcome of a whole page load (HTML plus

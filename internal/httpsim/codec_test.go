@@ -1,0 +1,311 @@
+package httpsim
+
+import (
+	"bytes"
+	"fmt"
+	"runtime"
+	"strconv"
+	"testing"
+
+	"repro/internal/netsim"
+)
+
+// TestMarshalGolden pins Marshal's bytes to the reference serializer for
+// header sets built in any order, with duplicate and odd-case names:
+// the last value set under a name wins, names are canonicalised, lines
+// come out sorted, Content-Length is computed and never copied.
+func TestMarshalGolden(t *testing.T) {
+	type kv struct{ name, value string }
+	sets := [][]kv{
+		nil,
+		{{"Host", "svc"}},
+		{{"x-trace", "1"}, {"HOST", "a"}, {"Accept", "*/*"}, {"host", "b"}},
+		{{"Zeta", "z"}, {"alpha", "a"}, {"Mid-Dle", "m"}, {"ALPHA", "again"}, {"zeta", ""}},
+		{{"content-length", "999"}, {"Cookie", "session=s1; lang=en"}, {"CONTENT-LENGTH", "7"}},
+		{{"x--y", "dash"}, {"", "empty name"}, {"X-y", "1"}, {"x-Y", "2"}, {"é-à", "non-ascii"}},
+	}
+	bodies := [][]byte{nil, []byte("payload"), bytes.Repeat([]byte("z"), 12345)}
+	for i, set := range sets {
+		// Every rotation of the set is a different insertion order with
+		// the same last-wins outcome only when no name repeats, so the
+		// reference map is rebuilt per rotation too.
+		for rot := 0; rot < max(len(set), 1); rot++ {
+			for _, body := range bodies {
+				req := &Request{Method: "POST", Path: "/p", Version: "HTTP/1.1", Body: body}
+				resp := NewResponse(200+rot, body)
+				refHdr := map[string]string{}
+				for k := range set {
+					f := set[(k+rot)%len(set)]
+					req.SetHeader(f.name, f.value)
+					resp.SetHeader(f.name, f.value)
+					refHdr[refCanonical(f.name)] = f.value
+				}
+				wantReq := (&refRequest{Method: "POST", Path: "/p", Version: "HTTP/1.1", Headers: refHdr, Body: body}).Marshal()
+				if got := req.Marshal(); !bytes.Equal(got, wantReq) {
+					t.Fatalf("set %d rot %d request:\n got %q\nwant %q", i, rot, got, wantReq)
+				}
+				wantResp := (&refResponse{Version: "HTTP/1.1", StatusCode: 200 + rot, Status: statusText(200 + rot), Headers: refHdr, Body: body}).Marshal()
+				got := resp.Marshal()
+				if !bytes.Equal(got, wantResp) {
+					t.Fatalf("set %d rot %d response:\n got %q\nwant %q", i, rot, got, wantResp)
+				}
+				if len(got) != cap(got) {
+					t.Fatalf("Marshal is not exact-size: len %d cap %d", len(got), cap(got))
+				}
+				if w := req.Marshal(); len(w) != cap(w) {
+					t.Fatalf("request Marshal is not exact-size: len %d cap %d", len(w), cap(w))
+				}
+				if pre := []byte("prefix"); !bytes.Equal(append(resp.appendHead(pre), body...), append(pre, wantResp...)) {
+					t.Fatalf("appendHead plus body is not Marshal's bytes")
+				}
+			}
+		}
+	}
+}
+
+func TestCanonicalMatchesReference(t *testing.T) {
+	for _, name := range []string{"", "host", "Host", "HOST", "x--y", "X-Forwarded-For", "x-forwarded-FOR", "é-à", "a", "-a-", "Content-Length"} {
+		if got, want := canonical(name), refCanonical(name); got != want {
+			t.Errorf("canonical(%q) = %q, reference %q", name, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = canonical("X-Forwarded-For") }); n != 0 {
+		t.Errorf("canonical of a canonical name allocated %v times", n)
+	}
+}
+
+func TestFrame(t *testing.T) {
+	resp := []byte("HTTP/1.1 200 OK\r\ncontent-length: 1\r\nContent-Length: 5\r\n\r\nhello")
+	cases := []struct {
+		buf        []byte
+		head, body int
+		err        error
+	}{
+		{resp, len(resp) - 5, 5, nil},
+		{resp[:10], 0, 0, nil},                      // header incomplete
+		{resp[:len(resp)-1], len(resp) - 5, 5, nil}, // body incomplete: the caller compares lengths
+		{[]byte("HTTP/1.1 204 No Content\r\n\r\n"), 27, 0, nil},
+		{[]byte("Content-Length: 9\r\n\r\n"), 21, 0, nil}, // the start line is never a header
+		{[]byte("GET / HTTP/1.1\r\nContent-Length: x\r\n\r\n"), 37, 0, ErrMalformed},
+		{[]byte("GET / HTTP/1.1\r\nContent-Length: -1\r\n\r\n"), 38, 0, ErrMalformed},
+		{bytes.Repeat([]byte("A"), maxHeaderBytes+1), 0, 0, ErrTooLarge},
+	}
+	for i, c := range cases {
+		h, b, err := Frame(c.buf)
+		if h != c.head || b != c.body || err != c.err {
+			t.Errorf("case %d: Frame = %d, %d, %v; want %d, %d, %v", i, h, b, err, c.head, c.body, c.err)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { Frame(resp) }); n != 0 {
+		t.Errorf("Frame allocated %v times", n)
+	}
+}
+
+// TestFeedDoesNotAliasInput: TCP hands OnData a slice of the sender's
+// send buffer, which is rewound and overwritten once acknowledged, so a
+// returned message must never point into what was fed.
+func TestFeedDoesNotAliasInput(t *testing.T) {
+	req := NewRequest("/upload", "svc")
+	req.Method, req.Body = "POST", bytes.Repeat([]byte("0123456789"), 500)
+	req.SetHeader("Cookie", "session=s1")
+	resp := NewResponse(200, bytes.Repeat([]byte("abcdefgh"), 700))
+	resp.SetHeader("X-Backend", "srv-1")
+	for _, chunk := range []int{1, 7, 1460, 1 << 20} {
+		var rp RequestParser
+		var sp ResponseParser
+		var reqs []*Request
+		var resps []*Response
+		feed := func(wire []byte, f func([]byte)) {
+			for c := newChunker(wire, chunk); len(c.data) > 0; {
+				piece := append([]byte(nil), c.next()...)
+				f(piece)
+				for i := range piece {
+					piece[i] = '!'
+				}
+			}
+		}
+		feed(req.Marshal(), func(p []byte) {
+			out, err := rp.Feed(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reqs = append(reqs, out...)
+		})
+		feed(resp.Marshal(), func(p []byte) {
+			out, err := sp.Feed(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resps = append(resps, out...)
+		})
+		if len(reqs) != 1 || len(resps) != 1 {
+			t.Fatalf("chunk %d: parsed %d requests, %d responses", chunk, len(reqs), len(resps))
+		}
+		if got := reqs[0].Marshal(); !bytes.Equal(got, req.Marshal()) {
+			t.Fatalf("chunk %d: request changed after its input was overwritten: %q", chunk, got[:80])
+		}
+		if reqs[0].Cookie("session") != "s1" {
+			t.Fatalf("chunk %d: cookie = %q", chunk, reqs[0].Cookie("session"))
+		}
+		if got := resps[0].Marshal(); !bytes.Equal(got, resp.Marshal()) {
+			t.Fatalf("chunk %d: response changed after its input was overwritten: %q", chunk, got[:80])
+		}
+	}
+}
+
+// TestParserHoldsNothingBetweenMessages: an idle keep-alive connection
+// must not pay for a parse buffer.
+func TestParserHoldsNothingBetweenMessages(t *testing.T) {
+	wire := NewResponse(200, bytes.Repeat([]byte("x"), 2048)).Marshal()
+	var p ResponseParser
+	for _, chunk := range []int{1, 1460} {
+		for c := newChunker(wire, chunk); len(c.data) > 0; {
+			if _, err := p.Feed(c.next()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if p.p.head != nil || p.p.body != nil || p.p.cur != nil || p.Buffered() != 0 {
+			t.Fatalf("chunk %d: parser still holds %+v", chunk, p.p)
+		}
+	}
+}
+
+func feedAll(t testing.TB, p *ResponseParser, wire []byte, chunk int) {
+	n := 0
+	for c := newChunker(wire, chunk); len(c.data) > 0; {
+		out, err := p.Feed(c.next())
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += len(out)
+	}
+	if n != 1 {
+		t.Fatalf("parsed %d responses", n)
+	}
+}
+
+// allocBytesPerRun reports the mean bytes allocated by one call of f.
+func allocBytesPerRun(runs int, f func()) float64 {
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// The parse budgets. Response: message, head copy, header set, body,
+// returned slice, plus the scratch a head that arrives in pieces needs.
+func TestParseAllocBudgets(t *testing.T) {
+	small := NewResponse(200, bytes.Repeat([]byte("s"), 2<<10)).Marshal()
+	var p ResponseParser
+	for _, chunk := range []int{1, 7, 100, 1460, len(small)} {
+		if n := testing.AllocsPerRun(50, func() { feedAll(t, &p, small, chunk) }); n > 6 {
+			t.Errorf("2 KiB response in %d-byte chunks: %v allocations, budget 6", chunk, n)
+		}
+	}
+
+	const bulk = 512 << 10
+	big := NewResponse(200, bytes.Repeat([]byte("b"), bulk)).Marshal()
+	if n := testing.AllocsPerRun(10, func() { feedAll(t, &p, big, 1460) }); n > 6 {
+		t.Errorf("512 KiB response in MSS chunks: %v allocations, budget 6", n)
+	}
+	if b := allocBytesPerRun(10, func() { feedAll(t, &p, big, 1460) }); b > 1.05*bulk {
+		t.Errorf("512 KiB response in MSS chunks: %.0f bytes allocated, budget %.0f", b, 1.05*bulk)
+	}
+	if b := allocBytesPerRun(10, func() { _ = NewResponse(200, big[len(big)-bulk:]).Marshal() }); b > 1.05*bulk {
+		t.Errorf("Marshal of a 512 KiB response: %.0f bytes allocated, budget %.0f", b, 1.05*bulk)
+	}
+
+	get := NewRequest("/obj", "svc")
+	get.SetHeader("Connection", "close")
+	wire := get.Marshal()
+	if n := testing.AllocsPerRun(100, func() {
+		if req, err := ParseRequestHeader(wire); err != nil || req == nil {
+			t.Fatal("bench GET did not parse")
+		}
+	}); n > 3 {
+		t.Errorf("ParseRequestHeader of the bench GET: %v allocations, budget 3", n)
+	}
+}
+
+// TestLargePostThroughServer: the 64 KiB limit is on the header block.
+// A request body larger than that, arriving in MSS-sized segments, used
+// to be refused with ErrTooLarge (answered 400).
+func TestLargePostThroughServer(t *testing.T) {
+	n := netsim.New(8)
+	ch := netsim.NewHost(n, netsim.IPv4(100, 0, 0, 1))
+	sh := netsim.NewHost(n, netsim.IPv4(10, 0, 0, 1))
+	body := bytes.Repeat([]byte("0123456789abcdef"), 128<<10/16)
+	srv := NewServer(sh, 80, func(req *Request) *Response {
+		if !bytes.Equal(req.Body, body) {
+			return NewResponse(500, []byte("body corrupted"))
+		}
+		return NewResponse(200, []byte(strconv.Itoa(len(req.Body))))
+	}, DefaultServerConfig())
+	req := NewRequest("/upload", "svc")
+	req.Method, req.Body = "POST", body
+	var res *FetchResult
+	NewClient(ch, DefaultClientConfig()).Fetch(netsim.HostPort{IP: sh.IP(), Port: 80}, req, func(r *FetchResult) { res = r })
+	n.RunUntilIdle(1000000)
+	if res == nil || res.Err != nil {
+		t.Fatalf("fetch: %+v", res)
+	}
+	if res.Resp.StatusCode != 200 || string(res.Resp.Body) != fmt.Sprint(len(body)) {
+		t.Fatalf("status %d body %q", res.Resp.StatusCode, res.Resp.Body)
+	}
+	if srv.Requests != 1 {
+		t.Fatalf("server requests = %d", srv.Requests)
+	}
+	// And straight at the parser, one MSS at a time.
+	var p RequestParser
+	got := 0
+	for c := newChunker(req.Marshal(), 1460); len(c.data) > 0; {
+		out, err := p.Feed(c.next())
+		if err != nil {
+			t.Fatalf("Feed: %v", err)
+		}
+		got += len(out)
+	}
+	if got != 1 {
+		t.Fatalf("parsed %d requests", got)
+	}
+}
+
+// TestServerKeepsNothingOfClosedConns: a backend that has served and
+// closed many connections must not hold their send buffers (it used to
+// keep every accepted conn, each with its response still buffered).
+func TestServerKeepsNothingOfClosedConns(t *testing.T) {
+	const objBytes, fetches = 256 << 10, 40
+	w := newWorld(9, map[string][]byte{"/obj": bytes.Repeat([]byte("o"), objBytes)})
+	heap := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	before := heap()
+	done := 0
+	var next func()
+	next = func() {
+		w.client.Get(w.srvHP, "/obj", func(r *FetchResult) {
+			if r.Err != nil || len(r.Resp.Body) != objBytes {
+				t.Errorf("fetch %d: %v", done, r.Err)
+			}
+			if done++; done < fetches {
+				next()
+			}
+		})
+	}
+	next()
+	w.net.RunUntilIdle(10000000)
+	if done != fetches || w.server.ActiveConns != 0 {
+		t.Fatalf("done %d, active %d", done, w.server.ActiveConns)
+	}
+	if grown := int64(heap()) - int64(before); grown > fetches*objBytes/4 {
+		t.Fatalf("heap grew %d bytes over %d closed connections of %d bytes each", grown, fetches, objBytes)
+	}
+	runtime.KeepAlive(w)
+}

@@ -172,7 +172,7 @@ func TestKeepAliveSemantics(t *testing.T) {
 	if r.KeepAlive() {
 		t.Error("Connection: close should not keep alive")
 	}
-	r10 := &Request{Method: "GET", Path: "/", Version: "HTTP/1.0", Headers: map[string]string{}}
+	r10 := &Request{Method: "GET", Path: "/", Version: "HTTP/1.0"}
 	if r10.KeepAlive() {
 		t.Error("HTTP/1.0 default should not keep alive")
 	}

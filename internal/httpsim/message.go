@@ -9,20 +9,86 @@
 package httpsim
 
 import (
-	"bytes"
-	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 )
 
-// Request is a parsed HTTP request.
+// field is one header line.
+type field struct{ name, value string }
+
+// header is the header set Request and Response embed: canonical names,
+// each at most once (a later set wins), kept sorted by name so
+// serialization walks it in wire order. On a parsed message every string
+// is a substring of the one copy of the head the parser made.
+type header []field
+
+// Header returns the value of the named header (case-insensitive), or "".
+// Hot callers (the rule engine, framing) pass canonical names and hit the
+// exact comparison; the fold-insensitive scan covers every other spelling.
+func (h header) Header(name string) string {
+	for i := range h {
+		if h[i].name == name {
+			return h[i].value
+		}
+	}
+	for i := range h {
+		if strings.EqualFold(h[i].name, name) {
+			return h[i].value
+		}
+	}
+	return ""
+}
+
+// SetHeader sets a header, canonicalizing its name. Its place is sought
+// from the end because wire heads and Marshal output arrive sorted.
+func (h *header) SetHeader(name, value string) {
+	name = canonical(name)
+	i := len(*h)
+	for i > 0 && (*h)[i-1].name >= name {
+		i--
+	}
+	if i < len(*h) && (*h)[i].name == name {
+		(*h)[i].value = value
+		return
+	}
+	*h = slices.Insert(*h, i, field{name, value})
+}
+
+const contentLength = "Content-Length"
+
+// appendTo appends the header lines, then the Content-Length line for an
+// n-byte body if n >= 0, then the blank line. A stored Content-Length is
+// never copied: framing is computed when the message is serialized.
+func (h header) appendTo(dst []byte, n int) []byte {
+	for _, f := range h {
+		if f.name != contentLength {
+			dst = append(append(append(append(dst, f.name...), ": "...), f.value...), "\r\n"...)
+		}
+	}
+	if n >= 0 {
+		dst = strconv.AppendInt(append(dst, "Content-Length: "...), int64(n), 10)
+		dst = append(dst, "\r\n"...)
+	}
+	return append(dst, "\r\n"...)
+}
+
+// marshal joins a serialized head and a body in one exact-size buffer.
+func marshal(head, body []byte) []byte {
+	return append(append(make([]byte, 0, len(head)+len(body)), head...), body...)
+}
+
+// Request is an HTTP request. Headers are reached through Header,
+// SetHeader and Cookie.
 type Request struct {
 	Method  string
 	Path    string
 	Version string // "HTTP/1.0" or "HTTP/1.1"
-	Headers map[string]string
-	Body    []byte
+	// Body of a parsed request is the parser's own buffer, handed over
+	// without a copy; the request owns it.
+	Body []byte
 
+	header
 	// cookies memoizes the parsed Cookie header (see view.go) so rule
 	// evaluation pays the parse once per request, not once per rule.
 	cookies cookieView
@@ -34,21 +100,17 @@ func NewRequest(path, host string) *Request {
 		Method:  "GET",
 		Path:    path,
 		Version: "HTTP/1.1",
-		Headers: map[string]string{"Host": host},
+		header:  header{{"Host", host}},
 	}
 }
 
-// Header returns the value of the named header (case-insensitive), or "".
-func (r *Request) Header(name string) string {
-	return headerGet(r.Headers, name)
-}
-
-// SetHeader sets a header, canonicalizing its name.
-func (r *Request) SetHeader(name, value string) {
-	if r.Headers == nil {
-		r.Headers = make(map[string]string)
-	}
-	r.Headers[canonical(name)] = value
+// Clone returns a copy of r whose headers can change without changing
+// r's. The body is shared.
+func (r *Request) Clone() *Request {
+	c := *r
+	c.header = append(make(header, 0, len(r.header)+1), r.header...)
+	c.cookies = cookieView{}
+	return &c
 }
 
 // Cookie returns the value of the named cookie from the Cookie header, or
@@ -75,62 +137,59 @@ func (r *Request) KeepAlive() bool {
 	return strings.EqualFold(conn, "keep-alive")
 }
 
-// Marshal serializes the request onto the wire.
-func (r *Request) Marshal() []byte {
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "%s %s %s\r\n", r.Method, r.Path, r.Version)
-	writeHeaders(&b, r.Headers)
-	if len(r.Body) > 0 {
-		fmt.Fprintf(&b, "Content-Length: %d\r\n", len(r.Body))
+// appendHead appends the request line and header block, through the
+// blank line that ends it.
+func (r *Request) appendHead(dst []byte) []byte {
+	dst = append(append(append(append(append(dst, r.Method...), ' '), r.Path...), ' '), r.Version...)
+	n := len(r.Body)
+	if n == 0 {
+		n = -1 // a request without a body declares no length
 	}
-	b.WriteString("\r\n")
-	b.Write(r.Body)
-	return b.Bytes()
+	return r.header.appendTo(append(dst, "\r\n"...), n)
 }
 
-// Response is a parsed HTTP response.
+// Marshal serializes the request onto the wire.
+func (r *Request) Marshal() []byte {
+	var buf [256]byte // heads are small: sized on the stack, copied once
+	return marshal(r.appendHead(buf[:0]), r.Body)
+}
+
+// Response is an HTTP response. Headers are reached through Header and
+// SetHeader.
 type Response struct {
 	Version    string
 	StatusCode int
 	Status     string
-	Headers    map[string]string
-	Body       []byte
+	// Body of a parsed response is the parser's own buffer, handed over
+	// without a copy; the response owns it.
+	Body []byte
+
+	header
 }
 
-// NewResponse builds a 200 response carrying body.
+// NewResponse builds a response with the given status carrying body.
 func NewResponse(code int, body []byte) *Response {
 	return &Response{
 		Version:    "HTTP/1.1",
 		StatusCode: code,
 		Status:     statusText(code),
-		Headers:    map[string]string{},
 		Body:       body,
 	}
 }
 
-// Header returns the value of the named header (case-insensitive), or "".
-func (r *Response) Header(name string) string {
-	return headerGet(r.Headers, name)
+// appendHead appends the status line and header block, through the
+// blank line that ends it, always emitting a Content-Length so the peer
+// can frame the body.
+func (r *Response) appendHead(dst []byte) []byte {
+	dst = strconv.AppendInt(append(append(dst, r.Version...), ' '), int64(r.StatusCode), 10)
+	dst = append(append(append(dst, ' '), r.Status...), "\r\n"...)
+	return r.header.appendTo(dst, len(r.Body))
 }
 
-// SetHeader sets a header, canonicalizing its name.
-func (r *Response) SetHeader(name, value string) {
-	if r.Headers == nil {
-		r.Headers = make(map[string]string)
-	}
-	r.Headers[canonical(name)] = value
-}
-
-// Marshal serializes the response onto the wire, always emitting a
-// Content-Length so the peer can frame the body.
+// Marshal serializes the response onto the wire.
 func (r *Response) Marshal() []byte {
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "%s %d %s\r\n", r.Version, r.StatusCode, r.Status)
-	writeHeaders(&b, r.Headers)
-	fmt.Fprintf(&b, "Content-Length: %d\r\n", len(r.Body))
-	b.WriteString("\r\n")
-	b.Write(r.Body)
-	return b.Bytes()
+	var buf [256]byte // heads are small: sized on the stack, copied once
+	return marshal(r.appendHead(buf[:0]), r.Body)
 }
 
 func statusText(code int) string {
@@ -152,50 +211,25 @@ func statusText(code int) string {
 	}
 }
 
-func writeHeaders(b *bytes.Buffer, h map[string]string) {
-	keys := make([]string, 0, len(h))
-	for k := range h {
-		if strings.EqualFold(k, "Content-Length") {
-			continue // framing is computed at Marshal time
-		}
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(b, "%s: %s\r\n", k, h[k])
-	}
-}
-
-func headerGet(h map[string]string, name string) string {
-	// Fast path: headers are stored under canonical names, and hot callers
-	// (the rule engine, keep-alive framing) pass canonical names, so the
-	// direct map hit succeeds without the allocation canonicalizing would
-	// cost. The fold-insensitive scan covers every other spelling.
-	if v, ok := h[name]; ok {
-		return v
-	}
-	for k, v := range h {
-		if strings.EqualFold(k, name) {
-			return v
-		}
-	}
-	return ""
-}
-
 // canonical converts a header name to Canonical-Form. Only ASCII letters
 // are case-mapped; other bytes pass through untouched, so the function is
-// idempotent on arbitrary input.
+// idempotent on arbitrary input. A name already in canonical form is
+// returned as it is, without allocating.
 func canonical(name string) string {
-	b := []byte(name)
+	var b []byte
 	upper := true
-	for i, c := range b {
-		switch {
-		case upper && 'a' <= c && c <= 'z':
-			b[i] = c - 'a' + 'A'
-		case !upper && 'A' <= c && c <= 'Z':
-			b[i] = c - 'A' + 'a'
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		if upper && 'a' <= c && c <= 'z' || !upper && 'A' <= c && c <= 'Z' {
+			if b == nil {
+				b = []byte(name)
+			}
+			b[i] = c ^ 0x20
 		}
 		upper = c == '-'
+	}
+	if b == nil {
+		return name
 	}
 	return string(b)
 }

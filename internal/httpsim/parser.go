@@ -13,192 +13,239 @@ var (
 	ErrTooLarge  = errors.New("httpsim: header exceeds limit")
 )
 
-// maxHeaderBytes bounds header accumulation so a garbage stream cannot
-// grow a parser without limit.
-const maxHeaderBytes = 64 * 1024
+const (
+	// maxHeaderBytes bounds header accumulation so a garbage stream cannot
+	// grow a parser without limit; a body is bounded by its declared length.
+	maxHeaderBytes = 64 * 1024
+	// headScratch is the first allocation for a header block that arrives
+	// in pieces; typical heads fit, so a byte-at-a-time peer costs one.
+	headScratch = 512
+	// maxBodyPrealloc caps what a declared Content-Length reserves up
+	// front; a longer body grows from there as it actually arrives.
+	maxBodyPrealloc = 1 << 20
+)
 
-// RequestParser incrementally parses a stream of HTTP requests. Feed
-// returns each complete request as it is framed; partial input is
-// buffered. It supports back-to-back (keep-alive and pipelined) requests.
-type RequestParser struct {
-	buf bytes.Buffer
+var crlf, crlfcrlf = []byte("\r\n"), []byte("\r\n\r\n")
+
+// Frame locates the message at the front of buf without building it:
+// headLen is the length of its header block including the blank line
+// that ends it, or 0 while that line has not arrived; bodyLen is what
+// the last Content-Length line declares. The message is complete once
+// len(buf)-headLen >= bodyLen. Start-line and header-line syntax are not
+// Frame's business; the parsers reject what is malformed.
+func Frame(buf []byte) (headLen, bodyLen int, err error) {
+	end, err := headerEnd(buf)
+	if end < 0 {
+		return 0, 0, err
+	}
+	var value []byte
+	_, lines, _ := bytes.Cut(buf[:end], crlf)
+	for len(lines) > 0 {
+		var line []byte
+		line, lines, _ = bytes.Cut(lines, crlf)
+		if name, v, ok := bytes.Cut(line, []byte{':'}); ok && bytes.EqualFold(bytes.TrimSpace(name), []byte(contentLength)) {
+			value = bytes.TrimSpace(v)
+		}
+	}
+	bodyLen, err = parseContentLength(string(value))
+	return end + 4, bodyLen, err
 }
 
-// Feed appends data and returns any requests completed by it.
-func (p *RequestParser) Feed(data []byte) ([]*Request, error) {
-	p.buf.Write(data)
-	var out []*Request
-	for {
-		req, consumed, err := parseRequest(p.buf.Bytes())
-		if err != nil {
-			return out, err
-		}
-		if req == nil {
-			if p.buf.Len() > maxHeaderBytes {
-				return out, ErrTooLarge
-			}
-			return out, nil
-		}
-		p.buf.Next(consumed)
-		out = append(out, req)
+// headerEnd returns the offset of the blank line that ends the header
+// block at the front of buf, or -1 while it has not arrived.
+func headerEnd(buf []byte) (int, error) {
+	end := bytes.Index(buf, crlfcrlf)
+	if end < 0 && len(buf) > maxHeaderBytes {
+		return -1, ErrTooLarge
 	}
+	return end, nil
+}
+
+func parseContentLength(v string) (int, error) {
+	if v == "" {
+		return 0, nil
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil || n < 0 {
+		return 0, ErrMalformed
+	}
+	return n, nil
+}
+
+// parser is the state machine behind RequestParser and ResponseParser.
+// Inside a header block cur is nil and head holds the bytes of a block
+// that is still incomplete; only newly arrived bytes are searched for
+// its end. Inside a body cur is the message parsed from the head, body
+// its buffer and need the bytes still to come. A header block is parsed
+// exactly once, from one string copy the message's fields point into;
+// body bytes are copied exactly once, into a buffer the finished message
+// takes with it. Between messages the parser holds nothing.
+type parser[M any] struct {
+	head    []byte
+	cur     *M
+	body    []byte
+	need    int
+	headLen int // wire length of cur's header block
+	err     error
+}
+
+// buffered returns the bytes fed but not yet returned inside a message.
+func (p *parser[M]) buffered() int { return len(p.head) + p.headLen + len(p.body) }
+
+// headEnd returns the offset in data just past the blank line that ends
+// the current header block, or -1 if it is not there yet. Only data is
+// searched, plus the up to three held bytes a terminator could straddle.
+func (p *parser[M]) headEnd(data []byte) int {
+	if k := len(p.head); k > 0 {
+		tail := p.head[max(0, k-3):]
+		var w [6]byte
+		n := copy(w[:], tail)
+		n += copy(w[n:], data[:min(3, len(data))])
+		if i := bytes.Index(w[:n], crlfcrlf); i >= 0 {
+			return i + 4 - len(tail)
+		}
+	}
+	if i := bytes.Index(data, crlfcrlf); i >= 0 {
+		return i + 4
+	}
+	return -1
+}
+
+// feed consumes data and returns the messages it completes. parseHead
+// turns a header block (without its blank line) into a message and its
+// header set; setBody hands the finished message its body.
+func (p *parser[M]) feed(data []byte, parseHead func(string) (*M, header, error), setBody func(*M, []byte)) ([]*M, error) {
+	var out []*M
+	for p.err == nil {
+		if p.cur == nil {
+			end := p.headEnd(data)
+			if end < 0 {
+				if p.head == nil && len(data) > 0 {
+					p.head = make([]byte, 0, max(len(data), headScratch))
+				}
+				if p.head = append(p.head, data...); len(p.head) > maxHeaderBytes {
+					p.err = ErrTooLarge
+				}
+				break
+			}
+			block := data[:end]
+			if p.head != nil {
+				block = append(p.head, block...)
+			}
+			var hdr header
+			if p.cur, hdr, p.err = parseHead(string(block[:len(block)-4])); p.err != nil {
+				break
+			}
+			if p.need, p.err = parseContentLength(hdr.Header(contentLength)); p.err != nil {
+				break
+			}
+			p.head, p.headLen, data = nil, len(block), data[end:]
+			if p.need > 0 {
+				p.body = make([]byte, 0, min(p.need, maxBodyPrealloc))
+			}
+		}
+		n := min(p.need, len(data))
+		p.body = append(p.body, data[:n]...)
+		p.need -= n
+		if p.need > 0 {
+			break
+		}
+		setBody(p.cur, p.body)
+		out = append(out, p.cur)
+		p.cur, p.body, p.headLen, data = nil, nil, 0, data[n:]
+	}
+	return out, p.err
+}
+
+// RequestParser incrementally parses a stream of HTTP requests,
+// back-to-back (keep-alive and pipelined) ones included. The zero value
+// is ready to use.
+type RequestParser struct{ p parser[Request] }
+
+// Feed consumes data and returns any requests completed by it. It keeps
+// no reference to data. After an error the parser stays failed.
+func (p *RequestParser) Feed(data []byte) ([]*Request, error) {
+	return p.p.feed(data, parseRequestHead, func(r *Request, b []byte) { r.Body = b })
 }
 
 // Buffered returns the number of unconsumed bytes held by the parser.
-func (p *RequestParser) Buffered() int { return p.buf.Len() }
-
-// HeaderComplete reports whether the buffered bytes already contain a full
-// header block (CRLFCRLF). Yoda uses this to know when it can run rule
-// matching even before any body arrives.
-func (p *RequestParser) HeaderComplete() bool {
-	return bytes.Contains(p.buf.Bytes(), []byte("\r\n\r\n"))
-}
+func (p *RequestParser) Buffered() int { return p.p.buffered() }
 
 // ParseRequestHeader parses just the header block out of raw bytes,
 // without requiring the body. It returns nil if the header is incomplete.
 // This is the entry point used by the Yoda instance's connection phase.
 func ParseRequestHeader(raw []byte) (*Request, error) {
-	idx := bytes.Index(raw, []byte("\r\n\r\n"))
-	if idx < 0 {
-		if len(raw) > maxHeaderBytes {
-			return nil, ErrTooLarge
-		}
-		return nil, nil
-	}
-	return parseRequestHead(raw[:idx])
-}
-
-// parseRequest frames one full request (header + declared body) from buf.
-// It returns (nil, 0, nil) when more data is needed.
-func parseRequest(buf []byte) (*Request, int, error) {
-	idx := bytes.Index(buf, []byte("\r\n\r\n"))
-	if idx < 0 {
-		return nil, 0, nil
-	}
-	req, err := parseRequestHead(buf[:idx])
-	if err != nil {
-		return nil, 0, err
-	}
-	bodyLen := 0
-	if cl := req.Header("Content-Length"); cl != "" {
-		n, err := strconv.Atoi(cl)
-		if err != nil || n < 0 {
-			return nil, 0, ErrMalformed
-		}
-		bodyLen = n
-	}
-	total := idx + 4 + bodyLen
-	if len(buf) < total {
-		return nil, 0, nil
-	}
-	if bodyLen > 0 {
-		req.Body = append([]byte(nil), buf[idx+4:total]...)
-	}
-	return req, total, nil
-}
-
-func parseRequestHead(head []byte) (*Request, error) {
-	lines := strings.Split(string(head), "\r\n")
-	if len(lines) == 0 {
-		return nil, ErrMalformed
-	}
-	parts := strings.SplitN(lines[0], " ", 3)
-	if len(parts) != 3 || !strings.HasPrefix(parts[2], "HTTP/") {
-		return nil, ErrMalformed
-	}
-	req := &Request{
-		Method:  parts[0],
-		Path:    parts[1],
-		Version: parts[2],
-		Headers: make(map[string]string, len(lines)-1),
-	}
-	if err := parseHeaderLines(lines[1:], req.Headers); err != nil {
+	end, err := headerEnd(raw)
+	if end < 0 {
 		return nil, err
 	}
-	return req, nil
+	req, _, err := parseRequestHead(string(raw[:end]))
+	return req, err
 }
 
-// ResponseParser incrementally parses a stream of HTTP responses.
-type ResponseParser struct {
-	buf bytes.Buffer
-}
-
-// Feed appends data and returns any responses completed by it.
-func (p *ResponseParser) Feed(data []byte) ([]*Response, error) {
-	p.buf.Write(data)
-	var out []*Response
-	for {
-		resp, consumed, err := parseResponse(p.buf.Bytes())
-		if err != nil {
-			return out, err
-		}
-		if resp == nil {
-			if p.buf.Len() > maxHeaderBytes && !bytes.Contains(p.buf.Bytes(), []byte("\r\n\r\n")) {
-				return out, ErrTooLarge
-			}
-			return out, nil
-		}
-		p.buf.Next(consumed)
-		out = append(out, resp)
+func parseRequestHead(head string) (*Request, header, error) {
+	line, lines, _ := strings.Cut(head, "\r\n")
+	method, line, ok1 := strings.Cut(line, " ")
+	path, version, ok2 := strings.Cut(line, " ")
+	if !ok1 || !ok2 || !strings.HasPrefix(version, "HTTP/") {
+		return nil, nil, ErrMalformed
 	}
+	hdr, err := parseFields(lines)
+	if err != nil {
+		return nil, nil, err
+	}
+	return &Request{Method: method, Path: path, Version: version, header: hdr}, hdr, nil
+}
+
+// ResponseParser incrementally parses a stream of HTTP responses. The
+// zero value is ready to use.
+type ResponseParser struct{ p parser[Response] }
+
+// Feed consumes data and returns any responses completed by it. It keeps
+// no reference to data. After an error the parser stays failed.
+func (p *ResponseParser) Feed(data []byte) ([]*Response, error) {
+	return p.p.feed(data, parseResponseHead, func(r *Response, b []byte) { r.Body = b })
 }
 
 // Buffered returns the number of unconsumed bytes held by the parser.
-func (p *ResponseParser) Buffered() int { return p.buf.Len() }
+func (p *ResponseParser) Buffered() int { return p.p.buffered() }
 
-func parseResponse(buf []byte) (*Response, int, error) {
-	idx := bytes.Index(buf, []byte("\r\n\r\n"))
-	if idx < 0 {
-		return nil, 0, nil
+func parseResponseHead(head string) (*Response, header, error) {
+	line, lines, _ := strings.Cut(head, "\r\n")
+	version, line, ok := strings.Cut(line, " ")
+	if !ok || !strings.HasPrefix(version, "HTTP/") {
+		return nil, nil, ErrMalformed
 	}
-	lines := strings.Split(string(buf[:idx]), "\r\n")
-	parts := strings.SplitN(lines[0], " ", 3)
-	if len(parts) < 2 || !strings.HasPrefix(parts[0], "HTTP/") {
-		return nil, 0, ErrMalformed
-	}
-	code, err := strconv.Atoi(parts[1])
+	codeText, status, _ := strings.Cut(line, " ")
+	code, err := strconv.Atoi(codeText)
 	if err != nil {
-		return nil, 0, ErrMalformed
+		return nil, nil, ErrMalformed
 	}
-	resp := &Response{
-		Version:    parts[0],
-		StatusCode: code,
-		Headers:    make(map[string]string, len(lines)-1),
+	hdr, err := parseFields(lines)
+	if err != nil {
+		return nil, nil, err
 	}
-	if len(parts) == 3 {
-		resp.Status = parts[2]
-	}
-	if err := parseHeaderLines(lines[1:], resp.Headers); err != nil {
-		return nil, 0, err
-	}
-	bodyLen := 0
-	if cl := resp.Header("Content-Length"); cl != "" {
-		n, err := strconv.Atoi(cl)
-		if err != nil || n < 0 {
-			return nil, 0, ErrMalformed
-		}
-		bodyLen = n
-	}
-	total := idx + 4 + bodyLen
-	if len(buf) < total {
-		return nil, 0, nil
-	}
-	if bodyLen > 0 {
-		resp.Body = append([]byte(nil), buf[idx+4:total]...)
-	}
-	return resp, total, nil
+	return &Response{Version: version, StatusCode: code, Status: status, header: hdr}, hdr, nil
 }
 
-func parseHeaderLines(lines []string, into map[string]string) error {
-	for _, line := range lines {
+// parseFields parses the header lines of a head into a header set whose
+// strings are substrings of lines.
+func parseFields(lines string) (header, error) {
+	if lines == "" {
+		return nil, nil
+	}
+	hdr := make(header, 0, strings.Count(lines, "\r\n")+1)
+	for lines != "" {
+		var line string
+		line, lines, _ = strings.Cut(lines, "\r\n")
 		if line == "" {
 			continue
 		}
-		kv := strings.SplitN(line, ":", 2)
-		if len(kv) != 2 {
-			return ErrMalformed
+		name, value, ok := strings.Cut(line, ":")
+		if !ok {
+			return nil, ErrMalformed
 		}
-		into[canonical(strings.TrimSpace(kv[0]))] = strings.TrimSpace(kv[1])
+		hdr.SetHeader(strings.TrimSpace(name), strings.TrimSpace(value))
 	}
-	return nil
+	return hdr, nil
 }

@@ -51,8 +51,11 @@ type Server struct {
 	Requests int
 	// ActiveConns tracks currently open connections.
 	ActiveConns int
+	// ClosedGSOTrains sums GSOTrainsSent over closed connections: the
+	// server keeps no reference to a connection past its close.
+	ClosedGSOTrains int
 
-	conns []*tcp.Conn
+	head []byte // scratch for response heads; Writev copies it out at once
 }
 
 // NewServer starts a server on host:port with the given handler.
@@ -68,19 +71,14 @@ func (s *Server) Close() { s.lis.Close() }
 // Host returns the server's host.
 func (s *Server) Host() *netsim.Host { return s.host }
 
-// Conns returns every connection the server has accepted, open or
-// closed, in accept order — tests inspect their per-conn TCP stats
-// (retransmits, elided ACKs, GSO trains).
-func (s *Server) Conns() []*tcp.Conn { return s.conns }
-
 func (s *Server) accept(c *tcp.Conn) tcp.Callbacks {
 	parser := &RequestParser{}
-	s.conns = append(s.conns, c)
 	s.ActiveConns++
 	closeConn := func() {
 		if s.ActiveConns > 0 {
 			s.ActiveConns--
 		}
+		s.ClosedGSOTrains += c.GSOTrainsSent
 	}
 	return tcp.Callbacks{
 		OnData: func(c *tcp.Conn, d []byte) {
@@ -113,7 +111,8 @@ func (s *Server) serve(c *tcp.Conn, req *Request) {
 		if !keepAlive {
 			resp.SetHeader("Connection", "close")
 		}
-		c.Write(resp.Marshal())
+		s.head = resp.appendHead(s.head[:0])
+		c.Writev(s.head, resp.Body)
 		if !keepAlive {
 			c.Close()
 		}

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -143,6 +144,37 @@ func TestTimerStop(t *testing.T) {
 	if tm.Active() {
 		t.Fatal("stopped timer reports active")
 	}
+}
+
+// TestStoppedTimerReleasesCallback: a cancelled record stays queued
+// until its slot comes round (an HTTP timeout: tens of virtual seconds),
+// so Stop must let go of the callback itself, or every completed fetch
+// pins its connection, parser and response body until then.
+func TestStoppedTimerReleasesCallback(t *testing.T) {
+	n := New(1)
+	collected := make(chan struct{})
+	func() {
+		captured := new([1 << 16]byte)
+		runtime.SetFinalizer(captured, func(*[1 << 16]byte) { close(collected) })
+		tm := n.Schedule(time.Hour, func() { captured[0]++ })
+		tm.Stop()
+	}()
+	if n.Pending() != 0 {
+		t.Fatalf("Pending = %d after Stop, want 0", n.Pending())
+	}
+	for i := 0; i < 100; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			// The record itself is still queued, far before its deadline.
+			if n.Now() != 0 || n.RunUntilIdle(10) != 0 {
+				t.Fatal("cancelled record ran")
+			}
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("a stopped timer's callback is still reachable before its deadline")
 }
 
 func TestRunDeadline(t *testing.T) {

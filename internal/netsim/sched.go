@@ -152,10 +152,13 @@ type Timer struct {
 }
 
 // Stop prevents the timer from firing. Stopping an already-fired,
-// already-stopped, or zero timer is a no-op.
+// already-stopped, or zero timer is a no-op. The callback is let go at
+// once: the cancelled record stays queued until its slot comes round,
+// and must not keep what the callback captured alive until then.
 func (t Timer) Stop() {
 	if t.ev != nil && t.ev.gen == t.gen && !t.ev.cancelled {
 		t.ev.cancelled = true
+		t.ev.fn = nil
 		t.net.cancelledPending++
 	}
 }

@@ -139,12 +139,9 @@ func randomDiffTable(rng *rand.Rand, backends []Backend) ([]Rule, *Engine, map[s
 }
 
 func randomDiffRequest(rng *rand.Rand) *httpsim.Request {
-	req := httpsim.NewRequest(diffPaths[rng.Intn(len(diffPaths))], "ignored")
+	req := &httpsim.Request{Path: diffPaths[rng.Intn(len(diffPaths))], Version: "HTTP/1.1"}
 	req.Method = diffMethods[rng.Intn(len(diffMethods))]
-	host := diffHosts[rng.Intn(len(diffHosts))]
-	if host == "" {
-		delete(req.Headers, "Host")
-	} else {
+	if host := diffHosts[rng.Intn(len(diffHosts))]; host != "" {
 		req.SetHeader("Host", host)
 	}
 	if rng.Intn(2) == 0 {

@@ -30,11 +30,8 @@ func FuzzSelectDifferential(f *testing.F) {
 		rng := rand.New(rand.NewSource(tableSeed))
 		rs, e, tables, info := randomDiffTable(rng, backends)
 
-		req := httpsim.NewRequest(path, "ignored")
-		req.Method = method
-		if host == "" {
-			delete(req.Headers, "Host")
-		} else {
+		req := &httpsim.Request{Method: method, Path: path, Version: "HTTP/1.1"}
+		if host != "" {
 			req.SetHeader("Host", host)
 		}
 		if cookie != "" {

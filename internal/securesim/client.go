@@ -48,12 +48,8 @@ func Fetch(host *netsim.Host, addr netsim.HostPort, pinnedCert []byte, req *http
 		return
 	}
 
-	r := *req
-	r.Headers = map[string]string{}
-	for k, v := range req.Headers {
-		r.Headers[k] = v
-	}
-	r.Headers["Connection"] = "close"
+	r := req.Clone()
+	r.SetHeader("Connection", "close")
 	plainReq := r.Marshal()
 
 	var key [32]byte

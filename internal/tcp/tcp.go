@@ -367,12 +367,23 @@ func (c *Conn) ISN() uint32 { return c.iss }
 
 // Write queues payload for transmission. It is an error to write after
 // Close or on a failed connection; the data is silently discarded then.
-func (c *Conn) Write(data []byte) {
-	if c.state == StateClosed || c.finQueued || len(data) == 0 {
+func (c *Conn) Write(data []byte) { c.Writev(data) }
+
+// Writev is Write of the concatenation of bufs without building it: each
+// part is copied once, straight into the send buffer, then one trySend.
+// Segments are cut from the send buffer, so their boundaries are exactly
+// those of a single Write of the joined bytes. (The buffer grows by
+// append, part by part: reserving the total up front would have to zero
+// it first, which for a large body costs as much as the copy.)
+func (c *Conn) Writev(bufs ...[]byte) {
+	if c.state == StateClosed || c.finQueued {
 		return
 	}
-	c.sndBuf = append(c.sndBuf, data...)
-	if c.state == StateEstablished || c.state == StateCloseWait {
+	before := len(c.sndBuf)
+	for _, b := range bufs {
+		c.sndBuf = append(c.sndBuf, b...)
+	}
+	if len(c.sndBuf) > before && (c.state == StateEstablished || c.state == StateCloseWait) {
 		c.trySend()
 	}
 }
@@ -410,6 +421,12 @@ func (c *Conn) teardown() {
 	// rtxBufs are NOT released here: retransmitted packets referencing
 	// them may still be in flight, and the conn going away does not stop
 	// their delivery. They are garbage-collected with the conn.
+	//
+	// The send and reassembly buffers are dropped by the same argument: a
+	// closed conn never reads them again, while applications keep closed
+	// conns around for their stats, and any zero-copy segment still in
+	// flight (or parked at the peer) holds the array alive by itself.
+	c.sndBuf, c.sndHead, c.reasm = nil, 0, nil
 	c.host.Unregister(c.local.Port, c.remote)
 }
 

@@ -119,6 +119,77 @@ func TestLargeTransfer(t *testing.T) {
 	}
 }
 
+// TestWritevMatchesWrite: a gather write must put the same bytes in the
+// same segments as one Write of the joined parts.
+func TestWritevMatchesWrite(t *testing.T) {
+	head := []byte("HTTP/1.1 200 OK\r\nContent-Length: 100000\r\n\r\n")
+	body := bytes.Repeat([]byte("0123456789"), 10000)
+	run := func(gather bool) (wire []string, got []byte) {
+		p := newPair(7)
+		p.net.SetTracer(func(ev netsim.TraceEvent) {
+			pk := ev.Packet
+			wire = append(wire, fmt.Sprintf("%v %v>%v %v seq=%d ack=%d len=%d", ev.At, pk.Src, pk.Dst, pk.Flags, pk.Seq, pk.Ack, len(pk.Payload)))
+		})
+		Listen(p.server, 80, func(c *Conn) Callbacks {
+			return Callbacks{OnEstablished: func(c *Conn) {
+				if gather {
+					c.Writev(head, nil, body)
+				} else {
+					c.Write(append(append([]byte(nil), head...), body...))
+				}
+				c.Close()
+			}}
+		}, DefaultConfig())
+		Dial(p.client, netsim.HostPort{IP: serverIP, Port: 80}, Callbacks{
+			OnData:      func(c *Conn, d []byte) { got = append(got, d...) },
+			OnPeerClose: func(c *Conn) { c.Close() },
+		}, DefaultConfig())
+		p.net.RunUntilIdle(1_000_000)
+		return wire, got
+	}
+	wireW, gotW := run(false)
+	wireV, gotV := run(true)
+	if !bytes.Equal(gotV, append(append([]byte(nil), head...), body...)) || !bytes.Equal(gotV, gotW) {
+		t.Fatalf("Writev delivered %d bytes, Write %d", len(gotV), len(gotW))
+	}
+	if len(wireW) != len(wireV) {
+		t.Fatalf("Writev put %d packets on the wire, Write %d", len(wireV), len(wireW))
+	}
+	for i := range wireW {
+		if wireW[i] != wireV[i] {
+			t.Fatalf("packet %d differs:\n Write  %s\n Writev %s", i, wireW[i], wireV[i])
+		}
+	}
+}
+
+// TestTeardownDropsBuffers: applications keep closed conns for their
+// stats; a closed conn must not keep its send buffer with them.
+func TestTeardownDropsBuffers(t *testing.T) {
+	p := newPair(8)
+	var srv, cli *Conn
+	Listen(p.server, 80, func(c *Conn) Callbacks {
+		srv = c
+		return Callbacks{
+			OnEstablished: func(c *Conn) { c.Write(make([]byte, 100<<10)); c.Close() },
+		}
+	}, DefaultConfig())
+	cli = Dial(p.client, netsim.HostPort{IP: serverIP, Port: 80}, Callbacks{
+		OnPeerClose: func(c *Conn) { c.Close() },
+	}, DefaultConfig())
+	p.net.RunUntilIdle(1_000_000)
+	for _, c := range []*Conn{srv, cli} {
+		if c.State() != StateClosed {
+			t.Fatalf("conn %v not closed: %v", c.LocalAddr(), c.State())
+		}
+		if c.sndBuf != nil || c.sndHead != 0 || c.reasm != nil {
+			t.Fatalf("closed conn %v keeps sndBuf cap %d head %d reasm %d", c.LocalAddr(), cap(c.sndBuf), c.sndHead, len(c.reasm))
+		}
+	}
+	if srv.BytesSent != 100<<10 || cli.BytesRecv != 100<<10 {
+		t.Fatalf("stats lost: sent %d recv %d", srv.BytesSent, cli.BytesRecv)
+	}
+}
+
 func TestTransferWithLoss(t *testing.T) {
 	p := newPair(3)
 	// Drop 5% of data segments (never control packets, to keep the test fast).

@@ -34,6 +34,8 @@ go test -run '^$' -bench 'BenchmarkStorageB' -benchtime 2000x \
   ./internal/tcpstore/ | tee -a "$MICRO_LOG"
 go test -run '^$' -bench 'BenchmarkRuleSelect(Reference)?/rules=1000$' \
   -benchmem ./internal/rules/ | tee -a "$MICRO_LOG"
+go test -run '^$' -bench 'BenchmarkParseRequest|BenchmarkParseResponse2K|BenchmarkFeed512K|BenchmarkMarshal512K' \
+  -benchmem ./internal/httpsim/ | tee -a "$MICRO_LOG"
 go test -run '^$' -bench 'BenchmarkReconfigMigration' -benchtime 3x \
   ./internal/reconfig/ | tee -a "$MICRO_LOG"
 go test -run '^$' -bench 'BenchmarkShardedEventLoop' \
@@ -102,6 +104,10 @@ EPF_ON="$(metric "$MICRO_LOG" 'BenchmarkEventsPerFlow/tierb=on' events/flow)"
 RULE_SEL_NS="$(pick "$MICRO_LOG" 'BenchmarkRuleSelect/rules=1000' 3)"
 RULE_SEL_ALLOCS="$(awk '$1 ~ /^BenchmarkRuleSelect\/rules=1000/ {for(i=1;i<NF;i++) if($(i+1)=="allocs/op") print $i}' "$MICRO_LOG" | head -1)"
 RULE_REF_NS="$(pick "$MICRO_LOG" 'BenchmarkRuleSelectReference/rules=1000' 3)"
+HTTP_REQ_NS="$(pick "$MICRO_LOG" BenchmarkParseRequest 3)"
+HTTP_RESP_NS="$(pick "$MICRO_LOG" BenchmarkParseResponse2K 3)"
+HTTP_FEED_ALLOCS="$(metric "$MICRO_LOG" BenchmarkFeed512K allocs/op)"
+HTTP_MARSHAL_B="$(metric "$MICRO_LOG" BenchmarkMarshal512K B/op)"
 
 jsonnum() { [[ -n "${1:-}" ]] && echo "$1" || echo "null"; }
 
@@ -190,6 +196,10 @@ cat > "$OUT" <<EOF
     "rule_select_ns_op": $(jsonnum "$RULE_SEL_NS"),
     "rule_select_allocs_op": $(jsonnum "$RULE_SEL_ALLOCS"),
     "rule_select_reference_ns_op": $(jsonnum "$RULE_REF_NS"),
+    "http_parse_request_ns_op": $(jsonnum "$HTTP_REQ_NS"),
+    "http_parse_response_2k_ns_op": $(jsonnum "$HTTP_RESP_NS"),
+    "http_feed_512k_allocs_op": $(jsonnum "$HTTP_FEED_ALLOCS"),
+    "http_marshal_512k_bytes_op": $(jsonnum "$HTTP_MARSHAL_B"),
     "fig10_wall_s": $FIG10_S,
     "fig12_wall_s": $FIG12_S,
     "fig13_wall_s": $FIG13_S

@@ -2,11 +2,15 @@
 # ci.sh — the checks a change must pass before merging.
 #
 #   1. gofmt -s -l + go vet   formatting and static checks, whole tree
-#   2. fast-fail stages       vet + race on the hottest packages, then
-#                             the 4-shard race runs and the RNG lint
+#   2. fast-fail stages       vet + race on the hottest packages (plus
+#                             10 s of the HTTP codec's differential
+#                             fuzzer), then the 4-shard race runs and
+#                             the RNG lint
 #   3. go build               everything compiles, including cmd/
-#   4. go test -race          full suite under the race detector
-#   5. benchmarks             every Benchmark* compiles and runs one
+#   4. bench module smoke     bench/ has its own go.mod; its ~3 s test
+#                             compiles yodabench against this tree
+#   5. go test -race          full suite under the race detector
+#   6. benchmarks             every Benchmark* compiles and runs one
 #      iteration (the heavy figure benchmarks are excluded by name; run
 #      scripts/bench.sh for real numbers)
 set -euo pipefail
@@ -33,6 +37,10 @@ echo "== dataplane fast-fail (vet + race on flowmap/rules/httpsim/core/l4lb/tcps
 # after the full suite.
 go vet ./internal/flowmap/ ./internal/rules/ ./internal/httpsim/ ./internal/core/ ./internal/l4lb/ ./internal/tcpstore/ ./internal/memcache/ ./internal/reconfig/ ./internal/stateless/
 go test -race ./internal/flowmap/ ./internal/rules/ ./internal/httpsim/ ./internal/core/ ./internal/l4lb/ ./internal/tcpstore/ ./internal/memcache/ ./internal/reconfig/ ./internal/stateless/
+# Every client, backend and instance reads HTTP through one streaming
+# codec; ten seconds of new-vs-reference fuzzing over fresh inputs is
+# cheap next to what a framing bug costs everything downstream.
+go test -run '^$' -fuzz 'FuzzHTTPCodecDifferential' -fuzztime 10s -fuzzminimizetime 2s ./internal/httpsim/
 
 echo "== sharded dataplane fast-fail (race at 4 shards: netsim + l4lb SNAT + whole-stack e2e) =="
 # The conservative-sync coordinator is lock-free by design (happens-before
@@ -62,6 +70,12 @@ fi
 
 echo "== go build =="
 go build ./...
+
+echo "== bench module smoke (cd bench && go test ./...) =="
+# bench/ is a module of its own, so the root `go test ./...` never
+# compiles it; without this stage an API break against the frozen
+# benchmark would surface only in the pipeline.
+(cd bench && go test ./...)
 
 echo "== go test -race =="
 go test -race ./...
