@@ -151,3 +151,63 @@ func BenchmarkStorageWritePath(b *testing.B) {
 		}
 	}
 }
+
+// TestOneLingerTimerPerClose: every packet after the second FIN — the
+// close's final ACK always is one — reaches maybeFinish; only the first
+// may arm the FinLinger timer, and the flow still goes FinLinger after
+// that first one.
+func TestOneLingerTimerPerClose(t *testing.T) {
+	n := netsim.New(7)
+	in, f := benchTunnelSetup(n)
+	send := func(src, dst netsim.HostPort, flags netsim.TCPFlags) {
+		pkt := n.AllocPacket()
+		pkt.Src, pkt.Dst, pkt.Flags = src, dst, flags
+		in.handlePacket(pkt)
+		n.RunFor(100 * time.Millisecond) // the forwarded packet reaches its sink
+	}
+	send(f.client, f.vip, netsim.FlagFIN|netsim.FlagACK)
+	if n.Pending() != 0 {
+		t.Fatalf("%d events pending after one FIN, want 0", n.Pending())
+	}
+	send(f.server, f.snat, netsim.FlagFIN|netsim.FlagACK)
+	closed := n.Now() - 100*time.Millisecond
+	send(f.client, f.vip, netsim.FlagACK)
+	send(f.server, f.snat, netsim.FlagACK)
+	if n.Pending() != 1 {
+		t.Fatalf("%d timers pending after the close, want the one linger timer", n.Pending())
+	}
+	n.Run(closed + in.cfg.FinLinger - 1)
+	if in.FlowsClosed != 0 {
+		t.Fatal("flow torn down before FinLinger had passed")
+	}
+	n.Run(closed + in.cfg.FinLinger)
+	if in.FlowsClosed != 1 || n.Pending() != 0 {
+		t.Fatalf("FinLinger after the second FIN: %d flows closed, %d events pending; want 1 and 0", in.FlowsClosed, n.Pending())
+	}
+}
+
+// TestIdleTimerPeriodAndAllocs: the idle timer comes round every
+// FlowIdleTimeout, tears the flow down the first time it finds it idle
+// that long, and re-arms without allocating.
+func TestIdleTimerPeriodAndAllocs(t *testing.T) {
+	n := netsim.New(7)
+	in, f := benchTunnelSetup(n)
+	idle := in.cfg.FlowIdleTimeout
+	in.armIdle(f)
+	if allocs := testing.AllocsPerRun(20, func() {
+		f.touch(n.Now() + idle/2)
+		n.RunFor(idle)
+	}); allocs != 0 {
+		t.Fatalf("re-arming the idle timer allocates %.1f objects, want 0", allocs)
+	}
+	// Last touched half a period before the timer came round: it must
+	// come round once more, a full period later, and only then close.
+	n.RunFor(idle - 1)
+	if in.FlowsClosed != 0 || n.Pending() != 1 {
+		t.Fatalf("before the second period ends: %d flows closed, %d timers pending; want 0 and 1", in.FlowsClosed, n.Pending())
+	}
+	n.RunFor(1)
+	if in.FlowsClosed != 1 || n.Pending() != 0 {
+		t.Fatalf("a full idle period after the last re-arm: %d flows closed, %d timers pending; want 1 and 0", in.FlowsClosed, n.Pending())
+	}
+}

@@ -50,10 +50,13 @@ type flow struct {
 	// TLS termination state; see tls.go.
 	tls *flowTLS
 
-	// Timers.
-	idleTimer netsim.Timer
-	dialTimer netsim.Timer
-	dialTries int
+	// Timers. idleFn is the idle timer's callback, built once by armIdle
+	// and handed back to the scheduler on every re-arm.
+	idleTimer   netsim.Timer
+	idleFn      func()
+	dialTimer   netsim.Timer
+	lingerTimer netsim.Timer
+	dialTries   int
 
 	start      time.Duration // SYN arrival
 	dialStart  time.Duration // backend selection began, for the Figure 9 breakdown
@@ -538,11 +541,13 @@ func (in *Instance) tunnelFromServer(f *flow, pkt *netsim.Packet) {
 }
 
 // maybeFinish schedules state cleanup once both directions have closed.
+// Every packet after the second FIN lands here (the close's last ACK
+// always does); only the first starts the linger.
 func (in *Instance) maybeFinish(f *flow) {
-	if !f.clientFin || !f.serverFin {
+	if !f.clientFin || !f.serverFin || f.lingerTimer.Active() {
 		return
 	}
-	in.net.Schedule(in.cfg.FinLinger, func() {
+	f.lingerTimer = in.net.Schedule(in.cfg.FinLinger, func() {
 		if in.flows.get(f.clientTuple()) == f {
 			in.teardown(f, true)
 		}
@@ -559,6 +564,7 @@ func (in *Instance) teardown(f *flow, deleteStore bool) {
 	}
 	f.idleTimer.Stop()
 	f.dialTimer.Stop()
+	f.lingerTimer.Stop()
 	if f.server.IP != 0 {
 		in.releaseSNATPort(f.snat.Port)
 	}
@@ -577,24 +583,23 @@ func (in *Instance) teardown(f *flow, deleteStore bool) {
 	}
 }
 
+// armIdle starts the flow's idle timer: it comes round every
+// FlowIdleTimeout and tears the flow down once it has sat idle that long.
 func (in *Instance) armIdle(f *flow) {
 	if in.cfg.FlowIdleTimeout <= 0 {
 		return
 	}
-	var arm func()
-	arm = func() {
-		f.idleTimer = in.net.Schedule(in.cfg.FlowIdleTimeout, func() {
-			if in.flows.get(f.clientTuple()) != f {
-				return
-			}
-			if in.net.Now()-f.lastActive >= in.cfg.FlowIdleTimeout {
-				in.teardown(f, true)
-				return
-			}
-			arm()
-		})
+	f.idleFn = func() {
+		if in.flows.get(f.clientTuple()) != f {
+			return
+		}
+		if in.net.Now()-f.lastActive >= in.cfg.FlowIdleTimeout {
+			in.teardown(f, true)
+			return
+		}
+		f.idleTimer = in.net.Schedule(in.cfg.FlowIdleTimeout, f.idleFn)
 	}
-	arm()
+	f.idleTimer = in.net.Schedule(in.cfg.FlowIdleTimeout, f.idleFn)
 }
 
 // TerminateBackendFlows aborts every flow pinned to a failed backend

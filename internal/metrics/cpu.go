@@ -16,12 +16,14 @@ type CPUMeter struct {
 	Cores int
 
 	busy time.Duration // total busy core-time charged
-	// chunks is the per-charge log for windowed queries, stored as
-	// fixed-capacity chunks so an append never copies earlier entries:
-	// a meter charged per packet logs millions of events, and a single
-	// flat slice spends more time in growslice memmoves than in the
-	// dataplane it is metering. Only the last chunk grows; entries stay
-	// in charge (time) order across chunks.
+	// chunks is the charge log for windowed queries, one entry per
+	// distinct instant (the packets of one train are all charged at the
+	// same virtual time and share an entry), stored as fixed-capacity
+	// chunks so an append never copies earlier entries: a meter charged
+	// per packet logs millions of events, and a single flat slice spends
+	// more time in growslice memmoves than in the dataplane it is
+	// metering. Only the last chunk grows; entries stay in charge (time)
+	// order across chunks.
 	chunks [][]busyEvent
 }
 
@@ -48,6 +50,12 @@ func (c *CPUMeter) Charge(now, cost time.Duration) {
 	}
 	c.busy += cost
 	last := len(c.chunks) - 1
+	if last >= 0 {
+		if ch := c.chunks[last]; len(ch) > 0 && ch[len(ch)-1].at == now {
+			ch[len(ch)-1].cost += cost
+			return
+		}
+	}
 	if last < 0 || len(c.chunks[last]) == cpuChunk {
 		c.chunks = append(c.chunks, make([]busyEvent, 0, cpuChunk))
 		last++

@@ -235,6 +235,58 @@ func TestCPUMeterWindowing(t *testing.T) {
 	}
 }
 
+// TestCPUMeterFoldsSameInstant: charges at one virtual instant share a
+// log entry, which no query may be able to tell from one entry per
+// charge — the unfolded log kept here. The stream repeats instants the
+// way packet trains do and is long enough to cross a chunk boundary.
+func TestCPUMeterFoldsSameInstant(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	c := NewCPUMeter(4)
+	var ref []busyEvent
+	var now, total time.Duration
+	for i := 0; i < 6*cpuChunk; i++ {
+		if rng.Intn(3) == 0 {
+			now += time.Duration(1 + rng.Intn(2000))
+		}
+		cost := time.Duration(rng.Intn(50)) // 0 is ignored
+		c.Charge(now, cost)
+		if cost > 0 {
+			ref = append(ref, busyEvent{at: now, cost: cost})
+			total += cost
+		}
+	}
+	if c.BusyTotal() != total {
+		t.Fatalf("BusyTotal = %v, want %v", c.BusyTotal(), total)
+	}
+	entries := 0
+	for _, ch := range c.chunks {
+		entries += len(ch)
+	}
+	if len(c.chunks) < 2 || entries >= len(ref)/2 {
+		t.Fatalf("%d charges logged as %d entries in %d chunks; want folding, and more than one chunk", len(ref), entries, len(c.chunks))
+	}
+	for q := 0; q < 500; q++ {
+		from := time.Duration(rng.Int63n(int64(now) + 2000))
+		to := from + time.Duration(rng.Int63n(int64(now)/4))
+		if q%4 == 0 { // land on charged instants, where >= and < matter
+			from, to = ref[rng.Intn(len(ref))].at, ref[rng.Intn(len(ref))].at
+		}
+		var busy time.Duration
+		for _, ev := range ref {
+			if ev.at >= from && ev.at < to {
+				busy += ev.cost
+			}
+		}
+		want := 0.0
+		if to > from {
+			want = float64(busy) / (float64(to-from) * 4)
+		}
+		if got := c.Utilization(from, to); got != want {
+			t.Fatalf("Utilization(%v, %v) = %v, unfolded log says %v", from, to, got, want)
+		}
+	}
+}
+
 func TestCPUMeterReset(t *testing.T) {
 	c := NewCPUMeter(1)
 	c.Charge(0, time.Second)

@@ -146,10 +146,10 @@ func TestTimerStop(t *testing.T) {
 	}
 }
 
-// TestStoppedTimerReleasesCallback: a cancelled record stays queued
-// until its slot comes round (an HTTP timeout: tens of virtual seconds),
-// so Stop must let go of the callback itself, or every completed fetch
-// pins its connection, parser and response body until then.
+// TestStoppedTimerReleasesCallback: Stop must let go of the callback at
+// once, not when the deadline (an HTTP timeout: tens of virtual seconds)
+// comes round, or every completed fetch pins its connection, parser and
+// response body until then.
 func TestStoppedTimerReleasesCallback(t *testing.T) {
 	n := New(1)
 	collected := make(chan struct{})
@@ -166,7 +166,6 @@ func TestStoppedTimerReleasesCallback(t *testing.T) {
 		runtime.GC()
 		select {
 		case <-collected:
-			// The record itself is still queued, far before its deadline.
 			if n.Now() != 0 || n.RunUntilIdle(10) != 0 {
 				t.Fatal("cancelled record ran")
 			}

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -102,15 +103,15 @@ type Network struct {
 	// quiescent frontier (ShardedNetwork.RunUntilIdle).
 	lastBusy time.Duration
 
-	// Scheduler state (see sched.go): a timer wheel for near events, a
-	// typed heap for far ones, and a small heap for the cursor's slot.
+	// Scheduler state (see sched.go): a small heap for the cursor's slot
+	// and, for everything later, one intrusive list per wheel slot of
+	// each level plus the far list, with a bitmap of the non-empty ones.
 	curSlot          int64
 	curHeap          eventQueue
-	slots            [wheelSize][]*event
-	occupied         [wheelSize / 64]uint64
-	overflow         eventQueue
+	slots            [farSlot + 1]*event
+	occupied         [farSlot/64 + 1]uint64
 	queued           int // pending deliveries + timers, including cancelled
-	cancelledPending int // cancelled events not yet drained
+	cancelledPending int // cancelled events still in curHeap
 
 	// Freelists (see pool.go). The loop is single-threaded, so these are
 	// plain slices with no locking.
@@ -226,7 +227,7 @@ func (n *Network) Schedule(d time.Duration, fn func()) Timer {
 	n.seq++
 	e.at, e.seq, e.kind, e.fn = n.now+d, n.seq, evFunc, fn
 	n.scheduleEvent(e)
-	return Timer{net: n, ev: e, gen: e.gen}
+	return Timer{net: n, ev: e, seq: e.seq}
 }
 
 // Send routes pkt toward its destination (Outer.Dst when encapsulated,
@@ -404,7 +405,7 @@ func (n *Network) deliverRun(pkts []*Packet, dst IP) {
 // whether an event was executed. Cancelled events are drained and
 // recycled as they are encountered, never re-scanned.
 func (n *Network) Step() bool {
-	e := n.nextEvent()
+	e := n.nextEvent(math.MaxInt64)
 	if e == nil {
 		return false
 	}
@@ -418,7 +419,9 @@ func (n *Network) Step() bool {
 func (n *Network) Run(deadline time.Duration) {
 	start := n.executed
 	for {
-		e := n.nextEvent()
+		// Looking no further than the deadline's slot leaves later timers
+		// in the wheel, where Stop can still free them.
+		e := n.nextEvent(int64(deadline >> slotShift))
 		if e == nil || e.at > deadline {
 			break
 		}
@@ -465,7 +468,7 @@ func (n *Network) Executed() uint64 { return n.executed }
 // NextEventAt reports the virtual time of the earliest live queued
 // event, positioning the scheduler on it without executing anything.
 func (n *Network) NextEventAt() (time.Duration, bool) {
-	if e := n.nextEvent(); e != nil {
+	if e := n.nextEvent(math.MaxInt64); e != nil {
 		return e.at, true
 	}
 	return 0, false

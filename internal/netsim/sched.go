@@ -5,25 +5,37 @@ import (
 	"time"
 )
 
-// The scheduler is a hierarchical-horizon timer wheel: near-future events
-// (within wheelSpan of the cursor) go into fixed-width slots with O(1)
-// insertion; far-future events (retransmission timeouts, idle timers)
-// fall back to a typed binary heap and migrate into the wheel as the
-// cursor approaches them. Events due at or before the cursor's slot live
-// in curHeap, a small typed min-heap ordered by (at, seq), which is what
-// preserves the bit-for-bit deterministic execution order the old global
-// heap provided: ties on virtual time always break by schedule sequence.
+// The scheduler is a hierarchical timing wheel. A record due in slot s
+// (at >> slotShift) is filed by the highest base-256 digit in which s
+// differs from the cursor's slot: digit 0 means the cursor's own block
+// of 256 slots (level 0, ~524 µs each), digit 1 a later block of the
+// same 134 ms × 256 stretch (level 1), digit 2 level 2 (34 s slots,
+// 2.4 h in all); anything beyond shares one far list. Filing is O(1)
+// at any distance, every level-l record is due before every record of
+// a level above it, and a record moves down one level each time the
+// cursor enters the slot it sits in (enter), so only live timers ever
+// cascade: Timer.Stop unlinks a record from its slot and recycles it
+// on the spot.
 //
-// All event records are pooled (see freeEvent); a generation counter on
-// each record lets Timer handles detect reuse, so cancellation needs no
-// per-timer allocation.
+// Events due at or before the cursor's slot live in curHeap, a small
+// typed min-heap ordered by (at, seq), which is what preserves the
+// bit-for-bit deterministic execution order of a single global heap:
+// ties on virtual time always break by schedule sequence.
+//
+// All event records are pooled (see freeEvent); a Timer handle names its
+// event by sequence number, which no later tenant of the record shares,
+// so cancellation needs no per-timer allocation.
 const (
 	// slotShift gives a slot width of 2^19 ns ≈ 524 µs: fine enough that
 	// intra-DC hops (150 µs) land at most one slot ahead, coarse enough
-	// that a 30 ms Internet hop stays inside the wheel.
+	// that a 30 ms Internet hop stays inside level 0 four times in five.
 	slotShift = 19
-	wheelSize = 256 // power of two; horizon ≈ 134 ms
+	wheelBits = 8
+	wheelSize = 1 << wheelBits
 	wheelMask = wheelSize - 1
+	levels    = 3
+	farSlot   = levels * wheelSize // list of everything past the top level
+	inHeap    = -1                 // event.slot of a record held by curHeap
 )
 
 type eventKind uint8
@@ -35,24 +47,32 @@ const (
 
 // event is a scheduled occurrence on the virtual clock. seq breaks ties
 // so that events scheduled earlier fire earlier, keeping runs
-// deterministic. Records are pooled; gen increments on every recycle so
-// stale Timer handles become inert.
+// deterministic, and is zero while the record is in the pool. Never
+// reused, it is also what makes a stale Timer handle inert.
 //
 // A delivery event may carry a train: additional packets due at the same
 // instant that ride this record instead of their own (see Network.Send).
 // Each train entry consumed a sequence number when it was appended, so
 // the burst dispatch in execute replays exactly the (at, seq) order the
 // unbatched scheduler would have produced.
+//
+// A record waiting in a wheel slot is a member of that slot's list: slot
+// is the list's index into Network.slots and pprev the link that points
+// at the record, so unlink needs no list head. In curHeap slot is
+// inHeap and the links mean nothing; only there can a record be
+// cancelled without being freed.
 type event struct {
 	at        time.Duration
 	seq       uint64
-	gen       uint64
-	kind      eventKind
-	cancelled bool
 	fn        func()
 	pkt       *Packet
-	dst       IP
 	train     *trainBox
+	next      *event
+	pprev     **event
+	dst       IP
+	slot      int16
+	kind      eventKind
+	cancelled bool
 }
 
 // trainEntry is one extra delivery coalesced onto an open evDeliver
@@ -130,42 +150,39 @@ func siftDown(h []*event, i int) {
 	}
 }
 
-// heapify restores the heap property over the whole slice in O(n) — the
-// bulk-load path collectSlot uses when it moves an entire wheel slot at
-// once. (at, seq) keys are unique, so pop order is identical however the
-// heap was built.
-func (q *eventQueue) heapify() {
-	h := *q
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDown(h, i)
-	}
-}
-
 // Timer is a cancellable handle to a scheduled event. The zero value is
 // inert: Stop and Active on it are no-ops. Handles stay valid (and
 // become inert) after the event fires or is cancelled, even though the
-// underlying record is recycled — the generation check detects reuse.
+// underlying record is recycled — the sequence check detects reuse.
 type Timer struct {
 	net *Network
 	ev  *event
-	gen uint64
+	seq uint64
 }
 
 // Stop prevents the timer from firing. Stopping an already-fired,
-// already-stopped, or zero timer is a no-op. The callback is let go at
-// once: the cancelled record stays queued until its slot comes round,
-// and must not keep what the callback captured alive until then.
+// already-stopped, or zero timer is a no-op. A record waiting in a wheel
+// slot is unlinked and recycled at once; one already in curHeap is only
+// marked, and lets its callback go, until the heap pops it.
 func (t Timer) Stop() {
-	if t.ev != nil && t.ev.gen == t.gen && !t.ev.cancelled {
-		t.ev.cancelled = true
-		t.ev.fn = nil
-		t.net.cancelledPending++
+	e, n := t.ev, t.net
+	if e == nil || e.seq != t.seq || e.cancelled {
+		return
 	}
+	if e.slot == inHeap {
+		e.cancelled = true
+		e.fn = nil
+		n.cancelledPending++
+		return
+	}
+	n.unlink(e)
+	n.queued--
+	n.freeEvent(e)
 }
 
 // Active reports whether the timer is still scheduled to fire.
 func (t Timer) Active() bool {
-	return t.ev != nil && t.ev.gen == t.gen && !t.ev.cancelled
+	return t.ev != nil && t.ev.seq == t.seq && !t.ev.cancelled
 }
 
 // allocEvent takes a record off the freelist (or allocates one).
@@ -178,7 +195,7 @@ func (n *Network) allocEvent() *event {
 	return &event{}
 }
 
-// freeEvent recycles a record. The generation bump invalidates any Timer
+// freeEvent recycles a record. Zeroing seq invalidates any Timer
 // handle still pointing at it. execute detaches trains before freeing;
 // the defensive release here only matters if an unfired trained event is
 // ever discarded (not possible today — deliveries are never cancelled).
@@ -190,7 +207,7 @@ func (n *Network) freeEvent(e *event) {
 	e.fn = nil
 	e.pkt = nil
 	e.cancelled = false
-	e.gen++
+	e.seq = 0
 	n.evFree = append(n.evFree, e)
 }
 
@@ -215,8 +232,8 @@ func (n *Network) freeTrain(t *trainBox) {
 	n.trainFree = append(n.trainFree, t)
 }
 
-// scheduleEvent files e into the wheel, the current-slot heap, or the
-// overflow heap. e.at must be >= the time of the last executed event.
+// scheduleEvent queues e. e.at must be >= the time of the last executed
+// event.
 func (n *Network) scheduleEvent(e *event) {
 	// Filing any other event at the open train's instant would interleave
 	// a sequence number between the train head and later appends, so the
@@ -224,149 +241,150 @@ func (n *Network) scheduleEvent(e *event) {
 	if n.openTrain != nil && e.at == n.openAt && e != n.openTrain {
 		n.openTrain = nil
 	}
-	slot := int64(e.at >> slotShift)
-	switch {
-	case slot <= n.curSlot:
-		// Due in (or before) the cursor's slot — the cursor may run ahead
-		// of the clock after idle jumps, so "before" is possible and the
-		// heap ordering still executes these first.
-		n.curHeap.push(e)
-	case slot < n.curSlot+wheelSize:
-		idx := int(slot & wheelMask)
-		n.slots[idx] = append(n.slots[idx], e)
-		n.occupied[idx>>6] |= 1 << (uint(idx) & 63)
-	default:
-		n.overflow.push(e)
-	}
 	n.queued++
+	n.file(e)
 }
 
-// discard drops a cancelled event encountered during popping/migration.
-// Deliveries are never cancelled, so e cannot be the open train today;
-// the clear is defensive against that ever changing.
-func (n *Network) discard(e *event) {
-	if e == n.openTrain {
-		n.openTrain = nil
+// file puts e where its distance from the cursor says: curHeap when it
+// is due in (or before) the cursor's slot — the cursor may run ahead of
+// the clock after idle jumps, so "before" is possible and the heap
+// ordering still executes these first — else the front of the list for
+// the highest digit in which its slot differs from the cursor's.
+func (n *Network) file(e *event) {
+	slot := int64(e.at >> slotShift)
+	if slot <= n.curSlot {
+		e.slot = inHeap
+		n.curHeap.push(e)
+		return
 	}
-	n.queued--
-	n.cancelledPending--
-	n.freeEvent(e)
+	idx := farSlot
+	if l := (bits.Len64(uint64(slot^n.curSlot)) - 1) / wheelBits; l < levels {
+		idx = slotIndex(l, slot)
+	}
+	head := &n.slots[idx]
+	e.slot, e.next, e.pprev = int16(idx), *head, head
+	if e.next != nil {
+		e.next.pprev = &e.next
+	}
+	*head = e
+	n.occupied[idx>>6] |= 1 << (uint(idx) & 63)
+}
+
+// slotIndex is the index in Network.slots of the level-l list that
+// holds, or is entered at, level-0 slot number slot.
+func slotIndex(l int, slot int64) int {
+	return l*wheelSize + int(slot>>(l*wheelBits))&wheelMask
+}
+
+// unlink takes e out of the wheel list it waits in.
+func (n *Network) unlink(e *event) {
+	*e.pprev = e.next
+	if e.next != nil {
+		e.next.pprev = e.pprev
+	} else if idx := int(e.slot); n.slots[idx] == nil {
+		n.occupied[idx>>6] &^= 1 << (uint(idx) & 63)
+	}
 }
 
 // nextEvent positions the next live event at the top of curHeap and
-// returns it, draining cancelled events where they are popped. Returns
-// nil when no events remain.
-func (n *Network) nextEvent() *event {
+// returns it, draining cancelled events where they are popped. The
+// cursor is not moved past slot limit: nil means no event remains that
+// is due in or before it.
+func (n *Network) nextEvent(limit int64) *event {
 	for {
 		for len(n.curHeap) > 0 {
 			e := n.curHeap[0]
-			if e.cancelled {
-				n.curHeap.pop()
-				n.discard(e)
-				continue
+			if !e.cancelled {
+				return e
 			}
-			return e
+			// Deliveries are never cancelled, so e is not the open train.
+			n.curHeap.pop()
+			n.queued--
+			n.cancelledPending--
+			n.freeEvent(e)
 		}
-		if !n.advance() {
+		if !n.advance(limit) {
 			return nil
 		}
 	}
 }
 
-// advance moves the cursor to the next non-empty slot (migrating
-// overflow events that have come within the horizon) and loads it into
-// curHeap. Returns false when the scheduler is empty.
-func (n *Network) advance() bool {
-	for n.queued > 0 {
-		// Pull overflow events that now fit inside the wheel horizon.
-		for len(n.overflow) > 0 {
-			e := n.overflow[0]
-			if int64(e.at>>slotShift) >= n.curSlot+wheelSize {
-				break
+// advance moves the cursor, while curHeap is empty, to the earliest
+// occupied position: the first occupied slot past the cursor's digit in
+// the lowest level that has one, else the earliest far record. Entering
+// an upper-level slot may only refill lower levels, hence the loop.
+// Returns false, and leaves the cursor be, when that position is past
+// slot limit or the scheduler is empty.
+func (n *Network) advance(limit int64) bool {
+	for len(n.curHeap) == 0 && n.queued > 0 {
+		pos := int64(-1)
+		for l := 0; l < levels && pos < 0; l++ {
+			if idx := n.nextOccupied(l); idx >= 0 {
+				sh := uint(l * wheelBits)
+				pos = (n.curSlot>>sh&^wheelMask | int64(idx&wheelMask)) << sh
 			}
-			n.overflow.pop()
-			if e.cancelled {
-				n.discard(e)
-				continue
+		}
+		if pos < 0 { // only far records remain
+			pos = int64(n.slots[farSlot].at >> slotShift)
+			for e := n.slots[farSlot].next; e != nil; e = e.next {
+				pos = min(pos, int64(e.at>>slotShift))
 			}
-			n.queued-- // scheduleEvent re-counts it
-			n.scheduleEvent(e)
 		}
-		if len(n.curHeap) > 0 {
-			return true
-		}
-		if k := n.nextOccupied(); k > 0 {
-			n.curSlot += int64(k)
-			n.collectSlot(int(n.curSlot & wheelMask))
-			continue // curHeap is non-empty now; loop exits above
-		}
-		if len(n.overflow) == 0 {
+		if pos > limit {
 			return false
 		}
-		// Wheel empty: jump the cursor to the overflow's first event. The
-		// target index may hold stale cancelled events from a previous
-		// lap; collect them now, because the bitmap scan never revisits
-		// the cursor's own index.
-		n.curSlot = int64(n.overflow[0].at >> slotShift)
-		n.collectSlot(int(n.curSlot & wheelMask))
+		n.enter(pos)
 	}
-	return false
+	return len(n.curHeap) > 0
 }
 
-// collectSlot moves every event parked at wheel index idx into curHeap
-// and clears its occupancy bit. A slot cascading into an empty heap is
-// bulk-loaded with one O(n) heapify instead of n O(log n) pushes —
-// same batching granularity as packet trains, same resulting pop order.
-func (n *Network) collectSlot(idx int) {
-	if n.occupied[idx>>6]&(1<<(uint(idx)&63)) == 0 {
-		return
+// enter moves the cursor to slot pos and refiles, top level first, the
+// lists now filed under the cursor's own digits — one per level, and the
+// far list when the cursor leaves the top level's span — so every record
+// again sits at the highest digit that tells it from the cursor; what is
+// due in pos itself lands in curHeap. Only safe when no live event is
+// due in a slot between the old cursor and pos.
+func (n *Network) enter(pos int64) {
+	leftSpan := n.curSlot>>(levels*wheelBits) != pos>>(levels*wheelBits)
+	n.curSlot = pos
+	if leftSpan {
+		n.refile(farSlot)
 	}
-	if len(n.curHeap) == 0 && len(n.slots[idx]) > 4 {
-		n.curHeap = append(n.curHeap, n.slots[idx]...)
-		n.curHeap.heapify()
-		for i := range n.slots[idx] {
-			n.slots[idx][i] = nil
-		}
-	} else {
-		for i, e := range n.slots[idx] {
-			n.curHeap.push(e)
-			n.slots[idx][i] = nil
-		}
+	for l := levels - 1; l >= 0; l-- {
+		n.refile(slotIndex(l, pos))
 	}
-	n.slots[idx] = n.slots[idx][:0]
+}
+
+// refile empties list idx and files its records afresh.
+func (n *Network) refile(idx int) {
+	e := n.slots[idx]
+	n.slots[idx] = nil
 	n.occupied[idx>>6] &^= 1 << (uint(idx) & 63)
+	for e != nil {
+		next := e.next
+		n.file(e)
+		e = next
+	}
 }
 
-// nextOccupied scans the occupancy bitmap circularly from the slot after
-// the cursor and returns the offset (1..wheelSize-1) of the first
-// occupied slot, or -1 if the wheel is empty.
-func (n *Network) nextOccupied() int {
-	base := int(n.curSlot) & wheelMask
-	for k := 1; k < wheelSize; {
-		idx := (base + k) & wheelMask
-		word := n.occupied[idx>>6] >> (uint(idx) & 63)
-		if word != 0 {
-			k += bits.TrailingZeros64(word)
-			if k >= wheelSize {
-				return -1
-			}
-			return k
+// nextOccupied returns the index in Network.slots of the first occupied
+// level-l list past the one the cursor is in, or -1.
+func (n *Network) nextOccupied(l int) int {
+	for idx := slotIndex(l, n.curSlot) + 1; idx < (l+1)*wheelSize; idx = (idx | 63) + 1 {
+		if w := n.occupied[idx>>6] >> (uint(idx) & 63); w != 0 {
+			return idx + bits.TrailingZeros64(w)
 		}
-		k += 64 - (idx & 63)
 	}
 	return -1
 }
 
 // syncCursor catches the cursor up after the clock jumped (Run hitting
-// its deadline with no events left to execute before it). Only safe when
+// its deadline with no events left to execute before it), so that what
+// is armed next is filed by its distance from the clock. Only safe when
 // every slot between the old cursor and the clock is known to hold no
 // live events; callers guarantee that by having drained them first.
 func (n *Network) syncCursor() {
 	if target := int64(n.now >> slotShift); target > n.curSlot && len(n.curHeap) == 0 {
-		// The target slot itself may hold events later than the clock
-		// within the same slot; they must move to curHeap because this
-		// index will not be reloaded during the current lap.
-		n.curSlot = target
-		n.collectSlot(int(target & wheelMask))
+		n.enter(target)
 	}
 }

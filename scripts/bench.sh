@@ -64,7 +64,8 @@ pick() { awk -v b="$2" -v f="$3" '$1 ~ "^"b {print $(f)}' "$1" | head -1; }
 EVLOOP_NS="$(pick "$MICRO_LOG" BenchmarkNetsimEventLoop 3)"
 EVLOOP_EPS="$(pick "$MICRO_LOG" BenchmarkNetsimEventLoop 5)"
 EVLOOP_ALLOCS="$(awk '$1 ~ /^BenchmarkNetsimEventLoop/ {for(i=1;i<NF;i++) if($(i+1)=="allocs/op") print $i}' "$MICRO_LOG" | head -1)"
-TIMER_NS="$(pick "$MICRO_LOG" BenchmarkNetsimTimerChurn 3)"
+TIMER_NS="$(pick "$MICRO_LOG" 'BenchmarkNetsimTimerChurn/backlog=0' 3)"
+TIMER_BACKLOG_NS="$(pick "$MICRO_LOG" 'BenchmarkNetsimTimerChurn/backlog=64k' 3)"
 TCP_MBS="$(awk '$1 ~ /^BenchmarkTCPThroughput/ {for(i=1;i<NF;i++) if($(i+1)=="MB/s") print $i}' "$MICRO_LOG" | head -1)"
 HOST_DEMUX_NS="$(pick "$MICRO_LOG" BenchmarkHostDemux 3)"
 HOST_ALLOCPORT_NS="$(pick "$MICRO_LOG" BenchmarkHostAllocPort 3)"
@@ -154,6 +155,7 @@ cat > "$OUT" <<EOF
     "event_loop_events_per_sec": $(jsonnum "$EVLOOP_EPS"),
     "event_loop_allocs_op": $(jsonnum "$EVLOOP_ALLOCS"),
     "timer_churn_ns_op": $(jsonnum "$TIMER_NS"),
+    "timer_churn_backlog64k_ns_op": $(jsonnum "$TIMER_BACKLOG_NS"),
     "tcp_throughput_MB_s": $(jsonnum "$TCP_MBS"),
     "tcp_batch_rx_ns_seg": $(jsonnum "$TCP_BATCH_NSSEG"),
     "tcp_scalar_rx_ns_seg": $(jsonnum "$TCP_SCALAR_NSSEG"),

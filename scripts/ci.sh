@@ -4,8 +4,8 @@
 #   1. gofmt -s -l + go vet   formatting and static checks, whole tree
 #   2. fast-fail stages       vet + race on the hottest packages (plus
 #                             10 s of the HTTP codec's differential
-#                             fuzzer), then the 4-shard race runs and
-#                             the RNG lint
+#                             fuzzer), then the 4-shard race runs (plus
+#                             10 s of the scheduler's) and the RNG lint
 #   3. go build               everything compiles, including cmd/
 #   4. bench module smoke     bench/ has its own go.mod; its ~3 s test
 #                             compiles yodabench against this tree
@@ -48,6 +48,10 @@ echo "== sharded dataplane fast-fail (race at 4 shards: netsim + l4lb SNAT + who
 # run is the proof the handoff discipline holds end to end. The l4lb run
 # covers cross-shard SNAT-range reads against the mux flow tables.
 go test -race ./internal/netsim/ -args -shards=4
+# Every layer's timers and every packet go through one timing wheel whose
+# contract is the order of a plain (at, seq) heap; ten seconds of random
+# schedule/stop/run scripts against that heap, delays from 0 to months.
+go test -run '^$' -fuzz 'FuzzSchedulerOrder' -fuzztime 10s -fuzzminimizetime 2s ./internal/netsim/
 go test -race -run 'TestSharded' ./internal/l4lb/ -args -shards=4
 go test -race -run 'TestSharded' ./internal/core/ -args -shards=4
 # Cross-shard batched ingest: handoff bursts ride trains into the batch
@@ -86,25 +90,27 @@ go test -run '^$' -bench '.' -benchtime=1x \
   ./... 2>/dev/null | grep -E '^(Benchmark|ok|FAIL)' || true
 
 echo "== bench regression gate (>15% vs BENCH_core.json fails) =="
-# Guard the dataplane's headline numbers: the event-loop and flow
-# fast-path microbenchmarks may not regress more than 15% over the
-# recorded ns/op, and mflow events/s plus TCP bulk MB/s must stay
-# within 15% of the recorded rates. Best-of-3 runs absorb machine
-# noise; after an intentional perf change, re-baseline with
-# scripts/bench.sh.
+# Guard the dataplane's headline numbers: the event-loop, loaded
+# timer-churn and flow fast-path microbenchmarks may not regress more
+# than 15% over the recorded ns/op, and mflow events/s plus TCP bulk
+# MB/s must stay within 15% of the recorded rates. Best-of-3 runs
+# absorb machine noise; after an intentional perf change, re-baseline
+# with scripts/bench.sh.
 REC_EVLOOP_NS=$(awk -F'[:,]' '/"event_loop_ns_op"/ {gsub(/[ "]/,"",$2); print $2; exit}' BENCH_core.json 2>/dev/null || true)
 REC_MFLOW_EPS=$(awk -F'[:,]' '/"mflow_events_per_s"/ {gsub(/[ "]/,"",$2); print $2; exit}' BENCH_core.json 2>/dev/null || true)
 REC_FLOW_NS=$(awk -F'[:,]' '/"flow_fast_path_ns_op"/ {gsub(/[ "]/,"",$2); print $2; exit}' BENCH_core.json 2>/dev/null || true)
 REC_TCP_MBS=$(awk -F'[:,]' '/"tcp_throughput_MB_s"/ {gsub(/[ "]/,"",$2); print $2; exit}' BENCH_core.json 2>/dev/null || true)
+REC_TIMER_NS=$(awk -F'[:,]' '/"timer_churn_backlog64k_ns_op"/ {gsub(/[ "]/,"",$2); print $2; exit}' BENCH_core.json 2>/dev/null || true)
 if [[ -z "${REC_EVLOOP_NS:-}" || "$REC_EVLOOP_NS" == "null" || -z "${REC_MFLOW_EPS:-}" || "$REC_MFLOW_EPS" == "null" ]]; then
   echo "SKIP: BENCH_core.json lacks recorded event_loop_ns_op / mflow_events_per_s"
 else
   GATE_LOG="$(mktemp)"
-  go test -run '^$' -bench 'BenchmarkNetsimEventLoop$' -count=3 ./internal/netsim/ | tee "$GATE_LOG"
+  go test -run '^$' -bench 'BenchmarkNetsimEventLoop$|BenchmarkNetsimTimerChurn/backlog=64k' -count=3 ./internal/netsim/ | tee "$GATE_LOG"
   go test -run '^$' -bench 'BenchmarkMflowMemPerFlow' -benchtime 1x -count=3 ./internal/experiments/ | tee -a "$GATE_LOG"
   go test -run '^$' -bench 'BenchmarkFlowFastPath$' -count=3 ./internal/core/ | tee -a "$GATE_LOG"
   go test -run '^$' -bench 'BenchmarkTCPThroughput$' -count=3 ./internal/tcp/ | tee -a "$GATE_LOG"
   NEW_EVLOOP_NS=$(awk '$1 ~ /^BenchmarkNetsimEventLoop/ {if (min=="" || $3+0<min+0) min=$3} END{print min}' "$GATE_LOG")
+  NEW_TIMER_NS=$(awk '$1 ~ /^BenchmarkNetsimTimerChurn\/backlog=64k/ {if (min=="" || $3+0<min+0) min=$3} END{print min}' "$GATE_LOG")
   NEW_MFLOW_EPS=$(awk '$1 ~ /^BenchmarkMflowMemPerFlow/ {for(i=1;i<NF;i++) if($(i+1)=="events/s" && $i+0>max+0) max=$i} END{print max}' "$GATE_LOG")
   NEW_FLOW_NS=$(awk '$1 ~ /^BenchmarkFlowFastPath/ {if (min=="" || $3+0<min+0) min=$3} END{print min}' "$GATE_LOG")
   NEW_TCP_MBS=$(awk '$1 ~ /^BenchmarkTCPThroughput/ {for(i=1;i<NF;i++) if($(i+1)=="MB/s" && $i+0>max+0) max=$i} END{print max}' "$GATE_LOG")
@@ -115,6 +121,11 @@ else
   awk -v new="$NEW_MFLOW_EPS" -v rec="$REC_MFLOW_EPS" 'BEGIN{
     if (new+0 < rec/1.15) { printf "FAIL: mflow %.0f events/s vs recorded %.0f (>15%% regression)\n", new, rec; exit 1 }
     printf "mflow %.0f events/s vs recorded %.0f events/s: ok\n", new, rec }'
+  if [[ -n "${REC_TIMER_NS:-}" && "$REC_TIMER_NS" != "null" ]]; then
+    awk -v new="$NEW_TIMER_NS" -v rec="$REC_TIMER_NS" 'BEGIN{
+      if (new+0 > rec*1.15) { printf "FAIL: timer churn, 64k backlog %.1f ns/op vs recorded %.1f (>15%% regression)\n", new, rec; exit 1 }
+      printf "timer churn, 64k backlog %.1f ns/op vs recorded %.1f ns/op: ok\n", new, rec }'
+  fi
   if [[ -n "${REC_FLOW_NS:-}" && "$REC_FLOW_NS" != "null" ]]; then
     awk -v new="$NEW_FLOW_NS" -v rec="$REC_FLOW_NS" 'BEGIN{
       if (new+0 > rec*1.15) { printf "FAIL: flow fast path %.1f ns/op vs recorded %.1f (>15%% regression)\n", new, rec; exit 1 }
