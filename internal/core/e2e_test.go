@@ -28,6 +28,11 @@ type testbed struct {
 func newTestbed(t *testing.T, seed int64, nYoda int) *testbed {
 	t.Helper()
 	c := cluster.New(seed)
+	// Every e2e flow on this testbed, the failovers included, runs with
+	// released send buffers poisoned: an instance, parser or store session
+	// that still read a payload after its sender's full ACK would corrupt
+	// a body or a record here.
+	c.Net.PoisonReleasedBufs()
 	c.AddStoreServers(3, memcache.DefaultSimServerConfig())
 	objects := map[string][]byte{
 		"/10k":  bytes.Repeat([]byte("a"), 10*1024),

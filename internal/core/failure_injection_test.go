@@ -38,6 +38,7 @@ func TestRandomFailureInjectionNeverBreaksFlows(t *testing.T) {
 func runFailureInjection(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	c := cluster.New(seed)
+	c.Net.PoisonReleasedBufs()
 	c.AddStoreServers(3, memcache.DefaultSimServerConfig())
 	objects := map[string][]byte{}
 	for i := 0; i < 6; i++ {

@@ -100,20 +100,6 @@ func TestReplyParserMStored(t *testing.T) {
 	}
 }
 
-func TestCountCommandsChargesPerRecord(t *testing.T) {
-	var in []byte
-	in = append(in, msetWire([]Item{
-		{Key: "a", Value: []byte("1")},
-		{Key: "b", Value: []byte("2")},
-		{Key: "c", Value: []byte("3")},
-	}, 0)...)
-	in = append(in, "get a\r\n"...)
-	// The batch saves round trips, not server work: 3 stores + 1 get.
-	if n := countCommands(in); n != 4 {
-		t.Fatalf("countCommands = %d, want 4", n)
-	}
-}
-
 func TestNetClientSetMulti(t *testing.T) {
 	srv := startNetServer(t)
 	cl, err := DialNet(srv.Addr(), time.Second)

@@ -38,6 +38,8 @@ type Session struct {
 	// closed is set once "quit" is processed; the transport should then
 	// close the connection.
 	closed bool
+	// ops is the work the last Feed did, see Ops.
+	ops int
 }
 
 // msetRec is one parsed-but-not-yet-applied mset record; key and val
@@ -57,6 +59,12 @@ func NewSession(engine *Engine) *Session {
 
 // Closed reports whether the peer sent "quit".
 func (s *Session) Closed() bool { return s.closed }
+
+// Ops returns the number of operations the last Feed executed: one per
+// command line it consumed, malformed ones included, and n for a stored
+// "mset n" — a batch saves round trips, not server work. The simulated
+// server charges its CPU and queue by this count.
+func (s *Session) Ops() int { return s.ops }
 
 // Response buffer pool bounds: keep at most a few buffers (steady-state
 // request/response traffic circulates one or two) and drop oversized ones
@@ -100,12 +108,14 @@ func (s *Session) Feed(data []byte) []byte {
 	}
 	s.in = append(s.in, data...)
 	out := s.takeBuf()
+	s.ops = 0
 	for !s.closed {
 		var ok bool
 		out, ok = s.step(out)
 		if !ok {
 			break
 		}
+		s.ops++
 	}
 	if s.head == len(s.in) {
 		s.in = s.in[:0]
@@ -390,6 +400,7 @@ func (s *Session) msetCommand(out []byte, raw []byte, nl int) ([]byte, bool) {
 		s.engine.setBytes(r.key, r.val, r.flags, r.expires)
 	}
 	s.recs = recs
+	s.ops += len(recs) - 1 // Feed counts the command itself
 	out = append(out, "MSTORED "...)
 	out = appendUint(out, uint64(len(recs)))
 	return append(out, '\r', '\n'), true

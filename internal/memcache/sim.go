@@ -114,18 +114,15 @@ func (s *SimServer) accept(c *tcp.Conn) tcp.Callbacks {
 	return tcp.Callbacks{
 		OnData: func(c *tcp.Conn, d []byte) {
 			// Model queueing: the reply for this input is emitted after the
-			// server works through its queue. We count each command in the
-			// input as one op; Session gives us the batch's responses.
+			// server works through its queue, one op per command the
+			// session executed (n for an mset of n records).
 			net := s.host.Network()
 			now := net.Now()
 			resp := sess.Feed(d)
 			if len(resp) == 0 && !sess.Closed() {
 				return
 			}
-			ops := countCommands(d)
-			if ops == 0 {
-				ops = 1
-			}
+			ops := sess.Ops()
 			s.Ops += uint64(ops)
 			s.CPU.Charge(now, time.Duration(ops)*s.cfg.CPUPerOp)
 			work := time.Duration(ops) * s.cfg.ServiceTime
@@ -140,64 +137,6 @@ func (s *SimServer) accept(c *tcp.Conn) tcp.Callbacks {
 		},
 		OnPeerClose: func(c *tcp.Conn) { c.Close() },
 	}
-}
-
-// countCommands estimates the number of protocol commands in a chunk by
-// counting CRLF-terminated command lines that start with a verb. Data
-// blocks can contain CRLFs, so this is approximate for binary values, but
-// TCPStore values are small fixed-format records without CRLFs.
-func countCommands(d []byte) int {
-	n := 0
-	start := 0
-	for i := 0; i+1 < len(d); i++ {
-		if d[i] == '\r' && d[i+1] == '\n' {
-			line := d[start:i]
-			if isCommandLine(line) {
-				// A batched mset stores N records: the batch saves round
-				// trips, not server work, so it charges N ops.
-				if cnt, ok := msetCount(line); ok {
-					n += cnt
-				} else {
-					n++
-				}
-			}
-			start = i + 2
-		}
-	}
-	return n
-}
-
-// msetCount parses the record count of an "mset <n>" command line. The
-// digits are parsed in place — this runs per command line on the server's
-// data path, where a string conversion would allocate.
-func msetCount(line []byte) (int, bool) {
-	const p = "mset "
-	if len(line) <= len(p) || string(line[:len(p)]) != p {
-		return 0, false
-	}
-	cnt := 0
-	for _, c := range line[len(p):] {
-		if c < '0' || c > '9' || cnt > 1<<30 {
-			return 1, true // malformed count still costs one parse
-		}
-		cnt = cnt*10 + int(c-'0')
-	}
-	if cnt <= 0 {
-		return 1, true
-	}
-	return cnt, true
-}
-
-func isCommandLine(line []byte) bool {
-	verbs := []string{"get", "gets", "set", "mset", "add", "replace", "cas", "append", "prepend",
-		"incr", "decr", "delete", "touch", "stats", "version", "flush_all", "quit"}
-	for _, v := range verbs {
-		if len(line) >= len(v) && string(line[:len(v)]) == v &&
-			(len(line) == len(v) || line[len(v)] == ' ') {
-			return true
-		}
-	}
-	return false
 }
 
 // ErrSimConnDown is delivered to pending callbacks when the connection to

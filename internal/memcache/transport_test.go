@@ -233,21 +233,3 @@ func TestSimClientOnDownFires(t *testing.T) {
 		t.Fatal("client still reports up")
 	}
 }
-
-func TestCountCommands(t *testing.T) {
-	cases := []struct {
-		in   string
-		want int
-	}{
-		{"get k\r\n", 1},
-		{"set k 0 0 5\r\nhello\r\n", 1},
-		{"get a\r\nget b\r\ndelete c\r\n", 3},
-		{"set k 0 0 7\r\nget x\r\n\r\n", 2}, // "get x" inside a data block: miscounted by design, but values in TCPStore have no CRLF
-		{"", 0},
-	}
-	for _, c := range cases[:3] {
-		if got := countCommands([]byte(c.in)); got != c.want {
-			t.Errorf("countCommands(%q) = %d, want %d", c.in, got, c.want)
-		}
-	}
-}

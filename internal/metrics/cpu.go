@@ -16,24 +16,34 @@ type CPUMeter struct {
 	Cores int
 
 	busy time.Duration // total busy core-time charged
-	// chunks is the charge log for windowed queries, one entry per
-	// distinct instant (the packets of one train are all charged at the
-	// same virtual time and share an entry), stored as fixed-capacity
-	// chunks so an append never copies earlier entries: a meter charged
-	// per packet logs millions of events, and a single flat slice spends
-	// more time in growslice memmoves than in the dataplane it is
-	// metering. Only the last chunk grows; entries stay in charge (time)
-	// order across chunks.
-	chunks [][]busyEvent
+	// buckets holds the busy time of each cpuBucket of virtual time that
+	// was charged at all, in time order: a meter grows with the time its
+	// machine was busy, not with the packets it was charged for. Charges
+	// arrive in time order, so only the last bucket is ever open.
+	buckets []busyBucket
 }
 
-type busyEvent struct {
-	at   time.Duration
+type busyBucket struct {
+	at   time.Duration // start of the bucket
 	cost time.Duration
 }
 
-// cpuChunk is the per-chunk entry capacity (1 MiB of log per chunk).
-const cpuChunk = 1 << 16
+const (
+	// cpuBucket is the resolution of windowed queries: a charge counts
+	// towards the bucket its instant falls in, and a bucket towards the
+	// window its start falls in, so Utilization is exact for windows whose
+	// ends are multiples of it.
+	cpuBucket = time.Millisecond
+	// cpuReserve is the capacity the first charge gives buckets: 1 MiB, 65
+	// busy seconds. The meter does not need it — at 16 B per busy
+	// millisecond append's doubling would be cheap. It is what the
+	// per-instant log this replaced allocated as its first chunk, and it
+	// stays for the process around the meter: a cluster's 14 reserves are
+	// half the live heap of a short simulation, and without them Go's
+	// collector runs 2.5× as often (EXPERIMENTS.md, PR 15; ROADMAP has
+	// the item that removes it).
+	cpuReserve = 1 << 16
+)
 
 // NewCPUMeter creates a meter for a machine with the given core count.
 func NewCPUMeter(cores int) *CPUMeter {
@@ -49,18 +59,15 @@ func (c *CPUMeter) Charge(now, cost time.Duration) {
 		return
 	}
 	c.busy += cost
-	last := len(c.chunks) - 1
-	if last >= 0 {
-		if ch := c.chunks[last]; len(ch) > 0 && ch[len(ch)-1].at == now {
-			ch[len(ch)-1].cost += cost
-			return
-		}
+	at := now - now%cpuBucket
+	if n := len(c.buckets); n > 0 && c.buckets[n-1].at == at {
+		c.buckets[n-1].cost += cost
+		return
 	}
-	if last < 0 || len(c.chunks[last]) == cpuChunk {
-		c.chunks = append(c.chunks, make([]busyEvent, 0, cpuChunk))
-		last++
+	if c.buckets == nil {
+		c.buckets = make([]busyBucket, 0, cpuReserve)
 	}
-	c.chunks[last] = append(c.chunks[last], busyEvent{at: now, cost: cost})
+	c.buckets = append(c.buckets, busyBucket{at: at, cost: cost})
 }
 
 // BusyTotal returns the total core-time charged so far.
@@ -73,22 +80,12 @@ func (c *CPUMeter) Utilization(from, to time.Duration) float64 {
 	if to <= from {
 		return 0
 	}
-	// The log is append-only in time order; binary-search the window
-	// within each chunk, skipping chunks entirely outside it. Summing
-	// per chunk visits exactly the entries a flat slice would have.
+	b := c.buckets // in time order
+	lo := sort.Search(len(b), func(i int) bool { return b[i].at >= from })
+	hi := sort.Search(len(b), func(i int) bool { return b[i].at >= to })
 	var busy time.Duration
-	for _, ch := range c.chunks {
-		if len(ch) == 0 || ch[len(ch)-1].at < from {
-			continue
-		}
-		if ch[0].at >= to {
-			break
-		}
-		lo := sort.Search(len(ch), func(i int) bool { return ch[i].at >= from })
-		hi := sort.Search(len(ch), func(i int) bool { return ch[i].at >= to })
-		for _, ev := range ch[lo:hi] {
-			busy += ev.cost
-		}
+	for _, ev := range b[lo:hi] {
+		busy += ev.cost
 	}
 	return float64(busy) / (float64(to-from) * float64(c.Cores))
 }
@@ -108,10 +105,7 @@ func (c *CPUMeter) UtilizationClamped(from, to time.Duration) float64 {
 // Reset discards all recorded charges.
 func (c *CPUMeter) Reset() {
 	c.busy = 0
-	if len(c.chunks) > 0 {
-		c.chunks = c.chunks[:1]
-		c.chunks[0] = c.chunks[0][:0]
-	}
+	c.buckets = c.buckets[:0]
 }
 
 // RateSeries counts events into fixed-width time buckets, producing the

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestHistogramEmpty(t *testing.T) {
@@ -235,46 +236,48 @@ func TestCPUMeterWindowing(t *testing.T) {
 	}
 }
 
-// TestCPUMeterFoldsSameInstant: charges at one virtual instant share a
-// log entry, which no query may be able to tell from one entry per
-// charge — the unfolded log kept here. The stream repeats instants the
-// way packet trains do and is long enough to cross a chunk boundary.
-func TestCPUMeterFoldsSameInstant(t *testing.T) {
+// TestCPUMeterBucketsMatchLog: folding charges into buckets must be
+// invisible to every window whose ends are bucket-aligned — checked
+// against the unfolded per-charge log kept here. The stream repeats
+// instants the way packet trains do, leaves whole buckets idle, and is
+// busy for long enough to outgrow the slice's first reserve.
+func TestCPUMeterBucketsMatchLog(t *testing.T) {
+	type charge struct{ at, cost time.Duration }
 	rng := rand.New(rand.NewSource(1))
 	c := NewCPUMeter(4)
-	var ref []busyEvent
+	var ref []charge
 	var now, total time.Duration
-	for i := 0; i < 6*cpuChunk; i++ {
-		if rng.Intn(3) == 0 {
-			now += time.Duration(1 + rng.Intn(2000))
+	for i := 0; i < 400000; i++ {
+		switch rng.Intn(8) {
+		case 0, 1:
+			now += time.Duration(rng.Intn(int(3 * cpuBucket)))
+		case 2, 3, 4:
+			now += time.Duration(1 + rng.Intn(20000))
 		}
 		cost := time.Duration(rng.Intn(50)) // 0 is ignored
 		c.Charge(now, cost)
 		if cost > 0 {
-			ref = append(ref, busyEvent{at: now, cost: cost})
+			ref = append(ref, charge{now, cost})
 			total += cost
 		}
 	}
 	if c.BusyTotal() != total {
 		t.Fatalf("BusyTotal = %v, want %v", c.BusyTotal(), total)
 	}
-	entries := 0
-	for _, ch := range c.chunks {
-		entries += len(ch)
+	if n := len(c.buckets); n <= cpuReserve || n >= len(ref)/2 {
+		t.Fatalf("%d charges held as %d buckets; want folding, and more than the %d reserved", len(ref), n, cpuReserve)
 	}
-	if len(c.chunks) < 2 || entries >= len(ref)/2 {
-		t.Fatalf("%d charges logged as %d entries in %d chunks; want folding, and more than one chunk", len(ref), entries, len(c.chunks))
-	}
-	for q := 0; q < 500; q++ {
-		from := time.Duration(rng.Int63n(int64(now) + 2000))
-		to := from + time.Duration(rng.Int63n(int64(now)/4))
-		if q%4 == 0 { // land on charged instants, where >= and < matter
-			from, to = ref[rng.Intn(len(ref))].at, ref[rng.Intn(len(ref))].at
+	spanBuckets := int64(now/cpuBucket) + 2
+	for q := 0; q < 300; q++ {
+		from := time.Duration(rng.Int63n(spanBuckets)) * cpuBucket
+		to := from + time.Duration(rng.Int63n(spanBuckets/4))*cpuBucket
+		if q == 0 {
+			from, to = 0, time.Duration(spanBuckets)*cpuBucket
 		}
 		var busy time.Duration
-		for _, ev := range ref {
-			if ev.at >= from && ev.at < to {
-				busy += ev.cost
+		for _, ch := range ref {
+			if ch.at >= from && ch.at < to {
+				busy += ch.cost
 			}
 		}
 		want := 0.0
@@ -285,6 +288,40 @@ func TestCPUMeterFoldsSameInstant(t *testing.T) {
 			t.Fatalf("Utilization(%v, %v) = %v, unfolded log says %v", from, to, got, want)
 		}
 	}
+}
+
+// TestCPUMeterBoundedByBusyTime: a meter's size follows the virtual time
+// it was busy for, however many charges that time saw.
+func TestCPUMeterBoundedByBusyTime(t *testing.T) {
+	c := NewCPUMeter(8)
+	const charges, span = 1000000, 50 * time.Millisecond
+	for i := 0; i < charges; i++ {
+		c.Charge(time.Duration(i)*span/charges, time.Microsecond)
+	}
+	if c.BusyTotal() != charges*time.Microsecond {
+		t.Fatalf("BusyTotal = %v", c.BusyTotal())
+	}
+	if n := len(c.buckets); n > int(span/cpuBucket) {
+		t.Fatalf("%d charges inside %v held as %d entries, want <= %d", charges, span, n, span/cpuBucket)
+	}
+	if u := c.Utilization(0, span); u != float64(charges*time.Microsecond)/(float64(span)*8) {
+		t.Fatalf("Utilization = %v", u)
+	}
+}
+
+// BenchmarkCPUMeterCharge charges one packet's cost every 10 µs of
+// virtual time, the rate of an instance forwarding 100K packets a
+// second, and reports how fast the meter grows per second it is busy
+// (within or beyond its first reserve). bench.sh records it as
+// cpumeter_bytes_per_busy_s.
+func BenchmarkCPUMeterCharge(b *testing.B) {
+	const every = 10 * time.Microsecond
+	c := NewCPUMeter(8)
+	for i := 0; i < b.N; i++ {
+		c.Charge(time.Duration(i)*every, 20*time.Microsecond)
+	}
+	held := float64(len(c.buckets)) * float64(unsafe.Sizeof(busyBucket{}))
+	b.ReportMetric(held/(time.Duration(b.N)*every).Seconds(), "B/busy-s")
 }
 
 func TestCPUMeterReset(t *testing.T) {

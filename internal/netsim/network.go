@@ -117,7 +117,7 @@ type Network struct {
 	// plain slices with no locking.
 	evFree    []*event
 	pktFree   []*Packet
-	bufFree   [][]byte
+	bufs      bufPool
 	trainFree []*trainBox
 
 	// Stats counters.

@@ -1,5 +1,7 @@
 package netsim
 
+import "math/bits"
+
 // Pooling for the simulator hot path. The event loop is single-threaded,
 // so freelists are plain slices — no sync.Pool, no locks, no per-get
 // interface conversions.
@@ -54,24 +56,84 @@ func (n *Network) ShallowClone(p *Packet) *Packet {
 	return q
 }
 
-// AllocBuf returns a byte slice with length n and capacity >= n from the
-// buffer pool. Contents are unspecified; the caller must overwrite them.
-func (nw *Network) AllocBuf(n int) []byte {
-	if k := len(nw.bufFree); k > 0 {
-		b := nw.bufFree[k-1]
-		if cap(b) >= n {
-			nw.bufFree = nw.bufFree[:k-1]
-			return b[:n]
-		}
-	}
-	return make([]byte, n)
+// bufPool is the network's free list of byte buffers — TCP send buffers
+// and retransmit copies. A buffer is filed under the power of two at or
+// below its capacity, and a request looks only in the bin of its own
+// size: a hit costs no allocation and nothing is rounded up on a miss,
+// so a 2 KiB response never pins a 4 KiB array. Within a bin the list is
+// LIFO, so the array that comes back is the one most recently in cache.
+//
+// What sits in the pool is memory that follows the peak number of
+// connections transmitting at once, not live bytes, so it is kept small
+// on both axes: a bin retains at most bufBinMax arrays, and an array of
+// 2^bufBins bytes or more (128 KiB: one would cost as much idle as the
+// records of dozens of flows) is not the pool's business at all —
+// AllocBuf does not make one and ReleaseBuf leaves it with its owner.
+type bufPool struct {
+	bins   [bufBins][][]byte
+	poison bool
 }
 
-// ReleaseBuf returns a buffer obtained from AllocBuf to the pool. The
-// caller must not use the slice (or any sub-slice of it) afterwards.
-func (nw *Network) ReleaseBuf(b []byte) {
-	if cap(b) == 0 {
-		return
+const (
+	bufBins   = 17
+	bufBinMax = 32
+)
+
+// bufBin returns the bin of an n-byte buffer, n > 0; bufBins or more
+// means too large to pool.
+func bufBin(n int) int { return bits.Len(uint(n)) - 1 }
+
+// AllocBuf returns an empty byte slice with capacity >= n from the buffer
+// pool, for the caller to append into. For an n too large for the pool it
+// returns nil: the append then grows an array of the caller's own, which
+// unlike a make here does not zero what is about to be overwritten.
+func (nw *Network) AllocBuf(n int) []byte {
+	if n <= 0 || bufBin(n) >= bufBins {
+		return nil
 	}
-	nw.bufFree = append(nw.bufFree, b[:0])
+	if bin := &nw.bufs.bins[bufBin(n)]; len(*bin) > 0 {
+		top := len(*bin) - 1
+		b := (*bin)[top]
+		(*bin)[top] = nil
+		*bin = (*bin)[:top]
+		if cap(b) >= n {
+			return b
+		}
+		// Too small for this request: b is dropped rather than put
+		// back, so a miss never grows the bin and the bin converges on
+		// arrays large enough for everything its size class is asked for.
+	}
+	return make([]byte, 0, n)
 }
+
+// ReleaseBuf gives a buffer to the pool (it need not have come from
+// AllocBuf) and returns what is left to the caller: nil — the caller must
+// not use b or any sub-slice of it afterwards — or, when b is too large
+// for the pool, b[:0], which stays the caller's to append into again. In
+// both cases nothing may still read the old contents: see
+// PoisonReleasedBufs.
+func (nw *Network) ReleaseBuf(b []byte) []byte {
+	if cap(b) == 0 {
+		return nil
+	}
+	if nw.bufs.poison {
+		b = b[:cap(b)]
+		for i := range b {
+			b[i] = 0xDD
+		}
+	}
+	k := bufBin(cap(b))
+	if k >= bufBins {
+		return b[:0]
+	}
+	if len(nw.bufs.bins[k]) < bufBinMax {
+		nw.bufs.bins[k] = append(nw.bufs.bins[k], b[:0])
+	}
+	return nil
+}
+
+// PoisonReleasedBufs is a test hook: from now on every buffer handed to
+// ReleaseBuf is filled with 0xDD, so a consumer that still reads a
+// payload after its sender was fully acknowledged sees garbage at once
+// instead of whatever the next connection happens to write there.
+func (nw *Network) PoisonReleasedBufs() { nw.bufs.poison = true }

@@ -25,6 +25,7 @@ type diffWorld struct {
 
 func newDiffWorld(batch bool, cfgBits byte) *diffWorld {
 	w := &diffWorld{net: netsim.New(7)}
+	w.net.PoisonReleasedBufs()
 	// The scalar reference: no trains, so every delivery is a separate
 	// event and every segment takes the per-packet HandleSegment path.
 	w.net.SetCoalescing(batch)

@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -9,9 +10,17 @@ import (
 
 // BenchmarkTCPThroughput measures bulk transfer through the full TCP
 // machinery: segmentation, zero-copy transmission, ACK clocking, and
-// congestion-window growth, with the simulator hot path underneath.
+// congestion-window growth, with the simulator hot path underneath. One
+// keep-alive connection writes chunk bytes again and again, each write
+// fully acknowledged before the next: 64 KiB is a send array the network's
+// pool recycles, 256 KiB one too large for it that the connection has to
+// keep — re-growing it per write costs most of the throughput.
 func BenchmarkTCPThroughput(b *testing.B) {
-	const chunk = 64 << 10
+	b.Run("chunk=64k", func(b *testing.B) { benchThroughput(b, 64<<10) })
+	b.Run("chunk=256k", func(b *testing.B) { benchThroughput(b, 256<<10) })
+}
+
+func benchThroughput(b *testing.B, chunk int) {
 	n := netsim.New(42)
 	sender := netsim.NewHost(n, 0x0a000001)
 	receiver := netsim.NewHost(n, 0x0a000002)
@@ -29,7 +38,7 @@ func BenchmarkTCPThroughput(b *testing.B) {
 		payload[i] = byte(i)
 	}
 
-	b.SetBytes(chunk)
+	b.SetBytes(int64(chunk))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -40,6 +49,31 @@ func BenchmarkTCPThroughput(b *testing.B) {
 	if received != b.N*chunk {
 		b.Fatalf("received %d bytes, want %d", received, b.N*chunk)
 	}
+}
+
+// BenchmarkIdleConnHeap reports the heap an established, fully
+// acknowledged client/server pair holds after one 2 KiB exchange:
+// what a keep-alive flow costs the TCP layer while nothing is in flight.
+// bench.sh records it as tcp_idle_conn_pair_heap_bytes.
+func BenchmarkIdleConnHeap(b *testing.B) {
+	const pairs = 4096
+	var per float64
+	for i := 0; i < b.N; i++ {
+		p := newPair(42)
+		keep := make([]*Conn, 0, 2*pairs)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for j := 0; j < pairs; j++ {
+			cli, srv := exchange2K(b, p, uint16(1+j))
+			keep = append(keep, cli, srv)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		per = float64(after.HeapAlloc-before.HeapAlloc) / pairs
+		runtime.KeepAlive(keep)
+	}
+	b.ReportMetric(per, "heap-B/pair")
 }
 
 // TestDataRoundTripAllocBudget locks in the segment fast path: once the

@@ -149,6 +149,7 @@ func (s *scripted) send(dst netsim.HostPort, flags netsim.TCPFlags, seq, ack uin
 func newScriptedConn(t *testing.T, cfg Config) (*netsim.Network, *Conn, *scripted) {
 	t.Helper()
 	n := netsim.New(1)
+	n.PoisonReleasedBufs()
 	n.SetLatency(func(netsim.IP, netsim.IP) time.Duration { return time.Millisecond })
 	ch := netsim.NewHost(n, clientIP)
 	sh := netsim.NewHost(n, serverIP)

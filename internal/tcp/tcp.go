@@ -196,8 +196,8 @@ func seqLEQ(a, b uint32) bool { return int32(a-b) <= 0 }
 // read-only reference into the sender's send buffer (zero-copy). That is
 // safe because a parked segment is by definition unacknowledged, and the
 // sender never overwrites bytes the cumulative ACK has not passed: the
-// send buffer only rewinds once every transmitted byte is acked, which
-// cannot happen while this segment sits in the reassembly queue.
+// send buffer is only given up once every transmitted byte is acked,
+// which cannot happen while this segment sits in the reassembly queue.
 type reasmSeg struct {
 	seq  uint32
 	data []byte
@@ -234,10 +234,11 @@ type Conn struct {
 	sndUna uint32 // oldest unacknowledged
 	sndNxt uint32 // next to send
 	// sndBuf holds unsent+unacked payload; live bytes are
-	// sndBuf[sndHead:], and sndBuf[sndHead] is at seq bufSeq. The head
-	// index (instead of re-slicing forward) lets the buffer reset to the
-	// array start once fully acknowledged, so steady-state request/reply
-	// traffic reuses one backing array instead of reallocating per Write.
+	// sndBuf[sndHead:], and sndBuf[sndHead] is at seq bufSeq. The array
+	// comes from the network's buffer pool at the first Write that finds
+	// none and goes back the moment every buffered byte is acknowledged
+	// (applyAck), so a connection with nothing in flight holds no send
+	// buffer and request/reply traffic still never allocates one.
 	sndBuf    []byte
 	sndHead   int
 	bufSeq    uint32 // sequence number of sndBuf[sndHead]
@@ -365,6 +366,12 @@ func (c *Conn) RemoteAddr() netsim.HostPort { return c.remote }
 // ISN returns the initial send sequence number (used by tests).
 func (c *Conn) ISN() uint32 { return c.iss }
 
+// minSndBuf is the least a connection asks the buffer pool for. Small
+// writes then share one size class, so any of them can take the array
+// any other gave back, and a pipelined second write (a memcache reply is
+// 8 bytes) appends into the array instead of outgrowing it.
+const minSndBuf = 512
+
 // Write queues payload for transmission. It is an error to write after
 // Close or on a failed connection; the data is silently discarded then.
 func (c *Conn) Write(data []byte) { c.Writev(data) }
@@ -372,18 +379,28 @@ func (c *Conn) Write(data []byte) { c.Writev(data) }
 // Writev is Write of the concatenation of bufs without building it: each
 // part is copied once, straight into the send buffer, then one trySend.
 // Segments are cut from the send buffer, so their boundaries are exactly
-// those of a single Write of the joined bytes. (The buffer grows by
-// append, part by part: reserving the total up front would have to zero
-// it first, which for a large body costs as much as the copy.)
+// those of a single Write of the joined bytes. A connection that holds no
+// send buffer asks the network's pool for one that takes the whole write
+// (at least minSndBuf); a write too large for the pool gets none, and
+// the appends below grow an array the connection then keeps.
 func (c *Conn) Writev(bufs ...[]byte) {
 	if c.state == StateClosed || c.finQueued {
 		return
 	}
-	before := len(c.sndBuf)
+	total := 0
+	for _, b := range bufs {
+		total += len(b)
+	}
+	if total == 0 {
+		return
+	}
+	if c.sndBuf == nil {
+		c.sndBuf = c.net.AllocBuf(max(total, minSndBuf))
+	}
 	for _, b := range bufs {
 		c.sndBuf = append(c.sndBuf, b...)
 	}
-	if len(c.sndBuf) > before && (c.state == StateEstablished || c.state == StateCloseWait) {
+	if c.state == StateEstablished || c.state == StateCloseWait {
 		c.trySend()
 	}
 }
@@ -422,10 +439,15 @@ func (c *Conn) teardown() {
 	// them may still be in flight, and the conn going away does not stop
 	// their delivery. They are garbage-collected with the conn.
 	//
-	// The send and reassembly buffers are dropped by the same argument: a
-	// closed conn never reads them again, while applications keep closed
-	// conns around for their stats, and any zero-copy segment still in
-	// flight (or parked at the peer) holds the array alive by itself.
+	// The send buffer goes back to the pool only if no byte of it was
+	// transmitted and not yet acknowledged. Otherwise it is dropped, like
+	// the reassembly queue: a closed conn never reads either again, while
+	// applications keep closed conns around for their stats, and a
+	// zero-copy segment still in flight (or parked at the peer) keeps the
+	// array alive by itself — and may still be read.
+	if seqLEQ(c.sndNxt, c.bufSeq) {
+		c.net.ReleaseBuf(c.sndBuf)
+	}
 	c.sndBuf, c.sndHead, c.reasm = nil, 0, nil
 	c.host.Unregister(c.local.Port, c.remote)
 }
@@ -502,10 +524,10 @@ func (c *Conn) trySend() {
 			}
 			// Zero-copy: hand out a capacity-capped sub-slice of sndBuf.
 			// Safe because the head only advances on ACK, appends land past
-			// the high-water mark, and the buffer resets to the array start
-			// only once every transmitted byte is acknowledged — at which
-			// point any slice still in flight is a duplicate the receiver
-			// trims without reading (see processAck).
+			// the high-water mark, and the array returns to the pool only
+			// once every transmitted byte is acknowledged — at which point
+			// any slice still in flight is a duplicate the receiver trims
+			// without reading (see applyAck).
 			seg := c.sndBuf[off : off+n : off+n]
 			flags := netsim.FlagACK
 			if off+n == len(c.sndBuf) {
@@ -605,8 +627,7 @@ func (c *Conn) retransmitOldest() {
 	// below the append watermark) only has to hold for first
 	// transmissions. processAck recycles the copy once the cumulative
 	// ACK covers it.
-	seg := c.net.AllocBuf(n)
-	copy(seg, c.sndBuf[off:off+n])
+	seg := append(c.net.AllocBuf(n), c.sndBuf[off:off+n]...)
 	c.rtxBufs = append(c.rtxBufs, rtxBuf{end: c.sndUna + uint32(n), buf: seg})
 	c.sendSegment(netsim.FlagACK|netsim.FlagPSH, c.sndUna, c.rcvNxt, seg)
 }
@@ -889,14 +910,15 @@ func (c *Conn) applyAck(ack uint32, growths int) {
 		c.bufSeq += uint32(drop)
 	}
 	if c.sndHead == len(c.sndBuf) && c.sndHead > 0 {
-		// Every buffered byte is acknowledged: rewind to the array start so
-		// the next Write reuses the capacity instead of growing past the
-		// high-water mark. Any first-transmission slice still in flight is
-		// now entirely below the receiver's rcvNxt (cumulative ACKs imply
-		// delivery), so its bytes are trimmed without being read even if a
-		// later Write overwrites them.
-		c.sndBuf = c.sndBuf[:0]
-		c.sndHead = 0
+		// Every buffered byte is acknowledged, so the connection owns no
+		// send buffer until its next Write: the array goes back to the pool,
+		// where that Write — or another connection's — finds it warm. (An
+		// array too large for the pool stays, rewound, with the connection
+		// that grew it.) Any first-transmission slice still in flight is now
+		// entirely below the receiver's rcvNxt (cumulative ACKs imply
+		// delivery), so its bytes are trimmed without being read whoever
+		// overwrites them.
+		c.sndBuf, c.sndHead = c.net.ReleaseBuf(c.sndBuf), 0
 	}
 	_ = dataAcked
 	// Recycle retransmit copies the cumulative ACK now covers. Any

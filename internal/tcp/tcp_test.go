@@ -25,6 +25,7 @@ type pair struct {
 
 func newPair(seed int64) *pair {
 	n := netsim.New(seed)
+	n.PoisonReleasedBufs() // nothing may read a payload after its sender's full ACK
 	return &pair{
 		net:    n,
 		client: netsim.NewHost(n, clientIP),
@@ -187,6 +188,139 @@ func TestTeardownDropsBuffers(t *testing.T) {
 	}
 	if srv.BytesSent != 100<<10 || cli.BytesRecv != 100<<10 {
 		t.Fatalf("stats lost: sent %d recv %d", srv.BytesSent, cli.BytesRecv)
+	}
+}
+
+var msg2K = bytes.Repeat([]byte("yoda"), 512)
+
+// exchange2K connects a client to a server (listening on port) that
+// answers each 2 KiB request with a 2 KiB response, runs one exchange to
+// quiescence and returns both ends, established and idle.
+func exchange2K(t testing.TB, p *pair, port uint16) (cli, srv *Conn) {
+	t.Helper()
+	msg := msg2K
+	Listen(p.server, port, func(c *Conn) Callbacks {
+		srv = c
+		return Callbacks{OnData: func(c *Conn, d []byte) {
+			if c.BytesRecv%uint64(len(msg)) == 0 {
+				c.Write(msg)
+			}
+		}}
+	}, DefaultConfig())
+	cli = Dial(p.client, netsim.HostPort{IP: serverIP, Port: port}, Callbacks{
+		OnEstablished: func(c *Conn) { c.Write(msg) },
+	}, DefaultConfig())
+	p.net.RunUntilIdle(1_000_000)
+	for _, c := range []*Conn{cli, srv} {
+		if c.State() != StateEstablished || c.BytesRecv != uint64(len(msg)) || c.inflight() != 0 {
+			t.Fatalf("conn %v after the exchange: %v, %d bytes received, %d in flight", c.LocalAddr(), c.State(), c.BytesRecv, c.inflight())
+		}
+	}
+	return cli, srv
+}
+
+// TestIdleConnOwnsNoSendBuffer: "idle" is something the stack knows —
+// every byte acknowledged, nothing queued — and an idle connection holds
+// no send buffer, yet its next Write finds one without allocating.
+func TestIdleConnOwnsNoSendBuffer(t *testing.T) {
+	p := newPair(16)
+	cli, srv := exchange2K(t, p, 80)
+	for _, c := range []*Conn{cli, srv} {
+		if c.sndBuf != nil || c.sndHead != 0 {
+			t.Fatalf("idle conn %v keeps a send buffer: cap %d head %d", c.LocalAddr(), cap(c.sndBuf), c.sndHead)
+		}
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		cli.Write(msg2K)
+		p.net.RunUntilIdle(1_000_000)
+	})
+	if allocs != 0 {
+		t.Fatalf("a Write on an idle conn and its reply allocate %.1f objects, want 0", allocs)
+	}
+	if cli.sndBuf != nil || srv.sndBuf != nil || cli.BytesRecv != srv.BytesRecv {
+		t.Fatalf("after more exchanges: client buf %d, server buf %d, received %d vs %d",
+			cap(cli.sndBuf), cap(srv.sndBuf), cli.BytesRecv, srv.BytesRecv)
+	}
+}
+
+// TestLargeSendBufferStaysWithConn: the pool does not hold arrays the
+// size of a bulk response, so a connection that grew one keeps it, rewound,
+// over the full ACK — a keep-alive connection sending one large body after
+// another must not re-grow the array each time (with poisoning on, the
+// rewound array is scribbled over too, and the peer must not notice).
+func TestLargeSendBufferStaysWithConn(t *testing.T) {
+	p := newPair(19)
+	body := bytes.Repeat([]byte("0123456789abcdef"), 256<<10/16)
+	var got int
+	Listen(p.server, 80, func(c *Conn) Callbacks {
+		return Callbacks{OnData: func(c *Conn, d []byte) {
+			for i, x := range d {
+				if x != body[(got+i)%len(body)] {
+					t.Fatalf("byte %d corrupted: %#x", got+i, x)
+				}
+			}
+			got += len(d)
+		}}
+	}, DefaultConfig())
+	c := Dial(p.client, netsim.HostPort{IP: serverIP, Port: 80}, Callbacks{}, DefaultConfig())
+	p.net.RunUntilIdle(100)
+	c.Write(body)
+	p.net.RunUntilIdle(1_000_000)
+	if len(c.sndBuf) != 0 || cap(c.sndBuf) < len(body) || c.sndHead != 0 {
+		t.Fatalf("after a fully acknowledged %d-byte write: len %d cap %d head %d", len(body), len(c.sndBuf), cap(c.sndBuf), c.sndHead)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		c.Write(body)
+		p.net.RunUntilIdle(1_000_000)
+	})
+	if allocs != 0 {
+		t.Fatalf("a repeated %d-byte write allocates %.1f objects, want 0", len(body), allocs)
+	}
+	if got != 12*len(body) {
+		t.Fatalf("peer read %d bytes, want %d", got, 12*len(body))
+	}
+}
+
+// TestTeardownWithUnackedDataDoesNotPoolBuffer: a conn torn down with
+// transmitted, unacknowledged bytes must not hand their array to the
+// pool — the segments are still in flight and the peer will read them —
+// while one torn down before anything was transmitted may.
+func TestTeardownWithUnackedDataDoesNotPoolBuffer(t *testing.T) {
+	pooled := func(n *netsim.Network, b []byte) bool {
+		got := n.AllocBuf(cap(b))
+		return &got[:1][0] == &b[:1][0]
+	}
+	msg := bytes.Repeat([]byte{0xAB}, 1000)
+
+	p := newPair(17)
+	var got []byte
+	Listen(p.server, 80, func(c *Conn) Callbacks {
+		return Callbacks{OnData: func(c *Conn, d []byte) { got = append(got, d...) }}
+	}, DefaultConfig())
+	c := Dial(p.client, netsim.HostPort{IP: serverIP, Port: 80}, Callbacks{}, DefaultConfig())
+	p.net.RunUntilIdle(100)
+	c.Write(msg)
+	buf := c.sndBuf
+	c.Abort() // data segment and RST are both in flight
+	if c.sndBuf != nil {
+		t.Fatal("closed conn keeps its send buffer")
+	}
+	if pooled(p.net, buf) {
+		t.Fatal("send buffer with unacknowledged bytes in flight went back to the pool")
+	}
+	p.net.RunUntilIdle(100)
+	if !bytes.Equal(got, msg) {
+		t.Fatalf("peer read %d bytes of the in-flight segment, corrupted or short", len(got))
+	}
+
+	// Written before the handshake completes, never transmitted.
+	p = newPair(18)
+	c = Dial(p.client, netsim.HostPort{IP: serverIP, Port: 80}, Callbacks{}, DefaultConfig())
+	c.Write(msg)
+	buf = c.sndBuf
+	c.Abort()
+	if !pooled(p.net, buf) {
+		t.Fatal("never-transmitted send buffer was not returned to the pool")
 	}
 }
 

@@ -39,6 +39,7 @@ func TestTortureTransfer(t *testing.T) {
 func runTorture(t *testing.T, seed int64, jitter, loss, dup float64, size int) {
 	t.Helper()
 	n := netsim.New(seed)
+	n.PoisonReleasedBufs()
 	n.SetJitter(jitter)
 	rng := n.Rand()
 	if loss > 0 {
@@ -107,6 +108,7 @@ func firstDiff(a, b []byte) int {
 // through a lossy network; each must deliver its distinct payload intact.
 func TestTortureManyConnectionsUnderLoss(t *testing.T) {
 	n := netsim.New(9)
+	n.PoisonReleasedBufs()
 	rng := n.Rand()
 	n.SetDropFunc(func(pkt *netsim.Packet) bool { return rng.Float64() < 0.02 })
 	server := netsim.NewHost(n, netsim.IPv4(10, 0, 0, 1))

@@ -39,3 +39,32 @@ func TestSetMultiAllocFree(t *testing.T) {
 		t.Fatalf("SetMulti allocates %.1f objects/op, want 0", allocs)
 	}
 }
+
+// TestDeleteAllocFree: a flow teardown deletes two records, so Delete
+// runs on the same recycled operation state as SetMulti — fanned out to
+// K replicas over simulated TCP, answered, resolved — and, warm,
+// allocates nothing, with or without a callback.
+func TestDeleteAllocFree(t *testing.T) {
+	w := newSimWorld(22, 5, DefaultConfig()) // K=2
+	key := []byte("yoda:f:c0a80001:9c40:0a0000fe:0050")
+	var got error
+	calls := 0
+	cb := func(err error) { got = err; calls++ }
+	op := func() {
+		w.store.Delete(key, cb)
+		w.store.Delete(key, nil)
+		w.net.RunUntilIdle(1 << 20)
+	}
+	for i := 0; i < 64; i++ {
+		op()
+	}
+	if calls != 64 || got != nil {
+		t.Fatalf("%d of 64 deletes reported, last error %v", calls, got)
+	}
+	if allocs := testing.AllocsPerRun(100, op); allocs != 0 {
+		t.Fatalf("two Deletes allocate %.1f objects, want 0", allocs)
+	}
+	if st := w.store.Stats; st.Deletes != 2*(64+101) || st.RoundTrips != 2*st.Deletes || st.PartialWrites != 0 || st.ReplicaErrors != 0 {
+		t.Fatalf("stats after the deletes: %+v", st)
+	}
+}

@@ -106,9 +106,15 @@ type Store struct {
 	Stats Stats
 }
 
-// multiOp is the pooled in-flight state of one SetMulti operation.
+// multiOp is the pooled in-flight state of one SetMulti or Delete
+// operation. A Delete is one entry that every replica must answer, one
+// batch per replica: any reply counts as its ack, an answer short of all
+// replicas is not a partial write, and delCb (which may be nil) takes the
+// place of cb.
 type multiOp struct {
 	store     *Store
+	del       bool
+	delCb     func(error)
 	nEntries  int
 	acks      []int
 	concern   []int
@@ -170,7 +176,7 @@ func (s *Store) takeOp() *multiOp {
 	}
 	op.batches = op.batches[:0]
 	op.replied, op.delivered = 0, 0
-	op.done = false
+	op.done, op.del = false, false
 	op.res = SetResult{}
 	op.timer = netsim.Timer{}
 	return op
@@ -205,7 +211,7 @@ func (op *multiOp) recycle() {
 		}
 	}
 	op.batches = op.batches[:0]
-	op.cb = nil
+	op.cb, op.delCb = nil, nil
 	if len(s.freeOps) < 8 {
 		s.freeOps = append(s.freeOps, op)
 	}
@@ -219,16 +225,21 @@ func (op *multiOp) resolve(timedOut bool) {
 		switch {
 		case op.acks[i] == 0:
 			op.res.Err = ErrAllReplicasFailed
-		case op.acks[i] < op.concern[i]:
+		case op.acks[i] < op.concern[i] && !op.del:
 			op.store.Stats.PartialWrites++
 		}
 	}
-	cb := op.cb
+	cb, del, delCb := op.cb, op.del, op.delCb
 	res := op.res
 	if op.delivered == len(op.batches) {
 		op.recycle()
 	}
-	cb(res)
+	switch {
+	case !del:
+		cb(res)
+	case delCb != nil:
+		delCb(res.Err)
+	}
 }
 
 // handleReply processes one batch's reply (or failure).
@@ -246,6 +257,8 @@ func (op *multiOp) handleReply(b *batchState, r memcache.SimResult) {
 	switch {
 	case r.Err != nil:
 		// connection-level failure: nothing in this batch stored
+	case op.del:
+		stored = 1 // DELETED or NOT_FOUND: the replica answered
 	case r.Reply.Type == memcache.ReplyMStored:
 		stored = r.Reply.N
 	case r.Reply.Type == memcache.ReplyStored:
@@ -572,44 +585,24 @@ func (s *Store) Delete(key []byte, cb func(error)) {
 		return
 	}
 	s.Stats.RoundTrips += uint64(len(replicas))
-	n := len(replicas)
-	answered, errs := 0, 0
-	done := false
-	timer := s.armOpTimeout(&done, func() {
-		if cb == nil {
-			return
-		}
-		if answered > errs {
-			cb(nil)
-		} else {
-			cb(ErrAllReplicasFailed)
-		}
-	})
+	op := s.takeOp()
+	op.del, op.delCb = true, cb
+	op.nEntries = 1
+	op.acks = resetInts(op.acks, 1)
+	op.concern = resetInts(op.concern, 1)
+	op.concern[0] = len(replicas)
 	for _, server := range replicas {
-		s.conn(server).Delete(key, func(r memcache.SimResult) {
-			if done {
-				return
-			}
-			answered++
-			if r.Err != nil {
-				errs++
-				s.Stats.ReplicaErrors++
-			}
-			if answered == n {
-				done = true
-				timer.Stop()
-				if cb == nil {
-					return
-				}
-				if errs == n {
-					cb(ErrAllReplicasFailed)
-				} else {
-					cb(nil)
-				}
-			}
-		})
+		b := s.takeBatch(op, server)
+		b.idxs = append(b.idxs, 0)
+		op.batches = append(op.batches, b)
 	}
 	s.putPickBuf(replicas)
+	if s.cfg.OpTimeout > 0 {
+		op.timer = s.host.Network().Schedule(s.cfg.OpTimeout, op.timeoutFn)
+	}
+	for _, b := range op.batches {
+		s.conn(b.server).Delete(key, b.handle)
+	}
 }
 
 // Latency measurement helper: TimedSet behaves like Set and reports the

@@ -214,6 +214,51 @@ func TestStoreSurvivesOneReplicaFailure(t *testing.T) {
 	}
 }
 
+// TestDeleteUnderReplicaFailure pins what Delete reports when replicas
+// do not answer: success at OpTimeout if any replica did (and that is
+// not a partial write), ErrAllReplicasFailed if none, replies that
+// straggle in after the verdict change nothing, and the operation state
+// they return to the pool serves the next Delete.
+func TestDeleteUnderReplicaFailure(t *testing.T) {
+	w := newSimWorld(6, 4, DefaultConfig())
+	key := []byte("flow:x")
+	replicas := w.store.ring.Pick(string(key), 2)
+	kill := func(hp netsim.HostPort) {
+		for _, srv := range w.servers {
+			if srv.Host().IP() == hp.IP {
+				srv.Host().Detach()
+			}
+		}
+	}
+	del := func() (err error, at time.Duration) {
+		done := false
+		start := w.net.Now()
+		w.store.Delete(key, func(e error) { err, at, done = e, w.net.Now()-start, true })
+		w.net.RunFor(20 * time.Minute) // long enough for dead conns to give up
+		if !done {
+			t.Fatal("delete never resolved")
+		}
+		return err, at
+	}
+	if err, at := del(); err != nil || at >= time.Second {
+		t.Fatalf("healthy delete: %v after %v", err, at)
+	}
+	kill(replicas[0])
+	if err, at := del(); err != nil || at != time.Second {
+		t.Fatalf("one replica dead: %v after %v, want nil at OpTimeout", err, at)
+	}
+	if st := w.store.Stats; st.Timeouts != 1 || st.PartialWrites != 0 || st.ReplicaErrors != 0 {
+		t.Fatalf("stats after a half-answered delete: %+v", st)
+	}
+	kill(replicas[1])
+	if err, at := del(); err != ErrAllReplicasFailed || at != time.Second {
+		t.Fatalf("both replicas dead: %v after %v, want ErrAllReplicasFailed at OpTimeout", err, at)
+	}
+	if st := w.store.Stats; st.Timeouts != 2 || st.Deletes != 3 || st.RoundTrips != 6 || st.PartialWrites != 0 {
+		t.Fatalf("stats after three deletes: %+v", st)
+	}
+}
+
 func TestStoreAllReplicasDead(t *testing.T) {
 	w := newSimWorld(4, 2, DefaultConfig())
 	for _, srv := range w.servers {

@@ -22,6 +22,10 @@ go test -run '^$' -bench \
   -benchmem ./internal/netsim/ | tee -a "$MICRO_LOG"
 go test -run '^$' -bench 'BenchmarkTCPThroughput|BenchmarkTCPBatchRx' -benchmem \
   ./internal/tcp/ | tee -a "$MICRO_LOG"
+go test -run '^$' -bench 'BenchmarkIdleConnHeap' -benchtime 1x \
+  ./internal/tcp/ | tee -a "$MICRO_LOG"
+go test -run '^$' -bench 'BenchmarkCPUMeterCharge' \
+  ./internal/metrics/ | tee -a "$MICRO_LOG"
 go test -run '^$' -bench 'BenchmarkFlowFastPath|BenchmarkStorageWritePath' -benchmem \
   ./internal/core/ | tee -a "$MICRO_LOG"
 go test -run '^$' -bench 'BenchmarkStoreRoundTripsPerFlow|BenchmarkEventsPerFlow' -benchtime 1x \
@@ -66,7 +70,8 @@ EVLOOP_EPS="$(pick "$MICRO_LOG" BenchmarkNetsimEventLoop 5)"
 EVLOOP_ALLOCS="$(awk '$1 ~ /^BenchmarkNetsimEventLoop/ {for(i=1;i<NF;i++) if($(i+1)=="allocs/op") print $i}' "$MICRO_LOG" | head -1)"
 TIMER_NS="$(pick "$MICRO_LOG" 'BenchmarkNetsimTimerChurn/backlog=0' 3)"
 TIMER_BACKLOG_NS="$(pick "$MICRO_LOG" 'BenchmarkNetsimTimerChurn/backlog=64k' 3)"
-TCP_MBS="$(awk '$1 ~ /^BenchmarkTCPThroughput/ {for(i=1;i<NF;i++) if($(i+1)=="MB/s") print $i}' "$MICRO_LOG" | head -1)"
+TCP_MBS="$(awk '$1 ~ /^BenchmarkTCPThroughput\/chunk=64k/ {for(i=1;i<NF;i++) if($(i+1)=="MB/s") print $i}' "$MICRO_LOG" | head -1)"
+TCP_256K_MBS="$(awk '$1 ~ /^BenchmarkTCPThroughput\/chunk=256k/ {for(i=1;i<NF;i++) if($(i+1)=="MB/s") print $i}' "$MICRO_LOG" | head -1)"
 HOST_DEMUX_NS="$(pick "$MICRO_LOG" BenchmarkHostDemux 3)"
 HOST_ALLOCPORT_NS="$(pick "$MICRO_LOG" BenchmarkHostAllocPort 3)"
 FLOW_NS="$(pick "$MICRO_LOG" BenchmarkFlowFastPath 3)"
@@ -80,6 +85,8 @@ MCSESS_REF_NS="$(awk '$1 ~ /^BenchmarkMemcacheSessionReference/ {print $3}' "$MI
 metric() { awk -v b="$2" -v u="$3" '$1 ~ "^"b {for(i=1;i<NF;i++) if($(i+1)==u) print $i}' "$1" | head -1; }
 TCP_BATCH_NSSEG="$(metric "$MICRO_LOG" 'BenchmarkTCPBatchRx/mode=batch' ns/seg)"
 TCP_SCALAR_NSSEG="$(metric "$MICRO_LOG" 'BenchmarkTCPBatchRx/mode=scalar' ns/seg)"
+TCP_IDLE_PAIR_B="$(metric "$MICRO_LOG" BenchmarkIdleConnHeap heap-B/pair)"
+CPUMETER_BPS="$(metric "$MICRO_LOG" BenchmarkCPUMeterCharge B/busy-s)"
 SB_BATCH_RT="$(metric "$MICRO_LOG" BenchmarkStorageBBatched roundtrips/write)"
 SB_SEQ_RT="$(metric "$MICRO_LOG" BenchmarkStorageBSequential roundtrips/write)"
 SB_BATCH_US="$(metric "$MICRO_LOG" BenchmarkStorageBBatched virtual-µs/write)"
@@ -157,8 +164,11 @@ cat > "$OUT" <<EOF
     "timer_churn_ns_op": $(jsonnum "$TIMER_NS"),
     "timer_churn_backlog64k_ns_op": $(jsonnum "$TIMER_BACKLOG_NS"),
     "tcp_throughput_MB_s": $(jsonnum "$TCP_MBS"),
+    "tcp_throughput_256k_MB_s": $(jsonnum "$TCP_256K_MBS"),
     "tcp_batch_rx_ns_seg": $(jsonnum "$TCP_BATCH_NSSEG"),
     "tcp_scalar_rx_ns_seg": $(jsonnum "$TCP_SCALAR_NSSEG"),
+    "tcp_idle_conn_pair_heap_bytes": $(jsonnum "$TCP_IDLE_PAIR_B"),
+    "cpumeter_bytes_per_busy_s": $(jsonnum "$CPUMETER_BPS"),
     "host_demux_ns_op": $(jsonnum "$HOST_DEMUX_NS"),
     "host_alloc_port_ns_op": $(jsonnum "$HOST_ALLOCPORT_NS"),
     "flow_fast_path_ns_op": $(jsonnum "$FLOW_NS"),

@@ -93,14 +93,19 @@ echo "== bench regression gate (>15% vs BENCH_core.json fails) =="
 # Guard the dataplane's headline numbers: the event-loop, loaded
 # timer-churn and flow fast-path microbenchmarks may not regress more
 # than 15% over the recorded ns/op, and mflow events/s plus TCP bulk
-# MB/s must stay within 15% of the recorded rates. Best-of-3 runs
-# absorb machine noise; after an intentional perf change, re-baseline
-# with scripts/bench.sh.
+# MB/s (64 KiB writes, whose array the buffer pool recycles, and 256 KiB
+# writes, whose array the connection has to keep) must stay within 15%
+# of the recorded rates, and an idle TCP
+# connection pair may not hold more than 15% over the recorded heap (an
+# exact figure: one run). Best-of-3 runs absorb machine noise; after an
+# intentional perf change, re-baseline with scripts/bench.sh.
 REC_EVLOOP_NS=$(awk -F'[:,]' '/"event_loop_ns_op"/ {gsub(/[ "]/,"",$2); print $2; exit}' BENCH_core.json 2>/dev/null || true)
 REC_MFLOW_EPS=$(awk -F'[:,]' '/"mflow_events_per_s"/ {gsub(/[ "]/,"",$2); print $2; exit}' BENCH_core.json 2>/dev/null || true)
 REC_FLOW_NS=$(awk -F'[:,]' '/"flow_fast_path_ns_op"/ {gsub(/[ "]/,"",$2); print $2; exit}' BENCH_core.json 2>/dev/null || true)
 REC_TCP_MBS=$(awk -F'[:,]' '/"tcp_throughput_MB_s"/ {gsub(/[ "]/,"",$2); print $2; exit}' BENCH_core.json 2>/dev/null || true)
+REC_TCP_256K_MBS=$(awk -F'[:,]' '/"tcp_throughput_256k_MB_s"/ {gsub(/[ "]/,"",$2); print $2; exit}' BENCH_core.json 2>/dev/null || true)
 REC_TIMER_NS=$(awk -F'[:,]' '/"timer_churn_backlog64k_ns_op"/ {gsub(/[ "]/,"",$2); print $2; exit}' BENCH_core.json 2>/dev/null || true)
+REC_IDLE_B=$(awk -F'[:,]' '/"tcp_idle_conn_pair_heap_bytes"/ {gsub(/[ "]/,"",$2); print $2; exit}' BENCH_core.json 2>/dev/null || true)
 if [[ -z "${REC_EVLOOP_NS:-}" || "$REC_EVLOOP_NS" == "null" || -z "${REC_MFLOW_EPS:-}" || "$REC_MFLOW_EPS" == "null" ]]; then
   echo "SKIP: BENCH_core.json lacks recorded event_loop_ns_op / mflow_events_per_s"
 else
@@ -109,11 +114,14 @@ else
   go test -run '^$' -bench 'BenchmarkMflowMemPerFlow' -benchtime 1x -count=3 ./internal/experiments/ | tee -a "$GATE_LOG"
   go test -run '^$' -bench 'BenchmarkFlowFastPath$' -count=3 ./internal/core/ | tee -a "$GATE_LOG"
   go test -run '^$' -bench 'BenchmarkTCPThroughput$' -count=3 ./internal/tcp/ | tee -a "$GATE_LOG"
+  go test -run '^$' -bench 'BenchmarkIdleConnHeap$' -benchtime 1x ./internal/tcp/ | tee -a "$GATE_LOG"
   NEW_EVLOOP_NS=$(awk '$1 ~ /^BenchmarkNetsimEventLoop/ {if (min=="" || $3+0<min+0) min=$3} END{print min}' "$GATE_LOG")
   NEW_TIMER_NS=$(awk '$1 ~ /^BenchmarkNetsimTimerChurn\/backlog=64k/ {if (min=="" || $3+0<min+0) min=$3} END{print min}' "$GATE_LOG")
   NEW_MFLOW_EPS=$(awk '$1 ~ /^BenchmarkMflowMemPerFlow/ {for(i=1;i<NF;i++) if($(i+1)=="events/s" && $i+0>max+0) max=$i} END{print max}' "$GATE_LOG")
   NEW_FLOW_NS=$(awk '$1 ~ /^BenchmarkFlowFastPath/ {if (min=="" || $3+0<min+0) min=$3} END{print min}' "$GATE_LOG")
-  NEW_TCP_MBS=$(awk '$1 ~ /^BenchmarkTCPThroughput/ {for(i=1;i<NF;i++) if($(i+1)=="MB/s" && $i+0>max+0) max=$i} END{print max}' "$GATE_LOG")
+  NEW_TCP_MBS=$(awk '$1 ~ /^BenchmarkTCPThroughput\/chunk=64k/ {for(i=1;i<NF;i++) if($(i+1)=="MB/s" && $i+0>max+0) max=$i} END{print max}' "$GATE_LOG")
+  NEW_TCP_256K_MBS=$(awk '$1 ~ /^BenchmarkTCPThroughput\/chunk=256k/ {for(i=1;i<NF;i++) if($(i+1)=="MB/s" && $i+0>max+0) max=$i} END{print max}' "$GATE_LOG")
+  NEW_IDLE_B=$(awk '$1 ~ /^BenchmarkIdleConnHeap/ {for(i=1;i<NF;i++) if($(i+1)=="heap-B/pair") print $i}' "$GATE_LOG" | head -1)
   rm -f "$GATE_LOG"
   awk -v new="$NEW_EVLOOP_NS" -v rec="$REC_EVLOOP_NS" 'BEGIN{
     if (new+0 > rec*1.15) { printf "FAIL: event loop %.1f ns/op vs recorded %.1f (>15%% regression)\n", new, rec; exit 1 }
@@ -135,6 +143,16 @@ else
     awk -v new="$NEW_TCP_MBS" -v rec="$REC_TCP_MBS" 'BEGIN{
       if (new+0 < rec/1.15) { printf "FAIL: tcp throughput %.1f MB/s vs recorded %.1f (>15%% regression)\n", new, rec; exit 1 }
       printf "tcp throughput %.1f MB/s vs recorded %.1f MB/s: ok\n", new, rec }'
+  fi
+  if [[ -n "${REC_TCP_256K_MBS:-}" && "$REC_TCP_256K_MBS" != "null" ]]; then
+    awk -v new="$NEW_TCP_256K_MBS" -v rec="$REC_TCP_256K_MBS" 'BEGIN{
+      if (new+0 < rec/1.15) { printf "FAIL: tcp throughput, 256 KiB writes %.1f MB/s vs recorded %.1f (>15%% regression)\n", new, rec; exit 1 }
+      printf "tcp throughput, 256 KiB writes %.1f MB/s vs recorded %.1f MB/s: ok\n", new, rec }'
+  fi
+  if [[ -n "${REC_IDLE_B:-}" && "$REC_IDLE_B" != "null" ]]; then
+    awk -v new="$NEW_IDLE_B" -v rec="$REC_IDLE_B" 'BEGIN{
+      if (new+0 > rec*1.15) { printf "FAIL: idle tcp conn pair holds %.0f B vs recorded %.0f (>15%% regression)\n", new, rec; exit 1 }
+      printf "idle tcp conn pair %.0f B vs recorded %.0f B: ok\n", new, rec }'
   fi
 fi
 
