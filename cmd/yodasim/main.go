@@ -4,13 +4,7 @@
 //
 // Usage:
 //
-//	yodasim -exp table1|fig6|fig9|fig10|fig12|fig12b|fig13|fig14|cpu|upgrade|mflow|all [-seed N] [-parallel] [-shards N] [-recovery hybrid]
-//
-// -shards selects the number of per-shard event loops for the sharded
-// experiments (currently mflow, which holds ~1M flows open across the
-// fleet, kills part of it, and verifies per-flow recovery); the paper
-// figures run on the single event loop regardless, so their output is
-// independent of -shards.
+//	yodasim -exp table1|fig6|fig9|fig10|fig12|fig12b|fig13|fig14|cpu|upgrade|mflow|all [-seed N] [-parallel] [-recovery hybrid]
 //
 // -parallel runs independent trials on separate goroutines: the Figure 6
 // rule-count points, the Figure 12 arms, and (with -exp all) the
@@ -36,7 +30,6 @@ import (
 func main() {
 	exp := flag.String("exp", "all", "experiment to run: table1, fig6, fig9, fig10, fig12, fig12b, fig13, fig14, cpu, upgrade, mflow, all")
 	seed := flag.Int64("seed", 1, "simulation seed")
-	shardsN := flag.Int("shards", runtime.NumCPU(), "event-loop shards for sharded experiments (mflow)")
 	recovery := flag.String("recovery", "", "mflow recovery model: empty (pure HRW re-pick) or hybrid (stateless-table gated adoption)")
 	tierb := flag.Bool("tierb", true, "mflow: ride Tier B coalescing sideband connections (delayed ACKs + GSO trains) alongside the run")
 	parallel := flag.Bool("parallel", false, "run independent trials/experiments on separate goroutines")
@@ -124,13 +117,12 @@ func main() {
 			cfg.Seed = *seed
 			return experiments.RunUpgrade(cfg)
 		},
-		// mflow is the sharded-dataplane scale experiment (~1M concurrent
-		// flows + failure storm). It is not part of -exp all: it is a
-		// capacity run, not a paper figure.
+		// mflow is the scale experiment (~1M concurrent flows + failure
+		// storm). It is not part of -exp all: it is a capacity run, not a
+		// paper figure.
 		"mflow": func() fmt.Stringer {
 			cfg := experiments.DefaultMflowConfig()
 			cfg.Seed = *seed
-			cfg.Shards = *shardsN
 			cfg.Recovery = *recovery
 			cfg.TierB = *tierb
 			return experiments.RunMflow(cfg)

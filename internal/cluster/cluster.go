@@ -7,7 +7,6 @@ package cluster
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/haproxy"
@@ -33,15 +32,9 @@ func vipIP(i int) netsim.IP { return netsim.IPv4(10, 255, 0, byte(i)) }
 
 // Cluster is an assembled testbed.
 type Cluster struct {
-	// Net is the event loop control-plane components live on: the whole
-	// network for single-loop clusters, shard 0 for sharded ones.
+	// Net is the event loop every component lives on.
 	Net *netsim.Network
-	// Sharded is non-nil for clusters built with NewSharded. Hosts are
-	// spread round-robin across its shards; drive the simulation through
-	// the cluster's Run/RunFor/RunUntilIdle so both kinds of cluster run
-	// the same way.
-	Sharded *netsim.ShardedNetwork
-	L4      *l4lb.LB
+	L4  *l4lb.LB
 
 	Yoda         []*core.Instance
 	HAProxy      []*haproxy.Instance
@@ -81,28 +74,6 @@ func New(seed int64) *Cluster {
 	n := netsim.New(seed)
 	return &Cluster{
 		Net:      n,
-		L4:       l4lb.New(n, l4lb.DefaultConfig()),
-		Backends: make(map[string]*Backend),
-		VIPs:     make(map[string]netsim.IP),
-		Health:   &rules.StaticInfo{Dead: map[string]bool{}, Loads: map[string]float64{}},
-	}
-}
-
-// NewSharded creates an empty cluster on a sharded dataplane: the L4 LB
-// (and every VIP) lives on shard 0, and hosts added later are spread
-// round-robin across shards per component class. With shards == 1 the
-// cluster behaves exactly like New(seed).
-//
-// Sharded clusters restrict the control plane: mutations that touch LB
-// or mux state (SetMapping, RemoveInstance, restarts) must happen
-// between runs, from the driver — not from timers inside the simulation
-// — because shard goroutines read that state lock-free while running.
-func NewSharded(seed int64, shards int) *Cluster {
-	sn := netsim.NewSharded(seed, shards)
-	n := sn.Shard(0)
-	return &Cluster{
-		Net:      n,
-		Sharded:  sn,
 		L4:       l4lb.New(n, l4lb.DefaultConfig()),
 		Backends: make(map[string]*Backend),
 		VIPs:     make(map[string]netsim.IP),
@@ -179,54 +150,11 @@ func (c *Cluster) HybridBumpFlush() {
 	}
 }
 
-// netFor picks the event loop for the slot'th host of a component class,
-// spreading each class round-robin across shards.
-func (c *Cluster) netFor(slot int) *netsim.Network {
-	if c.Sharded == nil {
-		return c.Net
-	}
-	return c.Sharded.Shard(slot % c.Sharded.Shards())
-}
-
-// multiShard reports whether the dataplane actually runs in parallel —
-// the case where SNAT return routing must be stateless (port ranges)
-// rather than written into mux maps from instance shards.
-func (c *Cluster) multiShard() bool {
-	return c.Sharded != nil && c.Sharded.Shards() > 1
-}
-
-// Run drives the cluster's dataplane until the deadline.
-func (c *Cluster) Run(deadline time.Duration) {
-	if c.Sharded != nil {
-		c.Sharded.Run(deadline)
-		return
-	}
-	c.Net.Run(deadline)
-}
-
-// RunFor advances the cluster's dataplane by d.
-func (c *Cluster) RunFor(d time.Duration) {
-	if c.Sharded != nil {
-		c.Sharded.RunFor(d)
-		return
-	}
-	c.Net.RunFor(d)
-}
-
-// RunUntilIdle drains the cluster's dataplane to quiescence (or the
-// event cap) and returns the number of events executed.
-func (c *Cluster) RunUntilIdle(maxEvents int) int {
-	if c.Sharded != nil {
-		return c.Sharded.RunUntilIdle(maxEvents)
-	}
-	return c.Net.RunUntilIdle(maxEvents)
-}
-
 // AddStoreServers starts n Memcached servers and returns their addresses.
 func (c *Cluster) AddStoreServers(n int, cfg memcache.SimServerConfig) []netsim.HostPort {
 	for i := 0; i < n; i++ {
 		idx := len(c.StoreServers) + 1
-		h := netsim.NewHost(c.netFor(idx-1), netsim.IPv4(10, 0, storeSubnet, byte(idx)))
+		h := netsim.NewHost(c.Net, netsim.IPv4(10, 0, storeSubnet, byte(idx)))
 		srv := memcache.NewSimServer(h, memcache.DefaultPort, cfg)
 		c.StoreServers = append(c.StoreServers, srv)
 		c.StoreAddrs = append(c.StoreAddrs, netsim.HostPort{IP: h.IP(), Port: memcache.DefaultPort})
@@ -239,22 +167,31 @@ func (c *Cluster) AddStoreServers(n int, cfg memcache.SimServerConfig) []netsim.
 // instance automatically.
 func (c *Cluster) AddYoda(cfg core.Config, storeCfg tcpstore.Config) *core.Instance {
 	c.nextYoda++
-	h := netsim.NewHost(c.netFor(c.nextYoda-1), netsim.IPv4(10, 0, yodaSubnet, byte(c.nextYoda)))
+	cfg.SNATBase = c.snatBase(cfg.SNATCount)
+	h := netsim.NewHost(c.Net, netsim.IPv4(10, 0, yodaSubnet, byte(c.nextYoda)))
 	st := tcpstore.New(h, c.StoreAddrs, storeCfg)
-	cfg.SNATBase = 20000 + uint16(c.nextYoda)*cfg.SNATCount
 	if c.Hybrid != nil {
 		cfg.Hybrid = c.Hybrid
 		c.Hybrid.RegisterRange(h.IP(), cfg.SNATBase, cfg.SNATCount)
 	}
 	inst := core.NewInstance(h, c.L4, st, cfg)
 	inst.SetBackendInfo(c.Health)
-	if c.multiShard() {
-		// Stateless SNAT return routing: without it, every instance send
-		// would write affinity into mux maps owned by shard 0.
-		c.L4.RegisterSNATRange(h.IP(), cfg.SNATBase, cfg.SNATCount)
-	}
 	c.Yoda = append(c.Yoda, inst)
 	return inst
+}
+
+// snatBase returns the first port of the SNAT block of the incarnation
+// just counted in nextYoda: count ports starting at 20000 + nextYoda*count.
+// Incarnation slots are never reused, so blocks stay disjoint for as long
+// as they fit below port 65536; one that would not is a configuration
+// error, not something to wrap around into a live instance's block.
+func (c *Cluster) snatBase(count uint16) uint16 {
+	base := 20000 + uint32(c.nextYoda)*uint32(count)
+	if end := base + uint32(count); end > 65536 {
+		panic(fmt.Sprintf("cluster: SNAT block of Yoda incarnation %d at SNATCount %d would span ports %d-%d, past 65535",
+			c.nextYoda, count, base, end-1))
+	}
+	return uint16(base)
 }
 
 // AddYodaN adds n instances with shared configs.
@@ -273,13 +210,13 @@ func (c *Cluster) AddYodaN(n int, cfg core.Config, storeCfg tcpstore.Config) {
 // fresh SNAT port slice: ports of the old slice may still be referenced
 // by flows that migrated to other instances during the pre-restart drain.
 func (c *Cluster) RestartYoda(i int, cfg core.Config, storeCfg tcpstore.Config) *core.Instance {
+	c.nextYoda++
+	cfg.SNATBase = c.snatBase(cfg.SNATCount)
 	old := c.Yoda[i]
 	h := old.Host()
 	old.Store().Close() // abort store connections before the host wipes
 	old.Fail()          // silence the old incarnation and drop its state
 	h.Reset()           // kernel state wipe: old conns/listeners are gone
-	c.nextYoda++
-	cfg.SNATBase = 20000 + uint16(c.nextYoda)*cfg.SNATCount
 	if c.Hybrid != nil {
 		// The new incarnation registers its fresh range (DecodeCookie
 		// prefers the latest registration) and sheds any dead mark.
@@ -290,12 +227,6 @@ func (c *Cluster) RestartYoda(i int, cfg core.Config, storeCfg tcpstore.Config) 
 	st := tcpstore.New(h, c.StoreAddrs, storeCfg)
 	inst := core.NewInstance(h, c.L4, st, cfg)
 	inst.SetBackendInfo(c.Health)
-	if c.multiShard() {
-		// Replaces the old incarnation's block (same IP); flows that
-		// migrated away during the drain keep routing by the affinity
-		// entries their new instances installed.
-		c.L4.RegisterSNATRange(h.IP(), cfg.SNATBase, cfg.SNATCount)
-	}
 	h.Reattach()
 	c.Yoda[i] = inst
 	return inst
@@ -304,7 +235,7 @@ func (c *Cluster) RestartYoda(i int, cfg core.Config, storeCfg tcpstore.Config) 
 // AddHAProxy starts one HAProxy-style baseline instance.
 func (c *Cluster) AddHAProxy(cfg haproxy.Config) *haproxy.Instance {
 	c.nextProxy++
-	h := netsim.NewHost(c.netFor(c.nextProxy-1), netsim.IPv4(10, 0, proxySubnet, byte(c.nextProxy)))
+	h := netsim.NewHost(c.Net, netsim.IPv4(10, 0, proxySubnet, byte(c.nextProxy)))
 	inst := haproxy.NewInstance(h, 80, cfg)
 	inst.SetBackendInfo(c.Health)
 	c.HAProxy = append(c.HAProxy, inst)
@@ -327,7 +258,7 @@ func (c *Cluster) AddBackend(name string, objects map[string][]byte, cfg httpsim
 		// Delta translation without reading the record back.
 		cfg.TCP.ISNKey = c.Hybrid.ISNKey()
 	}
-	h := netsim.NewHost(c.netFor(c.nextBackend-1), netsim.IPv4(10, 0, backendSubnet, byte(c.nextBackend)))
+	h := netsim.NewHost(c.Net, netsim.IPv4(10, 0, backendSubnet, byte(c.nextBackend)))
 	srv := httpsim.NewServer(h, 80, httpsim.MapHandler(objects), cfg)
 	b := &Backend{
 		Name:   name,
@@ -392,7 +323,7 @@ func (c *Cluster) InstallPolicyHAProxy(vip netsim.IP, rs []rules.Rule, insts []*
 func (c *Cluster) NewClient(cfg httpsim.ClientConfig) *httpsim.Client {
 	c.nextClient++
 	ip := netsim.IPv4(100, byte(c.nextClient>>8), byte(c.nextClient), 1)
-	h := netsim.NewHost(c.netFor(c.nextClient-1), ip)
+	h := netsim.NewHost(c.Net, ip)
 	return httpsim.NewClient(h, cfg)
 }
 
@@ -400,7 +331,7 @@ func (c *Cluster) NewClient(cfg httpsim.ClientConfig) *httpsim.Client {
 func (c *Cluster) ClientHost() *netsim.Host {
 	c.nextClient++
 	ip := netsim.IPv4(100, byte(c.nextClient>>8), byte(c.nextClient), 1)
-	return netsim.NewHost(c.netFor(c.nextClient-1), ip)
+	return netsim.NewHost(c.Net, ip)
 }
 
 // KillYoda fails instance i (detach + L4 withdrawal is the controller's

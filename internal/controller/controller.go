@@ -240,9 +240,6 @@ func (ct *Controller) hybridWaveStart(moves []reconfig.Move) {
 // stats.
 func (ct *Controller) ReconfigStats() reconfig.Stats { return ct.exec.Stats() }
 
-// ReconfigRunning reports whether a reconfiguration is executing.
-func (ct *Controller) ReconfigRunning() bool { return ct.exec.Running() }
-
 // StartRollingUpgrade upgrades every currently live instance, one at a
 // time: drain through a δ-bounded reconfig plan, restart under the new
 // configs, re-admit. onDone may be nil. Returns reconfig.ErrBusy while
@@ -279,11 +276,6 @@ func (ct *Controller) UpgradeStats() reconfig.UpgradeStats {
 		return reconfig.UpgradeStats{}
 	}
 	return ct.upgrader.Stats()
-}
-
-// UpgradeRunning reports whether a rolling upgrade is in progress.
-func (ct *Controller) UpgradeRunning() bool {
-	return ct.upgrader != nil && ct.upgrader.Running()
 }
 
 // mappingSnapshot copies the controller's VIP→instance view.
@@ -472,23 +464,6 @@ func (ct *Controller) scheduleStats() {
 		ct.scheduleStats()
 	})
 	ct.timers = append(ct.timers, t)
-}
-
-// BarrierHealth sums write-barrier outcomes across live instances: the
-// cluster-wide persistence health view. Degraded or Aborted climbing
-// means flows are being balanced that the cluster cannot (or, under
-// StrictPersist, refused to) recover — the operator-facing symptom of a
-// sick TCPStore, visible before any instance actually fails.
-func (ct *Controller) BarrierHealth() core.BarrierStats {
-	var total core.BarrierStats
-	for _, in := range ct.liveInstances() {
-		b := in.Barrier
-		total.Commits += b.Commits
-		total.Degraded += b.Degraded
-		total.Aborted += b.Aborted
-		total.Timeouts += b.Timeouts
-	}
-	return total
 }
 
 func (ct *Controller) scheduleScaling() {

@@ -275,7 +275,7 @@ func (in *Instance) selectAndDial(f *flow, req *httpsim.Request) {
 	// The split draw: hybrid mode replaces the RNG with a tuple-keyed
 	// uniform value so the decision is reproducible by any instance
 	// holding the table (the write-time self-check and recovery replay
-	// it); the paper-faithful mode keeps the shard RNG draw.
+	// it); the paper-faithful mode keeps the network's RNG draw.
 	var draw float64
 	if in.cfg.Hybrid != nil {
 		draw = in.cfg.Hybrid.Draw(f.clientTuple())
@@ -339,7 +339,7 @@ func (in *Instance) sendServerSyn(f *flow) {
 	// For TLS flows the handshake bytes were consumed by the instance and
 	// are not forwarded, so the backend's numbering starts where the
 	// client's application data starts.
-	in.l4.SendViaSNAT(in.net, &netsim.Packet{
+	in.l4.SendViaSNAT(&netsim.Packet{
 		Src:    f.snat,
 		Dst:    f.server,
 		Flags:  netsim.FlagSYN,
@@ -410,7 +410,7 @@ func (in *Instance) serverHandshakePacket(f *flow, pkt *netsim.Packet) {
 		}
 		// ACK the SYN-ACK and forward the buffered request bytes in the
 		// client's own sequence space.
-		in.l4.SendViaSNAT(in.net, &netsim.Packet{
+		in.l4.SendViaSNAT(&netsim.Packet{
 			Src: f.snat, Dst: f.server,
 			Flags: netsim.FlagACK,
 			Seq:   f.clientDataBase(), Ack: f.s + 1,
@@ -451,7 +451,7 @@ func (in *Instance) forwardClientBytes(f *flow, seq uint32, data []byte) {
 		pkt.Seq, pkt.Ack = seq+uint32(off), f.s+1
 		pkt.Window = 1 << 20
 		pkt.Payload = data[off:end:end]
-		in.l4.SendViaSNAT(in.net, pkt, in.IP())
+		in.l4.SendViaSNAT(pkt, in.IP())
 	}
 }
 
@@ -480,7 +480,7 @@ func (in *Instance) reject(f *flow, code int, reason string) {
 // abortToServer propagates a client RST to the backend and drops state.
 // Both tunnel states route client RSTs here.
 func (in *Instance) abortToServer(f *flow, pkt *netsim.Packet) {
-	in.l4.SendViaSNAT(in.net, &netsim.Packet{
+	in.l4.SendViaSNAT(&netsim.Packet{
 		Src: f.snat, Dst: f.server,
 		Flags: netsim.FlagRST, Seq: pkt.Seq, Ack: pkt.Ack - f.delta,
 	}, in.IP())
@@ -501,7 +501,7 @@ func (in *Instance) tunnelFromClient(f *flow, pkt *netsim.Packet) {
 	fwd.Seq, fwd.Ack = pkt.Seq, pkt.Ack-f.delta
 	fwd.Window = pkt.Window
 	fwd.Payload = f.tlsDecryptFromClient(pkt.Seq, pkt.Payload)
-	in.l4.SendViaSNAT(in.net, fwd, in.IP())
+	in.l4.SendViaSNAT(fwd, in.IP())
 	in.maybeFinish(f)
 }
 
@@ -516,7 +516,7 @@ func (in *Instance) tunnelFromServer(f *flow, pkt *netsim.Packet) {
 	}
 	if pkt.Flags.Has(netsim.FlagSYN) {
 		// Retransmitted SYN-ACK: our ACK got lost. Re-ACK.
-		in.l4.SendViaSNAT(in.net, &netsim.Packet{
+		in.l4.SendViaSNAT(&netsim.Packet{
 			Src: f.snat, Dst: f.server,
 			Flags: netsim.FlagACK,
 			Seq:   f.clientDataBase(), Ack: f.s + 1,

@@ -102,8 +102,8 @@ type VIPStats struct {
 type Instance struct {
 	host *netsim.Host
 	net  *netsim.Network
-	// rng is the owning shard's deterministic RNG, cached at construction
-	// so rule-engine draws stay shard-local under the sharded dataplane.
+	// rng is the network's RNG, cached at construction so rule-engine
+	// draws never reach through Network.Rand on the request path.
 	rng   *rand.Rand
 	l4    *l4lb.LB
 	store *tcpstore.Store
@@ -160,7 +160,7 @@ type Instance struct {
 	// denominator of EventsPerFlow.
 	FlowsClosed uint64
 
-	// baseExecuted snapshots the shard event-loop counter at
+	// baseExecuted snapshots the network's event-loop counter at
 	// construction, so EventsPerFlow charges only events that ran during
 	// this instance's lifetime.
 	baseExecuted uint64
@@ -205,10 +205,10 @@ func NewInstance(host *netsim.Host, lb *l4lb.LB, store *tcpstore.Store, cfg Conf
 	return inst
 }
 
-// EventsPerFlow reports shard event-loop events executed per flow this
+// EventsPerFlow reports event-loop events executed per flow this
 // instance completed — the dataplane-efficiency headline the Tier A/B
 // coalescing work drives down (see DESIGN.md §14). Events are counted
-// on the instance's shard from its construction, so co-located clients
+// on the whole network from the instance's construction, so clients
 // and backends are included: the number is comparable between runs of
 // the same topology, not across topologies. Zero until a flow closes.
 func (in *Instance) EventsPerFlow() float64 {
@@ -240,19 +240,6 @@ func (in *Instance) InstallRules(vip netsim.IP, rs []rules.Rule) error {
 	}
 	in.engines[vip] = rules.NewEngine(rs)
 	return nil
-}
-
-// StickyTableSizes reports the number of sticky-session bindings per
-// table, summed across this instance's VIP engines — the memory the
-// hygiene pass in rules.Engine.Update bounds under policy churn.
-func (in *Instance) StickyTableSizes() map[string]int {
-	out := make(map[string]int)
-	for _, e := range in.engines {
-		for name, n := range e.TableSizes() {
-			out[name] += n
-		}
-	}
-	return out
 }
 
 // RemoveRules drops the rule table for a VIP (VIP removal, §5.2).

@@ -127,7 +127,7 @@ func (in *Instance) kaFromClient(f *flow, pkt *netsim.Packet) {
 		// segment would only draw a RST from the new backend's listener —
 		// so those are dropped (they carry no information the new backend
 		// needs).
-		in.l4.SendViaSNAT(in.net, &netsim.Packet{
+		in.l4.SendViaSNAT(&netsim.Packet{
 			Src: f.snat, Dst: f.server,
 			Flags: pkt.Flags, Seq: pkt.Seq, Ack: pkt.Ack - f.delta, Window: pkt.Window,
 		}, in.IP())
@@ -222,7 +222,7 @@ func (in *Instance) kaSwitchBackend(f *flow, next kaRequest, backend rules.Backe
 	in.Reselections++
 	ka := f.ka
 	// Abort the old server connection and clear its SNAT binding.
-	in.l4.SendViaSNAT(in.net, &netsim.Packet{
+	in.l4.SendViaSNAT(&netsim.Packet{
 		Src: f.snat, Dst: f.server,
 		Flags: netsim.FlagRST, Seq: next.startSeq, Ack: f.s + 1,
 	}, in.IP())
@@ -254,7 +254,7 @@ func (in *Instance) kaSwitchBackend(f *flow, next kaRequest, backend rules.Backe
 
 func (in *Instance) kaSendSwitchSyn(f *flow) {
 	ka := f.ka
-	in.l4.SendViaSNAT(in.net, &netsim.Packet{
+	in.l4.SendViaSNAT(&netsim.Packet{
 		Src: f.snat, Dst: f.server,
 		Flags:  netsim.FlagSYN,
 		Seq:    ka.pendReq.startSeq - 1, // handshake consumes one seq unit
@@ -297,7 +297,7 @@ func (in *Instance) kaCompleteSwitch(f *flow, pkt *netsim.Packet) {
 			return
 		}
 		// ACK and replay the pending request.
-		in.l4.SendViaSNAT(in.net, &netsim.Packet{
+		in.l4.SendViaSNAT(&netsim.Packet{
 			Src: f.snat, Dst: f.server,
 			Flags: netsim.FlagACK,
 			Seq:   ka.pendReq.startSeq, Ack: f.s + 1,
@@ -332,7 +332,7 @@ func (in *Instance) kaFromServer(f *flow, pkt *netsim.Packet) {
 	}
 	if pkt.Flags.Has(netsim.FlagSYN) {
 		// Retransmitted SYN-ACK of the established connection: re-ACK.
-		in.l4.SendViaSNAT(in.net, &netsim.Packet{
+		in.l4.SendViaSNAT(&netsim.Packet{
 			Src: f.snat, Dst: f.server,
 			Flags: netsim.FlagACK,
 			Seq:   f.clientISN + 1, Ack: f.s + 1,
@@ -430,7 +430,7 @@ func (in *Instance) kaMaybeForwardFin(f *flow) {
 	}
 	ka.finPending = false
 	f.clientFin = true
-	in.l4.SendViaSNAT(in.net, &netsim.Packet{
+	in.l4.SendViaSNAT(&netsim.Packet{
 		Src: f.snat, Dst: f.server,
 		Flags: netsim.FlagFIN | netsim.FlagACK,
 		Seq:   ka.finSeq, Ack: ka.finAck - f.delta,

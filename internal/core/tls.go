@@ -33,9 +33,6 @@ func (in *Instance) InstallTLS(vip netsim.IP, id *securesim.Identity) {
 	in.tlsIdents[vip] = id
 }
 
-// RemoveTLS drops a VIP's TLS identity.
-func (in *Instance) RemoveTLS(vip netsim.IP) { delete(in.tlsIdents, vip) }
-
 // clientDataBase returns the sequence number of the first application
 // byte from the client (after the SYN, and after the ClientHello for
 // TLS flows).

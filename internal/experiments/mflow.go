@@ -13,10 +13,10 @@ import (
 	"repro/internal/tcp"
 )
 
-// The mflow experiment is the scale headline the sharded dataplane
-// unlocks: around a million concurrent flows held open across a fleet of
-// L7 LB instances, a mid-run failure storm killing a slice of the fleet,
-// and per-flow recovery verified for every survivor. The full Yoda stack
+// The mflow experiment is the scale headline: around a million
+// concurrent flows held open across a fleet of L7 LB instances, a
+// mid-run failure storm killing a slice of the fleet, and per-flow
+// recovery verified for every survivor. The full Yoda stack
 // (real TCP endpoints, TCPStore writes) costs tens of kilobytes per
 // flow, so at this scale mflow models each tier with a compact
 // flow-table abstraction instead:
@@ -38,14 +38,12 @@ import (
 //     (DSR), so returns skip the mux tier.
 //
 // Everything is RNG-free and timer-deterministic, so the result summary
-// is byte-identical across runs and across shard counts — which is what
-// lets the determinism tests compare a 1-shard run against a 4-shard
-// run directly.
+// is byte-identical across runs — which is what lets the golden-file
+// test pin it to the byte.
 
 // MflowConfig parameterizes the million-flow experiment.
 type MflowConfig struct {
-	Seed   int64
-	Shards int
+	Seed int64
 
 	// Recovery selects the recovery model. "" (the default) is the pure
 	// HRW re-pick: any mid-flow packet with no table entry is adopted
@@ -58,7 +56,7 @@ type MflowConfig struct {
 
 	Flows     int // total concurrent flows (rounded up to a driver multiple)
 	Drivers   int // client driver hosts; each owns Flows/Drivers flows
-	Muxes     int // stateless L4 muxes, spread across shards
+	Muxes     int // stateless L4 muxes
 	Instances int // L7 LB instances
 	Backends  int // backend responders
 	StormKill int // instances killed in the mid-run failure storm
@@ -74,7 +72,7 @@ type MflowConfig struct {
 	// phase boundary; the run then requires the echoes back intact, a
 	// clean close, and the coalescing stats nonzero. ISNs are derived
 	// from a fixed key so the sideband stays RNG-free and the summary
-	// stays byte-identical across shard counts.
+	// stays byte-identical across runs.
 	TierB bool
 }
 
@@ -83,7 +81,6 @@ type MflowConfig struct {
 func DefaultMflowConfig() MflowConfig {
 	return MflowConfig{
 		Seed:       1,
-		Shards:     4,
 		Flows:      1 << 20,
 		Drivers:    32,
 		Muxes:      8,
@@ -161,7 +158,7 @@ func mfPickIdx(ft netsim.FourTuple, cands []netsim.IP) int {
 
 // mfMux is a stateless L4 mux: encapsulate toward the HRW winner over
 // the live instance list. insts is replaced (never mutated in place) by
-// the driver between runs, so shard goroutines read it lock-free.
+// the driver between runs.
 type mfMux struct {
 	net   *netsim.Network
 	vip   netsim.IP
@@ -422,10 +419,8 @@ const (
 	mfSidebandISNKey  = 0x5eedc0a1e5ced111 // fixed: keeps the sideband RNG-free
 )
 
-// mfSideband owns the Tier B echo connections. The server host lives on
-// shard 0; client hosts are spread across shards like every other tier,
-// so the sideband also exercises coalesced delivery over the SPSC
-// cross-shard handoff.
+// mfSideband owns the Tier B echo connections: one server host and
+// mfSidebandConns client hosts.
 type mfSideband struct {
 	clients []*tcp.Conn
 	servers []*tcp.Conn
@@ -434,7 +429,7 @@ type mfSideband struct {
 	writes  int
 }
 
-func newMfSideband(sn *netsim.ShardedNetwork, shards int) *mfSideband {
+func newMfSideband(nw *netsim.Network) *mfSideband {
 	sb := &mfSideband{
 		echoed:  make([]int, mfSidebandConns),
 		payload: bytes.Repeat([]byte("tierb"), mfSidebandWrite/5+1)[:mfSidebandWrite],
@@ -444,7 +439,7 @@ func newMfSideband(sn *netsim.ShardedNetwork, shards int) *mfSideband {
 	cfg.GSOSegs = mfSidebandGSOSegs
 	cfg.ISNKey = mfSidebandISNKey
 
-	srvHost := netsim.NewHost(sn.Shard(0), netsim.IPv4(10, 0, 3, 1))
+	srvHost := netsim.NewHost(nw, netsim.IPv4(10, 0, 3, 1))
 	srvAddr := srvHost.Addr(7)
 	tcp.Listen(srvHost, 7, func(c *tcp.Conn) tcp.Callbacks {
 		sb.servers = append(sb.servers, c)
@@ -457,7 +452,7 @@ func newMfSideband(sn *netsim.ShardedNetwork, shards int) *mfSideband {
 	ccfg := cfg
 	ccfg.IdleProbe = 50 * time.Millisecond // heartbeats ride the settle gaps
 	for i := 0; i < mfSidebandConns; i++ {
-		host := netsim.NewHost(sn.Shard(i%shards), netsim.IPv4(10, 0, 3, byte(i+2)))
+		host := netsim.NewHost(nw, netsim.IPv4(10, 0, 3, byte(i+2)))
 		idx := i
 		conn := tcp.Dial(host, srvAddr, tcp.Callbacks{
 			OnData: func(c *tcp.Conn, d []byte) { sb.echoed[idx] += len(d) },
@@ -467,8 +462,8 @@ func newMfSideband(sn *netsim.ShardedNetwork, shards int) *mfSideband {
 	return sb
 }
 
-// push queues one write per client; called at each phase boundary while
-// the shard loops are parked, the same discipline the drivers follow.
+// push queues one write per client; called at each phase boundary,
+// between runs, the same discipline the drivers follow.
 func (sb *mfSideband) push() {
 	sb.writes++
 	for _, c := range sb.clients {
@@ -509,8 +504,8 @@ func (sb *mfSideband) report(res *MflowResult) {
 }
 
 // MflowResult carries the outcome. Summary() covers only virtual-time
-// deterministic fields (identical across shard counts); wall-clock and
-// memory figures are reported separately by String().
+// deterministic fields; wall-clock and memory figures are reported
+// separately by String().
 type MflowResult struct {
 	Cfg MflowConfig
 
@@ -586,8 +581,8 @@ func (r *MflowResult) Summary() string {
 }
 
 func (r *MflowResult) String() string {
-	return fmt.Sprintf("%s\n  perf: shards=%d wall=%v events/s=%.0f heapBytes/flow=%.0f",
-		r.Summary(), r.Cfg.Shards, r.Wall.Round(time.Millisecond),
+	return fmt.Sprintf("%s\n  perf: wall=%v events/s=%.0f heapBytes/flow=%.0f",
+		r.Summary(), r.Wall.Round(time.Millisecond),
 		float64(r.Executed)/r.Wall.Seconds(), r.HeapBytesPerFlow)
 }
 
@@ -614,29 +609,23 @@ func RunMflow(cfg MflowConfig) *MflowResult {
 	heapBase := heapInUse()
 	wallStart := time.Now()
 
-	sn := netsim.NewSharded(cfg.Seed, cfg.Shards)
-	defer sn.Close()
-	shards := sn.Shards()
+	nw := netsim.New(cfg.Seed)
 
 	// Hybrid arm: one shared derivation table, seeded deterministically.
-	// It is mutated only between phases (storm MarkDead) while every
-	// shard loop is parked, matching the control-plane discipline the
-	// real cluster follows.
+	// It is mutated only between phases (storm MarkDead), matching the
+	// control-plane discipline the real cluster follows.
 	var tbl *stateless.Table
 	if cfg.Recovery == "hybrid" {
 		tbl = stateless.New(uint64(cfg.Seed)*0x9e3779b97f4a7c15 + 0xdead)
 	}
 
-	// Muxes: vip 10.254.0.(m+1) on shard m%S. Drivers address mux d%M, so
-	// flow tuples — and therefore every pick — do not depend on the shard
-	// count.
+	// Muxes: vip 10.254.0.(m+1). Drivers address mux d%M.
 	muxes := make([]*mfMux, cfg.Muxes)
 	liveInsts := make([]netsim.IP, cfg.Instances)
 	for i := range liveInsts {
 		liveInsts[i] = netsim.IPv4(10, 0, 1, byte(i+1))
 	}
 	for m := range muxes {
-		nw := sn.Shard(m % shards)
 		mx := &mfMux{net: nw, vip: netsim.IPv4(10, 254, 0, byte(m+1)), insts: liveInsts, tbl: tbl}
 		nw.Attach(mx.vip, mx)
 		muxes[m] = mx
@@ -653,7 +642,6 @@ func RunMflow(cfg MflowConfig) *MflowResult {
 	}
 	insts := make([]*mfInstance, cfg.Instances)
 	for i := range insts {
-		nw := sn.Shard(i % shards)
 		in := &mfInstance{
 			net: nw, ip: liveInsts[i], tbl: tbl,
 			table: flowmap.NewCompact(perInstance + perInstance/8),
@@ -664,7 +652,6 @@ func RunMflow(cfg MflowConfig) *MflowResult {
 	backendIPs := make([]netsim.IP, cfg.Backends)
 	backends := make([]*mfBackend, cfg.Backends)
 	for i := range backends {
-		nw := sn.Shard(i % shards)
 		backendIPs[i] = netsim.IPv4(10, 0, 2, byte(i+1))
 		backends[i] = &mfBackend{net: nw}
 		nw.Attach(backendIPs[i], backends[i])
@@ -675,12 +662,11 @@ func RunMflow(cfg MflowConfig) *MflowResult {
 
 	var sb *mfSideband
 	if cfg.TierB {
-		sb = newMfSideband(sn, shards)
+		sb = newMfSideband(nw)
 	}
 
 	drivers := make([]*mfDriver, cfg.Drivers)
 	for d := range drivers {
-		nw := sn.Shard(d % shards)
 		drv := &mfDriver{
 			net:   nw,
 			ip:    netsim.IPv4(100, 0, byte(d>>8), byte(d&0xff)+1),
@@ -720,7 +706,7 @@ func RunMflow(cfg MflowConfig) *MflowResult {
 
 	// Ramp: open every flow.
 	startPhase(mfPhaseOpen)
-	sn.RunFor(span)
+	nw.RunFor(span)
 	res.Established, _, _ = counts()
 	res.Peak = res.Established
 	if res.Peak != cfg.Flows {
@@ -755,7 +741,7 @@ func RunMflow(cfg MflowConfig) *MflowResult {
 	// Probe: one data packet per flow. Orphaned flows must be adopted by
 	// the HRW re-pick instance; every probe must come back acknowledged.
 	startPhase(mfPhaseProbe)
-	sn.RunFor(span)
+	nw.RunFor(span)
 	_, res.ProbeAcked, _ = counts()
 	if res.ProbeAcked != cfg.Flows {
 		res.failf("probe: acked %d of %d flows", res.ProbeAcked, cfg.Flows)
@@ -776,11 +762,11 @@ func RunMflow(cfg MflowConfig) *MflowResult {
 
 	// Teardown: close every flow, then drain to quiescence.
 	startPhase(mfPhaseClose)
-	sn.RunFor(span)
+	nw.RunFor(span)
 	if sb != nil {
 		sb.close()
 	}
-	sn.RunUntilIdle(1 << 24)
+	nw.RunUntilIdle(1 << 24)
 	if sb != nil {
 		sb.report(res)
 	}
@@ -800,21 +786,21 @@ func RunMflow(cfg MflowConfig) *MflowResult {
 		res.failf("HRW instability: %d FINs missed their flow's instance", res.RecoveredOnFin)
 	}
 
-	res.Delivered = sn.Delivered()
-	res.Executed = sn.Executed()
-	res.TrainRuns = sn.Runs()
-	res.BatchRuns = sn.BatchRuns()
-	res.BatchHitRatio = sn.BatchHitRatio()
-	res.DroppedNoRoute = sn.DroppedNoRoute()
-	res.DroppedByPolicy = sn.DroppedByPolicy()
+	res.Delivered = nw.Delivered
+	res.Executed = nw.Executed()
+	res.TrainRuns = nw.Runs
+	res.BatchRuns = nw.BatchRuns
+	res.BatchHitRatio = nw.BatchHitRatio()
+	res.DroppedNoRoute = nw.DroppedNoRoute
+	res.DroppedByPolicy = nw.DroppedByPolicy
 	if res.DroppedNoRoute != 0 {
 		res.failf("%d packets dropped with no route (post-storm leakage)", res.DroppedNoRoute)
 	}
-	res.PendingAfter = sn.Pending()
+	res.PendingAfter = nw.Pending()
 	if res.PendingAfter != 0 {
 		res.failf("network not quiescent: %d pending", res.PendingAfter)
 	}
-	res.SimTime = sn.Now()
+	res.SimTime = nw.Now()
 	res.Wall = time.Since(wallStart)
 	return res
 }

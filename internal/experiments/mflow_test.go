@@ -1,16 +1,17 @@
 package experiments
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 )
 
 // smallMflowConfig shrinks the headline run to CI scale: 8192 flows,
 // same topology shape, same storm fraction.
-func smallMflowConfig(shards int) MflowConfig {
+func smallMflowConfig() MflowConfig {
 	return MflowConfig{
 		Seed:       1,
-		Shards:     shards,
 		Flows:      8192,
 		Drivers:    8,
 		Muxes:      4,
@@ -27,7 +28,7 @@ func smallMflowConfig(shards int) MflowConfig {
 // invariant to hold: full ramp, every orphaned flow recovered exactly
 // once, clean teardown, quiescent network.
 func TestMflowInvariants(t *testing.T) {
-	res := RunMflow(smallMflowConfig(2))
+	res := RunMflow(smallMflowConfig())
 	if !res.Pass() {
 		t.Fatalf("mflow invariants failed:\n%s", res.Summary())
 	}
@@ -50,12 +51,40 @@ func TestMflowInvariants(t *testing.T) {
 }
 
 // TestMflowDeterminism requires byte-identical summaries across repeated
-// runs at the same shard count.
+// runs.
 func TestMflowDeterminism(t *testing.T) {
-	a := RunMflow(smallMflowConfig(2)).Summary()
-	b := RunMflow(smallMflowConfig(2)).Summary()
+	a := RunMflow(smallMflowConfig()).Summary()
+	b := RunMflow(smallMflowConfig()).Summary()
 	if a != b {
 		t.Fatalf("mflow not deterministic:\nrun1:\n%s\n\nrun2:\n%s", a, b)
+	}
+}
+
+// TestMflowSummaryGolden holds the small configuration's summary, in
+// each of its three arms, to the bytes in testdata/. The files were
+// written while mflow could still run on 1, 2 or 4 event loops and all
+// three printed these bytes.
+func TestMflowSummaryGolden(t *testing.T) {
+	arms := []struct {
+		name, recovery string
+		tierB          bool
+	}{
+		{name: "paper"},
+		{name: "hybrid", recovery: "hybrid"},
+		{name: "tierb", tierB: true},
+	}
+	for _, arm := range arms {
+		t.Run(arm.name, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", "mflow_small_"+arm.name+".golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := smallMflowConfig()
+			cfg.Recovery, cfg.TierB = arm.recovery, arm.tierB
+			if got := RunMflow(cfg).Summary() + "\n"; got != string(want) {
+				t.Fatalf("summary differs from golden file:\ngot:\n%s\nwant:\n%s", got, want)
+			}
+		})
 	}
 }
 
@@ -65,7 +94,7 @@ func TestMflowDeterminism(t *testing.T) {
 // pending) and no adoption may ever be rejected for lack of a
 // dead-owner proof.
 func TestMflowHybridExactRecovery(t *testing.T) {
-	cfg := smallMflowConfig(2)
+	cfg := smallMflowConfig()
 	cfg.Recovery = "hybrid"
 	res := RunMflow(cfg)
 	if !res.Pass() {
@@ -80,41 +109,13 @@ func TestMflowHybridExactRecovery(t *testing.T) {
 	}
 }
 
-// TestMflowHybridShardCountInvariant: the hybrid arm's summary is as
-// shard-independent as the default arm's.
-func TestMflowHybridShardCountInvariant(t *testing.T) {
-	mk := func(shards int) string {
-		cfg := smallMflowConfig(shards)
-		cfg.Recovery = "hybrid"
-		return RunMflow(cfg).Summary()
-	}
-	base := mk(1)
-	if got := mk(4); got != base {
-		t.Fatalf("hybrid summary differs between 1 and 4 shards:\n%s\n\nvs:\n%s", base, got)
-	}
-}
-
-// TestMflowShardCountInvariant is the conservative-sync acceptance test
-// at experiment level: the deterministic summary must not depend on how
-// many shards executed it.
-func TestMflowShardCountInvariant(t *testing.T) {
-	base := RunMflow(smallMflowConfig(1)).Summary()
-	for _, shards := range []int{2, 4} {
-		got := RunMflow(smallMflowConfig(shards)).Summary()
-		if got != base {
-			t.Fatalf("summary differs between 1 shard and %d shards:\n1 shard:\n%s\n\n%d shards:\n%s",
-				shards, base, shards, got)
-		}
-	}
-}
-
 // TestMflowTierBInvariants turns the Tier B sideband on: real TCP echo
 // connections with delayed ACKs, GSO trains, and idle probes riding the
 // run. Every base invariant must still hold (recovery exact, network
 // quiescent) and the sideband's own checks must pass — bytes echoed
 // intact, connections closed, coalescing actually engaged.
 func TestMflowTierBInvariants(t *testing.T) {
-	cfg := smallMflowConfig(2)
+	cfg := smallMflowConfig()
 	cfg.TierB = true
 	res := RunMflow(cfg)
 	if !res.Pass() {
@@ -130,30 +131,11 @@ func TestMflowTierBInvariants(t *testing.T) {
 	}
 }
 
-// TestMflowTierBShardCountInvariant: the summary — now including the
-// sideband's coalescing stats — must stay byte-identical at 1, 2, and 4
-// shards even though the sideband's TCP segments cross the SPSC handoff
-// differently at each shard count.
-func TestMflowTierBShardCountInvariant(t *testing.T) {
-	mk := func(shards int) string {
-		cfg := smallMflowConfig(shards)
-		cfg.TierB = true
-		return RunMflow(cfg).Summary()
-	}
-	base := mk(1)
-	for _, shards := range []int{2, 4} {
-		if got := mk(shards); got != base {
-			t.Fatalf("tierb summary differs between 1 and %d shards:\n%s\n\nvs:\n%s",
-				shards, base, got)
-		}
-	}
-}
-
 // BenchmarkMflowMemPerFlow reports the peak heap cost per concurrent
-// flow; bench.sh runs it with -benchtime=1x to populate
-// mflow_mem_bytes_per_flow in BENCH_core.json.
+// flow; bench.sh runs it with -benchtime=1x to populate mflow_flows,
+// mflow_mem_bytes_per_flow and mflow_events_per_s in BENCH_core.json.
 func BenchmarkMflowMemPerFlow(b *testing.B) {
-	cfg := smallMflowConfig(2)
+	cfg := smallMflowConfig()
 	cfg.Flows = 1 << 16
 	cfg.Drivers = 16
 	for i := 0; i < b.N; i++ {
@@ -161,6 +143,7 @@ func BenchmarkMflowMemPerFlow(b *testing.B) {
 		if !res.Pass() {
 			b.Fatalf("mflow failed:\n%s", res.Summary())
 		}
+		b.ReportMetric(float64(res.Cfg.Flows), "flows")
 		b.ReportMetric(res.HeapBytesPerFlow, "bytes/flow")
 		b.ReportMetric(float64(res.Executed)/res.Wall.Seconds(), "events/s")
 	}

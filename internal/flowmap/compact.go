@@ -6,7 +6,7 @@ import (
 	"repro/internal/netsim"
 )
 
-// Compact is the production Table: a two-choice cuckoo hash over
+// Compact is the flow table: a two-choice cuckoo hash over
 // 64-byte buckets of four 16-byte slots (64-bit tag, 32-bit value,
 // 32-bit generation), so a lookup touches at most two cache lines.
 // Live entries cost slots×16 bytes at the table's load factor — a few
@@ -266,7 +266,9 @@ func (c *Compact) LookupMaybe(ft netsim.FourTuple) (Value, bool) {
 
 // Delete removes ft's entry, reporting whether a live entry was
 // removed. A dead (evicted) entry for the same tuple is reclaimed but
-// reported as a miss.
+// reported as a miss. Deleting a tuple that was never inserted may, with
+// the same aliasing probability as a false hit, remove another tuple's
+// entry — only delete tuples you inserted.
 func (c *Compact) Delete(ft netsim.FourTuple) bool {
 	tag := hashTuple(ft)
 	s := c.findTag(c.home1(tag), tag)

@@ -44,50 +44,9 @@ package flowmap
 
 import "repro/internal/netsim"
 
-// Value is the small per-flow payload a Table stores: a backend index,
+// Value is the small per-flow payload a table stores: a backend index,
 // an instance-pair index, or a slot index into a caller-owned store.
 type Value = uint32
-
-// Table is the flow-mapping contract shared by the compact structure
-// and the plain-map reference oracle.
-type Table interface {
-	// Insert maps ft to v, overwriting any existing entry for ft.
-	// It reports false only when the implementation cannot place the
-	// entry (Compact grows instead, so it always reports true).
-	Insert(ft netsim.FourTuple, v Value) bool
-
-	// LookupMaybe returns the value stored for ft. The result is
-	// authoritative for inserted tuples; for tuples never inserted a
-	// compact implementation MAY return a false hit (see the package
-	// comment). Callers must validate or be positioned so a false hit
-	// is benign — the method name is the reminder.
-	LookupMaybe(ft netsim.FourTuple) (Value, bool)
-
-	// Delete removes ft's entry, reporting whether a live entry was
-	// removed. Deleting a tuple that was never inserted may, with the
-	// same aliasing probability as a false hit, remove another tuple's
-	// entry — only delete tuples you inserted.
-	Delete(ft netsim.FourTuple) bool
-
-	// EvictValue invalidates every live entry currently mapping to v
-	// in O(1) and bumps the table epoch. Entries inserted afterwards
-	// with the same value are valid.
-	EvictValue(v Value)
-
-	// Len returns the number of live entries (insertions minus
-	// deletions minus entries invalidated by EvictValue).
-	Len() int
-
-	// Epoch returns the number of eviction bumps applied, a version
-	// counter observers can use to detect backend-set changes.
-	Epoch() uint64
-}
-
-// Compile-time interface checks.
-var (
-	_ Table = (*Compact)(nil)
-	_ Table = (*Map)(nil)
-)
 
 // hashTuple digests a tuple into the 64-bit tag Compact stores: FNV-1a
 // over the tuple words followed by the splitmix64 finalizer (plain FNV

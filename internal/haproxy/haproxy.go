@@ -52,7 +52,7 @@ func DefaultConfig() Config {
 type Instance struct {
 	host *netsim.Host
 	net  *netsim.Network
-	// rng is the owning shard's deterministic RNG handle (never reach
+	// rng is the network's RNG, cached at construction (never reach
 	// through Network.Rand on the request path).
 	rng *rand.Rand
 	cfg Config

@@ -61,27 +61,11 @@ func DefaultConfig() Config {
 // aliasing a live entry's 64-bit tag is forwarded to a live pair's
 // instance with affinity-grade stickiness, exactly what the rendezvous
 // pick would have provided, just to a possibly different instance.
-// Correctness-critical paths (SNAT-range return routing, new-flow
-// placement after the miss) never depend on a compact hit.
+// Correctness-critical paths (new-flow placement after the miss) never
+// depend on a compact hit.
 type mux struct {
 	vipMap   map[netsim.IP][]netsim.IP // VIP -> assigned L7 instance IPs
 	affinity *flowmap.Compact          // flow -> pair index (see LB.pairs)
-}
-
-// snatRange is a per-instance SNAT source-port block. Because the
-// cluster assigns every instance a disjoint block, a SNAT return packet
-// (server -> VIP:port) can be routed to its instance statelessly by
-// range lookup — no affinity entry, and therefore no mux-state write on
-// the instance's send path. That is what lets instances on other shards
-// originate SNAT traffic without touching mux maps owned by the LB's
-// shard. The affinity table still overrides the range: a flow recovered
-// by a different instance keeps its old port (from the dead instance's
-// now-unregistered block) and is routed by an explicitly installed
-// affinity entry, exactly as before ranges existed.
-type snatRange struct {
-	inst netsim.IP
-	base uint16
-	end  uint32 // base+count, exclusive
 }
 
 func newMux() *mux {
@@ -101,13 +85,12 @@ type affinityPair struct {
 // LB is the layer-4 load balancer.
 type LB struct {
 	net *netsim.Network
-	// rng is the LB's shard-local RNG handle, cached at construction per
-	// the repo-wide rule that components never call Network.Rand inline.
-	rng        *rand.Rand
-	cfg        Config
-	muxes      []*mux
-	snatRanges []snatRange
-	vips       map[netsim.IP]bool
+	// rng is the network's RNG, cached at construction per the repo-wide
+	// rule that components never call Network.Rand inline.
+	rng   *rand.Rand
+	cfg   Config
+	muxes []*mux
+	vips  map[netsim.IP]bool
 
 	// pairs is the (VIP, instance) registry affinity values point into;
 	// pairIdx is its reverse index. Pairs are append-only: an evicted
@@ -280,45 +263,10 @@ func (lb *LB) Converged(vip netsim.IP, insts []netsim.IP) bool {
 // UpdateStagger returns the configured worst-case per-mux update delay.
 func (lb *LB) UpdateStagger() time.Duration { return lb.cfg.UpdateStagger }
 
-// RegisterSNATRange reserves the SNAT source-port block [base,
-// base+count) for inst: return packets addressed to any VIP on a port in
-// the block route to inst with no affinity state. Blocks must be
-// disjoint across instances and must not cover ports client-facing
-// listeners use. Re-registering an instance replaces its block.
-func (lb *LB) RegisterSNATRange(inst netsim.IP, base, count uint16) {
-	lb.UnregisterSNATRange(inst)
-	lb.snatRanges = append(lb.snatRanges, snatRange{inst: inst, base: base, end: uint32(base) + uint32(count)})
-}
-
-// UnregisterSNATRange drops inst's port block. Flows that survive inst
-// (recovered by another instance) keep their old ports; their returns
-// fall back to explicitly installed affinity entries.
-func (lb *LB) UnregisterSNATRange(inst netsim.IP) {
-	for i, r := range lb.snatRanges {
-		if r.inst == inst {
-			lb.snatRanges = append(lb.snatRanges[:i], lb.snatRanges[i+1:]...)
-			return
-		}
-	}
-}
-
-// snatOwner returns the instance owning port's SNAT block, if any. The
-// scan is linear: instance counts are tens, and the slice is immutable
-// between control-plane changes so concurrent shard reads are safe.
-func (lb *LB) snatOwner(port uint16) (netsim.IP, bool) {
-	for _, r := range lb.snatRanges {
-		if port >= r.base && uint32(port) < r.end {
-			return r.inst, true
-		}
-	}
-	return 0, false
-}
-
 // RemoveInstance removes an instance from every VIP mapping and drops its
 // affinity entries on all muxes, immediately. The Yoda controller calls
 // this when its monitor declares the instance dead.
 func (lb *LB) RemoveInstance(inst netsim.IP) {
-	lb.UnregisterSNATRange(inst)
 	for _, m := range lb.muxes {
 		for vip, list := range m.vipMap {
 			out := list[:0]
@@ -357,13 +305,6 @@ func (lb *LB) handleVIPPacket(vip netsim.IP, pkt *netsim.Packet) {
 		// instance, which is the benign-by-construction case.
 		inst = lb.pairs[v].inst
 	} else {
-		// SNAT returns route statelessly by the destination port's
-		// registered block; the affinity check above still wins so
-		// recovered flows can be pinned elsewhere.
-		if owner, ok := lb.snatOwner(tuple.Dst.Port); ok {
-			lb.forward(pkt, vip, owner)
-			return
-		}
 		insts := m.vipMap[vip]
 		if len(insts) == 0 {
 			lb.NoInstanceDrops++
@@ -396,8 +337,6 @@ func (lb *LB) handleVIPBatch(vip netsim.IP, pkts []*netsim.Packet) {
 		var inst netsim.IP
 		if v, hit := m.affinity.LookupMaybe(tuple); hit {
 			inst = lb.pairs[v].inst
-		} else if owner, ok := lb.snatOwner(tuple.Dst.Port); ok {
-			inst = owner
 		} else {
 			insts := m.vipMap[vip]
 			if len(insts) == 0 {
@@ -435,29 +374,18 @@ func (lb *LB) forward(pkt *netsim.Packet, vip, inst netsim.IP) {
 }
 
 // SendViaSNAT transmits a packet originated by instance inst with the VIP
-// as its source address (pkt.Src.IP must be the VIP), via the instance's
-// own network handle so sharded instances transmit on their own shard.
-// If the source port sits in inst's registered SNAT block the return
-// route is already stateless; otherwise (no block registered, or a
-// recovered flow reusing a dead instance's port) the LB records
+// as its source address (pkt.Src.IP must be the VIP), recording
 // return-flow affinity so the destination's replies reach inst. This is
 // the SNAT half of front-and-back indirection.
-func (lb *LB) SendViaSNAT(via *netsim.Network, pkt *netsim.Packet, inst netsim.IP) {
-	if owner, hit := lb.snatOwner(pkt.Src.Port); !hit || owner != inst {
-		ret := netsim.FourTuple{Src: pkt.Dst, Dst: pkt.Src} // reply orientation: toward VIP
-		m := lb.muxFor(ret)
-		m.affinity.Insert(ret, lb.pairVal(vipOf(ret), inst))
-	}
-	via.Send(pkt)
+func (lb *LB) SendViaSNAT(pkt *netsim.Packet, inst netsim.IP) {
+	ret := netsim.FourTuple{Src: pkt.Dst, Dst: pkt.Src} // reply orientation: toward VIP
+	m := lb.muxFor(ret)
+	m.affinity.Insert(ret, lb.pairVal(vipOf(ret), inst))
+	lb.net.Send(pkt)
 }
 
 // ClearSNAT removes the return-flow affinity for a finished connection.
-// Ports inside a registered block never had an entry installed, so the
-// call is read-only for them — which keeps it safe from other shards.
 func (lb *LB) ClearSNAT(serverSide netsim.FourTuple) {
-	if _, hit := lb.snatOwner(serverSide.Dst.Port); hit {
-		return
-	}
 	m := lb.muxFor(serverSide)
 	m.affinity.Delete(serverSide)
 }

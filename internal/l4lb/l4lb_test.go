@@ -1,7 +1,6 @@
 package l4lb
 
 import (
-	"flag"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -9,10 +8,6 @@ import (
 
 	"repro/internal/netsim"
 )
-
-// shardsFlag lets CI sweep the shard count of the sharded l4lb tests
-// (ci.sh runs this package with -shards=4 under -race).
-var shardsFlag = flag.Int("shards", 4, "shard count for sharded l4lb tests")
 
 var (
 	vip    = netsim.IPv4(10, 255, 0, 1)
@@ -168,7 +163,7 @@ func TestSNATReturnPath(t *testing.T) {
 		Dst:   netsim.HostPort{IP: server, Port: 80},
 		Flags: netsim.FlagSYN,
 	}
-	lb.SendViaSNAT(n, out, inst1)
+	lb.SendViaSNAT(out, inst1)
 	n.RunUntilIdle(100)
 	if len(srvCol.got) != 1 {
 		t.Fatalf("server got %d packets", len(srvCol.got))
@@ -200,7 +195,7 @@ func TestSNATFailoverAfterInstanceRemoval(t *testing.T) {
 		Dst: netsim.HostPort{IP: server, Port: 80},
 	}
 	n.Attach(server, &collector{})
-	lb.SendViaSNAT(n, out, inst1)
+	lb.SendViaSNAT(out, inst1)
 	lb.RemoveInstance(inst1)
 	n.Detach(inst1)
 	reply := &netsim.Packet{
@@ -221,7 +216,7 @@ func TestClearSNAT(t *testing.T) {
 		Dst: netsim.HostPort{IP: server, Port: 80},
 	}
 	n.Attach(server, &collector{})
-	lb.SendViaSNAT(n, out, inst1)
+	lb.SendViaSNAT(out, inst1)
 	if lb.AffinityCount() != 1 {
 		t.Fatalf("affinity = %d", lb.AffinityCount())
 	}
@@ -342,74 +337,6 @@ func TestReadTrafficReusesBuffer(t *testing.T) {
 	// Steady state allocates nothing per poll.
 	if avg := testing.AllocsPerRun(100, func() { lb.ReadTraffic() }); avg != 0 {
 		t.Fatalf("ReadTraffic allocates %.1f/op in steady state", avg)
-	}
-}
-
-// TestShardedSNATRangeRouting exercises the cross-shard SNAT contract
-// under the race detector: instances living on other shards originate
-// SNAT traffic concurrently through their registered port blocks — a
-// read-only path over the LB's range slice — and every server reply is
-// routed back to the owning instance by stateless range lookup, with
-// zero affinity entries written.
-func TestShardedSNATRangeRouting(t *testing.T) {
-	shards := *shardsFlag
-	if shards < 2 {
-		shards = 2
-	}
-	sn := netsim.NewSharded(21, shards)
-	defer sn.Close()
-	lb := New(sn.Shard(0), DefaultConfig())
-	lb.AddVIP(vip)
-
-	srvShard := sn.Shard(1 % shards)
-	srvNet := srvShard
-	srvCol := &collector{}
-	srvShard.Attach(server, netsim.NodeFunc(func(pkt *netsim.Packet) {
-		srvCol.got = append(srvCol.got, pkt)
-		srvNet.Send(&netsim.Packet{
-			Src: netsim.HostPort{IP: server, Port: pkt.Dst.Port},
-			Dst: pkt.Src, // back toward VIP:snat-port
-		})
-	}))
-
-	const perInst = 16
-	nInst := shards
-	cols := make([]*collector, nInst)
-	for i := 0; i < nInst; i++ {
-		inst := netsim.IPv4(10, 0, 3, byte(i+1))
-		base := uint16(20000 + 1000*i)
-		lb.RegisterSNATRange(inst, base, 100)
-		sh := sn.Shard(i % shards)
-		cols[i] = &collector{}
-		sh.Attach(inst, cols[i])
-		sh.Schedule(0, func() {
-			for p := 0; p < perInst; p++ {
-				lb.SendViaSNAT(sh, &netsim.Packet{
-					Src:   netsim.HostPort{IP: vip, Port: base + uint16(p)},
-					Dst:   netsim.HostPort{IP: server, Port: 80},
-					Flags: netsim.FlagSYN,
-				}, inst)
-			}
-		})
-	}
-	sn.RunUntilIdle(1_000_000)
-
-	if got := len(srvCol.got); got != nInst*perInst {
-		t.Fatalf("server got %d packets, want %d", got, nInst*perInst)
-	}
-	for i, c := range cols {
-		if len(c.got) != perInst {
-			t.Fatalf("instance %d got %d replies, want %d", i, len(c.got), perInst)
-		}
-		base := uint16(20000 + 1000*i)
-		for _, pkt := range c.got {
-			if pkt.Dst.Port < base || pkt.Dst.Port >= base+100 {
-				t.Fatalf("instance %d got reply for port %d outside its block", i, pkt.Dst.Port)
-			}
-		}
-	}
-	if lb.AffinityCount() != 0 {
-		t.Fatalf("stateless SNAT routing wrote %d affinity entries", lb.AffinityCount())
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 // fields that alias the session's input buffer (no string conversions, no
 // strings.Fields), values are sliced out of the buffer and copied exactly
 // once — at the Engine-insert boundary — and responses are framed into
-// reusable session-owned buffers. ReferenceSession (proto_reference.go)
+// reusable session-owned buffers. ReferenceSession (proto_reference_test.go)
 // keeps the original implementation; the differential tests and
 // FuzzMemcacheSessionDifferential pin the two byte-for-byte equal.
 type Session struct {

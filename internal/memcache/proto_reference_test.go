@@ -9,9 +9,10 @@ import (
 
 // This file preserves the original allocation-heavy text-protocol parser
 // verbatim (string conversion per line, strings.Fields, fmt responses,
-// per-value copies). It is NOT used by the transports: it exists as the
-// behavioral reference that the zero-copy Session in proto.go is pinned
-// against by the differential tests and FuzzMemcacheSessionDifferential.
+// per-value copies). It is test code, not used by the transports: it
+// exists as the behavioral reference that the zero-copy Session in
+// proto.go is pinned against by the differential tests and
+// FuzzMemcacheSessionDifferential.
 // When changing protocol behavior, change both and extend the tests.
 
 // ReferenceSession is a transport-agnostic protocol endpoint: feed it raw bytes

@@ -82,9 +82,6 @@ func (h *Histogram) Median() float64 { return h.Quantile(0.5) }
 // P90 returns the 90th percentile.
 func (h *Histogram) P90() float64 { return h.Quantile(0.9) }
 
-// P99 returns the 99th percentile.
-func (h *Histogram) P99() float64 { return h.Quantile(0.99) }
-
 // Min returns the smallest sample, or 0 if empty.
 func (h *Histogram) Min() float64 {
 	if len(h.samples) == 0 {

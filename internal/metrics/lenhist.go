@@ -14,8 +14,7 @@ const lenHistBuckets = 16
 // LenHist is a bounded counting histogram for small positive lengths —
 // packet-train and batch-run sizes on the dispatch hot path. Unlike
 // Histogram it never stores samples: Observe is two array increments,
-// the struct is a fixed 160 bytes and embeds by value, and shard
-// copies Merge without allocation.
+// and the struct is a fixed 160 bytes and embeds by value.
 type LenHist struct {
 	counts [lenHistBuckets]uint64
 	n      uint64 // observations
@@ -80,18 +79,6 @@ func (h *LenHist) AtLeast(n int) uint64 {
 		total += h.counts[b]
 	}
 	return total
-}
-
-// Merge folds o into h (for aggregating per-shard copies).
-func (h *LenHist) Merge(o *LenHist) {
-	for i := range h.counts {
-		h.counts[i] += o.counts[i]
-	}
-	h.n += o.n
-	h.sum += o.sum
-	if o.max > h.max {
-		h.max = o.max
-	}
 }
 
 // String renders the summary stats, not the buckets: "n=12 mean=3.4 max=64".

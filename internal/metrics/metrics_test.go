@@ -439,21 +439,3 @@ func TestLenHistBucketsAndStats(t *testing.T) {
 		t.Fatalf("AtLeast(1025) = %d, want 1", got)
 	}
 }
-
-func TestLenHistMerge(t *testing.T) {
-	var a, b LenHist
-	a.Observe(1)
-	a.Observe(4)
-	b.Observe(4)
-	b.Observe(300)
-	a.Merge(&b)
-	if a.Count() != 4 || a.Sum() != 309 || a.Max() != 300 {
-		t.Fatalf("merged: n=%d sum=%d max=%d", a.Count(), a.Sum(), a.Max())
-	}
-	if got := a.AtLeast(2); got != 3 {
-		t.Fatalf("merged AtLeast(2) = %d, want 3", got)
-	}
-	if got, want := a.String(), "n=4 mean=77.2 max=300"; got != want {
-		t.Fatalf("String() = %q, want %q", got, want)
-	}
-}

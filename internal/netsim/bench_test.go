@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"fmt"
 	"testing"
 	"time"
 )
@@ -80,49 +79,6 @@ func BenchmarkNetsimTimerChurn(b *testing.B) {
 			churn(warm + i)
 		}
 	})
-}
-
-// BenchmarkShardedEventLoop measures aggregate event throughput of the
-// sharded coordinator under strong scaling: a fixed population of 1024
-// intra-shard ping-pong pairs is divided across 1/2/4/8 shards, so the
-// same total event load is pushed through more event loops. On a
-// multi-core machine aggregate events/s should rise with the shard
-// count; on a single core the curve is flat and the delta is pure
-// coordinator overhead. bench.sh records the curve as
-// sharded_events_per_s in BENCH_core.json.
-func BenchmarkShardedEventLoop(b *testing.B) {
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			const totalPairs = 1024
-			sn := NewSharded(42, shards)
-			defer sn.Close()
-			perShard := totalPairs / shards
-			for s := 0; s < shards; s++ {
-				nw := sn.Shard(s)
-				for p := 0; p < perShard; p++ {
-					pid := s*perShard + p
-					a := IPv4(10, 8, byte(pid>>8), byte(pid))
-					z := IPv4(10, 9, byte(pid>>8), byte(pid))
-					nw.Attach(a, &bouncer{net: nw})
-					nw.Attach(z, &bouncer{net: nw})
-					pkt := nw.AllocPacket()
-					pkt.Src = HostPort{IP: a, Port: 1}
-					pkt.Dst = HostPort{IP: z, Port: 2}
-					nw.Send(pkt)
-				}
-			}
-			b.ResetTimer()
-			start := time.Now()
-			base := sn.Executed()
-			for sn.Executed()-base < uint64(b.N) {
-				sn.RunFor(5 * time.Millisecond)
-			}
-			events := sn.Executed() - base
-			if elapsed := time.Since(start).Seconds(); elapsed > 0 {
-				b.ReportMetric(float64(events)/elapsed, "events/s")
-			}
-		})
-	}
 }
 
 // TestSendDeliverAllocFree locks in the zero-allocation fast path: once

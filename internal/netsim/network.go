@@ -61,10 +61,7 @@ type TraceEvent struct {
 }
 
 // Network is one discrete-event simulator loop. It is not safe for
-// concurrent use: all components run inside its single event loop. In a
-// sharded simulation (see ShardedNetwork) each shard is a Network of its
-// own; the coordinator runs whole shards on separate goroutines, but no
-// individual Network is ever touched by two goroutines at once.
+// concurrent use: all components run inside its single event loop.
 type Network struct {
 	now time.Duration
 	seq uint64
@@ -89,19 +86,7 @@ type Network struct {
 	dropFn  func(pkt *Packet) bool
 	tracer  func(TraceEvent)
 
-	// Sharding (see shard.go). coord is nil for standalone networks;
-	// when set, Sends to IPs owned by other shards are handed off to the
-	// coordinator instead of being scheduled locally. violation records
-	// the first lookahead violation observed on this shard's goroutine,
-	// checked (and raised) by the coordinator after the window barrier.
-	shard     int
-	coord     *ShardedNetwork
-	executed  uint64
-	violation string
-	// lastBusy is the clock at the most recent event Run executed, before
-	// the deadline park — the shard's contribution to the fleet-wide
-	// quiescent frontier (ShardedNetwork.RunUntilIdle).
-	lastBusy time.Duration
+	executed uint64 // events run so far, each train member counted as one
 
 	// Scheduler state (see sched.go): a small heap for the cursor's slot
 	// and, for everything later, one intrusive list per wheel slot of
@@ -198,24 +183,12 @@ func (n *Network) Attach(ip IP, node Node) {
 	if ip == 0 {
 		panic("netsim: cannot attach to the unspecified address")
 	}
-	if n.coord != nil {
-		n.coord.noteAttach(ip, n.shard)
-	}
 	n.nodes[ip] = node
 }
-
-// ShardID returns this network's shard index (0 for standalone networks).
-func (n *Network) ShardID() int { return n.shard }
 
 // Detach removes the node at ip, if any. Subsequent packets to ip are
 // dropped, which is how host failure is modelled.
 func (n *Network) Detach(ip IP) { delete(n.nodes, ip) }
-
-// Attached reports whether a node is currently attached at ip.
-func (n *Network) Attached(ip IP) bool {
-	_, ok := n.nodes[ip]
-	return ok
-}
 
 // Schedule runs fn after delay d of virtual time and returns a
 // cancellable timer. A negative delay is treated as zero.
@@ -244,12 +217,6 @@ func (n *Network) Send(pkt *Packet) {
 		d += time.Duration((n.rng.Float64()*2 - 1) * n.jitter * float64(d))
 		if d < 0 {
 			d = 0
-		}
-	}
-	if n.coord != nil && len(n.coord.shards) > 1 {
-		if ds := n.coord.shardFor(dst); ds != n.shard {
-			n.coord.push(n, ds, n.now+d, pkt, dst)
-			return
 		}
 	}
 	at := n.now + d
@@ -417,7 +384,6 @@ func (n *Network) Step() bool {
 // sets the clock to the deadline. Events scheduled exactly at the
 // deadline are executed.
 func (n *Network) Run(deadline time.Duration) {
-	start := n.executed
 	for {
 		// Looking no further than the deadline's slot leaves later timers
 		// in the wheel, where Stop can still free them.
@@ -426,12 +392,6 @@ func (n *Network) Run(deadline time.Duration) {
 			break
 		}
 		n.execute(e)
-	}
-	if n.executed != start {
-		// Record the busy frontier before parking at the deadline: the
-		// sharded coordinator uses it to settle a drained fleet on the
-		// last event's time rather than the final window's end.
-		n.lastBusy = n.now
 	}
 	if n.now < deadline {
 		n.now = deadline

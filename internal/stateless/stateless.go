@@ -81,10 +81,8 @@ type Range struct {
 // Table is the shared derivation state: a per-deployment secret, the
 // current mapping epoch, per-VIP entries, the SNAT range registry, and
 // the set of instances currently considered dead. One Table is shared by
-// every instance of a cluster (single-shard) or consulted with external
-// synchronization (the controller mutates it only between waves; the
-// sharded cluster restricts control-plane mutation exactly as it already
-// does for rule installs).
+// every instance of a cluster; the controller mutates it only between
+// waves.
 type Table struct {
 	secret uint64
 	epoch  uint64

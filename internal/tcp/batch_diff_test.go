@@ -169,63 +169,3 @@ func tail(s []string, n int) []string {
 	}
 	return s
 }
-
-// TestShardedBatchIngest runs bulk TCP transfers between hosts spread
-// across 4 shards, so cross-shard handoff bursts ingest as trains and
-// take the batch dispatch path (Host.HandleBatch) on the receiving
-// shard. Run under -race in CI, it checks that batched ingest introduces
-// no cross-shard sharing: each run is processed entirely on the shard
-// that owns the destination host.
-func TestShardedBatchIngest(t *testing.T) {
-	const shards = 4
-	const pairs = 8
-	const transfer = 64 << 10
-
-	sn := netsim.NewSharded(11, shards)
-	defer sn.Close()
-
-	cfg := DefaultConfig()
-	cfg.GSOSegs = 4 // bigger bursts, longer trains across the handoff
-
-	done := make([]bool, pairs)
-	var got [pairs]bytes.Buffer
-	for i := 0; i < pairs; i++ {
-		i := i
-		// Client and server deliberately on different shards so every
-		// data/ACK burst crosses a handoff queue.
-		cShard, sShard := i%shards, (i+1)%shards
-		client := netsim.NewHost(sn.Shard(cShard), netsim.IPv4(100, 0, 1, byte(i+1)))
-		server := netsim.NewHost(sn.Shard(sShard), netsim.IPv4(10, 0, 1, byte(i+1)))
-		Listen(server, 80, func(c *Conn) Callbacks {
-			return Callbacks{
-				OnData:      func(c *Conn, d []byte) { got[i].Write(d) },
-				OnPeerClose: func(c *Conn) { c.Close() },
-			}
-		}, cfg)
-		payload := bytes.Repeat([]byte{byte(i + 1)}, transfer)
-		Dial(client, netsim.HostPort{IP: server.IP(), Port: 80}, Callbacks{
-			OnEstablished: func(c *Conn) {
-				c.Write(payload)
-				c.Close()
-			},
-			OnClose: func(c *Conn) { done[i] = true },
-		}, cfg)
-	}
-
-	sn.RunUntilIdle(1 << 22)
-
-	for i := 0; i < pairs; i++ {
-		if !done[i] {
-			t.Fatalf("pair %d: connection never closed", i)
-		}
-		if got[i].Len() != transfer {
-			t.Fatalf("pair %d: received %d bytes, want %d", i, got[i].Len(), transfer)
-		}
-	}
-	if sn.BatchRuns() == 0 {
-		t.Fatalf("no batched runs dispatched; ingest trains never reached HandleBatch: %s", sn.String())
-	}
-	if sn.Pending() != 0 {
-		t.Fatalf("pending events after drain: %s", sn.String())
-	}
-}

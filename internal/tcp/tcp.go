@@ -38,7 +38,7 @@ type Config struct {
 	InitialSsthresh uint32        // slow-start threshold, bytes
 	// ISNKey, when non-zero, makes the endpoint derive its initial send
 	// sequence from a keyed hash of the connection tuple instead of the
-	// shard RNG (see DeterministicISN). Yoda's hybrid recovery mode sets
+	// network's RNG (see DeterministicISN). Yoda's hybrid recovery mode sets
 	// this on backend servers so a recovering instance can re-derive the
 	// backend ISN without a store read. Zero keeps the RNG draw, so
 	// existing seeds and figures are untouched.
@@ -218,9 +218,8 @@ type rtxBuf struct {
 type Conn struct {
 	host *netsim.Host
 	net  *netsim.Network
-	// rng is the owning shard's deterministic RNG, cached at construction
-	// so draws never reach through Network.Rand on a hot path and every
-	// draw is attributable to the shard the connection lives on.
+	// rng is the network's RNG, cached at construction so draws never
+	// reach through Network.Rand on a hot path.
 	rng    *rand.Rand
 	cfg    Config
 	cb     Callbacks

@@ -8,12 +8,11 @@ import (
 )
 
 // rngAllowlist names the packages allowed to construct their own RNGs.
-// netsim owns the per-shard deterministic RNGs; trace, workload, and the
+// netsim owns the network's deterministic RNG; trace, workload, and the
 // experiment drivers seed trial-level generators outside any event loop.
-// Every other component must use the shard-local handle cached from its
-// Network at construction — a private rand.New is exactly how the
-// pre-PR-4 fig14 map-iteration bug slipped in, and under the sharded
-// dataplane a shared one is a data race as well.
+// Every other component must use the handle cached from its Network at
+// construction — a private rand.New is exactly how the pre-PR-4 fig14
+// map-iteration bug slipped in.
 var rngAllowlist = map[string]bool{
 	"internal/netsim":      true,
 	"internal/trace":       true,
@@ -21,10 +20,10 @@ var rngAllowlist = map[string]bool{
 	"internal/experiments": true,
 }
 
-// TestNoStrayRNGConstruction is the lint half of the per-shard RNG
-// satellite: it fails if any non-test source file outside the allowlist
-// calls rand.New. ci.sh runs the same check as a grep stage so it fails
-// fast before the test suite.
+// TestNoStrayRNGConstruction is the lint half of the one-RNG rule: it
+// fails if any non-test source file outside the allowlist calls
+// rand.New. ci.sh runs the same check as a grep stage so it fails fast
+// before the test suite.
 func TestNoStrayRNGConstruction(t *testing.T) {
 	var offenders []string
 	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
@@ -59,7 +58,7 @@ func TestNoStrayRNGConstruction(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(offenders) > 0 {
-		t.Fatalf("rand.New outside the netsim allowlist — use the shard-local RNG handle from Network.Rand at construction instead:\n%s",
+		t.Fatalf("rand.New outside the netsim allowlist — use the network's RNG handle from Network.Rand at construction instead:\n%s",
 			strings.Join(offenders, "\n"))
 	}
 }

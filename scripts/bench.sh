@@ -42,8 +42,6 @@ go test -run '^$' -bench 'BenchmarkParseRequest|BenchmarkParseResponse2K|Benchma
   -benchmem ./internal/httpsim/ | tee -a "$MICRO_LOG"
 go test -run '^$' -bench 'BenchmarkReconfigMigration' -benchtime 3x \
   ./internal/reconfig/ | tee -a "$MICRO_LOG"
-go test -run '^$' -bench 'BenchmarkShardedEventLoop' \
-  ./internal/netsim/ | tee -a "$MICRO_LOG"
 # Best-of-3 for the mflow headline: a single 1x run of a whole-sim
 # benchmark swings ±20% with allocator/GC state, and the ci.sh
 # regression gate already compares against the best of 3.
@@ -93,11 +91,8 @@ SB_BATCH_US="$(metric "$MICRO_LOG" BenchmarkStorageBBatched virtual-µs/write)"
 SB_SEQ_US="$(metric "$MICRO_LOG" BenchmarkStorageBSequential virtual-µs/write)"
 RECONFIG_TPUT="$(metric "$MICRO_LOG" BenchmarkReconfigMigration migrated_flows/s)"
 RECONFIG_DRAIN_MS="$(metric "$MICRO_LOG" BenchmarkReconfigMigration drain_ms/op)"
-SHARD1_EPS="$(metric "$MICRO_LOG" 'BenchmarkShardedEventLoop/shards=1' events/s)"
-SHARD2_EPS="$(metric "$MICRO_LOG" 'BenchmarkShardedEventLoop/shards=2' events/s)"
-SHARD4_EPS="$(metric "$MICRO_LOG" 'BenchmarkShardedEventLoop/shards=4' events/s)"
-SHARD8_EPS="$(metric "$MICRO_LOG" 'BenchmarkShardedEventLoop/shards=8' events/s)"
 MFLOW_BPF="$(metric "$MICRO_LOG" BenchmarkMflowMemPerFlow bytes/flow)"
+MFLOW_FLOWS="$(metric "$MICRO_LOG" BenchmarkMflowMemPerFlow flows)"
 MFLOW_EPS="$(awk '$1 ~ /^BenchmarkMflowMemPerFlow/ {for(i=1;i<NF;i++) if($(i+1)=="events/s" && $i+0>max+0) max=$i} END{print max}' "$MICRO_LOG")"
 FM_LOOKUP_NS="$(pick "$MICRO_LOG" 'BenchmarkFlowmapLookup/impl=compact' 3)"
 FM_LOOKUP_MAP_NS="$(pick "$MICRO_LOG" 'BenchmarkFlowmapLookup/impl=map' 3)"
@@ -184,15 +179,9 @@ cat > "$OUT" <<EOF
     "storage_b_sequential_virtual_us": $(jsonnum "$SB_SEQ_US"),
     "reconfig_migration_flows_per_s": $(jsonnum "$RECONFIG_TPUT"),
     "reconfig_drain_virtual_ms": $(jsonnum "$RECONFIG_DRAIN_MS"),
-    "sharded_note": "measured on $(nproc) CPU(s); with one hardware thread the shard speedup reflects working-set locality only, not parallel execution",
     "cpu_count": $(nproc),
     "gomaxprocs": ${GOMAXPROCS:-$(nproc)},
-    "sharded_events_per_s": {
-      "shards_1": $(jsonnum "$SHARD1_EPS"),
-      "shards_2": $(jsonnum "$SHARD2_EPS"),
-      "shards_4": $(jsonnum "$SHARD4_EPS"),
-      "shards_8": $(jsonnum "$SHARD8_EPS")
-    },
+    "mflow_flows": $(jsonnum "$MFLOW_FLOWS"),
     "mflow_mem_bytes_per_flow": $(jsonnum "$MFLOW_BPF"),
     "mflow_events_per_s": $(jsonnum "$MFLOW_EPS"),
     "flowmap_bytes_per_flow": $(jsonnum "$FM_BPF"),

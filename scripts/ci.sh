@@ -2,10 +2,10 @@
 # ci.sh — the checks a change must pass before merging.
 #
 #   1. gofmt -s -l + go vet   formatting and static checks, whole tree
-#   2. fast-fail stages       vet + race on the hottest packages (plus
-#                             10 s of the HTTP codec's differential
-#                             fuzzer), then the 4-shard race runs (plus
-#                             10 s of the scheduler's) and the RNG lint
+#   2. fast-fail stages       vet + race on the hottest packages, 10 s
+#                             each of the HTTP codec's and the
+#                             scheduler's differential fuzzers, and the
+#                             RNG lint
 #   3. go build               everything compiles, including cmd/
 #   4. bench module smoke     bench/ has its own go.mod; its ~3 s test
 #                             compiles yodabench against this tree
@@ -19,7 +19,7 @@ cd "$(dirname "$0")/.."
 echo "== format + vet clean sweep (gofmt -s -l, go vet ./...) =="
 # Formatting drift and vet findings are the cheapest checks in the file;
 # run them before anything that compiles or executes tests.
-if unformatted=$(gofmt -s -l cmd examples internal scripts 2>/dev/null); [ -n "$unformatted" ]; then
+if unformatted=$(gofmt -s -l *.go cmd examples internal scripts 2>/dev/null); [ -n "$unformatted" ]; then
   echo "FAIL: gofmt -s -l reports unformatted files:" >&2
   echo "$unformatted" >&2
   exit 1
@@ -41,29 +41,13 @@ go test -race ./internal/flowmap/ ./internal/rules/ ./internal/httpsim/ ./intern
 # codec; ten seconds of new-vs-reference fuzzing over fresh inputs is
 # cheap next to what a framing bug costs everything downstream.
 go test -run '^$' -fuzz 'FuzzHTTPCodecDifferential' -fuzztime 10s -fuzzminimizetime 2s ./internal/httpsim/
-
-echo "== sharded dataplane fast-fail (race at 4 shards: netsim + l4lb SNAT + whole-stack e2e) =="
-# The conservative-sync coordinator is lock-free by design (happens-before
-# comes only from the round barriers), so the race detector on a 4-shard
-# run is the proof the handoff discipline holds end to end. The l4lb run
-# covers cross-shard SNAT-range reads against the mux flow tables.
-go test -race ./internal/netsim/ -args -shards=4
 # Every layer's timers and every packet go through one timing wheel whose
 # contract is the order of a plain (at, seq) heap; ten seconds of random
 # schedule/stop/run scripts against that heap, delays from 0 to months.
 go test -run '^$' -fuzz 'FuzzSchedulerOrder' -fuzztime 10s -fuzzminimizetime 2s ./internal/netsim/
-go test -race -run 'TestSharded' ./internal/l4lb/ -args -shards=4
-go test -race -run 'TestSharded' ./internal/core/ -args -shards=4
-# Cross-shard batched ingest: handoff bursts ride trains into the batch
-# demux path on the receiving shard; the race run proves batch dispatch
-# added no cross-shard sharing.
-go test -race -run 'TestShardedBatchIngest' ./internal/tcp/
-# Hybrid recovery at 4 shards: exact recovery (recovered == deadFlows,
-# zero leaks, zero drops, zero pending) with proof-gated adoption.
-go test -race -run 'TestMflowHybrid' ./internal/experiments/
 
 echo "== rng lint (grep fast-fail; TestNoStrayRNGConstruction is the test half) =="
-# Only netsim (per-shard RNGs) and the trial-level drivers may construct
+# Only netsim (the network's RNG) and the trial-level drivers may construct
 # generators; dataplane components must cache Network.Rand at build time.
 if grep -rn --include='*.go' 'rand\.New(' cmd examples internal *.go 2>/dev/null \
   | grep -v '_test\.go:' \
