@@ -137,13 +137,7 @@ func TestFlowStateCleanedAfterClose(t *testing.T) {
 	if n := tb.c.Yoda[0].FlowCount(); n != 0 {
 		t.Fatalf("flows leaked: %d", n)
 	}
-	items := 0
-	for _, s := range tb.c.StoreServers {
-		items += s.Engine.Stats().CurrItems
-	}
-	if items != 0 {
-		t.Fatalf("TCPStore entries leaked: %d", items)
-	}
+	requireStoreEmpty(t, tb.c)
 }
 
 func TestSplitAcrossBackends(t *testing.T) {
@@ -211,6 +205,19 @@ func TestFailoverDuringTunnelPhase(t *testing.T) {
 	// per the paper), far below the 30s HTTP timeout.
 	if res.Elapsed() > 10*time.Second {
 		t.Fatalf("recovery too slow: %v", res.Elapsed())
+	}
+	requireStoreEmpty(t, tb.c) // an adopted flow deletes the records it was adopted from
+}
+
+// requireStoreEmpty fails unless no TCPStore server holds a record: true
+// of a cluster whose flows have all closed and lingered out, and of one
+// whose flows never needed the store.
+func requireStoreEmpty(t *testing.T, c *cluster.Cluster) {
+	t.Helper()
+	for i, s := range c.StoreServers {
+		if items := s.Engine.Stats().CurrItems; items != 0 {
+			t.Fatalf("store server %d holds %d records, want none", i, items)
+		}
 	}
 }
 

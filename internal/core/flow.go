@@ -678,10 +678,13 @@ func (in *Instance) recoverFlow(tuple netsim.FourTuple, pkt *netsim.Packet) {
 		in.hybridRecover(tuple, q)
 		return
 	}
-	in.paperGet(tuple, q)
+	in.storeGet(tuple, q, nil)
 }
 
-// installRecovered builds a local flow from a TCPStore record.
+// installRecovered builds a local flow from a record — one read from
+// TCPStore or one the hybrid derivation produced (hybrid.go); nothing
+// else turns a record into a flow, so a derived flow cannot differ in
+// shape from what the store would have returned.
 func (in *Instance) installRecovered(rec *Record) *flow {
 	ct := netsim.FourTuple{Src: rec.Client, Dst: rec.VIP}
 	if existing := in.flows.get(ct); existing != nil {

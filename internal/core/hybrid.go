@@ -97,13 +97,13 @@ func (in *Instance) hybridRecover(tuple netsim.FourTuple, q *pendingQueue) {
 	in.candScratch = t.DeadOwnerCandidates(tuple.Dst.IP, tuple, in.candScratch[:0])
 	cands := in.candScratch
 	if len(cands) == 0 {
-		in.paperGet(tuple, q)
+		in.storeGet(tuple, q, nil)
 		return
 	}
 	b, bok := t.DeriveBackend(tuple.Dst.IP, tuple)
 	if !bok {
 		// Underivable pool: every flow of this VIP was persisted anyway.
-		in.paperGet(tuple, q)
+		in.storeGet(tuple, q, nil)
 		return
 	}
 	// Knock check: a pending queue parked on a candidate's predicted
@@ -150,16 +150,23 @@ func (in *Instance) dispatchQueued(queued []*netsim.Packet) {
 	}
 }
 
-// paperGet is the paper-faithful store lookup: install on hit, RST the
-// sender on miss (recoverFlow's behaviour, shared by the hybrid paths
-// that fall through to it).
-func (in *Instance) paperGet(tuple netsim.FourTuple, q *pendingQueue) {
+// storeGet reads tuple's record from TCPStore for a pending queue — the
+// one place a store record becomes a flow. A hit installs it, marks it
+// persisted (the record just read is in the store, so teardown owes its
+// deletes) and replays the queue. A miss hands the queued packets to
+// miss; nil is the paper's answer, shared by the hybrid paths that fall
+// through to it: count the miss and RST the sender.
+func (in *Instance) storeGet(tuple netsim.FourTuple, q *pendingQueue, miss func(queued []*netsim.Packet)) {
 	in.store.Get(in.flowKey(tuple), func(value []byte, ok bool, err error) {
 		queued, live := in.resolveQueue(tuple, q)
 		if !live {
 			return
 		}
 		if !ok || err != nil {
+			if miss != nil {
+				miss(queued)
+				return
+			}
 			in.LookupMisses++
 			in.rstQueued(queued)
 			return
@@ -170,6 +177,7 @@ func (in *Instance) paperGet(tuple netsim.FourTuple, q *pendingQueue) {
 			return
 		}
 		if f := in.installRecovered(rec); f != nil {
+			f.persisted = true
 			in.Recovered++
 			in.dispatchQueued(queued)
 		}
@@ -198,30 +206,11 @@ func (in *Instance) rstQueued(queued []*netsim.Packet) {
 // ports keep the paper's RST (those flows were persisted; a miss means
 // the record is genuinely gone).
 func (in *Instance) hybridServerGet(tuple netsim.FourTuple, q *pendingQueue, current bool) {
-	in.store.Get(in.flowKey(tuple), func(value []byte, ok bool, err error) {
-		queued, live := in.resolveQueue(tuple, q)
-		if !live {
-			return
-		}
-		if ok && err == nil {
-			rec, derr := UnmarshalRecord(value)
-			if derr != nil {
-				in.LookupMisses++
-				return
-			}
-			if f := in.installRecovered(rec); f != nil {
-				in.Recovered++
-				in.dispatchQueued(queued)
-			}
-			return
-		}
-		if current {
-			in.SuppressedOrphans++
-			return
-		}
-		in.LookupMisses++
-		in.rstQueued(queued)
-	})
+	if !current {
+		in.storeGet(tuple, q, nil)
+		return
+	}
+	in.storeGet(tuple, q, func([]*netsim.Packet) { in.SuppressedOrphans++ })
 }
 
 // hybridClientGet consults the store for a client-side orphan whose
@@ -229,57 +218,38 @@ func (in *Instance) hybridServerGet(tuple netsim.FourTuple, q *pendingQueue, cur
 // path. A clean miss means the flow was never persisted — exactly the
 // derivable population — and is classified by what the client has
 // acknowledged: nothing beyond the SYN-ACK, with payload in hand, and
-// the connection phase replays from the retransmitted request; data
-// acknowledged, with a single dead-owner candidate, and the tunnel state
-// is derived outright and repair-written. Ambiguous cases (bare ACK,
-// multiple candidates) are dropped quietly — the sender's retransmission
-// or a backend knock re-triggers classification with more evidence.
+// the connection phase replays from the retransmitted request (the
+// client's first payload byte pins ClientISN, the tuple hash pins C, and
+// the replayed request re-runs selection with the table draw, so the
+// flow converges onto the backend the dead owner would have picked and
+// classifies itself at its own storage-b); data acknowledged, with a
+// single dead-owner candidate, and the tunnel state is derived outright
+// and repair-written. Ambiguous cases (bare ACK, multiple candidates)
+// are dropped quietly — the sender's retransmission or a backend knock
+// re-triggers classification with more evidence.
 func (in *Instance) hybridClientGet(tuple netsim.FourTuple, q *pendingQueue, b stateless.Backend, port uint16, portOK bool) {
-	in.store.Get(in.flowKey(tuple), func(value []byte, ok bool, err error) {
-		queued, live := in.resolveQueue(tuple, q)
-		if !live {
-			return
-		}
-		if ok && err == nil {
-			rec, derr := UnmarshalRecord(value)
-			if derr != nil {
-				in.LookupMisses++
-				return
-			}
-			if f := in.installRecovered(rec); f != nil {
-				in.Recovered++
-				in.dispatchQueued(queued)
-			}
-			return
-		}
+	in.storeGet(tuple, q, func(queued []*netsim.Packet) {
 		p0 := queued[0]
 		if p0.Flags.Has(netsim.FlagRST) {
 			in.LookupMisses++
 			return
 		}
-		c := isnHash(tuple.Src, tuple.Dst)
-		if p0.Ack == c+1 {
-			if len(p0.Payload) > 0 {
-				if f := in.installDerivedConn(tuple, p0.Seq); f != nil {
-					in.DerivedRecoveries++
-					in.dispatchQueued(queued)
-				}
+		if p0.Ack == isnHash(tuple.Src, tuple.Dst)+1 {
+			if len(p0.Payload) == 0 {
+				in.SuppressedOrphans++
 				return
 			}
-			in.SuppressedOrphans++
+			in.installRecovered(&Record{Phase: PhaseConn, Client: tuple.Src, VIP: tuple.Dst, ClientISN: p0.Seq - 1})
+			in.DerivedRecoveries++
+			in.dispatchQueued(queued)
 			return
 		}
 		if !portOK {
 			in.SuppressedOrphans++
 			return
 		}
-		f := in.installDerivedTunnel(tuple, b, port, p0.Seq)
-		if f == nil {
-			in.LookupMisses++
-			return
-		}
 		in.DerivedRecoveries++
-		in.hybridRepair(f, queued, nil)
+		in.hybridRepair(in.installDerivedTunnel(tuple, b, port, p0.Seq), queued, nil)
 	})
 }
 
@@ -294,13 +264,8 @@ func (in *Instance) hybridKnockConfirm(tuple netsim.FourTuple, q *pendingQueue, 
 	// Detaching the knock queue cancels its in-flight store lookup (the
 	// callback checks queue identity).
 	knocks, _ := in.resolveQueue(st, kq)
-	f := in.installDerivedTunnel(tuple, b, port, queued[0].Seq)
-	if f == nil {
-		in.LookupMisses++
-		return
-	}
 	in.DerivedRecoveries++
-	in.hybridRepair(f, queued, knocks)
+	in.hybridRepair(in.installDerivedTunnel(tuple, b, port, queued[0].Seq), queued, knocks)
 }
 
 // hybridRepair persists a derived flow's record under both tuple
@@ -314,71 +279,19 @@ func (in *Instance) hybridRepair(f *flow, queued, knocks []*netsim.Packet) {
 	}, nil)
 }
 
-// installDerivedConn rebuilds a connection-phase flow from the packet in
-// hand: the client's first payload byte pins ClientISN, the tuple hash
-// pins C. The replayed request re-runs selection with the table draw, so
-// the flow converges onto the same backend the dead owner would have
-// picked (and classifies itself at its own storage-b).
-func (in *Instance) installDerivedConn(ct netsim.FourTuple, firstSeq uint32) *flow {
-	if existing := in.flows.get(ct); existing != nil {
-		return existing
-	}
-	now := in.net.Now()
-	f := &flow{
-		vip:           ct.Dst,
-		client:        ct.Src,
-		clientISN:     firstSeq - 1,
-		c:             isnHash(ct.Src, ct.Dst),
-		clientNextSeq: firstSeq,
-		state:         stateConn,
-		ooo:           make(map[uint32][]byte),
-		recovered:     true,
-		synAckSent:    true,
-		start:         now,
-		lastActive:    now,
-	}
-	f.toClientNext = f.c + 1
-	in.flows.put(ct, f)
-	in.armIdle(f)
-	return f
-}
-
 // installDerivedTunnel rebuilds a tunnel-phase flow entirely from the
-// derivation layer: backend and SNAT port from the epoch table, S from
-// the deterministic backend ISN, Delta = C − S. Mirrors
-// installRecovered's tunnel branch (keep-alive inspection is not
-// resumable and is dropped the same way).
+// derivation layer — backend and SNAT port from the epoch table, S from
+// the deterministic backend ISN, Delta = C − S — as the record the dead
+// owner would have written at storage-b, installed the way a record read
+// from the store is.
 func (in *Instance) installDerivedTunnel(ct netsim.FourTuple, b stateless.Backend, port uint16, firstSeq uint32) *flow {
-	if existing := in.flows.get(ct); existing != nil {
-		return existing
-	}
 	snat := netsim.HostPort{IP: ct.Dst.IP, Port: port}
 	c := isnHash(ct.Src, ct.Dst)
 	s := tcp.DeterministicISN(in.cfg.Hybrid.ISNKey(), b.Addr, snat)
-	now := in.net.Now()
-	f := &flow{
-		vip:           ct.Dst,
-		client:        ct.Src,
-		clientISN:     firstSeq - 1,
-		c:             c,
-		s:             s,
-		delta:         c - s,
-		clientNextSeq: firstSeq,
-		server:        b.Addr,
-		snat:          snat,
-		backendName:   b.Name,
-		state:         stateTunnel,
-		ooo:           make(map[uint32][]byte),
-		recovered:     true,
-		synAckSent:    true,
-		toClientNext:  c + 1,
-		start:         now,
-		lastActive:    now,
-	}
-	in.flows.put(ct, f)
-	in.flows.put(f.serverTuple(), f)
-	in.armIdle(f)
-	return f
+	return in.installRecovered(&Record{
+		Phase: PhaseTunnel, Client: ct.Src, VIP: ct.Dst, ClientISN: firstSeq - 1,
+		Server: b.Addr, SNAT: snat, C: c, S: s, Delta: c - s, BackendName: b.Name,
+	})
 }
 
 // FlowInfo is a read-only snapshot of one live flow, for tests and

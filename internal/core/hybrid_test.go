@@ -73,13 +73,7 @@ func TestHybridVanillaFlowSkipsStore(t *testing.T) {
 	if rt := in.Store().Stats.RoundTrips; rt != 0 {
 		t.Fatalf("store round trips = %d, want 0 for a derivable flow", rt)
 	}
-	items := 0
-	for _, s := range tb.c.StoreServers {
-		items += s.Engine.Stats().CurrItems
-	}
-	if items != 0 {
-		t.Fatalf("store entries written for a derivable flow: %d", items)
-	}
+	requireStoreEmpty(t, tb.c) // nothing is written for a derivable flow
 }
 
 // TestHybridDifferentialOracle is the oracle check: the record the
@@ -215,6 +209,7 @@ func TestHybridFailoverTunnelDerived(t *testing.T) {
 	if res.Elapsed() > 10*time.Second {
 		t.Fatalf("recovery too slow: %v", res.Elapsed())
 	}
+	requireStoreEmpty(t, tb.c) // the repair write's records go at teardown
 }
 
 // TestHybridFailoverConnPhase kills the owner between SYN-ACK and the

@@ -127,13 +127,7 @@ func TestKeepAliveFlowStateCleanedAfterClose(t *testing.T) {
 	if n := b.c.Yoda[0].FlowCount(); n != 0 {
 		t.Fatalf("flows leaked: %d", n)
 	}
-	items := 0
-	for _, s := range b.c.StoreServers {
-		items += s.Engine.Stats().CurrItems
-	}
-	if items != 0 {
-		t.Fatalf("TCPStore leaked %d entries", items)
-	}
+	requireStoreEmpty(t, b.c)
 }
 
 func TestKeepAliveRecoveryDowngradesToPinnedTunnel(t *testing.T) {

@@ -7,500 +7,249 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/flowmap"
+	"repro/internal/cluster"
+	"repro/internal/core"
+	"repro/internal/memcache"
 	"repro/internal/netsim"
-	"repro/internal/stateless"
+	"repro/internal/rules"
 	"repro/internal/tcp"
+	"repro/internal/tcpstore"
 )
 
-// The mflow experiment is the scale headline: around a million
-// concurrent flows held open across a fleet of L7 LB instances, a
-// mid-run failure storm killing a slice of the fleet, and per-flow
-// recovery verified for every survivor. The full Yoda stack
-// (real TCP endpoints, TCPStore writes) costs tens of kilobytes per
-// flow, so at this scale mflow models each tier with a compact
-// flow-table abstraction instead:
+// The mflow experiment is the scale run: tens of thousands of concurrent
+// flows held open across a fleet of Yoda instances, a failure storm at
+// quiescence killing a slice of the fleet, and recovery verified for
+// every flow. Everything between the endpoints is the deployed stack — a
+// cluster.Cluster with the real l4lb muxes, core.Instances, their
+// TCPStore clients and memcache servers; only the endpoints are scripted,
+// because a tcp.Conn pair costs more memory than everything Yoda keeps
+// for the flow:
 //
-//   - drivers: one host per driver owning a block of client flows, one
-//     byte of state per flow (no tcp.Conn);
-//   - muxes: stateless L4 muxes — rendezvous hashing over the live
-//     instance list, no affinity table (the property Yoda relies on is
-//     exactly that HRW only remaps flows whose instance died);
-//   - instances: a compact flow table (flowmap.Compact) mapping
-//     tuple -> backend index, installed on SYN, consulted on data,
-//     deleted on FIN — the Concury-style structure the production l4lb
-//     and core layers share, which is what pushes the per-flow memory
-//     headline below 40 bytes. A mid-flow packet with no entry is a
-//     recovered flow (its instance died); the rendezvous re-pick lands
-//     every such flow on the same replacement instance from every mux,
-//     which recovers it and counts it;
-//   - backends: stateless responders replying straight to the client
-//     (DSR), so returns skip the mux tier.
+//   - mfClient: a netsim.Node owning a block of client flows — one state
+//     byte and the learned VIP-side ISN per flow, ports mfBasePort+i on
+//     its own address. It speaks just enough TCP: SYN, ACK+request, ACK
+//     of the response; a second request on the same connection as the
+//     probe; FIN/ACK to close. Each phase is paced, then repeated for
+//     whatever is still unanswered — the retransmissions a real client
+//     would send.
+//   - mfServer: a netsim.Node that keeps nothing per flow. It answers a
+//     SYN from the keyed ISN the hybrid derivation expects, any payload
+//     with one fixed response at the sequence numbers the segment itself
+//     names, a FIN with a FIN-ACK, and never closes first.
 //
-// Everything is RNG-free and timer-deterministic, so the result summary
-// is byte-identical across runs — which is what lets the golden-file
-// test pin it to the byte.
+// The run draws randomness only from the cluster's seeded RNG, so the
+// summary is byte-identical across runs and a golden file pins it.
 
-// MflowConfig parameterizes the million-flow experiment.
+// MflowConfig parameterizes the scale run.
 type MflowConfig struct {
 	Seed int64
-
-	// Recovery selects the recovery model. "" (the default) is the pure
-	// HRW re-pick: any mid-flow packet with no table entry is adopted
-	// unconditionally. "hybrid" routes through the stateless derivation
-	// table: muxes pick by stateless.Rendezvous, and an instance adopts
-	// an orphan only when the table's dead-owner chain proves some dead
-	// instance could have owned it — unprovable orphans are rejected
-	// (AdoptRejected), which in a correct run never fires.
-	Recovery string
-
-	Flows     int // total concurrent flows (rounded up to a driver multiple)
-	Drivers   int // client driver hosts; each owns Flows/Drivers flows
-	Muxes     int // stateless L4 muxes
-	Instances int // L7 LB instances
-	Backends  int // backend responders
-	StormKill int // instances killed in the mid-run failure storm
-
-	BatchSize  int           // flows each driver touches per pacing tick
-	BatchEvery time.Duration // pacing tick
-	Settle     time.Duration // post-phase settling time (covers client RTT)
-
-	// TierB, when true, rides a small set of real TCP echo connections
-	// alongside the compact-flow population with Tier B event coalescing
-	// on end to end (delayed ACKs, 8-segment GSO trains, idle probing) —
-	// DESIGN.md §14. Each sideband client pushes a 32 KiB write at every
-	// phase boundary; the run then requires the echoes back intact, a
-	// clean close, and the coalescing stats nonzero. ISNs are derived
-	// from a fixed key so the sideband stays RNG-free and the summary
-	// stays byte-identical across runs.
-	TierB bool
+	// Recovery is "" for the paper's protocol (every flow persisted,
+	// every orphan read back from TCPStore) or "hybrid" for
+	// cluster.EnableHybrid (derivable flows skip the store both ways).
+	Recovery  string
+	Flows     int // concurrent flows, rounded up to a multiple of mfClients
+	Instances int // Yoda instances
+	StormKill int // instances killed once every flow is established
 }
 
-// DefaultMflowConfig is the headline configuration: 2^20 flows over 16
-// instances, 4 of which die mid-run.
+// DefaultMflowConfig is the headline configuration: 32,768 flows over 8
+// instances, 2 of which die.
 func DefaultMflowConfig() MflowConfig {
-	return MflowConfig{
-		Seed:       1,
-		Flows:      1 << 20,
-		Drivers:    32,
-		Muxes:      8,
-		Instances:  16,
-		Backends:   32,
-		StormKill:  4,
-		BatchSize:  64,
-		BatchEvery: 2 * time.Millisecond,
-		Settle:     300 * time.Millisecond,
-		TierB:      true,
-	}
+	return MflowConfig{Seed: 1, Flows: 32768, Instances: 8, StormKill: 2}
 }
 
-// mfHash is HRW-style tuple hashing for mflow (FNV-1a over the tuple
-// words, splitmix64 finalizer, salted per candidate). It is factored
-// into a salt-independent FNV prefix over the four tuple words and a
-// per-salt finish, so an HRW pick over k candidates hashes the tuple
-// once instead of k times — bit-identical to the unfactored chain,
-// since FNV-1a folds words left to right and the salt is the last one.
-func mfHash(ft netsim.FourTuple, salt uint64) uint64 {
-	return mfHashFinish(mfHashPrefix(ft), salt)
-}
-
-const mfFNVOffset, mfFNVPrime uint64 = 14695981039346656037, 1099511628211
-
-func mfHashPrefix(ft netsim.FourTuple) uint64 {
-	h := mfFNVOffset
-	h = (h ^ uint64(ft.Src.IP)) * mfFNVPrime
-	h = (h ^ uint64(ft.Dst.IP)) * mfFNVPrime
-	h = (h ^ uint64(ft.Src.Port)) * mfFNVPrime
-	h = (h ^ uint64(ft.Dst.Port)) * mfFNVPrime
-	return h
-}
-
-func mfHashFinish(prefix, salt uint64) uint64 {
-	h := (prefix ^ salt) * mfFNVPrime
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
-	return h
-}
-
-// mfPick selects by highest random weight: removing candidates only
-// remaps tuples whose winner was removed, which is the recovery-routing
-// property the experiment leans on.
-func mfPick(ft netsim.FourTuple, cands []netsim.IP) netsim.IP {
-	prefix := mfHashPrefix(ft)
-	var best netsim.IP
-	var bestW uint64
-	for _, ip := range cands {
-		if w := mfHashFinish(prefix, uint64(ip)); w > bestW || best == 0 {
-			best, bestW = ip, w
-		}
-	}
-	return best
-}
-
-// mfPickIdx is mfPick returning the winner's index instead of its IP —
-// the form the compact flow table stores, since its values are small
-// integers rather than addresses. The weight function is identical, so
-// cands[mfPickIdx(ft, cands)] == mfPick(ft, cands).
-func mfPickIdx(ft netsim.FourTuple, cands []netsim.IP) int {
-	prefix := mfHashPrefix(ft)
-	best := -1
-	var bestW uint64
-	for i, ip := range cands {
-		if w := mfHashFinish(prefix, uint64(ip)); w > bestW || best < 0 {
-			best, bestW = i, w
-		}
-	}
-	return best
-}
-
-// mfMux is a stateless L4 mux: encapsulate toward the HRW winner over
-// the live instance list. insts is replaced (never mutated in place) by
-// the driver between runs.
-type mfMux struct {
-	net   *netsim.Network
-	vip   netsim.IP
-	insts []netsim.IP
-	tbl   *stateless.Table // hybrid mode: pick must match the table's Owner
-	Fwd   uint64
-}
-
-func (m *mfMux) HandlePacket(pkt *netsim.Packet) {
-	if len(m.insts) == 0 {
-		m.net.ReleasePacket(pkt)
-		return
-	}
-	m.Fwd++
-	var to netsim.IP
-	if m.tbl != nil {
-		to = stateless.Rendezvous(pkt.Tuple(), m.insts)
-	} else {
-		to = mfPick(pkt.Tuple(), m.insts)
-	}
-	pkt.SetOuter(m.vip, to)
-	m.net.Send(pkt)
-}
-
-// HandleBatch implements netsim.BatchNode. Per-packet picks stay (each
-// tuple hashes independently); the batch entry amortizes the event
-// loop's per-delivery node resolution and dispatch overhead.
-func (m *mfMux) HandleBatch(pkts []*netsim.Packet) {
-	for _, p := range pkts {
-		m.HandlePacket(p)
-	}
-}
-
-// mfInstance is a flow-table L7 LB instance. Its table is the compact
-// flow map storing the backend's index in the (fleet-wide, immutable)
-// backend slice — 16 bytes per slot instead of a Go map entry, which is
-// where the experiment's heapBytes/flow headline comes from.
-//
-// False-hit discipline: the flowmap contract permits a never-inserted
-// tuple to alias a live entry's 64-bit tag. Here a false hit would
-// route a recovered flow to the aliased entry's backend without
-// counting it — but flow identity decisions hang off packet flags (SYN
-// installs, FIN deletes), never off the lookup, and a 64-bit collision
-// within one instance's table is beyond workload reach, so the
-// recovery invariants stay exact.
-type mfInstance struct {
-	net      *netsim.Network
-	ip       netsim.IP
-	backends []netsim.IP
-	table    *flowmap.Compact
-	tbl      *stateless.Table // hybrid mode: gates orphan adoption
-	cand     []netsim.IP      // dead-owner candidate scratch
-
-	Installed      uint64 // SYN: entry created
-	Recovered      uint64 // mid-flow packet with no entry: flow adopted
-	RecoveredOnFin uint64 // FIN with no entry: must stay 0 (HRW stability)
-	Removed        uint64 // FIN: entry deleted
-	AdoptRejected  uint64 // hybrid: orphan with no dead-owner proof (must stay 0)
-}
-
-func (in *mfInstance) HandlePacket(pkt *netsim.Packet) {
-	pkt.Outer = nil // decapsulate
-	t := pkt.Tuple()
-	var be netsim.IP
-	switch {
-	case pkt.Flags.Has(netsim.FlagSYN):
-		idx := mfPickIdx(t, in.backends)
-		in.table.Insert(t, flowmap.Value(idx))
-		in.Installed++
-		be = in.backends[idx]
-	case pkt.Flags.Has(netsim.FlagFIN):
-		if v, ok := in.table.LookupMaybe(t); ok {
-			in.table.Delete(t)
-			in.Removed++
-			be = in.backends[v]
-		} else {
-			be = mfPick(t, in.backends)
-			in.RecoveredOnFin++
-		}
-	default:
-		if v, ok := in.table.LookupMaybe(t); ok {
-			be = in.backends[v]
-		} else {
-			// The flow's original instance died; this instance is the HRW
-			// re-pick and adopts the flow. In hybrid mode adoption must be
-			// proved: the derivation table's rendezvous chain for the tuple
-			// has to pass through at least one dead instance before reaching
-			// us, and the re-derived backend index must be in range —
-			// otherwise the packet is a stray and is dropped, not installed.
-			idx := mfPickIdx(t, in.backends)
-			if in.tbl != nil {
-				in.cand = in.tbl.DeadOwnerCandidates(t.Dst.IP, t, in.cand)
-				if len(in.cand) == 0 || idx < 0 || idx >= len(in.backends) {
-					in.AdoptRejected++
-					in.net.ReleasePacket(pkt)
-					return
-				}
-			}
-			in.table.Insert(t, flowmap.Value(idx))
-			in.Recovered++
-			be = in.backends[idx]
-		}
-	}
-	pkt.SetOuter(in.ip, be)
-	in.net.Send(pkt)
-}
-
-// HandleBatch implements netsim.BatchNode (see mfMux.HandleBatch).
-func (in *mfInstance) HandleBatch(pkts []*netsim.Packet) {
-	for _, p := range pkts {
-		in.HandlePacket(p)
-	}
-}
-
-// mfBackend replies to every request straight to the client (DSR),
-// reusing the pooled packet: zero allocations per exchange.
-type mfBackend struct {
-	net  *netsim.Network
-	Syns uint64
-	Data uint64
-	Fins uint64
-}
-
-func (b *mfBackend) HandlePacket(pkt *netsim.Packet) {
-	pkt.Outer = nil
-	switch {
-	case pkt.Flags.Has(netsim.FlagSYN):
-		b.Syns++
-		pkt.Flags = netsim.FlagSYN | netsim.FlagACK
-	case pkt.Flags.Has(netsim.FlagFIN):
-		b.Fins++
-		pkt.Flags = netsim.FlagFIN | netsim.FlagACK
-	default:
-		b.Data++
-		pkt.Flags = netsim.FlagACK
-	}
-	pkt.Src, pkt.Dst = pkt.Dst, pkt.Src
-	b.net.Send(pkt)
-}
-
-// HandleBatch implements netsim.BatchNode (see mfMux.HandleBatch).
-func (b *mfBackend) HandleBatch(pkts []*netsim.Packet) {
-	for _, p := range pkts {
-		b.HandlePacket(p)
-	}
-}
-
-// Driver flow states.
+// The shape around the instances is fixed. The pacing — mfClients ×
+// mfBatch opens per mfTick, 32 K/s — is what four store servers keep up
+// with at the paper protocol's 6 store operations per open.
 const (
-	mfIdle uint8 = iota
-	mfSynSent
-	mfEstablished
-	mfProbeSent
-	mfProbeAcked
-	mfFinSent
-	mfClosed
+	mfClients  = 8
+	mfServers  = 8
+	mfStores   = 4
+	mfBatch    = 8
+	mfTick     = 2 * time.Millisecond
+	mfSettle   = 300 * time.Millisecond // a client round trip and the store writes behind it
+	mfResends  = 8                      // retransmission rounds per phase
+	mfBasePort = 1024
+
+	// mfSNATPorts is the port space cluster.snatBase carves every
+	// instance's SNAT block from: one VIP, ports 20000–65535, one block
+	// per incarnation counted from 1. n instances therefore hold at most
+	// n·⌊mfSNATPorts/(n+1)⌋ backend connections.
+	mfSNATPorts = 65536 - 20000
 )
 
-// Driver phases (what the next batch sends).
-const (
-	mfPhaseOpen uint8 = iota + 1
-	mfPhaseProbe
-	mfPhaseClose
+var (
+	mfRequest  = []byte("GET /mflow HTTP/1.1\r\nHost: mflow\r\nConnection: close\r\n\r\n")
+	mfResponse = []byte("HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nmflow")
 )
 
-// mfDriver owns a block of client flows: one byte of state per flow,
-// ports basePort+i on its own IP. Batches are paced by a timer so a
-// phase ramps over virtual time instead of detonating in one event.
-type mfDriver struct {
+// Client flow states, in the order a flow moves through them. A phase
+// takes flows in its from state, and its answer leaves them in done.
+const (
+	mfIdle        uint8 = iota
+	mfSynSent           // SYN out
+	mfReqSent           // handshake done, first request out
+	mfEstablished       // first response verified
+	mfProbeSent         // second request out
+	mfProbeAcked        // second response verified
+	mfFinSent           // FIN out
+	mfClosed            // FIN-ACK received
+	mfBroken            // reset, or answered with the wrong bytes
+)
+
+// mfClient owns a block of client flows.
+type mfClient struct {
 	net    *netsim.Network
 	ip     netsim.IP
-	mux    netsim.HostPort
-	base   uint16
+	vip    netsim.HostPort
 	state  []uint8
-	batch  int
-	every  time.Duration
-	phase  uint8
-	cursor int
-	stepFn func()
+	vipISN []uint32 // the VIP side's ISN, learned from the SYN-ACK
 
-	established int
-	acked       int
-	closed      int
+	from, done uint8 // the phase in progress
+	cursor     int
+	stepFn     func()
+
+	rsts, mismatched int
 }
 
-func (d *mfDriver) start(phase uint8, after time.Duration) {
-	d.phase, d.cursor = phase, 0
-	d.net.Schedule(after, d.stepFn)
-}
+// isn is flow i's initial sequence number: a function of the port, so the
+// client need not store it.
+func (d *mfClient) isn(i int) uint32 { return uint32(d.ip)*2654435761 + uint32(i)*40503 }
 
-func (d *mfDriver) step() {
-	end := d.cursor + d.batch
-	if end > len(d.state) {
-		end = len(d.state)
-	}
-	for i := d.cursor; i < end; i++ {
-		pkt := d.net.AllocPacket()
-		pkt.Src = netsim.HostPort{IP: d.ip, Port: d.base + uint16(i)}
-		pkt.Dst = d.mux
-		switch d.phase {
-		case mfPhaseOpen:
-			pkt.Flags = netsim.FlagSYN
-			d.state[i] = mfSynSent
-		case mfPhaseProbe:
-			pkt.Flags = netsim.FlagPSH
-			d.state[i] = mfProbeSent
-		case mfPhaseClose:
-			pkt.Flags = netsim.FlagFIN
-			d.state[i] = mfFinSent
+// count returns how many flows are in a state s with lo ≤ s < hi.
+func (d *mfClient) count(lo, hi uint8) (n int) {
+	for _, s := range d.state {
+		if s >= lo && s < hi {
+			n++
 		}
-		d.net.Send(pkt)
 	}
-	d.cursor = end
+	return n
+}
+
+// start begins a pass of the phase from→done over every flow and returns
+// how many segments it will send: one for each flow the phase has yet to
+// move — all of them the first time, the unanswered ones after that.
+func (d *mfClient) start(from, done uint8) int {
+	d.from, d.done, d.cursor = from, done, 0
+	n := d.count(from, done)
+	if n > 0 {
+		d.net.Schedule(0, d.stepFn)
+	}
+	return n
+}
+
+// step sends the next mfBatch segments of the pass and re-arms itself.
+func (d *mfClient) step() {
+	for sent := 0; d.cursor < len(d.state) && sent < mfBatch; d.cursor++ {
+		i := d.cursor
+		if d.state[i] == d.from {
+			d.state[i]++
+		}
+		if s := d.state[i]; s > d.from && s < d.done {
+			d.send(i, s)
+			sent++
+		}
+	}
 	if d.cursor < len(d.state) {
-		d.net.Schedule(d.every, d.stepFn)
+		d.net.Schedule(mfTick, d.stepFn)
 	}
 }
 
-func (d *mfDriver) HandlePacket(pkt *netsim.Packet) {
-	i := int(pkt.Dst.Port) - int(d.base)
-	if i >= 0 && i < len(d.state) {
-		switch {
-		case pkt.Flags.Has(netsim.FlagSYN | netsim.FlagACK):
-			if d.state[i] == mfSynSent {
-				d.state[i] = mfEstablished
-				d.established++
-			}
-		case pkt.Flags.Has(netsim.FlagFIN | netsim.FlagACK):
-			if d.state[i] == mfFinSent {
-				d.state[i] = mfClosed
-				d.closed++
-			}
-		case pkt.Flags.Has(netsim.FlagACK):
-			if d.state[i] == mfProbeSent {
-				d.state[i] = mfProbeAcked
-				d.acked++
-			}
-		}
-	}
-	d.net.ReleasePacket(pkt)
-}
-
-// HandleBatch implements netsim.BatchNode (see mfMux.HandleBatch).
-func (d *mfDriver) HandleBatch(pkts []*netsim.Packet) {
-	for _, p := range pkts {
-		d.HandlePacket(p)
-	}
-}
-
-// Tier B sideband parameters: a handful of real tcp.Conn endpoints with
-// event coalescing on, sized so GSO trains and delayed ACKs both engage
-// (32 KiB ≫ 8×MSS) while staying a rounding error next to the
-// million-flow population.
-const (
-	mfSidebandConns   = 4
-	mfSidebandWrite   = 32 << 10
-	mfSidebandGSOSegs = 8
-	mfSidebandISNKey  = 0x5eedc0a1e5ced111 // fixed: keeps the sideband RNG-free
-)
-
-// mfSideband owns the Tier B echo connections: one server host and
-// mfSidebandConns client hosts.
-type mfSideband struct {
-	clients []*tcp.Conn
-	servers []*tcp.Conn
-	echoed  []int
+// mfScript is the client's side of a connection: the segment a flow sends
+// on entering each state, and sends again for as long as a pass finds it
+// there. k is the number of request/response exchanges behind it, which
+// with fin (our FIN, once acknowledged) places it in both sequence spaces.
+var mfScript = [mfBroken]struct {
+	flags   netsim.TCPFlags
+	k, fin  uint32
 	payload []byte
-	writes  int
+}{
+	mfSynSent:     {flags: netsim.FlagSYN},
+	mfReqSent:     {flags: netsim.FlagACK | netsim.FlagPSH, payload: mfRequest},
+	mfEstablished: {flags: netsim.FlagACK, k: 1},
+	mfProbeSent:   {flags: netsim.FlagACK | netsim.FlagPSH, k: 1, payload: mfRequest},
+	mfProbeAcked:  {flags: netsim.FlagACK, k: 2},
+	mfFinSent:     {flags: netsim.FlagFIN | netsim.FlagACK, k: 2},
+	mfClosed:      {flags: netsim.FlagACK, k: 2, fin: 1},
 }
 
-func newMfSideband(nw *netsim.Network) *mfSideband {
-	sb := &mfSideband{
-		echoed:  make([]int, mfSidebandConns),
-		payload: bytes.Repeat([]byte("tierb"), mfSidebandWrite/5+1)[:mfSidebandWrite],
+// send transmits the segment flow i owes in state s.
+func (d *mfClient) send(i int, s uint8) {
+	seg := &mfScript[s]
+	pkt := d.net.AllocPacket()
+	pkt.Src = netsim.HostPort{IP: d.ip, Port: mfBasePort + uint16(i)}
+	pkt.Dst = d.vip
+	pkt.Flags = seg.flags
+	pkt.Window = 1 << 20
+	pkt.Payload = seg.payload
+	pkt.Seq = d.isn(i)
+	if s != mfSynSent {
+		pkt.Seq += 1 + seg.k*uint32(len(mfRequest)) + seg.fin
+		pkt.Ack = d.vipISN[i] + 1 + seg.k*uint32(len(mfResponse)) + seg.fin
 	}
-	cfg := tcp.DefaultConfig()
-	cfg.DelayedAck = true
-	cfg.GSOSegs = mfSidebandGSOSegs
-	cfg.ISNKey = mfSidebandISNKey
+	d.net.Send(pkt)
+}
 
-	srvHost := netsim.NewHost(nw, netsim.IPv4(10, 0, 3, 1))
-	srvAddr := srvHost.Addr(7)
-	tcp.Listen(srvHost, 7, func(c *tcp.Conn) tcp.Callbacks {
-		sb.servers = append(sb.servers, c)
-		return tcp.Callbacks{
-			OnData:      func(c *tcp.Conn, d []byte) { c.Write(d) },
-			OnPeerClose: func(c *tcp.Conn) { c.Close() },
+// enter moves flow i to state s and sends that state's segment.
+func (d *mfClient) enter(i int, s uint8) {
+	d.state[i] = s
+	d.send(i, s)
+}
+
+// HandlePacket advances a flow on the answer its state waits for, held to
+// the sequence numbers and bytes the script predicts; anything else — a
+// duplicate, a late retransmission — is ignored.
+func (d *mfClient) HandlePacket(pkt *netsim.Packet) {
+	defer d.net.ReleasePacket(pkt)
+	i := int(pkt.Dst.Port) - mfBasePort
+	if i < 0 || i >= len(d.state) || d.state[i] == mfBroken {
+		return
+	}
+	s := d.state[i]
+	k := mfScript[s].k
+	next := d.vipISN[i] + 1 + k*uint32(len(mfResponse)) // the VIP side's next byte
+	switch {
+	case pkt.Flags.Has(netsim.FlagRST):
+		d.rsts++
+		d.state[i] = mfBroken
+	case s == mfSynSent && pkt.Flags.Has(netsim.FlagSYN|netsim.FlagACK) && pkt.Ack == d.isn(i)+1:
+		d.vipISN[i] = pkt.Seq
+		d.enter(i, mfReqSent)
+	case (s == mfReqSent || s == mfProbeSent) && len(pkt.Payload) > 0:
+		if pkt.Seq != next || pkt.Ack != d.isn(i)+1+(k+1)*uint32(len(mfRequest)) || !bytes.Equal(pkt.Payload, mfResponse) {
+			d.mismatched++
+			d.state[i] = mfBroken
+			return
 		}
-	}, cfg)
-
-	ccfg := cfg
-	ccfg.IdleProbe = 50 * time.Millisecond // heartbeats ride the settle gaps
-	for i := 0; i < mfSidebandConns; i++ {
-		host := netsim.NewHost(nw, netsim.IPv4(10, 0, 3, byte(i+2)))
-		idx := i
-		conn := tcp.Dial(host, srvAddr, tcp.Callbacks{
-			OnData: func(c *tcp.Conn, d []byte) { sb.echoed[idx] += len(d) },
-		}, ccfg)
-		sb.clients = append(sb.clients, conn)
-	}
-	return sb
-}
-
-// push queues one write per client; called at each phase boundary,
-// between runs, the same discipline the drivers follow.
-func (sb *mfSideband) push() {
-	sb.writes++
-	for _, c := range sb.clients {
-		c.Write(sb.payload)
+		d.enter(i, s+1)
+	case s == mfFinSent && pkt.Flags.Has(netsim.FlagFIN|netsim.FlagACK) && pkt.Seq == next:
+		d.enter(i, mfClosed)
 	}
 }
 
-// finish closes every client and, after the drain, validates the echoes
-// and coalescing stats into res.
-func (sb *mfSideband) close() {
-	for _, c := range sb.clients {
-		c.Close()
-	}
+// mfServer is the stateless scripted backend.
+type mfServer struct {
+	net    *netsim.Network
+	isnKey uint64
 }
 
-func (sb *mfSideband) report(res *MflowResult) {
-	want := sb.writes * mfSidebandWrite
-	res.TierBConns = len(sb.clients)
-	for i, c := range sb.clients {
-		if sb.echoed[i] != want {
-			res.failf("tierb: conn %d echoed %d of %d bytes", i, sb.echoed[i], want)
-		}
-		if c.State() != tcp.StateClosed {
-			res.failf("tierb: conn %d not closed (state %v)", i, c.State())
-		}
-		res.TierBEchoed += sb.echoed[i]
+func (b *mfServer) HandlePacket(pkt *netsim.Packet) {
+	reply := func(flags netsim.TCPFlags, seq uint32, payload []byte) {
+		out := b.net.AllocPacket()
+		out.Src, out.Dst, out.Flags = pkt.Dst, pkt.Src, flags
+		out.Seq, out.Ack, out.Window, out.Payload = seq, pkt.SeqEnd(), 1<<20, payload
+		b.net.Send(out)
 	}
-	for _, c := range append(sb.clients, sb.servers...) {
-		res.TierBAcksElided += c.AcksElided
-		res.TierBGSOTrains += c.GSOTrainsSent
+	switch {
+	case pkt.Flags.Has(netsim.FlagRST):
+	case pkt.Flags.Has(netsim.FlagSYN):
+		reply(netsim.FlagSYN|netsim.FlagACK, tcp.DeterministicISN(b.isnKey, pkt.Dst, pkt.Src), nil)
+	case len(pkt.Payload) > 0:
+		reply(netsim.FlagACK|netsim.FlagPSH, pkt.Ack, mfResponse)
+	case pkt.Flags.Has(netsim.FlagFIN):
+		reply(netsim.FlagFIN|netsim.FlagACK, pkt.Ack, nil)
 	}
-	if res.TierBAcksElided == 0 {
-		res.failf("tierb: no ACKs elided under DelayedAck")
-	}
-	if res.TierBGSOTrains == 0 {
-		res.failf("tierb: no GSO trains for %d-byte writes", mfSidebandWrite)
-	}
+	b.net.ReleasePacket(pkt)
 }
 
 // MflowResult carries the outcome. Summary() covers only virtual-time
@@ -509,42 +258,37 @@ func (sb *mfSideband) report(res *MflowResult) {
 type MflowResult struct {
 	Cfg MflowConfig
 
-	Peak        int // concurrent established flows at ramp end
 	Established int
 	ProbeAcked  int
 	Closed      int
+	ClientRSTs  int // flows the client saw reset
+	Mismatched  int // flows answered with wrong bytes or sequence numbers
 
-	DeadFlows      int // flow-table entries on storm-killed instances
-	Recovered      int // flows adopted by surviving instances
-	RecoveredOnFin int
-	AdoptRejected  int // hybrid: adoptions refused for lack of a dead-owner proof
-
-	// Tier B sideband (Cfg.TierB only).
-	TierBConns      int
-	TierBEchoed     int
-	TierBAcksElided int
-	TierBGSOTrains  int
+	DeadFlows      int // flows on the storm's victims when they were killed
+	Recovered      int // adopted from a TCPStore record
+	Derived        int // adopted by hybrid derivation, no record read
+	AdoptedInClose int // adoptions after the probe phase: must be 0
+	// Stranded counts flows whose probe was never answered, resends
+	// included; StrandedTwoDead those of them whose rendezvous chain
+	// passes through two or more dead instances (hybrid only — the one
+	// case hybridClientGet gives up on without a backend knock).
+	Stranded        int
+	StrandedTwoDead int
+	Suppressed      int // orphan queues the survivors dropped quietly
 
 	Delivered       uint64
 	Executed        uint64
 	DroppedNoRoute  uint64
 	DroppedByPolicy uint64
 
-	LiveTableEntries int
-	PendingAfter     int
-	SimTime          time.Duration
+	LiveFlowEntries int // flow-index entries on live instances at the end
+	StoreItems      int // records on the store servers at the end
+	PendingAfter    int
+	SimTime         time.Duration
 
 	Wall             time.Duration
-	HeapBytesPerFlow float64
-
-	// Batch-dispatch shape (deliberately not part of Summary: the
-	// scalar reference mode must stay byte-identical while reporting
-	// zeros here). TrainRuns counts same-destination runs carved out of
-	// burst-dispatched trains; BatchRuns the subset (length ≥ 2) handed
-	// to a BatchNode in one call.
-	TrainRuns     uint64
-	BatchRuns     uint64
-	BatchHitRatio float64
+	HeapBytesPerFlow float64 // heap growth from before the cluster to the ramp's end, per flow
+	BatchHitRatio    float64
 
 	Failures []string
 }
@@ -555,23 +299,20 @@ func (r *MflowResult) Pass() bool { return len(r.Failures) == 0 }
 // Summary renders the deterministic portion of the result.
 func (r *MflowResult) Summary() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "mflow: flows=%d drivers=%d muxes=%d instances=%d backends=%d storm=%d\n",
-		r.Cfg.Flows, r.Cfg.Drivers, r.Cfg.Muxes, r.Cfg.Instances, r.Cfg.Backends, r.Cfg.StormKill)
-	fmt.Fprintf(&b, "  peak concurrent: %d (established=%d probeAcked=%d closed=%d)\n",
-		r.Peak, r.Established, r.ProbeAcked, r.Closed)
-	fmt.Fprintf(&b, "  storm: deadFlows=%d recovered=%d recoveredOnFin=%d\n",
-		r.DeadFlows, r.Recovered, r.RecoveredOnFin)
-	if r.Cfg.Recovery != "" {
-		fmt.Fprintf(&b, "  recovery: mode=%s adoptRejected=%d\n", r.Cfg.Recovery, r.AdoptRejected)
+	recovery := r.Cfg.Recovery
+	if recovery == "" {
+		recovery = "paper"
 	}
-	if r.Cfg.TierB {
-		fmt.Fprintf(&b, "  tierb: conns=%d echoed=%d acksElided=%d gsoTrains=%d\n",
-			r.TierBConns, r.TierBEchoed, r.TierBAcksElided, r.TierBGSOTrains)
-	}
-	fmt.Fprintf(&b, "  events: executed=%d delivered=%d dropped=%d+%d\n",
-		r.Executed, r.Delivered, r.DroppedNoRoute, r.DroppedByPolicy)
-	fmt.Fprintf(&b, "  end state: liveTableEntries=%d pending=%d simTime=%v\n",
-		r.LiveTableEntries, r.PendingAfter, r.SimTime)
+	fmt.Fprintf(&b, "mflow: flows=%d instances=%d storm=%d recovery=%s clients=%d backends=%d stores=%d\n",
+		r.Cfg.Flows, r.Cfg.Instances, r.Cfg.StormKill, recovery, mfClients, mfServers, mfStores)
+	fmt.Fprintf(&b, "  flows: established=%d probeAcked=%d closed=%d clientRSTs=%d mismatched=%d\n",
+		r.Established, r.ProbeAcked, r.Closed, r.ClientRSTs, r.Mismatched)
+	fmt.Fprintf(&b, "  storm: deadFlows=%d recovered=%d derived=%d stranded=%d (twoDeadOwners=%d suppressed=%d) adoptedInClose=%d\n",
+		r.DeadFlows, r.Recovered, r.Derived, r.Stranded, r.StrandedTwoDead, r.Suppressed, r.AdoptedInClose)
+	fmt.Fprintf(&b, "  events: executed=%d delivered=%d perFlow=%.1f\n",
+		r.Executed, r.Delivered, float64(r.Executed)/float64(max(r.Cfg.Flows, 1)))
+	fmt.Fprintf(&b, "  end state: liveFlowEntries=%d storeItems=%d pending=%d dropped=%d+%d simTime=%v\n",
+		r.LiveFlowEntries, r.StoreItems, r.PendingAfter, r.DroppedNoRoute, r.DroppedByPolicy, r.SimTime)
 	if r.Pass() {
 		b.WriteString("  PASS")
 	} else {
@@ -581,9 +322,9 @@ func (r *MflowResult) Summary() string {
 }
 
 func (r *MflowResult) String() string {
-	return fmt.Sprintf("%s\n  perf: wall=%v events/s=%.0f heapBytes/flow=%.0f",
-		r.Summary(), r.Wall.Round(time.Millisecond),
-		float64(r.Executed)/r.Wall.Seconds(), r.HeapBytesPerFlow)
+	return fmt.Sprintf("%s\n  perf: wall=%v events/s=%.0f flows=%d heapBytes/flow=%.0f batchHit=%.2f",
+		r.Summary(), r.Wall.Round(time.Millisecond), float64(r.Executed)/r.Wall.Seconds(),
+		r.Cfg.Flows, r.HeapBytesPerFlow, r.BatchHitRatio)
 }
 
 func (r *MflowResult) failf(format string, args ...any) {
@@ -597,210 +338,166 @@ func heapInUse() uint64 {
 	return ms.HeapAlloc
 }
 
-// RunMflow executes the million-flow experiment: ramp to the full flow
-// population, kill StormKill instances, probe every flow once (verifying
-// recovery of every orphaned flow), then close everything and drain the
-// network to quiescence.
+// RunMflow executes the scale run: ramp to the full flow population, kill
+// StormKill instances, probe every flow (every orphan must be adopted by
+// a survivor, once), close every flow, and drain — after which the
+// cluster must be back where it started: no flow entry, no store record,
+// no pending event.
 func RunMflow(cfg MflowConfig) *MflowResult {
-	perDriver := (cfg.Flows + cfg.Drivers - 1) / cfg.Drivers
-	cfg.Flows = perDriver * cfg.Drivers
+	perClient := (cfg.Flows + mfClients - 1) / mfClients
+	cfg.Flows = perClient * mfClients
 	res := &MflowResult{Cfg: cfg}
+	snatPerInstance := mfSNATPorts / (cfg.Instances + 1)
+	if limit := cfg.Instances * snatPerInstance; cfg.Flows > limit {
+		res.failf("config: %d flows exceed the SNAT capacity of %d instances, %d backend connections (%d ports each: one VIP's ports 20000-65535 in %d blocks)",
+			cfg.Flows, cfg.Instances, limit, snatPerInstance, cfg.Instances+1)
+		return res
+	}
 
 	heapBase := heapInUse()
 	wallStart := time.Now()
 
-	nw := netsim.New(cfg.Seed)
-
-	// Hybrid arm: one shared derivation table, seeded deterministically.
-	// It is mutated only between phases (storm MarkDead), matching the
-	// control-plane discipline the real cluster follows.
-	var tbl *stateless.Table
+	c := cluster.New(cfg.Seed)
+	secret := uint64(cfg.Seed)*0x9e3779b97f4a7c15 + 0xdead
+	isnKey := secret
 	if cfg.Recovery == "hybrid" {
-		tbl = stateless.New(uint64(cfg.Seed)*0x9e3779b97f4a7c15 + 0xdead)
+		isnKey = c.EnableHybrid(secret).ISNKey()
 	}
+	c.AddStoreServers(mfStores, memcache.DefaultSimServerConfig())
+	names := make([]string, mfServers)
+	for i := range names {
+		names[i] = fmt.Sprintf("be-%d", i)
+		addr := netsim.HostPort{IP: netsim.IPv4(10, 0, 2, byte(i+1)), Port: 80}
+		c.Net.Attach(addr.IP, &mfServer{net: c.Net, isnKey: isnKey})
+		c.Backends[names[i]] = &cluster.Backend{Name: names[i], Rec: rules.Backend{Name: names[i], Addr: addr}}
+	}
+	ycfg := core.DefaultConfig()
+	ycfg.SNATCount = uint16(snatPerInstance)
+	c.AddYodaN(cfg.Instances, ycfg, tcpstore.DefaultConfig())
+	vip := c.AddVIP("mflow")
+	c.InstallPolicy(vip, c.SimpleSplitRules(names...), nil)
 
-	// Muxes: vip 10.254.0.(m+1). Drivers address mux d%M.
-	muxes := make([]*mfMux, cfg.Muxes)
-	liveInsts := make([]netsim.IP, cfg.Instances)
-	for i := range liveInsts {
-		liveInsts[i] = netsim.IPv4(10, 0, 1, byte(i+1))
-	}
-	for m := range muxes {
-		mx := &mfMux{net: nw, vip: netsim.IPv4(10, 254, 0, byte(m+1)), insts: liveInsts, tbl: tbl}
-		nw.Attach(mx.vip, mx)
-		muxes[m] = mx
-		if tbl != nil {
-			tbl.SetVIP(mx.vip, stateless.VIPEntry{Instances: liveInsts})
+	clients := make([]*mfClient, mfClients)
+	for d := range clients {
+		cl := &mfClient{
+			net: c.Net, ip: netsim.IPv4(100, 0, byte(d), 1), vip: netsim.HostPort{IP: vip, Port: 80},
+			state: make([]uint8, perClient), vipISN: make([]uint32, perClient),
 		}
+		cl.stepFn = cl.step
+		clients[d] = cl
+		c.Net.Attach(cl.ip, cl)
 	}
 
-	// Size each table for its HRW share of the population plus headroom
-	// for the hash spread, so the ramp runs without growth rebuilds.
-	perInstance := 0
-	if cfg.Instances > 0 {
-		perInstance = cfg.Flows / cfg.Instances
-	}
-	insts := make([]*mfInstance, cfg.Instances)
-	for i := range insts {
-		in := &mfInstance{
-			net: nw, ip: liveInsts[i], tbl: tbl,
-			table: flowmap.NewCompact(perInstance + perInstance/8),
+	// phase runs one paced pass from→done over every flow, then up to
+	// mfResends more for the flows still unanswered, and returns how many
+	// flows are in done. Each pass is run out: its last batch plus mfSettle.
+	phase := func(from, done uint8) (reached int) {
+		for pass := 0; pass <= mfResends; pass++ {
+			most := 0
+			for _, cl := range clients {
+				most = max(most, cl.start(from, done))
+			}
+			if most == 0 {
+				break
+			}
+			c.Net.RunFor(time.Duration((most+mfBatch-1)/mfBatch)*mfTick + mfSettle)
 		}
-		insts[i] = in
-		nw.Attach(in.ip, in)
-	}
-	backendIPs := make([]netsim.IP, cfg.Backends)
-	backends := make([]*mfBackend, cfg.Backends)
-	for i := range backends {
-		backendIPs[i] = netsim.IPv4(10, 0, 2, byte(i+1))
-		backends[i] = &mfBackend{net: nw}
-		nw.Attach(backendIPs[i], backends[i])
-	}
-	for _, in := range insts {
-		in.backends = backendIPs
-	}
-
-	var sb *mfSideband
-	if cfg.TierB {
-		sb = newMfSideband(nw)
-	}
-
-	drivers := make([]*mfDriver, cfg.Drivers)
-	for d := range drivers {
-		drv := &mfDriver{
-			net:   nw,
-			ip:    netsim.IPv4(100, 0, byte(d>>8), byte(d&0xff)+1),
-			mux:   netsim.HostPort{IP: muxes[d%cfg.Muxes].vip, Port: 80},
-			base:  1024,
-			state: make([]uint8, perDriver),
-			batch: cfg.BatchSize,
-			every: cfg.BatchEvery,
+		for _, cl := range clients {
+			reached += cl.count(done, done+1)
 		}
-		drv.stepFn = drv.step
-		drivers[d] = drv
-		nw.Attach(drv.ip, drv)
+		return reached
 	}
 
-	// Phase span: staggered starts + the paced batches + settle (which
-	// must cover the ~60ms client round trip).
-	batches := (perDriver + cfg.BatchSize - 1) / cfg.BatchSize
-	stagger := 53 * time.Microsecond
-	span := time.Duration(cfg.Drivers)*stagger + time.Duration(batches)*cfg.BatchEvery + cfg.Settle
-
-	startPhase := func(phase uint8) {
-		for d, drv := range drivers {
-			drv.start(phase, time.Duration(d)*stagger)
-		}
-		if sb != nil {
-			sb.push()
-		}
+	// Ramp: open every flow.
+	res.Established = phase(mfIdle, mfEstablished)
+	if res.Established != cfg.Flows {
+		res.failf("ramp: established %d of %d flows", res.Established, cfg.Flows)
 	}
-	counts := func() (established, acked, closed int) {
-		for _, drv := range drivers {
-			established += drv.established
-			acked += drv.acked
-			closed += drv.closed
+	res.HeapBytesPerFlow = float64(int64(heapInUse())-int64(heapBase)) / float64(cfg.Flows)
+
+	// Failure storm at quiescence: kill StormKill instances spread across
+	// the fleet and withdraw them from every mux — the L4 update the
+	// controller's monitor would make, done here between phases.
+	for k := 0; k < cfg.StormKill; k++ {
+		i := k * cfg.Instances / cfg.StormKill
+		res.DeadFlows += c.Yoda[i].ClientFlowCount()
+		c.L4.RemoveInstance(c.KillYoda(i).IP())
+	}
+	// The sums below run over the whole fleet: a victim's table went with
+	// it, and nothing it could have adopted had died before it did.
+	adopted := func() (fromStore, derived int) {
+		for _, in := range c.Yoda {
+			fromStore += int(in.Recovered)
+			derived += int(in.DerivedRecoveries)
 		}
 		return
 	}
 
-	// Ramp: open every flow.
-	startPhase(mfPhaseOpen)
-	nw.RunFor(span)
-	res.Established, _, _ = counts()
-	res.Peak = res.Established
-	if res.Peak != cfg.Flows {
-		res.failf("ramp: established %d of %d flows", res.Peak, cfg.Flows)
-	}
-	// Peak-population memory, attributed per flow.
-	res.HeapBytesPerFlow = float64(int64(heapInUse())-int64(heapBase)) / float64(cfg.Flows)
-
-	// Failure storm: kill StormKill instances spread across the fleet —
-	// detach the host and drop it from every mux's live list (a driver-
-	// phase control-plane action, like the real controller's L4 update).
-	dead := make(map[netsim.IP]bool, cfg.StormKill)
-	for k := 0; k < cfg.StormKill && cfg.Instances > 0; k++ {
-		victim := insts[k*cfg.Instances/cfg.StormKill]
-		dead[victim.ip] = true
-		res.DeadFlows += victim.table.Len()
-		victim.net.Detach(victim.ip)
-		if tbl != nil {
-			tbl.MarkDead(victim.ip) // death marks only — no epoch bump
+	// Probe: a second request on every flow. An orphan's lands on a
+	// survivor, which must adopt the flow before it can forward it.
+	res.ProbeAcked = phase(mfEstablished, mfProbeAcked)
+	res.Recovered, res.Derived = adopted()
+	for _, cl := range clients {
+		for i, s := range cl.state {
+			if s != mfProbeSent {
+				continue
+			}
+			res.Stranded++
+			ct := netsim.FourTuple{Src: netsim.HostPort{IP: cl.ip, Port: mfBasePort + uint16(i)}, Dst: cl.vip}
+			if c.Hybrid != nil && len(c.Hybrid.DeadOwnerCandidates(vip, ct, nil)) >= 2 {
+				res.StrandedTwoDead++
+			}
 		}
 	}
-	live := make([]netsim.IP, 0, cfg.Instances-len(dead))
-	for _, ip := range liveInsts {
-		if !dead[ip] {
-			live = append(live, ip)
-		}
+	if res.Stranded != 0 {
+		res.failf("probe: %d of %d orphaned flows stranded, never adopted in %d resends (%d of them behind two dead owner candidates)",
+			res.Stranded, res.DeadFlows, mfResends, res.StrandedTwoDead)
 	}
-	for _, mx := range muxes {
-		mx.insts = live
+	if res.ProbeAcked+res.Stranded != res.Established {
+		res.failf("probe: %d flows answered and %d stranded of %d established", res.ProbeAcked, res.Stranded, res.Established)
 	}
-
-	// Probe: one data packet per flow. Orphaned flows must be adopted by
-	// the HRW re-pick instance; every probe must come back acknowledged.
-	startPhase(mfPhaseProbe)
-	nw.RunFor(span)
-	_, res.ProbeAcked, _ = counts()
-	if res.ProbeAcked != cfg.Flows {
-		res.failf("probe: acked %d of %d flows", res.ProbeAcked, cfg.Flows)
-	}
-	for _, in := range insts {
-		if !dead[in.ip] {
-			res.Recovered += int(in.Recovered)
-			res.RecoveredOnFin += int(in.RecoveredOnFin)
-			res.AdoptRejected += int(in.AdoptRejected)
-		}
-	}
-	if res.Recovered != res.DeadFlows {
-		res.failf("recovery: %d flows adopted, %d were orphaned", res.Recovered, res.DeadFlows)
-	}
-	if res.AdoptRejected != 0 {
-		res.failf("hybrid: %d orphans rejected without a dead-owner proof", res.AdoptRejected)
+	if res.Recovered+res.Derived+res.Stranded != res.DeadFlows {
+		res.failf("recovery: %d flows adopted from the store, %d derived, %d stranded; %d were orphaned",
+			res.Recovered, res.Derived, res.Stranded, res.DeadFlows)
 	}
 
-	// Teardown: close every flow, then drain to quiescence.
-	startPhase(mfPhaseClose)
-	nw.RunFor(span)
-	if sb != nil {
-		sb.close()
+	// Teardown: close every flow that answered, then drain to quiescence.
+	res.Closed = phase(mfProbeAcked, mfClosed)
+	c.Net.RunUntilIdle(1 << 26)
+	if res.Closed != res.ProbeAcked {
+		res.failf("teardown: closed %d of %d flows", res.Closed, res.ProbeAcked)
 	}
-	nw.RunUntilIdle(1 << 24)
-	if sb != nil {
-		sb.report(res)
+	fromStore, derived := adopted()
+	if res.AdoptedInClose = fromStore + derived - res.Recovered - res.Derived; res.AdoptedInClose != 0 {
+		res.failf("teardown: %d flows adopted after the probe phase", res.AdoptedInClose)
 	}
-	_, _, res.Closed = counts()
-	if res.Closed != cfg.Flows {
-		res.failf("teardown: closed %d of %d flows", res.Closed, cfg.Flows)
+	for _, cl := range clients {
+		res.ClientRSTs += cl.rsts
+		res.Mismatched += cl.mismatched
 	}
-	for _, in := range insts {
-		if !dead[in.ip] {
-			res.LiveTableEntries += in.table.Len()
-		}
-	}
-	if res.LiveTableEntries != 0 {
-		res.failf("teardown: %d flow-table entries leaked on live instances", res.LiveTableEntries)
-	}
-	if res.RecoveredOnFin != 0 {
-		res.failf("HRW instability: %d FINs missed their flow's instance", res.RecoveredOnFin)
+	if res.ClientRSTs != 0 || res.Mismatched != 0 {
+		res.failf("client: %d flows reset, %d answered with the wrong bytes", res.ClientRSTs, res.Mismatched)
 	}
 
-	res.Delivered = nw.Delivered
-	res.Executed = nw.Executed()
-	res.TrainRuns = nw.Runs
-	res.BatchRuns = nw.BatchRuns
-	res.BatchHitRatio = nw.BatchHitRatio()
-	res.DroppedNoRoute = nw.DroppedNoRoute
-	res.DroppedByPolicy = nw.DroppedByPolicy
-	if res.DroppedNoRoute != 0 {
-		res.failf("%d packets dropped with no route (post-storm leakage)", res.DroppedNoRoute)
+	// Return to baseline.
+	for _, in := range c.Yoda {
+		res.LiveFlowEntries += in.FlowCount()
+		res.Suppressed += int(in.SuppressedOrphans)
 	}
-	res.PendingAfter = nw.Pending()
-	if res.PendingAfter != 0 {
-		res.failf("network not quiescent: %d pending", res.PendingAfter)
+	for _, s := range c.StoreServers {
+		res.StoreItems += s.Engine.Stats().CurrItems
 	}
-	res.SimTime = nw.Now()
+	res.PendingAfter = c.Net.Pending()
+	res.DroppedNoRoute, res.DroppedByPolicy = c.Net.DroppedNoRoute, c.Net.DroppedByPolicy
+	if res.LiveFlowEntries != 0 || res.StoreItems != 0 || res.PendingAfter != 0 || res.DroppedNoRoute != 0 {
+		res.failf("baseline: %d flow entries on live instances, %d store records, %d pending events, %d packets without a route",
+			res.LiveFlowEntries, res.StoreItems, res.PendingAfter, res.DroppedNoRoute)
+	}
+
+	res.Delivered = c.Net.Delivered
+	res.Executed = c.Net.Executed()
+	res.BatchHitRatio = c.Net.BatchHitRatio()
+	res.SimTime = c.Net.Now()
 	res.Wall = time.Since(wallStart)
 	return res
 }

@@ -216,9 +216,9 @@ func BenchmarkHostDemux(b *testing.B) {
 // BenchmarkHostAllocPort measures ephemeral port allocation against a
 // large population of live connections. The former implementation
 // scanned every established connection per candidate port, so
-// allocation degraded linearly with connection count — at mflow scale
-// (hundreds of thousands of conns per driver host) it dominated flow
-// setup. The per-port refcount makes it O(1) regardless of population.
+// allocation degraded linearly with connection count and came to
+// dominate flow setup on a host holding tens of thousands of them. The
+// per-port refcount makes it O(1) regardless of population.
 func BenchmarkHostAllocPort(b *testing.B) {
 	n := New(42)
 	h := NewHost(n, IPv4(10, 0, 0, 2))

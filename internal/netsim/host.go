@@ -45,7 +45,7 @@ type Host struct {
 	listeners map[uint16]PortHandler
 	// portRefs counts live connection registrations per local port so
 	// AllocPort is O(1) instead of scanning conns (which holds every
-	// established connection at mflow scale).
+	// established connection of the host).
 	portRefs map[uint16]int
 	nextPort uint16
 	dead     bool

@@ -39,9 +39,8 @@ func (f NodeFunc) HandlePacket(pkt *Packet) { f(pkt) }
 //     Host.HandleBatch and tcp.Conn.HandleSegmentBatch.
 //
 // Nodes that do not implement BatchNode receive per-packet HandlePacket
-// calls exactly as before. Loss injection (SetDropFunc) forces the
-// per-packet path so drop decisions interleave exactly as in the scalar
-// reference.
+// calls exactly as before. Loss injection (SetDropFunc) splits a run at
+// each dropped packet; what survives is still handed over in batches.
 type BatchNode interface {
 	Node
 	HandleBatch(pkts []*Packet)
@@ -117,7 +116,8 @@ type Network struct {
 	// of every burst-dispatched train (length ≥ 2 by construction);
 	// RunLens observes every same-destination run carved out of a train.
 	// Runs counts those runs, BatchRuns the subset of length ≥ 2 handed
-	// to a BatchNode in one call. BatchRuns/Runs is the batch-hit ratio.
+	// to a BatchNode in one call (under a drop policy, each stretch of a
+	// run between drops that is). BatchRuns/Runs is the batch-hit ratio.
 	TrainLens metrics.LenHist
 	RunLens   metrics.LenHist
 	Runs      uint64
@@ -169,7 +169,11 @@ func (n *Network) SetLatency(f LatencyFunc) { n.latency = f }
 func (n *Network) SetJitter(frac float64) { n.jitter = frac }
 
 // SetDropFunc installs a policy that may drop packets in flight (loss
-// injection). A nil function disables drops.
+// injection). A nil function disables drops. The policy is asked once per
+// packet, in delivery order, but before the stretch of its run the packet
+// belongs to is handled: a packet may be judged before the node has
+// handled the packets delivered just ahead of it at the same instant, so
+// a policy must not depend on what handling those changes.
 func (n *Network) SetDropFunc(f func(pkt *Packet) bool) { n.dropFn = f }
 
 // SetTracer installs a packet trace hook. A nil tracer disables tracing.
@@ -258,17 +262,16 @@ func (n *Network) SetCoalescing(on bool) {
 	}
 }
 
+// dropByPolicy accounts for a packet the drop policy condemned.
+func (n *Network) dropByPolicy(pkt *Packet) {
+	n.DroppedByPolicy++
+	n.trace(pkt, true, "policy drop")
+	n.ReleasePacket(pkt)
+}
+
+// deliver hands a packet the drop policy has let through to the node at
+// dst.
 func (n *Network) deliver(pkt *Packet, dst IP) {
-	if n.tracer != nil {
-		// The tracer may retain the packet; keep it out of the pool.
-		pkt.pooled = false
-	}
-	if n.dropFn != nil && n.dropFn(pkt) {
-		n.DroppedByPolicy++
-		n.trace(pkt, true, "policy drop")
-		n.ReleasePacket(pkt)
-		return
-	}
 	node, ok := n.nodes[dst]
 	if !ok {
 		n.DroppedNoRoute++
@@ -281,8 +284,12 @@ func (n *Network) deliver(pkt *Packet, dst IP) {
 	node.HandlePacket(pkt)
 }
 
+// trace reports a delivery or drop to the tracer, which may retain the
+// packet: it is taken out of the pool first, so the release or handler
+// that follows cannot recycle it.
 func (n *Network) trace(pkt *Packet, dropped bool, reason string) {
 	if n.tracer != nil {
+		pkt.pooled = false
 		n.tracer(TraceEvent{At: n.now, Packet: pkt, Dropped: dropped, Reason: reason})
 	}
 }
@@ -310,6 +317,10 @@ func (n *Network) execute(e *event) {
 	n.freeEvent(e)
 	if kind == evDeliver {
 		if train == nil {
+			if n.dropFn != nil && n.dropFn(pkt) {
+				n.dropByPolicy(pkt)
+				return
+			}
 			n.deliver(pkt, dst)
 			return
 		}
@@ -339,21 +350,39 @@ func (n *Network) execute(e *event) {
 }
 
 // deliverRun delivers a run of same-destination packets carved out of a
-// burst-dispatched train. Runs of length ≥ 2 whose destination node
-// implements BatchNode are handed over in one HandleBatch call — with
-// per-packet trace events emitted first, in delivery order, so trace
-// output matches the scalar path (handlers never trace synchronously;
-// their sends become future deliveries). Everything else — singleton
-// runs, non-batch nodes, missing routes, and any run while loss
-// injection is active — falls back to the per-packet deliver path.
+// burst-dispatched train. Under loss injection the drop policy sees every
+// packet of the run, in delivery order, and the run is split at each one
+// it drops, so the stretches between drops reach the node the way a
+// whole run does without loss.
 func (n *Network) deliverRun(pkts []*Packet, dst IP) {
 	n.Runs++
 	n.RunLens.Observe(len(pkts))
-	if len(pkts) >= 2 && n.dropFn == nil {
+	if n.dropFn != nil {
+		kept := 0
+		for i, p := range pkts {
+			if n.dropFn(p) {
+				n.handOverRun(pkts[kept:i], dst)
+				n.dropByPolicy(p)
+				kept = i + 1
+			}
+		}
+		pkts = pkts[kept:]
+	}
+	n.handOverRun(pkts, dst)
+}
+
+// handOverRun delivers a stretch of a run that the drop policy has let
+// through. Two or more packets whose destination node implements
+// BatchNode are handed over in one HandleBatch call — with per-packet
+// trace events emitted first, in delivery order, so trace output matches
+// the scalar path (handlers never trace synchronously; their sends
+// become future deliveries). Everything else — a single packet, a
+// non-batch node, a missing route — goes packet by packet.
+func (n *Network) handOverRun(pkts []*Packet, dst IP) {
+	if len(pkts) >= 2 {
 		if bn, ok := n.nodes[dst].(BatchNode); ok {
 			if n.tracer != nil {
 				for _, p := range pkts {
-					p.pooled = false
 					n.trace(p, false, "")
 				}
 			}

@@ -17,11 +17,21 @@ type trainRig struct {
 
 func newTrainRig(seed int64) *trainRig {
 	r := &trainRig{n: New(seed), dst: IPv4(10, 0, 0, 2)}
-	r.n.Attach(r.dst, NodeFunc(func(p *Packet) {
-		r.log = append(r.log, fmt.Sprintf("t=%v seq=%d", r.n.Now(), p.Seq))
-		r.n.ReleasePacket(p)
-	}))
+	r.n.Attach(r.dst, r)
 	return r
+}
+
+func (r *trainRig) HandlePacket(p *Packet) {
+	r.log = append(r.log, fmt.Sprintf("t=%v seq=%d", r.n.Now(), p.Seq))
+	r.n.ReleasePacket(p)
+}
+
+// HandleBatch makes the sink a BatchNode, so multi-packet runs count as
+// BatchRuns.
+func (r *trainRig) HandleBatch(pkts []*Packet) {
+	for _, p := range pkts {
+		r.HandlePacket(p)
+	}
 }
 
 func (r *trainRig) send(seq uint32) {
@@ -111,31 +121,44 @@ func TestTrainMaxSpills(t *testing.T) {
 }
 
 // SetCoalescing(false) is the reference mode: identical delivery log and
-// counts, zero coalescing.
+// counts, zero coalescing — without loss and under a drop policy, which
+// must split runs at the packets it drops instead of switching batch
+// dispatch off.
 func TestTrainDisabledMatchesEnabled(t *testing.T) {
-	run := func(coalesce bool) ([]string, uint64) {
-		r := newTrainRig(7)
-		r.n.SetCoalescing(coalesce)
-		for round := 0; round < 5; round++ {
-			for i := 0; i < 6; i++ {
-				r.send(uint32(round*10 + i))
+	for _, dropEvery := range []int{0, 4} {
+		run := func(coalesce bool) *trainRig {
+			r := newTrainRig(7)
+			r.n.SetCoalescing(coalesce)
+			if dropEvery > 0 {
+				seen := 0
+				r.n.SetDropFunc(func(*Packet) bool { seen++; return seen%dropEvery == 0 })
 			}
-			r.n.RunFor(50 * time.Microsecond)
+			for round := 0; round < 5; round++ {
+				for i := 0; i < 6; i++ {
+					r.send(uint32(round*10 + i))
+				}
+				r.n.RunFor(50 * time.Microsecond)
+			}
+			r.n.RunUntilIdle(1000)
+			return r
 		}
-		r.n.RunUntilIdle(1000)
-		return r.log, r.n.Executed()
-	}
-	onLog, onExec := run(true)
-	offLog, offExec := run(false)
-	if onExec != offExec {
-		t.Fatalf("Executed: coalesced=%d reference=%d", onExec, offExec)
-	}
-	if len(onLog) != len(offLog) {
-		t.Fatalf("deliveries: coalesced=%d reference=%d", len(onLog), len(offLog))
-	}
-	for i := range onLog {
-		if onLog[i] != offLog[i] {
-			t.Fatalf("delivery %d: coalesced=%q reference=%q", i, onLog[i], offLog[i])
+		on, off := run(true), run(false)
+		if on.n.Executed() != off.n.Executed() {
+			t.Fatalf("dropEvery=%d Executed: coalesced=%d reference=%d", dropEvery, on.n.Executed(), off.n.Executed())
+		}
+		if on.n.DroppedByPolicy != off.n.DroppedByPolicy || (dropEvery > 0) != (on.n.DroppedByPolicy > 0) {
+			t.Fatalf("dropEvery=%d DroppedByPolicy: coalesced=%d reference=%d", dropEvery, on.n.DroppedByPolicy, off.n.DroppedByPolicy)
+		}
+		if on.n.BatchRuns == 0 || off.n.BatchRuns != 0 {
+			t.Fatalf("dropEvery=%d BatchRuns: coalesced=%d (want > 0) reference=%d (want 0)", dropEvery, on.n.BatchRuns, off.n.BatchRuns)
+		}
+		if len(on.log) != len(off.log) {
+			t.Fatalf("dropEvery=%d deliveries: coalesced=%d reference=%d", dropEvery, len(on.log), len(off.log))
+		}
+		for i := range on.log {
+			if on.log[i] != off.log[i] {
+				t.Fatalf("dropEvery=%d delivery %d: coalesced=%q reference=%q", dropEvery, i, on.log[i], off.log[i])
+			}
 		}
 	}
 }

@@ -42,9 +42,10 @@ go test -run '^$' -bench 'BenchmarkParseRequest|BenchmarkParseResponse2K|Benchma
   -benchmem ./internal/httpsim/ | tee -a "$MICRO_LOG"
 go test -run '^$' -bench 'BenchmarkReconfigMigration' -benchtime 3x \
   ./internal/reconfig/ | tee -a "$MICRO_LOG"
-# Best-of-3 for the mflow headline: a single 1x run of a whole-sim
-# benchmark swings ±20% with allocator/GC state, and the ci.sh
-# regression gate already compares against the best of 3.
+# Best-of-3 for mflow (the real stack at 32,768 flows; `flows` is
+# recorded next to it): a single 1x run of a whole-sim benchmark swings
+# ±20% with allocator/GC state, and the ci.sh regression gate already
+# compares against the best of 3.
 go test -run '^$' -bench 'BenchmarkMflowMemPerFlow' -benchtime 1x -count=3 \
   ./internal/experiments/ | tee -a "$MICRO_LOG"
 go test -run '^$' -bench 'BenchmarkFlowmapLookup|BenchmarkFlowmapChurn' -benchmem \

@@ -76,7 +76,8 @@ go test -run '^$' -bench '.' -benchtime=1x \
 echo "== bench regression gate (>15% vs BENCH_core.json fails) =="
 # Guard the dataplane's headline numbers: the event-loop, loaded
 # timer-churn and flow fast-path microbenchmarks may not regress more
-# than 15% over the recorded ns/op, and mflow events/s plus TCP bulk
+# than 15% over the recorded ns/op, and mflow events/s (the real stack
+# behind scripted endpoints, 32,768 flows) plus TCP bulk
 # MB/s (64 KiB writes, whose array the buffer pool recycles, and 256 KiB
 # writes, whose array the connection has to keep) must stay within 15%
 # of the recorded rates, and an idle TCP
