@@ -6,12 +6,12 @@
 //	go test -bench=. -benchmem
 //
 // and compare against EXPERIMENTS.md. Micro-benchmarks for the hot paths
-// (rule scan, record codec, consistent hashing, real-TCP memcached)
-// follow at the bottom.
+// (rule scan, record codec, consistent hashing) follow at the bottom.
 package yoda_test
 
 import (
 	"fmt"
+	"strconv"
 	"testing"
 	"time"
 
@@ -19,7 +19,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/httpsim"
-	"repro/internal/memcache"
 	"repro/internal/netsim"
 	"repro/internal/rules"
 	"repro/internal/tcpstore"
@@ -252,35 +251,12 @@ func BenchmarkConsistentHashPick(b *testing.B) {
 		servers[i] = netsim.HostPort{IP: netsim.IPv4(10, 0, 3, byte(i+1)), Port: 11211}
 	}
 	ring := tcpstore.NewRing(servers)
+	var picks []netsim.HostPort
+	key := []byte("flow:")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ring.Pick(fmt.Sprintf("flow:%d", i), 2)
-	}
-}
-
-// BenchmarkMemcachedRealTCP measures set+get round trips against the
-// real-socket memcached server on loopback (the non-simulated transport).
-func BenchmarkMemcachedRealTCP(b *testing.B) {
-	srv, err := memcache.ListenAndServe("127.0.0.1:0", memcache.NewEngine(0, nil))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	cl, err := memcache.DialNet(srv.Addr(), time.Second)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cl.Close()
-	value := make([]byte, 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		key := fmt.Sprintf("k%d", i%1000)
-		if err := cl.Set(key, value, 0, 0); err != nil {
-			b.Fatal(err)
-		}
-		if _, ok, err := cl.Get(key); err != nil || !ok {
-			b.Fatalf("get: %v %v", ok, err)
-		}
+		key = strconv.AppendInt(key[:5], int64(i), 10)
+		picks = ring.PickInto(picks[:0], key, 2)
 	}
 }
 

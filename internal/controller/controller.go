@@ -68,7 +68,7 @@ type Controller struct {
 	// held at detection time, so a later revival can re-admit it.
 	deadInstances  map[netsim.IP][]netsim.IP
 	lastStoreCount int
-	timers         []netsim.Timer
+	timers         [nLoops]netsim.Timer // each loop's one pending tick
 	running        bool
 
 	// exec is the live reconfiguration engine; upgrader drives rolling
@@ -313,16 +313,24 @@ func (ct *Controller) liveInstances() []*core.Instance {
 	return out
 }
 
+// The controller's periodic loops, as indices into Controller.timers.
+const (
+	loopMonitor = iota
+	loopStats
+	loopScaling
+	nLoops
+)
+
 // Start launches the monitor, stats and scaling loops.
 func (ct *Controller) Start() {
 	if ct.running {
 		return
 	}
 	ct.running = true
-	ct.scheduleMonitor()
-	ct.scheduleStats()
+	ct.every(loopMonitor, ct.cfg.PingInterval, ct.monitorTick)
+	ct.every(loopStats, ct.cfg.StatsInterval, ct.statsTick)
 	if ct.cfg.ScaleInterval > 0 {
-		ct.scheduleScaling()
+		ct.every(loopScaling, ct.cfg.ScaleInterval, ct.scaleTick)
 	}
 }
 
@@ -332,18 +340,19 @@ func (ct *Controller) Stop() {
 	for _, t := range ct.timers {
 		t.Stop()
 	}
-	ct.timers = nil
 }
 
-func (ct *Controller) scheduleMonitor() {
+// every runs tick each interval until Stop, keeping only the handle of
+// the tick that is pending: what the controller holds must not grow with
+// virtual time.
+func (ct *Controller) every(loop int, interval time.Duration, tick func()) {
 	if !ct.running {
 		return
 	}
-	t := ct.C.Net.Schedule(ct.cfg.PingInterval, func() {
-		ct.monitorTick()
-		ct.scheduleMonitor()
+	ct.timers[loop] = ct.C.Net.Schedule(interval, func() {
+		tick()
+		ct.every(loop, interval, tick)
 	})
-	ct.timers = append(ct.timers, t)
 }
 
 // monitorTick pings every component and repairs mappings for the dead.
@@ -450,31 +459,14 @@ func removeIP(ips []netsim.IP, dead netsim.IP) []netsim.IP {
 	return out
 }
 
-func (ct *Controller) scheduleStats() {
-	if !ct.running {
-		return
-	}
-	t := ct.C.Net.Schedule(ct.cfg.StatsInterval, func() {
-		for _, in := range ct.liveInstances() {
-			for vip, st := range in.ReadStats() {
-				ct.Traffic[vip] += st.NewFlows
-				ct.SNATExhausted += st.SNATExhausted
-			}
+// statsTick reads every live instance's per-VIP counters.
+func (ct *Controller) statsTick() {
+	for _, in := range ct.liveInstances() {
+		for vip, st := range in.ReadStats() {
+			ct.Traffic[vip] += st.NewFlows
+			ct.SNATExhausted += st.SNATExhausted
 		}
-		ct.scheduleStats()
-	})
-	ct.timers = append(ct.timers, t)
-}
-
-func (ct *Controller) scheduleScaling() {
-	if !ct.running {
-		return
 	}
-	t := ct.C.Net.Schedule(ct.cfg.ScaleInterval, func() {
-		ct.scaleTick()
-		ct.scheduleScaling()
-	})
-	ct.timers = append(ct.timers, t)
 }
 
 // scaleTick implements the §7.3 behaviour: when average instance CPU over

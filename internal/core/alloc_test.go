@@ -1,9 +1,14 @@
 package core
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 
+	"repro/internal/memcache"
 	"repro/internal/netsim"
+	"repro/internal/tcp"
+	"repro/internal/tcpstore"
 )
 
 // Alloc budgets for the storage write path. These lock in the tentpole:
@@ -23,8 +28,8 @@ func TestAppendFlowKeyAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("AppendFlowKey allocates %.1f objects/op, want 0", allocs)
 	}
-	if got := string(buf); got != FlowKey(tuple) {
-		t.Fatalf("AppendFlowKey = %q, want %q", got, FlowKey(tuple))
+	if got, want := string(buf), "yoda:f:c0a80001:9c40:0a0000fe:0050"; got != want {
+		t.Fatalf("AppendFlowKey = %q, want %q", got, want)
 	}
 }
 
@@ -60,7 +65,7 @@ func TestAppendMarshalAllocFree(t *testing.T) {
 func barrierWriteAllocs(t *testing.T, phase FlowPhase, bothTuples bool) float64 {
 	t.Helper()
 	n := netsim.New(42)
-	in, f := benchStorageSetup(n)
+	in, f := benchStorageSetup(n, 3)
 	done := false
 	commit := func() { done = true }
 	write := func() {
@@ -93,4 +98,43 @@ func TestBarrierWriteStorageBAllocFree(t *testing.T) {
 	if allocs := barrierWriteAllocs(t, PhaseTunnel, true); allocs != 0 {
 		t.Fatalf("storage-b barrier write allocates %.1f objects/op, want 0", allocs)
 	}
+}
+
+// TestBarrierBatchFitsOneMSS: the server charges an mset by the records of
+// the Feed that completes it (Session.Ops), which equals what the figures
+// were calibrated on only while every batch arrives in one segment. The
+// largest batch the barrier writes — storage-b for both tuples, TLS
+// trailer, keep-alive switch, a 255-byte backend name, both records on one
+// server — must therefore leave the store client as a single segment.
+func TestBarrierBatchFitsOneMSS(t *testing.T) {
+	n := netsim.New(7)
+	in, f := benchStorageSetup(n, 1) // both tuples' records go to the one server
+	f.keepAlive = true
+	f.backendName = strings.Repeat("b", 255)
+	f.tls = &flowTLS{serverHelloLen: 65535}
+
+	var segments [][]byte
+	n.SetTracer(func(ev netsim.TraceEvent) {
+		if p := ev.Packet; p.Dst.Port == memcache.DefaultPort && len(p.Payload) > 0 {
+			segments = append(segments, append([]byte(nil), p.Payload...))
+		}
+	})
+	committed := false
+	in.writeBarrier(f, in.barrierEntries(f, PhaseTunnel, true), func() { committed = true }, nil)
+	n.RunUntilIdle(1 << 16)
+
+	if !committed || in.Barrier.Commits != 1 {
+		t.Fatalf("committed=%v barrier=%+v, want one clean commit", committed, in.Barrier)
+	}
+	mss := tcp.DefaultConfig().MSS
+	if got := tcpstore.DefaultConfig().TCP.MSS; got != mss {
+		t.Fatalf("store client MSS %d, default %d", got, mss)
+	}
+	if len(segments) != 1 {
+		t.Fatalf("the batch left the store client as %d segments, want 1", len(segments))
+	}
+	if seg := segments[0]; !bytes.HasPrefix(seg, []byte("mset 2\r\n")) || len(seg) > mss {
+		t.Fatalf("the segment is %d bytes starting %.8q, want one mset 2 of at most %d", len(seg), seg, mss)
+	}
+	t.Logf("largest barrier batch: %d of %d bytes", len(segments[0]), mss)
 }

@@ -103,9 +103,9 @@ func TestFlowFastPathAllocFree(t *testing.T) {
 // can drive the full storage write path: record marshal, flow keys, batch
 // grouping, protocol encode, simulated TCP delivery, server-side parse and
 // engine insert, reply, and barrier resolution.
-func benchStorageSetup(n *netsim.Network) (*Instance, *flow) {
+func benchStorageSetup(n *netsim.Network, nServers int) (*Instance, *flow) {
 	var servers []netsim.HostPort
-	for i := 0; i < 3; i++ {
+	for i := 0; i < nServers; i++ {
 		h := netsim.NewHost(n, netsim.IPv4(10, 0, 3, byte(i+1)))
 		memcache.NewSimServer(h, memcache.DefaultPort, memcache.DefaultSimServerConfig())
 		servers = append(servers, netsim.HostPort{IP: h.IP(), Port: memcache.DefaultPort})
@@ -138,7 +138,7 @@ func benchStorageSetup(n *netsim.Network) (*Instance, *flow) {
 // least twice.
 func BenchmarkStorageWritePath(b *testing.B) {
 	n := netsim.New(42)
-	in, f := benchStorageSetup(n)
+	in, f := benchStorageSetup(n, 3)
 	done := false
 	commit := func() { done = true }
 	b.ReportAllocs()
@@ -154,7 +154,7 @@ func BenchmarkStorageWritePath(b *testing.B) {
 
 // TestOneLingerTimerPerClose: every packet after the second FIN — the
 // close's final ACK always is one — reaches maybeFinish; only the first
-// may arm the FinLinger timer, and the flow still goes FinLinger after
+// may arm the finLinger timer, and the flow still goes finLinger after
 // that first one.
 func TestOneLingerTimerPerClose(t *testing.T) {
 	n := netsim.New(7)
@@ -176,13 +176,13 @@ func TestOneLingerTimerPerClose(t *testing.T) {
 	if n.Pending() != 1 {
 		t.Fatalf("%d timers pending after the close, want the one linger timer", n.Pending())
 	}
-	n.Run(closed + in.cfg.FinLinger - 1)
+	n.Run(closed + finLinger - 1)
 	if in.FlowsClosed != 0 {
-		t.Fatal("flow torn down before FinLinger had passed")
+		t.Fatal("flow torn down before finLinger had passed")
 	}
-	n.Run(closed + in.cfg.FinLinger)
+	n.Run(closed + finLinger)
 	if in.FlowsClosed != 1 || n.Pending() != 0 {
-		t.Fatalf("FinLinger after the second FIN: %d flows closed, %d events pending; want 1 and 0", in.FlowsClosed, n.Pending())
+		t.Fatalf("finLinger after the second FIN: %d flows closed, %d events pending; want 1 and 0", in.FlowsClosed, n.Pending())
 	}
 }
 

@@ -540,6 +540,10 @@ func (in *Instance) tunnelFromServer(f *flow, pkt *netsim.Packet) {
 	in.maybeFinish(f)
 }
 
+// finLinger is how long a fully-closed flow's state lingers before
+// cleanup (covers retransmitted FINs).
+const finLinger = time.Second
+
 // maybeFinish schedules state cleanup once both directions have closed.
 // Every packet after the second FIN lands here (the close's last ACK
 // always does); only the first starts the linger.
@@ -547,7 +551,7 @@ func (in *Instance) maybeFinish(f *flow) {
 	if !f.clientFin || !f.serverFin || f.lingerTimer.Active() {
 		return
 	}
-	f.lingerTimer = in.net.Schedule(in.cfg.FinLinger, func() {
+	f.lingerTimer = in.net.Schedule(finLinger, func() {
 		if in.flows.get(f.clientTuple()) == f {
 			in.teardown(f, true)
 		}
@@ -636,6 +640,14 @@ type pendingQueue struct {
 	expire netsim.Timer
 }
 
+// The pending-queue bounds. Overflow and expiry drops count as
+// LookupMisses — the sender's retransmission retries.
+const (
+	maxPendingPerTuple = 16
+	maxPendingTotal    = 1024
+	pendingExpiry      = 2 * time.Second
+)
+
 // dropPending discards a recovery queue, accounting every queued packet
 // as a lookup miss.
 func (in *Instance) dropPending(tuple netsim.FourTuple, q *pendingQueue) {
@@ -649,7 +661,7 @@ func (in *Instance) dropPending(tuple netsim.FourTuple, q *pendingQueue) {
 // instance owned it. Packets queue while TCPStore is consulted.
 func (in *Instance) recoverFlow(tuple netsim.FourTuple, pkt *netsim.Packet) {
 	if q, ok := in.pending[tuple]; ok {
-		if len(q.pkts) >= in.cfg.PendingPerTuple || in.pendingTotal >= in.cfg.PendingTotal {
+		if len(q.pkts) >= maxPendingPerTuple || in.pendingTotal >= maxPendingTotal {
 			in.LookupMisses++ // dropped: the sender's retransmit retries
 			return
 		}
@@ -657,20 +669,18 @@ func (in *Instance) recoverFlow(tuple netsim.FourTuple, pkt *netsim.Packet) {
 		in.pendingTotal++
 		return
 	}
-	if in.pendingTotal >= in.cfg.PendingTotal {
+	if in.pendingTotal >= maxPendingTotal {
 		in.LookupMisses++
 		return
 	}
 	q := &pendingQueue{pkts: []*netsim.Packet{pkt.Clone()}}
 	in.pending[tuple] = q
 	in.pendingTotal++
-	if in.cfg.PendingExpiry > 0 {
-		q.expire = in.net.Schedule(in.cfg.PendingExpiry, func() {
-			if in.pending[tuple] == q {
-				in.dropPending(tuple, q)
-			}
-		})
-	}
+	q.expire = in.net.Schedule(pendingExpiry, func() {
+		if in.pending[tuple] == q {
+			in.dropPending(tuple, q)
+		}
+	})
 	// Hybrid mode classifies the orphan (backend knock, dead-owner
 	// derivation, residue) before deciding whether and how to consult the
 	// store; the paper-faithful mode always reads and RSTs a miss.

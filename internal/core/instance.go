@@ -38,21 +38,11 @@ type Config struct {
 	// FlowIdleTimeout garbage-collects flows that stopped moving packets
 	// (broken clients, lost FINs).
 	FlowIdleTimeout time.Duration
-	// FinLinger is how long a fully-closed flow's state lingers before
-	// cleanup (covers retransmitted FINs).
-	FinLinger time.Duration
 	// StrictPersist makes the write barrier take its failure path when a
 	// record reached zero replicas, instead of the default
 	// degrade-and-proceed (see barrier.go). Off by default: the paper
 	// favours availability over recoverability when the store is down.
 	StrictPersist bool
-	// PendingPerTuple / PendingTotal bound the recovery queues holding
-	// packets while a TCPStore lookup is in flight; PendingExpiry drops a
-	// queue whose lookup never resolves. Overflow and expiry drops count
-	// as LookupMisses — the sender's retransmission retries.
-	PendingPerTuple int
-	PendingTotal    int
-	PendingExpiry   time.Duration
 	// RelayMSS caps the segments forwardClientBytes crafts when splicing
 	// buffered client bytes toward the backend. Zero means 1460 (one
 	// MSS, the historical behavior). Tier B scale runs raise it to a
@@ -79,10 +69,6 @@ func DefaultConfig() Config {
 		SNATBase:        20000,
 		SNATCount:       2000,
 		FlowIdleTimeout: 2 * time.Minute,
-		FinLinger:       time.Second,
-		PendingPerTuple: 16,
-		PendingTotal:    1024,
-		PendingExpiry:   2 * time.Second,
 	}
 }
 

@@ -206,27 +206,20 @@ func readHostPort(b []byte) (netsim.HostPort, []byte, bool) {
 	return hp, b[6:], true
 }
 
-// FlowKey is the TCPStore key for a flow as seen from one direction. Both
-// the client tuple (client→VIP) and the SNAT return tuple (server→VIP)
-// map to the same record so that a recovering instance can look the flow
-// up from whichever side retransmits first.
-// The string form is retained for tests and diagnostics; the dataplane
-// uses AppendFlowKey to build the same bytes into reused scratch.
-func FlowKey(t netsim.FourTuple) string {
-	return string(AppendFlowKey(nil, t))
-}
-
 const hexDigits = "0123456789abcdef"
 
 // FlowKeyLen is the fixed encoded length of a flow key:
 // "yoda:f:" + 8 + ':' + 4 + ':' + 8 + ':' + 4.
 const FlowKeyLen = 7 + 8 + 1 + 4 + 1 + 8 + 1 + 4
 
-// AppendFlowKey appends the TCPStore key for t to dst and returns the
-// extended slice. The bytes are identical to FlowKey's
+// AppendFlowKey appends the TCPStore key for a flow as seen from one
+// direction to dst and returns the extended slice. Both the client tuple
+// (client→VIP) and the SNAT return tuple (server→VIP) map to the same
+// record so that a recovering instance can look the flow up from
+// whichever side retransmits first. The bytes are the
 // "yoda:f:%08x:%04x:%08x:%04x" rendering — the on-the-wire key format is
 // pinned by recovery (a record written by one instance must be found by
-// another) — but build without fmt's reflection or allocation.
+// another) — built without fmt's reflection or allocation.
 func AppendFlowKey(dst []byte, t netsim.FourTuple) []byte {
 	dst = append(dst, "yoda:f:"...)
 	dst = appendHex32(dst, uint32(t.Src.IP))

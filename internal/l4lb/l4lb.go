@@ -311,7 +311,7 @@ func (lb *LB) handleVIPPacket(vip netsim.IP, pkt *netsim.Packet) {
 			lb.net.ReleasePacket(pkt)
 			return
 		}
-		inst = rendezvousPick(tuple, insts)
+		inst = Rendezvous(tuple, insts)
 		m.affinity.Insert(tuple, lb.pairVal(vip, inst))
 	}
 	lb.forward(pkt, vip, inst)
@@ -346,7 +346,7 @@ func (lb *LB) handleVIPBatch(vip netsim.IP, pkts []*netsim.Packet) {
 				}
 				continue
 			}
-			inst = rendezvousPick(tuple, insts)
+			inst = Rendezvous(tuple, insts)
 			m.affinity.Insert(tuple, lb.pairVal(vip, inst))
 		}
 		for ; i < j; i++ {
@@ -391,7 +391,7 @@ func (lb *LB) ClearSNAT(serverSide netsim.FourTuple) {
 }
 
 func (lb *LB) muxFor(ft netsim.FourTuple) *mux {
-	return lb.muxes[tupleHash(ft, 0)%uint64(len(lb.muxes))]
+	return lb.muxes[TupleHash(ft, 0)%uint64(len(lb.muxes))]
 }
 
 // ReadTraffic returns and resets the per-VIP packet counters. The
@@ -432,12 +432,12 @@ const (
 	fnvPrime64Pow8 uint64 = 0x1efac7090aef4a21
 )
 
-// tupleHash hashes a tuple with a salt, via FNV-1a (bit-identical to
+// TupleHash hashes a tuple with a salt, via FNV-1a (bit-identical to
 // fnv.New64a over the same 20-byte big-endian encoding: src IP, dst IP,
 // src port, dst port, salt). The fold is split into a tuple prefix and a
-// per-salt finish so rendezvousPick can hash the 12 tuple bytes once and
+// per-salt finish so Rendezvous can hash the 12 tuple bytes once and
 // finish per candidate, and muxFor can take the zero-salt shortcut.
-func tupleHash(ft netsim.FourTuple, salt uint64) uint64 {
+func TupleHash(ft netsim.FourTuple, salt uint64) uint64 {
 	return tupleHashFinish(tupleHashPrefix(ft), salt)
 }
 
@@ -492,9 +492,11 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// rendezvousPick selects an instance by highest-random-weight hashing, so
-// removing one instance only remaps the flows that were on it.
-func rendezvousPick(ft netsim.FourTuple, insts []netsim.IP) netsim.IP {
+// Rendezvous selects an instance by highest-random-weight hashing, so
+// removing one instance only remaps the flows that were on it. The
+// stateless derivation table calls this same function to predict where
+// the mux sends a tuple.
+func Rendezvous(ft netsim.FourTuple, insts []netsim.IP) netsim.IP {
 	var best netsim.IP
 	var bestW uint64
 	prefix := tupleHashPrefix(ft)

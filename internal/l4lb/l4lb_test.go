@@ -347,9 +347,9 @@ func TestRendezvousPickProperties(t *testing.T) {
 			Src: netsim.HostPort{IP: netsim.IP(srcIP), Port: srcPort},
 			Dst: netsim.HostPort{IP: vip, Port: 80},
 		}
-		pick := rendezvousPick(ft, insts)
+		pick := Rendezvous(ft, insts)
 		// Deterministic.
-		if rendezvousPick(ft, insts) != pick {
+		if Rendezvous(ft, insts) != pick {
 			return false
 		}
 		// Monotone: removing a non-chosen instance must not change the pick.
@@ -360,7 +360,7 @@ func TestRendezvousPickProperties(t *testing.T) {
 			}
 		}
 		sub := append([]netsim.IP{pick}, reduced[:1]...)
-		return rendezvousPick(ft, sub) == pick
+		return Rendezvous(ft, sub) == pick
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -375,7 +375,7 @@ func TestRendezvousBalance(t *testing.T) {
 			Src: netsim.HostPort{IP: client, Port: p},
 			Dst: netsim.HostPort{IP: vip, Port: 80},
 		}
-		counts[rendezvousPick(ft, insts)]++
+		counts[Rendezvous(ft, insts)]++
 	}
 	for ip, c := range counts {
 		frac := float64(c) / 3000

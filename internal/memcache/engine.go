@@ -1,19 +1,15 @@
-// Package memcache implements a memcached-compatible in-memory key-value
-// store: the storage engine with LRU eviction, the classic text protocol
-// (get/gets/set/add/replace/cas/delete/touch/flush_all/stats/version),
-// and two transports — a real TCP server/client on net, and an adapter
-// that runs the same engine inside the netsim event loop so TCPStore can
-// be exercised in the simulated testbed.
+// Package memcache implements the memcached TCPStore runs on: an
+// in-memory key-value engine with LRU eviction, the four verbs of the
+// classic text protocol the store client sends (get, set, delete and the
+// batched mset extension), and the adapter that serves them inside the
+// netsim event loop.
 //
 // Yoda's TCPStore (§4.3, §6) runs unmodified Memcached servers and does
 // replication purely in the client library; this package is that
 // "unmodified Memcached".
 package memcache
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // Item is one stored value as surfaced by the public engine API. The
 // engine's internal representation is the intrusive node; Item copies
@@ -23,11 +19,9 @@ type Item struct {
 	Value   []byte
 	Flags   uint32
 	Expires time.Duration // absolute virtual/real time; 0 = never
-	casID   uint64
 }
 
-// Stats reports engine counters, mirroring the memcached "stats" command
-// fields this reproduction consumes.
+// Stats reports engine counters.
 type Stats struct {
 	CurrItems   int
 	BytesUsed   int
@@ -36,7 +30,6 @@ type Stats struct {
 	Sets        uint64
 	Deletes     uint64
 	Evictions   uint64
-	CasBadval   uint64
 	Expirations uint64
 }
 
@@ -49,7 +42,6 @@ type node struct {
 	value   []byte
 	flags   uint32
 	expires time.Duration
-	casID   uint64
 
 	prev, next *node
 }
@@ -63,26 +55,27 @@ const (
 )
 
 // Engine is the storage engine: a hash map with LRU eviction under a
-// memory cap. Safe for concurrent use (the real-TCP transport serves
-// connections from multiple goroutines).
+// memory cap. It is not safe for concurrent use; every caller runs on
+// the one netsim event loop.
+//
+// Each operation is written once, on the *node a map lookup returned
+// (hit, store, remove); the string-keyed Get/Set/Delete and the
+// byte-keyed forms the protocol session calls differ only in that lookup.
 type Engine struct {
-	mu       sync.Mutex
 	items    map[string]*node
 	head     *node // most recently used
 	tail     *node // least recently used
 	free     *node // recycled nodes, chained via next
 	nFree    int
-	scratch  []byte // prepend assembly buffer, engine-owned
 	maxBytes int
 	used     int
 	now      func() time.Duration
-	nextCas  uint64
 	stats    Stats
 }
 
 // NewEngine creates an engine with the given memory cap in bytes (<=0
-// means unlimited) and clock. For the real server pass a wall-clock
-// function; inside netsim pass the network's Now.
+// means unlimited) and clock: inside netsim pass the network's Now; nil
+// means wall time since creation.
 func NewEngine(maxBytes int, now func() time.Duration) *Engine {
 	if now == nil {
 		start := time.Now()
@@ -97,10 +90,8 @@ func NewEngine(maxBytes int, now func() time.Duration) *Engine {
 
 func nodeSize(n *node) int { return len(n.key) + len(n.value) + 64 }
 
-// nodeExpired reports whether n is past its expiry at time now.
-func nodeExpired(n *node, now time.Duration) bool {
-	return n.expires > 0 && now >= n.expires
-}
+// expired reports whether n is past its expiry.
+func (e *Engine) expired(n *node) bool { return n.expires > 0 && e.now() >= n.expires }
 
 // --- intrusive LRU list ---
 
@@ -168,526 +159,114 @@ func (e *Engine) freeNode(n *node) {
 	e.nFree++
 }
 
-// --- byte-key lookups (zero-copy: no string conversion allocates) ---
+// --- the operations, each on the node a map lookup returned (nil = absent) ---
 
-// lookup returns the live node for key, removing it if expired.
-// missStats controls whether an absent/expired key counts as a get miss.
-func (e *Engine) lookup(key []byte, missStats bool) *node {
-	n, ok := e.items[string(key)]
-	return e.checkNode(n, ok, missStats)
-}
-
-// lookupStr is the string-key twin of lookup.
-func (e *Engine) lookupStr(key string, missStats bool) *node {
-	n, ok := e.items[key]
-	return e.checkNode(n, ok, missStats)
-}
-
-func (e *Engine) checkNode(n *node, ok, missStats bool) *node {
-	if !ok {
-		if missStats {
-			e.stats.GetMisses++
-		}
-		return nil
-	}
-	if nodeExpired(n, e.now()) {
-		e.removeLocked(n)
+// hit is a get: it counts the hit or miss, drops an expired node, bumps a
+// live one to the front of the LRU list and returns it (nil on a miss).
+func (e *Engine) hit(n *node) *node {
+	if n != nil && e.expired(n) {
+		e.drop(n)
 		e.stats.Expirations++
-		if missStats {
-			e.stats.GetMisses++
-		}
+		n = nil
+	}
+	if n == nil {
+		e.stats.GetMisses++
 		return nil
 	}
+	e.moveToFront(n)
+	e.stats.GetHits++
 	return n
 }
 
-// storeLocked writes value/flags/expires into n (reusing its buffer) and
-// performs the set bookkeeping shared by every storage mutation.
-func (e *Engine) storeLocked(n *node, value []byte, flags uint32, expires time.Duration) {
-	e.used -= nodeSize(n)
-	n.value = append(n.value[:0], value...)
-	n.flags = flags
-	n.expires = expires
-	e.nextCas++
-	n.casID = e.nextCas
-	e.used += nodeSize(n)
-	e.moveToFront(n)
-	e.evictLocked()
-}
-
-// insertLocked adds a fresh node under key. The string conversion here is
-// the single engine-insert copy boundary for keys.
-func (e *Engine) insertLocked(key []byte, value []byte, flags uint32, expires time.Duration) {
+// insert adds an empty node under key; store fills it.
+func (e *Engine) insert(key string) *node {
 	n := e.newNode()
-	n.key = string(key)
-	n.value = append(n.value[:0], value...)
-	n.flags = flags
-	n.expires = expires
-	e.nextCas++
-	n.casID = e.nextCas
-	e.items[n.key] = n
+	n.key = key
+	e.items[key] = n
 	e.pushFront(n)
 	e.used += nodeSize(n)
-	e.evictLocked()
+	return n
 }
 
-// setBytes is Set for byte keys/values sliced out of a protocol buffer;
-// the engine copies both at this boundary.
-func (e *Engine) setBytes(key, value []byte, flags uint32, expires time.Duration) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.setBytesLocked(key, value, flags, expires)
-	e.stats.Sets++
-}
-
-func (e *Engine) setBytesLocked(key, value []byte, flags uint32, expires time.Duration) {
-	if n, ok := e.items[string(key)]; ok {
-		e.storeLocked(n, value, flags, expires)
-		return
-	}
-	e.insertLocked(key, value, flags, expires)
-}
-
-// addBytes stores only if the key is absent (or expired).
-func (e *Engine) addBytes(key, value []byte, flags uint32, expires time.Duration) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if n, ok := e.items[string(key)]; ok && !nodeExpired(n, e.now()) {
-		return false
-	}
-	e.setBytesLocked(key, value, flags, expires)
-	e.stats.Sets++
-	return true
-}
-
-// replaceBytes stores only if the key is present.
-func (e *Engine) replaceBytes(key, value []byte, flags uint32, expires time.Duration) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if n, ok := e.items[string(key)]; !ok || nodeExpired(n, e.now()) {
-		return false
-	}
-	e.setBytesLocked(key, value, flags, expires)
-	e.stats.Sets++
-	return true
-}
-
-// casBytes stores if the held casID matches.
-func (e *Engine) casBytes(key, value []byte, flags uint32, expires time.Duration, casID uint64) CASResult {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	n, ok := e.items[string(key)]
-	if !ok || nodeExpired(n, e.now()) {
-		return CASNotFound
-	}
-	if n.casID != casID {
-		e.stats.CasBadval++
-		return CASExists
-	}
-	e.setBytesLocked(key, value, flags, expires)
-	e.stats.Sets++
-	return CASStored
-}
-
-// concatBytes appends (front=false) or prepends (front=true) value onto
-// an existing item in place.
-func (e *Engine) concatBytes(key, value []byte, front bool) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	n, ok := e.items[string(key)]
-	if !ok || nodeExpired(n, e.now()) {
-		return false
-	}
+// store is a set: it copies value into n (reusing n's buffer), makes n the
+// most recently used and evicts from the cold end down to the byte cap.
+func (e *Engine) store(n *node, value []byte, flags uint32, expires time.Duration) {
 	e.used -= nodeSize(n)
-	if front {
-		e.scratch = append(e.scratch[:0], value...)
-		e.scratch = append(e.scratch, n.value...)
-		n.value = append(n.value[:0], e.scratch...)
-	} else {
-		n.value = append(n.value, value...)
-	}
-	e.nextCas++
-	n.casID = e.nextCas
-	e.used += nodeSize(n)
-	e.moveToFront(n)
-	e.evictLocked()
-	e.stats.Sets++
-	return true
-}
-
-// incrDecrBytes adjusts a numeric value in place; see IncrDecr.
-func (e *Engine) incrDecrBytes(key []byte, delta int64) (uint64, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	n, ok := e.items[string(key)]
-	if !ok || nodeExpired(n, e.now()) {
-		return 0, false
-	}
-	cur, bad := parseUint(n.value)
-	if bad {
-		return 0, false
-	}
-	var next uint64
-	if delta >= 0 {
-		next = cur + uint64(delta)
-	} else {
-		dec := uint64(-delta)
-		if dec > cur {
-			next = 0 // memcached clamps decrement at zero
-		} else {
-			next = cur - dec
-		}
-	}
-	e.used -= nodeSize(n)
-	n.value = appendUint(n.value[:0], next)
-	e.nextCas++
-	n.casID = e.nextCas
-	e.used += nodeSize(n)
-	e.moveToFront(n)
-	e.evictLocked()
-	e.stats.Sets++
-	return next, true
-}
-
-// presentBytes mirrors Get's side effects (miss/expiry accounting, LRU
-// bump) without copying the value; the protocol session uses it where
-// the reference implementation issued a Get only to probe existence.
-func (e *Engine) presentBytes(key []byte) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	n := e.lookup(key, true)
-	if n == nil {
-		return false
-	}
-	e.moveToFront(n)
-	e.stats.GetHits++
-	return true
-}
-
-// appendGetResponse performs a get for the protocol session: identical
-// side effects to Get/GetWithCAS (miss/expiry accounting, LRU bump, hit
-// counter), but instead of returning an Item copy it frames the
-//
-//	VALUE <key> <flags> <bytes> [<casid>]\r\n<data>\r\n
-//
-// block directly onto out. The stored value is copied into out under the
-// engine lock — this is the enforced copy boundary that keeps a
-// caller-held response from ever aliasing engine-owned bytes that a later
-// append/incr mutates in place. Misses append nothing.
-func (e *Engine) appendGetResponse(out []byte, key []byte, withCAS bool) []byte {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	n := e.lookup(key, true)
-	if n == nil {
-		return out
-	}
-	e.moveToFront(n)
-	e.stats.GetHits++
-	out = append(out, "VALUE "...)
-	out = append(out, n.key...)
-	out = append(out, ' ')
-	out = appendUint(out, uint64(n.flags))
-	out = append(out, ' ')
-	out = appendUint(out, uint64(len(n.value)))
-	if withCAS {
-		out = append(out, ' ')
-		out = appendUint(out, n.casID)
-	}
-	out = append(out, '\r', '\n')
-	out = append(out, n.value...)
-	out = append(out, '\r', '\n')
-	return out
-}
-
-// deleteBytes removes key, reporting whether it was present.
-func (e *Engine) deleteBytes(key []byte) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	n, ok := e.items[string(key)]
-	if !ok {
-		return false
-	}
-	if nodeExpired(n, e.now()) {
-		e.removeLocked(n)
-		e.stats.Expirations++
-		return false
-	}
-	e.removeLocked(n)
-	e.stats.Deletes++
-	return true
-}
-
-// touchBytes updates an item's expiry, reporting whether it was present.
-func (e *Engine) touchBytes(key []byte, expires time.Duration) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	n, ok := e.items[string(key)]
-	if !ok || nodeExpired(n, e.now()) {
-		return false
-	}
+	n.value = append(n.value[:0], value...)
+	n.flags = flags
 	n.expires = expires
+	e.used += nodeSize(n)
 	e.moveToFront(n)
-	return true
+	for e.maxBytes > 0 && e.used > e.maxBytes && e.tail != nil {
+		e.drop(e.tail)
+		e.stats.Evictions++
+	}
+	e.stats.Sets++
 }
 
-// --- public string-key API (copies on both sides of the boundary) ---
+// remove is a delete: it reports whether n was present and unexpired.
+func (e *Engine) remove(n *node) bool {
+	if n == nil {
+		return false
+	}
+	expired := e.expired(n)
+	e.drop(n)
+	if expired {
+		e.stats.Expirations++
+	} else {
+		e.stats.Deletes++
+	}
+	return !expired
+}
+
+// drop unlinks n from the map and the list and parks it for reuse.
+func (e *Engine) drop(n *node) {
+	e.used -= nodeSize(n)
+	delete(e.items, n.key)
+	e.unlink(n)
+	e.freeNode(n)
+}
+
+// --- entry points: string keys for callers, byte keys for the session ---
 
 // Get returns a copy of the item stored under key, or ok=false.
 func (e *Engine) Get(key string) (Item, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	n := e.lookupStr(key, true)
+	n := e.hit(e.items[key])
 	if n == nil {
 		return Item{}, false
 	}
-	e.moveToFront(n)
-	e.stats.GetHits++
-	return itemCopy(n), true
+	return Item{Key: n.key, Value: append([]byte(nil), n.value...), Flags: n.flags, Expires: n.expires}, true
 }
 
-// GetWithCAS returns the item and its CAS token.
-func (e *Engine) GetWithCAS(key string) (Item, uint64, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	n := e.lookupStr(key, true)
-	if n == nil {
-		return Item{}, 0, false
-	}
-	e.moveToFront(n)
-	e.stats.GetHits++
-	return itemCopy(n), n.casID, true
-}
-
-func itemCopy(n *node) Item {
-	return Item{
-		Key:     n.key,
-		Value:   append([]byte(nil), n.value...),
-		Flags:   n.flags,
-		Expires: n.expires,
-		casID:   n.casID,
-	}
-}
-
-// Set unconditionally stores value under key.
+// Set unconditionally stores the item.
 func (e *Engine) Set(it Item) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.setStrLocked(it)
-	e.stats.Sets++
-}
-
-// setStrLocked is setBytesLocked for an Item carrying a string key.
-func (e *Engine) setStrLocked(it Item) {
-	if n, ok := e.items[it.Key]; ok {
-		e.storeLocked(n, it.Value, it.Flags, it.Expires)
-		return
+	n := e.items[it.Key]
+	if n == nil {
+		n = e.insert(it.Key)
 	}
-	n := e.newNode()
-	n.key = it.Key
-	n.value = append(n.value[:0], it.Value...)
-	n.flags = it.Flags
-	n.expires = it.Expires
-	e.nextCas++
-	n.casID = e.nextCas
-	e.items[n.key] = n
-	e.pushFront(n)
-	e.used += nodeSize(n)
-	e.evictLocked()
-}
-
-// Add stores the item only if the key is absent (or expired). It reports
-// whether the item was stored.
-func (e *Engine) Add(it Item) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if n, ok := e.items[it.Key]; ok && !nodeExpired(n, e.now()) {
-		return false
-	}
-	e.setStrLocked(it)
-	e.stats.Sets++
-	return true
-}
-
-// Replace stores the item only if the key is present. It reports whether
-// the item was stored.
-func (e *Engine) Replace(it Item) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if n, ok := e.items[it.Key]; !ok || nodeExpired(n, e.now()) {
-		return false
-	}
-	e.setStrLocked(it)
-	e.stats.Sets++
-	return true
-}
-
-// CASResult is the outcome of a compare-and-swap.
-type CASResult int
-
-// CAS outcomes.
-const (
-	CASStored CASResult = iota
-	CASExists           // casID mismatch: someone stored since the gets
-	CASNotFound
-)
-
-// CAS stores the item if the stored casID matches.
-func (e *Engine) CAS(it Item, casID uint64) CASResult {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	n, ok := e.items[it.Key]
-	if !ok || nodeExpired(n, e.now()) {
-		return CASNotFound
-	}
-	if n.casID != casID {
-		e.stats.CasBadval++
-		return CASExists
-	}
-	e.setStrLocked(it)
-	e.stats.Sets++
-	return CASStored
+	e.store(n, it.Value, it.Flags, it.Expires)
 }
 
 // Delete removes key, reporting whether it was present.
-func (e *Engine) Delete(key string) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	n, ok := e.items[key]
-	if !ok {
-		return false
+func (e *Engine) Delete(key string) bool { return e.remove(e.items[key]) }
+
+// getBytes, setBytes and deleteBytes take keys and values sliced out of a
+// protocol buffer. A map index by string(key) does not allocate; the
+// conversion in setBytes' insert is the one copy a new key costs.
+func (e *Engine) getBytes(key []byte) *node { return e.hit(e.items[string(key)]) }
+
+func (e *Engine) setBytes(key, value []byte, flags uint32, expires time.Duration) {
+	n := e.items[string(key)]
+	if n == nil {
+		n = e.insert(string(key))
 	}
-	if nodeExpired(n, e.now()) {
-		e.removeLocked(n)
-		e.stats.Expirations++
-		return false
-	}
-	e.removeLocked(n)
-	e.stats.Deletes++
-	return true
+	e.store(n, value, flags, expires)
 }
 
-// Append concatenates value onto an existing item, reporting whether the
-// key was present.
-func (e *Engine) Append(key string, value []byte) bool {
-	return e.concatStr(key, value, false)
-}
-
-// Prepend prefixes value onto an existing item, reporting whether the key
-// was present.
-func (e *Engine) Prepend(key string, value []byte) bool {
-	return e.concatStr(key, value, true)
-}
-
-func (e *Engine) concatStr(key string, value []byte, front bool) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	n, ok := e.items[key]
-	if !ok || nodeExpired(n, e.now()) {
-		return false
-	}
-	e.used -= nodeSize(n)
-	if front {
-		e.scratch = append(e.scratch[:0], value...)
-		e.scratch = append(e.scratch, n.value...)
-		n.value = append(n.value[:0], e.scratch...)
-	} else {
-		n.value = append(n.value, value...)
-	}
-	e.nextCas++
-	n.casID = e.nextCas
-	e.used += nodeSize(n)
-	e.moveToFront(n)
-	e.evictLocked()
-	e.stats.Sets++
-	return true
-}
-
-// IncrDecr adjusts a numeric value by delta (negative for decr). As in
-// memcached, decrement clamps at zero and the operation fails if the key
-// is absent or the stored value is not an unsigned decimal number.
-func (e *Engine) IncrDecr(key string, delta int64) (uint64, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	n, ok := e.items[key]
-	if !ok || nodeExpired(n, e.now()) {
-		return 0, false
-	}
-	cur, bad := parseUint(n.value)
-	if bad {
-		return 0, false
-	}
-	var next uint64
-	if delta >= 0 {
-		next = cur + uint64(delta)
-	} else {
-		dec := uint64(-delta)
-		if dec > cur {
-			next = 0
-		} else {
-			next = cur - dec
-		}
-	}
-	e.used -= nodeSize(n)
-	n.value = appendUint(n.value[:0], next)
-	e.nextCas++
-	n.casID = e.nextCas
-	e.used += nodeSize(n)
-	e.moveToFront(n)
-	e.evictLocked()
-	e.stats.Sets++
-	return next, true
-}
-
-// parseUint interprets a stored value as an unsigned decimal number;
-// bad=true when it is not one (empty, too long, or non-digit bytes).
-func parseUint(b []byte) (uint64, bool) {
-	if len(b) == 0 || len(b) > 20 {
-		return 0, true
-	}
-	var v uint64
-	for _, c := range b {
-		if c < '0' || c > '9' {
-			return 0, true
-		}
-		v = v*10 + uint64(c-'0')
-	}
-	return v, false
-}
-
-func formatUint(v uint64) string { return string(appendUint(nil, v)) }
-
-// appendUint appends the decimal form of v to dst.
-func appendUint(dst []byte, v uint64) []byte {
-	if v == 0 {
-		return append(dst, '0')
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return append(dst, buf[i:]...)
-}
-
-// Touch updates an item's expiry, reporting whether it was present.
-func (e *Engine) Touch(key string, expires time.Duration) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	n, ok := e.items[key]
-	if !ok || nodeExpired(n, e.now()) {
-		return false
-	}
-	n.expires = expires
-	e.moveToFront(n)
-	return true
-}
+func (e *Engine) deleteBytes(key []byte) bool { return e.remove(e.items[string(key)]) }
 
 // FlushAll drops every item.
 func (e *Engine) FlushAll() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	e.items = make(map[string]*node)
 	e.head, e.tail = nil, nil
 	e.free, e.nFree = nil, 0
@@ -696,27 +275,8 @@ func (e *Engine) FlushAll() {
 
 // Stats returns a snapshot of the counters.
 func (e *Engine) Stats() Stats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	s := e.stats
 	s.CurrItems = len(e.items)
 	s.BytesUsed = e.used
 	return s
-}
-
-func (e *Engine) evictLocked() {
-	if e.maxBytes <= 0 {
-		return
-	}
-	for e.used > e.maxBytes && e.tail != nil {
-		e.removeLocked(e.tail)
-		e.stats.Evictions++
-	}
-}
-
-func (e *Engine) removeLocked(n *node) {
-	e.used -= nodeSize(n)
-	delete(e.items, n.key)
-	e.unlink(n)
-	e.freeNode(n)
 }

@@ -38,45 +38,6 @@ func TestEngineGetReturnsCopy(t *testing.T) {
 	}
 }
 
-func TestEngineAddReplace(t *testing.T) {
-	e := NewEngine(0, nil)
-	if !e.Add(Item{Key: "k", Value: []byte("1")}) {
-		t.Fatal("add to empty should store")
-	}
-	if e.Add(Item{Key: "k", Value: []byte("2")}) {
-		t.Fatal("add over existing should fail")
-	}
-	if !e.Replace(Item{Key: "k", Value: []byte("3")}) {
-		t.Fatal("replace existing should store")
-	}
-	if e.Replace(Item{Key: "absent", Value: []byte("4")}) {
-		t.Fatal("replace absent should fail")
-	}
-	it, _ := e.Get("k")
-	if string(it.Value) != "3" {
-		t.Fatalf("value = %q", it.Value)
-	}
-}
-
-func TestEngineCAS(t *testing.T) {
-	e := NewEngine(0, nil)
-	e.Set(Item{Key: "k", Value: []byte("1")})
-	_, cas, ok := e.GetWithCAS("k")
-	if !ok {
-		t.Fatal("gets miss")
-	}
-	if r := e.CAS(Item{Key: "k", Value: []byte("2")}, cas); r != CASStored {
-		t.Fatalf("cas = %v", r)
-	}
-	// Stale token now.
-	if r := e.CAS(Item{Key: "k", Value: []byte("3")}, cas); r != CASExists {
-		t.Fatalf("stale cas = %v", r)
-	}
-	if r := e.CAS(Item{Key: "absent", Value: []byte("x")}, 1); r != CASNotFound {
-		t.Fatalf("cas absent = %v", r)
-	}
-}
-
 func TestEngineExpiry(t *testing.T) {
 	var clock time.Duration
 	e := NewEngine(0, func() time.Duration { return clock })
@@ -91,22 +52,6 @@ func TestEngineExpiry(t *testing.T) {
 	st := e.Stats()
 	if st.Expirations != 1 {
 		t.Fatalf("expirations = %d", st.Expirations)
-	}
-}
-
-func TestEngineTouch(t *testing.T) {
-	var clock time.Duration
-	e := NewEngine(0, func() time.Duration { return clock })
-	e.Set(Item{Key: "k", Value: []byte("v"), Expires: 10 * time.Second})
-	if !e.Touch("k", 100*time.Second) {
-		t.Fatal("touch present")
-	}
-	clock = 50 * time.Second
-	if _, ok := e.Get("k"); !ok {
-		t.Fatal("touch did not extend expiry")
-	}
-	if e.Touch("absent", time.Second) {
-		t.Fatal("touch absent")
 	}
 }
 
@@ -239,37 +184,6 @@ func TestSessionDataWithCRLF(t *testing.T) {
 	}
 }
 
-func TestSessionCASFlow(t *testing.T) {
-	s := NewSession(NewEngine(0, nil))
-	feed(t, s, "set k 0 0 1\r\nA\r\n")
-	out := feed(t, s, "gets k\r\n")
-	// VALUE k 0 1 <cas>
-	var cas uint64
-	if _, err := fmt.Sscanf(out, "VALUE k 0 1 %d", &cas); err != nil {
-		t.Fatalf("gets: %q: %v", out, err)
-	}
-	out = feed(t, s, fmt.Sprintf("cas k 0 0 1 %d\r\nB\r\n", cas))
-	if out != "STORED\r\n" {
-		t.Fatalf("cas: %q", out)
-	}
-	out = feed(t, s, fmt.Sprintf("cas k 0 0 1 %d\r\nC\r\n", cas))
-	if out != "EXISTS\r\n" {
-		t.Fatalf("stale cas: %q", out)
-	}
-	out = feed(t, s, "cas absent 0 0 1 1\r\nX\r\n")
-	if out != "NOT_FOUND\r\n" {
-		t.Fatalf("cas absent: %q", out)
-	}
-}
-
-func TestSessionNoreply(t *testing.T) {
-	s := NewSession(NewEngine(0, nil))
-	out := feed(t, s, "set k 0 0 1 noreply\r\nA\r\nget k\r\n")
-	if out != "VALUE k 0 1\r\nA\r\nEND\r\n" {
-		t.Fatalf("noreply: %q", out)
-	}
-}
-
 func TestSessionErrors(t *testing.T) {
 	s := NewSession(NewEngine(0, nil))
 	if out := feed(t, s, "bogus\r\n"); out != "ERROR\r\n" {
@@ -283,24 +197,35 @@ func TestSessionErrors(t *testing.T) {
 	}
 }
 
-func TestSessionQuit(t *testing.T) {
-	s := NewSession(NewEngine(0, nil))
-	feed(t, s, "quit\r\n")
-	if !s.Closed() {
-		t.Fatal("quit should close session")
+// TestSessionRetiredVerbs: the 13 verbs the store client never sends are
+// unknown commands. Each draws one ERROR per line (a data block that
+// follows is just another line), touches nothing in the engine, and
+// leaves the stream in sync for the commands after it.
+func TestSessionRetiredVerbs(t *testing.T) {
+	pre, post, mids := retiredVerbTranscripts()
+	if len(retiredVerbLines) != 13 {
+		t.Fatalf("%d retired verbs listed, want 13", len(retiredVerbLines))
 	}
-}
-
-func TestSessionStatsAndVersion(t *testing.T) {
-	s := NewSession(NewEngine(0, nil))
-	feed(t, s, "set a 0 0 1\r\nA\r\n")
-	out := feed(t, s, "stats\r\n")
-	if !strings.Contains(out, "STAT curr_items 1") || !strings.HasSuffix(out, "END\r\n") {
-		t.Fatalf("stats: %q", out)
-	}
-	out = feed(t, s, "version\r\n")
-	if !strings.HasPrefix(out, "VERSION") {
-		t.Fatalf("version: %q", out)
+	for _, mid := range mids {
+		e := NewEngine(0, func() time.Duration { return 0 })
+		s := NewSession(e)
+		if out := feed(t, s, pre); out != "STORED\r\n" {
+			t.Fatalf("setup: %q", out)
+		}
+		before := e.Stats()
+		lines := strings.Count(mid, "\r\n")
+		if out := feed(t, s, mid); out != strings.Repeat("ERROR\r\n", lines) {
+			t.Errorf("%q: reply %q, want %d × ERROR", mid, out, lines)
+		}
+		if s.Ops() != lines {
+			t.Errorf("%q: %d ops, want one per line (%d)", mid, s.Ops(), lines)
+		}
+		if after := e.Stats(); after != before {
+			t.Errorf("%q changed the engine: %+v -> %+v", mid, before, after)
+		}
+		if out := feed(t, s, post); out != "STORED\r\nVALUE j 0 2\r\nok\r\nVALUE k 0 1\r\n5\r\nEND\r\n" {
+			t.Errorf("after %q the stream is out of sync: %q", mid, out)
+		}
 	}
 }
 
@@ -359,6 +284,24 @@ func TestReplyParserPipelined(t *testing.T) {
 	}
 	if p.PendingReplies() != 0 {
 		t.Fatalf("pending = %d", p.PendingReplies())
+	}
+}
+
+// TestReplyParserErrorDropsPartialItems: a get reply that goes wrong
+// after some VALUE blocks ends as one error, and the items it had
+// collected do not surface in the next get's reply.
+func TestReplyParserErrorDropsPartialItems(t *testing.T) {
+	for _, bad := range []string{"VALUE short\r\n", "VALUE b 0 x\r\n", "SERVER_ERROR\r\n"} {
+		p := &ReplyParser{}
+		p.Expect(true)
+		p.Expect(true)
+		rs := p.Feed([]byte("VALUE a 0 1\r\nA\r\n" + bad + "VALUE c 0 1\r\nC\r\nEND\r\n"))
+		if len(rs) != 2 || rs[0].Type != ReplyError || rs[1].Type != ReplyValues {
+			t.Fatalf("%q: replies %+v", bad, rs)
+		}
+		if len(rs[0].Items) != 0 || len(rs[1].Items) != 1 || rs[1].Items[0].Key != "c" {
+			t.Fatalf("%q: items leaked across replies: %+v", bad, rs)
+		}
 	}
 }
 

@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
-	"time"
 )
 
 // --- mset wire protocol ---
 
 func msetWire(items []Item, exptime int) []byte {
-	return appendMSetCmd(nil, items, exptime)
+	out := []byte(fmt.Sprintf("mset %d\r\n", len(items)))
+	for _, it := range items {
+		out = appendRecord(out, []byte(it.Key), it.Value, it.Flags, exptime)
+	}
+	return out
 }
 
 func TestMSetStoresAllRecords(t *testing.T) {
@@ -97,29 +100,5 @@ func TestReplyParserMStored(t *testing.T) {
 	}
 	if replies[1].Type != ReplyMStored || replies[1].N != 0 {
 		t.Fatalf("reply 1 = %+v", replies[1])
-	}
-}
-
-func TestNetClientSetMulti(t *testing.T) {
-	srv := startNetServer(t)
-	cl, err := DialNet(srv.Addr(), time.Second)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer cl.Close()
-	items := []Item{
-		{Key: "ma", Value: []byte("va")},
-		{Key: "mb", Value: []byte("vb")},
-		{Key: "mc", Value: []byte("vc")},
-	}
-	n, err := cl.SetMulti(items, 0)
-	if err != nil || n != 3 {
-		t.Fatalf("SetMulti = %d, %v", n, err)
-	}
-	for _, it := range items {
-		got, ok, gerr := cl.Get(it.Key)
-		if gerr != nil || !ok || !bytes.Equal(got.Value, it.Value) {
-			t.Fatalf("get %q: %v %v %+v", it.Key, ok, gerr, got)
-		}
 	}
 }

@@ -8,10 +8,10 @@ import (
 	"unicode/utf8"
 )
 
-// Session is a transport-agnostic protocol endpoint: feed it raw bytes
-// from one client connection and it produces response bytes against an
-// Engine. Both the real-TCP server and the netsim server wrap one Session
-// per connection.
+// Session is the protocol endpoint of one client connection: feed it the
+// bytes received and it produces response bytes against an Engine. It
+// answers the four verbs the store client sends — set, mset, get, delete —
+// and ERROR for any other command line.
 //
 // The parser is a zero-copy byte tokenizer: command lines are split into
 // fields that alias the session's input buffer (no string conversions, no
@@ -26,18 +26,13 @@ type Session struct {
 	// away between Feeds so the buffer does not grow with the stream.
 	in   []byte
 	head int
-	// Tokenizer scratch: fields for command lines, rfields for mset
-	// record lines (separate because the command fields stay live while
-	// records are parsed), recs for mset's parse-then-apply two-pass.
-	fields  [][]byte
-	rfields [][]byte
-	recs    []msetRec
+	// Tokenizer scratch: fields of the current command or mset record
+	// line, recs for mset's parse-then-apply two-pass.
+	fields [][]byte
+	recs   []msetRec
 	// pool holds response buffers handed back via Release, ready for the
 	// next Feed.
 	pool [][]byte
-	// closed is set once "quit" is processed; the transport should then
-	// close the connection.
-	closed bool
 	// ops is the work the last Feed did, see Ops.
 	ops int
 }
@@ -56,9 +51,6 @@ type msetRec struct {
 func NewSession(engine *Engine) *Session {
 	return &Session{engine: engine}
 }
-
-// Closed reports whether the peer sent "quit".
-func (s *Session) Closed() bool { return s.closed }
 
 // Ops returns the number of operations the last Feed executed: one per
 // command line it consumed, malformed ones included, and n for a stored
@@ -82,17 +74,10 @@ const (
 	respBadDataChunk  = "CLIENT_ERROR bad data chunk\r\n"
 	respBadRecordLine = "CLIENT_ERROR bad record line\r\n"
 	respBadRecCount   = "CLIENT_ERROR bad record count\r\n"
-	respBadDelta      = "CLIENT_ERROR invalid numeric delta argument\r\n"
-	respNonNumeric    = "CLIENT_ERROR cannot increment or decrement non-numeric value\r\n"
 	respStored        = "STORED\r\n"
-	respNotStored     = "NOT_STORED\r\n"
-	respExists        = "EXISTS\r\n"
 	respNotFound      = "NOT_FOUND\r\n"
 	respDeleted       = "DELETED\r\n"
-	respTouched       = "TOUCHED\r\n"
-	respOK            = "OK\r\n"
 	respEnd           = "END\r\n"
-	respVersion       = "VERSION 1.6.0-repro\r\n"
 )
 
 // Feed consumes input bytes and returns the response bytes produced by
@@ -109,7 +94,7 @@ func (s *Session) Feed(data []byte) []byte {
 	s.in = append(s.in, data...)
 	out := s.takeBuf()
 	s.ops = 0
-	for !s.closed {
+	for {
 		var ok bool
 		out, ok = s.step(out)
 		if !ok {
@@ -167,39 +152,15 @@ func (s *Session) step(out []byte) (_ []byte, ok bool) {
 		s.head += nl + 2
 		return append(out, respError...), true
 	}
-	cmd := s.fields[0]
-	switch string(cmd) {
-	case "set", "add", "replace", "cas", "append", "prepend":
-		return s.storageCommand(out, raw, nl)
+	switch string(s.fields[0]) {
+	case "set":
+		return s.setCommand(out, raw, nl)
 	case "mset":
 		return s.msetCommand(out, raw, nl)
-	case "incr", "decr":
+	case "get":
 		s.head += nl + 2
-		if len(s.fields) < 3 {
-			return append(out, respBadCmdLine...), true
-		}
-		delta, err := parseUintField(s.fields[2], 63)
-		if err {
-			return append(out, respBadDelta...), true
-		}
-		d := int64(delta)
-		if cmd[0] == 'd' {
-			d = -d
-		}
-		v, ok := s.engine.incrDecrBytes(s.fields[1], d)
-		if !ok {
-			if !s.engine.presentBytes(s.fields[1]) {
-				return append(out, respNotFound...), true
-			}
-			return append(out, respNonNumeric...), true
-		}
-		out = appendUint(out, v)
-		return append(out, '\r', '\n'), true
-	case "get", "gets":
-		s.head += nl + 2
-		withCAS := len(cmd) == 4
 		for _, key := range s.fields[1:] {
-			out = s.engine.appendGetResponse(out, key, withCAS)
+			out = appendValue(out, s.engine.getBytes(key))
 		}
 		return append(out, respEnd...), true
 	case "delete":
@@ -211,130 +172,76 @@ func (s *Session) step(out []byte) (_ []byte, ok bool) {
 			return append(out, respDeleted...), true
 		}
 		return append(out, respNotFound...), true
-	case "touch":
-		s.head += nl + 2
-		if len(s.fields) < 3 {
-			return append(out, respBadCmdLine...), true
-		}
-		exp, err := atoiField(s.fields[2])
-		if err {
-			return append(out, respBadCmdLine...), true
-		}
-		if s.engine.touchBytes(s.fields[1], expiry(exp, s.engine.now())) {
-			return append(out, respTouched...), true
-		}
-		return append(out, respNotFound...), true
-	case "flush_all":
-		s.head += nl + 2
-		s.engine.FlushAll()
-		return append(out, respOK...), true
-	case "stats":
-		s.head += nl + 2
-		return s.statsCommand(out), true
-	case "version":
-		s.head += nl + 2
-		return append(out, respVersion...), true
-	case "quit":
-		s.head += nl + 2
-		s.closed = true
-		return out, true
 	default:
 		s.head += nl + 2
 		return append(out, respError...), true
 	}
 }
 
-// storageCommand handles set/add/replace/cas/append/prepend:
+// appendValue frames a get hit,
 //
-//	<cmd> <key> <flags> <exptime> <bytes> [casid] [noreply]\r\n<data>\r\n
-func (s *Session) storageCommand(out []byte, raw []byte, nl int) ([]byte, bool) {
-	cmd := s.fields[0]
-	args := s.fields[1:]
-	isCas := string(cmd) == "cas"
-	minArgs := 4
-	if isCas {
-		minArgs = 5
+//	VALUE <key> <flags> <bytes>\r\n<data>\r\n
+//
+// onto out; a miss (nil) appends nothing. Copying the stored value here
+// is what keeps a response the transport still holds from aliasing
+// engine memory that a later set overwrites in place.
+func appendValue(out []byte, n *node) []byte {
+	if n == nil {
+		return out
 	}
-	if len(args) < minArgs {
+	out = append(out, "VALUE "...)
+	out = append(out, n.key...)
+	out = append(out, ' ')
+	out = strconv.AppendUint(out, uint64(n.flags), 10)
+	out = append(out, ' ')
+	out = strconv.AppendUint(out, uint64(len(n.value)), 10)
+	out = append(out, '\r', '\n')
+	out = append(out, n.value...)
+	return append(out, '\r', '\n')
+}
+
+// Input bounds: the longest key and value a record may carry, and the
+// record count of one mset command, so a corrupt count cannot make the
+// session buffer unboundedly.
+const (
+	maxKeyLen       = 250
+	maxValueLen     = 8 << 20
+	MaxBatchRecords = 1024
+)
+
+// recordHeader validates the "<key> <flags> <exptime> <bytes>" fields that
+// a set command line and an mset record line share.
+func recordHeader(f [][]byte) (flags uint32, exptime, size int, ok bool) {
+	fl, err1 := parseUintField(f[1], 32)
+	exptime, err2 := atoiField(f[2])
+	size, err3 := atoiField(f[3])
+	ok = !err1 && !err2 && !err3 && size >= 0 && size <= maxValueLen && len(f[0]) <= maxKeyLen
+	return uint32(fl), exptime, size, ok
+}
+
+// setCommand handles
+//
+//	set <key> <flags> <exptime> <bytes>\r\n<data>\r\n
+func (s *Session) setCommand(out []byte, raw []byte, nl int) ([]byte, bool) {
+	args := s.fields[1:]
+	if len(args) < 4 {
 		s.head += nl + 2
 		return append(out, respBadCmdLine...), true
 	}
-	key := args[0]
-	flags, err1 := parseUintField(args[1], 32)
-	exptime, err2 := atoiField(args[2])
-	size, err3 := atoiField(args[3])
-	if err1 || err2 || err3 || size < 0 || size > 8<<20 || len(key) > 250 {
+	flags, exptime, size, ok := recordHeader(args)
+	if !ok {
 		s.head += nl + 2
 		return append(out, respBadDataChunk...), true
 	}
-	var casID uint64
-	rest := args[4:]
-	if isCas {
-		var err4 bool
-		casID, err4 = parseUintField(args[4], 64)
-		if err4 {
-			s.head += nl + 2
-			return append(out, respBadCmdLine...), true
-		}
-		rest = args[5:]
-	}
-	noreply := len(rest) > 0 && string(rest[len(rest)-1]) == "noreply"
 	// Need the full data block plus trailing CRLF.
 	need := nl + 2 + size + 2
 	if len(raw) < need {
 		return out, false
 	}
-	data := raw[nl+2 : nl+2+size]
 	s.head += need
-	expires := expiry(exptime, s.engine.now())
-	var reply string
-	switch string(cmd) {
-	case "set":
-		s.engine.setBytes(key, data, uint32(flags), expires)
-		reply = respStored
-	case "add":
-		if s.engine.addBytes(key, data, uint32(flags), expires) {
-			reply = respStored
-		} else {
-			reply = respNotStored
-		}
-	case "replace":
-		if s.engine.replaceBytes(key, data, uint32(flags), expires) {
-			reply = respStored
-		} else {
-			reply = respNotStored
-		}
-	case "cas":
-		switch s.engine.casBytes(key, data, uint32(flags), expires, casID) {
-		case CASStored:
-			reply = respStored
-		case CASExists:
-			reply = respExists
-		case CASNotFound:
-			reply = respNotFound
-		}
-	case "append":
-		if s.engine.concatBytes(key, data, false) {
-			reply = respStored
-		} else {
-			reply = respNotStored
-		}
-	case "prepend":
-		if s.engine.concatBytes(key, data, true) {
-			reply = respStored
-		} else {
-			reply = respNotStored
-		}
-	}
-	if noreply {
-		return out, true
-	}
-	return append(out, reply...), true
+	s.engine.setBytes(args[0], raw[nl+2:nl+2+size], flags, expiry(exptime, s.engine.now()))
+	return append(out, respStored...), true
 }
-
-// MaxBatchRecords bounds the record count of one mset command, so a
-// corrupt count cannot make the session buffer unboundedly.
-const MaxBatchRecords = 1024
 
 // msetCommand handles the batched storage extension:
 //
@@ -348,83 +255,54 @@ const MaxBatchRecords = 1024
 // (nothing is stored if any record is malformed or still arriving) and
 // applied in a second.
 func (s *Session) msetCommand(out []byte, raw []byte, nl int) ([]byte, bool) {
-	args := s.fields[1:]
-	if len(args) < 1 {
+	if len(s.fields) < 2 {
 		s.head += nl + 2
 		return append(out, respBadCmdLine...), true
 	}
-	n, err := atoiField(args[0])
+	n, err := atoiField(s.fields[1])
 	if err || n <= 0 || n > MaxBatchRecords {
 		s.head += nl + 2
 		return append(out, respBadRecCount...), true
 	}
-	recs := s.recs[:0]
+	s.recs = s.recs[:0]
 	pos := nl + 2
 	for i := 0; i < n; i++ {
 		rest := raw[pos:]
 		rnl := bytes.Index(rest, []byte("\r\n"))
 		if rnl < 0 {
-			s.recs = recs
 			return out, false // record header still arriving
 		}
-		rf := appendFields(s.rfields[:0], rest[:rnl])
-		s.rfields = rf
+		rf := appendFields(s.fields[:0], rest[:rnl])
+		s.fields = rf
 		if len(rf) != 4 {
 			s.head += pos + rnl + 2
-			s.recs = recs
 			return append(out, respBadRecordLine...), true
 		}
-		flags, err1 := parseUintField(rf[1], 32)
-		exptime, err2 := atoiField(rf[2])
-		size, err3 := atoiField(rf[3])
-		if err1 || err2 || err3 || size < 0 || size > 8<<20 || len(rf[0]) > 250 {
+		flags, exptime, size, ok := recordHeader(rf)
+		if !ok {
 			s.head += pos + rnl + 2
-			s.recs = recs
 			return append(out, respBadDataChunk...), true
 		}
 		need := pos + rnl + 2 + size + 2
 		if len(raw) < need {
-			s.recs = recs
 			return out, false // data block still arriving
 		}
-		recs = append(recs, msetRec{
+		s.recs = append(s.recs, msetRec{
 			key:     rf[0],
 			val:     rest[rnl+2 : rnl+2+size],
-			flags:   uint32(flags),
+			flags:   flags,
 			expires: expiry(exptime, s.engine.now()),
 		})
 		pos = need
 	}
 	s.head += pos
-	for _, r := range recs {
+	for _, r := range s.recs {
 		s.engine.setBytes(r.key, r.val, r.flags, r.expires)
 	}
-	s.recs = recs
-	s.ops += len(recs) - 1 // Feed counts the command itself
+	s.ops += n - 1 // Feed counts the command itself
 	out = append(out, "MSTORED "...)
-	out = appendUint(out, uint64(len(recs)))
+	out = strconv.AppendUint(out, uint64(n), 10)
 	return append(out, '\r', '\n'), true
-}
-
-func (s *Session) statsCommand(out []byte) []byte {
-	st := s.engine.Stats()
-	out = appendStatLine(out, "curr_items", uint64(st.CurrItems))
-	out = appendStatLine(out, "bytes", uint64(st.BytesUsed))
-	out = appendStatLine(out, "get_hits", st.GetHits)
-	out = appendStatLine(out, "get_misses", st.GetMisses)
-	out = appendStatLine(out, "cmd_set", st.Sets)
-	out = appendStatLine(out, "delete_hits", st.Deletes)
-	out = appendStatLine(out, "evictions", st.Evictions)
-	out = appendStatLine(out, "expired_unfetched", st.Expirations)
-	return append(out, respEnd...)
-}
-
-func appendStatLine(out []byte, name string, v uint64) []byte {
-	out = append(out, "STAT "...)
-	out = append(out, name...)
-	out = append(out, ' ')
-	out = appendUint(out, v)
-	return append(out, '\r', '\n')
 }
 
 // appendFields splits line into whitespace-separated fields appended to

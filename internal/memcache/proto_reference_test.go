@@ -8,23 +8,17 @@ import (
 )
 
 // This file preserves the original allocation-heavy text-protocol parser
-// verbatim (string conversion per line, strings.Fields, fmt responses,
-// per-value copies). It is test code, not used by the transports: it
-// exists as the behavioral reference that the zero-copy Session in
-// proto.go is pinned against by the differential tests and
-// FuzzMemcacheSessionDifferential.
+// (string conversion per line, strings.Fields, fmt responses, per-value
+// copies, the string-keyed engine API), narrowed to the four verbs the
+// session speaks. It is test code: the behavioral reference that the
+// zero-copy Session in proto.go is pinned against by the differential
+// tests and FuzzMemcacheSessionDifferential.
 // When changing protocol behavior, change both and extend the tests.
 
-// ReferenceSession is a transport-agnostic protocol endpoint: feed it raw bytes
-// from one client connection and it produces response bytes against an
-// Engine. Both the real-TCP server and the netsim server wrap one Session
-// per connection.
+// ReferenceSession answers the same byte stream as Session.
 type ReferenceSession struct {
 	engine *Engine
 	buf    bytes.Buffer
-	// closed is set once "quit" is processed; the transport should then
-	// close the connection.
-	closed bool
 }
 
 // NewReferenceSession creates a reference protocol session bound to an
@@ -33,15 +27,12 @@ func NewReferenceSession(engine *Engine) *ReferenceSession {
 	return &ReferenceSession{engine: engine}
 }
 
-// Closed reports whether the peer sent "quit".
-func (s *ReferenceSession) Closed() bool { return s.closed }
-
 // Feed consumes input bytes and returns the response bytes produced by
 // any commands completed by this input.
 func (s *ReferenceSession) Feed(data []byte) []byte {
 	s.buf.Write(data)
 	var out bytes.Buffer
-	for !s.closed {
+	for {
 		resp, ok := s.step()
 		if !ok {
 			break
@@ -67,34 +58,13 @@ func (s *ReferenceSession) step() (resp []byte, ok bool) {
 	}
 	cmd := fields[0]
 	switch cmd {
-	case "set", "add", "replace", "cas", "append", "prepend":
-		return s.storageCommand(cmd, fields[1:], raw, nl)
+	case "set":
+		return s.setCommand(fields[1:], raw, nl)
 	case "mset":
 		return s.msetCommand(fields[1:], raw, nl)
-	case "incr", "decr":
+	case "get":
 		s.buf.Next(nl + 2)
-		if len(fields) < 3 {
-			return []byte("CLIENT_ERROR bad command line\r\n"), true
-		}
-		delta, err := strconv.ParseUint(fields[2], 10, 63)
-		if err != nil {
-			return []byte("CLIENT_ERROR invalid numeric delta argument\r\n"), true
-		}
-		d := int64(delta)
-		if cmd == "decr" {
-			d = -d
-		}
-		v, ok := s.engine.IncrDecr(fields[1], d)
-		if !ok {
-			if _, present := s.engine.Get(fields[1]); !present {
-				return []byte("NOT_FOUND\r\n"), true
-			}
-			return []byte("CLIENT_ERROR cannot increment or decrement non-numeric value\r\n"), true
-		}
-		return []byte(fmt.Sprintf("%d\r\n", v)), true
-	case "get", "gets":
-		s.buf.Next(nl + 2)
-		return s.getCommand(cmd == "gets", fields[1:]), true
+		return s.getCommand(fields[1:]), true
 	case "delete":
 		s.buf.Next(nl + 2)
 		if len(fields) < 2 {
@@ -104,48 +74,17 @@ func (s *ReferenceSession) step() (resp []byte, ok bool) {
 			return []byte("DELETED\r\n"), true
 		}
 		return []byte("NOT_FOUND\r\n"), true
-	case "touch":
-		s.buf.Next(nl + 2)
-		if len(fields) < 3 {
-			return []byte("CLIENT_ERROR bad command line\r\n"), true
-		}
-		exp, err := strconv.Atoi(fields[2])
-		if err != nil {
-			return []byte("CLIENT_ERROR bad command line\r\n"), true
-		}
-		if s.engine.Touch(fields[1], expiry(exp, s.engine.now())) {
-			return []byte("TOUCHED\r\n"), true
-		}
-		return []byte("NOT_FOUND\r\n"), true
-	case "flush_all":
-		s.buf.Next(nl + 2)
-		s.engine.FlushAll()
-		return []byte("OK\r\n"), true
-	case "stats":
-		s.buf.Next(nl + 2)
-		return s.statsCommand(), true
-	case "version":
-		s.buf.Next(nl + 2)
-		return []byte("VERSION 1.6.0-repro\r\n"), true
-	case "quit":
-		s.buf.Next(nl + 2)
-		s.closed = true
-		return nil, true
 	default:
 		s.buf.Next(nl + 2)
 		return []byte("ERROR\r\n"), true
 	}
 }
 
-// storageCommand handles set/add/replace/cas:
+// setCommand handles
 //
-//	<cmd> <key> <flags> <exptime> <bytes> [casid] [noreply]\r\n<data>\r\n
-func (s *ReferenceSession) storageCommand(cmd string, args []string, raw []byte, nl int) ([]byte, bool) {
-	minArgs := 4
-	if cmd == "cas" {
-		minArgs = 5
-	}
-	if len(args) < minArgs {
+//	set <key> <flags> <exptime> <bytes>\r\n<data>\r\n
+func (s *ReferenceSession) setCommand(args []string, raw []byte, nl int) ([]byte, bool) {
+	if len(args) < 4 {
 		s.buf.Next(nl + 2)
 		return []byte("CLIENT_ERROR bad command line\r\n"), true
 	}
@@ -157,21 +96,6 @@ func (s *ReferenceSession) storageCommand(cmd string, args []string, raw []byte,
 		s.buf.Next(nl + 2)
 		return []byte("CLIENT_ERROR bad data chunk\r\n"), true
 	}
-	var casID uint64
-	var err4 error
-	noreply := false
-	rest := args[4:]
-	if cmd == "cas" {
-		casID, err4 = strconv.ParseUint(args[4], 10, 64)
-		if err4 != nil {
-			s.buf.Next(nl + 2)
-			return []byte("CLIENT_ERROR bad command line\r\n"), true
-		}
-		rest = args[5:]
-	}
-	if len(rest) > 0 && rest[len(rest)-1] == "noreply" {
-		noreply = true
-	}
 	// Need the full data block plus trailing CRLF.
 	need := nl + 2 + size + 2
 	if len(raw) < need {
@@ -179,50 +103,8 @@ func (s *ReferenceSession) storageCommand(cmd string, args []string, raw []byte,
 	}
 	data := append([]byte(nil), raw[nl+2:nl+2+size]...)
 	s.buf.Next(need)
-	it := Item{Key: key, Value: data, Flags: uint32(flags), Expires: expiry(exptime, s.engine.now())}
-	var reply string
-	switch cmd {
-	case "set":
-		s.engine.Set(it)
-		reply = "STORED\r\n"
-	case "add":
-		if s.engine.Add(it) {
-			reply = "STORED\r\n"
-		} else {
-			reply = "NOT_STORED\r\n"
-		}
-	case "replace":
-		if s.engine.Replace(it) {
-			reply = "STORED\r\n"
-		} else {
-			reply = "NOT_STORED\r\n"
-		}
-	case "cas":
-		switch s.engine.CAS(it, casID) {
-		case CASStored:
-			reply = "STORED\r\n"
-		case CASExists:
-			reply = "EXISTS\r\n"
-		case CASNotFound:
-			reply = "NOT_FOUND\r\n"
-		}
-	case "append":
-		if s.engine.Append(key, data) {
-			reply = "STORED\r\n"
-		} else {
-			reply = "NOT_STORED\r\n"
-		}
-	case "prepend":
-		if s.engine.Prepend(key, data) {
-			reply = "STORED\r\n"
-		} else {
-			reply = "NOT_STORED\r\n"
-		}
-	}
-	if noreply {
-		return nil, true
-	}
-	return []byte(reply), true
+	s.engine.Set(Item{Key: key, Value: data, Flags: uint32(flags), Expires: expiry(exptime, s.engine.now())})
+	return []byte("STORED\r\n"), true
 }
 
 // msetCommand handles the batched storage extension:
@@ -283,42 +165,17 @@ func (s *ReferenceSession) msetCommand(args []string, raw []byte, nl int) ([]byt
 	return []byte(fmt.Sprintf("MSTORED %d\r\n", len(items))), true
 }
 
-func (s *ReferenceSession) getCommand(withCAS bool, keys []string) []byte {
+func (s *ReferenceSession) getCommand(keys []string) []byte {
 	var out bytes.Buffer
 	for _, key := range keys {
-		if withCAS {
-			it, cas, ok := s.engine.GetWithCAS(key)
-			if !ok {
-				continue
-			}
-			fmt.Fprintf(&out, "VALUE %s %d %d %d\r\n", it.Key, it.Flags, len(it.Value), cas)
-			out.Write(it.Value)
-			out.WriteString("\r\n")
-		} else {
-			it, ok := s.engine.Get(key)
-			if !ok {
-				continue
-			}
-			fmt.Fprintf(&out, "VALUE %s %d %d\r\n", it.Key, it.Flags, len(it.Value))
-			out.Write(it.Value)
-			out.WriteString("\r\n")
+		it, ok := s.engine.Get(key)
+		if !ok {
+			continue
 		}
+		fmt.Fprintf(&out, "VALUE %s %d %d\r\n", it.Key, it.Flags, len(it.Value))
+		out.Write(it.Value)
+		out.WriteString("\r\n")
 	}
-	out.WriteString("END\r\n")
-	return out.Bytes()
-}
-
-func (s *ReferenceSession) statsCommand() []byte {
-	st := s.engine.Stats()
-	var out bytes.Buffer
-	fmt.Fprintf(&out, "STAT curr_items %d\r\n", st.CurrItems)
-	fmt.Fprintf(&out, "STAT bytes %d\r\n", st.BytesUsed)
-	fmt.Fprintf(&out, "STAT get_hits %d\r\n", st.GetHits)
-	fmt.Fprintf(&out, "STAT get_misses %d\r\n", st.GetMisses)
-	fmt.Fprintf(&out, "STAT cmd_set %d\r\n", st.Sets)
-	fmt.Fprintf(&out, "STAT delete_hits %d\r\n", st.Deletes)
-	fmt.Fprintf(&out, "STAT evictions %d\r\n", st.Evictions)
-	fmt.Fprintf(&out, "STAT expired_unfetched %d\r\n", st.Expirations)
 	out.WriteString("END\r\n")
 	return out.Bytes()
 }

@@ -10,38 +10,28 @@ type ReplyType int
 // Reply types.
 const (
 	ReplyStored ReplyType = iota
-	ReplyNotStored
-	ReplyExists
 	ReplyNotFound
 	ReplyDeleted
-	ReplyTouched
-	ReplyOK
-	ReplyValues // get/gets result (possibly empty) terminated by END
+	ReplyValues // get result (possibly empty) terminated by END
 	ReplyError
-	ReplyVersion
-	ReplyStats
 	ReplyMStored // batched mset result; N carries the stored count
 )
 
 // Reply is one parsed server response.
 type Reply struct {
 	Type  ReplyType
-	Items []Item   // for ReplyValues
-	CAS   []uint64 // parallel to Items when gets was used
-	N     int      // stored-record count for ReplyMStored
-	Raw   string   // first line, for errors/version/stats
+	Items []Item // for ReplyValues
+	N     int    // stored-record count for ReplyMStored
 }
 
 // ReplyParser incrementally parses the server side of the text protocol.
-// It must be told whether the next expected reply is for a retrieval
-// command (get/gets/stats), because those are multi-line and terminated
-// by END while storage replies are single-line. Callers enqueue the
-// expectation when they send the request.
+// It must be told whether the next expected reply is for a get, because
+// those are multi-line and terminated by END while storage replies are
+// single-line. Callers enqueue the expectation when they send the request.
 //
 // Single-line replies (the storage-write steady state) parse without
-// allocating: lines are matched as bytes and Raw is a constant for the
-// known verbs. Multi-line VALUE replies still copy keys and values out —
-// they cross into caller-owned Items.
+// allocating: lines are matched as bytes. Multi-line VALUE replies still
+// copy keys and values out — they cross into caller-owned Items.
 type ReplyParser struct {
 	buf bytes.Buffer
 	// pending expectation ring: multi[mhead:] are outstanding replies,
@@ -51,13 +41,12 @@ type ReplyParser struct {
 	mhead int
 	// in-progress multi-line accumulation
 	items []Item
-	cas   []uint64
 	// fields is the VALUE-line tokenizer scratch.
 	fields [][]byte
 }
 
-// Expect registers that the next reply is multi-line (get/gets/stats)
-// or single-line.
+// Expect registers that the next reply is multi-line (get) or
+// single-line.
 func (p *ReplyParser) Expect(multiLine bool) {
 	if p.mhead == len(p.multi) {
 		p.multi = p.multi[:0]
@@ -108,93 +97,54 @@ func (p *ReplyParser) step() (Reply, bool) {
 			return Reply{}, false
 		}
 		line := raw[:nl]
-		if !isMulti {
-			r := singleLineReply(line)
-			p.buf.Next(nl + 2)
-			p.consumeExpect()
-			return r, true
-		}
+		r := Reply{Type: ReplyError} // anything unrecognised, mid-retrieval included
 		switch {
+		case !isMulti:
+			r = singleLineReply(line)
 		case string(line) == "END":
-			p.buf.Next(nl + 2)
-			r := Reply{Type: ReplyValues, Items: p.items, CAS: p.cas}
-			p.items, p.cas = nil, nil
-			p.consumeExpect()
-			return r, true
+			r = Reply{Type: ReplyValues, Items: p.items}
 		case bytes.HasPrefix(line, []byte("VALUE ")):
 			p.fields = appendFields(p.fields[:0], line)
 			fields := p.fields
 			if len(fields) < 4 {
-				r := Reply{Type: ReplyError, Raw: string(line)}
-				p.buf.Next(nl + 2)
-				p.consumeExpect()
-				return r, true
+				break
 			}
 			size, serr := atoiField(fields[3])
 			if serr || size < 0 {
-				r := Reply{Type: ReplyError, Raw: string(line)}
-				p.buf.Next(nl + 2)
-				p.consumeExpect()
-				return r, true
+				break
 			}
 			need := nl + 2 + size + 2
 			if len(raw) < need {
 				return Reply{}, false
 			}
 			flags, _ := parseUintField(fields[2], 32)
-			it := Item{
+			p.items = append(p.items, Item{
 				Key:   string(fields[1]),
 				Flags: uint32(flags),
 				Value: append([]byte(nil), raw[nl+2:nl+2+size]...),
-			}
-			var casID uint64
-			if len(fields) >= 5 {
-				casID, _ = parseUintField(fields[4], 64)
-			}
-			p.items = append(p.items, it)
-			p.cas = append(p.cas, casID)
+			})
 			p.buf.Next(need)
-		case bytes.HasPrefix(line, []byte("STAT ")):
-			// stats lines accumulate as raw text in a values-style reply;
-			// we fold them into Raw for simplicity.
-			p.items = append(p.items, Item{Key: "STAT", Value: append([]byte(nil), line...)})
-			p.buf.Next(nl + 2)
-		default:
-			// Error mid-retrieval.
-			r := Reply{Type: ReplyError, Raw: string(line)}
-			p.buf.Next(nl + 2)
-			p.items, p.cas = nil, nil
-			p.consumeExpect()
-			return r, true
+			continue
 		}
+		p.buf.Next(nl + 2)
+		p.items = nil
+		p.consumeExpect()
+		return r, true
 	}
 }
 
 func singleLineReply(line []byte) Reply {
 	switch {
 	case string(line) == "STORED":
-		return Reply{Type: ReplyStored, Raw: "STORED"}
-	case string(line) == "NOT_STORED":
-		return Reply{Type: ReplyNotStored, Raw: "NOT_STORED"}
-	case string(line) == "EXISTS":
-		return Reply{Type: ReplyExists, Raw: "EXISTS"}
+		return Reply{Type: ReplyStored}
 	case string(line) == "NOT_FOUND":
-		return Reply{Type: ReplyNotFound, Raw: "NOT_FOUND"}
+		return Reply{Type: ReplyNotFound}
 	case string(line) == "DELETED":
-		return Reply{Type: ReplyDeleted, Raw: "DELETED"}
-	case string(line) == "TOUCHED":
-		return Reply{Type: ReplyTouched, Raw: "TOUCHED"}
-	case string(line) == "OK":
-		return Reply{Type: ReplyOK, Raw: "OK"}
+		return Reply{Type: ReplyDeleted}
 	case bytes.HasPrefix(line, []byte("MSTORED ")):
-		n, err := atoiField(line[len("MSTORED "):])
-		if err || n < 0 {
-			return Reply{Type: ReplyError, Raw: string(line)}
+		if n, err := atoiField(line[len("MSTORED "):]); !err && n >= 0 {
+			return Reply{Type: ReplyMStored, N: n}
 		}
-		return Reply{Type: ReplyMStored, N: n, Raw: "MSTORED"}
-	case bytes.HasPrefix(line, []byte("VERSION")):
-		return Reply{Type: ReplyVersion, Raw: string(line)}
-	default:
-		return Reply{Type: ReplyError, Raw: string(line)}
 	}
+	return Reply{Type: ReplyError}
 }

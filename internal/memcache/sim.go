@@ -78,12 +78,11 @@ func (s *SimServer) Close() { s.lis.Close() }
 // pre-bound at allocation so scheduling a reply does not allocate a
 // closure per data event.
 type schedReply struct {
-	srv    *SimServer
-	conn   *tcp.Conn
-	sess   *Session
-	resp   []byte
-	closed bool
-	fire   func()
+	srv  *SimServer
+	conn *tcp.Conn
+	sess *Session
+	resp []byte
+	fire func()
 }
 
 func (s *SimServer) takeReply() *schedReply {
@@ -94,13 +93,8 @@ func (s *SimServer) takeReply() *schedReply {
 	}
 	r := &schedReply{srv: s}
 	r.fire = func() {
-		if len(r.resp) > 0 {
-			r.conn.Write(r.resp) // Write copies; the buffer can go back
-			r.sess.Release(r.resp)
-		}
-		if r.closed {
-			r.conn.Close()
-		}
+		r.conn.Write(r.resp) // Write copies; the buffer can go back
+		r.sess.Release(r.resp)
 		r.conn, r.sess, r.resp = nil, nil, nil
 		if len(r.srv.freeReplies) < 32 {
 			r.srv.freeReplies = append(r.srv.freeReplies, r)
@@ -119,7 +113,7 @@ func (s *SimServer) accept(c *tcp.Conn) tcp.Callbacks {
 			net := s.host.Network()
 			now := net.Now()
 			resp := sess.Feed(d)
-			if len(resp) == 0 && !sess.Closed() {
+			if len(resp) == 0 {
 				return
 			}
 			ops := sess.Ops()
@@ -132,7 +126,7 @@ func (s *SimServer) accept(c *tcp.Conn) tcp.Callbacks {
 			s.queueFree += work
 			delay := s.queueFree - now
 			r := s.takeReply()
-			r.conn, r.sess, r.resp, r.closed = c, sess, resp, sess.Closed()
+			r.conn, r.sess, r.resp = c, sess, resp
 			net.Schedule(delay, r.fire)
 		},
 		OnPeerClose: func(c *tcp.Conn) { c.Close() },
@@ -246,7 +240,7 @@ func (c *SimClient) send(cmd []byte, multiLine bool, cb func(SimResult)) {
 
 // Set stores value under key, invoking cb with the outcome.
 func (c *SimClient) Set(key, value []byte, flags uint32, exptime int, cb func(SimResult)) {
-	c.scratch = appendStorageCmd(c.scratch[:0], "set", key, value, flags, exptime)
+	c.scratch = appendRecord(append(c.scratch[:0], "set "...), key, value, flags, exptime)
 	c.send(c.scratch, false, cb)
 }
 
@@ -282,37 +276,9 @@ func appendMSetKVCmd(dst []byte, kvs []KV, exptime int) []byte {
 	return dst
 }
 
-// appendRecord encodes one "<key> <flags> <exptime> <bytes>\r\n<data>\r\n"
-// mset record into dst.
+// appendRecord encodes "<key> <flags> <exptime> <bytes>\r\n<data>\r\n" into
+// dst: one mset record, or what follows the verb of a set command.
 func appendRecord(dst, key, value []byte, flags uint32, exptime int) []byte {
-	dst = append(dst, key...)
-	dst = append(dst, ' ')
-	dst = strconv.AppendUint(dst, uint64(flags), 10)
-	dst = append(dst, ' ')
-	dst = strconv.AppendInt(dst, int64(exptime), 10)
-	dst = append(dst, ' ')
-	dst = strconv.AppendInt(dst, int64(len(value)), 10)
-	dst = append(dst, '\r', '\n')
-	dst = append(dst, value...)
-	dst = append(dst, '\r', '\n')
-	return dst
-}
-
-// appendMSetCmd encodes a batched mset from Items (the NetClient form).
-func appendMSetCmd(dst []byte, items []Item, exptime int) []byte {
-	dst = append(dst, "mset "...)
-	dst = strconv.AppendInt(dst, int64(len(items)), 10)
-	dst = append(dst, '\r', '\n')
-	for i := range items {
-		it := &items[i]
-		dst = appendRecord(dst, []byte(it.Key), it.Value, it.Flags, exptime)
-	}
-	return dst
-}
-
-func appendStorageCmd(dst []byte, verb string, key, value []byte, flags uint32, exptime int) []byte {
-	dst = append(dst, verb...)
-	dst = append(dst, ' ')
 	dst = append(dst, key...)
 	dst = append(dst, ' ')
 	dst = strconv.AppendUint(dst, uint64(flags), 10)

@@ -1,121 +1,12 @@
 package memcache
 
 import (
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/netsim"
 	"repro/internal/tcp"
 )
-
-// --- real-TCP transport ---
-
-func startNetServer(t *testing.T) *NetServer {
-	t.Helper()
-	srv, err := ListenAndServe("127.0.0.1:0", NewEngine(0, nil))
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	t.Cleanup(srv.Close)
-	return srv
-}
-
-func TestNetClientServerRoundTrip(t *testing.T) {
-	srv := startNetServer(t)
-	cl, err := DialNet(srv.Addr(), time.Second)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer cl.Close()
-
-	if err := cl.Set("key1", []byte("value-one"), 3, 0); err != nil {
-		t.Fatalf("set: %v", err)
-	}
-	it, ok, err := cl.Get("key1")
-	if err != nil || !ok {
-		t.Fatalf("get: %v %v", ok, err)
-	}
-	if string(it.Value) != "value-one" || it.Flags != 3 {
-		t.Fatalf("item: %+v", it)
-	}
-	if _, ok, _ := cl.Get("missing"); ok {
-		t.Fatal("phantom hit")
-	}
-	found, err := cl.Delete("key1")
-	if err != nil || !found {
-		t.Fatalf("delete: %v %v", found, err)
-	}
-	if _, ok, _ := cl.Get("key1"); ok {
-		t.Fatal("get after delete")
-	}
-	v, err := cl.Version()
-	if err != nil || v == "" {
-		t.Fatalf("version: %q %v", v, err)
-	}
-}
-
-func TestNetClientLargeValue(t *testing.T) {
-	srv := startNetServer(t)
-	cl, err := DialNet(srv.Addr(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	val := make([]byte, 256*1024)
-	for i := range val {
-		val[i] = byte(i)
-	}
-	if err := cl.Set("big", val, 0, 0); err != nil {
-		t.Fatalf("set big: %v", err)
-	}
-	it, ok, err := cl.Get("big")
-	if err != nil || !ok || len(it.Value) != len(val) {
-		t.Fatalf("get big: ok=%v err=%v len=%d", ok, err, len(it.Value))
-	}
-	for i := range val {
-		if it.Value[i] != val[i] {
-			t.Fatalf("corruption at %d", i)
-		}
-	}
-}
-
-func TestNetServerConcurrentClients(t *testing.T) {
-	srv := startNetServer(t)
-	const G = 8
-	var wg sync.WaitGroup
-	errs := make(chan error, G)
-	for g := 0; g < G; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			cl, err := DialNet(srv.Addr(), time.Second)
-			if err != nil {
-				errs <- err
-				return
-			}
-			defer cl.Close()
-			for i := 0; i < 50; i++ {
-				key := string(rune('a'+g)) + "-key"
-				if err := cl.Set(key, []byte{byte(i)}, 0, 0); err != nil {
-					errs <- err
-					return
-				}
-				if _, ok, err := cl.Get(key); err != nil || !ok {
-					errs <- err
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-}
 
 // --- netsim transport ---
 

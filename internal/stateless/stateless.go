@@ -13,9 +13,9 @@
 //   - SNAT source port: a cookie-coded port inside the owning instance's
 //     registered range, carrying the mapping-epoch's low bits so stale
 //     flows are detectable (DecodeCookie);
-//   - owning instance: rendezvous hashing over the epoch entry's
-//     instance list, bit-identical to the l4lb mux pick, with dead
-//     instances skipped the same way the mux skips them;
+//   - owning instance: the mux's own pick (l4lb.Rendezvous) over the
+//     epoch entry's instance list, with dead instances skipped the same
+//     way the mux skips them;
 //   - backend ISN: a SYN-cookie-style keyed hash (tcp.DeterministicISN
 //     with ISNKey) that lets a recovering instance rebuild the Delta
 //     sequence translation without reading the record back.
@@ -38,14 +38,9 @@
 package stateless
 
 import (
+	"repro/internal/l4lb"
 	"repro/internal/netsim"
 	"repro/internal/rules"
-)
-
-// FNV-1a constants, inlined to match internal/l4lb exactly.
-const (
-	fnvOffset64 uint64 = 14695981039346656037
-	fnvPrime64  uint64 = 1099511628211
 )
 
 // Salt constants separating the table's independent hash domains.
@@ -101,9 +96,10 @@ func New(secret uint64) *Table {
 }
 
 // ISNKey returns the non-zero tcp.Config.ISNKey backends must use so the
-// data plane can re-derive their initial sequence numbers.
+// data plane can re-derive their initial sequence numbers: the secret in
+// its own salt domain, mixed by the tuple hash over no tuple.
 func (t *Table) ISNKey() uint64 {
-	k := mix64(t.secret ^ isnSalt)
+	k := l4lb.TupleHash(netsim.FourTuple{}, t.secret^isnSalt)
 	if k == 0 {
 		k = 1
 	}
@@ -153,7 +149,7 @@ func (t *Table) Dead(inst netsim.IP) bool { return t.dead[inst] }
 // secret — the deterministic replacement for the per-instance RNG draw
 // that feeds the L7 split in hybrid mode.
 func (t *Table) Draw(ft netsim.FourTuple) float64 {
-	return float64(tupleHash(ft, t.secret^drawSalt)>>11) / (1 << 53)
+	return float64(l4lb.TupleHash(ft, t.secret^drawSalt)>>11) / (1 << 53)
 }
 
 // DeriveBackend replays the split decision for a client tuple against
@@ -195,7 +191,7 @@ func (t *Table) Owner(vip netsim.IP, ft netsim.FourTuple) (netsim.IP, bool) {
 	var scratch [64]netsim.IP
 	insts := append(scratch[:0], e.Instances...)
 	for len(insts) > 0 {
-		p := Rendezvous(ft, insts)
+		p := l4lb.Rendezvous(ft, insts)
 		if !t.dead[p] {
 			return p, true
 		}
@@ -219,7 +215,7 @@ func (t *Table) DeadOwnerCandidates(vip netsim.IP, ft netsim.FourTuple, buf []ne
 	var scratch [64]netsim.IP
 	insts := append(scratch[:0], e.Instances...)
 	for len(insts) > 0 {
-		p := Rendezvous(ft, insts)
+		p := l4lb.Rendezvous(ft, insts)
 		if !t.dead[p] {
 			break
 		}
@@ -244,7 +240,7 @@ func (t *Table) PreferredPort(inst netsim.IP, ft netsim.FourTuple) (uint16, bool
 		return 0, false
 	}
 	slot := uint16(t.epoch & 3)
-	off := uint16(tupleHash(ft, t.secret^portSalt) % uint64(quarter))
+	off := uint16(l4lb.TupleHash(ft, t.secret^portSalt) % uint64(quarter))
 	return r.Base + slot*quarter + off, true
 }
 
@@ -318,56 +314,4 @@ func PoolFromRules(rs []rules.Rule) ([]Backend, bool) {
 		pool = append(pool, Backend{Name: wb.Backend.Name, Addr: wb.Backend.Addr, Weight: wb.Weight})
 	}
 	return pool, true
-}
-
-// Rendezvous selects an instance by highest-random-weight hashing,
-// bit-identical to the l4lb mux pick (same 20-byte FNV-1a encoding, same
-// splitmix64 finalizer, same first-wins tie break), so the table can
-// predict exactly where the mux sends a tuple.
-func Rendezvous(ft netsim.FourTuple, insts []netsim.IP) netsim.IP {
-	var best netsim.IP
-	var bestW uint64
-	for _, ip := range insts {
-		w := tupleHash(ft, uint64(ip))
-		if w > bestW || best == 0 {
-			best, bestW = ip, w
-		}
-	}
-	return best
-}
-
-// tupleHash hashes a tuple with a salt, via FNV-1a over the same 20-byte
-// encoding internal/l4lb uses (bit-identical — Rendezvous must agree
-// with the mux).
-func tupleHash(ft netsim.FourTuple, salt uint64) uint64 {
-	var b [20]byte
-	put32 := func(off int, v uint32) {
-		b[off] = byte(v >> 24)
-		b[off+1] = byte(v >> 16)
-		b[off+2] = byte(v >> 8)
-		b[off+3] = byte(v)
-	}
-	put32(0, uint32(ft.Src.IP))
-	put32(4, uint32(ft.Dst.IP))
-	b[8] = byte(ft.Src.Port >> 8)
-	b[9] = byte(ft.Src.Port)
-	b[10] = byte(ft.Dst.Port >> 8)
-	b[11] = byte(ft.Dst.Port)
-	put32(12, uint32(salt>>32))
-	put32(16, uint32(salt))
-	h := fnvOffset64
-	for _, c := range b {
-		h = (h ^ uint64(c)) * fnvPrime64
-	}
-	return mix64(h)
-}
-
-// mix64 is the splitmix64 finalizer (identical to l4lb's).
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/l4lb"
 	"repro/internal/netsim"
 	"repro/internal/rules"
 )
@@ -44,7 +45,7 @@ func TestOwnerEqualsRendezvousOverLiveSubset(t *testing.T) {
 		if !ok {
 			t.Fatalf("no owner for %v", ft)
 		}
-		if want := Rendezvous(ft, live); got != want {
+		if want := l4lb.Rendezvous(ft, live); got != want {
 			t.Fatalf("tuple %d: chain-walk owner %v != rendezvous over live %v", i, got, want)
 		}
 	}
@@ -310,13 +311,13 @@ func TestRendezvousRemovalStability(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 300; i++ {
 		ft := tupleFor(i)
-		win := Rendezvous(ft, insts)
+		win := l4lb.Rendezvous(ft, insts)
 		drop := insts[rng.Intn(len(insts))]
 		if drop == win {
 			continue
 		}
 		rest := removeIP(append([]netsim.IP(nil), insts...), drop)
-		if got := Rendezvous(ft, rest); got != win {
+		if got := l4lb.Rendezvous(ft, rest); got != win {
 			t.Fatalf("pick changed from %v to %v after removing loser %v", win, got, drop)
 		}
 	}

@@ -40,6 +40,40 @@ func TestSetMultiAllocFree(t *testing.T) {
 	}
 }
 
+// TestSetAllocFree: Set is the one-entry case of the same recycled
+// operation state — fanned out to K replicas as plain sets over simulated
+// TCP, stored, resolved — and, warm, allocates nothing. It counts as a
+// Set, not as a batch.
+func TestSetAllocFree(t *testing.T) {
+	w := newSimWorld(23, 5, DefaultConfig()) // K=2
+	key := []byte("yoda:f:c0a80001:9c40:0a0000fe:0050")
+	value := make([]byte, 90)
+	var got error
+	calls := 0
+	cb := func(err error) { got = err; calls++ }
+	op := func() {
+		w.store.Set(key, value, cb)
+		w.net.RunUntilIdle(1 << 20)
+	}
+	for i := 0; i < 64; i++ {
+		op()
+	}
+	if calls != 64 || got != nil {
+		t.Fatalf("%d of 64 sets reported, last error %v", calls, got)
+	}
+	if allocs := testing.AllocsPerRun(100, op); allocs != 0 {
+		t.Fatalf("Set allocates %.1f objects/op, want 0", allocs)
+	}
+	if st := w.store.Stats; st.Sets != 64+101 || st.RoundTrips != 2*st.Sets || st.BatchSets != 0 || st.BatchRecords != 0 || st.PartialWrites != 0 || st.ReplicaErrors != 0 {
+		t.Fatalf("stats after the sets: %+v", st)
+	}
+	for _, srv := range w.servers {
+		if st := srv.Engine.Stats(); st.Sets != 0 && st.Sets != 64+101 {
+			t.Fatalf("a replica stored %d of %d sets", st.Sets, 64+101)
+		}
+	}
+}
+
 // TestDeleteAllocFree: a flow teardown deletes two records, so Delete
 // runs on the same recycled operation state as SetMulti — fanned out to
 // K replicas over simulated TCP, answered, resolved — and, warm,

@@ -57,21 +57,11 @@ func (r *Ring) Servers() []netsim.HostPort { return r.servers }
 // Len returns the number of servers.
 func (r *Ring) Len() int { return len(r.servers) }
 
-// Pick returns the servers for the K replicas of key. It guarantees the
-// replicas are distinct servers as long as K ≤ Len(); if K exceeds the
-// server count every server is returned once.
-func (r *Ring) Pick(key string, k int) []netsim.HostPort {
-	var kb [64]byte
-	if len(key) <= len(kb) {
-		return r.PickInto(nil, kb[:copy(kb[:], key)], k)
-	}
-	return r.PickInto(nil, []byte(key), k)
-}
-
-// PickInto is Pick for byte keys, appending the chosen servers to dst
-// (usually caller-owned scratch) instead of allocating. The selection is
-// identical to Pick's: replica i hashes the key with salt i and walks the
-// ring to the first point owned by a server not already chosen.
+// PickInto appends the servers for the K replicas of key to dst (usually
+// caller-owned scratch). It guarantees the replicas are distinct servers
+// as long as K ≤ Len(); if K exceeds the server count every server is
+// returned once. Replica i hashes the key with salt i and walks the ring
+// to the first point owned by a server not already chosen.
 func (r *Ring) PickInto(dst []netsim.HostPort, key []byte, k int) []netsim.HostPort {
 	if len(r.servers) == 0 || k <= 0 {
 		return dst

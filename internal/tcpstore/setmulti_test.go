@@ -74,15 +74,15 @@ func TestSetMultiPartialFailureMarksUnrecoverableEntry(t *testing.T) {
 	// Kill both replicas of entry 0; keep entry 1's replicas alive (skip
 	// the seed if the replica sets overlap).
 	dead := map[string]bool{}
-	for _, hp := range w.store.ring.Pick(string(entries[0].Key), 2) {
+	for _, hp := range w.store.ring.PickInto(nil, entries[0].Key, 2) {
 		dead[hp.String()] = true
 	}
-	for _, hp := range w.store.ring.Pick(string(entries[1].Key), 2) {
+	for _, hp := range w.store.ring.PickInto(nil, entries[1].Key, 2) {
 		if dead[hp.String()] {
 			t.Skip("replica sets overlap for this seed")
 		}
 	}
-	for _, hp := range w.store.ring.Pick(string(entries[0].Key), 2) {
+	for _, hp := range w.store.ring.PickInto(nil, entries[0].Key, 2) {
 		for _, srv := range w.servers {
 			if srv.Host().IP() == hp.IP {
 				srv.Host().Detach()
@@ -159,14 +159,14 @@ func benchStorageB(b *testing.B, batched bool) {
 		if batched {
 			distinct := map[string]bool{}
 			for _, e := range entries {
-				for _, hp := range w.store.ring.Pick(string(e.Key), w.store.cfg.Replicas) {
+				for _, hp := range w.store.ring.PickInto(nil, e.Key, w.store.cfg.Replicas) {
 					distinct[hp.String()] = true
 				}
 			}
 			roundTrips += len(distinct)
 		} else {
 			for _, e := range entries {
-				roundTrips += len(w.store.ring.Pick(string(e.Key), w.store.cfg.Replicas))
+				roundTrips += len(w.store.ring.PickInto(nil, e.Key, w.store.cfg.Replicas))
 			}
 		}
 		done := false

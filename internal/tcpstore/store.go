@@ -20,10 +20,6 @@ type Config struct {
 	// on. The paper's persistence experiments use 2; 1 degenerates to
 	// plain Memcached (the Figure 10/11 baseline).
 	Replicas int
-	// WriteConcern is how many replica ACKs a Set waits for before
-	// reporting success. 0 means all replicas. The paper ACKs the client
-	// only after the state is persisted, so the default waits for all.
-	WriteConcern int
 	// Expiry is the TTL in seconds attached to flow-state entries; flows
 	// that die without cleanup age out. 0 disables expiry.
 	Expiry int
@@ -36,10 +32,11 @@ type Config struct {
 	TCP       tcp.Config
 }
 
-// DefaultConfig matches the paper's deployment: 2 replicas, wait for
-// both, 10-minute TTL as a leak backstop, 1 s operation bound.
+// DefaultConfig matches the paper's deployment: 2 replicas (a write waits
+// for both: the paper ACKs the client only after the state is persisted),
+// 10-minute TTL as a leak backstop, 1 s operation bound.
 func DefaultConfig() Config {
-	return Config{Replicas: 2, WriteConcern: 0, Expiry: 600, OpTimeout: time.Second, TCP: tcp.DefaultConfig()}
+	return Config{Replicas: 2, Expiry: 600, OpTimeout: time.Second, TCP: tcp.DefaultConfig()}
 }
 
 // Stats counts client-side operation outcomes.
@@ -106,31 +103,29 @@ type Store struct {
 	Stats Stats
 }
 
-// multiOp is the pooled in-flight state of one SetMulti or Delete
-// operation. A Delete is one entry that every replica must answer, one
-// batch per replica: any reply counts as its ack, an answer short of all
-// replicas is not a partial write, and delCb (which may be nil) takes the
-// place of cb.
+// multiOp is the pooled in-flight state of one Set, SetMulti or Delete.
+// Set is the one-entry write and reports through errCb. A Delete is one
+// entry too, also reporting through errCb (which may then be nil): every
+// replica must answer, any reply counts as its ack, and an answer short
+// of all replicas is not a partial write.
 type multiOp struct {
 	store     *Store
 	del       bool
-	delCb     func(error)
-	nEntries  int
-	acks      []int
-	concern   []int
+	errCb     func(error)
+	cb        func(SetResult) // SetMulti's callback
+	acks      []int           // per entry: replicas that stored it
+	want      []int           // per entry: replicas it was sent to
 	batches   []*batchState
-	replied   int // batches whose outcome was counted (stops at done)
 	delivered int // batch handle invocations, late replies included
 	done      bool
 	res       SetResult
-	cb        func(SetResult)
 	timer     netsim.Timer
 	timeoutFn func() // pre-bound OpTimeout callback
 }
 
-// batchState is the pooled per-server slice of one SetMulti: the records
-// routed to that server, issued as one mset (or a plain set for a single
-// record).
+// batchState is the pooled per-server slice of one operation: the records
+// routed to that server, issued as one mset (a plain set for a single
+// record, a delete for a Delete).
 type batchState struct {
 	op     *multiOp
 	server netsim.HostPort
@@ -175,7 +170,7 @@ func (s *Store) takeOp() *multiOp {
 		}
 	}
 	op.batches = op.batches[:0]
-	op.replied, op.delivered = 0, 0
+	op.delivered = 0
 	op.done, op.del = false, false
 	op.res = SetResult{}
 	op.timer = netsim.Timer{}
@@ -211,7 +206,7 @@ func (op *multiOp) recycle() {
 		}
 	}
 	op.batches = op.batches[:0]
-	op.cb, op.delCb = nil, nil
+	op.cb, op.errCb = nil, nil
 	if len(s.freeOps) < 8 {
 		s.freeOps = append(s.freeOps, op)
 	}
@@ -221,24 +216,23 @@ func (op *multiOp) recycle() {
 // once delivery is complete.
 func (op *multiOp) resolve(timedOut bool) {
 	op.res.TimedOut = timedOut
-	for i := 0; i < op.nEntries; i++ {
+	for i, acks := range op.acks {
 		switch {
-		case op.acks[i] == 0:
+		case acks == 0:
 			op.res.Err = ErrAllReplicasFailed
-		case op.acks[i] < op.concern[i] && !op.del:
+		case acks < op.want[i] && !op.del:
 			op.store.Stats.PartialWrites++
 		}
 	}
-	cb, del, delCb := op.cb, op.del, op.delCb
-	res := op.res
+	cb, errCb, res := op.cb, op.errCb, op.res
 	if op.delivered == len(op.batches) {
 		op.recycle()
 	}
 	switch {
-	case !del:
+	case cb != nil:
 		cb(res)
-	case delCb != nil:
-		delCb(res.Err)
+	case errCb != nil:
+		errCb(res.Err)
 	}
 }
 
@@ -246,8 +240,8 @@ func (op *multiOp) resolve(timedOut bool) {
 func (op *multiOp) handleReply(b *batchState, r memcache.SimResult) {
 	op.delivered++
 	if op.done {
-		// Late reply after timeout or early write-concern resolution: the
-		// result already went out; just finish delivery accounting.
+		// Late reply after the timeout: the result already went out; just
+		// finish delivery accounting.
 		if op.delivered == len(op.batches) {
 			op.recycle()
 		}
@@ -277,15 +271,7 @@ func (op *multiOp) handleReply(b *batchState, r memcache.SimResult) {
 			s.Stats.ReplicaErrors++
 		}
 	}
-	op.replied++
-	met := true
-	for i := 0; i < op.nEntries; i++ {
-		if op.acks[i] < op.concern[i] {
-			met = false
-			break
-		}
-	}
-	if met || op.replied == len(op.batches) {
+	if op.delivered == len(op.batches) {
 		op.done = true
 		op.timer.Stop()
 		op.resolve(false)
@@ -359,71 +345,25 @@ func (s *Store) conn(server netsim.HostPort) *memcache.SimClient {
 	return c
 }
 
-// Set stores value under key on all K replicas concurrently. cb fires
-// once the write concern is met (nil error), all replicas have failed, or
-// the operation timeout expires (success if anything was stored by then).
+// Set stores value under key on all K replicas concurrently: the
+// one-entry case of SetMulti, always sent as a plain set. cb fires once
+// every replica has answered or the operation timeout expires — with nil
+// if anything was stored by then (recoverable), ErrAllReplicasFailed if
+// not.
 func (s *Store) Set(key, value []byte, cb func(error)) {
 	s.Stats.Sets++
-	replicas := s.ring.PickInto(s.takePickBuf(), key, s.cfg.Replicas)
-	if len(replicas) == 0 {
-		s.putPickBuf(replicas)
-		cb(ErrAllReplicasFailed)
-		return
-	}
-	s.Stats.RoundTrips += uint64(len(replicas))
-	n := len(replicas)
-	need := s.cfg.WriteConcern
-	if need <= 0 || need > n {
-		need = n
-	}
-	acks, fails, done := 0, 0, false
-	timer := s.armOpTimeout(&done, func() {
-		if acks > 0 {
-			cb(nil)
-		} else {
-			cb(ErrAllReplicasFailed)
-		}
-	})
-	for _, server := range replicas {
-		s.conn(server).Set(key, value, 0, s.cfg.Expiry, func(r memcache.SimResult) {
-			if done {
-				return
-			}
-			if r.Err != nil || r.Reply.Type != memcache.ReplyStored {
-				fails++
-				s.Stats.ReplicaErrors++
-			} else {
-				acks++
-			}
-			if acks >= need {
-				done = true
-				timer.Stop()
-				cb(nil)
-			} else if fails+acks == n {
-				done = true
-				timer.Stop()
-				if acks > 0 {
-					cb(nil) // stored somewhere: recoverable
-				} else {
-					cb(ErrAllReplicasFailed)
-				}
-			}
-		})
-	}
-	s.putPickBuf(replicas)
+	op := s.takeOp()
+	op.errCb = cb
+	entry := [1]Entry{{Key: key, Value: value}}
+	s.issue(op, entry[:])
 }
 
 // SetMulti stores every entry on its K replicas in one batched round
 // trip: entries are grouped into one pipelined mset command per replica
 // server (a plain set when a server receives a single record), so the
 // wire cost is one request/reply exchange per server regardless of the
-// record count. cb fires exactly once — when every entry has met the
-// write concern, when all batches have resolved, or at OpTimeout —
-// with the per-replica outcome tally.
-//
-// Grouping preserves entry order and a deterministic server order; the
-// simulator's bit-identical-trace guarantee depends on the issue order
-// of the underlying writes.
+// record count. cb fires exactly once — when all batches have resolved
+// or at OpTimeout — with the per-replica outcome tally.
 func (s *Store) SetMulti(entries []Entry, cb func(SetResult)) {
 	s.Stats.BatchSets++
 	s.Stats.BatchRecords += uint64(len(entries))
@@ -432,26 +372,39 @@ func (s *Store) SetMulti(entries []Entry, cb func(SetResult)) {
 		return
 	}
 	op := s.takeOp()
-	op.nEntries = len(entries)
 	op.cb = cb
+	s.issue(op, entries)
+}
+
+// Delete removes key from all replicas. cb (which may be nil) fires when
+// every replica has answered or at OpTimeout; err is non-nil only if no
+// replica answered.
+func (s *Store) Delete(key []byte, cb func(error)) {
+	s.Stats.Deletes++
+	op := s.takeOp()
+	op.del, op.errCb = true, cb
+	entry := [1]Entry{{Key: key}}
+	s.issue(op, entry[:])
+}
+
+// issue groups op's entries by replica server, arms the operation timeout
+// and sends one command per server. Grouping preserves entry order and a
+// deterministic server order; the simulator's bit-identical-trace
+// guarantee depends on the issue order of the underlying writes.
+func (s *Store) issue(op *multiOp, entries []Entry) {
 	op.acks = resetInts(op.acks, len(entries))
-	op.concern = resetInts(op.concern, len(entries))
+	op.want = resetInts(op.want, len(entries))
 	if s.byServer == nil {
 		s.byServer = make(map[netsim.HostPort]*batchState, s.cfg.Replicas)
 	}
-	// Build phase, fully synchronous: group records by replica server.
-	// byServer is store-owned scratch — safe because no callback can run
-	// until the issue phase below. op.batches keeps insertion order; the
-	// simulator's bit-identical-trace guarantee depends on the issue order
-	// of the underlying writes, so the map is never iterated.
+	// Build phase, fully synchronous. byServer is store-owned scratch —
+	// safe because no callback can run until the issue phase below.
+	// op.batches keeps insertion order, so the map is never iterated.
 	replicas := s.takePickBuf()
 	for i := range entries {
 		e := &entries[i]
 		replicas = s.ring.PickInto(replicas[:0], e.Key, s.cfg.Replicas)
-		op.concern[i] = s.cfg.WriteConcern
-		if op.concern[i] <= 0 || op.concern[i] > len(replicas) {
-			op.concern[i] = len(replicas)
-		}
+		op.want[i] = len(replicas)
 		for _, server := range replicas {
 			b, ok := s.byServer[server]
 			if !ok {
@@ -468,22 +421,23 @@ func (s *Store) SetMulti(entries []Entry, cb func(SetResult)) {
 		delete(s.byServer, k)
 	}
 	if len(op.batches) == 0 {
-		op.recycle()
-		cb(SetResult{Err: ErrAllReplicasFailed, TimedOut: false})
+		op.resolve(false) // no servers: every entry has zero acks
 		return
 	}
 	s.Stats.RoundTrips += uint64(len(op.batches))
 	if s.cfg.OpTimeout > 0 {
 		op.timer = s.host.Network().Schedule(s.cfg.OpTimeout, op.timeoutFn)
 	}
-	// Issue phase: one pipelined mset (or plain set) per server. The
-	// connection encodes keys and values into its own buffers before
-	// returning, so the entries' slices are not retained.
+	// Issue phase. The connection encodes keys and values into its own
+	// buffers before returning, so the entries' slices are not retained.
 	for _, b := range op.batches {
 		conn := s.conn(b.server)
-		if len(b.kvs) == 1 {
+		switch {
+		case op.del:
+			conn.Delete(b.kvs[0].Key, b.handle)
+		case len(b.kvs) == 1:
 			conn.Set(b.kvs[0].Key, b.kvs[0].Value, 0, s.cfg.Expiry, b.handle)
-		} else {
+		default:
 			conn.SetMulti(b.kvs, s.cfg.Expiry, b.handle)
 		}
 	}
@@ -570,39 +524,6 @@ func (s *Store) Get(key []byte, cb func(value []byte, ok bool, err error)) {
 		})
 	}
 	s.putPickBuf(replicas)
-}
-
-// Delete removes key from all replicas. cb fires when every replica has
-// answered; err is non-nil only if every replica failed.
-func (s *Store) Delete(key []byte, cb func(error)) {
-	s.Stats.Deletes++
-	replicas := s.ring.PickInto(s.takePickBuf(), key, s.cfg.Replicas)
-	if len(replicas) == 0 {
-		s.putPickBuf(replicas)
-		if cb != nil {
-			cb(ErrAllReplicasFailed)
-		}
-		return
-	}
-	s.Stats.RoundTrips += uint64(len(replicas))
-	op := s.takeOp()
-	op.del, op.delCb = true, cb
-	op.nEntries = 1
-	op.acks = resetInts(op.acks, 1)
-	op.concern = resetInts(op.concern, 1)
-	op.concern[0] = len(replicas)
-	for _, server := range replicas {
-		b := s.takeBatch(op, server)
-		b.idxs = append(b.idxs, 0)
-		op.batches = append(op.batches, b)
-	}
-	s.putPickBuf(replicas)
-	if s.cfg.OpTimeout > 0 {
-		op.timer = s.host.Network().Schedule(s.cfg.OpTimeout, op.timeoutFn)
-	}
-	for _, b := range op.batches {
-		s.conn(b.server).Delete(key, b.handle)
-	}
 }
 
 // Latency measurement helper: TimedSet behaves like Set and reports the

@@ -23,7 +23,7 @@ func TestRingPickDistinctReplicas(t *testing.T) {
 	r := NewRing(mkServers(10))
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("flow:%d", i)
-		picks := r.Pick(key, 3)
+		picks := r.PickInto(nil, []byte(key), 3)
 		if len(picks) != 3 {
 			t.Fatalf("picked %d servers", len(picks))
 		}
@@ -41,7 +41,7 @@ func TestRingPickDeterministic(t *testing.T) {
 	servers := mkServers(10)
 	a, b := NewRing(servers), NewRing(servers)
 	f := func(key string) bool {
-		pa, pb := a.Pick(key, 2), b.Pick(key, 2)
+		pa, pb := a.PickInto(nil, []byte(key), 2), b.PickInto(nil, []byte(key), 2)
 		if len(pa) != len(pb) {
 			return false
 		}
@@ -59,7 +59,7 @@ func TestRingPickDeterministic(t *testing.T) {
 
 func TestRingKExceedsServers(t *testing.T) {
 	r := NewRing(mkServers(2))
-	picks := r.Pick("key", 5)
+	picks := r.PickInto(nil, []byte("key"), 5)
 	if len(picks) != 2 {
 		t.Fatalf("picked %d, want all 2", len(picks))
 	}
@@ -67,11 +67,11 @@ func TestRingKExceedsServers(t *testing.T) {
 
 func TestRingEmptyAndZeroK(t *testing.T) {
 	r := NewRing(nil)
-	if r.Pick("k", 2) != nil {
+	if r.PickInto(nil, []byte("k"), 2) != nil {
 		t.Fatal("pick on empty ring")
 	}
 	r = NewRing(mkServers(3))
-	if r.Pick("k", 0) != nil {
+	if r.PickInto(nil, []byte("k"), 0) != nil {
 		t.Fatal("pick with k=0")
 	}
 }
@@ -81,7 +81,7 @@ func TestRingBalance(t *testing.T) {
 	counts := map[netsim.HostPort]int{}
 	const N = 20000
 	for i := 0; i < N; i++ {
-		for _, s := range r.Pick(fmt.Sprintf("key-%d", i), 1) {
+		for _, s := range r.PickInto(nil, []byte(fmt.Sprintf("key-%d", i)), 1) {
 			counts[s]++
 		}
 	}
@@ -102,8 +102,8 @@ func TestRingMonotonicity(t *testing.T) {
 	moved, stayed := 0, 0
 	for i := 0; i < 2000; i++ {
 		key := fmt.Sprintf("key-%d", i)
-		before := full.Pick(key, 1)[0]
-		after := reduced.Pick(key, 1)[0]
+		before := full.PickInto(nil, []byte(key), 1)[0]
+		after := reduced.PickInto(nil, []byte(key), 1)[0]
 		if before == removed {
 			moved++
 			continue
@@ -194,7 +194,7 @@ func TestStoreSurvivesOneReplicaFailure(t *testing.T) {
 		t.Fatal("set failed")
 	}
 	// Kill exactly one of the two replica servers.
-	replicas := w.store.ring.Pick("flow:x", 2)
+	replicas := w.store.ring.PickInto(nil, []byte("flow:x"), 2)
 	for _, srv := range w.servers {
 		if srv.Host().IP() == replicas[0].IP {
 			srv.Host().Detach()
@@ -222,7 +222,7 @@ func TestStoreSurvivesOneReplicaFailure(t *testing.T) {
 func TestDeleteUnderReplicaFailure(t *testing.T) {
 	w := newSimWorld(6, 4, DefaultConfig())
 	key := []byte("flow:x")
-	replicas := w.store.ring.Pick(string(key), 2)
+	replicas := w.store.ring.PickInto(nil, key, 2)
 	kill := func(hp netsim.HostPort) {
 		for _, srv := range w.servers {
 			if srv.Host().IP() == hp.IP {

@@ -3,9 +3,9 @@
 #
 #   1. gofmt -s -l + go vet   formatting and static checks, whole tree
 #   2. fast-fail stages       vet + race on the hottest packages, 10 s
-#                             each of the HTTP codec's and the
-#                             scheduler's differential fuzzers, and the
-#                             RNG lint
+#                             each of the HTTP codec's, the scheduler's
+#                             and the memcached session's differential
+#                             fuzzers, and the RNG lint
 #   3. go build               everything compiles, including cmd/
 #   4. bench module smoke     bench/ has its own go.mod; its ~3 s test
 #                             compiles yodabench against this tree
@@ -45,6 +45,10 @@ go test -run '^$' -fuzz 'FuzzHTTPCodecDifferential' -fuzztime 10s -fuzzminimizet
 # contract is the order of a plain (at, seq) heap; ten seconds of random
 # schedule/stop/run scripts against that heap, delays from 0 to months.
 go test -run '^$' -fuzz 'FuzzSchedulerOrder' -fuzztime 10s -fuzzminimizetime 2s ./internal/netsim/
+# Every record the dataplane persists goes through one protocol session;
+# ten seconds of arbitrary byte streams, arbitrarily chunked, against the
+# reference parser: same replies, same engine state.
+go test -run '^$' -fuzz 'FuzzMemcacheSessionDifferential' -fuzztime 10s -fuzzminimizetime 2s ./internal/memcache/
 
 echo "== rng lint (grep fast-fail; TestNoStrayRNGConstruction is the test half) =="
 # Only netsim (the network's RNG) and the trial-level drivers may construct
@@ -70,7 +74,7 @@ go test -race ./...
 
 echo "== benchmarks (1 iteration, smoke) =="
 go test -run '^$' -bench '.' -benchtime=1x \
-  -skip 'BenchmarkFig10|BenchmarkFig12|BenchmarkFig13|BenchmarkMemcachedRealTCP' \
+  -skip 'BenchmarkFig10|BenchmarkFig12|BenchmarkFig13' \
   ./... 2>/dev/null | grep -E '^(Benchmark|ok|FAIL)' || true
 
 echo "== bench regression gate (>15% vs BENCH_core.json fails) =="
@@ -84,6 +88,16 @@ echo "== bench regression gate (>15% vs BENCH_core.json fails) =="
 # connection pair may not hold more than 15% over the recorded heap (an
 # exact figure: one run). Best-of-3 runs absorb machine noise; after an
 # intentional perf change, re-baseline with scripts/bench.sh.
+# gate <label> <unit> <new> <recorded> lower|higher: fail when new is more
+# than 15% worse than recorded in the direction that is better; a field
+# the record lacks is not gated.
+gate() {
+  [[ -z "$4" || "$4" == "null" ]] && return 0
+  awk -v label="$1" -v unit="$2" -v new="$3" -v rec="$4" -v better="$5" 'BEGIN{
+    if (better == "lower" ? new+0 > rec*1.15 : new+0 < rec/1.15) {
+      printf "FAIL: %s %s %s vs recorded %s (>15%% regression)\n", label, new, unit, rec; exit 1 }
+    printf "%s %s %s vs recorded %s %s: ok\n", label, new, unit, rec, unit }' || exit 1
+}
 REC_EVLOOP_NS=$(awk -F'[:,]' '/"event_loop_ns_op"/ {gsub(/[ "]/,"",$2); print $2; exit}' BENCH_core.json 2>/dev/null || true)
 REC_MFLOW_EPS=$(awk -F'[:,]' '/"mflow_events_per_s"/ {gsub(/[ "]/,"",$2); print $2; exit}' BENCH_core.json 2>/dev/null || true)
 REC_FLOW_NS=$(awk -F'[:,]' '/"flow_fast_path_ns_op"/ {gsub(/[ "]/,"",$2); print $2; exit}' BENCH_core.json 2>/dev/null || true)
@@ -108,37 +122,13 @@ else
   NEW_TCP_256K_MBS=$(awk '$1 ~ /^BenchmarkTCPThroughput\/chunk=256k/ {for(i=1;i<NF;i++) if($(i+1)=="MB/s" && $i+0>max+0) max=$i} END{print max}' "$GATE_LOG")
   NEW_IDLE_B=$(awk '$1 ~ /^BenchmarkIdleConnHeap/ {for(i=1;i<NF;i++) if($(i+1)=="heap-B/pair") print $i}' "$GATE_LOG" | head -1)
   rm -f "$GATE_LOG"
-  awk -v new="$NEW_EVLOOP_NS" -v rec="$REC_EVLOOP_NS" 'BEGIN{
-    if (new+0 > rec*1.15) { printf "FAIL: event loop %.1f ns/op vs recorded %.1f (>15%% regression)\n", new, rec; exit 1 }
-    printf "event loop %.1f ns/op vs recorded %.1f ns/op: ok\n", new, rec }'
-  awk -v new="$NEW_MFLOW_EPS" -v rec="$REC_MFLOW_EPS" 'BEGIN{
-    if (new+0 < rec/1.15) { printf "FAIL: mflow %.0f events/s vs recorded %.0f (>15%% regression)\n", new, rec; exit 1 }
-    printf "mflow %.0f events/s vs recorded %.0f events/s: ok\n", new, rec }'
-  if [[ -n "${REC_TIMER_NS:-}" && "$REC_TIMER_NS" != "null" ]]; then
-    awk -v new="$NEW_TIMER_NS" -v rec="$REC_TIMER_NS" 'BEGIN{
-      if (new+0 > rec*1.15) { printf "FAIL: timer churn, 64k backlog %.1f ns/op vs recorded %.1f (>15%% regression)\n", new, rec; exit 1 }
-      printf "timer churn, 64k backlog %.1f ns/op vs recorded %.1f ns/op: ok\n", new, rec }'
-  fi
-  if [[ -n "${REC_FLOW_NS:-}" && "$REC_FLOW_NS" != "null" ]]; then
-    awk -v new="$NEW_FLOW_NS" -v rec="$REC_FLOW_NS" 'BEGIN{
-      if (new+0 > rec*1.15) { printf "FAIL: flow fast path %.1f ns/op vs recorded %.1f (>15%% regression)\n", new, rec; exit 1 }
-      printf "flow fast path %.1f ns/op vs recorded %.1f ns/op: ok\n", new, rec }'
-  fi
-  if [[ -n "${REC_TCP_MBS:-}" && "$REC_TCP_MBS" != "null" ]]; then
-    awk -v new="$NEW_TCP_MBS" -v rec="$REC_TCP_MBS" 'BEGIN{
-      if (new+0 < rec/1.15) { printf "FAIL: tcp throughput %.1f MB/s vs recorded %.1f (>15%% regression)\n", new, rec; exit 1 }
-      printf "tcp throughput %.1f MB/s vs recorded %.1f MB/s: ok\n", new, rec }'
-  fi
-  if [[ -n "${REC_TCP_256K_MBS:-}" && "$REC_TCP_256K_MBS" != "null" ]]; then
-    awk -v new="$NEW_TCP_256K_MBS" -v rec="$REC_TCP_256K_MBS" 'BEGIN{
-      if (new+0 < rec/1.15) { printf "FAIL: tcp throughput, 256 KiB writes %.1f MB/s vs recorded %.1f (>15%% regression)\n", new, rec; exit 1 }
-      printf "tcp throughput, 256 KiB writes %.1f MB/s vs recorded %.1f MB/s: ok\n", new, rec }'
-  fi
-  if [[ -n "${REC_IDLE_B:-}" && "$REC_IDLE_B" != "null" ]]; then
-    awk -v new="$NEW_IDLE_B" -v rec="$REC_IDLE_B" 'BEGIN{
-      if (new+0 > rec*1.15) { printf "FAIL: idle tcp conn pair holds %.0f B vs recorded %.0f (>15%% regression)\n", new, rec; exit 1 }
-      printf "idle tcp conn pair %.0f B vs recorded %.0f B: ok\n", new, rec }'
-  fi
+  gate "event loop" ns/op "$NEW_EVLOOP_NS" "$REC_EVLOOP_NS" lower
+  gate "mflow" events/s "$NEW_MFLOW_EPS" "$REC_MFLOW_EPS" higher
+  gate "timer churn, 64k backlog" ns/op "$NEW_TIMER_NS" "${REC_TIMER_NS:-}" lower
+  gate "flow fast path" ns/op "$NEW_FLOW_NS" "${REC_FLOW_NS:-}" lower
+  gate "tcp throughput" MB/s "$NEW_TCP_MBS" "${REC_TCP_MBS:-}" higher
+  gate "tcp throughput, 256 KiB writes" MB/s "$NEW_TCP_256K_MBS" "${REC_TCP_256K_MBS:-}" higher
+  gate "idle tcp conn pair" B "$NEW_IDLE_B" "${REC_IDLE_B:-}" lower
 fi
 
 echo "CI PASS"
