@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/netsim"
+	"repro/internal/tcp"
 )
 
 // TestMarshalGolden pins Marshal's bytes to the reference serializer for
@@ -236,6 +237,7 @@ func TestParseAllocBudgets(t *testing.T) {
 // to be refused with ErrTooLarge (answered 400).
 func TestLargePostThroughServer(t *testing.T) {
 	n := netsim.New(8)
+	n.PoisonReleasedBufs()
 	ch := netsim.NewHost(n, netsim.IPv4(100, 0, 0, 1))
 	sh := netsim.NewHost(n, netsim.IPv4(10, 0, 0, 1))
 	body := bytes.Repeat([]byte("0123456789abcdef"), 128<<10/16)
@@ -276,10 +278,15 @@ func TestLargePostThroughServer(t *testing.T) {
 
 // TestServerKeepsNothingOfClosedConns: a backend that has served and
 // closed many connections must not hold their send buffers (it used to
-// keep every accepted conn, each with its response still buffered).
+// keep every accepted conn, each with its response still buffered) — nor,
+// now that a body is transmitted where it lies, the bodies: the handler
+// makes a fresh one per request, as workload.Corpus.Handler does, and a
+// closed connection that still referenced its own would show here.
 func TestServerKeepsNothingOfClosedConns(t *testing.T) {
 	const objBytes, fetches = 256 << 10, 40
-	w := newWorld(9, map[string][]byte{"/obj": bytes.Repeat([]byte("o"), objBytes)})
+	w := newWorldServing(9, func(*Request) *Response {
+		return NewResponse(200, bytes.Repeat([]byte("o"), objBytes))
+	})
 	heap := func() uint64 {
 		runtime.GC()
 		var m runtime.MemStats
@@ -308,4 +315,46 @@ func TestServerKeepsNothingOfClosedConns(t *testing.T) {
 		t.Fatalf("heap grew %d bytes over %d closed connections of %d bytes each", grown, fetches, objBytes)
 	}
 	runtime.KeepAlive(w)
+}
+
+// TestServerSendsBodyInPlace: serving a 512 KiB object on a connection of
+// its own, as bulk-paper does, costs the server side a connection, a
+// request, a response head and a timer — not a copy of the object. The
+// client is a raw TCP sink that keeps nothing, so what is allocated per
+// response is the two endpoints', the server's and the network's.
+func TestServerSendsBodyInPlace(t *testing.T) {
+	const objBytes, fetches = 512 << 10, 16
+	obj := bytes.Repeat([]byte("0123456789abcdef"), objBytes/16)
+	w := newWorld(10, map[string][]byte{"/obj": obj})
+	r := NewRequest("/obj", "svc")
+	r.SetHeader("Connection", "close")
+	req, got := r.Marshal(), 0
+	sink := tcp.Callbacks{
+		OnEstablished: func(c *tcp.Conn) { c.Write(req) },
+		OnData:        func(c *tcp.Conn, d []byte) { got += len(d) },
+		OnPeerClose:   func(c *tcp.Conn) { c.Close() },
+	}
+	fetch := func() {
+		tcp.Dial(w.client.host, w.srvHP, sink, tcp.DefaultConfig())
+		w.net.RunUntilIdle(1 << 20)
+	}
+	fetch() // warms the pools
+	perResp := got
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < fetches; i++ {
+		fetch()
+	}
+	runtime.ReadMemStats(&after)
+	if got != (1+fetches)*perResp || perResp <= objBytes {
+		t.Fatalf("read %d bytes over %d responses of %d", got, 1+fetches, perResp)
+	}
+	per := (after.TotalAlloc - before.TotalAlloc) / fetches
+	t.Logf("%d bytes allocated per response", per)
+	if per > 4<<10 {
+		t.Fatalf("serving a %d-byte object allocates %d bytes per response, want under 4 KiB: the body is being copied", objBytes, per)
+	}
+	if !bytes.Equal(obj, bytes.Repeat([]byte("0123456789abcdef"), objBytes/16)) {
+		t.Fatal("the served object was modified")
+	}
 }

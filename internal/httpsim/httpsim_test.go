@@ -224,10 +224,15 @@ type world struct {
 }
 
 func newWorld(seed int64, objects map[string][]byte) *world {
+	return newWorldServing(seed, MapHandler(objects))
+}
+
+func newWorldServing(seed int64, h Handler) *world {
 	n := netsim.New(seed)
+	n.PoisonReleasedBufs() // nothing may read a payload after its sender's full ACK
 	ch := netsim.NewHost(n, netsim.IPv4(100, 0, 0, 1))
 	sh := netsim.NewHost(n, netsim.IPv4(10, 0, 0, 1))
-	srv := NewServer(sh, 80, MapHandler(objects), DefaultServerConfig())
+	srv := NewServer(sh, 80, h, DefaultServerConfig())
 	return &world{
 		net:    n,
 		client: NewClient(ch, DefaultClientConfig()),
@@ -325,6 +330,7 @@ func TestClientRetrySucceedsAfterServerRecovers(t *testing.T) {
 
 func TestKeepAliveServesMultipleRequests(t *testing.T) {
 	n := netsim.New(5)
+	n.PoisonReleasedBufs()
 	ch := netsim.NewHost(n, netsim.IPv4(100, 0, 0, 1))
 	sh := netsim.NewHost(n, netsim.IPv4(10, 0, 0, 1))
 	srv := NewServer(sh, 80, MapHandler(map[string][]byte{

@@ -11,7 +11,10 @@ import (
 
 // Handler produces a response for a request. It runs inside the event
 // loop and must not block; the server applies ProcessingDelay on its
-// behalf.
+// behalf. The returned body is transmitted in place (tcp.Conn.WriteStatic),
+// not copied: do not modify it after returning, ever — packets in flight
+// and the peer's reassembly queue reference it past the connection's end.
+// Serving one shared object to every request is exactly the intended use.
 type Handler func(req *Request) *Response
 
 // ServerConfig tunes an origin server.
@@ -55,7 +58,7 @@ type Server struct {
 	// server keeps no reference to a connection past its close.
 	ClosedGSOTrains int
 
-	head []byte // scratch for response heads; Writev copies it out at once
+	head []byte // scratch for response heads; WriteStatic copies it out at once
 }
 
 // NewServer starts a server on host:port with the given handler.
@@ -84,7 +87,7 @@ func (s *Server) accept(c *tcp.Conn) tcp.Callbacks {
 		OnData: func(c *tcp.Conn, d []byte) {
 			reqs, err := parser.Feed(d)
 			if err != nil {
-				c.Write(NewResponse(400, []byte("bad request")).Marshal())
+				s.send(c, NewResponse(400, []byte("bad request")))
 				c.Close()
 				return
 			}
@@ -111,12 +114,20 @@ func (s *Server) serve(c *tcp.Conn, req *Request) {
 		if !keepAlive {
 			resp.SetHeader("Connection", "close")
 		}
-		s.head = resp.appendHead(s.head[:0])
-		c.Writev(s.head, resp.Body)
+		s.send(c, resp)
 		if !keepAlive {
 			c.Close()
 		}
 	})
+}
+
+// send is the one way a response leaves the server, whatever its size:
+// the head is built in the server's scratch and copied into the
+// connection's send buffer, the body is handed over where it lies (see
+// Handler). The bytes and their segments are those of Marshal written whole.
+func (s *Server) send(c *tcp.Conn, resp *Response) {
+	s.head = resp.appendHead(s.head[:0])
+	c.WriteStatic(s.head, resp.Body)
 }
 
 // MapHandler serves objects from a path→body map, the shape used by the

@@ -15,6 +15,14 @@ import "math/bits"
 //     once they have copied out whatever payload bytes they keep.
 //   - Payload sub-slices handed to OnData callbacks are read-only and
 //     must not be retained past the callback unless copied.
+//   - A payload lies in one of two kinds of array. A pooled one (a TCP send
+//     buffer or retransmit copy) belongs to the sending connection, which
+//     writes only past what it has handed out and gives the array to
+//     ReleaseBuf once every byte in it is acknowledged. A borrowed one (a
+//     body lent to tcp.Conn.WriteStatic) belongs to nobody on the network:
+//     its lender has promised never to modify it, the connection only reads
+//     and re-slices it, and it must never reach ReleaseBuf — the next
+//     AllocBuf would write into an object that is still being served.
 //   - While a tracer is installed, deliver clears the pooled flag so
 //     retained trace packets are never recycled under the tracer.
 

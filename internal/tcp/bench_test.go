@@ -14,10 +14,46 @@ import (
 // keep-alive connection writes chunk bytes again and again, each write
 // fully acknowledged before the next: 64 KiB is a send array the network's
 // pool recycles, 256 KiB one too large for it that the connection has to
-// keep — re-growing it per write costs most of the throughput.
+// keep — re-growing it per write costs most of the throughput. static=512k
+// is bulk-paper's shape instead: every iteration a fresh connection serves
+// one 512 KiB object in place and closes, so B/op is what a connection and
+// a response cost when the body is not copied (bench.sh records both).
 func BenchmarkTCPThroughput(b *testing.B) {
 	b.Run("chunk=64k", func(b *testing.B) { benchThroughput(b, 64<<10) })
 	b.Run("chunk=256k", func(b *testing.B) { benchThroughput(b, 256<<10) })
+	b.Run("static=512k", benchStatic512K)
+}
+
+func benchStatic512K(b *testing.B) {
+	n := netsim.New(42)
+	sender := netsim.NewHost(n, 0x0a000001)
+	receiver := netsim.NewHost(n, 0x0a000002)
+
+	var received int
+	Listen(receiver, 80, func(c *Conn) Callbacks {
+		return Callbacks{
+			OnData:      func(c *Conn, d []byte) { received += len(d) },
+			OnPeerClose: func(c *Conn) { c.Close() },
+		}
+	}, DefaultConfig())
+
+	head, body := make([]byte, 43), make([]byte, 512<<10)
+	for i := range body {
+		body[i] = byte(i)
+	}
+	serve := Callbacks{OnEstablished: func(c *Conn) { c.WriteStatic(head, body); c.Close() }}
+
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Dial(sender, netsim.HostPort{IP: receiver.IP(), Port: 80}, serve, DefaultConfig())
+		n.RunUntilIdle(1 << 20)
+	}
+	b.StopTimer()
+	if want := b.N * (len(head) + len(body)); received != want {
+		b.Fatalf("received %d bytes, want %d", received, want)
+	}
 }
 
 func benchThroughput(b *testing.B, chunk int) {

@@ -64,7 +64,7 @@ func (l *Listener) handleSegment(pkt *netsim.Packet) {
 	if l.cfg.ISNKey != 0 {
 		c.iss = DeterministicISN(l.cfg.ISNKey, c.local, c.remote)
 	} else {
-		c.iss = c.rng.Uint32()
+		c.iss = c.net.Rand().Uint32()
 	}
 	c.sndUna = c.iss
 	c.sndNxt = c.iss + 1

@@ -18,7 +18,6 @@ package tcp
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 	"time"
 
@@ -216,11 +215,8 @@ type rtxBuf struct {
 
 // Conn is one endpoint of a TCP connection.
 type Conn struct {
-	host *netsim.Host
-	net  *netsim.Network
-	// rng is the network's RNG, cached at construction so draws never
-	// reach through Network.Rand on a hot path.
-	rng    *rand.Rand
+	host   *netsim.Host
+	net    *netsim.Network
 	cfg    Config
 	cb     Callbacks
 	local  netsim.HostPort
@@ -235,12 +231,18 @@ type Conn struct {
 	// sndBuf holds unsent+unacked payload; live bytes are
 	// sndBuf[sndHead:], and sndBuf[sndHead] is at seq bufSeq. The array
 	// comes from the network's buffer pool at the first Write that finds
-	// none and goes back the moment every buffered byte is acknowledged
+	// none and goes back the moment every byte in it is acknowledged
 	// (applyAck), so a connection with nothing in flight holds no send
 	// buffer and request/reply traffic still never allocates one.
-	sndBuf    []byte
-	sndHead   int
-	bufSeq    uint32 // sequence number of sndBuf[sndHead]
+	sndBuf  []byte
+	sndHead int
+	// sndTail is the borrowed tail: bytes that follow sndBuf[sndHead:] in
+	// stream order and lie in an array the caller of WriteStatic promised
+	// never to modify. It is only ever read and re-sliced, never appended
+	// to and never handed to ReleaseBuf. (Declared here, before the 32-bit
+	// fields, so that Conn stays in its size class: TestConnSizeClass.)
+	sndTail   []byte
+	bufSeq    uint32 // sequence number of the first live byte
 	peerWnd   uint32
 	cwnd      uint32
 	ssthresh  uint32
@@ -294,7 +296,7 @@ func DialFrom(h *netsim.Host, localPort uint16, remote netsim.HostPort, cb Callb
 	if cfg.ISNKey != 0 {
 		c.iss = DeterministicISN(cfg.ISNKey, c.local, c.remote)
 	} else {
-		c.iss = c.rng.Uint32()
+		c.iss = c.net.Rand().Uint32()
 	}
 	c.sndUna = c.iss
 	c.sndNxt = c.iss + 1
@@ -309,7 +311,6 @@ func newConn(h *netsim.Host, local, remote netsim.HostPort, cb Callbacks, cfg Co
 	c := &Conn{
 		host:     h,
 		net:      h.Network(),
-		rng:      h.Network().Rand(),
 		cfg:      cfg,
 		cb:       cb,
 		local:    local,
@@ -345,7 +346,7 @@ func (c *Conn) onProbeTimeout() {
 	if c.state == StateClosed {
 		return
 	}
-	if c.state == StateEstablished && c.inflight() == 0 && c.sndHead == len(c.sndBuf) && !c.finQueued {
+	if c.state == StateEstablished && c.inflight() == 0 && c.buffered() == 0 && !c.finQueued {
 		// sendAck, not sendSegment: the probe is a bare ACK, so it also
 		// satisfies any deferred delayed ACK instead of duplicating it.
 		c.sendAck()
@@ -373,7 +374,7 @@ const minSndBuf = 512
 
 // Write queues payload for transmission. It is an error to write after
 // Close or on a failed connection; the data is silently discarded then.
-func (c *Conn) Write(data []byte) { c.Writev(data) }
+func (c *Conn) Write(data []byte) { c.enqueue(nil, data) }
 
 // Writev is Write of the concatenation of bufs without building it: each
 // part is copied once, straight into the send buffer, then one trySend.
@@ -381,8 +382,20 @@ func (c *Conn) Write(data []byte) { c.Writev(data) }
 // those of a single Write of the joined bytes. A connection that holds no
 // send buffer asks the network's pool for one that takes the whole write
 // (at least minSndBuf); a write too large for the pool gets none, and
-// the appends below grow an array the connection then keeps.
-func (c *Conn) Writev(bufs ...[]byte) {
+// enqueue's appends grow an array the connection then keeps.
+func (c *Conn) Writev(bufs ...[]byte) { c.enqueue(nil, bufs...) }
+
+// WriteStatic is Writev(head, body) that copies only head: body is
+// transmitted from where it lies, and the caller must never modify it
+// again — segments, the peer's reassembly queue and late duplicates go on
+// referencing it after the connection is done with it. What reaches the
+// wire, byte for byte and segment for segment, is what Writev would send.
+func (c *Conn) WriteStatic(head, body []byte) { c.enqueue(body, head) }
+
+// enqueue appends the bytes of bufs, by copy, and then tail, by
+// reference, to the stream. Owned bytes precede the borrowed tail, so
+// whatever is left of an earlier tail is taken in by copy first.
+func (c *Conn) enqueue(tail []byte, bufs ...[]byte) {
 	if c.state == StateClosed || c.finQueued {
 		return
 	}
@@ -390,17 +403,63 @@ func (c *Conn) Writev(bufs ...[]byte) {
 	for _, b := range bufs {
 		total += len(b)
 	}
-	if total == 0 {
+	if total+len(tail) == 0 {
 		return
 	}
-	if c.sndBuf == nil {
-		c.sndBuf = c.net.AllocBuf(max(total, minSndBuf))
+	if own := len(c.sndTail) + total; own > 0 {
+		if c.sndBuf == nil {
+			// Room as well for what the segment that straddles into the
+			// tail will bring over (see stream).
+			c.sndBuf = c.net.AllocBuf(max(own+min(len(tail), c.maxSeg()), minSndBuf))
+		}
+		c.sndBuf = append(c.sndBuf, c.sndTail...)
+		for _, b := range bufs {
+			c.sndBuf = append(c.sndBuf, b...)
+		}
 	}
-	for _, b := range bufs {
-		c.sndBuf = append(c.sndBuf, b...)
+	c.sndTail = nil
+	if len(tail) > 0 {
+		c.sndTail = tail
 	}
 	if c.state == StateEstablished || c.state == StateCloseWait {
 		c.trySend()
+	}
+}
+
+// buffered returns the number of live stream bytes, owned then borrowed.
+func (c *Conn) buffered() int { return len(c.sndBuf) - c.sndHead + len(c.sndTail) }
+
+// unsent returns how many buffered bytes have not been transmitted yet:
+// those from sndNxt on.
+func (c *Conn) unsent() int {
+	if rel, live := int(c.sndNxt-c.bufSeq), c.buffered(); rel <= live {
+		return live - rel
+	}
+	return 0 // sndNxt is past the FIN
+}
+
+// stream returns the n live bytes that start rel bytes past bufSeq as one
+// capacity-capped slice, of sndBuf or of the borrowed tail. A run that
+// straddles the two first moves the boundary: the bytes it needs from the
+// tail are appended to sndBuf, past anything already handed out, so the
+// stream is never described by more than the one split point.
+func (c *Conn) stream(rel, n int) []byte {
+	off := c.sndHead + rel
+	if t := off - len(c.sndBuf); t >= 0 {
+		return c.sndTail[t : t+n : t+n]
+	}
+	if short := off + n - len(c.sndBuf); short > 0 {
+		c.sndBuf = append(c.sndBuf, c.sndTail[:short]...)
+		c.trimTail(short)
+	}
+	return c.sndBuf[off : off+n : off+n]
+}
+
+// trimTail drops the first n bytes of the borrowed tail and, with the
+// last of them, the connection's reference to the caller's array.
+func (c *Conn) trimTail(n int) {
+	if c.sndTail = c.sndTail[n:]; len(c.sndTail) == 0 {
+		c.sndTail = nil
 	}
 }
 
@@ -447,7 +506,7 @@ func (c *Conn) teardown() {
 	if seqLEQ(c.sndNxt, c.bufSeq) {
 		c.net.ReleaseBuf(c.sndBuf)
 	}
-	c.sndBuf, c.sndHead, c.reasm = nil, 0, nil
+	c.sndBuf, c.sndHead, c.sndTail, c.reasm = nil, 0, nil, nil
 	c.host.Unregister(c.local.Port, c.remote)
 }
 
@@ -486,25 +545,9 @@ func (c *Conn) trySend() {
 	if c.peerWnd < wnd {
 		wnd = c.peerWnd
 	}
-	// GSO-style segment trains: one packet may carry up to GSOSegs*MSS
-	// bytes, cutting event-loop trips per buffer flush by the same
-	// factor. Sequence numbers, cwnd, and rtx stay byte-denominated, so
-	// the receiver and recovery paths see ordinary (large) segments.
-	maxSeg := c.cfg.MSS
-	if c.cfg.GSOSegs > 1 {
-		maxSeg = c.cfg.MSS * c.cfg.GSOSegs
-	}
+	maxSeg := c.maxSeg()
 	for {
-		// Bytes of sndBuf not yet transmitted start at offset sndNxt-bufSeq
-		// past the head.
-		rel := int(c.sndNxt - c.bufSeq)
-		off := c.sndHead + rel
-		if rel < 0 || off > len(c.sndBuf) {
-			// FIN-only position or buffer fully streamed.
-			off = len(c.sndBuf)
-		}
-		avail := len(c.sndBuf) - off
-		if avail > 0 {
+		if avail := c.unsent(); avail > 0 {
 			if c.inflight() >= wnd {
 				return
 			}
@@ -521,15 +564,16 @@ func (c *Conn) trySend() {
 			if n > c.cfg.MSS {
 				c.GSOTrainsSent++
 			}
-			// Zero-copy: hand out a capacity-capped sub-slice of sndBuf.
-			// Safe because the head only advances on ACK, appends land past
-			// the high-water mark, and the array returns to the pool only
-			// once every transmitted byte is acknowledged — at which point
-			// any slice still in flight is a duplicate the receiver trims
-			// without reading (see applyAck).
-			seg := c.sndBuf[off : off+n : off+n]
+			// Zero-copy: hand out a capacity-capped sub-slice of sndBuf or
+			// of the borrowed tail. The tail is never written at all; sndBuf
+			// is safe because the head only advances on ACK, appends land
+			// past the high-water mark, and the array returns to the pool
+			// only once every owned byte is acknowledged — at which point
+			// any slice of it still in flight is a duplicate the receiver
+			// trims without reading (see applyAck).
+			seg := c.stream(int(c.sndNxt-c.bufSeq), n)
 			flags := netsim.FlagACK
-			if off+n == len(c.sndBuf) {
+			if n == avail {
 				flags |= netsim.FlagPSH
 			}
 			c.sendSegment(flags, c.sndNxt, c.rcvNxt, seg)
@@ -552,6 +596,18 @@ func (c *Conn) trySend() {
 		}
 		return
 	}
+}
+
+// maxSeg is the most payload one first transmission carries. GSO-style
+// segment trains: one packet may carry up to GSOSegs*MSS bytes, cutting
+// event-loop trips per buffer flush by the same factor. Sequence numbers,
+// cwnd, and rtx stay byte-denominated, so the receiver and recovery paths
+// see ordinary (large) segments.
+func (c *Conn) maxSeg() int {
+	if c.cfg.GSOSegs > 1 {
+		return c.cfg.MSS * c.cfg.GSOSegs
+	}
+	return c.cfg.MSS
 }
 
 func (c *Conn) ensureRtx() {
@@ -613,20 +669,16 @@ func (c *Conn) retransmitOldest() {
 		return
 	}
 	rel := int(c.sndUna - c.bufSeq)
-	off := c.sndHead + rel
-	if rel < 0 || off >= len(c.sndBuf) {
+	n := min(c.cfg.MSS, c.buffered()-rel)
+	if n <= 0 {
 		return
-	}
-	n := c.cfg.MSS
-	if n > len(c.sndBuf)-off {
-		n = len(c.sndBuf) - off
 	}
 	// Copy-on-retransmit: retransmits get a private pooled copy so the
 	// zero-copy invariant (in-flight slices reference sndBuf strictly
 	// below the append watermark) only has to hold for first
 	// transmissions. processAck recycles the copy once the cumulative
 	// ACK covers it.
-	seg := append(c.net.AllocBuf(n), c.sndBuf[off:off+n]...)
+	seg := append(c.net.AllocBuf(n), c.stream(rel, n)...)
 	c.rtxBufs = append(c.rtxBufs, rtxBuf{end: c.sndUna + uint32(n), buf: seg})
 	c.sendSegment(netsim.FlagACK|netsim.FlagPSH, c.sndUna, c.rcvNxt, seg)
 }
@@ -685,12 +737,7 @@ func (c *Conn) bareAckRunEnd(pkts []*netsim.Packet, i int) int {
 	if c.state != StateEstablished || c.finQueued || c.finSent || c.peerFin {
 		return i
 	}
-	rel := int(c.sndNxt - c.bufSeq)
-	off := c.sndHead + rel
-	if rel < 0 || off > len(c.sndBuf) {
-		off = len(c.sndBuf)
-	}
-	if len(c.sndBuf)-off > 0 {
+	if c.unsent() > 0 {
 		return i // unsent payload: scalar trySend would transmit
 	}
 	j := i
@@ -887,16 +934,11 @@ func (c *Conn) processAck(ack uint32) {
 // (the formula depends only on the evolving cwnd, so replaying it
 // growths times yields exactly the scalar per-segment result).
 func (c *Conn) applyAck(ack uint32, growths int) {
-	acked := ack - c.sndUna
 	c.sndUna = ack
 	c.rtxBackoff = 0
-	// Release acknowledged bytes from the buffer. FIN occupies sequence
-	// space but no buffer space.
-	dataAcked := acked
-	if c.finSent && seqLT(c.finSeq, ack) {
-		dataAcked--
-	}
-	live := len(c.sndBuf) - c.sndHead
+	// Release acknowledged bytes from the buffer, owned ones first. FIN
+	// occupies sequence space but no buffer space.
+	live := c.buffered()
 	drop := int(c.sndUna - c.bufSeq)
 	if c.finSent && seqLT(c.finSeq, c.sndUna) {
 		drop = live
@@ -905,21 +947,26 @@ func (c *Conn) applyAck(ack uint32, growths int) {
 		drop = live
 	}
 	if drop > 0 {
-		c.sndHead += drop
 		c.bufSeq += uint32(drop)
+		if past := c.sndHead + drop - len(c.sndBuf); past > 0 {
+			drop -= past
+			c.trimTail(past)
+		}
+		c.sndHead += drop
 	}
 	if c.sndHead == len(c.sndBuf) && c.sndHead > 0 {
-		// Every buffered byte is acknowledged, so the connection owns no
-		// send buffer until its next Write: the array goes back to the pool,
+		// Every owned byte is acknowledged, so the connection owns no send
+		// buffer until its next Write: the array goes back to the pool,
 		// where that Write — or another connection's — finds it warm. (An
 		// array too large for the pool stays, rewound, with the connection
-		// that grew it.) Any first-transmission slice still in flight is now
-		// entirely below the receiver's rcvNxt (cumulative ACKs imply
-		// delivery), so its bytes are trimmed without being read whoever
-		// overwrites them.
+		// that grew it.) Owned bytes precede the borrowed tail, so a
+		// cumulative ACK that covers them means they are delivered: any
+		// first-transmission slice of the array still in flight is now
+		// entirely below the receiver's rcvNxt, and its bytes are trimmed
+		// without being read whoever overwrites them. The tail needs no
+		// such argument, nobody ever overwrites it.
 		c.sndBuf, c.sndHead = c.net.ReleaseBuf(c.sndBuf), 0
 	}
-	_ = dataAcked
 	// Recycle retransmit copies the cumulative ACK now covers. Any
 	// still-in-flight duplicate referencing one is entirely below the
 	// receiver's rcvNxt and gets trimmed without its bytes being read.

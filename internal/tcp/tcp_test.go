@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"repro/internal/netsim"
 )
@@ -120,74 +121,272 @@ func TestLargeTransfer(t *testing.T) {
 	}
 }
 
-// TestWritevMatchesWrite: a gather write must put the same bytes in the
-// same segments as one Write of the joined parts.
-func TestWritevMatchesWrite(t *testing.T) {
-	head := []byte("HTTP/1.1 200 OK\r\nContent-Length: 100000\r\n\r\n")
-	body := bytes.Repeat([]byte("0123456789"), 10000)
-	run := func(gather bool) (wire []string, got []byte) {
-		p := newPair(7)
-		p.net.SetTracer(func(ev netsim.TraceEvent) {
-			pk := ev.Packet
-			wire = append(wire, fmt.Sprintf("%v %v>%v %v seq=%d ack=%d len=%d", ev.At, pk.Src, pk.Dst, pk.Flags, pk.Seq, pk.Ack, len(pk.Payload)))
-		})
-		Listen(p.server, 80, func(c *Conn) Callbacks {
-			return Callbacks{OnEstablished: func(c *Conn) {
-				if gather {
-					c.Writev(head, nil, body)
+// writeKinds are the three ways to put a head and a body on a connection.
+// The wire must not be able to tell them apart.
+var writeKinds = []struct {
+	name string
+	send func(c *Conn, head, body []byte)
+}{
+	{"Write", func(c *Conn, head, body []byte) { c.Write(join(head, body)) }},
+	{"Writev", func(c *Conn, head, body []byte) { c.Writev(head, nil, body) }},
+	{"WriteStatic", func(c *Conn, head, body []byte) { c.WriteStatic(head, body) }},
+}
+
+func join(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+
+// object returns the n-byte body every run of a case serves, so that a
+// run can tell afterwards whether anything wrote into the one it lent out.
+func object(n int, salt byte) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(i*31) + salt
+	}
+	return b
+}
+
+// aliases reports whether p is a sub-slice of arr's array.
+func aliases(p, arr []byte) bool {
+	if len(p) == 0 || len(arr) == 0 {
+		return false
+	}
+	return uintptr(unsafe.Pointer(&p[0]))-uintptr(unsafe.Pointer(&arr[0])) < uintptr(len(arr))
+}
+
+// wireCase is one scenario of TestWritevMatchesWrite: a server answers
+// the handshake with head+body and closes.
+type wireCase struct {
+	name string
+	body int  // bytes of body
+	gso  int  // the server's Config.GSOSegs
+	drop bool // the network loses every 4th packet, whatever it is
+	lose int  // the network loses the first segment of exactly this many bytes
+	// second, if set, is how a second response is written ("static": the
+	// way under test, "write": a plain Write of the joined bytes) gap after
+	// the first, while the first's body is still unacknowledged.
+	second string
+	gap    time.Duration
+}
+
+var (
+	wireHead  = []byte("HTTP/1.1 200 OK\r\nContent-Length: 524288\r\n\r\n")
+	wireHead2 = []byte("HTTP/1.1 404 Not Found\r\nContent-Length: 3000\r\n\r\n")
+)
+
+// run plays the case with one way of writing and returns the wire log,
+// the bytes the client read, and how many payload bytes on the wire lay
+// in the served objects themselves.
+func (tc wireCase) run(t *testing.T, send func(c *Conn, head, body []byte)) (wire []string, got []byte, inPlace int) {
+	p := newPair(7) // poisons released buffers
+	body, body2 := object(tc.body, 7), object(3000, 99)
+	p.net.SetTracer(func(ev netsim.TraceEvent) {
+		pk := ev.Packet
+		wire = append(wire, fmt.Sprintf("%v %v>%v %v seq=%d ack=%d len=%d dropped=%v", ev.At, pk.Src, pk.Dst, pk.Flags, pk.Seq, pk.Ack, len(pk.Payload), ev.Dropped))
+		if aliases(pk.Payload, body) || aliases(pk.Payload, body2) {
+			inPlace += len(pk.Payload)
+		}
+	})
+	k, lost := 0, false
+	p.net.SetDropFunc(func(pk *netsim.Packet) bool {
+		if k++; tc.drop && k%4 == 0 {
+			return true
+		}
+		if len(pk.Payload) == tc.lose && tc.lose > 0 && !lost {
+			lost = true
+			return true
+		}
+		return false
+	})
+	scfg := DefaultConfig()
+	scfg.GSOSegs = tc.gso
+	var srv *Conn
+	Listen(p.server, 80, func(c *Conn) Callbacks {
+		srv = c
+		return Callbacks{OnEstablished: func(c *Conn) {
+			send(c, wireHead, body)
+			if tc.second == "" {
+				c.Close()
+				return
+			}
+			p.net.Schedule(tc.gap, func() {
+				if c.inflight() == 0 {
+					t.Errorf("%s: second response written with nothing of the first in flight", tc.name)
+				}
+				if tc.second == "static" {
+					send(c, wireHead2, body2)
 				} else {
-					c.Write(append(append([]byte(nil), head...), body...))
+					c.Write(join(wireHead2, body2))
 				}
 				c.Close()
-			}}
-		}, DefaultConfig())
-		Dial(p.client, netsim.HostPort{IP: serverIP, Port: 80}, Callbacks{
-			OnData:      func(c *Conn, d []byte) { got = append(got, d...) },
-			OnPeerClose: func(c *Conn) { c.Close() },
-		}, DefaultConfig())
-		p.net.RunUntilIdle(1_000_000)
-		return wire, got
+			})
+		}}
+	}, scfg)
+	Dial(p.client, netsim.HostPort{IP: serverIP, Port: 80}, Callbacks{
+		OnData:      func(c *Conn, d []byte) { got = append(got, d...) },
+		OnPeerClose: func(c *Conn) { c.Close() },
+	}, DefaultConfig())
+	p.net.RunUntilIdle(5_000_000)
+	want := join(wireHead, body)
+	if tc.second != "" {
+		want = join(want, wireHead2, body2)
 	}
-	wireW, gotW := run(false)
-	wireV, gotV := run(true)
-	if !bytes.Equal(gotV, append(append([]byte(nil), head...), body...)) || !bytes.Equal(gotV, gotW) {
-		t.Fatalf("Writev delivered %d bytes, Write %d", len(gotV), len(gotW))
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s: client read %d bytes, want %d, first difference at %d", tc.name, len(got), len(want), firstDiff(got, want))
 	}
-	if len(wireW) != len(wireV) {
-		t.Fatalf("Writev put %d packets on the wire, Write %d", len(wireV), len(wireW))
+	// A borrowed array is only ever read: never written, never released
+	// (a released one would now be full of 0xDD).
+	if !bytes.Equal(body, object(tc.body, 7)) || !bytes.Equal(body2, object(3000, 99)) {
+		t.Fatalf("%s: the served object was modified", tc.name)
 	}
-	for i := range wireW {
-		if wireW[i] != wireV[i] {
-			t.Fatalf("packet %d differs:\n Write  %s\n Writev %s", i, wireW[i], wireV[i])
+	if srv.State() != StateClosed || srv.sndBuf != nil || srv.sndTail != nil {
+		t.Fatalf("%s: server conn %v keeps sndBuf cap %d, tail %d bytes", tc.name, srv.State(), cap(srv.sndBuf), len(srv.sndTail))
+	}
+	return wire, got, inPlace
+}
+
+// crossing makes a retransmit start in sndBuf and end in the tail. The
+// first response leaves 300 bytes of the initial window, so the second's
+// first segment is that short and moves the boundary to its end; it is
+// lost, the segments after it go out of the tail, and its retransmit takes
+// a whole MSS.
+var crossing = wireCase{name: "retransmit-across-boundary", body: 10*1460 - 300 - len(wireHead), second: "static", lose: 300}
+
+// TestRetransmitAcrossBoundary checks that the crossing case is one: the
+// retransmit finds the boundary inside its MSS and moves it to its end.
+func TestRetransmitAcrossBoundary(t *testing.T) {
+	var srv *Conn
+	p := newPair(7)
+	lost := false
+	p.net.SetDropFunc(func(pk *netsim.Packet) bool {
+		drop := len(pk.Payload) == crossing.lose && !lost
+		lost = lost || drop
+		return drop
+	})
+	Listen(p.server, 80, func(c *Conn) Callbacks {
+		srv = c
+		return Callbacks{OnEstablished: func(c *Conn) {
+			c.WriteStatic(wireHead, object(crossing.body, 7))
+			c.WriteStatic(wireHead2, object(3000, 99))
+		}}
+	}, DefaultConfig())
+	Dial(p.client, netsim.HostPort{IP: serverIP, Port: 80}, Callbacks{}, DefaultConfig())
+	// boundary is the stream offset at which the borrowed tail begins.
+	boundary := func() int { return int(srv.bufSeq-srv.iss-1) + len(srv.sndBuf) - srv.sndHead }
+	p.net.RunFor(250 * time.Millisecond) // everything sent, all but the short segment acknowledged
+	start := 10*1460 - 300
+	if got := int(srv.sndUna - srv.iss - 1); !lost || got != start || boundary() != start+300 || srv.Retransmits != 0 {
+		t.Fatalf("before the retransmit: lost %v, sndUna at %d (want %d), boundary at %d (want %d), %d retransmits",
+			lost, got, start, boundary(), start+300, srv.Retransmits)
+	}
+	p.net.RunFor(250 * time.Millisecond) // past the RTO (300 ms after the last ACK that advanced), before its ACK
+	if boundary() != start+1460 || srv.Retransmits != 1 {
+		t.Fatalf("after the retransmit: boundary at %d (want %d), %d retransmits", boundary(), start+1460, srv.Retransmits)
+	}
+}
+
+// TestWritevMatchesWrite: a gather write and a static write must put the
+// same bytes in the same segments at the same instants as one Write of
+// the joined parts — first transmissions, PSH flags, retransmits and all —
+// and the static write must do so from the body itself.
+func TestWritevMatchesWrite(t *testing.T) {
+	mss := DefaultConfig().MSS
+	cases := []wireCase{
+		{name: "body=0", body: 0},
+		{name: "body=ends-on-segment", body: mss - len(wireHead)},
+		{name: "body=2k", body: 2 << 10},
+		{name: "body=100k", body: 100_000},
+		{name: "body=512k", body: 512 << 10},
+		{name: "gso/body=2k", body: 2 << 10, gso: 4},
+		{name: "gso/body=512k", body: 512 << 10, gso: 4},
+		{name: "drop/body=2k", body: 2 << 10, drop: true},
+		{name: "drop/body=100k", body: 100_000, drop: true},
+		{name: "drop/body=512k", body: 512 << 10, drop: true},
+		{name: "drop/gso/body=100k", body: 100_000, gso: 4, drop: true},
+		crossing,
+		{name: "second=static/gap=0", body: 100_000, second: "static"},
+		{name: "second=static/gap=100ms", body: 100_000, second: "static", gap: 100 * time.Millisecond},
+		{name: "second=write/gap=0", body: 100_000, second: "write"},
+		{name: "second=write/gap=100ms", body: 100_000, second: "write", gap: 100 * time.Millisecond},
+		{name: "drop/second=static/gap=100ms", body: 100_000, drop: true, second: "static", gap: 100 * time.Millisecond},
+		{name: "drop/second=write/gap=100ms", body: 100_000, drop: true, second: "write", gap: 100 * time.Millisecond},
+		{name: "gso/second=static/gap=100ms", body: 512 << 10, gso: 4, second: "static", gap: 100 * time.Millisecond},
+	}
+	for _, tc := range cases {
+		ref, _, copied := tc.run(t, writeKinds[0].send)
+		if copied != 0 {
+			t.Fatalf("%s: a copying Write put %d bytes of the object itself on the wire", tc.name, copied)
+		}
+		for _, k := range writeKinds[1:] {
+			wire, _, inPlace := tc.run(t, k.send)
+			if len(wire) != len(ref) {
+				t.Fatalf("%s: %s put %d packets on the wire, Write %d", tc.name, k.name, len(wire), len(ref))
+			}
+			for i := range ref {
+				if ref[i] != wire[i] {
+					t.Fatalf("%s: packet %d differs:\n Write %s\n %s %s", tc.name, i, ref[i], k.name, wire[i])
+				}
+			}
+			// Without loss or a second write to take the tail in, all of
+			// the body but the part of its first segment goes out in place.
+			if k.name == "WriteStatic" && !tc.drop && tc.second == "" {
+				maxSeg := mss * max(tc.gso, 1)
+				if inPlace < tc.body-maxSeg || inPlace > tc.body {
+					t.Fatalf("%s: %d of the body's %d bytes were transmitted in place", tc.name, inPlace, tc.body)
+				}
+			}
 		}
 	}
 }
 
 // TestTeardownDropsBuffers: applications keep closed conns for their
-// stats; a closed conn must not keep its send buffer with them.
+// stats; a closed conn must not keep its send buffer with them, nor a
+// reference to a body it was serving in place — whether it closed in
+// good order or was cut down with most of the body unsent.
 func TestTeardownDropsBuffers(t *testing.T) {
-	p := newPair(8)
-	var srv, cli *Conn
-	Listen(p.server, 80, func(c *Conn) Callbacks {
-		srv = c
-		return Callbacks{
-			OnEstablished: func(c *Conn) { c.Write(make([]byte, 100<<10)); c.Close() },
+	for _, abort := range []bool{false, true} {
+		p := newPair(8)
+		var srv, cli *Conn
+		body := object(100<<10, 1)
+		Listen(p.server, 80, func(c *Conn) Callbacks {
+			srv = c
+			return Callbacks{
+				OnEstablished: func(c *Conn) { c.WriteStatic(make([]byte, 100), body); c.Close() },
+			}
+		}, DefaultConfig())
+		cli = Dial(p.client, netsim.HostPort{IP: serverIP, Port: 80}, Callbacks{
+			OnPeerClose: func(c *Conn) { c.Close() },
+		}, DefaultConfig())
+		if abort {
+			p.net.RunFor(100 * time.Millisecond)
+			if len(srv.sndTail) == 0 || srv.inflight() == 0 {
+				t.Fatalf("server conn was to be aborted in mid-transfer: %d bytes of tail, %d in flight", len(srv.sndTail), srv.inflight())
+			}
+			srv.Abort()
 		}
-	}, DefaultConfig())
-	cli = Dial(p.client, netsim.HostPort{IP: serverIP, Port: 80}, Callbacks{
-		OnPeerClose: func(c *Conn) { c.Close() },
-	}, DefaultConfig())
-	p.net.RunUntilIdle(1_000_000)
-	for _, c := range []*Conn{srv, cli} {
-		if c.State() != StateClosed {
-			t.Fatalf("conn %v not closed: %v", c.LocalAddr(), c.State())
+		p.net.RunUntilIdle(1_000_000)
+		for _, c := range []*Conn{srv, cli} {
+			if c.State() != StateClosed {
+				t.Fatalf("conn %v not closed: %v", c.LocalAddr(), c.State())
+			}
+			if c.sndBuf != nil || c.sndHead != 0 || c.sndTail != nil || c.reasm != nil {
+				t.Fatalf("closed conn %v keeps sndBuf cap %d head %d tail %d reasm %d", c.LocalAddr(), cap(c.sndBuf), c.sndHead, len(c.sndTail), len(c.reasm))
+			}
 		}
-		if c.sndBuf != nil || c.sndHead != 0 || c.reasm != nil {
-			t.Fatalf("closed conn %v keeps sndBuf cap %d head %d reasm %d", c.LocalAddr(), cap(c.sndBuf), c.sndHead, len(c.reasm))
+		if want := uint64(100 + 100<<10); !abort && (srv.BytesSent != want || cli.BytesRecv != want) {
+			t.Fatalf("stats lost: sent %d recv %d", srv.BytesSent, cli.BytesRecv)
+		}
+		if !bytes.Equal(body, object(100<<10, 1)) {
+			t.Fatal("teardown released or wrote the borrowed body")
 		}
 	}
-	if srv.BytesSent != 100<<10 || cli.BytesRecv != 100<<10 {
-		t.Fatalf("stats lost: sent %d recv %d", srv.BytesSent, cli.BytesRecv)
+}
+
+// TestConnSizeClass: a Conn is 480 bytes, exactly the allocator's 480-byte
+// class. One more word and every connection costs 512.
+func TestConnSizeClass(t *testing.T) {
+	if sz := unsafe.Sizeof(Conn{}); sz > 480 {
+		t.Fatalf("tcp.Conn is %d bytes and has left the 480-byte size class: every connection now costs 512, "+
+			"which moves yodabench's held-failover heap_bytes_per_live_flow (two Conns per flow, bound 1%%) "+
+			"and BenchmarkIdleConnHeap's tcp_idle_conn_pair_heap_bytes", sz)
 	}
 }
 

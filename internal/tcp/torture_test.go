@@ -12,7 +12,9 @@ import (
 // heavy jitter (which reorders segments in flight), random loss on both
 // data and control packets, and duplication — and asserts byte-exact
 // delivery. This exercises the reassembly and retransmission machinery
-// far beyond the targeted unit tests.
+// far beyond the targeted unit tests. Each case runs with the payload
+// copied into the send buffer and with all but its first 100 bytes lent to
+// the connection in place.
 func TestTortureTransfer(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -30,13 +32,14 @@ func TestTortureTransfer(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			for seed := int64(1); seed <= 3; seed++ {
-				runTorture(t, seed, tc.jitter, tc.loss, tc.dup, tc.size)
+				runTorture(t, seed, tc.jitter, tc.loss, tc.dup, tc.size, false)
+				runTorture(t, seed, tc.jitter, tc.loss, tc.dup, tc.size, true)
 			}
 		})
 	}
 }
 
-func runTorture(t *testing.T, seed int64, jitter, loss, dup float64, size int) {
+func runTorture(t *testing.T, seed int64, jitter, loss, dup float64, size int, static bool) {
 	t.Helper()
 	n := netsim.New(seed)
 	n.PoisonReleasedBufs()
@@ -58,10 +61,7 @@ func runTorture(t *testing.T, seed int64, jitter, loss, dup float64, size int) {
 	client := netsim.NewHost(n, netsim.IPv4(100, 0, 0, 1))
 	server := netsim.NewHost(n, netsim.IPv4(10, 0, 0, 1))
 
-	payload := make([]byte, size)
-	for i := range payload {
-		payload[i] = byte(i*7 + int(seed))
-	}
+	payload, sent := object(size, byte(seed)), object(size, byte(seed))
 	var got bytes.Buffer
 	var echoed bytes.Buffer
 	Listen(server, 80, func(c *Conn) Callbacks {
@@ -75,11 +75,21 @@ func runTorture(t *testing.T, seed int64, jitter, loss, dup float64, size int) {
 	}, DefaultConfig())
 	done := false
 	Dial(client, netsim.HostPort{IP: server.IP(), Port: 80}, Callbacks{
-		OnEstablished: func(c *Conn) { c.Write(payload); c.Close() },
-		OnData:        func(c *Conn, d []byte) { got.Write(d) },
-		OnPeerClose:   func(c *Conn) { done = true },
+		OnEstablished: func(c *Conn) {
+			if static {
+				c.WriteStatic(sent[:100], sent[100:])
+			} else {
+				c.Write(sent)
+			}
+			c.Close()
+		},
+		OnData:      func(c *Conn, d []byte) { got.Write(d) },
+		OnPeerClose: func(c *Conn) { done = true },
 	}, DefaultConfig())
 	n.RunUntilIdle(5_000_000)
+	if !bytes.Equal(sent, payload) {
+		t.Fatalf("seed %d: the payload lent to the connection was modified, first at %d", seed, firstDiff(sent, payload))
+	}
 	if !bytes.Equal(echoed.Bytes(), payload) {
 		t.Fatalf("seed %d: server stream corrupted (%d vs %d bytes, first diff at %d)",
 			seed, echoed.Len(), len(payload), firstDiff(echoed.Bytes(), payload))

@@ -71,6 +71,8 @@ TIMER_NS="$(pick "$MICRO_LOG" 'BenchmarkNetsimTimerChurn/backlog=0' 3)"
 TIMER_BACKLOG_NS="$(pick "$MICRO_LOG" 'BenchmarkNetsimTimerChurn/backlog=64k' 3)"
 TCP_MBS="$(awk '$1 ~ /^BenchmarkTCPThroughput\/chunk=64k/ {for(i=1;i<NF;i++) if($(i+1)=="MB/s") print $i}' "$MICRO_LOG" | head -1)"
 TCP_256K_MBS="$(awk '$1 ~ /^BenchmarkTCPThroughput\/chunk=256k/ {for(i=1;i<NF;i++) if($(i+1)=="MB/s") print $i}' "$MICRO_LOG" | head -1)"
+TCP_STATIC_MBS="$(awk '$1 ~ /^BenchmarkTCPThroughput\/static=512k/ {for(i=1;i<NF;i++) if($(i+1)=="MB/s") print $i}' "$MICRO_LOG" | head -1)"
+TCP_STATIC_B="$(awk '$1 ~ /^BenchmarkTCPThroughput\/static=512k/ {for(i=1;i<NF;i++) if($(i+1)=="B/op") print $i}' "$MICRO_LOG" | head -1)"
 HOST_DEMUX_NS="$(pick "$MICRO_LOG" BenchmarkHostDemux 3)"
 HOST_ALLOCPORT_NS="$(pick "$MICRO_LOG" BenchmarkHostAllocPort 3)"
 FLOW_NS="$(pick "$MICRO_LOG" BenchmarkFlowFastPath 3)"
@@ -161,6 +163,8 @@ cat > "$OUT" <<EOF
     "timer_churn_backlog64k_ns_op": $(jsonnum "$TIMER_BACKLOG_NS"),
     "tcp_throughput_MB_s": $(jsonnum "$TCP_MBS"),
     "tcp_throughput_256k_MB_s": $(jsonnum "$TCP_256K_MBS"),
+    "tcp_static_512k_MB_s": $(jsonnum "$TCP_STATIC_MBS"),
+    "tcp_static_512k_B_op": $(jsonnum "$TCP_STATIC_B"),
     "tcp_batch_rx_ns_seg": $(jsonnum "$TCP_BATCH_NSSEG"),
     "tcp_scalar_rx_ns_seg": $(jsonnum "$TCP_SCALAR_NSSEG"),
     "tcp_idle_conn_pair_heap_bytes": $(jsonnum "$TCP_IDLE_PAIR_B"),

@@ -82,9 +82,12 @@ echo "== bench regression gate (>15% vs BENCH_core.json fails) =="
 # timer-churn and flow fast-path microbenchmarks may not regress more
 # than 15% over the recorded ns/op, and mflow events/s (the real stack
 # behind scripted endpoints, 32,768 flows) plus TCP bulk
-# MB/s (64 KiB writes, whose array the buffer pool recycles, and 256 KiB
-# writes, whose array the connection has to keep) must stay within 15%
-# of the recorded rates, and an idle TCP
+# MB/s (64 KiB writes, whose array the buffer pool recycles, 256 KiB
+# writes, whose array the connection has to keep, and a 512 KiB body
+# served in place on a connection of its own) must stay within 15%
+# of the recorded rates, that static write may not allocate more than
+# 15% over the recorded B/op (a copy of the body would be 500 times
+# that), and an idle TCP
 # connection pair may not hold more than 15% over the recorded heap (an
 # exact figure: one run). Best-of-3 runs absorb machine noise; after an
 # intentional perf change, re-baseline with scripts/bench.sh.
@@ -103,6 +106,8 @@ REC_MFLOW_EPS=$(awk -F'[:,]' '/"mflow_events_per_s"/ {gsub(/[ "]/,"",$2); print 
 REC_FLOW_NS=$(awk -F'[:,]' '/"flow_fast_path_ns_op"/ {gsub(/[ "]/,"",$2); print $2; exit}' BENCH_core.json 2>/dev/null || true)
 REC_TCP_MBS=$(awk -F'[:,]' '/"tcp_throughput_MB_s"/ {gsub(/[ "]/,"",$2); print $2; exit}' BENCH_core.json 2>/dev/null || true)
 REC_TCP_256K_MBS=$(awk -F'[:,]' '/"tcp_throughput_256k_MB_s"/ {gsub(/[ "]/,"",$2); print $2; exit}' BENCH_core.json 2>/dev/null || true)
+REC_TCP_STATIC_MBS=$(awk -F'[:,]' '/"tcp_static_512k_MB_s"/ {gsub(/[ "]/,"",$2); print $2; exit}' BENCH_core.json 2>/dev/null || true)
+REC_TCP_STATIC_B=$(awk -F'[:,]' '/"tcp_static_512k_B_op"/ {gsub(/[ "]/,"",$2); print $2; exit}' BENCH_core.json 2>/dev/null || true)
 REC_TIMER_NS=$(awk -F'[:,]' '/"timer_churn_backlog64k_ns_op"/ {gsub(/[ "]/,"",$2); print $2; exit}' BENCH_core.json 2>/dev/null || true)
 REC_IDLE_B=$(awk -F'[:,]' '/"tcp_idle_conn_pair_heap_bytes"/ {gsub(/[ "]/,"",$2); print $2; exit}' BENCH_core.json 2>/dev/null || true)
 if [[ -z "${REC_EVLOOP_NS:-}" || "$REC_EVLOOP_NS" == "null" || -z "${REC_MFLOW_EPS:-}" || "$REC_MFLOW_EPS" == "null" ]]; then
@@ -120,6 +125,8 @@ else
   NEW_FLOW_NS=$(awk '$1 ~ /^BenchmarkFlowFastPath/ {if (min=="" || $3+0<min+0) min=$3} END{print min}' "$GATE_LOG")
   NEW_TCP_MBS=$(awk '$1 ~ /^BenchmarkTCPThroughput\/chunk=64k/ {for(i=1;i<NF;i++) if($(i+1)=="MB/s" && $i+0>max+0) max=$i} END{print max}' "$GATE_LOG")
   NEW_TCP_256K_MBS=$(awk '$1 ~ /^BenchmarkTCPThroughput\/chunk=256k/ {for(i=1;i<NF;i++) if($(i+1)=="MB/s" && $i+0>max+0) max=$i} END{print max}' "$GATE_LOG")
+  NEW_TCP_STATIC_MBS=$(awk '$1 ~ /^BenchmarkTCPThroughput\/static=512k/ {for(i=1;i<NF;i++) if($(i+1)=="MB/s" && $i+0>max+0) max=$i} END{print max}' "$GATE_LOG")
+  NEW_TCP_STATIC_B=$(awk '$1 ~ /^BenchmarkTCPThroughput\/static=512k/ {for(i=1;i<NF;i++) if($(i+1)=="B/op" && (min=="" || $i+0<min+0)) min=$i} END{print min}' "$GATE_LOG")
   NEW_IDLE_B=$(awk '$1 ~ /^BenchmarkIdleConnHeap/ {for(i=1;i<NF;i++) if($(i+1)=="heap-B/pair") print $i}' "$GATE_LOG" | head -1)
   rm -f "$GATE_LOG"
   gate "event loop" ns/op "$NEW_EVLOOP_NS" "$REC_EVLOOP_NS" lower
@@ -128,6 +135,8 @@ else
   gate "flow fast path" ns/op "$NEW_FLOW_NS" "${REC_FLOW_NS:-}" lower
   gate "tcp throughput" MB/s "$NEW_TCP_MBS" "${REC_TCP_MBS:-}" higher
   gate "tcp throughput, 256 KiB writes" MB/s "$NEW_TCP_256K_MBS" "${REC_TCP_256K_MBS:-}" higher
+  gate "tcp static write, 512 KiB body" MB/s "$NEW_TCP_STATIC_MBS" "${REC_TCP_STATIC_MBS:-}" higher
+  gate "tcp static write, 512 KiB body" B/op "$NEW_TCP_STATIC_B" "${REC_TCP_STATIC_B:-}" lower
   gate "idle tcp conn pair" B "$NEW_IDLE_B" "${REC_IDLE_B:-}" lower
 fi
 
