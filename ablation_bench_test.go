@@ -9,13 +9,11 @@ import (
 	"time"
 
 	"repro/internal/assignment"
-	"repro/internal/cluster"
 	"repro/internal/controller"
 	"repro/internal/core"
 	"repro/internal/httpsim"
-	"repro/internal/memcache"
-	"repro/internal/netsim"
 	"repro/internal/tcpstore"
+	"repro/internal/testbed"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -26,25 +24,20 @@ import (
 // K=1 breaks the flows whose only record lived on the dead server.
 func BenchmarkAblationTCPStoreReplication(b *testing.B) {
 	run := func(replicas int) (broken, total, recovered int) {
-		c := cluster.New(77)
-		c.AddStoreServers(3, memcache.DefaultSimServerConfig())
-		objs := map[string][]byte{"/o": workload.SynthBody("/o", 80*1024)}
-		c.AddBackend("srv-1", objs, httpsim.DefaultServerConfig())
-		scfg := tcpstore.DefaultConfig()
+		scfg, ctCfg := tcpstore.DefaultConfig(), controller.DefaultConfig()
 		scfg.Replicas = replicas
-		c.AddYodaN(2, core.DefaultConfig(), scfg)
-		vip := c.AddVIP("svc")
-		ctCfg := controller.DefaultConfig()
 		ctCfg.ScaleInterval = 0
-		ct := controller.New(c, ctCfg)
-		ct.SetPolicy(vip, c.SimpleSplitRules("srv-1"), nil)
-		ct.Start()
+		tb := testbed.New(testbed.Config{
+			Seed: 77, Objects: map[string][]byte{"/o": workload.SynthBody("/o", 80*1024)},
+			Backends: 1, Stores: 3, LBs: 2, Store: &scfg, Controller: &ctCfg,
+		})
+		c := tb.C
 		done := 0
 		for i := 0; i < 12; i++ {
 			cl := c.NewClient(httpsim.DefaultClientConfig())
 			i := i
 			c.Net.Schedule(time.Duration(i)*20*time.Millisecond, func() {
-				cl.Get(netsim.HostPort{IP: vip, Port: 80}, "/o", func(r *httpsim.FetchResult) {
+				cl.Get(tb.Addr, "/o", func(r *httpsim.FetchResult) {
 					done++
 					if r.Err != nil {
 						broken++
@@ -55,14 +48,7 @@ func BenchmarkAblationTCPStoreReplication(b *testing.B) {
 		// Correlated failure: a store server dies, then the instance that
 		// owns the flows. Recovery must come from the surviving replica.
 		c.Net.Schedule(150*time.Millisecond, func() { c.StoreServers[0].Host().Detach() })
-		c.Net.Schedule(320*time.Millisecond, func() {
-			for _, in := range c.Yoda {
-				if in.FlowCount() > 0 {
-					in.Fail()
-					return
-				}
-			}
-		})
+		c.Net.Schedule(320*time.Millisecond, func() { tb.FailBusiest(1) })
 		c.Net.RunFor(2 * time.Minute)
 		rec := 0
 		for _, in := range c.Yoda {
@@ -155,29 +141,18 @@ func BenchmarkAblationRuleCapacity(b *testing.B) {
 // between repair traffic and recovery latency).
 func BenchmarkAblationMonitorInterval(b *testing.B) {
 	run := func(interval time.Duration) time.Duration {
-		c := cluster.New(78)
-		c.AddStoreServers(2, memcache.DefaultSimServerConfig())
-		objs := map[string][]byte{"/o": workload.SynthBody("/o", 120*1024)}
-		c.AddBackend("srv-1", objs, httpsim.DefaultServerConfig())
-		c.AddYodaN(2, core.DefaultConfig(), tcpstore.DefaultConfig())
-		vip := c.AddVIP("svc")
 		ctCfg := controller.DefaultConfig()
 		ctCfg.PingInterval = interval
 		ctCfg.ScaleInterval = 0
-		ct := controller.New(c, ctCfg)
-		ct.SetPolicy(vip, c.SimpleSplitRules("srv-1"), nil)
-		ct.Start()
+		tb := testbed.New(testbed.Config{
+			Seed: 78, Objects: map[string][]byte{"/o": workload.SynthBody("/o", 120*1024)},
+			Backends: 1, Stores: 2, LBs: 2, Controller: &ctCfg,
+		})
 		var res *httpsim.FetchResult
-		cl := c.NewClient(httpsim.DefaultClientConfig())
-		cl.Get(netsim.HostPort{IP: vip, Port: 80}, "/o", func(r *httpsim.FetchResult) { res = r })
-		c.Net.RunFor(200 * time.Millisecond)
-		for _, in := range c.Yoda {
-			if in.FlowCount() > 0 {
-				in.Fail()
-				break
-			}
-		}
-		c.Net.RunFor(time.Minute)
+		tb.C.NewClient(httpsim.DefaultClientConfig()).Get(tb.Addr, "/o", func(r *httpsim.FetchResult) { res = r })
+		tb.C.Net.RunFor(200 * time.Millisecond)
+		tb.FailBusiest(1)
+		tb.C.Net.RunFor(time.Minute)
 		if res == nil || res.Err != nil {
 			return -1
 		}

@@ -6,46 +6,6 @@ import (
 	"sort"
 )
 
-// AllToAll is the baseline scheme (§4.4): every VIP on every instance,
-// using the minimum instance count the total traffic requires. Rule
-// capacity is ignored — that is exactly the scheme's weakness (Figure 6).
-func AllToAll(p *Problem) *Assignment {
-	total := 0.0
-	maxRepl := 1
-	for i := range p.VIPs {
-		total += p.VIPs[i].Share()
-		if p.VIPs[i].Replicas > maxRepl {
-			maxRepl = p.VIPs[i].Replicas
-		}
-	}
-	n := int(math.Ceil(total / p.TrafficCap))
-	if n < maxRepl {
-		n = maxRepl
-	}
-	if n < 1 {
-		n = 1
-	}
-	if n > p.MaxInst {
-		n = p.MaxInst
-	}
-	a := NewAssignment(p.MaxInst)
-	for i := range p.VIPs {
-		v := &p.VIPs[i]
-		// "All" instances, truncated to the VIP's replica count for the
-		// replica-count invariant: in the all-to-all scheme n_v = n.
-		k := v.Replicas
-		if k > n {
-			k = n
-		}
-		insts := make([]int, 0, k)
-		for y := 0; y < k; y++ {
-			insts = append(insts, y)
-		}
-		a.ByVIP[v.ID] = insts
-	}
-	return a
-}
-
 // AllToAllInstanceCount returns the instance count the all-to-all
 // baseline needs: the total traffic divided by per-instance capacity
 // (§8.2 — the scheme that uses the fewest instances but holds every rule

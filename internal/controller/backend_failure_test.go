@@ -5,13 +5,10 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/controller"
-	"repro/internal/core"
 	"repro/internal/httpsim"
-	"repro/internal/memcache"
 	"repro/internal/netsim"
-	"repro/internal/tcpstore"
+	"repro/internal/testbed"
 )
 
 // TestBackendFailureTerminatesFlows verifies §5.2's backend-failure
@@ -19,16 +16,12 @@ import (
 // monitor interval) instead of stalling to the HTTP timeout, and a client
 // retry succeeds against a healthy backend.
 func TestBackendFailureTerminatesFlows(t *testing.T) {
-	c := cluster.New(31)
-	c.AddStoreServers(2, memcache.DefaultSimServerConfig())
-	objs := map[string][]byte{"/slow": bytes.Repeat([]byte("x"), 400*1024)}
-	c.AddBackend("srv-1", objs, httpsim.DefaultServerConfig())
-	c.AddBackend("srv-2", objs, httpsim.DefaultServerConfig())
-	c.AddYodaN(2, core.DefaultConfig(), tcpstore.DefaultConfig())
-	vip := c.AddVIP("svc")
-	ct := controller.New(c, controller.DefaultConfig())
-	ct.SetPolicy(vip, c.SimpleSplitRules("srv-1", "srv-2"), nil)
-	ct.Start()
+	ctCfg := controller.DefaultConfig()
+	b := testbed.New(testbed.Config{
+		Seed: 31, Objects: map[string][]byte{"/slow": bytes.Repeat([]byte("x"), 400*1024)},
+		Backends: 2, Stores: 2, LBs: 2, Controller: &ctCfg,
+	})
+	c, vip := b.C, b.VIP
 
 	// A client with retry: the reset should trigger a fast, successful
 	// second attempt on the surviving backend.

@@ -2,7 +2,6 @@ package controller_test
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 	"time"
 
@@ -10,10 +9,9 @@ import (
 	"repro/internal/controller"
 	"repro/internal/core"
 	"repro/internal/httpsim"
-	"repro/internal/memcache"
 	"repro/internal/netsim"
 	"repro/internal/rules"
-	"repro/internal/tcpstore"
+	"repro/internal/testbed"
 )
 
 type world struct {
@@ -23,17 +21,18 @@ type world struct {
 }
 
 func newWorld(seed int64, nYoda int) *world {
-	c := cluster.New(seed)
-	c.AddStoreServers(3, memcache.DefaultSimServerConfig())
-	objs := map[string][]byte{"/obj": bytes.Repeat([]byte("z"), 10*1024)}
-	for i := 1; i <= 3; i++ {
-		c.AddBackend(fmt.Sprintf("srv-%d", i), objs, httpsim.DefaultServerConfig())
-	}
-	c.AddYodaN(nYoda, core.DefaultConfig(), tcpstore.DefaultConfig())
-	vip := c.AddVIP("svc")
-	ct := controller.New(c, controller.DefaultConfig())
-	ct.SetPolicy(vip, c.SimpleSplitRules("srv-1", "srv-2", "srv-3"), nil)
-	return &world{c: c, ct: ct, vip: vip}
+	return newWorldWith(seed, nYoda, 10*1024, nil)
+}
+
+// newWorldWith is 3 backends behind nYoda instances of profile inst (nil:
+// the default) with the paper's controller running.
+func newWorldWith(seed int64, nYoda, objSize int, inst *core.Config) *world {
+	ctCfg := controller.DefaultConfig()
+	b := testbed.New(testbed.Config{
+		Seed: seed, Objects: map[string][]byte{"/obj": bytes.Repeat([]byte("z"), objSize)},
+		Backends: 3, Stores: 3, LBs: nYoda, Instance: inst, Controller: &ctCfg,
+	})
+	return &world{c: b.C, ct: b.Ctl, vip: b.VIP}
 }
 
 func (w *world) fetch(done *int, errs *int) {
@@ -48,7 +47,6 @@ func (w *world) fetch(done *int, errs *int) {
 
 func TestMonitorDetectsFailureWithin600ms(t *testing.T) {
 	w := newWorld(1, 3)
-	w.ct.Start()
 	w.c.Net.RunFor(time.Second)
 	killedAt := w.c.Net.Now()
 	w.c.Yoda[0].Fail()
@@ -75,7 +73,6 @@ func TestFailureRecoveryWithController(t *testing.T) {
 	// Full-loop version of §7.2: controller detects the failure and
 	// repairs the mapping; client flows survive without manual plumbing.
 	w := newWorld(2, 3)
-	w.ct.Start()
 	done, errs := 0, 0
 	const N = 20
 	for i := 0; i < N; i++ {
@@ -102,23 +99,11 @@ func TestScaleOutUnderLoad(t *testing.T) {
 	// controller adds instances, utilization falls. The test uses a
 	// single-core instance profile so saturation happens at a simulation-
 	// friendly request rate.
-	c := cluster.New(3)
-	c.AddStoreServers(3, memcache.DefaultSimServerConfig())
-	objs := map[string][]byte{"/obj": bytes.Repeat([]byte("z"), 4*1024)}
-	for i := 1; i <= 3; i++ {
-		c.AddBackend(fmt.Sprintf("srv-%d", i), objs, httpsim.DefaultServerConfig())
-	}
 	slowCfg := core.DefaultConfig()
 	slowCfg.Cores = 1
 	slowCfg.CPUConnPhase = 5 * time.Millisecond
 	slowCfg.CPUPerPacket = 100 * time.Microsecond
-	c.AddYodaN(2, slowCfg, tcpstore.DefaultConfig())
-	vip := c.AddVIP("svc")
-	ct := controller.New(c, controller.DefaultConfig())
-	ct.Provision = func() *core.Instance { return c.AddYoda(slowCfg, tcpstore.DefaultConfig()) }
-	ct.SetPolicy(vip, c.SimpleSplitRules("srv-1", "srv-2", "srv-3"), nil)
-	w := &world{c: c, ct: ct, vip: vip}
-	w.ct.Start()
+	w := newWorldWith(3, 2, 4*1024, &slowCfg)
 	// Open-loop load: issue a burst of requests every 100ms.
 	stop := false
 	gen := 0
@@ -171,7 +156,6 @@ func TestPolicyUpdateDoesNotBreakFlows(t *testing.T) {
 	// Figure 14's make-before-break: change weights mid-run; in-flight
 	// flows continue, new flows follow the new split.
 	w := newWorld(4, 2)
-	w.ct.Start()
 	done, errs := 0, 0
 	for i := 0; i < 10; i++ {
 		w.fetch(&done, &errs)
@@ -198,7 +182,6 @@ func TestPolicyUpdateDoesNotBreakFlows(t *testing.T) {
 
 func TestBackendFailureMarksHealth(t *testing.T) {
 	w := newWorld(5, 1)
-	w.ct.Start()
 	w.c.Backends["srv-2"].Server.Host().Detach()
 	w.c.Net.RunFor(time.Second)
 	if !w.c.Health.Dead["srv-2"] {
@@ -226,7 +209,6 @@ func TestBackendFailureMarksHealth(t *testing.T) {
 
 func TestRemoveVIP(t *testing.T) {
 	w := newWorld(6, 1)
-	w.ct.Start()
 	w.ct.RemoveVIP(w.vip)
 	w.c.Net.RunFor(100 * time.Millisecond)
 	done, errs := 0, 0
@@ -242,7 +224,6 @@ func TestRemoveVIP(t *testing.T) {
 
 func TestStatsAccumulate(t *testing.T) {
 	w := newWorld(7, 2)
-	w.ct.Start()
 	done, errs := 0, 0
 	for i := 0; i < 5; i++ {
 		w.fetch(&done, &errs)
@@ -255,7 +236,6 @@ func TestStatsAccumulate(t *testing.T) {
 
 func TestControllerStop(t *testing.T) {
 	w := newWorld(8, 1)
-	w.ct.Start()
 	w.ct.Stop()
 	w.c.Yoda[0].Fail()
 	w.c.Net.RunFor(5 * time.Second)

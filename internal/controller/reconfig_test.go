@@ -18,7 +18,6 @@ import (
 // executor, the loser must end with zero rules for the VIP.
 func TestApplyAssignmentRemovesLoserRules(t *testing.T) {
 	w := newWorld(11, 3)
-	w.ct.Start()
 	w.c.Net.RunFor(500 * time.Millisecond)
 
 	// All three instances hold the VIP; reassign it to the first two.
@@ -66,7 +65,6 @@ func TestApplyAssignmentRemovesLoserRules(t *testing.T) {
 // VIPs the instance held at death, and restores its L4 mappings.
 func TestMonitorReadmitsRevivedInstance(t *testing.T) {
 	w := newWorld(12, 3)
-	w.ct.Start()
 	w.c.Net.RunFor(time.Second)
 
 	victim := w.c.Yoda[2]
@@ -111,7 +109,6 @@ func TestMonitorReadmitsRevivedInstance(t *testing.T) {
 // instance by instance with zero failed client requests.
 func TestRollingUpgradeZeroFailures(t *testing.T) {
 	w := newWorld(13, 3)
-	w.ct.Start()
 
 	done, errs := 0, 0
 	stop := 25 * time.Second

@@ -7,10 +7,10 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/httpsim"
-	"repro/internal/memcache"
 	"repro/internal/netsim"
 	"repro/internal/tcp"
 	"repro/internal/tcpstore"
+	"repro/internal/testbed"
 	"repro/internal/workload"
 )
 
@@ -19,17 +19,14 @@ import (
 // resolves by OpTimeout with nothing persisted.
 func barrierTestbed(t *testing.T, coreCfg core.Config, storeCfg tcpstore.Config) (*cluster.Cluster, netsim.HostPort) {
 	t.Helper()
-	c := cluster.New(7)
-	c.AddStoreServers(2, memcache.DefaultSimServerConfig())
-	objects := map[string][]byte{"/x": workload.SynthBody("/x", 2048)}
-	c.AddBackend("srv-1", objects, httpsim.DefaultServerConfig())
-	c.AddYoda(coreCfg, storeCfg)
-	vip := c.AddVIP("svc")
-	c.InstallPolicy(vip, c.SimpleSplitRules("srv-1"), nil)
-	for _, s := range c.StoreServers {
+	tb := testbed.New(testbed.Config{
+		Seed: 7, Objects: map[string][]byte{"/x": workload.SynthBody("/x", 2048)},
+		Backends: 1, Stores: 2, LBs: 1, Instance: &coreCfg, Store: &storeCfg,
+	})
+	for _, s := range tb.C.StoreServers {
 		s.Host().Detach()
 	}
-	return c, netsim.HostPort{IP: vip, Port: 80}
+	return tb.C, tb.Addr
 }
 
 // TestBarrierDelaysSynAckDuringStoreOutage pins the §4.1 ordering at the
@@ -109,17 +106,13 @@ func TestStrictPersistDropsUnrecoverableHandshakes(t *testing.T) {
 // the first must be rejected with a 503 and counted, never spliced onto
 // the in-use port.
 func TestSNATExhaustionRejectsDials(t *testing.T) {
-	c := cluster.New(13)
-	c.AddStoreServers(2, memcache.DefaultSimServerConfig())
-	objects := map[string][]byte{"/x": workload.SynthBody("/x", 400_000)}
-	c.AddBackend("srv-1", objects, httpsim.DefaultServerConfig())
 	coreCfg := core.DefaultConfig()
 	coreCfg.SNATCount = 1
-	c.AddYoda(coreCfg, tcpstore.DefaultConfig())
-	vip := c.AddVIP("svc")
-	c.InstallPolicy(vip, c.SimpleSplitRules("srv-1"), nil)
-
-	vipHP := netsim.HostPort{IP: vip, Port: 80}
+	tb := testbed.New(testbed.Config{
+		Seed: 13, Objects: map[string][]byte{"/x": workload.SynthBody("/x", 400_000)},
+		Backends: 1, Stores: 2, LBs: 1, Instance: &coreCfg,
+	})
+	c, vipHP := tb.C, tb.Addr
 	done, ok200, rejected := 0, 0, 0
 	const flows = 4
 	for i := 0; i < flows; i++ {
@@ -145,7 +138,7 @@ func TestSNATExhaustionRejectsDials(t *testing.T) {
 	if rejected == 0 {
 		t.Fatal("no flow was rejected: concurrent dials shared the one SNAT port")
 	}
-	st := c.Yoda[0].Stats[vip]
+	st := c.Yoda[0].Stats[tb.VIP]
 	if st == nil || st.SNATExhausted == 0 {
 		t.Fatalf("SNATExhausted not counted (stats: %+v)", st)
 	}

@@ -2,70 +2,50 @@ package core_test
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/httpsim"
-	"repro/internal/memcache"
 	"repro/internal/netsim"
 	"repro/internal/rules"
 	"repro/internal/tcp"
-	"repro/internal/tcpstore"
+	"repro/internal/testbed"
 )
 
-// testbed builds the standard small testbed: nYoda instances, 3 TCPStore
-// servers, 3 backends with an equal split policy for one VIP.
-type testbed struct {
-	c       *cluster.Cluster
-	vip     netsim.IP
-	vipHP   netsim.HostPort
-	objects map[string][]byte
+// e2eObjects is what every backend of the e2e testbeds serves.
+var e2eObjects = map[string][]byte{
+	"/10k":  bytes.Repeat([]byte("a"), 10*1024),
+	"/100k": bytes.Repeat([]byte("b"), 100*1024),
+	"/tiny": []byte("ok"),
 }
 
-func newTestbed(t *testing.T, seed int64, nYoda int) *testbed {
+// newTestbed builds the standard small testbed: nYoda instances, 3
+// TCPStore servers, 3 backends with an equal split policy for one VIP.
+func newTestbed(t *testing.T, seed int64, nYoda int) *testbed.Bed {
 	t.Helper()
-	c := cluster.New(seed)
+	tb := testbed.New(testbed.Config{Seed: seed, Objects: e2eObjects, Backends: 3, Stores: 3, LBs: nYoda})
 	// Every e2e flow on this testbed, the failovers included, runs with
 	// released send buffers poisoned: an instance, parser or store session
 	// that still read a payload after its sender's full ACK would corrupt
 	// a body or a record here.
-	c.Net.PoisonReleasedBufs()
-	c.AddStoreServers(3, memcache.DefaultSimServerConfig())
-	objects := map[string][]byte{
-		"/10k":  bytes.Repeat([]byte("a"), 10*1024),
-		"/100k": bytes.Repeat([]byte("b"), 100*1024),
-		"/tiny": []byte("ok"),
-	}
-	for i := 1; i <= 3; i++ {
-		c.AddBackend(fmt.Sprintf("srv-%d", i), objects, httpsim.DefaultServerConfig())
-	}
-	c.AddYodaN(nYoda, core.DefaultConfig(), tcpstore.DefaultConfig())
-	vip := c.AddVIP("mysite")
-	c.InstallPolicy(vip, c.SimpleSplitRules("srv-1", "srv-2", "srv-3"), nil)
-	return &testbed{
-		c:       c,
-		vip:     vip,
-		vipHP:   netsim.HostPort{IP: vip, Port: 80},
-		objects: objects,
-	}
+	tb.C.Net.PoisonReleasedBufs()
+	return tb
 }
 
 func TestEndToEndFetchThroughYoda(t *testing.T) {
 	tb := newTestbed(t, 1, 2)
-	cl := tb.c.NewClient(httpsim.DefaultClientConfig())
+	cl := tb.C.NewClient(httpsim.DefaultClientConfig())
 	var res *httpsim.FetchResult
-	cl.Get(tb.vipHP, "/10k", func(r *httpsim.FetchResult) { res = r })
-	tb.c.Net.RunFor(5 * time.Second)
+	cl.Get(tb.Addr, "/10k", func(r *httpsim.FetchResult) { res = r })
+	tb.C.Net.RunFor(5 * time.Second)
 	if res == nil {
 		t.Fatal("fetch never completed")
 	}
 	if res.Err != nil {
 		t.Fatalf("fetch error: %v", res.Err)
 	}
-	if !bytes.Equal(res.Resp.Body, tb.objects["/10k"]) {
+	if !bytes.Equal(res.Resp.Body, e2eObjects["/10k"]) {
 		t.Fatalf("body corrupted: %d bytes", len(res.Resp.Body))
 	}
 	// End-to-end latency: 2 WAN RTTs (120ms) + rule lookup (~3.2ms) +
@@ -77,14 +57,14 @@ func TestEndToEndFetchThroughYoda(t *testing.T) {
 
 func TestFetchLargeObject(t *testing.T) {
 	tb := newTestbed(t, 2, 2)
-	cl := tb.c.NewClient(httpsim.DefaultClientConfig())
+	cl := tb.C.NewClient(httpsim.DefaultClientConfig())
 	var res *httpsim.FetchResult
-	cl.Get(tb.vipHP, "/100k", func(r *httpsim.FetchResult) { res = r })
-	tb.c.Net.RunFor(10 * time.Second)
+	cl.Get(tb.Addr, "/100k", func(r *httpsim.FetchResult) { res = r })
+	tb.C.Net.RunFor(10 * time.Second)
 	if res == nil || res.Err != nil {
 		t.Fatalf("res = %+v", res)
 	}
-	if !bytes.Equal(res.Resp.Body, tb.objects["/100k"]) {
+	if !bytes.Equal(res.Resp.Body, e2eObjects["/100k"]) {
 		t.Fatal("large body corrupted through tunnel")
 	}
 }
@@ -95,15 +75,15 @@ func TestManyConcurrentFetches(t *testing.T) {
 	done := 0
 	var errs []error
 	for i := 0; i < N; i++ {
-		cl := tb.c.NewClient(httpsim.DefaultClientConfig())
-		cl.Get(tb.vipHP, "/10k", func(r *httpsim.FetchResult) {
+		cl := tb.C.NewClient(httpsim.DefaultClientConfig())
+		cl.Get(tb.Addr, "/10k", func(r *httpsim.FetchResult) {
 			done++
 			if r.Err != nil {
 				errs = append(errs, r.Err)
 			}
 		})
 	}
-	tb.c.Net.RunFor(30 * time.Second)
+	tb.C.Net.RunFor(30 * time.Second)
 	if done != N {
 		t.Fatalf("done = %d/%d", done, N)
 	}
@@ -112,11 +92,11 @@ func TestManyConcurrentFetches(t *testing.T) {
 	}
 	// Traffic must be spread across instances.
 	busy := 0
-	for _, in := range tb.c.Yoda {
+	for _, in := range tb.C.Yoda {
 		if in.FlowCount() >= 0 { // flows are cleaned up; check stats instead
 		}
 		st := in.ReadStats()
-		if st[tb.vip] != nil && st[tb.vip].NewFlows > 0 {
+		if st[tb.VIP] != nil && st[tb.VIP].NewFlows > 0 {
 			busy++
 		}
 	}
@@ -127,17 +107,17 @@ func TestManyConcurrentFetches(t *testing.T) {
 
 func TestFlowStateCleanedAfterClose(t *testing.T) {
 	tb := newTestbed(t, 4, 1)
-	cl := tb.c.NewClient(httpsim.DefaultClientConfig())
+	cl := tb.C.NewClient(httpsim.DefaultClientConfig())
 	var res *httpsim.FetchResult
-	cl.Get(tb.vipHP, "/tiny", func(r *httpsim.FetchResult) { res = r })
-	tb.c.Net.RunFor(10 * time.Second) // includes FinLinger
+	cl.Get(tb.Addr, "/tiny", func(r *httpsim.FetchResult) { res = r })
+	tb.C.Net.RunFor(10 * time.Second) // includes FinLinger
 	if res == nil || res.Err != nil {
 		t.Fatalf("res = %+v", res)
 	}
-	if n := tb.c.Yoda[0].FlowCount(); n != 0 {
+	if n := tb.C.Yoda[0].FlowCount(); n != 0 {
 		t.Fatalf("flows leaked: %d", n)
 	}
-	requireStoreEmpty(t, tb.c)
+	requireStoreEmpty(t, tb.C)
 }
 
 func TestSplitAcrossBackends(t *testing.T) {
@@ -145,18 +125,18 @@ func TestSplitAcrossBackends(t *testing.T) {
 	const N = 60
 	done := 0
 	for i := 0; i < N; i++ {
-		cl := tb.c.NewClient(httpsim.DefaultClientConfig())
-		cl.Get(tb.vipHP, "/tiny", func(r *httpsim.FetchResult) {
+		cl := tb.C.NewClient(httpsim.DefaultClientConfig())
+		cl.Get(tb.Addr, "/tiny", func(r *httpsim.FetchResult) {
 			if r.Err == nil {
 				done++
 			}
 		})
 	}
-	tb.c.Net.RunFor(30 * time.Second)
+	tb.C.Net.RunFor(30 * time.Second)
 	if done != N {
 		t.Fatalf("done = %d", done)
 	}
-	for name, b := range tb.c.Backends {
+	for name, b := range tb.C.Backends {
 		if b.Server.Requests < N/6 {
 			t.Errorf("backend %s got %d requests, want roughly %d", name, b.Server.Requests, N/3)
 		}
@@ -166,38 +146,25 @@ func TestSplitAcrossBackends(t *testing.T) {
 func TestFailoverDuringTunnelPhase(t *testing.T) {
 	tb := newTestbed(t, 6, 2)
 	cfg := httpsim.DefaultClientConfig() // 30s HTTP timeout, no retry
-	cl := tb.c.NewClient(cfg)
+	cl := tb.C.NewClient(cfg)
 	var res *httpsim.FetchResult
-	cl.Get(tb.vipHP, "/100k", func(r *httpsim.FetchResult) { res = r })
+	cl.Get(tb.Addr, "/100k", func(r *httpsim.FetchResult) { res = r })
 	// The transfer starts around 120-140ms and takes a while through slow
-	// start. Kill whichever instance owns the flow mid-transfer, then let
-	// the "controller" remove it 600ms later (monitor detection delay).
-	tb.c.Net.RunFor(200 * time.Millisecond)
-	victim := -1
-	for i, in := range tb.c.Yoda {
-		if in.FlowCount() > 0 {
-			victim = i
-			break
-		}
-	}
-	if victim < 0 {
-		t.Fatal("no instance owns the flow yet")
-	}
-	tb.c.Yoda[victim].Fail()
-	tb.c.Net.Schedule(600*time.Millisecond, func() {
-		tb.c.L4.RemoveInstance(tb.c.Yoda[victim].IP())
-	})
-	tb.c.Net.RunFor(30 * time.Second)
+	// start. Kill whichever instance owns the flow mid-transfer; the bed
+	// withdraws it a ping interval later (monitor detection delay).
+	tb.C.Net.RunFor(200 * time.Millisecond)
+	victim := tb.FailBusiest(1)[0]
+	tb.C.Net.RunFor(30 * time.Second)
 	if res == nil {
 		t.Fatal("fetch never completed")
 	}
 	if res.Err != nil {
 		t.Fatalf("flow broke despite TCPStore recovery: %v (timedout=%v)", res.Err, res.TimedOut)
 	}
-	if !bytes.Equal(res.Resp.Body, tb.objects["/100k"]) {
+	if !bytes.Equal(res.Resp.Body, e2eObjects["/100k"]) {
 		t.Fatalf("body corrupted across failover: %d bytes", len(res.Resp.Body))
 	}
-	survivor := tb.c.Yoda[1-victim]
+	survivor := tb.C.Yoda[1-victim]
 	if survivor.Recovered == 0 {
 		t.Fatal("survivor never recovered a flow from TCPStore")
 	}
@@ -206,7 +173,7 @@ func TestFailoverDuringTunnelPhase(t *testing.T) {
 	if res.Elapsed() > 10*time.Second {
 		t.Fatalf("recovery too slow: %v", res.Elapsed())
 	}
-	requireStoreEmpty(t, tb.c) // an adopted flow deletes the records it was adopted from
+	requireStoreEmpty(t, tb.C) // an adopted flow deletes the records it was adopted from
 }
 
 // requireStoreEmpty fails unless no TCPStore server holds a record: true
@@ -223,58 +190,33 @@ func requireStoreEmpty(t *testing.T, c *cluster.Cluster) {
 
 func TestFailoverDuringConnectionPhase(t *testing.T) {
 	tb := newTestbed(t, 7, 2)
-	cl := tb.c.NewClient(httpsim.DefaultClientConfig())
+	cl := tb.C.NewClient(httpsim.DefaultClientConfig())
 	var res *httpsim.FetchResult
-	cl.Get(tb.vipHP, "/10k", func(r *httpsim.FetchResult) { res = r })
+	cl.Get(tb.Addr, "/10k", func(r *httpsim.FetchResult) { res = r })
 	// Timeline: SYN reaches the instance ~30ms, storage-a ~1ms, SYN-ACK at
 	// client ~61ms, request data back at the instance ~91ms. Killing at
 	// 75ms lands after storage-a/SYN-ACK but before the data arrives — the
 	// "more interesting case" of §4.2.
-	var victim *core.Instance
-	tb.c.Net.Schedule(75*time.Millisecond, func() {
-		for _, in := range tb.c.Yoda {
-			if in.FlowCount() > 0 {
-				victim = in
-				in.Fail()
-				return
-			}
-		}
-	})
-	tb.c.Net.Schedule(675*time.Millisecond, func() {
-		if victim != nil {
-			tb.c.L4.RemoveInstance(victim.IP())
-		}
-	})
-	tb.c.Net.RunFor(40 * time.Second)
-	if victim == nil {
-		t.Fatal("no victim found at kill time")
-	}
+	victim := -1
+	tb.C.Net.Schedule(75*time.Millisecond, func() { victim = tb.FailBusiest(1)[0] })
+	tb.C.Net.RunFor(40 * time.Second)
 	if res == nil {
 		t.Fatal("fetch never completed")
 	}
 	if res.Err != nil {
 		t.Fatalf("connection-phase failover broke the flow: %v", res.Err)
 	}
-	var survivor *core.Instance
-	for _, in := range tb.c.Yoda {
-		if in != victim {
-			survivor = in
-		}
-	}
-	if survivor.Recovered == 0 {
+	if tb.C.Yoda[1-victim].Recovered == 0 {
 		t.Fatal("survivor did not recover the connection-phase flow")
 	}
-	if !bytes.Equal(res.Resp.Body, tb.objects["/10k"]) {
+	if !bytes.Equal(res.Resp.Body, e2eObjects["/10k"]) {
 		t.Fatal("body corrupted")
 	}
 }
 
 func TestRejectWhenNoRuleMatches(t *testing.T) {
-	c := cluster.New(8)
-	c.AddStoreServers(2, memcache.DefaultSimServerConfig())
-	c.AddBackend("srv-1", map[string][]byte{"/x": []byte("y")}, httpsim.DefaultServerConfig())
-	c.AddYodaN(1, core.DefaultConfig(), tcpstore.DefaultConfig())
-	vip := c.AddVIP("svc")
+	tb := testbed.New(testbed.Config{Seed: 8, Objects: map[string][]byte{"/x": []byte("y")}, Backends: 1, Stores: 2, LBs: 1})
+	c, vip := tb.C, tb.VIP
 	only := []rules.Rule{{
 		Name: "jpg-only", Priority: 1, Match: rules.Match{URLGlob: "*.jpg"},
 		Action: rules.Action{Type: rules.ActionSplit,
@@ -298,14 +240,14 @@ func TestRejectWhenNoRuleMatches(t *testing.T) {
 
 func TestKeepAliveMultipleRequestsSameBackend(t *testing.T) {
 	tb := newTestbed(t, 9, 1)
-	host := tb.c.ClientHost()
+	host := tb.C.ClientHost()
 	parser := &httpsim.ResponseParser{}
 	var bodies [][]byte
 	req := func(path string) []byte {
 		r := httpsim.NewRequest(path, "mysite")
 		return r.Marshal() // HTTP/1.1, keep-alive by default
 	}
-	conn := tcp.Dial(host, tb.vipHP, tcp.Callbacks{
+	conn := tcp.Dial(host, tb.Addr, tcp.Callbacks{
 		OnEstablished: func(c *tcp.Conn) { c.Write(req("/tiny")) },
 		OnData: func(c *tcp.Conn, d []byte) {
 			resps, err := parser.Feed(d)
@@ -323,7 +265,7 @@ func TestKeepAliveMultipleRequestsSameBackend(t *testing.T) {
 		},
 	}, tcp.DefaultConfig())
 	_ = conn
-	tb.c.Net.RunFor(10 * time.Second)
+	tb.C.Net.RunFor(10 * time.Second)
 	if len(bodies) != 2 {
 		t.Fatalf("got %d responses", len(bodies))
 	}
@@ -332,29 +274,25 @@ func TestKeepAliveMultipleRequestsSameBackend(t *testing.T) {
 			t.Fatalf("body = %q", b)
 		}
 	}
-	if tb.c.Yoda[0].Reselections != 0 {
-		t.Fatalf("unexpected backend switch: %d", tb.c.Yoda[0].Reselections)
+	if tb.C.Yoda[0].Reselections != 0 {
+		t.Fatalf("unexpected backend switch: %d", tb.C.Yoda[0].Reselections)
 	}
 }
 
 func TestKeepAliveBackendReselection(t *testing.T) {
 	// Two requests on one connection matching rules that pin different
 	// backends: the instance must switch servers mid-connection (§5.2).
-	c := cluster.New(10)
-	c.AddStoreServers(2, memcache.DefaultSimServerConfig())
-	objs1 := map[string][]byte{"/a.php": []byte("from-php-pool")}
-	objs2 := map[string][]byte{"/b.css": []byte("from-css-pool")}
-	c.AddBackend("php-1", objs1, httpsim.DefaultServerConfig())
-	c.AddBackend("css-1", objs2, httpsim.DefaultServerConfig())
-	c.AddYodaN(1, core.DefaultConfig(), tcpstore.DefaultConfig())
-	vip := c.AddVIP("svc")
+	tb := testbed.New(testbed.Config{Seed: 10, Backends: 2, Stores: 2, LBs: 1, Objects: map[string][]byte{
+		"/a.php": []byte("from-php-pool"), "/b.css": []byte("from-css-pool"),
+	}})
+	c, vip := tb.C, tb.VIP
 	rs := []rules.Rule{
 		{Name: "php", Priority: 2, Match: rules.Match{URLGlob: "*.php"},
 			Action: rules.Action{Type: rules.ActionSplit,
-				Split: []rules.WeightedBackend{{Backend: c.Backends["php-1"].Rec, Weight: 1}}}},
+				Split: []rules.WeightedBackend{{Backend: c.Backends["srv-1"].Rec, Weight: 1}}}},
 		{Name: "css", Priority: 1, Match: rules.Match{URLGlob: "*.css"},
 			Action: rules.Action{Type: rules.ActionSplit,
-				Split: []rules.WeightedBackend{{Backend: c.Backends["css-1"].Rec, Weight: 1}}}},
+				Split: []rules.WeightedBackend{{Backend: c.Backends["srv-2"].Rec, Weight: 1}}}},
 	}
 	c.InstallPolicy(vip, rs, nil)
 
@@ -390,36 +328,36 @@ func TestKeepAliveBackendReselection(t *testing.T) {
 	if c.Yoda[0].Reselections != 1 {
 		t.Fatalf("reselections = %d, want 1", c.Yoda[0].Reselections)
 	}
-	if c.Backends["php-1"].Server.Requests != 1 || c.Backends["css-1"].Server.Requests != 1 {
+	if c.Backends["srv-1"].Server.Requests != 1 || c.Backends["srv-2"].Server.Requests != 1 {
 		t.Fatalf("request counts: php=%d css=%d",
-			c.Backends["php-1"].Server.Requests, c.Backends["css-1"].Server.Requests)
+			c.Backends["srv-1"].Server.Requests, c.Backends["srv-2"].Server.Requests)
 	}
 }
 
 func TestInstanceCountersAndStats(t *testing.T) {
 	tb := newTestbed(t, 11, 1)
-	cl := tb.c.NewClient(httpsim.DefaultClientConfig())
+	cl := tb.C.NewClient(httpsim.DefaultClientConfig())
 	done := false
-	cl.Get(tb.vipHP, "/tiny", func(r *httpsim.FetchResult) { done = r.Err == nil })
-	tb.c.Net.RunFor(5 * time.Second)
+	cl.Get(tb.Addr, "/tiny", func(r *httpsim.FetchResult) { done = r.Err == nil })
+	tb.C.Net.RunFor(5 * time.Second)
 	if !done {
 		t.Fatal("fetch failed")
 	}
-	in := tb.c.Yoda[0]
+	in := tb.C.Yoda[0]
 	st := in.ReadStats()
-	vs := st[tb.vip]
+	vs := st[tb.VIP]
 	if vs == nil || vs.NewFlows != 1 || vs.Packets == 0 {
 		t.Fatalf("stats: %+v", vs)
 	}
 	// ReadStats resets.
 	st2 := in.ReadStats()
-	if st2[tb.vip] != nil {
+	if st2[tb.VIP] != nil {
 		t.Fatal("stats not reset")
 	}
 	if in.RuleCount() != 1 {
 		t.Fatalf("rule count = %d", in.RuleCount())
 	}
-	if !in.HasVIP(tb.vip) {
+	if !in.HasVIP(tb.VIP) {
 		t.Fatal("HasVIP false")
 	}
 	if in.CPU.BusyTotal() == 0 {
@@ -429,11 +367,11 @@ func TestInstanceCountersAndStats(t *testing.T) {
 
 func TestVIPRemovalStopsTraffic(t *testing.T) {
 	tb := newTestbed(t, 12, 1)
-	tb.c.Yoda[0].RemoveRules(tb.vip)
-	cl := tb.c.NewClient(httpsim.DefaultClientConfig())
+	tb.C.Yoda[0].RemoveRules(tb.VIP)
+	cl := tb.C.NewClient(httpsim.DefaultClientConfig())
 	var res *httpsim.FetchResult
-	cl.Get(tb.vipHP, "/tiny", func(r *httpsim.FetchResult) { res = r })
-	tb.c.Net.RunFor(5 * time.Second)
+	cl.Get(tb.Addr, "/tiny", func(r *httpsim.FetchResult) { res = r })
+	tb.C.Net.RunFor(5 * time.Second)
 	if res == nil {
 		t.Fatal("no result")
 	}

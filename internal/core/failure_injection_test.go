@@ -6,15 +6,19 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/controller"
-	"repro/internal/core"
 	"repro/internal/httpsim"
-	"repro/internal/memcache"
-	"repro/internal/netsim"
-	"repro/internal/tcpstore"
+	"repro/internal/testbed"
 	"repro/internal/workload"
 )
+
+// quietController is the paper's controller with scaling off, so that a
+// test's failures are the only thing that changes the fleet.
+func quietController() *controller.Config {
+	cfg := controller.DefaultConfig()
+	cfg.ScaleInterval = 0
+	return &cfg
+}
 
 // TestRandomFailureInjectionNeverBreaksFlows is the paper's availability
 // claim as a property: for any seed-determined schedule of instance
@@ -37,28 +41,19 @@ func TestRandomFailureInjectionNeverBreaksFlows(t *testing.T) {
 
 func runFailureInjection(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
-	c := cluster.New(seed)
-	c.Net.PoisonReleasedBufs()
-	c.AddStoreServers(3, memcache.DefaultSimServerConfig())
 	objects := map[string][]byte{}
 	for i := 0; i < 6; i++ {
 		p := fmt.Sprintf("/obj%d", i)
 		objects[p] = workload.SynthBody(p, 4096+rng.Intn(120_000))
 	}
-	for i := 1; i <= 4; i++ {
-		c.AddBackend(fmt.Sprintf("srv-%d", i), objects, httpsim.DefaultServerConfig())
-	}
 	const nInstances = 5
-	c.AddYodaN(nInstances, core.DefaultConfig(), tcpstore.DefaultConfig())
-	vip := c.AddVIP("svc")
-	ctCfg := controller.DefaultConfig()
-	ctCfg.ScaleInterval = 0
-	ct := controller.New(c, ctCfg)
-	ct.SetPolicy(vip, c.SimpleSplitRules("srv-1", "srv-2", "srv-3", "srv-4"), nil)
-	ct.Start()
+	tb := testbed.New(testbed.Config{
+		Seed: seed, Objects: objects, Backends: 4, Stores: 3, LBs: nInstances, Controller: quietController(),
+	})
+	c, vipHP := tb.C, tb.Addr
+	c.Net.PoisonReleasedBufs()
 
-	// Closed-loop clients with staggered starts.
-	vipHP := netsim.HostPort{IP: vip, Port: 80}
+	// Closed-loop clients with random staggers and random objects.
 	const duration = 15 * time.Second
 	done, broken := 0, 0
 	for p := 0; p < 8; p++ {
@@ -95,7 +90,7 @@ func runFailureInjection(t *testing.T, seed int64) {
 		}
 		killed[victim] = true
 		v := victim
-		c.Net.Schedule(at, func() { c.Yoda[v].Fail() })
+		c.Net.Schedule(at, func() { tb.FailLB(v) })
 	}
 
 	c.Net.RunFor(duration + 45*time.Second)
@@ -116,19 +111,12 @@ func runFailureInjection(t *testing.T, seed int64) {
 // while flows are active: with K=2 replication the flow records survive
 // and recovery still works; new flows keep succeeding.
 func TestStoreServerFailureDuringFlows(t *testing.T) {
-	c := cluster.New(99)
-	c.AddStoreServers(3, memcache.DefaultSimServerConfig())
-	objects := map[string][]byte{"/x": workload.SynthBody("/x", 60_000)}
-	c.AddBackend("srv-1", objects, httpsim.DefaultServerConfig())
-	c.AddYodaN(2, core.DefaultConfig(), tcpstore.DefaultConfig())
-	vip := c.AddVIP("svc")
-	ctCfg := controller.DefaultConfig()
-	ctCfg.ScaleInterval = 0
-	ct := controller.New(c, ctCfg)
-	ct.SetPolicy(vip, c.SimpleSplitRules("srv-1"), nil)
-	ct.Start()
+	tb := testbed.New(testbed.Config{
+		Seed: 99, Objects: map[string][]byte{"/x": workload.SynthBody("/x", 60_000)},
+		Backends: 1, Stores: 3, LBs: 2, Controller: quietController(),
+	})
+	c, vipHP := tb.C, tb.Addr
 
-	vipHP := netsim.HostPort{IP: vip, Port: 80}
 	done, broken := 0, 0
 	for i := 0; i < 10; i++ {
 		cl := c.NewClient(httpsim.DefaultClientConfig())
@@ -145,14 +133,7 @@ func TestStoreServerFailureDuringFlows(t *testing.T) {
 	// Kill one store server mid-run, then a Yoda instance shortly after:
 	// recovery must come from the surviving replica.
 	c.Net.Schedule(150*time.Millisecond, func() { c.StoreServers[0].Host().Detach() })
-	c.Net.Schedule(300*time.Millisecond, func() {
-		for _, in := range c.Yoda {
-			if in.FlowCount() > 0 {
-				in.Fail()
-				return
-			}
-		}
-	})
+	c.Net.Schedule(300*time.Millisecond, func() { tb.FailBusiest(1) })
 	c.Net.RunFor(2 * time.Minute)
 	if done != 10 {
 		t.Fatalf("done = %d", done)

@@ -13,34 +13,27 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/tcp"
 	"repro/internal/tcpstore"
+	"repro/internal/testbed"
 )
 
 const hybridSecret = 0xfeedfacecafef00d
 
 // newHybridTestbed mirrors newTestbed with hybrid recovery enabled: one
 // shared derivation table, backends using the deterministic ISN key.
-func newHybridTestbed(t *testing.T, seed int64, nYoda int) *testbed {
+// Hybrid has to be on before the first component exists, so the cluster
+// is assembled here and only driven and broken through the Bed.
+func newHybridTestbed(t *testing.T, seed int64, nYoda int) *testbed.Bed {
 	t.Helper()
 	c := cluster.New(seed)
 	c.EnableHybrid(hybridSecret)
 	c.AddStoreServers(3, memcache.DefaultSimServerConfig())
-	objects := map[string][]byte{
-		"/10k":  bytes.Repeat([]byte("a"), 10*1024),
-		"/100k": bytes.Repeat([]byte("b"), 100*1024),
-		"/tiny": []byte("ok"),
-	}
 	for i := 1; i <= 3; i++ {
-		c.AddBackend(fmt.Sprintf("srv-%d", i), objects, httpsim.DefaultServerConfig())
+		c.AddBackend(fmt.Sprintf("srv-%d", i), e2eObjects, httpsim.DefaultServerConfig())
 	}
 	c.AddYodaN(nYoda, core.DefaultConfig(), tcpstore.DefaultConfig())
 	vip := c.AddVIP("mysite")
 	c.InstallPolicy(vip, c.SimpleSplitRules("srv-1", "srv-2", "srv-3"), nil)
-	return &testbed{
-		c:       c,
-		vip:     vip,
-		vipHP:   netsim.HostPort{IP: vip, Port: 80},
-		objects: objects,
-	}
+	return &testbed.Bed{C: c, VIP: vip, Addr: netsim.HostPort{IP: vip, Port: 80}}
 }
 
 // probeClientConfig enables the client-side idle probe that lets a
@@ -56,24 +49,24 @@ func probeClientConfig() httpsim.ClientConfig {
 // elided by derivation and teardown has nothing to delete.
 func TestHybridVanillaFlowSkipsStore(t *testing.T) {
 	tb := newHybridTestbed(t, 21, 1)
-	cl := tb.c.NewClient(httpsim.DefaultClientConfig())
+	cl := tb.C.NewClient(httpsim.DefaultClientConfig())
 	var res *httpsim.FetchResult
-	cl.Get(tb.vipHP, "/10k", func(r *httpsim.FetchResult) { res = r })
-	tb.c.Net.RunFor(10 * time.Second)
+	cl.Get(tb.Addr, "/10k", func(r *httpsim.FetchResult) { res = r })
+	tb.C.Net.RunFor(10 * time.Second)
 	if res == nil || res.Err != nil {
 		t.Fatalf("res = %+v", res)
 	}
-	if !bytes.Equal(res.Resp.Body, tb.objects["/10k"]) {
+	if !bytes.Equal(res.Resp.Body, e2eObjects["/10k"]) {
 		t.Fatal("body corrupted")
 	}
-	in := tb.c.Yoda[0]
+	in := tb.C.Yoda[0]
 	if in.Barrier.Skipped < 2 {
 		t.Fatalf("Barrier.Skipped = %d, want >= 2 (storage-a and storage-b)", in.Barrier.Skipped)
 	}
 	if rt := in.Store().Stats.RoundTrips; rt != 0 {
 		t.Fatalf("store round trips = %d, want 0 for a derivable flow", rt)
 	}
-	requireStoreEmpty(t, tb.c) // nothing is written for a derivable flow
+	requireStoreEmpty(t, tb.C) // nothing is written for a derivable flow
 }
 
 // TestHybridDifferentialOracle is the oracle check: the record the
@@ -84,14 +77,14 @@ func TestHybridVanillaFlowSkipsStore(t *testing.T) {
 func TestHybridDifferentialOracle(t *testing.T) {
 	runOnce := func(seed int64) (skipped, roundTrips uint64) {
 		tb := newHybridTestbed(t, seed, 1)
-		in := tb.c.Yoda[0]
-		host := tb.c.ClientHost()
+		in := tb.C.Yoda[0]
+		host := tb.C.ClientHost()
 		req := httpsim.NewRequest("/100k", "mysite")
 		req.SetHeader("Connection", "close")
-		tcp.Dial(host, tb.vipHP, tcp.Callbacks{
+		tcp.Dial(host, tb.Addr, tcp.Callbacks{
 			OnEstablished: func(c *tcp.Conn) { c.Write(req.Marshal()) },
 		}, tcp.DefaultConfig())
-		tb.c.Net.RunFor(250 * time.Millisecond)
+		tb.C.Net.RunFor(250 * time.Millisecond)
 
 		flows := in.SnapshotFlows()
 		if len(flows) != 1 {
@@ -104,7 +97,7 @@ func TestHybridDifferentialOracle(t *testing.T) {
 		ct := netsim.FourTuple{Src: fi.Client, Dst: fi.VIP}
 
 		// Independent derivation from the shared table.
-		tbl := tb.c.Hybrid
+		tbl := tb.C.Hybrid
 		b, ok := tbl.DeriveBackend(fi.VIP.IP, ct)
 		if !ok {
 			t.Fatal("pool not derivable")
@@ -131,7 +124,7 @@ func TestHybridDifferentialOracle(t *testing.T) {
 				stored = append([]byte(nil), v...)
 			}
 		})
-		tb.c.Net.RunFor(time.Second)
+		tb.C.Net.RunFor(time.Second)
 		if stored == nil {
 			t.Fatal("flushed record not readable")
 		}
@@ -154,7 +147,7 @@ func TestHybridDifferentialOracle(t *testing.T) {
 		if got := derived.AppendMarshal(nil); !bytes.Equal(got, stored) {
 			t.Fatalf("derived record differs from stored:\n  derived: %x\n  stored:  %x", got, stored)
 		}
-		tb.c.Net.RunFor(10 * time.Second)
+		tb.C.Net.RunFor(10 * time.Second)
 		return in.Barrier.Skipped, in.Store().Stats.RoundTrips
 	}
 
@@ -171,12 +164,12 @@ func TestHybridDifferentialOracle(t *testing.T) {
 // no store record ever existed for the flow.
 func TestHybridFailoverTunnelDerived(t *testing.T) {
 	tb := newHybridTestbed(t, 23, 2)
-	cl := tb.c.NewClient(probeClientConfig())
+	cl := tb.C.NewClient(probeClientConfig())
 	var res *httpsim.FetchResult
-	cl.Get(tb.vipHP, "/100k", func(r *httpsim.FetchResult) { res = r })
-	tb.c.Net.RunFor(200 * time.Millisecond)
+	cl.Get(tb.Addr, "/100k", func(r *httpsim.FetchResult) { res = r })
+	tb.C.Net.RunFor(200 * time.Millisecond)
 	victim := -1
-	for i, in := range tb.c.Yoda {
+	for i, in := range tb.C.Yoda {
 		if in.FlowCount() > 0 {
 			victim = i
 			break
@@ -185,31 +178,28 @@ func TestHybridFailoverTunnelDerived(t *testing.T) {
 	if victim < 0 {
 		t.Fatal("no instance owns the flow yet")
 	}
-	if rt := tb.c.Yoda[victim].Store().Stats.RoundTrips; rt != 0 {
+	if rt := tb.C.Yoda[victim].Store().Stats.RoundTrips; rt != 0 {
 		t.Fatalf("flow hit the store before failure: %d round trips", rt)
 	}
-	tb.c.KillYoda(victim) // marks dead in the derivation table too
-	tb.c.Net.Schedule(600*time.Millisecond, func() {
-		tb.c.L4.RemoveInstance(tb.c.Yoda[victim].IP())
-	})
-	tb.c.Net.RunFor(30 * time.Second)
+	tb.FailLB(victim) // withdrawn from the mapping a ping interval later
+	tb.C.Net.RunFor(30 * time.Second)
 	if res == nil {
 		t.Fatal("fetch never completed")
 	}
 	if res.Err != nil {
 		t.Fatalf("flow broke despite derivation: %v (timedout=%v)", res.Err, res.TimedOut)
 	}
-	if !bytes.Equal(res.Resp.Body, tb.objects["/100k"]) {
+	if !bytes.Equal(res.Resp.Body, e2eObjects["/100k"]) {
 		t.Fatalf("body corrupted across failover: %d bytes", len(res.Resp.Body))
 	}
-	survivor := tb.c.Yoda[1-victim]
+	survivor := tb.C.Yoda[1-victim]
 	if survivor.DerivedRecoveries == 0 {
 		t.Fatal("survivor never derived a flow")
 	}
 	if res.Elapsed() > 10*time.Second {
 		t.Fatalf("recovery too slow: %v", res.Elapsed())
 	}
-	requireStoreEmpty(t, tb.c) // the repair write's records go at teardown
+	requireStoreEmpty(t, tb.C) // the repair write's records go at teardown
 }
 
 // TestHybridFailoverConnPhase kills the owner between SYN-ACK and the
@@ -217,25 +207,25 @@ func TestHybridFailoverTunnelDerived(t *testing.T) {
 // successor needs to replay the connection phase.
 func TestHybridFailoverConnPhase(t *testing.T) {
 	tb := newHybridTestbed(t, 24, 2)
-	cl := tb.c.NewClient(probeClientConfig())
+	cl := tb.C.NewClient(probeClientConfig())
 	var res *httpsim.FetchResult
-	cl.Get(tb.vipHP, "/10k", func(r *httpsim.FetchResult) { res = r })
+	cl.Get(tb.Addr, "/10k", func(r *httpsim.FetchResult) { res = r })
 	victim := -1
-	tb.c.Net.Schedule(75*time.Millisecond, func() {
-		for i, in := range tb.c.Yoda {
+	tb.C.Net.Schedule(75*time.Millisecond, func() {
+		for i, in := range tb.C.Yoda {
 			if in.FlowCount() > 0 {
 				victim = i
-				tb.c.KillYoda(i)
+				tb.C.KillYoda(i)
 				return
 			}
 		}
 	})
-	tb.c.Net.Schedule(675*time.Millisecond, func() {
+	tb.C.Net.Schedule(675*time.Millisecond, func() {
 		if victim >= 0 {
-			tb.c.L4.RemoveInstance(tb.c.Yoda[victim].IP())
+			tb.C.L4.RemoveInstance(tb.C.Yoda[victim].IP())
 		}
 	})
-	tb.c.Net.RunFor(40 * time.Second)
+	tb.C.Net.RunFor(40 * time.Second)
 	if victim < 0 {
 		t.Fatal("no victim found at kill time")
 	}
@@ -245,10 +235,10 @@ func TestHybridFailoverConnPhase(t *testing.T) {
 	if res.Err != nil {
 		t.Fatalf("connection-phase failover broke the flow: %v", res.Err)
 	}
-	if !bytes.Equal(res.Resp.Body, tb.objects["/10k"]) {
+	if !bytes.Equal(res.Resp.Body, e2eObjects["/10k"]) {
 		t.Fatal("body corrupted")
 	}
-	survivor := tb.c.Yoda[1-victim]
+	survivor := tb.C.Yoda[1-victim]
 	if survivor.DerivedRecoveries == 0 {
 		t.Fatal("survivor never derived the connection-phase flow")
 	}
@@ -260,12 +250,12 @@ func TestHybridFailoverConnPhase(t *testing.T) {
 // and never mis-derive against the new epoch's entry.
 func TestHybridEpochRollover(t *testing.T) {
 	tb := newHybridTestbed(t, 25, 2)
-	cl := tb.c.NewClient(probeClientConfig())
+	cl := tb.C.NewClient(probeClientConfig())
 	var res *httpsim.FetchResult
-	cl.Get(tb.vipHP, "/100k", func(r *httpsim.FetchResult) { res = r })
-	tb.c.Net.RunFor(200 * time.Millisecond)
+	cl.Get(tb.Addr, "/100k", func(r *httpsim.FetchResult) { res = r })
+	tb.C.Net.RunFor(200 * time.Millisecond)
 	victim := -1
-	for i, in := range tb.c.Yoda {
+	for i, in := range tb.C.Yoda {
 		if in.FlowCount() > 0 {
 			victim = i
 			break
@@ -274,28 +264,25 @@ func TestHybridEpochRollover(t *testing.T) {
 	if victim < 0 {
 		t.Fatal("no instance owns the flow yet")
 	}
-	epochBefore := tb.c.Hybrid.Epoch()
-	tb.c.HybridRefresh() // planned reconfig: bump + flush
-	if tb.c.Hybrid.Epoch() == epochBefore {
+	epochBefore := tb.C.Hybrid.Epoch()
+	tb.C.HybridRefresh() // planned reconfig: bump + flush
+	if tb.C.Hybrid.Epoch() == epochBefore {
 		t.Fatal("epoch did not advance")
 	}
-	tb.c.Net.RunFor(100 * time.Millisecond) // let the flush writes land
-	flows := tb.c.Yoda[victim].SnapshotFlows()
+	tb.C.Net.RunFor(100 * time.Millisecond) // let the flush writes land
+	flows := tb.C.Yoda[victim].SnapshotFlows()
 	if len(flows) != 1 || !flows[0].Persisted {
 		t.Fatalf("flow not persisted after epoch flush: %+v", flows)
 	}
-	tb.c.KillYoda(victim)
-	tb.c.Net.Schedule(600*time.Millisecond, func() {
-		tb.c.L4.RemoveInstance(tb.c.Yoda[victim].IP())
-	})
-	tb.c.Net.RunFor(30 * time.Second)
+	tb.FailLB(victim) // withdrawn from the mapping a ping interval later
+	tb.C.Net.RunFor(30 * time.Second)
 	if res == nil || res.Err != nil {
 		t.Fatalf("res = %+v", res)
 	}
-	if !bytes.Equal(res.Resp.Body, tb.objects["/100k"]) {
+	if !bytes.Equal(res.Resp.Body, e2eObjects["/100k"]) {
 		t.Fatal("body corrupted: the successor mis-derived the pre-bump flow")
 	}
-	survivor := tb.c.Yoda[1-victim]
+	survivor := tb.C.Yoda[1-victim]
 	if survivor.Recovered == 0 {
 		t.Fatal("successor did not recover the pre-bump flow through the store")
 	}
@@ -352,7 +339,7 @@ func BenchmarkStoreRoundTripsPerFlow(b *testing.B) {
 func TestHybridRoundTripsHalved(t *testing.T) {
 	const N = 20
 	run := func(hybrid bool) uint64 {
-		var tb *testbed
+		var tb *testbed.Bed
 		if hybrid {
 			tb = newHybridTestbed(t, 26, 2)
 		} else {
@@ -360,19 +347,19 @@ func TestHybridRoundTripsHalved(t *testing.T) {
 		}
 		done := 0
 		for i := 0; i < N; i++ {
-			cl := tb.c.NewClient(httpsim.DefaultClientConfig())
-			cl.Get(tb.vipHP, "/tiny", func(r *httpsim.FetchResult) {
+			cl := tb.C.NewClient(httpsim.DefaultClientConfig())
+			cl.Get(tb.Addr, "/tiny", func(r *httpsim.FetchResult) {
 				if r.Err == nil {
 					done++
 				}
 			})
 		}
-		tb.c.Net.RunFor(30 * time.Second)
+		tb.C.Net.RunFor(30 * time.Second)
 		if done != N {
 			t.Fatalf("done = %d/%d (hybrid=%v)", done, N, hybrid)
 		}
 		var rt uint64
-		for _, in := range tb.c.Yoda {
+		for _, in := range tb.C.Yoda {
 			rt += in.Store().Stats.RoundTrips
 		}
 		return rt

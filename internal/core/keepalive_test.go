@@ -12,16 +12,14 @@ import (
 	"repro/internal/rules"
 	"repro/internal/tcp"
 	"repro/internal/tcpstore"
+	"repro/internal/testbed"
 )
 
-// kaBed is a testbed with two pools pinned by URL pattern, for exercising
-// HTTP/1.1 mid-connection backend re-selection.
-type kaBed struct {
-	c   *cluster.Cluster
-	vip netsim.IP
-}
-
-func newKABed(seed int64, nYoda int) *kaBed {
+// newKABed is a testbed with two pools pinned by URL pattern, for
+// exercising HTTP/1.1 mid-connection backend re-selection. Its backends
+// serve different objects — a request routed to the wrong pool is a 404 —
+// so it is assembled by hand and handed over as a Bed.
+func newKABed(seed int64, nYoda int) *testbed.Bed {
 	c := cluster.New(seed)
 	c.AddStoreServers(2, memcache.DefaultSimServerConfig())
 	c.AddBackend("php-1", map[string][]byte{"/a.php": []byte("PHP-A"), "/c.php": []byte("PHP-C")}, httpsim.DefaultServerConfig())
@@ -37,18 +35,18 @@ func newKABed(seed int64, nYoda int) *kaBed {
 				Split: []rules.WeightedBackend{{Backend: c.Backends["css-1"].Rec, Weight: 1}}}},
 	}
 	c.InstallPolicy(vip, rs, nil)
-	return &kaBed{c: c, vip: vip}
+	return &testbed.Bed{C: c, VIP: vip, Addr: netsim.HostPort{IP: vip, Port: 80}}
 }
 
 // driveKA sends the given request paths over a single keep-alive
 // connection and returns the response bodies in arrival order.
-func driveKA(t *testing.T, b *kaBed, pipelined bool, paths ...string) []string {
+func driveKA(t *testing.T, b *testbed.Bed, pipelined bool, paths ...string) []string {
 	t.Helper()
-	host := b.c.ClientHost()
+	host := b.C.ClientHost()
 	parser := &httpsim.ResponseParser{}
 	var bodies []string
 	req := func(p string) []byte { return httpsim.NewRequest(p, "svc").Marshal() }
-	tcp.Dial(host, netsim.HostPort{IP: b.vip, Port: 80}, tcp.Callbacks{
+	tcp.Dial(host, b.Addr, tcp.Callbacks{
 		OnEstablished: func(c *tcp.Conn) {
 			if pipelined {
 				for _, p := range paths {
@@ -76,7 +74,7 @@ func driveKA(t *testing.T, b *kaBed, pipelined bool, paths ...string) []string {
 			}
 		},
 	}, tcp.DefaultConfig())
-	b.c.Net.RunFor(30 * time.Second)
+	b.C.Net.RunFor(30 * time.Second)
 	return bodies
 }
 
@@ -94,8 +92,8 @@ func TestKeepAlivePipelinedAcrossBackends(t *testing.T) {
 			t.Fatalf("response %d = %q, want %q (order violated)", i, bodies[i], want[i])
 		}
 	}
-	if b.c.Yoda[0].Reselections != 2 {
-		t.Fatalf("reselections = %d, want 2", b.c.Yoda[0].Reselections)
+	if b.C.Yoda[0].Reselections != 2 {
+		t.Fatalf("reselections = %d, want 2", b.C.Yoda[0].Reselections)
 	}
 }
 
@@ -112,8 +110,8 @@ func TestKeepAliveSequentialAcrossBackends(t *testing.T) {
 		}
 	}
 	// php -> css -> php again: two switches.
-	if b.c.Yoda[0].Reselections != 2 {
-		t.Fatalf("reselections = %d", b.c.Yoda[0].Reselections)
+	if b.C.Yoda[0].Reselections != 2 {
+		t.Fatalf("reselections = %d", b.C.Yoda[0].Reselections)
 	}
 }
 
@@ -123,11 +121,11 @@ func TestKeepAliveFlowStateCleanedAfterClose(t *testing.T) {
 	if len(bodies) != 2 {
 		t.Fatalf("bodies: %v", bodies)
 	}
-	b.c.Net.RunFor(10 * time.Second)
-	if n := b.c.Yoda[0].FlowCount(); n != 0 {
+	b.C.Net.RunFor(10 * time.Second)
+	if n := b.C.Yoda[0].FlowCount(); n != 0 {
 		t.Fatalf("flows leaked: %d", n)
 	}
-	requireStoreEmpty(t, b.c)
+	requireStoreEmpty(t, b.C)
 }
 
 func TestKeepAliveRecoveryDowngradesToPinnedTunnel(t *testing.T) {
@@ -135,11 +133,11 @@ func TestKeepAliveRecoveryDowngradesToPinnedTunnel(t *testing.T) {
 	// flow from TCPStore as a pure tunnel pinned to the current backend
 	// (documented deviation), so in-flight transfers still finish.
 	b := newKABed(24, 2)
-	host := b.c.ClientHost()
+	host := b.C.ClientHost()
 	parser := &httpsim.ResponseParser{}
 	var bodies []string
 	var conn *tcp.Conn
-	conn = tcp.Dial(host, netsim.HostPort{IP: b.vip, Port: 80}, tcp.Callbacks{
+	conn = tcp.Dial(host, b.Addr, tcp.Callbacks{
 		OnEstablished: func(c *tcp.Conn) {
 			c.Write(httpsim.NewRequest("/a.php", "svc").Marshal())
 		},
@@ -154,25 +152,14 @@ func TestKeepAliveRecoveryDowngradesToPinnedTunnel(t *testing.T) {
 		},
 	}, tcp.DefaultConfig())
 
-	b.c.Net.RunFor(100 * time.Millisecond)
-	var victim *core.Instance
-	for _, in := range b.c.Yoda {
-		if in.FlowCount() > 0 {
-			victim = in
-			in.Fail()
-			break
-		}
-	}
-	if victim == nil {
-		t.Skip("flow completed before the kill window (timing-sensitive)")
-	}
-	b.c.Net.Schedule(600*time.Millisecond, func() { b.c.L4.RemoveInstance(victim.IP()) })
+	b.C.Net.RunFor(100 * time.Millisecond)
+	victim := b.C.Yoda[b.FailBusiest(1)[0]]
 	// Ask for the same path again on the recovered connection: it must be
 	// served by the pinned backend (php-1 holds /a.php, so content works).
-	b.c.Net.Schedule(3*time.Second, func() {
+	b.C.Net.Schedule(3*time.Second, func() {
 		conn.Write(httpsim.NewRequest("/a.php", "svc").Marshal())
 	})
-	b.c.Net.RunFor(30 * time.Second)
+	b.C.Net.RunFor(30 * time.Second)
 	if len(bodies) < 2 {
 		t.Fatalf("got %d responses across recovery: %v", len(bodies), bodies)
 	}
@@ -182,7 +169,7 @@ func TestKeepAliveRecoveryDowngradesToPinnedTunnel(t *testing.T) {
 		}
 	}
 	var survivor *core.Instance
-	for _, in := range b.c.Yoda {
+	for _, in := range b.C.Yoda {
 		if in != victim {
 			survivor = in
 		}

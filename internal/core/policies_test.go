@@ -14,6 +14,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/rules"
 	"repro/internal/tcpstore"
+	"repro/internal/testbed"
 )
 
 // TestPOSTBodyForwardedThroughYoda sends a request whose body spans
@@ -63,15 +64,9 @@ func TestPOSTBodyForwardedThroughYoda(t *testing.T) {
 // carrying the same cookie lands on it, across different client ports and
 // different Yoda instances.
 func TestStickySessionsE2E(t *testing.T) {
-	c := cluster.New(62)
-	c.AddStoreServers(2, memcache.DefaultSimServerConfig())
-	objs := map[string][]byte{"/account": []byte("hello")}
-	c.AddBackend("srv-1", objs, httpsim.DefaultServerConfig())
-	c.AddBackend("srv-2", objs, httpsim.DefaultServerConfig())
-	c.AddBackend("srv-3", objs, httpsim.DefaultServerConfig())
-	c.AddYodaN(1, core.DefaultConfig(), tcpstore.DefaultConfig())
-	vip := c.AddVIP("svc")
-	split := c.SimpleSplitRules("srv-1", "srv-2", "srv-3")
+	tb := testbed.New(testbed.Config{Seed: 62, Objects: map[string][]byte{"/account": []byte("hello")}, Backends: 3, Stores: 2, LBs: 1})
+	c, vip := tb.C, tb.VIP
+	split := c.SimpleSplitRules(tb.Backends...)
 	sticky := rules.Rule{
 		Name: "r-cookie", Priority: 5, Match: rules.Match{CookieName: "session"},
 		Action: rules.Action{Type: rules.ActionTable, Table: "cookie-table", TableCookie: "session"},

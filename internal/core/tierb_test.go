@@ -13,6 +13,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/tcp"
 	"repro/internal/tcpstore"
+	"repro/internal/testbed"
 )
 
 // Tier B event coalescing (DESIGN.md §14) on every endpoint: delayed
@@ -32,31 +33,31 @@ func tierBTCP(cfg tcp.Config) tcp.Config {
 // newTierBTestbed mirrors newTestbed with Tier B coalescing enabled
 // end to end. The client keeps the PR 8 idle probe on so delayed ACKs
 // and heartbeats coexist in every scenario.
-func newTierBTestbed(t *testing.T, seed int64, nYoda int) *testbed {
+func newTierBTestbed(t *testing.T, seed int64, nYoda int) *testbed.Bed {
 	t.Helper()
+	return tierBBed(seed, nYoda, false)
+}
+
+// tierBBed assembles the cluster by hand — the testbed has no knob for
+// the backends' TCP profile, nor for hybrid recovery — and hands it over
+// as a Bed to be driven and broken.
+func tierBBed(seed int64, nYoda int, hybrid bool) *testbed.Bed {
 	c := cluster.New(seed)
-	c.AddStoreServers(3, memcache.DefaultSimServerConfig())
-	objects := map[string][]byte{
-		"/10k":  bytes.Repeat([]byte("a"), 10*1024),
-		"/100k": bytes.Repeat([]byte("b"), 100*1024),
-		"/tiny": []byte("ok"),
+	if hybrid {
+		c.EnableHybrid(hybridSecret)
 	}
+	c.AddStoreServers(3, memcache.DefaultSimServerConfig())
 	srvCfg := httpsim.DefaultServerConfig()
 	srvCfg.TCP = tierBTCP(srvCfg.TCP)
 	for i := 1; i <= 3; i++ {
-		c.AddBackend(fmt.Sprintf("srv-%d", i), objects, srvCfg)
+		c.AddBackend(fmt.Sprintf("srv-%d", i), e2eObjects, srvCfg)
 	}
 	yodaCfg := core.DefaultConfig()
 	yodaCfg.RelayMSS = tierBGSOSegs * 1460
 	c.AddYodaN(nYoda, yodaCfg, tcpstore.DefaultConfig())
 	vip := c.AddVIP("mysite")
 	c.InstallPolicy(vip, c.SimpleSplitRules("srv-1", "srv-2", "srv-3"), nil)
-	return &testbed{
-		c:       c,
-		vip:     vip,
-		vipHP:   netsim.HostPort{IP: vip, Port: 80},
-		objects: objects,
-	}
+	return &testbed.Bed{C: c, VIP: vip, Addr: netsim.HostPort{IP: vip, Port: 80}}
 }
 
 func tierBClientConfig() httpsim.ClientConfig {
@@ -70,18 +71,18 @@ func tierBClientConfig() httpsim.ClientConfig {
 // coalescing actually engages (GSO trains sent, ACKs elided).
 func TestTierBFetchCoalesces(t *testing.T) {
 	tb := newTierBTestbed(t, 31, 2)
-	cl := tb.c.NewClient(tierBClientConfig())
+	cl := tb.C.NewClient(tierBClientConfig())
 	var res *httpsim.FetchResult
-	cl.Get(tb.vipHP, "/100k", func(r *httpsim.FetchResult) { res = r })
-	tb.c.Net.RunFor(10 * time.Second)
+	cl.Get(tb.Addr, "/100k", func(r *httpsim.FetchResult) { res = r })
+	tb.C.Net.RunFor(10 * time.Second)
 	if res == nil || res.Err != nil {
 		t.Fatalf("res = %+v", res)
 	}
-	if !bytes.Equal(res.Resp.Body, tb.objects["/100k"]) {
+	if !bytes.Equal(res.Resp.Body, e2eObjects["/100k"]) {
 		t.Fatalf("body corrupted: %d bytes", len(res.Resp.Body))
 	}
 	trains := 0
-	for _, b := range tb.c.Backends {
+	for _, b := range tb.C.Backends {
 		trains += b.Server.ClosedGSOTrains
 	}
 	if trains == 0 {
@@ -101,12 +102,12 @@ func TestTierBFetchCoalesces(t *testing.T) {
 // confuse the sequence-translation rebuild.
 func TestTierBFailoverDuringTunnelPhase(t *testing.T) {
 	tb := newTierBTestbed(t, 32, 2)
-	cl := tb.c.NewClient(tierBClientConfig())
+	cl := tb.C.NewClient(tierBClientConfig())
 	var res *httpsim.FetchResult
-	cl.Get(tb.vipHP, "/100k", func(r *httpsim.FetchResult) { res = r })
-	tb.c.Net.RunFor(200 * time.Millisecond)
+	cl.Get(tb.Addr, "/100k", func(r *httpsim.FetchResult) { res = r })
+	tb.C.Net.RunFor(200 * time.Millisecond)
 	victim := -1
-	for i, in := range tb.c.Yoda {
+	for i, in := range tb.C.Yoda {
 		if in.FlowCount() > 0 {
 			victim = i
 			break
@@ -115,21 +116,18 @@ func TestTierBFailoverDuringTunnelPhase(t *testing.T) {
 	if victim < 0 {
 		t.Fatal("no instance owns the flow yet")
 	}
-	tb.c.Yoda[victim].Fail()
-	tb.c.Net.Schedule(600*time.Millisecond, func() {
-		tb.c.L4.RemoveInstance(tb.c.Yoda[victim].IP())
-	})
-	tb.c.Net.RunFor(30 * time.Second)
+	tb.FailLB(victim) // withdrawn from the mapping a ping interval later
+	tb.C.Net.RunFor(30 * time.Second)
 	if res == nil {
 		t.Fatal("fetch never completed")
 	}
 	if res.Err != nil {
 		t.Fatalf("flow broke despite TCPStore recovery: %v (timedout=%v)", res.Err, res.TimedOut)
 	}
-	if !bytes.Equal(res.Resp.Body, tb.objects["/100k"]) {
+	if !bytes.Equal(res.Resp.Body, e2eObjects["/100k"]) {
 		t.Fatalf("body corrupted across failover: %d bytes", len(res.Resp.Body))
 	}
-	survivor := tb.c.Yoda[1-victim]
+	survivor := tb.C.Yoda[1-victim]
 	if survivor.Recovered == 0 {
 		t.Fatal("survivor never recovered a flow from TCPStore")
 	}
@@ -143,12 +141,12 @@ func TestTierBFailoverDuringTunnelPhase(t *testing.T) {
 // request must replay cleanly at the successor.
 func TestTierBFailoverDuringConnectionPhase(t *testing.T) {
 	tb := newTierBTestbed(t, 33, 2)
-	cl := tb.c.NewClient(tierBClientConfig())
+	cl := tb.C.NewClient(tierBClientConfig())
 	var res *httpsim.FetchResult
-	cl.Get(tb.vipHP, "/10k", func(r *httpsim.FetchResult) { res = r })
+	cl.Get(tb.Addr, "/10k", func(r *httpsim.FetchResult) { res = r })
 	var victim *core.Instance
-	tb.c.Net.Schedule(75*time.Millisecond, func() {
-		for _, in := range tb.c.Yoda {
+	tb.C.Net.Schedule(75*time.Millisecond, func() {
+		for _, in := range tb.C.Yoda {
 			if in.FlowCount() > 0 {
 				victim = in
 				in.Fail()
@@ -156,12 +154,12 @@ func TestTierBFailoverDuringConnectionPhase(t *testing.T) {
 			}
 		}
 	})
-	tb.c.Net.Schedule(675*time.Millisecond, func() {
+	tb.C.Net.Schedule(675*time.Millisecond, func() {
 		if victim != nil {
-			tb.c.L4.RemoveInstance(victim.IP())
+			tb.C.L4.RemoveInstance(victim.IP())
 		}
 	})
-	tb.c.Net.RunFor(40 * time.Second)
+	tb.C.Net.RunFor(40 * time.Second)
 	if victim == nil {
 		t.Fatal("no victim found at kill time")
 	}
@@ -171,11 +169,11 @@ func TestTierBFailoverDuringConnectionPhase(t *testing.T) {
 	if res.Err != nil {
 		t.Fatalf("connection-phase failover broke the flow: %v", res.Err)
 	}
-	if !bytes.Equal(res.Resp.Body, tb.objects["/10k"]) {
+	if !bytes.Equal(res.Resp.Body, e2eObjects["/10k"]) {
 		t.Fatal("body corrupted")
 	}
 	recovered := uint64(0)
-	for _, in := range tb.c.Yoda {
+	for _, in := range tb.C.Yoda {
 		if in != victim {
 			recovered += in.Recovered
 		}
@@ -243,32 +241,9 @@ func BenchmarkEventsPerFlow(b *testing.B) {
 // newTierBHybridTestbed layers Tier B onto the hybrid testbed: the
 // derivation table, deterministic backend ISNs, and cookie knocks all
 // have to work with coalesced ACKs.
-func newTierBHybridTestbed(t *testing.T, seed int64, nYoda int) *testbed {
+func newTierBHybridTestbed(t *testing.T, seed int64, nYoda int) *testbed.Bed {
 	t.Helper()
-	c := cluster.New(seed)
-	c.EnableHybrid(hybridSecret)
-	c.AddStoreServers(3, memcache.DefaultSimServerConfig())
-	objects := map[string][]byte{
-		"/10k":  bytes.Repeat([]byte("a"), 10*1024),
-		"/100k": bytes.Repeat([]byte("b"), 100*1024),
-		"/tiny": []byte("ok"),
-	}
-	srvCfg := httpsim.DefaultServerConfig()
-	srvCfg.TCP = tierBTCP(srvCfg.TCP)
-	for i := 1; i <= 3; i++ {
-		c.AddBackend(fmt.Sprintf("srv-%d", i), objects, srvCfg)
-	}
-	yodaCfg := core.DefaultConfig()
-	yodaCfg.RelayMSS = tierBGSOSegs * 1460
-	c.AddYodaN(nYoda, yodaCfg, tcpstore.DefaultConfig())
-	vip := c.AddVIP("mysite")
-	c.InstallPolicy(vip, c.SimpleSplitRules("srv-1", "srv-2", "srv-3"), nil)
-	return &testbed{
-		c:       c,
-		vip:     vip,
-		vipHP:   netsim.HostPort{IP: vip, Port: 80},
-		objects: objects,
-	}
+	return tierBBed(seed, nYoda, true)
 }
 
 // TestTierBHybridKnockWithDelayedAcks: kill the owner mid-transfer in
@@ -278,12 +253,12 @@ func newTierBHybridTestbed(t *testing.T, seed int64, nYoda int) *testbed {
 // duplicate them (the probe subsumes a pending deferred ACK).
 func TestTierBHybridKnockWithDelayedAcks(t *testing.T) {
 	tb := newTierBHybridTestbed(t, 34, 2)
-	cl := tb.c.NewClient(tierBClientConfig())
+	cl := tb.C.NewClient(tierBClientConfig())
 	var res *httpsim.FetchResult
-	cl.Get(tb.vipHP, "/100k", func(r *httpsim.FetchResult) { res = r })
-	tb.c.Net.RunFor(200 * time.Millisecond)
+	cl.Get(tb.Addr, "/100k", func(r *httpsim.FetchResult) { res = r })
+	tb.C.Net.RunFor(200 * time.Millisecond)
 	victim := -1
-	for i, in := range tb.c.Yoda {
+	for i, in := range tb.C.Yoda {
 		if in.FlowCount() > 0 {
 			victim = i
 			break
@@ -292,24 +267,21 @@ func TestTierBHybridKnockWithDelayedAcks(t *testing.T) {
 	if victim < 0 {
 		t.Fatal("no instance owns the flow yet")
 	}
-	if rt := tb.c.Yoda[victim].Store().Stats.RoundTrips; rt != 0 {
+	if rt := tb.C.Yoda[victim].Store().Stats.RoundTrips; rt != 0 {
 		t.Fatalf("flow hit the store before failure: %d round trips", rt)
 	}
-	tb.c.KillYoda(victim)
-	tb.c.Net.Schedule(600*time.Millisecond, func() {
-		tb.c.L4.RemoveInstance(tb.c.Yoda[victim].IP())
-	})
-	tb.c.Net.RunFor(30 * time.Second)
+	tb.FailLB(victim) // withdrawn from the mapping a ping interval later
+	tb.C.Net.RunFor(30 * time.Second)
 	if res == nil {
 		t.Fatal("fetch never completed")
 	}
 	if res.Err != nil {
 		t.Fatalf("flow broke despite derivation: %v (timedout=%v)", res.Err, res.TimedOut)
 	}
-	if !bytes.Equal(res.Resp.Body, tb.objects["/100k"]) {
+	if !bytes.Equal(res.Resp.Body, e2eObjects["/100k"]) {
 		t.Fatalf("body corrupted across failover: %d bytes", len(res.Resp.Body))
 	}
-	survivor := tb.c.Yoda[1-victim]
+	survivor := tb.C.Yoda[1-victim]
 	if survivor.DerivedRecoveries == 0 {
 		t.Fatal("survivor never derived a flow")
 	}

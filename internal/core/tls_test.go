@@ -5,50 +5,41 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/httpsim"
-	"repro/internal/memcache"
 	"repro/internal/netsim"
 	"repro/internal/securesim"
-	"repro/internal/tcpstore"
+	"repro/internal/testbed"
 	"repro/internal/workload"
 )
 
 type tlsBed struct {
-	c    *cluster.Cluster
-	vip  netsim.IP
+	*testbed.Bed
 	id   *securesim.Identity
 	objs map[string][]byte
 }
 
 func newTLSBed(t *testing.T, seed int64, nYoda int) *tlsBed {
 	t.Helper()
-	c := cluster.New(seed)
-	c.AddStoreServers(3, memcache.DefaultSimServerConfig())
 	objs := map[string][]byte{
 		"/secret":     []byte("classified payload"),
 		"/secret-big": workload.SynthBody("/secret-big", 150*1024),
 	}
-	c.AddBackend("srv-1", objs, httpsim.DefaultServerConfig())
-	c.AddBackend("srv-2", objs, httpsim.DefaultServerConfig())
-	c.AddYodaN(nYoda, core.DefaultConfig(), tcpstore.DefaultConfig())
-	vip := c.AddVIP("securesite")
-	c.InstallPolicy(vip, c.SimpleSplitRules("srv-1", "srv-2"), nil)
+	b := testbed.New(testbed.Config{Seed: seed, Objects: objs, Backends: 2, Stores: 3, LBs: nYoda})
 	id := securesim.NewIdentity([]byte("-----CERT securesite-----"), []byte("shared-service-secret"))
-	for _, in := range c.Yoda {
-		in.InstallTLS(vip, id)
+	for _, in := range b.C.Yoda {
+		in.InstallTLS(b.VIP, id)
 	}
-	return &tlsBed{c: c, vip: vip, id: id, objs: objs}
+	return &tlsBed{Bed: b, id: id, objs: objs}
 }
 
 func (b *tlsBed) fetch(t *testing.T, path string, pinned []byte, timeout time.Duration) securesim.FetchResult {
 	t.Helper()
-	host := b.c.ClientHost()
+	host := b.C.ClientHost()
 	var res *securesim.FetchResult
-	securesim.Fetch(host, netsim.HostPort{IP: b.vip, Port: 80}, pinned,
+	securesim.Fetch(host, b.Addr, pinned,
 		httpsim.NewRequest(path, "securesite"), func(r securesim.FetchResult) { res = &r })
-	b.c.Net.RunFor(timeout)
+	b.C.Net.RunFor(timeout)
 	if res == nil {
 		t.Fatal("secure fetch never resolved")
 	}
@@ -81,11 +72,11 @@ func TestTLSWireIsActuallyEncrypted(t *testing.T) {
 	b := newTLSBed(t, 73, 1)
 	plaintext := []byte("classified payload")
 	leaked := false
-	b.c.Net.SetTracer(func(ev netsim.TraceEvent) {
+	b.C.Net.SetTracer(func(ev netsim.TraceEvent) {
 		pkt := ev.Packet
 		// Only the VIP<->client leg must be opaque; the instance->backend
 		// leg is terminated plaintext by design.
-		clientLeg := pkt.Src.IP == b.vip || pkt.Dst.IP == b.vip
+		clientLeg := pkt.Src.IP == b.VIP || pkt.Dst.IP == b.VIP
 		backendLeg := pkt.Dst.Port == 80 && pkt.Src.Port >= 20000 || pkt.Src.Port == 80
 		if clientLeg && !backendLeg && bytes.Contains(pkt.Payload, plaintext) {
 			leaked = true
@@ -113,25 +104,13 @@ func TestTLSFlowSurvivesInstanceFailure(t *testing.T) {
 	// a surviving instance — session key from TCPStore, keystream offsets
 	// from sequence numbers — without the client noticing.
 	b := newTLSBed(t, 75, 2)
-	host := b.c.ClientHost()
+	host := b.C.ClientHost()
 	var res *securesim.FetchResult
-	securesim.Fetch(host, netsim.HostPort{IP: b.vip, Port: 80}, b.id.Cert,
+	securesim.Fetch(host, b.Addr, b.id.Cert,
 		httpsim.NewRequest("/secret-big", "securesite"), func(r securesim.FetchResult) { res = &r })
-	b.c.Net.RunFor(200 * time.Millisecond) // mid-transfer
-	victim := -1
-	for i, in := range b.c.Yoda {
-		if in.FlowCount() > 0 {
-			victim = i
-			in.Fail()
-			break
-		}
-	}
-	if victim < 0 {
-		t.Fatal("no instance owned the encrypted flow")
-	}
-	ip := b.c.Yoda[victim].IP()
-	b.c.Net.Schedule(600*time.Millisecond, func() { b.c.L4.RemoveInstance(ip) })
-	b.c.Net.RunFor(30 * time.Second)
+	b.C.Net.RunFor(200 * time.Millisecond) // mid-transfer
+	victim := b.FailBusiest(1)[0]
+	b.C.Net.RunFor(30 * time.Second)
 	if res == nil {
 		t.Fatal("secure fetch never resolved")
 	}
@@ -141,7 +120,7 @@ func TestTLSFlowSurvivesInstanceFailure(t *testing.T) {
 	if !bytes.Equal(res.Resp.Body, b.objs["/secret-big"]) {
 		t.Fatal("body corrupted across encrypted failover")
 	}
-	if b.c.Yoda[1-victim].Recovered == 0 {
+	if b.C.Yoda[1-victim].Recovered == 0 {
 		t.Fatal("survivor did not recover the TLS flow from TCPStore")
 	}
 }
@@ -150,10 +129,10 @@ func TestTLSAndPlaintextCoexistOnOneVIP(t *testing.T) {
 	b := newTLSBed(t, 76, 1)
 	// Plain HTTP on the TLS-enabled VIP still works (the hello sniffing
 	// only diverts streams that start with the protocol magic).
-	cl := b.c.NewClient(httpsim.DefaultClientConfig())
+	cl := b.C.NewClient(httpsim.DefaultClientConfig())
 	var plain *httpsim.FetchResult
-	cl.Get(netsim.HostPort{IP: b.vip, Port: 80}, "/secret", func(r *httpsim.FetchResult) { plain = r })
-	b.c.Net.RunFor(10 * time.Second)
+	cl.Get(b.Addr, "/secret", func(r *httpsim.FetchResult) { plain = r })
+	b.C.Net.RunFor(10 * time.Second)
 	if plain == nil || plain.Err != nil {
 		t.Fatalf("plain fetch on TLS VIP: %+v", plain)
 	}

@@ -4,14 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/cluster"
-	"repro/internal/core"
-	"repro/internal/haproxy"
 	"repro/internal/httpsim"
-	"repro/internal/memcache"
-	"repro/internal/netsim"
-	"repro/internal/tcpstore"
-	"repro/internal/workload"
+	"repro/internal/testbed"
 )
 
 // CPUConfig parameterizes the §7.1 CPU-overhead experiment.
@@ -71,44 +65,17 @@ func RunCPU(cfg CPUConfig) *CPUResult {
 }
 
 func runCPUCell(cfg CPUConfig, rate int, yoda bool) float64 {
-	c := cluster.New(cfg.Seed)
-	objects := map[string][]byte{"/obj": workload.SynthBody("/obj", cfg.ObjectSize)}
-	for i := 1; i <= 4; i++ {
-		c.AddBackend(fmt.Sprintf("srv-%d", i), objects, httpsim.DefaultServerConfig())
-	}
-	var vip netsim.IP
-	if yoda {
-		c.AddStoreServers(2, memcache.DefaultSimServerConfig())
-		c.AddYodaN(1, core.DefaultConfig(), tcpstore.DefaultConfig())
-		vip = c.AddVIP("svc")
-		c.InstallPolicy(vip, c.SimpleSplitRules("srv-1", "srv-2", "srv-3", "srv-4"), nil)
-	} else {
-		c.AddHAProxyN(1, haproxy.DefaultConfig())
-		vip = c.AddVIP("svc")
-		c.InstallPolicyHAProxy(vip, c.SimpleSplitRules("srv-1", "srv-2", "srv-3", "srv-4"), nil)
-	}
+	b := testbed.New(testbed.Config{
+		Seed: cfg.Seed, Objects: oneObject("/obj", cfg.ObjectSize),
+		Backends: 4, Stores: 2, LBs: 1, HAProxy: !yoda,
+	})
 	// Open-loop Apache-bench-style load from a pool of client hosts.
-	clients := make([]*httpsim.Client, 8)
-	for i := range clients {
-		clients[i] = c.NewClient(httpsim.DefaultClientConfig())
-	}
-	interval := time.Second / time.Duration(rate)
-	i := 0
-	var tick func()
-	tick = func() {
-		if c.Net.Now() >= cfg.Duration {
-			return
-		}
-		clients[i%len(clients)].Get(netsim.HostPort{IP: vip, Port: 80}, "/obj", func(*httpsim.FetchResult) {})
-		i++
-		c.Net.Schedule(interval, tick)
-	}
-	tick()
-	c.Net.Run(cfg.Duration)
+	b.OpenLoop(8, func() int { return rate }, cfg.Duration, "/obj", func(*httpsim.FetchResult) {})
+	b.C.Net.Run(cfg.Duration)
 	if yoda {
-		return c.Yoda[0].CPU.UtilizationClamped(0, cfg.Duration)
+		return b.C.Yoda[0].CPU.UtilizationClamped(0, cfg.Duration)
 	}
-	return c.HAProxy[0].CPU.UtilizationClamped(0, cfg.Duration)
+	return b.C.HAProxy[0].CPU.UtilizationClamped(0, cfg.Duration)
 }
 
 // String prints the utilization sweep.

@@ -1,9 +1,12 @@
 // Package experiments contains one runner per table and figure of the
 // paper's evaluation (§2.3 Table 1, §4.4 Figure 6, §7 Figures 9–14, §8
-// Figures 15–16). Each runner builds the required testbed in the
-// simulator, drives the workload, and returns a result object whose
-// String method prints the same rows/series the paper reports, so
-// EXPERIMENTS.md can record paper-vs-measured side by side.
+// Figures 15–16). A cluster-backed runner is a testbed.Config — the
+// deployment — plus a measurement: it drives the bed with the testbed's
+// open- or closed-loop load and FailLB/FailBusiest, and returns a result
+// object whose String method prints the same rows/series the paper
+// reports, so EXPERIMENTS.md can record paper-vs-measured side by side.
+// mflow scripts its endpoints and fig10 has no cluster; both assemble
+// their own.
 //
 // Scale note: the simulated testbeds reproduce the paper's *per-instance*
 // operating points (request rates per instance, CPU utilization levels,
@@ -16,7 +19,15 @@ import (
 	"fmt"
 	"strings"
 	"time"
+
+	"repro/internal/workload"
 )
+
+// oneObject is the object set of a single-URL workload: a synthesized
+// body of the given size at path.
+func oneObject(path string, size int) map[string][]byte {
+	return map[string][]byte{path: workload.SynthBody(path, size)}
+}
 
 // fmtMs renders a duration in milliseconds with two decimals, the unit
 // used throughout the paper's latency plots.

@@ -294,28 +294,28 @@ func TestFig14PolicyUpdate(t *testing.T) {
 		t.Fatalf("%d flows broke during policy updates (paper: 0)", r.Broken)
 	}
 	// Phase 0: three-way equal split.
-	for _, n := range []string{"Srv-1", "Srv-2", "Srv-3"} {
+	for _, n := range []string{"srv-1", "srv-2", "srv-3"} {
 		f := r.PhaseFractions[0][n]
 		if f < 0.23 || f > 0.45 {
 			t.Errorf("phase 0 %s fraction %.2f, want ~1/3", n, f)
 		}
 	}
-	if r.PhaseFractions[0]["Srv-4"] > 0.01 {
+	if r.PhaseFractions[0]["srv-4"] > 0.01 {
 		t.Errorf("phase 0 Srv-4 got traffic before being added")
 	}
 	// Phase 1: four-way split.
-	if f := r.PhaseFractions[1]["Srv-4"]; f < 0.15 || f > 0.4 {
+	if f := r.PhaseFractions[1]["srv-4"]; f < 0.15 || f > 0.4 {
 		t.Errorf("phase 1 Srv-4 fraction %.2f, want ~1/4", f)
 	}
 	// Phase 2: Srv-1 removed.
-	if f := r.PhaseFractions[2]["Srv-1"]; f > 0.02 {
+	if f := r.PhaseFractions[2]["srv-1"]; f > 0.02 {
 		t.Errorf("phase 2 Srv-1 fraction %.2f after removal", f)
 	}
 	// Phase 3: 1:1:2.
-	if f := r.PhaseFractions[3]["Srv-4"]; f < 0.4 || f > 0.62 {
+	if f := r.PhaseFractions[3]["srv-4"]; f < 0.4 || f > 0.62 {
 		t.Errorf("phase 3 Srv-4 fraction %.2f, want ~0.5", f)
 	}
-	if f := r.PhaseFractions[3]["Srv-2"]; f < 0.15 || f > 0.36 {
+	if f := r.PhaseFractions[3]["srv-2"]; f < 0.15 || f > 0.36 {
 		t.Errorf("phase 3 Srv-2 fraction %.2f, want ~0.25", f)
 	}
 	_ = r.String()

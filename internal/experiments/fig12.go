@@ -2,20 +2,14 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/controller"
-	"repro/internal/core"
-	"repro/internal/haproxy"
 	"repro/internal/httpsim"
-	"repro/internal/memcache"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
-	"repro/internal/tcpstore"
-	"repro/internal/workload"
+	"repro/internal/testbed"
 )
 
 // Fig12Config parameterizes the failure-recovery experiment (§7.2).
@@ -121,105 +115,36 @@ func RunFig12(cfg Fig12Config) *Fig12Result {
 }
 
 func runFig12Arm(cfg Fig12Config, name string, yoda bool, retries int) Fig12Arm {
-	c := cluster.New(cfg.Seed)
-	objects := map[string][]byte{"/obj": workload.SynthBody("/obj", cfg.ObjectSize)}
-	for i := 1; i <= 6; i++ {
-		c.AddBackend(fmt.Sprintf("srv-%d", i), objects, httpsim.DefaultServerConfig())
-	}
-	var vip netsim.IP
-	var ct *controller.Controller
-	if yoda {
-		c.AddStoreServers(4, memcache.DefaultSimServerConfig())
-		c.AddYodaN(cfg.Instances, core.DefaultConfig(), tcpstore.DefaultConfig())
-		vip = c.AddVIP("svc")
-		ctCfg := controller.DefaultConfig()
-		ctCfg.ScaleInterval = 0 // isolate failure recovery from scaling
-		ct = controller.New(c, ctCfg)
-		ct.SetPolicy(vip, c.SimpleSplitRules("srv-1", "srv-2", "srv-3", "srv-4", "srv-5", "srv-6"), nil)
-		ct.Start()
-	} else {
-		c.AddHAProxyN(cfg.Instances, haproxy.DefaultConfig())
-		vip = c.AddVIP("svc")
-		c.InstallPolicyHAProxy(vip, c.SimpleSplitRules("srv-1", "srv-2", "srv-3", "srv-4", "srv-5", "srv-6"), nil)
-	}
-	vipHP := netsim.HostPort{IP: vip, Port: 80}
+	ctCfg := controller.DefaultConfig()
+	ctCfg.ScaleInterval = 0 // isolate failure recovery from scaling
+	b := testbed.New(testbed.Config{
+		Seed: cfg.Seed, Objects: oneObject("/obj", cfg.ObjectSize),
+		Backends: 6, Stores: 4, LBs: cfg.Instances, HAProxy: !yoda, Controller: &ctCfg,
+	})
 
 	arm := Fig12Arm{Name: name, Latency: metrics.NewDurationHistogram()}
 	ccfg := httpsim.DefaultClientConfig()
 	ccfg.Timeout = cfg.HTTPTimeout
 	ccfg.Retries = retries
-
-	// Closed-loop client processes: each waits for completion/timeout
-	// before issuing the next request (§7.2). Start times are staggered so
-	// the processes spread across request phases — otherwise every flow
-	// would be in the same handshake stage at the failure instant.
-	for p := 0; p < cfg.ClientProcs; p++ {
-		cl := c.NewClient(ccfg)
-		var loop func()
-		loop = func() {
-			if c.Net.Now() >= cfg.Duration {
-				return
-			}
-			started := c.Net.Now()
-			cl.Get(vipHP, "/obj", func(r *httpsim.FetchResult) {
-				arm.Requests++
-				spansFailure := started <= cfg.FailAt && c.Net.Now() > cfg.FailAt
-				if spansFailure {
-					arm.Affected++
-				}
-				if r.Err != nil {
-					arm.Broken++
-					if spansFailure {
-						arm.AffectedBroken++
-					}
-				}
-				arm.Latency.Add(r.Elapsed())
-				loop()
-			})
+	b.ClosedLoop(b.VIP, cfg.ClientProcs, cfg.Duration, ccfg, "/obj", func(started time.Duration, r *httpsim.FetchResult) {
+		arm.Requests++
+		spansFailure := started <= cfg.FailAt && b.C.Net.Now() > cfg.FailAt
+		if spansFailure {
+			arm.Affected++
 		}
-		c.Net.Schedule(time.Duration(p)*37*time.Millisecond, loop)
-	}
-
-	// Kill cfg.Kill instances simultaneously at FailAt.
-	c.Net.Schedule(cfg.FailAt, func() {
-		killed := 0
-		if yoda {
-			order := make([]int, len(c.Yoda))
-			for i := range order {
-				order[i] = i
-			}
-			sort.Slice(order, func(a, b int) bool {
-				return c.Yoda[order[a]].FlowCount() > c.Yoda[order[b]].FlowCount()
-			})
-			for _, i := range order {
-				if killed == cfg.Kill {
-					break
-				}
-				c.Yoda[i].Fail()
-				killed++
-			}
-			// The controller's monitor repairs the mapping.
-		} else {
-			// Kill the busiest proxies: failures hurt most where flows live.
-			order := make([]int, len(c.HAProxy))
-			for i := range order {
-				order[i] = i
-			}
-			sort.Slice(order, func(a, b int) bool {
-				return c.HAProxy[order[a]].Active > c.HAProxy[order[b]].Active
-			})
-			for _, i := range order {
-				if killed == cfg.Kill {
-					break
-				}
-				c.HAProxy[i].Fail()
-				ip := c.HAProxy[i].IP()
-				c.Net.Schedule(600*time.Millisecond, func() { c.L4.RemoveInstance(ip) })
-				killed++
+		if r.Err != nil {
+			arm.Broken++
+			if spansFailure {
+				arm.AffectedBroken++
 			}
 		}
+		arm.Latency.Add(r.Elapsed())
 	})
-	c.Net.RunFor(cfg.Duration + cfg.HTTPTimeout + 10*time.Second)
+
+	// Kill cfg.Kill instances simultaneously at FailAt. Yoda's monitor
+	// repairs the mapping; for HAProxy the bed does, a ping interval later.
+	b.C.Net.Schedule(cfg.FailAt, func() { b.FailBusiest(cfg.Kill) })
+	b.C.Net.RunFor(cfg.Duration + cfg.HTTPTimeout + 10*time.Second)
 	if arm.Requests > 0 {
 		arm.BrokenFrac = float64(arm.Broken) / float64(arm.Requests)
 	}
@@ -272,19 +197,13 @@ type Fig12bResult struct {
 
 // RunFig12b traces a single flow through an instance failure.
 func RunFig12b(seed int64) *Fig12bResult {
-	c := cluster.New(seed)
-	objects := map[string][]byte{"/big": workload.SynthBody("/big", 300*1024)}
-	backend := c.AddBackend("srv-1", objects, httpsim.DefaultServerConfig())
-	c.AddStoreServers(3, memcache.DefaultSimServerConfig())
-	c.AddYodaN(2, core.DefaultConfig(), tcpstore.DefaultConfig())
-	vip := c.AddVIP("svc")
-	c.InstallPolicy(vip, c.SimpleSplitRules("srv-1"), nil)
+	b := testbed.New(testbed.Config{Seed: seed, Objects: oneObject("/big", 300*1024), Backends: 1, Stores: 3, LBs: 2})
 
 	res := &Fig12bResult{}
-	serverIP := backend.Rec.Addr.IP
+	serverIP := b.C.Backends["srv-1"].Rec.Addr.IP
 	var maxSeqSeen uint32
 	haveSeq := false
-	c.Net.SetTracer(func(ev netsim.TraceEvent) {
+	b.C.Net.SetTracer(func(ev netsim.TraceEvent) {
 		pkt := ev.Packet
 		// Watch data packets leaving the backend server, at their first
 		// hop only (the VIP); the encapsulated VIP→instance copy of the
@@ -318,24 +237,17 @@ func RunFig12b(seed int64) *Fig12bResult {
 		res.Events = append(res.Events, Fig12bEvent{At: ev.At, Desc: desc})
 	})
 
-	cl := c.NewClient(httpsim.DefaultClientConfig())
+	cl := b.C.NewClient(httpsim.DefaultClientConfig())
 	var fr *httpsim.FetchResult
-	cl.Get(netsim.HostPort{IP: vip, Port: 80}, "/big", func(r *httpsim.FetchResult) { fr = r })
-	c.Net.RunFor(200 * time.Millisecond)
-	for _, in := range c.Yoda {
-		if in.FlowCount() > 0 {
-			in.Fail()
-			res.FailAt = c.Net.Now()
-			res.Events = append(res.Events, Fig12bEvent{At: c.Net.Now(), Desc: "YODA instance fails (point a)"})
-			ip := in.IP()
-			c.Net.Schedule(600*time.Millisecond, func() {
-				c.L4.RemoveInstance(ip)
-				res.Events = append(res.Events, Fig12bEvent{At: c.Net.Now(), Desc: "monitor updates L4 mapping"})
-			})
-			break
-		}
+	cl.Get(b.Addr, "/big", func(r *httpsim.FetchResult) { fr = r })
+	b.C.Net.RunFor(200 * time.Millisecond)
+	b.OnRepair = func(netsim.IP) {
+		res.Events = append(res.Events, Fig12bEvent{At: b.C.Net.Now(), Desc: "monitor updates L4 mapping"})
 	}
-	c.Net.RunFor(30 * time.Second)
+	b.FailBusiest(1) // the one instance that carries the flow
+	res.FailAt = b.C.Net.Now()
+	res.Events = append(res.Events, Fig12bEvent{At: res.FailAt, Desc: "YODA instance fails (point a)"})
+	b.C.Net.RunFor(30 * time.Second)
 	res.Recovered = fr != nil && fr.Err == nil
 	for i := range res.Events {
 		res.Events[i].Since = res.Events[i].At - res.FailAt

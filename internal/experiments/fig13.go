@@ -4,14 +4,10 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/controller"
 	"repro/internal/core"
 	"repro/internal/httpsim"
-	"repro/internal/memcache"
-	"repro/internal/netsim"
-	"repro/internal/tcpstore"
-	"repro/internal/workload"
+	"repro/internal/testbed"
 )
 
 // Fig13Config parameterizes the scalability experiment (§7.3).
@@ -74,29 +70,15 @@ func fig13InstanceConfig() core.Config {
 
 // RunFig13 drives the load step and records the series.
 func RunFig13(cfg Fig13Config) *Fig13Result {
-	c := cluster.New(cfg.Seed)
-	objects := map[string][]byte{"/obj": workload.SynthBody("/obj", cfg.ObjectSize)}
-	for i := 1; i <= 6; i++ {
-		c.AddBackend(fmt.Sprintf("srv-%d", i), objects, httpsim.DefaultServerConfig())
-	}
-	c.AddStoreServers(4, memcache.DefaultSimServerConfig())
-	instCfg := fig13InstanceConfig()
-	c.AddYodaN(cfg.InitialInstances, instCfg, tcpstore.DefaultConfig())
-	vip := c.AddVIP("svc")
-	ct := controller.New(c, controller.DefaultConfig())
-	ct.Provision = func() *core.Instance { return c.AddYoda(instCfg, tcpstore.DefaultConfig()) }
-	ct.SetPolicy(vip, c.SimpleSplitRules("srv-1", "srv-2", "srv-3", "srv-4", "srv-5", "srv-6"), nil)
-	ct.Start()
+	instCfg, ctCfg := fig13InstanceConfig(), controller.DefaultConfig()
+	b := testbed.New(testbed.Config{
+		Seed: cfg.Seed, Objects: oneObject("/obj", cfg.ObjectSize),
+		Backends: 6, Stores: 4, LBs: cfg.InitialInstances, Instance: &instCfg, Controller: &ctCfg,
+	})
+	c := b.C
 
 	res := &Fig13Result{}
-	vipHP := netsim.HostPort{IP: vip, Port: 80}
-	clients := make([]*httpsim.Client, 16)
-	for i := range clients {
-		clients[i] = c.NewClient(httpsim.DefaultClientConfig())
-	}
 	// Open-loop load whose aggregate tracks rate-per-initial-instance.
-	i := 0
-	var tick func()
 	rate := func() int {
 		per := cfg.BaseRatePerInst
 		if c.Net.Now() >= cfg.StepAt {
@@ -104,20 +86,12 @@ func RunFig13(cfg Fig13Config) *Fig13Result {
 		}
 		return per * cfg.InitialInstances
 	}
-	tick = func() {
-		if c.Net.Now() >= cfg.Duration {
-			return
+	b.OpenLoop(16, rate, cfg.Duration, "/obj", func(r *httpsim.FetchResult) {
+		res.Requests++
+		if r.Err != nil {
+			res.Broken++
 		}
-		clients[i%len(clients)].Get(vipHP, "/obj", func(r *httpsim.FetchResult) {
-			res.Requests++
-			if r.Err != nil {
-				res.Broken++
-			}
-		})
-		i++
-		c.Net.Schedule(time.Second/time.Duration(rate()), tick)
-	}
-	tick()
+	})
 
 	// Sample the series once per second.
 	var sample func()

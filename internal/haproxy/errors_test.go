@@ -10,6 +10,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/rules"
 	"repro/internal/tcp"
+	"repro/internal/testbed"
 )
 
 // rawRequest drives a raw byte sequence at the proxy and returns the
@@ -38,13 +39,14 @@ func rawRequest(t *testing.T, c *cluster.Cluster, vip netsim.IP, wire []byte) *h
 	return resp
 }
 
+// oneProxyBed is one HAProxy instance in front of one backend serving path.
+func oneProxyBed(seed int64, path string) *testbed.Bed {
+	return testbed.New(testbed.Config{Seed: seed, Objects: map[string][]byte{path: []byte("x")}, Backends: 1, LBs: 1, HAProxy: true})
+}
+
 func TestProxyRejectsMalformedRequest(t *testing.T) {
-	c := cluster.New(81)
-	c.AddBackend("srv-1", map[string][]byte{"/": []byte("x")}, httpsim.DefaultServerConfig())
-	c.AddHAProxyN(1, haproxy.DefaultConfig())
-	vip := c.AddVIP("svc")
-	c.InstallPolicyHAProxy(vip, c.SimpleSplitRules("srv-1"), nil)
-	resp := rawRequest(t, c, vip, []byte("THIS IS NOT HTTP\r\n\r\n"))
+	b := oneProxyBed(81, "/")
+	resp := rawRequest(t, b.C, b.VIP, []byte("THIS IS NOT HTTP\r\n\r\n"))
 	if resp == nil || resp.StatusCode != 400 {
 		t.Fatalf("resp = %+v, want 400", resp)
 	}
@@ -64,10 +66,8 @@ func TestProxyNoRulesForVIP(t *testing.T) {
 }
 
 func TestProxyNoRuleMatches(t *testing.T) {
-	c := cluster.New(83)
-	c.AddBackend("srv-1", map[string][]byte{"/a.jpg": []byte("x")}, httpsim.DefaultServerConfig())
-	c.AddHAProxyN(1, haproxy.DefaultConfig())
-	vip := c.AddVIP("svc")
+	b := oneProxyBed(83, "/a.jpg")
+	c, vip := b.C, b.VIP
 	only := []rules.Rule{{
 		Name: "jpg", Priority: 1, Match: rules.Match{URLGlob: "*.jpg"},
 		Action: rules.Action{Type: rules.ActionSplit,
@@ -81,12 +81,9 @@ func TestProxyNoRuleMatches(t *testing.T) {
 }
 
 func TestProxyDeadBackendAbortsClient(t *testing.T) {
-	c := cluster.New(84)
-	b := c.AddBackend("srv-1", map[string][]byte{"/": []byte("x")}, httpsim.DefaultServerConfig())
-	c.AddHAProxyN(1, haproxy.DefaultConfig())
-	vip := c.AddVIP("svc")
-	c.InstallPolicyHAProxy(vip, c.SimpleSplitRules("srv-1"), nil)
-	b.Server.Host().Detach() // dead before any health mark: dial will time out
+	b := oneProxyBed(84, "/")
+	c, vip := b.C, b.VIP
+	c.Backends["srv-1"].Server.Host().Detach() // dead before any health mark: dial will time out
 
 	host := c.ClientHost()
 	var failErr error

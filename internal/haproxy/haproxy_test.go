@@ -5,43 +5,29 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
-	"repro/internal/haproxy"
 	"repro/internal/httpsim"
-	"repro/internal/netsim"
+	"repro/internal/testbed"
 )
 
-type bed struct {
-	c     *cluster.Cluster
-	vip   netsim.IP
-	vipHP netsim.HostPort
-	objs  map[string][]byte
+var objs = map[string][]byte{
+	"/10k":  bytes.Repeat([]byte("x"), 10*1024),
+	"/200k": bytes.Repeat([]byte("y"), 200*1024),
 }
 
-func newBed(seed int64, nProxies int) *bed {
-	c := cluster.New(seed)
-	objs := map[string][]byte{
-		"/10k":  bytes.Repeat([]byte("x"), 10*1024),
-		"/200k": bytes.Repeat([]byte("y"), 200*1024),
-	}
-	c.AddBackend("srv-1", objs, httpsim.DefaultServerConfig())
-	c.AddBackend("srv-2", objs, httpsim.DefaultServerConfig())
-	c.AddHAProxyN(nProxies, haproxy.DefaultConfig())
-	vip := c.AddVIP("svc")
-	c.InstallPolicyHAProxy(vip, c.SimpleSplitRules("srv-1", "srv-2"), nil)
-	return &bed{c: c, vip: vip, vipHP: netsim.HostPort{IP: vip, Port: 80}, objs: objs}
+func newBed(seed int64, nProxies int) *testbed.Bed {
+	return testbed.New(testbed.Config{Seed: seed, Objects: objs, Backends: 2, LBs: nProxies, HAProxy: true})
 }
 
 func TestProxyEndToEnd(t *testing.T) {
 	b := newBed(1, 2)
-	cl := b.c.NewClient(httpsim.DefaultClientConfig())
+	cl := b.C.NewClient(httpsim.DefaultClientConfig())
 	var res *httpsim.FetchResult
-	cl.Get(b.vipHP, "/10k", func(r *httpsim.FetchResult) { res = r })
-	b.c.Net.RunFor(5 * time.Second)
+	cl.Get(b.Addr, "/10k", func(r *httpsim.FetchResult) { res = r })
+	b.C.Net.RunFor(5 * time.Second)
 	if res == nil || res.Err != nil {
 		t.Fatalf("res = %+v", res)
 	}
-	if !bytes.Equal(res.Resp.Body, b.objs["/10k"]) {
+	if !bytes.Equal(res.Resp.Body, objs["/10k"]) {
 		t.Fatal("body corrupted")
 	}
 	// HAProxy is slightly faster than Yoda (no TCPStore writes).
@@ -54,18 +40,18 @@ func TestProxySpreadsConnections(t *testing.T) {
 	b := newBed(2, 2)
 	done := 0
 	for i := 0; i < 40; i++ {
-		cl := b.c.NewClient(httpsim.DefaultClientConfig())
-		cl.Get(b.vipHP, "/10k", func(r *httpsim.FetchResult) {
+		cl := b.C.NewClient(httpsim.DefaultClientConfig())
+		cl.Get(b.Addr, "/10k", func(r *httpsim.FetchResult) {
 			if r.Err == nil {
 				done++
 			}
 		})
 	}
-	b.c.Net.RunFor(30 * time.Second)
+	b.C.Net.RunFor(30 * time.Second)
 	if done != 40 {
 		t.Fatalf("done = %d", done)
 	}
-	for i, p := range b.c.HAProxy {
+	for i, p := range b.C.HAProxy {
 		if p.Connections == 0 {
 			t.Errorf("proxy %d got no connections", i)
 		}
@@ -79,26 +65,13 @@ func TestProxyFailureBreaksFlows(t *testing.T) {
 	b := newBed(3, 2)
 	cfg := httpsim.DefaultClientConfig()
 	cfg.Timeout = 10 * time.Second
-	cl := b.c.NewClient(cfg)
+	cl := b.C.NewClient(cfg)
 	var res *httpsim.FetchResult
-	cl.Get(b.vipHP, "/200k", func(r *httpsim.FetchResult) { res = r })
-	b.c.Net.RunFor(200 * time.Millisecond) // mid-transfer
-	victim := -1
-	for i, p := range b.c.HAProxy {
-		if p.Active > 0 {
-			victim = i
-			p.Fail()
-			break
-		}
-	}
-	if victim < 0 {
-		t.Fatal("no active proxy at kill time")
-	}
-	// Even with prompt L4 withdrawal, the flow cannot be saved.
-	b.c.Net.Schedule(600*time.Millisecond, func() {
-		b.c.L4.RemoveInstance(b.c.HAProxy[victim].IP())
-	})
-	b.c.Net.RunFor(30 * time.Second)
+	cl.Get(b.Addr, "/200k", func(r *httpsim.FetchResult) { res = r })
+	b.C.Net.RunFor(200 * time.Millisecond) // mid-transfer
+	// Even with L4 withdrawal a ping interval later, the flow cannot be saved.
+	b.FailBusiest(1)
+	b.C.Net.RunFor(30 * time.Second)
 	if res == nil {
 		t.Fatal("fetch never resolved")
 	}
@@ -117,24 +90,15 @@ func TestProxyFailureWithRetryRecoversSlowly(t *testing.T) {
 	cfg := httpsim.DefaultClientConfig()
 	cfg.Timeout = 10 * time.Second
 	cfg.Retries = 1
-	cl := b.c.NewClient(cfg)
+	cl := b.C.NewClient(cfg)
 	var res *httpsim.FetchResult
-	cl.Get(b.vipHP, "/200k", func(r *httpsim.FetchResult) { res = r })
-	b.c.Net.RunFor(200 * time.Millisecond)
-	for i, p := range b.c.HAProxy {
-		if p.Active > 0 {
-			p.Fail()
-			// Monitor detection delay before the L4 mapping is fixed, as
-			// in the paper: by then the client is silently stalled waiting
-			// for response bytes, so it only notices at its HTTP timeout.
-			i := i
-			b.c.Net.Schedule(600*time.Millisecond, func() {
-				b.c.L4.RemoveInstance(b.c.HAProxy[i].IP())
-			})
-			break
-		}
-	}
-	b.c.Net.RunFor(60 * time.Second)
+	cl.Get(b.Addr, "/200k", func(r *httpsim.FetchResult) { res = r })
+	b.C.Net.RunFor(200 * time.Millisecond)
+	// Monitor detection delay before the L4 mapping is fixed, as in the
+	// paper: by then the client is silently stalled waiting for response
+	// bytes, so it only notices at its HTTP timeout.
+	b.FailBusiest(1)
+	b.C.Net.RunFor(60 * time.Second)
 	if res == nil {
 		t.Fatal("fetch never resolved")
 	}
@@ -152,22 +116,22 @@ func TestProxyFailureWithRetryRecoversSlowly(t *testing.T) {
 func TestProxyBackendFailure(t *testing.T) {
 	b := newBed(5, 1)
 	// Kill one backend; the health view steers traffic to the other.
-	b.c.Backends["srv-1"].Server.Host().Detach()
-	b.c.Health.Dead["srv-1"] = true
+	b.C.Backends["srv-1"].Server.Host().Detach()
+	b.C.Health.Dead["srv-1"] = true
 	done := 0
 	for i := 0; i < 10; i++ {
-		cl := b.c.NewClient(httpsim.DefaultClientConfig())
-		cl.Get(b.vipHP, "/10k", func(r *httpsim.FetchResult) {
+		cl := b.C.NewClient(httpsim.DefaultClientConfig())
+		cl.Get(b.Addr, "/10k", func(r *httpsim.FetchResult) {
 			if r.Err == nil {
 				done++
 			}
 		})
 	}
-	b.c.Net.RunFor(20 * time.Second)
+	b.C.Net.RunFor(20 * time.Second)
 	if done != 10 {
 		t.Fatalf("done = %d", done)
 	}
-	if b.c.Backends["srv-2"].Server.Requests != 10 {
-		t.Fatalf("live backend served %d", b.c.Backends["srv-2"].Server.Requests)
+	if b.C.Backends["srv-2"].Server.Requests != 10 {
+		t.Fatalf("live backend served %d", b.C.Backends["srv-2"].Server.Requests)
 	}
 }

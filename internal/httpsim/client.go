@@ -139,62 +139,3 @@ func (cl *Client) attempt(addr netsim.HostPort, req *Request, res *FetchResult, 
 	}, cl.cfg.TCP)
 	res.Conn = conn
 }
-
-// PageResult reports the outcome of a whole page load (HTML plus
-// embedded objects), the unit Table 1 and Figure 12 measure.
-type PageResult struct {
-	Started   time.Duration
-	Finished  time.Duration
-	Objects   int
-	Failed    int // objects that ultimately failed (timeout/reset)
-	TimedOut  int // objects that hit the HTTP timeout on some attempt
-	Broken    bool
-	FetchErrs []error
-}
-
-// Elapsed returns the page-load time.
-func (p *PageResult) Elapsed() time.Duration { return p.Finished - p.Started }
-
-// Browser fetches pages: the HTML first, then every embedded object
-// sequentially (matching the §7.2 client processes, which issue one
-// request at a time and wait for completion or timeout).
-type Browser struct {
-	Client *Client
-}
-
-// NewBrowser wraps a client.
-func NewBrowser(cl *Client) *Browser { return &Browser{Client: cl} }
-
-// LoadPage fetches htmlPath and then each object path, invoking done when
-// the page completes. Object lists come from the workload corpus.
-func (b *Browser) LoadPage(addr netsim.HostPort, htmlPath string, objects []string, done func(*PageResult)) {
-	res := &PageResult{Started: b.Client.host.Network().Now()}
-	b.Client.Get(addr, htmlPath, func(fr *FetchResult) {
-		b.recordFetch(res, fr)
-		b.loadObjects(addr, objects, 0, res, done)
-	})
-}
-
-func (b *Browser) loadObjects(addr netsim.HostPort, objects []string, i int, res *PageResult, done func(*PageResult)) {
-	if i >= len(objects) {
-		res.Finished = b.Client.host.Network().Now()
-		done(res)
-		return
-	}
-	b.Client.Get(addr, objects[i], func(fr *FetchResult) {
-		b.recordFetch(res, fr)
-		b.loadObjects(addr, objects, i+1, res, done)
-	})
-}
-
-func (b *Browser) recordFetch(res *PageResult, fr *FetchResult) {
-	res.Objects++
-	if fr.TimedOut {
-		res.TimedOut++
-	}
-	if fr.Err != nil {
-		res.Failed++
-		res.Broken = true
-		res.FetchErrs = append(res.FetchErrs, fr.Err)
-	}
-}

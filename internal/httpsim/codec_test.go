@@ -280,7 +280,7 @@ func TestLargePostThroughServer(t *testing.T) {
 // closed many connections must not hold their send buffers (it used to
 // keep every accepted conn, each with its response still buffered) — nor,
 // now that a body is transmitted where it lies, the bodies: the handler
-// makes a fresh one per request, as workload.Corpus.Handler does, and a
+// makes a fresh one per request, and a
 // closed connection that still referenced its own would show here.
 func TestServerKeepsNothingOfClosedConns(t *testing.T) {
 	const objBytes, fetches = 256 << 10, 40

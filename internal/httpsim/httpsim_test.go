@@ -367,28 +367,6 @@ func TestKeepAliveServesMultipleRequests(t *testing.T) {
 	}
 }
 
-func TestBrowserLoadPage(t *testing.T) {
-	objects := map[string][]byte{
-		"/page.html": []byte("<html>"),
-		"/a.css":     bytes.Repeat([]byte("c"), 5000),
-		"/b.jpg":     bytes.Repeat([]byte("j"), 20000),
-	}
-	w := newWorld(6, objects)
-	b := NewBrowser(w.client)
-	var res *PageResult
-	b.LoadPage(w.srvHP, "/page.html", []string{"/a.css", "/b.jpg"}, func(r *PageResult) { res = r })
-	w.net.RunUntilIdle(1000000)
-	if res == nil {
-		t.Fatal("page never completed")
-	}
-	if res.Objects != 3 || res.Failed != 0 || res.Broken {
-		t.Fatalf("page result: %+v", res)
-	}
-	if res.Elapsed() <= 0 {
-		t.Fatal("elapsed not measured")
-	}
-}
-
 func TestServerConnectionCountTracksCloses(t *testing.T) {
 	w := newWorld(7, map[string][]byte{"/x": []byte("y")})
 	done := 0

@@ -101,12 +101,6 @@ type LB struct {
 	pairs   []affinityPair
 	pairIdx map[affinityPair]flowmap.Value
 
-	// vipPackets counts packets per VIP since the last ReadTraffic
-	// call, feeding the controller's statistics. trafficSpare is the
-	// double buffer ReadTraffic swaps in so the steady-state stats
-	// poll does not allocate a fresh map per cycle.
-	vipPackets   map[netsim.IP]uint64
-	trafficSpare map[netsim.IP]uint64
 	// Forwarded and NoInstanceDrops are lifetime counters.
 	Forwarded       uint64
 	NoInstanceDrops uint64
@@ -118,12 +112,11 @@ func New(n *netsim.Network, cfg Config) *LB {
 		cfg.MuxCount = 1
 	}
 	lb := &LB{
-		net:        n,
-		rng:        n.Rand(),
-		cfg:        cfg,
-		vips:       make(map[netsim.IP]bool),
-		pairIdx:    make(map[affinityPair]flowmap.Value),
-		vipPackets: make(map[netsim.IP]uint64),
+		net:     n,
+		rng:     n.Rand(),
+		cfg:     cfg,
+		vips:    make(map[netsim.IP]bool),
+		pairIdx: make(map[affinityPair]flowmap.Value),
 	}
 	for i := 0; i < cfg.MuxCount; i++ {
 		lb.muxes = append(lb.muxes, newMux())
@@ -295,7 +288,6 @@ func vipOf(ft netsim.FourTuple) netsim.IP { return ft.Dst.IP }
 
 // handleVIPPacket processes a packet that arrived at a VIP address.
 func (lb *LB) handleVIPPacket(vip netsim.IP, pkt *netsim.Packet) {
-	lb.vipPackets[vip]++
 	tuple := pkt.Tuple()
 	m := lb.muxFor(tuple)
 	var inst netsim.IP
@@ -325,7 +317,6 @@ func (lb *LB) handleVIPPacket(vip netsim.IP, pkt *netsim.Packet) {
 // Resolution order matches scalar delivery packet for packet, so the
 // wire output and the affinity table end state are identical.
 func (lb *LB) handleVIPBatch(vip netsim.IP, pkts []*netsim.Packet) {
-	lb.vipPackets[vip] += uint64(len(pkts))
 	i := 0
 	for i < len(pkts) {
 		tuple := pkts[i].Tuple()
@@ -392,22 +383,6 @@ func (lb *LB) ClearSNAT(serverSide netsim.FourTuple) {
 
 func (lb *LB) muxFor(ft netsim.FourTuple) *mux {
 	return lb.muxes[TupleHash(ft, 0)%uint64(len(lb.muxes))]
-}
-
-// ReadTraffic returns and resets the per-VIP packet counters. The
-// returned map is valid until the next ReadTraffic call: the LB keeps
-// exactly two buffers and swaps between them, so the steady-state
-// stats poll performs zero map allocations. Callers that need the
-// counters beyond one poll cycle must copy them out.
-func (lb *LB) ReadTraffic() map[netsim.IP]uint64 {
-	out := lb.vipPackets
-	if lb.trafficSpare == nil {
-		lb.trafficSpare = make(map[netsim.IP]uint64)
-	}
-	clear(lb.trafficSpare)
-	lb.vipPackets = lb.trafficSpare
-	lb.trafficSpare = out
-	return out
 }
 
 // AffinityCount returns the number of live affinity entries across muxes

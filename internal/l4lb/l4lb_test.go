@@ -1,7 +1,6 @@
 package l4lb
 
 import (
-	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -280,64 +279,6 @@ func TestRemoveVIP(t *testing.T) {
 	}
 	// Removing again is a no-op.
 	lb.RemoveVIP(vip)
-}
-
-func TestReadTrafficResets(t *testing.T) {
-	n, lb, _ := setup(11, DefaultConfig(), inst1)
-	for i := 0; i < 5; i++ {
-		n.Send(clientPkt(uint16(i + 1)))
-	}
-	n.RunUntilIdle(1000)
-	tr := lb.ReadTraffic()
-	if tr[vip] != 5 {
-		t.Fatalf("traffic = %d", tr[vip])
-	}
-	tr = lb.ReadTraffic()
-	if tr[vip] != 0 {
-		t.Fatalf("traffic after reset = %d", tr[vip])
-	}
-}
-
-// TestReadTrafficReusesBuffer pins the double-buffer contract: the maps
-// returned by successive calls alternate between exactly two buffers
-// (no per-poll allocation), each call resets the counters, and a
-// returned map stays valid until the next call.
-func TestReadTrafficReusesBuffer(t *testing.T) {
-	n, lb, _ := setup(12, DefaultConfig(), inst1)
-	send := func(k int) {
-		for i := 0; i < k; i++ {
-			n.Send(clientPkt(uint16(i + 1)))
-		}
-		n.RunUntilIdle(1000)
-	}
-	send(3)
-	tr1 := lb.ReadTraffic()
-	if tr1[vip] != 3 {
-		t.Fatalf("first read = %d, want 3", tr1[vip])
-	}
-	send(2)
-	tr2 := lb.ReadTraffic()
-	if tr2[vip] != 2 {
-		t.Fatalf("second read = %d, want 2 (reset between polls)", tr2[vip])
-	}
-	send(4)
-	tr3 := lb.ReadTraffic()
-	// The third call must hand tr1's storage back, cleared and
-	// refilled: exactly two buffers in rotation, each valid until the
-	// call after the one that returned it.
-	if reflect.ValueOf(tr3).Pointer() != reflect.ValueOf(tr1).Pointer() {
-		t.Fatal("third read did not reuse the first buffer")
-	}
-	if reflect.ValueOf(tr2).Pointer() == reflect.ValueOf(tr1).Pointer() {
-		t.Fatal("consecutive reads returned the same buffer")
-	}
-	if tr3[vip] != 4 {
-		t.Fatalf("third read = %d, want 4", tr3[vip])
-	}
-	// Steady state allocates nothing per poll.
-	if avg := testing.AllocsPerRun(100, func() { lb.ReadTraffic() }); avg != 0 {
-		t.Fatalf("ReadTraffic allocates %.1f/op in steady state", avg)
-	}
 }
 
 func TestRendezvousPickProperties(t *testing.T) {

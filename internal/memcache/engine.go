@@ -265,14 +265,6 @@ func (e *Engine) setBytes(key, value []byte, flags uint32, expires time.Duration
 
 func (e *Engine) deleteBytes(key []byte) bool { return e.remove(e.items[string(key)]) }
 
-// FlushAll drops every item.
-func (e *Engine) FlushAll() {
-	e.items = make(map[string]*node)
-	e.head, e.tail = nil, nil
-	e.free, e.nFree = nil, 0
-	e.used = 0
-}
-
 // Stats returns a snapshot of the counters.
 func (e *Engine) Stats() Stats {
 	s := e.stats

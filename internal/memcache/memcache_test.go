@@ -92,16 +92,6 @@ func TestEngineLRUTouchOnGet(t *testing.T) {
 	}
 }
 
-func TestEngineFlushAll(t *testing.T) {
-	e := NewEngine(0, nil)
-	e.Set(Item{Key: "a", Value: []byte("1")})
-	e.Set(Item{Key: "b", Value: []byte("2")})
-	e.FlushAll()
-	if st := e.Stats(); st.CurrItems != 0 || st.BytesUsed != 0 {
-		t.Fatalf("after flush: %+v", st)
-	}
-}
-
 func TestEngineStatsCounters(t *testing.T) {
 	e := NewEngine(0, nil)
 	e.Set(Item{Key: "a", Value: []byte("1")})
@@ -231,10 +221,17 @@ func TestSessionRetiredVerbs(t *testing.T) {
 
 // --- reply parser tests ---
 
+// feedReplies feeds data to p and collects the completed replies.
+func feedReplies(p *ReplyParser, data []byte) []Reply {
+	var out []Reply
+	p.FeedFunc(data, func(r Reply) { out = append(out, r) })
+	return out
+}
+
 func TestReplyParserSingleLine(t *testing.T) {
 	p := &ReplyParser{}
 	p.Expect(false)
-	rs := p.Feed([]byte("STORED\r\n"))
+	rs := feedReplies(p, []byte("STORED\r\n"))
 	if len(rs) != 1 || rs[0].Type != ReplyStored {
 		t.Fatalf("replies: %+v", rs)
 	}
@@ -243,7 +240,7 @@ func TestReplyParserSingleLine(t *testing.T) {
 func TestReplyParserValues(t *testing.T) {
 	p := &ReplyParser{}
 	p.Expect(true)
-	rs := p.Feed([]byte("VALUE k 7 5\r\nhello\r\nEND\r\n"))
+	rs := feedReplies(p, []byte("VALUE k 7 5\r\nhello\r\nEND\r\n"))
 	if len(rs) != 1 || rs[0].Type != ReplyValues {
 		t.Fatalf("replies: %+v", rs)
 	}
@@ -263,7 +260,7 @@ func TestReplyParserSplitAcrossFeeds(t *testing.T) {
 		if end > len(wire) {
 			end = len(wire)
 		}
-		got = append(got, p.Feed([]byte(wire[i:end]))...)
+		got = append(got, feedReplies(p, []byte(wire[i:end]))...)
 	}
 	if len(got) != 1 || string(got[0].Items[0].Value) != "0123456789" {
 		t.Fatalf("got: %+v", got)
@@ -275,15 +272,15 @@ func TestReplyParserPipelined(t *testing.T) {
 	p.Expect(false)
 	p.Expect(true)
 	p.Expect(false)
-	rs := p.Feed([]byte("STORED\r\nVALUE a 0 1\r\nA\r\nEND\r\nDELETED\r\n"))
+	rs := feedReplies(p, []byte("STORED\r\nVALUE a 0 1\r\nA\r\nEND\r\nDELETED\r\n"))
 	if len(rs) != 3 {
 		t.Fatalf("replies = %d", len(rs))
 	}
 	if rs[0].Type != ReplyStored || rs[1].Type != ReplyValues || rs[2].Type != ReplyDeleted {
 		t.Fatalf("types: %v %v %v", rs[0].Type, rs[1].Type, rs[2].Type)
 	}
-	if p.PendingReplies() != 0 {
-		t.Fatalf("pending = %d", p.PendingReplies())
+	if pending := len(p.multi) - p.mhead; pending != 0 {
+		t.Fatalf("pending = %d", pending)
 	}
 }
 
@@ -295,7 +292,7 @@ func TestReplyParserErrorDropsPartialItems(t *testing.T) {
 		p := &ReplyParser{}
 		p.Expect(true)
 		p.Expect(true)
-		rs := p.Feed([]byte("VALUE a 0 1\r\nA\r\n" + bad + "VALUE c 0 1\r\nC\r\nEND\r\n"))
+		rs := feedReplies(p, []byte("VALUE a 0 1\r\nA\r\n"+bad+"VALUE c 0 1\r\nC\r\nEND\r\n"))
 		if len(rs) != 2 || rs[0].Type != ReplyError || rs[1].Type != ReplyValues {
 			t.Fatalf("%q: replies %+v", bad, rs)
 		}
@@ -318,7 +315,7 @@ func TestProtocolRoundTripProperty(t *testing.T) {
 		p := &ReplyParser{}
 		p.Expect(false)
 		p.Expect(true)
-		rs := p.Feed(out)
+		rs := feedReplies(p, out)
 		if len(rs) != 2 || rs[0].Type != ReplyStored || rs[1].Type != ReplyValues {
 			return false
 		}

@@ -91,7 +91,7 @@ func TestReplyParserMStored(t *testing.T) {
 	p := &ReplyParser{}
 	p.Expect(false)
 	p.Expect(false)
-	replies := p.Feed([]byte("MSTORED 5\r\nMSTORED 0\r\n"))
+	replies := feedReplies(p, []byte("MSTORED 5\r\nMSTORED 0\r\n"))
 	if len(replies) != 2 {
 		t.Fatalf("replies = %d", len(replies))
 	}

@@ -55,16 +55,6 @@ func (p *ReplyParser) Expect(multiLine bool) {
 	p.multi = append(p.multi, multiLine)
 }
 
-// PendingReplies returns the number of replies not yet received.
-func (p *ReplyParser) PendingReplies() int { return len(p.multi) - p.mhead }
-
-// Feed consumes bytes and returns completed replies in order.
-func (p *ReplyParser) Feed(data []byte) []Reply {
-	var out []Reply
-	p.FeedFunc(data, func(r Reply) { out = append(out, r) })
-	return out
-}
-
 // FeedFunc consumes bytes and invokes fn for each completed reply, in
 // order, without building a reply slice. fn must not retain the Reply's
 // Items beyond the call if it recycles them (the parser itself does not).

@@ -107,48 +107,3 @@ func (c *CPUMeter) Reset() {
 	c.busy = 0
 	c.buckets = c.buckets[:0]
 }
-
-// RateSeries counts events into fixed-width time buckets, producing the
-// req/s-over-time series of Figures 13 and 14.
-type RateSeries struct {
-	Bucket time.Duration
-	counts map[int]float64
-}
-
-// NewRateSeries creates a series with the given bucket width.
-func NewRateSeries(bucket time.Duration) *RateSeries {
-	if bucket <= 0 {
-		bucket = time.Second
-	}
-	return &RateSeries{Bucket: bucket, counts: make(map[int]float64)}
-}
-
-// Add records weight at virtual time now.
-func (r *RateSeries) Add(now time.Duration, weight float64) {
-	r.counts[int(now/r.Bucket)] += weight
-}
-
-// Rate returns events/second in the bucket containing t.
-func (r *RateSeries) Rate(t time.Duration) float64 {
-	return r.counts[int(t/r.Bucket)] / r.Bucket.Seconds()
-}
-
-// Series returns (bucket start, events/sec) points in time order covering
-// [0, end).
-func (r *RateSeries) Series(end time.Duration) []RatePoint {
-	n := int(end / r.Bucket)
-	pts := make([]RatePoint, 0, n)
-	for i := 0; i < n; i++ {
-		pts = append(pts, RatePoint{
-			At:   time.Duration(i) * r.Bucket,
-			Rate: r.counts[i] / r.Bucket.Seconds(),
-		})
-	}
-	return pts
-}
-
-// RatePoint is one bucket of a RateSeries.
-type RatePoint struct {
-	At   time.Duration
-	Rate float64
-}

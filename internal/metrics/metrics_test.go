@@ -342,37 +342,6 @@ func TestCPUMeterIgnoresNonPositive(t *testing.T) {
 	}
 }
 
-func TestRateSeries(t *testing.T) {
-	r := NewRateSeries(time.Second)
-	for i := 0; i < 100; i++ {
-		r.Add(500*time.Millisecond, 1) // all in bucket 0
-	}
-	for i := 0; i < 50; i++ {
-		r.Add(1500*time.Millisecond, 1) // bucket 1
-	}
-	if got := r.Rate(0); got != 100 {
-		t.Errorf("Rate(0) = %v", got)
-	}
-	if got := r.Rate(1200 * time.Millisecond); got != 50 {
-		t.Errorf("Rate(1.2s) = %v", got)
-	}
-	pts := r.Series(3 * time.Second)
-	if len(pts) != 3 {
-		t.Fatalf("Series length = %d", len(pts))
-	}
-	if pts[0].Rate != 100 || pts[1].Rate != 50 || pts[2].Rate != 0 {
-		t.Fatalf("Series = %v", pts)
-	}
-}
-
-func TestRateSeriesWeighted(t *testing.T) {
-	r := NewRateSeries(time.Second)
-	r.Add(0, 1024) // e.g. bytes
-	if got := r.Rate(0); got != 1024 {
-		t.Errorf("weighted Rate = %v", got)
-	}
-}
-
 func TestHistogramLargeRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	h := NewHistogram()

@@ -454,15 +454,6 @@ func (n *Network) Pending() int { return n.queued - n.cancelledPending }
 // Executed returns the number of events this loop has executed.
 func (n *Network) Executed() uint64 { return n.executed }
 
-// NextEventAt reports the virtual time of the earliest live queued
-// event, positioning the scheduler on it without executing anything.
-func (n *Network) NextEventAt() (time.Duration, bool) {
-	if e := n.nextEvent(math.MaxInt64); e != nil {
-		return e.at, true
-	}
-	return 0, false
-}
-
 // BatchHitRatio returns the fraction of train runs (length ≥ 2) handed
 // to a BatchNode in one call — 0 when no trains have dispatched yet.
 func (n *Network) BatchHitRatio() float64 {

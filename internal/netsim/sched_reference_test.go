@@ -3,6 +3,7 @@ package netsim
 import (
 	"container/heap"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 )
@@ -196,7 +197,15 @@ func (w *schedWorld) play(ops []schedOp) {
 func newWheelWorld() *schedWorld {
 	n := New(1)
 	n.SetCoalescing(false)
-	w := &schedWorld{now: n.Now, pending: n.Pending, executed: n.Executed, run: n.Run, step: n.Step, peek: n.NextEventAt}
+	w := &schedWorld{now: n.Now, pending: n.Pending, executed: n.Executed, run: n.Run, step: n.Step}
+	// Peeking positions the wheel on its earliest live event without
+	// executing anything, a state change Run and Step then start from.
+	w.peek = func() (time.Duration, bool) {
+		if e := n.nextEvent(math.MaxInt64); e != nil {
+			return e.at, true
+		}
+		return 0, false
+	}
 	w.arm = func(d time.Duration, fn func()) (func(), func() bool) {
 		tm := n.Schedule(d, fn)
 		return tm.Stop, tm.Active

@@ -2,18 +2,16 @@ package reconfig_test
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/httpsim"
-	"repro/internal/memcache"
 	"repro/internal/netsim"
 	"repro/internal/reconfig"
 	"repro/internal/rules"
-	"repro/internal/tcpstore"
+	"repro/internal/testbed"
 )
 
 // migrationWorld is a controller-less testbed: the test owns the
@@ -32,16 +30,13 @@ type migrationWorld struct {
 
 func newMigrationWorld(t testing.TB, seed int64, nYoda int, opt reconfig.Options) *migrationWorld {
 	t.Helper()
-	c := cluster.New(seed)
-	c.AddStoreServers(3, memcache.DefaultSimServerConfig())
-	objs := map[string][]byte{"/obj": bytes.Repeat([]byte("y"), 40*1024)}
-	for i := 1; i <= 3; i++ {
-		c.AddBackend(fmt.Sprintf("srv-%d", i), objs, httpsim.DefaultServerConfig())
-	}
-	c.AddYodaN(nYoda, core.DefaultConfig(), tcpstore.DefaultConfig())
-	w := &migrationWorld{c: c, vip: c.AddVIP("svc"), mapping: map[netsim.IP][]netsim.IP{}}
-	w.rs = c.SimpleSplitRules("srv-1", "srv-2", "srv-3")
-	c.InstallPolicy(w.vip, w.rs, nil)
+	b := testbed.New(testbed.Config{
+		Seed: seed, Objects: map[string][]byte{"/obj": bytes.Repeat([]byte("y"), 40*1024)},
+		Backends: 3, Stores: 3, LBs: nYoda,
+	})
+	c := b.C
+	w := &migrationWorld{c: c, vip: b.VIP, mapping: map[netsim.IP][]netsim.IP{}}
+	w.rs = c.SimpleSplitRules(b.Backends...)
 	var all []netsim.IP
 	for _, in := range c.Yoda {
 		all = append(all, in.IP())

@@ -242,16 +242,6 @@ func (e *Engine) evictStale() {
 	}
 }
 
-// TableSizes reports the number of bindings in each sticky table, for
-// stats and memory-growth monitoring.
-func (e *Engine) TableSizes() map[string]int {
-	out := make(map[string]int, len(e.tables))
-	for name, t := range e.tables {
-		out[name] = len(t)
-	}
-	return out
-}
-
 // Rules returns the engine's rule table in evaluation order.
 func (e *Engine) Rules() []Rule { return append([]Rule(nil), e.rules...) }
 

@@ -437,16 +437,16 @@ func TestStickyHygieneOnUpdate(t *testing.T) {
 	e := NewEngine([]Rule{tableRule, split(d1, d2)})
 	e.Learn("tab", "u1", d1)
 	e.Learn("tab", "u2", d2)
-	if sz := e.TableSizes(); sz["tab"] != 2 {
-		t.Fatalf("table sizes: %v", sz)
+	if n := len(e.tables["tab"]); n != 2 {
+		t.Fatalf("bindings = %d, want 2", n)
 	}
 
 	// d2 leaves the policy: its binding is evicted, d1's survives.
 	if err := e.Update([]Rule{tableRule, split(d1)}); err != nil {
 		t.Fatal(err)
 	}
-	if sz := e.TableSizes(); sz["tab"] != 1 {
-		t.Fatalf("stale binding not evicted: %v", sz)
+	if n := len(e.tables["tab"]); n != 1 {
+		t.Fatalf("stale binding not evicted: %d bindings", n)
 	}
 	r1 := req("/")
 	r1.SetHeader("Cookie", "s=u1")
@@ -463,8 +463,8 @@ func TestStickyHygieneOnUpdate(t *testing.T) {
 	if err := e.Update([]Rule{split(d1)}); err != nil {
 		t.Fatal(err)
 	}
-	if sz := e.TableSizes(); len(sz) != 0 {
-		t.Fatalf("unreferenced table not dropped: %v", sz)
+	if len(e.tables) != 0 {
+		t.Fatalf("unreferenced table not dropped: %v", e.tables)
 	}
 }
 

@@ -141,11 +141,6 @@ func ParseServerHello(data []byte) (cert, serverPub []byte, n int, err error) {
 	return cert, serverPub, total, nil
 }
 
-// ServerHelloSize returns the wire size of this identity's ServerHello.
-func (id *Identity) ServerHelloSize() int {
-	return len(helloMagic) + 2 + len(id.Cert) + pubKeySize
-}
-
 // deriveServerKey deterministically derives the service-side ECDH key for
 // a given client hello: priv = H(secret ‖ clientPub ‖ counter), retrying
 // the counter until the bytes form a valid P-256 scalar.

@@ -46,9 +46,6 @@ func TestHandshakeAgreesOnKey(t *testing.T) {
 	if clientSide != serverKey {
 		t.Fatal("key disagreement")
 	}
-	if n != id.ServerHelloSize() {
-		t.Fatalf("ServerHelloSize = %d, wire = %d", id.ServerHelloSize(), n)
-	}
 }
 
 func TestHandshakeDeterministicAcrossInstances(t *testing.T) {

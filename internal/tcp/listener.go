@@ -84,14 +84,3 @@ func sendRST(n *netsim.Network, pkt *netsim.Packet) {
 	rst.Seq, rst.Ack = pkt.Ack, pkt.SeqEnd()
 	n.Send(rst)
 }
-
-// InstallRSTResponder makes h answer segments that match no connection or
-// listener with a RST, approximating kernel behaviour for closed ports.
-func InstallRSTResponder(h *netsim.Host) {
-	h.Default = netsim.PortHandlerFunc(func(pkt *netsim.Packet) {
-		if !pkt.Flags.Has(netsim.FlagRST) {
-			sendRST(h.Network(), pkt)
-		}
-		h.Network().ReleasePacket(pkt)
-	})
-}

@@ -360,9 +360,6 @@ func (c *Conn) State() State { return c.state }
 // LocalAddr returns the local endpoint.
 func (c *Conn) LocalAddr() netsim.HostPort { return c.local }
 
-// RemoteAddr returns the remote endpoint.
-func (c *Conn) RemoteAddr() netsim.HostPort { return c.remote }
-
 // ISN returns the initial send sequence number (used by tests).
 func (c *Conn) ISN() uint32 { return c.iss }
 

@@ -668,7 +668,10 @@ func TestSynRetransmitAt3s(t *testing.T) {
 
 func TestConnectToClosedPortFails(t *testing.T) {
 	p := newPair(7)
-	InstallRSTResponder(p.server)
+	p.server.Default = netsim.PortHandlerFunc(func(pkt *netsim.Packet) {
+		sendRST(p.net, pkt) // what a kernel answers for a closed port
+		p.net.ReleasePacket(pkt)
+	})
 	var failErr error
 	Dial(p.client, netsim.HostPort{IP: serverIP, Port: 81}, Callbacks{
 		OnFail: func(c *Conn, err error) { failErr = err },

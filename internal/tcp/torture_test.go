@@ -127,7 +127,7 @@ func TestTortureManyConnectionsUnderLoss(t *testing.T) {
 		var buf bytes.Buffer
 		return Callbacks{
 			OnData:      func(c *Conn, d []byte) { buf.Write(d) },
-			OnPeerClose: func(c *Conn) { results[c.RemoteAddr().String()] = buf.Bytes(); c.Close() },
+			OnPeerClose: func(c *Conn) { results[c.remote.String()] = buf.Bytes(); c.Close() },
 		}
 	}, DefaultConfig())
 

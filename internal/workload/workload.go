@@ -1,121 +1,8 @@
-// Package workload generates the web corpus and request workloads of the
-// paper's testbed (§7): four university-style websites totalling 10K+
-// objects with sizes from 1 KB to 442 KB (median 46 KB), organized as
-// pages (one HTML document plus embedded objects). Object bodies are
-// synthesized on demand from their sizes so a full corpus costs a few
-// hundred kilobytes of metadata rather than gigabytes of RAM.
+// Package workload synthesizes the object bodies the simulated backends
+// serve (§7's testbed serves objects from 1 KB to 442 KB): a body is a
+// deterministic function of its path and size, so a client can check
+// integrity end to end without the testbed storing a corpus.
 package workload
-
-import (
-	"fmt"
-	"math"
-	"math/rand"
-	"sort"
-
-	"repro/internal/httpsim"
-)
-
-// Corpus is one website's object inventory.
-type Corpus struct {
-	// Sizes maps object path to body size in bytes.
-	Sizes map[string]int
-	// Pages lists the site's pages.
-	Pages []Page
-}
-
-// Page is an HTML document plus its embedded objects.
-type Page struct {
-	HTML    string
-	Objects []string
-}
-
-// CorpusConfig parameterizes generation.
-type CorpusConfig struct {
-	Seed    int64
-	Objects int // total objects, e.g. 10000
-	// Pages derive from Objects: each page owns MeanObjectsPerPage
-	// embedded objects on average.
-	MeanObjectsPerPage int
-	// Prefix namespaces paths, letting multiple sites share a backend.
-	Prefix string
-}
-
-// DefaultCorpusConfig matches the §7 corpus.
-func DefaultCorpusConfig() CorpusConfig {
-	return CorpusConfig{Seed: 1, Objects: 10000, MeanObjectsPerPage: 10, Prefix: "/site"}
-}
-
-// Size distribution calibration: log-normal with median 46 KB whose
-// 1 KB–442 KB span covers ±~2.4σ (matching the paper's reported corpus).
-const (
-	sizeMedian = 46 * 1024
-	sizeSigma  = 1.15
-	sizeMin    = 1 * 1024
-	sizeMax    = 442 * 1024
-)
-
-// GenerateCorpus builds a deterministic corpus.
-func GenerateCorpus(cfg CorpusConfig) *Corpus {
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	c := &Corpus{Sizes: make(map[string]int, cfg.Objects)}
-	mu := math.Log(sizeMedian)
-	objID := 0
-	for objID < cfg.Objects {
-		pageIdx := len(c.Pages)
-		nObj := 1 + rng.Intn(2*cfg.MeanObjectsPerPage-1) // uniform, mean ≈ MeanObjectsPerPage
-		if objID+nObj > cfg.Objects {
-			nObj = cfg.Objects - objID
-		}
-		html := fmt.Sprintf("%s/page%d.html", cfg.Prefix, pageIdx)
-		c.Sizes[html] = clampSize(int(math.Exp(mu+sizeSigma*rng.NormFloat64()) / 4))
-		page := Page{HTML: html}
-		for k := 0; k < nObj; k++ {
-			ext := []string{"jpg", "css", "js", "png"}[rng.Intn(4)]
-			path := fmt.Sprintf("%s/obj%d.%s", cfg.Prefix, objID, ext)
-			c.Sizes[path] = clampSize(int(math.Exp(mu + sizeSigma*rng.NormFloat64())))
-			page.Objects = append(page.Objects, path)
-			objID++
-		}
-		c.Pages = append(c.Pages, page)
-	}
-	return c
-}
-
-func clampSize(s int) int {
-	if s < sizeMin {
-		return sizeMin
-	}
-	if s > sizeMax {
-		return sizeMax
-	}
-	return s
-}
-
-// MedianObjectSize returns the corpus's median object size.
-func (c *Corpus) MedianObjectSize() int {
-	sizes := make([]int, 0, len(c.Sizes))
-	for _, s := range c.Sizes {
-		sizes = append(sizes, s)
-	}
-	if len(sizes) == 0 {
-		return 0
-	}
-	sort.Ints(sizes)
-	return sizes[len(sizes)/2]
-}
-
-// Handler serves the corpus: object bodies are synthesized per request
-// from the recorded sizes, with deterministic content so integrity can be
-// checked end to end.
-func (c *Corpus) Handler() httpsim.Handler {
-	return func(req *httpsim.Request) *httpsim.Response {
-		size, ok := c.Sizes[req.Path]
-		if !ok {
-			return httpsim.NewResponse(404, []byte("no such object: "+req.Path))
-		}
-		return httpsim.NewResponse(200, SynthBody(req.Path, size))
-	}
-}
 
 // SynthBody deterministically synthesizes an object body from its path
 // and size.
@@ -129,18 +16,4 @@ func SynthBody(path string, size int) []byte {
 		b[i] = byte(seed + i*7)
 	}
 	return b
-}
-
-// RandomPage picks a page uniformly.
-func (c *Corpus) RandomPage(rng *rand.Rand) *Page {
-	return &c.Pages[rng.Intn(len(c.Pages))]
-}
-
-// PageBytes returns the total transfer size of a page.
-func (c *Corpus) PageBytes(p *Page) int {
-	total := c.Sizes[p.HTML]
-	for _, o := range p.Objects {
-		total += c.Sizes[o]
-	}
-	return total
 }

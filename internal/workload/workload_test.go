@@ -2,59 +2,8 @@ package workload
 
 import (
 	"bytes"
-	"math/rand"
 	"testing"
-
-	"repro/internal/httpsim"
 )
-
-func TestGenerateCorpusShape(t *testing.T) {
-	c := GenerateCorpus(DefaultCorpusConfig())
-	nonHTML := 0
-	for path, size := range c.Sizes {
-		if size < sizeMin || size > sizeMax {
-			t.Fatalf("object %s size %d outside [1KB, 442KB]", path, size)
-		}
-		if !bytes.HasSuffix([]byte(path), []byte(".html")) {
-			nonHTML++
-		}
-	}
-	if nonHTML != 10000 {
-		t.Fatalf("objects = %d, want 10000", nonHTML)
-	}
-	if len(c.Pages) == 0 {
-		t.Fatal("no pages")
-	}
-	// Median calibrated to ~46KB (±40% tolerance for the lognormal clamp).
-	med := c.MedianObjectSize()
-	if med < 28*1024 || med > 64*1024 {
-		t.Fatalf("median size = %d, want ~46KB", med)
-	}
-	// Every page's objects exist in the size map.
-	for _, p := range c.Pages {
-		if _, ok := c.Sizes[p.HTML]; !ok {
-			t.Fatalf("page HTML %s missing", p.HTML)
-		}
-		for _, o := range p.Objects {
-			if _, ok := c.Sizes[o]; !ok {
-				t.Fatalf("object %s missing", o)
-			}
-		}
-	}
-}
-
-func TestCorpusDeterministic(t *testing.T) {
-	a := GenerateCorpus(DefaultCorpusConfig())
-	b := GenerateCorpus(DefaultCorpusConfig())
-	if len(a.Sizes) != len(b.Sizes) {
-		t.Fatal("corpora differ in size")
-	}
-	for p, s := range a.Sizes {
-		if b.Sizes[p] != s {
-			t.Fatalf("object %s differs", p)
-		}
-	}
-}
 
 func TestSynthBodyDeterministic(t *testing.T) {
 	a := SynthBody("/site/obj1.jpg", 1000)
@@ -68,43 +17,5 @@ func TestSynthBodyDeterministic(t *testing.T) {
 	}
 	if len(a) != 1000 {
 		t.Fatalf("len = %d", len(a))
-	}
-}
-
-func TestHandlerServesCorpus(t *testing.T) {
-	cfg := DefaultCorpusConfig()
-	cfg.Objects = 50
-	c := GenerateCorpus(cfg)
-	h := c.Handler()
-	page := c.Pages[0]
-	resp := h(httpsim.NewRequest(page.HTML, "site"))
-	if resp.StatusCode != 200 {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	if len(resp.Body) != c.Sizes[page.HTML] {
-		t.Fatalf("body = %d bytes, want %d", len(resp.Body), c.Sizes[page.HTML])
-	}
-	resp = h(httpsim.NewRequest("/nope", "site"))
-	if resp.StatusCode != 404 {
-		t.Fatalf("missing object status = %d", resp.StatusCode)
-	}
-}
-
-func TestRandomPageAndBytes(t *testing.T) {
-	cfg := DefaultCorpusConfig()
-	cfg.Objects = 100
-	c := GenerateCorpus(cfg)
-	rng := rand.New(rand.NewSource(1))
-	p := c.RandomPage(rng)
-	if p == nil || len(p.Objects) == 0 {
-		t.Fatalf("page: %+v", p)
-	}
-	total := c.PageBytes(p)
-	want := c.Sizes[p.HTML]
-	for _, o := range p.Objects {
-		want += c.Sizes[o]
-	}
-	if total != want {
-		t.Fatalf("PageBytes = %d, want %d", total, want)
 	}
 }

@@ -8,15 +8,14 @@ import (
 )
 
 // rngAllowlist names the packages allowed to construct their own RNGs.
-// netsim owns the network's deterministic RNG; trace, workload, and the
-// experiment drivers seed trial-level generators outside any event loop.
+// netsim owns the network's deterministic RNG; trace and the experiment
+// drivers seed trial-level generators outside any event loop.
 // Every other component must use the handle cached from its Network at
 // construction — a private rand.New is exactly how the pre-PR-4 fig14
 // map-iteration bug slipped in.
 var rngAllowlist = map[string]bool{
 	"internal/netsim":      true,
 	"internal/trace":       true,
-	"internal/workload":    true,
 	"internal/experiments": true,
 }
 

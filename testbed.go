@@ -7,10 +7,10 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/controller"
 	"repro/internal/httpsim"
-	"repro/internal/memcache"
 	"repro/internal/netsim"
 	"repro/internal/rules"
 	"repro/internal/tcpstore"
+	"repro/internal/testbed"
 )
 
 // TestbedConfig sizes a ready-to-use Yoda deployment.
@@ -32,9 +32,9 @@ type Testbed struct {
 	Cluster    *cluster.Cluster
 	Controller *controller.Controller
 
+	bed       *testbed.Bed
 	client    *httpsim.Client
 	clientCfg httpsim.ClientConfig
-	services  map[netsim.IP][]string // vip -> backend names
 }
 
 // NewTestbed builds a cluster with the given shape, starts the
@@ -52,25 +52,19 @@ func NewTestbed(cfg TestbedConfig) *Testbed {
 	if cfg.HTTPTimeout <= 0 {
 		cfg.HTTPTimeout = 30 * time.Second
 	}
-	c := cluster.New(cfg.Seed)
-	c.AddStoreServers(cfg.StoreServers, memcache.DefaultSimServerConfig())
-	storeCfg := tcpstore.DefaultConfig()
+	storeCfg, ctCfg := tcpstore.DefaultConfig(), controller.DefaultConfig()
 	storeCfg.Replicas = cfg.Replicas
-	c.AddYodaN(cfg.Instances, DefaultInstanceConfig(), storeCfg)
-
-	tb := &Testbed{
-		Cluster:  c,
-		services: make(map[netsim.IP][]string),
+	b := testbed.New(testbed.Config{
+		Seed: cfg.Seed, Stores: cfg.StoreServers, LBs: cfg.Instances,
+		Store: &storeCfg, Controller: &ctCfg,
+	})
+	if cfg.DisableController {
+		b.Ctl.Stop() // policies still go through it; its loops never run
 	}
+	tb := &Testbed{Cluster: b.C, Controller: b.Ctl, bed: b}
 	tb.clientCfg = httpsim.DefaultClientConfig()
 	tb.clientCfg.Timeout = cfg.HTTPTimeout
-	tb.client = c.NewClient(tb.clientCfg)
-
-	ct := controller.New(c, controller.DefaultConfig())
-	tb.Controller = ct
-	if !cfg.DisableController {
-		ct.Start()
-	}
+	tb.client = b.C.NewClient(tb.clientCfg)
 	return tb
 }
 
@@ -87,10 +81,7 @@ func (tb *Testbed) AddService(name string, objects map[string][]byte, nBackends 
 		tb.Cluster.AddBackend(bn, objects, httpsim.DefaultServerConfig())
 		names = append(names, bn)
 	}
-	vip := tb.Cluster.AddVIP(name)
-	tb.Controller.SetPolicy(vip, tb.Cluster.SimpleSplitRules(names...), nil)
-	tb.services[vip] = names
-	return vip
+	return tb.bed.AddVIP(name, names)
 }
 
 // SetPolicy installs a custom rule set for a VIP (text format of §5.1).
@@ -137,7 +128,7 @@ func (tb *Testbed) FetchAsync(vip netsim.IP, path string, done func(*httpsim.Fet
 
 // KillInstance fails Yoda instance i; the controller's monitor will
 // detect it and repair the L4 mapping within its ping interval.
-func (tb *Testbed) KillInstance(i int) { tb.Cluster.Yoda[i].Fail() }
+func (tb *Testbed) KillInstance(i int) { tb.bed.FailLB(i) }
 
 // Run advances simulated time by d.
 func (tb *Testbed) Run(d time.Duration) { tb.Cluster.Net.RunFor(d) }

@@ -20,7 +20,7 @@
 //   - controller — monitor, scaling, policy installation, assignment updates
 //   - assignment — the Figure-7 ILP model with greedy/exhaustive solvers
 //   - trace      — synthetic production traffic trace (§8)
-//   - workload   — the university-website object corpus (§7)
+//   - workload   — deterministic object bodies for the backends (§7)
 //   - cluster    — testbed assembly
 //   - experiments — one runner per table/figure of the paper
 //
@@ -50,7 +50,6 @@ import (
 	"repro/internal/rules"
 	"repro/internal/tcpstore"
 	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 // Re-exported core types. The aliases keep one import path for users of
@@ -113,8 +112,6 @@ var (
 	GenerateTrace = trace.Generate
 	// DefaultTraceConfig mirrors the §8 trace.
 	DefaultTraceConfig = trace.DefaultConfig
-	// GenerateCorpus builds the §7 web object corpus.
-	GenerateCorpus = workload.GenerateCorpus
 	// DefaultMemcacheServerConfig is the calibrated Memcached profile.
 	DefaultMemcacheServerConfig = memcache.DefaultSimServerConfig
 	// DefaultL4Config mirrors the Ananta-style mux deployment.

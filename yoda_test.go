@@ -73,6 +73,18 @@ rule css prio=1 url=*.css split=svc-srv-2:1
 	}
 }
 
+// An instance the controller provisions on scale-out gets the testbed's
+// store profile, not the package default of 2 replicas.
+func TestTestbedScaleOutKeepsReplicas(t *testing.T) {
+	tb := yoda.NewTestbed(yoda.TestbedConfig{Seed: 4, StoreServers: 4, Replicas: 3})
+	defer tb.Close()
+	for _, in := range append(tb.Cluster.Yoda, tb.Controller.Provision()) {
+		if n := in.Store().Replicas(); n != 3 {
+			t.Fatalf("instance %v: store client keeps %d replicas, want 3", in.IP(), n)
+		}
+	}
+}
+
 func TestTestbedDefaults(t *testing.T) {
 	tb := yoda.NewTestbed(yoda.TestbedConfig{})
 	defer tb.Close()
