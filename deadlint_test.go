@@ -18,9 +18,7 @@ var deadAllowlist = map[string]string{
 	"netsim.Network.SetDropFunc":            "fault hook: loss, for ROADMAP item 1's schedules",
 	"netsim.Network.SetLatency":             "fault hook: delay spikes, item 1",
 	"netsim.Network.SetJitter":              "fault hook: reordering, item 1",
-	"netsim.Network.SetCoalescing":          "the scalar reference loop's switch (ROADMAP item 5 decides it)",
 	"netsim.Network.PoisonReleasedBufs":     "test hook: 0xDD on release, on in every test bed and item-1 schedule",
-	"core.Instance.EventsPerFlow":           "read by the recorded BenchmarkEventsPerFlow",
 	"netsim.FourTuple.Reverse":              "test hook: the return direction of a traced packet",
 	"stateless.Table.Epoch":                 "test hook: item 1 asserts the epoch discipline through it",
 	"flowmap.Compact.Epoch":                 "test hook: the eviction-bump count the flow-map differential compares",

@@ -2,14 +2,18 @@ package core_test
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/httpsim"
+	"repro/internal/memcache"
 	"repro/internal/netsim"
 	"repro/internal/rules"
 	"repro/internal/tcp"
+	"repro/internal/tcpstore"
 	"repro/internal/testbed"
 )
 
@@ -377,5 +381,40 @@ func TestVIPRemovalStopsTraffic(t *testing.T) {
 	}
 	if res.Err == nil && res.Resp.StatusCode != 503 {
 		t.Fatalf("expected 503 or failure after rules removed, got %+v", res.Resp)
+	}
+}
+
+// BenchmarkEventsPerFlow measures event-loop events per completed 100 KB
+// fetch through a single Yoda instance: every event the network ran —
+// clients and backends included — divided by the flows the instance
+// closed, so it compares runs of this one topology only. bench.sh
+// records it as events_per_flow.
+func BenchmarkEventsPerFlow(b *testing.B) {
+	const flows = 50
+	for i := 0; i < b.N; i++ {
+		c := cluster.New(35)
+		c.AddStoreServers(3, memcache.DefaultSimServerConfig())
+		objects := map[string][]byte{"/100k": bytes.Repeat([]byte("b"), 100*1024)}
+		for j := 1; j <= 3; j++ {
+			c.AddBackend(fmt.Sprintf("srv-%d", j), objects, httpsim.DefaultServerConfig())
+		}
+		c.AddYodaN(1, core.DefaultConfig(), tcpstore.DefaultConfig())
+		vip := c.AddVIP("mysite")
+		c.InstallPolicy(vip, c.SimpleSplitRules("srv-1", "srv-2", "srv-3"), nil)
+		base := c.Net.Executed()
+		done := 0
+		for j := 0; j < flows; j++ {
+			cl := c.NewClient(httpsim.DefaultClientConfig())
+			cl.Get(netsim.HostPort{IP: vip, Port: 80}, "/100k", func(r *httpsim.FetchResult) {
+				if r.Err == nil {
+					done++
+				}
+			})
+		}
+		c.Net.RunFor(60 * time.Second)
+		if closed := c.Yoda[0].FlowsClosed; done != flows || closed == 0 {
+			b.Fatalf("done = %d/%d, %d flows closed", done, flows, closed)
+		}
+		b.ReportMetric(float64(c.Net.Executed()-base)/float64(c.Yoda[0].FlowsClosed), "events/flow")
 	}
 }

@@ -435,15 +435,9 @@ func (in *Instance) serverHandshakePacket(f *flow, pkt *netsim.Packet) {
 // the buffer (reqBuf is nilled after the forward), so the bytes are
 // immutable from here on.
 func (in *Instance) forwardClientBytes(f *flow, seq uint32, data []byte) {
-	mss := in.cfg.RelayMSS
-	if mss <= 0 {
-		mss = 1460
-	}
+	const mss = 1460
 	for off := 0; off < len(data); off += mss {
-		end := off + mss
-		if end > len(data) {
-			end = len(data)
-		}
+		end := min(off+mss, len(data))
 		in.CPU.Charge(in.net.Now(), in.cfg.CPUPerPacket)
 		pkt := in.net.AllocPacket()
 		pkt.Src, pkt.Dst = f.snat, f.server

@@ -43,13 +43,6 @@ type Config struct {
 	// degrade-and-proceed (see barrier.go). Off by default: the paper
 	// favours availability over recoverability when the store is down.
 	StrictPersist bool
-	// RelayMSS caps the segments forwardClientBytes crafts when splicing
-	// buffered client bytes toward the backend. Zero means 1460 (one
-	// MSS, the historical behavior). Tier B scale runs raise it to a
-	// GSO-style multiple of the MSS so an assembled request body crosses
-	// the tunnel in one packet instead of one per MSS; the l4lb SNAT
-	// path relays whatever size it is given zero-copy.
-	RelayMSS int
 	// Hybrid selects the hybrid stateful/stateless recovery mode: flows
 	// whose state the shared derivation table reproduces exactly skip
 	// their storage writes, and recovery tries derivation before (or
@@ -142,14 +135,8 @@ type Instance struct {
 	// migrated to another instance (see ReleaseVIPFlows); they return to
 	// the pool only when the instance restarts.
 	SNATQuarantined uint64
-	// FlowsClosed counts flows this instance tore down (any reason), the
-	// denominator of EventsPerFlow.
+	// FlowsClosed counts flows this instance tore down (any reason).
 	FlowsClosed uint64
-
-	// baseExecuted snapshots the network's event-loop counter at
-	// construction, so EventsPerFlow charges only events that ran during
-	// this instance's lifetime.
-	baseExecuted uint64
 
 	// Write-path scratch, reused across barrier writes and key renders.
 	// Safe because the instance runs on the single-threaded event loop and
@@ -186,22 +173,8 @@ func NewInstance(host *netsim.Host, lb *l4lb.LB, store *tcpstore.Store, cfg Conf
 		Stats:      make(map[netsim.IP]*VIPStats),
 	}
 	inst.flows.init()
-	inst.baseExecuted = inst.net.Executed()
 	host.Default = inst
 	return inst
-}
-
-// EventsPerFlow reports event-loop events executed per flow this
-// instance completed — the dataplane-efficiency headline the Tier A/B
-// coalescing work drives down (see DESIGN.md §14). Events are counted
-// on the whole network from the instance's construction, so clients
-// and backends are included: the number is comparable between runs of
-// the same topology, not across topologies. Zero until a flow closes.
-func (in *Instance) EventsPerFlow() float64 {
-	if in.FlowsClosed == 0 {
-		return 0
-	}
-	return float64(in.net.Executed()-in.baseExecuted) / float64(in.FlowsClosed)
 }
 
 // Host returns the instance's host.

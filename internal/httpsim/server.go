@@ -54,9 +54,6 @@ type Server struct {
 	Requests int
 	// ActiveConns tracks currently open connections.
 	ActiveConns int
-	// ClosedGSOTrains sums GSOTrainsSent over closed connections: the
-	// server keeps no reference to a connection past its close.
-	ClosedGSOTrains int
 
 	head []byte // scratch for response heads; WriteStatic copies it out at once
 }
@@ -81,7 +78,6 @@ func (s *Server) accept(c *tcp.Conn) tcp.Callbacks {
 		if s.ActiveConns > 0 {
 			s.ActiveConns--
 		}
-		s.ClosedGSOTrains += c.GSOTrainsSent
 	}
 	return tcp.Callbacks{
 		OnData: func(c *tcp.Conn, d []byte) {

@@ -65,9 +65,10 @@ type Network struct {
 	now time.Duration
 	seq uint64
 
-	// Packet-train coalescing (Tier A, always on unless SetCoalescing
-	// disables it): openTrain is the most recently scheduled delivery
-	// event, still accepting same-instant sends as train members. It is
+	// Packet-train coalescing (always on; only netsim's own oracles set
+	// noCoalesce, for their one-record-per-delivery reference): openTrain
+	// is the most recently scheduled delivery event, still accepting
+	// same-instant sends as train members. It is
 	// closed as soon as any other event is filed at its instant
 	// (scheduleEvent) and cleared when it fires (execute), so a non-nil
 	// pointer always refers to a live, unfired delivery — no generation
@@ -224,7 +225,7 @@ func (n *Network) Send(pkt *Packet) {
 		}
 	}
 	at := n.now + d
-	// Tier A coalescing: a delivery due at the open train's instant rides
+	// Train coalescing: a delivery due at the open train's instant rides
 	// that event instead of allocating and filing its own. It still
 	// consumes a sequence number, and scheduleEvent closes the train the
 	// moment any other same-instant event is filed, so burst dispatch
@@ -247,18 +248,6 @@ func (n *Network) Send(pkt *Packet) {
 	n.scheduleEvent(e)
 	if !n.noCoalesce {
 		n.openTrain, n.openAt = e, at
-	}
-}
-
-// SetCoalescing toggles packet-train delivery (default on). Disabling it
-// forces one scheduler record per delivery — the reference behavior the
-// differential fuzz oracle compares against. Both modes deliver packets
-// in the identical order and report identical Executed/Pending counts;
-// coalescing only changes how many records carry them.
-func (n *Network) SetCoalescing(on bool) {
-	n.noCoalesce = !on
-	if !on {
-		n.openTrain = nil
 	}
 }
 

@@ -196,7 +196,7 @@ func (w *schedWorld) play(ops []schedOp) {
 // holds coalesced delivery to the uncoalesced order this one checks.
 func newWheelWorld() *schedWorld {
 	n := New(1)
-	n.SetCoalescing(false)
+	n.noCoalesce = true
 	w := &schedWorld{now: n.Now, pending: n.Pending, executed: n.Executed, run: n.Run, step: n.Step}
 	// Peeking positions the wheel on its earliest live event without
 	// executing anything, a state change Run and Step then start from.

@@ -120,15 +120,15 @@ func TestTrainMaxSpills(t *testing.T) {
 	}
 }
 
-// SetCoalescing(false) is the reference mode: identical delivery log and
-// counts, zero coalescing — without loss and under a drop policy, which
-// must split runs at the packets it drops instead of switching batch
-// dispatch off.
+// noCoalesce is the reference mode: identical delivery log and counts,
+// zero coalescing — without loss and under a drop policy, which must
+// split runs at the packets it drops instead of switching batch dispatch
+// off.
 func TestTrainDisabledMatchesEnabled(t *testing.T) {
 	for _, dropEvery := range []int{0, 4} {
 		run := func(coalesce bool) *trainRig {
 			r := newTrainRig(7)
-			r.n.SetCoalescing(coalesce)
+			r.n.noCoalesce = !coalesce
 			if dropEvery > 0 {
 				seen := 0
 				r.n.SetDropFunc(func(*Packet) bool { seen++; return seen%dropEvery == 0 })
@@ -202,12 +202,16 @@ func TestTrainAllocFree(t *testing.T) {
 // Executed/Pending counts, and identical timer interleaving. The script
 // bytes choose among: send to one of two destinations with one of four
 // latencies (including duplicates that force same-instant trains),
-// schedule a timer at one of those instants, step one event, or drain.
+// schedule a timer at one of those instants, run a bounded slice of
+// virtual time, or drain. Time advances only by time-bounded runs and
+// drains — never Step, which runs a whole train in the coalesced world
+// but one delivery in the reference, so an op injected "after one step"
+// would land at different logical points in the two.
 func FuzzBurstDispatch(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0})          // pure burst, one train
 	f.Add([]byte{0, 1, 2, 3, 12, 0, 1})   // mixed latencies + timer
 	f.Add([]byte{0, 12, 0, 8, 0, 13, 0})  // timers closing trains mid-burst
-	f.Add([]byte{0, 0, 14, 0, 0, 15, 0})  // step/drain between sends
+	f.Add([]byte{0, 0, 14, 0, 0, 15, 0})  // bounded run/drain between sends
 	f.Add([]byte{4, 5, 6, 7, 4, 5, 6, 7}) // second destination interleaved
 	f.Fuzz(func(t *testing.T, script []byte) {
 		type net struct {
@@ -217,7 +221,7 @@ func FuzzBurstDispatch(f *testing.F) {
 		lat := []time.Duration{150 * time.Microsecond, 150 * time.Microsecond, 300 * time.Microsecond, 1 * time.Millisecond}
 		mk := func(coalesce bool) *net {
 			w := &net{n: New(42)}
-			w.n.SetCoalescing(coalesce)
+			w.n.noCoalesce = !coalesce
 			for _, ip := range []IP{IPv4(10, 0, 0, 2), IPv4(10, 0, 0, 3)} {
 				ip := ip
 				w.n.Attach(ip, NodeFunc(func(p *Packet) {
@@ -247,8 +251,8 @@ func FuzzBurstDispatch(f *testing.F) {
 					w.n.Schedule(d, func() {
 						w.log = append(w.log, fmt.Sprintf("timer t=%v", w.n.Now()))
 					})
-				case op < 14: // step a single event
-					w.n.Step()
+				case op < 14: // run a bounded slice of virtual time
+					w.n.Run(w.n.Now() + time.Duration(op-11)*100*time.Microsecond)
 				default: // drain
 					w.n.RunUntilIdle(1 << 16)
 				}

@@ -23,12 +23,9 @@ type diffWorld struct {
 	echo   bytes.Buffer // bytes echoed back across all client conns
 }
 
-func newDiffWorld(batch bool, cfgBits byte) *diffWorld {
+func newDiffWorld(batch bool) *diffWorld {
 	w := &diffWorld{net: netsim.New(7)}
 	w.net.PoisonReleasedBufs()
-	// The scalar reference: no trains, so every delivery is a separate
-	// event and every segment takes the per-packet HandleSegment path.
-	w.net.SetCoalescing(batch)
 	w.net.SetTracer(func(ev netsim.TraceEvent) {
 		p := ev.Packet
 		w.wire = append(w.wire, fmt.Sprintf("t=%v %v>%v f=%v seq=%d ack=%d len=%d win=%d drop=%v",
@@ -36,18 +33,20 @@ func newDiffWorld(batch bool, cfgBits byte) *diffWorld {
 	})
 	w.client = netsim.NewHost(w.net, clientIP)
 	w.server = netsim.NewHost(w.net, serverIP)
+	if !batch {
+		// The scalar reference: each host re-attached behind a wrapper
+		// that hides HandleBatch, so the network hands every member of a
+		// train over on its own and every segment takes HandleSegment.
+		for _, h := range []*netsim.Host{w.client, w.server} {
+			w.net.Attach(h.IP(), struct{ netsim.Node }{h})
+		}
+	}
 	w.cfg = DefaultConfig()
 	// Small windows and MSS make the fuzz scripts exercise multi-segment
 	// bursts (the interesting batch shapes) with tiny payloads.
 	w.cfg.MSS = 256
 	w.cfg.InitialCwnd = 4
 	w.cfg.InitialSsthresh = 8 * 256
-	if cfgBits&1 != 0 {
-		w.cfg.DelayedAck = true
-	}
-	if cfgBits&2 != 0 {
-		w.cfg.GSOSegs = 4
-	}
 	Listen(w.server, 80, func(c *Conn) Callbacks {
 		return Callbacks{
 			OnData:      func(c *Conn, d []byte) { c.Write(d) },
@@ -67,43 +66,35 @@ func (w *diffWorld) dial() {
 // connState flattens the comparable state of a Conn — protocol variables
 // and stats, not timers or buffers — into one string.
 func connState(c *Conn) string {
-	return fmt.Sprintf("st=%v una=%d nxt=%d rcv=%d cwnd=%d ssth=%d pw=%d finQ=%v finS=%v peerFin=%v rtx=%d sent=%d recv=%d elided=%d gso=%d",
+	return fmt.Sprintf("st=%v una=%d nxt=%d rcv=%d cwnd=%d ssth=%d pw=%d finQ=%v finS=%v peerFin=%v rtx=%d sent=%d recv=%d",
 		c.state, c.sndUna-c.iss, c.sndNxt-c.iss, c.rcvNxt, c.cwnd, c.ssthresh, c.peerWnd,
-		c.finQueued, c.finSent, c.peerFin, c.Retransmits, c.BytesSent, c.BytesRecv,
-		c.AcksElided, c.GSOTrainsSent)
+		c.finQueued, c.finSent, c.peerFin, c.Retransmits, c.BytesSent, c.BytesRecv)
 }
 
 // FuzzBatchDispatchDifferential drives two identical TCP worlds through
-// the same script — one with train coalescing and batch dispatch (the
-// default), one with SetCoalescing(false), the scalar reference — and
-// requires a byte-identical wire log, identical Executed/Pending counts,
-// identical echoed payloads, and identical final connection state. This
-// is the oracle pinning the batch receive path (Host.HandleBatch →
-// Conn.HandleSegmentBatch → processAckRun) to scalar semantics.
+// the same script — one with batch dispatch (the default), one whose
+// hosts hide HandleBatch, the scalar reference — and requires a
+// byte-identical wire log, identical Executed/Pending counts, identical
+// echoed payloads, and identical final connection state. Both worlds
+// form the same packet trains, so this is the oracle pinning exactly the
+// batch receive path (Host.HandleBatch → Conn.HandleSegmentBatch →
+// processAckRun) to per-segment HandleSegment; train order itself is
+// netsim's FuzzBurstDispatch.
 //
-// The first script byte selects the configuration (bit 0: DelayedAck,
-// bit 1: GSO segment trains); the rest are ops: write a payload to one
-// of the open connections, dial another connection, close or abort one,
-// run for a bounded slice of virtual time, or drain. Ops advance time
-// only via time-bounded runs and full drains — never Step — because a
-// single Step executes a whole train in batch mode but one delivery in
-// scalar mode, so injecting an op "after one step" would compare the two
-// modes at different logical points. That is a property of Tier A train
-// records (one event per train), not of batch dispatch.
+// The script bytes are ops: write a payload to one of the open
+// connections, dial another connection, close or abort one, run for a
+// bounded slice of virtual time, or drain.
 func FuzzBatchDispatchDifferential(f *testing.F) {
-	f.Add([]byte{0, 8, 16, 1, 2, 3, 16, 10})      // dial, drain, writes, close
-	f.Add([]byte{1, 8, 16, 3, 3, 3, 16, 10, 16})  // delayed ACKs
-	f.Add([]byte{2, 8, 16, 3, 7, 3, 16, 10, 16})  // GSO trains
-	f.Add([]byte{3, 8, 9, 16, 3, 7, 16, 10, 11})  // both, two conns, abort
-	f.Add([]byte{0, 8, 3, 3, 3, 3, 3, 3, 16, 10}) // write burst before established
-	f.Add([]byte{2, 8, 16, 7, 12, 12, 7, 16, 10}) // time-sliced runs between bursts
+	f.Add([]byte{8, 16, 1, 2, 3, 16, 10})      // dial, drain, writes, close
+	f.Add([]byte{8, 16, 3, 3, 3, 16, 10, 16})  // 1000-byte writes, four segments each
+	f.Add([]byte{8, 9, 16, 3, 7, 3, 16, 10})   // bursts on two conns
+	f.Add([]byte{8, 9, 16, 3, 7, 16, 10, 11})  // two conns, abort
+	f.Add([]byte{8, 3, 3, 3, 3, 3, 3, 16, 10}) // write burst before established
+	f.Add([]byte{8, 16, 7, 12, 12, 7, 16, 10}) // time-sliced runs between bursts
 	f.Fuzz(func(t *testing.T, script []byte) {
-		if len(script) == 0 {
-			return
-		}
-		worlds := [2]*diffWorld{newDiffWorld(true, script[0]), newDiffWorld(false, script[0])}
+		worlds := [2]*diffWorld{newDiffWorld(true), newDiffWorld(false)}
 		sizes := []int{1, 137, 256, 1000}
-		for i, op := range script[1:] {
+		for i, op := range script {
 			for _, w := range worlds {
 				switch {
 				case op < 8: // write to a conn: bits 0-1 size, bit 2 conn choice
@@ -136,6 +127,9 @@ func FuzzBatchDispatchDifferential(f *testing.F) {
 			w.net.RunUntilIdle(1 << 20)
 		}
 		ba, ref := worlds[0], worlds[1]
+		if ref.net.BatchRuns != 0 {
+			t.Fatalf("the scalar reference handed %d runs to HandleBatch", ref.net.BatchRuns)
+		}
 		if ba.net.Executed() != ref.net.Executed() || ba.net.Pending() != ref.net.Pending() {
 			t.Fatalf("counts: batch exec=%d pend=%d, scalar exec=%d pend=%d",
 				ba.net.Executed(), ba.net.Pending(), ref.net.Executed(), ref.net.Pending())

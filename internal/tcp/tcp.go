@@ -8,11 +8,11 @@
 // clients and backend servers it talks to must run a real TCP state
 // machine for the recovery experiments to mean anything. The
 // implementation favours clarity over completeness (no SACK, no window
-// scaling; RFC 1122 delayed ACKs and GSO-style segment trains are
-// opt-in via Config) but is faithful where the paper depends on
-// behaviour: retransmission timing (first data retransmit at the base
-// RTO, doubling thereafter; SYN retransmit at 3 s as on Ubuntu) and
-// duplicate-segment suppression at the receiver.
+// scaling, no delayed ACKs: every data segment is acknowledged at once,
+// and no segment carries more than one MSS) but is faithful where the
+// paper depends on behaviour: retransmission timing (first data
+// retransmit at the base RTO, doubling thereafter; SYN retransmit at 3 s
+// as on Ubuntu) and duplicate-segment suppression at the receiver.
 package tcp
 
 import (
@@ -50,30 +50,7 @@ type Config struct {
 	// produces client-side packets for the successor to recover from.
 	// Zero (the default) disables it entirely.
 	IdleProbe time.Duration
-	// DelayedAck enables RFC 1122 §4.2.3.2 delayed acknowledgments (Tier
-	// B coalescing, see DESIGN.md §14): an in-order data segment defers
-	// its ACK until a second segment arrives, the AckDelay timer fires,
-	// or outgoing data piggybacks it. Out-of-order and duplicate
-	// segments, FINs, and PSH boundaries are always ACKed immediately, so
-	// retransmit-recovery timing and request/response latency are
-	// unchanged. Off (the default) preserves ACK-every-segment behavior
-	// bit for bit.
-	DelayedAck bool
-	// AckDelay caps how long a deferred ACK may wait. Zero means
-	// DefaultAckDelay. Only meaningful with DelayedAck.
-	AckDelay time.Duration
-	// GSOSegs, when > 1, lets trySend emit segment trains of up to
-	// GSOSegs*MSS payload bytes in one packet (GSO-style: one event-loop
-	// trip carries what would have been GSOSegs wire segments).
-	// Congestion and retransmission accounting are byte-denominated and
-	// unchanged; retransmits stay single-MSS. 0 or 1 disables trains.
-	GSOSegs int
 }
-
-// DefaultAckDelay is the deferred-ACK timer used when Config.DelayedAck
-// is set and AckDelay is zero — 40ms, the common Linux default, well
-// under the 500ms RFC 1122 ceiling and the testbed's 300ms RTO.
-const DefaultAckDelay = 40 * time.Millisecond
 
 // DefaultConfig returns the configuration used across the testbed: MSS
 // 1460, IW10, 300ms base RTO (matching the paper's observed 300/600ms
@@ -265,23 +242,10 @@ type Conn struct {
 	probeTimer netsim.Timer
 	probeFn    func() // c.onProbeTimeout, bound once
 
-	// Delayed acknowledgments (Config.DelayedAck only). delackHeld counts
-	// ACKs deferred since the last one actually sent; a segment arriving
-	// with one already held forces the every-2nd-segment immediate ACK.
-	delackTimer netsim.Timer
-	delackFn    func() // c.onDelackTimeout, bound once
-	delackHeld  int
-
 	// Stats, exported for tests and experiments.
 	Retransmits int
 	BytesSent   uint64
 	BytesRecv   uint64
-	// AcksElided counts ACKs that never hit the wire because a later ACK,
-	// a data segment, or a FIN carried the acknowledgment instead.
-	AcksElided int
-	// GSOTrainsSent counts data packets carrying more than one MSS of
-	// payload (Config.GSOSegs > 1 only).
-	GSOTrainsSent int
 }
 
 // Dial opens an active connection from an ephemeral port on h to remote.
@@ -323,9 +287,6 @@ func newConn(h *netsim.Host, local, remote netsim.HostPort, cb Callbacks, cfg Co
 	if cfg.IdleProbe > 0 {
 		c.probeFn = c.onProbeTimeout
 	}
-	if cfg.DelayedAck {
-		c.delackFn = c.onDelackTimeout
-	}
 	return c
 }
 
@@ -347,8 +308,6 @@ func (c *Conn) onProbeTimeout() {
 		return
 	}
 	if c.state == StateEstablished && c.inflight() == 0 && c.buffered() == 0 && !c.finQueued {
-		// sendAck, not sendSegment: the probe is a bare ACK, so it also
-		// satisfies any deferred delayed ACK instead of duplicating it.
 		c.sendAck()
 	}
 	c.probeTimer = c.net.Schedule(c.cfg.IdleProbe, c.probeFn)
@@ -407,7 +366,7 @@ func (c *Conn) enqueue(tail []byte, bufs ...[]byte) {
 		if c.sndBuf == nil {
 			// Room as well for what the segment that straddles into the
 			// tail will bring over (see stream).
-			c.sndBuf = c.net.AllocBuf(max(own+min(len(tail), c.maxSeg()), minSndBuf))
+			c.sndBuf = c.net.AllocBuf(max(own+min(len(tail), c.cfg.MSS), minSndBuf))
 		}
 		c.sndBuf = append(c.sndBuf, c.sndTail...)
 		for _, b := range bufs {
@@ -489,7 +448,6 @@ func (c *Conn) teardown() {
 	c.state = StateClosed
 	c.rtxTimer.Stop()
 	c.probeTimer.Stop()
-	c.delackTimer.Stop()
 	// rtxBufs are NOT released here: retransmitted packets referencing
 	// them may still be in flight, and the conn going away does not stop
 	// their delivery. They are garbage-collected with the conn.
@@ -542,25 +500,12 @@ func (c *Conn) trySend() {
 	if c.peerWnd < wnd {
 		wnd = c.peerWnd
 	}
-	maxSeg := c.maxSeg()
 	for {
 		if avail := c.unsent(); avail > 0 {
 			if c.inflight() >= wnd {
 				return
 			}
-			n := maxSeg
-			if n > avail {
-				n = avail
-			}
-			if room := int(wnd - c.inflight()); n > room {
-				n = room
-			}
-			if n <= 0 {
-				return
-			}
-			if n > c.cfg.MSS {
-				c.GSOTrainsSent++
-			}
+			n := min(c.cfg.MSS, avail, int(wnd-c.inflight()))
 			// Zero-copy: hand out a capacity-capped sub-slice of sndBuf or
 			// of the borrowed tail. The tail is never written at all; sndBuf
 			// is safe because the head only advances on ACK, appends land
@@ -593,18 +538,6 @@ func (c *Conn) trySend() {
 		}
 		return
 	}
-}
-
-// maxSeg is the most payload one first transmission carries. GSO-style
-// segment trains: one packet may carry up to GSOSegs*MSS bytes, cutting
-// event-loop trips per buffer flush by the same factor. Sequence numbers,
-// cwnd, and rtx stay byte-denominated, so the receiver and recovery paths
-// see ordinary (large) segments.
-func (c *Conn) maxSeg() int {
-	if c.cfg.GSOSegs > 1 {
-		return c.cfg.MSS * c.cfg.GSOSegs
-	}
-	return c.cfg.MSS
 }
 
 func (c *Conn) ensureRtx() {
@@ -665,8 +598,11 @@ func (c *Conn) retransmitOldest() {
 		c.sendSegment(netsim.FlagFIN|netsim.FlagACK, c.finSeq, c.rcvNxt, nil)
 		return
 	}
+	// Never past sndNxt: bytes the first transmission did not send (a
+	// peer window under one MSS cut it short) would draw an ACK that
+	// processAck rejects as out of range, every time.
 	rel := int(c.sndUna - c.bufSeq)
-	n := min(c.cfg.MSS, c.buffered()-rel)
+	n := min(c.cfg.MSS, c.buffered()-rel, int(c.sndNxt-c.sndUna))
 	if n <= 0 {
 		return
 	}
@@ -842,79 +778,22 @@ func (c *Conn) handleEstablished(pkt *netsim.Packet) {
 			return
 		}
 	}
-	progressed := false
-	hasData := len(pkt.Payload) > 0 || pkt.Flags.Has(netsim.FlagFIN)
-	sentBefore := c.sndNxt
-	if hasData {
-		progressed = c.processData(pkt)
-	}
-	if progressed || hasData {
-		// Acknowledge received data (also re-ACKs duplicates). With
-		// DelayedAck the first in-order segment of a pair is deferred;
-		// anything that affects sender-side recovery or latency — dup or
-		// out-of-order segments (dup-ACK for fast recovery), FINs, PSH
-		// boundaries — still ACKs immediately, as does the 2nd held
-		// segment per RFC 1122. Data the application echoed from inside
-		// OnData already carried ack=rcvNxt, so it IS the acknowledgment.
-		switch {
-		case c.cfg.DelayedAck && c.sndNxt != sentBefore:
-			c.AcksElided += c.delackHeld + 1
-			c.delackHeld = 0
-			c.delackTimer.Stop()
-		case !c.cfg.DelayedAck || !progressed || c.delackHeld > 0 ||
-			pkt.Flags.Has(netsim.FlagFIN) || c.peerFin || pkt.Flags.Has(netsim.FlagPSH):
-			c.sendAck()
-		default:
-			c.deferAck()
-		}
+	if len(pkt.Payload) > 0 || pkt.Flags.Has(netsim.FlagFIN) {
+		// Every data segment is acknowledged at once, in order or not (an
+		// out-of-order one draws the duplicate ACK), even when the
+		// application already answered from inside OnData.
+		c.processData(pkt)
+		c.sendAck()
 	}
 	c.maybeFinish()
 	if c.state != StateClosed {
-		before := c.sndNxt
 		c.trySend()
-		if c.sndNxt != before && c.delackHeld > 0 {
-			// The data (or FIN) just sent carried ack=rcvNxt: the deferred
-			// ACK piggybacked and will never need its own packet.
-			c.AcksElided += c.delackHeld
-			c.delackHeld = 0
-			c.delackTimer.Stop()
-		}
 	}
 }
 
-// sendAck emits a bare ACK for everything received, counting any
-// deferred ACKs it subsumes as elided. With DelayedAck off this is
-// exactly the pre-delack immediate ACK.
+// sendAck emits a bare ACK for everything received.
 func (c *Conn) sendAck() {
-	c.AcksElided += c.delackHeld
-	c.delackHeld = 0
-	c.delackTimer.Stop()
 	c.sendSegment(netsim.FlagACK, c.sndNxt, c.rcvNxt, nil)
-}
-
-// deferAck holds the ACK for the segment just ingested, arming the
-// delay timer if it is not already running.
-func (c *Conn) deferAck() {
-	c.delackHeld++
-	if !c.delackTimer.Active() {
-		d := c.cfg.AckDelay
-		if d <= 0 {
-			d = DefaultAckDelay
-		}
-		c.delackTimer = c.net.Schedule(d, c.delackFn)
-	}
-}
-
-// onDelackTimeout flushes a deferred ACK that nothing piggybacked or
-// subsumed within AckDelay. The flush is a real ACK on the wire, so it
-// is not counted as elided.
-func (c *Conn) onDelackTimeout() {
-	c.delackTimer = netsim.Timer{}
-	if c.state == StateClosed || c.delackHeld == 0 {
-		return
-	}
-	c.delackHeld--
-	c.sendAck()
 }
 
 func (c *Conn) processAck(ack uint32) {
@@ -992,8 +871,8 @@ func (c *Conn) applyAck(ack uint32, growths int) {
 	}
 }
 
-// processData ingests payload/FIN, returns whether rcvNxt advanced.
-func (c *Conn) processData(pkt *netsim.Packet) bool {
+// processData ingests payload/FIN: in order, or parked for reassembly.
+func (c *Conn) processData(pkt *netsim.Packet) {
 	seq := pkt.Seq
 	data := pkt.Payload
 	fin := pkt.Flags.Has(netsim.FlagFIN)
@@ -1003,12 +882,12 @@ func (c *Conn) processData(pkt *netsim.Packet) bool {
 		skip := c.rcvNxt - seq
 		if uint32(len(data)) <= skip {
 			if !fin || c.peerFin {
-				return false
+				return
 			}
 			data = nil
 			seq = c.rcvNxt
 			if seqLT(pkt.SeqEnd()-1, c.rcvNxt) {
-				return false // entirely old, FIN included
+				return // entirely old, FIN included
 			}
 		} else {
 			data = data[skip:]
@@ -1019,7 +898,7 @@ func (c *Conn) processData(pkt *netsim.Packet) bool {
 		// Out of order: park for reassembly. The slice is retained as-is
 		// (zero-copy); see reasmSeg for why that is safe.
 		c.stashReasm(reasmSeg{seq: seq, data: data, fin: fin})
-		return false
+		return
 	}
 	c.ingest(data, fin)
 	// Drain any contiguous parked segments.
@@ -1046,7 +925,6 @@ func (c *Conn) processData(pkt *netsim.Packet) bool {
 		}
 		c.ingest(d, s.fin)
 	}
-	return true
 }
 
 func (c *Conn) stashReasm(s reasmSeg) {

@@ -157,7 +157,6 @@ func aliases(p, arr []byte) bool {
 type wireCase struct {
 	name string
 	body int  // bytes of body
-	gso  int  // the server's Config.GSOSegs
 	drop bool // the network loses every 4th packet, whatever it is
 	lose int  // the network loses the first segment of exactly this many bytes
 	// second, if set, is how a second response is written ("static": the
@@ -196,8 +195,6 @@ func (tc wireCase) run(t *testing.T, send func(c *Conn, head, body []byte)) (wir
 		}
 		return false
 	})
-	scfg := DefaultConfig()
-	scfg.GSOSegs = tc.gso
 	var srv *Conn
 	Listen(p.server, 80, func(c *Conn) Callbacks {
 		srv = c
@@ -219,7 +216,7 @@ func (tc wireCase) run(t *testing.T, send func(c *Conn, head, body []byte)) (wir
 				c.Close()
 			})
 		}}
-	}, scfg)
+	}, DefaultConfig())
 	Dial(p.client, netsim.HostPort{IP: serverIP, Port: 80}, Callbacks{
 		OnData:      func(c *Conn, d []byte) { got = append(got, d...) },
 		OnPeerClose: func(c *Conn) { c.Close() },
@@ -295,12 +292,9 @@ func TestWritevMatchesWrite(t *testing.T) {
 		{name: "body=2k", body: 2 << 10},
 		{name: "body=100k", body: 100_000},
 		{name: "body=512k", body: 512 << 10},
-		{name: "gso/body=2k", body: 2 << 10, gso: 4},
-		{name: "gso/body=512k", body: 512 << 10, gso: 4},
 		{name: "drop/body=2k", body: 2 << 10, drop: true},
 		{name: "drop/body=100k", body: 100_000, drop: true},
 		{name: "drop/body=512k", body: 512 << 10, drop: true},
-		{name: "drop/gso/body=100k", body: 100_000, gso: 4, drop: true},
 		crossing,
 		{name: "second=static/gap=0", body: 100_000, second: "static"},
 		{name: "second=static/gap=100ms", body: 100_000, second: "static", gap: 100 * time.Millisecond},
@@ -308,7 +302,7 @@ func TestWritevMatchesWrite(t *testing.T) {
 		{name: "second=write/gap=100ms", body: 100_000, second: "write", gap: 100 * time.Millisecond},
 		{name: "drop/second=static/gap=100ms", body: 100_000, drop: true, second: "static", gap: 100 * time.Millisecond},
 		{name: "drop/second=write/gap=100ms", body: 100_000, drop: true, second: "write", gap: 100 * time.Millisecond},
-		{name: "gso/second=static/gap=100ms", body: 512 << 10, gso: 4, second: "static", gap: 100 * time.Millisecond},
+		{name: "second=static/gap=100ms/body=512k", body: 512 << 10, second: "static", gap: 100 * time.Millisecond},
 	}
 	for _, tc := range cases {
 		ref, _, copied := tc.run(t, writeKinds[0].send)
@@ -328,8 +322,7 @@ func TestWritevMatchesWrite(t *testing.T) {
 			// Without loss or a second write to take the tail in, all of
 			// the body but the part of its first segment goes out in place.
 			if k.name == "WriteStatic" && !tc.drop && tc.second == "" {
-				maxSeg := mss * max(tc.gso, 1)
-				if inPlace < tc.body-maxSeg || inPlace > tc.body {
+				if inPlace < tc.body-mss || inPlace > tc.body {
 					t.Fatalf("%s: %d of the body's %d bytes were transmitted in place", tc.name, inPlace, tc.body)
 				}
 			}
@@ -380,11 +373,11 @@ func TestTeardownDropsBuffers(t *testing.T) {
 	}
 }
 
-// TestConnSizeClass: a Conn is 480 bytes, exactly the allocator's 480-byte
-// class. One more word and every connection costs 512.
+// TestConnSizeClass: a Conn is 400 bytes, in the allocator's 416-byte
+// class. Three more words and every connection costs 448.
 func TestConnSizeClass(t *testing.T) {
-	if sz := unsafe.Sizeof(Conn{}); sz > 480 {
-		t.Fatalf("tcp.Conn is %d bytes and has left the 480-byte size class: every connection now costs 512, "+
+	if sz := unsafe.Sizeof(Conn{}); sz > 416 {
+		t.Fatalf("tcp.Conn is %d bytes and has left the 416-byte size class: every connection now costs 448, "+
 			"which moves yodabench's held-failover heap_bytes_per_live_flow (two Conns per flow, bound 1%%) "+
 			"and BenchmarkIdleConnHeap's tcp_idle_conn_pair_heap_bytes", sz)
 	}

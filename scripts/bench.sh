@@ -105,8 +105,7 @@ FM_BPF="$(metric "$MICRO_LOG" 'BenchmarkFlowmapMemPerFlow/impl=compact' bytes/fl
 FM_MAP_BPF="$(metric "$MICRO_LOG" 'BenchmarkFlowmapMemPerFlow/impl=map' bytes/flow)"
 RT_PAPER="$(metric "$MICRO_LOG" 'BenchmarkStoreRoundTripsPerFlow/mode=paper' roundtrips/flow)"
 RT_HYBRID="$(metric "$MICRO_LOG" 'BenchmarkStoreRoundTripsPerFlow/mode=hybrid' roundtrips/flow)"
-EPF_OFF="$(metric "$MICRO_LOG" 'BenchmarkEventsPerFlow/tierb=off' events/flow)"
-EPF_ON="$(metric "$MICRO_LOG" 'BenchmarkEventsPerFlow/tierb=on' events/flow)"
+EPF="$(metric "$MICRO_LOG" BenchmarkEventsPerFlow events/flow)"
 RULE_SEL_NS="$(pick "$MICRO_LOG" 'BenchmarkRuleSelect/rules=1000' 3)"
 RULE_SEL_ALLOCS="$(awk '$1 ~ /^BenchmarkRuleSelect\/rules=1000/ {for(i=1;i<NF;i++) if($(i+1)=="allocs/op") print $i}' "$MICRO_LOG" | head -1)"
 RULE_REF_NS="$(pick "$MICRO_LOG" 'BenchmarkRuleSelectReference/rules=1000' 3)"
@@ -197,8 +196,7 @@ cat > "$OUT" <<EOF
     "flowmap_churn_ns_op": $(jsonnum "$FM_CHURN_NS"),
     "storage_roundtrips_per_flow_paper": $(jsonnum "$RT_PAPER"),
     "storage_roundtrips_per_flow_hybrid": $(jsonnum "$RT_HYBRID"),
-    "events_per_flow_tierb_off": $(jsonnum "$EPF_OFF"),
-    "events_per_flow_tierb_on": $(jsonnum "$EPF_ON"),
+    "events_per_flow": $(jsonnum "$EPF"),
     "rule_select_ns_op": $(jsonnum "$RULE_SEL_NS"),
     "rule_select_allocs_op": $(jsonnum "$RULE_SEL_ALLOCS"),
     "rule_select_reference_ns_op": $(jsonnum "$RULE_REF_NS"),

@@ -7,7 +7,8 @@
 #                             slower, on parent and change alike
 #   2. gofmt -s -l + go vet   formatting and static checks, whole tree
 #   3. fast-fail stages       vet + race on the hottest packages, 10 s
-#                             each of the HTTP codec's, the scheduler's
+#                             each of the HTTP codec's, the scheduler's,
+#                             the packet trains', the TCP batch path's
 #                             and the memcached session's differential
 #                             fuzzers, and the RNG and dead-export lints
 #   4. go build               everything compiles, including cmd/
@@ -100,17 +101,18 @@ if unformatted=$(gofmt -s -l *.go cmd examples internal scripts 2>/dev/null); [ 
 fi
 go vet ./...
 
-echo "== dataplane fast-fail (vet + race on flowmap/rules/httpsim/core/l4lb/tcpstore/memcache/reconfig/stateless) =="
+echo "== dataplane fast-fail (vet + race on flowmap/rules/httpsim/core/l4lb/tcpstore/memcache/reconfig/stateless/tcp/netsim) =="
 # The compact flow-map layer, the compiled rule engine, the request
 # parser it reads through, the write-barrier dataplane, the L4 mux
 # refactored onto the flow map, its store client, the zero-copy
 # memcached protocol+engine under it, the live reconfiguration engine,
-# and the stateless derivation table the hybrid recovery mode trusts
-# are where regressions bite hardest; vet and race them first so a
-# broken index, barrier, parser, or cookie decode fails in seconds, not
-# after the full suite.
-go vet ./internal/flowmap/ ./internal/rules/ ./internal/httpsim/ ./internal/core/ ./internal/l4lb/ ./internal/tcpstore/ ./internal/memcache/ ./internal/reconfig/ ./internal/stateless/
-go test -race ./internal/flowmap/ ./internal/rules/ ./internal/httpsim/ ./internal/core/ ./internal/l4lb/ ./internal/tcpstore/ ./internal/memcache/ ./internal/reconfig/ ./internal/stateless/
+# the stateless derivation table the hybrid recovery mode trusts, and
+# the TCP endpoint and event loop every packet of every one of them
+# crosses are where regressions bite hardest; vet and race them first
+# so a broken index, barrier, parser, cookie decode or ACK fails in
+# seconds, not after the full suite.
+go vet ./internal/flowmap/ ./internal/rules/ ./internal/httpsim/ ./internal/core/ ./internal/l4lb/ ./internal/tcpstore/ ./internal/memcache/ ./internal/reconfig/ ./internal/stateless/ ./internal/tcp/ ./internal/netsim/
+go test -race ./internal/flowmap/ ./internal/rules/ ./internal/httpsim/ ./internal/core/ ./internal/l4lb/ ./internal/tcpstore/ ./internal/memcache/ ./internal/reconfig/ ./internal/stateless/ ./internal/tcp/ ./internal/netsim/
 # Every client, backend and instance reads HTTP through one streaming
 # codec; ten seconds of new-vs-reference fuzzing over fresh inputs is
 # cheap next to what a framing bug costs everything downstream.
@@ -119,6 +121,12 @@ go test -run '^$' -fuzz 'FuzzHTTPCodecDifferential' -fuzztime 10s -fuzzminimizet
 # contract is the order of a plain (at, seq) heap; ten seconds of random
 # schedule/stop/run scripts against that heap, delays from 0 to months.
 go test -run '^$' -fuzz 'FuzzSchedulerOrder' -fuzztime 10s -fuzzminimizetime 2s ./internal/netsim/
+# Same-instant deliveries ride one record as a packet train, and the
+# batch path hands a train's runs to a node in one call; ten seconds
+# each of trains against one record per delivery, and of batch TCP
+# against per-segment TCP over the same trains.
+go test -run '^$' -fuzz 'FuzzBurstDispatch' -fuzztime 10s -fuzzminimizetime 2s ./internal/netsim/
+go test -run '^$' -fuzz 'FuzzBatchDispatchDifferential' -fuzztime 10s -fuzzminimizetime 2s ./internal/tcp/
 # Every record the dataplane persists goes through one protocol session;
 # ten seconds of arbitrary byte streams, arbitrarily chunked, against the
 # reference parser: same replies, same engine state.
