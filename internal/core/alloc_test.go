@@ -5,8 +5,12 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/httpsim"
+	"repro/internal/l4lb"
 	"repro/internal/memcache"
 	"repro/internal/netsim"
+	"repro/internal/rules"
+	"repro/internal/stateless"
 	"repro/internal/tcp"
 	"repro/internal/tcpstore"
 )
@@ -67,7 +71,7 @@ func barrierWriteAllocs(t *testing.T, phase FlowPhase, bothTuples bool) float64 
 	n := netsim.New(42)
 	in, f := benchStorageSetup(n, 3)
 	done := false
-	commit := func() { done = true }
+	commit := func(*flow) { done = true }
 	write := func() {
 		done = false
 		in.writeBarrier(f, in.barrierEntries(f, phase, bothTuples), commit, nil)
@@ -120,7 +124,7 @@ func TestBarrierBatchFitsOneMSS(t *testing.T) {
 		}
 	})
 	committed := false
-	in.writeBarrier(f, in.barrierEntries(f, PhaseTunnel, true), func() { committed = true }, nil)
+	in.writeBarrier(f, in.barrierEntries(f, PhaseTunnel, true), func(*flow) { committed = true }, nil)
 	n.RunUntilIdle(1 << 16)
 
 	if !committed || in.Barrier.Commits != 1 {
@@ -137,4 +141,115 @@ func TestBarrierBatchFitsOneMSS(t *testing.T) {
 		t.Fatalf("the segment is %d bytes starting %.8q, want one mset 2 of at most %d", len(seg), seg, mss)
 	}
 	t.Logf("largest barrier batch: %d of %d bytes", len(segments[0]), mss)
+}
+
+// flowAllocs drives whole flows through one instance — the client's SYN,
+// storage-a, the request, the rule scan and its lookup delay, the backend
+// dial, storage-b, the response, both FINs, the linger and the teardown's
+// deletes — between a scripted client and backend, with one memcached
+// server answering the barrier writes, and returns what one flow
+// allocates once the pools are warm. hybrid runs the flow in hybrid
+// recovery mode, where it is derivable and skips both barriers.
+func flowAllocs(t *testing.T, hybrid bool) float64 {
+	t.Helper()
+	n := netsim.New(11)
+	sh := netsim.NewHost(n, netsim.IPv4(10, 0, 3, 1))
+	memcache.NewSimServer(sh, memcache.DefaultPort, memcache.DefaultSimServerConfig())
+	instHost := netsim.NewHost(n, netsim.IPv4(10, 0, 0, 16))
+	store := tcpstore.New(instHost, []netsim.HostPort{{IP: sh.IP(), Port: memcache.DefaultPort}}, tcpstore.DefaultConfig())
+	vip := netsim.HostPort{IP: netsim.IPv4(10, 0, 0, 254), Port: 80}
+	backend := netsim.HostPort{IP: netsim.IPv4(10, 0, 2, 1), Port: 80}
+	rs := []rules.Rule{{Name: "all", Priority: 1, Match: rules.Match{URLGlob: "*"},
+		Action: rules.Action{Type: rules.ActionSplit, Split: []rules.WeightedBackend{
+			{Backend: rules.Backend{Name: "srv", Addr: backend}, Weight: 1}}}}}
+	cfg := DefaultConfig()
+	backendISN := func(netsim.HostPort) uint32 { return 777 }
+	if hybrid {
+		tab := stateless.New(7)
+		tab.RegisterRange(instHost.IP(), cfg.SNATBase, cfg.SNATCount)
+		pool, _ := stateless.PoolFromRules(rs)
+		tab.SetVIP(vip.IP, stateless.VIPEntry{Instances: []netsim.IP{instHost.IP()}, Pool: pool})
+		cfg.Hybrid = tab
+		backendISN = func(snat netsim.HostPort) uint32 { return tcp.DeterministicISN(tab.ISNKey(), backend, snat) }
+	}
+	in := NewInstance(instHost, l4lb.New(n, l4lb.DefaultConfig()), store, cfg)
+	if err := in.InstallRules(vip.IP, rs); err != nil {
+		t.Fatal(err)
+	}
+	n.Attach(vip.IP, netsim.NodeFunc(in.HandleSegment)) // the mux's place
+
+	req := httpsim.NewRequest("/obj", "svc").MarshalClose()
+	resp := httpsim.NewResponse(200, make([]byte, 2<<10)).Marshal()
+	const clientISN = 1000
+	send := func(src, dst netsim.HostPort, flags netsim.TCPFlags, seq, ack uint32, payload []byte) {
+		p := n.AllocPacket()
+		p.Src, p.Dst, p.Flags, p.Seq, p.Ack, p.Window, p.Payload = src, dst, flags, seq, ack, 1<<20, payload
+		n.Send(p)
+	}
+	client := netsim.HostPort{IP: netsim.IPv4(192, 168, 0, 1)}
+	n.Attach(client.IP, netsim.NodeFunc(func(p *netsim.Packet) {
+		switch {
+		case p.Flags.Has(netsim.FlagSYN | netsim.FlagACK):
+			send(p.Dst, p.Src, netsim.FlagACK|netsim.FlagPSH, clientISN+1, p.Seq+1, req)
+		case p.Flags.Has(netsim.FlagFIN):
+			send(p.Dst, p.Src, netsim.FlagACK|netsim.FlagFIN, clientISN+1+uint32(len(req)), p.SeqEnd(), nil)
+		}
+		n.ReleasePacket(p)
+	}))
+	n.Attach(backend.IP, netsim.NodeFunc(func(p *netsim.Packet) {
+		s := backendISN(p.Src)
+		switch {
+		case p.Flags.Has(netsim.FlagSYN):
+			send(p.Dst, p.Src, netsim.FlagSYN|netsim.FlagACK, s, p.Seq+1, nil)
+		case len(p.Payload) > 0:
+			send(p.Dst, p.Src, netsim.FlagACK|netsim.FlagPSH|netsim.FlagFIN, s+1, p.SeqEnd(), resp)
+		case p.Flags.Has(netsim.FlagFIN):
+			send(p.Dst, p.Src, netsim.FlagACK, s+2+uint32(len(resp)), p.SeqEnd(), nil)
+		}
+		n.ReleasePacket(p)
+	}))
+
+	flows := 0
+	flow := func() {
+		client.Port = 1024 + uint16(flows%60000)
+		flows++
+		send(client, vip, netsim.FlagSYN, clientISN, 0, nil)
+		n.RunUntilIdle(1 << 20)
+	}
+	for i := 0; i < 64; i++ {
+		flow() // warm the pools, the flow index and the store's connection
+	}
+	allocs := testing.AllocsPerRun(100, flow)
+	if in.FlowsClosed != uint64(flows) || in.FlowCount() != 0 || in.ConnLat.Count() != flows {
+		t.Fatalf("%d flows run, %d closed, %d tunnelled, %d flow entries left", flows, in.FlowsClosed, in.ConnLat.Count(), in.FlowCount())
+	}
+	wantSkipped := uint64(0)
+	if hybrid {
+		wantSkipped = 2 * uint64(flows)
+	}
+	if in.Barrier.Skipped != wantSkipped {
+		t.Fatalf("%d barriers skipped over %d flows, want %d", in.Barrier.Skipped, flows, wantSkipped)
+	}
+	return allocs
+}
+
+// TestFlowAllocBudget is core's line of the allocation ledger (DESIGN.md,
+// "What a request allocates"). A flow allocates 5 objects in core: the
+// flow, its idle-timer and one-shot-timer callbacks, the request buffer
+// and the request head's string copy. In paper mode the memcached
+// answering storage-a and storage-b adds the two key strings of the
+// records it has not held before (the client tuple's and the server
+// tuple's); hybrid mode writes no record.
+func TestFlowAllocBudget(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		hybrid bool
+		budget float64
+	}{{"paper", false, 5 + 2}, {"hybrid", true, 5}} {
+		if n := flowAllocs(t, c.hybrid); n > c.budget {
+			t.Errorf("%s mode: a whole flow allocates %v objects, budget %v", c.name, n, c.budget)
+		} else {
+			t.Logf("%s mode: %v allocations per flow", c.name, n)
+		}
+	}
 }

@@ -44,12 +44,13 @@ type BarrierStats struct {
 
 // writeBarrier persists entries in one batched store round trip, then
 // runs commit — or fail, when StrictPersist is set and some record
-// ended up on zero replicas. Exactly one of commit/fail runs, and only
-// if f is still the live flow for its client tuple (a flow torn down
-// while the write was in flight gets neither). fail may be nil, which
-// forces the degrade path even under StrictPersist (used where no
-// sensible abort exists).
-func (in *Instance) writeBarrier(f *flow, entries []tcpstore.Entry, commit func(), fail func(error)) {
+// ended up on zero replicas. Exactly one of commit/fail runs, with f,
+// and only if f is still the live flow for its client tuple (a flow torn
+// down while the write was in flight gets neither). fail may be nil,
+// which forces the degrade path even under StrictPersist (used where no
+// sensible abort exists). Handed the flow, storage-a and storage-b pass
+// methods bound once per instance; rarer barriers pass closures.
+func (in *Instance) writeBarrier(f *flow, entries []tcpstore.Entry, commit func(*flow), fail func(*flow, error)) {
 	// The flow may now have store state (even a degraded write can have
 	// reached a replica), so teardown must issue deletes and the hybrid
 	// epoch flush can skip it.
@@ -68,8 +69,8 @@ func (in *Instance) writeBarrier(f *flow, entries []tcpstore.Entry, commit func(
 type barrierOp struct {
 	in         *Instance
 	f          *flow
-	commit     func()
-	fail       func(error)
+	commit     func(*flow)
+	fail       func(*flow, error)
 	storeStart time.Duration
 	cb         func(tcpstore.SetResult)
 }
@@ -102,14 +103,14 @@ func (op *barrierOp) resolve(res tcpstore.SetResult) {
 	switch {
 	case res.Err != nil && in.cfg.StrictPersist && fail != nil:
 		in.Barrier.Aborted++
-		fail(res.Err)
+		fail(f, res.Err)
 		return
 	case res.Err != nil || res.Failed > 0:
 		in.Barrier.Degraded++
 	default:
 		in.Barrier.Commits++
 	}
-	commit()
+	commit(f)
 }
 
 // barrierEntries builds the store records for a flow: the client-tuple

@@ -140,7 +140,7 @@ func BenchmarkStorageWritePath(b *testing.B) {
 	n := netsim.New(42)
 	in, f := benchStorageSetup(n, 3)
 	done := false
-	commit := func() { done = true }
+	commit := func(*flow) { done = true }
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

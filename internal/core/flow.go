@@ -51,9 +51,11 @@ type flow struct {
 	tls *flowTLS
 
 	// Timers. idleFn is the idle timer's callback, built once by armIdle
-	// and handed back to the scheduler on every re-arm.
+	// and handed back to the scheduler on every re-arm; timerFn, built by
+	// flowTimer, is that of the lookup delay, the dial retries and linger.
 	idleTimer   netsim.Timer
 	idleFn      func()
+	timerFn     func()
 	dialTimer   netsim.Timer
 	lingerTimer netsim.Timer
 	dialTries   int
@@ -118,7 +120,6 @@ func (in *Instance) newClientFlow(pkt *netsim.Packet) {
 		clientNextSeq: pkt.Seq + 1,
 		toClientNext:  isnHash(pkt.Src, pkt.Dst) + 1,
 		state:         stateConn,
-		ooo:           make(map[uint32][]byte),
 		start:         now,
 		lastActive:    now,
 	}
@@ -140,21 +141,20 @@ func (in *Instance) newClientFlow(pkt *netsim.Packet) {
 		in.sendSynAck(f)
 		return
 	}
-	in.writeBarrier(f, in.barrierEntries(f, PhaseConn, false),
-		func() { in.sendSynAck(f) },
-		func(error) { in.teardown(f, false) })
+	in.writeBarrier(f, in.barrierEntries(f, PhaseConn, false), in.synAckFn, in.abandonFn)
 }
 
 func (in *Instance) sendSynAck(f *flow) {
 	f.synAckSent = true
-	in.net.Send(&netsim.Packet{
-		Src:    f.vip,
-		Dst:    f.client,
-		Flags:  netsim.FlagSYN | netsim.FlagACK,
-		Seq:    f.c,
-		Ack:    f.clientISN + 1,
-		Window: 1 << 20,
-	})
+	in.net.Send(in.packet(f.vip, f.client, netsim.FlagSYN|netsim.FlagACK, f.c, f.clientISN+1))
+}
+
+// packet takes a pooled packet for a segment the instance originates,
+// advertising the window it always advertises.
+func (in *Instance) packet(src, dst netsim.HostPort, flags netsim.TCPFlags, seq, ack uint32) *netsim.Packet {
+	p := in.net.AllocPacket()
+	p.Src, p.Dst, p.Flags, p.Seq, p.Ack, p.Window = src, dst, flags, seq, ack, 1<<20
+	return p
 }
 
 // connPhaseClientPacket ingests client segments until the HTTP header is
@@ -209,12 +209,12 @@ func (in *Instance) tryDispatchRequest(f *flow) {
 	if f.state != stateConn {
 		return
 	}
-	req, err := httpsim.ParseRequestHeader(f.reqBuf)
+	complete, err := httpsim.ParseRequestHeader(&in.req, f.reqBuf)
 	if err != nil {
 		in.reject(f, 400, "malformed request")
 		return
 	}
-	if req == nil {
+	if !complete {
 		// Header incomplete: ACK what we have so the client can keep
 		// sending beyond its initial window.
 		in.net.Send(&netsim.Packet{
@@ -224,7 +224,7 @@ func (in *Instance) tryDispatchRequest(f *flow) {
 		})
 		return
 	}
-	in.selectAndDial(f, req)
+	in.selectAndDial(f, &in.req)
 }
 
 // assembleClientData merges a data segment into the in-order request
@@ -241,7 +241,7 @@ func (in *Instance) assembleClientData(f *flow, pkt *netsim.Packet) bool {
 		seq = f.clientNextSeq
 	}
 	if seq != f.clientNextSeq {
-		f.ooo[seq] = append([]byte(nil), data...)
+		park(&f.ooo, seq, data)
 		return false
 	}
 	f.reqBuf = append(f.reqBuf, data...)
@@ -259,11 +259,19 @@ func (in *Instance) assembleClientData(f *flow, pkt *netsim.Packet) bool {
 	return true
 }
 
+// park copies an out-of-order segment into *m, made at the first one.
+func park(m *map[uint32][]byte, seq uint32, data []byte) {
+	if *m == nil {
+		*m = make(map[uint32][]byte)
+	}
+	(*m)[seq] = append([]byte(nil), data...)
+}
+
 // seqDiff returns a-b as a signed 32-bit distance.
 func seqDiff(a, b uint32) int32 { return int32(a - b) }
 
 // selectAndDial runs the rule scan (modelling its latency per Figure 6)
-// and opens the backend connection.
+// and opens the backend connection. req is only read during the call.
 func (in *Instance) selectAndDial(f *flow, req *httpsim.Request) {
 	engine, ok := in.engines[f.vip.IP]
 	if !ok {
@@ -322,12 +330,7 @@ func (in *Instance) selectAndDial(f *flow, req *httpsim.Request) {
 	if ck := sessionCookie(req); ck != "" {
 		engine.Learn("cookie-table", ck, decision.Backend)
 	}
-	in.net.Schedule(lookup, func() {
-		if in.flows.get(f.clientTuple()) != f || f.state != stateDialing {
-			return
-		}
-		in.sendServerSyn(f)
-	})
+	in.flowTimer(f, lookup) // the lookup delay: sendServerSyn when it is over
 }
 
 // sessionCookie extracts the canonical session cookie if present.
@@ -339,25 +342,36 @@ func (in *Instance) sendServerSyn(f *flow) {
 	// For TLS flows the handshake bytes were consumed by the instance and
 	// are not forwarded, so the backend's numbering starts where the
 	// client's application data starts.
-	in.l4.SendViaSNAT(&netsim.Packet{
-		Src:    f.snat,
-		Dst:    f.server,
-		Flags:  netsim.FlagSYN,
-		Seq:    f.clientDataBase() - 1,
-		Window: 1 << 20,
-	}, in.IP())
+	in.l4.SendViaSNAT(in.packet(f.snat, f.server, netsim.FlagSYN, f.clientDataBase()-1, 0), in.IP())
 	f.dialTries++
 	f.dialTimer.Stop()
-	f.dialTimer = in.net.Schedule(3*time.Second, func() {
-		if f.state != stateDialing || in.flows.get(f.clientTuple()) != f {
-			return
-		}
-		if f.dialTries >= 3 {
-			in.reject(f, 503, "backend unreachable")
-			return
-		}
+	f.dialTimer = in.flowTimer(f, 3*time.Second)
+}
+
+// flowTimer arms the lookup delay, a dial retry or the linger on the
+// flow's one callback for the three, which it binds on first use.
+func (in *Instance) flowTimer(f *flow, d time.Duration) netsim.Timer {
+	if f.timerFn == nil {
+		f.timerFn = func() { in.onFlowTimer(f) }
+	}
+	return in.net.Schedule(d, f.timerFn)
+}
+
+// onFlowTimer tells the three apart by the flow's state: while it dials,
+// the lookup delay (dialTries 0) or a dial retry sends the next SYN; the
+// dial timer stops at the SYN-ACK, so any later one is the linger.
+func (in *Instance) onFlowTimer(f *flow) {
+	if in.flows.get(f.clientTuple()) != f {
+		return
+	}
+	switch {
+	case f.state == stateDialing && f.dialTries >= 3:
+		in.reject(f, 503, "backend unreachable")
+	case f.state == stateDialing:
 		in.sendServerSyn(f)
-	})
+	case f.clientFin && f.serverFin:
+		in.teardown(f, true)
+	}
 }
 
 // serverHandshakePacket completes the backend connection: storage-b, then
@@ -391,42 +405,37 @@ func (in *Instance) serverHandshakePacket(f *flow, pkt *netsim.Packet) {
 	// mismatch (sticky hit, health drift, port-collision fallback, stale
 	// mux routing, TLS) keeps the flow on the persisted path, so residue
 	// classification is sound without enumerating causes.
-	commit := func() {
-		if f.state != stateDialing {
-			return
-		}
-		// The "connection" component of Figure 9: backend selection through
-		// the backend handshake and storage-b (waiting for the client's
-		// request is not the LB's doing and is excluded).
-		in.ConnLat.Add(in.net.Now() - f.dialStart)
-		toForward := f.reqBuf
-		if f.keepAlive {
-			// Only the first request goes to this backend; pipelined
-			// requests already buffered are re-selected individually.
-			toForward = in.initKeepAlive(f)
-			in.setState(f, stateKATunnel)
-		} else {
-			in.setState(f, stateTunnel)
-		}
-		// ACK the SYN-ACK and forward the buffered request bytes in the
-		// client's own sequence space.
-		in.l4.SendViaSNAT(&netsim.Packet{
-			Src: f.snat, Dst: f.server,
-			Flags: netsim.FlagACK,
-			Seq:   f.clientDataBase(), Ack: f.s + 1,
-			Window: 1 << 20,
-		}, in.IP())
-		in.forwardClientBytes(f, f.clientDataBase(), toForward)
-		f.reqBuf = nil
-	}
 	if in.hybridDerivable(f) {
 		in.Barrier.Skipped++
-		commit()
+		in.enterTunnel(f)
 		return
 	}
-	in.writeBarrier(f, in.barrierEntries(f, PhaseTunnel, true), commit, func(error) {
-		in.reject(f, 503, "flow state not persisted")
-	})
+	in.writeBarrier(f, in.barrierEntries(f, PhaseTunnel, true), in.tunnelFn, in.unpersistedFn)
+}
+
+// enterTunnel is storage-b's commit: ACK the SYN-ACK, forward the request.
+func (in *Instance) enterTunnel(f *flow) {
+	if f.state != stateDialing {
+		return
+	}
+	// The "connection" component of Figure 9: backend selection through
+	// the backend handshake and storage-b (waiting for the client's
+	// request is not the LB's doing and is excluded).
+	in.ConnLat.Add(in.net.Now() - f.dialStart)
+	toForward := f.reqBuf
+	if f.keepAlive {
+		// Only the first request goes to this backend; pipelined
+		// requests already buffered are re-selected individually.
+		toForward = in.initKeepAlive(f)
+		in.setState(f, stateKATunnel)
+	} else {
+		in.setState(f, stateTunnel)
+	}
+	// ACK the SYN-ACK and forward the buffered request bytes in the
+	// client's own sequence space.
+	in.l4.SendViaSNAT(in.packet(f.snat, f.server, netsim.FlagACK, f.clientDataBase(), f.s+1), in.IP())
+	in.forwardClientBytes(f, f.clientDataBase(), toForward)
+	f.reqBuf = nil
 }
 
 // forwardClientBytes sends raw client payload to the backend in MSS-sized
@@ -439,11 +448,7 @@ func (in *Instance) forwardClientBytes(f *flow, seq uint32, data []byte) {
 	for off := 0; off < len(data); off += mss {
 		end := min(off+mss, len(data))
 		in.CPU.Charge(in.net.Now(), in.cfg.CPUPerPacket)
-		pkt := in.net.AllocPacket()
-		pkt.Src, pkt.Dst = f.snat, f.server
-		pkt.Flags = netsim.FlagACK | netsim.FlagPSH
-		pkt.Seq, pkt.Ack = seq+uint32(off), f.s+1
-		pkt.Window = 1 << 20
+		pkt := in.packet(f.snat, f.server, netsim.FlagACK|netsim.FlagPSH, seq+uint32(off), f.s+1)
 		pkt.Payload = data[off:end:end]
 		in.l4.SendViaSNAT(pkt, in.IP())
 	}
@@ -545,11 +550,7 @@ func (in *Instance) maybeFinish(f *flow) {
 	if !f.clientFin || !f.serverFin || f.lingerTimer.Active() {
 		return
 	}
-	f.lingerTimer = in.net.Schedule(finLinger, func() {
-		if in.flows.get(f.clientTuple()) == f {
-			in.teardown(f, true)
-		}
-	})
+	f.lingerTimer = in.flowTimer(f, finLinger)
 }
 
 // teardown removes flow state locally, from TCPStore, and from the L4
@@ -700,7 +701,6 @@ func (in *Instance) installRecovered(rec *Record) *flow {
 		clientISN:     rec.ClientISN,
 		c:             isnHash(rec.Client, rec.VIP),
 		clientNextSeq: rec.ClientISN + 1,
-		ooo:           make(map[uint32][]byte),
 		recovered:     true,
 		start:         in.net.Now(),
 		lastActive:    in.net.Now(),

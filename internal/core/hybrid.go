@@ -273,7 +273,7 @@ func (in *Instance) hybridKnockConfirm(tuple netsim.FourTuple, q *pendingQueue, 
 // is what lets the backend-side successor converge: its next lookup for
 // the server tuple hits this record.
 func (in *Instance) hybridRepair(f *flow, queued, knocks []*netsim.Packet) {
-	in.writeBarrier(f, in.barrierEntries(f, PhaseTunnel, true), func() {
+	in.writeBarrier(f, in.barrierEntries(f, PhaseTunnel, true), func(*flow) {
 		in.dispatchQueued(queued)
 		in.dispatchQueued(knocks)
 	}, nil)
@@ -338,7 +338,7 @@ func (in *Instance) FlushUnpersisted() int {
 		if f.state == stateTunnel || f.state == stateKATunnel {
 			phase, both = PhaseTunnel, true
 		}
-		in.writeBarrier(f, in.barrierEntries(f, phase, both), func() {}, nil)
+		in.writeBarrier(f, in.barrierEntries(f, phase, both), func(*flow) {}, nil)
 	}
 	return len(victims)
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"time"
 
+	"repro/internal/httpsim"
 	"repro/internal/l4lb"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
@@ -148,7 +149,11 @@ type Instance struct {
 	recRecord      Record
 	recTLS         TLSState
 	freeBarrierOps []*barrierOp
-	candScratch    []netsim.IP // hybrid dead-owner candidate scratch
+	candScratch    []netsim.IP     // hybrid dead-owner candidate scratch
+	req            httpsim.Request // connection-phase header-parse scratch
+	// The per-flow barriers' continuations (see writeBarrier), bound once.
+	synAckFn, tunnelFn       func(*flow)
+	abandonFn, unpersistedFn func(*flow, error)
 }
 
 // NewInstance creates a Yoda instance on host, using the given L4 LB for
@@ -172,6 +177,9 @@ func NewInstance(host *netsim.Host, lb *l4lb.LB, store *tcpstore.Store, cfg Conf
 		ConnLat:    metrics.NewDurationHistogram(),
 		Stats:      make(map[netsim.IP]*VIPStats),
 	}
+	inst.synAckFn, inst.tunnelFn = inst.sendSynAck, inst.enterTunnel
+	inst.abandonFn = func(f *flow, _ error) { inst.teardown(f, false) }
+	inst.unpersistedFn = func(f *flow, _ error) { inst.reject(f, 503, "flow state not persisted") }
 	inst.flows.init()
 	host.Default = inst
 	return inst

@@ -24,7 +24,7 @@ import (
 type kaRequest struct {
 	raw      []byte
 	startSeq uint32
-	req      *httpsim.Request
+	req      httpsim.Request
 }
 
 // kaState is the inspected-tunnel bookkeeping attached to keep-alive
@@ -71,7 +71,6 @@ type kaState struct {
 func (in *Instance) initKeepAlive(f *flow) []byte {
 	ka := &kaState{
 		serverNextSeq:   f.s + 1,
-		serverOOO:       make(map[uint32][]byte),
 		respOutstanding: 1,
 	}
 	f.ka = ka
@@ -100,8 +99,8 @@ func (ka *kaState) frame() {
 		if err != nil || h == 0 || len(rest)-h < b {
 			break
 		}
-		req, err := httpsim.ParseRequestHeader(rest[:h])
-		if err != nil {
+		var req httpsim.Request
+		if _, err := httpsim.ParseRequestHeader(&req, rest[:h]); err != nil {
 			break
 		}
 		n := h + b
@@ -152,7 +151,7 @@ func (in *Instance) kaAssembleClient(f *flow, seq uint32, data []byte) {
 		seq = expected
 	}
 	if seq != expected {
-		f.ooo[seq] = append([]byte(nil), data...)
+		park(&f.ooo, seq, data)
 		return
 	}
 	f.ka.held = append(f.ka.held, data...)
@@ -195,13 +194,14 @@ func (in *Instance) kaFlush(f *flow) {
 		return
 	}
 	next := ka.queue[0]
+	ka.queue[0] = kaRequest{} // an idle flow keeps none of its last request
 	ka.queue = ka.queue[1:]
 	engine, ok := in.engines[f.vip.IP]
 	if !ok {
 		in.reject(f, 503, "vip not assigned to this instance")
 		return
 	}
-	decision := engine.Select(next.req, in.rng.Float64(), in.info)
+	decision := engine.Select(&next.req, in.rng.Float64(), in.info)
 	in.CPU.Charge(in.net.Now(), time.Duration(decision.Scanned)*in.cfg.LookupPerRule)
 	if !decision.OK {
 		in.reject(f, 503, "no rule matched")
@@ -287,12 +287,12 @@ func (in *Instance) kaCompleteSwitch(f *flow, pkt *netsim.Packet) {
 	f.delta = f.toClientNext - (f.s + 1)
 	ka.serverNextSeq = f.s + 1
 	ka.respBuf, ka.respBody = nil, 0
-	ka.serverOOO = make(map[uint32][]byte)
+	ka.serverOOO = nil
 	ka.committing = true
 	// Rewrite the decoupled state so recovery lands on the new backend —
 	// before the ACK and request replay, the same persist-before-ACK rule
 	// the first dial obeys (storage-b applied to re-selection).
-	in.writeBarrier(f, in.barrierEntries(f, PhaseTunnel, true), func() {
+	in.writeBarrier(f, in.barrierEntries(f, PhaseTunnel, true), func(f *flow) {
 		if !ka.switching {
 			return
 		}
@@ -308,7 +308,7 @@ func (in *Instance) kaCompleteSwitch(f *flow, pkt *netsim.Packet) {
 		ka.switching = false
 		ka.committing = false
 		ka.pendReq = nil
-	}, func(error) {
+	}, func(f *flow, _ error) {
 		ka.committing = false
 		in.reject(f, 503, "flow state not persisted")
 	})
@@ -370,7 +370,7 @@ func (in *Instance) kaAssembleServer(f *flow, seq uint32, data []byte) {
 		seq = ka.serverNextSeq
 	}
 	if seq != ka.serverNextSeq {
-		ka.serverOOO[seq] = append([]byte(nil), data...)
+		park(&ka.serverOOO, seq, data)
 		return
 	}
 	// The in-order bytes, then every parked segment they make contiguous.

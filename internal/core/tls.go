@@ -105,13 +105,11 @@ func (in *Instance) tlsAdvance(f *flow, prevLen int) bool {
 	// whose key is unrecoverable is dropped before the hello is ACKed:
 	// the client's hello retransmissions hit a dead tuple and it retries
 	// with a fresh connection.
-	in.writeBarrier(f, in.barrierEntries(f, PhaseConn, false), func() {
+	in.writeBarrier(f, in.barrierEntries(f, PhaseConn, false), func(f *flow) {
 		in.sendServerHello(f, serverHello)
 		// Early data may already contain the full request.
 		in.tryDispatchRequest(f)
-	}, func(error) {
-		in.teardown(f, false)
-	})
+	}, in.abandonFn)
 	return true
 }
 

@@ -143,13 +143,14 @@ func (pc *proxyConn) clientData(c *tcp.Conn, d []byte) {
 	if pc.dialing {
 		return
 	}
-	req, err := httpsim.ParseRequestHeader(pc.reqBuf)
+	var req httpsim.Request
+	complete, err := httpsim.ParseRequestHeader(&req, pc.reqBuf)
 	if err != nil {
 		c.Write(httpsim.NewResponse(400, []byte("bad request")).Marshal())
 		c.Close()
 		return
 	}
-	if req == nil {
+	if !complete {
 		return
 	}
 	vip := c.LocalAddr().IP
@@ -159,7 +160,7 @@ func (pc *proxyConn) clientData(c *tcp.Conn, d []byte) {
 		c.Close()
 		return
 	}
-	decision := engine.Select(req, in.rng.Float64(), in.info)
+	decision := engine.Select(&req, in.rng.Float64(), in.info)
 	in.CPU.Charge(in.net.Now(), time.Duration(decision.Scanned)*in.cfg.LookupPerRule)
 	if !decision.OK {
 		c.Write(httpsim.NewResponse(503, []byte("no rule matched")).Marshal())

@@ -64,10 +64,9 @@ func NewClient(host *netsim.Host, cfg ClientConfig) *Client {
 }
 
 // Fetch requests path from addr and invokes done with the outcome. It
-// drives the full TCP + HTTP exchange in virtual time.
+// drives the full TCP + HTTP exchange in virtual time. req is only read.
 func (cl *Client) Fetch(addr netsim.HostPort, req *Request, done func(*FetchResult)) {
-	res := &FetchResult{Started: cl.host.Network().Now()}
-	cl.attempt(addr, req, res, cl.cfg.Retries, done)
+	cl.attempt(addr, req, FetchResult{Started: cl.host.Network().Now()}, cl.cfg.Retries, done)
 }
 
 // Get is a convenience wrapper fetching a path with a default request.
@@ -75,67 +74,83 @@ func (cl *Client) Get(addr netsim.HostPort, path string, done func(*FetchResult)
 	cl.Fetch(addr, NewRequest(path, addr.IP.String()), done)
 }
 
-func (cl *Client) attempt(addr netsim.HostPort, req *Request, res *FetchResult, retriesLeft int, done func(*FetchResult)) {
-	res.Attempts++
-	net := cl.host.Network()
-	parser := &ResponseParser{}
-	finished := false
-
-	var conn *tcp.Conn
-	var timeout netsim.Timer
-
-	finish := func(resp *Response, err error) {
-		if finished {
-			return
-		}
-		finished = true
-		timeout.Stop()
-		if err != nil && retriesLeft > 0 {
-			cl.attempt(addr, req, res, retriesLeft-1, done)
-			return
-		}
-		res.Resp = resp
-		res.Err = err
-		res.Finished = net.Now()
-		done(res)
-	}
-
-	timeout = net.Schedule(cl.cfg.Timeout, func() {
-		res.TimedOut = true
-		if conn != nil {
-			conn.Abort()
-		}
-		finish(nil, ErrHTTPTimeout)
-	})
-
-	r := req.Clone() // so the Connection header tweak doesn't leak
-	r.SetHeader("Connection", "close")
-
-	conn = tcp.Dial(cl.host, addr, tcp.Callbacks{
-		OnEstablished: func(c *tcp.Conn) {
-			var head [256]byte // Writev copies it out before returning
-			c.Writev(r.appendHead(head[:0]), r.Body)
-		},
-		OnData: func(c *tcp.Conn, d []byte) {
-			resps, err := parser.Feed(d)
-			if err != nil {
-				c.Abort()
-				finish(nil, err)
-				return
-			}
-			if len(resps) > 0 {
-				c.Close()
-				finish(resps[0], nil)
-			}
-		},
-		OnPeerClose: func(c *tcp.Conn) { c.Close() },
-		OnFail: func(c *tcp.Conn, err error) {
-			if errors.Is(err, tcp.ErrReset) {
-				finish(nil, ErrConnReset)
-			} else {
-				finish(nil, ErrConnFailed)
-			}
-		},
-	}, cl.cfg.TCP)
-	res.Conn = conn
+// fetch is one attempt, the user word of its conn (res.Conn) for the
+// fetch* callbacks; timeout is the one closure an attempt binds.
+type fetch struct {
+	cl       *Client
+	addr     netsim.HostPort
+	req      *Request
+	retries  int // attempts still allowed after this one
+	done     func(*FetchResult)
+	timer    netsim.Timer
+	finished bool
+	parser   ResponseParser
+	res      FetchResult
 }
+
+// attempt starts one try with res, the result so far, carried over.
+func (cl *Client) attempt(addr netsim.HostPort, req *Request, res FetchResult, retriesLeft int, done func(*FetchResult)) {
+	f := &fetch{cl: cl, addr: addr, req: req, retries: retriesLeft, done: done, res: res}
+	f.res.Attempts++
+	f.timer = cl.host.Network().Schedule(cl.cfg.Timeout, f.timeout)
+	f.res.Conn = tcp.Dial(cl.host, addr, tcp.Callbacks{
+		OnEstablished: fetchEstablished,
+		OnData:        fetchData,
+		OnPeerClose:   closeOnPeerClose,
+		OnFail:        fetchFailed,
+		User:          f,
+	}, cl.cfg.TCP)
+}
+
+func (f *fetch) timeout() {
+	f.res.TimedOut = true
+	f.res.Conn.Abort()
+	f.finish(nil, ErrHTTPTimeout)
+}
+
+// finish resolves the attempt once: a failure with retries left starts
+// the next attempt, anything else is the fetch's outcome.
+func (f *fetch) finish(resp *Response, err error) {
+	if f.finished {
+		return
+	}
+	f.finished = true
+	f.timer.Stop()
+	if err != nil && f.retries > 0 {
+		f.cl.attempt(f.addr, f.req, f.res, f.retries-1, f.done)
+		return
+	}
+	f.res.Resp, f.res.Err, f.res.Finished = resp, err, f.cl.host.Network().Now()
+	f.done(&f.res)
+}
+
+func fetchEstablished(c *tcp.Conn) {
+	f := c.User().(*fetch)
+	var head [256]byte // Writev copies it out before returning
+	c.Writev(f.req.appendHead(head[:0], true), f.req.Body)
+}
+
+func fetchData(c *tcp.Conn, d []byte) {
+	f := c.User().(*fetch)
+	resps, err := f.parser.Feed(d)
+	if err != nil {
+		c.Abort()
+		f.finish(nil, err)
+		return
+	}
+	if len(resps) > 0 {
+		c.Close()
+		f.finish(resps[0], nil)
+	}
+}
+
+func fetchFailed(c *tcp.Conn, err error) {
+	f := c.User().(*fetch)
+	if errors.Is(err, tcp.ErrReset) {
+		f.finish(nil, ErrConnReset)
+	} else {
+		f.finish(nil, ErrConnFailed)
+	}
+}
+
+func closeOnPeerClose(c *tcp.Conn) { c.Close() }

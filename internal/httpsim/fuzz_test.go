@@ -74,15 +74,29 @@ func FuzzResponseParser(f *testing.F) {
 }
 
 // FuzzParseRequestHeader must never panic or claim completion on
-// truncated headers.
+// truncated headers, and a parse into a Request reused from every
+// earlier input must equal a parse into a fresh one.
 func FuzzParseRequestHeader(f *testing.F) {
 	f.Add([]byte("GET /p HTTP/1.1\r\nHost: h\r\n\r\ntail"))
 	f.Add([]byte("GET /p HTTP/1.1\r\nHost"))
+	f.Add([]byte("GET /q HTTP/1.1\r\nCookie: session=s1\r\nX-A: 1\r\nX-B: 2\r\n\r\n"))
+	var reused Request
 	f.Fuzz(func(t *testing.T, data []byte) {
-		req, err := ParseRequestHeader(data)
-		if err == nil && req != nil {
-			if !bytes.Contains(data, []byte("\r\n\r\n")) {
-				t.Fatal("claimed completion without header terminator")
+		var fresh Request
+		complete, err := ParseRequestHeader(&fresh, data)
+		if complete && !bytes.Contains(data, []byte("\r\n\r\n")) {
+			t.Fatal("claimed completion without header terminator")
+		}
+		complete2, err2 := ParseRequestHeader(&reused, data)
+		if complete2 != complete || err2 != err {
+			t.Fatalf("reused scratch: (%v, %v), fresh: (%v, %v)", complete2, err2, complete, err)
+		}
+		if complete && err == nil {
+			if got, want := reused.Marshal(), fresh.Marshal(); !bytes.Equal(got, want) {
+				t.Fatalf("reused scratch parsed %q, fresh %q", got, want)
+			}
+			if got, want := reused.Cookie("session"), fresh.Cookie("session"); got != want {
+				t.Fatalf("reused scratch cookie %q, fresh %q", got, want)
 			}
 		}
 	})

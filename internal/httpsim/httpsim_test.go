@@ -84,15 +84,16 @@ func TestRequestParserPipelined(t *testing.T) {
 }
 
 func TestParseRequestHeaderPartial(t *testing.T) {
-	r, err := ParseRequestHeader([]byte("GET /x HTTP/1.1\r\nHost: a\r\n"))
-	if err != nil || r != nil {
-		t.Fatalf("incomplete header: r=%v err=%v", r, err)
+	var r Request
+	complete, err := ParseRequestHeader(&r, []byte("GET /x HTTP/1.1\r\nHost: a\r\n"))
+	if err != nil || complete {
+		t.Fatalf("incomplete header: complete=%v err=%v", complete, err)
 	}
-	r, err = ParseRequestHeader([]byte("GET /x HTTP/1.1\r\nHost: a\r\n\r\nBODYBYTES"))
-	if err != nil || r == nil {
-		t.Fatalf("complete header: r=%v err=%v", r, err)
+	complete, err = ParseRequestHeader(&r, []byte("GET /x HTTP/1.1\r\nHost: a\r\n\r\nBODYBYTES"))
+	if err != nil || !complete {
+		t.Fatalf("complete header: complete=%v err=%v", complete, err)
 	}
-	if r.Path != "/x" || r.Header("Host") != "a" {
+	if r.Path != "/x" || r.Header("Host") != "a" || r.Body != nil {
 		t.Fatalf("parsed: %+v", r)
 	}
 }
@@ -379,5 +380,116 @@ func TestServerConnectionCountTracksCloses(t *testing.T) {
 	}
 	if w.server.ActiveConns != 0 {
 		t.Fatalf("ActiveConns = %d after all closes", w.server.ActiveConns)
+	}
+}
+
+// TestFetchAllocBudget is the HTTP layers' line of the allocation ledger
+// (DESIGN.md, "What a request allocates"): one close-mode fetch of a
+// 2 KiB object, client and server on a bare two-host network, costs at
+// most 15 allocations once the network's pools are warm. The client's 8:
+// the fetch object, its timeout closure, the connection and its
+// retransmit closure, and the response (message, head copy, header set,
+// body). The server's 7: the serverConn, its respond closure, the
+// connection and its retransmit closure, and the request (message, head
+// copy, header set).
+func TestFetchAllocBudget(t *testing.T) {
+	w := newWorld(11, map[string][]byte{"/obj": bytes.Repeat([]byte("o"), 2<<10)})
+	req := NewRequest("/obj", "svc")
+	fetched := 0
+	done := func(r *FetchResult) {
+		if r.Err != nil || r.Resp.StatusCode != 200 || len(r.Resp.Body) != 2<<10 {
+			t.Fatalf("fetch: %+v", r)
+		}
+		fetched++
+	}
+	fetch := func() {
+		w.client.Fetch(w.srvHP, req, done)
+		w.net.RunUntilIdle(1 << 20)
+	}
+	for i := 0; i < 64; i++ {
+		fetch() // warm the network's packet, event and buffer pools
+	}
+	n := testing.AllocsPerRun(100, fetch)
+	t.Logf("%v allocations per fetch", n)
+	if fetched != 64+101 {
+		t.Fatalf("%d fetches completed, want %d", fetched, 64+101)
+	}
+	if n > 15 {
+		t.Errorf("one fetch allocates %v objects, budget 15", n)
+	}
+	if len(req.header) != 1 {
+		t.Errorf("Fetch changed the caller's request: %+v", req.header)
+	}
+}
+
+// TestCloseModeWire pins the bytes a close-mode exchange puts on the
+// wire: the client's request and the server's response are exactly what
+// SetHeader("Connection", "close") on a copy of each, then Marshal,
+// makes — with header lines that sort both before and after Connection.
+func TestCloseModeWire(t *testing.T) {
+	newReq := func() *Request {
+		r := NewRequest("/obj", "svc")
+		r.SetHeader("Accept", "*/*")
+		r.SetHeader("X-Trace", "7")
+		return r
+	}
+	newResp := func() *Response {
+		r := NewResponse(200, bytes.Repeat([]byte("b"), 3000))
+		r.SetHeader("Cache-Control", "no-store")
+		r.SetHeader("X-Backend", "srv-1")
+		return r
+	}
+	shared := newResp()
+	w := newWorldServing(12, func(*Request) *Response { return shared })
+	var toServer, toClient []byte
+	w.net.SetTracer(func(ev netsim.TraceEvent) {
+		if p := ev.Packet; !ev.Dropped && p.Dst == w.srvHP {
+			toServer = append(toServer, p.Payload...)
+		} else if !ev.Dropped {
+			toClient = append(toClient, p.Payload...)
+		}
+	})
+	var res *FetchResult
+	w.client.Fetch(w.srvHP, newReq(), func(r *FetchResult) { res = r })
+	w.net.RunUntilIdle(1 << 20)
+	if res == nil || res.Err != nil {
+		t.Fatalf("fetch: %+v", res)
+	}
+	wantReq, wantResp := newReq(), newResp()
+	wantReq.SetHeader("Connection", "close")
+	wantResp.SetHeader("Connection", "close")
+	if want := wantReq.Marshal(); !bytes.Equal(toServer, want) {
+		t.Errorf("the client sent\n%q\nwant\n%q", toServer, want)
+	}
+	if want := wantResp.Marshal(); !bytes.Equal(toClient, want) {
+		t.Errorf("the server sent\n%.200q\nwant\n%.200q", toClient, want)
+	}
+}
+
+// TestSharedResponseNeverMutated: a handler may return one *Response to
+// every request. A request that closes its connection must not leave
+// Connection: close in it, to be sent on every keep-alive reply after.
+func TestSharedResponseNeverMutated(t *testing.T) {
+	shared := NewResponse(200, []byte("shared"))
+	shared.SetHeader("X-Backend", "srv-1")
+	want := shared.Marshal()
+	w := newWorldServing(13, func(*Request) *Response { return shared })
+	var closed *FetchResult
+	w.client.Get(w.srvHP, "/a", func(r *FetchResult) { closed = r })
+	w.net.RunUntilIdle(1 << 20)
+	if closed == nil || closed.Err != nil || closed.Resp.Header("Connection") != "close" {
+		t.Fatalf("close-mode fetch: %+v", closed)
+	}
+	var got []byte
+	tcp.Dial(w.client.host, w.srvHP, tcp.Callbacks{
+		OnEstablished: func(c *tcp.Conn) { c.Write(NewRequest("/b", "h").Marshal()) },
+		OnData:        func(_ *tcp.Conn, d []byte) { got = append(got, d...) },
+	}, tcp.DefaultConfig())
+	w.net.RunUntilIdle(1 << 20)
+	if !bytes.Equal(got, want) {
+		t.Errorf("the keep-alive reply is\n%q\nwant\n%q", got, want)
+	}
+	if now := shared.Marshal(); !bytes.Equal(now, want) {
+		t.Errorf("the handler's response became\n%q", now)
 	}
 }

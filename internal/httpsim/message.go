@@ -5,7 +5,8 @@
 // The standard library's net/http cannot be used here because every
 // message must flow through the simulated TCP endpoints (and, inside the
 // Yoda instance, be parsed out of raw segment payloads before a backend
-// is even chosen).
+// is even chosen). The server never modifies a Handler's Response, and
+// a parser's Feed returns its messages in a slice valid until the next.
 package httpsim
 
 import (
@@ -59,12 +60,24 @@ const contentLength = "Content-Length"
 
 // appendTo appends the header lines, then the Content-Length line for an
 // n-byte body if n >= 0, then the blank line. A stored Content-Length is
-// never copied: framing is computed when the message is serialized.
-func (h header) appendTo(dst []byte, n int) []byte {
+// never copied: framing is computed when the message is serialized. With
+// close, the lines are those of the set after SetHeader("Connection",
+// "close") — the line at its sorted place, any stored Connection dropped —
+// without the set being changed.
+func (h header) appendTo(dst []byte, n int, close bool) []byte {
 	for _, f := range h {
+		if close && f.name >= "Connection" {
+			dst, close = append(dst, "Connection: close\r\n"...), false
+			if f.name == "Connection" {
+				continue
+			}
+		}
 		if f.name != contentLength {
 			dst = append(append(append(append(dst, f.name...), ": "...), f.value...), "\r\n"...)
 		}
+	}
+	if close {
+		dst = append(dst, "Connection: close\r\n"...)
 	}
 	if n >= 0 {
 		dst = strconv.AppendInt(append(dst, "Content-Length: "...), int64(n), 10)
@@ -92,6 +105,7 @@ type Request struct {
 	// cookies memoizes the parsed Cookie header (see view.go) so rule
 	// evaluation pays the parse once per request, not once per rule.
 	cookies cookieView
+	ret     [1]*Request // what RequestParser.Feed returns the request in
 }
 
 // NewRequest builds a GET request for path with sensible defaults.
@@ -102,15 +116,6 @@ func NewRequest(path, host string) *Request {
 		Version: "HTTP/1.1",
 		header:  header{{"Host", host}},
 	}
-}
-
-// Clone returns a copy of r whose headers can change without changing
-// r's. The body is shared.
-func (r *Request) Clone() *Request {
-	c := *r
-	c.header = append(make(header, 0, len(r.header)+1), r.header...)
-	c.cookies = cookieView{}
-	return &c
 }
 
 // Cookie returns the value of the named cookie from the Cookie header, or
@@ -138,20 +143,26 @@ func (r *Request) KeepAlive() bool {
 }
 
 // appendHead appends the request line and header block, through the
-// blank line that ends it.
-func (r *Request) appendHead(dst []byte) []byte {
+// blank line that ends it; close adds Connection: close (see appendTo).
+func (r *Request) appendHead(dst []byte, close bool) []byte {
 	dst = append(append(append(append(append(dst, r.Method...), ' '), r.Path...), ' '), r.Version...)
 	n := len(r.Body)
 	if n == 0 {
 		n = -1 // a request without a body declares no length
 	}
-	return r.header.appendTo(append(dst, "\r\n"...), n)
+	return r.header.appendTo(append(dst, "\r\n"...), n, close)
 }
 
 // Marshal serializes the request onto the wire.
-func (r *Request) Marshal() []byte {
+func (r *Request) Marshal() []byte { return r.marshal(false) }
+
+// MarshalClose is Marshal after SetHeader("Connection", "close"), as a
+// one-request-per-connection client sends r, without changing r.
+func (r *Request) MarshalClose() []byte { return r.marshal(true) }
+
+func (r *Request) marshal(close bool) []byte {
 	var buf [256]byte // heads are small: sized on the stack, copied once
-	return marshal(r.appendHead(buf[:0]), r.Body)
+	return marshal(r.appendHead(buf[:0], close), r.Body)
 }
 
 // Response is an HTTP response. Headers are reached through Header and
@@ -165,6 +176,7 @@ type Response struct {
 	Body []byte
 
 	header
+	ret [1]*Response // what ResponseParser.Feed returns the response in
 }
 
 // NewResponse builds a response with the given status carrying body.
@@ -179,17 +191,17 @@ func NewResponse(code int, body []byte) *Response {
 
 // appendHead appends the status line and header block, through the
 // blank line that ends it, always emitting a Content-Length so the peer
-// can frame the body.
-func (r *Response) appendHead(dst []byte) []byte {
+// can frame the body; close adds Connection: close (see appendTo).
+func (r *Response) appendHead(dst []byte, close bool) []byte {
 	dst = strconv.AppendInt(append(append(dst, r.Version...), ' '), int64(r.StatusCode), 10)
 	dst = append(append(append(dst, ' '), r.Status...), "\r\n"...)
-	return r.header.appendTo(dst, len(r.Body))
+	return r.header.appendTo(dst, len(r.Body), close)
 }
 
 // Marshal serializes the response onto the wire.
 func (r *Response) Marshal() []byte {
 	var buf [256]byte // heads are small: sized on the stack, copied once
-	return marshal(r.appendHead(buf[:0]), r.Body)
+	return marshal(r.appendHead(buf[:0], false), r.Body)
 }
 
 func statusText(code int) string {

@@ -2,6 +2,7 @@ package httpsim
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/metrics"
@@ -14,7 +15,9 @@ import (
 // behalf. The returned body is transmitted in place (tcp.Conn.WriteStatic),
 // not copied: do not modify it after returning, ever — packets in flight
 // and the peer's reassembly queue reference it past the connection's end.
-// Serving one shared object to every request is exactly the intended use.
+// Nor does the server modify the Response (a closing reply's Connection
+// header is added as the head is serialized): returning one shared
+// *Response to every request, as MapHandler does, is the intended use.
 type Handler func(req *Request) *Response
 
 // ServerConfig tunes an origin server.
@@ -71,67 +74,90 @@ func (s *Server) Close() { s.lis.Close() }
 // Host returns the server's host.
 func (s *Server) Host() *netsim.Host { return s.host }
 
+// serverConn is an accepted connection's user word. pending holds the
+// requests waiting out ProcessingDelay, inline until a pipelined burst
+// outgrows it; equal delays fire in order, so each respond answers the
+// oldest.
+type serverConn struct {
+	s       *Server
+	conn    *tcp.Conn
+	parser  RequestParser
+	pending []*Request
+	inline  [1]*Request
+	respond func()
+}
+
 func (s *Server) accept(c *tcp.Conn) tcp.Callbacks {
-	parser := &RequestParser{}
 	s.ActiveConns++
-	closeConn := func() {
-		if s.ActiveConns > 0 {
-			s.ActiveConns--
-		}
-	}
+	sc := &serverConn{s: s, conn: c}
+	sc.pending, sc.respond = sc.inline[:0], sc.sendNext
 	return tcp.Callbacks{
-		OnData: func(c *tcp.Conn, d []byte) {
-			reqs, err := parser.Feed(d)
-			if err != nil {
-				s.send(c, NewResponse(400, []byte("bad request")))
-				c.Close()
-				return
-			}
-			for _, req := range reqs {
-				s.serve(c, req)
-			}
-		},
-		OnPeerClose: func(c *tcp.Conn) { c.Close() },
-		OnClose:     func(c *tcp.Conn) { closeConn() },
-		OnFail:      func(c *tcp.Conn, err error) { closeConn() },
+		OnData:      serverConnData,
+		OnPeerClose: closeOnPeerClose,
+		OnClose:     serverConnClosed,
+		OnFail:      func(c *tcp.Conn, _ error) { serverConnClosed(c) },
+		User:        sc,
 	}
 }
 
-func (s *Server) serve(c *tcp.Conn, req *Request) {
-	s.Requests++
-	now := s.host.Network().Now()
-	s.CPU.Charge(now, s.cfg.CPUPerRequest)
+func serverConnData(c *tcp.Conn, d []byte) {
+	sc := c.User().(*serverConn)
+	s := sc.s
+	reqs, err := sc.parser.Feed(d)
+	if err != nil {
+		s.send(c, NewResponse(400, []byte("bad request")), false)
+		c.Close()
+		return
+	}
+	for _, req := range reqs {
+		s.Requests++
+		s.CPU.Charge(s.host.Network().Now(), s.cfg.CPUPerRequest)
+		sc.pending = append(sc.pending, req)
+		s.host.Network().Schedule(s.cfg.ProcessingDelay, sc.respond)
+	}
+}
+
+func serverConnClosed(c *tcp.Conn) {
+	if s := c.User().(*serverConn).s; s.ActiveConns > 0 {
+		s.ActiveConns--
+	}
+}
+
+func (sc *serverConn) sendNext() {
+	req := sc.pending[0]
+	sc.pending = slices.Delete(sc.pending, 0, 1)
 	keepAlive := req.KeepAlive()
-	s.host.Network().Schedule(s.cfg.ProcessingDelay, func() {
-		resp := s.handler(req)
-		if resp == nil {
-			resp = NewResponse(404, []byte("not found"))
-		}
-		if !keepAlive {
-			resp.SetHeader("Connection", "close")
-		}
-		s.send(c, resp)
-		if !keepAlive {
-			c.Close()
-		}
-	})
+	resp := sc.s.handler(req)
+	if resp == nil {
+		resp = NewResponse(404, []byte("not found"))
+	}
+	sc.s.send(sc.conn, resp, !keepAlive)
+	if !keepAlive {
+		sc.conn.Close()
+	}
 }
 
 // send is the one way a response leaves the server, whatever its size:
 // the head is built in the server's scratch and copied into the
 // connection's send buffer, the body is handed over where it lies (see
-// Handler). The bytes and their segments are those of Marshal written whole.
-func (s *Server) send(c *tcp.Conn, resp *Response) {
-	s.head = resp.appendHead(s.head[:0])
+// Handler). The bytes and their segments are those of Marshal written
+// whole; close adds Connection: close to the head, not to resp.
+func (s *Server) send(c *tcp.Conn, resp *Response, close bool) {
+	s.head = resp.appendHead(s.head[:0], close)
 	c.WriteStatic(s.head, resp.Body)
 }
 
 // MapHandler serves objects from a path→body map, the shape used by the
-// workload corpus.
+// workload corpus. Each object's response is built once, here, and
+// served to every request for it; the map is read only here.
 func MapHandler(objects map[string][]byte) Handler {
+	resps := make(map[string]*Response, len(objects))
+	for path, body := range objects {
+		resps[path] = NewResponse(200, body)
+	}
 	return func(req *Request) *Response {
-		if body, ok := objects[req.Path]; ok {
-			return NewResponse(200, body)
+		if resp, ok := resps[req.Path]; ok {
+			return resp
 		}
 		return NewResponse(404, []byte(fmt.Sprintf("no such object: %s", req.Path)))
 	}

@@ -48,9 +48,7 @@ func Fetch(host *netsim.Host, addr netsim.HostPort, pinnedCert []byte, req *http
 		return
 	}
 
-	r := req.Clone()
-	r.SetHeader("Connection", "close")
-	plainReq := r.Marshal()
+	plainReq := req.MarshalClose()
 
 	var key [32]byte
 	handshakeDone := false

@@ -6,7 +6,8 @@
 // It exists because Yoda's whole premise is packet-level: the load
 // balancer hand-crafts segments and rewrites sequence numbers, so the
 // clients and backend servers it talks to must run a real TCP state
-// machine for the recovery experiments to mean anything. The
+// machine for the recovery experiments to mean anything. Callbacks.User
+// gives each connection a user word for package-level callbacks. The
 // implementation favours clarity over completeness (no SACK, no window
 // scaling, no delayed ACKs: every data segment is acknowledged at once,
 // and no segment carries more than one MSS) but is faithful where the
@@ -113,12 +114,17 @@ var (
 
 // Callbacks notify the application of connection events. Any field may be
 // nil. Callbacks run inside the netsim event loop and must not block.
+// User is the connection's user word, handed back by Conn.User: callbacks
+// that are package-level functions reach the application's object for the
+// connection by a pointer type assertion, c.User().(*T), which allocates
+// nothing, where closures would be bound per connection.
 type Callbacks struct {
 	OnEstablished func(c *Conn)
 	OnData        func(c *Conn, data []byte)
 	OnPeerClose   func(c *Conn) // peer's FIN arrived; data delivery is complete
 	OnClose       func(c *Conn) // connection fully closed in both directions
 	OnFail        func(c *Conn, err error)
+	User          any
 }
 
 // DeterministicISN derives an initial send sequence number from a secret
@@ -315,6 +321,9 @@ func (c *Conn) onProbeTimeout() {
 
 // State returns the connection state.
 func (c *Conn) State() State { return c.state }
+
+// User returns the user word its Callbacks carried (see Callbacks).
+func (c *Conn) User() any { return c.cb.User }
 
 // LocalAddr returns the local endpoint.
 func (c *Conn) LocalAddr() netsim.HostPort { return c.local }

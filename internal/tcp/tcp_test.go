@@ -373,8 +373,9 @@ func TestTeardownDropsBuffers(t *testing.T) {
 	}
 }
 
-// TestConnSizeClass: a Conn is 400 bytes, in the allocator's 416-byte
-// class. Three more words and every connection costs 448.
+// TestConnSizeClass: a Conn is 416 bytes — 400 plus the two words of the
+// Callbacks.User interface — and fills the allocator's 416-byte class
+// exactly. No slack is left: one more word and every connection costs 448.
 func TestConnSizeClass(t *testing.T) {
 	if sz := unsafe.Sizeof(Conn{}); sz > 416 {
 		t.Fatalf("tcp.Conn is %d bytes and has left the 416-byte size class: every connection now costs 448, "+

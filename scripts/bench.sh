@@ -6,54 +6,83 @@
 # benchmarks (Fig 10/12/13) at one iteration each, then writes a JSON
 # summary comparing against the recorded seed (pre-fast-path) baselines.
 #
-# Usage: scripts/bench.sh [output.json]
+# Usage: scripts/bench.sh [--only field,field,...] [output.json]
 #   FAST=1 scripts/bench.sh   # skip the figure benchmarks (~4 min saved)
+#   --only records just the named "current" fields: it runs only the
+#   benchmarks behind them and rewrites only their values in the existing
+#   output file, leaving every other recorded number as it was.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+ONLY=""
+if [[ "${1:-}" == "--only" ]]; then
+  ONLY="${2:?--only needs a comma-separated field list}"
+  shift 2
+fi
 OUT="${1:-BENCH_core.json}"
 MICRO_LOG="$(mktemp)"
 FIG_LOG="$(mktemp)"
-trap 'rm -f "$MICRO_LOG" "$FIG_LOG"' EXIT
+NEW_JSON="$(mktemp)"
+trap 'rm -f "$MICRO_LOG" "$FIG_LOG" "$NEW_JSON" "$NEW_JSON.out"' EXIT
+# want <field>...: whether a stage feeding these fields runs (all do
+# without --only).
+want() {
+  [[ -z "$ONLY" ]] && return 0
+  local f
+  for f in "$@"; do [[ ",$ONLY," == *",$f,"* ]] && return 0; done
+  return 1
+}
 
 echo "== micro-benchmarks =="
-go test -run '^$' -bench \
+want event_loop_ns_op event_loop_events_per_sec event_loop_allocs_op timer_churn_ns_op \
+  timer_churn_backlog64k_ns_op host_demux_ns_op host_alloc_port_ns_op && go test -run '^$' -bench \
   'BenchmarkNetsimEventLoop|BenchmarkNetsimTimerChurn|BenchmarkHostDemux|BenchmarkHostAllocPort' \
   -benchmem ./internal/netsim/ | tee -a "$MICRO_LOG"
-go test -run '^$' -bench 'BenchmarkTCPThroughput|BenchmarkTCPBatchRx' -benchmem \
+want tcp_throughput_MB_s tcp_throughput_256k_MB_s tcp_static_512k_MB_s tcp_static_512k_B_op \
+  tcp_batch_rx_ns_seg tcp_scalar_rx_ns_seg && go test -run '^$' -bench 'BenchmarkTCPThroughput|BenchmarkTCPBatchRx' -benchmem \
   ./internal/tcp/ | tee -a "$MICRO_LOG"
-go test -run '^$' -bench 'BenchmarkIdleConnHeap' -benchtime 1x \
+want tcp_idle_conn_pair_heap_bytes && go test -run '^$' -bench 'BenchmarkIdleConnHeap' -benchtime 1x \
   ./internal/tcp/ | tee -a "$MICRO_LOG"
-go test -run '^$' -bench 'BenchmarkCPUMeterCharge' \
+want cpumeter_bytes_per_busy_s && go test -run '^$' -bench 'BenchmarkCPUMeterCharge' \
   ./internal/metrics/ | tee -a "$MICRO_LOG"
-go test -run '^$' -bench 'BenchmarkFlowFastPath|BenchmarkStorageWritePath' -benchmem \
+want flow_fast_path_ns_op storage_write_ns_op storage_write_allocs_op &&
+  go test -run '^$' -bench 'BenchmarkFlowFastPath|BenchmarkStorageWritePath' -benchmem \
   ./internal/core/ | tee -a "$MICRO_LOG"
-go test -run '^$' -bench 'BenchmarkStoreRoundTripsPerFlow|BenchmarkEventsPerFlow' -benchtime 1x \
+want storage_roundtrips_per_flow_paper storage_roundtrips_per_flow_hybrid events_per_flow &&
+  go test -run '^$' -bench 'BenchmarkStoreRoundTripsPerFlow|BenchmarkEventsPerFlow' -benchtime 1x \
   ./internal/core/ | tee -a "$MICRO_LOG"
-go test -run '^$' -bench 'BenchmarkMemcacheSession' -benchmem \
+want memcache_session_ns_op memcache_session_allocs_op memcache_session_reference_ns_op &&
+  go test -run '^$' -bench 'BenchmarkMemcacheSession' -benchmem \
   ./internal/memcache/ | tee -a "$MICRO_LOG"
-go test -run '^$' -bench 'BenchmarkSimulatorThroughput' -benchmem \
+want simulator_throughput_ns_op && go test -run '^$' -bench 'BenchmarkSimulatorThroughput' -benchmem \
   . | tee -a "$MICRO_LOG"
-go test -run '^$' -bench 'BenchmarkStorageB' -benchtime 2000x \
+want storage_b_batched_roundtrips_per_write storage_b_sequential_roundtrips_per_write \
+  storage_b_batched_virtual_us storage_b_sequential_virtual_us &&
+  go test -run '^$' -bench 'BenchmarkStorageB' -benchtime 2000x \
   ./internal/tcpstore/ | tee -a "$MICRO_LOG"
-go test -run '^$' -bench 'BenchmarkRuleSelect(Reference)?/rules=1000$' \
+want rule_select_ns_op rule_select_allocs_op rule_select_reference_ns_op &&
+  go test -run '^$' -bench 'BenchmarkRuleSelect(Reference)?/rules=1000$' \
   -benchmem ./internal/rules/ | tee -a "$MICRO_LOG"
-go test -run '^$' -bench 'BenchmarkParseRequest|BenchmarkParseResponse2K|BenchmarkFeed512K|BenchmarkMarshal512K' \
+want http_parse_request_ns_op http_parse_response_2k_ns_op http_feed_512k_allocs_op http_marshal_512k_bytes_op &&
+  go test -run '^$' -bench 'BenchmarkParseRequest|BenchmarkParseResponse2K|BenchmarkFeed512K|BenchmarkMarshal512K' \
   -benchmem ./internal/httpsim/ | tee -a "$MICRO_LOG"
-go test -run '^$' -bench 'BenchmarkReconfigMigration' -benchtime 3x \
+want reconfig_migration_flows_per_s reconfig_drain_virtual_ms &&
+  go test -run '^$' -bench 'BenchmarkReconfigMigration' -benchtime 3x \
   ./internal/reconfig/ | tee -a "$MICRO_LOG"
 # Best-of-3 for mflow (the real stack at 32,768 flows; `flows` is
 # recorded next to it): a single 1x run of a whole-sim benchmark swings
-# ±20% with allocator/GC state, and the ci.sh regression gate already
-# compares against the best of 3.
-go test -run '^$' -bench 'BenchmarkMflowMemPerFlow' -benchtime 1x -count=3 \
+# ±20% with allocator/GC state.
+want mflow_flows mflow_mem_bytes_per_flow mflow_events_per_s &&
+  go test -run '^$' -bench 'BenchmarkMflowMemPerFlow' -benchtime 1x -count=3 \
   ./internal/experiments/ | tee -a "$MICRO_LOG"
-go test -run '^$' -bench 'BenchmarkFlowmapLookup|BenchmarkFlowmapChurn' -benchmem \
+want flowmap_lookup_ns_op flowmap_map_baseline_lookup_ns_op flowmap_lookup_allocs_op flowmap_churn_ns_op &&
+  go test -run '^$' -bench 'BenchmarkFlowmapLookup|BenchmarkFlowmapChurn' -benchmem \
   ./internal/flowmap/ | tee -a "$MICRO_LOG"
-go test -run '^$' -bench 'BenchmarkFlowmapMemPerFlow' -benchtime 1x \
+want flowmap_bytes_per_flow flowmap_map_baseline_bytes_per_flow &&
+  go test -run '^$' -bench 'BenchmarkFlowmapMemPerFlow' -benchtime 1x \
   ./internal/flowmap/ | tee -a "$MICRO_LOG"
 
-if [[ "${FAST:-0}" != "1" ]]; then
+if [[ "${FAST:-0}" != "1" ]] && want fig10_wall_s fig12_wall_s fig13_wall_s; then
   echo "== figure benchmarks (one run each; Fig13 takes minutes) =="
   go test -run '^$' -bench \
     'BenchmarkFig10TCPStoreLatency|BenchmarkFig12FailureRecovery|BenchmarkFig13Scalability' \
@@ -126,7 +155,7 @@ if [[ -s "$FIG_LOG" ]]; then
   [[ -n "$f13" ]] && FIG13_S="$(awk -v n="$f13" 'BEGIN{printf "%.2f", n/1e9}')"
 fi
 
-cat > "$OUT" <<EOF
+cat > "$NEW_JSON" <<EOF
 {
   "seed_baseline": {
     "note": "pre-fast-path: binary event heap, closure Send, per-segment clones",
@@ -210,4 +239,30 @@ cat > "$OUT" <<EOF
   }
 }
 EOF
-echo "wrote $OUT"
+if [[ -z "$ONLY" ]]; then
+  cp "$NEW_JSON" "$OUT"
+  echo "wrote $OUT"
+  exit 0
+fi
+# --only: copy the named fields' values from the "current" section just
+# measured into that of $OUT, leaving its other lines untouched.
+awk -v only=",$ONLY," '
+  FNR == 1 { cur = 0 }
+  /"current": \{/ { cur = 1 }
+  cur && match($0, /"[A-Za-z0-9_]+": /) {
+    k = substr($0, RSTART + 1, RLENGTH - 4)
+    if (index(only, "," k ",")) {
+      if (FNR == NR) { val[k] = substr($0, RSTART + RLENGTH); sub(/,$/, "", val[k]); next }
+      if (!(k in val)) { print "bench.sh: no measured value for " k > "/dev/stderr"; exit 1 }
+      comma = $0 ~ /,$/ ? "," : ""
+      $0 = substr($0, 1, RSTART + RLENGTH - 1) val[k] comma
+      done[k] = 1
+    }
+  }
+  FNR == NR { next }
+  { print }
+  END { n = split(substr(only, 2, length(only) - 2), want, ",")
+        for (i = 1; i <= n; i++) if (!(want[i] in done)) { print "bench.sh: " want[i] " is no field of " FILENAME > "/dev/stderr"; exit 1 } }
+' "$NEW_JSON" "$OUT" > "$NEW_JSON.out"
+mv "$NEW_JSON.out" "$OUT"
+echo "updated $ONLY in $OUT"

@@ -1,10 +1,14 @@
 #!/usr/bin/env bash
 # ci.sh — the checks a change must pass before merging.
 #
-#   1. bench regression gate  nine gates against BENCH_core.json, first,
-#                             while the box is cold: behind the race and
-#                             fuzz stages the same binaries read 30-60 %
-#                             slower, on parent and change alike
+# Usage: scripts/ci.sh
+#
+#   1. bench regression gate  the seven wall-clock figures against the base
+#                             commit, built and run in this same run; the
+#                             two exact figures against BENCH_core.json.
+#                             First, while the box is cold: behind the race
+#                             and fuzz stages the same binaries read 30-60 %
+#                             slower
 #   2. gofmt -s -l + go vet   formatting and static checks, whole tree
 #   3. fast-fail stages       vet + race on the hottest packages, 10 s
 #                             each of the HTTP codec's, the scheduler's,
@@ -23,24 +27,27 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== bench regression gate (>15% vs BENCH_core.json fails) =="
-# Guard the dataplane's headline numbers: the event-loop, loaded
-# timer-churn and flow fast-path microbenchmarks may not regress more
-# than 15% over the recorded ns/op, and mflow events/s (the real stack
-# behind scripted endpoints, 32,768 flows) plus TCP bulk
-# MB/s (64 KiB writes, whose array the buffer pool recycles, 256 KiB
-# writes, whose array the connection has to keep, and a 512 KiB body
-# served in place on a connection of its own) must stay within 15%
-# of the recorded rates, that static write may not allocate more than
-# 15% over the recorded B/op (a copy of the body would be 500 times
-# that), and an idle TCP
-# connection pair may not hold more than 15% over the recorded heap (an
-# exact figure: one run). Best-of-3 runs absorb machine noise — best-of-5
-# for the two ns/op gates that have read 15-30% high inside a full run on
-# parent and change alike — and the section runs first: sixty seconds of
-# race detector and fuzzing ahead of it cost the event loop 55 against
-# 41 ns/op. After an intentional perf change, re-baseline with
-# scripts/bench.sh.
+echo "== bench regression gate (wall clock: median of 5 pairs vs the base commit, >15% fails; exact: >15% vs BENCH_core.json fails) =="
+# The box this runs on swings 2x within an hour, so a wall-clock figure
+# recorded on another day gates nothing: the parent itself failed such
+# gates. The seven wall-clock figures — event loop and 64k-backlog timer
+# churn ns/op, mflow events/s (the real stack behind scripted endpoints,
+# 32,768 flows), flow fast path ns/op, and TCP bulk MB/s with 64 KiB
+# writes (whose array the buffer pool recycles), 256 KiB writes (whose
+# array the connection keeps) and a 512 KiB body served in place — are
+# measured on this tree and on the base commit, extracted with
+# `git archive` and built in this run, in five alternating pairs. A
+# figure fails when the median of its five new/base ratios (base/new for
+# rates) exceeds 1.15. The base is the commit the tree under test sits
+# on: HEAD while the work tree has uncommitted changes, HEAD^ once they
+# are committed.
+#
+# Two figures are exact and stay absolute against BENCH_core.json: the
+# 512 KiB static write's B/op (a copy of the body would be 500 times it)
+# and an idle TCP connection pair's heap. `scripts/bench.sh --only
+# tcp_static_512k_B_op,tcp_idle_conn_pair_heap_bytes` re-records just
+# those after an intentional change.
+#
 # gate <label> <unit> <new> <recorded> lower|higher: fail when new is more
 # than 15% worse than recorded in the direction that is better; a field
 # the record lacks is not gated.
@@ -51,45 +58,74 @@ gate() {
       printf "FAIL: %s %s %s vs recorded %s (>15%% regression)\n", label, new, unit, rec; exit 1 }
     printf "%s %s %s vs recorded %s %s: ok\n", label, new, unit, rec, unit }' || exit 1
 }
-REC_EVLOOP_NS=$(awk -F'[:,]' '/"event_loop_ns_op"/ {gsub(/[ "]/,"",$2); print $2; exit}' BENCH_core.json 2>/dev/null || true)
-REC_MFLOW_EPS=$(awk -F'[:,]' '/"mflow_events_per_s"/ {gsub(/[ "]/,"",$2); print $2; exit}' BENCH_core.json 2>/dev/null || true)
-REC_FLOW_NS=$(awk -F'[:,]' '/"flow_fast_path_ns_op"/ {gsub(/[ "]/,"",$2); print $2; exit}' BENCH_core.json 2>/dev/null || true)
-REC_TCP_MBS=$(awk -F'[:,]' '/"tcp_throughput_MB_s"/ {gsub(/[ "]/,"",$2); print $2; exit}' BENCH_core.json 2>/dev/null || true)
-REC_TCP_256K_MBS=$(awk -F'[:,]' '/"tcp_throughput_256k_MB_s"/ {gsub(/[ "]/,"",$2); print $2; exit}' BENCH_core.json 2>/dev/null || true)
-REC_TCP_STATIC_MBS=$(awk -F'[:,]' '/"tcp_static_512k_MB_s"/ {gsub(/[ "]/,"",$2); print $2; exit}' BENCH_core.json 2>/dev/null || true)
-REC_TCP_STATIC_B=$(awk -F'[:,]' '/"tcp_static_512k_B_op"/ {gsub(/[ "]/,"",$2); print $2; exit}' BENCH_core.json 2>/dev/null || true)
-REC_TIMER_NS=$(awk -F'[:,]' '/"timer_churn_backlog64k_ns_op"/ {gsub(/[ "]/,"",$2); print $2; exit}' BENCH_core.json 2>/dev/null || true)
-REC_IDLE_B=$(awk -F'[:,]' '/"tcp_idle_conn_pair_heap_bytes"/ {gsub(/[ "]/,"",$2); print $2; exit}' BENCH_core.json 2>/dev/null || true)
-if [[ -z "${REC_EVLOOP_NS:-}" || "$REC_EVLOOP_NS" == "null" || -z "${REC_MFLOW_EPS:-}" || "$REC_MFLOW_EPS" == "null" ]]; then
-  echo "SKIP: BENCH_core.json lacks recorded event_loop_ns_op / mflow_events_per_s"
-else
-  GATE_LOG="$(mktemp)"
-  go test -run '^$' -bench 'BenchmarkNetsimEventLoop$' -count=5 ./internal/netsim/ | tee "$GATE_LOG"
-  go test -run '^$' -bench 'BenchmarkNetsimTimerChurn/backlog=64k' -count=3 ./internal/netsim/ | tee -a "$GATE_LOG"
-  go test -run '^$' -bench 'BenchmarkMflowMemPerFlow' -benchtime 1x -count=3 ./internal/experiments/ | tee -a "$GATE_LOG"
-  go test -run '^$' -bench 'BenchmarkFlowFastPath$' -count=5 ./internal/core/ | tee -a "$GATE_LOG"
-  go test -run '^$' -bench 'BenchmarkTCPThroughput$' -count=3 ./internal/tcp/ | tee -a "$GATE_LOG"
-  go test -run '^$' -bench 'BenchmarkIdleConnHeap$' -benchtime 1x ./internal/tcp/ | tee -a "$GATE_LOG"
-  NEW_EVLOOP_NS=$(awk '$1 ~ /^BenchmarkNetsimEventLoop/ {if (min=="" || $3+0<min+0) min=$3} END{print min}' "$GATE_LOG")
-  NEW_TIMER_NS=$(awk '$1 ~ /^BenchmarkNetsimTimerChurn\/backlog=64k/ {if (min=="" || $3+0<min+0) min=$3} END{print min}' "$GATE_LOG")
-  NEW_MFLOW_EPS=$(awk '$1 ~ /^BenchmarkMflowMemPerFlow/ {for(i=1;i<NF;i++) if($(i+1)=="events/s" && $i+0>max+0) max=$i} END{print max}' "$GATE_LOG")
-  NEW_FLOW_NS=$(awk '$1 ~ /^BenchmarkFlowFastPath/ {if (min=="" || $3+0<min+0) min=$3} END{print min}' "$GATE_LOG")
-  NEW_TCP_MBS=$(awk '$1 ~ /^BenchmarkTCPThroughput\/chunk=64k/ {for(i=1;i<NF;i++) if($(i+1)=="MB/s" && $i+0>max+0) max=$i} END{print max}' "$GATE_LOG")
-  NEW_TCP_256K_MBS=$(awk '$1 ~ /^BenchmarkTCPThroughput\/chunk=256k/ {for(i=1;i<NF;i++) if($(i+1)=="MB/s" && $i+0>max+0) max=$i} END{print max}' "$GATE_LOG")
-  NEW_TCP_STATIC_MBS=$(awk '$1 ~ /^BenchmarkTCPThroughput\/static=512k/ {for(i=1;i<NF;i++) if($(i+1)=="MB/s" && $i+0>max+0) max=$i} END{print max}' "$GATE_LOG")
-  NEW_TCP_STATIC_B=$(awk '$1 ~ /^BenchmarkTCPThroughput\/static=512k/ {for(i=1;i<NF;i++) if($(i+1)=="B/op" && (min=="" || $i+0<min+0)) min=$i} END{print min}' "$GATE_LOG")
-  NEW_IDLE_B=$(awk '$1 ~ /^BenchmarkIdleConnHeap/ {for(i=1;i<NF;i++) if($(i+1)=="heap-B/pair") print $i}' "$GATE_LOG" | head -1)
-  rm -f "$GATE_LOG"
-  gate "event loop" ns/op "$NEW_EVLOOP_NS" "$REC_EVLOOP_NS" lower
-  gate "mflow" events/s "$NEW_MFLOW_EPS" "$REC_MFLOW_EPS" higher
-  gate "timer churn, 64k backlog" ns/op "$NEW_TIMER_NS" "${REC_TIMER_NS:-}" lower
-  gate "flow fast path" ns/op "$NEW_FLOW_NS" "${REC_FLOW_NS:-}" lower
-  gate "tcp throughput" MB/s "$NEW_TCP_MBS" "${REC_TCP_MBS:-}" higher
-  gate "tcp throughput, 256 KiB writes" MB/s "$NEW_TCP_256K_MBS" "${REC_TCP_256K_MBS:-}" higher
-  gate "tcp static write, 512 KiB body" MB/s "$NEW_TCP_STATIC_MBS" "${REC_TCP_STATIC_MBS:-}" higher
-  gate "tcp static write, 512 KiB body" B/op "$NEW_TCP_STATIC_B" "${REC_TCP_STATIC_B:-}" lower
-  gate "idle tcp conn pair" B "$NEW_IDLE_B" "${REC_IDLE_B:-}" lower
-fi
+recorded() { awk -F'[:,]' -v k="\"$1\"" '$1 ~ k {gsub(/[ "]/,"",$2); print $2; exit}' BENCH_core.json 2>/dev/null || true; }
+BASE=HEAD
+[[ -z "$(git status --porcelain --untracked-files=no)" ]] && BASE=HEAD^
+GATE_DIR="$(mktemp -d)"
+trap 'rm -rf "$GATE_DIR"' EXIT
+mkdir -p "$GATE_DIR/tree" "$GATE_DIR/base" "$GATE_DIR/new"
+git archive "$BASE" | tar -x -C "$GATE_DIR/tree"
+echo "base: $(git rev-parse --short "$BASE") ($BASE)"
+for pkg in netsim experiments core tcp; do
+  go test -c -o "$GATE_DIR/new/$pkg.test" "./internal/$pkg/"
+  (cd "$GATE_DIR/tree" && go test -c -o "$GATE_DIR/base/$pkg.test" "./internal/$pkg/")
+done
+# Each pair runs every gate benchmark on both sides back to back — base
+# first in odd pairs, the tree under test first in even ones — so the two
+# halves of a ratio see the box in the same state, and each side counts
+# the better of two runs (-test.count 2): interference only ever slows.
+GATE_BENCHES=(
+  "netsim BenchmarkNetsimEventLoop$"
+  "netsim BenchmarkNetsimTimerChurn/backlog=64k"
+  "experiments BenchmarkMflowMemPerFlow -test.benchtime 1x"
+  "core BenchmarkFlowFastPath$"
+  "tcp BenchmarkTCPThroughput$ -test.benchmem"
+)
+for pair in 1 2 3 4 5; do
+  order="base new"
+  (( pair % 2 )) || order="new base"
+  for spec in "${GATE_BENCHES[@]}"; do
+    read -r pkg pattern flags <<< "$spec"
+    for side in $order; do
+      tree=.
+      [[ $side == base ]] && tree="$GATE_DIR/tree"
+      (cd "$tree/internal/$pkg" && "$GATE_DIR/$side/$pkg.test" -test.run '^$' -test.bench "$pattern" -test.count 2 $flags) |
+        awk -v at="$pair $side" 'function unit(u, i) { for (i = 2; i < NF; i++) if ($(i+1) == u) return $i }
+          $1 ~ /^BenchmarkNetsimEventLoop/ { print at, "event_loop_ns/op", $3 }
+          $1 ~ /^BenchmarkNetsimTimerChurn\/backlog=64k/ { print at, "timer_churn_64k_ns/op", $3 }
+          $1 ~ /^BenchmarkMflowMemPerFlow/ { print at, "mflow_events/s", unit("events/s") }
+          $1 ~ /^BenchmarkFlowFastPath/ { print at, "flow_fast_path_ns/op", $3 }
+          $1 ~ /^BenchmarkTCPThroughput\/chunk=64k/ { print at, "tcp_64k_MB/s", unit("MB/s") }
+          $1 ~ /^BenchmarkTCPThroughput\/chunk=256k/ { print at, "tcp_256k_MB/s", unit("MB/s") }
+          $1 ~ /^BenchmarkTCPThroughput\/static=512k/ { print at, "tcp_static_512k_MB/s", unit("MB/s"); print at, "static_B/op", unit("B/op") }' |
+        tee -a "$GATE_DIR/runs"
+    done
+  done
+done
+# Per figure: the five ratios, worse-is-bigger, and their median.
+awk '{ k = $3 SUBSEP $1 SUBSEP $2; rate = $3 ~ /\/s$/
+    if (!(k in v) || (rate ? $4+0 > v[k] : $4+0 < v[k])) v[k] = $4+0 }
+  END {
+    n = split("event_loop_ns/op timer_churn_64k_ns/op mflow_events/s flow_fast_path_ns/op tcp_64k_MB/s tcp_256k_MB/s tcp_static_512k_MB/s", figs, " ")
+    bad = 0
+    for (k = 1; k <= n; k++) {
+      f = figs[k]
+      rate = f ~ /\/s$/
+      for (i = 1; i <= 5; i++) {
+        r[i] = rate ? v[f, i, "base"] / v[f, i, "new"] : v[f, i, "new"] / v[f, i, "base"]
+        for (j = i; j > 1 && r[j] < r[j-1]; j--) { t = r[j]; r[j] = r[j-1]; r[j-1] = t }
+      }
+      verdict = r[3] > 1.15 ? "FAIL" : "ok"
+      if (r[3] > 1.15) bad = 1
+      printf "%-22s ratios %.3f %.3f %.3f %.3f %.3f  median %.3f: %s\n", f, r[1], r[2], r[3], r[4], r[5], r[3], verdict
+    }
+    exit bad
+  }' "$GATE_DIR/runs"
+NEW_TCP_STATIC_B=$(awk '$2 == "new" && $3 == "static_B/op" { if (min == "" || $4+0 < min+0) min = $4 } END { print min }' "$GATE_DIR/runs")
+NEW_IDLE_B=$(cd internal/tcp && "$GATE_DIR/new/tcp.test" -test.run '^$' -test.bench 'BenchmarkIdleConnHeap$' -test.benchtime 1x |
+  awk '$1 ~ /^BenchmarkIdleConnHeap/ { for (i = 1; i < NF; i++) if ($(i+1) == "heap-B/pair") print $i }')
+gate "tcp static write, 512 KiB body" B/op "$NEW_TCP_STATIC_B" "$(recorded tcp_static_512k_B_op)" lower
+gate "idle tcp conn pair" B "$NEW_IDLE_B" "$(recorded tcp_idle_conn_pair_heap_bytes)" lower
 
 echo "== format + vet clean sweep (gofmt -s -l, go vet ./...) =="
 # Formatting drift and vet findings are the cheapest checks in the file;
