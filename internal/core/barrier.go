@@ -98,17 +98,17 @@ func (op *barrierOp) resolve(res tcpstore.SetResult) {
 		return // flow torn down while the write was in flight
 	}
 	if res.TimedOut {
-		in.Barrier.Timeouts++
+		in.note(evBarrierTimeout, f.vip.IP)
 	}
 	switch {
 	case res.Err != nil && in.cfg.StrictPersist && fail != nil:
-		in.Barrier.Aborted++
+		in.note(evBarrierAbort, f.vip.IP)
 		fail(f, res.Err)
 		return
 	case res.Err != nil || res.Failed > 0:
-		in.Barrier.Degraded++
+		in.note(evBarrierDegrade, f.vip.IP)
 	default:
-		in.Barrier.Commits++
+		in.note(evBarrierCommit, f.vip.IP)
 	}
 	commit(f)
 }

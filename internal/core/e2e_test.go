@@ -180,6 +180,52 @@ func TestFailoverDuringTunnelPhase(t *testing.T) {
 	requireStoreEmpty(t, tb.C) // an adopted flow deletes the records it was adopted from
 }
 
+// TestKillOwnerAtEveryStep kills the instance that owns one /100k fetch
+// after each event step of the fetch's life in turn — the connection
+// phase, both barriers, the tunnel and the close — and checks the paper's
+// claim at every one: the body arrives intact, every instance ends with no
+// flow state, the store ends empty, and no survivor adopts the flow twice.
+// Two survivors may each adopt it once: the client's segments and the
+// backend's are remapped independently, which is why storage-b writes the
+// record under both tuples (seed 14 does this from step 33 on).
+func TestKillOwnerAtEveryStep(t *testing.T) {
+	for seed := int64(11); seed <= 15; seed++ {
+		// run fetches with the busiest instance killed after kill steps (no
+		// kill when kill < 0), reporting the steps the fetch took.
+		run := func(kill int) (tb *testbed.Bed, res *httpsim.FetchResult, steps int) {
+			tb = newTestbed(t, seed, 3)
+			tb.C.NewClient(httpsim.DefaultClientConfig()).Get(tb.Addr, "/100k", func(r *httpsim.FetchResult) { res = r })
+			for ; res == nil && steps != kill && tb.C.Net.Step(); steps++ {
+			}
+			if kill >= 0 {
+				tb.FailBusiest(1)
+			}
+			tb.C.Net.RunFor(3 * time.Minute)
+			return tb, res, steps
+		}
+		_, _, total := run(-1)
+		for k := 0; k <= total; k++ {
+			tb, res, _ := run(k)
+			if res == nil || res.Err != nil || !bytes.Equal(res.Resp.Body, e2eObjects["/100k"]) {
+				t.Fatalf("seed %d, kill after step %d of %d: fetch %+v", seed, k, total, res)
+			}
+			for i, in := range tb.C.Yoda {
+				if n := in.FlowCount(); n != 0 {
+					t.Fatalf("seed %d, kill after step %d: instance %d holds %d flow entries", seed, k, i, n)
+				}
+				if in.Recovered > 1 {
+					t.Fatalf("seed %d, kill after step %d: instance %d adopted the flow %d times", seed, k, i, in.Recovered)
+				}
+			}
+			for i, s := range tb.C.StoreServers {
+				if items := s.Engine.Stats().CurrItems; items != 0 {
+					t.Fatalf("seed %d, kill after step %d: store server %d holds %d records", seed, k, i, items)
+				}
+			}
+		}
+	}
+}
+
 // requireStoreEmpty fails unless no TCPStore server holds a record: true
 // of a cluster whose flows have all closed and lingered out, and of one
 // whose flows never needed the store.

@@ -119,12 +119,11 @@ func (in *Instance) newClientFlow(pkt *netsim.Packet) {
 		c:             isnHash(pkt.Src, pkt.Dst),
 		clientNextSeq: pkt.Seq + 1,
 		toClientNext:  isnHash(pkt.Src, pkt.Dst) + 1,
-		state:         stateConn,
 		start:         now,
 		lastActive:    now,
 	}
 	in.flows.put(f.clientTuple(), f)
-	in.statsFor(pkt.Dst.IP).NewFlows++
+	in.note(evNewFlow, f.vip.IP)
 	in.armIdle(f)
 	// storage-a: the SYN header goes to TCPStore before the SYN-ACK, so a
 	// failed instance's successor can regenerate the handshake state.
@@ -137,7 +136,7 @@ func (in *Instance) newClientFlow(pkt *netsim.Packet) {
 	// the SYN-ACK goes out synchronously. TLS flows get their key
 	// persisted later, at the tlsAdvance barrier, before it is needed.
 	if in.cfg.Hybrid != nil {
-		in.Barrier.Skipped++
+		in.note(evBarrierSkip, f.vip.IP)
 		in.sendSynAck(f)
 		return
 	}
@@ -185,18 +184,12 @@ func (in *Instance) connPhaseClientPacket(f *flow, pkt *netsim.Packet) {
 		return // bare ACK completing the handshake
 	}
 	prevLen := len(f.reqBuf)
-	grew := in.assembleClientData(f, pkt)
-	if !grew {
-		// Retransmission of data we already hold (e.g. the instance died
-		// after storage-a and we recovered): if the backend dial is already
-		// running, just wait; otherwise fall through to try selection.
-		if f.state != stateConn {
-			return
-		}
-	}
+	in.assembleClientData(f, pkt)
 	if f.state != stateConn {
 		return // backend dial in progress; data is buffered for forwarding
 	}
+	// Even a retransmission of data already held (the instance died after
+	// storage-a and we recovered) tries selection.
 	if in.tlsAdvance(f, prevLen) {
 		return // handshake in progress; HTTP cannot be parsed yet
 	}
@@ -228,21 +221,21 @@ func (in *Instance) tryDispatchRequest(f *flow) {
 }
 
 // assembleClientData merges a data segment into the in-order request
-// buffer, returning whether new bytes were added.
-func (in *Instance) assembleClientData(f *flow, pkt *netsim.Packet) bool {
+// buffer.
+func (in *Instance) assembleClientData(f *flow, pkt *netsim.Packet) {
 	seq, data := pkt.Seq, pkt.Payload
 	// Trim already-held prefix.
 	if seqDiff(f.clientNextSeq, seq) > 0 {
 		skip := f.clientNextSeq - seq
 		if uint32(len(data)) <= skip {
-			return false
+			return
 		}
 		data = data[skip:]
 		seq = f.clientNextSeq
 	}
 	if seq != f.clientNextSeq {
 		park(&f.ooo, seq, data)
-		return false
+		return
 	}
 	f.reqBuf = append(f.reqBuf, data...)
 	f.clientNextSeq += uint32(len(data))
@@ -256,7 +249,6 @@ func (in *Instance) assembleClientData(f *flow, pkt *netsim.Packet) bool {
 		f.reqBuf = append(f.reqBuf, d...)
 		f.clientNextSeq += uint32(len(d))
 	}
-	return true
 }
 
 // park copies an out-of-order segment into *m, made at the first one.
@@ -313,7 +305,7 @@ func (in *Instance) selectAndDial(f *flow, req *httpsim.Request) {
 		port, portOK = in.allocSNATPort()
 	}
 	if !portOK {
-		in.statsFor(f.vip.IP).SNATExhausted++
+		in.note(evSNATExhausted, f.vip.IP)
 		in.reject(f, 503, "snat ports exhausted")
 		return
 	}
@@ -348,8 +340,9 @@ func (in *Instance) sendServerSyn(f *flow) {
 	f.dialTimer = in.flowTimer(f, 3*time.Second)
 }
 
-// flowTimer arms the lookup delay, a dial retry or the linger on the
-// flow's one callback for the three, which it binds on first use.
+// flowTimer arms the lookup delay, a dial retry (of the first dial or of
+// a keep-alive switch) or the linger on the flow's one callback for them
+// all, which it binds on first use.
 func (in *Instance) flowTimer(f *flow, d time.Duration) netsim.Timer {
 	if f.timerFn == nil {
 		f.timerFn = func() { in.onFlowTimer(f) }
@@ -357,18 +350,23 @@ func (in *Instance) flowTimer(f *flow, d time.Duration) netsim.Timer {
 	return in.net.Schedule(d, f.timerFn)
 }
 
-// onFlowTimer tells the three apart by the flow's state: while it dials,
-// the lookup delay (dialTries 0) or a dial retry sends the next SYN; the
-// dial timer stops at the SYN-ACK, so any later one is the linger.
+// onFlowTimer tells them apart by the flow's state. While it dials — in
+// Dialing, or in a keep-alive switch whose SYN-ACK has not arrived — the
+// lookup delay (dialTries 0) or a dial retry sends the next SYN, and the
+// third unanswered one rejects the flow. The dial timer stops at the
+// SYN-ACK, so any later one is the linger.
 func (in *Instance) onFlowTimer(f *flow) {
 	if in.flows.get(f.clientTuple()) != f {
 		return
 	}
+	switching := f.ka != nil && f.ka.switching && !f.ka.committing
 	switch {
-	case f.state == stateDialing && f.dialTries >= 3:
+	case (f.state == stateDialing || switching) && f.dialTries >= 3:
 		in.reject(f, 503, "backend unreachable")
 	case f.state == stateDialing:
 		in.sendServerSyn(f)
+	case switching:
+		in.kaSendSwitchSyn(f)
 	case f.clientFin && f.serverFin:
 		in.teardown(f, true)
 	}
@@ -406,7 +404,7 @@ func (in *Instance) serverHandshakePacket(f *flow, pkt *netsim.Packet) {
 	// mux routing, TLS) keeps the flow on the persisted path, so residue
 	// classification is sound without enumerating causes.
 	if in.hybridDerivable(f) {
-		in.Barrier.Skipped++
+		in.note(evBarrierSkip, f.vip.IP)
 		in.enterTunnel(f)
 		return
 	}
@@ -476,8 +474,8 @@ func (in *Instance) reject(f *flow, code int, reason string) {
 
 // --- tunneling phase ---
 
-// abortToServer propagates a client RST to the backend and drops state.
-// Both tunnel states route client RSTs here.
+// abortToServer and abortToClient propagate a RST to the flow's other end
+// and drop state; dispatch routes a RST in either tunnel state here.
 func (in *Instance) abortToServer(f *flow, pkt *netsim.Packet) {
 	in.l4.SendViaSNAT(&netsim.Packet{
 		Src: f.snat, Dst: f.server,
@@ -486,11 +484,15 @@ func (in *Instance) abortToServer(f *flow, pkt *netsim.Packet) {
 	in.teardown(f, true)
 }
 
+func (in *Instance) abortToClient(f *flow, pkt *netsim.Packet) {
+	in.net.Send(&netsim.Packet{
+		Src: f.vip, Dst: f.client,
+		Flags: netsim.FlagRST, Seq: pkt.Seq + f.delta, Ack: pkt.Ack,
+	})
+	in.teardown(f, true)
+}
+
 func (in *Instance) tunnelFromClient(f *flow, pkt *netsim.Packet) {
-	if pkt.Flags.Has(netsim.FlagRST) {
-		in.abortToServer(f, pkt)
-		return
-	}
 	if pkt.Flags.Has(netsim.FlagFIN) {
 		f.clientFin = true
 	}
@@ -505,14 +507,6 @@ func (in *Instance) tunnelFromClient(f *flow, pkt *netsim.Packet) {
 }
 
 func (in *Instance) tunnelFromServer(f *flow, pkt *netsim.Packet) {
-	if pkt.Flags.Has(netsim.FlagRST) {
-		in.net.Send(&netsim.Packet{
-			Src: f.vip, Dst: f.client,
-			Flags: netsim.FlagRST, Seq: pkt.Seq + f.delta, Ack: pkt.Ack,
-		})
-		in.teardown(f, true)
-		return
-	}
 	if pkt.Flags.Has(netsim.FlagSYN) {
 		// Retransmitted SYN-ACK: our ACK got lost. Re-ACK.
 		in.l4.SendViaSNAT(&netsim.Packet{
@@ -556,14 +550,8 @@ func (in *Instance) maybeFinish(f *flow) {
 // teardown removes flow state locally, from TCPStore, and from the L4
 // LB's SNAT table.
 func (in *Instance) teardown(f *flow, deleteStore bool) {
-	in.FlowsClosed++
-	in.flows.del(f.clientTuple(), f)
-	if f.server.IP != 0 {
-		in.flows.del(f.serverTuple(), f)
-	}
-	f.idleTimer.Stop()
-	f.dialTimer.Stop()
-	f.lingerTimer.Stop()
+	in.note(evClose, f.vip.IP)
+	in.unlink(f)
 	if f.server.IP != 0 {
 		in.releaseSNATPort(f.snat.Port)
 	}
@@ -580,6 +568,18 @@ func (in *Instance) teardown(f *flow, deleteStore bool) {
 			in.l4.ClearSNAT(f.serverTuple())
 		}
 	}
+}
+
+// unlink drops f from the flow index and stops its timers: the local half
+// of teardown, and all of what ReleaseVIPFlows does to a migrating flow.
+func (in *Instance) unlink(f *flow) {
+	in.flows.del(f.clientTuple(), f)
+	if f.server.IP != 0 {
+		in.flows.del(f.serverTuple(), f)
+	}
+	f.idleTimer.Stop()
+	f.dialTimer.Stop()
+	f.lingerTimer.Stop()
 }
 
 // armIdle starts the flow's idle timer: it comes round every
@@ -649,7 +649,9 @@ func (in *Instance) dropPending(tuple netsim.FourTuple, q *pendingQueue) {
 	delete(in.pending, tuple)
 	in.pendingTotal -= len(q.pkts)
 	q.expire.Stop()
-	in.LookupMisses += uint64(len(q.pkts))
+	for range q.pkts {
+		in.note(evLookupMiss, tuple.Dst.IP)
+	}
 }
 
 // recoverFlow handles a packet for which no local flow exists: another
@@ -657,7 +659,7 @@ func (in *Instance) dropPending(tuple netsim.FourTuple, q *pendingQueue) {
 func (in *Instance) recoverFlow(tuple netsim.FourTuple, pkt *netsim.Packet) {
 	if q, ok := in.pending[tuple]; ok {
 		if len(q.pkts) >= maxPendingPerTuple || in.pendingTotal >= maxPendingTotal {
-			in.LookupMisses++ // dropped: the sender's retransmit retries
+			in.note(evLookupMiss, tuple.Dst.IP) // dropped: the sender's retransmit retries
 			return
 		}
 		q.pkts = append(q.pkts, pkt.Clone())
@@ -665,7 +667,7 @@ func (in *Instance) recoverFlow(tuple netsim.FourTuple, pkt *netsim.Packet) {
 		return
 	}
 	if in.pendingTotal >= maxPendingTotal {
-		in.LookupMisses++
+		in.note(evLookupMiss, tuple.Dst.IP)
 		return
 	}
 	q := &pendingQueue{pkts: []*netsim.Packet{pkt.Clone()}}
@@ -686,14 +688,16 @@ func (in *Instance) recoverFlow(tuple netsim.FourTuple, pkt *netsim.Packet) {
 	in.storeGet(tuple, q, nil)
 }
 
-// installRecovered builds a local flow from a record — one read from
-// TCPStore or one the hybrid derivation produced (hybrid.go); nothing
-// else turns a record into a flow, so a derived flow cannot differ in
-// shape from what the store would have returned.
-func (in *Instance) installRecovered(rec *Record) *flow {
+// installRecovered builds a local flow from a record read from TCPStore
+// (ev is evAdoptStore) or derived (evAdoptDerived, hybrid.go) — nothing
+// else turns a record into a flow, so a derived flow has the shape a
+// stored one would. A flow that already exists (live, or adopted from the
+// same record by the other tuple orientation's pending queue) is returned
+// as it is: only a flow created here is noted.
+func (in *Instance) installRecovered(rec *Record, ev event) *flow {
 	ct := netsim.FourTuple{Src: rec.Client, Dst: rec.VIP}
 	if existing := in.flows.get(ct); existing != nil {
-		return existing // raced with another recovery or a live flow
+		return existing
 	}
 	f := &flow{
 		vip:           rec.VIP,
@@ -702,9 +706,12 @@ func (in *Instance) installRecovered(rec *Record) *flow {
 		c:             isnHash(rec.Client, rec.VIP),
 		clientNextSeq: rec.ClientISN + 1,
 		recovered:     true,
-		start:         in.net.Now(),
-		lastActive:    in.net.Now(),
-		synAckSent:    true,
+		// A record read from the store is in the store: teardown owes its
+		// deletes. A derived tunnel is persisted by its repair write.
+		persisted:  ev == evAdoptStore,
+		start:      in.net.Now(),
+		lastActive: in.net.Now(),
+		synAckSent: true,
 	}
 	if rec.TLS != nil {
 		f.tls = &flowTLS{key: rec.TLS.Key, serverHelloLen: int(rec.TLS.ServerHelloLen)}
@@ -712,12 +719,12 @@ func (in *Instance) installRecovered(rec *Record) *flow {
 		// key; the client stream resumes at the application base.
 		f.clientNextSeq = f.clientDataBase()
 	}
-	switch rec.Phase {
+	switch rec.Phase { // UnmarshalRecord admits no other phase
 	case PhaseConn:
-		f.state = stateConn
+		in.setState(f, stateConn)
 		f.toClientNext = f.toClientDataBase()
 	case PhaseTunnel:
-		f.state = stateTunnel
+		in.setState(f, stateTunnel)
 		f.server = rec.Server
 		f.snat = rec.SNAT
 		f.s = rec.S
@@ -731,10 +738,9 @@ func (in *Instance) installRecovered(rec *Record) *flow {
 		f.keepAlive = false
 		f.toClientNext = f.c + 1
 		in.flows.put(f.serverTuple(), f)
-	default:
-		return nil
 	}
 	in.flows.put(ct, f)
 	in.armIdle(f)
+	in.note(ev, rec.VIP.IP)
 	return f
 }

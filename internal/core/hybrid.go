@@ -151,11 +151,10 @@ func (in *Instance) dispatchQueued(queued []*netsim.Packet) {
 }
 
 // storeGet reads tuple's record from TCPStore for a pending queue — the
-// one place a store record becomes a flow. A hit installs it, marks it
-// persisted (the record just read is in the store, so teardown owes its
-// deletes) and replays the queue. A miss hands the queued packets to
-// miss; nil is the paper's answer, shared by the hybrid paths that fall
-// through to it: count the miss and RST the sender.
+// one place a store record becomes a flow. A hit installs it and replays
+// the queue. A miss hands the queued packets to miss; nil is the paper's
+// answer, shared by the hybrid paths that fall through to it: count the
+// miss and RST the sender.
 func (in *Instance) storeGet(tuple netsim.FourTuple, q *pendingQueue, miss func(queued []*netsim.Packet)) {
 	in.store.Get(in.flowKey(tuple), func(value []byte, ok bool, err error) {
 		queued, live := in.resolveQueue(tuple, q)
@@ -167,20 +166,17 @@ func (in *Instance) storeGet(tuple netsim.FourTuple, q *pendingQueue, miss func(
 				miss(queued)
 				return
 			}
-			in.LookupMisses++
+			in.note(evLookupMiss, tuple.Dst.IP)
 			in.rstQueued(queued)
 			return
 		}
 		rec, derr := UnmarshalRecord(value)
 		if derr != nil {
-			in.LookupMisses++
+			in.note(evLookupMiss, tuple.Dst.IP)
 			return
 		}
-		if f := in.installRecovered(rec); f != nil {
-			f.persisted = true
-			in.Recovered++
-			in.dispatchQueued(queued)
-		}
+		in.installRecovered(rec, evAdoptStore)
+		in.dispatchQueued(queued)
 	})
 }
 
@@ -210,7 +206,7 @@ func (in *Instance) hybridServerGet(tuple netsim.FourTuple, q *pendingQueue, cur
 		in.storeGet(tuple, q, nil)
 		return
 	}
-	in.storeGet(tuple, q, func([]*netsim.Packet) { in.SuppressedOrphans++ })
+	in.storeGet(tuple, q, func([]*netsim.Packet) { in.note(evOrphanSuppressed, tuple.Dst.IP) })
 }
 
 // hybridClientGet consults the store for a client-side orphan whose
@@ -229,26 +225,24 @@ func (in *Instance) hybridServerGet(tuple netsim.FourTuple, q *pendingQueue, cur
 // re-triggers classification with more evidence.
 func (in *Instance) hybridClientGet(tuple netsim.FourTuple, q *pendingQueue, b stateless.Backend, port uint16, portOK bool) {
 	in.storeGet(tuple, q, func(queued []*netsim.Packet) {
-		p0 := queued[0]
+		p0, vip := queued[0], tuple.Dst.IP
 		if p0.Flags.Has(netsim.FlagRST) {
-			in.LookupMisses++
+			in.note(evLookupMiss, vip)
 			return
 		}
 		if p0.Ack == isnHash(tuple.Src, tuple.Dst)+1 {
 			if len(p0.Payload) == 0 {
-				in.SuppressedOrphans++
+				in.note(evOrphanSuppressed, vip)
 				return
 			}
-			in.installRecovered(&Record{Phase: PhaseConn, Client: tuple.Src, VIP: tuple.Dst, ClientISN: p0.Seq - 1})
-			in.DerivedRecoveries++
+			in.installRecovered(&Record{Phase: PhaseConn, Client: tuple.Src, VIP: tuple.Dst, ClientISN: p0.Seq - 1}, evAdoptDerived)
 			in.dispatchQueued(queued)
 			return
 		}
 		if !portOK {
-			in.SuppressedOrphans++
+			in.note(evOrphanSuppressed, vip)
 			return
 		}
-		in.DerivedRecoveries++
 		in.hybridRepair(in.installDerivedTunnel(tuple, b, port, p0.Seq), queued, nil)
 	})
 }
@@ -264,7 +258,6 @@ func (in *Instance) hybridKnockConfirm(tuple netsim.FourTuple, q *pendingQueue, 
 	// Detaching the knock queue cancels its in-flight store lookup (the
 	// callback checks queue identity).
 	knocks, _ := in.resolveQueue(st, kq)
-	in.DerivedRecoveries++
 	in.hybridRepair(in.installDerivedTunnel(tuple, b, port, queued[0].Seq), queued, knocks)
 }
 
@@ -291,7 +284,7 @@ func (in *Instance) installDerivedTunnel(ct netsim.FourTuple, b stateless.Backen
 	return in.installRecovered(&Record{
 		Phase: PhaseTunnel, Client: ct.Src, VIP: ct.Dst, ClientISN: firstSeq - 1,
 		Server: b.Addr, SNAT: snat, C: c, S: s, Delta: c - s, BackendName: b.Name,
-	})
+	}, evAdoptDerived)
 }
 
 // FlowInfo is a read-only snapshot of one live flow, for tests and

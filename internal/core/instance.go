@@ -291,24 +291,12 @@ func (in *Instance) ReleaseVIPFlows(vip netsim.IP) int {
 		}
 	})
 	for _, f := range victims {
-		in.flows.del(f.clientTuple(), f)
-		if f.server.IP != 0 {
-			in.flows.del(f.serverTuple(), f)
+		in.unlink(f)
+		if f.server.IP != 0 { // dialing or tunnelling: it holds a SNAT port
+			in.note(evSNATQuarantine, vip)
 		}
-		f.idleTimer.Stop()
-		f.dialTimer.Stop()
-		in.SNATQuarantined += countPort(f)
 	}
 	return len(victims)
-}
-
-// countPort reports whether a flow holds a SNAT port (tunnel or dialing
-// phase), for the quarantine counter.
-func countPort(f *flow) uint64 {
-	if f.server.IP != 0 {
-		return 1
-	}
-	return 0
 }
 
 // ReadStats returns and resets the per-VIP counters.
@@ -479,13 +467,4 @@ func (in *Instance) processPacket(pkt *netsim.Packet) {
 	// Unknown, non-SYN: either another instance's flow arriving after a
 	// failure or mapping change, or garbage. Try TCPStore.
 	in.recoverFlow(tuple, pkt)
-}
-
-func (in *Instance) dispatch(f *flow, pkt *netsim.Packet) {
-	f.touch(in.net.Now())
-	if pkt.Src == f.client {
-		f.state.clientPacket(in, f, pkt)
-	} else {
-		f.state.serverPacket(in, f, pkt)
-	}
 }

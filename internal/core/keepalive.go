@@ -219,7 +219,7 @@ func (in *Instance) kaFlush(f *flow) {
 // kaSwitchBackend closes the current server connection and redials the
 // newly selected backend, preserving the client's sequence position.
 func (in *Instance) kaSwitchBackend(f *flow, next kaRequest, backend rules.Backend) {
-	in.Reselections++
+	in.note(evReselect, f.vip.IP)
 	ka := f.ka
 	// Abort the old server connection and clear its SNAT binding.
 	in.l4.SendViaSNAT(&netsim.Packet{
@@ -238,7 +238,7 @@ func (in *Instance) kaSwitchBackend(f *flow, next kaRequest, backend rules.Backe
 	// when the range is otherwise full.
 	port, ok := in.allocSNATPort()
 	if !ok {
-		in.statsFor(f.vip.IP).SNATExhausted++
+		in.note(evSNATExhausted, f.vip.IP)
 		in.reject(f, 503, "snat ports exhausted")
 		return
 	}
@@ -252,26 +252,18 @@ func (in *Instance) kaSwitchBackend(f *flow, next kaRequest, backend rules.Backe
 	in.kaSendSwitchSyn(f)
 }
 
+// kaSendSwitchSyn dials the switch's new backend; a retry is onFlowTimer's,
+// under the first dial's policy.
 func (in *Instance) kaSendSwitchSyn(f *flow) {
-	ka := f.ka
 	in.l4.SendViaSNAT(&netsim.Packet{
 		Src: f.snat, Dst: f.server,
 		Flags:  netsim.FlagSYN,
-		Seq:    ka.pendReq.startSeq - 1, // handshake consumes one seq unit
+		Seq:    f.ka.pendReq.startSeq - 1, // handshake consumes one seq unit
 		Window: 1 << 20,
 	}, in.IP())
 	f.dialTries++
 	f.dialTimer.Stop()
-	f.dialTimer = in.net.Schedule(3*time.Second, func() {
-		if !ka.switching || ka.committing || in.flows.get(f.clientTuple()) != f {
-			return
-		}
-		if f.dialTries >= 3 {
-			in.reject(f, 503, "backend unreachable")
-			return
-		}
-		in.kaSendSwitchSyn(f)
-	})
+	f.dialTimer = in.flowTimer(f, 3*time.Second)
 }
 
 // kaCompleteSwitch finishes a backend switch on the new server's SYN-ACK.
@@ -319,15 +311,6 @@ func (in *Instance) kaFromServer(f *flow, pkt *netsim.Packet) {
 	ka := f.ka
 	if ka.switching && pkt.Flags.Has(netsim.FlagSYN|netsim.FlagACK) {
 		in.kaCompleteSwitch(f, pkt)
-		return
-	}
-	if pkt.Flags.Has(netsim.FlagRST) {
-		// Backend aborted mid-connection; propagate and drop state.
-		in.net.Send(&netsim.Packet{
-			Src: f.vip, Dst: f.client,
-			Flags: netsim.FlagRST, Seq: pkt.Seq + f.delta, Ack: pkt.Ack,
-		})
-		in.teardown(f, true)
 		return
 	}
 	if pkt.Flags.Has(netsim.FlagSYN) {

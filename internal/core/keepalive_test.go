@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -126,6 +127,54 @@ func TestKeepAliveFlowStateCleanedAfterClose(t *testing.T) {
 		t.Fatalf("flows leaked: %d", n)
 	}
 	requireStoreEmpty(t, b.C)
+}
+
+// TestKeepAliveSwitchToDeadBackend: a keep-alive request that selects a
+// backend whose host is gone gets a first dial's retry policy — three SYNs
+// 3 s apart, then a 503 to the client and teardown — and leaves nothing
+// armed that could send a fourth.
+func TestKeepAliveSwitchToDeadBackend(t *testing.T) {
+	b := newKABed(25, 1)
+	net, dead := b.C.Net, b.C.Backends["css-1"].Rec.Addr
+	net.Detach(dead.IP)
+	var syns []time.Duration
+	var rejects []string
+	net.SetTracer(func(ev netsim.TraceEvent) {
+		p := ev.Packet
+		if p.Dst == dead && p.Flags.Has(netsim.FlagSYN) {
+			syns = append(syns, ev.At)
+		}
+		if p.Src == b.Addr && p.Flags.Has(netsim.FlagFIN) && len(p.Payload) > 0 {
+			rejects = append(rejects, string(p.Payload))
+		}
+	})
+	parser := &httpsim.ResponseParser{}
+	var bodies []string
+	tcp.Dial(b.C.ClientHost(), b.Addr, tcp.Callbacks{
+		OnEstablished: func(c *tcp.Conn) { c.Write(httpsim.NewRequest("/a.php", "svc").Marshal()) },
+		OnData: func(c *tcp.Conn, d []byte) {
+			resps, _ := parser.Feed(d)
+			for _, r := range resps {
+				bodies = append(bodies, string(r.Body))
+				c.Write(httpsim.NewRequest("/b.css", "svc").Marshal())
+			}
+		},
+	}, tcp.DefaultConfig())
+	net.RunFor(time.Minute)
+
+	if len(bodies) != 1 || bodies[0] != "PHP-A" {
+		t.Fatalf("responses %q, want the first request's alone", bodies)
+	}
+	if len(syns) != 3 || syns[1]-syns[0] != 3*time.Second || syns[2]-syns[1] != 3*time.Second {
+		t.Fatalf("SYNs to the dead backend at %v, want three, 3 s apart", syns)
+	}
+	if len(rejects) != 1 || !strings.HasPrefix(rejects[0], "HTTP/1.1 503") || !strings.HasSuffix(rejects[0], "backend unreachable") {
+		t.Fatalf("replies closing the flow %q, want one 503 backend unreachable", rejects)
+	}
+	in := b.C.Yoda[0]
+	if in.FlowCount() != 0 || in.FlowsClosed != 1 || in.Reselections != 1 {
+		t.Fatalf("%d flow entries, %d flows closed, %d reselections; want 0, 1, 1", in.FlowCount(), in.FlowsClosed, in.Reselections)
+	}
 }
 
 func TestKeepAliveRecoveryDowngradesToPinnedTunnel(t *testing.T) {

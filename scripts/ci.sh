@@ -14,7 +14,8 @@
 #                             each of the HTTP codec's, the scheduler's,
 #                             the packet trains', the TCP batch path's
 #                             and the memcached session's differential
-#                             fuzzers, and the RNG and dead-export lints
+#                             fuzzers, and the RNG, dead-export and
+#                             lifecycle-seam lints
 #   4. go build               everything compiles, including cmd/
 #   5. bench module smoke     bench/ has its own go.mod; its ~3 s test
 #                             compiles yodabench against this tree
@@ -168,7 +169,7 @@ go test -run '^$' -fuzz 'FuzzBatchDispatchDifferential' -fuzztime 10s -fuzzminim
 # reference parser: same replies, same engine state.
 go test -run '^$' -fuzz 'FuzzMemcacheSessionDifferential' -fuzztime 10s -fuzzminimizetime 2s ./internal/memcache/
 
-echo "== rng + dead-export lints (grep fast-fail; TestNoStrayRNGConstruction and TestNoDeadExports are the test halves) =="
+echo "== rng + dead-export + lifecycle-seam lints (grep fast-fail; TestNoStrayRNGConstruction, TestNoDeadExports and TestOneLifecycleSeam are the test halves) =="
 # Only netsim (the network's RNG) and the trial-level drivers may construct
 # generators; dataplane components must cache Network.Rand at build time.
 if grep -rn --include='*.go' 'rand\.New(' cmd examples internal *.go 2>/dev/null \
@@ -180,6 +181,9 @@ fi
 # Every exported func, method and type under internal/ has a non-test
 # caller or an allowlist entry that says why it stays (deadlint_test.go).
 go test -run 'TestNoDeadExports|TestNoStrayRNGConstruction' .
+# In core, only setState writes a flow's state and only note increments a
+# lifecycle outcome counter (internal/core/seam_test.go).
+go test -run 'TestOneLifecycleSeam' ./internal/core/
 
 echo "== go build =="
 go build ./...
