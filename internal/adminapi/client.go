@@ -104,15 +104,10 @@ func (c *Client) FailInstance(idx int) error {
 	return c.send(http.MethodPost, fmt.Sprintf("/v1/instances/%d/fail", idx), struct{}{}, nil)
 }
 
-// Reconfig applies a target assignment (service → instance indexes)
-// through the reconfiguration engine.
-func (c *Client) Reconfig(assignments map[string][]int) error {
-	return c.send(http.MethodPost, "/v1/reconfig", ReconfigRequest{Assignments: assignments}, nil)
-}
-
-// StartUpgrade begins a rolling upgrade of every live instance.
-func (c *Client) StartUpgrade() error {
-	return c.send(http.MethodPost, "/v1/reconfig", ReconfigRequest{Upgrade: true}, nil)
+// Reconfig starts a reconfiguration: a target assignment or a rolling
+// upgrade, as req says.
+func (c *Client) Reconfig(req ReconfigRequest) error {
+	return c.send(http.MethodPost, "/v1/reconfig", req, nil)
 }
 
 // ReconfigStatus reports the reconfiguration engine's stats.

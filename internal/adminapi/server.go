@@ -15,7 +15,6 @@ import (
 	"repro/internal/controller"
 	"repro/internal/core"
 	"repro/internal/netsim"
-	"repro/internal/reconfig"
 	"repro/internal/rules"
 	"repro/internal/tcpstore"
 )
@@ -260,16 +259,16 @@ func (s *Server) handleReconfig(w http.ResponseWriter, r *http.Request) {
 	defer s.mu.Unlock()
 	switch {
 	case req.Upgrade:
-		var opt reconfig.UpgradeOptions
+		var delay time.Duration
 		if req.RestartDelay != "" {
 			d, err := parseDuration(req.RestartDelay)
 			if err != nil || d <= 0 {
 				writeErr(w, http.StatusBadRequest, "bad restartDelay %q", req.RestartDelay)
 				return
 			}
-			opt.RestartDelay = d
+			delay = d
 		}
-		if err := s.ct.StartRollingUpgrade(core.DefaultConfig(), tcpstore.DefaultConfig(), opt, nil); err != nil {
+		if err := s.ct.StartRollingUpgrade(core.DefaultConfig(), tcpstore.DefaultConfig(), delay); err != nil {
 			writeErr(w, http.StatusConflict, "upgrade: %v", err)
 			return
 		}
@@ -326,20 +325,19 @@ func (s *Server) handleReconfigStatus(w http.ResponseWriter, r *http.Request) {
 		RulesRemoved:        st.RulesRemoved,
 		DurationMs:          float64(st.Duration) / float64(time.Millisecond),
 	}
-	if up := s.ct.UpgradeStats(); up.Instances > 0 || up.Running || up.Done {
-		us := UpgradeStatus{
-			Instances: up.Instances,
-			Upgraded:  up.Upgraded,
-			Skipped:   up.Skipped,
-			Running:   up.Running,
-			Done:      up.Done,
-			Phase:     up.Phase,
-			Err:       up.Err,
+	if st.Instances > 0 { // the last operation was a rolling upgrade
+		out.Upgrade = &UpgradeStatus{
+			Instances: st.Instances,
+			Upgraded:  st.Upgraded,
+			Skipped:   st.Skipped,
+			Running:   st.Running,
+			Done:      st.Done,
+			Phase:     st.Phase,
+			Err:       st.Err,
 		}
-		if up.Current != 0 {
-			us.Current = up.Current.String()
+		if st.Current != 0 {
+			out.Upgrade.Current = st.Current.String()
 		}
-		out.Upgrade = &us
 	}
 	writeJSON(w, http.StatusOK, out)
 }
@@ -368,6 +366,3 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.c.Net.RunFor(d)
 	writeJSON(w, http.StatusOK, RunResponse{VirtualTime: s.c.Net.Now().String()})
 }
-
-// ensure netsim stays referenced for the IP String conversions above.
-var _ = netsim.IPv4

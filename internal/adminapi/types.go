@@ -73,8 +73,9 @@ type ReconfigRequest struct {
 	RestartDelay string `json:"restartDelay,omitempty"`
 }
 
-// ReconfigStatus reports the reconfiguration engine's stats, plus the
-// rolling upgrade's when one has been started.
+// ReconfigStatus reports the reconfiguration engine's current (or last
+// finished) operation. The counters sum over every plan of it; Upgrade
+// is present only when that operation is a rolling upgrade.
 type ReconfigStatus struct {
 	Running             bool    `json:"running"`
 	Done                bool    `json:"done"`

@@ -15,11 +15,11 @@ import (
 	"repro/internal/tcpstore"
 )
 
-// TestApplyAssignmentRoutesPerVIP drives the full many-to-many path: two
+// TestApplyTargetRoutesPerVIP drives the full many-to-many path: two
 // VIPs assigned to disjoint instance subsets via the Figure-7 solver, the
 // controller pushing rules and (staggered) L4 mappings, and traffic for
 // each VIP landing only on its assigned instances.
-func TestApplyAssignmentRoutesPerVIP(t *testing.T) {
+func TestApplyTargetRoutesPerVIP(t *testing.T) {
 	c := cluster.New(41)
 	c.AddStoreServers(2, memcache.DefaultSimServerConfig())
 	objs := map[string][]byte{"/o": []byte("data")}
@@ -30,7 +30,7 @@ func TestApplyAssignmentRoutesPerVIP(t *testing.T) {
 	vipB := c.AddVIP("svc-b")
 	ct := controller.New(c, controller.DefaultConfig())
 	// Register policies first (SetPolicy with explicit instance subsets
-	// will be superseded by ApplyAssignment below).
+	// will be superseded by ApplyTarget below).
 	ct.SetPolicy(vipA, c.SimpleSplitRules("srv-1"), c.Yoda[:1])
 	ct.SetPolicy(vipB, c.SimpleSplitRules("srv-2"), c.Yoda[:1])
 
@@ -48,13 +48,15 @@ func TestApplyAssignmentRoutesPerVIP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idToVIP := func(id int) netsim.IP {
-		if id == 0 {
-			return vipA
+	target := map[netsim.IP][]netsim.IP{}
+	for vid, vip := range map[int]netsim.IP{0: vipA, 1: vipB} {
+		for _, idx := range a.ByVIP[vid] {
+			target[vip] = append(target[vip], c.Yoda[idx].IP())
 		}
-		return vipB
 	}
-	ct.ApplyAssignment([]netsim.IP{vipA, vipB}, a, idToVIP)
+	if err := ct.ApplyTarget(target); err != nil {
+		t.Fatal(err)
+	}
 	c.Net.RunFor(time.Second) // let staggered mux updates converge
 
 	// Rules must be installed exactly on the assigned instances.
@@ -129,9 +131,7 @@ func TestReassignmentMigratesFlowsWithoutBreakage(t *testing.T) {
 	}
 	// Mid-transfer, move the VIP to the other two instances.
 	c.Net.Schedule(150*time.Millisecond, func() {
-		a := assignment.NewAssignment(4)
-		a.ByVIP[0] = []int{2, 3}
-		ct.ApplyAssignment([]netsim.IP{vip}, a, func(int) netsim.IP { return vip })
+		ct.ApplyTarget(map[netsim.IP][]netsim.IP{vip: {c.Yoda[2].IP(), c.Yoda[3].IP()}})
 	})
 	c.Net.RunFor(60 * time.Second)
 	if done != 8 {

@@ -11,7 +11,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/assignment"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/netsim"
@@ -71,10 +70,12 @@ type Controller struct {
 	timers         [nLoops]netsim.Timer // each loop's one pending tick
 	running        bool
 
-	// exec is the live reconfiguration engine; upgrader drives rolling
-	// upgrades through it.
-	exec     *reconfig.Executor
-	upgrader *reconfig.Upgrader
+	// exec is the live reconfiguration engine, the one driver of target
+	// mappings and rolling upgrades; upgradeCfg and upgradeStoreCfg are
+	// the configs the running upgrade restarts instances under.
+	exec            *reconfig.Executor
+	upgradeCfg      core.Config
+	upgradeStoreCfg tcpstore.Config
 
 	// Provision creates a new Yoda instance when the scaling loop needs
 	// one. Defaults to cluster.AddYoda with default configs.
@@ -114,6 +115,8 @@ func New(c *cluster.Cluster, cfg Config) *Controller {
 		L4:        c.L4,
 		Instances: func() []*core.Instance { return ct.C.Yoda },
 		RulesFor:  func(vip netsim.IP) []rules.Rule { return ct.policies[vip] },
+		Mappings:  ct.mappingSnapshot,
+		Restart:   ct.restart,
 		OnMapping: func(vip netsim.IP, insts []netsim.IP) {
 			ct.vipInstances[vip] = append([]netsim.IP(nil), insts...)
 		},
@@ -167,49 +170,16 @@ func (ct *Controller) RemoveVIP(vip netsim.IP) {
 	ct.C.HybridForgetVIP(vip)
 }
 
-// ApplyAssignment pushes a computed VIP→instance assignment onto the
-// cluster through the reconfiguration engine: rules are installed on
-// newly assigned instances first, then the L4 mappings are switched
+// ApplyTarget moves the cluster to the given VIP→instance mapping
+// through the reconfiguration engine: rules are installed on newly
+// assigned instances first, then the L4 mappings are switched
 // (staggered, as real muxes update non-atomically), then — once the
 // losing instances' residual flows have drained — the losers' rules are
 // removed, reclaiming their rule capacity. Waves respect the configured
-// δ migration bound. Returns reconfig.ErrBusy while a previous rollout
-// is still draining.
-func (ct *Controller) ApplyAssignment(vips []netsim.IP, a *assignment.Assignment, idToVIP func(int) netsim.IP) error {
-	vids := make([]int, 0, len(a.ByVIP))
-	for vid := range a.ByVIP {
-		vids = append(vids, vid)
-	}
-	sort.Ints(vids)
-	target := make(map[netsim.IP][]netsim.IP, len(vids))
-	for _, vid := range vids {
-		vip := idToVIP(vid)
-		var ips []netsim.IP
-		for _, idx := range a.ByVIP[vid] {
-			if idx < 0 || idx >= len(ct.C.Yoda) {
-				continue
-			}
-			ips = append(ips, ct.C.Yoda[idx].IP())
-		}
-		target[vip] = ips
-	}
-	return ct.ApplyTarget(target)
-}
-
-// ApplyTarget moves the cluster to the given VIP→instance mapping via
-// the reconfiguration engine (see ApplyAssignment). VIPs absent from
-// target keep their current mapping.
+// δ migration bound. VIPs absent from target keep their current mapping.
+// Returns reconfig.ErrBusy while a reconfiguration or an upgrade runs.
 func (ct *Controller) ApplyTarget(target map[netsim.IP][]netsim.IP) error {
-	st := reconfig.State{
-		Current: ct.mappingSnapshot(),
-		Target:  target,
-		Flows:   ct.flowSnapshot(target),
-	}
-	plan, err := reconfig.NewPlan(st, ct.exec.Options())
-	if err != nil {
-		return err
-	}
-	return ct.exec.Start(plan, nil)
+	return ct.exec.Apply(target)
 }
 
 // hybridWaveStart re-points the derivation table's entries for the VIPs
@@ -236,46 +206,34 @@ func (ct *Controller) hybridWaveStart(moves []reconfig.Move) {
 	ct.C.HybridBumpFlush()
 }
 
-// ReconfigStats returns the current (or last finished) reconfiguration's
-// stats.
+// ReconfigStats returns the current (or last finished) reconfiguration
+// or rolling upgrade's stats.
 func (ct *Controller) ReconfigStats() reconfig.Stats { return ct.exec.Stats() }
 
 // StartRollingUpgrade upgrades every currently live instance, one at a
 // time: drain through a δ-bounded reconfig plan, restart under the new
-// configs, re-admit. onDone may be nil. Returns reconfig.ErrBusy while
-// an upgrade or a reconfiguration is already running.
-func (ct *Controller) StartRollingUpgrade(cfg core.Config, storeCfg tcpstore.Config, opt reconfig.UpgradeOptions, onDone func(reconfig.UpgradeStats)) error {
-	if ct.upgrader != nil && ct.upgrader.Running() {
+// configs after restartDelay (0 = the default 2 s), re-admit. Returns
+// reconfig.ErrBusy while a reconfiguration or an upgrade runs.
+func (ct *Controller) StartRollingUpgrade(cfg core.Config, storeCfg tcpstore.Config, restartDelay time.Duration) error {
+	if ct.exec.Running() {
 		return reconfig.ErrBusy
 	}
-	up := reconfig.NewUpgrader(ct.exec, opt)
-	up.Mappings = ct.mappingSnapshot
-	up.Restart = func(ip netsim.IP) {
-		for i, in := range ct.C.Yoda {
-			if in.IP() == ip {
-				ct.C.RestartYoda(i, cfg, storeCfg)
-				return
-			}
-		}
-	}
+	ct.upgradeCfg, ct.upgradeStoreCfg = cfg, storeCfg
 	var order []netsim.IP
 	for _, in := range ct.liveInstances() {
 		order = append(order, in.IP())
 	}
-	if err := up.Start(order, onDone); err != nil {
-		return err
-	}
-	ct.upgrader = up
-	return nil
+	return ct.exec.Upgrade(order, restartDelay)
 }
 
-// UpgradeStats returns the current (or last finished) rolling upgrade's
-// stats.
-func (ct *Controller) UpgradeStats() reconfig.UpgradeStats {
-	if ct.upgrader == nil {
-		return reconfig.UpgradeStats{}
+// restart reboots the instance at ip under the running upgrade's configs.
+func (ct *Controller) restart(ip netsim.IP) {
+	for i, in := range ct.C.Yoda {
+		if in.IP() == ip {
+			ct.C.RestartYoda(i, ct.upgradeCfg, ct.upgradeStoreCfg)
+			return
+		}
 	}
-	return ct.upgrader.Stats()
 }
 
 // mappingSnapshot copies the controller's VIP→instance view.
@@ -283,22 +241,6 @@ func (ct *Controller) mappingSnapshot() map[netsim.IP][]netsim.IP {
 	out := make(map[netsim.IP][]netsim.IP, len(ct.vipInstances))
 	for vip, ips := range ct.vipInstances {
 		out[vip] = append([]netsim.IP(nil), ips...)
-	}
-	return out
-}
-
-// flowSnapshot reads live per-VIP flow counts over the VIPs in target,
-// feeding the planner's Eq. 6–7 migration accounting.
-func (ct *Controller) flowSnapshot(target map[netsim.IP][]netsim.IP) map[netsim.IP]map[netsim.IP]float64 {
-	out := make(map[netsim.IP]map[netsim.IP]float64, len(target))
-	for vip := range target {
-		per := make(map[netsim.IP]float64)
-		for _, in := range ct.liveInstances() {
-			if n := in.VIPFlowCount(vip); n > 0 {
-				per[in.IP()] = float64(n)
-			}
-		}
-		out[vip] = per
 	}
 	return out
 }

@@ -1,28 +1,27 @@
 package controller_test
 
 import (
+	"errors"
 	"testing"
 	"time"
 
-	"repro/internal/assignment"
 	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/reconfig"
 	"repro/internal/tcpstore"
 )
 
-// TestApplyAssignmentRemovesLoserRules is the regression test for the
-// fire-and-forget updater: ApplyAssignment's contract says rules are
+// TestApplyTargetRemovesLoserRules is the regression test for the
+// fire-and-forget updater: ApplyTarget's contract says rules are
 // removed from instances that lost a VIP once their flows drain, but the
 // old implementation never removed them. Routed through the reconfig
 // executor, the loser must end with zero rules for the VIP.
-func TestApplyAssignmentRemovesLoserRules(t *testing.T) {
+func TestApplyTargetRemovesLoserRules(t *testing.T) {
 	w := newWorld(11, 3)
 	w.c.Net.RunFor(500 * time.Millisecond)
 
 	// All three instances hold the VIP; reassign it to the first two.
-	a := &assignment.Assignment{ByVIP: map[int][]int{0: {0, 1}}}
-	if err := w.ct.ApplyAssignment([]netsim.IP{w.vip}, a, func(int) netsim.IP { return w.vip }); err != nil {
+	if err := w.ct.ApplyTarget(map[netsim.IP][]netsim.IP{w.vip: {w.c.Yoda[0].IP(), w.c.Yoda[1].IP()}}); err != nil {
 		t.Fatal(err)
 	}
 	w.c.Net.RunFor(20 * time.Second) // flip + drain + rule removal
@@ -127,17 +126,14 @@ func TestRollingUpgradeZeroFailures(t *testing.T) {
 
 	before := append([]*core.Instance(nil), w.c.Yoda...)
 	w.c.Net.Schedule(2*time.Second, func() {
-		err := w.ct.StartRollingUpgrade(
-			core.DefaultConfig(), tcpstore.DefaultConfig(),
-			reconfig.UpgradeOptions{RestartDelay: time.Second}, nil,
-		)
+		err := w.ct.StartRollingUpgrade(core.DefaultConfig(), tcpstore.DefaultConfig(), time.Second)
 		if err != nil {
 			t.Errorf("upgrade start: %v", err)
 		}
 	})
 	w.c.Net.RunFor(stop + 35*time.Second)
 
-	up := w.ct.UpgradeStats()
+	up := w.ct.ReconfigStats()
 	if !up.Done || up.Err != "" {
 		t.Fatalf("upgrade not done: %+v", up)
 	}
@@ -159,8 +155,8 @@ func TestRollingUpgradeZeroFailures(t *testing.T) {
 	if restarts != 3 {
 		t.Fatalf("restarted incarnations = %d, want 3", restarts)
 	}
-	if up.Reconfig.BrokenFlows != 0 {
-		t.Fatalf("broken flows during upgrade: %d", up.Reconfig.BrokenFlows)
+	if up.BrokenFlows != 0 {
+		t.Fatalf("broken flows during upgrade: %d", up.BrokenFlows)
 	}
 	if errs != 0 {
 		t.Fatalf("%d/%d client requests failed during the rolling upgrade", errs, done)
@@ -172,4 +168,57 @@ func TestRollingUpgradeZeroFailures(t *testing.T) {
 	if m := w.c.L4.Mapping(w.vip); len(m) != 3 {
 		t.Fatalf("final mapping %v, want all 3 instances", m)
 	}
+}
+
+// TestReconfigRejectedDuringUpgrade: an upgrade holds the executor for
+// its whole run, restart window included. A reconfiguration requested
+// while an instance is rebooting is refused with ErrBusy — not accepted
+// and then silently undone by the re-admission plan, which restores the
+// pre-drain mapping.
+func TestReconfigRejectedDuringUpgrade(t *testing.T) {
+	w := newWorld(14, 3)
+	w.c.Net.RunFor(time.Second)
+	before := w.c.L4.Mapping(w.vip)
+
+	if err := w.ct.StartRollingUpgrade(core.DefaultConfig(), tcpstore.DefaultConfig(), 2*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for w.ct.ReconfigStats().Phase != "restart" {
+		if w.c.Net.Now() > 30*time.Second {
+			t.Fatalf("upgrade never reached its restart: %+v", w.ct.ReconfigStats())
+		}
+		w.c.Net.Step()
+	}
+	if !w.ct.ReconfigStats().Running {
+		t.Fatal("executor idle during the upgrade's restart window")
+	}
+	two := map[netsim.IP][]netsim.IP{w.vip: {w.c.Yoda[0].IP(), w.c.Yoda[1].IP()}}
+	if err := w.ct.ApplyTarget(two); !errors.Is(err, reconfig.ErrBusy) {
+		t.Fatalf("ApplyTarget during the restart = %v, want ErrBusy", err)
+	}
+	w.c.Net.RunFor(60 * time.Second)
+
+	up := w.ct.ReconfigStats()
+	if !up.Done || up.Err != "" || up.Upgraded != 3 {
+		t.Fatalf("upgrade = %+v, want 3 upgraded, no error", up)
+	}
+	if got := w.c.L4.Mapping(w.vip); !sameIPs(got, before) {
+		t.Fatalf("final mapping %v, want the pre-upgrade %v", got, before)
+	}
+}
+
+func sameIPs(a, b []netsim.IP) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	in := map[netsim.IP]bool{}
+	for _, ip := range a {
+		in[ip] = true
+	}
+	for _, ip := range b {
+		if !in[ip] {
+			return false
+		}
+	}
+	return true
 }

@@ -66,9 +66,9 @@ type UpgradeResult struct {
 	Failed   int
 	Latency  *metrics.DurationHistogram
 
-	// Upgrade is the driver's final state; Reconfig inside it aggregates
-	// every drain and re-admission wave.
-	Upgrade reconfig.UpgradeStats
+	// Upgrade is the executor's final state; its counters sum every drain
+	// and re-admission wave.
+	Upgrade reconfig.Stats
 
 	// Detections/Revivals are the monitor's view of the restarts.
 	Detections int
@@ -116,17 +116,14 @@ func RunUpgrade(cfg UpgradeConfig) *UpgradeResult {
 
 	before := append([]*core.Instance(nil), c.Yoda...)
 	c.Net.Schedule(cfg.UpgradeAt, func() {
-		if err := ct.StartRollingUpgrade(
-			core.DefaultConfig(), tcpstore.DefaultConfig(),
-			reconfig.UpgradeOptions{RestartDelay: cfg.RestartDelay}, nil,
-		); err != nil {
+		if err := ct.StartRollingUpgrade(core.DefaultConfig(), tcpstore.DefaultConfig(), cfg.RestartDelay); err != nil {
 			panic(fmt.Sprintf("experiments: upgrade start: %v", err))
 		}
 	})
 
 	c.Net.RunFor(cfg.Duration + cfg.HTTPTimeout + 10*time.Second)
 
-	res.Upgrade = ct.UpgradeStats()
+	res.Upgrade = ct.ReconfigStats()
 	res.Detections = ct.Detections
 	res.Revivals = ct.Revivals
 	for i, in := range c.Yoda {
@@ -147,18 +144,18 @@ func (r *UpgradeResult) String() string {
 			fmt.Sprintf("%d", up.Instances),
 			fmt.Sprintf("%d", up.Upgraded),
 			fmt.Sprintf("%d", r.RestartsSeen),
-			fmt.Sprintf("%d", up.Reconfig.Waves),
-			fmt.Sprintf("%d", up.Reconfig.MigratedFlows),
-			fmt.Sprintf("%d", up.Reconfig.ResurrectedFlows),
-			fmt.Sprintf("%d", up.Reconfig.BrokenFlows),
-			fmtPct(up.Reconfig.MaxWaveMigratedFrac),
+			fmt.Sprintf("%d", up.Waves),
+			fmt.Sprintf("%d", up.MigratedFlows),
+			fmt.Sprintf("%d", up.ResurrectedFlows),
+			fmt.Sprintf("%d", up.BrokenFlows),
+			fmtPct(up.MaxWaveMigratedFrac),
 			fmt.Sprintf("%.1fs", up.Duration.Seconds()),
 		}},
 	)
 	s += fmt.Sprintf("requests=%d failed=%d (paper §7.5: zero failed requests); δ=%s, measured max wave=%s\n",
-		r.Requests, r.Failed, fmtPct(r.Cfg.Delta), fmtPct(up.Reconfig.MaxWaveMigratedFrac))
+		r.Requests, r.Failed, fmtPct(r.Cfg.Delta), fmtPct(up.MaxWaveMigratedFrac))
 	s += fmt.Sprintf("latency median=%s p99=%s max=%s; monitor detections=%d revivals=%d; rules reclaimed=%d\n",
 		fmtMs(r.Latency.Median()), fmtMs(r.Latency.Quantile(0.99)), fmtMs(r.Latency.Max()),
-		r.Detections, r.Revivals, up.Reconfig.RulesRemoved)
+		r.Detections, r.Revivals, up.RulesRemoved)
 	return s
 }

@@ -31,13 +31,13 @@ func TestUpgradeExperimentZeroFailures(t *testing.T) {
 	if up.Upgraded != cfg.Instances || r.RestartsSeen != cfg.Instances {
 		t.Fatalf("upgraded=%d restarts=%d, want %d", up.Upgraded, r.RestartsSeen, cfg.Instances)
 	}
-	if up.Reconfig.BrokenFlows != 0 {
-		t.Fatalf("broken flows: %d", up.Reconfig.BrokenFlows)
+	if up.BrokenFlows != 0 {
+		t.Fatalf("broken flows: %d", up.BrokenFlows)
 	}
-	if up.Reconfig.MigratedFlows == 0 {
+	if up.MigratedFlows == 0 {
 		t.Fatal("nothing migrated — load too thin to exercise the drain")
 	}
-	if up.Reconfig.MaxWaveMigratedFrac > cfg.Delta+0.1 {
-		t.Fatalf("max wave migrated %.3f exceeds δ=%.2f", up.Reconfig.MaxWaveMigratedFrac, cfg.Delta)
+	if up.MaxWaveMigratedFrac > cfg.Delta+0.1 {
+		t.Fatalf("max wave migrated %.3f exceeds δ=%.2f", up.MaxWaveMigratedFrac, cfg.Delta)
 	}
 }

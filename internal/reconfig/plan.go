@@ -143,7 +143,7 @@ func proposeMove(vip netsim.IP, cur map[netsim.IP][]netsim.IP, st State, budget 
 		removed = append(removed, l)
 		spent += fl
 	}
-	to := subtractIPs(unionIPs(from, gainers), removed)
+	to := diffIPs(unionIPs(from, gainers), removed)
 	if sameList(to, from) {
 		return Move{}, 0, false
 	}
@@ -177,7 +177,7 @@ func cheapestForcedMove(pending []netsim.IP, cur map[netsim.IP][]netsim.IP, st S
 			if bestCost < 0 || fl < bestCost {
 				bestCost = fl
 				best = Move{
-					VIP: vip, From: from, To: subtractIPs(from, []netsim.IP{l}),
+					VIP: vip, From: from, To: diffIPs(from, []netsim.IP{l}),
 					Losers: []netsim.IP{l}, PlannedMigrated: fl,
 				}
 			}
@@ -285,7 +285,7 @@ func containsIP(list []netsim.IP, ip netsim.IP) bool {
 	return false
 }
 
-// diffIPs returns a − b, preserving a's order.
+// diffIPs returns a with every member of b removed, preserving a's order.
 func diffIPs(a, b []netsim.IP) []netsim.IP {
 	var out []netsim.IP
 	for _, x := range a {
@@ -301,17 +301,6 @@ func unionIPs(a, b []netsim.IP) []netsim.IP {
 	out := append([]netsim.IP(nil), a...)
 	for _, x := range b {
 		if !containsIP(out, x) {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
-// subtractIPs returns a with every member of b removed.
-func subtractIPs(a, b []netsim.IP) []netsim.IP {
-	var out []netsim.IP
-	for _, x := range a {
-		if !containsIP(b, x) {
 			out = append(out, x)
 		}
 	}

@@ -136,7 +136,7 @@ func TestPlanUntouchedVIPsStay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Moves() != 1 || plan.Waves[0].Moves[0].VIP != v1 {
+	if len(plan.Waves) != 1 || len(plan.Waves[0].Moves) != 1 || plan.Waves[0].Moves[0].VIP != v1 {
 		t.Fatalf("plan touched more than v1: %+v", plan.Waves)
 	}
 }

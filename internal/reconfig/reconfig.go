@@ -23,10 +23,11 @@
 //     then remove the losers' rules, so the per-instance rule capacity
 //     R_y is actually reclaimed.
 //
-// On top of the engine, upgrade.go implements zero-downtime rolling
-// instance upgrades (§7.5): drain an instance through a reconfig plan,
-// restart its host under a new configuration, re-admit it, and repeat
-// across the fleet — with zero failed client requests.
+// The executor runs one operation at a time: a target mapping (one
+// plan), or a zero-downtime rolling upgrade (§7.5) that, per instance,
+// drains it through a plan, restarts its host under a new configuration
+// and re-admits it through a second plan. Either way one Stats reports
+// the whole operation.
 package reconfig
 
 import (
@@ -49,12 +50,6 @@ type Options struct {
 	// the same unit as State.Traffic.
 	TrafficCap float64
 
-	// SettlePoll is how often the executor checks whether all muxes have
-	// applied a wave's mapping flips.
-	SettlePoll time.Duration
-	// DrainPoll is how often a losing instance's residual flows are
-	// re-examined during the drain phase.
-	DrainPoll time.Duration
 	// DrainQuiet is how long a loser's flows for a moved VIP must have
 	// seen no packet before their local state is released: once every mux
 	// has flipped, packets stop arriving and the migrated flows' activity
@@ -67,12 +62,6 @@ type Options struct {
 
 // withDefaults fills in the default timings.
 func (o Options) withDefaults() Options {
-	if o.SettlePoll <= 0 {
-		o.SettlePoll = 100 * time.Millisecond
-	}
-	if o.DrainPoll <= 0 {
-		o.DrainPoll = 100 * time.Millisecond
-	}
 	if o.DrainQuiet <= 0 {
 		o.DrainQuiet = time.Second
 	}
@@ -132,17 +121,9 @@ type Plan struct {
 	TotalFlows float64
 }
 
-// Moves returns the total move count across waves.
-func (p *Plan) Moves() int {
-	n := 0
-	for _, w := range p.Waves {
-		n += len(w.Moves)
-	}
-	return n
-}
-
-// Stats is the observable outcome of a reconfiguration, exposed through
-// the controller and the admin API.
+// Stats is the observable state of the current (or last finished)
+// operation, exposed through the controller and the admin API. The wave,
+// flow and rule counters sum over every plan of the operation.
 type Stats struct {
 	// Waves is how many waves have completed; MovesApplied counts VIP
 	// mapping changes executed.
@@ -179,15 +160,30 @@ type Stats struct {
 	// did).
 	RulesRemoved int
 
-	// Start is virtual time at Start(); Duration is filled when Done.
+	// Instances is the fleet size a rolling upgrade targets (0 for a
+	// target-mapping operation); Upgraded counts instances fully cycled
+	// (drained, restarted, re-admitted); Skipped counts instances
+	// abandoned because their restart never came back in time.
+	Instances int
+	Upgraded  int
+	Skipped   int
+	// Current is the instance being upgraded; Phase is one of "drain",
+	// "restart", "ready-wait", "readmit" (empty when idle).
+	Current netsim.IP
+	Phase   string
+	// Err records a fatal upgrade error (the upgrade stops early).
+	Err string
+
+	// Start is virtual time when the operation began; Duration is filled
+	// when Done.
 	Start    time.Duration
 	Duration time.Duration
 	Running  bool
 	Done     bool
 }
 
-// Env binds the engine to a live cluster. All callbacks must be non-nil
-// except OnMapping.
+// Env binds the engine to a live cluster. Instances and RulesFor must be
+// non-nil; Mappings is needed by Apply and Upgrade, Restart by Upgrade.
 type Env struct {
 	Net *netsim.Network
 	L4  *l4lb.LB
@@ -196,6 +192,13 @@ type Env struct {
 	Instances func() []*core.Instance
 	// RulesFor returns the rule set to install on instances gaining vip.
 	RulesFor func(vip netsim.IP) []rules.Rule
+	// Mappings returns the owner's current VIP→instance view as fresh
+	// copies.
+	Mappings func() map[netsim.IP][]netsim.IP
+	// Restart reboots the instance at ip under the new configuration. On
+	// return the replacement must be reachable through Instances; it may
+	// still take time to come alive.
+	Restart func(ip netsim.IP)
 	// OnMapping, when non-nil, is invoked at each mapping flip so the
 	// owner (the controller) can keep its VIP→instance view in sync.
 	OnMapping func(vip netsim.IP, insts []netsim.IP)
