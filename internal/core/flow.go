@@ -26,11 +26,16 @@ type flow struct {
 	backendName string
 	keepAlive   bool
 	recovered   bool
+	// stateless is decided once, at the SYN: hybrid mode is on and this
+	// instance is the head of the flow's rendezvous chain. Only such a
+	// flow skips storage-a, draws its split from the table, asks for the
+	// cookie-coded port and may skip storage-b (see hybrid.go).
+	stateless bool
 	// persisted tracks whether any record for this flow was (or may have
 	// been) written to TCPStore. Always true on the paper-faithful path;
-	// hybrid flows that skip their barriers stay false, which gates the
+	// stateless flows that skip their barriers stay false, which gates the
 	// teardown deletes (nothing to delete) and marks them for the
-	// epoch-bump flush (see hybrid.go).
+	// epoch-bump flush.
 	persisted bool
 
 	// Connection-phase request assembly.
@@ -130,12 +135,16 @@ func (in *Instance) newClientFlow(pkt *netsim.Packet) {
 	// Under StrictPersist an unrecoverable flow is dropped unanswered —
 	// the client's SYN retransmission retries the whole sequence.
 	//
-	// Hybrid mode skips storage-a entirely: everything a PhaseConn record
-	// carries is derivable (C is the tuple hash any instance computes,
-	// ClientISN is one less than the first retransmitted payload byte), so
-	// the SYN-ACK goes out synchronously. TLS flows get their key
+	// A stateless flow skips storage-a entirely: everything a PhaseConn
+	// record carries is derivable (C is the tuple hash any instance
+	// computes, ClientISN is one less than the first retransmitted payload
+	// byte), so the SYN-ACK goes out synchronously. TLS flows get their key
 	// persisted later, at the tlsAdvance barrier, before it is needed.
 	if in.cfg.Hybrid != nil {
+		head, _ := in.cfg.Hybrid.Head(f.vip.IP, f.clientTuple())
+		f.stateless = head == in.IP()
+	}
+	if f.stateless {
 		in.note(evBarrierSkip, f.vip.IP)
 		in.sendSynAck(f)
 		return
@@ -272,12 +281,12 @@ func (in *Instance) selectAndDial(f *flow, req *httpsim.Request) {
 		in.reject(f, 503, "vip not assigned to this instance")
 		return
 	}
-	// The split draw: hybrid mode replaces the RNG with a tuple-keyed
+	// The split draw: a stateless flow replaces the RNG with a tuple-keyed
 	// uniform value so the decision is reproducible by any instance
 	// holding the table (the write-time self-check and recovery replay
-	// it); the paper-faithful mode keeps the network's RNG draw.
+	// it); every other flow keeps the network's RNG draw.
 	var draw float64
-	if in.cfg.Hybrid != nil {
+	if f.stateless {
 		draw = in.cfg.Hybrid.Draw(f.clientTuple())
 	} else {
 		draw = in.rng.Float64()
@@ -293,7 +302,7 @@ func (in *Instance) selectAndDial(f *flow, req *httpsim.Request) {
 	}
 	// The SNAT port is claimed before any flow state mutates so an
 	// exhausted range rejects cleanly: silently reusing an in-use port
-	// would splice two live flows onto one backend tuple. Hybrid mode
+	// would splice two live flows onto one backend tuple. A stateless flow
 	// first tries the cookie-coded port the derivation layer predicts for
 	// this tuple and epoch; on collision the sequential fallback port
 	// fails the write-time self-check and the flow stays persisted.
@@ -396,12 +405,12 @@ func (in *Instance) serverHandshakePacket(f *flow, pkt *netsim.Packet) {
 	// orientations before ACKing the server (Figure 3). The two records
 	// ride one batched store round trip.
 	//
-	// Hybrid mode first dry-runs the stateless derivation against the
-	// state actually installed (hybrid.go): when every field matches, the
-	// write is redundant — a successor derives the identical record — and
-	// the barrier is skipped with the commit run synchronously. Any
-	// mismatch (sticky hit, health drift, port-collision fallback, stale
-	// mux routing, TLS) keeps the flow on the persisted path, so residue
+	// A stateless flow first dry-runs the derivation against the state
+	// actually installed (hybrid.go): when every field matches, the write
+	// is redundant — a successor derives the identical record — and the
+	// barrier is skipped with the commit run synchronously. Any mismatch
+	// (sticky hit, health drift, port-collision fallback, an epoch bump
+	// since the SYN, TLS) keeps the flow on the persisted path, so residue
 	// classification is sound without enumerating causes.
 	if in.hybridDerivable(f) {
 		in.note(evBarrierSkip, f.vip.IP)
@@ -678,7 +687,7 @@ func (in *Instance) recoverFlow(tuple netsim.FourTuple, pkt *netsim.Packet) {
 			in.dropPending(tuple, q)
 		}
 	})
-	// Hybrid mode classifies the orphan (backend knock, dead-owner
+	// Hybrid mode classifies the orphan (backend knock, dead-head
 	// derivation, residue) before deciding whether and how to consult the
 	// store; the paper-faithful mode always reads and RSTs a miss.
 	if in.cfg.Hybrid != nil {

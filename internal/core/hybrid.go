@@ -12,9 +12,16 @@ import (
 // function of the 5-tuple, the table secret, and the current mapping
 // epoch. The mechanics:
 //
-//   - storage-a is skipped outright: C is the tuple hash every instance
-//     computes, and ClientISN is one less than the first retransmitted
-//     payload byte. TLS keys are persisted at the tlsAdvance barrier.
+//   - a flow is stateless only when it is created on the head of its
+//     rendezvous chain (newClientFlow decides, once). Every other flow —
+//     created while its head was dead, or under stale mux routing —
+//     takes the paper's persist-before-ACK path from its SYN. So every
+//     unpersisted flow lives on its head, and an orphan has at most one
+//     derivation candidate however many instances have died.
+//   - a stateless flow skips storage-a outright: C is the tuple hash
+//     every instance computes, and ClientISN is one less than the first
+//     retransmitted payload byte. TLS keys are persisted at the
+//     tlsAdvance barrier.
 //   - storage-b dry-runs the derivation against the state actually
 //     installed (hybridDerivable); only mismatches — the residue — are
 //     written. Matching flows run their commit synchronously.
@@ -23,11 +30,11 @@ import (
 //     but a miss under a current-epoch cookie is dropped WITHOUT a RST:
 //     the state lives on the client side of the flow and the client-side
 //     successor's repair write will be there for the backend's next
-//     retransmission. Client-side orphans derive the dead owner from the
-//     epoch entry, confirm tunnels via a parked backend knock when one
-//     exists, and otherwise fall back to the store; a clean miss there
-//     means the flow was never persisted, i.e. it is exactly the
-//     derivable population, and is rebuilt from the packet in hand.
+//     retransmission. A client-side orphan whose head is dead confirms
+//     its tunnel via a parked backend knock when one exists, and
+//     otherwise falls back to the store; a clean miss there means the
+//     flow was never persisted, i.e. it lived unpersisted on that head,
+//     and is rebuilt from the packet in hand.
 //   - every derivation-based tunnel install immediately repair-writes
 //     the derived record under both tuple orientations, so the
 //     backend-side successor converges through the store exactly as in
@@ -40,33 +47,30 @@ import (
 // window — an owner dying after a bump before its flush write lands — is
 // one store round trip wide and degrades to the paper's store-miss
 // behaviour, never to a mis-derivation toward a dead backend, because
-// flows whose owner is absent from the current entry produce no
-// dead-owner candidate and take the store path.
+// flows whose head is absent from the current entry have no derivation
+// candidate and take the store path.
 
 // hybridPreferredPort returns the cookie-coded SNAT port the derivation
-// layer predicts for a new flow on this instance.
+// layer predicts for a stateless flow on this instance.
 func (in *Instance) hybridPreferredPort(f *flow) (uint16, bool) {
-	if in.cfg.Hybrid == nil {
+	if !f.stateless {
 		return 0, false
 	}
 	return in.cfg.Hybrid.PreferredPort(in.IP(), f.clientTuple())
 }
 
-// hybridDerivable reports whether the flow's tunnel state is exactly
-// what the stateless layer derives for its tuple — the storage-b records
-// are then redundant. Any deviation (TLS, recovered history, sticky or
-// health-driven selection, port-collision fallback, a stale mux routing
-// the tuple to a non-owner) fails a comparison and keeps the flow
-// persisted; the classification compares outcomes, not causes.
+// hybridDerivable reports whether a stateless flow's tunnel state is
+// exactly what the derivation layer produces for its tuple — the
+// storage-b records are then redundant. A flow that has been persisted
+// since its SYN (a TLS key, an epoch flush) stays persisted, and any
+// deviation (sticky or health-driven selection, port-collision fallback,
+// an epoch bump since the SYN) fails a comparison; the classification
+// compares outcomes, not causes.
 func (in *Instance) hybridDerivable(f *flow) bool {
-	t := in.cfg.Hybrid
-	if t == nil || f.tls != nil || f.recovered || f.persisted {
+	if !f.stateless || f.persisted {
 		return false
 	}
-	ct := f.clientTuple()
-	if owner, ok := t.Owner(f.vip.IP, ct); !ok || owner != in.IP() {
-		return false
-	}
+	t, ct := in.cfg.Hybrid, f.clientTuple()
 	b, ok := t.DeriveBackend(f.vip.IP, ct)
 	if !ok || b.Addr != f.server || b.Name != f.backendName {
 		return false
@@ -91,41 +95,26 @@ func (in *Instance) hybridRecover(tuple netsim.FourTuple, q *pendingQueue) {
 		in.hybridServerGet(tuple, q, current)
 		return
 	}
-	// Client-side orphan. A tuple whose rendezvous chain has no dead
-	// prefix belongs to an alive owner (us, or stale routing): nothing to
-	// derive, paper semantics apply.
-	in.candScratch = t.DeadOwnerCandidates(tuple.Dst.IP, tuple, in.candScratch[:0])
-	cands := in.candScratch
-	if len(cands) == 0 {
-		in.storeGet(tuple, q, nil)
-		return
-	}
+	// Client-side orphan. Only its head can have held it unpersisted, so
+	// a live head (us, or stale routing) leaves nothing to derive, nor do
+	// an underivable pool and a head without a cookie range (a hybrid
+	// cluster builds neither): paper semantics apply.
+	head, ok := t.Head(tuple.Dst.IP, tuple)
 	b, bok := t.DeriveBackend(tuple.Dst.IP, tuple)
-	if !bok {
-		// Underivable pool: every flow of this VIP was persisted anyway.
+	port, pok := t.PreferredPort(head, tuple)
+	if !ok || !t.Dead(head) || !bok || !pok {
 		in.storeGet(tuple, q, nil)
 		return
 	}
-	// Knock check: a pending queue parked on a candidate's predicted
-	// server tuple is the backend knocking for exactly the flow this
-	// tuple describes — an established tunnel, confirmed without a store
-	// read.
-	for _, d := range cands {
-		port, ok := t.PreferredPort(d, tuple)
-		if !ok {
-			continue
-		}
-		st := netsim.FourTuple{Src: b.Addr, Dst: netsim.HostPort{IP: tuple.Dst.IP, Port: port}}
-		if kq, found := in.pending[st]; found {
-			in.hybridKnockConfirm(tuple, q, st, kq, b, port)
-			return
-		}
+	// Knock check: a pending queue parked on the head's predicted server
+	// tuple is the backend knocking for exactly the flow this tuple
+	// describes — an established tunnel, confirmed without a store read.
+	st := netsim.FourTuple{Src: b.Addr, Dst: netsim.HostPort{IP: tuple.Dst.IP, Port: port}}
+	if kq, found := in.pending[st]; found {
+		in.hybridKnockConfirm(tuple, q, st, kq, b, port)
+		return
 	}
-	port, portOK := uint16(0), false
-	if len(cands) == 1 {
-		port, portOK = t.PreferredPort(cands[0], tuple)
-	}
-	in.hybridClientGet(tuple, q, b, port, portOK)
+	in.hybridClientGet(tuple, q, b, port)
 }
 
 // resolveQueue detaches a pending queue, returning its packets; ok=false
@@ -209,21 +198,19 @@ func (in *Instance) hybridServerGet(tuple netsim.FourTuple, q *pendingQueue, cur
 	in.storeGet(tuple, q, func([]*netsim.Packet) { in.note(evOrphanSuppressed, tuple.Dst.IP) })
 }
 
-// hybridClientGet consults the store for a client-side orphan whose
-// rendezvous chain passes through dead instances. A hit is the paper
-// path. A clean miss means the flow was never persisted — exactly the
-// derivable population — and is classified by what the client has
-// acknowledged: nothing beyond the SYN-ACK, with payload in hand, and
-// the connection phase replays from the retransmitted request (the
-// client's first payload byte pins ClientISN, the tuple hash pins C, and
-// the replayed request re-runs selection with the table draw, so the
-// flow converges onto the backend the dead owner would have picked and
-// classifies itself at its own storage-b); data acknowledged, with a
-// single dead-owner candidate, and the tunnel state is derived outright
-// and repair-written. Ambiguous cases (bare ACK, multiple candidates)
-// are dropped quietly — the sender's retransmission or a backend knock
-// re-triggers classification with more evidence.
-func (in *Instance) hybridClientGet(tuple netsim.FourTuple, q *pendingQueue, b stateless.Backend, port uint16, portOK bool) {
+// hybridClientGet consults the store for a client-side orphan whose head
+// is dead. A hit is the paper path. A clean miss means the flow was
+// never persisted — it lived unpersisted on that head — and is
+// classified by what the client has acknowledged: nothing beyond the
+// SYN-ACK, with payload in hand, and the connection phase replays from
+// the retransmitted request (the client's first payload byte pins
+// ClientISN, the tuple hash pins C, and the replayed request re-runs
+// selection and persists at its own storage-b); data acknowledged, and
+// the tunnel state is derived outright from the head and repair-written.
+// A bare ACK at C+1 is ambiguous and dropped quietly — the sender's
+// retransmission or a backend knock re-triggers classification with
+// more evidence.
+func (in *Instance) hybridClientGet(tuple netsim.FourTuple, q *pendingQueue, b stateless.Backend, port uint16) {
 	in.storeGet(tuple, q, func(queued []*netsim.Packet) {
 		p0, vip := queued[0], tuple.Dst.IP
 		if p0.Flags.Has(netsim.FlagRST) {
@@ -237,10 +224,6 @@ func (in *Instance) hybridClientGet(tuple netsim.FourTuple, q *pendingQueue, b s
 			}
 			in.installRecovered(&Record{Phase: PhaseConn, Client: tuple.Src, VIP: tuple.Dst, ClientISN: p0.Seq - 1}, evAdoptDerived)
 			in.dispatchQueued(queued)
-			return
-		}
-		if !portOK {
-			in.note(evOrphanSuppressed, vip)
 			return
 		}
 		in.hybridRepair(in.installDerivedTunnel(tuple, b, port, p0.Seq), queued, nil)
@@ -317,9 +300,6 @@ func (in *Instance) SnapshotFlows() []FlowInfo {
 // residue and recover through the store, never through a stale
 // derivation. Returns the number of flows flushed.
 func (in *Instance) FlushUnpersisted() int {
-	if in.cfg.Hybrid == nil || in.dead {
-		return 0
-	}
 	var victims []*flow
 	in.flows.forEach(func(f *flow) {
 		if !f.persisted {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/httpsim"
+	"repro/internal/l4lb"
 	"repro/internal/memcache"
 	"repro/internal/netsim"
 	"repro/internal/tcp"
@@ -242,6 +243,42 @@ func TestHybridFailoverConnPhase(t *testing.T) {
 	if survivor.DerivedRecoveries == 0 {
 		t.Fatal("survivor never derived the connection-phase flow")
 	}
+}
+
+// TestUnpersistedFlowsLiveOnTheirHead: with the first of three instances
+// dead and withdrawn, the tuples whose rendezvous chain it heads land on
+// the survivors. None of those flows may stay unpersisted there: an
+// orphan's one derivation candidate is its head, so a flow left
+// unpersisted off its head would have two once its survivor died too.
+func TestUnpersistedFlowsLiveOnTheirHead(t *testing.T) {
+	tb := newHybridTestbed(t, 31, 3)
+	var entry []netsim.IP
+	for _, in := range tb.C.Yoda {
+		entry = append(entry, in.IP())
+	}
+	tb.FailLB(0)
+	tb.C.Net.RunFor(time.Second)
+	for i := 0; i < 30; i++ {
+		tb.C.NewClient(probeClientConfig()).Get(tb.Addr, "/100k", func(*httpsim.FetchResult) {})
+	}
+	tb.C.Net.RunFor(100 * time.Millisecond)
+	flows, offHead := 0, 0
+	for _, in := range tb.C.Yoda[1:] {
+		for _, fi := range in.SnapshotFlows() {
+			flows++
+			if l4lb.Rendezvous(netsim.FourTuple{Src: fi.Client, Dst: fi.VIP}, entry) == in.IP() {
+				continue
+			}
+			offHead++
+			if !fi.Persisted {
+				t.Errorf("flow %v lives unpersisted on %v, off the head of its chain", fi.Client, in.IP())
+			}
+		}
+	}
+	if flows != 30 || offHead == 0 {
+		t.Fatalf("%d flows on the survivors, %d off their head: want 30, some of them off it", flows, offHead)
+	}
+	t.Logf("%d of %d flows off their head, every one persisted", offHead, flows)
 }
 
 // TestHybridEpochRollover: a flow established before an epoch bump is

@@ -149,7 +149,6 @@ type Instance struct {
 	recRecord      Record
 	recTLS         TLSState
 	freeBarrierOps []*barrierOp
-	candScratch    []netsim.IP     // hybrid dead-owner candidate scratch
 	req            httpsim.Request // connection-phase header-parse scratch
 	// The per-flow barriers' continuations (see writeBarrier), bound once.
 	synAckFn, tunnelFn       func(*flow)

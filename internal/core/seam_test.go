@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/memcache"
 	"repro/internal/netsim"
@@ -23,10 +24,16 @@ var seamCounters = map[string]bool{
 	"NewFlows": true, "SNATExhausted": true,
 }
 
+// hybridSeams are the only functions that may test cfg.Hybrid — or a
+// local copied from it — against nil, on either side of the comparison:
+// the creation decision and the orphan classification. Everything else
+// follows a flow's stateless bit.
+var hybridSeams = map[string]bool{"newClientFlow": true, "recoverFlow": true}
+
 // TestOneLifecycleSeam keeps the lifecycle one seam (state.go): in the
 // package's non-test files, only setState writes a flow's state — by
-// assignment or in a composite literal — and only note writes an outcome
-// counter.
+// assignment or in a composite literal — only note writes an outcome
+// counter, and only the hybridSeams ask whether hybrid mode is on.
 func TestOneLifecycleSeam(t *testing.T) {
 	files, err := filepath.Glob("*.go")
 	if err != nil {
@@ -55,13 +62,39 @@ func TestOneLifecycleSeam(t *testing.T) {
 					bad = append(bad, fmt.Sprintf("%s: %s writes %s outside note", fset.Position(target.Pos()), fn.Name.Name, field))
 				}
 			}
+			// isHybrid reports whether e reads cfg.Hybrid: the field itself
+			// or a local the function copied it into.
+			hybridVars := map[string]bool{}
+			isHybrid := func(e ast.Expr) bool {
+				switch e := ast.Unparen(e).(type) {
+				case *ast.SelectorExpr:
+					return e.Sel.Name == "Hybrid"
+				case *ast.Ident:
+					return hybridVars[e.Name]
+				}
+				return false
+			}
+			isNil := func(e ast.Expr) bool {
+				id, ok := ast.Unparen(e).(*ast.Ident)
+				return ok && id.Name == "nil"
+			}
+			copies := func(lhs ast.Expr, rhs []ast.Expr, i int) {
+				if id, ok := lhs.(*ast.Ident); ok && i < len(rhs) && isHybrid(rhs[i]) {
+					hybridVars[id.Name] = true
+				}
+			}
 			ast.Inspect(fn.Body, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.AssignStmt:
-					for _, lhs := range n.Lhs {
+					for i, lhs := range n.Lhs {
 						if sel, ok := lhs.(*ast.SelectorExpr); ok {
 							check(sel, sel.Sel.Name)
 						}
+						copies(lhs, n.Rhs, i)
+					}
+				case *ast.ValueSpec:
+					for i, id := range n.Names {
+						copies(id, n.Values, i)
 					}
 				case *ast.IncDecStmt:
 					if sel, ok := n.X.(*ast.SelectorExpr); ok {
@@ -71,13 +104,27 @@ func TestOneLifecycleSeam(t *testing.T) {
 					if key, ok := n.Key.(*ast.Ident); ok && key.Name == "state" {
 						check(key, key.Name)
 					}
+				case *ast.BinaryExpr:
+					nilTest := isHybrid(n.X) && isNil(n.Y) || isNil(n.X) && isHybrid(n.Y)
+					if nilTest && !hybridSeams[fn.Name.Name] {
+						bad = append(bad, fmt.Sprintf("%s: %s tests cfg.Hybrid outside newClientFlow and recoverFlow", fset.Position(n.Pos()), fn.Name.Name))
+					}
 				}
 				return true
 			})
 		}
 	}
 	if len(bad) > 0 {
-		t.Fatalf("the lifecycle seam leaks — transitions go through setState, outcome counts through note:\n%s", strings.Join(bad, "\n"))
+		t.Fatalf("the lifecycle seam leaks — transitions go through setState, outcome counts through note, the hybrid mode through a flow's stateless bit:\n%s", strings.Join(bad, "\n"))
+	}
+}
+
+// TestFlowSizeClass: the stateless bit rides in padding, so a flow still
+// fits the 288-byte size class; one more word moves every flow to the
+// next class.
+func TestFlowSizeClass(t *testing.T) {
+	if sz := unsafe.Sizeof(flow{}); sz > 288 {
+		t.Fatalf("flow is %d bytes, want <= 288", sz)
 	}
 }
 

@@ -268,13 +268,8 @@ type MflowResult struct {
 	Recovered      int // adopted from a TCPStore record
 	Derived        int // adopted by hybrid derivation, no record read
 	AdoptedInClose int // adoptions after the probe phase: must be 0
-	// Stranded counts flows whose probe was never answered, resends
-	// included; StrandedTwoDead those of them whose rendezvous chain
-	// passes through two or more dead instances (hybrid only — the one
-	// case hybridClientGet gives up on without a backend knock).
-	Stranded        int
-	StrandedTwoDead int
-	Suppressed      int // orphan queues the survivors dropped quietly
+	Stranded       int // flows whose probe was never answered, resends included: must be 0
+	Suppressed     int // orphan queues the survivors dropped quietly
 
 	Delivered       uint64
 	Executed        uint64
@@ -307,8 +302,8 @@ func (r *MflowResult) Summary() string {
 		r.Cfg.Flows, r.Cfg.Instances, r.Cfg.StormKill, recovery, mfClients, mfServers, mfStores)
 	fmt.Fprintf(&b, "  flows: established=%d probeAcked=%d closed=%d clientRSTs=%d mismatched=%d\n",
 		r.Established, r.ProbeAcked, r.Closed, r.ClientRSTs, r.Mismatched)
-	fmt.Fprintf(&b, "  storm: deadFlows=%d recovered=%d derived=%d stranded=%d (twoDeadOwners=%d suppressed=%d) adoptedInClose=%d\n",
-		r.DeadFlows, r.Recovered, r.Derived, r.Stranded, r.StrandedTwoDead, r.Suppressed, r.AdoptedInClose)
+	fmt.Fprintf(&b, "  storm: deadFlows=%d recovered=%d derived=%d stranded=%d (suppressed=%d) adoptedInClose=%d\n",
+		r.DeadFlows, r.Recovered, r.Derived, r.Stranded, r.Suppressed, r.AdoptedInClose)
 	fmt.Fprintf(&b, "  events: executed=%d delivered=%d perFlow=%.1f\n",
 		r.Executed, r.Delivered, float64(r.Executed)/float64(max(r.Cfg.Flows, 1)))
 	fmt.Fprintf(&b, "  end state: liveFlowEntries=%d storeItems=%d pending=%d dropped=%d+%d simTime=%v\n",
@@ -438,20 +433,11 @@ func RunMflow(cfg MflowConfig) *MflowResult {
 	res.ProbeAcked = phase(mfEstablished, mfProbeAcked)
 	res.Recovered, res.Derived = adopted()
 	for _, cl := range clients {
-		for i, s := range cl.state {
-			if s != mfProbeSent {
-				continue
-			}
-			res.Stranded++
-			ct := netsim.FourTuple{Src: netsim.HostPort{IP: cl.ip, Port: mfBasePort + uint16(i)}, Dst: cl.vip}
-			if c.Hybrid != nil && len(c.Hybrid.DeadOwnerCandidates(vip, ct, nil)) >= 2 {
-				res.StrandedTwoDead++
-			}
-		}
+		res.Stranded += cl.count(mfProbeSent, mfProbeAcked)
 	}
 	if res.Stranded != 0 {
-		res.failf("probe: %d of %d orphaned flows stranded, never adopted in %d resends (%d of them behind two dead owner candidates)",
-			res.Stranded, res.DeadFlows, mfResends, res.StrandedTwoDead)
+		res.failf("probe: %d of %d orphaned flows stranded, never adopted in %d resends",
+			res.Stranded, res.DeadFlows, mfResends)
 	}
 	if res.ProbeAcked+res.Stranded != res.Established {
 		res.failf("probe: %d flows answered and %d stranded of %d established", res.ProbeAcked, res.Stranded, res.Established)

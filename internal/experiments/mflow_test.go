@@ -47,8 +47,7 @@ func TestMflowDeterminism(t *testing.T) {
 }
 
 // TestMflowSummaryGolden holds the small configuration's summary, in
-// both recovery modes, to the bytes in testdata/. The hybrid file is a
-// FAIL: see TestMflowHybridTwoDeadOwnersStrand.
+// both recovery modes, to the bytes in testdata/.
 func TestMflowSummaryGolden(t *testing.T) {
 	for _, arm := range []struct{ name, recovery string }{{"paper", ""}, {"hybrid", "hybrid"}} {
 		t.Run(arm.name, func(t *testing.T) {
@@ -65,45 +64,24 @@ func TestMflowSummaryGolden(t *testing.T) {
 	}
 }
 
-// TestMflowHybridExactRecovery kills one instance under hybrid recovery:
-// every orphan has exactly one dead owner candidate, so every one must be
-// adopted exactly once — from its record if it was residue, by
-// derivation otherwise — and nothing may be left behind.
+// TestMflowHybridExactRecovery kills one, two and three instances under
+// hybrid recovery. Every unpersisted flow lives on the head of its
+// rendezvous chain, so every orphan has at most one dead-owner candidate
+// however many instances died, and every one must be adopted exactly
+// once — from its record if it was residue, by derivation otherwise —
+// with nothing left behind.
 func TestMflowHybridExactRecovery(t *testing.T) {
-	cfg := smallMflowConfig()
-	cfg.Recovery, cfg.StormKill = "hybrid", 1
-	res := RunMflow(cfg)
-	if !res.Pass() {
-		t.Fatalf("hybrid mflow invariants failed:\n%s", res.Summary())
-	}
-	if res.DeadFlows == 0 || res.Derived == 0 || res.Recovered+res.Derived != res.DeadFlows || res.Stranded != 0 {
-		t.Fatalf("hybrid recovery not exact: deadFlows=%d recovered=%d derived=%d stranded=%d",
-			res.DeadFlows, res.Recovered, res.Derived, res.Stranded)
-	}
-}
-
-// TestMflowHybridTwoDeadOwnersStrand pins the gap the two-instance storm
-// exposes in hybrid recovery: an idle, unpersisted flow whose rendezvous
-// chain passes through both dead instances is never adopted
-// (hybridClientGet cannot tell which of the two owned it and waits for a
-// backend knock an idle backend never sends). The run fails, for that
-// reason alone: every stranded flow is such a flow, every other orphan is
-// adopted exactly once, nothing is reset or mis-translated, and the
-// cluster still returns to its baseline. A fix turns this test into
-// TestMflowHybridExactRecovery's second arm.
-func TestMflowHybridTwoDeadOwnersStrand(t *testing.T) {
-	cfg := smallMflowConfig()
-	cfg.Recovery = "hybrid"
-	res := RunMflow(cfg)
-	if res.Stranded == 0 || res.Pass() {
-		t.Fatalf("no flow stranded — if hybrid recovery now resolves two dead owner candidates, fold this test into TestMflowHybridExactRecovery:\n%s", res.Summary())
-	}
-	if len(res.Failures) != 1 || !strings.HasPrefix(res.Failures[0], "probe:") {
-		t.Fatalf("failed for more than the stranded flows:\n%s", res.Summary())
-	}
-	if res.StrandedTwoDead != res.Stranded {
-		t.Fatalf("%d of %d stranded flows have fewer than two dead owner candidates:\n%s",
-			res.Stranded-res.StrandedTwoDead, res.Stranded, res.Summary())
+	for kill := 1; kill <= 3; kill++ {
+		cfg := smallMflowConfig()
+		cfg.Recovery, cfg.StormKill = "hybrid", kill
+		res := RunMflow(cfg)
+		if !res.Pass() {
+			t.Fatalf("storm %d: hybrid mflow invariants failed:\n%s", kill, res.Summary())
+		}
+		if res.DeadFlows == 0 || res.Derived == 0 || res.Recovered+res.Derived != res.DeadFlows || res.Stranded != 0 {
+			t.Fatalf("storm %d: hybrid recovery not exact: deadFlows=%d recovered=%d derived=%d stranded=%d",
+				kill, res.DeadFlows, res.Recovered, res.Derived, res.Stranded)
+		}
 	}
 }
 

@@ -13,20 +13,22 @@
 //   - SNAT source port: a cookie-coded port inside the owning instance's
 //     registered range, carrying the mapping-epoch's low bits so stale
 //     flows are detectable (DecodeCookie);
-//   - owning instance: the mux's own pick (l4lb.Rendezvous) over the
-//     epoch entry's instance list, with dead instances skipped the same
-//     way the mux skips them;
+//   - owning instance: the head of the tuple's rendezvous chain, the
+//     mux's own pick (l4lb.Rendezvous) over the epoch entry's whole
+//     instance list. A flow stays unpersisted only on its head, so an
+//     orphan has at most one derivation candidate, whatever has died;
 //   - backend ISN: a SYN-cookie-style keyed hash (tcp.DeterministicISN
 //     with ISNKey) that lets a recovering instance rebuild the Delta
 //     sequence translation without reading the record back.
 //
-// Everything else — keep-alive backend switches, TLS session keys, flows
-// whose selection deviated from the derivation (sticky hits, health
-// drift, port-collision fallback, stale mux mappings) — is residue that
-// stays on the paper-faithful persist-before-ACK path. The write-time
-// self-check in core compares the derivation's outcome against the state
-// actually installed, so residue classification is sound by construction
-// rather than by enumerating causes.
+// Everything else — flows created off their head (the head dead, or a
+// stale mux mapping), keep-alive backend switches, TLS session keys,
+// flows whose selection deviated from the derivation (sticky hits,
+// health drift, port-collision fallback) — is residue that stays on the
+// paper-faithful persist-before-ACK path. Core decides the first cause
+// at the SYN; for the rest its write-time self-check compares the
+// derivation's outcome against the state actually installed, so residue
+// classification is sound without enumerating causes.
 //
 // Epoch discipline: planned reconfiguration bumps the epoch and flushes
 // still-unpersisted flows to the store before new flows are admitted
@@ -180,50 +182,25 @@ func (t *Table) DeriveBackend(vip netsim.IP, ft netsim.FourTuple) (Backend, bool
 	return e.Pool[len(e.Pool)-1], true
 }
 
-// Owner returns the instance a client tuple lands on under the current
-// entry, skipping dead instances exactly the way the mux does (the
-// chain-walk's first alive pick equals rendezvous over the live subset).
-func (t *Table) Owner(vip netsim.IP, ft netsim.FourTuple) (netsim.IP, bool) {
+// Head returns the head of a client tuple's rendezvous chain under the
+// current entry: the mux's pick with every listed instance alive. Dead
+// marks are ignored; the caller asks Dead(head). Only a flow created on
+// its head may stay unpersisted, so an orphan's one derivation candidate
+// is its head, when the head is dead.
+func (t *Table) Head(vip netsim.IP, ft netsim.FourTuple) (netsim.IP, bool) {
 	e, ok := t.vips[vip]
 	if !ok || len(e.Instances) == 0 {
 		return 0, false
 	}
-	var scratch [64]netsim.IP
-	insts := append(scratch[:0], e.Instances...)
-	for len(insts) > 0 {
-		p := l4lb.Rendezvous(ft, insts)
-		if !t.dead[p] {
-			return p, true
-		}
-		insts = removeIP(insts, p)
-	}
-	return 0, false
+	return l4lb.Rendezvous(ft, e.Instances), true
 }
 
-// DeadOwnerCandidates returns, in order, the dead instances a client
-// tuple's rendezvous chain passes through before reaching an alive one:
-// the instances that could have owned the flow when they died. An orphan
-// with exactly one candidate can be re-derived with certainty; more than
-// one means the flow's history is ambiguous and recovery must wait for
-// corroboration (a backend knock or a store record).
-func (t *Table) DeadOwnerCandidates(vip netsim.IP, ft netsim.FourTuple, buf []netsim.IP) []netsim.IP {
-	buf = buf[:0]
-	e, ok := t.vips[vip]
-	if !ok || len(e.Instances) == 0 {
-		return buf
-	}
-	var scratch [64]netsim.IP
-	insts := append(scratch[:0], e.Instances...)
-	for len(insts) > 0 {
-		p := l4lb.Rendezvous(ft, insts)
-		if !t.dead[p] {
-			break
-		}
-		buf = append(buf, p)
-		insts = removeIP(insts, p)
-	}
-	return buf
-}
+// Owner is Head under its earlier name. Its one caller is the benchmark
+// module's derivation probe (bench/probes.go); it goes when that probe
+// calls Head.
+//
+// Deprecated: use Head.
+func (t *Table) Owner(vip netsim.IP, ft netsim.FourTuple) (netsim.IP, bool) { return t.Head(vip, ft) }
 
 // PreferredPort returns the cookie-coded SNAT source port an instance
 // should try first for a client tuple: the current epoch's quarter of
@@ -276,15 +253,6 @@ func (t *Table) rangeOf(inst netsim.IP) (Range, bool) {
 		}
 	}
 	return Range{}, false
-}
-
-func removeIP(s []netsim.IP, ip netsim.IP) []netsim.IP {
-	for i, v := range s {
-		if v == ip {
-			return append(s[:i], s[i+1:]...)
-		}
-	}
-	return s
 }
 
 // PoolFromRules extracts the derivable backend pool from a VIP's rule

@@ -32,61 +32,57 @@ func testTable() (*Table, netsim.IP, []netsim.IP) {
 	return t, vip, insts
 }
 
-// Owner must equal plain rendezvous over the live subset: skipping dead
-// picks down the chain is equivalent to never having listed them.
-func TestOwnerEqualsRendezvousOverLiveSubset(t *testing.T) {
+// Head must equal plain rendezvous over the whole entry whatever is
+// marked dead: it names where a flow was created unpersisted, not where
+// the mux sends the tuple now.
+func TestHeadEqualsRendezvousOverWholeEntry(t *testing.T) {
 	tbl, vip, insts := testTable()
-	tbl.MarkDead(insts[1])
-	tbl.MarkDead(insts[3])
-	live := []netsim.IP{insts[0], insts[2]}
-	for i := 0; i < 500; i++ {
-		ft := tupleFor(i)
-		got, ok := tbl.Owner(vip, ft)
-		if !ok {
-			t.Fatalf("no owner for %v", ft)
+	for _, dead := range [][]netsim.IP{nil, {insts[1], insts[3]}, insts} {
+		for _, ip := range dead {
+			tbl.MarkDead(ip)
 		}
-		if want := l4lb.Rendezvous(ft, live); got != want {
-			t.Fatalf("tuple %d: chain-walk owner %v != rendezvous over live %v", i, got, want)
+		for i := 0; i < 500; i++ {
+			ft := tupleFor(i)
+			got, ok := tbl.Head(vip, ft)
+			if want := l4lb.Rendezvous(ft, insts); !ok || got != want {
+				t.Fatalf("dead %v, tuple %d: head %v ok=%v, want rendezvous over the entry %v", dead, i, got, ok, want)
+			}
 		}
 	}
-	// All dead: no owner.
-	tbl.MarkDead(insts[0])
-	tbl.MarkDead(insts[2])
-	if _, ok := tbl.Owner(vip, tupleFor(0)); ok {
-		t.Fatal("owner reported with every instance dead")
+	if _, ok := tbl.Head(netsim.IP(99), tupleFor(0)); ok {
+		t.Fatal("head reported for an unknown VIP")
+	}
+	tbl.SetVIP(vip, VIPEntry{})
+	if _, ok := tbl.Head(vip, tupleFor(0)); ok {
+		t.Fatal("head reported for an entry without instances")
 	}
 }
 
-func TestDeadOwnerCandidatesChain(t *testing.T) {
-	tbl, vip, _ := testTable()
-	var buf []netsim.IP
-	// Owner alive: no candidates.
-	if c := tbl.DeadOwnerCandidates(vip, tupleFor(7), buf); len(c) != 0 {
-		t.Fatalf("candidates with alive owner: %v", c)
-	}
-	// Kill the first pick for some tuple: exactly that instance becomes
-	// the single candidate, and the new owner differs.
+// However many instances of a tuple's chain die, its head stays its one
+// dead-owner candidate: killing the next instance the mux would pick
+// names no second one, and a revive clears the first.
+func TestHeadIsTheOnlyDeadOwnerCandidate(t *testing.T) {
+	tbl, vip, insts := testTable()
 	ft := tupleFor(7)
-	first, _ := tbl.Owner(vip, ft)
-	tbl.MarkDead(first)
-	c := tbl.DeadOwnerCandidates(vip, ft, buf)
-	if len(c) != 1 || c[0] != first {
-		t.Fatalf("candidates = %v, want [%v]", c, first)
+	head, _ := tbl.Head(vip, ft)
+	if tbl.Dead(head) {
+		t.Fatal("head dead before any death")
 	}
-	second, ok := tbl.Owner(vip, ft)
-	if !ok || second == first {
-		t.Fatalf("owner after death = %v ok=%v", second, ok)
+	tbl.MarkDead(head)
+	var rest []netsim.IP
+	for _, ip := range insts {
+		if ip != head {
+			rest = append(rest, ip)
+		}
 	}
-	// Kill the second too: chain order preserved.
-	tbl.MarkDead(second)
-	c = tbl.DeadOwnerCandidates(vip, ft, c)
-	if len(c) != 2 || c[0] != first || c[1] != second {
-		t.Fatalf("candidates = %v, want [%v %v]", c, first, second)
+	next := l4lb.Rendezvous(ft, rest)
+	tbl.MarkDead(next)
+	if got, ok := tbl.Head(vip, ft); !ok || got != head || !tbl.Dead(got) {
+		t.Fatalf("head after two deaths = %v ok=%v dead=%v, want the dead %v", got, ok, tbl.Dead(got), head)
 	}
-	// Revive clears.
-	tbl.Revive(first)
-	if c := tbl.DeadOwnerCandidates(vip, ft, c); len(c) != 0 {
-		t.Fatalf("candidates after revive: %v", c)
+	tbl.Revive(head)
+	if got, _ := tbl.Head(vip, ft); got != head || tbl.Dead(got) {
+		t.Fatalf("head after revive = %v dead=%v", got, tbl.Dead(got))
 	}
 }
 
@@ -305,7 +301,7 @@ func FuzzDeriveBackend(f *testing.F) {
 }
 
 // Rendezvous stability: removing a non-winning instance never changes
-// the pick (the property the dead-skip chain walk depends on).
+// the pick, so a live head is where the mux still sends its tuples.
 func TestRendezvousRemovalStability(t *testing.T) {
 	insts := []netsim.IP{0x0a010001, 0x0a010002, 0x0a010003, 0x0a010004, 0x0a010005}
 	rng := rand.New(rand.NewSource(1))
@@ -316,7 +312,12 @@ func TestRendezvousRemovalStability(t *testing.T) {
 		if drop == win {
 			continue
 		}
-		rest := removeIP(append([]netsim.IP(nil), insts...), drop)
+		var rest []netsim.IP
+		for _, ip := range insts {
+			if ip != drop {
+				rest = append(rest, ip)
+			}
+		}
 		if got := l4lb.Rendezvous(ft, rest); got != win {
 			t.Fatalf("pick changed from %v to %v after removing loser %v", win, got, drop)
 		}

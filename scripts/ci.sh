@@ -21,8 +21,10 @@
 #                             compiles yodabench against this tree
 #   6. figure golden          `yodasim -exp all -parallel -seed 1` is
 #                             byte-identical to the checked-in 609 lines
-#   7. go test -race          full suite under the race detector
-#   8. benchmarks             every Benchmark* compiles and runs one
+#   7. mflow hybrid           `yodasim -exp mflow -recovery hybrid` (32,768
+#                             flows, 2 of 8 instances killed) ends PASS
+#   8. go test -race          full suite under the race detector
+#   9. benchmarks             every Benchmark* compiles and runs one
 #      iteration (the heavy figure benchmarks are excluded by name; run
 #      scripts/bench.sh for real numbers)
 set -euo pipefail
@@ -201,6 +203,14 @@ echo "== figure golden (yodasim -exp all -parallel -seed 1 vs testdata/all_seed1
 # function of the code alone: any diff here is a behaviour change that has
 # to be explained, and a re-recorded golden is part of that change.
 go run ./cmd/yodasim -exp all -parallel -seed 1 | diff - internal/experiments/testdata/all_seed1.golden
+
+echo "== mflow hybrid (yodasim -exp mflow -recovery hybrid must end PASS) =="
+# Hybrid recovery at scale: every flow of a two-instance storm is adopted
+# once, from its record or derived from its one dead head, and the
+# cluster returns to baseline. The summary's last line before perf: is
+# PASS or a FAIL: list.
+go run ./cmd/yodasim -exp mflow -recovery hybrid | tee "$GATE_DIR/mflow_hybrid"
+grep -qx '  PASS' "$GATE_DIR/mflow_hybrid" || { echo "FAIL: hybrid mflow did not pass" >&2; exit 1; }
 
 echo "== go test -race =="
 go test -race ./...
