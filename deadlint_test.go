@@ -15,17 +15,17 @@ import (
 // non-test file mentions and that stay anyway, each with the reason. Keys
 // are "package.Func", "package.Type" or "package.Type.Method".
 var deadAllowlist = map[string]string{
-	"netsim.Network.SetDropFunc":        "fault hook: loss, for ROADMAP item 1's schedules",
-	"netsim.Network.SetLatency":         "fault hook: delay spikes, item 1",
-	"netsim.Network.SetJitter":          "fault hook: reordering, item 1",
-	"netsim.Network.PoisonReleasedBufs": "test hook: 0xDD on release, on in every test bed and item-1 schedule",
+	"netsim.Network.SetDropFunc":        "fault hook: loss, for ROADMAP item 4's fault plane",
+	"netsim.Network.SetLatency":         "fault hook: delay spikes, item 4's fault plane",
+	"netsim.Network.SetJitter":          "fault hook: reordering, item 4's fault plane",
+	"netsim.Network.PoisonReleasedBufs": "test hook: 0xDD on release, on in every test bed and item-4 schedule",
 	"netsim.FourTuple.Reverse":          "test hook: the return direction of a traced packet",
-	"stateless.Table.Epoch":             "test hook: item 1 asserts the epoch discipline through it",
+	"stateless.Table.Epoch":             "test hook: item 4's schedules assert the epoch discipline through it",
 	"flowmap.Compact.Epoch":             "test hook: the eviction-bump count the flow-map differential compares",
 	"httpsim.RequestParser.Buffered":    "test hook: the codec differential's nothing-left-over check",
 	"httpsim.ResponseParser.Buffered":   "test hook: the codec differential's nothing-left-over check",
 	"metrics.LenHist.AtLeast":           "the tail read of a train-length histogram; tests only so far",
-	"core.Instance.SnapshotFlows":       "the read side ROADMAP item 3's flow query starts from",
+	"core.Instance.SnapshotFlows":       "the read side ROADMAP item 1's flow query starts from",
 }
 
 // TestNoDeadExports keeps the dead-feature sweep swept: every exported

@@ -37,11 +37,22 @@ func newTestbed(t *testing.T, seed int64, nYoda int) *testbed.Bed {
 	return tb
 }
 
+// keep returns a done that stores the fetch's result in *res with its
+// body copied out: Client.Fetch lends the body only until done returns.
+func keep(res **httpsim.FetchResult) func(*httpsim.FetchResult) {
+	return func(r *httpsim.FetchResult) {
+		if r.Resp != nil {
+			r.Resp.Body = bytes.Clone(r.Resp.Body)
+		}
+		*res = r
+	}
+}
+
 func TestEndToEndFetchThroughYoda(t *testing.T) {
 	tb := newTestbed(t, 1, 2)
 	cl := tb.C.NewClient(httpsim.DefaultClientConfig())
 	var res *httpsim.FetchResult
-	cl.Get(tb.Addr, "/10k", func(r *httpsim.FetchResult) { res = r })
+	cl.Get(tb.Addr, "/10k", keep(&res))
 	tb.C.Net.RunFor(5 * time.Second)
 	if res == nil {
 		t.Fatal("fetch never completed")
@@ -63,7 +74,7 @@ func TestFetchLargeObject(t *testing.T) {
 	tb := newTestbed(t, 2, 2)
 	cl := tb.C.NewClient(httpsim.DefaultClientConfig())
 	var res *httpsim.FetchResult
-	cl.Get(tb.Addr, "/100k", func(r *httpsim.FetchResult) { res = r })
+	cl.Get(tb.Addr, "/100k", keep(&res))
 	tb.C.Net.RunFor(10 * time.Second)
 	if res == nil || res.Err != nil {
 		t.Fatalf("res = %+v", res)
@@ -152,7 +163,7 @@ func TestFailoverDuringTunnelPhase(t *testing.T) {
 	cfg := httpsim.DefaultClientConfig() // 30s HTTP timeout, no retry
 	cl := tb.C.NewClient(cfg)
 	var res *httpsim.FetchResult
-	cl.Get(tb.Addr, "/100k", func(r *httpsim.FetchResult) { res = r })
+	cl.Get(tb.Addr, "/100k", keep(&res))
 	// The transfer starts around 120-140ms and takes a while through slow
 	// start. Kill whichever instance owns the flow mid-transfer; the bed
 	// withdraws it a ping interval later (monitor detection delay).
@@ -222,7 +233,7 @@ func TestKillOwnerAtEveryStep(t *testing.T) {
 				// kill when kill < 0), reporting the steps the fetch took.
 				run := func(kill int) (tb *testbed.Bed, res *httpsim.FetchResult, steps int) {
 					tb = arm.bed(t, seed, 3)
-					tb.C.NewClient(arm.client).Get(tb.Addr, "/100k", func(r *httpsim.FetchResult) { res = r })
+					tb.C.NewClient(arm.client).Get(tb.Addr, "/100k", keep(&res))
 					for ; res == nil && steps != kill && tb.C.Net.Step(); steps++ {
 					}
 					if kill >= 0 {
@@ -286,7 +297,7 @@ func TestFailoverDuringConnectionPhase(t *testing.T) {
 	tb := newTestbed(t, 7, 2)
 	cl := tb.C.NewClient(httpsim.DefaultClientConfig())
 	var res *httpsim.FetchResult
-	cl.Get(tb.Addr, "/10k", func(r *httpsim.FetchResult) { res = r })
+	cl.Get(tb.Addr, "/10k", keep(&res))
 	// Timeline: SYN reaches the instance ~30ms, storage-a ~1ms, SYN-ACK at
 	// client ~61ms, request data back at the instance ~91ms. Killing at
 	// 75ms lands after storage-a/SYN-ACK but before the data arrives — the

@@ -52,7 +52,7 @@ func TestHybridVanillaFlowSkipsStore(t *testing.T) {
 	tb := newHybridTestbed(t, 21, 1)
 	cl := tb.C.NewClient(httpsim.DefaultClientConfig())
 	var res *httpsim.FetchResult
-	cl.Get(tb.Addr, "/10k", func(r *httpsim.FetchResult) { res = r })
+	cl.Get(tb.Addr, "/10k", keep(&res))
 	tb.C.Net.RunFor(10 * time.Second)
 	if res == nil || res.Err != nil {
 		t.Fatalf("res = %+v", res)
@@ -167,7 +167,7 @@ func TestHybridFailoverTunnelDerived(t *testing.T) {
 	tb := newHybridTestbed(t, 23, 2)
 	cl := tb.C.NewClient(probeClientConfig())
 	var res *httpsim.FetchResult
-	cl.Get(tb.Addr, "/100k", func(r *httpsim.FetchResult) { res = r })
+	cl.Get(tb.Addr, "/100k", keep(&res))
 	tb.C.Net.RunFor(200 * time.Millisecond)
 	victim := -1
 	for i, in := range tb.C.Yoda {
@@ -210,7 +210,7 @@ func TestHybridFailoverConnPhase(t *testing.T) {
 	tb := newHybridTestbed(t, 24, 2)
 	cl := tb.C.NewClient(probeClientConfig())
 	var res *httpsim.FetchResult
-	cl.Get(tb.Addr, "/10k", func(r *httpsim.FetchResult) { res = r })
+	cl.Get(tb.Addr, "/10k", keep(&res))
 	victim := -1
 	tb.C.Net.Schedule(75*time.Millisecond, func() {
 		for i, in := range tb.C.Yoda {
@@ -289,7 +289,7 @@ func TestHybridEpochRollover(t *testing.T) {
 	tb := newHybridTestbed(t, 25, 2)
 	cl := tb.C.NewClient(probeClientConfig())
 	var res *httpsim.FetchResult
-	cl.Get(tb.Addr, "/100k", func(r *httpsim.FetchResult) { res = r })
+	cl.Get(tb.Addr, "/100k", keep(&res))
 	tb.C.Net.RunFor(200 * time.Millisecond)
 	victim := -1
 	for i, in := range tb.C.Yoda {

@@ -46,7 +46,7 @@ func TestPOSTBodyForwardedThroughYoda(t *testing.T) {
 	req.Body = body
 	cl := c.NewClient(httpsim.DefaultClientConfig())
 	var res *httpsim.FetchResult
-	cl.Fetch(netsim.HostPort{IP: vip, Port: 80}, req, func(r *httpsim.FetchResult) { res = r })
+	cl.Fetch(netsim.HostPort{IP: vip, Port: 80}, req, keep(&res))
 	c.Net.RunFor(20 * time.Second)
 	if res == nil || res.Err != nil {
 		t.Fatalf("res = %+v", res)

@@ -22,12 +22,15 @@ func TestProxyEndToEnd(t *testing.T) {
 	b := newBed(1, 2)
 	cl := b.C.NewClient(httpsim.DefaultClientConfig())
 	var res *httpsim.FetchResult
-	cl.Get(b.Addr, "/10k", func(r *httpsim.FetchResult) { res = r })
+	intact := false // the body is lent to done: check it there
+	cl.Get(b.Addr, "/10k", func(r *httpsim.FetchResult) {
+		res, intact = r, r.Err == nil && bytes.Equal(r.Resp.Body, objs["/10k"])
+	})
 	b.C.Net.RunFor(5 * time.Second)
 	if res == nil || res.Err != nil {
 		t.Fatalf("res = %+v", res)
 	}
-	if !bytes.Equal(res.Resp.Body, objs["/10k"]) {
+	if !intact {
 		t.Fatal("body corrupted")
 	}
 	// HAProxy is slightly faster than Yoda (no TCPStore writes).

@@ -3,10 +3,12 @@ package httpsim
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/netsim"
 )
 
-// The four numbers scripts/bench.sh records for the codec. The request
-// and the 2 KiB response are yodabench's; the 512 KiB response is
+// The numbers scripts/bench.sh records for the codec and the client. The
+// request and the 2 KiB response are yodabench's; the 512 KiB response is
 // bulk-paper's object, fed one MSS at a time as TCP delivers it.
 
 func BenchmarkParseRequest(b *testing.B) {
@@ -39,6 +41,43 @@ func BenchmarkFeed512K(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		feedAll(b, &p, wire, 1460)
 	}
+}
+
+// BenchmarkClientFetch/512k is one close-mode fetch of bulk-paper's
+// 512 KiB object by a warm client from a server on a bare two-host
+// network. Its B/op is both endpoints' per response, recorded by
+// scripts/bench.sh as client_fetch_512k_B_op and gated by ci.sh: a body
+// array made per response instead of lent from bodyPools reads ~530 KB/op.
+func BenchmarkClientFetch(b *testing.B) {
+	b.Run("512k", func(b *testing.B) {
+		const objBytes = 512 << 10
+		n := netsim.New(1)
+		ch := netsim.NewHost(n, netsim.IPv4(100, 0, 0, 1))
+		sh := netsim.NewHost(n, netsim.IPv4(10, 0, 0, 1))
+		NewServer(sh, 80, MapHandler(map[string][]byte{"/obj": bytes.Repeat([]byte("b"), objBytes)}), DefaultServerConfig())
+		cl, addr := NewClient(ch, DefaultClientConfig()), netsim.HostPort{IP: sh.IP(), Port: 80}
+		req := NewRequest("/obj", "svc")
+		fetched := 0
+		done := func(r *FetchResult) {
+			if r.Err == nil && len(r.Resp.Body) == objBytes {
+				fetched++
+			}
+		}
+		fetch := func() {
+			cl.Fetch(addr, req, done)
+			n.RunUntilIdle(1 << 20)
+		}
+		fetch() // warms the network's pools and bodyPools
+		b.SetBytes(objBytes)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			fetch()
+		}
+		if fetched != b.N+1 {
+			b.Fatalf("%d of %d fetches completed", fetched, b.N+1)
+		}
+	})
 }
 
 var marshalSink []byte

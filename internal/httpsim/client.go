@@ -2,6 +2,8 @@ package httpsim
 
 import (
 	"errors"
+	"math/bits"
+	"sync"
 	"time"
 
 	"repro/internal/netsim"
@@ -65,6 +67,9 @@ func NewClient(host *netsim.Host, cfg ClientConfig) *Client {
 
 // Fetch requests path from addr and invokes done with the outcome. It
 // drives the full TCP + HTTP exchange in virtual time. req is only read.
+// The result and its Resp are the caller's, but Resp.Body is lent: when
+// done returns, its array goes back to a pool and the next response is
+// parsed into it, so a done that keeps the bytes copies them.
 func (cl *Client) Fetch(addr netsim.HostPort, req *Request, done func(*FetchResult)) {
 	cl.attempt(addr, req, FetchResult{Started: cl.host.Network().Now()}, cl.cfg.Retries, done)
 }
@@ -85,6 +90,7 @@ type fetch struct {
 	timer    netsim.Timer
 	finished bool
 	parser   ResponseParser
+	body     bodyLoan
 	res      FetchResult
 }
 
@@ -109,19 +115,24 @@ func (f *fetch) timeout() {
 }
 
 // finish resolves the attempt once: a failure with retries left starts
-// the next attempt, anything else is the fetch's outcome.
+// the next attempt, anything else is the fetch's outcome. The body array
+// goes back before the retry starts, or once done has returned; a failed
+// attempt's never reaches done.
 func (f *fetch) finish(resp *Response, err error) {
 	if f.finished {
 		return
 	}
 	f.finished = true
 	f.timer.Stop()
+	nw := f.cl.host.Network()
 	if err != nil && f.retries > 0 {
+		f.body.giveBack(nw)
 		f.cl.attempt(f.addr, f.req, f.res, f.retries-1, f.done)
 		return
 	}
-	f.res.Resp, f.res.Err, f.res.Finished = resp, err, f.cl.host.Network().Now()
+	f.res.Resp, f.res.Err, f.res.Finished = resp, err, nw.Now()
 	f.done(&f.res)
+	f.body.giveBack(nw)
 }
 
 func fetchEstablished(c *tcp.Conn) {
@@ -132,7 +143,7 @@ func fetchEstablished(c *tcp.Conn) {
 
 func fetchData(c *tcp.Conn, d []byte) {
 	f := c.User().(*fetch)
-	resps, err := f.parser.Feed(d)
+	resps, err := f.parser.p.feed(d, parseResponseHead, (*Response).done, &f.body) // Feed, bodies lent
 	if err != nil {
 		c.Abort()
 		f.finish(nil, err)
@@ -154,3 +165,49 @@ func fetchFailed(c *tcp.Conn, err error) {
 }
 
 func closeOnPeerClose(c *tcp.Conn) { c.Close() }
+
+// bodyPools holds the response-body arrays Fetch has lent and taken back,
+// one sync.Pool per power-of-two size class: an array is filed under the
+// power of two at or below its capacity and a body looks only in the bin
+// of its own length, as netsim files send buffers, so a 2 KiB body never
+// pins a 4 KiB array. sync.Pool because what it holds must not outlive a
+// collection (a spare array per Client would count as live heap, 512 KiB
+// per bulk client) and experiments run on several goroutines at once.
+// Its entries are *[]byte boxes that the borrowing fetch keeps, so
+// neither Get nor Put allocates once warm.
+var bodyPools [bodyBins]sync.Pool
+
+// bodyLoan is the one pooled array a fetch has borrowed for its
+// response's body; box is nil while none is out.
+type bodyLoan struct{ box *[]byte }
+
+// array returns an empty array for an n-byte body. A loan with none out
+// borrows one from bodyPools: a warm hit is neither allocated nor zeroed.
+// A nil loan, one whose array is already out (a second response in one
+// segment) and an n over maxBodyPrealloc get a made array instead, of at
+// most maxBodyPrealloc: a longer body grows as it actually arrives.
+func (l *bodyLoan) array(n int) []byte {
+	if l == nil || l.box != nil || n > maxBodyPrealloc {
+		return make([]byte, 0, min(n, maxBodyPrealloc))
+	}
+	if l.box, _ = bodyPools[bits.Len(uint(n))-1].Get().(*[]byte); l.box == nil {
+		l.box = new([]byte)
+	}
+	if cap(*l.box) < n {
+		*l.box = make([]byte, 0, n) // too small for n: dropped, as netsim does
+	}
+	return *l.box // always empty: the parser appends through its own slice
+}
+
+// giveBack returns the borrowed array, if any, to bodyPools, after
+// nw.ScrubReleased: under PoisonReleasedBufs a reader still holding the
+// body sees 0xDD at once instead of the next response.
+func (l *bodyLoan) giveBack(nw *netsim.Network) {
+	if l.box == nil {
+		return
+	}
+	b := *l.box
+	nw.ScrubReleased(b[:cap(b)])
+	bodyPools[bits.Len(uint(cap(b)))-1].Put(l.box)
+	l.box = nil
+}

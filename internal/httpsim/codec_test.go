@@ -301,13 +301,18 @@ func TestLargePostThroughServer(t *testing.T) {
 	req := NewRequest("/upload", "svc")
 	req.Method, req.Body = "POST", body
 	var res *FetchResult
-	NewClient(ch, DefaultClientConfig()).Fetch(netsim.HostPort{IP: sh.IP(), Port: 80}, req, func(r *FetchResult) { res = r })
+	var reply string // the body is lent to done: read it there
+	NewClient(ch, DefaultClientConfig()).Fetch(netsim.HostPort{IP: sh.IP(), Port: 80}, req, func(r *FetchResult) {
+		if res = r; r.Err == nil {
+			reply = string(r.Resp.Body)
+		}
+	})
 	n.RunUntilIdle(1000000)
 	if res == nil || res.Err != nil {
 		t.Fatalf("fetch: %+v", res)
 	}
-	if res.Resp.StatusCode != 200 || string(res.Resp.Body) != fmt.Sprint(len(body)) {
-		t.Fatalf("status %d body %q", res.Resp.StatusCode, res.Resp.Body)
+	if res.Resp.StatusCode != 200 || reply != fmt.Sprint(len(body)) {
+		t.Fatalf("status %d body %q", res.Resp.StatusCode, reply)
 	}
 	if srv.Requests != 1 {
 		t.Fatalf("server requests = %d", srv.Requests)

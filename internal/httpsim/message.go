@@ -172,7 +172,8 @@ type Response struct {
 	StatusCode int
 	Status     string
 	// Body of a parsed response is the parser's own buffer, handed over
-	// without a copy; the response owns it.
+	// without a copy; the response owns it — except in a Client.Fetch
+	// result, whose body is only lent to done (see Fetch).
 	Body []byte
 
 	header

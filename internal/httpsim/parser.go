@@ -22,7 +22,10 @@ const (
 	headScratch = 512
 	// maxBodyPrealloc caps what a declared Content-Length reserves up
 	// front; a longer body grows from there as it actually arrives.
-	maxBodyPrealloc = 1 << 20
+	maxBodyPrealloc = 1 << (bodyBins - 1) // 1 MiB
+	// bodyBins is the number of power-of-two size classes of bodyPools,
+	// the last maxBodyPrealloc's own.
+	bodyBins = 21
 )
 
 var crlf, crlfcrlf = []byte("\r\n"), []byte("\r\n\r\n")
@@ -79,7 +82,9 @@ func parseContentLength(v string) (int, error) {
 // its buffer and need the bytes still to come. A header block is parsed
 // exactly once, from one string copy the message's fields point into;
 // body bytes are copied exactly once, into a buffer the finished message
-// takes with it. Between messages the parser holds nothing.
+// takes with it. Between messages the parser holds nothing. Its size is
+// pinned (TestParserSizeUnchanged): what varies per caller, such as where
+// a body's array comes from, is an argument of feed, not a field.
 type parser[M any] struct {
 	head    []byte
 	cur     *M
@@ -118,7 +123,8 @@ func (p *parser[M]) headEnd(data []byte) int {
 // unless one call completes two, and the parser keeps no reference. An
 // array in the parser would pin an idle keep-alive connection's last
 // message, body and all (held-failover's heap per live flow: 3.1 → 5.5 KB).
-func (p *parser[M]) feed(data []byte, parseHead func(string) (*M, header, error), done func(*M, []byte) []*M) ([]*M, error) {
+// A body's array comes from lend (see bodyLoan.array; nil makes one).
+func (p *parser[M]) feed(data []byte, parseHead func(string) (*M, header, error), done func(*M, []byte) []*M, lend *bodyLoan) ([]*M, error) {
 	var out []*M
 	for p.err == nil {
 		if p.cur == nil {
@@ -145,7 +151,7 @@ func (p *parser[M]) feed(data []byte, parseHead func(string) (*M, header, error)
 			}
 			p.head, p.headLen, data = nil, len(block), data[end:]
 			if p.need > 0 {
-				p.body = make([]byte, 0, min(p.need, maxBodyPrealloc))
+				p.body = lend.array(p.need)
 			}
 		}
 		n := min(p.need, len(data))
@@ -172,7 +178,7 @@ type RequestParser struct{ p parser[Request] }
 // valid only until the next Feed (the requests are the caller's). It
 // keeps no reference to data. After an error the parser stays failed.
 func (p *RequestParser) Feed(data []byte) ([]*Request, error) {
-	return p.p.feed(data, parseRequest, (*Request).done)
+	return p.p.feed(data, parseRequest, (*Request).done, nil)
 }
 
 func parseRequest(head string) (*Request, header, error) {
@@ -227,7 +233,7 @@ type ResponseParser struct{ p parser[Response] }
 // slice valid only until the next Feed (the responses are the caller's).
 // It keeps no reference to data. After an error the parser stays failed.
 func (p *ResponseParser) Feed(data []byte) ([]*Response, error) {
-	return p.p.feed(data, parseResponseHead, (*Response).done)
+	return p.p.feed(data, parseResponseHead, (*Response).done, nil)
 }
 
 func (r *Response) done(body []byte) []*Response {

@@ -124,12 +124,7 @@ func (nw *Network) ReleaseBuf(b []byte) []byte {
 	if cap(b) == 0 {
 		return nil
 	}
-	if nw.bufs.poison {
-		b = b[:cap(b)]
-		for i := range b {
-			b[i] = 0xDD
-		}
-	}
+	nw.ScrubReleased(b[:cap(b)])
 	k := bufBin(cap(b))
 	if k >= bufBins {
 		return b[:0]
@@ -145,3 +140,15 @@ func (nw *Network) ReleaseBuf(b []byte) []byte {
 // payload after its sender was fully acknowledged sees garbage at once
 // instead of whatever the next connection happens to write there.
 func (nw *Network) PoisonReleasedBufs() { nw.bufs.poison = true }
+
+// ScrubReleased fills b with 0xDD if PoisonReleasedBufs is on, and does
+// nothing otherwise. ReleaseBuf scrubs with it, and so does a pool of
+// arrays outside the network (httpsim's lent response bodies) on what it
+// takes back, so a late reader of either fails the same way.
+func (nw *Network) ScrubReleased(b []byte) {
+	if nw.bufs.poison {
+		for i := range b {
+			b[i] = 0xDD
+		}
+	}
+}

@@ -63,8 +63,9 @@ want storage_b_batched_roundtrips_per_write storage_b_sequential_roundtrips_per_
 want rule_select_ns_op rule_select_allocs_op rule_select_reference_ns_op &&
   go test -run '^$' -bench 'BenchmarkRuleSelect(Reference)?/rules=1000$' \
   -benchmem ./internal/rules/ | tee -a "$MICRO_LOG"
-want http_parse_request_ns_op http_parse_response_2k_ns_op http_feed_512k_allocs_op http_marshal_512k_bytes_op &&
-  go test -run '^$' -bench 'BenchmarkParseRequest|BenchmarkParseResponse2K|BenchmarkFeed512K|BenchmarkMarshal512K' \
+want http_parse_request_ns_op http_parse_response_2k_ns_op http_feed_512k_allocs_op http_marshal_512k_bytes_op \
+  client_fetch_512k_B_op &&
+  go test -run '^$' -bench 'BenchmarkParseRequest|BenchmarkParseResponse2K|BenchmarkFeed512K|BenchmarkMarshal512K|BenchmarkClientFetch' \
   -benchmem ./internal/httpsim/ | tee -a "$MICRO_LOG"
 want reconfig_migration_flows_per_s reconfig_drain_virtual_ms &&
   go test -run '^$' -bench 'BenchmarkReconfigMigration' -benchtime 3x \
@@ -142,6 +143,7 @@ HTTP_REQ_NS="$(pick "$MICRO_LOG" BenchmarkParseRequest 3)"
 HTTP_RESP_NS="$(pick "$MICRO_LOG" BenchmarkParseResponse2K 3)"
 HTTP_FEED_ALLOCS="$(metric "$MICRO_LOG" BenchmarkFeed512K allocs/op)"
 HTTP_MARSHAL_B="$(metric "$MICRO_LOG" BenchmarkMarshal512K B/op)"
+CLIENT_FETCH_B="$(metric "$MICRO_LOG" 'BenchmarkClientFetch/512k' B/op)"
 
 jsonnum() { [[ -n "${1:-}" ]] && echo "$1" || echo "null"; }
 
@@ -233,6 +235,7 @@ cat > "$NEW_JSON" <<EOF
     "http_parse_response_2k_ns_op": $(jsonnum "$HTTP_RESP_NS"),
     "http_feed_512k_allocs_op": $(jsonnum "$HTTP_FEED_ALLOCS"),
     "http_marshal_512k_bytes_op": $(jsonnum "$HTTP_MARSHAL_B"),
+    "client_fetch_512k_B_op": $(jsonnum "$CLIENT_FETCH_B"),
     "fig10_wall_s": $FIG10_S,
     "fig12_wall_s": $FIG12_S,
     "fig13_wall_s": $FIG13_S

@@ -5,7 +5,7 @@
 #
 #   1. bench regression gate  the seven wall-clock figures against the base
 #                             commit, built and run in this same run; the
-#                             two exact figures against BENCH_core.json.
+#                             three exact figures against BENCH_core.json.
 #                             First, while the box is cold: behind the race
 #                             and fuzz stages the same binaries read 30-60 %
 #                             slower
@@ -45,11 +45,13 @@ echo "== bench regression gate (wall clock: median of 5 pairs vs the base commit
 # on: HEAD while the work tree has uncommitted changes, HEAD^ once they
 # are committed.
 #
-# Two figures are exact and stay absolute against BENCH_core.json: the
-# 512 KiB static write's B/op (a copy of the body would be 500 times it)
-# and an idle TCP connection pair's heap. `scripts/bench.sh --only
-# tcp_static_512k_B_op,tcp_idle_conn_pair_heap_bytes` re-records just
-# those after an intentional change.
+# Three figures are exact and stay absolute against BENCH_core.json: the
+# 512 KiB static write's B/op (a copy of the body would be 500 times it),
+# an idle TCP connection pair's heap, and a warm client's 512 KiB fetch's
+# B/op (a body array made per response instead of lent from the client's
+# pool would be ~280 times it). `scripts/bench.sh --only
+# tcp_static_512k_B_op,tcp_idle_conn_pair_heap_bytes,client_fetch_512k_B_op`
+# re-records just those after an intentional change.
 #
 # gate <label> <unit> <new> <recorded> lower|higher: fail when new is more
 # than 15% worse than recorded in the direction that is better; a field
@@ -129,6 +131,10 @@ NEW_IDLE_B=$(cd internal/tcp && "$GATE_DIR/new/tcp.test" -test.run '^$' -test.be
   awk '$1 ~ /^BenchmarkIdleConnHeap/ { for (i = 1; i < NF; i++) if ($(i+1) == "heap-B/pair") print $i }')
 gate "tcp static write, 512 KiB body" B/op "$NEW_TCP_STATIC_B" "$(recorded tcp_static_512k_B_op)" lower
 gate "idle tcp conn pair" B "$NEW_IDLE_B" "$(recorded tcp_idle_conn_pair_heap_bytes)" lower
+go test -c -o "$GATE_DIR/new/httpsim.test" ./internal/httpsim/
+NEW_FETCH_B=$(cd internal/httpsim && "$GATE_DIR/new/httpsim.test" -test.run '^$' -test.bench 'BenchmarkClientFetch/512k$' -test.benchmem -test.count 2 |
+  awk '$1 ~ /^BenchmarkClientFetch\/512k/ { for (i = 1; i < NF; i++) if ($(i+1) == "B/op" && (min == "" || $i+0 < min+0)) min = $i } END { print min }')
+gate "client fetch, 512 KiB body" B/op "$NEW_FETCH_B" "$(recorded client_fetch_512k_B_op)" lower
 
 echo "== format + vet clean sweep (gofmt -s -l, go vet ./...) =="
 # Formatting drift and vet findings are the cheapest checks in the file;

@@ -1,6 +1,7 @@
 package yoda
 
 import (
+	"bytes"
 	"fmt"
 	"time"
 
@@ -106,10 +107,15 @@ func (tb *Testbed) UpdatePolicy(vip netsim.IP, ruleText string) error {
 }
 
 // Fetch synchronously (in simulated time) fetches path from the VIP and
-// returns the result. It advances the virtual clock as needed.
+// returns the result, its body the caller's. It advances the virtual
+// clock as needed.
 func (tb *Testbed) Fetch(vip netsim.IP, path string) *httpsim.FetchResult {
 	var res *httpsim.FetchResult
-	tb.client.Get(netsim.HostPort{IP: vip, Port: 80}, path, func(r *httpsim.FetchResult) { res = r })
+	tb.client.Get(netsim.HostPort{IP: vip, Port: 80}, path, func(r *httpsim.FetchResult) {
+		if res = r; r.Resp != nil {
+			r.Resp.Body = bytes.Clone(r.Resp.Body) // lent only until done returns
+		}
+	})
 	deadline := tb.Now() + tb.clientCfg.Timeout*time.Duration(tb.clientCfg.Retries+1) + time.Minute
 	for res == nil && tb.Now() < deadline {
 		if !tb.Cluster.Net.Step() {
@@ -120,7 +126,8 @@ func (tb *Testbed) Fetch(vip netsim.IP, path string) *httpsim.FetchResult {
 }
 
 // FetchAsync starts a fetch and returns immediately; done fires inside
-// the event loop when the fetch resolves.
+// the event loop when the fetch resolves, and the response body is
+// valid only until it returns (see httpsim.Client.Fetch).
 func (tb *Testbed) FetchAsync(vip netsim.IP, path string, done func(*httpsim.FetchResult)) {
 	cl := tb.Cluster.NewClient(tb.clientCfg)
 	cl.Get(netsim.HostPort{IP: vip, Port: 80}, path, done)
