@@ -70,7 +70,7 @@ func BenchmarkAblationTCPStoreReplication(b *testing.B) {
 // premium. δ=0 means unlimited (Yoda-no-limit's constraint set with
 // stickiness retained).
 func BenchmarkAblationMigrationBudget(b *testing.B) {
-	tr := trace.Generate(trace.DefaultConfig())
+	tr := trace.Generate(1)
 	const windows = 24
 	sweep := []float64{0, 0.02, 0.10, 0.30}
 	type out struct{ migrated, instances float64 }
@@ -114,7 +114,7 @@ func BenchmarkAblationMigrationBudget(b *testing.B) {
 // BenchmarkAblationRuleCapacity sweeps R_y: smaller per-instance rule
 // budgets cut lookup latency (Figure 6's linear scan) but cost instances.
 func BenchmarkAblationRuleCapacity(b *testing.B) {
-	tr := trace.Generate(trace.DefaultConfig())
+	tr := trace.Generate(1)
 	sweep := []int{1000, 2000, 4000, 8000}
 	var used map[int]int
 	for iter := 0; iter < b.N; iter++ {

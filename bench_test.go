@@ -160,7 +160,7 @@ func BenchmarkFig14PolicyUpdate(b *testing.B) {
 func BenchmarkFig15CostReduction(b *testing.B) {
 	var last *experiments.Fig15Result
 	for i := 0; i < b.N; i++ {
-		last = experiments.RunFig15(trace.DefaultConfig())
+		last = experiments.RunFig15(1)
 	}
 	b.ReportMetric(last.Stats.Mean, "mean-max/avg")
 	b.ReportMetric(last.Stats.Max, "max-max/avg")
@@ -172,7 +172,7 @@ func BenchmarkFig15CostReduction(b *testing.B) {
 func BenchmarkFig16Assignment(b *testing.B) {
 	var last *experiments.Fig16Result
 	for i := 0; i < b.N; i++ {
-		last = experiments.RunFig16(experiments.DefaultFig16Config())
+		last = experiments.RunFig16(1)
 	}
 	b.ReportMetric(last.MedianRulesFrac*100, "rules-frac-%")
 	b.ReportMetric(last.MeanInstanceOverheadVsAllToAll*100, "inst-overhead-%")
@@ -186,7 +186,7 @@ func BenchmarkFig16Assignment(b *testing.B) {
 // (the paper reports 1.5–21.5 s with CPLEX; the greedy solver is the
 // substitution documented in DESIGN.md).
 func BenchmarkAssignmentSolve(b *testing.B) {
-	tr := trace.Generate(trace.DefaultConfig())
+	tr := trace.Generate(1)
 	p := tr.ProblemAt(0, 12000, 2000, 600, 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,10 +1,13 @@
-// Command yodasim runs the testbed experiments of the paper's evaluation
-// (§2.3, §7) in the deterministic simulator and prints the table or
-// figure the paper reports.
+// Command yodasim runs every table and figure of the paper's evaluation
+// (§2.3, §7, §8) — the testbed experiments in the deterministic simulator,
+// Figures 15 and 16 over the synthetic trace day — and prints the table
+// or figure the paper reports.
 //
 // Usage:
 //
-//	yodasim -exp table1|fig6|fig9|fig10|fig12|fig12b|fig13|fig14|cpu|upgrade|mflow|all [-seed N] [-parallel] [-recovery hybrid]
+//	yodasim -exp table1|fig6|fig9|fig10|fig12|fig12b|fig13|fig14|cpu|upgrade|fig15|fig16|mflow|all [-seed N] [-parallel] [-recovery hybrid]
+//
+// For fig15 and fig16, -seed is the seed of the trace day.
 //
 // -parallel runs independent trials on separate goroutines: the Figure 6
 // rule-count points, the Figure 12 arms, and (with -exp all) the
@@ -33,8 +36,8 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: table1, fig6, fig9, fig10, fig12, fig12b, fig13, fig14, cpu, upgrade, mflow, all")
-	seed := flag.Int64("seed", 1, "simulation seed")
+	exp := flag.String("exp", "all", "experiment to run: table1, fig6, fig9, fig10, fig12, fig12b, fig13, fig14, cpu, upgrade, fig15, fig16, mflow, all")
+	seed := flag.Int64("seed", 1, "simulation seed (fig15, fig16: trace seed)")
 	recovery := flag.String("recovery", "", "mflow recovery mode: empty (the paper's protocol, every orphan read back from TCPStore) or hybrid (cluster.EnableHybrid: derivable flows skip the store)")
 	parallel := flag.Bool("parallel", false, "run independent trials/experiments on separate goroutines")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
@@ -121,6 +124,8 @@ func main() {
 			cfg.Seed = *seed
 			return experiments.RunUpgrade(cfg)
 		},
+		"fig15": func() fmt.Stringer { return experiments.RunFig15(*seed) },
+		"fig16": func() fmt.Stringer { return experiments.RunFig16(*seed) },
 		// mflow (see the package comment) is a capacity run, not a paper
 		// figure, so -exp all leaves it out.
 		"mflow": func() fmt.Stringer {
@@ -131,7 +136,7 @@ func main() {
 		},
 	}
 
-	order := []string{"table1", "fig6", "fig9", "fig10", "cpu", "fig12", "fig12b", "fig13", "fig14", "upgrade"}
+	order := []string{"table1", "fig6", "fig9", "fig10", "cpu", "fig12", "fig12b", "fig13", "fig14", "upgrade", "fig15", "fig16"}
 	if *exp != "all" {
 		run, ok := runners[*exp]
 		if !ok {

@@ -104,19 +104,6 @@ func (c *Client) FailInstance(idx int) error {
 	return c.send(http.MethodPost, fmt.Sprintf("/v1/instances/%d/fail", idx), struct{}{}, nil)
 }
 
-// Reconfig starts a reconfiguration: a target assignment or a rolling
-// upgrade, as req says.
-func (c *Client) Reconfig(req ReconfigRequest) error {
-	return c.send(http.MethodPost, "/v1/reconfig", req, nil)
-}
-
-// ReconfigStatus reports the reconfiguration engine's stats.
-func (c *Client) ReconfigStatus() (ReconfigStatus, error) {
-	var out ReconfigStatus
-	err := c.get("/v1/reconfig/status", &out)
-	return out, err
-}
-
 // Run advances the simulation by d of virtual time.
 func (c *Client) Run(d time.Duration) (time.Duration, error) {
 	var out RunResponse

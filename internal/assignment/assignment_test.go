@@ -6,6 +6,15 @@ import (
 	"testing/quick"
 )
 
+// Clone deep-copies the assignment.
+func (a *Assignment) Clone() *Assignment {
+	out := NewAssignment(a.NumInstances)
+	for v, insts := range a.ByVIP {
+		out.ByVIP[v] = append([]int(nil), insts...)
+	}
+	return out
+}
+
 // mkProblem builds a problem with nVIPs uniform VIPs.
 func mkProblem(nVIPs, replicas int, traffic float64, ruleCount int) *Problem {
 	p := &Problem{
@@ -99,8 +108,8 @@ func TestReplicaConstraint(t *testing.T) {
 	p := mkProblem(5, 4, 10, 10)
 	a, _ := SolveGreedy(p)
 	for _, v := range p.VIPs {
-		if len(a.Instances(v.ID)) != 4 {
-			t.Fatalf("VIP %d has %d replicas", v.ID, len(a.Instances(v.ID)))
+		if len(a.ByVIP[v.ID]) != 4 {
+			t.Fatalf("VIP %d has %d replicas", v.ID, len(a.ByVIP[v.ID]))
 		}
 	}
 }

@@ -92,20 +92,6 @@ func NewAssignment(n int) *Assignment {
 	return &Assignment{ByVIP: make(map[int][]int), NumInstances: n}
 }
 
-// Clone deep-copies the assignment.
-func (a *Assignment) Clone() *Assignment {
-	out := NewAssignment(a.NumInstances)
-	for v, insts := range a.ByVIP {
-		out.ByVIP[v] = append([]int(nil), insts...)
-	}
-	return out
-}
-
-// Instances returns the sorted instance list for a VIP.
-func (a *Assignment) Instances(vipID int) []int {
-	return a.ByVIP[vipID]
-}
-
 // Has reports whether VIP v is assigned to instance y.
 func (a *Assignment) Has(vipID, y int) bool {
 	for _, i := range a.ByVIP[vipID] {

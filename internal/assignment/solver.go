@@ -234,12 +234,15 @@ func (s *solverState) placeVIP(v *VIP) error {
 // VIP replicas onto other open instances, shrinking the objective.
 func localSearch(p *Problem, s *solverState) {
 	perInst := s.a.PerInstanceVIPs()
-	// Visit instances lightest-first.
+	// Visit instances lightest-first, a tie to the lower index, so the
+	// result does not depend on map order.
 	var order []int
-	for y := range perInst {
-		order = append(order, y)
+	for y := 0; y < p.MaxInst; y++ {
+		if len(perInst[y]) > 0 {
+			order = append(order, y)
+		}
 	}
-	sort.Slice(order, func(a, b int) bool { return s.traffic[order[a]] < s.traffic[order[b]] })
+	sort.SliceStable(order, func(a, b int) bool { return s.traffic[order[a]] < s.traffic[order[b]] })
 
 	vipByID := make(map[int]*VIP, len(p.VIPs))
 	for i := range p.VIPs {

@@ -109,16 +109,6 @@ func (c *Cluster) HybridRecordPolicy(vip netsim.IP, rs []rules.Rule) {
 	c.HybridRefresh()
 }
 
-// HybridForgetVIP drops a removed VIP from the derivation table.
-func (c *Cluster) HybridForgetVIP(vip netsim.IP) {
-	if c.Hybrid == nil {
-		return
-	}
-	delete(c.hybridPools, vip)
-	c.Hybrid.RemoveVIP(vip)
-	c.HybridRefresh()
-}
-
 // HybridRefresh rebuilds the derivation table's VIP entries from the
 // recorded pools and the L4 LB's current mappings, bumps the epoch, and
 // flushes every live instance's still-unpersisted flows — the epoch

@@ -158,18 +158,6 @@ func (ct *Controller) UpdatePolicy(vip netsim.IP, rs []rules.Rule) {
 	ct.C.HybridRecordPolicy(vip, rs)
 }
 
-// RemoveVIP withdraws a VIP: reverse order of addition (§5.2) — first the
-// L4 mapping, then the rules.
-func (ct *Controller) RemoveVIP(vip netsim.IP) {
-	ct.C.L4.RemoveVIP(vip)
-	for _, in := range ct.C.Yoda {
-		in.RemoveRules(vip)
-	}
-	delete(ct.policies, vip)
-	delete(ct.vipInstances, vip)
-	ct.C.HybridForgetVIP(vip)
-}
-
 // ApplyTarget moves the cluster to the given VIP→instance mapping
 // through the reconfiguration engine: rules are installed on newly
 // assigned instances first, then the L4 mappings are switched

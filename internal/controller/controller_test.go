@@ -207,21 +207,6 @@ func TestBackendFailureMarksHealth(t *testing.T) {
 	}
 }
 
-func TestRemoveVIP(t *testing.T) {
-	w := newWorld(6, 1)
-	w.ct.RemoveVIP(w.vip)
-	w.c.Net.RunFor(100 * time.Millisecond)
-	done, errs := 0, 0
-	w.fetch(&done, &errs)
-	w.c.Net.RunFor(40 * time.Second)
-	if done != 1 || errs != 1 {
-		t.Fatalf("done=%d errs=%d; fetch to removed VIP should fail", done, errs)
-	}
-	if w.c.Yoda[0].HasVIP(w.vip) {
-		t.Fatal("rules not removed")
-	}
-}
-
 func TestStatsAccumulate(t *testing.T) {
 	w := newWorld(7, 2)
 	done, errs := 0, 0

@@ -36,6 +36,18 @@ func TestFig12bTraceDeterminism(t *testing.T) {
 	}
 }
 
+// TestFig16Determinism holds Figure 16 to the golden's rule: the same
+// trace seed prints the same figure. The solver's local search once
+// visited instances of equal traffic in map order, so two runs of one
+// seed disagreed in the medians.
+func TestFig16Determinism(t *testing.T) {
+	for _, seed := range []int64{1, 7} {
+		if a, b := RunFig16(seed).String(), RunFig16(seed).String(); a != b {
+			t.Fatalf("seed %d: two runs differ:\n%s\n---\n%s", seed, a, b)
+		}
+	}
+}
+
 // TestFig12ArmStatsDeterminism runs a scaled-down Figure 12(a) Yoda arm
 // twice with the same seed and asserts identical final statistics.
 func TestFig12ArmStatsDeterminism(t *testing.T) {

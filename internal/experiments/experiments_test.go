@@ -4,8 +4,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/trace"
 )
 
 func TestFig6LinearLookupGrowth(t *testing.T) {
@@ -322,7 +320,7 @@ func TestFig14PolicyUpdate(t *testing.T) {
 }
 
 func TestFig15CostReduction(t *testing.T) {
-	r := RunFig15(trace.DefaultConfig())
+	r := RunFig15(1)
 	if r.NumVIPs < 100 {
 		t.Fatalf("VIPs = %d, want 100+", r.NumVIPs)
 	}
@@ -339,10 +337,8 @@ func TestFig15CostReduction(t *testing.T) {
 }
 
 func TestFig16Assignment(t *testing.T) {
-	cfg := DefaultFig16Config()
-	cfg.Windows = 16
-	r := RunFig16(cfg)
-	if len(r.Rounds) < 14 {
+	r := RunFig16(1)
+	if len(r.Rounds) != 144 {
 		t.Fatalf("rounds = %d", len(r.Rounds))
 	}
 	// 16(b): per-instance rules a tiny fraction of all-to-all.

@@ -16,9 +16,9 @@ type Fig15Result struct {
 	TotalRules int
 }
 
-// RunFig15 generates the trace and computes the ratios.
-func RunFig15(cfg trace.Config) *Fig15Result {
-	tr := trace.Generate(cfg)
+// RunFig15 generates the trace day of seed and computes the ratios.
+func RunFig15(seed int64) *Fig15Result {
+	tr := trace.Generate(seed)
 	return &Fig15Result{
 		Stats:      tr.Ratios(),
 		NumVIPs:    len(tr.VIPs),

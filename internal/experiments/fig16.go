@@ -3,41 +3,26 @@ package experiments
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/assignment"
 	"repro/internal/metrics"
 	"repro/internal/trace"
 )
 
-// Fig16Config parameterizes the 24-hour assignment simulation (§8.2).
-type Fig16Config struct {
-	Trace trace.Config
-	// TrafficCap is T_y (req/s per instance; paper: the 12K req/s
-	// saturation point), RuleCap is R_y (paper: 2K rules for a 5 ms
-	// latency target), MaxInst the fleet ceiling.
-	TrafficCap float64
-	RuleCap    int
-	MaxInst    int
-	// ReplFactor is the shared-service redundancy multiplier (paper: 4x).
-	ReplFactor int
-	// MigrationLimit is δ for the Yoda-limit arm (paper: 10%).
-	MigrationLimit float64
-	// Windows caps how many 10-minute rounds are simulated (0 = all).
-	Windows int
-}
-
-// DefaultFig16Config mirrors §8.2.
-func DefaultFig16Config() Fig16Config {
-	return Fig16Config{
-		Trace:          trace.DefaultConfig(),
-		TrafficCap:     12000,
-		RuleCap:        2000,
-		MaxInst:        600,
-		ReplFactor:     4,
-		MigrationLimit: 0.10,
-	}
-}
+// The §8.2 sizing of the 24-hour assignment simulation.
+const (
+	// fig16TrafficCap is T_y, req/s per instance: the 12K req/s
+	// saturation point.
+	fig16TrafficCap = 12000
+	// fig16RuleCap is R_y: 2K rules for a 5 ms lookup-latency target.
+	fig16RuleCap = 2000
+	// fig16MaxInst is the fleet ceiling.
+	fig16MaxInst = 600
+	// fig16Repl is the shared-service redundancy multiplier (4×).
+	fig16Repl = 4
+	// fig16Delta is δ, the Yoda-limit arm's migration budget.
+	fig16Delta = 0.10
+)
 
 // Fig16Round is one 10-minute assignment round's metrics.
 type Fig16Round struct {
@@ -60,8 +45,6 @@ type Fig16Round struct {
 	// Migrated connection fractions — Figure 16(e).
 	NoLimitMigratedFrac float64
 	LimitMigratedFrac   float64
-
-	SolveTime time.Duration
 }
 
 // Fig16Result reproduces Figure 16(b)–(e).
@@ -76,17 +59,12 @@ type Fig16Result struct {
 	MedianLimitOverloaded          float64 // paper: ~0
 	MedianNoLimitMigrated          float64 // paper: median 44.9%
 	MedianLimitMigrated            float64 // paper: median 8.3%
-	MaxSolveTime                   time.Duration
 }
 
-// RunFig16 replays the trace, re-solving the assignment every window for
-// the all-to-all baseline, Yoda-no-limit and Yoda-limit.
-func RunFig16(cfg Fig16Config) *Fig16Result {
-	tr := trace.Generate(cfg.Trace)
-	windows := tr.Windows
-	if cfg.Windows > 0 && cfg.Windows < windows {
-		windows = cfg.Windows
-	}
+// RunFig16 replays the trace day of seed, re-solving the assignment every
+// window for the all-to-all baseline, Yoda-no-limit and Yoda-limit.
+func RunFig16(seed int64) *Fig16Result {
+	tr := trace.Generate(seed)
 	res := &Fig16Result{}
 
 	var prevNoLimit, prevLimit *assignment.Assignment
@@ -98,14 +76,13 @@ func RunFig16(cfg Fig16Config) *Fig16Result {
 	nlMigH := metrics.NewHistogram()
 	lMigH := metrics.NewHistogram()
 
-	for w := 0; w < windows; w++ {
+	for w := 0; w < tr.Windows; w++ {
 		round := Fig16Round{Window: w}
-		base := tr.ProblemAt(w, cfg.TrafficCap, cfg.RuleCap, cfg.MaxInst, cfg.ReplFactor)
+		base := tr.ProblemAt(w, fig16TrafficCap, fig16RuleCap, fig16MaxInst, fig16Repl)
 		round.AllToAllInstances = assignment.AllToAllInstanceCount(base)
 
 		// Yoda-no-limit: fresh solve, no stickiness, no Eq.4-7. The paper's
 		// ILP re-optimizes from scratch each round, so connections shuffle.
-		t0 := time.Now()
 		noLimitProb := *base
 		noLimitProb.Old = nil
 		noLimit, errNL := assignment.SolveGreedy(&noLimitProb)
@@ -116,14 +93,10 @@ func RunFig16(cfg Fig16Config) *Fig16Result {
 		limitProb := *base
 		limitProb.Old = prevLimit
 		limitProb.TransientCheck = true
-		limitProb.MigrationLimit = cfg.MigrationLimit
+		limitProb.MigrationLimit = fig16Delta
 		limit, errL := assignment.SolveGreedy(&limitProb)
-		round.SolveTime = time.Since(t0)
 		if errL != nil {
 			continue
-		}
-		if round.SolveTime > res.MaxSolveTime {
-			res.MaxSolveTime = round.SolveTime
 		}
 
 		round.NoLimitInstances = noLimit.Used()
@@ -139,8 +112,8 @@ func RunFig16(cfg Fig16Config) *Fig16Result {
 
 		// Figure 16(d): transient overload during the old->new switch.
 		if w > 0 {
-			round.NoLimitOverloadedFrac = overloadedFrac(base, prevNoLimit, noLimit, cfg.TrafficCap)
-			round.LimitOverloadedFrac = overloadedFrac(base, prevLimit, limit, cfg.TrafficCap)
+			round.NoLimitOverloadedFrac = overloadedFrac(base, prevNoLimit, noLimit, fig16TrafficCap)
+			round.LimitOverloadedFrac = overloadedFrac(base, prevLimit, limit, fig16TrafficCap)
 
 			// Figure 16(e): migrated connections.
 			nlProb := *base
@@ -251,6 +224,5 @@ func (r *Fig16Result) String() string {
 		fmtPct(r.MedianNoLimitOverloaded), fmtPct(r.MedianLimitOverloaded))
 	s += fmt.Sprintf("16(e) flows migrated: no-limit median %s (paper: 44.9%%), limit median %s (paper: 8.3%%)\n",
 		fmtPct(r.MedianNoLimitMigrated), fmtPct(r.MedianLimitMigrated))
-	s += fmt.Sprintf("max assignment solve time: %v (paper: 1.5-21.5s with CPLEX)\n", r.MaxSolveTime)
 	return s
 }

@@ -68,9 +68,6 @@ func NewServer(host *netsim.Host, port uint16, handler Handler, cfg ServerConfig
 	return s
 }
 
-// Close stops accepting connections.
-func (s *Server) Close() { s.lis.Close() }
-
 // Host returns the server's host.
 func (s *Server) Host() *netsim.Host { return s.host }
 

@@ -146,26 +146,6 @@ func (v *vipNode) HandlePacket(pkt *netsim.Packet) { v.lb.handleVIPPacket(v.vip,
 
 func (v *vipNode) HandleBatch(pkts []*netsim.Packet) { v.lb.handleVIPBatch(v.vip, pkts) }
 
-// RemoveVIP withdraws a VIP announcement and clears its mappings.
-func (lb *LB) RemoveVIP(vip netsim.IP) {
-	if !lb.vips[vip] {
-		return
-	}
-	delete(lb.vips, vip)
-	lb.net.Detach(vip)
-	for _, m := range lb.muxes {
-		delete(m.vipMap, vip)
-	}
-	// Affinity keys are stored toward the VIP (vipOf == ft.Dst.IP), so
-	// evicting every pair registered for this VIP covers exactly the
-	// entries the old per-tuple scan deleted — in O(pairs), not O(flows).
-	for v, p := range lb.pairs {
-		if p.vip == vip {
-			lb.evictPair(flowmap.Value(v))
-		}
-	}
-}
-
 // pairVal returns the registry index for (vip, inst), registering the
 // pair on first use.
 func (lb *LB) pairVal(vip, inst netsim.IP) flowmap.Value {
@@ -252,9 +232,6 @@ func (lb *LB) Converged(vip netsim.IP, insts []netsim.IP) bool {
 	}
 	return true
 }
-
-// UpdateStagger returns the configured worst-case per-mux update delay.
-func (lb *LB) UpdateStagger() time.Duration { return lb.cfg.UpdateStagger }
 
 // RemoveInstance removes an instance from every VIP mapping and drops its
 // affinity entries on all muxes, immediately. The Yoda controller calls

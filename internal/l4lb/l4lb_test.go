@@ -266,21 +266,6 @@ func TestStaggeredMappingUpdate(t *testing.T) {
 	}
 }
 
-func TestRemoveVIP(t *testing.T) {
-	n, lb, cols := setup(10, DefaultConfig(), inst1)
-	lb.RemoveVIP(vip)
-	n.Send(clientPkt(1))
-	n.RunUntilIdle(100)
-	if len(cols[inst1].got) != 0 {
-		t.Fatal("packet forwarded after VIP removal")
-	}
-	if n.DroppedNoRoute != 1 {
-		t.Fatalf("DroppedNoRoute = %d", n.DroppedNoRoute)
-	}
-	// Removing again is a no-op.
-	lb.RemoveVIP(vip)
-}
-
 func TestRendezvousPickProperties(t *testing.T) {
 	insts := []netsim.IP{inst1, inst2, inst3}
 	f := func(srcIP uint32, srcPort uint16) bool {

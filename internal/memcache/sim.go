@@ -70,9 +70,6 @@ func NewSimServer(host *netsim.Host, port uint16, cfg SimServerConfig) *SimServe
 // Host returns the server's host.
 func (s *SimServer) Host() *netsim.Host { return s.host }
 
-// Close stops accepting connections.
-func (s *SimServer) Close() { s.lis.Close() }
-
 // schedReply is a pooled pending-response: the reply bytes for one input
 // chunk, scheduled to emit once the server's op queue drains. fire is
 // pre-bound at allocation so scheduling a reply does not allocate a

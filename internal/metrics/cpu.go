@@ -101,9 +101,3 @@ func (c *CPUMeter) UtilizationClamped(from, to time.Duration) float64 {
 	}
 	return u
 }
-
-// Reset discards all recorded charges.
-func (c *CPUMeter) Reset() {
-	c.busy = 0
-	c.buckets = c.buckets[:0]
-}

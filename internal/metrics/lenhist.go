@@ -54,9 +54,6 @@ func (h *LenHist) Count() uint64 { return h.n }
 // Sum returns the sum of all observed lengths.
 func (h *LenHist) Sum() uint64 { return h.sum }
 
-// Max returns the largest observed length (0 if none).
-func (h *LenHist) Max() uint64 { return h.max }
-
 // Mean returns the average observed length (0 if none).
 func (h *LenHist) Mean() float64 {
 	if h.n == 0 {

@@ -12,11 +12,8 @@ import (
 
 func TestHistogramEmpty(t *testing.T) {
 	h := NewHistogram()
-	if h.Count() != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 || h.Min() != 0 || h.Max() != 0 {
+	if h.Count() != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 || h.Max() != 0 {
 		t.Fatal("empty histogram should return zeros")
-	}
-	if h.CDF() != nil {
-		t.Fatal("empty CDF should be nil")
 	}
 }
 
@@ -34,11 +31,11 @@ func TestHistogramBasicStats(t *testing.T) {
 	if h.Median() != 3 {
 		t.Errorf("Median = %v", h.Median())
 	}
-	if h.Min() != 1 || h.Max() != 5 {
-		t.Errorf("Min/Max = %v/%v", h.Min(), h.Max())
+	if h.Quantile(0) != 1 || h.Max() != 5 {
+		t.Errorf("Quantile(0)/Max = %v/%v", h.Quantile(0), h.Max())
 	}
-	if h.Sum() != 15 {
-		t.Errorf("Sum = %v", h.Sum())
+	if h.sum != 15 {
+		t.Errorf("sum = %v", h.sum)
 	}
 }
 
@@ -109,41 +106,6 @@ func TestHistogramQuantileWithinRange(t *testing.T) {
 	}
 }
 
-func TestCDF(t *testing.T) {
-	h := NewHistogram()
-	for _, v := range []float64{1, 1, 2, 3} {
-		h.Add(v)
-	}
-	cdf := h.CDF()
-	want := []CDFPoint{{1, 0.5}, {2, 0.75}, {3, 1.0}}
-	if len(cdf) != len(want) {
-		t.Fatalf("CDF = %v", cdf)
-	}
-	for i := range want {
-		if cdf[i] != want[i] {
-			t.Errorf("CDF[%d] = %v, want %v", i, cdf[i], want[i])
-		}
-	}
-}
-
-func TestFractionBelow(t *testing.T) {
-	h := NewHistogram()
-	for _, v := range []float64{1, 2, 3, 4} {
-		h.Add(v)
-	}
-	cases := []struct {
-		v    float64
-		want float64
-	}{
-		{0, 0}, {1, 0.25}, {2.5, 0.5}, {4, 1}, {10, 1},
-	}
-	for _, c := range cases {
-		if got := h.FractionBelow(c.v); got != c.want {
-			t.Errorf("FractionBelow(%v) = %v, want %v", c.v, got, c.want)
-		}
-	}
-}
-
 func TestDurationHistogram(t *testing.T) {
 	d := NewDurationHistogram()
 	for i := 1; i <= 100; i++ {
@@ -158,15 +120,8 @@ func TestDurationHistogram(t *testing.T) {
 	if got := d.P90(); got < 90*time.Millisecond || got > 91*time.Millisecond {
 		t.Errorf("P90 = %v", got)
 	}
-	if d.Max() != 100*time.Millisecond || d.Min() != time.Millisecond {
-		t.Errorf("Min/Max = %v/%v", d.Min(), d.Max())
-	}
-	if got := d.FractionBelow(25 * time.Millisecond); got != 0.25 {
-		t.Errorf("FractionBelow(25ms) = %v", got)
-	}
-	cdf := d.CDF()
-	if len(cdf) != 100 || cdf[99].Fraction != 1 {
-		t.Errorf("CDF length %d, last %v", len(cdf), cdf[len(cdf)-1])
+	if d.Max() != 100*time.Millisecond {
+		t.Errorf("Max = %v", d.Max())
 	}
 }
 
@@ -183,8 +138,8 @@ func TestHistogramInterleavedAddQuery(t *testing.T) {
 	if h.Median() != 5 {
 		t.Fatalf("median after re-add = %v", h.Median())
 	}
-	if h.Min() != 1 || h.Max() != 9 {
-		t.Fatalf("min/max after re-add = %v/%v", h.Min(), h.Max())
+	if h.Quantile(0) != 1 || h.Max() != 9 {
+		t.Fatalf("min/max after re-add = %v/%v", h.Quantile(0), h.Max())
 	}
 }
 
@@ -324,15 +279,6 @@ func BenchmarkCPUMeterCharge(b *testing.B) {
 	b.ReportMetric(held/(time.Duration(b.N)*every).Seconds(), "B/busy-s")
 }
 
-func TestCPUMeterReset(t *testing.T) {
-	c := NewCPUMeter(1)
-	c.Charge(0, time.Second)
-	c.Reset()
-	if c.BusyTotal() != 0 || c.Utilization(0, time.Second) != 0 {
-		t.Fatal("reset did not clear meter")
-	}
-}
-
 func TestCPUMeterIgnoresNonPositive(t *testing.T) {
 	c := NewCPUMeter(1)
 	c.Charge(0, 0)
@@ -365,8 +311,8 @@ func TestHistogramLargeRandom(t *testing.T) {
 
 func TestLenHistBucketsAndStats(t *testing.T) {
 	var h LenHist
-	if h.Count() != 0 || h.Mean() != 0 || h.Max() != 0 {
-		t.Fatalf("empty hist: n=%d mean=%v max=%d", h.Count(), h.Mean(), h.Max())
+	if h.Count() != 0 || h.Mean() != 0 || h.max != 0 {
+		t.Fatalf("empty hist: n=%d mean=%v max=%d", h.Count(), h.Mean(), h.max)
 	}
 	h.Observe(0)  // ignored
 	h.Observe(-3) // ignored
@@ -386,8 +332,8 @@ func TestLenHistBucketsAndStats(t *testing.T) {
 	if want := uint64(1 + 2 + 3 + 4 + 5 + 6 + 7 + 8 + 9 + 16 + 1024 + 5000); h.Sum() != want {
 		t.Fatalf("Sum = %d, want %d", h.Sum(), want)
 	}
-	if h.Max() != 5000 {
-		t.Fatalf("Max = %d, want 5000", h.Max())
+	if h.max != 5000 {
+		t.Fatalf("max = %d, want 5000", h.max)
 	}
 	// AtLeast is exact through n=9: buckets 1..8 are singletons.
 	if got := h.AtLeast(2); got != 11 {

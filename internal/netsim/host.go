@@ -78,9 +78,6 @@ func (h *Host) Network() *Network { return h.net }
 // IP returns the host's address.
 func (h *Host) IP() IP { return h.ip }
 
-// Addr returns the host's address with the given port.
-func (h *Host) Addr(port uint16) HostPort { return HostPort{IP: h.ip, Port: port} }
-
 // AllocPort returns a free ephemeral port. It panics if the port space is
 // exhausted, which indicates a connection leak in a simulation.
 func (h *Host) AllocPort() uint16 {

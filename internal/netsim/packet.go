@@ -105,9 +105,6 @@ func (p *Packet) Tuple() FourTuple {
 	return FourTuple{Src: p.Src, Dst: p.Dst}
 }
 
-// Len returns the payload length in bytes.
-func (p *Packet) Len() int { return len(p.Payload) }
-
 // SeqEnd returns the sequence number immediately after this segment's
 // data, accounting for the SYN and FIN flags each consuming one unit of
 // sequence space.

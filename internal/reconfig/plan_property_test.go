@@ -57,7 +57,7 @@ type namedState struct {
 // the old per-replica share.
 func traceDayStates(t *testing.T) []namedState {
 	t.Helper()
-	tr := trace.Generate(trace.DefaultConfig())
+	tr := trace.Generate(1)
 	const trafficCap, ruleCap, maxInst, repl = 12000, 2000, 600, 4
 	inst := func(y int) netsim.IP { return netsim.IPv4(10, 0, byte(y>>8), byte(y)) }
 	vipIP := func(id int) netsim.IP { return netsim.IPv4(10, 255, byte(id>>8), byte(id)) }

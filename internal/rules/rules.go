@@ -242,9 +242,6 @@ func (e *Engine) evictStale() {
 	}
 }
 
-// Rules returns the engine's rule table in evaluation order.
-func (e *Engine) Rules() []Rule { return append([]Rule(nil), e.rules...) }
-
 // Len returns the number of rules.
 func (e *Engine) Len() int { return len(e.rules) }
 

@@ -269,7 +269,7 @@ func TestUpdatePreservesStickyTables(t *testing.T) {
 		Action: Action{Type: ActionTable, Table: "tab", TableCookie: "s"},
 	}})
 	e.Learn("tab", "u1", d2)
-	e.Update(e.Rules()) // policy refresh
+	e.Update(append([]Rule(nil), e.rules...)) // policy refresh
 	r := req("/")
 	r.SetHeader("Cookie", "s=u1")
 	if d := e.Select(r, 0, nil); d.Backend != d2 {

@@ -121,9 +121,6 @@ func (t *Table) Bump() { t.epoch++ }
 // pass fresh snapshots.
 func (t *Table) SetVIP(vip netsim.IP, e VIPEntry) { t.vips[vip] = e }
 
-// RemoveVIP forgets a VIP's entry.
-func (t *Table) RemoveVIP(vip netsim.IP) { delete(t.vips, vip) }
-
 // VIP returns the entry for a VIP.
 func (t *Table) VIP(vip netsim.IP) (VIPEntry, bool) {
 	e, ok := t.vips[vip]

@@ -51,15 +51,9 @@ func NewRing(servers []netsim.HostPort) *Ring {
 	return r
 }
 
-// Servers returns the server list backing the ring.
-func (r *Ring) Servers() []netsim.HostPort { return r.servers }
-
-// Len returns the number of servers.
-func (r *Ring) Len() int { return len(r.servers) }
-
 // PickInto appends the servers for the K replicas of key to dst (usually
 // caller-owned scratch). It guarantees the replicas are distinct servers
-// as long as K ≤ Len(); if K exceeds the server count every server is
+// as long as K ≤ the server count; if K exceeds the server count every server is
 // returned once. Replica i hashes the key with salt i and walks the ring
 // to the first point owned by a server not already chosen.
 func (r *Ring) PickInto(dst []netsim.HostPort, key []byte, k int) []netsim.HostPort {

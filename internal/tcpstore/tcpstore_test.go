@@ -345,8 +345,8 @@ func TestStoreSetServersClosesRemoved(t *testing.T) {
 			t.Fatalf("connection to removed server %v retained", hp)
 		}
 	}
-	if w.store.ring.Len() != 1 {
-		t.Fatalf("ring size = %d", w.store.ring.Len())
+	if n := len(w.store.ring.servers); n != 1 {
+		t.Fatalf("ring size = %d", n)
 	}
 }
 

@@ -16,31 +16,17 @@ import (
 	"repro/internal/assignment"
 )
 
-// Config parameterizes trace generation.
-type Config struct {
-	Seed     int64
-	NumVIPs  int
-	Duration time.Duration
-	Window   time.Duration
-	// TotalTraffic is the aggregate average traffic across VIPs (req/s).
-	TotalTraffic float64
-	// MinRules/MaxRules bound the per-VIP rule counts (heavy-tailed).
-	MinRules, MaxRules int
-}
-
-// DefaultConfig mirrors the paper's trace: 24h, 10-minute windows, 120
-// VIPs, 50K+ rules in aggregate.
-func DefaultConfig() Config {
-	return Config{
-		Seed:         1,
-		NumVIPs:      120,
-		Duration:     24 * time.Hour,
-		Window:       10 * time.Minute,
-		TotalTraffic: 1_000_000,
-		MinRules:     150,
-		MaxRules:     1800,
-	}
-}
+// The paper's trace: 24h in 10-minute windows, 120 VIPs, 50K+ rules in
+// aggregate. Only the seed varies.
+const (
+	numVIPs  = 120
+	duration = 24 * time.Hour
+	window   = 10 * time.Minute
+	// totalTraffic is the aggregate average traffic across VIPs (req/s).
+	totalTraffic = 1_000_000
+	// minRules/maxRules bound the per-VIP rule counts (heavy-tailed).
+	minRules, maxRules = 150, 1800
+)
 
 // VIPTrace is one VIP's demand over the day.
 type VIPTrace struct {
@@ -83,7 +69,6 @@ func (v *VIPTrace) MaxToAvg() float64 {
 
 // Trace is the full synthetic day.
 type Trace struct {
-	Cfg     Config
 	VIPs    []VIPTrace
 	Windows int
 }
@@ -97,29 +82,26 @@ func (t *Trace) TotalRules() int {
 	return n
 }
 
-// Generate builds a deterministic synthetic trace.
-func Generate(cfg Config) *Trace {
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	windows := int(cfg.Duration / cfg.Window)
-	if windows < 1 {
-		windows = 1
-	}
-	tr := &Trace{Cfg: cfg, Windows: windows}
+// Generate builds the synthetic trace day of the given seed.
+func Generate(seed int64) *Trace {
+	rng := rand.New(rand.NewSource(seed))
+	const windows = int(duration / window)
+	tr := &Trace{Windows: windows}
 
 	// Zipf-distributed average volumes (s ≈ 1.05 over ranks).
-	shares := make([]float64, cfg.NumVIPs)
+	shares := make([]float64, numVIPs)
 	sum := 0.0
 	for i := range shares {
 		shares[i] = 1 / math.Pow(float64(i+1), 1.05)
 		sum += shares[i]
 	}
 
-	for v := 0; v < cfg.NumVIPs; v++ {
-		avg := cfg.TotalTraffic * shares[v] / sum
+	for v := 0; v < numVIPs; v++ {
+		avg := totalTraffic * shares[v] / sum
 		series := diurnalSeries(rng, windows, avg)
 		target := sampleRatio(rng)
 		shapeToRatio(series, target)
-		rules := sampleRules(rng, cfg.MinRules, cfg.MaxRules)
+		rules := sampleRules(rng, minRules, maxRules)
 		tr.VIPs = append(tr.VIPs, VIPTrace{ID: v, Rules: rules, Series: series})
 	}
 	return tr

@@ -7,7 +7,7 @@ import (
 )
 
 func TestGenerateShape(t *testing.T) {
-	tr := Generate(DefaultConfig())
+	tr := Generate(1)
 	if len(tr.VIPs) != 120 {
 		t.Fatalf("VIPs = %d", len(tr.VIPs))
 	}
@@ -24,14 +24,14 @@ func TestGenerateShape(t *testing.T) {
 				t.Fatalf("VIP %d window %d traffic %v", v.ID, w, x)
 			}
 		}
-		if v.Rules < tr.Cfg.MinRules || v.Rules > tr.Cfg.MaxRules {
+		if v.Rules < minRules || v.Rules > maxRules {
 			t.Fatalf("VIP %d rules %d outside bounds", v.ID, v.Rules)
 		}
 	}
 }
 
 func TestTraceMatchesPaperMarginals(t *testing.T) {
-	tr := Generate(DefaultConfig())
+	tr := Generate(1)
 	// 50K+ rules (§8 setup).
 	if tr.TotalRules() < 50000 {
 		t.Fatalf("total rules = %d, want 50K+", tr.TotalRules())
@@ -53,8 +53,8 @@ func TestTraceMatchesPaperMarginals(t *testing.T) {
 }
 
 func TestGenerateDeterministic(t *testing.T) {
-	a := Generate(DefaultConfig())
-	b := Generate(DefaultConfig())
+	a := Generate(1)
+	b := Generate(1)
 	for i := range a.VIPs {
 		if a.VIPs[i].Rules != b.VIPs[i].Rules {
 			t.Fatalf("rules diverged at VIP %d", i)
@@ -65,9 +65,7 @@ func TestGenerateDeterministic(t *testing.T) {
 			}
 		}
 	}
-	cfg := DefaultConfig()
-	cfg.Seed = 2
-	c := Generate(cfg)
+	c := Generate(2)
 	diff := false
 	for w := range a.VIPs[0].Series {
 		if a.VIPs[0].Series[w] != c.VIPs[0].Series[w] {
@@ -109,7 +107,7 @@ func TestShapeToRatioNoopWhenAlreadyPeaky(t *testing.T) {
 }
 
 func TestProblemAt(t *testing.T) {
-	tr := Generate(DefaultConfig())
+	tr := Generate(1)
 	p := tr.ProblemAt(0, 12000, 2000, 400, 4)
 	if len(p.VIPs) != len(tr.VIPs) {
 		t.Fatalf("problem VIPs = %d", len(p.VIPs))

@@ -17,14 +17,16 @@
 #                             fuzzers, and the RNG, dead-export and
 #                             lifecycle-seam lints
 #   4. go build               everything compiles, including cmd/
-#   5. bench module smoke     bench/ has its own go.mod; its ~3 s test
+#   5. examples               quickstart and secureservice run and print
+#                             that their flow survived the instance kill
+#   6. bench module smoke     bench/ has its own go.mod; its ~3 s test
 #                             compiles yodabench against this tree
-#   6. figure golden          `yodasim -exp all -parallel -seed 1` is
-#                             byte-identical to the checked-in 609 lines
-#   7. mflow hybrid           `yodasim -exp mflow -recovery hybrid` (32,768
+#   7. figure golden          `yodasim -exp all -parallel -seed 1` is
+#                             byte-identical to the checked-in 655 lines
+#   8. mflow hybrid           `yodasim -exp mflow -recovery hybrid` (32,768
 #                             flows, 2 of 8 instances killed) ends PASS
-#   8. go test -race          full suite under the race detector
-#   9. benchmarks             every Benchmark* compiles and runs one
+#   9. go test -race          full suite under the race detector
+#  10. benchmarks             every Benchmark* compiles and runs one
 #      iteration (the heavy figure benchmarks are excluded by name; run
 #      scripts/bench.sh for real numbers)
 set -euo pipefail
@@ -197,6 +199,17 @@ go test -run 'TestOneLifecycleSeam' ./internal/core/
 
 echo "== go build =="
 go build ./...
+
+echo "== examples (quickstart and secureservice print what the README promises) =="
+# Both run a cluster end to end through the public facade and kill an
+# instance mid-flow; each must print the lines that say the flow survived.
+go run ./examples/quickstart | tee "$GATE_DIR/quickstart"
+go run ./examples/secureservice | tee "$GATE_DIR/secureservice"
+for want in "quickstart:survived the failure" \
+  "quickstart:flows recovered from TCPStore by surviving instances: 1" \
+  "secureservice:intact=true" "secureservice:certificate mismatch"; do
+  grep -qF "${want#*:}" "$GATE_DIR/${want%%:*}" || { echo "FAIL: ${want%%:*} did not print '${want#*:}'" >&2; exit 1; }
+done
 
 echo "== bench module smoke (cd bench && go test ./...) =="
 # bench/ is a module of its own, so the root `go test ./...` never

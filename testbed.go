@@ -95,17 +95,6 @@ func (tb *Testbed) SetPolicy(vip netsim.IP, ruleText string) error {
 	return nil
 }
 
-// UpdatePolicy replaces the rules for a VIP without touching existing
-// connections (§5.2).
-func (tb *Testbed) UpdatePolicy(vip netsim.IP, ruleText string) error {
-	rs, err := rules.ParseRules(ruleText, tb.Cluster.Resolver())
-	if err != nil {
-		return err
-	}
-	tb.Controller.UpdatePolicy(vip, rs)
-	return nil
-}
-
 // Fetch synchronously (in simulated time) fetches path from the VIP and
 // returns the result, its body the caller's. It advances the virtual
 // clock as needed.
