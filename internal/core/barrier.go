@@ -116,21 +116,26 @@ func (op *barrierOp) resolve(res tcpstore.SetResult) {
 // barrierEntries builds the store records for a flow: the client-tuple
 // orientation always, plus the server-tuple orientation once a backend
 // is bound (both directions must recover to the same flow, Figure 3).
-// The entries alias instance-owned scratch — valid only until the next
-// barrierEntries or flowKey call, which the store's synchronous entry
-// consumption permits — so the steady-state write path never allocates.
 func (in *Instance) barrierEntries(f *flow, phase FlowPhase, bothTuples bool) []tcpstore.Entry {
 	f.fillRecord(&in.recRecord, &in.recTLS, phase)
 	in.recScratch = in.recRecord.AppendMarshal(in.recScratch[:0])
-	rec := in.recScratch
+	return in.flowEntries(f, in.recScratch, bothTuples)
+}
+
+// flowEntries pairs value with f's store keys: the client tuple's always,
+// the server tuple's too when bothTuples. The barrier writes them and
+// teardown deletes them. The entries alias instance-owned scratch — valid
+// only until the next flowEntries or flowKey call, which the store's
+// synchronous entry consumption permits — so neither path allocates.
+func (in *Instance) flowEntries(f *flow, value []byte, bothTuples bool) []tcpstore.Entry {
 	keys := AppendFlowKey(in.keyScratch[:0], f.clientTuple())
-	in.entScratch[0] = tcpstore.Entry{Key: keys[:FlowKeyLen:FlowKeyLen], Value: rec}
+	in.entScratch[0] = tcpstore.Entry{Key: keys[:FlowKeyLen:FlowKeyLen], Value: value}
 	entries := in.entScratch[:1]
 	if bothTuples {
 		// A grow here may move the buffer; the first key's slice keeps the
 		// old backing array alive, so both entries stay valid.
 		keys = AppendFlowKey(keys, f.serverTuple())
-		in.entScratch[1] = tcpstore.Entry{Key: keys[FlowKeyLen:], Value: rec}
+		in.entScratch[1] = tcpstore.Entry{Key: keys[FlowKeyLen:], Value: value}
 		entries = in.entScratch[:2]
 	}
 	in.keyScratch = keys
@@ -138,7 +143,7 @@ func (in *Instance) barrierEntries(f *flow, phase FlowPhase, bothTuples bool) []
 }
 
 // flowKey renders t's store key into the instance's reused key scratch.
-// The slice is valid until the next flowKey or barrierEntries call.
+// The slice is valid until the next flowKey or flowEntries call.
 func (in *Instance) flowKey(t netsim.FourTuple) []byte {
 	in.keyScratch = AppendFlowKey(in.keyScratch[:0], t)
 	return in.keyScratch

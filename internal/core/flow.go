@@ -568,10 +568,7 @@ func (in *Instance) teardown(f *flow, deleteStore bool) {
 		// Hybrid flows that never persisted have nothing to delete; the
 		// SNAT routing entry is cleared either way.
 		if f.persisted {
-			in.store.Delete(in.flowKey(f.clientTuple()), nil)
-			if f.server.IP != 0 {
-				in.store.Delete(in.flowKey(f.serverTuple()), nil)
-			}
+			in.store.Delete(in.flowEntries(f, nil, f.server.IP != 0), nil)
 		}
 		if f.server.IP != 0 {
 			in.l4.ClearSNAT(f.serverTuple())

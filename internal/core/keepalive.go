@@ -6,6 +6,7 @@ import (
 	"repro/internal/httpsim"
 	"repro/internal/netsim"
 	"repro/internal/rules"
+	"repro/internal/tcpstore"
 )
 
 // Keep-alive (HTTP/1.1) support, §5.2 of the paper: a single client
@@ -229,7 +230,7 @@ func (in *Instance) kaSwitchBackend(f *flow, next kaRequest, backend rules.Backe
 	oldServerTuple := f.serverTuple()
 	in.flows.del(oldServerTuple, f)
 	if f.persisted {
-		in.store.Delete(in.flowKey(oldServerTuple), nil)
+		in.store.Delete([]tcpstore.Entry{{Key: in.flowKey(oldServerTuple)}}, nil)
 	}
 	in.l4.ClearSNAT(oldServerTuple)
 	in.releaseSNATPort(f.snat.Port)

@@ -173,7 +173,7 @@ func runFig10Cell(cfg Fig10Config, replicas, ratePerServer, opRate int) Fig10Poi
 					getLat.Add(n.Now() - t1)
 				}
 				t2 := n.Now()
-				store.Delete(key, func(err error) {
+				store.Delete([]tcpstore.Entry{{Key: key}}, func(err error) {
 					if err == nil {
 						delLat.Add(n.Now() - t2)
 					}

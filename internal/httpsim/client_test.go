@@ -2,6 +2,7 @@ package httpsim
 
 import (
 	"bytes"
+	"math"
 	"runtime"
 	"sync"
 	"testing"
@@ -38,7 +39,9 @@ func TestFetchBodyLentToDone(t *testing.T) {
 
 // TestFetchRecyclesBody: a warm client parses its next 512 KiB response
 // into the array the last one was lent in, so the fetch allocates what
-// its endpoints do, not the body.
+// its endpoints do, not the body. It reads the least of five warm
+// fetches: under -race, sync.Pool drops a put at random, and the fetch
+// after a dropped put makes its array anew.
 func TestFetchRecyclesBody(t *testing.T) {
 	obj := bytes.Repeat([]byte("0123456789abcdef"), 512<<10/16)
 	w := newWorld(15, map[string][]byte{"/obj": obj})
@@ -52,12 +55,15 @@ func TestFetchRecyclesBody(t *testing.T) {
 		}
 	}
 	fetch() // warms the network's pools and bodyPools
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	fetch()
-	runtime.ReadMemStats(&after)
-	per := after.TotalAlloc - before.TotalAlloc
-	t.Logf("%d bytes allocated by the second fetch", per)
+	per := uint64(math.MaxUint64)
+	for range 5 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fetch()
+		runtime.ReadMemStats(&after)
+		per = min(per, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("%d bytes allocated by the least of five warm fetches", per)
 	if per >= 16<<10 {
 		t.Fatalf("a warm fetch of a %d-byte object allocates %d bytes, want under 16 KiB: the body array is not recycled", len(obj), per)
 	}

@@ -190,7 +190,9 @@ func DialSim(host *netsim.Host, server netsim.HostPort, cfg tcp.Config, onDown f
 			c.pending = c.pending[:0]
 			c.phead = 0
 		}
-		cb(SimResult{Reply: r})
+		if cb != nil {
+			cb(SimResult{Reply: r})
+		}
 	}
 	c.conn = tcp.Dial(host, server, tcp.Callbacks{
 		OnEstablished: func(*tcp.Conn) { c.up = true },
@@ -211,7 +213,9 @@ func (c *SimClient) fail() {
 	c.pending = nil
 	c.phead = 0
 	for _, cb := range pend {
-		cb(SimResult{Err: ErrSimConnDown})
+		if cb != nil {
+			cb(SimResult{Err: ErrSimConnDown})
+		}
 	}
 	if c.onDown != nil {
 		c.onDown()
@@ -221,16 +225,23 @@ func (c *SimClient) fail() {
 // Close tears the connection down.
 func (c *SimClient) Close() { c.conn.Abort() }
 
-func (c *SimClient) send(cmd []byte, multiLine bool, cb func(SimResult)) {
+// send writes cmd, which holds replies commands, and queues cb for the
+// last of their replies; the ones before it get a nil entry nobody waits
+// on (the connection answers in order, so they have arrived by then).
+func (c *SimClient) send(cmd []byte, replies int, multiLine bool, cb func(SimResult)) {
 	if c.conn.State() == tcp.StateClosed {
 		cb(SimResult{Err: ErrSimConnDown})
 		return
 	}
-	c.parser.Expect(multiLine)
 	if c.phead == len(c.pending) {
 		c.pending = c.pending[:0]
 		c.phead = 0
 	}
+	for i := 1; i < replies; i++ {
+		c.parser.Expect(multiLine)
+		c.pending = append(c.pending, nil)
+	}
+	c.parser.Expect(multiLine)
 	c.pending = append(c.pending, cb)
 	c.conn.Write(cmd)
 }
@@ -238,7 +249,7 @@ func (c *SimClient) send(cmd []byte, multiLine bool, cb func(SimResult)) {
 // Set stores value under key, invoking cb with the outcome.
 func (c *SimClient) Set(key, value []byte, flags uint32, exptime int, cb func(SimResult)) {
 	c.scratch = appendRecord(append(c.scratch[:0], "set "...), key, value, flags, exptime)
-	c.send(c.scratch, false, cb)
+	c.send(c.scratch, 1, false, cb)
 }
 
 // SetMulti stores all pairs in one pipelined mset command: a single
@@ -246,19 +257,56 @@ func (c *SimClient) Set(key, value []byte, flags uint32, exptime int, cb func(Si
 // multi-record state write costs one round trip on the wire.
 func (c *SimClient) SetMulti(kvs []KV, exptime int, cb func(SimResult)) {
 	c.scratch = appendMSetKVCmd(c.scratch[:0], kvs, exptime)
-	c.send(c.scratch, false, cb)
+	c.send(c.scratch, 1, false, cb)
 }
 
 // Get fetches key; the callback's Reply.Items is empty on a miss.
 func (c *SimClient) Get(key []byte, cb func(SimResult)) {
 	c.scratch = append(append(append(c.scratch[:0], "get "...), key...), '\r', '\n')
-	c.send(c.scratch, true, cb)
+	c.send(c.scratch, 1, true, cb)
 }
 
-// Delete removes key.
-func (c *SimClient) Delete(key []byte, cb func(SimResult)) {
-	c.scratch = append(append(append(c.scratch[:0], "delete "...), key...), '\r', '\n')
-	c.send(c.scratch, false, cb)
+// Delete removes the key of every pair of kvs (which must not be empty;
+// values are ignored) with one standard "delete <key>\r\n" command per
+// key, all in one write, so a server answers the batch in one reply and
+// it costs one round trip. cb fires once: with the last key's reply, or
+// with the connection's failure.
+func (c *SimClient) Delete(kvs []KV, cb func(SimResult)) {
+	c.scratch = c.scratch[:0]
+	for i := range kvs {
+		c.scratch = append(append(append(c.scratch, "delete "...), kvs[i].Key...), '\r', '\n')
+	}
+	c.send(c.scratch, len(kvs), false, cb)
+}
+
+// EntryLen is the length one pair adds to the command SimClient sends for
+// a batch: its record in a set or mset (flags 0), or its key's delete
+// line.
+func EntryLen(kv KV, exptime int, del bool) int {
+	if del {
+		return len("delete ") + len(kv.Key) + len("\r\n")
+	}
+	return len(kv.Key) + len(" 0 ") + decLen(exptime) + len(" ") + decLen(len(kv.Value)) + len("\r\n") +
+		len(kv.Value) + len("\r\n")
+}
+
+// CmdLen is the length of the command SimClient sends for a batch of n
+// pairs whose EntryLens sum to body: Delete's lines alone, Set's verb
+// before a lone record, SetMulti's "mset n" line before more.
+func CmdLen(n, body int, del bool) int {
+	switch {
+	case del:
+		return body
+	case n == 1:
+		return len("set ") + body
+	}
+	return len("mset ") + decLen(n) + len("\r\n") + body
+}
+
+// decLen is the length of v in decimal.
+func decLen(v int) int {
+	var b [20]byte
+	return len(strconv.AppendInt(b[:0], int64(v), 10))
 }
 
 // appendMSetKVCmd encodes a batched mset from KV pairs into dst (the

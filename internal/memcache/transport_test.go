@@ -25,7 +25,7 @@ func TestSimClientSetGetDelete(t *testing.T) {
 	var setR, getR, delR, missR *SimResult
 	cl.Set([]byte("flow:1"), []byte("state-bytes"), 0, 60, func(r SimResult) { setR = &r })
 	cl.Get([]byte("flow:1"), func(r SimResult) { getR = &r })
-	cl.Delete([]byte("flow:1"), func(r SimResult) { delR = &r })
+	cl.Delete([]KV{{Key: []byte("flow:1")}}, func(r SimResult) { delR = &r })
 	cl.Get([]byte("flow:1"), func(r SimResult) { missR = &r })
 	n.RunUntilIdle(10000)
 	if setR == nil || setR.Err != nil || setR.Reply.Type != ReplyStored {
@@ -42,6 +42,67 @@ func TestSimClientSetGetDelete(t *testing.T) {
 	}
 	if srv.Ops < 4 {
 		t.Fatalf("server ops = %d", srv.Ops)
+	}
+}
+
+// TestSimClientDeleteBatch: Delete sends one delete line per key in one
+// write — one segment, one reply chunk — and calls back once, after the
+// last key's answer, whether a key was there or not.
+func TestSimClientDeleteBatch(t *testing.T) {
+	n, srv, cl := simSetup(6)
+	for _, k := range []string{"a", "c"} {
+		cl.Set([]byte(k), []byte("v"), 0, 0, func(SimResult) {})
+	}
+	n.RunUntilIdle(10000)
+	segs := 0
+	n.SetTracer(func(ev netsim.TraceEvent) {
+		if ev.Packet.Dst.Port == DefaultPort && len(ev.Packet.Payload) > 0 {
+			segs++
+		}
+	})
+	var got []SimResult
+	cl.Delete([]KV{{Key: []byte("a")}, {Key: []byte("b")}, {Key: []byte("c")}}, func(r SimResult) { got = append(got, r) })
+	n.RunUntilIdle(10000)
+	if len(got) != 1 || got[0].Err != nil || got[0].Reply.Type != ReplyDeleted {
+		t.Fatalf("callbacks: %+v, want one DELETED for the last key", got)
+	}
+	if items := srv.Engine.Stats().CurrItems; segs != 1 || items != 0 {
+		t.Fatalf("%d segments sent, %d items left: want 1 and 0", segs, items)
+	}
+}
+
+// TestCmdLenMatchesEncoding: EntryLen and CmdLen, which the store client
+// sizes its commands by, are the lengths of the bytes SimClient writes.
+func TestCmdLenMatchesEncoding(t *testing.T) {
+	for _, exptime := range []int{0, 7, 600, -1} {
+		for _, kvs := range [][]KV{
+			{{Key: []byte("k"), Value: nil}},
+			{{Key: []byte("yoda:f:c0a80001:9c40:0a0000fe:0050"), Value: make([]byte, 90)}},
+			{{Key: []byte("a"), Value: make([]byte, 9)}, {Key: []byte("bb"), Value: make([]byte, 10)}},
+			make([]KV, 12),
+		} {
+			body, delBody := 0, 0
+			for _, kv := range kvs {
+				body += EntryLen(kv, exptime, false)
+				delBody += EntryLen(kv, exptime, true)
+			}
+			var want []byte
+			if len(kvs) == 1 {
+				want = appendRecord([]byte("set "), kvs[0].Key, kvs[0].Value, 0, exptime)
+			} else {
+				want = appendMSetKVCmd(nil, kvs, exptime)
+			}
+			if got := CmdLen(len(kvs), body, false); got != len(want) {
+				t.Fatalf("exptime %d, %d pairs: CmdLen %d, encoded %d", exptime, len(kvs), got, len(want))
+			}
+			var del []byte
+			for _, kv := range kvs {
+				del = append(append(append(del, "delete "...), kv.Key...), '\r', '\n')
+			}
+			if got := CmdLen(len(kvs), delBody, true); got != len(del) {
+				t.Fatalf("%d deletes: CmdLen %d, encoded %d", len(kvs), got, len(del))
+			}
+		}
 	}
 }
 

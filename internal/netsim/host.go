@@ -28,11 +28,17 @@ type BatchPortHandler interface {
 }
 
 // connKey demuxes established connections: local port plus remote
-// endpoint. Listeners are keyed by local port alone.
-type connKey struct {
-	localPort uint16
-	remote    HostPort
+// endpoint, packed into one word (local port << 48 | remote IP << 16 |
+// remote port) so the conns map takes the runtime's 64-bit key path
+// instead of a generated struct hash. Listeners are keyed by local port
+// alone.
+type connKey uint64
+
+func mkConnKey(localPort uint16, remote HostPort) connKey {
+	return connKey(uint64(localPort)<<48 | uint64(remote.IP)<<16 | uint64(remote.Port))
 }
+
+func (k connKey) localPort() uint16 { return uint16(k >> 48) }
 
 // Host is a convenience node that owns one IP address and demultiplexes
 // incoming segments to per-connection or per-listener handlers, the way a
@@ -113,7 +119,7 @@ func (h *Host) Unlisten(port uint16) { delete(h.listeners, port) }
 // Register binds an established-connection handler for segments arriving
 // at localPort from remote.
 func (h *Host) Register(localPort uint16, remote HostPort, handler PortHandler) {
-	k := connKey{localPort, remote}
+	k := mkConnKey(localPort, remote)
 	if _, existed := h.conns[k]; !existed {
 		h.portRefs[localPort]++
 	}
@@ -122,7 +128,7 @@ func (h *Host) Register(localPort uint16, remote HostPort, handler PortHandler) 
 
 // Unregister removes an established-connection binding.
 func (h *Host) Unregister(localPort uint16, remote HostPort) {
-	k := connKey{localPort, remote}
+	k := mkConnKey(localPort, remote)
 	if _, existed := h.conns[k]; existed {
 		delete(h.conns, k)
 		if h.portRefs[localPort]--; h.portRefs[localPort] == 0 {
@@ -184,7 +190,7 @@ func (h *Host) decap(pkt *Packet) *Packet {
 // connection that closes itself) can re-route the run's remaining
 // segments exactly as scalar delivery would have.
 func (h *Host) Demux(pkt *Packet) {
-	if c, ok := h.conns[connKey{pkt.Dst.Port, pkt.Src}]; ok {
+	if c, ok := h.conns[mkConnKey(pkt.Dst.Port, pkt.Src)]; ok {
 		c.HandleSegment(pkt)
 		return
 	}
@@ -215,7 +221,7 @@ func (h *Host) HandleBatch(pkts []*Packet) {
 	var runKey connKey
 	for _, pkt := range pkts {
 		pkt = h.decap(pkt)
-		k := connKey{pkt.Dst.Port, pkt.Src}
+		k := mkConnKey(pkt.Dst.Port, pkt.Src)
 		if len(run) > 0 && k == runKey {
 			run = append(run, pkt)
 			continue
@@ -241,7 +247,7 @@ func (h *Host) flushRun(run []*Packet, k connKey) {
 	if len(run) > 1 {
 		target, isConn := h.conns[k]
 		if !isConn {
-			if _, listening := h.listeners[k.localPort]; !listening {
+			if _, listening := h.listeners[k.localPort()]; !listening {
 				target = h.Default
 			}
 		}

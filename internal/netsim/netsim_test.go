@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"maps"
 	"runtime"
 	"testing"
 	"testing/quick"
@@ -383,6 +384,88 @@ func TestHostDemux(t *testing.T) {
 	send(remote, 80) // now falls back to the listener
 	if listenerGot != 2 {
 		t.Fatalf("listener = %d after unregister, want 2", listenerGot)
+	}
+}
+
+// countingBatch counts what the host hands it, per segment and per run.
+type countingBatch struct{ segs, runs int }
+
+func (c *countingBatch) HandleSegment(*Packet) { c.segs++ }
+func (c *countingBatch) HandleSegmentBatch(ps []*Packet) {
+	c.segs += len(ps)
+	c.runs++
+}
+
+// TestHostConnKeyExtremes: the one-word demux key keeps local port,
+// remote IP and remote port apart at the edges of their ranges — ports
+// 0, 1 and 65535, IP 0xFFFFFFFF, remotes that differ only in the port —
+// in Register, Unregister, Demux, the batch path and portRefs.
+func TestHostConnKeyExtremes(t *testing.T) {
+	n := New(1)
+	h := NewHost(n, IPv4(10, 0, 0, 5))
+	got := map[string]int{}
+	def := &countingBatch{}
+	h.Default = def
+	regs := []struct {
+		name   string
+		local  uint16
+		remote HostPort
+	}{
+		{"local0", 0, HostPort{0xFFFFFFFF, 65535}},
+		{"local1", 1, HostPort{0xFFFFFFFF, 65535}},
+		{"local65535", 65535, HostPort{0xFFFFFFFF, 65535}},
+		{"remote0", 65535, HostPort{0, 0}},
+		{"remotePort1", 80, HostPort{IPv4(10, 0, 0, 6), 1}},
+		{"remotePort2", 80, HostPort{IPv4(10, 0, 0, 6), 2}},
+		{"remoteIPmax", 80, HostPort{0xFFFFFFFF, 0}},
+	}
+	for _, r := range regs {
+		name := r.name
+		h.Register(r.local, r.remote, PortHandlerFunc(func(*Packet) { got[name]++ }))
+	}
+	h.Register(80, regs[4].remote, PortHandlerFunc(func(*Packet) { got[regs[4].name]++ })) // a rebind
+	wantRefs := map[uint16]int{0: 1, 1: 1, 65535: 2, 80: 3}
+	if !maps.Equal(h.portRefs, wantRefs) {
+		t.Fatalf("portRefs = %v, want %v", h.portRefs, wantRefs)
+	}
+	for _, r := range regs {
+		h.Demux(&Packet{Src: r.remote, Dst: HostPort{h.IP(), r.local}})
+		if got[r.name] != 1 {
+			t.Fatalf("%s: delivered %d times, want 1 (all: %v)", r.name, got[r.name], got)
+		}
+	}
+	for _, miss := range []Packet{
+		{Src: HostPort{IPv4(10, 0, 0, 6), 3}, Dst: HostPort{h.IP(), 80}},
+		{Src: HostPort{0xFFFFFFFE, 65535}, Dst: HostPort{h.IP(), 0}},
+		{Src: HostPort{0xFFFFFFFF, 65534}, Dst: HostPort{h.IP(), 65535}},
+		{Src: HostPort{0xFFFFFFFF, 65535}, Dst: HostPort{h.IP(), 2}},
+	} {
+		h.Demux(&miss)
+	}
+	if def.segs != 4 {
+		t.Fatalf("default handler got %d of 4 unregistered segments", def.segs)
+	}
+	// A run to an unregistered remote at local port 65535 goes to its
+	// listener, one segment at a time, not to the batch-capable default.
+	listened := 0
+	h.Listen(65535, PortHandlerFunc(func(*Packet) { listened++ }))
+	for range 2 {
+		n.Send(&Packet{Src: HostPort{IPv4(10, 0, 0, 7), 9}, Dst: HostPort{h.IP(), 65535}})
+	}
+	n.RunUntilIdle(10)
+	if listened != 2 || def.runs != 0 {
+		t.Fatalf("listener got %d of 2, default %d runs", listened, def.runs)
+	}
+	for _, r := range regs {
+		h.Unregister(r.local, r.remote)
+		h.Unregister(r.local, r.remote) // a second time is a no-op
+	}
+	if len(h.conns) != 0 || len(h.portRefs) != 0 {
+		t.Fatalf("after unregistering all: %d conns, portRefs %v", len(h.conns), h.portRefs)
+	}
+	h.Demux(&Packet{Src: regs[0].remote, Dst: HostPort{h.IP(), 0}})
+	if got[regs[0].name] != 1 || def.segs != 5 {
+		t.Fatalf("an unregistered connection still received: %v, default %d", got, def.segs)
 	}
 }
 

@@ -2,6 +2,8 @@ package tcpstore
 
 import (
 	"testing"
+
+	"repro/internal/netsim"
 )
 
 // TestSetMultiAllocFree locks in the batched write path's alloc budget:
@@ -74,19 +76,29 @@ func TestSetAllocFree(t *testing.T) {
 	}
 }
 
-// TestDeleteAllocFree: a flow teardown deletes two records, so Delete
-// runs on the same recycled operation state as SetMulti — fanned out to
-// K replicas over simulated TCP, answered, resolved — and, warm,
-// allocates nothing, with or without a callback.
+// TestDeleteAllocFree: a flow teardown deletes its two records in one
+// Delete, which runs on the same recycled operation state as SetMulti —
+// grouped into one pipelined command per replica server, carried over
+// simulated TCP, answered, resolved — and, warm, allocates nothing, in
+// its two-key and one-key forms, with or without a callback.
 func TestDeleteAllocFree(t *testing.T) {
 	w := newSimWorld(22, 5, DefaultConfig()) // K=2
-	key := []byte("yoda:f:c0a80001:9c40:0a0000fe:0050")
+	keys := []Entry{
+		{Key: []byte("yoda:f:c0a80001:9c40:0a0000fe:0050")},
+		{Key: []byte("yoda:f:0a000020:1f90:0a0000fe:4e21")},
+	}
+	union := map[netsim.HostPort]bool{}
+	for _, e := range keys {
+		for _, hp := range w.store.ring.PickInto(nil, e.Key, 2) {
+			union[hp] = true
+		}
+	}
 	var got error
 	calls := 0
 	cb := func(err error) { got = err; calls++ }
 	op := func() {
-		w.store.Delete(key, cb)
-		w.store.Delete(key, nil)
+		w.store.Delete(keys, cb)
+		w.store.Delete(keys[:1], nil)
 		w.net.RunUntilIdle(1 << 20)
 	}
 	for i := 0; i < 64; i++ {
@@ -98,7 +110,9 @@ func TestDeleteAllocFree(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, op); allocs != 0 {
 		t.Fatalf("two Deletes allocate %.1f objects, want 0", allocs)
 	}
-	if st := w.store.Stats; st.Deletes != 2*(64+101) || st.RoundTrips != 2*st.Deletes || st.PartialWrites != 0 || st.ReplicaErrors != 0 {
-		t.Fatalf("stats after the deletes: %+v", st)
+	// Per round: one command to each server of the two keys' replica
+	// sets, then one to each replica of the first key.
+	if st := w.store.Stats; st.Deletes != 2*(64+101) || st.RoundTrips != uint64(len(union)+2)*(64+101) || st.PartialWrites != 0 || st.ReplicaErrors != 0 {
+		t.Fatalf("stats after the deletes (replica servers of both keys: %d): %+v", len(union), st)
 	}
 }

@@ -10,6 +10,7 @@ package tcpstore
 
 import (
 	"hash/fnv"
+	"math"
 	"sort"
 
 	"repro/internal/netsim"
@@ -27,6 +28,11 @@ type ringPoint struct {
 type Ring struct {
 	points  []ringPoint
 	servers []netsim.HostPort
+	// index[j] is the first point whose hash has top bits >= j, clamped to
+	// the uint16 range (a clamped entry only starts the scan earlier):
+	// search starts there instead of binary-searching points.
+	index []uint16
+	shift uint // 64 - log2(len(index))
 	// used is PickInto's distinct-server scratch, reused per call (the
 	// ring is only driven from the instance's single-threaded event loop).
 	used []bool
@@ -35,6 +41,10 @@ type Ring struct {
 // VirtualNodes is the number of ring points per server. More points give
 // smoother balance; 128 keeps the max/mean ratio near 1.15 for 10 servers.
 const VirtualNodes = 128
+
+// maxIndexBits caps the search index at 1,024 entries (2 KB per ring):
+// about one point per bucket up to 8 servers, a few beyond.
+const maxIndexBits = 10
 
 // NewRing builds a ring over the given servers.
 func NewRing(servers []netsim.HostPort) *Ring {
@@ -48,6 +58,22 @@ func NewRing(servers []netsim.HostPort) *Ring {
 		}
 	}
 	sort.Slice(r.points, func(a, b int) bool { return r.points[a].hash < r.points[b].hash })
+	if len(r.points) == 0 {
+		return r
+	}
+	bits := uint(0)
+	for bits < maxIndexBits && 2<<bits <= len(r.points) {
+		bits++
+	}
+	r.shift = 64 - bits
+	r.index = make([]uint16, 1<<bits)
+	p := 0
+	for j := range r.index {
+		for p < len(r.points) && r.points[p].hash>>r.shift < uint64(j) {
+			p++
+		}
+		r.index[j] = uint16(min(p, math.MaxUint16))
+	}
 	return r
 }
 
@@ -88,13 +114,17 @@ func (r *Ring) PickInto(dst []netsim.HostPort, key []byte, k int) []netsim.HostP
 }
 
 // search returns the index of the first ring point with hash >= h,
-// wrapping to 0.
+// wrapping to 0. Every point before index[h's top bits] hashes below h,
+// so the scan from there finds what a binary search over points would.
 func (r *Ring) search(h uint64) int {
-	idx := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	if idx == len(r.points) {
+	i := int(r.index[h>>r.shift])
+	for i < len(r.points) && r.points[i].hash < h {
+		i++
+	}
+	if i == len(r.points) {
 		return 0
 	}
-	return idx
+	return i
 }
 
 func pointHash(s netsim.HostPort, v int) uint64 {

@@ -1,9 +1,13 @@
 package tcpstore
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 	"time"
+
+	"repro/internal/memcache"
+	"repro/internal/netsim"
 )
 
 // storage-b shaped batch: the same record under both tuple orientations.
@@ -122,6 +126,64 @@ func TestSetMultiAllDeadResolvesAtOpTimeout(t *testing.T) {
 	}
 	if elapsed := w.net.Now() - start; elapsed > 20*time.Minute {
 		t.Fatalf("resolved after %v", elapsed)
+	}
+}
+
+// TestSetMultiSplitsPastOneMSS: a store command never exceeds one MSS.
+// Three 600-byte records bound for the one server do not fit one
+// segment, so the batch goes as two commands — an mset of two, then a
+// set — each its own round trip and each in whole segments, and the
+// server is charged one op per record.
+func TestSetMultiSplitsPastOneMSS(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Replicas = 1
+	w := newSimWorld(26, 1, cfg)
+	warm := false
+	w.store.Set([]byte("warm"), []byte("x"), func(err error) { warm = err == nil })
+	w.net.RunUntilIdle(100000)
+	if !warm {
+		t.Fatal("warm-up set failed")
+	}
+	var segments [][]byte
+	w.net.SetTracer(func(ev netsim.TraceEvent) {
+		if p := ev.Packet; p.Dst.Port == memcache.DefaultPort && len(p.Payload) > 0 {
+			segments = append(segments, append([]byte(nil), p.Payload...))
+		}
+	})
+	value := bytes.Repeat([]byte("v"), 600)
+	entries := []Entry{{Key: []byte("rec:0"), Value: value}, {Key: []byte("rec:1"), Value: value}, {Key: []byte("rec:2"), Value: value}}
+	srv := w.servers[0]
+	rt0, ops0 := w.store.Stats.RoundTrips, srv.Ops
+	var res SetResult
+	done := false
+	w.store.SetMulti(entries, func(r SetResult) { res, done = r, true })
+	w.net.RunUntilIdle(100000)
+	if !done || res.Err != nil || res.Acked != 3 || res.Failed != 0 {
+		t.Fatalf("SetMulti: done=%v res=%+v", done, res)
+	}
+	if rt := w.store.Stats.RoundTrips - rt0; rt != 2 {
+		t.Fatalf("%d round trips, want 2 (mset 2 + set)", rt)
+	}
+	if ops := srv.Ops - ops0; ops != 3 {
+		t.Fatalf("server charged %d ops, want 3", ops)
+	}
+	for _, e := range entries {
+		if _, ok := srv.Engine.Get(string(e.Key)); !ok {
+			t.Fatalf("%s not stored", e.Key)
+		}
+	}
+	// A fresh session executes each segment whole: no command starts in
+	// one segment and ends in another.
+	ops := 0
+	for _, seg := range segments {
+		sess := memcache.NewSession(memcache.NewEngine(0, w.net.Now))
+		if resp := sess.Feed(seg); len(seg) > cfg.TCP.MSS || bytes.Contains(resp, []byte("ERROR")) {
+			t.Fatalf("segment of %d bytes (MSS %d) answered %q", len(seg), cfg.TCP.MSS, resp)
+		}
+		ops += sess.Ops()
+	}
+	if len(segments) != 2 || ops != 3 {
+		t.Fatalf("%d segments executing %d ops, want 2 and 3", len(segments), ops)
 	}
 }
 

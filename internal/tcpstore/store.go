@@ -52,8 +52,9 @@ type Stats struct {
 	Hits, Misses  uint64
 	ReplicaErrors uint64
 	Timeouts      uint64
-	// RoundTrips counts per-replica wire operations issued: one per
-	// replica for Set/Get/Delete, one per server batch for SetMulti.
+	// RoundTrips counts wire commands issued: one per replica server per
+	// op (a Set, SetMulti or Delete sends each server its keys map to one
+	// command, a second only past one MSS; a Get asks every replica).
 	// Divided by flows served, this is the "store round-trips per flow"
 	// cost line the hybrid recovery mode exists to shrink.
 	RoundTrips uint64
@@ -98,16 +99,15 @@ type Store struct {
 	pickBufs [][]netsim.HostPort
 	freeOps  []*multiOp
 	freeBats []*batchState
-	byServer map[netsim.HostPort]*batchState
 
 	Stats Stats
 }
 
 // multiOp is the pooled in-flight state of one Set, SetMulti or Delete.
-// Set is the one-entry write and reports through errCb. A Delete is one
-// entry too, also reporting through errCb (which may then be nil): every
-// replica must answer, any reply counts as its ack, and an answer short
-// of all replicas is not a partial write.
+// Set is the one-entry write and reports through errCb. A Delete reports
+// through errCb too (which may then be nil): every replica must answer,
+// a reply acks every key of its command, and an answer short of all
+// replicas is not a partial write.
 type multiOp struct {
 	store     *Store
 	del       bool
@@ -123,14 +123,15 @@ type multiOp struct {
 	timeoutFn func() // pre-bound OpTimeout callback
 }
 
-// batchState is the pooled per-server slice of one operation: the records
-// routed to that server, issued as one mset (a plain set for a single
-// record, a delete for a Delete).
+// batchState is one command of an operation: the records routed to one
+// server, issued as one mset (a plain set for a single record, pipelined
+// deletes for a Delete).
 type batchState struct {
 	op     *multiOp
 	server netsim.HostPort
 	kvs    []memcache.KV
 	idxs   []int                    // entry indices, for per-entry accounting
+	body   int                      // memcache.EntryLen sum of kvs
 	handle func(memcache.SimResult) // pre-bound reply callback
 }
 
@@ -190,7 +191,19 @@ func (s *Store) takeBatch(op *multiOp, server netsim.HostPort) *batchState {
 	b.server = server
 	b.kvs = b.kvs[:0]
 	b.idxs = b.idxs[:0]
+	b.body = 0
 	return b
+}
+
+// openBatch returns the command op last started for server, nil if none.
+// A scan: op.batches has at most K × entries members.
+func (op *multiOp) openBatch(server netsim.HostPort) *batchState {
+	for i := len(op.batches) - 1; i >= 0; i-- {
+		if b := op.batches[i]; b.server == server {
+			return b
+		}
+	}
+	return nil
 }
 
 // recycle returns the op and its batches to the pools. Called only once
@@ -252,7 +265,9 @@ func (op *multiOp) handleReply(b *batchState, r memcache.SimResult) {
 	case r.Err != nil:
 		// connection-level failure: nothing in this batch stored
 	case op.del:
-		stored = 1 // DELETED or NOT_FOUND: the replica answered
+		// The reply to the command's last delete: the server answered
+		// every key of it, DELETED or NOT_FOUND.
+		stored = len(b.idxs)
 	case r.Reply.Type == memcache.ReplyMStored:
 		stored = r.Reply.N
 	case r.Reply.Type == memcache.ReplyStored:
@@ -361,8 +376,8 @@ func (s *Store) Set(key, value []byte, cb func(error)) {
 // SetMulti stores every entry on its K replicas in one batched round
 // trip: entries are grouped into one pipelined mset command per replica
 // server (a plain set when a server receives a single record), so the
-// wire cost is one request/reply exchange per server regardless of the
-// record count. cb fires exactly once — when all batches have resolved
+// wire cost is one request/reply exchange per server for any batch that
+// fits one MSS. cb fires exactly once — when all batches have resolved
 // or at OpTimeout — with the per-replica outcome tally.
 func (s *Store) SetMulti(entries []Entry, cb func(SetResult)) {
 	s.Stats.BatchSets++
@@ -376,50 +391,49 @@ func (s *Store) SetMulti(entries []Entry, cb func(SetResult)) {
 	s.issue(op, entries)
 }
 
-// Delete removes key from all replicas. cb (which may be nil) fires when
-// every replica has answered or at OpTimeout; err is non-nil only if no
-// replica answered.
-func (s *Store) Delete(key []byte, cb func(error)) {
+// Delete removes the key of every entry (values are ignored) from all its
+// replicas, the keys grouped into one pipelined command per replica
+// server as SetMulti groups records. cb (which may be nil) fires once,
+// when every replica has answered or at OpTimeout; err is non-nil only if
+// some key was answered by no replica.
+func (s *Store) Delete(entries []Entry, cb func(error)) {
 	s.Stats.Deletes++
 	op := s.takeOp()
 	op.del, op.errCb = true, cb
-	entry := [1]Entry{{Key: key}}
-	s.issue(op, entry[:])
+	s.issue(op, entries)
 }
 
 // issue groups op's entries by replica server, arms the operation timeout
-// and sends one command per server. Grouping preserves entry order and a
-// deterministic server order; the simulator's bit-identical-trace
+// and sends one command per server. A command never exceeds one MSS: an
+// entry that would push its server's command past it starts a second
+// command to that server, with its own reply. (A server charges a command
+// by the segment that completes it, so one that arrived in pieces would
+// skew the Figure 10/11 calibration.) Grouping preserves entry order and
+// a deterministic server order; the simulator's bit-identical-trace
 // guarantee depends on the issue order of the underlying writes.
 func (s *Store) issue(op *multiOp, entries []Entry) {
 	op.acks = resetInts(op.acks, len(entries))
 	op.want = resetInts(op.want, len(entries))
-	if s.byServer == nil {
-		s.byServer = make(map[netsim.HostPort]*batchState, s.cfg.Replicas)
-	}
-	// Build phase, fully synchronous. byServer is store-owned scratch —
-	// safe because no callback can run until the issue phase below.
-	// op.batches keeps insertion order, so the map is never iterated.
+	// Build phase, fully synchronous: no callback can run until the issue
+	// phase below.
 	replicas := s.takePickBuf()
 	for i := range entries {
-		e := &entries[i]
-		replicas = s.ring.PickInto(replicas[:0], e.Key, s.cfg.Replicas)
+		kv := memcache.KV{Key: entries[i].Key, Value: entries[i].Value}
+		n := memcache.EntryLen(kv, s.cfg.Expiry, op.del)
+		replicas = s.ring.PickInto(replicas[:0], kv.Key, s.cfg.Replicas)
 		op.want[i] = len(replicas)
 		for _, server := range replicas {
-			b, ok := s.byServer[server]
-			if !ok {
+			b := op.openBatch(server)
+			if b == nil || memcache.CmdLen(len(b.kvs)+1, b.body+n, op.del) > s.cfg.TCP.MSS {
 				b = s.takeBatch(op, server)
-				s.byServer[server] = b
 				op.batches = append(op.batches, b)
 			}
-			b.kvs = append(b.kvs, memcache.KV{Key: e.Key, Value: e.Value})
+			b.kvs = append(b.kvs, kv)
 			b.idxs = append(b.idxs, i)
+			b.body += n
 		}
 	}
 	s.putPickBuf(replicas)
-	for k := range s.byServer {
-		delete(s.byServer, k)
-	}
 	if len(op.batches) == 0 {
 		op.resolve(false) // no servers: every entry has zero acks
 		return
@@ -434,7 +448,7 @@ func (s *Store) issue(op *multiOp, entries []Entry) {
 		conn := s.conn(b.server)
 		switch {
 		case op.del:
-			conn.Delete(b.kvs[0].Key, b.handle)
+			conn.Delete(b.kvs, b.handle)
 		case len(b.kvs) == 1:
 			conn.Set(b.kvs[0].Key, b.kvs[0].Value, 0, s.cfg.Expiry, b.handle)
 		default:

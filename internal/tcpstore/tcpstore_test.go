@@ -2,6 +2,10 @@ package tcpstore
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -93,6 +97,71 @@ func TestRingBalance(t *testing.T) {
 	}
 }
 
+// searchOracle is what Ring.search did before its index: a binary search
+// over the sorted points, wrapping to 0.
+func searchOracle(r *Ring, h uint64) int {
+	idx := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
+	if idx == len(r.points) {
+		return 0
+	}
+	return idx
+}
+
+// pickOracle is PickInto over searchOracle.
+func pickOracle(r *Ring, key []byte, k int) []netsim.HostPort {
+	k = min(k, len(r.servers))
+	used := make([]bool, len(r.servers))
+	var out []netsim.HostPort
+	for replica := 0; len(out) < k; replica++ {
+		idx := searchOracle(r, keyHash(key, replica))
+		for tries := 0; tries < len(r.points); tries++ {
+			if p := r.points[(idx+tries)%len(r.points)]; !used[p.server] {
+				used[p.server] = true
+				out = append(out, r.servers[p.server])
+				break
+			}
+		}
+	}
+	return out
+}
+
+// TestRingPickMatchesBinarySearch: replica placement feeds the
+// deterministic traces, so the indexed search must place every key where
+// the binary search did — 10^5 random keys at every server count from 1
+// to 10 — and land on the same point at every point's hash and its
+// neighbours.
+func TestRingPickMatchesBinarySearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	key := make([]byte, 34)
+	var picked []netsim.HostPort
+	for n := 1; n <= 10; n++ {
+		r := NewRing(mkServers(n))
+		if len(r.index) > 1024 {
+			t.Fatalf("%d servers: index of %d entries, cap 1024", n, len(r.index))
+		}
+		for _, p := range r.points {
+			for _, h := range []uint64{p.hash - 1, p.hash, p.hash + 1} {
+				if got, want := r.search(h), searchOracle(r, h); got != want {
+					t.Fatalf("%d servers: search(%#x) = %d, binary search %d", n, h, got, want)
+				}
+			}
+		}
+		for _, h := range []uint64{0, math.MaxUint64} {
+			if got, want := r.search(h), searchOracle(r, h); got != want {
+				t.Fatalf("%d servers: search(%#x) = %d, binary search %d", n, h, got, want)
+			}
+		}
+		for i := 0; i < 100000; i++ {
+			rng.Read(key)
+			k := 1 + rng.Intn(3)
+			picked = r.PickInto(picked[:0], key, k)
+			if want := pickOracle(r, key, k); !slices.Equal(picked, want) {
+				t.Fatalf("%d servers: key %x, K=%d: picked %v, binary search %v", n, key, k, picked, want)
+			}
+		}
+	}
+}
+
 func TestRingMonotonicity(t *testing.T) {
 	// Removing one server must not move keys between surviving servers.
 	servers := mkServers(10)
@@ -157,7 +226,7 @@ func TestStoreSetGetDelete(t *testing.T) {
 		t.Fatalf("get: %q ok=%v", got, ok)
 	}
 	delDone := false
-	w.store.Delete([]byte("flow:abc"), func(err error) { delDone = err == nil })
+	w.store.Delete([]Entry{{Key: []byte("flow:abc")}}, func(err error) { delDone = err == nil })
 	w.net.RunUntilIdle(100000)
 	if !delDone {
 		t.Fatal("delete failed")
@@ -233,7 +302,7 @@ func TestDeleteUnderReplicaFailure(t *testing.T) {
 	del := func() (err error, at time.Duration) {
 		done := false
 		start := w.net.Now()
-		w.store.Delete(key, func(e error) { err, at, done = e, w.net.Now()-start, true })
+		w.store.Delete([]Entry{{Key: key}}, func(e error) { err, at, done = e, w.net.Now()-start, true })
 		w.net.RunFor(20 * time.Minute) // long enough for dead conns to give up
 		if !done {
 			t.Fatal("delete never resolved")
@@ -256,6 +325,99 @@ func TestDeleteUnderReplicaFailure(t *testing.T) {
 	}
 	if st := w.store.Stats; st.Timeouts != 2 || st.Deletes != 3 || st.RoundTrips != 6 || st.PartialWrites != 0 {
 		t.Fatalf("stats after three deletes: %+v", st)
+	}
+}
+
+// replicaUnion returns the servers holding any of entries' replicas, and
+// those holding a replica of every entry.
+func replicaUnion(w *simWorld, entries []Entry) (union, shared []netsim.HostPort) {
+	count := map[netsim.HostPort]int{}
+	for _, e := range entries {
+		for _, hp := range w.store.ring.PickInto(nil, e.Key, w.store.cfg.Replicas) {
+			if count[hp] == 0 {
+				union = append(union, hp)
+			}
+			count[hp]++
+		}
+	}
+	for _, hp := range union {
+		if count[hp] == len(entries) {
+			shared = append(shared, hp)
+		}
+	}
+	return union, shared
+}
+
+// TestDeleteBatchOverlappingReplicas: a Delete of two keys whose replica
+// sets overlap costs one command per server of their union, reports
+// once, and leaves neither key on any replica.
+func TestDeleteBatchOverlappingReplicas(t *testing.T) {
+	w := newSimWorld(27, 3, DefaultConfig()) // K=2 of 3: any two replica sets overlap
+	entries := twoEntries(7)
+	stored := false
+	w.store.SetMulti(entries, func(r SetResult) { stored = r.Err == nil && r.Failed == 0 })
+	w.net.RunUntilIdle(100000)
+	union, shared := replicaUnion(w, entries)
+	if !stored || len(shared) == 0 {
+		t.Fatalf("stored=%v, %d shared replica servers: want a clean write and an overlap", stored, len(shared))
+	}
+	rt0 := w.store.Stats.RoundTrips
+	calls := 0
+	var err error
+	w.store.Delete(entries, func(e error) { calls, err = calls+1, e })
+	w.net.RunUntilIdle(100000)
+	if calls != 1 || err != nil {
+		t.Fatalf("callback ran %d times, last error %v", calls, err)
+	}
+	if rt := w.store.Stats.RoundTrips - rt0; rt != uint64(len(union)) {
+		t.Fatalf("%d round trips, want %d (|R1 ∪ R2|)", rt, len(union))
+	}
+	for _, srv := range w.servers {
+		for _, e := range entries {
+			if _, ok := srv.Engine.Get(string(e.Key)); ok {
+				t.Fatalf("%s survived the delete on %v", e.Key, srv.Host().IP())
+			}
+		}
+	}
+	if st := w.store.Stats; st.ReplicaErrors != 0 || st.PartialWrites != 0 || st.Deletes != 1 {
+		t.Fatalf("stats after a clean batch delete: %+v", st)
+	}
+}
+
+// TestDeleteBatchLosesOneReplica: when the server both keys share dies
+// with their delete command in flight, the Delete still reports exactly
+// once (each key's other replica answered), its operation state goes back
+// to the pools, and ReplicaErrors counts each key of the lost command
+// once.
+func TestDeleteBatchLosesOneReplica(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.OpTimeout = 0 // resolve by the connection's failure, not at the bound
+	w := newSimWorld(28, 3, cfg)
+	entries := twoEntries(8)
+	w.store.SetMulti(entries, func(SetResult) {})
+	w.net.RunUntilIdle(100000)
+	_, shared := replicaUnion(w, entries)
+	if len(shared) == 0 {
+		t.Fatal("no server holds both keys")
+	}
+	freeOps := len(w.store.freeOps)
+	calls := 0
+	var err error
+	w.store.Delete(entries, func(e error) { calls, err = calls+1, e })
+	for _, srv := range w.servers {
+		if srv.Host().IP() == shared[0].IP {
+			srv.Host().Detach()
+		}
+	}
+	w.net.RunFor(20 * time.Minute) // long enough for the dead conn to give up
+	if calls != 1 || err != nil {
+		t.Fatalf("callback ran %d times, last error %v: want once, nil", calls, err)
+	}
+	if st := w.store.Stats; st.ReplicaErrors != 2 || st.PartialWrites != 0 || st.Timeouts != 0 {
+		t.Fatalf("stats after losing one command of two keys: %+v", st)
+	}
+	if len(w.store.freeOps) != freeOps {
+		t.Fatalf("%d pooled ops after the delete, %d before: its state leaked", len(w.store.freeOps), freeOps)
 	}
 }
 

@@ -5,7 +5,7 @@
 #
 #   1. bench regression gate  the seven wall-clock figures against the base
 #                             commit, built and run in this same run; the
-#                             three exact figures against BENCH_core.json.
+#                             four exact figures against BENCH_core.json.
 #                             First, while the box is cold: behind the race
 #                             and fuzz stages the same binaries read 30-60 %
 #                             slower
@@ -32,7 +32,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== bench regression gate (wall clock: median of 5 pairs vs the base commit, >15% fails; exact: >15% vs BENCH_core.json fails) =="
+echo "== bench regression gate (wall clock: median of 5 pairs vs the base commit, >15% fails; exact: >15% vs BENCH_core.json fails, any rise of the round-trip count) =="
 # The box this runs on swings 2x within an hour, so a wall-clock figure
 # recorded on another day gates nothing: the parent itself failed such
 # gates. The seven wall-clock figures — event loop and 64k-backlog timer
@@ -47,12 +47,13 @@ echo "== bench regression gate (wall clock: median of 5 pairs vs the base commit
 # on: HEAD while the work tree has uncommitted changes, HEAD^ once they
 # are committed.
 #
-# Three figures are exact and stay absolute against BENCH_core.json: the
+# Four figures are exact and stay absolute against BENCH_core.json: the
 # 512 KiB static write's B/op (a copy of the body would be 500 times it),
-# an idle TCP connection pair's heap, and a warm client's 512 KiB fetch's
+# an idle TCP connection pair's heap, a warm client's 512 KiB fetch's
 # B/op (a body array made per response instead of lent from the client's
-# pool would be ~280 times it). `scripts/bench.sh --only
-# tcp_static_512k_B_op,tcp_idle_conn_pair_heap_bytes,client_fetch_512k_B_op`
+# pool would be ~280 times it), and TCPStore round trips per paper-mode
+# flow (a count: any rise fails). `scripts/bench.sh --only
+# tcp_static_512k_B_op,tcp_idle_conn_pair_heap_bytes,client_fetch_512k_B_op,storage_roundtrips_per_flow_paper`
 # re-records just those after an intentional change.
 #
 # gate <label> <unit> <new> <recorded> lower|higher: fail when new is more
@@ -137,6 +138,14 @@ go test -c -o "$GATE_DIR/new/httpsim.test" ./internal/httpsim/
 NEW_FETCH_B=$(cd internal/httpsim && "$GATE_DIR/new/httpsim.test" -test.run '^$' -test.bench 'BenchmarkClientFetch/512k$' -test.benchmem -test.count 2 |
   awk '$1 ~ /^BenchmarkClientFetch\/512k/ { for (i = 1; i < NF; i++) if ($(i+1) == "B/op" && (min == "" || $i+0 < min+0)) min = $i } END { print min }')
 gate "client fetch, 512 KiB body" B/op "$NEW_FETCH_B" "$(recorded client_fetch_512k_B_op)" lower
+# The fourth exact figure is a deterministic count of the simulation —
+# TCPStore round trips per paper-mode flow — so any rise fails, not a 15 %
+# one: it moves only when the store path sends more commands per flow.
+NEW_RT_PAPER=$(cd internal/core && "$GATE_DIR/new/core.test" -test.run '^$' -test.bench 'BenchmarkStoreRoundTripsPerFlow/mode=paper$' -test.benchtime 1x |
+  awk '$1 ~ /^BenchmarkStoreRoundTripsPerFlow\/mode=paper/ { for (i = 1; i < NF; i++) if ($(i+1) == "roundtrips/flow") print $i }')
+awk -v new="$NEW_RT_PAPER" -v rec="$(recorded storage_roundtrips_per_flow_paper)" 'BEGIN{
+  if (new == "" || new+0 > rec+0) { printf "FAIL: store round trips per paper flow %s vs recorded %s (any rise fails)\n", new, rec; exit 1 }
+  printf "store round trips per paper flow %s vs recorded %s: ok\n", new, rec }' || exit 1
 
 echo "== format + vet clean sweep (gofmt -s -l, go vet ./...) =="
 # Formatting drift and vet findings are the cheapest checks in the file;
