@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -143,14 +144,25 @@ func TestBarrierBatchFitsOneMSS(t *testing.T) {
 	t.Logf("largest barrier batch: %d of %d bytes", len(segments[0]), mss)
 }
 
-// flowAllocs drives whole flows through one instance — the client's SYN,
-// storage-a, the request, the rule scan and its lookup delay, the backend
-// dial, storage-b, the response, both FINs, the linger and the teardown's
-// deletes — between a scripted client and backend, with one memcached
-// server answering the barrier writes, and returns what one flow
-// allocates once the pools are warm. hybrid runs the flow in hybrid
-// recovery mode, where it is derivable and skips both barriers.
-func flowAllocs(t *testing.T, hybrid bool) float64 {
+// script is one instance between a scripted client and scripted
+// backends, with one memcached server answering the barrier writes. Its
+// flow runs one whole flow to idle — the client's SYN, storage-a, the
+// request, the rule scan and its lookup delay, the backend dial,
+// storage-b, the response, both FINs, the linger and the teardown's
+// deletes. A keepAlive flow sends a second request on the same
+// connection, for a second backend: the flow re-dials, writes storage-b
+// again and closes there. hybrid runs the instance in hybrid recovery
+// mode, where a plain flow is derivable and skips both barriers.
+// dupSynAck makes each backend answer every SYN twice, as a SYN-ACK
+// retransmission that crosses the instance's ACK would.
+type script struct {
+	n     *netsim.Network
+	in    *Instance
+	flows int
+	run   func()
+}
+
+func newScript(t *testing.T, hybrid, keepAlive, dupSynAck bool) *script {
 	t.Helper()
 	n := netsim.New(11)
 	sh := netsim.NewHost(n, netsim.IPv4(10, 0, 3, 1))
@@ -158,19 +170,27 @@ func flowAllocs(t *testing.T, hybrid bool) float64 {
 	instHost := netsim.NewHost(n, netsim.IPv4(10, 0, 0, 16))
 	store := tcpstore.New(instHost, []netsim.HostPort{{IP: sh.IP(), Port: memcache.DefaultPort}}, tcpstore.DefaultConfig())
 	vip := netsim.HostPort{IP: netsim.IPv4(10, 0, 0, 254), Port: 80}
-	backend := netsim.HostPort{IP: netsim.IPv4(10, 0, 2, 1), Port: 80}
-	rs := []rules.Rule{{Name: "all", Priority: 1, Match: rules.Match{URLGlob: "*"},
-		Action: rules.Action{Type: rules.ActionSplit, Split: []rules.WeightedBackend{
-			{Backend: rules.Backend{Name: "srv", Addr: backend}, Weight: 1}}}}}
+	backends := []netsim.HostPort{{IP: netsim.IPv4(10, 0, 2, 1), Port: 80}, {IP: netsim.IPv4(10, 0, 2, 2), Port: 80}}
+	split := func(glob string, i int) rules.Rule {
+		return rules.Rule{Name: glob, Priority: 1, Match: rules.Match{URLGlob: glob},
+			Action: rules.Action{Type: rules.ActionSplit, Split: []rules.WeightedBackend{
+				{Backend: rules.Backend{Name: fmt.Sprint("srv-", i), Addr: backends[i]}, Weight: 1}}}}
+	}
+	rs := []rules.Rule{split("*", 0)}
+	reqs := [][]byte{httpsim.NewRequest("/a", "svc").MarshalClose()}
+	if keepAlive {
+		rs = []rules.Rule{split("/a", 0), split("/b", 1)}
+		reqs = [][]byte{httpsim.NewRequest("/a", "svc").Marshal(), httpsim.NewRequest("/b", "svc").Marshal()}
+	}
 	cfg := DefaultConfig()
-	backendISN := func(netsim.HostPort) uint32 { return 777 }
+	backendISN := func(netsim.HostPort, netsim.HostPort) uint32 { return 777 }
 	if hybrid {
 		tab := stateless.New(7)
 		tab.RegisterRange(instHost.IP(), cfg.SNATBase, cfg.SNATCount)
 		pool, _ := stateless.PoolFromRules(rs)
 		tab.SetVIP(vip.IP, stateless.VIPEntry{Instances: []netsim.IP{instHost.IP()}, Pool: pool})
 		cfg.Hybrid = tab
-		backendISN = func(snat netsim.HostPort) uint32 { return tcp.DeterministicISN(tab.ISNKey(), backend, snat) }
+		backendISN = func(backend, snat netsim.HostPort) uint32 { return tcp.DeterministicISN(tab.ISNKey(), backend, snat) }
 	}
 	in := NewInstance(instHost, l4lb.New(n, l4lb.DefaultConfig()), store, cfg)
 	if err := in.InstallRules(vip.IP, rs); err != nil {
@@ -178,7 +198,6 @@ func flowAllocs(t *testing.T, hybrid bool) float64 {
 	}
 	n.Attach(vip.IP, netsim.NodeFunc(in.HandleSegment)) // the mux's place
 
-	req := httpsim.NewRequest("/obj", "svc").MarshalClose()
 	resp := httpsim.NewResponse(200, make([]byte, 2<<10)).Marshal()
 	const clientISN = 1000
 	send := func(src, dst netsim.HostPort, flags netsim.TCPFlags, seq, ack uint32, payload []byte) {
@@ -186,49 +205,78 @@ func flowAllocs(t *testing.T, hybrid bool) float64 {
 		p.Src, p.Dst, p.Flags, p.Seq, p.Ack, p.Window, p.Payload = src, dst, flags, seq, ack, 1<<20, payload
 		n.Send(p)
 	}
+	// The client sends its requests one response apart, then its FIN,
+	// unless the response carried the backend's (close mode) first.
 	client := netsim.HostPort{IP: netsim.IPv4(192, 168, 0, 1)}
+	sent, seq, finSent := 0, uint32(0), false
 	n.Attach(client.IP, netsim.NodeFunc(func(p *netsim.Packet) {
 		switch {
 		case p.Flags.Has(netsim.FlagSYN | netsim.FlagACK):
-			send(p.Dst, p.Src, netsim.FlagACK|netsim.FlagPSH, clientISN+1, p.Seq+1, req)
-		case p.Flags.Has(netsim.FlagFIN):
-			send(p.Dst, p.Src, netsim.FlagACK|netsim.FlagFIN, clientISN+1+uint32(len(req)), p.SeqEnd(), nil)
+			sent, seq, finSent = 1, clientISN+1+uint32(len(reqs[0])), false
+			send(p.Dst, p.Src, netsim.FlagACK|netsim.FlagPSH, clientISN+1, p.Seq+1, reqs[0])
+		case p.Flags.Has(netsim.FlagFIN) && finSent:
+			send(p.Dst, p.Src, netsim.FlagACK, seq+1, p.SeqEnd(), nil)
+		case len(p.Payload) > 0 && sent < len(reqs) && !p.Flags.Has(netsim.FlagFIN):
+			send(p.Dst, p.Src, netsim.FlagACK|netsim.FlagPSH, seq, p.SeqEnd(), reqs[sent])
+			sent, seq = sent+1, seq+uint32(len(reqs[sent]))
+		case len(p.Payload) > 0 || p.Flags.Has(netsim.FlagFIN):
+			finSent = true
+			send(p.Dst, p.Src, netsim.FlagACK|netsim.FlagFIN, seq, p.SeqEnd(), nil)
 		}
 		n.ReleasePacket(p)
 	}))
-	n.Attach(backend.IP, netsim.NodeFunc(func(p *netsim.Packet) {
-		s := backendISN(p.Src)
-		switch {
-		case p.Flags.Has(netsim.FlagSYN):
-			send(p.Dst, p.Src, netsim.FlagSYN|netsim.FlagACK, s, p.Seq+1, nil)
-		case len(p.Payload) > 0:
-			send(p.Dst, p.Src, netsim.FlagACK|netsim.FlagPSH|netsim.FlagFIN, s+1, p.SeqEnd(), resp)
-		case p.Flags.Has(netsim.FlagFIN):
-			send(p.Dst, p.Src, netsim.FlagACK, s+2+uint32(len(resp)), p.SeqEnd(), nil)
-		}
-		n.ReleasePacket(p)
-	}))
-
-	flows := 0
-	flow := func() {
-		client.Port = 1024 + uint16(flows%60000)
-		flows++
+	for _, b := range backends {
+		n.Attach(b.IP, netsim.NodeFunc(func(p *netsim.Packet) {
+			s := backendISN(p.Dst, p.Src)
+			switch {
+			case p.Flags.Has(netsim.FlagSYN):
+				for i := 0; i < 1 || dupSynAck && i < 2; i++ {
+					send(p.Dst, p.Src, netsim.FlagSYN|netsim.FlagACK, s, p.Seq+1, nil)
+				}
+			case len(p.Payload) > 0 && keepAlive:
+				send(p.Dst, p.Src, netsim.FlagACK|netsim.FlagPSH, s+1, p.SeqEnd(), resp)
+			case len(p.Payload) > 0:
+				send(p.Dst, p.Src, netsim.FlagACK|netsim.FlagPSH|netsim.FlagFIN, s+1, p.SeqEnd(), resp)
+			case p.Flags.Has(netsim.FlagFIN) && keepAlive:
+				send(p.Dst, p.Src, netsim.FlagACK|netsim.FlagFIN, s+1+uint32(len(resp)), p.SeqEnd(), nil)
+			case p.Flags.Has(netsim.FlagFIN):
+				send(p.Dst, p.Src, netsim.FlagACK, s+2+uint32(len(resp)), p.SeqEnd(), nil)
+			}
+			n.ReleasePacket(p)
+		}))
+	}
+	sc := &script{n: n, in: in}
+	sc.run = func() {
+		client.Port = 1024 + uint16(sc.flows%60000)
+		sc.flows++
 		send(client, vip, netsim.FlagSYN, clientISN, 0, nil)
 		n.RunUntilIdle(1 << 20)
 	}
+	return sc
+}
+
+// flowAllocs returns what one scripted flow allocates once the pools
+// are warm, after checking that every flow closed.
+func flowAllocs(t *testing.T, hybrid, keepAlive bool) float64 {
+	t.Helper()
+	sc := newScript(t, hybrid, keepAlive, false)
 	for i := 0; i < 64; i++ {
-		flow() // warm the pools, the flow index and the store's connection
+		sc.run() // warm the pools, the flow index and the store's connection
 	}
-	allocs := testing.AllocsPerRun(100, flow)
+	allocs := testing.AllocsPerRun(100, sc.run)
+	in, flows := sc.in, sc.flows
 	if in.FlowsClosed != uint64(flows) || in.FlowCount() != 0 || in.ConnLat.Count() != flows {
 		t.Fatalf("%d flows run, %d closed, %d tunnelled, %d flow entries left", flows, in.FlowsClosed, in.ConnLat.Count(), in.FlowCount())
 	}
-	wantSkipped := uint64(0)
+	wantSkipped, wantSwitches := uint64(0), uint64(0)
 	if hybrid {
 		wantSkipped = 2 * uint64(flows)
 	}
-	if in.Barrier.Skipped != wantSkipped {
-		t.Fatalf("%d barriers skipped over %d flows, want %d", in.Barrier.Skipped, flows, wantSkipped)
+	if keepAlive {
+		wantSwitches = uint64(flows)
+	}
+	if in.Barrier.Skipped != wantSkipped || in.Reselections != wantSwitches {
+		t.Fatalf("%d barriers skipped and %d backend switches over %d flows, want %d and %d", in.Barrier.Skipped, in.Reselections, flows, wantSkipped, wantSwitches)
 	}
 	return allocs
 }
@@ -239,17 +287,41 @@ func flowAllocs(t *testing.T, hybrid bool) float64 {
 // and the request head's string copy. In paper mode the memcached
 // answering storage-a and storage-b adds the two key strings of the
 // records it has not held before (the client tuple's and the server
-// tuple's); hybrid mode writes no record.
+// tuple's); hybrid mode writes no record. A keep-alive flow whose second
+// request re-dials another backend adds 6: its kaState, held bytes and
+// request queue, the second request head's two (its string copy and
+// header fields), and memcached's key string for the new server tuple.
+// The re-dial itself — the first dial's code, every segment pooled —
+// allocates nothing.
 func TestFlowAllocBudget(t *testing.T) {
 	for _, c := range []struct {
-		name   string
-		hybrid bool
-		budget float64
-	}{{"paper", false, 5 + 2}, {"hybrid", true, 5}} {
-		if n := flowAllocs(t, c.hybrid); n > c.budget {
-			t.Errorf("%s mode: a whole flow allocates %v objects, budget %v", c.name, n, c.budget)
+		name              string
+		hybrid, keepAlive bool
+		budget            float64
+	}{{"paper", false, false, 5 + 2}, {"hybrid", true, false, 5}, {"keep-alive switch", false, true, 5 + 2 + 6}} {
+		if n := flowAllocs(t, c.hybrid, c.keepAlive); n > c.budget {
+			t.Errorf("%s: a whole flow allocates %v objects, budget %v", c.name, n, c.budget)
 		} else {
-			t.Logf("%s mode: %v allocations per flow", c.name, n)
+			t.Logf("%s: %v allocations per flow", c.name, n)
+		}
+	}
+}
+
+// TestOneBarrierPerDial: a backend's SYN-ACK retransmitted while the
+// instance's storage-b write is in flight writes nothing more. A flow
+// writes storage-a and one storage-b per dial: its first, and a
+// keep-alive re-dial's.
+func TestOneBarrierPerDial(t *testing.T) {
+	for _, keepAlive := range []bool{false, true} {
+		sc := newScript(t, false, keepAlive, true)
+		sc.run()
+		want := uint64(2)
+		if keepAlive {
+			want = 3
+		}
+		in := sc.in
+		if got := in.Barrier.Commits + in.Barrier.Degraded + in.Barrier.Aborted; got != want || in.FlowsClosed != 1 || in.FlowCount() != 0 {
+			t.Fatalf("keepAlive=%v: %d barrier writes, %d flows closed, %d flow entries left; want %d, 1, 0", keepAlive, got, in.FlowsClosed, in.FlowCount(), want)
 		}
 	}
 }

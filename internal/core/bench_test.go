@@ -21,17 +21,17 @@ func benchTunnelSetup(n *netsim.Network) (*Instance, *flow) {
 	in := NewInstance(instHost, lb, store, DefaultConfig())
 
 	f := &flow{
-		vip:           netsim.HostPort{IP: 0x0a0000fe, Port: 80},
-		client:        netsim.HostPort{IP: 0xc0a80001, Port: 40000},
-		server:        netsim.HostPort{IP: 0x0a000020, Port: 8080},
-		snat:          netsim.HostPort{IP: 0x0a0000fe, Port: 20001},
-		clientISN:     1000,
-		c:             5000,
-		s:             9000,
-		delta:         ^uint32(3999), // 5000 - 9000 in sequence space
-		state:         stateTunnel,
-		clientNextSeq: 1001,
-		toClientNext:  5001,
+		vip:          netsim.HostPort{IP: 0x0a0000fe, Port: 80},
+		client:       netsim.HostPort{IP: 0xc0a80001, Port: 40000},
+		server:       netsim.HostPort{IP: 0x0a000020, Port: 8080},
+		snat:         netsim.HostPort{IP: 0x0a0000fe, Port: 20001},
+		clientISN:    1000,
+		c:            5000,
+		s:            9000,
+		delta:        ^uint32(3999), // 5000 - 9000 in sequence space
+		state:        stateTunnel,
+		fromClient:   assembler{next: 1001},
+		toClientNext: 5001,
 	}
 	in.flows.put(f.clientTuple(), f)
 	in.flows.put(f.serverTuple(), f)
@@ -51,7 +51,7 @@ func BenchmarkFlowFastPath(b *testing.B) {
 	n := netsim.New(42)
 	in, f := benchTunnelSetup(n)
 	payload := make([]byte, 512)
-	seq := f.clientNextSeq
+	seq := f.fromClient.next
 
 	b.SetBytes(int64(len(payload)))
 	b.ReportAllocs()
@@ -76,7 +76,7 @@ func TestFlowFastPathAllocFree(t *testing.T) {
 	n := netsim.New(7)
 	in, f := benchTunnelSetup(n)
 	payload := make([]byte, 512)
-	seq := f.clientNextSeq
+	seq := f.fromClient.next
 	send := func() {
 		pkt := n.AllocPacket()
 		pkt.Src, pkt.Dst = f.client, f.vip

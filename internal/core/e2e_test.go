@@ -519,3 +519,40 @@ func BenchmarkEventsPerFlow(b *testing.B) {
 		b.ReportMetric(float64(c.Net.Executed()-base)/float64(c.Yoda[0].FlowsClosed), "events/flow")
 	}
 }
+
+// TestClientResetMidTunnel: a client that aborts mid-response has its RST
+// carried on to the backend, translated into the backend's sequence
+// space, and the flow is torn down with its store records.
+func TestClientResetMidTunnel(t *testing.T) {
+	tb := newTestbed(t, 12, 1)
+	backends := map[netsim.HostPort]bool{}
+	for _, b := range tb.C.Backends {
+		backends[b.Rec.Addr] = true
+	}
+	var resets []*netsim.Packet
+	tb.C.Net.SetTracer(func(ev netsim.TraceEvent) {
+		if p := ev.Packet; backends[p.Dst] && p.Flags.Has(netsim.FlagRST) {
+			resets = append(resets, p.Clone())
+		}
+	})
+	var got int
+	tcp.Dial(tb.C.ClientHost(), tb.Addr, tcp.Callbacks{
+		OnEstablished: func(c *tcp.Conn) { c.Write(httpsim.NewRequest("/100k", "mysite").MarshalClose()) },
+		OnData: func(c *tcp.Conn, d []byte) {
+			if got += len(d); got > 10_000 {
+				c.Abort()
+			}
+		},
+	}, tcp.DefaultConfig())
+	tb.C.Net.RunFor(10 * time.Second)
+	// The relayed RST is a bare one; what else the backend sent before it
+	// got there finds no flow and draws the store-miss RST|ACK.
+	in := tb.C.Yoda[0]
+	if len(resets) == 0 || resets[0].Flags != netsim.FlagRST || resets[0].Src.IP != tb.VIP {
+		t.Fatalf("RSTs toward the backend %v, want the client's, relayed from the VIP, first", resets)
+	}
+	if in.FlowCount() != 0 || in.FlowsClosed != 1 {
+		t.Fatalf("%d flow entries left, %d closed; want 0 and 1", in.FlowCount(), in.FlowsClosed)
+	}
+	requireStoreEmpty(t, tb.C)
+}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/httpsim"
 	"repro/internal/netsim"
+	"repro/internal/rules"
 	"repro/internal/securesim"
 )
 
@@ -38,11 +39,11 @@ type flow struct {
 	// epoch-bump flush.
 	persisted bool
 
-	// Connection-phase request assembly.
-	reqBuf        []byte
-	clientNextSeq uint32            // next expected in-order client payload seq
-	ooo           map[uint32][]byte // out-of-order client payload
-	synAckSent    bool
+	// The client's byte stream: the connection phase assembles it into
+	// reqBuf, keep-alive inspection into kaState.held.
+	reqBuf     []byte
+	fromClient assembler
+	synAckSent bool
 
 	// Tunneling bookkeeping.
 	toClientNext uint32 // next client-facing seq the server side will use
@@ -118,14 +119,14 @@ func (in *Instance) newClientFlow(pkt *netsim.Packet) {
 	now := in.net.Now()
 	in.CPU.Charge(now, in.cfg.CPUConnPhase)
 	f := &flow{
-		vip:           pkt.Dst,
-		client:        pkt.Src,
-		clientISN:     pkt.Seq,
-		c:             isnHash(pkt.Src, pkt.Dst),
-		clientNextSeq: pkt.Seq + 1,
-		toClientNext:  isnHash(pkt.Src, pkt.Dst) + 1,
-		start:         now,
-		lastActive:    now,
+		vip:          pkt.Dst,
+		client:       pkt.Src,
+		clientISN:    pkt.Seq,
+		c:            isnHash(pkt.Src, pkt.Dst),
+		fromClient:   assembler{next: pkt.Seq + 1},
+		toClientNext: isnHash(pkt.Src, pkt.Dst) + 1,
+		start:        now,
+		lastActive:   now,
 	}
 	in.flows.put(f.clientTuple(), f)
 	in.note(evNewFlow, f.vip.IP)
@@ -154,14 +155,18 @@ func (in *Instance) newClientFlow(pkt *netsim.Packet) {
 
 func (in *Instance) sendSynAck(f *flow) {
 	f.synAckSent = true
-	in.net.Send(in.packet(f.vip, f.client, netsim.FlagSYN|netsim.FlagACK, f.c, f.clientISN+1))
+	in.net.Send(in.packet(f.vip, f.client, netsim.FlagSYN|netsim.FlagACK, f.c, f.clientISN+1, advWindow))
 }
 
-// packet takes a pooled packet for a segment the instance originates,
-// advertising the window it always advertises.
-func (in *Instance) packet(src, dst netsim.HostPort, flags netsim.TCPFlags, seq, ack uint32) *netsim.Packet {
+// advWindow is the window the instance advertises on the handshake and
+// data segments it originates; its bare ACKs, FINs and RSTs advertise 0.
+const advWindow = 1 << 20
+
+// packet takes a pooled packet for a segment the instance sends. Every
+// segment core puts on the wire is one (TestOneLifecycleSeam).
+func (in *Instance) packet(src, dst netsim.HostPort, flags netsim.TCPFlags, seq, ack, win uint32) *netsim.Packet {
 	p := in.net.AllocPacket()
-	p.Src, p.Dst, p.Flags, p.Seq, p.Ack, p.Window = src, dst, flags, seq, ack, 1<<20
+	p.Src, p.Dst, p.Flags, p.Seq, p.Ack, p.Window = src, dst, flags, seq, ack, win
 	return p
 }
 
@@ -181,11 +186,7 @@ func (in *Instance) connPhaseClientPacket(f *flow, pkt *netsim.Packet) {
 	}
 	if pkt.Flags.Has(netsim.FlagFIN) && len(pkt.Payload) == 0 {
 		// Client gave up before sending a request.
-		in.net.Send(&netsim.Packet{
-			Src: f.vip, Dst: f.client,
-			Flags: netsim.FlagFIN | netsim.FlagACK,
-			Seq:   f.c + 1, Ack: pkt.SeqEnd(),
-		})
+		in.net.Send(in.packet(f.vip, f.client, netsim.FlagFIN|netsim.FlagACK, f.c+1, pkt.SeqEnd(), 0))
 		in.teardown(f, true)
 		return
 	}
@@ -193,7 +194,7 @@ func (in *Instance) connPhaseClientPacket(f *flow, pkt *netsim.Packet) {
 		return // bare ACK completing the handshake
 	}
 	prevLen := len(f.reqBuf)
-	in.assembleClientData(f, pkt)
+	f.reqBuf = f.fromClient.appendTo(f.reqBuf, pkt.Seq, pkt.Payload)
 	if f.state != stateConn {
 		return // backend dial in progress; data is buffered for forwarding
 	}
@@ -219,53 +220,60 @@ func (in *Instance) tryDispatchRequest(f *flow) {
 	if !complete {
 		// Header incomplete: ACK what we have so the client can keep
 		// sending beyond its initial window.
-		in.net.Send(&netsim.Packet{
-			Src: f.vip, Dst: f.client,
-			Flags: netsim.FlagACK,
-			Seq:   f.toClientDataBase(), Ack: f.clientNextSeq,
-		})
+		in.net.Send(in.packet(f.vip, f.client, netsim.FlagACK, f.toClientDataBase(), f.fromClient.next, 0))
 		return
 	}
 	in.selectAndDial(f, &in.req)
 }
 
-// assembleClientData merges a data segment into the in-order request
-// buffer.
-func (in *Instance) assembleClientData(f *flow, pkt *netsim.Packet) {
-	seq, data := pkt.Seq, pkt.Payload
-	// Trim already-held prefix.
-	if seqDiff(f.clientNextSeq, seq) > 0 {
-		skip := f.clientNextSeq - seq
-		if uint32(len(data)) <= skip {
-			return
-		}
-		data = data[skip:]
-		seq = f.clientNextSeq
-	}
-	if seq != f.clientNextSeq {
-		park(&f.ooo, seq, data)
-		return
-	}
-	f.reqBuf = append(f.reqBuf, data...)
-	f.clientNextSeq += uint32(len(data))
-	// Drain contiguous out-of-order segments.
-	for {
-		d, ok := f.ooo[f.clientNextSeq]
-		if !ok {
-			break
-		}
-		delete(f.ooo, f.clientNextSeq)
-		f.reqBuf = append(f.reqBuf, d...)
-		f.clientNextSeq += uint32(len(d))
-	}
+// assembler puts one direction of a flow's byte stream back in order.
+// Only the in-order stream is the caller's; segments that arrive ahead of
+// it are parked here, copied, until the gap before them fills.
+type assembler struct {
+	next   uint32            // sequence number of the next in-order byte
+	parked map[uint32][]byte // segments ahead of next, by their first byte's seq
 }
 
-// park copies an out-of-order segment into *m, made at the first one.
-func park(m *map[uint32][]byte, seq uint32, data []byte) {
-	if *m == nil {
-		*m = make(map[uint32][]byte)
+// push takes one segment and returns the bytes it adds to the in-order
+// stream, past next, which it advances beyond them. It returns nil for a
+// duplicate, and for a segment ahead of next, which it parks; pop then
+// yields each parked segment the stream reaches.
+func (a *assembler) push(seq uint32, data []byte) []byte {
+	if skip := seqDiff(a.next, seq); skip > 0 {
+		if len(data) <= int(skip) {
+			return nil
+		}
+		data = data[skip:]
+	} else if skip < 0 {
+		if a.parked == nil {
+			a.parked = make(map[uint32][]byte)
+		}
+		a.parked[seq] = append([]byte(nil), data...)
+		return nil
 	}
-	(*m)[seq] = append([]byte(nil), data...)
+	a.next += uint32(len(data))
+	return data
+}
+
+// pop returns the parked segment that starts at next and advances past
+// it, or nil when none does.
+func (a *assembler) pop() []byte {
+	d, ok := a.parked[a.next]
+	if !ok {
+		return nil
+	}
+	delete(a.parked, a.next)
+	a.next += uint32(len(d))
+	return d
+}
+
+// appendTo pushes a segment and appends to buf every byte it puts in
+// order.
+func (a *assembler) appendTo(buf []byte, seq uint32, data []byte) []byte {
+	for d := a.push(seq, data); d != nil; d = a.pop() {
+		buf = append(buf, d...)
+	}
+	return buf
 }
 
 // seqDiff returns a-b as a signed 32-bit distance.
@@ -318,15 +326,11 @@ func (in *Instance) selectAndDial(f *flow, req *httpsim.Request) {
 		in.reject(f, 503, "snat ports exhausted")
 		return
 	}
-	in.setState(f, stateDialing)
 	f.dialStart = in.net.Now()
-	f.server = decision.Backend.Addr
-	f.backendName = decision.Backend.Name
 	// TLS flows stay pinned to their backend: re-selection would require
 	// re-inspecting ciphertext mid-stream (documented simplification).
 	f.keepAlive = req.KeepAlive() && f.tls == nil
-	f.snat = netsim.HostPort{IP: f.vip.IP, Port: port}
-	in.flows.put(f.serverTuple(), f)
+	in.dial(f, decision.Backend, port)
 	// Learn sticky bindings so subsequent sessions pin (Table 3 rule-4).
 	if ck := sessionCookie(req); ck != "" {
 		engine.Learn("cookie-table", ck, decision.Backend)
@@ -337,21 +341,40 @@ func (in *Instance) selectAndDial(f *flow, req *httpsim.Request) {
 // sessionCookie extracts the canonical session cookie if present.
 func sessionCookie(req *httpsim.Request) string { return req.Cookie("session") }
 
+// dial binds f to backend through its claimed SNAT port and enters
+// Dialing: the first dial, after the lookup delay, and a keep-alive
+// re-dial (keepalive.go), at once.
+func (in *Instance) dial(f *flow, backend rules.Backend, port uint16) {
+	in.setState(f, stateDialing)
+	f.server = backend.Addr
+	f.backendName = backend.Name
+	f.snat = netsim.HostPort{IP: f.vip.IP, Port: port}
+	in.flows.put(f.serverTuple(), f)
+}
+
+// dialBase is the client sequence number the backend connection's first
+// byte carries. The SYN to the backend reuses the client's sequence
+// numbering so that client data can later be forwarded without rewriting
+// (§4.1): a first dial starts where the client's application data starts
+// (for TLS flows the handshake bytes were consumed by the instance and
+// are not forwarded), a keep-alive re-dial where the request that chose
+// the new backend starts.
+func (f *flow) dialBase() uint32 {
+	if f.ka != nil {
+		return f.ka.queue[0].startSeq
+	}
+	return f.clientDataBase()
+}
+
 func (in *Instance) sendServerSyn(f *flow) {
-	// The SYN to the backend reuses the client's sequence numbering so
-	// that client data can later be forwarded without rewriting (§4.1).
-	// For TLS flows the handshake bytes were consumed by the instance and
-	// are not forwarded, so the backend's numbering starts where the
-	// client's application data starts.
-	in.l4.SendViaSNAT(in.packet(f.snat, f.server, netsim.FlagSYN, f.clientDataBase()-1, 0), in.IP())
+	in.l4.SendViaSNAT(in.packet(f.snat, f.server, netsim.FlagSYN, f.dialBase()-1, 0, advWindow), in.IP())
 	f.dialTries++
 	f.dialTimer.Stop()
 	f.dialTimer = in.flowTimer(f, 3*time.Second)
 }
 
-// flowTimer arms the lookup delay, a dial retry (of the first dial or of
-// a keep-alive switch) or the linger on the flow's one callback for them
-// all, which it binds on first use.
+// flowTimer arms the lookup delay, a dial retry or the linger on the
+// flow's one callback for them all, which it binds on first use.
 func (in *Instance) flowTimer(f *flow, d time.Duration) netsim.Timer {
 	if f.timerFn == nil {
 		f.timerFn = func() { in.onFlowTimer(f) }
@@ -359,48 +382,47 @@ func (in *Instance) flowTimer(f *flow, d time.Duration) netsim.Timer {
 	return in.net.Schedule(d, f.timerFn)
 }
 
-// onFlowTimer tells them apart by the flow's state. While it dials — in
-// Dialing, or in a keep-alive switch whose SYN-ACK has not arrived — the
-// lookup delay (dialTries 0) or a dial retry sends the next SYN, and the
-// third unanswered one rejects the flow. The dial timer stops at the
-// SYN-ACK, so any later one is the linger.
+// onFlowTimer tells them apart by the flow's state. In Dialing the lookup
+// delay (dialTries 0) or a dial retry sends the next SYN, and the third
+// unanswered one rejects the flow. The dial timer stops at the SYN-ACK,
+// so any later one is the linger.
 func (in *Instance) onFlowTimer(f *flow) {
 	if in.flows.get(f.clientTuple()) != f {
 		return
 	}
-	switching := f.ka != nil && f.ka.switching && !f.ka.committing
 	switch {
-	case (f.state == stateDialing || switching) && f.dialTries >= 3:
+	case f.state == stateDialing && f.dialTries >= 3:
 		in.reject(f, 503, "backend unreachable")
 	case f.state == stateDialing:
 		in.sendServerSyn(f)
-	case switching:
-		in.kaSendSwitchSyn(f)
 	case f.clientFin && f.serverFin:
 		in.teardown(f, true)
 	}
 }
 
 // serverHandshakePacket completes the backend connection: storage-b, then
-// ACK plus the buffered request.
+// ACK plus the request.
 func (in *Instance) serverHandshakePacket(f *flow, pkt *netsim.Packet) {
 	if pkt.Flags.Has(netsim.FlagRST) {
 		in.reject(f, 503, "backend refused")
 		return
 	}
-	if !pkt.Flags.Has(netsim.FlagSYN | netsim.FlagACK) {
-		return
-	}
-	if pkt.Ack != f.clientDataBase() {
+	// dialTries is 0 once a SYN-ACK is accepted: a retransmitted one must
+	// not write storage-b twice while the first write is in flight.
+	if !pkt.Flags.Has(netsim.FlagSYN|netsim.FlagACK) || pkt.Ack != f.dialBase() || f.dialTries == 0 {
 		return // stale handshake
 	}
 	f.dialTimer.Stop()
+	f.dialTries = 0
 	f.s = pkt.Seq
 	// Translation: the backend's first data byte (S+1) must surface at the
-	// client's next expected sequence number (after the SYN-ACK and, for
-	// TLS, the ServerHello).
-	f.delta = f.toClientDataBase() - (f.s + 1)
-	f.toClientNext = f.toClientDataBase()
+	// client's next expected sequence number: after the SYN-ACK and, for
+	// TLS, the ServerHello on a first dial; on a re-dial, after the bytes
+	// the old backend already sent.
+	if f.ka == nil {
+		f.toClientNext = f.toClientDataBase()
+	}
+	f.delta = f.toClientNext - (f.s + 1)
 	// storage-b: persist the full translation state under both tuple
 	// orientations before ACKing the server (Figure 3). The two records
 	// ride one batched store round trip.
@@ -410,8 +432,8 @@ func (in *Instance) serverHandshakePacket(f *flow, pkt *netsim.Packet) {
 	// is redundant — a successor derives the identical record — and the
 	// barrier is skipped with the commit run synchronously. Any mismatch
 	// (sticky hit, health drift, port-collision fallback, an epoch bump
-	// since the SYN, TLS) keeps the flow on the persisted path, so residue
-	// classification is sound without enumerating causes.
+	// since the SYN, TLS, a re-dial) keeps the flow on the persisted path,
+	// so residue classification is sound without enumerating causes.
 	if in.hybridDerivable(f) {
 		in.note(evBarrierSkip, f.vip.IP)
 		in.enterTunnel(f)
@@ -425,23 +447,31 @@ func (in *Instance) enterTunnel(f *flow) {
 	if f.state != stateDialing {
 		return
 	}
-	// The "connection" component of Figure 9: backend selection through
-	// the backend handshake and storage-b (waiting for the client's
-	// request is not the LB's doing and is excluded).
-	in.ConnLat.Add(in.net.Now() - f.dialStart)
-	toForward := f.reqBuf
-	if f.keepAlive {
-		// Only the first request goes to this backend; pipelined
-		// requests already buffered are re-selected individually.
-		toForward = in.initKeepAlive(f)
-		in.setState(f, stateKATunnel)
+	base, data := f.dialBase(), f.reqBuf
+	if ka := f.ka; ka != nil {
+		// A re-dial: forward the request that chose this backend, and
+		// follow the new backend's responses from its first byte.
+		data = ka.pop().raw
+		ka.respOutstanding++
+		ka.fromServer = assembler{next: f.s + 1}
+		ka.respBuf, ka.respBody = nil, 0
 	} else {
-		in.setState(f, stateTunnel)
+		// The "connection" component of Figure 9: backend selection
+		// through the backend handshake and storage-b (waiting for the
+		// client's request is not the LB's doing and is excluded). A
+		// re-dial is not a connection.
+		in.ConnLat.Add(in.net.Now() - f.dialStart)
+		if f.keepAlive {
+			// Only the first request goes to this backend; pipelined
+			// requests already buffered are re-selected individually.
+			data = in.initKeepAlive(f)
+		}
 	}
-	// ACK the SYN-ACK and forward the buffered request bytes in the
-	// client's own sequence space.
-	in.l4.SendViaSNAT(in.packet(f.snat, f.server, netsim.FlagACK, f.clientDataBase(), f.s+1), in.IP())
-	in.forwardClientBytes(f, f.clientDataBase(), toForward)
+	in.setState(f, stateTunnel)
+	// ACK the SYN-ACK and forward the request bytes in the client's own
+	// sequence space.
+	in.l4.SendViaSNAT(in.packet(f.snat, f.server, netsim.FlagACK, base, f.s+1, advWindow), in.IP())
+	in.forwardClientBytes(f, base, data)
 	f.reqBuf = nil
 }
 
@@ -455,7 +485,7 @@ func (in *Instance) forwardClientBytes(f *flow, seq uint32, data []byte) {
 	for off := 0; off < len(data); off += mss {
 		end := min(off+mss, len(data))
 		in.CPU.Charge(in.net.Now(), in.cfg.CPUPerPacket)
-		pkt := in.packet(f.snat, f.server, netsim.FlagACK|netsim.FlagPSH, seq+uint32(off), f.s+1)
+		pkt := in.packet(f.snat, f.server, netsim.FlagACK|netsim.FlagPSH, seq+uint32(off), f.s+1, advWindow)
 		pkt.Payload = data[off:end:end]
 		in.l4.SendViaSNAT(pkt, in.IP())
 	}
@@ -467,37 +497,41 @@ func (in *Instance) reject(f *flow, code int, reason string) {
 	resp := httpsim.NewResponse(code, []byte(reason))
 	resp.SetHeader("Connection", "close")
 	payload := resp.Marshal()
-	seq := f.toClientDataBase()
 	if f.tls != nil {
 		payload = securesim.KeystreamXOR(f.tls.key, securesim.DirServerToClient, 0, payload)
 	}
-	in.net.Send(&netsim.Packet{
-		Src: f.vip, Dst: f.client,
-		Flags:   netsim.FlagACK | netsim.FlagPSH | netsim.FlagFIN,
-		Seq:     seq,
-		Ack:     f.clientNextSeq,
-		Payload: payload,
-	})
+	p := in.packet(f.vip, f.client, netsim.FlagACK|netsim.FlagPSH|netsim.FlagFIN, f.toClientDataBase(), f.fromClient.next, 0)
+	p.Payload = payload
+	in.net.Send(p)
 	in.teardown(f, true)
 }
 
 // --- tunneling phase ---
 
-// abortToServer and abortToClient propagate a RST to the flow's other end
-// and drop state; dispatch routes a RST in either tunnel state here.
-func (in *Instance) abortToServer(f *flow, pkt *netsim.Packet) {
-	in.l4.SendViaSNAT(&netsim.Packet{
-		Src: f.snat, Dst: f.server,
-		Flags: netsim.FlagRST, Seq: pkt.Seq, Ack: pkt.Ack - f.delta,
-	}, in.IP())
-	in.teardown(f, true)
+// relay forwards pkt through the tunnel to the flow's other side, with
+// the given flags, window and payload: the one Δ translation of both
+// directions. Toward the backend the ACK field drops by Δ; toward the
+// client the sequence field rises by it, and the client-facing next
+// sequence number follows.
+func (in *Instance) relay(f *flow, pkt *netsim.Packet, flags netsim.TCPFlags, win uint32, payload []byte) {
+	if pkt.Src == f.client {
+		p := in.packet(f.snat, f.server, flags, pkt.Seq, pkt.Ack-f.delta, win)
+		p.Payload = payload
+		in.l4.SendViaSNAT(p, in.IP())
+		return
+	}
+	if end := pkt.SeqEnd() + f.delta; seqDiff(end, f.toClientNext) > 0 {
+		f.toClientNext = end
+	}
+	p := in.packet(f.vip, f.client, flags, pkt.Seq+f.delta, pkt.Ack, win)
+	p.Payload = payload
+	in.net.Send(p)
 }
 
-func (in *Instance) abortToClient(f *flow, pkt *netsim.Packet) {
-	in.net.Send(&netsim.Packet{
-		Src: f.vip, Dst: f.client,
-		Flags: netsim.FlagRST, Seq: pkt.Seq + f.delta, Ack: pkt.Ack,
-	})
+// abort propagates a RST to the flow's other end and drops state;
+// dispatch routes a RST in Tunnel here, from either side.
+func (in *Instance) abort(f *flow, pkt *netsim.Packet) {
+	in.relay(f, pkt, netsim.FlagRST, 0, nil)
 	in.teardown(f, true)
 }
 
@@ -505,40 +539,25 @@ func (in *Instance) tunnelFromClient(f *flow, pkt *netsim.Packet) {
 	if pkt.Flags.Has(netsim.FlagFIN) {
 		f.clientFin = true
 	}
-	fwd := in.net.AllocPacket()
-	fwd.Src, fwd.Dst = f.snat, f.server
-	fwd.Flags = pkt.Flags
-	fwd.Seq, fwd.Ack = pkt.Seq, pkt.Ack-f.delta
-	fwd.Window = pkt.Window
-	fwd.Payload = f.tlsDecryptFromClient(pkt.Seq, pkt.Payload)
-	in.l4.SendViaSNAT(fwd, in.IP())
+	in.relay(f, pkt, pkt.Flags, pkt.Window, f.tlsDecryptFromClient(pkt.Seq, pkt.Payload))
 	in.maybeFinish(f)
 }
 
+// tunnelFromServer forwards a backend segment to the client; on a
+// keep-alive flow it first follows the response stream (keepalive.go).
 func (in *Instance) tunnelFromServer(f *flow, pkt *netsim.Packet) {
 	if pkt.Flags.Has(netsim.FlagSYN) {
 		// Retransmitted SYN-ACK: our ACK got lost. Re-ACK.
-		in.l4.SendViaSNAT(&netsim.Packet{
-			Src: f.snat, Dst: f.server,
-			Flags: netsim.FlagACK,
-			Seq:   f.clientDataBase(), Ack: f.s + 1,
-		}, in.IP())
+		in.l4.SendViaSNAT(in.packet(f.snat, f.server, netsim.FlagACK, f.clientDataBase(), f.s+1, 0), in.IP())
 		return
 	}
 	if pkt.Flags.Has(netsim.FlagFIN) {
 		f.serverFin = true
 	}
-	end := pkt.SeqEnd() + f.delta
-	if seqDiff(end, f.toClientNext) > 0 {
-		f.toClientNext = end
+	if f.ka != nil && len(pkt.Payload) > 0 {
+		in.kaTrackServer(f, pkt.Seq, pkt.Payload)
 	}
-	fwd := in.net.AllocPacket()
-	fwd.Src, fwd.Dst = f.vip, f.client
-	fwd.Flags = pkt.Flags
-	fwd.Seq, fwd.Ack = pkt.Seq+f.delta, pkt.Ack
-	fwd.Window = pkt.Window
-	fwd.Payload = f.tlsEncryptToClient(pkt.Seq, pkt.Payload)
-	in.net.Send(fwd)
+	in.relay(f, pkt, pkt.Flags, pkt.Window, f.tlsEncryptToClient(pkt.Seq, pkt.Payload))
 	in.maybeFinish(f)
 }
 
@@ -620,11 +639,7 @@ func (in *Instance) TerminateBackendFlows(backend netsim.HostPort) int {
 		}
 	})
 	for _, f := range victims {
-		in.net.Send(&netsim.Packet{
-			Src: f.vip, Dst: f.client,
-			Flags: netsim.FlagRST,
-			Seq:   f.toClientNext, Ack: f.clientNextSeq,
-		})
+		in.net.Send(in.packet(f.vip, f.client, netsim.FlagRST, f.toClientNext, f.fromClient.next, 0))
 		in.teardown(f, true)
 	}
 	return len(victims)
@@ -706,12 +721,12 @@ func (in *Instance) installRecovered(rec *Record, ev event) *flow {
 		return existing
 	}
 	f := &flow{
-		vip:           rec.VIP,
-		client:        rec.Client,
-		clientISN:     rec.ClientISN,
-		c:             isnHash(rec.Client, rec.VIP),
-		clientNextSeq: rec.ClientISN + 1,
-		recovered:     true,
+		vip:        rec.VIP,
+		client:     rec.Client,
+		clientISN:  rec.ClientISN,
+		c:          isnHash(rec.Client, rec.VIP),
+		fromClient: assembler{next: rec.ClientISN + 1},
+		recovered:  true,
 		// A record read from the store is in the store: teardown owes its
 		// deletes. A derived tunnel is persisted by its repair write.
 		persisted:  ev == evAdoptStore,
@@ -723,7 +738,7 @@ func (in *Instance) installRecovered(rec *Record, ev event) *flow {
 		f.tls = &flowTLS{key: rec.TLS.Key, serverHelloLen: int(rec.TLS.ServerHelloLen)}
 		// The hello was consumed (and ACKed) before the record carried a
 		// key; the client stream resumes at the application base.
-		f.clientNextSeq = f.clientDataBase()
+		f.fromClient.next = f.clientDataBase()
 	}
 	switch rec.Phase { // UnmarshalRecord admits no other phase
 	case PhaseConn:

@@ -65,9 +65,11 @@ func (in *Instance) hybridPreferredPort(f *flow) (uint16, bool) {
 // since its SYN (a TLS key, an epoch flush) stays persisted, and any
 // deviation (sticky or health-driven selection, port-collision fallback,
 // an epoch bump since the SYN) fails a comparison; the classification
-// compares outcomes, not causes.
+// compares outcomes, not causes. A keep-alive re-dial (f.ka set) never
+// is: its Δ is rebased on the bytes the old backend sent, which the
+// comparison does not cover and no derivation reproduces.
 func (in *Instance) hybridDerivable(f *flow) bool {
-	if !f.stateless || f.persisted {
+	if !f.stateless || f.persisted || f.ka != nil {
 		return false
 	}
 	t, ct := in.cfg.Hybrid, f.clientTuple()
@@ -175,11 +177,7 @@ func (in *Instance) rstQueued(queued []*netsim.Packet) {
 		return
 	}
 	p := queued[0]
-	in.net.Send(&netsim.Packet{
-		Src: p.Dst, Dst: p.Src,
-		Flags: netsim.FlagRST | netsim.FlagACK,
-		Seq:   p.Ack, Ack: p.SeqEnd(),
-	})
+	in.net.Send(in.packet(p.Dst, p.Src, netsim.FlagRST|netsim.FlagACK, p.Ack, p.SeqEnd(), 0))
 }
 
 // hybridServerGet consults the store for a backend-side knock. A hit is
@@ -308,7 +306,7 @@ func (in *Instance) FlushUnpersisted() int {
 	})
 	for _, f := range victims {
 		phase, both := PhaseConn, false
-		if f.state == stateTunnel || f.state == stateKATunnel {
+		if f.state == stateTunnel || f.ka != nil { // a keep-alive re-dial is tunnel phase
 			phase, both = PhaseTunnel, true
 		}
 		in.writeBarrier(f, in.barrierEntries(f, phase, both), func(*flow) {}, nil)

@@ -411,3 +411,72 @@ func TestHybridRoundTripsHalved(t *testing.T) {
 	}
 	t.Logf("store round trips for %d flows: paper=%d hybrid=%d", N, paper, hybrid)
 }
+
+// TestHybridKeepAliveSwitchPersists: a stateless keep-alive flow skips
+// storage-a and its first storage-b, but a request that switches it to
+// another backend re-dials and writes storage-b — the rebased Δ is
+// nothing a derivation reproduces. After its owner dies, the survivor
+// reads that record and the next request reaches the new backend.
+func TestHybridKeepAliveSwitchPersists(t *testing.T) {
+	tb := newHybridTestbed(t, 32, 2)
+	c := tb.C
+	servedBy := func(before map[string]int) string {
+		for name, b := range c.Backends {
+			if b.Server.Requests != before[name] {
+				return name
+			}
+		}
+		return ""
+	}
+	counts := func() map[string]int {
+		m := map[string]int{}
+		for name, b := range c.Backends {
+			m[name] = b.Server.Requests
+		}
+		return m
+	}
+	parser := &httpsim.ResponseParser{}
+	var served []string
+	var before map[string]int
+	var conn *tcp.Conn
+	send := func() {
+		before = counts()
+		conn.Write(httpsim.NewRequest("/tiny", "mysite").Marshal())
+	}
+	switched := func() bool {
+		return c.Yoda[0].Reselections+c.Yoda[1].Reselections > 0
+	}
+	conn = tcp.Dial(c.ClientHost(), tb.Addr, tcp.Callbacks{
+		OnEstablished: func(*tcp.Conn) { send() },
+		OnData: func(_ *tcp.Conn, d []byte) {
+			resps, err := parser.Feed(d)
+			if err != nil {
+				t.Errorf("client parse: %v", err)
+			}
+			for range resps {
+				served = append(served, servedBy(before))
+				if !switched() && len(served) < 20 {
+					send()
+				}
+			}
+		},
+	}, tcp.DefaultConfig())
+	c.Net.RunFor(5 * time.Second)
+	owner := 0
+	if c.Yoda[1].FlowCount() > 0 {
+		owner = 1
+	}
+	in := c.Yoda[owner]
+	if !switched() || in.Barrier.Skipped != 2 || in.Barrier.Commits != 1 {
+		t.Fatalf("after %d requests: %d switches, %d barriers skipped, %d written; want 1, 2 (storage-a, the first storage-b) and 1 (the re-dial's)", len(served), in.Reselections, in.Barrier.Skipped, in.Barrier.Commits)
+	}
+	tb.FailLB(owner)
+	c.Net.RunFor(time.Second)
+	send()
+	c.Net.RunFor(30 * time.Second)
+	survivor := c.Yoda[1-owner]
+	n := len(served)
+	if n < 3 || served[n-1] != served[n-2] || survivor.Recovered != 1 || survivor.DerivedRecoveries != 0 {
+		t.Fatalf("served by %v; survivor recovered %d from the store, %d by derivation; want the last two by one backend, 1 and 0", served, survivor.Recovered, survivor.DerivedRecoveries)
+	}
+}

@@ -398,7 +398,10 @@ func (in *Instance) releaseSNATPort(p uint16) { delete(in.snatInUse, p) }
 // keeps (request assembly, recovery queue) or forwards them in a fresh
 // packet, so the struct is released back to the pool on return.
 func (in *Instance) handlePacket(pkt *netsim.Packet) {
-	in.processPacket(pkt)
+	if !in.dead {
+		tuple := pkt.Tuple()
+		in.process(pkt, tuple, in.flows.get(tuple))
+	}
 	in.net.ReleasePacket(pkt)
 }
 
@@ -410,8 +413,8 @@ func (in *Instance) HandleSegment(pkt *netsim.Packet) { in.handlePacket(pkt) }
 // packets for one flow costs one flowIndex lookup instead of one per
 // packet. The cached resolution is revalidated against the index's
 // version counter, so a teardown, adoption, or re-key triggered by an
-// earlier packet of the run forces a fresh lookup — per-packet
-// semantics are otherwise identical to processPacket.
+// earlier packet of the run forces a fresh lookup; each packet then
+// takes handlePacket's path through process.
 func (in *Instance) HandleSegmentBatch(pkts []*netsim.Packet) {
 	var (
 		runTuple netsim.FourTuple
@@ -420,50 +423,34 @@ func (in *Instance) HandleSegmentBatch(pkts []*netsim.Packet) {
 		runOK    bool
 	)
 	for _, pkt := range pkts {
-		if in.dead {
-			in.net.ReleasePacket(pkt)
-			continue
-		}
-		in.CPU.Charge(in.net.Now(), in.cfg.CPUPerPacket)
-		tuple := pkt.Tuple()
-		st := in.statsFor(pkt.Dst.IP)
-		st.Packets++
-		st.PayloadByte += uint64(len(pkt.Payload))
-		if !runOK || tuple != runTuple || in.flows.version != runVer {
-			runFlow = in.flows.get(tuple)
-			runTuple, runVer, runOK = tuple, in.flows.version, true
-		}
-		switch {
-		case runFlow != nil:
-			in.dispatch(runFlow, pkt)
-		case pkt.Flags.Has(netsim.FlagSYN) && !pkt.Flags.Has(netsim.FlagACK):
-			in.newClientFlow(pkt)
-		default:
-			in.recoverFlow(tuple, pkt)
+		if !in.dead {
+			tuple := pkt.Tuple()
+			if !runOK || tuple != runTuple || in.flows.version != runVer {
+				runFlow = in.flows.get(tuple)
+				runTuple, runVer, runOK = tuple, in.flows.version, true
+			}
+			in.process(pkt, tuple, runFlow)
 		}
 		in.net.ReleasePacket(pkt)
 	}
 }
 
-func (in *Instance) processPacket(pkt *netsim.Packet) {
-	if in.dead {
-		return
-	}
+// process is one packet's work on the scalar and the batch path alike:
+// the CPU charge and the VIP's counters, then its flow f (nil when the
+// tuple has none) gets it, or a client SYN opens a new flow, or the
+// tuple is another instance's orphan (a failure or a mapping change
+// moved it here, or it is garbage) and TCPStore is tried.
+func (in *Instance) process(pkt *netsim.Packet, tuple netsim.FourTuple, f *flow) {
 	in.CPU.Charge(in.net.Now(), in.cfg.CPUPerPacket)
-	tuple := pkt.Tuple()
 	st := in.statsFor(pkt.Dst.IP)
 	st.Packets++
 	st.PayloadByte += uint64(len(pkt.Payload))
-
-	if f := in.flows.get(tuple); f != nil {
+	switch {
+	case f != nil:
 		in.dispatch(f, pkt)
-		return
-	}
-	if pkt.Flags.Has(netsim.FlagSYN) && !pkt.Flags.Has(netsim.FlagACK) {
+	case pkt.Flags.Has(netsim.FlagSYN) && !pkt.Flags.Has(netsim.FlagACK):
 		in.newClientFlow(pkt)
-		return
+	default:
+		in.recoverFlow(tuple, pkt)
 	}
-	// Unknown, non-SYN: either another instance's flow arriving after a
-	// failure or mapping change, or garbage. Try TCPStore.
-	in.recoverFlow(tuple, pkt)
 }

@@ -28,12 +28,18 @@ type kaRequest struct {
 	req      httpsim.Request
 }
 
-// kaState is the inspected-tunnel bookkeeping attached to keep-alive
-// flows.
+// kaState is the inspected-tunnel bookkeeping of a keep-alive flow. It
+// marks the flow's inspection sub-state of Tunnel, as f.tls marks the
+// TLS sub-state of Conn, and it stays through a re-dial: a request that
+// selects a new backend closes the old server connection and puts the
+// flow back in Dialing at that request's first byte, where the first
+// dial's code runs again.
 type kaState struct {
 	held    []byte // in-order client bytes not yet framed into a request
 	heldSeq uint32 // client sequence number of held[0]
-	queue   []kaRequest
+	// queue holds the framed requests not yet forwarded. During a re-dial
+	// its head is the request that chose the new backend.
+	queue []kaRequest
 	// streamBytes counts bytes of the in-flight request's body that have
 	// not arrived yet and should be forwarded straight through (the
 	// request was selected off its header; its tail needs no holding).
@@ -45,18 +51,9 @@ type kaState struct {
 	// respBuf holds only a header block that is still incomplete, respBody
 	// counts the body bytes of the current response still to pass. Bodies
 	// are never buffered.
-	respBuf       []byte
-	respBody      int
-	serverNextSeq uint32
-	serverOOO     map[uint32][]byte
-
-	// Backend switching. committing marks the window where the new
-	// backend's SYN-ACK arrived and the rewritten flow record is inside
-	// the write barrier: retransmitted SYN-ACKs must not re-enter the
-	// commit.
-	switching  bool
-	committing bool
-	pendReq    *kaRequest
+	respBuf    []byte
+	respBody   int
+	fromServer assembler
 
 	// A client FIN that must be forwarded once all held data flushes.
 	finPending bool
@@ -71,7 +68,7 @@ type kaState struct {
 // would all land on the first request's backend (§5.2).
 func (in *Instance) initKeepAlive(f *flow) []byte {
 	ka := &kaState{
-		serverNextSeq:   f.s + 1,
+		fromServer:      assembler{next: f.s + 1},
 		respOutstanding: 1,
 	}
 	f.ka = ka
@@ -114,23 +111,28 @@ func (ka *kaState) frame() {
 	}
 }
 
-// kaFromClient processes a client packet on an inspected keep-alive flow.
+// pop takes the request at the head of the queue.
+func (ka *kaState) pop() kaRequest {
+	next := ka.queue[0]
+	ka.queue[0] = kaRequest{} // an idle flow keeps none of its last request
+	ka.queue = ka.queue[1:]
+	return next
+}
+
+// kaFromClient processes a client packet on an inspected keep-alive flow,
+// in Tunnel or in a re-dial.
 func (in *Instance) kaFromClient(f *flow, pkt *netsim.Packet) {
 	ka := f.ka
 	if len(pkt.Payload) > 0 {
-		in.kaAssembleClient(f, pkt.Seq, pkt.Payload)
+		ka.held = f.fromClient.appendTo(ka.held, pkt.Seq, pkt.Payload)
 		in.kaFrameAndFlush(f)
-	} else if !pkt.Flags.Has(netsim.FlagFIN) && !ka.switching {
+	} else if !pkt.Flags.Has(netsim.FlagFIN) && f.state == stateTunnel {
 		// Bare ACK: translate and pass through so the server's
-		// retransmission timers stay quiet. While a backend switch is in
-		// flight there is no established server connection to ACK — the
-		// segment would only draw a RST from the new backend's listener —
-		// so those are dropped (they carry no information the new backend
-		// needs).
-		in.l4.SendViaSNAT(&netsim.Packet{
-			Src: f.snat, Dst: f.server,
-			Flags: pkt.Flags, Seq: pkt.Seq, Ack: pkt.Ack - f.delta, Window: pkt.Window,
-		}, in.IP())
+		// retransmission timers stay quiet. During a re-dial there is no
+		// established server connection to ACK — the segment would only
+		// draw a RST from the new backend's listener — so those are
+		// dropped (they carry no information the new backend needs).
+		in.relay(f, pkt, pkt.Flags, pkt.Window, nil)
 	}
 	if pkt.Flags.Has(netsim.FlagFIN) {
 		ka.finPending = true
@@ -138,34 +140,6 @@ func (in *Instance) kaFromClient(f *flow, pkt *netsim.Packet) {
 		ka.finAck = pkt.Ack
 		in.kaMaybeForwardFin(f)
 	}
-}
-
-// kaAssembleClient merges client payload into the held buffer in order.
-func (in *Instance) kaAssembleClient(f *flow, seq uint32, data []byte) {
-	expected := f.ka.heldSeq + uint32(len(f.ka.held))
-	if seqDiff(expected, seq) > 0 {
-		skip := expected - seq
-		if uint32(len(data)) <= skip {
-			return // duplicate
-		}
-		data = data[skip:]
-		seq = expected
-	}
-	if seq != expected {
-		park(&f.ooo, seq, data)
-		return
-	}
-	f.ka.held = append(f.ka.held, data...)
-	for {
-		next := f.ka.heldSeq + uint32(len(f.ka.held))
-		d, ok := f.ooo[next]
-		if !ok {
-			break
-		}
-		delete(f.ooo, next)
-		f.ka.held = append(f.ka.held, d...)
-	}
-	f.clientNextSeq = f.ka.heldSeq + uint32(len(f.ka.held))
 }
 
 // kaFrameAndFlush frames held bytes into requests and forwards as many as
@@ -187,46 +161,44 @@ func (in *Instance) kaFrameAndFlush(f *flow) {
 	in.kaFlush(f)
 }
 
-// kaFlush forwards the next queued request if no response is outstanding.
+// kaFlush forwards the next queued request if no response is outstanding
+// and no re-dial is in progress.
 func (in *Instance) kaFlush(f *flow) {
 	ka := f.ka
-	if ka.switching || ka.respOutstanding > 0 || len(ka.queue) == 0 {
+	if f.state != stateTunnel || ka.respOutstanding > 0 || len(ka.queue) == 0 {
 		in.kaMaybeForwardFin(f)
 		return
 	}
-	next := ka.queue[0]
-	ka.queue[0] = kaRequest{} // an idle flow keeps none of its last request
-	ka.queue = ka.queue[1:]
 	engine, ok := in.engines[f.vip.IP]
 	if !ok {
 		in.reject(f, 503, "vip not assigned to this instance")
 		return
 	}
-	decision := engine.Select(&next.req, in.rng.Float64(), in.info)
+	decision := engine.Select(&ka.queue[0].req, in.rng.Float64(), in.info)
 	in.CPU.Charge(in.net.Now(), time.Duration(decision.Scanned)*in.cfg.LookupPerRule)
 	if !decision.OK {
 		in.reject(f, 503, "no rule matched")
 		return
 	}
-	if decision.Backend.Name == f.backendName {
-		ka.respOutstanding++
-		in.forwardClientBytes(f, next.startSeq, next.raw)
-		in.kaFlush(f)
+	if decision.Backend.Name != f.backendName {
+		in.redial(f, decision.Backend)
 		return
 	}
-	in.kaSwitchBackend(f, next, decision.Backend)
+	next := ka.pop()
+	ka.respOutstanding++
+	in.forwardClientBytes(f, next.startSeq, next.raw)
+	in.kaFlush(f)
 }
 
-// kaSwitchBackend closes the current server connection and redials the
-// newly selected backend, preserving the client's sequence position.
-func (in *Instance) kaSwitchBackend(f *flow, next kaRequest, backend rules.Backend) {
+// redial closes the current server connection and dials backend for the
+// request at the head of the queue, preserving the client's sequence
+// position: the flow re-enters Dialing, and the first dial's SYN
+// retries, storage-b barrier and tunnel entry run from there (§5.2). The
+// SYN goes out at once; the rule scan was the request's lookup.
+func (in *Instance) redial(f *flow, backend rules.Backend) {
 	in.note(evReselect, f.vip.IP)
-	ka := f.ka
 	// Abort the old server connection and clear its SNAT binding.
-	in.l4.SendViaSNAT(&netsim.Packet{
-		Src: f.snat, Dst: f.server,
-		Flags: netsim.FlagRST, Seq: next.startSeq, Ack: f.s + 1,
-	}, in.IP())
+	in.l4.SendViaSNAT(in.packet(f.snat, f.server, netsim.FlagRST, f.dialBase(), f.s+1, 0), in.IP())
 	oldServerTuple := f.serverTuple()
 	in.flows.del(oldServerTuple, f)
 	if f.persisted {
@@ -235,7 +207,7 @@ func (in *Instance) kaSwitchBackend(f *flow, next kaRequest, backend rules.Backe
 	in.l4.ClearSNAT(oldServerTuple)
 	in.releaseSNATPort(f.snat.Port)
 
-	// Releasing first means a switch can always reclaim its own port even
+	// Releasing first means a re-dial can always reclaim its own port even
 	// when the range is otherwise full.
 	port, ok := in.allocSNATPort()
 	if !ok {
@@ -243,125 +215,16 @@ func (in *Instance) kaSwitchBackend(f *flow, next kaRequest, backend rules.Backe
 		in.reject(f, 503, "snat ports exhausted")
 		return
 	}
-	f.server = backend.Addr
-	f.backendName = backend.Name
-	f.snat = netsim.HostPort{IP: f.vip.IP, Port: port}
-	in.flows.put(f.serverTuple(), f)
-	ka.switching = true
-	ka.pendReq = &next
-	f.dialTries = 0
-	in.kaSendSwitchSyn(f)
+	in.dial(f, backend, port)
+	in.sendServerSyn(f)
 }
 
-// kaSendSwitchSyn dials the switch's new backend; a retry is onFlowTimer's,
-// under the first dial's policy.
-func (in *Instance) kaSendSwitchSyn(f *flow) {
-	in.l4.SendViaSNAT(&netsim.Packet{
-		Src: f.snat, Dst: f.server,
-		Flags:  netsim.FlagSYN,
-		Seq:    f.ka.pendReq.startSeq - 1, // handshake consumes one seq unit
-		Window: 1 << 20,
-	}, in.IP())
-	f.dialTries++
-	f.dialTimer.Stop()
-	f.dialTimer = in.flowTimer(f, 3*time.Second)
-}
-
-// kaCompleteSwitch finishes a backend switch on the new server's SYN-ACK.
-func (in *Instance) kaCompleteSwitch(f *flow, pkt *netsim.Packet) {
-	ka := f.ka
-	if ka.committing || pkt.Ack != ka.pendReq.startSeq {
-		return // already mid-commit, or stale
-	}
-	f.dialTimer.Stop()
-	f.s = pkt.Seq
-	// Rebase translation: the client has already received bytes up to
-	// toClientNext in its own view; the new server starts at S+1.
-	f.delta = f.toClientNext - (f.s + 1)
-	ka.serverNextSeq = f.s + 1
-	ka.respBuf, ka.respBody = nil, 0
-	ka.serverOOO = nil
-	ka.committing = true
-	// Rewrite the decoupled state so recovery lands on the new backend —
-	// before the ACK and request replay, the same persist-before-ACK rule
-	// the first dial obeys (storage-b applied to re-selection).
-	in.writeBarrier(f, in.barrierEntries(f, PhaseTunnel, true), func(f *flow) {
-		if !ka.switching {
-			return
-		}
-		// ACK and replay the pending request.
-		in.l4.SendViaSNAT(&netsim.Packet{
-			Src: f.snat, Dst: f.server,
-			Flags: netsim.FlagACK,
-			Seq:   ka.pendReq.startSeq, Ack: f.s + 1,
-			Window: 1 << 20,
-		}, in.IP())
-		in.forwardClientBytes(f, ka.pendReq.startSeq, ka.pendReq.raw)
-		ka.respOutstanding++
-		ka.switching = false
-		ka.committing = false
-		ka.pendReq = nil
-	}, func(f *flow, _ error) {
-		ka.committing = false
-		in.reject(f, 503, "flow state not persisted")
-	})
-}
-
-// kaFromServer processes a server packet on an inspected keep-alive flow.
-func (in *Instance) kaFromServer(f *flow, pkt *netsim.Packet) {
-	ka := f.ka
-	if ka.switching && pkt.Flags.Has(netsim.FlagSYN|netsim.FlagACK) {
-		in.kaCompleteSwitch(f, pkt)
-		return
-	}
-	if pkt.Flags.Has(netsim.FlagSYN) {
-		// Retransmitted SYN-ACK of the established connection: re-ACK.
-		in.l4.SendViaSNAT(&netsim.Packet{
-			Src: f.snat, Dst: f.server,
-			Flags: netsim.FlagACK,
-			Seq:   f.clientISN + 1, Ack: f.s + 1,
-		}, in.IP())
-		return
-	}
-	if pkt.Flags.Has(netsim.FlagFIN) {
-		f.serverFin = true
-	}
-	if len(pkt.Payload) > 0 {
-		in.kaAssembleServer(f, pkt.Seq, pkt.Payload)
-	}
-	end := pkt.SeqEnd() + f.delta
-	if seqDiff(end, f.toClientNext) > 0 {
-		f.toClientNext = end
-	}
-	in.net.Send(&netsim.Packet{
-		Src: f.vip, Dst: f.client,
-		Flags: pkt.Flags, Seq: pkt.Seq + f.delta, Ack: pkt.Ack,
-		Window: pkt.Window, Payload: pkt.Payload,
-	})
-	in.maybeFinish(f)
-}
-
-// kaAssembleServer tracks the raw server byte stream to detect response
+// kaTrackServer follows the raw server byte stream to detect response
 // boundaries.
-func (in *Instance) kaAssembleServer(f *flow, seq uint32, data []byte) {
-	ka := f.ka
-	if seqDiff(ka.serverNextSeq, seq) > 0 {
-		skip := ka.serverNextSeq - seq
-		if uint32(len(data)) <= skip {
-			return
-		}
-		data = data[skip:]
-		seq = ka.serverNextSeq
-	}
-	if seq != ka.serverNextSeq {
-		park(&ka.serverOOO, seq, data)
-		return
-	}
-	// The in-order bytes, then every parked segment they make contiguous.
-	for ok := true; ok; data, ok = ka.serverOOO[ka.serverNextSeq] {
-		delete(ka.serverOOO, ka.serverNextSeq)
-		ka.serverNextSeq += uint32(len(data))
-		in.kaTrackResponses(f, data)
+func (in *Instance) kaTrackServer(f *flow, seq uint32, data []byte) {
+	a := &f.ka.fromServer
+	for d := a.push(seq, data); d != nil; d = a.pop() {
+		in.kaTrackResponses(f, d)
 	}
 }
 
@@ -409,15 +272,11 @@ func (in *Instance) kaTrackResponses(f *flow, data []byte) {
 // have flushed.
 func (in *Instance) kaMaybeForwardFin(f *flow) {
 	ka := f.ka
-	if !ka.finPending || len(ka.queue) > 0 || len(ka.held) > 0 || ka.switching {
+	if !ka.finPending || len(ka.queue) > 0 || len(ka.held) > 0 || f.state != stateTunnel {
 		return
 	}
 	ka.finPending = false
 	f.clientFin = true
-	in.l4.SendViaSNAT(&netsim.Packet{
-		Src: f.snat, Dst: f.server,
-		Flags: netsim.FlagFIN | netsim.FlagACK,
-		Seq:   ka.finSeq, Ack: ka.finAck - f.delta,
-	}, in.IP())
+	in.l4.SendViaSNAT(in.packet(f.snat, f.server, netsim.FlagFIN|netsim.FlagACK, ka.finSeq, ka.finAck-f.delta, 0), in.IP())
 	in.maybeFinish(f)
 }

@@ -1,6 +1,8 @@
 package core_test
 
 import (
+	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -225,5 +227,119 @@ func TestKeepAliveRecoveryDowngradesToPinnedTunnel(t *testing.T) {
 	}
 	if survivor.Recovered == 0 {
 		t.Fatal("survivor never recovered the keep-alive flow")
+	}
+}
+
+// TestKeepAliveSwitchToRefusingBackend: a keep-alive request that selects
+// a backend whose host answers the SYN with a RST gets the first dial's
+// answer to a refusal — one 503 backend refused and teardown — because a
+// switch is a re-dial.
+func TestKeepAliveSwitchToRefusingBackend(t *testing.T) {
+	b := newKABed(27, 1)
+	net, refusing := b.C.Net, b.C.Backends["css-1"].Rec.Addr
+	net.Detach(refusing.IP)
+	net.Attach(refusing.IP, netsim.NodeFunc(func(p *netsim.Packet) {
+		if p.Flags.Has(netsim.FlagSYN) {
+			rst := net.AllocPacket()
+			rst.Src, rst.Dst, rst.Flags, rst.Ack = p.Dst, p.Src, netsim.FlagRST|netsim.FlagACK, p.Seq+1
+			net.Send(rst)
+		}
+		net.ReleasePacket(p)
+	}))
+	var rejects []string
+	net.SetTracer(func(ev netsim.TraceEvent) {
+		if p := ev.Packet; p.Src == b.Addr && p.Flags.Has(netsim.FlagFIN) && len(p.Payload) > 0 {
+			rejects = append(rejects, string(p.Payload))
+		}
+	})
+	// The client's parser is not asked about the 503: like every reject
+	// on a keep-alive flow past its first response, it goes out at the
+	// client's first data byte, behind what the client has read.
+	parser := &httpsim.ResponseParser{}
+	var bodies []string
+	tcp.Dial(b.C.ClientHost(), b.Addr, tcp.Callbacks{
+		OnEstablished: func(c *tcp.Conn) { c.Write(httpsim.NewRequest("/a.php", "svc").Marshal()) },
+		OnData: func(c *tcp.Conn, d []byte) {
+			resps, _ := parser.Feed(d)
+			for _, r := range resps {
+				bodies = append(bodies, string(r.Body))
+				c.Write(httpsim.NewRequest("/b.css", "svc").Marshal())
+			}
+		},
+	}, tcp.DefaultConfig())
+	net.RunFor(time.Minute)
+	if len(bodies) != 1 || bodies[0] != "PHP-A" {
+		t.Fatalf("responses %q, want the first request's alone", bodies)
+	}
+	if len(rejects) != 1 || !strings.HasPrefix(rejects[0], "HTTP/1.1 503") || !strings.HasSuffix(rejects[0], "backend refused") {
+		t.Fatalf("replies closing the flow %q, want one 503 backend refused", rejects)
+	}
+	in := b.C.Yoda[0]
+	if in.FlowCount() != 0 || in.Reselections != 1 {
+		t.Fatalf("%d flow entries, %d reselections; want 0 and 1", in.FlowCount(), in.Reselections)
+	}
+}
+
+// TestKeepAliveReorderedSegmentsFrame runs a keep-alive connection whose
+// requests and responses each span several segments through a network
+// whose jitter reorders them: the instance must still frame every
+// request, send it to its pool, and find every response's end before it
+// lets the next request go.
+func TestKeepAliveReorderedSegmentsFrame(t *testing.T) {
+	c := cluster.New(26)
+	c.Net.SetJitter(0.5)
+	c.AddStoreServers(2, memcache.DefaultSimServerConfig())
+	reply := func(pool string, req *httpsim.Request) []byte {
+		return bytes.Repeat([]byte(fmt.Sprintf("%s %s %d;", pool, req.Path, len(req.Body))), 600)
+	}
+	var rs []rules.Rule
+	for i, pool := range []string{"php", "css"} {
+		h := netsim.NewHost(c.Net, netsim.IPv4(10, 0, 2, byte(90+i)))
+		httpsim.NewServer(h, 80, func(req *httpsim.Request) *httpsim.Response {
+			return httpsim.NewResponse(200, reply(pool, req))
+		}, httpsim.DefaultServerConfig())
+		rs = append(rs, rules.Rule{Name: pool, Priority: 1, Match: rules.Match{URLGlob: "*." + pool},
+			Action: rules.Action{Type: rules.ActionSplit, Split: []rules.WeightedBackend{
+				{Backend: rules.Backend{Name: pool, Addr: netsim.HostPort{IP: h.IP(), Port: 80}}, Weight: 1}}}})
+	}
+	c.AddYodaN(1, core.DefaultConfig(), tcpstore.DefaultConfig())
+	vip := c.AddVIP("svc")
+	c.InstallPolicy(vip, rs, nil)
+
+	paths := []string{"/a.php", "/b.css", "/c.php", "/d.php", "/e.css"}
+	reqs := make([]*httpsim.Request, len(paths))
+	for i, p := range paths {
+		reqs[i] = httpsim.NewRequest(p, "svc")
+		reqs[i].Method = "POST"
+		reqs[i].Body = bytes.Repeat([]byte{byte('k' + i)}, 5000+100*i)
+	}
+	parser := &httpsim.ResponseParser{}
+	got := 0
+	tcp.Dial(c.ClientHost(), netsim.HostPort{IP: vip, Port: 80}, tcp.Callbacks{
+		OnEstablished: func(conn *tcp.Conn) { conn.Write(reqs[0].Marshal()) },
+		OnData: func(conn *tcp.Conn, d []byte) {
+			resps, err := parser.Feed(d)
+			if err != nil {
+				t.Errorf("client parse: %v", err)
+				conn.Abort()
+				return
+			}
+			for _, r := range resps {
+				pool := strings.TrimPrefix(paths[got][strings.LastIndexByte(paths[got], '.'):], ".")
+				if want := reply(pool, reqs[got]); !bytes.Equal(r.Body, want) {
+					t.Errorf("response %d: %d bytes starting %.24q, want %d starting %.24q", got, len(r.Body), r.Body, len(want), want)
+				}
+				if got++; got < len(reqs) {
+					conn.Write(reqs[got].Marshal())
+				} else {
+					conn.Close()
+				}
+			}
+		},
+	}, tcp.DefaultConfig())
+	c.Net.RunFor(time.Minute)
+	in := c.Yoda[0]
+	if got != len(reqs) || in.Reselections != 3 || in.FlowCount() != 0 {
+		t.Fatalf("%d of %d responses, %d reselections, %d flow entries left; want all, 3, 0", got, len(reqs), in.Reselections, in.FlowCount())
 	}
 }

@@ -30,10 +30,19 @@ var seamCounters = map[string]bool{
 // follows a flow's stateless bit.
 var hybridSeams = map[string]bool{"newClientFlow": true, "recoverFlow": true}
 
+// tunnelBarrierWriters are the only functions that may write a flow's
+// tunnel-phase records under both tuples: the dial's storage-b, first
+// dial and keep-alive re-dial alike, and hybrid.go's repair write.
+var tunnelBarrierWriters = map[string]bool{"serverHandshakePacket": true, "hybridRepair": true}
+
 // TestOneLifecycleSeam keeps the lifecycle one seam (state.go): in the
 // package's non-test files, only setState writes a flow's state — by
 // assignment or in a composite literal — only note writes an outcome
-// counter, and only the hybridSeams ask whether hybrid mode is on.
+// counter, and only the hybridSeams ask whether hybrid mode is on. It
+// also keeps the keep-alive fork from coming back: flowState has three
+// values (Conn, Dialing, Tunnel), storage-b has one dataplane call site
+// outside hybrid.go, and no segment is a packet literal — every one the
+// instance sends comes from the pool, through packet.
 func TestOneLifecycleSeam(t *testing.T) {
 	files, err := filepath.Glob("*.go")
 	if err != nil {
@@ -41,6 +50,7 @@ func TestOneLifecycleSeam(t *testing.T) {
 	}
 	fset := token.NewFileSet()
 	var bad []string
+	states := 0
 	for _, name := range files {
 		if strings.HasSuffix(name, "_test.go") {
 			continue
@@ -50,6 +60,11 @@ func TestOneLifecycleSeam(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, d := range file.Decls {
+			if gd, ok := d.(*ast.GenDecl); ok && gd.Tok == token.CONST {
+				if vs := gd.Specs[0].(*ast.ValueSpec); fmt.Sprint(vs.Type) == "flowState" {
+					states = len(gd.Specs)
+				}
+			}
 			fn, ok := d.(*ast.FuncDecl)
 			if !ok || fn.Body == nil {
 				continue
@@ -109,10 +124,23 @@ func TestOneLifecycleSeam(t *testing.T) {
 					if nilTest && !hybridSeams[fn.Name.Name] {
 						bad = append(bad, fmt.Sprintf("%s: %s tests cfg.Hybrid outside newClientFlow and recoverFlow", fset.Position(n.Pos()), fn.Name.Name))
 					}
+				case *ast.CallExpr:
+					sel, ok := n.Fun.(*ast.SelectorExpr)
+					if ok && sel.Sel.Name == "barrierEntries" && len(n.Args) == 3 &&
+						fmt.Sprint(n.Args[1]) == "PhaseTunnel" && fmt.Sprint(n.Args[2]) == "true" && !tunnelBarrierWriters[fn.Name.Name] {
+						bad = append(bad, fmt.Sprintf("%s: %s writes storage-b outside serverHandshakePacket and hybrid.go", fset.Position(n.Pos()), fn.Name.Name))
+					}
+				case *ast.CompositeLit:
+					if typ, ok := n.Type.(*ast.SelectorExpr); ok && typ.Sel.Name == "Packet" {
+						bad = append(bad, fmt.Sprintf("%s: %s builds a packet literal; take it from the pool with packet", fset.Position(n.Pos()), fn.Name.Name))
+					}
 				}
 				return true
 			})
 		}
+	}
+	if states != 3 {
+		bad = append(bad, fmt.Sprintf("flowState has %d values, want 3: Conn, Dialing, Tunnel", states))
 	}
 	if len(bad) > 0 {
 		t.Fatalf("the lifecycle seam leaks — transitions go through setState, outcome counts through note, the hybrid mode through a flow's stateless bit:\n%s", strings.Join(bad, "\n"))

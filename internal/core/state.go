@@ -10,22 +10,25 @@ import "repro/internal/netsim"
 // entering Dialing when a backend is picked, installing an adopted record
 // — need no barrier, because they acknowledge nothing.
 //
-//	        SYN                    backend selected          storage-b barrier
-//	client ────▶ Conn ───────────────▶ Dialing ──────────────▶ Tunnel
-//	              │                       │                       │
-//	              │ TLS hello             │ SYN-ACK + barrier     └▶ KeepAliveTunnel
-//	              ▼ (sub-state: f.tls,    ▼                          (HTTP/1.1 inspected
-//	        key persisted via barrier   reject on                     tunnel; kaState
-//	        before the ServerHello)     exhaustion/refusal            sub-states: switching,
-//	                                                                  committing)
+//	        SYN                 backend selected          storage-b barrier
+//	client ────▶ Conn ────────────────▶ Dialing ─────────────────▶ Tunnel
+//	              │                     │  ▲                        │
+//	              │ TLS hello           │  └────────────────────────┘
+//	              ▼ (sub-state: f.tls,  ▼      keep-alive request for another
+//	        key persisted via barrier  reject on     backend: re-dial at its
+//	        before the ServerHello)    exhaustion,   first byte (sub-state of
+//	                                   refusal       Tunnel: f.ka, inspection)
 //
 // The TLS handshake is a guarded sub-state of Conn (f.tls plus
 // tlsAdvance) rather than a top-level state: it shares Conn's segment
 // assembly, retransmission and FIN handling wholesale and differs only
-// in how assembled bytes are interpreted. Likewise the keep-alive
-// backend switch is a sub-state of KeepAliveTunnel (kaState.switching /
-// kaState.committing) because the client-facing tunnel keeps running
-// while the server side redials.
+// in how assembled bytes are interpreted. Keep-alive inspection is
+// likewise a sub-state of Tunnel (f.ka): it frames client requests and
+// follows response boundaries on top of the same translation. A request
+// that selects another backend sends the flow back to Dialing, where the
+// first dial's SYN retries, storage-b and tunnel entry run again; f.ka
+// stays set through the re-dial, so client packets keep taking the
+// inspection path (held, never forwarded, until Tunnel).
 
 // flowState is one state of the per-flow machine; dispatch routes each
 // packet to the handler its flow's state owns.
@@ -39,12 +42,10 @@ const (
 	// stateDialing: backend SYN sent, storage-b not yet confirmed. Client
 	// data keeps buffering; the server side completes the handshake.
 	stateDialing
-	// stateTunnel: pure sequence-translating tunnel between client and
-	// backend.
+	// stateTunnel: sequence-translating tunnel between client and
+	// backend; with f.ka set, an inspected HTTP/1.1 keep-alive tunnel
+	// whose requests may re-select backends (§5.2).
 	stateTunnel
-	// stateKATunnel: inspected HTTP/1.1 keep-alive tunnel — client
-	// payloads are framed into requests that may re-select backends (§5.2).
-	stateKATunnel
 )
 
 // setState transitions a flow. It is the only code that writes f.state
@@ -57,14 +58,14 @@ func (in *Instance) dispatch(f *flow, pkt *netsim.Packet) {
 	f.touch(in.net.Now())
 	if pkt.Src == f.client {
 		switch {
-		case f.state == stateConn || f.state == stateDialing:
+		case f.ka == nil && f.state != stateTunnel: // Conn, or a first dial
 			in.connPhaseClientPacket(f, pkt)
-		case pkt.Flags.Has(netsim.FlagRST): // in either tunnel
-			in.abortToServer(f, pkt)
-		case f.state == stateTunnel:
-			in.tunnelFromClient(f, pkt)
-		default:
+		case pkt.Flags.Has(netsim.FlagRST):
+			in.abort(f, pkt)
+		case f.ka != nil: // inspected, in Tunnel or a re-dial
 			in.kaFromClient(f, pkt)
+		default:
+			in.tunnelFromClient(f, pkt)
 		}
 		return
 	}
@@ -73,12 +74,10 @@ func (in *Instance) dispatch(f *flow, pkt *netsim.Packet) {
 		// No backend connection exists yet: a server packet is stale.
 	case f.state == stateDialing:
 		in.serverHandshakePacket(f, pkt)
-	case pkt.Flags.Has(netsim.FlagRST): // in either tunnel
-		in.abortToClient(f, pkt)
-	case f.state == stateTunnel:
-		in.tunnelFromServer(f, pkt)
+	case pkt.Flags.Has(netsim.FlagRST):
+		in.abort(f, pkt)
 	default:
-		in.kaFromServer(f, pkt)
+		in.tunnelFromServer(f, pkt)
 	}
 }
 

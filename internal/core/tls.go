@@ -81,10 +81,7 @@ func (in *Instance) tlsAdvance(f *flow, prevLen int) bool {
 	}
 	if !complete {
 		// ACK what we have and wait for the rest of the hello.
-		in.net.Send(&netsim.Packet{
-			Src: f.vip, Dst: f.client,
-			Flags: netsim.FlagACK, Seq: f.c + 1, Ack: f.clientNextSeq,
-		})
+		in.net.Send(in.packet(f.vip, f.client, netsim.FlagACK, f.c+1, f.fromClient.next, 0))
 		return true
 	}
 	serverHello, key, err := id.ServerAccept(f.reqBuf[:securesim.ClientHelloSize])
@@ -115,14 +112,9 @@ func (in *Instance) tlsAdvance(f *flow, prevLen int) bool {
 
 // sendServerHello emits the deterministic handshake reply.
 func (in *Instance) sendServerHello(f *flow, serverHello []byte) {
-	in.net.Send(&netsim.Packet{
-		Src: f.vip, Dst: f.client,
-		Flags:   netsim.FlagACK | netsim.FlagPSH,
-		Seq:     f.c + 1,
-		Ack:     f.clientNextSeq,
-		Window:  1 << 20,
-		Payload: serverHello,
-	})
+	p := in.packet(f.vip, f.client, netsim.FlagACK|netsim.FlagPSH, f.c+1, f.fromClient.next, advWindow)
+	p.Payload = serverHello
+	in.net.Send(p)
 }
 
 // tlsDecryptFromClient transforms a tunneled client payload to plaintext.

@@ -265,62 +265,60 @@ func vipOf(ft netsim.FourTuple) netsim.IP { return ft.Dst.IP }
 
 // handleVIPPacket processes a packet that arrived at a VIP address.
 func (lb *LB) handleVIPPacket(vip netsim.IP, pkt *netsim.Packet) {
-	tuple := pkt.Tuple()
-	m := lb.muxFor(tuple)
-	var inst netsim.IP
-	if v, hit := m.affinity.LookupMaybe(tuple); hit {
-		// A hit resolves through the pair registry; a false hit (64-bit
-		// tag alias, see the mux comment) still lands on a live pair's
-		// instance, which is the benign-by-construction case.
-		inst = lb.pairs[v].inst
-	} else {
-		insts := m.vipMap[vip]
-		if len(insts) == 0 {
-			lb.NoInstanceDrops++
-			lb.net.ReleasePacket(pkt)
-			return
-		}
-		inst = Rendezvous(tuple, insts)
-		m.affinity.Insert(tuple, lb.pairVal(vip, inst))
+	inst, ok := lb.resolve(vip, pkt.Tuple())
+	if !ok {
+		lb.NoInstanceDrops++
+		lb.net.ReleasePacket(pkt)
+		return
 	}
 	lb.forward(pkt, vip, inst)
 }
 
 // handleVIPBatch processes a run of packets that arrived at one VIP in
 // a burst-dispatched train. Consecutive same-tuple packets — one flow's
-// segments travelling together — cost one affinity probe (or one
-// rendezvous pick plus one Insert on miss, exactly the state mutation
-// the scalar path would make: its first packet inserts, the rest hit).
-// Resolution order matches scalar delivery packet for packet, so the
-// wire output and the affinity table end state are identical.
+// segments travelling together — cost one resolve: the scalar path's
+// first packet would make the same pick and insert, and the rest would
+// hit. Resolution order matches scalar delivery packet for packet, so
+// the wire output and the affinity table end state are identical.
 func (lb *LB) handleVIPBatch(vip netsim.IP, pkts []*netsim.Packet) {
-	i := 0
-	for i < len(pkts) {
+	for i := 0; i < len(pkts); {
 		tuple := pkts[i].Tuple()
 		j := i + 1
 		for j < len(pkts) && pkts[j].Tuple() == tuple {
 			j++
 		}
-		m := lb.muxFor(tuple)
-		var inst netsim.IP
-		if v, hit := m.affinity.LookupMaybe(tuple); hit {
-			inst = lb.pairs[v].inst
-		} else {
-			insts := m.vipMap[vip]
-			if len(insts) == 0 {
-				for ; i < j; i++ {
-					lb.NoInstanceDrops++
-					lb.net.ReleasePacket(pkts[i])
-				}
+		inst, ok := lb.resolve(vip, tuple)
+		for ; i < j; i++ {
+			if !ok {
+				lb.NoInstanceDrops++
+				lb.net.ReleasePacket(pkts[i])
 				continue
 			}
-			inst = Rendezvous(tuple, insts)
-			m.affinity.Insert(tuple, lb.pairVal(vip, inst))
-		}
-		for ; i < j; i++ {
 			lb.forward(pkts[i], vip, inst)
 		}
 	}
+}
+
+// resolve is the mux's one pick: the instance tuple's packets go to. An
+// affinity hit names it; a miss picks by rendezvous over the VIP's
+// instances and inserts the pick as the tuple's affinity. The tuple may
+// be a client's or a backend's (SNAT return traffic): both are keyed
+// toward the VIP. ok is false when the VIP has no instance.
+func (lb *LB) resolve(vip netsim.IP, tuple netsim.FourTuple) (inst netsim.IP, ok bool) {
+	m := lb.muxFor(tuple)
+	if v, hit := m.affinity.LookupMaybe(tuple); hit {
+		// A hit resolves through the pair registry; a false hit (64-bit
+		// tag alias, see the mux comment) still lands on a live pair's
+		// instance, which is the benign-by-construction case.
+		return lb.pairs[v].inst, true
+	}
+	insts := m.vipMap[vip]
+	if len(insts) == 0 {
+		return 0, false
+	}
+	inst = Rendezvous(tuple, insts)
+	m.affinity.Insert(tuple, lb.pairVal(vip, inst))
+	return inst, true
 }
 
 func (lb *LB) forward(pkt *netsim.Packet, vip, inst netsim.IP) {
