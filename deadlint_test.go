@@ -32,7 +32,6 @@ var deadAllowlist = map[string]string{
 	"core.Instance.SnapshotFlows":       "the read side ROADMAP item 1's flow query starts from",
 	"haproxy.Instance.Host":             "test hook: the testbed's failure test reads a dead HAProxy instance's liveness through it",
 	"memcache.Engine.Get":               "the engine's string-key read: the store tests look at a server's items through it",
-	"memcache.Engine.Delete":            "the engine's string-key delete: the reference session the session fuzzer compares against calls it",
 	"tcp.Listener.Close":                "a listener's teardown, the inverse of Listen; TestListenerClose pins that a closed port refuses dials",
 	"tcpstore.Store.Replicas":           "test hook: the scale-out tests check a provisioned instance's replication factor through it",
 	"yoda.Testbed.SetPolicy":            "the README's library-use snippet installs a policy with it",

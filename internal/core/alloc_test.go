@@ -284,21 +284,19 @@ func flowAllocs(t *testing.T, hybrid, keepAlive bool) float64 {
 // TestFlowAllocBudget is core's line of the allocation ledger (DESIGN.md,
 // "What a request allocates"). A flow allocates 5 objects in core: the
 // flow, its idle-timer and one-shot-timer callbacks, the request buffer
-// and the request head's string copy. In paper mode the memcached
-// answering storage-a and storage-b adds the two key strings of the
-// records it has not held before (the client tuple's and the server
-// tuple's); hybrid mode writes no record. A keep-alive flow whose second
-// request re-dials another backend adds 6: its kaState, held bytes and
-// request queue, the second request head's two (its string copy and
-// header fields), and memcached's key string for the new server tuple.
-// The re-dial itself — the first dial's code, every segment pooled —
-// allocates nothing.
+// and the request head's string copy. The memcached answering storage-a
+// and storage-b in paper mode adds nothing: each record is a chunk of a
+// slab page it already holds. A keep-alive flow whose second request
+// re-dials another backend adds 5: its kaState, held bytes and request
+// queue, and the second request head's two (its string copy and header
+// fields). The re-dial itself — the first dial's code, every segment
+// pooled — allocates nothing.
 func TestFlowAllocBudget(t *testing.T) {
 	for _, c := range []struct {
 		name              string
 		hybrid, keepAlive bool
 		budget            float64
-	}{{"paper", false, false, 5 + 2}, {"hybrid", true, false, 5}, {"keep-alive switch", false, true, 5 + 2 + 6}} {
+	}{{"paper", false, false, 5}, {"hybrid", true, false, 5}, {"keep-alive switch", false, true, 5 + 5}} {
 		if n := flowAllocs(t, c.hybrid, c.keepAlive); n > c.budget {
 			t.Errorf("%s: a whole flow allocates %v objects, budget %v", c.name, n, c.budget)
 		} else {

@@ -419,9 +419,6 @@ func (in *Instance) serverHandshakePacket(f *flow, pkt *netsim.Packet) {
 	// client's next expected sequence number: after the SYN-ACK and, for
 	// TLS, the ServerHello on a first dial; on a re-dial, after the bytes
 	// the old backend already sent.
-	if f.ka == nil {
-		f.toClientNext = f.toClientDataBase()
-	}
 	f.delta = f.toClientNext - (f.s + 1)
 	// storage-b: persist the full translation state under both tuple
 	// orientations before ACKing the server (Figure 3). The two records
@@ -492,15 +489,18 @@ func (in *Instance) forwardClientBytes(f *flow, seq uint32, data []byte) {
 }
 
 // reject answers the client with a terminal HTTP error and tears the flow
-// down.
+// down. The error goes at the client's next expected sequence number:
+// the application base in the connection phase, past every response
+// already relayed on a keep-alive flow.
 func (in *Instance) reject(f *flow, code int, reason string) {
 	resp := httpsim.NewResponse(code, []byte(reason))
 	resp.SetHeader("Connection", "close")
 	payload := resp.Marshal()
 	if f.tls != nil {
-		payload = securesim.KeystreamXOR(f.tls.key, securesim.DirServerToClient, 0, payload)
+		payload = securesim.KeystreamXOR(f.tls.key, securesim.DirServerToClient,
+			uint64(f.toClientNext-f.toClientDataBase()), payload)
 	}
-	p := in.packet(f.vip, f.client, netsim.FlagACK|netsim.FlagPSH|netsim.FlagFIN, f.toClientDataBase(), f.fromClient.next, 0)
+	p := in.packet(f.vip, f.client, netsim.FlagACK|netsim.FlagPSH|netsim.FlagFIN, f.toClientNext, f.fromClient.next, 0)
 	p.Payload = payload
 	in.net.Send(p)
 	in.teardown(f, true)

@@ -131,10 +131,34 @@ func TestKeepAliveFlowStateCleanedAfterClose(t *testing.T) {
 	requireStoreEmpty(t, b.C)
 }
 
+// driveSwitch opens one keep-alive connection that asks for /a.php and,
+// once it has the answer, for /b.css: a backend switch. It returns the
+// responses the client parses, as "<status> <body>", filled as the
+// network runs. A reject of the switch goes out past the first response,
+// where the client's parser reads it.
+func driveSwitch(b *testbed.Bed) *[]string {
+	parser := &httpsim.ResponseParser{}
+	var bodies []string
+	tcp.Dial(b.C.ClientHost(), b.Addr, tcp.Callbacks{
+		OnEstablished: func(c *tcp.Conn) { c.Write(httpsim.NewRequest("/a.php", "svc").Marshal()) },
+		OnData: func(c *tcp.Conn, d []byte) {
+			resps, _ := parser.Feed(d)
+			for _, r := range resps {
+				bodies = append(bodies, fmt.Sprintf("%d %s", r.StatusCode, r.Body))
+				if len(bodies) == 1 {
+					c.Write(httpsim.NewRequest("/b.css", "svc").Marshal())
+				}
+			}
+		},
+	}, tcp.DefaultConfig())
+	return &bodies
+}
+
 // TestKeepAliveSwitchToDeadBackend: a keep-alive request that selects a
 // backend whose host is gone gets a first dial's retry policy — three SYNs
 // 3 s apart, then a 503 to the client and teardown — and leaves nothing
-// armed that could send a fourth.
+// armed that could send a fourth. The 503 follows the first response in
+// the client's byte stream.
 func TestKeepAliveSwitchToDeadBackend(t *testing.T) {
 	b := newKABed(25, 1)
 	net, dead := b.C.Net, b.C.Backends["css-1"].Rec.Addr
@@ -150,22 +174,11 @@ func TestKeepAliveSwitchToDeadBackend(t *testing.T) {
 			rejects = append(rejects, string(p.Payload))
 		}
 	})
-	parser := &httpsim.ResponseParser{}
-	var bodies []string
-	tcp.Dial(b.C.ClientHost(), b.Addr, tcp.Callbacks{
-		OnEstablished: func(c *tcp.Conn) { c.Write(httpsim.NewRequest("/a.php", "svc").Marshal()) },
-		OnData: func(c *tcp.Conn, d []byte) {
-			resps, _ := parser.Feed(d)
-			for _, r := range resps {
-				bodies = append(bodies, string(r.Body))
-				c.Write(httpsim.NewRequest("/b.css", "svc").Marshal())
-			}
-		},
-	}, tcp.DefaultConfig())
+	bodies := driveSwitch(b)
 	net.RunFor(time.Minute)
 
-	if len(bodies) != 1 || bodies[0] != "PHP-A" {
-		t.Fatalf("responses %q, want the first request's alone", bodies)
+	if len(*bodies) != 2 || (*bodies)[0] != "200 PHP-A" || (*bodies)[1] != "503 backend unreachable" {
+		t.Fatalf("responses %q, want PHP-A and then the switch's 503", *bodies)
 	}
 	if len(syns) != 3 || syns[1]-syns[0] != 3*time.Second || syns[2]-syns[1] != 3*time.Second {
 		t.Fatalf("SYNs to the dead backend at %v, want three, 3 s apart", syns)
@@ -252,24 +265,10 @@ func TestKeepAliveSwitchToRefusingBackend(t *testing.T) {
 			rejects = append(rejects, string(p.Payload))
 		}
 	})
-	// The client's parser is not asked about the 503: like every reject
-	// on a keep-alive flow past its first response, it goes out at the
-	// client's first data byte, behind what the client has read.
-	parser := &httpsim.ResponseParser{}
-	var bodies []string
-	tcp.Dial(b.C.ClientHost(), b.Addr, tcp.Callbacks{
-		OnEstablished: func(c *tcp.Conn) { c.Write(httpsim.NewRequest("/a.php", "svc").Marshal()) },
-		OnData: func(c *tcp.Conn, d []byte) {
-			resps, _ := parser.Feed(d)
-			for _, r := range resps {
-				bodies = append(bodies, string(r.Body))
-				c.Write(httpsim.NewRequest("/b.css", "svc").Marshal())
-			}
-		},
-	}, tcp.DefaultConfig())
+	bodies := driveSwitch(b)
 	net.RunFor(time.Minute)
-	if len(bodies) != 1 || bodies[0] != "PHP-A" {
-		t.Fatalf("responses %q, want the first request's alone", bodies)
+	if len(*bodies) != 2 || (*bodies)[0] != "200 PHP-A" || (*bodies)[1] != "503 backend refused" {
+		t.Fatalf("responses %q, want PHP-A and then the switch's 503", *bodies)
 	}
 	if len(rejects) != 1 || !strings.HasPrefix(rejects[0], "HTTP/1.1 503") || !strings.HasSuffix(rejects[0], "backend refused") {
 		t.Fatalf("replies closing the flow %q, want one 503 backend refused", rejects)

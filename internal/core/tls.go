@@ -91,6 +91,7 @@ func (in *Instance) tlsAdvance(f *flow, prevLen int) bool {
 	}
 	tail := f.reqBuf[securesim.ClientHelloSize:]
 	f.tls = &flowTLS{key: key, serverHelloLen: len(serverHello)}
+	f.toClientNext = f.toClientDataBase() // application bytes follow the hello
 	if len(tail) > 0 {
 		f.reqBuf = securesim.KeystreamXOR(key, securesim.DirClientToServer, 0, tail)
 	} else {

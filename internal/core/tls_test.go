@@ -99,6 +99,33 @@ func TestTLSCertificatePinningRejectsImpostor(t *testing.T) {
 	}
 }
 
+// TestTLSKeepAliveRejectDecrypts is the TLS variant of
+// TestKeepAliveSwitchToDeadBackend. A TLS flow never enters keep-alive
+// inspection, so its keep-alive request's reject comes from the
+// connection phase: three unanswered SYNs, then a 503 that must go out
+// at the client's next expected byte — past the ServerHello — under the
+// keystream at that byte's offset, where the client decrypts it.
+func TestTLSKeepAliveRejectDecrypts(t *testing.T) {
+	b := newTLSBed(t, 77, 1)
+	for _, be := range b.C.Backends {
+		b.C.Net.Detach(be.Rec.Addr.IP)
+	}
+	req := httpsim.NewRequest("/secret", "securesite")
+	req.SetHeader("Connection", "keep-alive")
+	var res *securesim.FetchResult
+	securesim.Fetch(b.C.ClientHost(), b.Addr, b.id.Cert, req, func(r securesim.FetchResult) { res = &r })
+	b.C.Net.RunFor(time.Minute)
+	if res == nil || res.Err != nil {
+		t.Fatalf("secure fetch: %+v, want the reject's response", res)
+	}
+	if res.Resp.StatusCode != 503 || string(res.Resp.Body) != "backend unreachable" {
+		t.Fatalf("response %d %q, want 503 backend unreachable", res.Resp.StatusCode, res.Resp.Body)
+	}
+	if in := b.C.Yoda[0]; in.FlowCount() != 0 {
+		t.Fatalf("%d flow entries after the reject, want 0", in.FlowCount())
+	}
+}
+
 func TestTLSFlowSurvivesInstanceFailure(t *testing.T) {
 	// The headline composition: an encrypted, terminated flow migrates to
 	// a surviving instance — session key from TCPStore, keystream offsets

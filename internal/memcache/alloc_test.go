@@ -47,3 +47,29 @@ func TestReplyParserAllocFree(t *testing.T) {
 		t.Fatalf("reply parse allocates %.1f objects/op, want 0", allocs)
 	}
 }
+
+// TestEngineFlowRecordChurnAllocFree pins the slab engine's write path:
+// once pages and index are grown, one flow's store lifecycle — the client
+// key set with a connection record, overwritten with the larger tunnel
+// record (a move to the next size class), the server key set, both
+// deleted — allocates nothing.
+func TestEngineFlowRecordChurnAllocFree(t *testing.T) {
+	e := NewEngine(0, func() time.Duration { return 0 })
+	client := []byte("yoda:f:c0a80001:9c40:0a0000fe:0050")
+	server := []byte("yoda:f:0a000020:1f90:0a0000fe:4e21")
+	conn, tunnel := make([]byte, 19), make([]byte, 51)
+	cycle := func() {
+		e.setBytes(client, conn, 0, 600*time.Second)
+		e.setBytes(client, tunnel, 0, 600*time.Second)
+		e.setBytes(server, tunnel, 0, 600*time.Second)
+		if !e.deleteBytes(client) || !e.deleteBytes(server) {
+			t.Fatal("flow records missing at teardown")
+		}
+	}
+	for i := 0; i < 16; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+		t.Fatalf("flow record churn allocates %.1f objects/cycle, want 0", allocs)
+	}
+}

@@ -50,10 +50,10 @@ func BenchmarkMemcacheSession(b *testing.B) {
 }
 
 // BenchmarkMemcacheSessionReference runs the same workload through the
-// preserved pre-optimization parser, for an honest speedup denominator in
-// BENCH_core.json.
+// preserved pre-optimization parser and engine, for an honest speedup
+// denominator in BENCH_core.json.
 func BenchmarkMemcacheSessionReference(b *testing.B) {
-	e := NewEngine(0, func() time.Duration { return 0 })
+	e := newRefEngine(0, func() time.Duration { return 0 })
 	s := NewReferenceSession(e)
 	in := sessionWorkload()
 	b.SetBytes(int64(len(in)))

@@ -2,31 +2,46 @@ package memcache
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
 )
 
-// This file pins the zero-copy Session in proto.go against the preserved
-// pre-optimization parser in proto_reference.go: the same byte stream,
-// fed through both under identical clocks, must produce byte-identical
-// responses AND byte-identical engine state (items, values, LRU order,
-// accounting, stats). FuzzMemcacheSessionDifferential extends the
-// fixed cases to arbitrary inputs and arbitrary feed chunking.
+// This file pins the zero-copy Session in proto.go, on the slab Engine,
+// against the preserved pre-optimization parser in
+// proto_reference_test.go, on the map + intrusive-node engine in
+// engine_reference_test.go: the same byte stream, fed through both stacks
+// under identical clocks, must produce byte-identical responses AND
+// byte-identical engine state (items, values, LRU order, accounting,
+// stats). FuzzMemcacheSessionDifferential extends the fixed cases to
+// arbitrary inputs and arbitrary feed chunking.
 
 // engineFingerprint renders every piece of engine state the protocol can
 // observe or influence, in LRU order, for differential comparison.
 func engineFingerprint(e *Engine) string {
 	var b strings.Builder
-	for n := e.head; n != nil; n = n.next {
-		fmt.Fprintf(&b, "%q f=%d exp=%d v=%q\n", n.key, n.flags, n.expires, n.value)
+	for r := e.head; r != 0; r = e.next(r) {
+		c := e.chunk(r)
+		fmt.Fprintf(&b, "%q f=%d exp=%d v=%q\n", c.key(), c.flags(), c.expires(), c.value())
 	}
-	fmt.Fprintf(&b, "used=%d stats=%+v\n", e.used, e.stats)
+	fmt.Fprintf(&b, "used=%d stats=%+v\n", e.used, e.Stats())
 	return b.String()
 }
 
-// feedBoth runs one byte stream through both parsers — the new Session in
+// refFingerprint renders the reference engine's state in the same form.
+func refFingerprint(e *refEngine) string {
+	var b strings.Builder
+	for n := e.head; n != nil; n = n.next {
+		fmt.Fprintf(&b, "%q f=%d exp=%d v=%q\n", n.key, n.flags, n.expires, n.value)
+	}
+	fmt.Fprintf(&b, "used=%d stats=%+v\n", e.used, e.Stats())
+	return b.String()
+}
+
+// feedBoth runs one byte stream through both stacks — the new Session in
 // the given chunking, the reference in a single feed (the reference
 // buffers identically regardless of chunking) — and returns the two
 // concatenated response streams and engine fingerprints.
@@ -52,11 +67,11 @@ func feedBoth(input []byte, chunks []int) (newResp, refResp []byte, newFP, refFP
 		sNew.Release(resp)
 	}
 
-	eRef := NewEngine(0, clock)
+	eRef := newRefEngine(0, clock)
 	sRef := NewReferenceSession(eRef)
 	refOut := sRef.Feed(input)
 
-	return outNew.Bytes(), refOut, engineFingerprint(eNew), engineFingerprint(eRef)
+	return outNew.Bytes(), refOut, engineFingerprint(eNew), refFingerprint(eRef)
 }
 
 func checkDifferential(t *testing.T, input []byte, chunks []int) {
@@ -220,4 +235,129 @@ func TestResponseNotAliasedToEngine(t *testing.T) {
 		t.Fatalf("unexpected get response: %q", held)
 	}
 	s.Release(got)
+}
+
+// TestEngineDifferential holds the slab Engine to the map + intrusive-node
+// reference engine, one seeded random operation at a time: sets, gets and
+// deletes through both the string and the byte entry points, values that
+// straddle every size-class boundary and the own-array threshold, expiries
+// on a fake clock, and byte caps that force eviction. After every
+// operation the two must agree on the return value, the stats and the
+// whole LRU list (so on every evicted key).
+func TestEngineDifferential(t *testing.T) {
+	// Chunk sizes one under, at and one over each class boundary, and own
+	// arrays that grow and shrink in place or move.
+	var sizes []int
+	for _, s := range classSize {
+		sizes = append(sizes, int(s)-1, int(s), int(s)+1)
+	}
+	big := []int{maxChunk + 1, maxChunk + 2, maxPage, 3 * maxPage}
+	var total Stats
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var clock time.Duration
+		now := func() time.Duration { return clock }
+		maxBytes := []int{0, 2 << 10, 40 << 10, 400 << 10}[seed%4]
+		e, ref := NewEngine(maxBytes, now), newRefEngine(maxBytes, now)
+		keys := make([][]byte, 24)
+		for i := range keys {
+			keys[i] = []byte(fmt.Sprintf("k%d:%s", i, strings.Repeat("x", rng.Intn(3)*rng.Intn(maxKeyLen/2-4))))
+		}
+		value := func(key []byte) []byte {
+			var n int
+			switch rng.Intn(6) {
+			case 0, 1:
+				n = rng.Intn(64)
+			case 2:
+				n = big[rng.Intn(len(big))] - hdrSize - len(key)
+			default:
+				n = sizes[rng.Intn(len(sizes))] - hdrSize - len(key)
+			}
+			v := make([]byte, max(n, 0))
+			rng.Read(v)
+			return v
+		}
+		for op := 0; op < 3000; op++ {
+			key := keys[rng.Intn(len(keys))]
+			var got, want string
+			switch k := rng.Intn(10); {
+			case k < 4:
+				v, flags := value(key), rng.Uint32()
+				var exp time.Duration
+				if rng.Intn(3) == 0 {
+					exp = clock + time.Duration(1+rng.Intn(5))*time.Second
+				}
+				if k == 0 {
+					e.Set(Item{Key: string(key), Value: v, Flags: flags, Expires: exp})
+				} else {
+					e.setBytes(key, v, flags, exp)
+				}
+				ref.setBytes(key, v, flags, exp)
+			case k < 7:
+				if k == 4 {
+					it, ok := e.Get(string(key))
+					got = fmt.Sprintf("%v %q %d %d", ok, it.Value, it.Flags, it.Expires)
+					it, ok = ref.Get(string(key))
+					want = fmt.Sprintf("%v %q %d %d", ok, it.Value, it.Flags, it.Expires)
+				} else {
+					got = string(appendValue(nil, e.getBytes(key)))
+					want = string(appendValue(nil, refChunk(ref.getBytes(key))))
+				}
+			case k < 9:
+				got = fmt.Sprint(e.deleteBytes(key))
+				want = fmt.Sprint(ref.deleteBytes(key))
+			default:
+				clock += time.Duration(rng.Intn(1500)) * time.Millisecond
+			}
+			if got != want {
+				t.Fatalf("seed %d op %d on %q: got %s, reference %s", seed, op, key, got, want)
+			}
+			if g, w := e.Stats(), ref.Stats(); g != w {
+				t.Fatalf("seed %d op %d: stats %+v, reference %+v", seed, op, g, w)
+			}
+			if err := sameLRU(e, ref); err != "" {
+				t.Fatalf("seed %d op %d: %s", seed, op, err)
+			}
+		}
+		st := e.Stats()
+		total.Evictions += st.Evictions
+		total.Expirations += st.Expirations
+		total.Deletes += st.Deletes
+		total.GetHits += st.GetHits
+	}
+	if total.Evictions == 0 || total.Expirations == 0 || total.Deletes == 0 || total.GetHits == 0 {
+		t.Fatalf("the operations missed a path: %+v", total)
+	}
+}
+
+// sameLRU walks both engines' LRU lists from the most recently used end
+// and reports the first item that differs ("" when none does).
+func sameLRU(e *Engine, ref *refEngine) string {
+	r, n := e.head, ref.head
+	for i := 0; r != 0 && n != nil; i++ {
+		c := e.chunk(r)
+		if string(c.key()) != n.key || c.flags() != n.flags || c.expires() != n.expires || !bytes.Equal(c.value(), n.value) {
+			return fmt.Sprintf("LRU position %d holds %q (%d B), reference %q (%d B)", i, c.key(), len(c.value()), n.key, len(n.value))
+		}
+		r, n = e.next(r), n.next
+	}
+	if r != 0 || n != nil {
+		return "LRU lists differ in length"
+	}
+	if e.used != ref.used {
+		return fmt.Sprintf("bytes used %d, reference %d", e.used, ref.used)
+	}
+	return ""
+}
+
+// refChunk renders a reference node as a chunk, so appendValue frames
+// both engines' hits with the same code.
+func refChunk(n *node) chunk {
+	if n == nil {
+		return nil
+	}
+	c := make(chunk, hdrSize, hdrSize+len(n.key)+len(n.value))
+	binary.LittleEndian.PutUint32(c[hdrFlags:], n.flags)
+	c[hdrKeyLen] = uint8(len(n.key))
+	return append(append(c, n.key...), n.value...)
 }

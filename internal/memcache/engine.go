@@ -6,14 +6,22 @@
 //
 // Yoda's TCPStore (§4.3, §6) runs unmodified Memcached servers and does
 // replication purely in the client library; this package is that
-// "unmodified Memcached".
+// "unmodified Memcached". The engine stores items the way memcached does:
+// each item is one chunk — a fixed header, the key and the value — in a
+// size class's pointer-free slab pages, found through an open-addressing
+// table of chunk references. A stored flow record therefore costs the
+// heap one chunk and one index slot, and the collector nothing to mark.
 package memcache
 
-import "time"
+import (
+	"bytes"
+	"encoding/binary"
+	"math/bits"
+	"time"
+)
 
-// Item is one stored value as surfaced by the public engine API. The
-// engine's internal representation is the intrusive node; Item copies
-// cross the engine boundary so callers never alias engine-owned memory.
+// Item is one stored value as surfaced by the public engine API. Items
+// are copies: callers never alias the engine's slab pages.
 type Item struct {
 	Key     string
 	Value   []byte
@@ -33,44 +41,93 @@ type Stats struct {
 	Expirations uint64
 }
 
-// node is one stored item with the LRU list embedded in the struct
-// (intrusive doubly-linked list): no container/list element allocation
-// per item, and evicted nodes park on a free list so steady-state churn
-// reuses both the struct and its value buffer.
-type node struct {
-	key     string
-	value   []byte
-	flags   uint32
-	expires time.Duration
+// ref names a chunk: its page's index in Engine.pages in the high bits
+// and its byte offset in that page in the low 16. 0 is nil (page 0 is
+// never allocated), so a zeroed index slot or LRU link is empty.
+type ref int32
 
-	prev, next *node
-}
-
-// Free-list bounds: parked nodes beyond maxFreeNodes are dropped to the
-// GC, and a recycled node's value buffer is released when it is large
-// enough that pinning it would outweigh the realloc it saves.
 const (
-	maxFreeNodes    = 4096
-	maxFreeValueCap = 64 << 10
+	offBits = 16
+	offMask = 1<<offBits - 1
+	// maxPages bounds the page table so every ref stays a positive int32.
+	maxPages = 1 << (31 - offBits)
 )
 
-// Engine is the storage engine: a hash map with LRU eviction under a
-// memory cap. It is not safe for concurrent use; every caller runs on
-// the one netsim event loop.
+// Chunk header layout, little-endian. prev and next link the global LRU
+// list (prev toward the most recently used end); a free chunk threads its
+// class's free list through next.
+const (
+	hdrPrev    = 0  // ref
+	hdrNext    = 4  // ref
+	hdrExpires = 8  // int64 absolute expiry, 0 = never
+	hdrFlags   = 16 // uint32
+	hdrValLen  = 20 // uint32
+	hdrKeyLen  = 24 // uint8: keys are at most maxKeyLen bytes
+	hdrClass   = 25 // uint8: size class, or bigClass
+	hdrSize    = 26
+)
+
+// Size classes: chunk sizes from minChunk growing by about ×1.25 up to
+// maxChunk. A chunk that needs more than maxChunk bytes gets an array of
+// its own (bigClass). A class's pages start at minPage bytes and double up
+// to maxPage; they are kept at their peak, as memcached keeps its slabs,
+// so the footprint follows the most items each class ever held at once,
+// not the history.
+const (
+	minChunk = 48
+	maxChunk = 16 << 10
+	minPage  = 1 << 10
+	maxPage  = 64 << 10
+	bigClass = 0xff
+)
+
+// classSize lists the chunk size of each class.
+var classSize = sizeClasses()
+
+func sizeClasses() []int32 {
+	var sizes []int32
+	for s := minChunk; s < maxChunk; s = max(s+8, s*5/4) {
+		sizes = append(sizes, int32(s))
+	}
+	return append(sizes, maxChunk)
+}
+
+// slabClass is one size class's allocator: a free list of released
+// chunks, then a bump pointer into its newest page.
+type slabClass struct {
+	free     ref   // released chunks, chained through hdrNext
+	page     int32 // index of the newest page; 0 before the first
+	off      int32 // next unused byte in that page
+	nextPage int32 // size of the page the class allocates next; 0 = minPage
+}
+
+// Index table bounds: the table starts at minSlots and doubles when it
+// is three quarters full. Like the pages, it is kept at its peak.
+const minSlots = 16
+
+// Engine is the storage engine: a hash index over slab-allocated chunks
+// with one LRU list under a memory cap. It is not safe for concurrent
+// use; every caller runs on the one netsim event loop.
 //
-// Each operation is written once, on the *node a map lookup returned
-// (hit, store, remove); the string-keyed Get/Set/Delete and the
-// byte-keyed forms the protocol session calls differ only in that lookup.
+// Each operation is written once, on the (index slot, chunk) pair a
+// lookup returned (hit, store, remove); the string-keyed Get and Set and
+// the byte-keyed forms the protocol session calls differ only in how the
+// key arrives.
 type Engine struct {
-	items    map[string]*node
-	head     *node // most recently used
-	tail     *node // least recently used
-	free     *node // recycled nodes, chained via next
-	nFree    int
-	maxBytes int
-	used     int
-	now      func() time.Duration
-	stats    Stats
+	pages     [][]byte // slab pages and own-array chunks; pages[0] is nil
+	freePages []int32  // indexes of released own-array chunks
+	classes   []slabClass
+
+	// slots is the open-addressing index: hash<<32 | ref, 0 = empty,
+	// linear probing with backward-shift deletion.
+	slots []uint64
+	count int
+
+	head, tail ref // most and least recently used
+	maxBytes   int
+	used       int
+	now        func() time.Duration
+	stats      Stats
 }
 
 // NewEngine creates an engine with the given memory cap in bytes (<=0
@@ -82,135 +139,313 @@ func NewEngine(maxBytes int, now func() time.Duration) *Engine {
 		now = func() time.Duration { return time.Since(start) }
 	}
 	return &Engine{
-		items:    make(map[string]*node),
+		pages:    [][]byte{nil},
+		classes:  make([]slabClass, len(classSize)),
+		slots:    make([]uint64, minSlots),
 		maxBytes: maxBytes,
 		now:      now,
 	}
 }
 
-func nodeSize(n *node) int { return len(n.key) + len(n.value) + 64 }
+// --- chunks ---
 
-// expired reports whether n is past its expiry.
-func (e *Engine) expired(n *node) bool { return n.expires > 0 && e.now() >= n.expires }
+// chunk is one stored item: header, key, value.
+type chunk []byte
 
-// --- intrusive LRU list ---
-
-func (e *Engine) pushFront(n *node) {
-	n.prev = nil
-	n.next = e.head
-	if e.head != nil {
-		e.head.prev = n
-	}
-	e.head = n
-	if e.tail == nil {
-		e.tail = n
-	}
+func (c chunk) key() []byte   { return c[hdrSize : hdrSize+int(c[hdrKeyLen])] }
+func (c chunk) value() []byte { return c[hdrSize+int(c[hdrKeyLen]):] }
+func (c chunk) flags() uint32 { return binary.LittleEndian.Uint32(c[hdrFlags:]) }
+func (c chunk) expires() time.Duration {
+	return time.Duration(binary.LittleEndian.Uint64(c[hdrExpires:]))
 }
 
-func (e *Engine) unlink(n *node) {
-	if n.prev != nil {
-		n.prev.next = n.next
-	} else {
-		e.head = n.next
-	}
-	if n.next != nil {
-		n.next.prev = n.prev
-	} else {
-		e.tail = n.prev
-	}
-	n.prev, n.next = nil, nil
+// hdr returns the page bytes from r's header on.
+func (e *Engine) hdr(r ref) []byte { return e.pages[r>>offBits][r&offMask:] }
+
+// chunk returns r's header, key and value.
+func (e *Engine) chunk(r ref) chunk {
+	h := e.hdr(r)
+	return chunk(h[:hdrSize+int(h[hdrKeyLen])+int(binary.LittleEndian.Uint32(h[hdrValLen:]))])
 }
 
-func (e *Engine) moveToFront(n *node) {
-	if e.head == n {
+func (e *Engine) next(r ref) ref { return ref(binary.LittleEndian.Uint32(e.hdr(r)[hdrNext:])) }
+func (e *Engine) prev(r ref) ref { return ref(binary.LittleEndian.Uint32(e.hdr(r)[hdrPrev:])) }
+
+func (e *Engine) setNext(r, n ref) { binary.LittleEndian.PutUint32(e.hdr(r)[hdrNext:], uint32(n)) }
+func (e *Engine) setPrev(r, p ref) { binary.LittleEndian.PutUint32(e.hdr(r)[hdrPrev:], uint32(p)) }
+
+// itemSize is an item's charge against the memory cap, as before the
+// slab layout: key, value and a fixed 64-byte overhead.
+func itemSize(c chunk) int { return len(c) - hdrSize + 64 }
+
+// expired reports whether c is past its expiry.
+func (e *Engine) expired(c chunk) bool {
+	exp := c.expires()
+	return exp > 0 && e.now() >= exp
+}
+
+// classFor returns the smallest class whose chunks hold size bytes, or
+// bigClass.
+func classFor(size int) uint8 {
+	if size > maxChunk {
+		return bigClass
+	}
+	c := 0
+	for int(classSize[c]) < size {
+		c++
+	}
+	return uint8(c)
+}
+
+// fits reports whether r's chunk can take size bytes in place: a slab
+// chunk when size is still of its class, an own array when it is still
+// too large for any class and within the array.
+func (e *Engine) fits(r ref, size int) bool {
+	h := e.hdr(r)
+	c := classFor(size)
+	return c == h[hdrClass] && (c != bigClass || size <= len(h))
+}
+
+// alloc returns a chunk of size bytes' class with its class byte set:
+// a released chunk if the class has one, else the next in its newest
+// page, else the first in a new page.
+func (e *Engine) alloc(size int) ref {
+	c := classFor(size)
+	if c == bigClass {
+		r := ref(e.addPage(make([]byte, size)) << offBits)
+		e.hdr(r)[hdrClass] = bigClass
+		return r
+	}
+	cl := &e.classes[c]
+	sz := classSize[c]
+	r := cl.free
+	if r != 0 {
+		cl.free = e.next(r)
+	} else {
+		if cl.page == 0 || int(cl.off+sz) > len(e.pages[cl.page]) {
+			n := max(cl.nextPage, minPage, sz)
+			cl.page = e.addPage(make([]byte, n/sz*sz))
+			cl.off = 0
+			cl.nextPage = min(2*n, max(maxPage, sz))
+		}
+		r = ref(cl.page<<offBits | cl.off)
+		cl.off += sz
+	}
+	e.hdr(r)[hdrClass] = c
+	return r
+}
+
+// release gives r's chunk back: a slab chunk to its class's free list, an
+// own array to the collector.
+func (e *Engine) release(r ref) {
+	c := e.hdr(r)[hdrClass]
+	if c == bigClass {
+		p := int32(r >> offBits)
+		e.pages[p] = nil
+		e.freePages = append(e.freePages, p)
 		return
 	}
-	e.unlink(n)
-	e.pushFront(n)
+	e.setNext(r, e.classes[c].free)
+	e.classes[c].free = r
 }
 
-// newNode pops a recycled node (value capacity retained) or allocates.
-func (e *Engine) newNode() *node {
-	if n := e.free; n != nil {
-		e.free = n.next
-		e.nFree--
-		n.next = nil
-		return n
+// addPage files p in the page table, in a released own array's slot if
+// there is one, and returns its index.
+func (e *Engine) addPage(p []byte) int32 {
+	if n := len(e.freePages); n > 0 {
+		i := e.freePages[n-1]
+		e.freePages = e.freePages[:n-1]
+		e.pages[i] = p
+		return i
 	}
-	return &node{}
+	if len(e.pages) == maxPages {
+		panic("memcache: slab page table full")
+	}
+	e.pages = append(e.pages, p)
+	return int32(len(e.pages) - 1)
 }
 
-// freeNode parks a removed node for reuse, dropping its key reference
-// (the map no longer holds it) but keeping the value buffer's capacity.
-func (e *Engine) freeNode(n *node) {
-	n.key = ""
-	n.prev = nil
-	if e.nFree >= maxFreeNodes {
-		n.next = nil
+// --- the LRU list, linked through the chunk headers ---
+
+func (e *Engine) pushFront(r ref) {
+	e.setPrev(r, 0)
+	e.setNext(r, e.head)
+	if e.head != 0 {
+		e.setPrev(e.head, r)
+	}
+	e.head = r
+	if e.tail == 0 {
+		e.tail = r
+	}
+}
+
+func (e *Engine) unlink(r ref) {
+	p, n := e.prev(r), e.next(r)
+	if p != 0 {
+		e.setNext(p, n)
+	} else {
+		e.head = n
+	}
+	if n != 0 {
+		e.setPrev(n, p)
+	} else {
+		e.tail = p
+	}
+}
+
+func (e *Engine) moveToFront(r ref) {
+	if e.head == r {
 		return
 	}
-	if cap(n.value) > maxFreeValueCap {
-		n.value = nil
-	} else {
-		n.value = n.value[:0]
-	}
-	n.next = e.free
-	e.free = n
-	e.nFree++
+	e.unlink(r)
+	e.pushFront(r)
 }
 
-// --- the operations, each on the node a map lookup returned (nil = absent) ---
+// --- the index ---
 
-// hit is a get: it counts the hit or miss, drops an expired node, bumps a
-// live one to the front of the LRU list and returns it (nil on a miss).
-func (e *Engine) hit(n *node) *node {
-	if n != nil && e.expired(n) {
-		e.drop(n)
+// hashKey is a fixed-seed hash that reads the key a word at a time, so
+// probe order (and with it every run) is the same from process to
+// process.
+func hashKey(k []byte) uint32 {
+	const m = 0x9e3779b97f4a7c15
+	h := uint64(len(k)) * m
+	for ; len(k) >= 8; k = k[8:] {
+		h = bits.RotateLeft64((h^binary.LittleEndian.Uint64(k))*m, 31)
+	}
+	var t uint64
+	for i, b := range k {
+		t |= uint64(b) << (8 * i)
+	}
+	h = (h ^ t) * m
+	h ^= h >> 29
+	h *= 0xbf58476d1ce4e5b9
+	return uint32(h >> 32)
+}
+
+// find returns key's index slot and chunk, or the empty slot where key
+// would go and 0.
+func (e *Engine) find(key []byte, h uint32) (int, ref) {
+	mask := len(e.slots) - 1
+	for i := int(h) & mask; ; i = (i + 1) & mask {
+		s := e.slots[i]
+		if s == 0 {
+			return i, 0
+		}
+		if uint32(s>>32) == h && bytes.Equal(e.chunk(ref(s)).key(), key) {
+			return i, ref(s)
+		}
+	}
+}
+
+// slotOf returns the index slot that holds r.
+func (e *Engine) slotOf(r ref) int {
+	mask := len(e.slots) - 1
+	for i := int(hashKey(e.chunk(r).key())) & mask; ; i = (i + 1) & mask {
+		if ref(e.slots[i]) == r {
+			return i
+		}
+	}
+}
+
+// index fills the empty slot i, growing the table past three quarters.
+func (e *Engine) index(i int, h uint32, r ref) {
+	e.slots[i] = uint64(h)<<32 | uint64(uint32(r))
+	e.count++
+	if e.count*4 <= len(e.slots)*3 {
+		return
+	}
+	old := e.slots
+	e.slots = make([]uint64, 2*len(old))
+	mask := len(e.slots) - 1
+	for _, s := range old {
+		if s == 0 {
+			continue
+		}
+		j := int(s>>32) & mask
+		for e.slots[j] != 0 {
+			j = (j + 1) & mask
+		}
+		e.slots[j] = s
+	}
+}
+
+// unindex empties slot i, shifting back the entries of its probe run
+// that may now sit closer to home.
+func (e *Engine) unindex(i int) {
+	mask := len(e.slots) - 1
+	for j := (i + 1) & mask; e.slots[j] != 0; j = (j + 1) & mask {
+		home := int(e.slots[j]>>32) & mask
+		if (j-home)&mask >= (j-i)&mask {
+			e.slots[i] = e.slots[j]
+			i = j
+		}
+	}
+	e.slots[i] = 0
+	e.count--
+}
+
+// --- the operations, each on the slot and chunk a lookup returned (0 = absent) ---
+
+// hit is a get: it counts the hit or miss, drops an expired item, bumps a
+// live one to the front of the LRU list and returns it (0 on a miss).
+func (e *Engine) hit(i int, r ref) ref {
+	if r != 0 && e.expired(e.chunk(r)) {
+		e.drop(i, r)
 		e.stats.Expirations++
-		n = nil
+		r = 0
 	}
-	if n == nil {
+	if r == 0 {
 		e.stats.GetMisses++
-		return nil
+		return 0
 	}
-	e.moveToFront(n)
+	e.moveToFront(r)
 	e.stats.GetHits++
-	return n
+	return r
 }
 
-// insert adds an empty node under key; store fills it.
-func (e *Engine) insert(key string) *node {
-	n := e.newNode()
-	n.key = key
-	e.items[key] = n
-	e.pushFront(n)
-	e.used += nodeSize(n)
-	return n
-}
-
-// store is a set: it copies value into n (reusing n's buffer), makes n the
-// most recently used and evicts from the cold end down to the byte cap.
-func (e *Engine) store(n *node, value []byte, flags uint32, expires time.Duration) {
-	e.used -= nodeSize(n)
-	n.value = append(n.value[:0], value...)
-	n.flags = flags
-	n.expires = expires
-	e.used += nodeSize(n)
-	e.moveToFront(n)
-	for e.maxBytes > 0 && e.used > e.maxBytes && e.tail != nil {
-		e.drop(e.tail)
+// store is a set: it writes the item into r's chunk, or into a chunk of
+// the new size's class that replaces it (into a new chunk when r is 0),
+// makes it the most recently used and evicts from the cold end down to
+// the byte cap.
+func (e *Engine) store(i int, h uint32, r ref, key, value []byte, flags uint32, expires time.Duration) {
+	size := hdrSize + len(key) + len(value)
+	switch {
+	case r == 0:
+		r = e.alloc(size)
+		e.index(i, h, r)
+		e.pushFront(r)
+	case !e.fits(r, size):
+		e.used -= itemSize(e.chunk(r))
+		e.unlink(r)
+		e.release(r)
+		r = e.alloc(size)
+		e.slots[i] = uint64(h)<<32 | uint64(uint32(r))
+		e.pushFront(r)
+	default:
+		e.used -= itemSize(e.chunk(r))
+		e.moveToFront(r)
+	}
+	c := e.hdr(r)
+	binary.LittleEndian.PutUint64(c[hdrExpires:], uint64(expires))
+	binary.LittleEndian.PutUint32(c[hdrFlags:], flags)
+	binary.LittleEndian.PutUint32(c[hdrValLen:], uint32(len(value)))
+	c[hdrKeyLen] = uint8(len(key))
+	copy(c[hdrSize+copy(c[hdrSize:], key):], value)
+	e.used += len(key) + len(value) + 64
+	for e.maxBytes > 0 && e.used > e.maxBytes && e.tail != 0 {
+		e.drop(e.slotOf(e.tail), e.tail)
 		e.stats.Evictions++
 	}
 	e.stats.Sets++
 }
 
-// remove is a delete: it reports whether n was present and unexpired.
-func (e *Engine) remove(n *node) bool {
-	if n == nil {
+// remove is a delete: it reports whether r was present and unexpired.
+func (e *Engine) remove(i int, r ref) bool {
+	if r == 0 {
 		return false
 	}
-	expired := e.expired(n)
-	e.drop(n)
+	expired := e.expired(e.chunk(r))
+	e.drop(i, r)
 	if expired {
 		e.stats.Expirations++
 	} else {
@@ -219,56 +454,56 @@ func (e *Engine) remove(n *node) bool {
 	return !expired
 }
 
-// drop unlinks n from the map and the list and parks it for reuse.
-func (e *Engine) drop(n *node) {
-	e.used -= nodeSize(n)
-	delete(e.items, n.key)
-	e.unlink(n)
-	e.freeNode(n)
+// drop takes r out of the index and the list and releases its chunk.
+func (e *Engine) drop(i int, r ref) {
+	e.used -= itemSize(e.chunk(r))
+	e.unindex(i)
+	e.unlink(r)
+	e.release(r)
 }
 
 // --- entry points: string keys for callers, byte keys for the session ---
 
 // Get returns a copy of the item stored under key, or ok=false.
 func (e *Engine) Get(key string) (Item, bool) {
-	n := e.hit(e.items[key])
-	if n == nil {
+	c := e.getBytes([]byte(key))
+	if c == nil {
 		return Item{}, false
 	}
-	return Item{Key: n.key, Value: append([]byte(nil), n.value...), Flags: n.flags, Expires: n.expires}, true
+	return Item{Key: key, Value: bytes.Clone(c.value()), Flags: c.flags(), Expires: c.expires()}, true
 }
 
-// Set unconditionally stores the item.
-func (e *Engine) Set(it Item) {
-	n := e.items[it.Key]
-	if n == nil {
-		n = e.insert(it.Key)
-	}
-	e.store(n, it.Value, it.Flags, it.Expires)
-}
-
-// Delete removes key, reporting whether it was present.
-func (e *Engine) Delete(key string) bool { return e.remove(e.items[key]) }
+// Set unconditionally stores the item. Its key is at most 250 bytes
+// (maxKeyLen), memcached's limit, which the session enforces on the wire.
+func (e *Engine) Set(it Item) { e.setBytes([]byte(it.Key), it.Value, it.Flags, it.Expires) }
 
 // getBytes, setBytes and deleteBytes take keys and values sliced out of a
-// protocol buffer. A map index by string(key) does not allocate; the
-// conversion in setBytes' insert is the one copy a new key costs.
-func (e *Engine) getBytes(key []byte) *node { return e.hit(e.items[string(key)]) }
-
-func (e *Engine) setBytes(key, value []byte, flags uint32, expires time.Duration) {
-	n := e.items[string(key)]
-	if n == nil {
-		n = e.insert(string(key))
+// protocol buffer; a set copies both into the chunk, and nothing else a
+// set, get or delete does allocates once the pages and index are grown.
+// The chunk getBytes returns is valid until the next set or delete.
+func (e *Engine) getBytes(key []byte) chunk {
+	r := e.hit(e.find(key, hashKey(key)))
+	if r == 0 {
+		return nil
 	}
-	e.store(n, value, flags, expires)
+	return e.chunk(r)
 }
 
-func (e *Engine) deleteBytes(key []byte) bool { return e.remove(e.items[string(key)]) }
+func (e *Engine) setBytes(key, value []byte, flags uint32, expires time.Duration) {
+	if len(key) > maxKeyLen {
+		panic("memcache: key longer than maxKeyLen")
+	}
+	h := hashKey(key)
+	i, r := e.find(key, h)
+	e.store(i, h, r, key, value, flags, expires)
+}
+
+func (e *Engine) deleteBytes(key []byte) bool { return e.remove(e.find(key, hashKey(key))) }
 
 // Stats returns a snapshot of the counters.
 func (e *Engine) Stats() Stats {
 	s := e.stats
-	s.CurrItems = len(e.items)
+	s.CurrItems = e.count
 	s.BytesUsed = e.used
 	return s
 }

@@ -16,13 +16,13 @@ func TestEngineSetGetDelete(t *testing.T) {
 	if !ok || string(it.Value) != "v" || it.Flags != 7 {
 		t.Fatalf("get: %+v %v", it, ok)
 	}
-	if !e.Delete("k") {
+	if !e.deleteBytes([]byte("k")) {
 		t.Fatal("delete should report present")
 	}
 	if _, ok := e.Get("k"); ok {
 		t.Fatal("get after delete")
 	}
-	if e.Delete("k") {
+	if e.deleteBytes([]byte("k")) {
 		t.Fatal("double delete should report absent")
 	}
 }
@@ -97,7 +97,7 @@ func TestEngineStatsCounters(t *testing.T) {
 	e.Set(Item{Key: "a", Value: []byte("1")})
 	e.Get("a")
 	e.Get("missing")
-	e.Delete("a")
+	e.deleteBytes([]byte("a"))
 	st := e.Stats()
 	if st.Sets != 1 || st.GetHits != 1 || st.GetMisses != 1 || st.Deletes != 1 {
 		t.Fatalf("stats: %+v", st)

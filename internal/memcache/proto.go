@@ -182,21 +182,23 @@ func (s *Session) step(out []byte) (_ []byte, ok bool) {
 //
 //	VALUE <key> <flags> <bytes>\r\n<data>\r\n
 //
-// onto out; a miss (nil) appends nothing. Copying the stored value here
-// is what keeps a response the transport still holds from aliasing
-// engine memory that a later set overwrites in place.
-func appendValue(out []byte, n *node) []byte {
-	if n == nil {
+// onto out from the chunk's key, flags and value; a miss (nil) appends
+// nothing. Copying the stored value here is what keeps a response the
+// transport still holds from aliasing a slab chunk that a later set
+// overwrites in place.
+func appendValue(out []byte, c chunk) []byte {
+	if c == nil {
 		return out
 	}
+	value := c.value()
 	out = append(out, "VALUE "...)
-	out = append(out, n.key...)
+	out = append(out, c.key()...)
 	out = append(out, ' ')
-	out = strconv.AppendUint(out, uint64(n.flags), 10)
+	out = strconv.AppendUint(out, uint64(c.flags()), 10)
 	out = append(out, ' ')
-	out = strconv.AppendUint(out, uint64(len(n.value)), 10)
+	out = strconv.AppendUint(out, uint64(len(value)), 10)
 	out = append(out, '\r', '\n')
-	out = append(out, n.value...)
+	out = append(out, value...)
 	return append(out, '\r', '\n')
 }
 

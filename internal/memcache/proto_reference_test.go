@@ -10,20 +10,22 @@ import (
 // This file preserves the original allocation-heavy text-protocol parser
 // (string conversion per line, strings.Fields, fmt responses, per-value
 // copies, the string-keyed engine API), narrowed to the four verbs the
-// session speaks. It is test code: the behavioral reference that the
-// zero-copy Session in proto.go is pinned against by the differential
-// tests and FuzzMemcacheSessionDifferential.
+// session speaks, on the map + intrusive-node engine the slab Engine
+// replaced (engine_reference_test.go). It is test code: the behavioral
+// reference that the zero-copy Session in proto.go, on the Engine, is
+// pinned against by the differential tests and
+// FuzzMemcacheSessionDifferential — whole stack against whole stack.
 // When changing protocol behavior, change both and extend the tests.
 
 // ReferenceSession answers the same byte stream as Session.
 type ReferenceSession struct {
-	engine *Engine
+	engine *refEngine
 	buf    bytes.Buffer
 }
 
 // NewReferenceSession creates a reference protocol session bound to an
 // engine.
-func NewReferenceSession(engine *Engine) *ReferenceSession {
+func NewReferenceSession(engine *refEngine) *ReferenceSession {
 	return &ReferenceSession{engine: engine}
 }
 

@@ -5,7 +5,7 @@
 #
 #   1. bench regression gate  the seven wall-clock figures against the base
 #                             commit, built and run in this same run; the
-#                             four exact figures against BENCH_core.json.
+#                             five exact figures against BENCH_core.json.
 #                             First, while the box is cold: behind the race
 #                             and fuzz stages the same binaries read 30-60 %
 #                             slower
@@ -50,13 +50,15 @@ echo "== bench regression gate (wall clock: median of 5 pairs vs the base commit
 # on: HEAD while the work tree has uncommitted changes, HEAD^ once they
 # are committed.
 #
-# Four figures are exact and stay absolute against BENCH_core.json: the
+# Five figures are exact and stay absolute against BENCH_core.json: the
 # 512 KiB static write's B/op (a copy of the body would be 500 times it),
 # an idle TCP connection pair's heap, a warm client's 512 KiB fetch's
 # B/op (a body array made per response instead of lent from the client's
-# pool would be ~280 times it), and TCPStore round trips per paper-mode
-# flow (a count: any rise fails). `scripts/bench.sh --only
-# tcp_static_512k_B_op,tcp_idle_conn_pair_heap_bytes,client_fetch_512k_B_op,storage_roundtrips_per_flow_paper`
+# pool would be ~280 times it), TCPStore round trips per paper-mode flow
+# (a count: any rise fails), and the real stack's heap bytes per mflow
+# flow (read off the mflow runs above; the store's items are about a
+# third of it). `scripts/bench.sh --only
+# tcp_static_512k_B_op,tcp_idle_conn_pair_heap_bytes,client_fetch_512k_B_op,storage_roundtrips_per_flow_paper,mflow_mem_bytes_per_flow`
 # re-records just those after an intentional change.
 #
 # gate <label> <unit> <new> <recorded> lower|higher: fail when new is more
@@ -104,7 +106,7 @@ for pair in 1 2 3 4 5; do
         awk -v at="$pair $side" 'function unit(u, i) { for (i = 2; i < NF; i++) if ($(i+1) == u) return $i }
           $1 ~ /^BenchmarkNetsimEventLoop/ { print at, "event_loop_ns/op", $3 }
           $1 ~ /^BenchmarkNetsimTimerChurn\/backlog=64k/ { print at, "timer_churn_64k_ns/op", $3 }
-          $1 ~ /^BenchmarkMflowMemPerFlow/ { print at, "mflow_events/s", unit("events/s") }
+          $1 ~ /^BenchmarkMflowMemPerFlow/ { print at, "mflow_events/s", unit("events/s"); print at, "mflow_B/flow", unit("bytes/flow") }
           $1 ~ /^BenchmarkFlowFastPath/ { print at, "flow_fast_path_ns/op", $3 }
           $1 ~ /^BenchmarkTCPThroughput\/chunk=64k/ { print at, "tcp_64k_MB/s", unit("MB/s") }
           $1 ~ /^BenchmarkTCPThroughput\/chunk=256k/ { print at, "tcp_256k_MB/s", unit("MB/s") }
@@ -133,15 +135,17 @@ awk '{ k = $3 SUBSEP $1 SUBSEP $2; rate = $3 ~ /\/s$/
     exit bad
   }' "$GATE_DIR/runs"
 NEW_TCP_STATIC_B=$(awk '$2 == "new" && $3 == "static_B/op" { if (min == "" || $4+0 < min+0) min = $4 } END { print min }' "$GATE_DIR/runs")
+NEW_MFLOW_B=$(awk '$2 == "new" && $3 == "mflow_B/flow" { if (min == "" || $4+0 < min+0) min = $4 } END { print min }' "$GATE_DIR/runs")
 NEW_IDLE_B=$(cd internal/tcp && "$GATE_DIR/new/tcp.test" -test.run '^$' -test.bench 'BenchmarkIdleConnHeap$' -test.benchtime 1x |
   awk '$1 ~ /^BenchmarkIdleConnHeap/ { for (i = 1; i < NF; i++) if ($(i+1) == "heap-B/pair") print $i }')
 gate "tcp static write, 512 KiB body" B/op "$NEW_TCP_STATIC_B" "$(recorded tcp_static_512k_B_op)" lower
 gate "idle tcp conn pair" B "$NEW_IDLE_B" "$(recorded tcp_idle_conn_pair_heap_bytes)" lower
+gate "mflow heap per flow" B "$NEW_MFLOW_B" "$(recorded mflow_mem_bytes_per_flow)" lower
 go test -c -o "$GATE_DIR/new/httpsim.test" ./internal/httpsim/
 NEW_FETCH_B=$(cd internal/httpsim && "$GATE_DIR/new/httpsim.test" -test.run '^$' -test.bench 'BenchmarkClientFetch/512k$' -test.benchmem -test.count 2 |
   awk '$1 ~ /^BenchmarkClientFetch\/512k/ { for (i = 1; i < NF; i++) if ($(i+1) == "B/op" && (min == "" || $i+0 < min+0)) min = $i } END { print min }')
 gate "client fetch, 512 KiB body" B/op "$NEW_FETCH_B" "$(recorded client_fetch_512k_B_op)" lower
-# The fourth exact figure is a deterministic count of the simulation —
+# The round-trip figure is a deterministic count of the simulation —
 # TCPStore round trips per paper-mode flow — so any rise fails, not a 15 %
 # one: it moves only when the store path sends more commands per flow.
 NEW_RT_PAPER=$(cd internal/core && "$GATE_DIR/new/core.test" -test.run '^$' -test.bench 'BenchmarkStoreRoundTripsPerFlow/mode=paper$' -test.benchtime 1x |
