@@ -189,13 +189,18 @@ func TestFailoverDuringTunnelPhase(t *testing.T) {
 		t.Fatalf("recovery too slow: %v", res.Elapsed())
 	}
 	requireStoreEmpty(t, tb.C) // an adopted flow deletes the records it was adopted from
+	// and the adopter releases the entries that pinned it there.
+	if n := tb.C.L4.AffinityCount(); n != 0 {
+		t.Fatalf("the adopted flow left %d affinity entries", n)
+	}
 }
 
 // TestKillOwnerAtEveryStep kills the instance that owns one /100k fetch
 // after each event step of the fetch's life in turn — the connection
 // phase, both barriers, the tunnel and the close — and checks the paper's
 // claim at every one: the body arrives intact, every instance ends with no
-// flow state, the store ends empty, and no survivor adopts the flow twice.
+// flow state, the store and the muxes' affinity tables end empty, and no
+// survivor adopts the flow twice.
 // Two survivors may each adopt it once: the client's segments and the
 // backend's are remapped independently, which is why storage-b writes the
 // record under both tuples (seed 14 does this from step 33 on).
@@ -274,6 +279,9 @@ func TestKillOwnerAtEveryStep(t *testing.T) {
 						if items := s.Engine.Stats().CurrItems; items != 0 {
 							t.Fatalf("seed %d, kill after step %d: store server %d holds %d records", seed, k, i, items)
 						}
+					}
+					if n := tb.C.L4.AffinityCount(); n != 0 {
+						t.Fatalf("seed %d, kill after step %d: the muxes hold %d affinity entries", seed, k, n)
 					}
 				}
 			}
@@ -555,4 +563,26 @@ func TestClientResetMidTunnel(t *testing.T) {
 		t.Fatalf("%d flow entries left, %d closed; want 0 and 1", in.FlowCount(), in.FlowsClosed)
 	}
 	requireStoreEmpty(t, tb.C)
+	if n := tb.C.L4.AffinityCount(); n != 0 {
+		t.Fatalf("%d affinity entries left", n)
+	}
+}
+
+// TestClientResetAfterHandshake is defect (j): a client that resets in
+// the connection phase, after storage-a committed its record and the
+// SYN-ACK went out, leaves neither the record nor a mux entry behind.
+func TestClientResetAfterHandshake(t *testing.T) {
+	tb := newTestbed(t, 13, 1)
+	tcp.Dial(tb.C.ClientHost(), tb.Addr, tcp.Callbacks{
+		OnEstablished: func(c *tcp.Conn) { c.Abort() },
+	}, tcp.DefaultConfig())
+	tb.C.Net.RunFor(10 * time.Second)
+	in := tb.C.Yoda[0]
+	if in.FlowCount() != 0 || in.FlowsClosed != 1 {
+		t.Fatalf("%d flow entries left, %d closed; want 0 and 1", in.FlowCount(), in.FlowsClosed)
+	}
+	requireStoreEmpty(t, tb.C)
+	if n := tb.C.L4.AffinityCount(); n != 0 {
+		t.Fatalf("%d affinity entries left", n)
+	}
 }

@@ -181,13 +181,13 @@ func (in *Instance) connPhaseClientPacket(f *flow, pkt *netsim.Packet) {
 		return
 	}
 	if pkt.Flags.Has(netsim.FlagRST) {
-		in.teardown(f, false)
+		in.teardown(f)
 		return
 	}
 	if pkt.Flags.Has(netsim.FlagFIN) && len(pkt.Payload) == 0 {
 		// Client gave up before sending a request.
 		in.net.Send(in.packet(f.vip, f.client, netsim.FlagFIN|netsim.FlagACK, f.c+1, pkt.SeqEnd(), 0))
-		in.teardown(f, true)
+		in.teardown(f)
 		return
 	}
 	if len(pkt.Payload) == 0 {
@@ -396,7 +396,7 @@ func (in *Instance) onFlowTimer(f *flow) {
 	case f.state == stateDialing:
 		in.sendServerSyn(f)
 	case f.clientFin && f.serverFin:
-		in.teardown(f, true)
+		in.teardown(f)
 	}
 }
 
@@ -503,7 +503,7 @@ func (in *Instance) reject(f *flow, code int, reason string) {
 	p := in.packet(f.vip, f.client, netsim.FlagACK|netsim.FlagPSH|netsim.FlagFIN, f.toClientNext, f.fromClient.next, 0)
 	p.Payload = payload
 	in.net.Send(p)
-	in.teardown(f, true)
+	in.teardown(f)
 }
 
 // --- tunneling phase ---
@@ -532,7 +532,7 @@ func (in *Instance) relay(f *flow, pkt *netsim.Packet, flags netsim.TCPFlags, wi
 // dispatch routes a RST in Tunnel here, from either side.
 func (in *Instance) abort(f *flow, pkt *netsim.Packet) {
 	in.relay(f, pkt, netsim.FlagRST, 0, nil)
-	in.teardown(f, true)
+	in.teardown(f)
 }
 
 func (in *Instance) tunnelFromClient(f *flow, pkt *netsim.Packet) {
@@ -576,22 +576,21 @@ func (in *Instance) maybeFinish(f *flow) {
 }
 
 // teardown removes flow state locally, from TCPStore, and from the L4
-// LB's SNAT table.
-func (in *Instance) teardown(f *flow, deleteStore bool) {
+// LB's affinity tables: every record the flow may have written is
+// deleted, and both tuple orientations are released, so nothing the flow
+// held outlives it.
+func (in *Instance) teardown(f *flow) {
 	in.note(evClose, f.vip.IP)
 	in.unlink(f)
-	if f.server.IP != 0 {
-		in.releaseSNATPort(f.snat.Port)
+	bound := f.server.IP != 0
+	// Hybrid flows that never persisted have nothing to delete.
+	if f.persisted {
+		in.store.Delete(in.flowEntries(f, nil, bound), nil)
 	}
-	if deleteStore {
-		// Hybrid flows that never persisted have nothing to delete; the
-		// SNAT routing entry is cleared either way.
-		if f.persisted {
-			in.store.Delete(in.flowEntries(f, nil, f.server.IP != 0), nil)
-		}
-		if f.server.IP != 0 {
-			in.l4.ClearSNAT(f.serverTuple())
-		}
+	in.l4.Release(f.clientTuple(), in.IP())
+	if bound {
+		in.releaseSNATPort(f.snat.Port)
+		in.l4.Release(f.serverTuple(), in.IP())
 	}
 }
 
@@ -618,7 +617,7 @@ func (in *Instance) armIdle(f *flow) {
 			return
 		}
 		if in.net.Now()-f.lastActive >= in.cfg.FlowIdleTimeout {
-			in.teardown(f, true)
+			in.teardown(f)
 			return
 		}
 		f.idleTimer = in.net.Schedule(in.cfg.FlowIdleTimeout, f.idleFn)
@@ -640,7 +639,7 @@ func (in *Instance) TerminateBackendFlows(backend netsim.HostPort) int {
 	})
 	for _, f := range victims {
 		in.net.Send(in.packet(f.vip, f.client, netsim.FlagRST, f.toClientNext, f.fromClient.next, 0))
-		in.teardown(f, true)
+		in.teardown(f)
 	}
 	return len(victims)
 }

@@ -145,29 +145,33 @@ func (in *Instance) dispatchQueued(queued []*netsim.Packet) {
 // one place a store record becomes a flow. A hit installs it and replays
 // the queue. A miss hands the queued packets to miss; nil is the paper's
 // answer, shared by the hybrid paths that fall through to it: count the
-// miss and RST the sender.
+// miss and RST the sender. A lookup that leaves the tuple without a flow
+// releases the mux entry that brought it here, so an orphan nobody holds
+// is not pinned.
 func (in *Instance) storeGet(tuple netsim.FourTuple, q *pendingQueue, miss func(queued []*netsim.Packet)) {
 	in.store.Get(in.flowKey(tuple), func(value []byte, ok bool, err error) {
 		queued, live := in.resolveQueue(tuple, q)
 		if !live {
 			return
 		}
-		if !ok || err != nil {
-			if miss != nil {
-				miss(queued)
+		switch {
+		case ok && err == nil:
+			rec, derr := UnmarshalRecord(value)
+			if derr == nil {
+				in.installRecovered(rec, evAdoptStore)
+				in.dispatchQueued(queued)
 				return
 			}
 			in.note(evLookupMiss, tuple.Dst.IP)
-			in.rstQueued(queued)
-			return
-		}
-		rec, derr := UnmarshalRecord(value)
-		if derr != nil {
+		case miss != nil:
+			miss(queued)
+		default:
 			in.note(evLookupMiss, tuple.Dst.IP)
-			return
+			in.rstQueued(queued)
 		}
-		in.installRecovered(rec, evAdoptStore)
-		in.dispatchQueued(queued)
+		if in.flows.get(tuple) == nil {
+			in.l4.Release(tuple, in.IP())
+		}
 	})
 }
 

@@ -177,7 +177,7 @@ func NewInstance(host *netsim.Host, lb *l4lb.LB, store *tcpstore.Store, cfg Conf
 		Stats:      make(map[netsim.IP]*VIPStats),
 	}
 	inst.synAckFn, inst.tunnelFn = inst.sendSynAck, inst.enterTunnel
-	inst.abandonFn = func(f *flow, _ error) { inst.teardown(f, false) }
+	inst.abandonFn = func(f *flow, _ error) { inst.teardown(f) }
 	inst.unpersistedFn = func(f *flow, _ error) { inst.reject(f, 503, "flow state not persisted") }
 	inst.flows.init()
 	host.Default = inst

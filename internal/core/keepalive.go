@@ -197,14 +197,14 @@ func (in *Instance) kaFlush(f *flow) {
 // SYN goes out at once; the rule scan was the request's lookup.
 func (in *Instance) redial(f *flow, backend rules.Backend) {
 	in.note(evReselect, f.vip.IP)
-	// Abort the old server connection and clear its SNAT binding.
+	// Abort the old server connection and release its SNAT binding.
 	in.l4.SendViaSNAT(in.packet(f.snat, f.server, netsim.FlagRST, f.dialBase(), f.s+1, 0), in.IP())
 	oldServerTuple := f.serverTuple()
 	in.flows.del(oldServerTuple, f)
 	if f.persisted {
 		in.store.Delete([]tcpstore.Entry{{Key: in.flowKey(oldServerTuple)}}, nil)
 	}
-	in.l4.ClearSNAT(oldServerTuple)
+	in.l4.Release(oldServerTuple, in.IP())
 	in.releaseSNATPort(f.snat.Port)
 
 	// Releasing first means a re-dial can always reclaim its own port even

@@ -337,7 +337,7 @@ func heapInUse() uint64 {
 // StormKill instances, probe every flow (every orphan must be adopted by
 // a survivor, once), close every flow, and drain — after which the
 // cluster must be back where it started: no flow entry, no store record,
-// no pending event.
+// no mux affinity entry, no pending event.
 func RunMflow(cfg MflowConfig) *MflowResult {
 	perClient := (cfg.Flows + mfClients - 1) / mfClients
 	cfg.Flows = perClient * mfClients
@@ -478,6 +478,10 @@ func RunMflow(cfg MflowConfig) *MflowResult {
 	if res.LiveFlowEntries != 0 || res.StoreItems != 0 || res.PendingAfter != 0 || res.DroppedNoRoute != 0 {
 		res.failf("baseline: %d flow entries on live instances, %d store records, %d pending events, %d packets without a route",
 			res.LiveFlowEntries, res.StoreItems, res.PendingAfter, res.DroppedNoRoute)
+	}
+	// A mux affinity entry lives as long as its flow: none outlives the drain.
+	if n := c.L4.AffinityCount(); n != 0 {
+		res.failf("baseline: %d mux affinity entries with no flow live", n)
 	}
 
 	res.Delivered = c.Net.Delivered

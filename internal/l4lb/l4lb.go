@@ -350,18 +350,26 @@ func (lb *LB) SendViaSNAT(pkt *netsim.Packet, inst netsim.IP) {
 	lb.net.Send(pkt)
 }
 
-// ClearSNAT removes the return-flow affinity for a finished connection.
-func (lb *LB) ClearSNAT(serverSide netsim.FourTuple) {
-	m := lb.muxFor(serverSide)
-	m.affinity.Delete(serverSide)
+// Release drops tuple's affinity entry when the entry names inst: the
+// owner calls it for each orientation of a flow it stops holding, the
+// client tuple and the SNAT return tuple alike, so an entry lives as
+// long as its flow. An entry that names another instance stays: a stale
+// copy of a flow on one survivor must not unpin the flow that another
+// survivor adopted.
+func (lb *LB) Release(tuple netsim.FourTuple, inst netsim.IP) {
+	m := lb.muxFor(tuple)
+	if v, hit := m.affinity.LookupMaybe(tuple); hit && lb.pairs[v].inst == inst {
+		m.affinity.Delete(tuple)
+	}
 }
 
 func (lb *LB) muxFor(ft netsim.FourTuple) *mux {
 	return lb.muxes[TupleHash(ft, 0)%uint64(len(lb.muxes))]
 }
 
-// AffinityCount returns the number of live affinity entries across muxes
-// (a load signal used in tests).
+// AffinityCount returns the number of live affinity entries across muxes.
+// With no flow live it is 0: tests and the benchmark's end-of-run gauge
+// read it to find entries a finished flow left behind.
 func (lb *LB) AffinityCount() int {
 	n := 0
 	for _, m := range lb.muxes {

@@ -208,7 +208,7 @@ func TestSNATFailoverAfterInstanceRemoval(t *testing.T) {
 	}
 }
 
-func TestClearSNAT(t *testing.T) {
+func TestReleaseSNAT(t *testing.T) {
 	n, lb, _ := setup(8, DefaultConfig(), inst1)
 	out := &netsim.Packet{
 		Src: netsim.HostPort{IP: vip, Port: 7777},
@@ -219,12 +219,48 @@ func TestClearSNAT(t *testing.T) {
 	if lb.AffinityCount() != 1 {
 		t.Fatalf("affinity = %d", lb.AffinityCount())
 	}
-	lb.ClearSNAT(netsim.FourTuple{
+	lb.Release(netsim.FourTuple{
 		Src: netsim.HostPort{IP: server, Port: 80},
 		Dst: netsim.HostPort{IP: vip, Port: 7777},
-	})
+	}, inst1)
 	if lb.AffinityCount() != 0 {
-		t.Fatalf("affinity after clear = %d", lb.AffinityCount())
+		t.Fatalf("affinity after release = %d", lb.AffinityCount())
+	}
+}
+
+// TestReleaseKeepsOtherOwnersEntry: an entry goes only when the instance
+// it names releases it. A survivor still holding a stale copy of a flow
+// that another survivor adopted must not unpin the adopter's flow.
+func TestReleaseKeepsOtherOwnersEntry(t *testing.T) {
+	n, lb, cols := setup(10, DefaultConfig(), inst1, inst2, inst3)
+	n.Send(clientPkt(1000))
+	n.RunUntilIdle(100)
+	var owner netsim.IP
+	for ip, c := range cols {
+		if len(c.got) == 1 {
+			owner = ip
+		}
+	}
+	tuple := clientPkt(1000).Tuple()
+	for _, ip := range []netsim.IP{inst1, inst2, inst3} {
+		if ip != owner {
+			lb.Release(tuple, ip)
+		}
+	}
+	if lb.AffinityCount() != 1 {
+		t.Fatalf("a non-owner's release removed the entry: affinity = %d", lb.AffinityCount())
+	}
+	// The pin still routes the flow to its owner, even after a mapping
+	// change that would send a new tuple elsewhere.
+	lb.SetMappingNow(vip, []netsim.IP{inst1, inst2, inst3, netsim.IPv4(10, 0, 1, 4)})
+	n.Send(clientPkt(1000))
+	n.RunUntilIdle(100)
+	if len(cols[owner].got) != 2 {
+		t.Fatalf("pinned flow left its owner: owner got %d packets", len(cols[owner].got))
+	}
+	lb.Release(tuple, owner)
+	if lb.AffinityCount() != 0 {
+		t.Fatalf("owner's release left affinity = %d", lb.AffinityCount())
 	}
 }
 

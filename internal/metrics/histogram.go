@@ -1,23 +1,53 @@
 // Package metrics provides the measurement primitives used throughout the
-// Yoda reproduction: duration/value histograms with percentile queries,
-// time-bucketed rate series, and a virtual-CPU accounting model for
-// simulated machines.
+// Yoda reproduction: duration/value histograms with exact percentile
+// queries over (value, count) runs, time-bucketed rate series, and a
+// virtual-CPU accounting model for simulated machines.
 package metrics
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 	"time"
 )
 
-// Histogram accumulates float64 samples and answers quantile queries.
-// It keeps every sample; the experiments in this repository collect at
-// most a few hundred thousand points, so exact quantiles are affordable
-// and avoid binning artifacts in the reproduced figures.
+// Histogram accumulates float64 samples and answers exact quantile
+// queries. It keeps one run per distinct value — the value and how many
+// samples had it — not the samples: simulated latencies take a few dozen
+// values over tens of thousands of samples, so a histogram is as large
+// as its distinct values, not as its history. Quantiles interpolate
+// between the same order statistics a sorted copy of every sample would
+// give, so they are exact.
+//
+// Add counts a value it finds through a small direct-mapped cache of run
+// positions in place; any other sample waits in a buffer, which a query
+// or a full buffer folds into the runs. Adding a value already in the
+// runs allocates nothing. A histogram that has seen no value twice holds
+// no counts and no cache, and one that has never folded only its
+// buffer. NaN sorts below every number and -0 and +0 share a run, as in
+// slices.Sort.
 type Histogram struct {
-	samples []float64
-	sorted  bool
-	sum     float64
+	vals   []float64 // distinct values, ascending
+	counts []uint32  // counts[i] samples had vals[i]; nil while every count is 1
+	buf    []float64 // samples not yet counted in the runs
+	// hot holds 1 + the run position of a value recently counted, in the
+	// slot its bits hash to; 0 is empty. Runs only grow, so a position
+	// stays in range; one a later fold moved fails Add's value check.
+	// It comes with counts.
+	hot *[hotSlots]uint16
+	n   int
+	sum float64
+}
+
+const (
+	// foldEvery is the most samples the buffer holds before a fold.
+	foldEvery = 256
+	hotBits   = 9
+	hotSlots  = 1 << hotBits
+)
+
+func hotSlot(v float64) uint {
+	return uint(math.Float64bits(v) * 0x9e3779b97f4a7c15 >> (64 - hotBits))
 }
 
 // NewHistogram returns an empty histogram.
@@ -25,51 +55,176 @@ func NewHistogram() *Histogram { return &Histogram{} }
 
 // Add records one sample.
 func (h *Histogram) Add(v float64) {
-	h.samples = append(h.samples, v)
-	h.sorted = false
+	h.n++
 	h.sum += v
+	if h.hot != nil {
+		if r := h.hot[hotSlot(v)]; r != 0 && h.vals[r-1] == v && h.counts[r-1] < math.MaxUint32 {
+			h.counts[r-1]++
+			return
+		}
+	}
+	if len(h.buf) == foldEvery {
+		h.fold()
+	}
+	h.buf = append(h.buf, v)
 }
 
 // Count returns the number of recorded samples.
-func (h *Histogram) Count() int { return len(h.samples) }
+func (h *Histogram) Count() int { return h.n }
 
 // Mean returns the arithmetic mean, or 0 for an empty histogram.
 func (h *Histogram) Mean() float64 {
-	if len(h.samples) == 0 {
+	if h.n == 0 {
 		return 0
 	}
-	return h.sum / float64(len(h.samples))
+	return h.sum / float64(h.n)
 }
 
-func (h *Histogram) sortSamples() {
-	if !h.sorted {
-		sort.Float64s(h.samples)
-		h.sorted = true
+// fold sorts the buffered samples into the runs and empties the buffer.
+func (h *Histogram) fold() {
+	if len(h.buf) == 0 {
+		return
 	}
+	slices.Sort(h.buf)
+	h.merge(h.buf, nil)
+	h.buf = h.buf[:0]
+}
+
+// merge adds vs to the runs, vs[i] counted cs[i] times (once when cs is
+// nil). vs is ascending and may hold one value in adjacent entries. A
+// first pass adds to the runs that exist, caching their positions, and
+// counts the values that do not; if there are any, a second pass makes
+// room at the end and merges backwards, so each run moves at most once.
+func (h *Histogram) merge(vs []float64, cs []uint32) {
+	count := func(i int) uint32 {
+		if cs == nil {
+			return 1
+		}
+		return cs[i]
+	}
+	fresh := 0
+	for i, j := 0, 0; i < len(vs); i++ {
+		for j < len(h.vals) && cmp.Less(h.vals[j], vs[i]) {
+			j++
+		}
+		switch {
+		case j < len(h.vals) && cmp.Compare(h.vals[j], vs[i]) == 0:
+			h.ensureCounts()
+			h.counts[j] = addCount(h.counts[j], count(i))
+			if j < math.MaxUint16 {
+				h.hot[hotSlot(vs[i])] = uint16(j + 1)
+			}
+			continue
+		case i > 0 && cmp.Compare(vs[i-1], vs[i]) == 0:
+			h.ensureCounts() // a new value seen twice
+		default:
+			fresh++
+		}
+		if count(i) > 1 {
+			h.ensureCounts()
+		}
+	}
+	if fresh == 0 {
+		return
+	}
+	n := len(h.vals)
+	h.grow(n + fresh)
+	w, j := n+fresh-1, n-1
+	for i := len(vs) - 1; i >= 0; {
+		v, c := vs[i], count(i)
+		for i--; i >= 0 && cmp.Compare(vs[i], v) == 0; i-- {
+			c = addCount(c, count(i))
+		}
+		for ; j >= 0 && cmp.Less(v, h.vals[j]); j, w = j-1, w-1 {
+			h.vals[w] = h.vals[j]
+			if h.counts != nil {
+				h.counts[w] = h.counts[j]
+			}
+		}
+		if j >= 0 && cmp.Compare(h.vals[j], v) == 0 {
+			continue // counted by the first pass
+		}
+		h.vals[w] = v
+		if h.counts != nil {
+			h.counts[w] = c
+		}
+		w--
+	}
+}
+
+// addCount adds two run counts. A run holds at most 2^32-1 samples; the
+// simulator's histograms take tens of thousands of samples in all, so
+// reaching the limit is a bug.
+func addCount(a, b uint32) uint32 {
+	if a > math.MaxUint32-b {
+		panic("metrics: more than 2^32-1 samples of one value")
+	}
+	return a + b
+}
+
+// ensureCounts gives every run an explicit count, and the histogram its
+// cache, the first time a run needs a count above 1.
+func (h *Histogram) ensureCounts() {
+	if h.counts != nil {
+		return
+	}
+	h.counts = make([]uint32, len(h.vals), cap(h.vals))
+	for i := range h.counts {
+		h.counts[i] = 1
+	}
+	h.hot = new([hotSlots]uint16)
+}
+
+// grow lengthens the runs to n, keeping counts as long as vals.
+func (h *Histogram) grow(n int) {
+	h.vals = slices.Grow(h.vals, n-len(h.vals))[:n]
+	if h.counts == nil {
+		return
+	}
+	if cap(h.counts) < cap(h.vals) {
+		c := make([]uint32, n, cap(h.vals))
+		copy(c, h.counts)
+		h.counts = c
+	}
+	h.counts = h.counts[:n]
+}
+
+// at returns the k-th smallest sample (from 0). The buffer is folded.
+func (h *Histogram) at(k int) float64 {
+	if h.counts == nil {
+		return h.vals[k]
+	}
+	for i, c := range h.counts {
+		if k < int(c) {
+			return h.vals[i]
+		}
+		k -= int(c)
+	}
+	panic("metrics: order statistic beyond the sample count")
 }
 
 // Quantile returns the q-th quantile (0 ≤ q ≤ 1) using linear
 // interpolation between order statistics. It returns 0 for an empty
 // histogram.
 func (h *Histogram) Quantile(q float64) float64 {
-	if len(h.samples) == 0 {
+	if h.n == 0 {
 		return 0
 	}
-	h.sortSamples()
+	h.fold()
 	if q <= 0 {
-		return h.samples[0]
+		return h.vals[0]
 	}
 	if q >= 1 {
-		return h.samples[len(h.samples)-1]
+		return h.vals[len(h.vals)-1]
 	}
-	pos := q * float64(len(h.samples)-1)
+	pos := q * float64(h.n-1)
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
-		return h.samples[lo]
+		return h.at(lo)
 	}
 	frac := pos - float64(lo)
-	return h.samples[lo]*(1-frac) + h.samples[hi]*frac
+	return h.at(lo)*(1-frac) + h.at(hi)*frac
 }
 
 // Median returns the 50th percentile.
@@ -77,18 +232,20 @@ func (h *Histogram) Median() float64 { return h.Quantile(0.5) }
 
 // Max returns the largest sample, or 0 if empty.
 func (h *Histogram) Max() float64 {
-	if len(h.samples) == 0 {
+	if h.n == 0 {
 		return 0
 	}
-	h.sortSamples()
-	return h.samples[len(h.samples)-1]
+	h.fold()
+	return h.vals[len(h.vals)-1]
 }
 
-// Merge adds every sample of o into h.
+// Merge adds every sample of o into h. o is folded, which leaves what it
+// reports unchanged.
 func (h *Histogram) Merge(o *Histogram) {
-	for _, v := range o.samples {
-		h.Add(v)
-	}
+	o.fold()
+	h.n += o.n
+	h.sum += o.sum
+	h.merge(o.vals, o.counts)
 }
 
 // DurationHistogram wraps Histogram with time.Duration samples, the common

@@ -13,7 +13,7 @@ const lenHistBuckets = 16
 
 // LenHist is a bounded counting histogram for small positive lengths —
 // packet-train and batch-run sizes on the dispatch hot path. Unlike
-// Histogram it never stores samples: Observe is two array increments,
+// Histogram it keeps no per-value runs: Observe is two array increments,
 // and the struct is a fixed 160 bytes and embeds by value.
 type LenHist struct {
 	counts [lenHistBuckets]uint64

@@ -27,7 +27,10 @@
 #   7. figure golden          `yodasim -exp all -parallel -seed 1` is
 #                             byte-identical to the checked-in 655 lines
 #   8. mflow hybrid           `yodasim -exp mflow -recovery hybrid` (32,768
-#                             flows, 2 of 8 instances killed) ends PASS
+#                             flows, 2 of 8 instances killed) ends PASS:
+#                             every orphan adopted once, and no flow
+#                             entry, store record or mux affinity entry
+#                             left at settle
 #   9. go test -race          full suite under the race detector
 #  10. benchmarks             every Benchmark* compiles and runs one
 #      iteration (the heavy figure benchmarks are excluded by name; run
@@ -164,20 +167,21 @@ if unformatted=$(gofmt -s -l *.go cmd examples internal scripts 2>/dev/null); [ 
 fi
 go vet ./...
 
-echo "== dataplane fast-fail (vet + race on flowmap/rules/httpsim/core/l4lb/tcpstore/memcache/reconfig/controller/adminapi/stateless/tcp/netsim) =="
+echo "== dataplane fast-fail (vet + race on flowmap/rules/httpsim/core/l4lb/tcpstore/memcache/reconfig/controller/adminapi/stateless/tcp/netsim/metrics) =="
 # The compact flow-map layer, the compiled rule engine, the request
 # parser it reads through, the write-barrier dataplane, the L4 mux
 # refactored onto the flow map, its store client, the zero-copy
 # memcached protocol+engine under it, the live reconfiguration engine
 # with the controller and admin server that share its single-flight
 # state (the server drives it from HTTP goroutines under its lock),
-# the stateless derivation table the hybrid recovery mode trusts, and
-# the TCP endpoint and event loop every packet of every one of them
-# crosses are where regressions bite hardest; vet and race them first
-# so a broken index, barrier, parser, cookie decode or ACK fails in
-# seconds, not after the full suite.
-go vet ./internal/flowmap/ ./internal/rules/ ./internal/httpsim/ ./internal/core/ ./internal/l4lb/ ./internal/tcpstore/ ./internal/memcache/ ./internal/reconfig/ ./internal/controller/ ./internal/adminapi/ ./internal/stateless/ ./internal/tcp/ ./internal/netsim/
-go test -race ./internal/flowmap/ ./internal/rules/ ./internal/httpsim/ ./internal/core/ ./internal/l4lb/ ./internal/tcpstore/ ./internal/memcache/ ./internal/reconfig/ ./internal/controller/ ./internal/adminapi/ ./internal/stateless/ ./internal/tcp/ ./internal/netsim/
+# the stateless derivation table the hybrid recovery mode trusts, the
+# TCP endpoint and event loop every packet of every one of them crosses,
+# and the histograms and meters every layer records into are where
+# regressions bite hardest; vet and race them first so a broken index,
+# barrier, parser, cookie decode, ACK or quantile fails in seconds, not
+# after the full suite.
+go vet ./internal/flowmap/ ./internal/rules/ ./internal/httpsim/ ./internal/core/ ./internal/l4lb/ ./internal/tcpstore/ ./internal/memcache/ ./internal/reconfig/ ./internal/controller/ ./internal/adminapi/ ./internal/stateless/ ./internal/tcp/ ./internal/netsim/ ./internal/metrics/
+go test -race ./internal/flowmap/ ./internal/rules/ ./internal/httpsim/ ./internal/core/ ./internal/l4lb/ ./internal/tcpstore/ ./internal/memcache/ ./internal/reconfig/ ./internal/controller/ ./internal/adminapi/ ./internal/stateless/ ./internal/tcp/ ./internal/netsim/ ./internal/metrics/
 # Every client, backend and instance reads HTTP through one streaming
 # codec; ten seconds of new-vs-reference fuzzing over fresh inputs is
 # cheap next to what a framing bug costs everything downstream.
@@ -260,8 +264,9 @@ go run ./cmd/yodasim -exp all -parallel -seed 1 | diff - internal/experiments/te
 echo "== mflow hybrid (yodasim -exp mflow -recovery hybrid must end PASS) =="
 # Hybrid recovery at scale: every flow of a two-instance storm is adopted
 # once, from its record or derived from its one dead head, and the
-# cluster returns to baseline. The summary's last line before perf: is
-# PASS or a FAIL: list.
+# cluster returns to baseline — no flow entry, store record, pending
+# event or mux affinity entry left. The summary's last line before perf:
+# is PASS or a FAIL: list.
 go run ./cmd/yodasim -exp mflow -recovery hybrid | tee "$GATE_DIR/mflow_hybrid"
 grep -qx '  PASS' "$GATE_DIR/mflow_hybrid" || { echo "FAIL: hybrid mflow did not pass" >&2; exit 1; }
 
