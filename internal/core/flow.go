@@ -647,9 +647,9 @@ func (in *Instance) TerminateBackendFlows(backend netsim.HostPort) int {
 // --- failure recovery ---
 
 // pendingQueue holds packets for one unknown tuple while TCPStore is
-// consulted. Queues are bounded (per tuple and instance-wide) and carry
-// an expiry timer: an attacker spraying orphan ACKs, or a wedged store
-// lookup, must not grow instance memory without limit.
+// consulted, or a parked knock (hybrid.go). Queues are bounded (per tuple
+// and instance-wide) and carry an expiry timer: an attacker spraying
+// orphan ACKs, or a wedged store lookup, must not grow memory unbounded.
 type pendingQueue struct {
 	pkts   []*netsim.Packet
 	expire netsim.Timer
@@ -663,15 +663,22 @@ const (
 	pendingExpiry      = 2 * time.Second
 )
 
-// dropPending discards a recovery queue, accounting every queued packet
-// as a lookup miss.
-func (in *Instance) dropPending(tuple netsim.FourTuple, q *pendingQueue) {
-	delete(in.pending, tuple)
-	in.pendingTotal -= len(q.pkts)
-	q.expire.Stop()
-	for range q.pkts {
-		in.note(evLookupMiss, tuple.Dst.IP)
-	}
+// park queues pkts for tuple until a store lookup or a knock
+// confirmation takes them, or pendingExpiry drops them as lookup misses,
+// with the tuple's mux entry unless a local flow holds it.
+func (in *Instance) park(tuple netsim.FourTuple, pkts []*netsim.Packet) *pendingQueue {
+	q := &pendingQueue{pkts: pkts}
+	in.pending[tuple] = q
+	in.pendingTotal += len(pkts)
+	q.expire = in.net.Schedule(pendingExpiry, func() {
+		if dropped, live := in.resolveQueue(tuple, q); live {
+			for range dropped {
+				in.note(evLookupMiss, tuple.Dst.IP)
+			}
+			in.releaseOrphan(tuple)
+		}
+	})
+	return q
 }
 
 // recoverFlow handles a packet for which no local flow exists: another
@@ -690,14 +697,7 @@ func (in *Instance) recoverFlow(tuple netsim.FourTuple, pkt *netsim.Packet) {
 		in.note(evLookupMiss, tuple.Dst.IP)
 		return
 	}
-	q := &pendingQueue{pkts: []*netsim.Packet{pkt.Clone()}}
-	in.pending[tuple] = q
-	in.pendingTotal++
-	q.expire = in.net.Schedule(pendingExpiry, func() {
-		if in.pending[tuple] == q {
-			in.dropPending(tuple, q)
-		}
-	})
+	q := in.park(tuple, []*netsim.Packet{pkt.Clone()})
 	// Hybrid mode classifies the orphan (backend knock, dead-head
 	// derivation, residue) before deciding whether and how to consult the
 	// store; the paper-faithful mode always reads and RSTs a miss.
@@ -760,6 +760,11 @@ func (in *Instance) installRecovered(rec *Record, ev event) *flow {
 		in.flows.put(f.serverTuple(), f)
 	}
 	in.flows.put(ct, f)
+	// The first adopter claims both orientations, so both halves reach it.
+	in.l4.Claim(ct, in.IP())
+	if f.server.IP != 0 {
+		in.l4.Claim(f.serverTuple(), in.IP())
+	}
 	in.armIdle(f)
 	in.note(ev, rec.VIP.IP)
 	return f

@@ -25,20 +25,19 @@ import (
 //   - storage-b dry-runs the derivation against the state actually
 //     installed (hybridDerivable); only mismatches — the residue — are
 //     written. Matching flows run their commit synchronously.
-//   - recovery classifies orphans by direction. Backend-side knocks
-//     (destination port carries a SNAT cookie) still consult the store,
-//     but a miss under a current-epoch cookie is dropped WITHOUT a RST:
-//     the state lives on the client side of the flow and the client-side
-//     successor's repair write will be there for the backend's next
-//     retransmission. A client-side orphan whose head is dead confirms
-//     its tunnel via a parked backend knock when one exists, and
+//   - recovery classifies orphans by direction. A backend-side knock
+//     (its destination port carries a SNAT cookie) consults the store; a
+//     miss under a current-epoch cookie is parked, not RST: the flow's
+//     state lives on the client side. A client-side orphan whose head is
+//     dead confirms its tunnel from a parked knock when one is here, and
 //     otherwise falls back to the store; a clean miss there means the
-//     flow was never persisted, i.e. it lived unpersisted on that head,
-//     and is rebuilt from the packet in hand.
-//   - every derivation-based tunnel install immediately repair-writes
-//     the derived record under both tuple orientations, so the
-//     backend-side successor converges through the store exactly as in
-//     the paper's protocol.
+//     flow lived unpersisted on that head, and it is rebuilt from the
+//     packet in hand, or, on a bare ACK, claims the predicted server
+//     tuple at the mux so the backend's next knock parks here.
+//   - every adoption claims both tuple orientations at the mux, and a
+//     derivation-based tunnel install repair-writes the derived record
+//     under both, so one survivor holds the orphan however its two halves
+//     were remapped.
 //
 // Soundness of derivation against the *current* epoch entry: planned
 // reconfiguration bumps the epoch and then flushes unpersisted flows
@@ -113,10 +112,10 @@ func (in *Instance) hybridRecover(tuple netsim.FourTuple, q *pendingQueue) {
 	// describes — an established tunnel, confirmed without a store read.
 	st := netsim.FourTuple{Src: b.Addr, Dst: netsim.HostPort{IP: tuple.Dst.IP, Port: port}}
 	if kq, found := in.pending[st]; found {
-		in.hybridKnockConfirm(tuple, q, st, kq, b, port)
+		in.hybridKnockConfirm(tuple, q, st, kq, b)
 		return
 	}
-	in.hybridClientGet(tuple, q, b, port)
+	in.hybridClientGet(tuple, q, st, b)
 }
 
 // resolveQueue detaches a pending queue, returning its packets; ok=false
@@ -143,11 +142,12 @@ func (in *Instance) dispatchQueued(queued []*netsim.Packet) {
 
 // storeGet reads tuple's record from TCPStore for a pending queue — the
 // one place a store record becomes a flow. A hit installs it and replays
-// the queue. A miss hands the queued packets to miss; nil is the paper's
+// the queue, unless another survivor adopted the flow first and claimed
+// the tuple: then the queued packets go back to the mux, which routes
+// them to it. A miss hands the queued packets to miss; nil is the paper's
 // answer, shared by the hybrid paths that fall through to it: count the
 // miss and RST the sender. A lookup that leaves the tuple without a flow
-// releases the mux entry that brought it here, so an orphan nobody holds
-// is not pinned.
+// or a parked queue releases the mux entry that brought it here.
 func (in *Instance) storeGet(tuple netsim.FourTuple, q *pendingQueue, miss func(queued []*netsim.Packet)) {
 	in.store.Get(in.flowKey(tuple), func(value []byte, ok bool, err error) {
 		queued, live := in.resolveQueue(tuple, q)
@@ -157,6 +157,12 @@ func (in *Instance) storeGet(tuple netsim.FourTuple, q *pendingQueue, miss func(
 		switch {
 		case ok && err == nil:
 			rec, derr := UnmarshalRecord(value)
+			if h, held := in.l4.Holder(tuple); derr == nil && held && h != in.IP() && in.flows.get(tuple) == nil {
+				for _, p := range queued {
+					in.net.Send(p)
+				}
+				return
+			}
 			if derr == nil {
 				in.installRecovered(rec, evAdoptStore)
 				in.dispatchQueued(queued)
@@ -169,10 +175,16 @@ func (in *Instance) storeGet(tuple netsim.FourTuple, q *pendingQueue, miss func(
 			in.note(evLookupMiss, tuple.Dst.IP)
 			in.rstQueued(queued)
 		}
-		if in.flows.get(tuple) == nil {
-			in.l4.Release(tuple, in.IP())
-		}
+		in.releaseOrphan(tuple)
 	})
+}
+
+// releaseOrphan drops tuple's mux entry when it names this instance and
+// neither a local flow nor a parked queue holds the tuple.
+func (in *Instance) releaseOrphan(tuple netsim.FourTuple) {
+	if in.flows.get(tuple) == nil && in.pending[tuple] == nil {
+		in.l4.Release(tuple, in.IP())
+	}
 }
 
 // rstQueued resets the sender of a missed queue's first packet.
@@ -186,56 +198,63 @@ func (in *Instance) rstQueued(queued []*netsim.Packet) {
 
 // hybridServerGet consults the store for a backend-side knock. A hit is
 // the paper path (residue records and client-side repair writes land
-// here). A miss under a current-epoch cookie is dropped WITHOUT a RST —
-// the flow may be unpersisted, with its state derivable only from the
-// client side; answering RST would kill the backend connection before
-// the client-side successor can repair-write it. Stale or tail-range
-// ports keep the paper's RST (those flows were persisted; a miss means
-// the record is genuinely gone).
+// here). A miss under a current-epoch cookie parks the knock WITHOUT a
+// RST, keeping its mux entry: the flow may be unpersisted, derivable
+// only from the client side, and the client's next probe confirms it
+// here (hybridKnockConfirm). Stale or tail-range ports keep the paper's
+// RST (those flows were persisted; a miss means the record is gone).
 func (in *Instance) hybridServerGet(tuple netsim.FourTuple, q *pendingQueue, current bool) {
 	if !current {
 		in.storeGet(tuple, q, nil)
 		return
 	}
-	in.storeGet(tuple, q, func([]*netsim.Packet) { in.note(evOrphanSuppressed, tuple.Dst.IP) })
+	in.storeGet(tuple, q, func(queued []*netsim.Packet) {
+		in.note(evOrphanSuppressed, tuple.Dst.IP)
+		in.park(tuple, queued)
+	})
 }
 
 // hybridClientGet consults the store for a client-side orphan whose head
-// is dead. A hit is the paper path. A clean miss means the flow was
-// never persisted — it lived unpersisted on that head — and is
-// classified by what the client has acknowledged: nothing beyond the
-// SYN-ACK, with payload in hand, and the connection phase replays from
-// the retransmitted request (the client's first payload byte pins
-// ClientISN, the tuple hash pins C, and the replayed request re-runs
-// selection and persists at its own storage-b); data acknowledged, and
-// the tunnel state is derived outright from the head and repair-written.
-// A bare ACK at C+1 is ambiguous and dropped quietly — the sender's
-// retransmission or a backend knock re-triggers classification with
-// more evidence.
-func (in *Instance) hybridClientGet(tuple netsim.FourTuple, q *pendingQueue, b stateless.Backend, port uint16) {
+// is dead. A hit is the paper path. A clean miss means the flow lived
+// unpersisted on that head, with server tuple st, and is classified by
+// what the client has acknowledged: data, and the tunnel is derived from
+// the head and repair-written; nothing beyond the SYN-ACK, with payload
+// in hand, and the connection phase replays from the request (its first
+// byte pins ClientISN, the tuple hash pins C; it re-runs selection and
+// persists at its own storage-b). A bare ACK at C+1 is ambiguous: it is
+// dropped quietly but claims st, so the backend's knocks park here for
+// the client's next probe to confirm. A replay, a RST or an idle flow's
+// lifetime after the claim releases st, so a silent client pins nothing.
+func (in *Instance) hybridClientGet(tuple netsim.FourTuple, q *pendingQueue, st netsim.FourTuple, b stateless.Backend) {
 	in.storeGet(tuple, q, func(queued []*netsim.Packet) {
 		p0, vip := queued[0], tuple.Dst.IP
-		if p0.Flags.Has(netsim.FlagRST) {
-			in.note(evLookupMiss, vip)
+		rst := p0.Flags.Has(netsim.FlagRST)
+		if !rst && p0.Ack != isnHash(tuple.Src, tuple.Dst)+1 {
+			in.hybridRepair(in.installDerivedTunnel(tuple, st, b, p0.Seq), queued, nil)
 			return
 		}
-		if p0.Ack == isnHash(tuple.Src, tuple.Dst)+1 {
-			if len(p0.Payload) == 0 {
-				in.note(evOrphanSuppressed, vip)
-				return
+		switch {
+		case rst:
+			in.note(evLookupMiss, vip)
+		case len(p0.Payload) == 0:
+			in.note(evOrphanSuppressed, vip)
+			if h, held := in.l4.Holder(st); !held || h != in.IP() {
+				in.l4.Claim(st, in.IP())
+				in.net.Schedule(max(in.cfg.FlowIdleTimeout, pendingExpiry), func() { in.releaseOrphan(st) })
 			}
+			return
+		default:
 			in.installRecovered(&Record{Phase: PhaseConn, Client: tuple.Src, VIP: tuple.Dst, ClientISN: p0.Seq - 1}, evAdoptDerived)
 			in.dispatchQueued(queued)
-			return
 		}
-		in.hybridRepair(in.installDerivedTunnel(tuple, b, port, p0.Seq), queued, nil)
+		in.l4.Release(st, in.IP())
 	})
 }
 
 // hybridKnockConfirm resolves a client-side orphan whose predicted
 // server tuple already has a backend knocking: install the derived
 // tunnel, repair-write it, then replay both queues.
-func (in *Instance) hybridKnockConfirm(tuple netsim.FourTuple, q *pendingQueue, st netsim.FourTuple, kq *pendingQueue, b stateless.Backend, port uint16) {
+func (in *Instance) hybridKnockConfirm(tuple netsim.FourTuple, q *pendingQueue, st netsim.FourTuple, kq *pendingQueue, b stateless.Backend) {
 	queued, live := in.resolveQueue(tuple, q)
 	if !live {
 		return
@@ -243,7 +262,7 @@ func (in *Instance) hybridKnockConfirm(tuple netsim.FourTuple, q *pendingQueue, 
 	// Detaching the knock queue cancels its in-flight store lookup (the
 	// callback checks queue identity).
 	knocks, _ := in.resolveQueue(st, kq)
-	in.hybridRepair(in.installDerivedTunnel(tuple, b, port, queued[0].Seq), queued, knocks)
+	in.hybridRepair(in.installDerivedTunnel(tuple, st, b, queued[0].Seq), queued, knocks)
 }
 
 // hybridRepair persists a derived flow's record under both tuple
@@ -260,15 +279,14 @@ func (in *Instance) hybridRepair(f *flow, queued, knocks []*netsim.Packet) {
 // installDerivedTunnel rebuilds a tunnel-phase flow entirely from the
 // derivation layer — backend and SNAT port from the epoch table, S from
 // the deterministic backend ISN, Delta = C − S — as the record the dead
-// owner would have written at storage-b, installed the way a record read
-// from the store is.
-func (in *Instance) installDerivedTunnel(ct netsim.FourTuple, b stateless.Backend, port uint16, firstSeq uint32) *flow {
-	snat := netsim.HostPort{IP: ct.Dst.IP, Port: port}
+// owner would have written at storage-b for server tuple st, installed
+// the way a record read from the store is.
+func (in *Instance) installDerivedTunnel(ct, st netsim.FourTuple, b stateless.Backend, firstSeq uint32) *flow {
 	c := isnHash(ct.Src, ct.Dst)
-	s := tcp.DeterministicISN(in.cfg.Hybrid.ISNKey(), b.Addr, snat)
+	s := tcp.DeterministicISN(in.cfg.Hybrid.ISNKey(), st.Src, st.Dst)
 	return in.installRecovered(&Record{
 		Phase: PhaseTunnel, Client: ct.Src, VIP: ct.Dst, ClientISN: firstSeq - 1,
-		Server: b.Addr, SNAT: snat, C: c, S: s, Delta: c - s, BackendName: b.Name,
+		Server: st.Src, SNAT: st.Dst, C: c, S: s, Delta: c - s, BackendName: b.Name,
 	}, evAdoptDerived)
 }
 

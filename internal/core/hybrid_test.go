@@ -34,6 +34,7 @@ func newHybridTestbed(t *testing.T, seed int64, nYoda int) *testbed.Bed {
 	c.AddYodaN(nYoda, core.DefaultConfig(), tcpstore.DefaultConfig())
 	vip := c.AddVIP("mysite")
 	c.InstallPolicy(vip, c.SimpleSplitRules("srv-1", "srv-2", "srv-3"), nil)
+	c.Net.PoisonReleasedBufs() // as in newTestbed
 	return &testbed.Bed{C: c, VIP: vip, Addr: netsim.HostPort{IP: vip, Port: 80}}
 }
 
@@ -478,5 +479,53 @@ func TestHybridKeepAliveSwitchPersists(t *testing.T) {
 	n := len(served)
 	if n < 3 || served[n-1] != served[n-2] || survivor.Recovered != 1 || survivor.DerivedRecoveries != 0 {
 		t.Fatalf("served by %v; survivor recovered %d from the store, %d by derivation; want the last two by one backend, 1 and 0", served, survivor.Recovered, survivor.DerivedRecoveries)
+	}
+}
+
+// TestHybridIdleProbe: a client completes its handshake, loses its head,
+// and idles, probing. Its probes reach the survivor as bare ACKs at C+1,
+// the ambiguous case, and claim the predicted server tuple. Whatever the
+// client does next, no mux entry outlives the flow: a request replays
+// the connection phase, which releases the claim, and the fetch
+// completes; a close with no request (a FIN at C+1, given up without a
+// RST, with no backend ever knocking) leaves the claim to its own end.
+func TestHybridIdleProbe(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		then    func(c *tcp.Conn)
+		adopted uint64 // flows the survivor derives
+	}{
+		{"request", func(c *tcp.Conn) { c.Write(httpsim.NewRequest("/10k", "mysite").MarshalClose()) }, 1},
+		{"close", (*tcp.Conn).Close, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tb := newHybridTestbed(t, 27, 2)
+			cfg := tcp.DefaultConfig()
+			cfg.IdleProbe = 500 * time.Millisecond
+			var body []byte
+			parser := &httpsim.ResponseParser{}
+			tcp.Dial(tb.C.ClientHost(), tb.Addr, tcp.Callbacks{
+				OnEstablished: func(c *tcp.Conn) { tb.C.Net.Schedule(3*time.Second, func() { tc.then(c) }) },
+				OnData: func(c *tcp.Conn, d []byte) {
+					resps, _ := parser.Feed(d)
+					for _, r := range resps {
+						body = bytes.Clone(r.Body)
+						c.Close()
+					}
+				},
+			}, cfg)
+			tb.C.Net.RunFor(200 * time.Millisecond)
+			survivor := tb.C.Yoda[1-tb.FailBusiest(1)[0]]
+			tb.C.Net.RunFor(5 * time.Minute)
+			if tc.adopted == 1 && !bytes.Equal(body, e2eObjects["/10k"]) {
+				t.Fatalf("got a %d-byte body, want the %d-byte object", len(body), len(e2eObjects["/10k"]))
+			}
+			if survivor.SuppressedOrphans == 0 || survivor.Recovered+survivor.DerivedRecoveries != tc.adopted {
+				t.Fatalf("survivor suppressed %d probes and adopted %d flows; want some, and %d", survivor.SuppressedOrphans, survivor.Recovered+survivor.DerivedRecoveries, tc.adopted)
+			}
+			if n := tb.C.L4.AffinityCount(); n != 0 {
+				t.Fatalf("the muxes hold %d affinity entries after the flow ended", n)
+			}
+		})
 	}
 }

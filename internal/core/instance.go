@@ -329,6 +329,7 @@ func (in *Instance) Fail() {
 	in.flows.init()
 	in.pending = make(map[netsim.FourTuple]*pendingQueue)
 	in.pendingTotal = 0
+	clear(in.snatInUse)
 }
 
 // FNV-1a constants, inlined to keep the per-SYN hash allocation-free

@@ -57,3 +57,72 @@ func TestReleaseVIPFlowsQuarantinesPorts(t *testing.T) {
 		t.Fatalf("a released flow is still active, or counted closed (%d)", in.FlowsClosed)
 	}
 }
+
+// TestLateAdopterHandsPacketsBack: two survivors look an orphan up at
+// once, one per tuple orientation, because the mux remapped the client's
+// tuple and the backend's independently. The first answer adopts the
+// flow and claims both tuples; the second finds the mux routing its tuple
+// to the adopter and hands its queued packet back to the mux, so the flow
+// is adopted once and each half is relayed by the adopter.
+func TestLateAdopterHandsPacketsBack(t *testing.T) {
+	n := netsim.New(7)
+	sh := netsim.NewHost(n, netsim.IPv4(10, 0, 3, 1))
+	memcache.NewSimServer(sh, memcache.DefaultPort, memcache.DefaultSimServerConfig())
+	lb := l4lb.New(n, l4lb.DefaultConfig())
+	vip := netsim.HostPort{IP: netsim.IPv4(10, 0, 0, 254), Port: 80}
+	lb.AddVIP(vip.IP)
+	var ins []*Instance
+	for i := byte(1); i <= 2; i++ {
+		h := netsim.NewHost(n, netsim.IPv4(10, 0, 0, i))
+		store := tcpstore.New(h, []netsim.HostPort{{IP: sh.IP(), Port: memcache.DefaultPort}}, tcpstore.DefaultConfig())
+		ins = append(ins, NewInstance(h, lb, store, DefaultConfig()))
+	}
+	lb.SetMappingNow(vip.IP, []netsim.IP{ins[0].IP(), ins[1].IP()})
+	got := map[netsim.IP]int{} // relayed segments, by receiving endpoint
+	f := &flow{vip: vip, server: netsim.HostPort{IP: netsim.IPv4(10, 0, 2, 1), Port: 80},
+		snat: netsim.HostPort{IP: vip.IP, Port: 20001}, clientISN: 1000, s: 9000}
+	for port := uint16(4000); ; port++ { // halves that the mux sends to different survivors
+		f.client = netsim.HostPort{IP: netsim.IPv4(192, 168, 0, 1), Port: port}
+		if l4lb.Rendezvous(f.clientTuple(), []netsim.IP{ins[0].IP(), ins[1].IP()}) != l4lb.Rendezvous(f.serverTuple(), []netsim.IP{ins[0].IP(), ins[1].IP()}) {
+			break
+		}
+	}
+	f.c = isnHash(f.client, f.vip)
+	f.delta = f.c - f.s
+	for _, ip := range []netsim.IP{f.client.IP, f.server.IP} {
+		n.Attach(ip, netsim.NodeFunc(func(p *netsim.Packet) { got[p.Dst.IP]++; n.ReleasePacket(p) }))
+	}
+	// The dead owner's storage-b record, under both tuples.
+	ins[0].writeBarrier(f, ins[0].barrierEntries(f, PhaseTunnel, true), nil, nil)
+	n.RunFor(time.Second)
+	send := func(src, dst netsim.HostPort, seq, ack uint32) {
+		p := n.AllocPacket()
+		p.Src, p.Dst, p.Flags, p.Seq, p.Ack, p.Payload = src, dst, netsim.FlagACK|netsim.FlagPSH, seq, ack, []byte("x")
+		n.Send(p)
+	}
+	// The client's segment crosses the WAN: the backend's is sent once it
+	// is queued at its survivor, and queues at the other one while the
+	// first lookup is still out.
+	send(f.client, f.vip, 1001, f.c+1)
+	for len(ins[0].pending)+len(ins[1].pending) == 0 && n.Step() {
+	}
+	send(f.server, f.snat, f.s+1, 1001)
+	for len(ins[0].pending)+len(ins[1].pending) == 1 && n.Step() {
+	}
+	if len(ins[0].pending) != 1 || len(ins[1].pending) != 1 {
+		t.Fatalf("queued lookups: %d and %d, want one at each survivor", len(ins[0].pending), len(ins[1].pending))
+	}
+	n.RunFor(time.Second)
+	adoptions, flows := uint64(0), 0
+	for _, in := range ins {
+		adoptions += in.Recovered
+		flows += in.ClientFlowCount()
+	}
+	if adoptions != 1 || flows != 1 || got[f.client.IP] != 1 || got[f.server.IP] != 1 {
+		t.Fatalf("%d adoptions, %d flows, %d segments relayed to the client and %d to the backend; want 1 of each", adoptions, flows, got[f.client.IP], got[f.server.IP])
+	}
+	adopter, _ := lb.Holder(f.clientTuple())
+	if h, _ := lb.Holder(f.serverTuple()); h != adopter {
+		t.Fatalf("the client tuple is held by %v, the server tuple by %v", adopter, h)
+	}
+}

@@ -257,12 +257,6 @@ func (lb *LB) RemoveInstance(inst netsim.IP) {
 	}
 }
 
-// vipOf extracts the VIP side of an affinity tuple: for inbound client
-// flows the VIP is the destination; for SNAT return flows it is also the
-// destination (server -> VIP). Affinity keys are always stored in
-// "toward the VIP" orientation.
-func vipOf(ft netsim.FourTuple) netsim.IP { return ft.Dst.IP }
-
 // handleVIPPacket processes a packet that arrived at a VIP address.
 func (lb *LB) handleVIPPacket(vip netsim.IP, pkt *netsim.Packet) {
 	inst, ok := lb.resolve(vip, pkt.Tuple())
@@ -301,23 +295,19 @@ func (lb *LB) handleVIPBatch(vip netsim.IP, pkts []*netsim.Packet) {
 
 // resolve is the mux's one pick: the instance tuple's packets go to. An
 // affinity hit names it; a miss picks by rendezvous over the VIP's
-// instances and inserts the pick as the tuple's affinity. The tuple may
-// be a client's or a backend's (SNAT return traffic): both are keyed
-// toward the VIP. ok is false when the VIP has no instance.
+// instances and claims the tuple for the pick. The tuple may be a
+// client's or a backend's (SNAT return traffic): both are keyed toward
+// the VIP. ok is false when the VIP has no instance.
 func (lb *LB) resolve(vip netsim.IP, tuple netsim.FourTuple) (inst netsim.IP, ok bool) {
-	m := lb.muxFor(tuple)
-	if v, hit := m.affinity.LookupMaybe(tuple); hit {
-		// A hit resolves through the pair registry; a false hit (64-bit
-		// tag alias, see the mux comment) still lands on a live pair's
-		// instance, which is the benign-by-construction case.
-		return lb.pairs[v].inst, true
+	if inst, ok = lb.Holder(tuple); ok {
+		return inst, true
 	}
-	insts := m.vipMap[vip]
+	insts := lb.muxFor(tuple).vipMap[vip]
 	if len(insts) == 0 {
 		return 0, false
 	}
 	inst = Rendezvous(tuple, insts)
-	m.affinity.Insert(tuple, lb.pairVal(vip, inst))
+	lb.Claim(tuple, inst)
 	return inst, true
 }
 
@@ -340,26 +330,37 @@ func (lb *LB) forward(pkt *netsim.Packet, vip, inst netsim.IP) {
 }
 
 // SendViaSNAT transmits a packet originated by instance inst with the VIP
-// as its source address (pkt.Src.IP must be the VIP), recording
-// return-flow affinity so the destination's replies reach inst. This is
-// the SNAT half of front-and-back indirection.
+// as its source address (pkt.Src.IP must be the VIP), claiming the
+// return tuple so the destination's replies reach inst. This is the SNAT
+// half of front-and-back indirection.
 func (lb *LB) SendViaSNAT(pkt *netsim.Packet, inst netsim.IP) {
-	ret := netsim.FourTuple{Src: pkt.Dst, Dst: pkt.Src} // reply orientation: toward VIP
-	m := lb.muxFor(ret)
-	m.affinity.Insert(ret, lb.pairVal(vipOf(ret), inst))
+	lb.Claim(netsim.FourTuple{Src: pkt.Dst, Dst: pkt.Src}, inst) // reply orientation: toward VIP
 	lb.net.Send(pkt)
 }
 
-// Release drops tuple's affinity entry when the entry names inst: the
-// owner calls it for each orientation of a flow it stops holding, the
-// client tuple and the SNAT return tuple alike, so an entry lives as
-// long as its flow. An entry that names another instance stays: a stale
-// copy of a flow on one survivor must not unpin the flow that another
-// survivor adopted.
+// Claim pins tuple to inst, replacing any entry: the first survivor to
+// adopt an orphan claims both of its orientations. Tuples are keyed
+// toward the VIP, client and SNAT return alike, so Dst names the VIP.
+func (lb *LB) Claim(tuple netsim.FourTuple, inst netsim.IP) {
+	lb.muxFor(tuple).affinity.Insert(tuple, lb.pairVal(tuple.Dst.IP, inst))
+}
+
+// Holder names the instance tuple's entry pins it to, if it has one. A
+// false hit (see the mux comment) names a live pair's instance: benign.
+func (lb *LB) Holder(tuple netsim.FourTuple) (inst netsim.IP, ok bool) {
+	v, hit := lb.muxFor(tuple).affinity.LookupMaybe(tuple)
+	if !hit {
+		return 0, false
+	}
+	return lb.pairs[v].inst, true
+}
+
+// Release drops tuple's entry when it names inst: an owner releases both
+// orientations of a flow it stops holding, and a stale copy on one
+// survivor cannot unpin the flow another survivor adopted.
 func (lb *LB) Release(tuple netsim.FourTuple, inst netsim.IP) {
-	m := lb.muxFor(tuple)
-	if v, hit := m.affinity.LookupMaybe(tuple); hit && lb.pairs[v].inst == inst {
-		m.affinity.Delete(tuple)
+	if h, ok := lb.Holder(tuple); ok && h == inst {
+		lb.muxFor(tuple).affinity.Delete(tuple)
 	}
 }
 

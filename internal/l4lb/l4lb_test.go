@@ -258,9 +258,29 @@ func TestReleaseKeepsOtherOwnersEntry(t *testing.T) {
 	if len(cols[owner].got) != 2 {
 		t.Fatalf("pinned flow left its owner: owner got %d packets", len(cols[owner].got))
 	}
+	// A claim re-pins the tuple the rendezvous pick placed: an adopter on
+	// another instance takes it over, and the previous holder's release
+	// leaves the claim in place.
+	other := inst1
+	if other == owner {
+		other = inst2
+	}
+	lb.Claim(tuple, other)
+	if h, ok := lb.Holder(tuple); !ok || h != other {
+		t.Fatalf("Holder after Claim = %v, %v; want %v", h, ok, other)
+	}
+	n.Send(clientPkt(1000))
+	n.RunUntilIdle(100)
+	if len(cols[other].got) != 1 || len(cols[owner].got) != 2 {
+		t.Fatalf("claimer got %d packets, old holder %d; want 1, 2", len(cols[other].got), len(cols[owner].got))
+	}
 	lb.Release(tuple, owner)
-	if lb.AffinityCount() != 0 {
-		t.Fatalf("owner's release left affinity = %d", lb.AffinityCount())
+	if h, ok := lb.Holder(tuple); !ok || h != other || lb.AffinityCount() != 1 {
+		t.Fatalf("the old holder's release moved the claim: Holder = %v, %v, affinity = %d", h, ok, lb.AffinityCount())
+	}
+	lb.Release(tuple, other)
+	if _, ok := lb.Holder(tuple); ok || lb.AffinityCount() != 0 {
+		t.Fatalf("holder's release left affinity = %d", lb.AffinityCount())
 	}
 }
 
@@ -273,14 +293,28 @@ func TestStaggeredMappingUpdate(t *testing.T) {
 	n.Attach(inst2, c2)
 	// Switch the VIP from inst1 to inst2 with stagger; during the window
 	// new flows may land on either instance depending on which mux they
-	// hash to.
-	lb.SetMapping(vip, []netsim.IP{inst2})
+	// hash to, and the update reads as converged only once every mux has
+	// applied it.
+	want := []netsim.IP{inst2}
+	lb.SetMapping(vip, want)
 	sawOld, sawNew := false, false
 	for p := uint16(1); p <= 200; p++ {
+		applied := 0
+		for _, m := range lb.muxes {
+			if m.vipMap[vip][0] == inst2 {
+				applied++
+			}
+		}
+		if got := lb.Converged(vip, want); got != (applied == len(lb.muxes)) {
+			t.Fatalf("Converged = %v with %d of %d muxes applied", got, applied, len(lb.muxes))
+		}
 		n.Send(clientPkt(p))
 		n.RunFor(2 * time.Millisecond)
 	}
 	n.RunUntilIdle(100000)
+	if got := lb.Mapping(vip); !lb.Converged(vip, want) || len(got) != 1 || got[0] != inst2 {
+		t.Fatalf("after the stagger: Converged %v, Mapping %v; want true, %v", lb.Converged(vip, want), got, want)
+	}
 	if len(cols[inst1].got) > 0 {
 		sawOld = true
 	}

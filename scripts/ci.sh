@@ -16,9 +16,9 @@
 #                             and the memcached session's differential
 #                             fuzzers, and the RNG, dead-export and
 #                             lifecycle-seam lints
-#      core coverage ratchet  every function of internal/core runs under
-#                             core's own tests, or is allowlisted with
-#                             its reason
+#      coverage ratchet       every function of internal/core and
+#                             internal/l4lb runs under its own package's
+#                             tests, or is allowlisted with its reason
 #   4. go build               everything compiles, including cmd/
 #   5. examples               quickstart and secureservice run and print
 #                             that their flow survived the instance kill
@@ -217,19 +217,20 @@ go test -run 'TestNoDeadExports|TestNoStrayRNGConstruction' .
 # lifecycle outcome counter (internal/core/seam_test.go).
 go test -run 'TestOneLifecycleSeam' ./internal/core/
 
-echo "== core coverage ratchet (no internal/core function at 0.0 % under core's own tests, outside the allowlist) =="
+echo "== coverage ratchet (no internal/core or internal/l4lb function at 0.0 % under its own package's tests, outside the allowlist) =="
 # The dataplane's code paths each have a test that runs them: a function
-# no test of internal/core reaches lands with one, or here with the
-# reason it has none. Entries are "name: reason".
-COVER_ALLOW=(
-  "hybridKnockConfirm: a client-side orphan that finds its backend's knock already queued needs both halves of one dead owner's flow at one survivor within one store round trip, which is what ROADMAP item 2 builds"
-)
-go test -count=1 -coverprofile="$GATE_DIR/core.cover" ./internal/core/ > /dev/null
-uncovered=$(go tool cover -func="$GATE_DIR/core.cover" | awk '$NF == "0.0%" { print $2 }')
+# no test of its own package reaches lands with one, or here with the
+# reason it has none. Entries are "name: reason"; today there are none.
+COVER_ALLOW=()
 printf '%s\n' "${COVER_ALLOW[@]}" | cut -d: -f1 > "$GATE_DIR/cover_allow"
+uncovered=""
+for pkg in core l4lb; do
+  go test -count=1 -coverprofile="$GATE_DIR/$pkg.cover" "./internal/$pkg/" > /dev/null
+  uncovered+="$(go tool cover -func="$GATE_DIR/$pkg.cover" | awk '$NF == "0.0%" { print $2 }')"$'\n'
+done
 missing=$(grep -vxF -f "$GATE_DIR/cover_allow" <<< "$uncovered" | grep . || true)
 if [[ -n "$missing" ]]; then
-  echo "FAIL: internal/core functions no core test runs (add a test, or an allowlist entry with its reason):" >&2
+  echo "FAIL: internal/core or internal/l4lb functions no test of their package runs (add a test, or an allowlist entry with its reason):" >&2
   echo "$missing" >&2
   exit 1
 fi
