@@ -29,7 +29,9 @@ type Config struct {
 	StatsInterval time.Duration
 	// ScaleInterval is how often the scaling policy runs; CPUHigh is the
 	// utilization that triggers adding instances; CPUTarget is the level
-	// scale-out aims for. Scaling is disabled when ScaleInterval is 0.
+	// scale-out aims for. Scaling is disabled when ScaleInterval is 0. It
+	// must not exceed 4 s: the policy reads CPU over the last interval, and
+	// a CPU meter answers windows within its 4.1 s horizon.
 	ScaleInterval time.Duration
 	CPUHigh       float64
 	CPUTarget     float64

@@ -167,18 +167,27 @@ func fetchFailed(c *tcp.Conn, err error) {
 func closeOnPeerClose(c *tcp.Conn) { c.Close() }
 
 // bodyPools holds the response-body arrays Fetch has lent and taken back,
-// one sync.Pool per power-of-two size class: an array is filed under the
-// power of two at or below its capacity and a body looks only in the bin
-// of its own length, as netsim files send buffers, so a 2 KiB body never
-// pins a 4 KiB array. sync.Pool because what it holds must not outlive a
-// collection (a spare array per Client would count as live heap, 512 KiB
-// per bulk client) and experiments run on several goroutines at once.
-// Its entries are *[]byte boxes that the borrowing fetch keeps, so
-// neither Get nor Put allocates once warm.
-var bodyPools [bodyBins]sync.Pool
+// one bin per power-of-two size class: an array is filed under the power
+// of two at or below its capacity and a body looks only in the bin of its
+// own length, as netsim files send buffers, so a 2 KiB body never pins a
+// 4 KiB array. A bin keeps at most bodyKeptBytes of arrays idle and drops
+// one returned to it full: 16 arrays of a 512 KiB body's class, 4,096 of
+// a 2 KiB body's, more than the bulk and short workloads' clients have in
+// flight at once. A plain list, not a sync.Pool: a pool empties at every
+// collection and the fetches after it make their arrays anew, so the bytes
+// a request allocates would follow how often the collector runs. A lock
+// per bin, as experiments run on several goroutines at once.
+var bodyPools [bodyBins]struct {
+	sync.Mutex
+	kept []*[]byte
+}
+
+const bodyKeptBytes = 8 << 20
 
 // bodyLoan is the one pooled array a fetch has borrowed for its
-// response's body; box is nil while none is out.
+// response's body; box is nil while none is out. The pool's entries are
+// *[]byte boxes that the borrowing fetch keeps, so a loan costs a fetch
+// one word.
 type bodyLoan struct{ box *[]byte }
 
 // array returns an empty array for an n-byte body. A loan with none out
@@ -190,7 +199,14 @@ func (l *bodyLoan) array(n int) []byte {
 	if l == nil || l.box != nil || n > maxBodyPrealloc {
 		return make([]byte, 0, min(n, maxBodyPrealloc))
 	}
-	if l.box, _ = bodyPools[bits.Len(uint(n))-1].Get().(*[]byte); l.box == nil {
+	bin := &bodyPools[bits.Len(uint(n))-1]
+	bin.Lock()
+	if k := len(bin.kept); k > 0 {
+		l.box, bin.kept[k-1] = bin.kept[k-1], nil
+		bin.kept = bin.kept[:k-1]
+	}
+	bin.Unlock()
+	if l.box == nil {
 		l.box = new([]byte)
 	}
 	if cap(*l.box) < n {
@@ -208,6 +224,12 @@ func (l *bodyLoan) giveBack(nw *netsim.Network) {
 	}
 	b := *l.box
 	nw.ScrubReleased(b[:cap(b)])
-	bodyPools[bits.Len(uint(cap(b)))-1].Put(l.box)
+	class := bits.Len(uint(cap(b))) - 1
+	bin := &bodyPools[class]
+	bin.Lock()
+	if len(bin.kept) < bodyKeptBytes>>class {
+		bin.kept = append(bin.kept, l.box)
+	}
+	bin.Unlock()
 	l.box = nil
 }

@@ -39,9 +39,9 @@ func TestFetchBodyLentToDone(t *testing.T) {
 
 // TestFetchRecyclesBody: a warm client parses its next 512 KiB response
 // into the array the last one was lent in, so the fetch allocates what
-// its endpoints do, not the body. It reads the least of five warm
-// fetches: under -race, sync.Pool drops a put at random, and the fetch
-// after a dropped put makes its array anew.
+// its endpoints do, not the body — also when collections ran in between,
+// which would have emptied a sync.Pool. It reads the least of five warm
+// fetches, so that an allocation of the test runtime's own does not count.
 func TestFetchRecyclesBody(t *testing.T) {
 	obj := bytes.Repeat([]byte("0123456789abcdef"), 512<<10/16)
 	w := newWorld(15, map[string][]byte{"/obj": obj})
@@ -57,6 +57,8 @@ func TestFetchRecyclesBody(t *testing.T) {
 	fetch() // warms the network's pools and bodyPools
 	per := uint64(math.MaxUint64)
 	for range 5 {
+		runtime.GC()
+		runtime.GC()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		fetch()

@@ -1,9 +1,6 @@
 package metrics
 
-import (
-	"sort"
-	"time"
-)
+import "time"
 
 // CPUMeter models the CPU of one simulated machine. Components charge it
 // a virtual execution cost per operation (e.g. "processing one packet
@@ -16,16 +13,12 @@ type CPUMeter struct {
 	Cores int
 
 	busy time.Duration // total busy core-time charged
-	// buckets holds the busy time of each cpuBucket of virtual time that
-	// was charged at all, in time order: a meter grows with the time its
-	// machine was busy, not with the packets it was charged for. Charges
-	// arrive in time order, so only the last bucket is ever open.
-	buckets []busyBucket
-}
-
-type busyBucket struct {
-	at   time.Duration // start of the bucket
-	cost time.Duration
+	// before is a ring over the newest cpuHorizon buckets: the slot of
+	// bucket b holds the busy time charged before b began. newest is the
+	// bucket of the last charge; charges arrive in time order, so every
+	// charge lands in newest or a later bucket. nil until the first charge.
+	before []time.Duration
+	newest int64
 }
 
 const (
@@ -34,15 +27,12 @@ const (
 	// window its start falls in, so Utilization is exact for windows whose
 	// ends are multiples of it.
 	cpuBucket = time.Millisecond
-	// cpuReserve is the capacity the first charge gives buckets: 1 MiB, 65
-	// busy seconds. The meter does not need it — at 16 B per busy
-	// millisecond append's doubling would be cheap. It is what the
-	// per-instant log this replaced allocated as its first chunk, and it
-	// stays for the process around the meter: a cluster's 14 reserves are
-	// half the live heap of a short simulation, and without them Go's
-	// collector runs 2.5× as often (EXPERIMENTS.md, PR 15; ROADMAP has
-	// the item that removes it).
-	cpuReserve = 1 << 16
+	// cpuHorizon is how many buckets back a window end may lie from the
+	// newest charge: 4,096 (4.1 s, 32 KiB a meter). The callers need at
+	// most about 1 s: the controller asks for [now−ScaleInterval, now)
+	// (1 s by default), fig13 for trailing 1 s windows, and fig10 for
+	// [0, Duration) 500 ms after Duration.
+	cpuHorizon = 1 << 12
 )
 
 // NewCPUMeter creates a meter for a machine with the given core count.
@@ -58,35 +48,45 @@ func (c *CPUMeter) Charge(now, cost time.Duration) {
 	if cost <= 0 {
 		return
 	}
+	b := int64(now / cpuBucket)
+	if c.before == nil {
+		c.before, c.newest = make([]time.Duration, cpuHorizon), b
+	}
+	// Skipped buckets saw no charge: each starts at the busy time so far.
+	for i := max(c.newest+1, b-cpuHorizon+1); i <= b; i++ {
+		c.before[i&(cpuHorizon-1)] = c.busy
+	}
+	c.newest = max(c.newest, b)
 	c.busy += cost
-	at := now - now%cpuBucket
-	if n := len(c.buckets); n > 0 && c.buckets[n-1].at == at {
-		c.buckets[n-1].cost += cost
-		return
-	}
-	if c.buckets == nil {
-		c.buckets = make([]busyBucket, 0, cpuReserve)
-	}
-	c.buckets = append(c.buckets, busyBucket{at: at, cost: cost})
 }
 
 // BusyTotal returns the total core-time charged so far.
 func (c *CPUMeter) BusyTotal() time.Duration { return c.busy }
 
+// busyBefore returns the busy time charged in buckets that start before t.
+// t must be 0 or lie within cpuHorizon buckets of the newest charge.
+func (c *CPUMeter) busyBefore(t time.Duration) time.Duration {
+	b := int64((t + cpuBucket - 1) / cpuBucket)
+	switch {
+	case t <= 0 || c.before == nil:
+		return 0
+	case b > c.newest:
+		return c.busy
+	case b <= c.newest-cpuHorizon:
+		panic("metrics: CPU window end " + t.String() + " is older than the meter's horizon")
+	}
+	return c.before[b&(cpuHorizon-1)]
+}
+
 // Utilization returns average utilization in [0,1] over the window
 // [from, to). Values above 1 indicate the machine is oversubscribed
-// (offered load beyond capacity); callers may clamp for display.
+// (offered load beyond capacity); callers may clamp for display. Both
+// ends must be 0 or within cpuHorizon of the newest charge.
 func (c *CPUMeter) Utilization(from, to time.Duration) float64 {
 	if to <= from {
 		return 0
 	}
-	b := c.buckets // in time order
-	lo := sort.Search(len(b), func(i int) bool { return b[i].at >= from })
-	hi := sort.Search(len(b), func(i int) bool { return b[i].at >= to })
-	var busy time.Duration
-	for _, ev := range b[lo:hi] {
-		busy += ev.cost
-	}
+	busy := c.busyBefore(to) - c.busyBefore(from)
 	return float64(busy) / (float64(to-from) * float64(c.Cores))
 }
 

@@ -191,92 +191,172 @@ func TestCPUMeterWindowing(t *testing.T) {
 	}
 }
 
-// TestCPUMeterBucketsMatchLog: folding charges into buckets must be
-// invisible to every window whose ends are bucket-aligned — checked
-// against the unfolded per-charge log kept here. The stream repeats
-// instants the way packet trains do, leaves whole buckets idle, and is
-// busy for long enough to outgrow the slice's first reserve.
+// TestCPUMeterBucketsMatchLog: folding charges into a ring of running
+// totals must be invisible to every window the contract allows — checked
+// against the unfolded per-charge log kept here, which counts a charge in
+// the window its bucket's start falls in. The stream repeats instants the
+// way packet trains do, leaves whole buckets idle, now and then falls
+// silent for longer than the horizon, and runs for many horizons; the
+// queries come along the way, [0, t) and [from, to) with every nonzero end
+// inside the horizon, aligned to buckets or not.
 func TestCPUMeterBucketsMatchLog(t *testing.T) {
-	type charge struct{ at, cost time.Duration }
+	type charge struct{ bucketAt, cum time.Duration } // cum: busy so far, this charge included
 	rng := rand.New(rand.NewSource(1))
 	c := NewCPUMeter(4)
 	var ref []charge
 	var now, total time.Duration
+	// busyBefore sums the logged charges whose bucket starts before t.
+	busyBefore := func(t time.Duration) time.Duration {
+		i := sort.Search(len(ref), func(i int) bool { return ref[i].bucketAt >= t })
+		if i == 0 {
+			return 0
+		}
+		return ref[i-1].cum
+	}
+	horizon := time.Duration(cpuHorizon) * cpuBucket
+	queries := 0
 	for i := 0; i < 400000; i++ {
 		switch rng.Intn(8) {
 		case 0, 1:
 			now += time.Duration(rng.Intn(int(3 * cpuBucket)))
 		case 2, 3, 4:
 			now += time.Duration(1 + rng.Intn(20000))
+		case 5:
+			if rng.Intn(2000) == 0 {
+				now += time.Duration(rng.Int63n(int64(3 * horizon)))
+			}
 		}
 		cost := time.Duration(rng.Intn(50)) // 0 is ignored
 		c.Charge(now, cost)
 		if cost > 0 {
-			ref = append(ref, charge{now, cost})
 			total += cost
+			ref = append(ref, charge{now - now%cpuBucket, total})
+		}
+		if i%500 != 0 {
+			continue
+		}
+		// The oldest bucket still in the ring starts at oldest; an end
+		// just past it is allowed, and so is any end up to a little
+		// after now.
+		oldest := max(0, now-now%cpuBucket-horizon+cpuBucket)
+		span := int64(now + 3*cpuBucket - oldest)
+		for q := 0; q < 4; q++ {
+			from := oldest + time.Duration(rng.Int63n(span))
+			to := from + time.Duration(rng.Int63n(int64(now+3*cpuBucket-from)))
+			switch q {
+			case 0:
+				from = 0
+			case 1:
+				from, to = from-from%cpuBucket, to-to%cpuBucket
+			}
+			want := 0.0
+			if to > from {
+				want = float64(busyBefore(to)-busyBefore(from)) / (float64(to-from) * 4)
+			}
+			if got := c.Utilization(from, to); got != want {
+				t.Fatalf("after %v: Utilization(%v, %v) = %v, unfolded log says %v", now, from, to, got, want)
+			}
+			queries++
 		}
 	}
 	if c.BusyTotal() != total {
 		t.Fatalf("BusyTotal = %v, want %v", c.BusyTotal(), total)
 	}
-	if n := len(c.buckets); n <= cpuReserve || n >= len(ref)/2 {
-		t.Fatalf("%d charges held as %d buckets; want folding, and more than the %d reserved", len(ref), n, cpuReserve)
+	if now < 20*horizon {
+		t.Fatalf("stream covered %v, want many %v horizons", now, horizon)
 	}
-	spanBuckets := int64(now/cpuBucket) + 2
-	for q := 0; q < 300; q++ {
-		from := time.Duration(rng.Int63n(spanBuckets)) * cpuBucket
-		to := from + time.Duration(rng.Int63n(spanBuckets/4))*cpuBucket
-		if q == 0 {
-			from, to = 0, time.Duration(spanBuckets)*cpuBucket
+	t.Logf("%d charges over %v, %d windows checked", len(ref), now, queries)
+}
+
+// meterBytes is what a meter holds: the struct and its ring.
+func meterBytes(c *CPUMeter) int {
+	return int(unsafe.Sizeof(*c)) + cap(c.before)*int(unsafe.Sizeof(time.Duration(0)))
+}
+
+// TestCPUMeterFootprintConstant: a meter's size does not follow the time
+// it was busy for. One charged for 10 virtual minutes, a packet's cost
+// every 50 µs with idle stretches, holds exactly what it held after 5 s.
+func TestCPUMeterFootprintConstant(t *testing.T) {
+	c := NewCPUMeter(8)
+	var at5s int
+	for now := time.Duration(0); now < 10*time.Minute; now += 50 * time.Microsecond {
+		if now%(20*time.Second) >= 15*time.Second {
+			continue // idle
 		}
-		var busy time.Duration
-		for _, ch := range ref {
-			if ch.at >= from && ch.at < to {
-				busy += ch.cost
-			}
+		c.Charge(now, 20*time.Microsecond)
+		if at5s == 0 && now >= 5*time.Second {
+			at5s = meterBytes(c)
 		}
-		want := 0.0
-		if to > from {
-			want = float64(busy) / (float64(to-from) * 4)
-		}
-		if got := c.Utilization(from, to); got != want {
-			t.Fatalf("Utilization(%v, %v) = %v, unfolded log says %v", from, to, got, want)
-		}
+	}
+	if got := meterBytes(c); got != at5s {
+		t.Fatalf("meter holds %d B after 10 minutes, %d B after 5 s", got, at5s)
+	}
+	if want := int(unsafe.Sizeof(*c)) + cpuHorizon*8; at5s != want {
+		t.Fatalf("meter holds %d B, want %d", at5s, want)
+	}
+	last := 10*time.Minute - 5*time.Second // the last busy second
+	if u := c.Utilization(last-time.Second, last); u != 20.0/50/8 {
+		t.Fatalf("Utilization of the last busy second = %v", u)
 	}
 }
 
-// TestCPUMeterBoundedByBusyTime: a meter's size follows the virtual time
-// it was busy for, however many charges that time saw.
-func TestCPUMeterBoundedByBusyTime(t *testing.T) {
+// TestCPUMeterChargeAllocFree: after the first charge gives a meter its
+// ring, charging allocates nothing — across buckets, idle gaps and gaps
+// longer than the horizon.
+func TestCPUMeterChargeAllocFree(t *testing.T) {
 	c := NewCPUMeter(8)
-	const charges, span = 1000000, 50 * time.Millisecond
-	for i := 0; i < charges; i++ {
-		c.Charge(time.Duration(i)*span/charges, time.Microsecond)
+	c.Charge(0, time.Microsecond)
+	now, i := time.Duration(0), 0
+	allocs := testing.AllocsPerRun(10000, func() {
+		i++
+		switch {
+		case i%1000 == 0:
+			now += 2 * time.Duration(cpuHorizon) * cpuBucket
+		case i%10 == 0:
+			now += 7 * cpuBucket
+		default:
+			now += 10 * time.Microsecond
+		}
+		c.Charge(now, 20*time.Microsecond)
+	})
+	if allocs != 0 {
+		t.Fatalf("Charge allocates %v times per call", allocs)
 	}
-	if c.BusyTotal() != charges*time.Microsecond {
-		t.Fatalf("BusyTotal = %v", c.BusyTotal())
+}
+
+// TestCPUMeterHorizonPanics: a window end older than the horizon is a
+// caller bug, and the meter says so instead of answering 0; an end of 0
+// and one just inside the horizon are fine.
+func TestCPUMeterHorizonPanics(t *testing.T) {
+	c := NewCPUMeter(1)
+	now := 10 * time.Second
+	c.Charge(now, time.Millisecond)
+	oldest := now - time.Duration(cpuHorizon-1)*cpuBucket // start of the oldest bucket kept
+	if u := c.Utilization(0, now+cpuBucket); u != float64(time.Millisecond)/float64(now+cpuBucket) {
+		t.Fatalf("Utilization(0, now) = %v", u)
 	}
-	if n := len(c.buckets); n > int(span/cpuBucket) {
-		t.Fatalf("%d charges inside %v held as %d entries, want <= %d", charges, span, n, span/cpuBucket)
+	if u := c.Utilization(oldest, now); u != 0 {
+		t.Fatalf("Utilization(oldest, now) = %v", u)
 	}
-	if u := c.Utilization(0, span); u != float64(charges*time.Microsecond)/(float64(span)*8) {
-		t.Fatalf("Utilization = %v", u)
-	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a window end older than the horizon did not panic")
+		}
+	}()
+	c.Utilization(oldest-cpuBucket, now)
 }
 
 // BenchmarkCPUMeterCharge charges one packet's cost every 10 µs of
 // virtual time, the rate of an instance forwarding 100K packets a
-// second, and reports how fast the meter grows per second it is busy
-// (within or beyond its first reserve). bench.sh records it as
-// cpumeter_bytes_per_busy_s.
+// second, and reports the bytes the meter holds — a constant, however
+// long it ran. bench.sh records it as cpumeter_bytes_held.
 func BenchmarkCPUMeterCharge(b *testing.B) {
 	const every = 10 * time.Microsecond
 	c := NewCPUMeter(8)
 	for i := 0; i < b.N; i++ {
 		c.Charge(time.Duration(i)*every, 20*time.Microsecond)
 	}
-	held := float64(len(c.buckets)) * float64(unsafe.Sizeof(busyBucket{}))
-	b.ReportMetric(held/(time.Duration(b.N)*every).Seconds(), "B/busy-s")
+	b.ReportMetric(float64(meterBytes(c)), "B/meter")
 }
 
 func TestCPUMeterIgnoresNonPositive(t *testing.T) {

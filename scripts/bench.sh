@@ -43,7 +43,7 @@ want tcp_throughput_MB_s tcp_throughput_256k_MB_s tcp_static_512k_MB_s tcp_stati
   ./internal/tcp/ | tee -a "$MICRO_LOG"
 want tcp_idle_conn_pair_heap_bytes && go test -run '^$' -bench 'BenchmarkIdleConnHeap' -benchtime 1x \
   ./internal/tcp/ | tee -a "$MICRO_LOG"
-want cpumeter_bytes_per_busy_s && go test -run '^$' -bench 'BenchmarkCPUMeterCharge' \
+want cpumeter_bytes_held && go test -run '^$' -bench 'BenchmarkCPUMeterCharge' \
   ./internal/metrics/ | tee -a "$MICRO_LOG"
 want flow_fast_path_ns_op storage_write_ns_op storage_write_allocs_op &&
   go test -run '^$' -bench 'BenchmarkFlowFastPath|BenchmarkStorageWritePath' -benchmem \
@@ -117,7 +117,7 @@ metric() { awk -v b="$2" -v u="$3" '$1 ~ "^"b {for(i=1;i<NF;i++) if($(i+1)==u) p
 TCP_BATCH_NSSEG="$(metric "$MICRO_LOG" 'BenchmarkTCPBatchRx/mode=batch' ns/seg)"
 TCP_SCALAR_NSSEG="$(metric "$MICRO_LOG" 'BenchmarkTCPBatchRx/mode=scalar' ns/seg)"
 TCP_IDLE_PAIR_B="$(metric "$MICRO_LOG" BenchmarkIdleConnHeap heap-B/pair)"
-CPUMETER_BPS="$(metric "$MICRO_LOG" BenchmarkCPUMeterCharge B/busy-s)"
+CPUMETER_HELD="$(metric "$MICRO_LOG" BenchmarkCPUMeterCharge B/meter)"
 SB_BATCH_RT="$(metric "$MICRO_LOG" BenchmarkStorageBBatched roundtrips/write)"
 SB_SEQ_RT="$(metric "$MICRO_LOG" BenchmarkStorageBSequential roundtrips/write)"
 SB_BATCH_US="$(metric "$MICRO_LOG" BenchmarkStorageBBatched virtual-µs/write)"
@@ -198,7 +198,7 @@ cat > "$NEW_JSON" <<EOF
     "tcp_batch_rx_ns_seg": $(jsonnum "$TCP_BATCH_NSSEG"),
     "tcp_scalar_rx_ns_seg": $(jsonnum "$TCP_SCALAR_NSSEG"),
     "tcp_idle_conn_pair_heap_bytes": $(jsonnum "$TCP_IDLE_PAIR_B"),
-    "cpumeter_bytes_per_busy_s": $(jsonnum "$CPUMETER_BPS"),
+    "cpumeter_bytes_held": $(jsonnum "$CPUMETER_HELD"),
     "host_demux_ns_op": $(jsonnum "$HOST_DEMUX_NS"),
     "host_alloc_port_ns_op": $(jsonnum "$HOST_ALLOCPORT_NS"),
     "flow_fast_path_ns_op": $(jsonnum "$FLOW_NS"),

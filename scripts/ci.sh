@@ -31,8 +31,12 @@
 #                             every orphan adopted once, and no flow
 #                             entry, store record or mux affinity entry
 #                             left at settle
-#   9. go test -race          full suite under the race detector
-#  10. benchmarks             every Benchmark* compiles and runs one
+#   9. kill-then-drop sweep   the instance owning a fetch killed after
+#                             each step, then each of the 24 packets
+#                             after the kill lost, over five seeds
+#                             (go test sweeps two)
+#  10. go test -race          full suite under the race detector
+#  11. benchmarks             every Benchmark* compiles and runs one
 #      iteration (the heavy figure benchmarks are excluded by name; run
 #      scripts/bench.sh for real numbers)
 set -euo pipefail
@@ -270,6 +274,13 @@ echo "== mflow hybrid (yodasim -exp mflow -recovery hybrid must end PASS) =="
 # is PASS or a FAIL: list.
 go run ./cmd/yodasim -exp mflow -recovery hybrid | tee "$GATE_DIR/mflow_hybrid"
 grep -qx '  PASS' "$GATE_DIR/mflow_hybrid" || { echo "FAIL: hybrid mflow did not pass" >&2; exit 1; }
+
+echo "== kill-then-drop sweep (TestKillThenDropEveryPacket over seeds 11-15) =="
+# go test sweeps seeds 11-12; this stage takes the five seeds the kill
+# sweep uses. Every point passes TestKillOwnerAtEveryStep's settle checks
+# and adopts the flow at most once, never after its first close, but
+# defect (k)'s pinned points (internal/core/e2e_test.go, defectK).
+go test -count=1 -run 'TestKillThenDropEveryPacket' ./internal/core/ -killdrop.seeds=5
 
 echo "== go test -race =="
 go test -race ./...
