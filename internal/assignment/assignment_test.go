@@ -8,7 +8,7 @@ import (
 
 // Clone deep-copies the assignment.
 func (a *Assignment) Clone() *Assignment {
-	out := NewAssignment(a.NumInstances)
+	out := NewAssignment()
 	for v, insts := range a.ByVIP {
 		out.ByVIP[v] = append([]int(nil), insts...)
 	}
@@ -296,7 +296,7 @@ func TestVerifyCatchesViolations(t *testing.T) {
 		t.Fatal("out-of-range accepted")
 	}
 	// Traffic overload: pile everything on instance 0.
-	bad = NewAssignment(p.MaxInst)
+	bad = NewAssignment()
 	for _, v := range p.VIPs {
 		bad.ByVIP[v.ID] = []int{0, 1}
 	}
@@ -314,7 +314,7 @@ func TestAllToAllBaseline(t *testing.T) {
 }
 
 func TestAssignmentHelpers(t *testing.T) {
-	a := NewAssignment(4)
+	a := NewAssignment()
 	a.ByVIP[7] = []int{0, 2}
 	if !a.Has(7, 0) || !a.Has(7, 2) || a.Has(7, 1) {
 		t.Fatal("Has wrong")

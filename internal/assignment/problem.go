@@ -83,13 +83,11 @@ type Problem struct {
 type Assignment struct {
 	// ByVIP[vipID] lists the instance indices the VIP is assigned to.
 	ByVIP map[int][]int
-	// NumInstances is the size of the instance index space.
-	NumInstances int
 }
 
-// NewAssignment creates an empty assignment over n instances.
-func NewAssignment(n int) *Assignment {
-	return &Assignment{ByVIP: make(map[int][]int), NumInstances: n}
+// NewAssignment creates an empty assignment.
+func NewAssignment() *Assignment {
+	return &Assignment{ByVIP: make(map[int][]int)}
 }
 
 // Has reports whether VIP v is assigned to instance y.
@@ -147,7 +145,7 @@ func loads(p *Problem, a *Assignment) (traffic map[int]float64, rls map[int]int)
 func TransientLoad(p *Problem, old, new *Assignment) map[int]float64 {
 	out := make(map[int]float64)
 	if old == nil {
-		old = NewAssignment(0)
+		old = NewAssignment()
 	}
 	for i := range p.VIPs {
 		v := &p.VIPs[i]
@@ -225,7 +223,7 @@ func actualShare(v *VIP, n int) float64 {
 func TransientLoadActual(p *Problem, old, new *Assignment) map[int]float64 {
 	out := make(map[int]float64)
 	if old == nil {
-		old = NewAssignment(0)
+		old = NewAssignment()
 	}
 	for i := range p.VIPs {
 		v := &p.VIPs[i]

@@ -40,7 +40,7 @@ type solverState struct {
 func newSolverState(p *Problem) *solverState {
 	s := &solverState{
 		p:         p,
-		a:         NewAssignment(p.MaxInst),
+		a:         NewAssignment(),
 		traffic:   make([]float64, p.MaxInst),
 		rls:       make([]int, p.MaxInst),
 		transient: make([]float64, p.MaxInst),

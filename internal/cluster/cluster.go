@@ -64,7 +64,6 @@ type Cluster struct {
 
 // Backend is one backend web server plus its rule-engine identity.
 type Backend struct {
-	Name   string
 	Server *httpsim.Server
 	Rec    rules.Backend
 }
@@ -251,7 +250,6 @@ func (c *Cluster) AddBackend(name string, objects map[string][]byte, cfg httpsim
 	h := netsim.NewHost(c.Net, netsim.IPv4(10, 0, backendSubnet, byte(c.nextBackend)))
 	srv := httpsim.NewServer(h, 80, httpsim.MapHandler(objects), cfg)
 	b := &Backend{
-		Name:   name,
 		Server: srv,
 		Rec:    rules.Backend{Name: name, Addr: netsim.HostPort{IP: h.IP(), Port: 80}},
 	}

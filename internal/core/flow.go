@@ -26,7 +26,6 @@ type flow struct {
 	state       flowState // see state.go
 	backendName string
 	keepAlive   bool
-	recovered   bool
 	// stateless is decided once, at the SYN: hybrid mode is on and this
 	// instance is the head of the flow's rendezvous chain. Only such a
 	// flow skips storage-a, draws its split from the table, asks for the
@@ -66,7 +65,6 @@ type flow struct {
 	lingerTimer netsim.Timer
 	dialTries   int
 
-	start      time.Duration // SYN arrival
 	dialStart  time.Duration // backend selection began, for the Figure 9 breakdown
 	lastActive time.Duration
 
@@ -125,7 +123,6 @@ func (in *Instance) newClientFlow(pkt *netsim.Packet) {
 		c:            isnHash(pkt.Src, pkt.Dst),
 		fromClient:   assembler{next: pkt.Seq + 1},
 		toClientNext: isnHash(pkt.Src, pkt.Dst) + 1,
-		start:        now,
 		lastActive:   now,
 	}
 	in.flows.put(f.clientTuple(), f)
@@ -725,11 +722,9 @@ func (in *Instance) installRecovered(rec *Record, ev event) *flow {
 		clientISN:  rec.ClientISN,
 		c:          isnHash(rec.Client, rec.VIP),
 		fromClient: assembler{next: rec.ClientISN + 1},
-		recovered:  true,
 		// A record read from the store is in the store: teardown owes its
 		// deletes. A derived tunnel is persisted by its repair write.
 		persisted:  ev == evAdoptStore,
-		start:      in.net.Now(),
 		lastActive: in.net.Now(),
 		synAckSent: true,
 	}

@@ -296,7 +296,7 @@ func (in *Instance) installDerivedTunnel(ct, st netsim.FourTuple, b stateless.Ba
 type FlowInfo struct {
 	Client, VIP, Server, SNAT netsim.HostPort
 	C, S, Delta               uint32
-	Persisted, Recovered      bool
+	Persisted                 bool
 }
 
 // SnapshotFlows returns a snapshot of every live flow.
@@ -306,7 +306,7 @@ func (in *Instance) SnapshotFlows() []FlowInfo {
 		out = append(out, FlowInfo{
 			Client: f.client, VIP: f.vip, Server: f.server, SNAT: f.snat,
 			C: f.c, S: f.s, Delta: f.delta,
-			Persisted: f.persisted, Recovered: f.recovered,
+			Persisted: f.persisted,
 		})
 	})
 	return out

@@ -69,9 +69,7 @@ func DefaultConfig() Config {
 // VIPStats aggregates per-VIP counters an instance reports to the
 // controller.
 type VIPStats struct {
-	Packets     uint64
-	NewFlows    uint64
-	PayloadByte uint64
+	NewFlows uint64
 	// SNATExhausted counts dials rejected because the instance's SNAT
 	// port slice had no free port (the flow gets a 503, never a silently
 	// spliced port).
@@ -115,12 +113,7 @@ type Instance struct {
 	Barrier BarrierStats
 
 	// Counters.
-	Stats map[netsim.IP]*VIPStats
-	// statsCache is a one-entry statsFor cache: the fast path charges
-	// the same VIP for every packet of a flow, so the map probe repeats
-	// per packet. Invalidated when ReadStats swaps the map.
-	statsVIP     netsim.IP
-	statsCache   *VIPStats
+	Stats        map[netsim.IP]*VIPStats
 	Recovered    uint64 // flows resurrected from TCPStore
 	LookupMisses uint64 // orphan packets with no recoverable state, or dropped while queued
 	Reselections uint64 // HTTP/1.1 backend switches
@@ -302,20 +295,15 @@ func (in *Instance) ReleaseVIPFlows(vip netsim.IP) int {
 func (in *Instance) ReadStats() map[netsim.IP]*VIPStats {
 	out := in.Stats
 	in.Stats = make(map[netsim.IP]*VIPStats)
-	in.statsCache = nil
 	return out
 }
 
 func (in *Instance) statsFor(vip netsim.IP) *VIPStats {
-	if in.statsCache != nil && in.statsVIP == vip {
-		return in.statsCache
-	}
 	s, ok := in.Stats[vip]
 	if !ok {
 		s = &VIPStats{}
 		in.Stats[vip] = s
 	}
-	in.statsVIP, in.statsCache = vip, s
 	return s
 }
 
@@ -437,15 +425,12 @@ func (in *Instance) HandleSegmentBatch(pkts []*netsim.Packet) {
 }
 
 // process is one packet's work on the scalar and the batch path alike:
-// the CPU charge and the VIP's counters, then its flow f (nil when the
-// tuple has none) gets it, or a client SYN opens a new flow, or the
-// tuple is another instance's orphan (a failure or a mapping change
-// moved it here, or it is garbage) and TCPStore is tried.
+// the CPU charge, then its flow f (nil when the tuple has none) gets it,
+// or a client SYN opens a new flow, or the tuple is another instance's
+// orphan (a failure or a mapping change moved it here, or it is garbage)
+// and TCPStore is tried.
 func (in *Instance) process(pkt *netsim.Packet, tuple netsim.FourTuple, f *flow) {
 	in.CPU.Charge(in.net.Now(), in.cfg.CPUPerPacket)
-	st := in.statsFor(pkt.Dst.IP)
-	st.Packets++
-	st.PayloadByte += uint64(len(pkt.Payload))
 	switch {
 	case f != nil:
 		in.dispatch(f, pkt)

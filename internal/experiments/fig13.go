@@ -102,16 +102,12 @@ func RunFig13(cfg Fig13Config) *Fig13Result {
 		}
 		live := 0
 		cpu := 0.0
-		flows := 0.0
 		for _, in := range c.Yoda {
 			if !in.Host().Alive() {
 				continue
 			}
 			live++
 			cpu += in.CPU.UtilizationClamped(now-time.Second, now)
-			for _, st := range in.Stats {
-				flows += float64(st.NewFlows)
-			}
 		}
 		if live > 0 {
 			cpu /= float64(live)

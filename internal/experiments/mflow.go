@@ -364,7 +364,7 @@ func RunMflow(cfg MflowConfig) *MflowResult {
 		names[i] = fmt.Sprintf("be-%d", i)
 		addr := netsim.HostPort{IP: netsim.IPv4(10, 0, 2, byte(i+1)), Port: 80}
 		c.Net.Attach(addr.IP, &mfServer{net: c.Net, isnKey: isnKey})
-		c.Backends[names[i]] = &cluster.Backend{Name: names[i], Rec: rules.Backend{Name: names[i], Addr: addr}}
+		c.Backends[names[i]] = &cluster.Backend{Rec: rules.Backend{Name: names[i], Addr: addr}}
 	}
 	ycfg := core.DefaultConfig()
 	ycfg.SNATCount = uint16(snatPerInstance)

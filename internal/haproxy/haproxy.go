@@ -59,7 +59,6 @@ type Instance struct {
 
 	engines map[netsim.IP]*rules.Engine
 	info    rules.BackendInfo
-	lis     *tcp.Listener
 
 	CPU *metrics.CPUMeter
 
@@ -88,7 +87,7 @@ func NewInstance(host *netsim.Host, port uint16, cfg Config) *Instance {
 		engines: make(map[netsim.IP]*rules.Engine),
 		CPU:     metrics.NewCPUMeter(cfg.Cores),
 	}
-	inst.lis = tcp.Listen(host, port, inst.accept, cfg.TCP)
+	tcp.Listen(host, port, inst.accept, cfg.TCP)
 	return inst
 }
 

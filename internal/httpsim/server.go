@@ -49,7 +49,6 @@ type Server struct {
 	host    *netsim.Host
 	cfg     ServerConfig
 	handler Handler
-	lis     *tcp.Listener
 
 	CPU *metrics.CPUMeter
 
@@ -64,7 +63,7 @@ type Server struct {
 // NewServer starts a server on host:port with the given handler.
 func NewServer(host *netsim.Host, port uint16, handler Handler, cfg ServerConfig) *Server {
 	s := &Server{host: host, cfg: cfg, handler: handler, CPU: metrics.NewCPUMeter(2)}
-	s.lis = tcp.Listen(host, port, s.accept, cfg.TCP)
+	tcp.Listen(host, port, s.accept, cfg.TCP)
 	return s
 }
 

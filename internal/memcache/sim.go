@@ -45,7 +45,6 @@ type SimServer struct {
 	CPU    *metrics.CPUMeter
 	host   *netsim.Host
 	cfg    SimServerConfig
-	lis    *tcp.Listener
 
 	// queueFree is the virtual time the op-processing queue drains.
 	queueFree time.Duration
@@ -63,7 +62,7 @@ func NewSimServer(host *netsim.Host, port uint16, cfg SimServerConfig) *SimServe
 		host:   host,
 		cfg:    cfg,
 	}
-	s.lis = tcp.Listen(host, port, s.accept, cfg.TCP)
+	tcp.Listen(host, port, s.accept, cfg.TCP)
 	return s
 }
 
@@ -155,8 +154,6 @@ type KV struct {
 // into the client's scratch buffer synchronously, so callers can pass
 // slices of their own reused buffers.
 type SimClient struct {
-	host   *netsim.Host
-	server netsim.HostPort
 	conn   *tcp.Conn
 	parser *ReplyParser
 	// pending is a ring of reply callbacks: pending[phead:] are
@@ -164,7 +161,6 @@ type SimClient struct {
 	// steady-state ping-pong traffic never reallocates.
 	pending []func(SimResult)
 	phead   int
-	up      bool
 	onDown  func()
 	// onReply is the reply dispatcher, bound once so FeedFunc calls do
 	// not allocate a closure per data event.
@@ -178,7 +174,7 @@ type SimClient struct {
 // non-nil, fires when the connection is lost (the TCPStore client uses it
 // to fail over).
 func DialSim(host *netsim.Host, server netsim.HostPort, cfg tcp.Config, onDown func()) *SimClient {
-	c := &SimClient{host: host, server: server, parser: &ReplyParser{}, onDown: onDown}
+	c := &SimClient{parser: &ReplyParser{}, onDown: onDown}
 	c.onReply = func(r Reply) {
 		if c.phead == len(c.pending) {
 			return
@@ -195,7 +191,6 @@ func DialSim(host *netsim.Host, server netsim.HostPort, cfg tcp.Config, onDown f
 		}
 	}
 	c.conn = tcp.Dial(host, server, tcp.Callbacks{
-		OnEstablished: func(*tcp.Conn) { c.up = true },
 		OnData: func(_ *tcp.Conn, d []byte) {
 			c.parser.FeedFunc(d, c.onReply)
 		},

@@ -17,9 +17,6 @@ type Listener struct {
 	cfg    Config
 	accept AcceptFunc
 	closed bool
-
-	// Accepted counts handshakes begun (SYN received for a new tuple).
-	Accepted int
 }
 
 // Listen starts accepting connections on port.
@@ -58,7 +55,6 @@ func (l *Listener) handleSegment(pkt *netsim.Packet) {
 		}
 		return
 	}
-	l.Accepted++
 	c := newConn(l.host, pkt.Dst, pkt.Src, Callbacks{}, l.cfg)
 	c.state = StateSynReceived
 	if l.cfg.ISNKey != 0 {

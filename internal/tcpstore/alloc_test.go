@@ -66,7 +66,7 @@ func TestSetAllocFree(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, op); allocs != 0 {
 		t.Fatalf("Set allocates %.1f objects/op, want 0", allocs)
 	}
-	if st := w.store.Stats; st.Sets != 64+101 || st.RoundTrips != 2*st.Sets || st.BatchSets != 0 || st.BatchRecords != 0 || st.PartialWrites != 0 || st.ReplicaErrors != 0 {
+	if st := w.store.Stats; st.Sets != 64+101 || st.RoundTrips != 2*st.Sets || st.BatchRecords != 0 || st.ReplicaErrors != 0 {
 		t.Fatalf("stats after the sets: %+v", st)
 	}
 	for _, srv := range w.servers {
@@ -112,7 +112,7 @@ func TestDeleteAllocFree(t *testing.T) {
 	}
 	// Per round: one command to each server of the two keys' replica
 	// sets, then one to each replica of the first key.
-	if st := w.store.Stats; st.Deletes != 2*(64+101) || st.RoundTrips != uint64(len(union)+2)*(64+101) || st.PartialWrites != 0 || st.ReplicaErrors != 0 {
+	if st := w.store.Stats; st.Deletes != 2*(64+101) || st.RoundTrips != uint64(len(union)+2)*(64+101) || st.ReplicaErrors != 0 {
 		t.Fatalf("stats after the deletes (replica servers of both keys: %d): %+v", len(union), st)
 	}
 }

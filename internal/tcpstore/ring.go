@@ -9,9 +9,10 @@
 package tcpstore
 
 import (
+	"cmp"
 	"hash/fnv"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/netsim"
 )
@@ -57,7 +58,7 @@ func NewRing(servers []netsim.HostPort) *Ring {
 			})
 		}
 	}
-	sort.Slice(r.points, func(a, b int) bool { return r.points[a].hash < r.points[b].hash })
+	slices.SortFunc(r.points, func(a, b ringPoint) int { return cmp.Compare(a.hash, b.hash) })
 	if len(r.points) == 0 {
 		return r
 	}

@@ -42,14 +42,9 @@ func DefaultConfig() Config {
 // Stats counts client-side operation outcomes.
 type Stats struct {
 	Sets, Gets, Deletes uint64
-	// BatchSets counts SetMulti operations; BatchRecords the records
-	// they carried (records ÷ ops is the achieved batching factor).
-	BatchSets    uint64
-	BatchRecords uint64
-	// PartialWrites counts operations that resolved with a record stored
-	// on some but not all of its replicas (recoverable, but degraded).
-	PartialWrites uint64
-	Hits, Misses  uint64
+	// BatchRecords counts the records SetMulti operations carried.
+	BatchRecords  uint64
+	Hits          uint64
 	ReplicaErrors uint64
 	Timeouts      uint64
 	// RoundTrips counts wire commands issued: one per replica server per
@@ -106,15 +101,13 @@ type Store struct {
 // multiOp is the pooled in-flight state of one Set, SetMulti or Delete.
 // Set is the one-entry write and reports through errCb. A Delete reports
 // through errCb too (which may then be nil): every replica must answer,
-// a reply acks every key of its command, and an answer short of all
-// replicas is not a partial write.
+// and a reply acks every key of its command.
 type multiOp struct {
 	store     *Store
 	del       bool
 	errCb     func(error)
 	cb        func(SetResult) // SetMulti's callback
 	acks      []int           // per entry: replicas that stored it
-	want      []int           // per entry: replicas it was sent to
 	batches   []*batchState
 	delivered int // batch handle invocations, late replies included
 	done      bool
@@ -229,12 +222,9 @@ func (op *multiOp) recycle() {
 // once delivery is complete.
 func (op *multiOp) resolve(timedOut bool) {
 	op.res.TimedOut = timedOut
-	for i, acks := range op.acks {
-		switch {
-		case acks == 0:
+	for _, acks := range op.acks {
+		if acks == 0 {
 			op.res.Err = ErrAllReplicasFailed
-		case acks < op.want[i] && !op.del:
-			op.store.Stats.PartialWrites++
 		}
 	}
 	cb, errCb, res := op.cb, op.errCb, op.res
@@ -380,7 +370,6 @@ func (s *Store) Set(key, value []byte, cb func(error)) {
 // fits one MSS. cb fires exactly once — when all batches have resolved
 // or at OpTimeout — with the per-replica outcome tally.
 func (s *Store) SetMulti(entries []Entry, cb func(SetResult)) {
-	s.Stats.BatchSets++
 	s.Stats.BatchRecords += uint64(len(entries))
 	if len(entries) == 0 {
 		cb(SetResult{})
@@ -413,7 +402,6 @@ func (s *Store) Delete(entries []Entry, cb func(error)) {
 // guarantee depends on the issue order of the underlying writes.
 func (s *Store) issue(op *multiOp, entries []Entry) {
 	op.acks = resetInts(op.acks, len(entries))
-	op.want = resetInts(op.want, len(entries))
 	// Build phase, fully synchronous: no callback can run until the issue
 	// phase below.
 	replicas := s.takePickBuf()
@@ -421,7 +409,6 @@ func (s *Store) issue(op *multiOp, entries []Entry) {
 		kv := memcache.KV{Key: entries[i].Key, Value: entries[i].Value}
 		n := memcache.EntryLen(kv, s.cfg.Expiry, op.del)
 		replicas = s.ring.PickInto(replicas[:0], kv.Key, s.cfg.Replicas)
-		op.want[i] = len(replicas)
 		for _, server := range replicas {
 			b := op.openBatch(server)
 			if b == nil || memcache.CmdLen(len(b.kvs)+1, b.body+n, op.del) > s.cfg.TCP.MSS {
@@ -501,7 +488,6 @@ func (s *Store) Get(key []byte, cb func(value []byte, ok bool, err error)) {
 	n := len(replicas)
 	misses, errs, done := 0, 0, false
 	timer := s.armOpTimeout(&done, func() {
-		s.Stats.Misses++
 		if misses > 0 {
 			cb(nil, false, nil) // a reachable replica answered "no such key"
 		} else {
@@ -528,7 +514,6 @@ func (s *Store) Get(key []byte, cb func(value []byte, ok bool, err error)) {
 			if !done && misses+errs == n {
 				done = true
 				timer.Stop()
-				s.Stats.Misses++
 				if errs == n {
 					cb(nil, false, ErrAllReplicasFailed)
 				} else {

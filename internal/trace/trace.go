@@ -176,9 +176,8 @@ func sampleRules(rng *rand.Rand, min, max int) int {
 // volume (descending), plus min/max/mean.
 type RatioStats struct {
 	// Ratios[i] is the max/avg ratio of the i-th highest-volume VIP.
-	Ratios              []float64
-	Min, Max, Mean      float64
-	MeanTrafficWeighted float64
+	Ratios         []float64
+	Min, Max, Mean float64
 }
 
 // Ratios computes Figure 15's series from the trace.
@@ -192,7 +191,6 @@ func (t *Trace) Ratios() RatioStats {
 	}
 	sort.Slice(ps, func(a, b int) bool { return ps[a].avg > ps[b].avg })
 	st := RatioStats{Min: math.Inf(1)}
-	var wsum, wtot float64
 	for _, p := range ps {
 		st.Ratios = append(st.Ratios, p.ratio)
 		st.Mean += p.ratio
@@ -202,14 +200,9 @@ func (t *Trace) Ratios() RatioStats {
 		if p.ratio > st.Max {
 			st.Max = p.ratio
 		}
-		wsum += p.ratio * p.avg
-		wtot += p.avg
 	}
 	if len(ps) > 0 {
 		st.Mean /= float64(len(ps))
-	}
-	if wtot > 0 {
-		st.MeanTrafficWeighted = wsum / wtot
 	}
 	return st
 }

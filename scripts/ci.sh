@@ -14,8 +14,8 @@
 #                             each of the HTTP codec's, the scheduler's,
 #                             the packet trains', the TCP batch path's
 #                             and the memcached session's differential
-#                             fuzzers, and the RNG, dead-export and
-#                             lifecycle-seam lints
+#                             fuzzers, and the RNG, dead-export,
+#                             write-only-state and lifecycle-seam lints
 #      coverage ratchet       every function of internal/core and
 #                             internal/l4lb runs under its own package's
 #                             tests, or is allowlisted with its reason
@@ -31,10 +31,11 @@
 #                             every orphan adopted once, and no flow
 #                             entry, store record or mux affinity entry
 #                             left at settle
-#   9. kill-then-drop sweep   the instance owning a fetch killed after
+#   9. kill-then-fault sweeps the instance owning a fetch killed after
 #                             each step, then each of the 24 packets
-#                             after the kill lost, over five seeds
-#                             (go test sweeps two)
+#                             after the kill lost, or duplicated, over
+#                             five seeds (go test sweeps two of drops,
+#                             one of duplicates)
 #  10. go test -race          full suite under the race detector
 #  11. benchmarks             every Benchmark* compiles and runs one
 #      iteration (the heavy figure benchmarks are excluded by name; run
@@ -205,7 +206,7 @@ go test -run '^$' -fuzz 'FuzzBatchDispatchDifferential' -fuzztime 10s -fuzzminim
 # reference parser: same replies, same engine state.
 go test -run '^$' -fuzz 'FuzzMemcacheSessionDifferential' -fuzztime 10s -fuzzminimizetime 2s ./internal/memcache/
 
-echo "== rng + dead-export + lifecycle-seam lints (grep fast-fail; TestNoStrayRNGConstruction, TestNoDeadExports and TestOneLifecycleSeam are the test halves) =="
+echo "== rng + dead-export + write-only-state + lifecycle-seam lints (grep fast-fail; TestNoStrayRNGConstruction, TestNoDeadExports, TestNoWriteOnlyState and TestOneLifecycleSeam are the test halves) =="
 # Only netsim (the network's RNG) and the trial-level drivers may construct
 # generators; dataplane components must cache Network.Rand at build time.
 if grep -rn --include='*.go' 'rand\.New(' cmd examples internal *.go 2>/dev/null \
@@ -215,8 +216,9 @@ if grep -rn --include='*.go' 'rand\.New(' cmd examples internal *.go 2>/dev/null
   exit 1
 fi
 # Every exported func, method and type under internal/ has a non-test
-# caller or an allowlist entry that says why it stays (deadlint_test.go).
-go test -run 'TestNoDeadExports|TestNoStrayRNGConstruction' .
+# caller, and every struct field a non-test reader, or an allowlist entry
+# that says why it stays (deadlint_test.go).
+go test -run 'TestNoDeadExports|TestNoWriteOnlyState|TestWriteOnlyClassifier|TestNoStrayRNGConstruction' .
 # In core, only setState writes a flow's state and only note increments a
 # lifecycle outcome counter (internal/core/seam_test.go).
 go test -run 'TestOneLifecycleSeam' ./internal/core/
@@ -275,12 +277,13 @@ echo "== mflow hybrid (yodasim -exp mflow -recovery hybrid must end PASS) =="
 go run ./cmd/yodasim -exp mflow -recovery hybrid | tee "$GATE_DIR/mflow_hybrid"
 grep -qx '  PASS' "$GATE_DIR/mflow_hybrid" || { echo "FAIL: hybrid mflow did not pass" >&2; exit 1; }
 
-echo "== kill-then-drop sweep (TestKillThenDropEveryPacket over seeds 11-15) =="
-# go test sweeps seeds 11-12; this stage takes the five seeds the kill
-# sweep uses. Every point passes TestKillOwnerAtEveryStep's settle checks
-# and adopts the flow at most once, never after its first close, but
-# defect (k)'s pinned points (internal/core/e2e_test.go, defectK).
-go test -count=1 -run 'TestKillThenDropEveryPacket' ./internal/core/ -killdrop.seeds=5
+echo "== kill-then-fault sweeps (TestKillThenDropEveryPacket and TestKillThenDuplicateEveryPacket over seeds 11-15) =="
+# go test sweeps seeds 11-12 of drops and seed 11 of duplicates; this
+# stage takes the five seeds the kill sweep uses, for both. Every point
+# passes TestKillOwnerAtEveryStep's settle checks and adopts the flow at
+# most once, never after its first close, but defect (k)'s pinned points
+# (internal/core/e2e_test.go, defectK).
+go test -count=1 -run 'TestKillThen(Drop|Duplicate)EveryPacket' ./internal/core/ -killdrop.seeds=5
 
 echo "== go test -race =="
 go test -race ./...
