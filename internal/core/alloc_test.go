@@ -282,21 +282,21 @@ func flowAllocs(t *testing.T, hybrid, keepAlive bool) float64 {
 }
 
 // TestFlowAllocBudget is core's line of the allocation ledger (DESIGN.md,
-// "What a request allocates"). A flow allocates 5 objects in core: the
-// flow, its idle-timer and one-shot-timer callbacks, the request buffer
-// and the request head's string copy. The memcached answering storage-a
-// and storage-b in paper mode adds nothing: each record is a chunk of a
-// slab page it already holds. A keep-alive flow whose second request
-// re-dials another backend adds 5: its kaState, held bytes and request
-// queue, and the second request head's two (its string copy and header
-// fields). The re-dial itself — the first dial's code, every segment
-// pooled — allocates nothing.
+// "What a request allocates"). A flow allocates 2 objects in core: the
+// request buffer and the request head's string copy. The flow object and
+// its idle-timer and one-shot-timer callbacks are a torn-down flow's,
+// reused. The memcached answering storage-a and storage-b in paper mode
+// adds nothing: each record is a chunk of a slab page it already holds.
+// A keep-alive flow whose second request re-dials another backend adds
+// 5: its kaState, held bytes and request queue, and the second request
+// head's two (its string copy and header fields). The re-dial itself —
+// the first dial's code, every segment pooled — allocates nothing.
 func TestFlowAllocBudget(t *testing.T) {
 	for _, c := range []struct {
 		name              string
 		hybrid, keepAlive bool
 		budget            float64
-	}{{"paper", false, false, 5}, {"hybrid", true, false, 5}, {"keep-alive switch", false, true, 5 + 5}} {
+	}{{"paper", false, false, 2}, {"hybrid", true, false, 2}, {"keep-alive switch", false, true, 2 + 5}} {
 		if n := flowAllocs(t, c.hybrid, c.keepAlive); n > c.budget {
 			t.Errorf("%s: a whole flow allocates %v objects, budget %v", c.name, n, c.budget)
 		} else {

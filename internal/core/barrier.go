@@ -45,8 +45,9 @@ type BarrierStats struct {
 // writeBarrier persists entries in one batched store round trip, then
 // runs commit — or fail, when StrictPersist is set and some record
 // ended up on zero replicas. Exactly one of commit/fail runs, with f,
-// and only if f is still the live flow for its client tuple (a flow torn
-// down while the write was in flight gets neither). fail may be nil,
+// and only if f is still the live flow for its client tuple in the same
+// life (a flow torn down meanwhile gets neither, whatever its object
+// serves by then). fail may be nil,
 // which forces the degrade path even under StrictPersist (used where no
 // sensible abort exists). Handed the flow, storage-a and storage-b pass
 // methods bound once per instance; rarer barriers pass closures.
@@ -56,7 +57,7 @@ func (in *Instance) writeBarrier(f *flow, entries []tcpstore.Entry, commit func(
 	// epoch flush can skip it.
 	f.persisted = true
 	op := in.takeBarrierOp()
-	op.f, op.commit, op.fail = f, commit, fail
+	op.f, op.gen, op.commit, op.fail = f, f.gen, commit, fail
 	op.storeStart = in.net.Now()
 	in.store.SetMulti(entries, op.cb)
 }
@@ -69,6 +70,7 @@ func (in *Instance) writeBarrier(f *flow, entries []tcpstore.Entry, commit func(
 type barrierOp struct {
 	in         *Instance
 	f          *flow
+	gen        uint32 // f's generation when the write went out
 	commit     func(*flow)
 	fail       func(*flow, error)
 	storeStart time.Duration
@@ -87,14 +89,14 @@ func (in *Instance) takeBarrierOp() *barrierOp {
 }
 
 func (op *barrierOp) resolve(res tcpstore.SetResult) {
-	in, f, commit, fail := op.in, op.f, op.commit, op.fail
+	in, f, gen, commit, fail := op.in, op.f, op.gen, op.commit, op.fail
 	storeStart := op.storeStart
 	op.f, op.commit, op.fail = nil, nil, nil
 	if len(in.freeBarrierOps) < 32 {
 		in.freeBarrierOps = append(in.freeBarrierOps, op)
 	}
 	in.StorageLat.Add(in.net.Now() - storeStart)
-	if in.flows.get(f.clientTuple()) != f {
+	if f.gen != gen || in.flows.get(f.clientTuple()) != f {
 		return // flow torn down while the write was in flight
 	}
 	if res.TimedOut {

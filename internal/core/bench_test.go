@@ -20,7 +20,7 @@ func benchTunnelSetup(n *netsim.Network) (*Instance, *flow) {
 	store := tcpstore.New(instHost, nil, tcpstore.DefaultConfig())
 	in := NewInstance(instHost, lb, store, DefaultConfig())
 
-	f := &flow{
+	f := in.newFlow(flow{
 		vip:          netsim.HostPort{IP: 0x0a0000fe, Port: 80},
 		client:       netsim.HostPort{IP: 0xc0a80001, Port: 40000},
 		server:       netsim.HostPort{IP: 0x0a000020, Port: 8080},
@@ -32,7 +32,7 @@ func benchTunnelSetup(n *netsim.Network) (*Instance, *flow) {
 		state:        stateTunnel,
 		fromClient:   assembler{next: 1001},
 		toClientNext: 5001,
-	}
+	})
 	in.flows.put(f.clientTuple(), f)
 	in.flows.put(f.serverTuple(), f)
 
@@ -115,7 +115,7 @@ func benchStorageSetup(n *netsim.Network, nServers int) (*Instance, *flow) {
 	store := tcpstore.New(instHost, servers, tcpstore.DefaultConfig())
 	in := NewInstance(instHost, lb, store, DefaultConfig())
 
-	f := &flow{
+	f := in.newFlow(flow{
 		vip:       netsim.HostPort{IP: 0x0a0000fe, Port: 80},
 		client:    netsim.HostPort{IP: 0xc0a80001, Port: 40000},
 		server:    netsim.HostPort{IP: 0x0a000020, Port: 8080},
@@ -124,7 +124,7 @@ func benchStorageSetup(n *netsim.Network, nServers int) (*Instance, *flow) {
 		delta:       ^uint32(3999),
 		state:       stateTunnel,
 		backendName: "be-1",
-	}
+	})
 	in.flows.put(f.clientTuple(), f)
 	in.flows.put(f.serverTuple(), f)
 	return in, f

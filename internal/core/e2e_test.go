@@ -312,6 +312,19 @@ func settle(t *testing.T, r *killRun, where string) (adopted, late uint64) {
 	if res == nil || res.Err != nil || !bytes.Equal(res.Resp.Body, e2eObjects["/100k"]) {
 		t.Fatalf("%s: fetch %+v", where, res)
 	}
+	requireSettled(t, tb, where)
+	adopted = adoptions(tb)
+	if r.atClose >= 0 {
+		late = adopted - uint64(r.atClose)
+	}
+	return adopted, late
+}
+
+// requireSettled is settle's check of what a settled cluster holds: no
+// flow entry, recovery queue or SNAT port on any instance, the dead ones
+// too, and no record in the store or affinity entry at the muxes.
+func requireSettled(t *testing.T, tb *testbed.Bed, where string) {
+	t.Helper()
 	for i, in := range tb.C.Yoda {
 		if n, q, p := in.FlowCount(), in.PendingQueues(), in.SNATPortsInUse(); n+q+p != 0 {
 			t.Fatalf("%s: instance %d holds %d flow entries, %d recovery queues, %d SNAT ports", where, i, n, q, p)
@@ -325,11 +338,6 @@ func settle(t *testing.T, r *killRun, where string) (adopted, late uint64) {
 	if n := tb.C.L4.AffinityCount(); n != 0 {
 		t.Fatalf("%s: the muxes hold %d affinity entries", where, n)
 	}
-	adopted = adoptions(tb)
-	if r.atClose >= 0 {
-		late = adopted - uint64(r.atClose)
-	}
-	return adopted, late
 }
 
 // TestKillOwnerAtEveryStep kills the instance that owns one /100k fetch
@@ -369,9 +377,10 @@ func TestKillOwnerAtEveryStep(t *testing.T) {
 }
 
 // killDropSeeds is how many seeds, from 11, each kill-then-fault sweep
-// covers; ci.sh runs five. 0 means the go test default: two seeds of
-// drops, one of duplicates.
-var killDropSeeds = flag.Int("killdrop.seeds", 0, "seeds (from 11) each kill-then-fault sweep covers; 0 runs 2 for drops and 1 for duplicates")
+// and TestKillEachInstanceThroughScenario cover; ci.sh runs five. 0 means
+// the go test default: two seeds of drops, one of duplicates and of the
+// scenario.
+var killDropSeeds = flag.Int("killdrop.seeds", 0, "seeds (from 11) each kill-then-fault sweep and the scenario kill sweep cover; 0 runs 2 for drops and 1 for duplicates and the scenario")
 
 // defectK is defect (k)'s window in the kill-then-drop sweep, paper arm,
 // as (seed, kill step, dropped packet): the lost packet is the dead

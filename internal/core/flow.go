@@ -24,6 +24,7 @@ type flow struct {
 	delta     uint32 // seqToClient = seqFromServer + delta
 
 	state       flowState // see state.go
+	gen         uint32    // lives this object has ended (retire)
 	backendName string
 	keepAlive   bool
 	// stateless is decided once, at the SYN: hybrid mode is on and this
@@ -37,6 +38,7 @@ type flow struct {
 	// teardown deletes (nothing to delete) and marks them for the
 	// epoch-bump flush.
 	persisted bool
+	retired   bool // torn down and filed for reuse (retire)
 
 	// The client's byte stream: the connection phase assembles it into
 	// reqBuf, keep-alive inspection into kaState.held.
@@ -55,9 +57,9 @@ type flow struct {
 	// TLS termination state; see tls.go.
 	tls *flowTLS
 
-	// Timers. idleFn is the idle timer's callback, built once by armIdle
-	// and handed back to the scheduler on every re-arm; timerFn, built by
-	// flowTimer, is that of the lookup delay, the dial retries and linger.
+	// Timers, all stored so unlink stops them. idleFn is the idle timer's
+	// callback and timerFn that of the lookup delay, the dial retries and
+	// linger, both bound once per flow object (newFlow).
 	idleTimer   netsim.Timer
 	idleFn      func()
 	timerFn     func()
@@ -116,7 +118,7 @@ func (f *flow) fillRecord(r *Record, ts *TLSState, phase FlowPhase) {
 func (in *Instance) newClientFlow(pkt *netsim.Packet) {
 	now := in.net.Now()
 	in.CPU.Charge(now, in.cfg.CPUConnPhase)
-	f := &flow{
+	f := in.newFlow(flow{
 		vip:          pkt.Dst,
 		client:       pkt.Src,
 		clientISN:    pkt.Seq,
@@ -124,7 +126,7 @@ func (in *Instance) newClientFlow(pkt *netsim.Packet) {
 		fromClient:   assembler{next: pkt.Seq + 1},
 		toClientNext: isnHash(pkt.Src, pkt.Dst) + 1,
 		lastActive:   now,
-	}
+	})
 	in.flows.put(f.clientTuple(), f)
 	in.note(evNewFlow, f.vip.IP)
 	in.armIdle(f)
@@ -332,7 +334,7 @@ func (in *Instance) selectAndDial(f *flow, req *httpsim.Request) {
 	if ck := sessionCookie(req); ck != "" {
 		engine.Learn("cookie-table", ck, decision.Backend)
 	}
-	in.flowTimer(f, lookup) // the lookup delay: sendServerSyn when it is over
+	f.dialTimer = in.net.Schedule(lookup, f.timerFn) // the lookup delay: sendServerSyn when it is over
 }
 
 // sessionCookie extracts the canonical session cookie if present.
@@ -367,16 +369,7 @@ func (in *Instance) sendServerSyn(f *flow) {
 	in.l4.SendViaSNAT(in.packet(f.snat, f.server, netsim.FlagSYN, f.dialBase()-1, 0, advWindow), in.IP())
 	f.dialTries++
 	f.dialTimer.Stop()
-	f.dialTimer = in.flowTimer(f, 3*time.Second)
-}
-
-// flowTimer arms the lookup delay, a dial retry or the linger on the
-// flow's one callback for them all, which it binds on first use.
-func (in *Instance) flowTimer(f *flow, d time.Duration) netsim.Timer {
-	if f.timerFn == nil {
-		f.timerFn = func() { in.onFlowTimer(f) }
-	}
-	return in.net.Schedule(d, f.timerFn)
+	f.dialTimer = in.net.Schedule(3*time.Second, f.timerFn)
 }
 
 // onFlowTimer tells them apart by the flow's state. In Dialing the lookup
@@ -569,13 +562,13 @@ func (in *Instance) maybeFinish(f *flow) {
 	if !f.clientFin || !f.serverFin || f.lingerTimer.Active() {
 		return
 	}
-	f.lingerTimer = in.flowTimer(f, finLinger)
+	f.lingerTimer = in.net.Schedule(finLinger, f.timerFn)
 }
 
 // teardown removes flow state locally, from TCPStore, and from the L4
 // LB's affinity tables: every record the flow may have written is
 // deleted, and both tuple orientations are released, so nothing the flow
-// held outlives it.
+// held outlives it. Then the flow object is retired for reuse.
 func (in *Instance) teardown(f *flow) {
 	in.note(evClose, f.vip.IP)
 	in.unlink(f)
@@ -588,6 +581,33 @@ func (in *Instance) teardown(f *flow) {
 	if bound {
 		in.releaseSNATPort(f.snat.Port)
 		in.l4.Release(f.serverTuple(), in.IP())
+	}
+	in.retire(f)
+}
+
+// newFlow returns a flow set to init on a retired object, keeping its
+// generation and bound callbacks, or on a new one. It runs where a packet
+// or store reply finds no flow: no frame below still reads a retired one.
+func (in *Instance) newFlow(init flow) *flow {
+	f := in.spareFlows.Take()
+	if f == nil {
+		f = new(flow)
+		f.idleFn = func() { in.onIdle(f) }
+		f.timerFn = func() { in.onFlowTimer(f) }
+	}
+	gen, idleFn, timerFn := f.gen, f.idleFn, f.timerFn
+	*f = init
+	f.gen, f.idleFn, f.timerFn = gen, idleFn, timerFn
+	return f
+}
+
+// retire ends f's life: its generation, which a barrier in flight checks,
+// moves on, and it waits for newFlow unchanged for the frames unwinding.
+func (in *Instance) retire(f *flow) {
+	if !f.retired {
+		f.retired = true
+		f.gen++
+		in.spareFlows.Put(in.net, f)
 	}
 }
 
@@ -606,18 +626,18 @@ func (in *Instance) unlink(f *flow) {
 // armIdle starts the flow's idle timer: it comes round every
 // FlowIdleTimeout and tears the flow down once it has sat idle that long.
 func (in *Instance) armIdle(f *flow) {
-	if in.cfg.FlowIdleTimeout <= 0 {
+	if in.cfg.FlowIdleTimeout > 0 {
+		f.idleTimer = in.net.Schedule(in.cfg.FlowIdleTimeout, f.idleFn)
+	}
+}
+
+func (in *Instance) onIdle(f *flow) {
+	if in.flows.get(f.clientTuple()) != f {
 		return
 	}
-	f.idleFn = func() {
-		if in.flows.get(f.clientTuple()) != f {
-			return
-		}
-		if in.net.Now()-f.lastActive >= in.cfg.FlowIdleTimeout {
-			in.teardown(f)
-			return
-		}
-		f.idleTimer = in.net.Schedule(in.cfg.FlowIdleTimeout, f.idleFn)
+	if in.net.Now()-f.lastActive >= in.cfg.FlowIdleTimeout {
+		in.teardown(f)
+		return
 	}
 	f.idleTimer = in.net.Schedule(in.cfg.FlowIdleTimeout, f.idleFn)
 }
@@ -716,7 +736,7 @@ func (in *Instance) installRecovered(rec *Record, ev event) *flow {
 	if existing := in.flows.get(ct); existing != nil {
 		return existing
 	}
-	f := &flow{
+	f := in.newFlow(flow{
 		vip:        rec.VIP,
 		client:     rec.Client,
 		clientISN:  rec.ClientISN,
@@ -727,7 +747,7 @@ func (in *Instance) installRecovered(rec *Record, ev event) *flow {
 		persisted:  ev == evAdoptStore,
 		lastActive: in.net.Now(),
 		synAckSent: true,
-	}
+	})
 	if rec.TLS != nil {
 		f.tls = &flowTLS{key: rec.TLS.Key, serverHelloLen: int(rec.TLS.ServerHelloLen)}
 		// The hello was consumed (and ACKed) before the record carried a

@@ -142,7 +142,8 @@ type Instance struct {
 	recRecord      Record
 	recTLS         TLSState
 	freeBarrierOps []*barrierOp
-	req            httpsim.Request // connection-phase header-parse scratch
+	spareFlows     netsim.Spares[*flow] // retired flows, for newFlow
+	req            httpsim.Request      // connection-phase header-parse scratch
 	// The per-flow barriers' continuations (see writeBarrier), bound once.
 	synAckFn, tunnelFn       func(*flow)
 	abandonFn, unpersistedFn func(*flow, error)

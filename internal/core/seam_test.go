@@ -182,3 +182,26 @@ func TestAdoptionCountedOnce(t *testing.T) {
 		t.Fatalf("one flow orphaned under both tuples: Recovered = %d, LookupMisses = %d; want 1 and 0", succ.Recovered, succ.LookupMisses)
 	}
 }
+
+// TestBarrierIgnoresReusedFlow: a flow is torn down while its barrier
+// write is in flight, and the next flow, on another tuple, takes the same
+// object before the store answers (the network is not poisoned, so the
+// object is reused). The write then resolves to nothing, though the index
+// maps the object's new client tuple to it: it belongs to the object's
+// last life, which the generation tells apart.
+func TestBarrierIgnoresReusedFlow(t *testing.T) {
+	n := netsim.New(7)
+	in, f := benchStorageSetup(n, 3)
+	ran := 0
+	in.writeBarrier(f, in.barrierEntries(f, PhaseTunnel, true), func(*flow) { ran++ }, func(*flow, error) { ran++ })
+	in.teardown(f)
+	g := in.newFlow(flow{vip: f.vip, client: netsim.HostPort{IP: 0xc0a80002, Port: 40001}})
+	if g != f {
+		t.Fatal("the next flow did not take the torn-down flow's object")
+	}
+	in.flows.put(g.clientTuple(), g)
+	n.RunUntilIdle(1 << 16)
+	if ran != 0 {
+		t.Fatal("a barrier write of the object's last life ran its continuation on the flow it serves now")
+	}
+}

@@ -26,9 +26,9 @@ type FetchResult struct {
 	Attempts int           // 1 = no retry
 	// TimedOut is true when the HTTP timeout elapsed on any attempt.
 	TimedOut bool
-	// Conn is the TCP connection of the last attempt, retained so tests
-	// and experiments can read per-conn stats (retransmits, elided ACKs)
-	// after the fetch resolves.
+	// Conn is the TCP connection of the last attempt, for done to read
+	// its stats (retransmits). It is valid only until done returns: the
+	// client then releases it (tcp.Conn.Release) once it has closed.
 	Conn *tcp.Conn
 }
 
@@ -56,8 +56,9 @@ func DefaultClientConfig() ClientConfig {
 // per connection (HTTP/1.0-style; the Yoda keep-alive path is exercised
 // through the KeepAliveClient below).
 type Client struct {
-	host *netsim.Host
-	cfg  ClientConfig
+	host   *netsim.Host
+	cfg    ClientConfig
+	spares netsim.Spares[*fetch] // fetches done with, for the next Fetch
 }
 
 // NewClient creates a client on the given host.
@@ -69,9 +70,17 @@ func NewClient(host *netsim.Host, cfg ClientConfig) *Client {
 // drives the full TCP + HTTP exchange in virtual time. req is only read.
 // The result and its Resp are the caller's, but Resp.Body is lent: when
 // done returns, its array goes back to a pool and the next response is
-// parsed into it, so a done that keeps the bytes copies them.
+// parsed into it, so a done that keeps the bytes copies them; so is the
+// result's Conn. done may start the next Fetch.
 func (cl *Client) Fetch(addr netsim.HostPort, req *Request, done func(*FetchResult)) {
-	cl.attempt(addr, req, FetchResult{Started: cl.host.Network().Now()}, cl.cfg.Retries, done)
+	f := cl.spares.Take()
+	if f == nil {
+		f = &fetch{cl: cl}
+		f.timeoutFn = f.timeout
+	}
+	f.addr, f.req, f.retries, f.done = addr, req, cl.cfg.Retries, done
+	f.res = &FetchResult{Started: cl.host.Network().Now()}
+	f.attempt()
 }
 
 // Get is a convenience wrapper fetching a path with a default request.
@@ -79,60 +88,70 @@ func (cl *Client) Get(addr netsim.HostPort, path string, done func(*FetchResult)
 	cl.Fetch(addr, NewRequest(path, addr.IP.String()), done)
 }
 
-// fetch is one attempt, the user word of its conn (res.Conn) for the
-// fetch* callbacks; timeout is the one closure an attempt binds.
+// fetch is one Fetch and the user word of its attempts' conns; timeoutFn
+// is its one closure. It is recycled as its outcome goes to done, while
+// its last conn may still be closing: a callback whose conn is no longer
+// the fetch's acts for nobody but releases the conn once it has closed.
 type fetch struct {
-	cl       *Client
-	addr     netsim.HostPort
-	req      *Request
-	retries  int // attempts still allowed after this one
-	done     func(*FetchResult)
-	timer    netsim.Timer
-	finished bool
-	parser   ResponseParser
-	body     bodyLoan
-	res      FetchResult
+	cl        *Client
+	addr      netsim.HostPort
+	req       *Request
+	retries   int // attempts still allowed after this one
+	done      func(*FetchResult)
+	conn      *tcp.Conn // the current attempt's
+	timer     netsim.Timer
+	timeoutFn func()
+	parser    ResponseParser
+	body      bodyLoan
+	res       *FetchResult
 }
 
-// attempt starts one try with res, the result so far, carried over.
-func (cl *Client) attempt(addr netsim.HostPort, req *Request, res FetchResult, retriesLeft int, done func(*FetchResult)) {
-	f := &fetch{cl: cl, addr: addr, req: req, retries: retriesLeft, done: done, res: res}
+// attempt starts one try; the result so far is carried over in res.
+func (f *fetch) attempt() {
 	f.res.Attempts++
-	f.timer = cl.host.Network().Schedule(cl.cfg.Timeout, f.timeout)
-	f.res.Conn = tcp.Dial(cl.host, addr, tcp.Callbacks{
+	f.parser = ResponseParser{}
+	f.timer = f.cl.host.Network().Schedule(f.cl.cfg.Timeout, f.timeoutFn)
+	f.conn = tcp.Dial(f.cl.host, f.addr, tcp.Callbacks{
 		OnEstablished: fetchEstablished,
 		OnData:        fetchData,
 		OnPeerClose:   closeOnPeerClose,
+		OnClose:       fetchClosed,
 		OnFail:        fetchFailed,
 		User:          f,
-	}, cl.cfg.TCP)
+	}, f.cl.cfg.TCP)
+	f.res.Conn = f.conn
 }
 
 func (f *fetch) timeout() {
 	f.res.TimedOut = true
-	f.res.Conn.Abort()
+	f.conn.Abort()
 	f.finish(nil, ErrHTTPTimeout)
 }
 
-// finish resolves the attempt once: a failure with retries left starts
-// the next attempt, anything else is the fetch's outcome. The body array
+// finish resolves the attempt: a failure with retries left starts the
+// next attempt, anything else is the fetch's outcome, and the fetch goes
+// back to the spares first, for a done that fetches again. The body array
 // goes back before the retry starts, or once done has returned; a failed
-// attempt's never reaches done.
+// attempt's never reaches done. The conn is released once it has closed.
 func (f *fetch) finish(resp *Response, err error) {
-	if f.finished {
-		return
-	}
-	f.finished = true
 	f.timer.Stop()
-	nw := f.cl.host.Network()
+	nw, c := f.cl.host.Network(), f.conn
 	if err != nil && f.retries > 0 {
 		f.body.giveBack(nw)
-		f.cl.attempt(f.addr, f.req, f.res, f.retries-1, f.done)
+		c.Release()
+		f.retries--
+		f.attempt()
 		return
 	}
-	f.res.Resp, f.res.Err, f.res.Finished = resp, err, nw.Now()
-	f.done(&f.res)
-	f.body.giveBack(nw)
+	res, done, body := f.res, f.done, f.body
+	res.Resp, res.Err, res.Finished = resp, err, nw.Now()
+	*f = fetch{cl: f.cl, timeoutFn: f.timeoutFn}
+	f.cl.spares.Put(nw, f)
+	done(res)
+	body.giveBack(nw)
+	if c.State() == tcp.StateClosed {
+		c.Release()
+	}
 }
 
 func fetchEstablished(c *tcp.Conn) {
@@ -143,6 +162,9 @@ func fetchEstablished(c *tcp.Conn) {
 
 func fetchData(c *tcp.Conn, d []byte) {
 	f := c.User().(*fetch)
+	if f.conn != c {
+		return // bytes past the response the fetch finished with
+	}
 	resps, err := f.parser.p.feed(d, parseResponseHead, (*Response).done, &f.body) // Feed, bodies lent
 	if err != nil {
 		c.Abort()
@@ -157,10 +179,19 @@ func fetchData(c *tcp.Conn, d []byte) {
 
 func fetchFailed(c *tcp.Conn, err error) {
 	f := c.User().(*fetch)
-	if errors.Is(err, tcp.ErrReset) {
+	if f.conn != c {
+		c.Release()
+	} else if errors.Is(err, tcp.ErrReset) {
 		f.finish(nil, ErrConnReset)
 	} else {
 		f.finish(nil, ErrConnFailed)
+	}
+}
+
+// fetchClosed releases a conn that closes after its fetch finished.
+func fetchClosed(c *tcp.Conn) {
+	if c.User().(*fetch).conn != c {
+		c.Release()
 	}
 }
 

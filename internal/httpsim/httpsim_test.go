@@ -231,6 +231,12 @@ func newWorld(seed int64, objects map[string][]byte) *world {
 func newWorldServing(seed int64, h Handler) *world {
 	n := netsim.New(seed)
 	n.PoisonReleasedBufs() // nothing may read a payload after its sender's full ACK
+	return newWorldOn(n, h)
+}
+
+// newWorldOn builds the two-host world on n as it is: one that is not
+// poisoned reuses what its conns, client and server release.
+func newWorldOn(n *netsim.Network, h Handler) *world {
 	ch := netsim.NewHost(n, netsim.IPv4(100, 0, 0, 1))
 	sh := netsim.NewHost(n, netsim.IPv4(10, 0, 0, 1))
 	srv := NewServer(sh, 80, h, DefaultServerConfig())
@@ -391,14 +397,14 @@ func TestServerConnectionCountTracksCloses(t *testing.T) {
 // TestFetchAllocBudget is the HTTP layers' line of the allocation ledger
 // (DESIGN.md, "What a request allocates"): one close-mode fetch of a
 // 2 KiB object, client and server on a bare two-host network, costs at
-// most 14 allocations once the network's pools are warm. The client's 7:
-// the fetch object, its timeout closure, the connection and its
-// retransmit closure, and the response (message, head copy, header set;
-// the body's array is lent from bodyPools). The server's 7: the
-// serverConn, its respond closure, the connection and its retransmit
-// closure, and the request (message, head copy, header set).
+// most 7 allocations once the network's pools and the spares are warm.
+// The client's 4: the FetchResult and the response (message, head copy,
+// header set; the body's array is lent from bodyPools). The server's 3:
+// the request (message, head copy, header set). The fetch, the
+// serverConn, their closures and both connections are recycled, so the
+// world is not poisoned: a poisoned one quarantines what is released.
 func TestFetchAllocBudget(t *testing.T) {
-	w := newWorld(11, map[string][]byte{"/obj": bytes.Repeat([]byte("o"), 2<<10)})
+	w := newWorldOn(netsim.New(11), MapHandler(map[string][]byte{"/obj": bytes.Repeat([]byte("o"), 2<<10)}))
 	req := NewRequest("/obj", "svc")
 	fetched := 0
 	done := func(r *FetchResult) {
@@ -419,8 +425,8 @@ func TestFetchAllocBudget(t *testing.T) {
 	if fetched != 64+101 {
 		t.Fatalf("%d fetches completed, want %d", fetched, 64+101)
 	}
-	if n > 14 {
-		t.Errorf("one fetch allocates %v objects, budget 14", n)
+	if n > 7 {
+		t.Errorf("one fetch allocates %v objects, budget 7", n)
 	}
 	if len(req.header) != 1 {
 		t.Errorf("Fetch changed the caller's request: %+v", req.header)

@@ -57,7 +57,8 @@ type Server struct {
 	// ActiveConns tracks currently open connections.
 	ActiveConns int
 
-	head []byte // scratch for response heads; WriteStatic copies it out at once
+	head   []byte                     // scratch for response heads; WriteStatic copies it out at once
+	spares netsim.Spares[*serverConn] // released serverConns, for the next accept
 }
 
 // NewServer starts a server on host:port with the given handler.
@@ -73,7 +74,7 @@ func (s *Server) Host() *netsim.Host { return s.host }
 // serverConn is an accepted connection's user word. pending holds the
 // requests waiting out ProcessingDelay, inline until a pipelined burst
 // outgrows it; equal delays fire in order, so each respond answers the
-// oldest.
+// oldest. respond is bound once per serverConn, which is recycled.
 type serverConn struct {
 	s       *Server
 	conn    *tcp.Conn
@@ -85,8 +86,12 @@ type serverConn struct {
 
 func (s *Server) accept(c *tcp.Conn) tcp.Callbacks {
 	s.ActiveConns++
-	sc := &serverConn{s: s, conn: c}
-	sc.pending, sc.respond = sc.inline[:0], sc.sendNext
+	sc := s.spares.Take()
+	if sc == nil {
+		sc = &serverConn{s: s}
+		sc.respond = sc.sendNext
+	}
+	sc.conn, sc.pending = c, sc.inline[:0]
 	return tcp.Callbacks{
 		OnData:      serverConnData,
 		OnPeerClose: closeOnPeerClose,
@@ -114,8 +119,19 @@ func serverConnData(c *tcp.Conn, d []byte) {
 }
 
 func serverConnClosed(c *tcp.Conn) {
-	if s := c.User().(*serverConn).s; s.ActiveConns > 0 {
+	sc := c.User().(*serverConn)
+	if s := sc.s; s.ActiveConns > 0 {
 		s.ActiveConns--
+	}
+	sc.release()
+}
+
+// release recycles sc and its conn once it has closed and no respond waits.
+func (sc *serverConn) release() {
+	if len(sc.pending) == 0 && sc.conn.State() == tcp.StateClosed {
+		sc.conn.Release()
+		sc.parser = RequestParser{}
+		sc.s.spares.Put(sc.s.host.Network(), sc)
 	}
 }
 
@@ -131,6 +147,7 @@ func (sc *serverConn) sendNext() {
 	if !keepAlive {
 		sc.conn.Close()
 	}
+	sc.release()
 }
 
 // send is the one way a response leaves the server, whatever its size:

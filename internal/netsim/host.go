@@ -185,7 +185,8 @@ func (h *Host) decap(pkt *Packet) *Packet {
 }
 
 // Demux routes an already-decapsulated segment to its connection,
-// listener, or default handler — the tail of HandlePacket. Exposed so a
+// listener, or default handler — the tail of HandlePacket — and releases
+// one none of them takes (a late ACK for a closed conn). Exposed so a
 // BatchPortHandler that invalidates its own demux entry mid-run (a
 // connection that closes itself) can re-route the run's remaining
 // segments exactly as scalar delivery would have.
@@ -200,7 +201,9 @@ func (h *Host) Demux(pkt *Packet) {
 	}
 	if h.Default != nil {
 		h.Default.HandleSegment(pkt)
+		return
 	}
+	h.net.ReleasePacket(pkt)
 }
 
 // HandlePacket implements Node.

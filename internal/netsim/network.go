@@ -104,6 +104,7 @@ type Network struct {
 	pktFree   []*Packet
 	bufs      bufPool
 	trainFree []*trainBox
+	conns     Spares[PortHandler] // released transport endpoints (SpareConns)
 
 	// Stats counters.
 	Delivered       uint64

@@ -152,3 +152,30 @@ func (nw *Network) ScrubReleased(b []byte) {
 		}
 	}
 }
+
+// Spares is a free list of objects whose life is one connection, for
+// their owner (a network, server, client or instance: it dies with its
+// cluster) to re-initialise instead of allocating. It keeps at most 128,
+// the swing in open connections, as an idle one is live heap, and none
+// under PoisonReleasedBufs: a released object fails a late use instead.
+type Spares[T any] struct{ free []T }
+
+// Put files x, released, on the list.
+func (s *Spares[T]) Put(nw *Network, x T) {
+	if !nw.bufs.poison && len(s.free) < 128 {
+		s.free = append(s.free, x)
+	}
+}
+
+// Take returns the object filed last, or the zero T.
+func (s *Spares[T]) Take() (x T) {
+	if k := len(s.free) - 1; k >= 0 {
+		x, s.free[k] = s.free[k], x
+		s.free = s.free[:k]
+	}
+	return x
+}
+
+// SpareConns lists released transport endpoints (tcp.Conn.Release) for
+// the next connection on any host of the network.
+func (nw *Network) SpareConns() *Spares[PortHandler] { return &nw.conns }

@@ -113,11 +113,13 @@ var (
 )
 
 // Callbacks notify the application of connection events. Any field may be
-// nil. Callbacks run inside the netsim event loop and must not block.
-// User is the connection's user word, handed back by Conn.User: callbacks
-// that are package-level functions reach the application's object for the
-// connection by a pointer type assertion, c.User().(*T), which allocates
-// nothing, where closures would be bound per connection.
+// nil. Callbacks run inside the netsim event loop and must not block; one
+// that sees its conn closed (OnClose, OnFail) may Release it, and none
+// runs after. User is the connection's user word, handed back by
+// Conn.User: callbacks that are package-level functions reach the
+// application's object for the connection by a pointer type assertion,
+// c.User().(*T), which allocates nothing, where closures would be bound
+// per connection.
 type Callbacks struct {
 	OnEstablished func(c *Conn)
 	OnData        func(c *Conn, data []byte)
@@ -224,14 +226,15 @@ type Conn struct {
 	// never to modify. It is only ever read and re-sliced, never appended
 	// to and never handed to ReleaseBuf. (Declared here, before the 32-bit
 	// fields, so that Conn stays in its size class: TestConnSizeClass.)
-	sndTail   []byte
-	bufSeq    uint32 // sequence number of the first live byte
-	peerWnd   uint32
-	cwnd      uint32
-	ssthresh  uint32
-	finQueued bool
-	finSent   bool
-	finSeq    uint32
+	sndTail        []byte
+	bufSeq         uint32 // sequence number of the first live byte
+	peerWnd        uint32
+	cwnd           uint32
+	ssthresh       uint32
+	finQueued      bool
+	finSent        bool
+	released, busy bool // see Release and unwind
+	finSeq         uint32
 
 	// Receive side.
 	rcvNxt  uint32
@@ -277,8 +280,14 @@ func DialFrom(h *netsim.Host, localPort uint16, remote netsim.HostPort, cb Callb
 	return c
 }
 
+// newConn re-initialises a released conn, keeping its bound callbacks.
 func newConn(h *netsim.Host, local, remote netsim.HostPort, cb Callbacks, cfg Config) *Conn {
-	c := &Conn{
+	c, _ := h.Network().SpareConns().Take().(*Conn)
+	if c == nil {
+		c = new(Conn)
+		c.rtxFn = c.onRtxTimeout
+	}
+	*c = Conn{
 		host:     h,
 		net:      h.Network(),
 		cfg:      cfg,
@@ -288,17 +297,49 @@ func newConn(h *netsim.Host, local, remote netsim.HostPort, cb Callbacks, cfg Co
 		peerWnd:  cfg.ReceiveWindow,
 		cwnd:     uint32(cfg.InitialCwnd * cfg.MSS),
 		ssthresh: cfg.InitialSsthresh,
+		rtxFn:    c.rtxFn,
+		probeFn:  c.probeFn,
 	}
-	c.rtxFn = c.onRtxTimeout
-	if cfg.IdleProbe > 0 {
+	if cfg.IdleProbe > 0 && c.probeFn == nil {
 		c.probeFn = c.onProbeTimeout
 	}
 	return c
 }
 
+// Release is the owner's promise that nothing will touch c again. It is
+// legal once c is closed (after OnClose, OnFail or Abort), stops its
+// callbacks, and files c for the network's next connection once tcp's
+// own call stack has unwound, so a callback may release its conn. Under
+// PoisonReleasedBufs c is never reused, and any method of it panics.
+func (c *Conn) Release() {
+	c.mustLive()
+	if c.state != StateClosed {
+		panic(fmt.Sprintf("tcp: Release of open conn %v→%v", c.local, c.remote))
+	}
+	c.released, c.cb = true, Callbacks{}
+	if !c.busy {
+		c.net.SpareConns().Put(c.net, c)
+	}
+}
+
+// mustLive panics on a conn its owner has released.
+func (c *Conn) mustLive() {
+	if c.released {
+		panic(fmt.Sprintf("tcp: conn %v→%v used after Release", c.local, c.remote))
+	}
+}
+
+// unwind ends a call from the network into c: a Release made meanwhile
+// files c now.
+func (c *Conn) unwind() {
+	if c.busy = false; c.released {
+		c.net.SpareConns().Put(c.net, c)
+	}
+}
+
 // armProbe starts the idle-probe timer once the connection establishes.
 func (c *Conn) armProbe() {
-	if c.probeFn == nil || c.probeTimer.Active() {
+	if c.cfg.IdleProbe <= 0 || c.probeTimer.Active() {
 		return
 	}
 	c.probeTimer = c.net.Schedule(c.cfg.IdleProbe, c.probeFn)
@@ -320,16 +361,16 @@ func (c *Conn) onProbeTimeout() {
 }
 
 // State returns the connection state.
-func (c *Conn) State() State { return c.state }
+func (c *Conn) State() State { c.mustLive(); return c.state }
 
 // User returns the user word its Callbacks carried (see Callbacks).
-func (c *Conn) User() any { return c.cb.User }
+func (c *Conn) User() any { c.mustLive(); return c.cb.User }
 
 // LocalAddr returns the local endpoint.
-func (c *Conn) LocalAddr() netsim.HostPort { return c.local }
+func (c *Conn) LocalAddr() netsim.HostPort { c.mustLive(); return c.local }
 
 // ISN returns the initial send sequence number (used by tests).
-func (c *Conn) ISN() uint32 { return c.iss }
+func (c *Conn) ISN() uint32 { c.mustLive(); return c.iss }
 
 // minSndBuf is the least a connection asks the buffer pool for. Small
 // writes then share one size class, so any of them can take the array
@@ -361,6 +402,7 @@ func (c *Conn) WriteStatic(head, body []byte) { c.enqueue(body, head) }
 // reference, to the stream. Owned bytes precede the borrowed tail, so
 // whatever is left of an earlier tail is taken in by copy first.
 func (c *Conn) enqueue(tail []byte, bufs ...[]byte) {
+	c.mustLive()
 	if c.state == StateClosed || c.finQueued {
 		return
 	}
@@ -431,6 +473,7 @@ func (c *Conn) trimTail(n int) {
 // Close queues a FIN after any buffered data. Data already written is
 // still delivered.
 func (c *Conn) Close() {
+	c.mustLive()
 	if c.state == StateClosed || c.finQueued {
 		return
 	}
@@ -442,6 +485,7 @@ func (c *Conn) Close() {
 
 // Abort sends a RST and tears the connection down immediately.
 func (c *Conn) Abort() {
+	c.mustLive()
 	if c.state == StateClosed {
 		return
 	}
@@ -457,20 +501,20 @@ func (c *Conn) teardown() {
 	c.state = StateClosed
 	c.rtxTimer.Stop()
 	c.probeTimer.Stop()
-	// rtxBufs are NOT released here: retransmitted packets referencing
-	// them may still be in flight, and the conn going away does not stop
-	// their delivery. They are garbage-collected with the conn.
+	// rtxBufs are NOT released to the pool here: retransmitted packets
+	// referencing them may still be in flight, and the conn going away
+	// does not stop their delivery. They are dropped, for the collector.
 	//
 	// The send buffer goes back to the pool only if no byte of it was
 	// transmitted and not yet acknowledged. Otherwise it is dropped, like
-	// the reassembly queue: a closed conn never reads either again, while
-	// applications keep closed conns around for their stats, and a
+	// the reassembly queue: a closed conn never reads either again (its
+	// owner may still read its stats, and Release it for reuse), and a
 	// zero-copy segment still in flight (or parked at the peer) keeps the
 	// array alive by itself — and may still be read.
 	if seqLEQ(c.sndNxt, c.bufSeq) {
 		c.net.ReleaseBuf(c.sndBuf)
 	}
-	c.sndBuf, c.sndHead, c.sndTail, c.reasm = nil, 0, nil, nil
+	c.sndBuf, c.sndHead, c.sndTail, c.reasm, c.rtxBufs = nil, 0, nil, nil, nil
 	c.host.Unregister(c.local.Port, c.remote)
 }
 
@@ -577,7 +621,7 @@ func (c *Conn) onRtxTimeout() {
 		return
 	}
 	if c.rtxBackoff >= c.cfg.MaxRetries {
-		c.fail(ErrTimeout)
+		c.fail(ErrTimeout) // the last of tcp's frames to read c
 		return
 	}
 	c.rtxBackoff++
@@ -631,8 +675,10 @@ func (c *Conn) retransmitOldest() {
 // independently of the packet struct or copied by the application, so
 // the struct is released back to the pool on return.
 func (c *Conn) HandleSegment(pkt *netsim.Packet) {
+	c.busy = true
 	c.handleSegment(pkt)
 	c.net.ReleasePacket(pkt)
+	c.unwind()
 }
 
 // HandleSegmentBatch implements netsim.BatchPortHandler: the host hands
@@ -647,6 +693,8 @@ func (c *Conn) HandleSegment(pkt *netsim.Packet) {
 // mid-run, the remainder re-enters host demux exactly as scalar
 // delivery would have routed it (listener RST responder or default).
 func (c *Conn) HandleSegmentBatch(pkts []*netsim.Packet) {
+	c.busy = true
+	defer c.unwind()
 	for i := 0; i < len(pkts); i++ {
 		if c.state == StateClosed {
 			for _, p := range pkts[i:] {

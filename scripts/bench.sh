@@ -79,6 +79,11 @@ want mflow_flows mflow_mem_bytes_per_flow mflow_events_per_s &&
 want flowmap_lookup_ns_op flowmap_map_baseline_lookup_ns_op flowmap_lookup_allocs_op flowmap_churn_ns_op &&
   go test -run '^$' -bench 'BenchmarkFlowmapLookup|BenchmarkFlowmapChurn' -benchmem \
   ./internal/flowmap/ | tee -a "$MICRO_LOG"
+# The request ledger: objects one warm 2 KiB request allocates through the
+# real stack, charged layer by layer (ledger_test.go); rows sum to the total.
+LEDGER_ROWS=(netsim l4lb core tcp tcpstore memcache httpsim other)
+want request_allocs "${LEDGER_ROWS[@]/#/request_allocs_}" &&
+  go test -count=1 -run '^TestRequestAllocLedger$' -v . | tee -a "$MICRO_LOG"
 want flowmap_bytes_per_flow flowmap_map_baseline_bytes_per_flow &&
   go test -run '^$' -bench 'BenchmarkFlowmapMemPerFlow' -benchtime 1x \
   ./internal/flowmap/ | tee -a "$MICRO_LOG"
@@ -146,6 +151,13 @@ HTTP_MARSHAL_B="$(metric "$MICRO_LOG" BenchmarkMarshal512K B/op)"
 CLIENT_FETCH_B="$(metric "$MICRO_LOG" 'BenchmarkClientFetch/512k' B/op)"
 
 jsonnum() { [[ -n "${1:-}" ]] && echo "$1" || echo "null"; }
+# ledger <field>: one row (or the total) of the request ledger.
+ledger() { awk -v k="$1" '$2 == "ledger" && $3 == k { print $4; exit }' "$MICRO_LOG"; }
+LEDGER_JSON=""
+for row in "${LEDGER_ROWS[@]}"; do
+  [[ -n "$LEDGER_JSON" ]] && LEDGER_JSON+=$'\n'
+  LEDGER_JSON+="    \"request_allocs_$row\": $(jsonnum "$(ledger "request_allocs_$row")"),"
+done
 
 FIG10_S=null; FIG12_S=null; FIG13_S=null
 if [[ -s "$FIG_LOG" ]]; then
@@ -216,6 +228,8 @@ cat > "$NEW_JSON" <<EOF
     "reconfig_drain_virtual_ms": $(jsonnum "$RECONFIG_DRAIN_MS"),
     "cpu_count": $(nproc),
     "gomaxprocs": ${GOMAXPROCS:-$(nproc)},
+    "request_allocs": $(jsonnum "$(ledger request_allocs)"),
+${LEDGER_JSON}
     "mflow_flows": $(jsonnum "$MFLOW_FLOWS"),
     "mflow_mem_bytes_per_flow": $(jsonnum "$MFLOW_BPF"),
     "mflow_events_per_s": $(jsonnum "$MFLOW_EPS"),

@@ -5,7 +5,7 @@
 #
 #   1. bench regression gate  the seven wall-clock figures against the base
 #                             commit, built and run in this same run; the
-#                             five exact figures against BENCH_core.json.
+#                             six exact figures against BENCH_core.json.
 #                             First, while the box is cold: behind the race
 #                             and fuzz stages the same binaries read 30-60 %
 #                             slower
@@ -35,7 +35,10 @@
 #                             each step, then each of the 24 packets
 #                             after the kill lost, or duplicated, over
 #                             five seeds (go test sweeps two of drops,
-#                             one of duplicates)
+#                             one of duplicates); and each instance in
+#                             turn killed after every step of a
+#                             keep-alive switch and a TLS flow, over the
+#                             same five (go test: one)
 #  10. go test -race          full suite under the race detector
 #  11. benchmarks             every Benchmark* compiles and runs one
 #      iteration (the heavy figure benchmarks are excluded by name; run
@@ -43,7 +46,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== bench regression gate (wall clock: median of 5 pairs vs the base commit, >15% fails; exact: >15% vs BENCH_core.json fails, any rise of the round-trip count) =="
+echo "== bench regression gate (wall clock: median of 5 pairs vs the base commit, >15% fails; exact: >15% vs BENCH_core.json fails, any rise of the round-trip or request-allocation count) =="
 # The box this runs on swings 2x within an hour, so a wall-clock figure
 # recorded on another day gates nothing: the parent itself failed such
 # gates. The seven wall-clock figures — event loop and 64k-backlog timer
@@ -58,15 +61,15 @@ echo "== bench regression gate (wall clock: median of 5 pairs vs the base commit
 # on: HEAD while the work tree has uncommitted changes, HEAD^ once they
 # are committed.
 #
-# Five figures are exact and stay absolute against BENCH_core.json: the
+# Six figures are exact and stay absolute against BENCH_core.json: the
 # 512 KiB static write's B/op (a copy of the body would be 500 times it),
 # an idle TCP connection pair's heap, a warm client's 512 KiB fetch's
 # B/op (a body array made per response instead of lent from the client's
 # pool would be ~280 times it), TCPStore round trips per paper-mode flow
-# (a count: any rise fails), and the real stack's heap bytes per mflow
-# flow (read off the mflow runs above; the store's items are about a
-# third of it). `scripts/bench.sh --only
-# tcp_static_512k_B_op,tcp_idle_conn_pair_heap_bytes,client_fetch_512k_B_op,storage_roundtrips_per_flow_paper,mflow_mem_bytes_per_flow`
+# and allocations per request (counts: any rise fails), and the real
+# stack's heap bytes per mflow flow (read off the mflow runs above; the
+# store's items are about a third of it). `scripts/bench.sh --only
+# tcp_static_512k_B_op,tcp_idle_conn_pair_heap_bytes,client_fetch_512k_B_op,storage_roundtrips_per_flow_paper,request_allocs,mflow_mem_bytes_per_flow`
 # re-records just those after an intentional change.
 #
 # gate <label> <unit> <new> <recorded> lower|higher: fail when new is more
@@ -161,6 +164,14 @@ NEW_RT_PAPER=$(cd internal/core && "$GATE_DIR/new/core.test" -test.run '^$' -tes
 awk -v new="$NEW_RT_PAPER" -v rec="$(recorded storage_roundtrips_per_flow_paper)" 'BEGIN{
   if (new == "" || new+0 > rec+0) { printf "FAIL: store round trips per paper flow %s vs recorded %s (any rise fails)\n", new, rec; exit 1 }
   printf "store round trips per paper flow %s vs recorded %s: ok\n", new, rec }' || exit 1
+# So is the request ledger's total — objects one warm 2 KiB request
+# allocates through the real stack (ledger_test.go) — and any rise fails
+# as well; the test itself fails unless its per-layer rows sum to it.
+NEW_REQ_ALLOCS=$(go test -count=1 -run '^TestRequestAllocLedger$' -v . |
+  awk '$2 == "ledger" && $3 == "request_allocs" { print $4 }')
+awk -v new="$NEW_REQ_ALLOCS" -v rec="$(recorded request_allocs)" 'BEGIN{
+  if (new == "" || new+0 > rec+0) { printf "FAIL: allocations per request %s vs recorded %s (any rise fails)\n", new, rec; exit 1 }
+  printf "allocations per request %s vs recorded %s: ok\n", new, rec }' || exit 1
 
 echo "== format + vet clean sweep (gofmt -s -l, go vet ./...) =="
 # Formatting drift and vet findings are the cheapest checks in the file;
@@ -277,13 +288,14 @@ echo "== mflow hybrid (yodasim -exp mflow -recovery hybrid must end PASS) =="
 go run ./cmd/yodasim -exp mflow -recovery hybrid | tee "$GATE_DIR/mflow_hybrid"
 grep -qx '  PASS' "$GATE_DIR/mflow_hybrid" || { echo "FAIL: hybrid mflow did not pass" >&2; exit 1; }
 
-echo "== kill-then-fault sweeps (TestKillThenDropEveryPacket and TestKillThenDuplicateEveryPacket over seeds 11-15) =="
-# go test sweeps seeds 11-12 of drops and seed 11 of duplicates; this
-# stage takes the five seeds the kill sweep uses, for both. Every point
-# passes TestKillOwnerAtEveryStep's settle checks and adopts the flow at
-# most once, never after its first close, but defect (k)'s pinned points
-# (internal/core/e2e_test.go, defectK).
-go test -count=1 -run 'TestKillThen(Drop|Duplicate)EveryPacket' ./internal/core/ -killdrop.seeds=5
+echo "== kill-then-fault sweeps (TestKillThenDropEveryPacket, TestKillThenDuplicateEveryPacket and TestKillEachInstanceThroughScenario over seeds 11-15) =="
+# go test sweeps seeds 11-12 of drops and seed 11 of duplicates and of
+# the scenario; this stage takes the five seeds the kill sweep uses, for
+# all three. Every point passes TestKillOwnerAtEveryStep's settle checks
+# and adopts the flow at most once, never after its first close, but
+# defect (k)'s pinned points (internal/core/e2e_test.go, defectK) and
+# defects (l) and (m)'s (internal/core/scenario_test.go, scenarioDefects).
+go test -count=1 -run 'TestKillThen(Drop|Duplicate)EveryPacket|TestKillEachInstanceThroughScenario' ./internal/core/ -killdrop.seeds=5
 
 echo "== go test -race =="
 go test -race ./...
