@@ -221,6 +221,13 @@ type killRun struct {
 	// anywhere (-1 while it never was).
 	faulted bool
 	atClose int64
+	// What the route table (killsweep_test.go) reads: the instance
+	// killed and when, what the step before the kill delivered, and what
+	// the survivors sent after it.
+	killed int
+	killAt time.Duration
+	ran    []seen
+	after  sentAfterKill
 }
 
 // packetFault is what a kill sweep does to one packet delivered after
@@ -248,8 +255,10 @@ func (arm killArm) run(t *testing.T, seed int64, kill, j int, fault packetFault)
 			r.atClose = int64(adoptions(r.tb))
 		}
 		if delivered < 0 {
+			r.ran = append(r.ran, see(pkt))
 			return false
 		}
+		r.after.observe(r, pkt)
 		delivered++
 		if delivered-1 != j {
 			return false
@@ -262,10 +271,15 @@ func (arm killArm) run(t *testing.T, seed int64, kill, j int, fault packetFault)
 		return true
 	})
 	r.tb.C.NewClient(arm.client).Get(r.tb.Addr, "/100k", keep(&r.res))
-	for ; r.res == nil && r.steps != kill && net.Step(); r.steps++ {
+	for r.res == nil && r.steps != kill {
+		r.ran = r.ran[:0]
+		if !net.Step() {
+			break
+		}
+		r.steps++
 	}
 	if kill >= 0 {
-		r.tb.FailBusiest(1)
+		r.killed, r.killAt = r.tb.FailBusiest(1)[0], net.Now()
 		delivered = 0
 	}
 	net.RunFor(3 * time.Minute)
@@ -359,11 +373,13 @@ func requireSettled(t *testing.T, tb *testbed.Bed, where string) {
 func TestKillOwnerAtEveryStep(t *testing.T) {
 	for _, arm := range killArms {
 		t.Run(arm.name, func(t *testing.T) {
+			var lines []string
 			for seed := int64(11); seed <= 15; seed++ {
 				total := arm.run(t, seed, -1, -1, dropPacket).steps
 				for k := 0; k <= total; k++ {
 					where := fmt.Sprintf("seed %d, kill after step %d of %d", seed, k, total)
 					r := arm.run(t, seed, k, -1, dropPacket)
+					lines = append(lines, r.routeLine(seed))
 					if arm.lingers(k) {
 						r.linger(t, where)
 					}
@@ -372,6 +388,7 @@ func TestKillOwnerAtEveryStep(t *testing.T) {
 					}
 				}
 			}
+			checkRouteGolden(t, arm.name, lines)
 		})
 	}
 }

@@ -192,6 +192,9 @@ func (in *Instance) connPhaseClientPacket(f *flow, pkt *netsim.Packet) {
 	if len(pkt.Payload) == 0 {
 		return // bare ACK completing the handshake
 	}
+	if f.tls != nil && f.tls.committed && pkt.Seq == f.clientISN+1 {
+		in.resendServerHello(f, pkt.Payload)
+	}
 	prevLen := len(f.reqBuf)
 	f.reqBuf = f.fromClient.appendTo(f.reqBuf, pkt.Seq, pkt.Payload)
 	if f.state != stateConn {
@@ -199,8 +202,8 @@ func (in *Instance) connPhaseClientPacket(f *flow, pkt *netsim.Packet) {
 	}
 	// Even a retransmission of data already held (the instance died after
 	// storage-a and we recovered) tries selection.
-	if in.tlsAdvance(f, prevLen) {
-		return // handshake in progress; HTTP cannot be parsed yet
+	if in.tlsAdvance(f, prevLen) || f.tls != nil && !f.tls.committed {
+		return // handshake in progress, or its key barrier, which dispatches
 	}
 	in.tryDispatchRequest(f)
 }
@@ -749,9 +752,9 @@ func (in *Instance) installRecovered(rec *Record, ev event) *flow {
 		synAckSent: true,
 	})
 	if rec.TLS != nil {
-		f.tls = &flowTLS{key: rec.TLS.Key, serverHelloLen: int(rec.TLS.ServerHelloLen)}
-		// The hello was consumed (and ACKed) before the record carried a
-		// key; the client stream resumes at the application base.
+		f.tls = &flowTLS{key: rec.TLS.Key, serverHelloLen: int(rec.TLS.ServerHelloLen), committed: true}
+		// The record carries the key, so the hello was consumed; the client
+		// stream resumes at the application base.
 		f.fromClient.next = f.clientDataBase()
 	}
 	switch rec.Phase { // UnmarshalRecord admits no other phase

@@ -118,7 +118,7 @@ func runScenario(seed int64, kill, victim int) *scenarioRun {
 // scenarioDefects pins the points of TestKillEachInstanceThroughScenario
 // that break a flow, as (killed instance, kill step), with the defect
 // each shows. Seeds 11-15 run the same timeline, so the points hold for
-// all five. Both are ROADMAP item 3's, and their points must keep failing
+// all five. Each is ROADMAP item 3's, and its points must keep failing
 // the way the defect says until it is fixed; then its window goes.
 //
 //   - (l) A keep-alive switch's re-dial window is not recoverable. Its
@@ -127,14 +127,8 @@ func runScenario(seed int64, kill, victim int) *scenarioRun {
 //     still names the old backend, the adopter tunnels the client's
 //     /b.css to it, the old backend answers with a RST, and the adopter
 //     relays that RST to the client. The second response never comes.
-//   - (m) A TLS flow whose owner (instance 0) dies after its key barrier
-//     is written and before the ServerHello goes out: the adopter reads
-//     a record that carries the key, takes the client's retransmitted
-//     hello as answered, ACKs it and never sends a ServerHello, which it
-//     cannot rebuild from the key. The client waits for it forever.
 var scenarioDefects = map[[2]int]byte{
 	{1, 40}: 'l', {1, 41}: 'l', {1, 42}: 'l', {1, 43}: 'l', {1, 44}: 'l', {1, 45}: 'l',
-	{0, 77}: 'm', {0, 78}: 'm', {0, 79}: 'm', {0, 80}: 'm', {0, 81}: 'm',
 }
 
 // TestKillEachInstanceThroughScenario is the kill sweep over a richer
@@ -157,8 +151,7 @@ func TestKillEachInstanceThroughScenario(t *testing.T) {
 				r := runScenario(seed, k, victim)
 				requireSettled(t, r.tb, where)
 				switch defect := scenarioDefects[[2]int{victim, k}]; {
-				case defect == 'l' && len(r.bodies) == 1 && r.tls == nil,
-					defect == 'm' && fmt.Sprint(r.bodies) == wantBodies && r.tls == nil:
+				case defect == 'l' && len(r.bodies) == 1 && r.tls == nil:
 				case defect != 0:
 					t.Fatalf("%s: defect (%c) is pinned here but did not show — if it is fixed, drop its window", where, defect)
 				case fmt.Sprint(r.bodies) != wantBodies:

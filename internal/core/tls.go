@@ -24,6 +24,7 @@ import (
 type flowTLS struct {
 	key            [32]byte
 	serverHelloLen int
+	committed      bool // the key barrier ran its commit, or the key came from the store
 }
 
 // InstallTLS configures SSL termination for a VIP: the certificate
@@ -104,6 +105,7 @@ func (in *Instance) tlsAdvance(f *flow, prevLen int) bool {
 	// the client's hello retransmissions hit a dead tuple and it retries
 	// with a fresh connection.
 	in.writeBarrier(f, in.barrierEntries(f, PhaseConn, false), func(f *flow) {
+		f.tls.committed = true
 		in.sendServerHello(f, serverHello)
 		// Early data may already contain the full request.
 		in.tryDispatchRequest(f)
@@ -116,6 +118,20 @@ func (in *Instance) sendServerHello(f *flow, serverHello []byte) {
 	p := in.packet(f.vip, f.client, netsim.FlagACK|netsim.FlagPSH, f.c+1, f.fromClient.next, advWindow)
 	p.Payload = serverHello
 	in.net.Send(p)
+}
+
+// resendServerHello answers a retransmitted ClientHello once the key is
+// committed: the ServerHello was lost, or its owner died before sending
+// it. It is a pure function of the hello, which the key check confirms.
+func (in *Instance) resendServerHello(f *flow, payload []byte) {
+	id := in.tlsIdents[f.vip.IP]
+	if id == nil || len(payload) < securesim.ClientHelloSize {
+		return
+	}
+	serverHello, key, err := id.ServerAccept(payload[:securesim.ClientHelloSize])
+	if err == nil && key == f.tls.key {
+		in.sendServerHello(f, serverHello)
+	}
 }
 
 // tlsDecryptFromClient transforms a tunneled client payload to plaintext.

@@ -188,3 +188,38 @@ func TestTLSRecordRoundTrip(t *testing.T) {
 		t.Fatalf("TLS state lost: %+v", got.TLS)
 	}
 }
+
+// TestTLSHelloUnacknowledgedUntilKeyStored holds the key barrier to
+// persist-before-ACK: with every store server dead the barrier resolves
+// only at OpTimeout, the client retransmits its hello meanwhile, and no
+// segment may acknowledge the hello before the ServerHello does — a
+// client whose hello was ACKed never resends it, so an owner that died
+// then would leave nothing to rebuild the key from.
+func TestTLSHelloUnacknowledgedUntilKeyStored(t *testing.T) {
+	b := newTLSBed(t, 77, 1)
+	for _, s := range b.C.StoreServers {
+		s.Host().Detach()
+	}
+	var clientISN uint32
+	var acks, hellos int // hello-acknowledging segments before the ServerHello, ServerHellos
+	b.C.Net.SetTracer(func(ev netsim.TraceEvent) {
+		p := ev.Packet
+		switch {
+		case p.Dst == b.Addr && p.Flags.Has(netsim.FlagSYN):
+			clientISN = p.Seq
+		case p.Src == b.Addr && seqAfter(p.Ack, clientISN+1) && len(p.Payload) > 0:
+			hellos++
+		case p.Src == b.Addr && seqAfter(p.Ack, clientISN+1) && hellos == 0:
+			acks++
+		}
+	})
+	res := b.fetch(t, "/secret", b.id.Cert, 20*time.Second)
+	if res.Err != nil || !bytes.Equal(res.Resp.Body, b.objs["/secret"]) {
+		t.Fatalf("fetch %+v", res)
+	}
+	if hellos == 0 || acks > 0 {
+		t.Fatalf("%d segments acknowledged the hello before the first of %d ServerHellos", acks, hellos)
+	}
+}
+
+func seqAfter(a, b uint32) bool { return int32(a-b) > 0 }

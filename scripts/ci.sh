@@ -15,7 +15,9 @@
 #                             the packet trains', the TCP batch path's
 #                             and the memcached session's differential
 #                             fuzzers, and the RNG, dead-export,
-#                             write-only-state and lifecycle-seam lints
+#                             write-only-state, spec and lifecycle-seam
+#                             lints (the spec lint holds DESIGN.md,
+#                             EXPERIMENTS.md and README.md to the tree)
 #      coverage ratchet       every function of internal/core and
 #                             internal/l4lb runs under its own package's
 #                             tests, or is allowlisted with its reason
@@ -217,7 +219,7 @@ go test -run '^$' -fuzz 'FuzzBatchDispatchDifferential' -fuzztime 10s -fuzzminim
 # reference parser: same replies, same engine state.
 go test -run '^$' -fuzz 'FuzzMemcacheSessionDifferential' -fuzztime 10s -fuzzminimizetime 2s ./internal/memcache/
 
-echo "== rng + dead-export + write-only-state + lifecycle-seam lints (grep fast-fail; TestNoStrayRNGConstruction, TestNoDeadExports, TestNoWriteOnlyState and TestOneLifecycleSeam are the test halves) =="
+echo "== rng + dead-export + write-only-state + spec + lifecycle-seam lints (grep fast-fail; TestNoStrayRNGConstruction, TestNoDeadExports, TestNoWriteOnlyState, TestSpecLint and TestOneLifecycleSeam are the test halves) =="
 # Only netsim (the network's RNG) and the trial-level drivers may construct
 # generators; dataplane components must cache Network.Rand at build time.
 if grep -rn --include='*.go' 'rand\.New(' cmd examples internal *.go 2>/dev/null \
@@ -228,8 +230,10 @@ if grep -rn --include='*.go' 'rand\.New(' cmd examples internal *.go 2>/dev/null
 fi
 # Every exported func, method and type under internal/ has a non-test
 # caller, and every struct field a non-test reader, or an allowlist entry
-# that says why it stays (deadlint_test.go).
-go test -run 'TestNoDeadExports|TestNoWriteOnlyState|TestWriteOnlyClassifier|TestNoStrayRNGConstruction' .
+# that says why it stays (deadlint_test.go). Every test the docs name
+# exists, every guarantee names its tests, the module map matches the
+# tree and the figures table quotes the golden (speclint_test.go).
+go test -run 'TestNoDeadExports|TestNoWriteOnlyState|TestWriteOnlyClassifier|TestNoStrayRNGConstruction|TestSpecLint|TestSpecLintCatches' .
 # In core, only setState writes a flow's state and only note increments a
 # lifecycle outcome counter (internal/core/seam_test.go).
 go test -run 'TestOneLifecycleSeam' ./internal/core/

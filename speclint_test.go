@@ -1,0 +1,346 @@
+package yoda_test
+
+import (
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
+	"path/filepath"
+	"regexp"
+	"slices"
+	"strings"
+	"testing"
+)
+
+// specDocs are the documents whose test names must resolve: DESIGN.md's
+// guarantees name the tests that check them, EXPERIMENTS.md the tests and
+// benchmarks behind its numbers, README.md its module map.
+var specDocs = []string{"DESIGN.md", "EXPERIMENTS.md", "README.md"}
+
+// specGolden is the figure golden EXPERIMENTS.md's figures table quotes.
+const specGolden = "internal/experiments/testdata/all_seed1.golden"
+
+// TestSpecLint keeps the documents true to the tree, in deadlint's
+// style: each check returns the problems it finds, and the test fails
+// on any.
+//
+//   - Every Test…, Fuzz… and Benchmark… name in specDocs is a top-level
+//     func of some _test.go in the repo, bench/ included. Of a subtest
+//     path (TestX/hybrid) only the top-level name is checked.
+//   - DESIGN.md's "## Guarantees" numbers its guarantees G1…Gn, and each
+//     has a **Precondition.** and a **Tests.** paragraph naming at least
+//     one test; every **Exception (x).** names its defect letter and a
+//     test that pins it.
+//   - README.md's module table lists every directory under internal/,
+//     cmd/ and examples/ exactly once, and nothing else.
+//   - Every row of EXPERIMENTS.md's "## Figures at HEAD" table quotes the
+//     all_seed1.golden line its measured value comes from, or names the
+//     benchmark that measures it.
+func TestSpecLint(t *testing.T) {
+	tests := repoTestFuncs(t)
+	docs := map[string]string{}
+	for _, name := range specDocs {
+		b, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs[name] = string(b)
+	}
+	golden, err := os.ReadFile(specGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var problems []string
+	for _, name := range specDocs {
+		problems = append(problems, unknownTestNames(name, docs[name], tests)...)
+	}
+	problems = append(problems, guaranteeProblems(docs["DESIGN.md"], tests)...)
+	problems = append(problems, moduleMapProblems(docs["README.md"], moduleDirs(t))...)
+	problems = append(problems, figureGoldenProblems(docs["EXPERIMENTS.md"], string(golden), tests)...)
+	if len(problems) > 0 {
+		t.Fatalf("%d places where the documents and the tree disagree:\n%s", len(problems), strings.Join(problems, "\n"))
+	}
+}
+
+// repoTestFuncs returns the top-level Test, Fuzz and Benchmark funcs of
+// every _test.go in the repo.
+func repoTestFuncs(t *testing.T) map[string]bool {
+	t.Helper()
+	names := map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, d := range f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && testFuncName.MatchString(fn.Name.Name) {
+				names[fn.Name.Name] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
+}
+
+// testFuncName matches a test, fuzz target or benchmark name: the
+// prefix, then anything but a lower-case letter (so Testbed is not one).
+var testFuncName = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z0-9_][A-Za-z0-9_]*`)
+
+// unknownTestNames reports each distinct test name in a document that no
+// _test.go declares.
+func unknownTestNames(doc, text string, tests map[string]bool) []string {
+	var problems []string
+	seen := map[string]bool{}
+	for _, name := range testFuncName.FindAllString(text, -1) {
+		if !tests[name] && !seen[name] {
+			seen[name] = true
+			problems = append(problems, fmt.Sprintf("%s: %s is not a test, fuzz target or benchmark of the repo", doc, name))
+		}
+	}
+	return problems
+}
+
+// section returns the text from a line that starts with heading up to
+// the next heading of the same or a higher level, or "" when there is
+// no such line.
+func section(text, heading string) string {
+	level := strings.Index(heading, " ")
+	lines := strings.Split(text, "\n")
+	for i, line := range lines {
+		if !strings.HasPrefix(line, heading) {
+			continue
+		}
+		end := len(lines)
+		for j := i + 1; j < len(lines); j++ {
+			if n := strings.Index(lines[j], " "); n > 0 && n <= level && strings.Trim(lines[j][:n], "#") == "" {
+				end = j
+				break
+			}
+		}
+		return strings.Join(lines[i:end], "\n")
+	}
+	return ""
+}
+
+var blankLine = regexp.MustCompile(`\n\s*\n`)
+
+// paragraphs splits text at blank lines.
+func paragraphs(text string) []string {
+	var out []string
+	for _, p := range blankLine.Split(text, -1) {
+		if p = strings.TrimSpace(p); p != "" {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+var (
+	guaranteeHead = regexp.MustCompile(`(?m)^### G(\d+)\. `)
+	exceptionHead = regexp.MustCompile(`^\*\*Exception \(([a-z])\)\.\*\*`)
+)
+
+// guaranteeProblems checks DESIGN.md's guarantee list.
+func guaranteeProblems(design string, tests map[string]bool) []string {
+	sec := section(design, "## Guarantees")
+	if sec == "" {
+		return []string{"DESIGN.md: no \"## Guarantees\" section"}
+	}
+	var problems []string
+	heads := guaranteeHead.FindAllStringSubmatchIndex(sec, -1)
+	if len(heads) == 0 {
+		problems = append(problems, "DESIGN.md: \"## Guarantees\" lists no ### Gn. guarantee")
+	}
+	named := func(p string) bool {
+		return slices.ContainsFunc(testFuncName.FindAllString(p, -1), func(n string) bool { return tests[n] })
+	}
+	for i, h := range heads {
+		n := sec[h[2]:h[3]]
+		if n != fmt.Sprint(i+1) {
+			problems = append(problems, fmt.Sprintf("DESIGN.md: guarantee G%s is number %d of the list", n, i+1))
+		}
+		end := len(sec)
+		if i+1 < len(heads) {
+			end = heads[i+1][0]
+		}
+		var pre, tested bool
+		for _, p := range paragraphs(sec[h[1]:end]) {
+			switch {
+			case strings.HasPrefix(p, "**Precondition.**"):
+				pre = true
+			case strings.HasPrefix(p, "**Tests.**"):
+				tested = named(p)
+			case strings.HasPrefix(p, "**Exception"):
+				m := exceptionHead.FindStringSubmatch(p)
+				if m == nil {
+					problems = append(problems, fmt.Sprintf("DESIGN.md: G%s has an exception that names no defect letter: %.60q", n, p))
+				} else if !named(p) {
+					problems = append(problems, fmt.Sprintf("DESIGN.md: G%s's exception (%s) names no test that pins it", n, m[1]))
+				}
+			}
+		}
+		if !pre {
+			problems = append(problems, fmt.Sprintf("DESIGN.md: G%s states no **Precondition.**", n))
+		}
+		if !tested {
+			problems = append(problems, fmt.Sprintf("DESIGN.md: G%s names no test in its **Tests.** paragraph", n))
+		}
+	}
+	return problems
+}
+
+// moduleDirs returns the directories the module map must list: each
+// directory directly under internal/, cmd/ and examples/.
+func moduleDirs(t *testing.T) []string {
+	t.Helper()
+	var dirs []string
+	for _, parent := range []string{"internal", "cmd", "examples"} {
+		entries, err := os.ReadDir(parent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if e.IsDir() {
+				dirs = append(dirs, parent+"/"+e.Name())
+			}
+		}
+	}
+	return dirs
+}
+
+var moduleRow = regexp.MustCompile("(?m)^\\| `([^`]+)` \\|")
+
+// moduleMapProblems checks README.md's module table, the rows under a
+// "| directory | role |" header, against dirs.
+func moduleMapProblems(readme string, dirs []string) []string {
+	i := strings.Index(readme, "| directory | role |")
+	if i < 0 {
+		return []string{"README.md: no \"| directory | role |\" module table"}
+	}
+	table := readme[i:]
+	if j := strings.Index(table, "\n\n"); j >= 0 {
+		table = table[:j]
+	}
+	count := map[string]int{}
+	for _, m := range moduleRow.FindAllStringSubmatch(table, -1) {
+		count[m[1]]++
+	}
+	var problems []string
+	for _, d := range dirs {
+		switch count[d] {
+		case 0:
+			problems = append(problems, fmt.Sprintf("README.md: the module table leaves out %s", d))
+		case 1:
+		default:
+			problems = append(problems, fmt.Sprintf("README.md: the module table lists %s %d times", d, count[d]))
+		}
+		delete(count, d)
+	}
+	for d := range count {
+		problems = append(problems, fmt.Sprintf("README.md: the module table lists %s, which is no directory under internal/, cmd/ or examples/", d))
+	}
+	slices.Sort(problems)
+	return problems
+}
+
+var codeSpan = regexp.MustCompile("`([^`]+)`")
+
+// figureGoldenProblems checks that each row of EXPERIMENTS.md's figures
+// table quotes a line of golden, or names a benchmark of the repo.
+func figureGoldenProblems(experiments, golden string, tests map[string]bool) []string {
+	sec := section(experiments, "## Figures at HEAD")
+	if sec == "" {
+		return []string{"EXPERIMENTS.md: no \"## Figures at HEAD\" section"}
+	}
+	lines := map[string]bool{}
+	for _, l := range strings.Split(golden, "\n") {
+		lines[strings.TrimSpace(l)] = true
+	}
+	var problems []string
+	rows := 0
+	for _, row := range strings.Split(sec, "\n") {
+		cells := strings.Split(strings.Trim(row, "| "), " | ")
+		if !strings.HasPrefix(row, "|") || strings.HasPrefix(row, "|---") || len(cells) < 2 || cells[0] == "figure" {
+			continue
+		}
+		rows++
+		quotes := codeSpan.FindAllStringSubmatch(cells[len(cells)-1], -1)
+		if len(quotes) == 0 {
+			problems = append(problems, fmt.Sprintf("EXPERIMENTS.md: figures row %q quotes no golden line and names no benchmark", cells[0]))
+		}
+		for _, q := range quotes {
+			switch {
+			case strings.HasPrefix(q[1], "Benchmark"):
+				if !tests[q[1]] {
+					problems = append(problems, fmt.Sprintf("EXPERIMENTS.md: figures row %q names %s, which is no benchmark of the repo", cells[0], q[1]))
+				}
+			case !lines[strings.TrimSpace(q[1])]:
+				problems = append(problems, fmt.Sprintf("EXPERIMENTS.md: figures row %q quotes %q, which is no line of %s", cells[0], q[1], specGolden))
+			}
+		}
+	}
+	if rows == 0 {
+		problems = append(problems, "EXPERIMENTS.md: the figures table has no rows")
+	}
+	return problems
+}
+
+// TestSpecLintCatches runs each check of TestSpecLint on a fixture that
+// holds the mistake the check guards against.
+func TestSpecLintCatches(t *testing.T) {
+	tests := map[string]bool{"TestReal": true, "BenchmarkReal": true}
+	for _, c := range []struct {
+		name     string
+		problems []string
+		want     string
+	}{
+		{"unknown test name", unknownTestNames("DESIGN.md", "held by `TestReal/hybrid` and `TestGone`; a Testbed is no test", tests),
+			"TestGone is not a test"},
+		{"guarantee with no test", guaranteeProblems("## Guarantees\n\n### G1. Claim\n\n**Precondition.** none.\n\n**Tests.** none yet.\n", tests),
+			"G1 names no test"},
+		{"guarantee with no precondition", guaranteeProblems("## Guarantees\n\n### G1. Claim\n\n**Tests.** `TestReal`.\n", tests),
+			"G1 states no **Precondition.**"},
+		{"guarantees out of order", guaranteeProblems("## Guarantees\n\n### G2. Claim\n\n**Precondition.** none.\n\n**Tests.** `TestReal`.\n", tests),
+			"G2 is number 1"},
+		{"exception with no test", guaranteeProblems("## Guarantees\n\n### G1. Claim\n\n**Precondition.** none.\n\n**Tests.** `TestReal`.\n\n**Exception (g).** a copy lingers.\n", tests),
+			"exception (g) names no test"},
+		{"exception with no defect", guaranteeProblems("## Guarantees\n\n### G1. Claim\n\n**Precondition.** none.\n\n**Tests.** `TestReal`.\n\n**Exception.** `TestReal` pins it.\n", tests),
+			"names no defect letter"},
+		{"missing package", moduleMapProblems("| directory | role |\n|---|---|\n| `internal/core` | instance |\n", []string{"internal/core", "internal/flowmap"}),
+			"leaves out internal/flowmap"},
+		{"package listed twice", moduleMapProblems("| directory | role |\n|---|---|\n| `internal/core` | a |\n| `internal/core` | b |\n", []string{"internal/core"}),
+			"lists internal/core 2 times"},
+		{"golden line not found", figureGoldenProblems("## Figures at HEAD\n\n| figure | measured | golden line |\n|---|---|---|\n| Fig 6 | 3.0x | `ratio 10K/1K = 3.00` |\n", "ratio 10K/1K = 2.99\n", tests),
+			"which is no line of"},
+		{"benchmark not found", figureGoldenProblems("## Figures at HEAD\n\n| figure | measured | golden line |\n|---|---|---|\n| Fig 16 | 1 s | `BenchmarkGone` |\n", "", tests),
+			"BenchmarkGone, which is no benchmark"},
+	} {
+		if !slices.ContainsFunc(c.problems, func(p string) bool { return strings.Contains(p, c.want) }) {
+			t.Errorf("%s: the check reported %q, want a problem containing %q", c.name, c.problems, c.want)
+		}
+	}
+	// And the clean fixtures pass.
+	if p := guaranteeProblems("## Guarantees\n\n### G1. Claim\n\n**Precondition.** none.\n\n**Tests.** `TestReal`.\n\n**Exception (g).** `TestReal/hybrid` pins it.\n\n## Next\n", tests); len(p) > 0 {
+		t.Errorf("a well-formed guarantee reported %q", p)
+	}
+	if p := figureGoldenProblems("## Figures at HEAD\n\n| figure | measured | golden line |\n|---|---|---|\n| Fig 6 | 3.0x | `ratio = 2.99` |\n| Fig 16 | 1 s | `BenchmarkReal` |\n", "  ratio = 2.99\n", tests); len(p) > 0 {
+		t.Errorf("a well-formed figures table reported %q", p)
+	}
+}
