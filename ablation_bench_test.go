@@ -10,8 +10,8 @@ import (
 
 	"repro/internal/assignment"
 	"repro/internal/controller"
-	"repro/internal/core"
 	"repro/internal/httpsim"
+	"repro/internal/rules"
 	"repro/internal/tcpstore"
 	"repro/internal/testbed"
 	"repro/internal/trace"
@@ -128,10 +128,9 @@ func BenchmarkAblationRuleCapacity(b *testing.B) {
 			used[ry] = a.Used()
 		}
 	}
-	instCfg := core.DefaultConfig()
 	for _, ry := range sweep {
 		b.ReportMetric(float64(used[ry]), fmt.Sprintf("instances-Ry=%d", ry))
-		lat := instCfg.LookupBase + time.Duration(ry)*instCfg.LookupPerRule
+		lat, _ := rules.LookupCost(ry)
 		b.ReportMetric(float64(lat)/float64(time.Millisecond), fmt.Sprintf("lookup-ms-Ry=%d", ry))
 	}
 }

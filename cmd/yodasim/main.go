@@ -5,14 +5,15 @@
 //
 // Usage:
 //
-//	yodasim -exp table1|fig6|fig9|fig10|fig12|fig12b|fig13|fig14|cpu|upgrade|fig15|fig16|mflow|all [-seed N] [-parallel] [-recovery hybrid]
+//	yodasim -exp table1|fig6|fig9|fig10|fig11|fig12|fig12b|fig13|fig14|cpu|upgrade|fig15|fig16|mflow|all [-seed N] [-recovery hybrid] [-cpuprofile F] [-memprofile F]
 //
 // For fig15 and fig16, -seed is the seed of the trace day.
 //
-// -parallel runs independent trials on separate goroutines: the Figure 6
+// Independent trials run on their own goroutines: the Figure 6
 // rule-count points, the Figure 12 arms, and (with -exp all) the
-// experiments themselves. Every trial owns a cluster seeded from -seed,
-// and output order is fixed, so results match a sequential run.
+// experiments themselves. Every trial owns its cluster or rule engine,
+// seeded from -seed, and output order is fixed, so the bytes printed do
+// not depend on how the trials interleave.
 //
 // -exp mflow is the scale run and not part of all: 32,768 concurrent flows
 // through the real l4lb + core.Instance + TCPStore stack behind scripted
@@ -39,7 +40,6 @@ func main() {
 	exp := flag.String("exp", "all", "experiment to run: table1, fig6, fig9, fig10, fig12, fig12b, fig13, fig14, cpu, upgrade, fig15, fig16, mflow, all")
 	seed := flag.Int64("seed", 1, "simulation seed (fig15, fig16: trace seed)")
 	recovery := flag.String("recovery", "", "mflow recovery mode: empty (the paper's protocol, every orphan read back from TCPStore) or hybrid (cluster.EnableHybrid: derivable flows skip the store)")
-	parallel := flag.Bool("parallel", false, "run independent trials/experiments on separate goroutines")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof allocation profile (taken at exit) to this file")
 	flag.Parse()
@@ -78,7 +78,6 @@ func main() {
 		"fig6": func() fmt.Stringer {
 			cfg := experiments.DefaultFig6Config()
 			cfg.Seed = *seed
-			cfg.Parallel = *parallel
 			return experiments.RunFig6(cfg)
 		},
 		"fig9": func() fmt.Stringer {
@@ -94,7 +93,6 @@ func main() {
 		"fig12": func() fmt.Stringer {
 			cfg := experiments.DefaultFig12Config()
 			cfg.Seed = *seed
-			cfg.Parallel = *parallel
 			return experiments.RunFig12(cfg)
 		},
 		// Figure 11 is the CPU half of the Figure 10 harness.
@@ -146,26 +144,20 @@ func main() {
 		fmt.Println(run().String())
 		return
 	}
-	if *parallel {
-		// Each experiment builds its own simulated cluster from -seed, so
-		// they are independent trials; run them concurrently and print in
-		// the fixed order.
-		outputs := make([]string, len(order))
-		var wg sync.WaitGroup
-		for i, name := range order {
-			wg.Add(1)
-			go func(i int, run func() fmt.Stringer) {
-				defer wg.Done()
-				outputs[i] = run().String()
-			}(i, runners[name])
-		}
-		wg.Wait()
-		for _, out := range outputs {
-			fmt.Println(out)
-		}
-		return
+	// Each experiment builds its own simulated cluster from -seed, so
+	// they are independent trials: run them concurrently and print in the
+	// fixed order.
+	outputs := make([]string, len(order))
+	var wg sync.WaitGroup
+	for i, name := range order {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			outputs[i] = runners[name]().String()
+		}()
 	}
-	for _, name := range order {
-		fmt.Println(runners[name]().String())
+	wg.Wait()
+	for _, out := range outputs {
+		fmt.Println(out)
 	}
 }

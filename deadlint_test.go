@@ -4,6 +4,7 @@ import (
 	"errors"
 	"go/ast"
 	"go/build"
+	"go/constant"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -797,6 +798,303 @@ func TestWriteOnlyClassifier(t *testing.T) {
 		"p.w.incremented", "p.w.keyed", "p.w.mapped", "p.w.opAssigned",
 		"p.writes.n",
 	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("flagged %v,\nwant    %v", got, want)
+	}
+}
+
+// oneValueAllowlist names the component-config fields that non-test code
+// sets to their default only and that stay settable anyway, each with
+// the test that sets another value or the frozen bench/ caller that
+// needs the field. Keys are "package.Type.Field".
+var oneValueAllowlist = map[string]string{
+	"controller.Config.PingInterval":       "bench/measure.go times held-failover's kill off it; BenchmarkAblationMonitorInterval sweeps it",
+	"core.Config.StrictPersist":            "TestStrictPersistDropsUnrecoverableHandshakes turns it on",
+	"httpsim.ClientConfig.TCP":             "TestHybridFailoverTunnelDerived's clients probe when idle (probeClientConfig)",
+	"l4lb.Config.UpdateStagger":            "TestStaggeredMappingUpdate sets a 400 ms stagger",
+	"memcache.SimServerConfig.ServiceTime": "bench/ builds its stores from DefaultSimServerConfig",
+	"memcache.SimServerConfig.CPUPerOp":    "bench/ builds its stores from DefaultSimServerConfig",
+	"memcache.SimServerConfig.Cores":       "bench/ builds its stores from DefaultSimServerConfig",
+	"memcache.SimServerConfig.TCP":         "bench/ builds its stores from DefaultSimServerConfig",
+	"tcp.Config.IdleProbe":                 "TestIdleProbe sets a 25 ms probe",
+	"tcp.Config.InitialCwnd":               "FuzzBatchDispatchDifferential's worlds start at 4 segments",
+	"tcp.Config.InitialSsthresh":           "FuzzBatchDispatchDifferential's worlds leave slow start early",
+	"tcp.Config.MSS":                       "FuzzBatchDispatchDifferential's worlds use a 256-byte MSS; bench/probes.go reads it",
+	"tcp.Config.MaxRetries":                "TestConnectTimeoutWhenServerDead gives up after 2 retransmits",
+	"tcpstore.Config.Expiry":               "TestStoreExpiryAges sets a 1 s TTL",
+	"tcpstore.Config.OpTimeout":            "TestDeleteBatchLosesOneReplica turns it off",
+}
+
+// TestNoOneValuedOption keeps the option sweep swept: an option with one
+// value in use is a constant. It covers every exported field of an
+// exported struct type under internal/ that has a Default<Type>
+// constructor in its package, the figure configs of experiments aside
+// (figure parameters: the golden pins their defaults and tests shrink
+// them). Such a field fails unless some non-test write outside the
+// constructor — cmd/, examples/ and the frozen bench/ count — gives it a
+// value other than the constructor's, or it sits on oneValueAllowlist.
+//
+// A write is an assignment to the field (op= and ++/-- included) or a
+// struct-literal key. It keeps the default only when both are constants
+// and equal; a field the constructor leaves out defaults to its type's
+// zero, a constant for a basic type.
+func TestNoOneValuedOption(t *testing.T) {
+	fset, imp := loadRepo(t)
+	opts, varied := optionUses(imp.info, imp.pkgs)
+
+	var bad []string
+	seen := map[string]bool{}
+	for v, o := range opts {
+		seen[o.key] = true
+		_, allowed := oneValueAllowlist[o.key]
+		pos := fset.Position(v.Pos()).String()
+		switch {
+		case varied[v] && allowed:
+			bad = append(bad, pos+": "+o.key+" is on oneValueAllowlist but non-test code varies it now; drop the entry")
+		case !varied[v] && !allowed:
+			bad = append(bad, pos+": "+o.key+" has one value outside tests; make it a constant")
+		}
+	}
+	tests, _ := testReads(t, imp)
+	for key, reason := range oneValueAllowlist {
+		if !seen[key] {
+			bad = append(bad, "oneValueAllowlist: "+key+" is not a field of a config with a Default constructor")
+		}
+		if !testName.MatchString(reason) && !strings.Contains(reason, "bench/") {
+			bad = append(bad, "oneValueAllowlist: "+key+"'s reason names no test and no bench/ caller")
+		}
+		for _, name := range testName.FindAllString(reason, -1) {
+			if !tests[name] {
+				bad = append(bad, "oneValueAllowlist: "+key+"'s reason names "+name+", which no test file declares")
+			}
+		}
+	}
+	if len(bad) > 0 {
+		sort.Strings(bad)
+		t.Fatalf("options with one value in use — turn each into a constant, or allowlist it with the test or bench/ caller that sets it:\n%s",
+			strings.Join(bad, "\n"))
+	}
+}
+
+// option is one field under TestNoOneValuedOption: its key, the
+// constructor that sets its default, and that default (nil when it is
+// not a constant).
+type option struct {
+	key  string
+	ctor *types.Func
+	def  constant.Value
+}
+
+// optionUses returns the fields TestNoOneValuedOption covers and those
+// of them some write in pkgs gives another value.
+func optionUses(info *types.Info, pkgs map[string]*repoPackage) (opts map[*types.Var]option, varied map[*types.Var]bool) {
+	opts, varied = optionFields(info, pkgs), map[*types.Var]bool{}
+	for _, p := range pkgs {
+		for _, f := range p.files {
+			optionWrites(info, f, opts, varied)
+		}
+	}
+	return opts, varied
+}
+
+// optionFields returns the fields TestNoOneValuedOption covers, with
+// their defaults read off each constructor's struct literal.
+func optionFields(info *types.Info, pkgs map[string]*repoPackage) map[*types.Var]option {
+	out := map[*types.Var]option{}
+	for _, p := range pkgs {
+		if !strings.HasPrefix(p.dir, "internal/") || p.pkg.Name() == "experiments" {
+			continue
+		}
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || fd.Recv != nil || !strings.HasPrefix(fd.Name.Name, "Default") {
+					continue
+				}
+				name := strings.TrimPrefix(fd.Name.Name, "Default")
+				tn, ok := p.pkg.Scope().Lookup(name).(*types.TypeName)
+				if !ok || !tn.Exported() {
+					continue
+				}
+				st, ok := tn.Type().Underlying().(*types.Struct)
+				if !ok {
+					continue
+				}
+				ctor := info.Defs[fd.Name].(*types.Func)
+				set := map[*types.Var]ast.Expr{}
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					if lit, ok := n.(*ast.CompositeLit); ok && types.Identical(info.TypeOf(lit), tn.Type()) {
+						for i, e := range lit.Elts {
+							if kv, ok := e.(*ast.KeyValueExpr); ok {
+								set[info.Uses[kv.Key.(*ast.Ident)].(*types.Var)] = kv.Value
+							} else {
+								set[st.Field(i)] = e
+							}
+						}
+					}
+					return true
+				})
+				for i := 0; i < st.NumFields(); i++ {
+					v := st.Field(i)
+					if !v.Exported() {
+						continue
+					}
+					o := option{key: p.pkg.Name() + "." + name + "." + v.Name(), ctor: ctor}
+					if e, ok := set[v]; ok {
+						o.def = info.Types[e].Value
+					} else {
+						o.def = zeroConstant(v.Type())
+					}
+					out[v] = o
+				}
+			}
+		}
+	}
+	return out
+}
+
+// zeroConstant is the zero value of a basic type as a constant, and nil
+// for any other type.
+func zeroConstant(t types.Type) constant.Value {
+	b, ok := t.Underlying().(*types.Basic)
+	switch {
+	case !ok:
+		return nil
+	case b.Info()&types.IsBoolean != 0:
+		return constant.MakeBool(false)
+	case b.Info()&types.IsString != 0:
+		return constant.MakeString("")
+	case b.Info()&types.IsNumeric != 0:
+		return constant.MakeInt64(0)
+	}
+	return nil
+}
+
+// optionWrites marks in varied each option field of f that a write gives
+// a value other than its default, skipping the writes of the field's
+// own constructor.
+func optionWrites(info *types.Info, f *ast.File, opts map[*types.Var]option, varied map[*types.Var]bool) {
+	var fn types.Object
+	note := func(obj types.Object, value ast.Expr) {
+		v, ok := obj.(*types.Var)
+		o, covered := opts[v]
+		if !ok || !covered || o.ctor == fn {
+			return
+		}
+		var c constant.Value
+		if value != nil {
+			c = info.Types[value].Value
+		}
+		if c == nil || o.def == nil || !constant.Compare(c, token.EQL, o.def) {
+			varied[v] = true
+		}
+	}
+	// write notes a write of value to e, and, for x.f.g, a write of
+	// another value to f: the write changes it.
+	write := func(e ast.Expr, value ast.Expr) {
+		for {
+			sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+			if !ok {
+				return
+			}
+			note(info.Uses[sel.Sel], value)
+			e, value = sel.X, nil
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncDecl:
+			fn = info.Defs[n.Name]
+		case *ast.AssignStmt:
+			for i, lhs := range n.Lhs {
+				var value ast.Expr
+				if n.Tok == token.ASSIGN && len(n.Lhs) == len(n.Rhs) {
+					value = n.Rhs[i]
+				}
+				write(lhs, value)
+			}
+		case *ast.IncDecStmt:
+			write(n.X, nil)
+		case *ast.CompositeLit:
+			st, ok := info.TypeOf(n).Underlying().(*types.Struct)
+			if !ok {
+				return true
+			}
+			for i, e := range n.Elts {
+				if kv, ok := e.(*ast.KeyValueExpr); ok {
+					note(info.Uses[kv.Key.(*ast.Ident)], kv.Value)
+				} else {
+					note(st.Field(i), e)
+				}
+			}
+		}
+		return true
+	})
+}
+
+// plantedOptions exercises TestNoOneValuedOption's classifier: Config's
+// fields named one… keep their default at every write, each in another
+// way, and those named varied… get a second value, each in another way.
+const plantedOptions = `package p
+
+import "time"
+
+type Inner struct{ N int }
+
+type Config struct {
+	OneUnset, OneSame, OneZero, OneBool int
+	OneFlag                                bool
+	VariedConst, VariedVar, VariedInc      int
+	VariedNested                           Inner
+	VariedOp                               time.Duration
+}
+
+func DefaultConfig() Config {
+	return Config{OneSame: 2, OneBool: 0, VariedConst: 1, VariedOp: time.Second}
+}
+
+func use(n int) {
+	c := DefaultConfig()
+	c.OneSame = 2
+	c.OneZero = 0
+	c.OneFlag = false
+	c.VariedConst = 3
+	c.VariedVar = n
+	c.VariedInc++
+	c.VariedNested.N = 1
+	c.VariedOp *= 2
+	_ = Config{OneSame: 1 + 1}
+	_ = c
+}
+`
+
+// TestOneValuedOptionClassifier runs TestNoOneValuedOption's classifier
+// on plantedOptions: it must flag the fields only ever given their
+// default (a field never written, one written its constant default, one
+// left out of the constructor and written its zero) and none of those a
+// write varies.
+func TestOneValuedOptionClassifier(t *testing.T) {
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "p.go", plantedOptions, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := newTypesInfo()
+	conf := types.Config{Importer: importer.ForCompiler(fset, "gc", nil)}
+	pkg, err := conf.Check("p", fset, []*ast.File{f}, info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs := map[string]*repoPackage{"repro/internal/p": {dir: "internal/p", pkg: pkg, files: []*ast.File{f}}}
+	opts, varied := optionUses(info, pkgs)
+	var got []string
+	for v, o := range opts {
+		if !varied[v] {
+			got = append(got, o.key)
+		}
+	}
+	sort.Strings(got)
+	want := []string{"p.Config.OneBool", "p.Config.OneFlag", "p.Config.OneSame", "p.Config.OneUnset", "p.Config.OneZero"}
 	if !slices.Equal(got, want) {
 		t.Fatalf("flagged %v,\nwant    %v", got, want)
 	}

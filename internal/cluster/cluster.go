@@ -222,19 +222,19 @@ func (c *Cluster) RestartYoda(i int, cfg core.Config, storeCfg tcpstore.Config) 
 }
 
 // AddHAProxy starts one HAProxy-style baseline instance.
-func (c *Cluster) AddHAProxy(cfg haproxy.Config) *haproxy.Instance {
+func (c *Cluster) AddHAProxy() *haproxy.Instance {
 	c.nextProxy++
 	h := netsim.NewHost(c.Net, netsim.IPv4(10, 0, proxySubnet, byte(c.nextProxy)))
-	inst := haproxy.NewInstance(h, 80, cfg)
+	inst := haproxy.NewInstance(h, 80)
 	inst.SetBackendInfo(c.Health)
 	c.HAProxy = append(c.HAProxy, inst)
 	return inst
 }
 
 // AddHAProxyN adds n baseline instances.
-func (c *Cluster) AddHAProxyN(n int, cfg haproxy.Config) {
+func (c *Cluster) AddHAProxyN(n int) {
 	for i := 0; i < n; i++ {
-		c.AddHAProxy(cfg)
+		c.AddHAProxy()
 	}
 }
 

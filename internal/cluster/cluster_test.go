@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/haproxy"
 	"repro/internal/httpsim"
 	"repro/internal/memcache"
 	"repro/internal/netsim"
@@ -30,7 +29,7 @@ func TestAddressPlanIsCollisionFree(t *testing.T) {
 	for _, in := range c.Yoda {
 		record(in.IP(), "yoda")
 	}
-	c.AddHAProxyN(3, haproxy.DefaultConfig())
+	c.AddHAProxyN(3)
 	for _, p := range c.HAProxy {
 		record(p.IP(), "haproxy")
 	}

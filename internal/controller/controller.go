@@ -20,21 +20,26 @@ import (
 	"repro/internal/tcpstore"
 )
 
+// The paper's deployment reads per-VIP traffic counters every
+// statsInterval; the scaling policy adds instances when average
+// utilization over its interval exceeds cpuHigh, enough to bring it down
+// to cpuTarget.
+const (
+	statsInterval = time.Second
+	cpuHigh       = 0.75
+	cpuTarget     = 0.60
+)
+
 // Config tunes the controller.
 type Config struct {
 	// PingInterval is the monitor period; failures are detected within at
 	// most this delay (600 ms in the paper).
 	PingInterval time.Duration
-	// StatsInterval is how often per-VIP traffic counters are read.
-	StatsInterval time.Duration
-	// ScaleInterval is how often the scaling policy runs; CPUHigh is the
-	// utilization that triggers adding instances; CPUTarget is the level
-	// scale-out aims for. Scaling is disabled when ScaleInterval is 0. It
-	// must not exceed 4 s: the policy reads CPU over the last interval, and
-	// a CPU meter answers windows within its 4.1 s horizon.
+	// ScaleInterval is how often the scaling policy runs; scaling is
+	// disabled when it is 0. It must not exceed 4 s: the policy reads CPU
+	// over the last interval, and a CPU meter answers windows within its
+	// 4.1 s horizon.
 	ScaleInterval time.Duration
-	CPUHigh       float64
-	CPUTarget     float64
 
 	// Reconfig tunes the live reconfiguration engine assignments are
 	// applied through (δ migration bound, drain timings). The zero value
@@ -46,10 +51,7 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		PingInterval:  600 * time.Millisecond,
-		StatsInterval: time.Second,
 		ScaleInterval: time.Second,
-		CPUHigh:       0.75,
-		CPUTarget:     0.60,
 	}
 }
 
@@ -139,12 +141,10 @@ func (ct *Controller) SetPolicy(vip netsim.IP, rs []rules.Rule, insts []*core.In
 	}
 	var ips []netsim.IP
 	for _, in := range insts {
-		in.InstallRules(vip, rs)
 		ips = append(ips, in.IP())
 	}
 	ct.vipInstances[vip] = ips
-	ct.C.L4.SetMappingNow(vip, ips)
-	ct.C.HybridRecordPolicy(vip, rs)
+	ct.C.InstallPolicy(vip, rs, insts)
 }
 
 // UpdatePolicy changes the rules for a VIP on every instance that holds
@@ -236,7 +236,7 @@ func (ct *Controller) mappingSnapshot() map[netsim.IP][]netsim.IP {
 }
 
 func (ct *Controller) liveInstances() []*core.Instance {
-	var out []*core.Instance
+	out := make([]*core.Instance, 0, len(ct.C.Yoda)) // never nil: nil means every instance to InstallPolicy
 	for _, in := range ct.C.Yoda {
 		if in.Host().Alive() {
 			out = append(out, in)
@@ -260,7 +260,7 @@ func (ct *Controller) Start() {
 	}
 	ct.running = true
 	ct.every(loopMonitor, ct.cfg.PingInterval, ct.monitorTick)
-	ct.every(loopStats, ct.cfg.StatsInterval, ct.statsTick)
+	ct.every(loopStats, statsInterval, ct.statsTick)
 	if ct.cfg.ScaleInterval > 0 {
 		ct.every(loopScaling, ct.cfg.ScaleInterval, ct.scaleTick)
 	}
@@ -402,8 +402,8 @@ func (ct *Controller) statsTick() {
 }
 
 // scaleTick implements the §7.3 behaviour: when average instance CPU over
-// the last interval exceeds CPUHigh, add enough instances to bring the
-// projected utilization down to CPUTarget, give them every VIP's rules,
+// the last interval exceeds cpuHigh, add enough instances to bring the
+// projected utilization down to cpuTarget, give them every VIP's rules,
 // and update the L4 mappings.
 func (ct *Controller) scaleTick() {
 	live := ct.liveInstances()
@@ -417,10 +417,10 @@ func (ct *Controller) scaleTick() {
 		avg += in.CPU.UtilizationClamped(from, now)
 	}
 	avg /= float64(len(live))
-	if avg <= ct.cfg.CPUHigh {
+	if avg <= cpuHigh {
 		return
 	}
-	need := int(float64(len(live))*avg/ct.cfg.CPUTarget+0.999) - len(live)
+	need := int(float64(len(live))*avg/cpuTarget+0.999) - len(live)
 	if need <= 0 {
 		return
 	}

@@ -230,29 +230,38 @@ type killRun struct {
 	after  sentAfterKill
 }
 
-// packetFault is what a kill sweep does to one packet delivered after
-// the kill: lose it, or deliver it and send a copy of it after it.
+// packetFault is what a kill sweep does at one packet delivered after
+// the kill: lose it, deliver it and send a copy of it after it, or
+// deliver it and then kill a second instance.
 type packetFault int
 
 const (
 	dropPacket packetFault = iota
 	duplicatePacket
+	killHolder
 )
 
-func (f packetFault) String() string { return [...]string{"drop", "duplicate"}[f] }
+func (f packetFault) String() string { return [...]string{"drop", "duplicate", "kill-holder"}[f] }
 
 // run fetches /100k on a fresh bed of seed, kills the busiest instance
-// after kill event steps (no kill when kill < 0), applies fault to the
+// after kill event steps (no kill when kill < 0), applies fault at the
 // j-th packet delivered after the kill (none when j < 0) and settles for
 // 3 minutes. A duplicate is a clone of the packet sent again from the
 // point of delivery, so it arrives one link latency after the original.
+// killHolder fails, as the next event, the live instance the muxes name
+// for the client tuple (l4lb.Holder), or the busiest survivor when they
+// name none or a dead one.
 func (arm killArm) run(t *testing.T, seed int64, kill, j int, fault packetFault) *killRun {
 	r := &killRun{tb: arm.bed(t, seed, 3), atClose: -1}
 	net := r.tb.C.Net
 	delivered := -1 // since the kill
+	var client netsim.FourTuple
 	net.SetDropFunc(func(pkt *netsim.Packet) bool {
 		if r.atClose < 0 && sumYoda(r.tb, func(in *core.Instance) uint64 { return in.FlowsClosed }) > 0 {
 			r.atClose = int64(adoptions(r.tb))
+		}
+		if pkt.Dst == r.tb.Addr {
+			client = pkt.Tuple()
 		}
 		if delivered < 0 {
 			r.ran = append(r.ran, see(pkt))
@@ -264,11 +273,15 @@ func (arm killArm) run(t *testing.T, seed int64, kill, j int, fault packetFault)
 			return false
 		}
 		r.faulted = true
-		if fault == duplicatePacket {
+		switch fault {
+		case duplicatePacket:
 			net.Send(pkt.Clone())
-			return false
+		case killHolder:
+			net.Schedule(0, func() { r.tb.FailLB(holderOrBusiest(r.tb, client)) })
+		default:
+			return true
 		}
-		return true
+		return false
 	})
 	r.tb.C.NewClient(arm.client).Get(r.tb.Addr, "/100k", keep(&r.res))
 	for r.res == nil && r.steps != kill {
@@ -284,6 +297,24 @@ func (arm killArm) run(t *testing.T, seed int64, kill, j int, fault packetFault)
 	}
 	net.RunFor(3 * time.Minute)
 	return r
+}
+
+// holderOrBusiest returns the index of the live instance the muxes name
+// for tuple, or else of the live instance with the most flows, lowest
+// index first among equals.
+func holderOrBusiest(tb *testbed.Bed, tuple netsim.FourTuple) int {
+	holder, _ := tb.C.L4.Holder(tuple)
+	best := -1
+	for i, in := range tb.C.Yoda {
+		switch {
+		case !in.Host().Alive():
+		case in.IP() == holder:
+			return i
+		case best < 0 || in.FlowCount() > tb.C.Yoda[best].FlowCount():
+			best = i
+		}
+	}
+	return best
 }
 
 func sumYoda(tb *testbed.Bed, f func(*core.Instance) uint64) (n uint64) {
@@ -395,9 +426,9 @@ func TestKillOwnerAtEveryStep(t *testing.T) {
 
 // killDropSeeds is how many seeds, from 11, each kill-then-fault sweep
 // and TestKillEachInstanceThroughScenario cover; ci.sh runs five. 0 means
-// the go test default: two seeds of drops, one of duplicates and of the
-// scenario.
-var killDropSeeds = flag.Int("killdrop.seeds", 0, "seeds (from 11) each kill-then-fault sweep and the scenario kill sweep cover; 0 runs 2 for drops and 1 for duplicates and the scenario")
+// the go test default: two seeds of drops, one of duplicates, of second
+// kills and of the scenario.
+var killDropSeeds = flag.Int("killdrop.seeds", 0, "seeds (from 11) each kill-then-fault sweep and the scenario kill sweep cover; 0 runs 2 for drops and 1 for duplicates, second kills and the scenario")
 
 // defectK is defect (k)'s window in the kill-then-drop sweep, paper arm,
 // as (seed, kill step, dropped packet): the lost packet is the dead
@@ -442,16 +473,31 @@ func TestKillThenDuplicateEveryPacket(t *testing.T) {
 	killFaultSweep(t, duplicatePacket, 1, nil)
 }
 
-// killFaultSweep runs both arms' kill sweeps with fault applied to each
+// TestKillThenKillHolderEveryPacket is a bounded double-crash sweep: after
+// the busiest instance is killed at step k, the instance holding the
+// client tuple at the muxes (most often the flow's adopter, or the
+// owner-to-be of a flow still in its connection phase) is killed too at
+// the j-th packet delivered after the first kill, for every j < 24. Each
+// death may cost one adoption, so the survivors may adopt the flow twice,
+// never after its first close; every other check is the other sweeps'.
+func TestKillThenKillHolderEveryPacket(t *testing.T) {
+	killFaultSweep(t, killHolder, 1, nil)
+}
+
+// killFaultSweep runs both arms' kill sweeps with fault applied at each
 // of the 24 packets after the kill in turn, over seeds from 11 (dflt
 // unless -killdrop.seeds says). pinned names the paper arm's points, as
 // (seed, kill step, packet), that must show defect (k)'s second, late
 // adoption instead.
 func killFaultSweep(t *testing.T, fault packetFault, dflt int, pinned map[[3]int]bool) {
 	seeds := cmp.Or(*killDropSeeds, dflt)
+	maxAdopted := uint64(1) // one per death
+	if fault == killHolder {
+		maxAdopted = 2
+	}
 	for _, arm := range killArms {
 		t.Run(arm.name, func(t *testing.T) {
-			runs, lingered := 0, 0
+			runs, lingered, twice := 0, 0, 0
 			for seed := int64(11); seed < 11+int64(seeds); seed++ {
 				total := arm.run(t, seed, -1, -1, fault).steps
 				for k := 0; k <= total; k++ {
@@ -473,13 +519,16 @@ func killFaultSweep(t *testing.T, fault packetFault, dflt int, pinned map[[3]int
 							}
 							continue
 						}
-						if adopted > 1 || late > 0 {
+						if adopted > maxAdopted || late > 0 {
 							t.Fatalf("%s: the survivors adopted the flow %d times, %d after its first close", where, adopted, late)
+						}
+						if adopted == 2 {
+							twice++
 						}
 					}
 				}
 			}
-			t.Logf("%d kill-then-%s runs, %d left defect (g)'s lingering copy", runs, fault, lingered)
+			t.Logf("%d kill-then-%s runs, %d left defect (g)'s lingering copy, %d adopted the flow twice", runs, fault, lingered, twice)
 		})
 	}
 }

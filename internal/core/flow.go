@@ -302,10 +302,8 @@ func (in *Instance) selectAndDial(f *flow, req *httpsim.Request) {
 		draw = in.rng.Float64()
 	}
 	decision := engine.Select(req, draw, in.info)
-	lookup := in.cfg.LookupBase + time.Duration(decision.Scanned)*in.cfg.LookupPerRule
-	// Only the scan itself burns CPU; LookupBase models pipeline latency
-	// (queueing, context switches) that does not occupy a core.
-	in.CPU.Charge(in.net.Now(), time.Duration(decision.Scanned)*in.cfg.LookupPerRule)
+	lookup, scan := rules.LookupCost(decision.Scanned)
+	in.CPU.Charge(in.net.Now(), scan)
 	if !decision.OK {
 		in.reject(f, 503, "no rule matched")
 		return

@@ -26,12 +26,6 @@ type Config struct {
 	// CPUPerPacket is the virtual CPU cost of rewriting one tunneled
 	// packet (the user/kernel copy the paper blames for Yoda's 2× CPU).
 	CPUPerPacket time.Duration
-	// LookupBase and LookupPerRule model the rule-scan latency of
-	// Figure 6: lookup = LookupBase + LookupPerRule × rulesScanned. With
-	// the defaults, 1K rules ≈ 4.1 ms, 2K ≈ 5 ms (the paper's Ry target)
-	// and 10K ≈ 12.3 ms ≈ 3× the 1K latency.
-	LookupBase    time.Duration
-	LookupPerRule time.Duration
 	// SNATBase/SNATCount delimit this instance's slice of the VIP port
 	// space for backend connections, so instances never collide.
 	SNATBase  uint16
@@ -58,8 +52,6 @@ func DefaultConfig() Config {
 		Cores:           8,
 		CPUConnPhase:    410 * time.Microsecond,
 		CPUPerPacket:    30 * time.Microsecond,
-		LookupBase:      3200 * time.Microsecond,
-		LookupPerRule:   910 * time.Nanosecond,
 		SNATBase:        20000,
 		SNATCount:       2000,
 		FlowIdleTimeout: 2 * time.Minute,

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"repro/internal/httpsim"
 	"repro/internal/netsim"
 	"repro/internal/rules"
@@ -175,7 +173,8 @@ func (in *Instance) kaFlush(f *flow) {
 		return
 	}
 	decision := engine.Select(&ka.queue[0].req, in.rng.Float64(), in.info)
-	in.CPU.Charge(in.net.Now(), time.Duration(decision.Scanned)*in.cfg.LookupPerRule)
+	_, scan := rules.LookupCost(decision.Scanned)
+	in.CPU.Charge(in.net.Now(), scan)
 	if !decision.OK {
 		in.reject(f, 503, "no rule matched")
 		return

@@ -27,10 +27,6 @@ type Fig12Config struct {
 	HTTPTimeout time.Duration
 	// ObjectSize per request.
 	ObjectSize int
-	// Parallel runs the three arms on separate goroutines. Each arm owns
-	// an independent cluster seeded from Seed, so results are identical to
-	// a sequential run.
-	Parallel bool
 }
 
 // DefaultFig12Config mirrors §7.2: 10 instances, 2 killed, 20 client
@@ -81,9 +77,9 @@ type Fig12Result struct {
 	HAProxyRetry   Fig12Arm
 }
 
-// RunFig12 runs the three arms, concurrently when cfg.Parallel is set
-// (each arm simulates its own cluster from the same seed, so the output
-// does not depend on the mode).
+// RunFig12 runs the three arms concurrently, each on its own goroutine
+// with its own cluster seeded from cfg.Seed, so the output does not
+// depend on how they interleave.
 func RunFig12(cfg Fig12Config) *Fig12Result {
 	res := &Fig12Result{}
 	arms := []struct {
@@ -96,21 +92,15 @@ func RunFig12(cfg Fig12Config) *Fig12Result {
 		{&res.HAProxyNoRetry, "haproxy-noretry", false, 0},
 		{&res.HAProxyRetry, "haproxy-retry", false, 1},
 	}
-	if cfg.Parallel {
-		var wg sync.WaitGroup
-		for _, a := range arms {
-			wg.Add(1)
-			go func(out *Fig12Arm, name string, yoda bool, retries int) {
-				defer wg.Done()
-				*out = runFig12Arm(cfg, name, yoda, retries)
-			}(a.out, a.name, a.yoda, a.retries)
-		}
-		wg.Wait()
-	} else {
-		for _, a := range arms {
+	var wg sync.WaitGroup
+	for _, a := range arms {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
 			*a.out = runFig12Arm(cfg, a.name, a.yoda, a.retries)
-		}
+		}()
 	}
+	wg.Wait()
 	return res
 }
 

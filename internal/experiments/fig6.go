@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/httpsim"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
@@ -18,11 +17,6 @@ type Fig6Config struct {
 	Seed       int64
 	RuleCounts []int // table sizes to sweep, e.g. 1K..10K
 	Lookups    int   // lookups per table size
-	// Parallel evaluates the rule-count points on separate goroutines.
-	// The RNG draws are pre-generated sequentially from the single seeded
-	// stream, so every reported metric except the wall-clock ScanP90
-	// column is bit-identical to a sequential run.
-	Parallel bool
 }
 
 // DefaultFig6Config sweeps 1K–10K rules as in the paper.
@@ -58,18 +52,19 @@ type Fig6Result struct {
 
 // fig6Inputs is the pre-drawn randomness for one rule-count point. Draws
 // are generated sequentially from the single seeded stream — in exactly
-// the order the measurement loop consumes them — so points can then be
-// evaluated on separate goroutines without perturbing any result.
+// the order the measurement loop consumes them — so each point can then
+// be evaluated on its own goroutine without perturbing any result.
 type fig6Inputs struct {
 	paths []string
 	rnds  []float64
 }
 
-// RunFig6 measures lookup latency across rule-table sizes.
+// RunFig6 measures lookup latency across rule-table sizes, each size on
+// its own goroutine with its own rule engine. Every reported metric but
+// the wall-clock ScanP90 column depends on the seed alone.
 func RunFig6(cfg Fig6Config) *Fig6Result {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	res := &Fig6Result{Points: make([]Fig6Point, len(cfg.RuleCounts))}
-	instCfg := core.DefaultConfig()
 
 	inputs := make([]fig6Inputs, len(cfg.RuleCounts))
 	for i := range cfg.RuleCounts {
@@ -96,7 +91,8 @@ func RunFig6(cfg Fig6Config) *Fig6Result {
 			d := engine.Select(req, inputs[i].rnds[j], nil)
 			scan.Add(time.Since(t0))
 			scanned += float64(d.Scanned)
-			model.Add(instCfg.LookupBase + time.Duration(d.Scanned)*instCfg.LookupPerRule)
+			lookup, _ := rules.LookupCost(d.Scanned)
+			model.Add(lookup)
 		}
 		res.Points[i] = Fig6Point{
 			Rules:      n,
@@ -105,18 +101,12 @@ func RunFig6(cfg Fig6Config) *Fig6Result {
 			AvgScanned: scanned / float64(cfg.Lookups),
 		}
 	}
-	if cfg.Parallel {
-		var wg sync.WaitGroup
-		for i := range cfg.RuleCounts {
-			wg.Add(1)
-			go func(i int) { defer wg.Done(); point(i) }(i)
-		}
-		wg.Wait()
-	} else {
-		for i := range cfg.RuleCounts {
-			point(i)
-		}
+	var wg sync.WaitGroup
+	for i := range cfg.RuleCounts {
+		wg.Add(1)
+		go func() { defer wg.Done(); point(i) }()
 	}
+	wg.Wait()
 	if len(res.Points) >= 2 {
 		first, last := res.Points[0], res.Points[len(res.Points)-1]
 		if first.ModelP90 > 0 {

@@ -5,10 +5,10 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/haproxy"
 	"repro/internal/httpsim"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
+	"repro/internal/rules"
 	"repro/internal/testbed"
 )
 
@@ -90,7 +90,8 @@ func RunFig9(cfg Fig9Config) *Fig9Result {
 		// HAProxy's backend handshake costs one DC RTT plus the lookup
 		// pipeline delay; measure it as total minus baseline minus the
 		// same residual classification used for Yoda.
-		res.HAProxyConnection = 500*time.Microsecond + haproxy.DefaultConfig().LookupBase
+		lookupBase, _ := rules.LookupCost(0)
+		res.HAProxyConnection = 500*time.Microsecond + lookupBase
 		res.HAProxyLB = res.HAProxyTotal - res.Baseline - res.HAProxyConnection
 		if res.HAProxyLB < 0 {
 			res.HAProxyLB = 0

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/haproxy"
 	"repro/internal/httpsim"
 	"repro/internal/netsim"
 	"repro/internal/rules"
@@ -55,7 +54,7 @@ func TestProxyRejectsMalformedRequest(t *testing.T) {
 func TestProxyNoRulesForVIP(t *testing.T) {
 	c := cluster.New(82)
 	c.AddBackend("srv-1", map[string][]byte{"/": []byte("x")}, httpsim.DefaultServerConfig())
-	inst := c.AddHAProxy(haproxy.DefaultConfig())
+	inst := c.AddHAProxy()
 	vip := c.AddVIP("svc")
 	// Map the VIP at L4 but never install rules on the proxy.
 	c.L4.SetMappingNow(vip, []netsim.IP{inst.IP()})

@@ -20,31 +20,15 @@ import (
 	"repro/internal/tcp"
 )
 
-// Config tunes an HAProxy-style instance.
-type Config struct {
-	Cores int
-	// CPUConnPhase/CPUPerPacket mirror core.Config; HAProxy's in-kernel
-	// splicing makes both roughly half of Yoda's user-space costs (§7.1
-	// measures 46% vs 100% utilization at 12K req/s).
-	CPUConnPhase  time.Duration
-	CPUPerPacket  time.Duration
-	LookupBase    time.Duration
-	LookupPerRule time.Duration
-	TCP           tcp.Config
-}
-
-// DefaultConfig returns costs calibrated against §7.1 (about half of
-// Yoda's user-space packet driver).
-func DefaultConfig() Config {
-	return Config{
-		Cores:         8,
-		CPUConnPhase:  290 * time.Microsecond,
-		CPUPerPacket:  14 * time.Microsecond,
-		LookupBase:    3200 * time.Microsecond,
-		LookupPerRule: 910 * time.Nanosecond,
-		TCP:           tcp.DefaultConfig(),
-	}
-}
+// Costs calibrated against §7.1: HAProxy's in-kernel splicing makes the
+// connection-phase and per-packet CPU costs about half of Yoda's
+// user-space ones (46% vs 100% utilization at 12K req/s), on the same
+// 8-core VMs.
+const (
+	cores        = 8
+	cpuConnPhase = 290 * time.Microsecond
+	cpuPerPacket = 14 * time.Microsecond
+)
 
 // Instance is one HAProxy-style proxy instance. It listens for VIP
 // traffic forwarded by the L4 LB (the common public-cloud deployment the
@@ -55,7 +39,6 @@ type Instance struct {
 	// rng is the network's RNG, cached at construction (never reach
 	// through Network.Rand on the request path).
 	rng *rand.Rand
-	cfg Config
 
 	engines map[netsim.IP]*rules.Engine
 	info    rules.BackendInfo
@@ -78,16 +61,15 @@ type proxyConn struct {
 
 // NewInstance starts an HAProxy-style instance on host, accepting VIP
 // traffic on the given port.
-func NewInstance(host *netsim.Host, port uint16, cfg Config) *Instance {
+func NewInstance(host *netsim.Host, port uint16) *Instance {
 	inst := &Instance{
 		host:    host,
 		net:     host.Network(),
 		rng:     host.Network().Rand(),
-		cfg:     cfg,
 		engines: make(map[netsim.IP]*rules.Engine),
-		CPU:     metrics.NewCPUMeter(cfg.Cores),
+		CPU:     metrics.NewCPUMeter(cores),
 	}
-	tcp.Listen(host, port, inst.accept, cfg.TCP)
+	tcp.Listen(host, port, inst.accept, tcp.DefaultConfig())
 	return inst
 }
 
@@ -121,7 +103,7 @@ func (in *Instance) Fail() { in.host.Detach() }
 func (in *Instance) accept(c *tcp.Conn) tcp.Callbacks {
 	in.Connections++
 	in.Active++
-	in.CPU.Charge(in.net.Now(), in.cfg.CPUConnPhase)
+	in.CPU.Charge(in.net.Now(), cpuConnPhase)
 	pc := &proxyConn{inst: in, client: c}
 	return tcp.Callbacks{
 		OnData:      pc.clientData,
@@ -133,7 +115,7 @@ func (in *Instance) accept(c *tcp.Conn) tcp.Callbacks {
 
 func (pc *proxyConn) clientData(c *tcp.Conn, d []byte) {
 	in := pc.inst
-	in.CPU.Charge(in.net.Now(), in.cfg.CPUPerPacket)
+	in.CPU.Charge(in.net.Now(), cpuPerPacket)
 	if pc.server != nil {
 		pc.server.Write(d)
 		return
@@ -160,14 +142,14 @@ func (pc *proxyConn) clientData(c *tcp.Conn, d []byte) {
 		return
 	}
 	decision := engine.Select(&req, in.rng.Float64(), in.info)
-	in.CPU.Charge(in.net.Now(), time.Duration(decision.Scanned)*in.cfg.LookupPerRule)
+	lookup, scan := rules.LookupCost(decision.Scanned)
+	in.CPU.Charge(in.net.Now(), scan)
 	if !decision.OK {
 		c.Write(httpsim.NewResponse(503, []byte("no rule matched")).Marshal())
 		c.Close()
 		return
 	}
 	pc.dialing = true
-	lookup := in.cfg.LookupBase + time.Duration(decision.Scanned)*in.cfg.LookupPerRule
 	in.net.Schedule(lookup, func() { pc.dial(decision.Backend.Addr) })
 }
 
@@ -180,7 +162,7 @@ func (pc *proxyConn) dial(backend netsim.HostPort) {
 			pc.dialing = false
 		},
 		OnData: func(s *tcp.Conn, d []byte) {
-			in.CPU.Charge(in.net.Now(), in.cfg.CPUPerPacket)
+			in.CPU.Charge(in.net.Now(), cpuPerPacket)
 			pc.client.Write(d)
 		},
 		OnPeerClose: func(s *tcp.Conn) {
@@ -191,7 +173,7 @@ func (pc *proxyConn) dial(backend netsim.HostPort) {
 		OnFail: func(s *tcp.Conn, err error) {
 			pc.client.Abort()
 		},
-	}, in.cfg.TCP)
+	}, tcp.DefaultConfig())
 }
 
 func (pc *proxyConn) clientClosed() {

@@ -73,7 +73,7 @@ func TestFetchRecyclesBody(t *testing.T) {
 
 // TestFetchBodiesAcrossGoroutines: bodyPools is shared by every network
 // in the process, and experiments run networks on goroutines of their
-// own (yodasim -exp all -parallel); run with -race, each goroutine's
+// own (yodasim -exp all); run with -race, each goroutine's
 // bodies must still arrive intact.
 func TestFetchBodiesAcrossGoroutines(t *testing.T) {
 	const workers, fetches = 4, 8

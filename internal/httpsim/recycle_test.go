@@ -14,7 +14,7 @@ import (
 // rule is easy to get wrong.
 
 // TestServerConnOutlivesFailWhileResponding: a request's conn fails (the
-// client resets it) while the response waits out ProcessingDelay. The
+// client resets it) while the response waits out processingDelay. The
 // serverConn and its conn are released only once that respond has run;
 // with poisoning on, a respond reaching a released conn panics.
 func TestServerConnOutlivesFailWhileResponding(t *testing.T) {
@@ -23,7 +23,7 @@ func TestServerConnOutlivesFailWhileResponding(t *testing.T) {
 	tcp.Dial(h, w.srvHP, tcp.Callbacks{
 		OnEstablished: func(c *tcp.Conn) {
 			c.Write(NewRequest("/obj", "svc").Marshal())
-			w.net.Schedule(DefaultServerConfig().ProcessingDelay/2, c.Abort)
+			w.net.Schedule(processingDelay/2, c.Abort)
 		},
 	}, tcp.DefaultConfig())
 	w.net.RunUntilIdle(1 << 16)

@@ -11,7 +11,7 @@ import (
 )
 
 // Handler produces a response for a request. It runs inside the event
-// loop and must not block; the server applies ProcessingDelay on its
+// loop and must not block; the server applies processingDelay on its
 // behalf. The returned body is transmitted in place (tcp.Conn.WriteStatic),
 // not copied: do not modify it after returning, ever — packets in flight
 // and the peer's reassembly queue reference it past the connection's end.
@@ -20,26 +20,25 @@ import (
 // *Response to every request, as MapHandler does, is the intended use.
 type Handler func(req *Request) *Response
 
+// The testbed's dual-core Apache backends: processingDelay is charged
+// (in virtual time) between receiving a complete request and emitting the
+// response, modelling application work — the paper's baseline latency
+// (133 ms end to end) is dominated by Internet RTT plus this — and
+// cpuPerRequest is the virtual CPU cost of serving one request.
+const (
+	processingDelay = 5 * time.Millisecond
+	cpuPerRequest   = 100 * time.Microsecond
+)
+
 // ServerConfig tunes an origin server.
 type ServerConfig struct {
-	// ProcessingDelay is charged (in virtual time) between receiving a
-	// complete request and emitting the response, modelling application
-	// work. The paper's baseline latency (133 ms end to end) is dominated
-	// by Internet RTT plus this.
-	ProcessingDelay time.Duration
-	// CPUPerRequest is the virtual CPU cost charged per request served.
-	CPUPerRequest time.Duration
 	// TCP is the endpoint configuration.
 	TCP tcp.Config
 }
 
-// DefaultServerConfig matches the testbed's dual-core Apache backends.
+// DefaultServerConfig serves over the testbed's default TCP endpoint.
 func DefaultServerConfig() ServerConfig {
-	return ServerConfig{
-		ProcessingDelay: 5 * time.Millisecond,
-		CPUPerRequest:   100 * time.Microsecond,
-		TCP:             tcp.DefaultConfig(),
-	}
+	return ServerConfig{TCP: tcp.DefaultConfig()}
 }
 
 // Server is a simulated origin (backend) server: it accepts TCP
@@ -47,7 +46,6 @@ func DefaultServerConfig() ServerConfig {
 // Handler, honouring keep-alive.
 type Server struct {
 	host    *netsim.Host
-	cfg     ServerConfig
 	handler Handler
 
 	CPU *metrics.CPUMeter
@@ -63,7 +61,7 @@ type Server struct {
 
 // NewServer starts a server on host:port with the given handler.
 func NewServer(host *netsim.Host, port uint16, handler Handler, cfg ServerConfig) *Server {
-	s := &Server{host: host, cfg: cfg, handler: handler, CPU: metrics.NewCPUMeter(2)}
+	s := &Server{host: host, handler: handler, CPU: metrics.NewCPUMeter(2)}
 	tcp.Listen(host, port, s.accept, cfg.TCP)
 	return s
 }
@@ -72,7 +70,7 @@ func NewServer(host *netsim.Host, port uint16, handler Handler, cfg ServerConfig
 func (s *Server) Host() *netsim.Host { return s.host }
 
 // serverConn is an accepted connection's user word. pending holds the
-// requests waiting out ProcessingDelay, inline until a pipelined burst
+// requests waiting out processingDelay, inline until a pipelined burst
 // outgrows it; equal delays fire in order, so each respond answers the
 // oldest. respond is bound once per serverConn, which is recycled.
 type serverConn struct {
@@ -112,9 +110,9 @@ func serverConnData(c *tcp.Conn, d []byte) {
 	}
 	for _, req := range reqs {
 		s.Requests++
-		s.CPU.Charge(s.host.Network().Now(), s.cfg.CPUPerRequest)
+		s.CPU.Charge(s.host.Network().Now(), cpuPerRequest)
 		sc.pending = append(sc.pending, req)
-		s.host.Network().Schedule(s.cfg.ProcessingDelay, sc.respond)
+		s.host.Network().Schedule(processingDelay, sc.respond)
 	}
 }
 

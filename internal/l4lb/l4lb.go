@@ -24,23 +24,22 @@ import (
 	"repro/internal/netsim"
 )
 
+// muxCount is the number of mux instances the VIP map is replicated
+// across, as in the testbed; incoming flows are spread over muxes by
+// tuple hash.
+const muxCount = 10
+
 // Config tunes the L4 LB.
 type Config struct {
-	// MuxCount is the number of mux instances the VIP map is replicated
-	// across. Incoming flows are spread over muxes by tuple hash.
-	MuxCount int
 	// UpdateStagger is the maximum delay before an individual mux applies
 	// a new VIP mapping; per-mux delays are uniform in [0, UpdateStagger].
 	UpdateStagger time.Duration
-	// ForwardHop is the extra latency charged for the mux→instance
-	// forwarding hop (encapsulated packets take one DC hop).
-	ForwardHop time.Duration
 }
 
-// DefaultConfig mirrors the testbed: 10 muxes, 500ms worst-case update
-// stagger (Ananta's non-atomic update window).
+// DefaultConfig mirrors the testbed: a 500ms worst-case update stagger
+// (Ananta's non-atomic update window).
 func DefaultConfig() Config {
-	return Config{MuxCount: 10, UpdateStagger: 500 * time.Millisecond, ForwardHop: 0}
+	return Config{UpdateStagger: 500 * time.Millisecond}
 }
 
 // mux is one L4 mux instance: its own copy of the VIP maps plus a flow
@@ -108,9 +107,6 @@ type LB struct {
 
 // New creates an L4 LB on the network.
 func New(n *netsim.Network, cfg Config) *LB {
-	if cfg.MuxCount <= 0 {
-		cfg.MuxCount = 1
-	}
 	lb := &LB{
 		net:     n,
 		rng:     n.Rand(),
@@ -118,7 +114,7 @@ func New(n *netsim.Network, cfg Config) *LB {
 		vips:    make(map[netsim.IP]bool),
 		pairIdx: make(map[affinityPair]flowmap.Value),
 	}
-	for i := 0; i < cfg.MuxCount; i++ {
+	for i := 0; i < muxCount; i++ {
 		lb.muxes = append(lb.muxes, newMux())
 	}
 	return lb
@@ -322,11 +318,7 @@ func (lb *LB) forward(pkt *netsim.Packet, vip, inst netsim.IP) {
 	}
 	fwd.SetOuter(vip, inst)
 	lb.Forwarded++
-	if lb.cfg.ForwardHop > 0 {
-		lb.net.Schedule(lb.cfg.ForwardHop, func() { lb.net.Send(fwd) })
-	} else {
-		lb.net.Send(fwd)
-	}
+	lb.net.Send(fwd)
 }
 
 // SendViaSNAT transmits a packet originated by instance inst with the VIP

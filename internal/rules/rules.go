@@ -16,10 +16,28 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"time"
 
 	"repro/internal/httpsim"
 	"repro/internal/netsim"
 )
+
+// The rule-scan latency model of Figure 6 (§4.4): a lookup waits
+// lookupBase of pipeline latency (queueing, context switches) that
+// occupies no core, plus lookupPerRule of scan per rule examined. 1K
+// rules take about 4.1 ms, 2K about 5 ms (the paper's Ry target) and
+// 10K about 12.3 ms, 3× the 1K latency.
+const (
+	lookupBase    = 3200 * time.Microsecond
+	lookupPerRule = 910 * time.Nanosecond
+)
+
+// LookupCost returns the modelled latency of a lookup that examined
+// scanned rules (a Decision's Scanned), and the CPU time its scan burns.
+func LookupCost(scanned int) (latency, cpu time.Duration) {
+	cpu = time.Duration(scanned) * lookupPerRule
+	return lookupBase + cpu, cpu
+}
 
 // Backend identifies one backend server of an online service.
 type Backend struct {

@@ -69,7 +69,7 @@ func (l *Listener) handleSegment(pkt *netsim.Packet) {
 	c.cb = l.accept(c)
 	l.host.Register(pkt.Dst.Port, pkt.Src, c)
 	c.sendSegment(netsim.FlagSYN|netsim.FlagACK, c.iss, c.rcvNxt, nil)
-	c.armRtx(c.cfg.SynRTO)
+	c.armRtx(synRTO)
 }
 
 // sendRST answers pkt with a RST+ACK using a pooled packet.

@@ -25,17 +25,24 @@ import (
 	"repro/internal/netsim"
 )
 
+// Timers and window every endpoint shares: the first data retransmit
+// fires at the base RTO (the paper's observed 300/600 ms retransmits),
+// doubling up to the ceiling; a SYN or SYN-ACK is resent every 3 s
+// (Ubuntu's default per §4.2); every segment advertises a 1 MiB window.
+const (
+	baseRTO       = 300 * time.Millisecond
+	synRTO        = 3 * time.Second
+	maxRTO        = 60 * time.Second
+	receiveWindow = 1 << 20
+)
+
 // Config carries the tunables of an endpoint. The zero value is not
 // usable; call DefaultConfig.
 type Config struct {
-	MSS             int           // maximum segment payload bytes
-	InitialCwnd     int           // initial congestion window, in segments
-	RTO             time.Duration // base retransmission timeout for data
-	SynRTO          time.Duration // retransmission timeout for SYN / SYN-ACK
-	MaxRTO          time.Duration // backoff ceiling
-	MaxRetries      int           // per-segment retransmit budget before giving up
-	ReceiveWindow   uint32        // advertised receive window, bytes
-	InitialSsthresh uint32        // slow-start threshold, bytes
+	MSS             int    // maximum segment payload bytes
+	InitialCwnd     int    // initial congestion window, in segments
+	MaxRetries      int    // per-segment retransmit budget before giving up
+	InitialSsthresh uint32 // slow-start threshold, bytes
 	// ISNKey, when non-zero, makes the endpoint derive its initial send
 	// sequence from a keyed hash of the connection tuple instead of the
 	// network's RNG (see DeterministicISN). Yoda's hybrid recovery mode sets
@@ -54,17 +61,12 @@ type Config struct {
 }
 
 // DefaultConfig returns the configuration used across the testbed: MSS
-// 1460, IW10, 300ms base RTO (matching the paper's observed 300/600ms
-// retransmits), 3s SYN timeout (Ubuntu's default per §4.2).
+// 1460, IW10, 8 retransmits.
 func DefaultConfig() Config {
 	return Config{
 		MSS:             1460,
 		InitialCwnd:     10,
-		RTO:             300 * time.Millisecond,
-		SynRTO:          3 * time.Second,
-		MaxRTO:          60 * time.Second,
 		MaxRetries:      8,
-		ReceiveWindow:   1 << 20,
 		InitialSsthresh: 1 << 20,
 	}
 }
@@ -276,7 +278,7 @@ func DialFrom(h *netsim.Host, localPort uint16, remote netsim.HostPort, cb Callb
 	c.bufSeq = c.iss + 1
 	h.Register(localPort, remote, c)
 	c.sendSegment(netsim.FlagSYN, c.iss, 0, nil)
-	c.armRtx(c.cfg.SynRTO)
+	c.armRtx(synRTO)
 	return c
 }
 
@@ -294,7 +296,7 @@ func newConn(h *netsim.Host, local, remote netsim.HostPort, cb Callbacks, cfg Co
 		cb:       cb,
 		local:    local,
 		remote:   remote,
-		peerWnd:  cfg.ReceiveWindow,
+		peerWnd:  receiveWindow,
 		cwnd:     uint32(cfg.InitialCwnd * cfg.MSS),
 		ssthresh: cfg.InitialSsthresh,
 		rtxFn:    c.rtxFn,
@@ -535,7 +537,7 @@ func (c *Conn) sendSegment(flags netsim.TCPFlags, seq, ack uint32, payload []byt
 	pkt := c.net.AllocPacket()
 	pkt.Src, pkt.Dst = c.local, c.remote
 	pkt.Flags, pkt.Seq, pkt.Ack = flags, seq, ack
-	pkt.Window = c.cfg.ReceiveWindow
+	pkt.Window = receiveWindow
 	pkt.Payload = payload
 	if len(payload) > 0 {
 		c.BytesSent += uint64(len(payload))
@@ -600,11 +602,11 @@ func (c *Conn) ensureRtx() {
 }
 
 func (c *Conn) currentRTO() time.Duration {
-	rto := c.cfg.RTO
+	rto := baseRTO
 	for i := 0; i < c.rtxBackoff; i++ {
 		rto *= 2
-		if rto >= c.cfg.MaxRTO {
-			return c.cfg.MaxRTO
+		if rto >= maxRTO {
+			return maxRTO
 		}
 	}
 	return rto
@@ -629,11 +631,11 @@ func (c *Conn) onRtxTimeout() {
 	switch c.state {
 	case StateSynSent:
 		c.sendSegment(netsim.FlagSYN, c.iss, 0, nil)
-		c.armRtx(c.cfg.SynRTO) // Linux keeps the SYN timer fixed-ish; good enough
+		c.armRtx(synRTO) // Linux keeps the SYN timer fixed-ish; good enough
 		return
 	case StateSynReceived:
 		c.sendSegment(netsim.FlagSYN|netsim.FlagACK, c.iss, c.rcvNxt, nil)
-		c.armRtx(c.cfg.SynRTO)
+		c.armRtx(synRTO)
 		return
 	}
 	// Retransmit the oldest unacked segment; classic multiplicative decrease.

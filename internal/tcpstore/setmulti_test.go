@@ -177,8 +177,8 @@ func TestSetMultiSplitsPastOneMSS(t *testing.T) {
 	ops := 0
 	for _, seg := range segments {
 		sess := memcache.NewSession(memcache.NewEngine(0, w.net.Now))
-		if resp := sess.Feed(seg); len(seg) > cfg.TCP.MSS || bytes.Contains(resp, []byte("ERROR")) {
-			t.Fatalf("segment of %d bytes (MSS %d) answered %q", len(seg), cfg.TCP.MSS, resp)
+		if resp := sess.Feed(seg); len(seg) > storeTCP.MSS || bytes.Contains(resp, []byte("ERROR")) {
+			t.Fatalf("segment of %d bytes (MSS %d) answered %q", len(seg), storeTCP.MSS, resp)
 		}
 		ops += sess.Ops()
 	}

@@ -29,14 +29,17 @@ type Config struct {
 	// (the controller's monitor replaces dead servers within 600 ms, but
 	// in-flight operations need their own bound). 0 disables the timeout.
 	OpTimeout time.Duration
-	TCP       tcp.Config
 }
+
+// storeTCP is the endpoint every store connection dials with, the
+// testbed's default; its MSS bounds one command.
+var storeTCP = tcp.DefaultConfig()
 
 // DefaultConfig matches the paper's deployment: 2 replicas (a write waits
 // for both: the paper ACKs the client only after the state is persisted),
 // 10-minute TTL as a leak backstop, 1 s operation bound.
 func DefaultConfig() Config {
-	return Config{Replicas: 2, Expiry: 600, OpTimeout: time.Second, TCP: tcp.DefaultConfig()}
+	return Config{Replicas: 2, Expiry: 600, OpTimeout: time.Second}
 }
 
 // Stats counts client-side operation outcomes.
@@ -345,7 +348,7 @@ func (s *Store) conn(server netsim.HostPort) *memcache.SimClient {
 		// connection state and timers are torn down rather than leaked.
 		c.Close()
 	}
-	c := memcache.DialSim(s.host, server, s.cfg.TCP, nil)
+	c := memcache.DialSim(s.host, server, storeTCP, nil)
 	s.conns[server] = c
 	return c
 }
@@ -411,7 +414,7 @@ func (s *Store) issue(op *multiOp, entries []Entry) {
 		replicas = s.ring.PickInto(replicas[:0], kv.Key, s.cfg.Replicas)
 		for _, server := range replicas {
 			b := op.openBatch(server)
-			if b == nil || memcache.CmdLen(len(b.kvs)+1, b.body+n, op.del) > s.cfg.TCP.MSS {
+			if b == nil || memcache.CmdLen(len(b.kvs)+1, b.body+n, op.del) > storeTCP.MSS {
 				b = s.takeBatch(op, server)
 				op.batches = append(op.batches, b)
 			}

@@ -15,7 +15,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/controller"
 	"repro/internal/core"
-	"repro/internal/haproxy"
 	"repro/internal/httpsim"
 	"repro/internal/memcache"
 	"repro/internal/netsim"
@@ -83,7 +82,7 @@ func New(cfg Config) *Bed {
 		b.Backends = append(b.Backends, name)
 	}
 	if cfg.HAProxy {
-		c.AddHAProxyN(cfg.LBs, haproxy.DefaultConfig())
+		c.AddHAProxyN(cfg.LBs)
 	} else {
 		inst, store := core.DefaultConfig(), tcpstore.DefaultConfig()
 		if cfg.Instance != nil {

@@ -15,9 +15,10 @@
 #                             the packet trains', the TCP batch path's
 #                             and the memcached session's differential
 #                             fuzzers, and the RNG, dead-export,
-#                             write-only-state, spec and lifecycle-seam
-#                             lints (the spec lint holds DESIGN.md,
-#                             EXPERIMENTS.md and README.md to the tree)
+#                             write-only-state, one-valued-option, spec
+#                             and lifecycle-seam lints (the spec lint
+#                             holds DESIGN.md, EXPERIMENTS.md and
+#                             README.md to the tree)
 #      coverage ratchet       every function of internal/core and
 #                             internal/l4lb runs under its own package's
 #                             tests, or is allowlisted with its reason
@@ -26,7 +27,7 @@
 #                             that their flow survived the instance kill
 #   6. bench module smoke     bench/ has its own go.mod; its ~3 s test
 #                             compiles yodabench against this tree
-#   7. figure golden          `yodasim -exp all -parallel -seed 1` is
+#   7. figure golden          `yodasim -exp all -seed 1` is
 #                             byte-identical to the checked-in 655 lines
 #   8. mflow hybrid           `yodasim -exp mflow -recovery hybrid` (32,768
 #                             flows, 2 of 8 instances killed) ends PASS:
@@ -35,9 +36,10 @@
 #                             left at settle
 #   9. kill-then-fault sweeps the instance owning a fetch killed after
 #                             each step, then each of the 24 packets
-#                             after the kill lost, or duplicated, over
-#                             five seeds (go test sweeps two of drops,
-#                             one of duplicates); and each instance in
+#                             after the kill lost, or duplicated, or
+#                             followed by a second kill, over five seeds
+#                             (go test sweeps two of drops, one of the
+#                             others); and each instance in
 #                             turn killed after every step of a
 #                             keep-alive switch and a TLS flow, over the
 #                             same five (go test: one)
@@ -219,7 +221,7 @@ go test -run '^$' -fuzz 'FuzzBatchDispatchDifferential' -fuzztime 10s -fuzzminim
 # reference parser: same replies, same engine state.
 go test -run '^$' -fuzz 'FuzzMemcacheSessionDifferential' -fuzztime 10s -fuzzminimizetime 2s ./internal/memcache/
 
-echo "== rng + dead-export + write-only-state + spec + lifecycle-seam lints (grep fast-fail; TestNoStrayRNGConstruction, TestNoDeadExports, TestNoWriteOnlyState, TestSpecLint and TestOneLifecycleSeam are the test halves) =="
+echo "== rng + dead-export + write-only-state + one-valued-option + spec + lifecycle-seam lints (grep fast-fail; TestNoStrayRNGConstruction, TestNoDeadExports, TestNoWriteOnlyState, TestNoOneValuedOption, TestSpecLint and TestOneLifecycleSeam are the test halves) =="
 # Only netsim (the network's RNG) and the trial-level drivers may construct
 # generators; dataplane components must cache Network.Rand at build time.
 if grep -rn --include='*.go' 'rand\.New(' cmd examples internal *.go 2>/dev/null \
@@ -229,11 +231,13 @@ if grep -rn --include='*.go' 'rand\.New(' cmd examples internal *.go 2>/dev/null
   exit 1
 fi
 # Every exported func, method and type under internal/ has a non-test
-# caller, and every struct field a non-test reader, or an allowlist entry
-# that says why it stays (deadlint_test.go). Every test the docs name
-# exists, every guarantee names its tests, the module map matches the
-# tree and the figures table quotes the golden (speclint_test.go).
-go test -run 'TestNoDeadExports|TestNoWriteOnlyState|TestWriteOnlyClassifier|TestNoStrayRNGConstruction|TestSpecLint|TestSpecLintCatches' .
+# caller, every struct field a non-test reader, and every field of a
+# component config a second value from non-test code, or an allowlist
+# entry that says why it stays (deadlint_test.go). Every test and
+# command flag the docs name exists, every guarantee names its tests,
+# the module map matches the tree and the figures table quotes the
+# golden (speclint_test.go).
+go test -run 'TestNoDeadExports|TestNoWriteOnlyState|TestWriteOnlyClassifier|TestNoOneValuedOption|TestOneValuedOptionClassifier|TestNoStrayRNGConstruction|TestSpecLint|TestSpecLintCatches' .
 # In core, only setState writes a flow's state and only note increments a
 # lifecycle outcome counter (internal/core/seam_test.go).
 go test -run 'TestOneLifecycleSeam' ./internal/core/
@@ -277,11 +281,11 @@ echo "== bench module smoke (cd bench && go test ./...) =="
 # benchmark would surface only in the pipeline.
 (cd bench && go test ./...)
 
-echo "== figure golden (yodasim -exp all -parallel -seed 1 vs testdata/all_seed1.golden) =="
+echo "== figure golden (yodasim -exp all -seed 1 vs testdata/all_seed1.golden) =="
 # Every figure is a seeded virtual-time run, so its printed output is a
 # function of the code alone: any diff here is a behaviour change that has
 # to be explained, and a re-recorded golden is part of that change.
-go run ./cmd/yodasim -exp all -parallel -seed 1 | diff - internal/experiments/testdata/all_seed1.golden
+go run ./cmd/yodasim -exp all -seed 1 | diff - internal/experiments/testdata/all_seed1.golden
 
 echo "== mflow hybrid (yodasim -exp mflow -recovery hybrid must end PASS) =="
 # Hybrid recovery at scale: every flow of a two-instance storm is adopted
@@ -292,14 +296,15 @@ echo "== mflow hybrid (yodasim -exp mflow -recovery hybrid must end PASS) =="
 go run ./cmd/yodasim -exp mflow -recovery hybrid | tee "$GATE_DIR/mflow_hybrid"
 grep -qx '  PASS' "$GATE_DIR/mflow_hybrid" || { echo "FAIL: hybrid mflow did not pass" >&2; exit 1; }
 
-echo "== kill-then-fault sweeps (TestKillThenDropEveryPacket, TestKillThenDuplicateEveryPacket and TestKillEachInstanceThroughScenario over seeds 11-15) =="
-# go test sweeps seeds 11-12 of drops and seed 11 of duplicates and of
-# the scenario; this stage takes the five seeds the kill sweep uses, for
-# all three. Every point passes TestKillOwnerAtEveryStep's settle checks
-# and adopts the flow at most once, never after its first close, but
-# defect (k)'s pinned points (internal/core/e2e_test.go, defectK) and
-# defects (l) and (m)'s (internal/core/scenario_test.go, scenarioDefects).
-go test -count=1 -run 'TestKillThen(Drop|Duplicate)EveryPacket|TestKillEachInstanceThroughScenario' ./internal/core/ -killdrop.seeds=5
+echo "== kill-then-fault sweeps (TestKillThenDropEveryPacket, TestKillThenDuplicateEveryPacket, TestKillThenKillHolderEveryPacket and TestKillEachInstanceThroughScenario over seeds 11-15) =="
+# go test sweeps seeds 11-12 of drops and seed 11 of duplicates, of
+# second kills and of the scenario; this stage takes the five seeds the
+# kill sweep uses, for all four. Every point passes
+# TestKillOwnerAtEveryStep's settle checks and adopts the flow at most
+# once per death, never after its first close, but defect (k)'s pinned
+# points (internal/core/e2e_test.go, defectK) and defect (l)'s
+# (internal/core/scenario_test.go, scenarioDefects).
+go test -count=1 -run 'TestKillThen(Drop|Duplicate|KillHolder)EveryPacket|TestKillEachInstanceThroughScenario' ./internal/core/ -killdrop.seeds=5
 
 echo "== go test -race =="
 go test -race ./...

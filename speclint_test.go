@@ -37,6 +37,8 @@ const specGolden = "internal/experiments/testdata/all_seed1.golden"
 //   - Every row of EXPERIMENTS.md's "## Figures at HEAD" table quotes the
 //     all_seed1.golden line its measured value comes from, or names the
 //     benchmark that measures it.
+//   - Every flag specDocs cite for yodasim or yodactl is one the
+//     command's main.go defines.
 func TestSpecLint(t *testing.T) {
 	tests := repoTestFuncs(t)
 	docs := map[string]string{}
@@ -52,8 +54,10 @@ func TestSpecLint(t *testing.T) {
 		t.Fatal(err)
 	}
 	var problems []string
+	flags := commandFlags(t)
 	for _, name := range specDocs {
 		problems = append(problems, unknownTestNames(name, docs[name], tests)...)
+		problems = append(problems, unknownFlags(name, docs[name], flags)...)
 	}
 	problems = append(problems, guaranteeProblems(docs["DESIGN.md"], tests)...)
 	problems = append(problems, moduleMapProblems(docs["README.md"], moduleDirs(t))...)
@@ -225,6 +229,66 @@ func moduleDirs(t *testing.T) []string {
 	return dirs
 }
 
+// specCommands are the commands whose flags the documents cite.
+var specCommands = []string{"yodasim", "yodactl"}
+
+// commandFlags returns, per command of specCommands, the flags its
+// main.go defines: the first string argument of each flag.* call.
+func commandFlags(t *testing.T) map[string]map[string]bool {
+	t.Helper()
+	out := map[string]map[string]bool{}
+	for _, cmd := range specCommands {
+		f, err := parser.ParseFile(token.NewFileSet(), filepath.Join("cmd", cmd, "main.go"), nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defined := map[string]bool{}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+				if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "flag" {
+					for _, a := range call.Args {
+						if lit, ok := a.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+							defined[strings.Trim(lit.Value, "\"`")] = true
+							break
+						}
+					}
+				}
+			}
+			return true
+		})
+		out[cmd] = defined
+	}
+	return out
+}
+
+// A flag citation runs from a command's name, then a space, to the end
+// of its line, a backtick, a pipe, a # comment or &&; in it, a flag is a
+// -name or --name after a space or an opening bracket.
+var (
+	flagCitation = regexp.MustCompile("\\b(" + strings.Join(specCommands, "|") + ") ([^`|#&\n]*)")
+	flagName     = regexp.MustCompile(`(?:^|[\s\[])--?([a-z][a-z0-9]*)`)
+)
+
+// unknownFlags reports each distinct flag a document cites for a command
+// that the command does not define.
+func unknownFlags(doc, text string, flags map[string]map[string]bool) []string {
+	var problems []string
+	seen := map[string]bool{}
+	for _, c := range flagCitation.FindAllStringSubmatch(text, -1) {
+		for _, f := range flagName.FindAllStringSubmatch(c[2], -1) {
+			if cite := c[1] + " -" + f[1]; !flags[c[1]][f[1]] && !seen[cite] {
+				seen[cite] = true
+				problems = append(problems, fmt.Sprintf("%s: %s cites -%s, which cmd/%s/main.go does not define", doc, c[1], f[1], c[1]))
+			}
+		}
+	}
+	return problems
+}
+
 var moduleRow = regexp.MustCompile("(?m)^\\| `([^`]+)` \\|")
 
 // moduleMapProblems checks README.md's module table, the rows under a
@@ -329,6 +393,8 @@ func TestSpecLintCatches(t *testing.T) {
 			"lists internal/core 2 times"},
 		{"golden line not found", figureGoldenProblems("## Figures at HEAD\n\n| figure | measured | golden line |\n|---|---|---|\n| Fig 6 | 3.0x | `ratio 10K/1K = 3.00` |\n", "ratio 10K/1K = 2.99\n", tests),
 			"which is no line of"},
+		{"unknown flag", unknownFlags("EXPERIMENTS.md", "run `go run ./cmd/yodasim -exp all -parallel -seed 1 | diff - golden`", map[string]map[string]bool{"yodasim": {"exp": true, "seed": true}}),
+			"yodasim cites -parallel, which cmd/yodasim/main.go does not define"},
 		{"benchmark not found", figureGoldenProblems("## Figures at HEAD\n\n| figure | measured | golden line |\n|---|---|---|\n| Fig 16 | 1 s | `BenchmarkGone` |\n", "", tests),
 			"BenchmarkGone, which is no benchmark"},
 	} {
@@ -337,6 +403,10 @@ func TestSpecLintCatches(t *testing.T) {
 		}
 	}
 	// And the clean fixtures pass.
+	if p := unknownFlags("README.md", "`yodasim -exp mflow [-seed N] [--recovery hybrid] | diff - x` and `yodactl -addr a fail 0 && b -parallel`, see cmd/yodasim/main.go -x",
+		map[string]map[string]bool{"yodasim": {"exp": true, "seed": true, "recovery": true}, "yodactl": {"addr": true}}); len(p) > 0 {
+		t.Errorf("well-formed flag citations reported %q", p)
+	}
 	if p := guaranteeProblems("## Guarantees\n\n### G1. Claim\n\n**Precondition.** none.\n\n**Tests.** `TestReal`.\n\n**Exception (g).** `TestReal/hybrid` pins it.\n\n## Next\n", tests); len(p) > 0 {
 		t.Errorf("a well-formed guarantee reported %q", p)
 	}
