@@ -33,7 +33,6 @@ var deadAllowlist = map[string]string{
 	"httpsim.RequestParser.Buffered":    "test hook: the codec differential's nothing-left-over check",
 	"httpsim.ResponseParser.Buffered":   "test hook: the codec differential's nothing-left-over check",
 	"metrics.LenHist.AtLeast":           "the tail read of a train-length histogram; tests only so far",
-	"core.Instance.SnapshotFlows":       "the read side ROADMAP item 1's flow query starts from",
 	"haproxy.Instance.Host":             "test hook: the testbed's failure test reads a dead HAProxy instance's liveness through it",
 	"memcache.Engine.Get":               "the engine's string-key read: the store tests look at a server's items through it",
 	"tcp.Listener.Close":                "a listener's teardown, the inverse of Listen; TestListenerClose pins that a closed port refuses dials",
@@ -350,17 +349,9 @@ func baseIdent(e ast.Expr) *ast.Ident {
 var writeOnlyAllowlist = map[string]string{
 	"assignment.solverState.openCount":  "TestGreedyOptimalityGap: SolveExhaustive, the reference solver, prunes on it",
 	"core.BarrierStats.Skipped":         "TestFlowAllocBudget counts hybrid's skipped barriers; item 1's outcome table owns it",
-	"core.FlowInfo.Client":              "TestHybridDifferentialOracle; item 1's yodactl flow query reads SnapshotFlows",
-	"core.FlowInfo.VIP":                 "TestHybridDifferentialOracle; item 1's yodactl flow query reads SnapshotFlows",
-	"core.FlowInfo.Server":              "TestHybridDifferentialOracle; item 1's yodactl flow query reads SnapshotFlows",
-	"core.FlowInfo.SNAT":                "TestHybridDifferentialOracle; item 1's yodactl flow query reads SnapshotFlows",
-	"core.FlowInfo.C":                   "TestHybridDifferentialOracle; item 1's yodactl flow query reads SnapshotFlows",
-	"core.FlowInfo.S":                   "TestHybridDifferentialOracle; item 1's yodactl flow query reads SnapshotFlows",
-	"core.FlowInfo.Delta":               "TestHybridDifferentialOracle; item 1's yodactl flow query reads SnapshotFlows",
-	"core.FlowInfo.Persisted":           "TestUnpersistedFlowsLiveOnTheirHead; item 1's yodactl flow query reads SnapshotFlows",
 	"core.Instance.Reselections":        "TestKeepAlivePipelinedAcrossBackends; item 1's outcome table owns it",
 	"core.Instance.SNATQuarantined":     "TestReleaseVIPFlowsQuarantinesPorts; item 1's outcome table owns it",
-	"core.Instance.FlowsClosed":         "TestKillThenDropEveryPacket's no-adoption-after-close check; item 1's outcome table owns it",
+	"core.Instance.FlowsClosed":         "TestClientResetMidTunnel counts the reset flow's close; item 1's outcome table owns it",
 	"experiments.Table1Row.YodaExtra":   "TestTable1Impact bounds the delay Yoda adds to a failed-over fetch",
 	"haproxy.Instance.Connections":      "TestProxySpreadsConnections: every proxy instance gets connections",
 	"l4lb.LB.NoInstanceDrops":           "TestNoInstancesDrops: a VIP with no instance drops, and counts it",
@@ -370,6 +361,8 @@ var writeOnlyAllowlist = map[string]string{
 	"memcache.Stats.Deletes":            "TestEngineDifferential holds the slab engine's stats to refEngine's",
 	"memcache.Stats.Evictions":          "TestEngineDifferential holds the slab engine's stats to refEngine's",
 	"memcache.Stats.Expirations":        "TestEngineDifferential holds the slab engine's stats to refEngine's",
+	"netsim.TraceEvent.Node":            "TestTracer; TestDefectTimelines prints and checks the notes' nodes",
+	"netsim.TraceEvent.Tuple":           "TestTracer; TestDefectTimelines prints and checks the notes' tuples",
 	"reconfig.Wave.PlannedMigratedFrac": "TestPlanInvariantsOverTraceDay: no unforced wave migrates more than δ",
 	"reconfig.Wave.Forced":              "TestPlanInvariantsOverTraceDay: only a forced wave may breach the caps",
 	"rules.Decision.Rule":               "FuzzSelectDifferential holds the indexed select to SelectLinear, rule included",

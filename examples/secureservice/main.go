@@ -47,7 +47,7 @@ func main() {
 	leaked := false
 	tb.Cluster.Net.SetTracer(func(ev netsim.TraceEvent) {
 		p := ev.Packet
-		if (p.Src.IP == vip || p.Dst.IP == vip) && p.Src.Port != 80 && p.Dst.Port != 80 {
+		if p != nil && (p.Src.IP == vip || p.Dst.IP == vip) && p.Src.Port != 80 && p.Dst.Port != 80 {
 			if bytes.Contains(p.Payload, []byte("welcome, agent")) {
 				leaked = true
 			}

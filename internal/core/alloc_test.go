@@ -120,7 +120,7 @@ func TestBarrierBatchFitsOneMSS(t *testing.T) {
 
 	var segments [][]byte
 	n.SetTracer(func(ev netsim.TraceEvent) {
-		if p := ev.Packet; p.Dst.Port == memcache.DefaultPort && len(p.Payload) > 0 {
+		if p := ev.Packet; p != nil && p.Dst.Port == memcache.DefaultPort && len(p.Payload) > 0 {
 			segments = append(segments, append([]byte(nil), p.Payload...))
 		}
 	})

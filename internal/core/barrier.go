@@ -100,17 +100,17 @@ func (op *barrierOp) resolve(res tcpstore.SetResult) {
 		return // flow torn down while the write was in flight
 	}
 	if res.TimedOut {
-		in.note(evBarrierTimeout, f.vip.IP)
+		in.note(evBarrierTimeout, f.clientTuple())
 	}
 	switch {
 	case res.Err != nil && in.cfg.StrictPersist && fail != nil:
-		in.note(evBarrierAbort, f.vip.IP)
+		in.note(evBarrierAbort, f.clientTuple())
 		fail(f, res.Err)
 		return
 	case res.Err != nil || res.Failed > 0:
-		in.note(evBarrierDegrade, f.vip.IP)
+		in.note(evBarrierDegrade, f.clientTuple())
 	default:
-		in.note(evBarrierCommit, f.vip.IP)
+		in.note(evBarrierCommit, f.clientTuple())
 	}
 	commit(f)
 }

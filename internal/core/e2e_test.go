@@ -198,7 +198,8 @@ func TestFailoverDuringTunnelPhase(t *testing.T) {
 }
 
 // killArm is one recovery mode of the kill sweeps: its bed, its client
-// and defect (g)'s window of kill steps.
+// and defect (g)'s window of kill steps, whose timeline
+// TestDefectTimelines checks.
 type killArm struct {
 	name    string
 	bed     func(t *testing.T, seed int64, nYoda int) *testbed.Bed
@@ -216,58 +217,72 @@ type killRun struct {
 	tb    *testbed.Bed
 	res   *httpsim.FetchResult
 	steps int // event steps run before the kill, or to the fetch's end without one
-	// faulted says the packet to fault was delivered; atClose is the
-	// adoptions summed over instances when the flow was first torn down
-	// anywhere (-1 while it never was).
-	faulted bool
-	atClose int64
-	// What the route table (killsweep_test.go) reads: the instance
-	// killed and when, what the step before the kill delivered, and what
-	// the survivors sent after it.
+	// faulted says the packet to fault was delivered, storeDown that the
+	// fault detached a store server.
+	faulted, storeDown bool
+	// The instance killed (-1 before the kill) and when.
 	killed int
 	killAt time.Duration
-	ran    []seen
-	after  sentAfterKill
+	// What the run's tracer (killsweep_test.go) keeps: the adoptions
+	// summed over instances at the flow's first close (-1 while it never
+	// closed), what the route line reads, and the timeline of an
+	// explained run.
+	atClose int64
+	route   routeTrace
+	tl      *timeline
 }
 
 // packetFault is what a kill sweep does at one packet delivered after
-// the kill: lose it, deliver it and send a copy of it after it, or
-// deliver it and then kill a second instance.
+// the kill: lose it, deliver it and send a copy of it after it, deliver
+// it and then kill a second instance, hold it back behind the next
+// delivery, or deliver it and then kill the store server it came from or
+// went to.
 type packetFault int
 
 const (
 	dropPacket packetFault = iota
 	duplicatePacket
 	killHolder
+	reorderPacket
+	killStoreServer
 )
 
-func (f packetFault) String() string { return [...]string{"drop", "duplicate", "kill-holder"}[f] }
+func (f packetFault) String() string {
+	return [...]string{"drop", "duplicate", "kill-holder", "reorder", "kill-store-server"}[f]
+}
 
 // run fetches /100k on a fresh bed of seed, kills the busiest instance
 // after kill event steps (no kill when kill < 0), applies fault at the
 // j-th packet delivered after the kill (none when j < 0) and settles for
 // 3 minutes. A duplicate is a clone of the packet sent again from the
-// point of delivery, so it arrives one link latency after the original.
-// killHolder fails, as the next event, the live instance the muxes name
-// for the client tuple (l4lb.Holder), or the busiest survivor when they
-// name none or a dead one.
-func (arm killArm) run(t *testing.T, seed int64, kill, j int, fault packetFault) *killRun {
-	r := &killRun{tb: arm.bed(t, seed, 3), atClose: -1}
+// point of delivery, so it arrives one link latency after the original;
+// a reordered packet is dropped and its clone sent the same way at the
+// next delivery. killHolder fails, as the next event, the live instance
+// the muxes name for the client tuple (l4lb.Holder), or the busiest
+// survivor when they name none or a dead one; killStoreServer detaches,
+// as the next event, the store server the packet came from or went to,
+// if any. An explained run keeps its timeline.
+func (arm killArm) run(t *testing.T, seed int64, kill, j int, fault packetFault, explain bool) *killRun {
+	r := &killRun{tb: arm.bed(t, seed, 3), killed: -1, atClose: -1}
+	if explain {
+		r.tl = newTimeline(r.tb)
+	}
+	r.trace(kill)
 	net := r.tb.C.Net
 	delivered := -1 // since the kill
 	var client netsim.FourTuple
+	var held *netsim.Packet
 	net.SetDropFunc(func(pkt *netsim.Packet) bool {
-		if r.atClose < 0 && sumYoda(r.tb, func(in *core.Instance) uint64 { return in.FlowsClosed }) > 0 {
-			r.atClose = int64(adoptions(r.tb))
-		}
 		if pkt.Dst == r.tb.Addr {
 			client = pkt.Tuple()
 		}
+		if held != nil {
+			net.Send(held)
+			held = nil
+		}
 		if delivered < 0 {
-			r.ran = append(r.ran, see(pkt))
 			return false
 		}
-		r.after.observe(r, pkt)
 		delivered++
 		if delivered-1 != j {
 			return false
@@ -277,22 +292,36 @@ func (arm killArm) run(t *testing.T, seed int64, kill, j int, fault packetFault)
 		case duplicatePacket:
 			net.Send(pkt.Clone())
 		case killHolder:
-			net.Schedule(0, func() { r.tb.FailLB(holderOrBusiest(r.tb, client)) })
+			net.Schedule(0, func() {
+				i := holderOrBusiest(r.tb, client)
+				r.tl.mark(net.Now(), fmt.Sprintf("kill yoda%d", i))
+				r.tb.FailLB(i)
+			})
+		case reorderPacket:
+			held = pkt.Clone()
+			return true
+		case killStoreServer:
+			for i, a := range r.tb.C.StoreAddrs {
+				if a == pkt.Src || a == pkt.Dst {
+					r.storeDown = true
+					net.Schedule(0, func() {
+						r.tl.mark(net.Now(), fmt.Sprintf("detach store%d", i))
+						r.tb.C.StoreServers[i].Host().Detach()
+					})
+				}
+			}
 		default:
 			return true
 		}
 		return false
 	})
 	r.tb.C.NewClient(arm.client).Get(r.tb.Addr, "/100k", keep(&r.res))
-	for r.res == nil && r.steps != kill {
-		r.ran = r.ran[:0]
-		if !net.Step() {
-			break
-		}
+	for r.res == nil && r.steps != kill && net.Step() {
 		r.steps++
 	}
 	if kill >= 0 {
 		r.killed, r.killAt = r.tb.FailBusiest(1)[0], net.Now()
+		r.tl.mark(r.killAt, fmt.Sprintf("kill yoda%d", r.killed))
 		delivered = 0
 	}
 	net.RunFor(3 * time.Minute)
@@ -367,7 +396,8 @@ func settle(t *testing.T, r *killRun, where string) (adopted, late uint64) {
 
 // requireSettled is settle's check of what a settled cluster holds: no
 // flow entry, recovery queue or SNAT port on any instance, the dead ones
-// too, and no record in the store or affinity entry at the muxes.
+// too, and no record in the store or affinity entry at the muxes. A
+// detached store server's records died with it and are not checked.
 func requireSettled(t *testing.T, tb *testbed.Bed, where string) {
 	t.Helper()
 	for i, in := range tb.C.Yoda {
@@ -376,12 +406,20 @@ func requireSettled(t *testing.T, tb *testbed.Bed, where string) {
 		}
 	}
 	for i, s := range tb.C.StoreServers {
-		if items := s.Engine.Stats().CurrItems; items != 0 {
+		if items := s.Engine.Stats().CurrItems; items != 0 && s.Host().Alive() {
 			t.Fatalf("%s: store server %d holds %d records", where, i, items)
 		}
 	}
 	if n := tb.C.L4.AffinityCount(); n != 0 {
 		t.Fatalf("%s: the muxes hold %d affinity entries", where, n)
+	}
+}
+
+// logTimelineOnFailure, deferred by a sweep, logs the timeline of the
+// point the sweep failed at, re-run explained by rerun.
+func logTimelineOnFailure(t *testing.T, rerun *func() *timeline) {
+	if t.Failed() && *rerun != nil {
+		t.Logf("the failing point, re-run traced:\n%s", (*rerun)())
 	}
 }
 
@@ -395,21 +433,22 @@ func requireSettled(t *testing.T, tb *testbed.Bed, where string) {
 // at the mux.
 //
 // The hybrid arm runs the same sweep with its flows stateless and a
-// probing client. It pins one window, defect (g): after a kill at step 34
-// or 35 the dead owner had already relayed the backend's FIN, and the
-// survivor that derives the flow from the client's ACK of it relays that
-// ACK, so the backend never resends its FIN; the copy waits for the
-// other FIN, outlives the 3-minute settle and is collected by the idle
-// sweep one idle timeout later.
+// probing client. It pins one window, defect (g), whose checked timeline
+// is TestDefectTimelines's: the copy the survivor derives outlives the
+// 3-minute settle and is collected by the idle sweep one idle timeout
+// later.
 func TestKillOwnerAtEveryStep(t *testing.T) {
 	for _, arm := range killArms {
 		t.Run(arm.name, func(t *testing.T) {
+			var rerun func() *timeline
+			defer logTimelineOnFailure(t, &rerun)
 			var lines []string
 			for seed := int64(11); seed <= 15; seed++ {
-				total := arm.run(t, seed, -1, -1, dropPacket).steps
+				total := arm.run(t, seed, -1, -1, dropPacket, false).steps
 				for k := 0; k <= total; k++ {
 					where := fmt.Sprintf("seed %d, kill after step %d of %d", seed, k, total)
-					r := arm.run(t, seed, k, -1, dropPacket)
+					rerun = func() *timeline { return arm.run(t, seed, k, -1, dropPacket, true).tl }
+					r := arm.run(t, seed, k, -1, dropPacket, false)
 					lines = append(lines, r.routeLine(seed))
 					if arm.lingers(k) {
 						r.linger(t, where)
@@ -419,6 +458,7 @@ func TestKillOwnerAtEveryStep(t *testing.T) {
 					}
 				}
 			}
+			rerun = nil
 			checkRouteGolden(t, arm.name, lines)
 		})
 	}
@@ -426,22 +466,17 @@ func TestKillOwnerAtEveryStep(t *testing.T) {
 
 // killDropSeeds is how many seeds, from 11, each kill-then-fault sweep
 // and TestKillEachInstanceThroughScenario cover; ci.sh runs five. 0 means
-// the go test default: two seeds of drops, one of duplicates, of second
-// kills and of the scenario.
-var killDropSeeds = flag.Int("killdrop.seeds", 0, "seeds (from 11) each kill-then-fault sweep and the scenario kill sweep cover; 0 runs 2 for drops and 1 for duplicates, second kills and the scenario")
+// the go test default: two seeds of drops, one of the other faults and
+// of the scenario.
+var killDropSeeds = flag.Int("killdrop.seeds", 0, "seeds (from 11) each kill-then-fault sweep and the scenario kill sweep cover; 0 runs 2 for drops and 1 for the other faults and the scenario")
 
 // defectK is defect (k)'s window in the kill-then-drop sweep, paper arm,
-// as (seed, kill step, dropped packet): the lost packet is the dead
-// owner's storage-b write to one replica, already on the wire, while the
-// other replica took it. The first adopter reads the stale
-// connection-phase record, re-dials another backend, and its teardown
-// leaves the dead owner's server-tuple key on the other replica; the
-// backend's retransmitted SYN-ACK then lets a second survivor adopt a
-// zombie copy after the flow's first close. Every settle check still
-// passes: the copy goes at the idle sweep and deletes the record. Owner:
-// ROADMAP item 5, a read rule for replicas that disagree; when it lands
-// these points pass and the window goes. Seed 13 adopts twice too, both
-// times on one survivor.
+// as (seed, kill step, dropped packet). TestDefectTimelines checks its
+// timeline at (13, 18, 0): the lost storage-b write, the first adoption
+// from the other replica's stale record, and the second, late adoption.
+// Owner: ROADMAP item 5, a read rule for replicas that disagree; when it
+// lands these points pass and the window goes. Seed 13 adopts twice too,
+// both times on one survivor.
 var defectK = map[[3]int]bool{
 	{13, 18, 0}: true,
 	{14, 18, 0}: true,
@@ -484,11 +519,32 @@ func TestKillThenKillHolderEveryPacket(t *testing.T) {
 	killFaultSweep(t, killHolder, 1, nil)
 }
 
+// TestKillThenReorderEveryPacket is the same sweep with the j-th packet
+// after the kill held back and sent again at the next delivery, so it
+// arrives behind packets sent after it: a dead owner's store write
+// behind its other replica's, a backend segment behind the next, a store
+// reply behind the adopter's next read. Every point must pass the same
+// checks; any point may leave (g)'s lingering copy, as under loss.
+func TestKillThenReorderEveryPacket(t *testing.T) {
+	killFaultSweep(t, reorderPacket, 1, nil)
+}
+
+// TestKillThenKillStoreServerEveryPacket is the same sweep with a second
+// kill on the store side: when the j-th packet after the kill came from
+// or went to a store server, that server is detached next, the replica
+// an adopter reads or writes included. Only the points where it hit a
+// store server run the checks, which skip the detached server's records;
+// the flow's store copy on the other replica must serve the adopter.
+func TestKillThenKillStoreServerEveryPacket(t *testing.T) {
+	killFaultSweep(t, killStoreServer, 1, nil)
+}
+
 // killFaultSweep runs both arms' kill sweeps with fault applied at each
 // of the 24 packets after the kill in turn, over seeds from 11 (dflt
 // unless -killdrop.seeds says). pinned names the paper arm's points, as
 // (seed, kill step, packet), that must show defect (k)'s second, late
-// adoption instead.
+// adoption instead. A failing point is re-run traced and its timeline
+// logged.
 func killFaultSweep(t *testing.T, fault packetFault, dflt int, pinned map[[3]int]bool) {
 	seeds := cmp.Or(*killDropSeeds, dflt)
 	maxAdopted := uint64(1) // one per death
@@ -497,17 +553,23 @@ func killFaultSweep(t *testing.T, fault packetFault, dflt int, pinned map[[3]int
 	}
 	for _, arm := range killArms {
 		t.Run(arm.name, func(t *testing.T) {
+			var rerun func() *timeline
+			defer logTimelineOnFailure(t, &rerun)
 			runs, lingered, twice := 0, 0, 0
 			for seed := int64(11); seed < 11+int64(seeds); seed++ {
-				total := arm.run(t, seed, -1, -1, fault).steps
+				total := arm.run(t, seed, -1, -1, fault, false).steps
 				for k := 0; k <= total; k++ {
 					for j := 0; j < 24; j++ {
-						r := arm.run(t, seed, k, j, fault)
+						r := arm.run(t, seed, k, j, fault, false)
 						if !r.faulted {
 							break // the kill saw no j+1 packets, so no later j faults one
 						}
+						if fault == killStoreServer && !r.storeDown {
+							continue // TestKillOwnerAtEveryStep's run
+						}
 						runs++
 						where := fmt.Sprintf("seed %d, kill after step %d of %d, %s packet %d after it", seed, k, total, fault, j)
+						rerun = func() *timeline { return arm.run(t, seed, k, j, fault, true).tl }
 						if r.copies() > 0 {
 							r.linger(t, where)
 							lingered++
@@ -528,6 +590,7 @@ func killFaultSweep(t *testing.T, fault packetFault, dflt int, pinned map[[3]int
 					}
 				}
 			}
+			rerun = nil
 			t.Logf("%d kill-then-%s runs, %d left defect (g)'s lingering copy, %d adopted the flow twice", runs, fault, lingered, twice)
 		})
 	}
@@ -783,7 +846,7 @@ func TestClientResetMidTunnel(t *testing.T) {
 	}
 	var resets []*netsim.Packet
 	tb.C.Net.SetTracer(func(ev netsim.TraceEvent) {
-		if p := ev.Packet; backends[p.Dst] && p.Flags.Has(netsim.FlagRST) {
+		if p := ev.Packet; p != nil && backends[p.Dst] && p.Flags.Has(netsim.FlagRST) {
 			resets = append(resets, p.Clone())
 		}
 	})

@@ -128,7 +128,7 @@ func (in *Instance) newClientFlow(pkt *netsim.Packet) {
 		lastActive:   now,
 	})
 	in.flows.put(f.clientTuple(), f)
-	in.note(evNewFlow, f.vip.IP)
+	in.note(evNewFlow, f.clientTuple())
 	in.armIdle(f)
 	// storage-a: the SYN header goes to TCPStore before the SYN-ACK, so a
 	// failed instance's successor can regenerate the handshake state.
@@ -145,7 +145,7 @@ func (in *Instance) newClientFlow(pkt *netsim.Packet) {
 		f.stateless = head == in.IP()
 	}
 	if f.stateless {
-		in.note(evBarrierSkip, f.vip.IP)
+		in.note(evBarrierSkip, f.clientTuple())
 		in.sendSynAck(f)
 		return
 	}
@@ -322,7 +322,7 @@ func (in *Instance) selectAndDial(f *flow, req *httpsim.Request) {
 		port, portOK = in.allocSNATPort()
 	}
 	if !portOK {
-		in.note(evSNATExhausted, f.vip.IP)
+		in.note(evSNATExhausted, f.clientTuple())
 		in.reject(f, 503, "snat ports exhausted")
 		return
 	}
@@ -423,7 +423,7 @@ func (in *Instance) serverHandshakePacket(f *flow, pkt *netsim.Packet) {
 	// since the SYN, TLS, a re-dial) keeps the flow on the persisted path,
 	// so residue classification is sound without enumerating causes.
 	if in.hybridDerivable(f) {
-		in.note(evBarrierSkip, f.vip.IP)
+		in.note(evBarrierSkip, f.clientTuple())
 		in.enterTunnel(f)
 		return
 	}
@@ -571,7 +571,7 @@ func (in *Instance) maybeFinish(f *flow) {
 // deleted, and both tuple orientations are released, so nothing the flow
 // held outlives it. Then the flow object is retired for reuse.
 func (in *Instance) teardown(f *flow) {
-	in.note(evClose, f.vip.IP)
+	in.note(evClose, f.clientTuple())
 	in.unlink(f)
 	bound := f.server.IP != 0
 	// Hybrid flows that never persisted have nothing to delete.
@@ -691,7 +691,7 @@ func (in *Instance) park(tuple netsim.FourTuple, pkts []*netsim.Packet) *pending
 	q.expire = in.net.Schedule(pendingExpiry, func() {
 		if dropped, live := in.resolveQueue(tuple, q); live {
 			for range dropped {
-				in.note(evLookupMiss, tuple.Dst.IP)
+				in.note(evLookupMiss, tuple)
 			}
 			in.releaseOrphan(tuple)
 		}
@@ -704,7 +704,7 @@ func (in *Instance) park(tuple netsim.FourTuple, pkts []*netsim.Packet) *pending
 func (in *Instance) recoverFlow(tuple netsim.FourTuple, pkt *netsim.Packet) {
 	if q, ok := in.pending[tuple]; ok {
 		if len(q.pkts) >= maxPendingPerTuple || in.pendingTotal >= maxPendingTotal {
-			in.note(evLookupMiss, tuple.Dst.IP) // dropped: the sender's retransmit retries
+			in.note(evLookupMiss, tuple) // dropped: the sender's retransmit retries
 			return
 		}
 		q.pkts = append(q.pkts, pkt.Clone())
@@ -712,7 +712,7 @@ func (in *Instance) recoverFlow(tuple netsim.FourTuple, pkt *netsim.Packet) {
 		return
 	}
 	if in.pendingTotal >= maxPendingTotal {
-		in.note(evLookupMiss, tuple.Dst.IP)
+		in.note(evLookupMiss, tuple)
 		return
 	}
 	q := in.park(tuple, []*netsim.Packet{pkt.Clone()})
@@ -727,9 +727,9 @@ func (in *Instance) recoverFlow(tuple netsim.FourTuple, pkt *netsim.Packet) {
 }
 
 // installRecovered builds a local flow from a record read from TCPStore
-// (ev is evAdoptStore) or derived (evAdoptDerived, hybrid.go) — nothing
-// else turns a record into a flow, so a derived flow has the shape a
-// stored one would. A flow that already exists (live, or adopted from the
+// (ev is adoptFrom[rec.Phase]) or derived (evAdoptDerived, hybrid.go) —
+// nothing else turns a record into a flow, so a derived flow has the
+// shape a stored one would. A flow that already exists (live, or adopted from the
 // same record by the other tuple orientation's pending queue) is returned
 // as it is: only a flow created here is noted.
 func (in *Instance) installRecovered(rec *Record, ev event) *flow {
@@ -745,7 +745,7 @@ func (in *Instance) installRecovered(rec *Record, ev event) *flow {
 		fromClient: assembler{next: rec.ClientISN + 1},
 		// A record read from the store is in the store: teardown owes its
 		// deletes. A derived tunnel is persisted by its repair write.
-		persisted:  ev == evAdoptStore,
+		persisted:  ev != evAdoptDerived,
 		lastActive: in.net.Now(),
 		synAckSent: true,
 	})
@@ -782,6 +782,6 @@ func (in *Instance) installRecovered(rec *Record, ev event) *flow {
 		in.l4.Claim(f.serverTuple(), in.IP())
 	}
 	in.armIdle(f)
-	in.note(ev, rec.VIP.IP)
+	in.note(ev, ct)
 	return f
 }

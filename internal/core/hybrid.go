@@ -164,15 +164,15 @@ func (in *Instance) storeGet(tuple netsim.FourTuple, q *pendingQueue, miss func(
 				return
 			}
 			if derr == nil {
-				in.installRecovered(rec, evAdoptStore)
+				in.installRecovered(rec, adoptFrom[rec.Phase])
 				in.dispatchQueued(queued)
 				return
 			}
-			in.note(evLookupMiss, tuple.Dst.IP)
+			in.note(evLookupMiss, tuple)
 		case miss != nil:
 			miss(queued)
 		default:
-			in.note(evLookupMiss, tuple.Dst.IP)
+			in.note(evLookupMiss, tuple)
 			in.rstQueued(queued)
 		}
 		in.releaseOrphan(tuple)
@@ -209,7 +209,7 @@ func (in *Instance) hybridServerGet(tuple netsim.FourTuple, q *pendingQueue, cur
 		return
 	}
 	in.storeGet(tuple, q, func(queued []*netsim.Packet) {
-		in.note(evOrphanSuppressed, tuple.Dst.IP)
+		in.note(evOrphanSuppressed, tuple)
 		in.park(tuple, queued)
 	})
 }
@@ -227,7 +227,7 @@ func (in *Instance) hybridServerGet(tuple netsim.FourTuple, q *pendingQueue, cur
 // lifetime after the claim releases st, so a silent client pins nothing.
 func (in *Instance) hybridClientGet(tuple netsim.FourTuple, q *pendingQueue, st netsim.FourTuple, b stateless.Backend) {
 	in.storeGet(tuple, q, func(queued []*netsim.Packet) {
-		p0, vip := queued[0], tuple.Dst.IP
+		p0 := queued[0]
 		rst := p0.Flags.Has(netsim.FlagRST)
 		if !rst && p0.Ack != isnHash(tuple.Src, tuple.Dst)+1 {
 			in.hybridRepair(in.installDerivedTunnel(tuple, st, b, p0.Seq), queued, nil)
@@ -235,9 +235,9 @@ func (in *Instance) hybridClientGet(tuple netsim.FourTuple, q *pendingQueue, st 
 		}
 		switch {
 		case rst:
-			in.note(evLookupMiss, vip)
+			in.note(evLookupMiss, tuple)
 		case len(p0.Payload) == 0:
-			in.note(evOrphanSuppressed, vip)
+			in.note(evOrphanSuppressed, tuple)
 			if h, held := in.l4.Holder(st); !held || h != in.IP() {
 				in.l4.Claim(st, in.IP())
 				in.net.Schedule(max(in.cfg.FlowIdleTimeout, pendingExpiry), func() { in.releaseOrphan(st) })
@@ -288,28 +288,6 @@ func (in *Instance) installDerivedTunnel(ct, st netsim.FourTuple, b stateless.Ba
 		Phase: PhaseTunnel, Client: ct.Src, VIP: ct.Dst, ClientISN: firstSeq - 1,
 		Server: st.Src, SNAT: st.Dst, C: c, S: s, Delta: c - s, BackendName: b.Name,
 	}, evAdoptDerived)
-}
-
-// FlowInfo is a read-only snapshot of one live flow, for tests and
-// diagnostics (the differential oracle compares these against the
-// stateless derivation).
-type FlowInfo struct {
-	Client, VIP, Server, SNAT netsim.HostPort
-	C, S, Delta               uint32
-	Persisted                 bool
-}
-
-// SnapshotFlows returns a snapshot of every live flow.
-func (in *Instance) SnapshotFlows() []FlowInfo {
-	var out []FlowInfo
-	in.flows.forEach(func(f *flow) {
-		out = append(out, FlowInfo{
-			Client: f.client, VIP: f.vip, Server: f.server, SNAT: f.snat,
-			C: f.c, S: f.s, Delta: f.delta,
-			Persisted: f.persisted,
-		})
-	})
-	return out
 }
 
 // FlushUnpersisted writes every still-unpersisted flow's record to the

@@ -278,7 +278,7 @@ func (in *Instance) ReleaseVIPFlows(vip netsim.IP) int {
 	for _, f := range victims {
 		in.unlink(f)
 		if f.server.IP != 0 { // dialing or tunnelling: it holds a SNAT port
-			in.note(evSNATQuarantine, vip)
+			in.note(evSNATQuarantine, f.clientTuple())
 		}
 	}
 	return len(victims)

@@ -195,7 +195,7 @@ func (in *Instance) kaFlush(f *flow) {
 // retries, storage-b barrier and tunnel entry run from there (§5.2). The
 // SYN goes out at once; the rule scan was the request's lookup.
 func (in *Instance) redial(f *flow, backend rules.Backend) {
-	in.note(evReselect, f.vip.IP)
+	in.note(evReselect, f.clientTuple())
 	// Abort the old server connection and release its SNAT binding.
 	in.l4.SendViaSNAT(in.packet(f.snat, f.server, netsim.FlagRST, f.dialBase(), f.s+1, 0), in.IP())
 	oldServerTuple := f.serverTuple()
@@ -210,7 +210,7 @@ func (in *Instance) redial(f *flow, backend rules.Backend) {
 	// when the range is otherwise full.
 	port, ok := in.allocSNATPort()
 	if !ok {
-		in.note(evSNATExhausted, f.vip.IP)
+		in.note(evSNATExhausted, f.clientTuple())
 		in.reject(f, 503, "snat ports exhausted")
 		return
 	}

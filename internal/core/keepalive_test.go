@@ -167,6 +167,9 @@ func TestKeepAliveSwitchToDeadBackend(t *testing.T) {
 	var rejects []string
 	net.SetTracer(func(ev netsim.TraceEvent) {
 		p := ev.Packet
+		if p == nil {
+			return
+		}
 		if p.Dst == dead && p.Flags.Has(netsim.FlagSYN) {
 			syns = append(syns, ev.At)
 		}
@@ -261,7 +264,7 @@ func TestKeepAliveSwitchToRefusingBackend(t *testing.T) {
 	}))
 	var rejects []string
 	net.SetTracer(func(ev netsim.TraceEvent) {
-		if p := ev.Packet; p.Src == b.Addr && p.Flags.Has(netsim.FlagFIN) && len(p.Payload) > 0 {
+		if p := ev.Packet; p != nil && p.Src == b.Addr && p.Flags.Has(netsim.FlagFIN) && len(p.Payload) > 0 {
 			rejects = append(rejects, string(p.Payload))
 		}
 	})

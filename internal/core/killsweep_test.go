@@ -30,12 +30,12 @@ import (
 //   - ran: what the step before the kill delivered, its first packet and
 //     how many more rode the same event ("timer" when it delivered none).
 //     a>b is a packet from a to b; a>vip>yodaN is one the mux forwarded.
-//   - route: how the survivors handled the orphan, from their counters
-//     and what they sent and got: store-conn or store-tunnel (adopted from
-//     a record of that phase, read off the store's reply), derived
-//     (rebuilt by the hybrid derivation), parked (an orphan held for a
-//     knock), rst (a survivor reset an endpoint), none; linger marks
-//     defect (g)'s copy left after the 3-minute settle.
+//   - route: how the survivors handled the orphan, from their notes and
+//     what they sent: store-conn or store-tunnel (adopted from a store
+//     record of that phase), derived (rebuilt by the hybrid derivation),
+//     parked (an orphan held for a knock), rst (a survivor reset an
+//     endpoint), none; linger marks defect (g)'s copy left after the
+//     3-minute settle.
 //   - adopter: the survivor that adopted the flow, or -.
 //   - store: the commands the survivors sent to the store servers after
 //     the kill, by verb (one per replica server and segment).
@@ -45,25 +45,83 @@ import (
 // A missing golden is recorded by the run that misses it; delete one to
 // re-record it, and say in the change why it moved.
 
-// seen is what the route table keeps of one packet the step before the
-// kill delivered: the packet itself goes back to the pool.
-type seen struct {
-	src, dst netsim.IP
-	via      netsim.IP // the mux's outer destination, 0 when not encapsulated
-	flags    netsim.TCPFlags
-	n        int
-	word     string // a store command or reply's first word
+// routeTrace is what a kill run's tracer keeps for its route line.
+type routeTrace struct {
+	ran     string          // the first packet the step before the kill delivered
+	ranMore int             // how many more that step delivered
+	parts   map[string]bool // route parts the survivors' notes name
+	adopter int             // the highest-numbered adopter, -1 while none
+	store   map[string]int  // store commands the survivors sent after the kill, by verb
+	rsts    int             // RSTs to the client or a backend after the kill
+	fwd     time.Duration   // kill to the first payload to the client or a backend; 0 while none
 }
 
-func see(pkt *netsim.Packet) seen {
-	s := seen{src: pkt.Src.IP, dst: pkt.Dst.IP, flags: pkt.Flags, n: len(pkt.Payload)}
+// routeOf names the route part each adoption or orphan note shows.
+var routeOf = map[string]string{
+	"adopt store conn":   "store-conn",
+	"adopt store tunnel": "store-tunnel",
+	"adopt derived":      "derived",
+	"orphan suppressed":  "parked",
+}
+
+// trace installs r's tracer, for a run that kills after kill steps.
+func (r *killRun) trace(kill int) {
+	names := hostNames(r.tb)
+	a := &r.route
+	a.parts, a.adopter, a.store = map[string]bool{}, -1, map[string]int{}
+	r.tb.C.Net.SetTracer(func(ev netsim.TraceEvent) {
+		r.tl.add(ev)
+		switch pkt := ev.Packet; {
+		case pkt == nil:
+			r.noted(ev)
+		case r.killed >= 0:
+			r.afterKill(ev.At, pkt)
+		case r.steps == kill-1 && a.ran == "":
+			a.ran = describe(names, pkt)
+		case r.steps == kill-1:
+			a.ranMore++
+		}
+	})
+}
+
+// afterKill keeps what the route line reads of pkt, delivered at at,
+// after the kill. Every bed here keeps netsim's default latency and no
+// jitter, so a packet's send time is its delivery time less its link's
+// latency: what the survivors sent after the kill is judged at delivery.
+func (r *killRun) afterKill(at time.Duration, pkt *netsim.Packet) {
+	a := &r.route
+	src, dst := pkt.Src.IP, pkt.Dst.IP
 	if pkt.Outer != nil {
-		s.via = pkt.Outer.Dst
+		src, dst = pkt.Outer.Src, pkt.Outer.Dst
 	}
-	if pkt.Src.Port == memcache.DefaultPort || pkt.Dst.Port == memcache.DefaultPort {
-		s.word = firstWord(pkt.Payload)
+	sent := at - netsim.DefaultLatency(src, dst)
+	switch {
+	case sent <= r.killAt:
+		// On the wire before the kill, from the dead owner too.
+	case pkt.Dst.Port == memcache.DefaultPort && len(pkt.Payload) > 0:
+		a.store[firstWord(pkt.Payload)]++
+	case pkt.Outer != nil || src != r.tb.VIP:
+	case pkt.Flags.Has(netsim.FlagRST):
+		a.rsts++
+	case len(pkt.Payload) > 0 && a.fwd == 0:
+		a.fwd = sent - r.killAt
 	}
-	return s
+}
+
+// noted keeps what r reads of a note: the adoptions made before the
+// flow's first close, and the route parts and adopter the notes name.
+func (r *killRun) noted(ev netsim.TraceEvent) {
+	if ev.Note == "close" && r.atClose < 0 {
+		r.atClose = int64(adoptions(r.tb))
+	}
+	part, ok := routeOf[ev.Note]
+	if !ok {
+		return
+	}
+	r.route.parts[part] = true
+	if part != "parked" {
+		r.route.adopter = max(r.route.adopter, slices.IndexFunc(r.tb.C.Yoda, func(in *core.Instance) bool { return in.IP() == ev.Node }))
+	}
 }
 
 func firstWord(b []byte) string {
@@ -71,48 +129,6 @@ func firstWord(b []byte) string {
 		b = b[:i]
 	}
 	return string(b)
-}
-
-// sentAfterKill is what the survivors sent after the kill, judged at
-// delivery: every bed here keeps netsim's default latency and no jitter,
-// so a packet's send time is its delivery time less its link's latency.
-type sentAfterKill struct {
-	store  map[string]int          // store commands, by verb
-	phases map[core.FlowPhase]bool // phases of the records the store's hits carried
-	rsts   int                     // RSTs to the client or a backend
-	fwd    time.Duration           // kill to the first payload to the client or a backend; 0 while none
-}
-
-func (a *sentAfterKill) observe(r *killRun, pkt *netsim.Packet) {
-	src, dst := pkt.Src.IP, pkt.Dst.IP
-	if pkt.Outer != nil {
-		src, dst = pkt.Outer.Src, pkt.Outer.Dst
-	}
-	net := r.tb.C.Net
-	if net.Now()-netsim.DefaultLatency(src, dst) <= r.killAt {
-		return // on the wire before the kill, from the dead owner too
-	}
-	switch {
-	case pkt.Src.Port == memcache.DefaultPort:
-		// A hit is "VALUE <key> <flags> <bytes>\r\n" and then the record,
-		// whose second byte is its phase.
-		if i := bytes.Index(pkt.Payload, []byte("\r\n")); bytes.HasPrefix(pkt.Payload, []byte("VALUE ")) && len(pkt.Payload) > i+3 {
-			if a.phases == nil {
-				a.phases = map[core.FlowPhase]bool{}
-			}
-			a.phases[core.FlowPhase(pkt.Payload[i+3])] = true
-		}
-	case pkt.Dst.Port == memcache.DefaultPort && len(pkt.Payload) > 0 && src != r.tb.C.Yoda[r.killed].IP():
-		if a.store == nil {
-			a.store = map[string]int{}
-		}
-		a.store[firstWord(pkt.Payload)]++
-	case pkt.Outer != nil || src != r.tb.VIP:
-	case pkt.Flags.Has(netsim.FlagRST):
-		a.rsts++
-	case len(pkt.Payload) > 0 && a.fwd == 0:
-		a.fwd = net.Now() - netsim.DefaultLatency(src, dst) - r.killAt
-	}
 }
 
 // hostNames names the bed's hosts the way route lines print them.
@@ -130,19 +146,27 @@ func hostNames(tb *testbed.Bed) map[netsim.IP]string {
 	return names
 }
 
-func (s seen) describe(names map[netsim.IP]string) string {
-	name := func(ip netsim.IP) string { return cmp.Or(names[ip], "client") }
+// path prints a tuple as a>b, naming hosts the bed does not as client.
+func path(names map[netsim.IP]string, t netsim.FourTuple) string {
+	return cmp.Or(names[t.Src.IP], "client") + ">" + cmp.Or(names[t.Dst.IP], "client")
+}
+
+// describe prints a packet as a>b (a>vip>yodaN when the mux forwarded
+// it), its flags, a store command or reply's first word and its length.
+func describe(names map[netsim.IP]string, pkt *netsim.Packet) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s>%s", name(s.src), name(s.dst))
-	if s.via != 0 {
-		fmt.Fprintf(&b, ">%s", name(s.via))
+	b.WriteString(path(names, pkt.Tuple()))
+	if pkt.Outer != nil {
+		fmt.Fprintf(&b, ">%s", cmp.Or(names[pkt.Outer.Dst], "client"))
 	}
-	fmt.Fprintf(&b, " %v", s.flags)
-	if s.word != "" {
-		fmt.Fprintf(&b, " %s", s.word)
+	fmt.Fprintf(&b, " %v", pkt.Flags)
+	if pkt.Src.Port == memcache.DefaultPort || pkt.Dst.Port == memcache.DefaultPort {
+		if w := firstWord(pkt.Payload); w != "" {
+			fmt.Fprintf(&b, " %s", w)
+		}
 	}
-	if s.n > 0 {
-		fmt.Fprintf(&b, " %dB", s.n)
+	if n := len(pkt.Payload); n > 0 {
+		fmt.Fprintf(&b, " %dB", n)
 	}
 	return b.String()
 }
@@ -150,54 +174,44 @@ func (s seen) describe(names map[netsim.IP]string) string {
 // routeLine is r's line of the route table; call it at the settle, before
 // linger runs the idle sweep.
 func (r *killRun) routeLine(seed int64) string {
-	names := hostNames(r.tb)
+	a := &r.route
 	ran := "timer"
 	switch {
 	case r.steps == 0:
 		ran = "-"
-	case len(r.ran) > 0:
-		ran = r.ran[0].describe(names)
-		if len(r.ran) > 1 {
-			ran += fmt.Sprintf(" (+%d)", len(r.ran)-1)
+	case a.ran != "":
+		ran = a.ran
+		if a.ranMore > 0 {
+			ran += fmt.Sprintf(" (+%d)", a.ranMore)
 		}
 	}
+	a.parts["rst"] = a.rsts > 0
+	a.parts["linger"] = r.copies() > 0
 	var route []string
-	adopter := "-"
-	var stored, derived, parked uint64
-	for i, in := range r.tb.C.Yoda {
-		if i == r.killed {
-			continue
-		}
-		stored += in.Recovered
-		derived += in.DerivedRecoveries
-		parked += in.SuppressedOrphans
-		if in.Recovered+in.DerivedRecoveries > 0 {
-			adopter = fmt.Sprint(i)
-		}
-	}
-	for _, part := range []struct {
-		name string
-		on   bool
-	}{{"store-conn", stored > 0 && r.after.phases[core.PhaseConn]}, {"store-tunnel", stored > 0 && r.after.phases[core.PhaseTunnel]}, {"derived", derived > 0}, {"parked", parked > 0}, {"rst", r.after.rsts > 0}, {"linger", r.copies() > 0}} {
-		if part.on {
-			route = append(route, part.name)
+	for _, part := range []string{"store-conn", "store-tunnel", "derived", "parked", "rst", "linger"} {
+		if a.parts[part] {
+			route = append(route, part)
 		}
 	}
 	if len(route) == 0 {
 		route = []string{"none"}
 	}
+	adopter := "-"
+	if a.adopter >= 0 {
+		adopter = fmt.Sprint(a.adopter)
+	}
 	store := "-"
-	if len(r.after.store) > 0 {
+	if len(a.store) > 0 {
 		var verbs []string
-		for v, n := range r.after.store {
+		for v, n := range a.store {
 			verbs = append(verbs, fmt.Sprintf("%s:%d", v, n))
 		}
 		slices.Sort(verbs)
 		store = strings.Join(verbs, ",")
 	}
 	fwd := "-"
-	if r.after.fwd > 0 {
-		fwd = fmt.Sprintf("%.3fms", float64(r.after.fwd)/float64(time.Millisecond))
+	if a.fwd > 0 {
+		fwd = fmt.Sprintf("%.3fms", float64(a.fwd)/float64(time.Millisecond))
 	}
 	return fmt.Sprintf("seed=%d step=%d ran=%s killed=%d route=%s adopter=%s store=%s fwd=%s",
 		seed, r.steps, ran, r.killed, strings.Join(route, "+"), adopter, store, fwd)

@@ -58,7 +58,8 @@ type scenarioRun struct {
 	tb     *testbed.Bed
 	bodies []string // the keep-alive connection's responses
 	tls    *securesim.FetchResult
-	steps  int // active steps run before the kill, or in all without one
+	steps  int       // active steps run before the kill, or in all without one
+	tl     *timeline // an explained run's
 }
 
 // scenarioGap separates the keep-alive connection's last response from
@@ -71,11 +72,15 @@ const scenarioGap = 3 * time.Second
 // second Dialing window — and closes; scenarioGap later one TLS flow
 // fetches /tls.php. Steps count while a connection waits for a response;
 // after kill of them (none when kill < 0) instance victim fails, and the
-// cluster settles for 3 minutes.
-func runScenario(seed int64, kill, victim int) *scenarioRun {
+// cluster settles for 3 minutes. An explained run keeps its timeline.
+func runScenario(seed int64, kill, victim int, explain bool) *scenarioRun {
 	tb, id := newScenarioBed(seed)
 	r := &scenarioRun{tb: tb}
 	net := tb.C.Net
+	if explain {
+		r.tl = newTimeline(tb)
+		net.SetTracer(r.tl.add)
+	}
 	active, finished := true, false
 	parser := &httpsim.ResponseParser{}
 	tcp.Dial(tb.C.ClientHost(), tb.Addr, tcp.Callbacks{
@@ -109,6 +114,7 @@ func runScenario(seed int64, kill, victim int) *scenarioRun {
 		}
 	}
 	if kill >= 0 {
+		r.tl.mark(net.Now(), fmt.Sprintf("kill yoda%d", victim))
 		tb.FailLB(victim)
 	}
 	net.RunFor(3 * time.Minute)
@@ -121,12 +127,9 @@ func runScenario(seed int64, kill, victim int) *scenarioRun {
 // all five. Each is ROADMAP item 3's, and its points must keep failing
 // the way the defect says until it is fixed; then its window goes.
 //
-//   - (l) A keep-alive switch's re-dial window is not recoverable. Its
-//     owner (instance 1) dies after resetting the old backend connection
-//     and before the new dial's storage-b: the client tuple's record
-//     still names the old backend, the adopter tunnels the client's
-//     /b.css to it, the old backend answers with a RST, and the adopter
-//     relays that RST to the client. The second response never comes.
+//   - (l) A keep-alive switch's re-dial window is not recoverable: the
+//     second response never comes. TestDefectTimelines checks its
+//     timeline at (instance 1, step 40).
 var scenarioDefects = map[[2]int]byte{
 	{1, 40}: 'l', {1, 41}: 'l', {1, 42}: 'l', {1, 43}: 'l', {1, 44}: 'l', {1, 45}: 'l',
 }
@@ -138,17 +141,20 @@ var scenarioDefects = map[[2]int]byte{
 // of the three instances in turn is killed after every step, the flows'
 // owners and bystanders alike, with released buffers poisoned, and every
 // point must pass the kill sweep's settle checks with the flow alive at
-// the kill adopted at most once. An adopted keep-alive flow is a pinned
-// tunnel, so its second request may be served by php-1: both backends
-// serve both paths.
+// the kill adopted at most once; a failing point logs its timeline. An
+// adopted keep-alive flow is a pinned tunnel, so its second request may
+// be served by php-1: both backends serve both paths.
 func TestKillEachInstanceThroughScenario(t *testing.T) {
 	wantBodies := fmt.Sprint([]string{"200 PHP-A", "200 CSS-B"})
+	var rerun func() *timeline
+	defer logTimelineOnFailure(t, &rerun)
 	for seed := int64(11); seed < 11+int64(cmp.Or(*killDropSeeds, 1)); seed++ {
-		total := runScenario(seed, -1, 0).steps
+		total := runScenario(seed, -1, 0, false).steps
 		for k := 0; k <= total; k++ {
 			for victim := range 3 {
 				where := fmt.Sprintf("seed %d, instance %d killed after step %d of %d", seed, victim, k, total)
-				r := runScenario(seed, k, victim)
+				rerun = func() *timeline { return runScenario(seed, k, victim, true).tl }
+				r := runScenario(seed, k, victim, false)
 				requireSettled(t, r.tb, where)
 				switch defect := scenarioDefects[[2]int{victim, k}]; {
 				case defect == 'l' && len(r.bodies) == 1 && r.tls == nil:

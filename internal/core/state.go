@@ -82,7 +82,7 @@ func (in *Instance) dispatch(f *flow, pkt *netsim.Packet) {
 }
 
 // event is a lifecycle outcome, counted by note into the exported
-// counter named beside it.
+// counter named beside it and named to the tracer by eventNames.
 type event uint8
 
 const (
@@ -93,7 +93,8 @@ const (
 	evBarrierAbort                  // Barrier.Aborted
 	evBarrierTimeout                // Barrier.Timeouts, besides one of the three above
 	evBarrierSkip                   // Barrier.Skipped: hybrid mode elided the write
-	evAdoptStore                    // Recovered: a store record became a flow
+	evAdoptConn                     // Recovered: a connection-phase store record became a flow
+	evAdoptTunnel                   // Recovered: a tunnel-phase store record became a flow
 	evAdoptDerived                  // DerivedRecoveries: a derived record became a flow
 	evOrphanSuppressed              // SuppressedOrphans: a miss dropped without a RST
 	evLookupMiss                    // LookupMisses: an orphan packet nothing recovered
@@ -102,15 +103,38 @@ const (
 	evSNATQuarantine                // SNATQuarantined: a released flow's port stays reserved
 )
 
-// note counts one lifecycle outcome: it is the only code that increments
-// the counters the events name. vip keys the two per-VIP counters; the
+// eventNames is what the tracer reads for each event.
+var eventNames = [...]string{
+	evNewFlow:          "new flow",
+	evSNATExhausted:    "snat exhausted",
+	evBarrierCommit:    "barrier commit",
+	evBarrierDegrade:   "barrier degrade",
+	evBarrierAbort:     "barrier abort",
+	evBarrierTimeout:   "barrier timeout",
+	evBarrierSkip:      "barrier skip",
+	evAdoptConn:        "adopt store conn",
+	evAdoptTunnel:      "adopt store tunnel",
+	evAdoptDerived:     "adopt derived",
+	evOrphanSuppressed: "orphan suppressed",
+	evLookupMiss:       "lookup miss",
+	evReselect:         "reselect",
+	evClose:            "close",
+	evSNATQuarantine:   "snat quarantine",
+}
+
+// adoptFrom is the event of a store record's adoption, by its phase.
+var adoptFrom = [...]event{PhaseConn: evAdoptConn, PhaseTunnel: evAdoptTunnel}
+
+// note counts one lifecycle outcome of tuple's flow, and passes it to
+// the network's tracer: it is the only code that increments the counters
+// the events name. The tuple's VIP keys the two per-VIP counters; the
 // instance-wide ones ignore it.
-func (in *Instance) note(ev event, vip netsim.IP) {
+func (in *Instance) note(ev event, tuple netsim.FourTuple) {
 	switch ev {
 	case evNewFlow:
-		in.statsFor(vip).NewFlows++
+		in.statsFor(tuple.Dst.IP).NewFlows++
 	case evSNATExhausted:
-		in.statsFor(vip).SNATExhausted++
+		in.statsFor(tuple.Dst.IP).SNATExhausted++
 	case evBarrierCommit:
 		in.Barrier.Commits++
 	case evBarrierDegrade:
@@ -121,7 +145,7 @@ func (in *Instance) note(ev event, vip netsim.IP) {
 		in.Barrier.Timeouts++
 	case evBarrierSkip:
 		in.Barrier.Skipped++
-	case evAdoptStore:
+	case evAdoptConn, evAdoptTunnel:
 		in.Recovered++
 	case evAdoptDerived:
 		in.DerivedRecoveries++
@@ -136,4 +160,5 @@ func (in *Instance) note(ev event, vip netsim.IP) {
 	case evSNATQuarantine:
 		in.SNATQuarantined++
 	}
+	in.net.Note(in.IP(), tuple, eventNames[ev])
 }

@@ -1,0 +1,150 @@
+package core_test
+
+import (
+	"fmt"
+	"regexp"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/netsim"
+	"repro/internal/testbed"
+)
+
+// timeline is a run's trace as lines, one per packet delivered or
+// dropped, per note and per fault the run injects, in virtual-time
+// order; a packet shows at its delivery. It is kept when a run is
+// explained: a failing sweep point is re-run with one and logs it, and
+// TestDefectTimelines holds three to the lines that show their defects.
+// Its methods do nothing on a nil timeline.
+type timeline struct {
+	names map[netsim.IP]string
+	lines []string
+}
+
+func newTimeline(tb *testbed.Bed) *timeline { return &timeline{names: hostNames(tb)} }
+
+// add appends ev's line: a packet as describe prints it, with the reason
+// of a drop; a note as its node, its name and the flow's tuple.
+func (tl *timeline) add(ev netsim.TraceEvent) {
+	if tl == nil {
+		return
+	}
+	switch {
+	case ev.Packet != nil && ev.Dropped:
+		tl.mark(ev.At, describe(tl.names, ev.Packet)+" (dropped: "+ev.Reason+")")
+	case ev.Packet != nil:
+		tl.mark(ev.At, describe(tl.names, ev.Packet))
+	case ev.Tuple == netsim.FourTuple{}:
+		tl.mark(ev.At, tl.names[ev.Node]+" "+ev.Note)
+	default:
+		tl.mark(ev.At, tl.names[ev.Node]+" "+ev.Note+" "+path(tl.names, ev.Tuple))
+	}
+}
+
+// mark appends a line of the run's own, such as a kill.
+func (tl *timeline) mark(at time.Duration, line string) {
+	if tl != nil {
+		tl.lines = append(tl.lines, fmt.Sprintf("%11.3fms  %s", float64(at)/float64(time.Millisecond), line))
+	}
+}
+
+// String prints the lines, a run of equal ones as one with its count.
+func (tl *timeline) String() string {
+	var b strings.Builder
+	for i := 0; i < len(tl.lines); {
+		j := i + 1
+		for j < len(tl.lines) && tl.lines[j] == tl.lines[i] {
+			j++
+		}
+		b.WriteString(tl.lines[i])
+		if j-i > 1 {
+			fmt.Fprintf(&b, " (x%d)", j-i)
+		}
+		b.WriteByte('\n')
+		i = j
+	}
+	return b.String()
+}
+
+// TestDefectTimelines prints the timelines of the three open defects the
+// sweeps pin, and holds each to the lines that show it, in order; a line
+// after "never" must not follow the last of them. -v prints them.
+func TestDefectTimelines(t *testing.T) {
+	for _, d := range []struct {
+		name  string
+		run   func() *timeline
+		want  []string
+		never string
+	}{{
+		// The dead owner's storage-b write to one replica is lost while
+		// the other took it; the first survivor to ask takes the first
+		// hit, the stale connection-phase record, and re-dials. The
+		// backend's retransmitted SYN-ACK then finds the server-tuple
+		// key the first teardown left behind, adopted after the close.
+		name: "(k) paper, seed 13, kill after step 18, drop packet 0",
+		run:  func() *timeline { return killArms[0].run(t, 13, 18, 0, dropPacket, true).tl },
+		want: []string{
+			`kill yoda1$`,
+			`yoda1>store\d ACK\|PSH set \d+B \(dropped: policy drop\)$`,
+			`store\d>yoda2 ACK\|PSH VALUE \d+B$`,
+			`yoda2 adopt store conn client>vip$`,
+			`vip>srv-\d SYN$`,
+			`yoda2 close client>vip$`,
+			`srv-\d>vip SYN\|ACK$`,
+			`store\d>yoda2 ACK\|PSH VALUE \d+B$`,
+			`yoda2 adopt store tunnel client>vip$`,
+		},
+	}, {
+		// The dead owner relayed the backend's FIN; the survivor derives
+		// the flow from the client's ACK of it and relays that, so the
+		// backend never sends its FIN again and the copy lingers.
+		name: "(g) hybrid, seed 11, kill after step 34",
+		run:  func() *timeline { return killArms[1].run(t, 11, 34, -1, dropPacket, true).tl },
+		want: []string{
+			`srv-\d>vip>yoda1 ACK\|FIN$`,
+			`kill yoda1$`,
+			`vip>client ACK\|FIN$`,
+			`yoda\d adopt derived client>vip$`,
+		},
+		never: `srv-\d>vip.* FIN`,
+	}, {
+		// The owner dies after resetting the old backend connection of a
+		// keep-alive switch and before the new dial's storage-b: the
+		// record still names the old backend, the adopter tunnels the
+		// client's second request there, and relays the backend's RST.
+		name: "(l) scenario, seed 11, instance 1 killed after step 40",
+		run:  func() *timeline { return runScenario(11, 40, 1, true).tl },
+		want: []string{
+			`yoda1 reselect client>vip$`,
+			`kill yoda1$`,
+			`vip>php-1 RST$`,
+			`yoda\d adopt store tunnel client>vip$`,
+			`vip>php-1 ACK\|PSH \d+B$`,
+			`php-1>vip>yoda\d ACK\|RST$`,
+			`vip>client RST$`,
+		},
+	}} {
+		tl := d.run()
+		t.Logf("defect %s:\n%s", d.name, tl)
+		i := 0
+		for _, w := range d.want {
+			re := regexp.MustCompile(w)
+			for i < len(tl.lines) && !re.MatchString(tl.lines[i]) {
+				i++
+			}
+			if i == len(tl.lines) {
+				t.Fatalf("defect %s: no line %q in order", d.name, w)
+			}
+			i++
+		}
+		if d.never == "" {
+			continue
+		}
+		for _, line := range tl.lines[i:] {
+			if regexp.MustCompile(d.never).MatchString(line) {
+				t.Fatalf("defect %s: %q after the adoption", d.name, line)
+			}
+		}
+	}
+}

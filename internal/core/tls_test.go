@@ -74,6 +74,9 @@ func TestTLSWireIsActuallyEncrypted(t *testing.T) {
 	leaked := false
 	b.C.Net.SetTracer(func(ev netsim.TraceEvent) {
 		pkt := ev.Packet
+		if pkt == nil {
+			return
+		}
 		// Only the VIP<->client leg must be opaque; the instance->backend
 		// leg is terminated plaintext by design.
 		clientLeg := pkt.Src.IP == b.VIP || pkt.Dst.IP == b.VIP
@@ -205,6 +208,7 @@ func TestTLSHelloUnacknowledgedUntilKeyStored(t *testing.T) {
 	b.C.Net.SetTracer(func(ev netsim.TraceEvent) {
 		p := ev.Packet
 		switch {
+		case p == nil:
 		case p.Dst == b.Addr && p.Flags.Has(netsim.FlagSYN):
 			clientISN = p.Seq
 		case p.Src == b.Addr && seqAfter(p.Ack, clientISN+1) && len(p.Payload) > 0:

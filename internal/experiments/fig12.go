@@ -194,25 +194,25 @@ func RunFig12b(seed int64) *Fig12bResult {
 	var maxSeqSeen uint32
 	haveSeq := false
 	b.C.Net.SetTracer(func(ev netsim.TraceEvent) {
-		pkt := ev.Packet
 		// Watch data packets leaving the backend server, at their first
 		// hop only (the VIP); the encapsulated VIP→instance copy of the
 		// same packet is skipped so each transmission appears once —
 		// except when that copy is dropped at a dead instance, which is
-		// exactly the event the figure highlights.
-		if pkt.Src.IP != serverIP || len(pkt.Payload) == 0 {
+		// exactly the event the figure highlights. The mux notes the
+		// monitor's repair.
+		pkt := ev.Packet
+		switch {
+		case ev.Note == "mux remove instance":
+			res.Events = append(res.Events, Fig12bEvent{At: ev.At, Desc: "monitor updates L4 mapping"})
 			return
-		}
-		if pkt.Outer != nil && !ev.Dropped {
+		case pkt == nil || pkt.Src.IP != serverIP || len(pkt.Payload) == 0, pkt.Outer != nil && !ev.Dropped:
 			return
 		}
 		kind := "data"
 		if haveSeq && int32(pkt.Seq-maxSeqSeen) <= 0 {
 			kind = "retransmission"
-		}
-		if !haveSeq || int32(pkt.Seq-maxSeqSeen) > 0 {
-			maxSeqSeen = pkt.Seq
-			haveSeq = true
+		} else {
+			maxSeqSeen, haveSeq = pkt.Seq, true
 		}
 		// Before the failure the transfer produces thousands of ordinary
 		// data events; keep the timeline readable by recording only
@@ -231,9 +231,6 @@ func RunFig12b(seed int64) *Fig12bResult {
 	var fr *httpsim.FetchResult
 	cl.Get(b.Addr, "/big", func(r *httpsim.FetchResult) { fr = r })
 	b.C.Net.RunFor(200 * time.Millisecond)
-	b.OnRepair = func(netsim.IP) {
-		res.Events = append(res.Events, Fig12bEvent{At: b.C.Net.Now(), Desc: "monitor updates L4 mapping"})
-	}
 	b.FailBusiest(1) // the one instance that carries the flow
 	res.FailAt = b.C.Net.Now()
 	res.Events = append(res.Events, Fig12bEvent{At: res.FailAt, Desc: "YODA instance fails (point a)"})

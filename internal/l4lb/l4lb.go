@@ -230,9 +230,10 @@ func (lb *LB) Converged(vip netsim.IP, insts []netsim.IP) bool {
 }
 
 // RemoveInstance removes an instance from every VIP mapping and drops its
-// affinity entries on all muxes, immediately. The Yoda controller calls
-// this when its monitor declares the instance dead.
+// affinity entries on all muxes, immediately, and notes it. The Yoda
+// controller calls this when its monitor declares the instance dead.
 func (lb *LB) RemoveInstance(inst netsim.IP) {
+	lb.net.Note(inst, netsim.FourTuple{}, "mux remove instance")
 	for _, m := range lb.muxes {
 		for vip, list := range m.vipMap {
 			out := list[:0]
@@ -326,15 +327,18 @@ func (lb *LB) forward(pkt *netsim.Packet, vip, inst netsim.IP) {
 // return tuple so the destination's replies reach inst. This is the SNAT
 // half of front-and-back indirection.
 func (lb *LB) SendViaSNAT(pkt *netsim.Packet, inst netsim.IP) {
-	lb.Claim(netsim.FourTuple{Src: pkt.Dst, Dst: pkt.Src}, inst) // reply orientation: toward VIP
+	// Claimed without a note: the tracer sees the packet.
+	t := netsim.FourTuple{Src: pkt.Dst, Dst: pkt.Src} // reply orientation: toward VIP
+	lb.muxFor(t).affinity.Insert(t, lb.pairVal(t.Dst.IP, inst))
 	lb.net.Send(pkt)
 }
 
-// Claim pins tuple to inst, replacing any entry: the first survivor to
-// adopt an orphan claims both of its orientations. Tuples are keyed
-// toward the VIP, client and SNAT return alike, so Dst names the VIP.
+// Claim pins tuple to inst, replacing any entry, and notes it: the first
+// survivor to adopt an orphan claims both of its orientations. Tuples are
+// keyed toward the VIP, client and SNAT return alike, so Dst names the VIP.
 func (lb *LB) Claim(tuple netsim.FourTuple, inst netsim.IP) {
 	lb.muxFor(tuple).affinity.Insert(tuple, lb.pairVal(tuple.Dst.IP, inst))
+	lb.net.Note(inst, tuple, "mux claim")
 }
 
 // Holder names the instance tuple's entry pins it to, if it has one. A
@@ -347,12 +351,14 @@ func (lb *LB) Holder(tuple netsim.FourTuple) (inst netsim.IP, ok bool) {
 	return lb.pairs[v].inst, true
 }
 
-// Release drops tuple's entry when it names inst: an owner releases both
-// orientations of a flow it stops holding, and a stale copy on one
-// survivor cannot unpin the flow another survivor adopted.
+// Release drops tuple's entry when it names inst, and notes the drop: an
+// owner releases both orientations of a flow it stops holding, and a
+// stale copy on one survivor cannot unpin the flow another survivor
+// adopted.
 func (lb *LB) Release(tuple netsim.FourTuple, inst netsim.IP) {
 	if h, ok := lb.Holder(tuple); ok && h == inst {
 		lb.muxFor(tuple).affinity.Delete(tuple)
+		lb.net.Note(inst, tuple, "mux release")
 	}
 }
 

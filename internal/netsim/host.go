@@ -169,7 +169,7 @@ func (h *Host) Alive() bool { return !h.dead }
 
 // decap strips one layer of encapsulation, matching IP-in-IP behaviour
 // where the host terminates the tunnel. Pooled packets are stripped in
-// place; unpooled ones (a tracer may retain them) are shallow-copied.
+// place; unpooled ones (their sender may keep them) are shallow-copied.
 func (h *Host) decap(pkt *Packet) *Packet {
 	if pkt.Outer == nil {
 		return pkt

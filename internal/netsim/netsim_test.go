@@ -296,8 +296,13 @@ func TestTracer(t *testing.T) {
 	n.Send(&Packet{Src: HostPort{IPv4(10, 0, 0, 1), 1}, Dst: HostPort{dst, 2}})
 	n.Send(&Packet{Src: HostPort{IPv4(10, 0, 0, 1), 1}, Dst: HostPort{IPv4(10, 0, 9, 9), 2}})
 	n.RunUntilIdle(10)
-	if len(events) != 2 {
-		t.Fatalf("trace events = %d, want 2", len(events))
+	tuple := FourTuple{Src: HostPort{IPv4(10, 0, 0, 1), 1}, Dst: HostPort{dst, 2}}
+	n.Note(dst, tuple, "claim")
+	if len(events) != 3 {
+		t.Fatalf("trace events = %d, want 3", len(events))
+	}
+	if ev := events[2]; ev.Packet != nil || ev.Node != dst || ev.Tuple != tuple || ev.Note != "claim" || ev.At != n.Now() {
+		t.Fatalf("note event %+v", ev)
 	}
 	if events[0].Dropped || !events[1].Dropped {
 		t.Fatalf("trace drop markers wrong: %+v", events)

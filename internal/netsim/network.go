@@ -51,12 +51,19 @@ type BatchNode interface {
 type LatencyFunc func(src, dst IP) time.Duration
 
 // TraceEvent records one packet delivery or drop, for timeline plots such
-// as Figure 12(b) of the paper.
+// as Figure 12(b) of the paper, or one note. Packet is lent for the
+// tracer's call only: it goes back to the pool after it, so a tracer
+// that keeps one keeps a Clone. A note has no Packet: Node is the
+// instance whose flow event it records (the noting instance, or the one a
+// mux entry names), Tuple the flow, and Note the event's name.
 type TraceEvent struct {
 	At      time.Duration
 	Packet  *Packet
 	Dropped bool
 	Reason  string
+	Node    IP
+	Tuple   FourTuple
+	Note    string
 }
 
 // Network is one discrete-event simulator loop. It is not safe for
@@ -178,10 +185,17 @@ func (n *Network) SetJitter(frac float64) { n.jitter = frac }
 // a policy must not depend on what handling those changes.
 func (n *Network) SetDropFunc(f func(pkt *Packet) bool) { n.dropFn = f }
 
-// SetTracer installs a packet trace hook. A nil tracer disables tracing.
-// While a tracer is installed, delivered packets are exempted from pool
-// recycling so the tracer may retain them.
+// SetTracer installs a trace hook for packets and notes. A nil tracer
+// disables tracing.
 func (n *Network) SetTracer(f func(TraceEvent)) { n.tracer = f }
+
+// Note reports a component's flow event to the tracer: what node did,
+// or had done to it, for tuple. With no tracer it costs one nil check.
+func (n *Network) Note(node IP, tuple FourTuple, note string) {
+	if n.tracer != nil {
+		n.tracer(TraceEvent{At: n.now, Node: node, Tuple: tuple, Note: note})
+	}
+}
 
 // Attach registers node as the handler for packets addressed to ip.
 // Attaching to an IP that already has a node replaces it.
@@ -274,12 +288,9 @@ func (n *Network) deliver(pkt *Packet, dst IP) {
 	node.HandlePacket(pkt)
 }
 
-// trace reports a delivery or drop to the tracer, which may retain the
-// packet: it is taken out of the pool first, so the release or handler
-// that follows cannot recycle it.
+// trace reports a delivery or drop to the tracer.
 func (n *Network) trace(pkt *Packet, dropped bool, reason string) {
 	if n.tracer != nil {
-		pkt.pooled = false
 		n.tracer(TraceEvent{At: n.now, Packet: pkt, Dropped: dropped, Reason: reason})
 	}
 }

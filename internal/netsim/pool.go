@@ -23,8 +23,6 @@ import "math/bits"
 //     its lender has promised never to modify it, the connection only reads
 //     and re-slices it, and it must never reach ReleaseBuf — the next
 //     AllocBuf would write into an object that is still being served.
-//   - While a tracer is installed, deliver clears the pooled flag so
-//     retained trace packets are never recycled under the tracer.
 
 // AllocPacket returns a zeroed packet from the pool (or a fresh one),
 // marked pooled. The caller owns it until Send.

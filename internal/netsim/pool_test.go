@@ -85,3 +85,48 @@ func TestBufPoolNeverReturnsShort(t *testing.T) {
 		t.Fatalf("ReleaseBuf left a pooled 100-byte buffer with the caller")
 	}
 }
+
+// TestTracedRunRecycles: a tracer borrows each packet for its call only,
+// so a traced run allocates packets and reuses the pool's exactly as an
+// untraced one does.
+func TestTracedRunRecycles(t *testing.T) {
+	run := func(traced bool) (allocs float64, free int) {
+		n := New(1)
+		a, b := IPv4(10, 0, 0, 1), IPv4(10, 0, 0, 2)
+		// Each end releases what it gets and answers with a fresh packet
+		// until the hop count runs out.
+		bounce := func(self, peer IP) NodeFunc {
+			return func(p *Packet) {
+				hops := p.Seq
+				n.ReleasePacket(p)
+				if hops > 0 {
+					q := n.AllocPacket()
+					q.Src.IP, q.Dst.IP, q.Seq = self, peer, hops-1
+					n.Send(q)
+				}
+			}
+		}
+		n.Attach(a, bounce(a, b))
+		n.Attach(b, bounce(b, a))
+		seen := 0
+		if traced {
+			n.SetTracer(func(ev TraceEvent) { seen += int(ev.Packet.Seq & 1) })
+		}
+		allocs = testing.AllocsPerRun(50, func() {
+			q := n.AllocPacket()
+			q.Src.IP, q.Dst.IP, q.Seq = a, b, 100
+			n.Send(q)
+			n.RunUntilIdle(1000)
+		})
+		if traced && seen == 0 {
+			t.Fatal("the tracer saw no packet")
+		}
+		return allocs, len(n.pktFree)
+	}
+	plainAllocs, plainFree := run(false)
+	tracedAllocs, tracedFree := run(true)
+	if tracedAllocs != plainAllocs || tracedFree != plainFree {
+		t.Fatalf("traced run: %.0f allocs per round, %d packets in the pool; untraced: %.0f and %d",
+			tracedAllocs, tracedFree, plainAllocs, plainFree)
+	}
+}

@@ -98,7 +98,7 @@ func TestMigrationRespectsDeltaAndResurrectsFlows(t *testing.T) {
 
 	clientRSTs := 0
 	w.c.Net.SetTracer(func(ev netsim.TraceEvent) {
-		if ev.Packet.Flags.Has(netsim.FlagRST) && ev.Packet.Dst.IP>>24 == 100 {
+		if p := ev.Packet; p != nil && p.Flags.Has(netsim.FlagRST) && p.Dst.IP>>24 == 100 {
 			clientRSTs++
 		}
 	})

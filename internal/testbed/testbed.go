@@ -60,9 +60,6 @@ type Bed struct {
 	Addr netsim.HostPort
 	// Backends are the backend names, in creation order.
 	Backends []string
-	// OnRepair, if set, runs right after the modelled monitor withdraws a
-	// failed instance from the L4 mappings.
-	OnRepair func(ip netsim.IP)
 
 	procs int // closed-loop processes started so far, across calls
 }
@@ -200,12 +197,7 @@ func (b *Bed) FailLB(i int) {
 	if b.Ctl != nil {
 		return
 	}
-	b.C.Net.Schedule(repairDelay, func() {
-		b.C.L4.RemoveInstance(ip)
-		if b.OnRepair != nil {
-			b.OnRepair(ip)
-		}
-	})
+	b.C.Net.Schedule(repairDelay, func() { b.C.L4.RemoveInstance(ip) })
 }
 
 // FailBusiest fails, at once, the k instances carrying the most flows —

@@ -95,7 +95,11 @@ func TestFailBusiestAndRepair(t *testing.T) {
 			}
 		}
 		var repairedAt time.Duration
-		b.OnRepair = func(netsim.IP) { repairedAt = net.Now() }
+		net.SetTracer(func(ev netsim.TraceEvent) {
+			if ev.Note == "mux remove instance" {
+				repairedAt = ev.At
+			}
+		})
 		failAt, pending := net.Now(), net.Pending()
 		failed := b.FailBusiest(1)
 		if len(failed) != 1 || failed[0] != carrier {

@@ -37,12 +37,15 @@
 #   9. kill-then-fault sweeps the instance owning a fetch killed after
 #                             each step, then each of the 24 packets
 #                             after the kill lost, or duplicated, or
-#                             followed by a second kill, over five seeds
-#                             (go test sweeps two of drops, one of the
-#                             others); and each instance in
-#                             turn killed after every step of a
-#                             keep-alive switch and a TLS flow, over the
-#                             same five (go test: one)
+#                             followed by a second kill, or held behind
+#                             the next, or followed by the detach of its
+#                             store server, over five seeds (go test
+#                             sweeps two of drops, one of the others);
+#                             and each instance in turn killed after
+#                             every step of a keep-alive switch and a
+#                             TLS flow, over the same five (go test:
+#                             one); and the checked timelines of
+#                             defects (k), (g) and (l)
 #  10. go test -race          full suite under the race detector
 #  11. benchmarks             every Benchmark* compiles and runs one
 #      iteration (the heavy figure benchmarks are excluded by name; run
@@ -296,15 +299,17 @@ echo "== mflow hybrid (yodasim -exp mflow -recovery hybrid must end PASS) =="
 go run ./cmd/yodasim -exp mflow -recovery hybrid | tee "$GATE_DIR/mflow_hybrid"
 grep -qx '  PASS' "$GATE_DIR/mflow_hybrid" || { echo "FAIL: hybrid mflow did not pass" >&2; exit 1; }
 
-echo "== kill-then-fault sweeps (TestKillThenDropEveryPacket, TestKillThenDuplicateEveryPacket, TestKillThenKillHolderEveryPacket and TestKillEachInstanceThroughScenario over seeds 11-15) =="
-# go test sweeps seeds 11-12 of drops and seed 11 of duplicates, of
-# second kills and of the scenario; this stage takes the five seeds the
-# kill sweep uses, for all four. Every point passes
-# TestKillOwnerAtEveryStep's settle checks and adopts the flow at most
-# once per death, never after its first close, but defect (k)'s pinned
-# points (internal/core/e2e_test.go, defectK) and defect (l)'s
-# (internal/core/scenario_test.go, scenarioDefects).
-go test -count=1 -run 'TestKillThen(Drop|Duplicate|KillHolder)EveryPacket|TestKillEachInstanceThroughScenario' ./internal/core/ -killdrop.seeds=5
+echo "== kill-then-fault sweeps (TestKillThen{Drop,Duplicate,KillHolder,Reorder,KillStoreServer}EveryPacket and TestKillEachInstanceThroughScenario over seeds 11-15; TestDefectTimelines) =="
+# go test sweeps seeds 11-12 of drops and seed 11 of the other faults
+# and of the scenario; this stage takes the five seeds the kill sweep
+# uses, for all six. Every point passes TestKillOwnerAtEveryStep's
+# settle checks and adopts the flow at most once per death, never after
+# its first close, but defect (k)'s pinned points
+# (internal/core/e2e_test.go, defectK) and defect (l)'s
+# (internal/core/scenario_test.go, scenarioDefects); a failing point
+# logs its timeline. TestDefectTimelines holds the timelines of (k),
+# (g) and (l) to the lines that show them.
+go test -count=1 -run 'TestKillThen(Drop|Duplicate|KillHolder|Reorder|KillStoreServer)EveryPacket|TestKillEachInstanceThroughScenario|TestDefectTimelines' ./internal/core/ -killdrop.seeds=5
 
 echo "== go test -race =="
 go test -race ./...

@@ -21,21 +21,18 @@ type TestbedConfig struct {
 	StoreServers int // Memcached servers backing TCPStore (default 3)
 	// Replicas is TCPStore's replication factor (default 2).
 	Replicas int
-	// HTTPTimeout for the built-in client (default 30s, as in §7.2).
-	HTTPTimeout time.Duration
 	// Controller toggles the monitor/scaling loops (default on).
 	DisableController bool
 }
 
 // Testbed is a running Yoda deployment plus a convenience client, all in
-// simulated time.
+// simulated time. Its clients time out a request after 30 s, as in §7.2.
 type Testbed struct {
 	Cluster    *cluster.Cluster
 	Controller *controller.Controller
 
-	bed       *testbed.Bed
-	client    *httpsim.Client
-	clientCfg httpsim.ClientConfig
+	bed    *testbed.Bed
+	client *httpsim.Client
 }
 
 // NewTestbed builds a cluster with the given shape, starts the
@@ -50,9 +47,6 @@ func NewTestbed(cfg TestbedConfig) *Testbed {
 	if cfg.Replicas <= 0 {
 		cfg.Replicas = 2
 	}
-	if cfg.HTTPTimeout <= 0 {
-		cfg.HTTPTimeout = 30 * time.Second
-	}
 	storeCfg, ctCfg := tcpstore.DefaultConfig(), controller.DefaultConfig()
 	storeCfg.Replicas = cfg.Replicas
 	b := testbed.New(testbed.Config{
@@ -63,9 +57,7 @@ func NewTestbed(cfg TestbedConfig) *Testbed {
 		b.Ctl.Stop() // policies still go through it; its loops never run
 	}
 	tb := &Testbed{Cluster: b.C, Controller: b.Ctl, bed: b}
-	tb.clientCfg = httpsim.DefaultClientConfig()
-	tb.clientCfg.Timeout = cfg.HTTPTimeout
-	tb.client = b.C.NewClient(tb.clientCfg)
+	tb.client = b.C.NewClient(httpsim.DefaultClientConfig())
 	return tb
 }
 
@@ -105,7 +97,7 @@ func (tb *Testbed) Fetch(vip netsim.IP, path string) *httpsim.FetchResult {
 			r.Resp.Body = bytes.Clone(r.Resp.Body) // lent only until done returns
 		}
 	})
-	deadline := tb.Now() + tb.clientCfg.Timeout*time.Duration(tb.clientCfg.Retries+1) + time.Minute
+	deadline := tb.Now() + httpsim.DefaultClientConfig().Timeout + time.Minute // no retries
 	for res == nil && tb.Now() < deadline {
 		if !tb.Cluster.Net.Step() {
 			break
@@ -118,7 +110,7 @@ func (tb *Testbed) Fetch(vip netsim.IP, path string) *httpsim.FetchResult {
 // the event loop when the fetch resolves, and the response body is
 // valid only until it returns (see httpsim.Client.Fetch).
 func (tb *Testbed) FetchAsync(vip netsim.IP, path string, done func(*httpsim.FetchResult)) {
-	cl := tb.Cluster.NewClient(tb.clientCfg)
+	cl := tb.Cluster.NewClient(httpsim.DefaultClientConfig())
 	cl.Get(netsim.HostPort{IP: vip, Port: 80}, path, done)
 }
 
