@@ -28,6 +28,7 @@ var deadAllowlist = map[string]string{
 	"netsim.Network.SetJitter":          "fault hook: reordering, item 4's fault plane",
 	"netsim.Network.PoisonReleasedBufs": "test hook: 0xDD on release, on in every test bed and item-4 schedule",
 	"netsim.FourTuple.Reverse":          "test hook: the return direction of a traced packet",
+	"netsim.Packet.Clone":               "test hook: the kill sweeps' duplicate and reorder faults and the tracers keep a traced packet through it",
 	"stateless.Table.Epoch":             "test hook: item 4's schedules assert the epoch discipline through it",
 	"flowmap.Compact.Epoch":             "test hook: the eviction-bump count the flow-map differential compares",
 	"httpsim.RequestParser.Buffered":    "test hook: the codec differential's nothing-left-over check",
@@ -355,6 +356,7 @@ var writeOnlyAllowlist = map[string]string{
 	"experiments.Table1Row.YodaExtra":   "TestTable1Impact bounds the delay Yoda adds to a failed-over fetch",
 	"haproxy.Instance.Connections":      "TestProxySpreadsConnections: every proxy instance gets connections",
 	"l4lb.LB.NoInstanceDrops":           "TestNoInstancesDrops: a VIP with no instance drops, and counts it",
+	"memcache.ReplyItem.Flags":          "TestReplyParserValues: a get reply's flags parse as the VALUE line sent them",
 	"memcache.Stats.GetHits":            "TestEngineDifferential holds the slab engine's stats to refEngine's",
 	"memcache.Stats.GetMisses":          "TestEngineDifferential holds the slab engine's stats to refEngine's",
 	"memcache.Stats.Sets":               "TestEngineDifferential holds the slab engine's stats to refEngine's",

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -145,5 +146,55 @@ func TestPinnedFlowSurvivesScaleOut(t *testing.T) {
 	}
 	if got := tb.C.L4.AffinityCount(); got != 2*2*k {
 		t.Fatalf("%d held flows hold %d affinity entries, want %d", 2*k, got, 2*2*k)
+	}
+}
+
+// TestSegmentsToTheBackendRepinTheReturnPath: every segment an instance
+// sends toward a backend re-claims its connection's return tuple at the
+// muxes (l4lb.SendViaSNAT), not only the SYN. A staggered mapping flip
+// evicts a draining instance's pairs, and the segments it still relays
+// are what keep its backends' replies coming back to it. Here the return
+// tuple's entry is dropped once the backend's data flows; the next client
+// segment the owner receives, relayed to the backend, must claim it
+// again for the owner, and the fetch ends with no adoption.
+func TestSegmentsToTheBackendRepinTheReturnPath(t *testing.T) {
+	tb := newTestbed(t, 6, 2)
+	net, lb := tb.C.Net, tb.C.L4
+	var res *httpsim.FetchResult
+	tb.C.NewClient(httpsim.DefaultClientConfig()).Get(tb.Addr, "/100k", keep(&res))
+	var st netsim.FourTuple // the backend's replies: server → VIP:snat
+	var owner netsim.IP
+	dropped, relayed, checked := false, false, false
+	check := func() {
+		if h, ok := lb.Holder(st); !ok || h != owner {
+			t.Errorf("after the relay the return tuple is held by %v (held: %v), want the owner %v", h, ok, owner)
+		}
+		checked = true
+	}
+	net.SetTracer(func(ev netsim.TraceEvent) {
+		p := ev.Packet
+		switch {
+		case p == nil || relayed:
+		case st == (netsim.FourTuple{}) && p.Src.IP == tb.VIP && p.Src != tb.Addr: // the SYN to the backend
+			st = netsim.FourTuple{Src: p.Dst, Dst: p.Src}
+		case !dropped && p.Src == st.Src && len(p.Payload) > 0:
+			owner, _ = lb.Holder(st)
+			net.Schedule(0, func() { lb.Release(st, owner); dropped = true })
+		case dropped && p.Dst == tb.Addr && p.Outer != nil && p.Outer.Dst == owner:
+			// Once the owner has handled this client segment, and so
+			// relayed it toward the backend.
+			relayed = true
+			net.Schedule(0, check)
+		}
+	})
+	net.RunFor(30 * time.Second)
+	if res == nil || res.Err != nil || !bytes.Equal(res.Resp.Body, e2eObjects["/100k"]) {
+		t.Fatalf("fetch: %+v", res)
+	}
+	if !checked {
+		t.Fatalf("dropped the return path: %v; a client segment reached its owner after it: %v", dropped, relayed)
+	}
+	if n := adoptions(tb); n != 0 {
+		t.Fatalf("the flow was adopted %d times", n)
 	}
 }

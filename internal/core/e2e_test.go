@@ -544,7 +544,9 @@ func TestKillThenKillStoreServerEveryPacket(t *testing.T) {
 // unless -killdrop.seeds says). pinned names the paper arm's points, as
 // (seed, kill step, packet), that must show defect (k)'s second, late
 // adoption instead. A failing point is re-run traced and its timeline
-// logged.
+// logged. Both arms' beds poison released buffers, so an adopter that
+// reads a parked packet's copy or a lent store reply after its release
+// breaks the fetch at that point.
 func killFaultSweep(t *testing.T, fault packetFault, dflt int, pinned map[[3]int]bool) {
 	seeds := cmp.Or(*killDropSeeds, dflt)
 	maxAdopted := uint64(1) // one per death

@@ -668,9 +668,19 @@ func (in *Instance) TerminateBackendFlows(backend netsim.HostPort) int {
 // consulted, or a parked knock (hybrid.go). Queues are bounded (per tuple
 // and instance-wide) and carry an expiry timer: an attacker spraying
 // orphan ACKs, or a wedged store lookup, must not grow memory unbounded.
+// A resolved queue goes back to the instance's spares with its expiry and
+// lookup callbacks bound (freeQueue), but not while its store read is in
+// flight: the read's callback would find the queue's next tuple.
 type pendingQueue struct {
-	pkts   []*netsim.Packet
+	tuple  netsim.FourTuple
+	pkts   []*netsim.Packet // parked copies (parkCopy), owned by the queue
 	expire netsim.Timer
+	// miss is storeGet's miss continuation, lookup that the read is in
+	// flight.
+	miss     func(queued []*netsim.Packet)
+	lookup   bool
+	expireFn func()
+	lookupFn func(value []byte, ok bool, err error)
 }
 
 // The pending-queue bounds. Overflow and expiry drops count as
@@ -681,22 +691,75 @@ const (
 	pendingExpiry      = 2 * time.Second
 )
 
-// park queues pkts for tuple until a store lookup or a knock
-// confirmation takes them, or pendingExpiry drops them as lookup misses,
-// with the tuple's mux entry unless a local flow holds it.
-func (in *Instance) park(tuple netsim.FourTuple, pkts []*netsim.Packet) *pendingQueue {
-	q := &pendingQueue{pkts: pkts}
+// park queues pkts, parked copies, for tuple until a store lookup or a
+// knock confirmation takes them, or pendingExpiry drops them as lookup
+// misses, with the tuple's mux entry unless a local flow holds it.
+func (in *Instance) park(tuple netsim.FourTuple, pkts ...*netsim.Packet) *pendingQueue {
+	q := in.spareQueues.Take()
+	if q == nil {
+		q = &pendingQueue{}
+		q.expireFn = func() { in.expireQueue(q) }
+		q.lookupFn = func(value []byte, ok bool, err error) { in.lookedUp(q, value, ok, err) }
+	}
+	q.tuple = tuple
+	q.pkts = append(q.pkts, pkts...)
 	in.pending[tuple] = q
 	in.pendingTotal += len(pkts)
-	q.expire = in.net.Schedule(pendingExpiry, func() {
-		if dropped, live := in.resolveQueue(tuple, q); live {
-			for range dropped {
-				in.note(evLookupMiss, tuple)
-			}
-			in.releaseOrphan(tuple)
-		}
-	})
+	q.expire = in.net.Schedule(pendingExpiry, q.expireFn)
 	return q
+}
+
+func (in *Instance) expireQueue(q *pendingQueue) {
+	dropped, live := in.resolveQueue(q.tuple, q)
+	if !live {
+		return
+	}
+	for range dropped {
+		in.note(evLookupMiss, q.tuple)
+	}
+	in.releaseOrphan(q.tuple)
+	in.dropParked(dropped)
+	in.freeQueue(q)
+}
+
+// freeQueue files a resolved queue, its packets already released or
+// handed on, among the spares; one whose store read is still in flight
+// is filed by the read's callback (lookedUp).
+func (in *Instance) freeQueue(q *pendingQueue) {
+	clear(q.pkts)
+	q.pkts = q.pkts[:0]
+	if !q.lookup {
+		in.spareQueues.Put(in.net, q)
+	}
+}
+
+// parkCopy returns a pooled copy of pkt for a pending queue, its payload
+// in an array of the network's buffer pool: the packet itself goes back
+// to the pool when process returns, and its payload is its sender's.
+func (in *Instance) parkCopy(pkt *netsim.Packet) *netsim.Packet {
+	p := in.net.ShallowClone(pkt)
+	p.Payload = nil
+	if len(pkt.Payload) > 0 {
+		p.Payload = append(in.net.AllocBuf(len(pkt.Payload)), pkt.Payload...)
+	}
+	return p
+}
+
+// releaseParked returns a parked copy to the pools, its payload's array
+// too unless lent: a dispatch that may have put the payload on the wire
+// in place (a tunnel relays it) leaves the array to the segment.
+func (in *Instance) releaseParked(p *netsim.Packet, lent bool) {
+	if !lent && p.Payload != nil {
+		in.net.ReleaseBuf(p.Payload)
+	}
+	in.net.ReleasePacket(p)
+}
+
+// dropParked releases parked copies nothing dispatched.
+func (in *Instance) dropParked(pkts []*netsim.Packet) {
+	for _, p := range pkts {
+		in.releaseParked(p, false)
+	}
 }
 
 // recoverFlow handles a packet for which no local flow exists: another
@@ -707,7 +770,7 @@ func (in *Instance) recoverFlow(tuple netsim.FourTuple, pkt *netsim.Packet) {
 			in.note(evLookupMiss, tuple) // dropped: the sender's retransmit retries
 			return
 		}
-		q.pkts = append(q.pkts, pkt.Clone())
+		q.pkts = append(q.pkts, in.parkCopy(pkt))
 		in.pendingTotal++
 		return
 	}
@@ -715,7 +778,7 @@ func (in *Instance) recoverFlow(tuple netsim.FourTuple, pkt *netsim.Packet) {
 		in.note(evLookupMiss, tuple)
 		return
 	}
-	q := in.park(tuple, []*netsim.Packet{pkt.Clone()})
+	q := in.park(tuple, in.parkCopy(pkt))
 	// Hybrid mode classifies the orphan (backend knock, dead-head
 	// derivation, residue) before deciding whether and how to consult the
 	// store; the paper-faithful mode always reads and RSTs a miss.

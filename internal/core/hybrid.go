@@ -119,7 +119,9 @@ func (in *Instance) hybridRecover(tuple netsim.FourTuple, q *pendingQueue) {
 }
 
 // resolveQueue detaches a pending queue, returning its packets; ok=false
-// when the queue already expired or the instance died.
+// when the queue already expired or the instance died. Whoever resolves
+// a queue owns its packets, and frees it (freeQueue) once it has released
+// them or handed them on.
 func (in *Instance) resolveQueue(tuple netsim.FourTuple, q *pendingQueue) ([]*netsim.Packet, bool) {
 	if in.dead || in.pending[tuple] != q {
 		return nil, false
@@ -131,52 +133,82 @@ func (in *Instance) resolveQueue(tuple netsim.FourTuple, q *pendingQueue) ([]*ne
 	return queued, true
 }
 
-// dispatchQueued replays a resolved queue into the flow table.
+// handOff detaches a resolved queue's packets for a caller that keeps
+// them past the queue's reuse, and frees the queue.
+func (in *Instance) handOff(q *pendingQueue) []*netsim.Packet {
+	queued := q.pkts
+	q.pkts = nil
+	in.freeQueue(q)
+	return queued
+}
+
+// dispatchQueued replays resolved parked copies into the flow table and
+// releases them. Only a flow in Tunnel, or one inspecting keep-alive
+// requests, may keep or forward a payload in place; every other state
+// copies what it keeps, so the payload's array goes back to the pool.
 func (in *Instance) dispatchQueued(queued []*netsim.Packet) {
 	for _, p := range queued {
+		lent := false
 		if cur := in.flows.get(p.Tuple()); cur != nil {
+			lent = cur.state == stateTunnel || cur.ka != nil
 			in.dispatch(cur, p)
 		}
+		in.releaseParked(p, lent)
 	}
 }
 
 // storeGet reads tuple's record from TCPStore for a pending queue — the
-// one place a store record becomes a flow. A hit installs it and replays
-// the queue, unless another survivor adopted the flow first and claimed
-// the tuple: then the queued packets go back to the mux, which routes
-// them to it. A miss hands the queued packets to miss; nil is the paper's
-// answer, shared by the hybrid paths that fall through to it: count the
-// miss and RST the sender. A lookup that leaves the tuple without a flow
-// or a parked queue releases the mux entry that brought it here.
+// one place a store record becomes a flow (lookedUp). miss takes a miss's
+// queued packets; nil is the paper's answer, shared by the hybrid paths
+// that fall through to it: count the miss and RST the sender.
 func (in *Instance) storeGet(tuple netsim.FourTuple, q *pendingQueue, miss func(queued []*netsim.Packet)) {
-	in.store.Get(in.flowKey(tuple), func(value []byte, ok bool, err error) {
-		queued, live := in.resolveQueue(tuple, q)
-		if !live {
+	q.miss, q.lookup = miss, true
+	in.store.Get(in.flowKey(tuple), q.lookupFn)
+}
+
+// lookedUp is a store read's answer for q. A hit, decoded into instance
+// scratch, installs the flow and replays the queue, unless another
+// survivor adopted the flow first and claimed the tuple: then the queued
+// packets go back to the mux, which routes them to it. A lookup that
+// leaves the tuple without a flow or a parked queue releases the mux
+// entry that brought it here.
+func (in *Instance) lookedUp(q *pendingQueue, value []byte, ok bool, err error) {
+	tuple, miss := q.tuple, q.miss
+	q.miss, q.lookup = nil, false
+	queued, live := in.resolveQueue(tuple, q)
+	if !live {
+		in.freeQueue(q) // its resolver left it to the read
+		return
+	}
+	switch {
+	case ok && err == nil:
+		rec := &in.recRecord
+		derr := rec.unmarshal(value, &in.recTLS, &in.backendNames)
+		if h, held := in.l4.Holder(tuple); derr == nil && held && h != in.IP() && in.flows.get(tuple) == nil {
+			for _, p := range in.handOff(q) {
+				in.net.Send(p)
+			}
 			return
 		}
-		switch {
-		case ok && err == nil:
-			rec, derr := UnmarshalRecord(value)
-			if h, held := in.l4.Holder(tuple); derr == nil && held && h != in.IP() && in.flows.get(tuple) == nil {
-				for _, p := range queued {
-					in.net.Send(p)
-				}
-				return
-			}
-			if derr == nil {
-				in.installRecovered(rec, adoptFrom[rec.Phase])
-				in.dispatchQueued(queued)
-				return
-			}
-			in.note(evLookupMiss, tuple)
-		case miss != nil:
-			miss(queued)
-		default:
-			in.note(evLookupMiss, tuple)
-			in.rstQueued(queued)
+		if derr == nil {
+			in.installRecovered(rec, adoptFrom[rec.Phase])
+			in.dispatchQueued(queued)
+			in.freeQueue(q)
+			return
 		}
+		in.note(evLookupMiss, tuple)
+		in.dropParked(queued)
+	case miss != nil:
+		miss(in.handOff(q))
 		in.releaseOrphan(tuple)
-	})
+		return
+	default:
+		in.note(evLookupMiss, tuple)
+		in.rstQueued(queued)
+		in.dropParked(queued)
+	}
+	in.freeQueue(q)
+	in.releaseOrphan(tuple)
 }
 
 // releaseOrphan drops tuple's mux entry when it names this instance and
@@ -210,7 +242,7 @@ func (in *Instance) hybridServerGet(tuple netsim.FourTuple, q *pendingQueue, cur
 	}
 	in.storeGet(tuple, q, func(queued []*netsim.Packet) {
 		in.note(evOrphanSuppressed, tuple)
-		in.park(tuple, queued)
+		in.park(tuple, queued...)
 	})
 }
 
@@ -236,8 +268,10 @@ func (in *Instance) hybridClientGet(tuple netsim.FourTuple, q *pendingQueue, st 
 		switch {
 		case rst:
 			in.note(evLookupMiss, tuple)
+			in.dropParked(queued)
 		case len(p0.Payload) == 0:
 			in.note(evOrphanSuppressed, tuple)
+			in.dropParked(queued)
 			if h, held := in.l4.Holder(st); !held || h != in.IP() {
 				in.l4.Claim(st, in.IP())
 				in.net.Schedule(max(in.cfg.FlowIdleTimeout, pendingExpiry), func() { in.releaseOrphan(st) })
@@ -261,8 +295,11 @@ func (in *Instance) hybridKnockConfirm(tuple netsim.FourTuple, q *pendingQueue, 
 	}
 	// Detaching the knock queue cancels its in-flight store lookup (the
 	// callback checks queue identity).
-	knocks, _ := in.resolveQueue(st, kq)
-	in.hybridRepair(in.installDerivedTunnel(tuple, st, b, queued[0].Seq), queued, knocks)
+	var knocks []*netsim.Packet
+	if _, live := in.resolveQueue(st, kq); live {
+		knocks = in.handOff(kq)
+	}
+	in.hybridRepair(in.installDerivedTunnel(tuple, st, b, queued[0].Seq), in.handOff(q), knocks)
 }
 
 // hybridRepair persists a derived flow's record under both tuple

@@ -124,18 +124,22 @@ type Instance struct {
 	// FlowsClosed counts flows this instance tore down (any reason).
 	FlowsClosed uint64
 
-	// Write-path scratch, reused across barrier writes and key renders.
-	// Safe because the instance runs on the single-threaded event loop and
-	// the store consumes keys and values synchronously (tcpstore.Entry is
-	// documented as not retained after SetMulti returns).
+	// Store scratch, reused across barrier writes, key renders and the
+	// decode of a store read (lookedUp). Safe because the instance runs
+	// on the single-threaded event loop, the store consumes keys and
+	// values synchronously (tcpstore.Entry is documented as not retained
+	// after SetMulti returns), and installRecovered copies a decoded
+	// record before anything else can use the scratch.
 	keyScratch     []byte
 	recScratch     []byte
 	entScratch     [2]tcpstore.Entry
 	recRecord      Record
 	recTLS         TLSState
 	freeBarrierOps []*barrierOp
-	spareFlows     netsim.Spares[*flow] // retired flows, for newFlow
-	req            httpsim.Request      // connection-phase header-parse scratch
+	spareFlows     netsim.Spares[*flow]         // retired flows, for newFlow
+	spareQueues    netsim.Spares[*pendingQueue] // resolved pending queues, for park
+	backendNames   names                        // the names decoded records gave
+	req            httpsim.Request              // connection-phase header-parse scratch
 	// The per-flow barriers' continuations (see writeBarrier), bound once.
 	synAckFn, tunnelFn       func(*flow)
 	abandonFn, unpersistedFn func(*flow, error)

@@ -7,21 +7,28 @@ import (
 	"repro/internal/l4lb"
 	"repro/internal/memcache"
 	"repro/internal/netsim"
+	"repro/internal/stateless"
 	"repro/internal/tcpstore"
 )
+
+// wedgedInstance returns an instance whose one store server never
+// answers: a read fails at OpTimeout, twice pendingExpiry.
+func wedgedInstance(cfg Config) (*netsim.Network, *Instance, time.Duration) {
+	n := netsim.New(3)
+	sh := netsim.NewHost(n, netsim.IPv4(10, 0, 3, 1))
+	memcache.NewSimServer(sh, memcache.DefaultPort, memcache.DefaultSimServerConfig())
+	sh.Detach()
+	scfg := tcpstore.DefaultConfig()
+	scfg.OpTimeout = 2 * pendingExpiry
+	h := netsim.NewHost(n, netsim.IPv4(10, 0, 0, 16))
+	return n, NewInstance(h, l4lb.New(n, l4lb.DefaultConfig()), tcpstore.New(h, []netsim.HostPort{{IP: sh.IP(), Port: memcache.DefaultPort}}, scfg), cfg), scfg.OpTimeout
+}
 
 // TestPendingQueueExpires: an orphan's recovery queue whose store lookup
 // outlives pendingExpiry is dropped, its packets counted as lookup
 // misses, and the lookup's late answer finds nothing left to resolve.
 func TestPendingQueueExpires(t *testing.T) {
-	n := netsim.New(3)
-	sh := netsim.NewHost(n, netsim.IPv4(10, 0, 3, 1))
-	memcache.NewSimServer(sh, memcache.DefaultPort, memcache.DefaultSimServerConfig())
-	sh.Detach() // the lookup is wedged: no replica answers
-	scfg := tcpstore.DefaultConfig()
-	scfg.OpTimeout = 2 * pendingExpiry
-	h := netsim.NewHost(n, netsim.IPv4(10, 0, 0, 16))
-	in := NewInstance(h, l4lb.New(n, l4lb.DefaultConfig()), tcpstore.New(h, []netsim.HostPort{{IP: sh.IP(), Port: memcache.DefaultPort}}, scfg), DefaultConfig())
+	n, in, opTimeout := wedgedInstance(DefaultConfig())
 	for i := 0; i < 3; i++ {
 		p := n.AllocPacket()
 		p.Src = netsim.HostPort{IP: netsim.IPv4(192, 168, 0, 1), Port: 4000}
@@ -33,10 +40,86 @@ func TestPendingQueueExpires(t *testing.T) {
 	if in.LookupMisses != 3 || len(in.pending) != 0 || in.pendingTotal != 0 {
 		t.Fatalf("at expiry: %d lookup misses, %d queues holding %d packets; want 3, 0, 0", in.LookupMisses, len(in.pending), in.pendingTotal)
 	}
-	n.RunFor(scfg.OpTimeout)
+	n.RunFor(opTimeout)
 	if in.LookupMisses != 3 || in.FlowCount() != 0 {
 		t.Fatalf("after the lookup timed out: %d lookup misses, %d flow entries; want 3 and 0", in.LookupMisses, in.FlowCount())
 	}
+}
+
+// TestPendingQueueWaitsForItsRead: a recovery queue is recycled with its
+// callbacks bound, but not while its store read is in flight, so the
+// read's late callback cannot resolve another tuple's queue. A queue that
+// expires first, or a knock queue that a client-side orphan confirms
+// (hybridKnockConfirm), goes back to the spares only when its read
+// answers.
+func TestPendingQueueWaitsForItsRead(t *testing.T) {
+	vip := netsim.HostPort{IP: netsim.IPv4(10, 0, 0, 254), Port: 80}
+	send := func(n *netsim.Network, in *Instance, tuple netsim.FourTuple, seq, ack uint32) {
+		p := n.AllocPacket()
+		p.Src, p.Dst = tuple.Src, tuple.Dst
+		p.Flags, p.Seq, p.Ack = netsim.FlagACK, seq, ack
+		in.handlePacket(p) // releases p
+	}
+	client := func(port uint16) netsim.FourTuple {
+		return netsim.FourTuple{Src: netsim.HostPort{IP: netsim.IPv4(192, 168, 0, 1), Port: port}, Dst: vip}
+	}
+	t.Run("expired", func(t *testing.T) {
+		n, in, _ := wedgedInstance(DefaultConfig())
+		orphan := func(port uint16) *pendingQueue {
+			send(n, in, client(port), 1000, 0)
+			return in.pending[client(port)]
+		}
+		q1 := orphan(4001)
+		if q1 == nil {
+			t.Fatal("the orphan was not queued")
+		}
+		n.RunFor(pendingExpiry + time.Millisecond) // q1 expires, its read in flight
+		if q2 := orphan(4002); q2 == q1 {
+			t.Fatal("an expired queue was reused while its store read was in flight")
+		}
+		n.RunFor(pendingExpiry) // q1's read times out and files q1; q2 expires
+		if q3 := orphan(4003); q3 != q1 {
+			t.Fatal("the expired queue was not reused once its read had answered")
+		}
+		if in.LookupMisses != 2 {
+			t.Fatalf("%d lookup misses, want the two expired queues' packets", in.LookupMisses)
+		}
+	})
+	t.Run("knock confirmed", func(t *testing.T) {
+		head := netsim.IPv4(10, 0, 0, 15) // the dead instance that held the flow
+		tbl := stateless.New(7)
+		tbl.SetVIP(vip.IP, stateless.VIPEntry{
+			Instances: []netsim.IP{head},
+			Pool:      []stateless.Backend{{Name: "srv-1", Addr: netsim.HostPort{IP: netsim.IPv4(10, 0, 2, 1), Port: 80}, Weight: 1}},
+		})
+		tbl.RegisterRange(head, 30000, 400)
+		tbl.MarkDead(head)
+		cfg := DefaultConfig()
+		cfg.Hybrid = tbl
+		n, in, opTimeout := wedgedInstance(cfg)
+		ct := client(4001)
+		b, _ := tbl.DeriveBackend(vip.IP, ct)
+		port, _ := tbl.PreferredPort(head, ct)
+		st := netsim.FourTuple{Src: b.Addr, Dst: netsim.HostPort{IP: vip.IP, Port: port}}
+		send(n, in, st, 5000, 1001) // the backend knocks; a miss would park it
+		kq := in.pending[st]
+		if kq == nil || !kq.lookup {
+			t.Fatal("the knock was not queued behind a store read")
+		}
+		send(n, in, ct, 1001, isnHash(ct.Src, ct.Dst)+100) // the client confirms it
+		if in.DerivedRecoveries != 1 || in.pending[st] != nil {
+			t.Fatalf("%d derived recoveries, knock queue parked: %v; want the knock confirmed", in.DerivedRecoveries, in.pending[st] != nil)
+		}
+		for q := in.spareQueues.Take(); q != nil; q = in.spareQueues.Take() {
+			if q == kq {
+				t.Fatal("the knock queue was filed while its store read was in flight")
+			}
+		}
+		n.RunFor(opTimeout + time.Millisecond) // the knock's read times out
+		if q := in.spareQueues.Take(); q != kq {
+			t.Fatal("the knock queue was not filed once its read had answered")
+		}
+	})
 }
 
 // TestReleaseVIPFlowsQuarantinesPorts: a VIP whose flows migrate away is

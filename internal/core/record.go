@@ -122,37 +122,49 @@ func (r *Record) AppendMarshal(b []byte) []byte {
 
 // UnmarshalRecord decodes a TCPStore value.
 func UnmarshalRecord(b []byte) (*Record, error) {
-	if len(b) < 2 || b[0] != recordMagic {
-		return nil, ErrBadRecord
+	r := &Record{}
+	if err := r.unmarshal(b, &TLSState{}, nil); err != nil {
+		return nil, err
 	}
-	r := &Record{Phase: FlowPhase(b[1])}
+	return r, nil
+}
+
+// unmarshal decodes a TCPStore value into r, and its TLS section, if any,
+// into ts, which r.TLS then points at: an adopter decodes into instance
+// scratch, as a barrier encodes from it. The backend's name is the one
+// string it may make, none when ns (which may be nil) already holds it.
+func (r *Record) unmarshal(b []byte, ts *TLSState, ns *names) error {
+	if len(b) < 2 || b[0] != recordMagic {
+		return ErrBadRecord
+	}
+	*r = Record{Phase: FlowPhase(b[1])}
 	if r.Phase != PhaseConn && r.Phase != PhaseTunnel {
-		return nil, ErrBadRecord
+		return ErrBadRecord
 	}
 	p := b[2:]
 	var ok bool
 	if r.Client, p, ok = readHostPort(p); !ok {
-		return nil, ErrBadRecord
+		return ErrBadRecord
 	}
 	if r.VIP, p, ok = readHostPort(p); !ok {
-		return nil, ErrBadRecord
+		return ErrBadRecord
 	}
 	if len(p) < 4 {
-		return nil, ErrBadRecord
+		return ErrBadRecord
 	}
 	r.ClientISN = binary.BigEndian.Uint32(p)
 	p = p[4:]
 	if r.Phase == PhaseConn {
-		return r, readTLSTrailer(r, p)
+		return readTLSTrailer(r, ts, p)
 	}
 	if r.Server, p, ok = readHostPort(p); !ok {
-		return nil, ErrBadRecord
+		return ErrBadRecord
 	}
 	if r.SNAT, p, ok = readHostPort(p); !ok {
-		return nil, ErrBadRecord
+		return ErrBadRecord
 	}
 	if len(p) < 4+4+4+1+2 {
-		return nil, ErrBadRecord
+		return ErrBadRecord
 	}
 	r.C = binary.BigEndian.Uint32(p)
 	r.S = binary.BigEndian.Uint32(p[4:])
@@ -161,14 +173,38 @@ func UnmarshalRecord(b []byte) (*Record, error) {
 	nameLen := int(binary.BigEndian.Uint16(p[13:]))
 	p = p[15:]
 	if len(p) < nameLen {
-		return nil, ErrBadRecord
+		return ErrBadRecord
 	}
-	r.BackendName = string(p[:nameLen])
-	return r, readTLSTrailer(r, p[nameLen:])
+	r.BackendName = ns.intern(p[:nameLen])
+	return readTLSTrailer(r, ts, p[nameLen:])
 }
 
-// readTLSTrailer decodes the optional TLS section at the record's tail.
-func readTLSTrailer(r *Record, p []byte) error {
+// names holds the backend names an instance's adoptions have decoded, at
+// most maxNames of them: a cluster has few backends.
+type names []string
+
+const maxNames = 16
+
+// intern returns b as a string, one ns holds if any; a nil ns keeps none.
+func (ns *names) intern(b []byte) string {
+	if ns == nil {
+		return string(b)
+	}
+	for _, n := range *ns {
+		if n == string(b) {
+			return n
+		}
+	}
+	s := string(b)
+	if len(*ns) < maxNames {
+		*ns = append(*ns, s)
+	}
+	return s
+}
+
+// readTLSTrailer decodes the optional TLS section at the record's tail
+// into ts.
+func readTLSTrailer(r *Record, ts *TLSState, p []byte) error {
 	if len(p) < 1 {
 		return ErrBadRecord
 	}
@@ -179,10 +215,9 @@ func readTLSTrailer(r *Record, p []byte) error {
 		if len(p) < 1+32+2 {
 			return ErrBadRecord
 		}
-		st := &TLSState{}
-		copy(st.Key[:], p[1:33])
-		st.ServerHelloLen = binary.BigEndian.Uint16(p[33:35])
-		r.TLS = st
+		copy(ts.Key[:], p[1:33])
+		ts.ServerHelloLen = binary.BigEndian.Uint16(p[33:35])
+		r.TLS = ts
 		return nil
 	default:
 		return ErrBadRecord

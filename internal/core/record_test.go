@@ -164,3 +164,48 @@ func TestFrameRequests(t *testing.T) {
 		t.Fatalf("partial body framed: %d %q", len(ka.queue), ka.held)
 	}
 }
+
+// TestRecordUnmarshalIntoScratch: an adopter decodes every record into
+// the same instance scratch. Each decode must equal a fresh
+// UnmarshalRecord, whatever the record before it held (a TLS section, a
+// tunnel's fields), and once a backend's name has been seen its decode
+// allocates nothing.
+func TestRecordUnmarshalIntoScratch(t *testing.T) {
+	tunnel := Record{
+		Phase:  PhaseTunnel,
+		Client: netsim.HostPort{IP: netsim.IPv4(100, 1, 2, 3), Port: 41000},
+		VIP:    netsim.HostPort{IP: netsim.IPv4(10, 255, 0, 1), Port: 80},
+		Server: netsim.HostPort{IP: netsim.IPv4(10, 0, 2, 9), Port: 80},
+		SNAT:   netsim.HostPort{IP: netsim.IPv4(10, 255, 0, 1), Port: 22001},
+		C:      7, S: 9, Delta: 0xFFFFFFFE, BackendName: "srv-7",
+		TLS: &TLSState{Key: [32]byte{1, 2, 3}, ServerHelloLen: 77},
+	}
+	conn := Record{Phase: PhaseConn, Client: tunnel.Client, VIP: tunnel.VIP, ClientISN: 5}
+	other := tunnel
+	other.TLS, other.BackendName = nil, "srv-8"
+	var scratch Record
+	var ts TLSState
+	var ns names
+	for _, want := range []Record{tunnel, conn, other, tunnel, other} {
+		b := want.Marshal()
+		if err := scratch.unmarshal(b, &ts, &ns); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := UnmarshalRecord(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, wantR := scratch, *fresh
+		if (got.TLS == nil) != (wantR.TLS == nil) || got.TLS != nil && *got.TLS != *wantR.TLS {
+			t.Fatalf("TLS: %+v, want %+v", got.TLS, wantR.TLS)
+		}
+		got.TLS, wantR.TLS = nil, nil
+		if got != wantR {
+			t.Fatalf("decoded into scratch: %+v, want %+v", got, wantR)
+		}
+	}
+	b := other.Marshal()
+	if allocs := testing.AllocsPerRun(100, func() { _ = scratch.unmarshal(b, &ts, &ns) }); allocs != 0 {
+		t.Fatalf("decoding a record with a known backend name allocates %.1f objects", allocs)
+	}
+}

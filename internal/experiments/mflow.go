@@ -10,6 +10,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/memcache"
+	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/rules"
 	"repro/internal/tcp"
@@ -110,6 +111,13 @@ type mfClient struct {
 	stepFn     func()
 
 	rsts, mismatched int
+
+	// probeAt is, for each of the storm's orphans, -1 from the kill
+	// until its first probe is sent, then that send's time; 0 for every
+	// other flow. firstByte takes, per orphan, the time from that send to
+	// the first response byte its adopter forwarded.
+	probeAt   []time.Duration
+	firstByte *metrics.DurationHistogram
 }
 
 // isn is flow i's initial sequence number: a function of the port, so the
@@ -144,6 +152,9 @@ func (d *mfClient) step() {
 		i := d.cursor
 		if d.state[i] == d.from {
 			d.state[i]++
+			if d.state[i] == mfProbeSent && d.probeAt != nil && d.probeAt[i] < 0 {
+				d.probeAt[i] = d.net.Now()
+			}
 		}
 		if s := d.state[i]; s > d.from && s < d.done {
 			d.send(i, s)
@@ -221,6 +232,9 @@ func (d *mfClient) HandlePacket(pkt *netsim.Packet) {
 			d.state[i] = mfBroken
 			return
 		}
+		if s == mfProbeSent && d.probeAt != nil && d.probeAt[i] > 0 {
+			d.firstByte.Add(d.net.Now() - d.probeAt[i])
+		}
 		d.enter(i, s+1)
 	case s == mfFinSent && pkt.Flags.Has(netsim.FlagFIN|netsim.FlagACK) && pkt.Seq == next:
 		d.enter(i, mfClosed)
@@ -270,6 +284,10 @@ type MflowResult struct {
 	AdoptedInClose int // adoptions after the probe phase: must be 0
 	Stranded       int // flows whose probe was never answered, resends included: must be 0
 	Suppressed     int // orphan queues the survivors dropped quietly
+	// FirstByte is, per orphan, the virtual time from its probe's first
+	// send to the first response byte its adopter forwarded: the recovery
+	// (store read or derivation) plus one round trip.
+	FirstByte *metrics.DurationHistogram
 
 	Delivered       uint64
 	Executed        uint64
@@ -304,6 +322,10 @@ func (r *MflowResult) Summary() string {
 		r.Established, r.ProbeAcked, r.Closed, r.ClientRSTs, r.Mismatched)
 	fmt.Fprintf(&b, "  storm: deadFlows=%d recovered=%d derived=%d stranded=%d (suppressed=%d) adoptedInClose=%d\n",
 		r.DeadFlows, r.Recovered, r.Derived, r.Stranded, r.Suppressed, r.AdoptedInClose)
+	if fb := r.FirstByte; fb != nil {
+		ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+		fmt.Fprintf(&b, "  storm probe to first byte: p50=%.3fms p99=%.3fms max=%.3fms\n", ms(fb.Median()), ms(fb.Quantile(0.99)), ms(fb.Max()))
+	}
 	fmt.Fprintf(&b, "  events: executed=%d delivered=%d perFlow=%.1f\n",
 		r.Executed, r.Delivered, float64(r.Executed)/float64(max(r.Cfg.Flows, 1)))
 	fmt.Fprintf(&b, "  end state: liveFlowEntries=%d storeItems=%d pending=%d dropped=%d+%d simTime=%v\n",
@@ -413,6 +435,19 @@ func RunMflow(cfg MflowConfig) *MflowResult {
 	// Failure storm at quiescence: kill StormKill instances spread across
 	// the fleet and withdraw them from every mux — the L4 update the
 	// controller's monitor would make, done here between phases.
+	victims := map[netsim.IP]bool{}
+	for k := 0; k < cfg.StormKill; k++ {
+		victims[c.Yoda[k*cfg.Instances/cfg.StormKill].IP()] = true
+	}
+	res.FirstByte = metrics.NewDurationHistogram()
+	for _, cl := range clients {
+		cl.probeAt, cl.firstByte = make([]time.Duration, len(cl.state)), res.FirstByte
+		for i := range cl.probeAt {
+			if h, ok := c.L4.Holder(netsim.FourTuple{Src: netsim.HostPort{IP: cl.ip, Port: mfBasePort + uint16(i)}, Dst: cl.vip}); ok && victims[h] {
+				cl.probeAt[i] = -1
+			}
+		}
+	}
 	for k := 0; k < cfg.StormKill; k++ {
 		i := k * cfg.Instances / cfg.StormKill
 		res.DeadFlows += c.Yoda[i].ClientFlowCount()
@@ -441,6 +476,9 @@ func RunMflow(cfg MflowConfig) *MflowResult {
 	}
 	if res.ProbeAcked+res.Stranded != res.Established {
 		res.failf("probe: %d flows answered and %d stranded of %d established", res.ProbeAcked, res.Stranded, res.Established)
+	}
+	if n := res.FirstByte.Count(); n+res.Stranded != res.DeadFlows {
+		res.failf("probe: %d orphans answered, %d stranded; %d were orphaned", n, res.Stranded, res.DeadFlows)
 	}
 	if res.Recovered+res.Derived+res.Stranded != res.DeadFlows {
 		res.failf("recovery: %d flows adopted from the store, %d derived, %d stranded; %d were orphaned",

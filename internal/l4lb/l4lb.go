@@ -236,7 +236,10 @@ func (lb *LB) RemoveInstance(inst netsim.IP) {
 	lb.net.Note(inst, netsim.FourTuple{}, "mux remove instance")
 	for _, m := range lb.muxes {
 		for vip, list := range m.vipMap {
-			out := list[:0]
+			// A fresh list per mux: a mapping's list is shared by every
+			// mux that applied it, so filtering it in place would leave
+			// the others a shifted copy of it.
+			out := make([]netsim.IP, 0, len(list))
 			for _, ip := range list {
 				if ip != inst {
 					out = append(out, ip)
@@ -326,8 +329,14 @@ func (lb *LB) forward(pkt *netsim.Packet, vip, inst netsim.IP) {
 // as its source address (pkt.Src.IP must be the VIP), claiming the
 // return tuple so the destination's replies reach inst. This is the SNAT
 // half of front-and-back indirection.
+//
+// The claim is made on every segment, not only the first, and that is
+// load-bearing: a staggered mapping flip evicts a draining instance's
+// pairs mux by mux, and the segments it still relays re-pin its
+// connections' return paths, so the backend's replies keep reaching it
+// instead of a successor that would have to adopt the flow. No note is
+// made: the tracer sees the packet.
 func (lb *LB) SendViaSNAT(pkt *netsim.Packet, inst netsim.IP) {
-	// Claimed without a note: the tracer sees the packet.
 	t := netsim.FourTuple{Src: pkt.Dst, Dst: pkt.Src} // reply orientation: toward VIP
 	lb.muxFor(t).affinity.Insert(t, lb.pairVal(t.Dst.IP, inst))
 	lb.net.Send(pkt)

@@ -152,6 +152,21 @@ func TestRemoveInstanceRehashesOnlyItsFlows(t *testing.T) {
 	}
 }
 
+// TestRemoveInstanceConvergesEveryMux: a mapping installed at once
+// gives every mux the same list, so removing an instance must rebuild
+// each mux's list rather than filter the shared one in place, which left
+// muxes 1-9 holding a shifted copy ([a c c]) that Converged rejects.
+func TestRemoveInstanceConvergesEveryMux(t *testing.T) {
+	_, lb, _ := setup(5, DefaultConfig(), inst1, inst2, inst3)
+	lb.RemoveInstance(inst2)
+	if !lb.Converged(vip, []netsim.IP{inst1, inst3}) {
+		for i, m := range lb.muxes {
+			t.Logf("mux %d: %v", i, m.vipMap[vip])
+		}
+		t.Fatal("after RemoveInstance the muxes have not converged on the survivors")
+	}
+}
+
 func TestSNATReturnPath(t *testing.T) {
 	n, lb, cols := setup(6, DefaultConfig(), inst1, inst2, inst3)
 	srvCol := &collector{}

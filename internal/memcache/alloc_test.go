@@ -1,6 +1,7 @@
 package memcache
 
 import (
+	"bytes"
 	"testing"
 	"time"
 )
@@ -28,23 +29,34 @@ func TestSessionStepAllocFree(t *testing.T) {
 }
 
 // TestReplyParserAllocFree pins the client side: single-line storage
-// replies (the write steady state) parse without allocating.
+// replies (the write steady state) and get replies, a hit's key and value
+// lent from the parser's scratch, parse without allocating.
 func TestReplyParserAllocFree(t *testing.T) {
 	p := &ReplyParser{}
-	data := []byte("STORED\r\nMSTORED 2\r\n")
-	sink := func(Reply) {}
-	for i := 0; i < 16; i++ {
+	value := bytes.Repeat([]byte("v"), 51)
+	data := append([]byte("STORED\r\nMSTORED 2\r\nVALUE yoda:f:c0a80001:9c40:0a0000fe:0050 0 51\r\n"), value...)
+	data = append(data, "\r\nEND\r\nEND\r\n"...)
+	hits := 0
+	sink := func(r Reply) {
+		if len(r.Items) == 1 && bytes.Equal(r.Items[0].Value, value) {
+			hits++
+		}
+	}
+	feed := func() {
 		p.Expect(false)
 		p.Expect(false)
+		p.Expect(true)
+		p.Expect(true)
 		p.FeedFunc(data, sink)
 	}
-	allocs := testing.AllocsPerRun(200, func() {
-		p.Expect(false)
-		p.Expect(false)
-		p.FeedFunc(data, sink)
-	})
-	if allocs != 0 {
+	for i := 0; i < 16; i++ {
+		feed()
+	}
+	if allocs := testing.AllocsPerRun(200, feed); allocs != 0 {
 		t.Fatalf("reply parse allocates %.1f objects/op, want 0", allocs)
+	}
+	if hits != 16+201 {
+		t.Fatalf("%d hits in %d get replies", hits, 16+201)
 	}
 }
 

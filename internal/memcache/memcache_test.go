@@ -224,7 +224,15 @@ func TestSessionRetiredVerbs(t *testing.T) {
 // feedReplies feeds data to p and collects the completed replies.
 func feedReplies(p *ReplyParser, data []byte) []Reply {
 	var out []Reply
-	p.FeedFunc(data, func(r Reply) { out = append(out, r) })
+	p.FeedFunc(data, func(r Reply) {
+		// The items are lent for the call: keep copies.
+		items := make([]ReplyItem, len(r.Items))
+		for i, it := range r.Items {
+			items[i] = ReplyItem{Key: bytes.Clone(it.Key), Flags: it.Flags, Value: bytes.Clone(it.Value)}
+		}
+		r.Items = items
+		out = append(out, r)
+	})
 	return out
 }
 
@@ -245,7 +253,7 @@ func TestReplyParserValues(t *testing.T) {
 		t.Fatalf("replies: %+v", rs)
 	}
 	it := rs[0].Items[0]
-	if it.Key != "k" || it.Flags != 7 || string(it.Value) != "hello" {
+	if string(it.Key) != "k" || it.Flags != 7 || string(it.Value) != "hello" {
 		t.Fatalf("item: %+v", it)
 	}
 }
@@ -296,7 +304,7 @@ func TestReplyParserErrorDropsPartialItems(t *testing.T) {
 		if len(rs) != 2 || rs[0].Type != ReplyError || rs[1].Type != ReplyValues {
 			t.Fatalf("%q: replies %+v", bad, rs)
 		}
-		if len(rs[0].Items) != 0 || len(rs[1].Items) != 1 || rs[1].Items[0].Key != "c" {
+		if len(rs[0].Items) != 0 || len(rs[1].Items) != 1 || string(rs[1].Items[0].Key) != "c" {
 			t.Fatalf("%q: items leaked across replies: %+v", bad, rs)
 		}
 	}

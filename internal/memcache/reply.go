@@ -20,8 +20,17 @@ const (
 // Reply is one parsed server response.
 type Reply struct {
 	Type  ReplyType
-	Items []Item // for ReplyValues
-	N     int    // stored-record count for ReplyMStored
+	Items []ReplyItem // for ReplyValues
+	N     int         // stored-record count for ReplyMStored
+}
+
+// ReplyItem is one VALUE block of a get reply. Key and Value are lent
+// from the parser's scratch for the FeedFunc callback only: a caller that
+// keeps either copies it.
+type ReplyItem struct {
+	Key   []byte
+	Flags uint32
+	Value []byte
 }
 
 // ReplyParser incrementally parses the server side of the text protocol.
@@ -29,9 +38,9 @@ type Reply struct {
 // those are multi-line and terminated by END while storage replies are
 // single-line. Callers enqueue the expectation when they send the request.
 //
-// Single-line replies (the storage-write steady state) parse without
-// allocating: lines are matched as bytes. Multi-line VALUE replies still
-// copy keys and values out — they cross into caller-owned Items.
+// Replies parse without allocating once the scratch is warm: lines are
+// matched as bytes, and a VALUE reply's keys and values are copied into
+// scratch the parser reuses after the reply's callback returns.
 type ReplyParser struct {
 	buf bytes.Buffer
 	// pending expectation ring: multi[mhead:] are outstanding replies,
@@ -39,8 +48,11 @@ type ReplyParser struct {
 	// once the ring drains, so steady-state traffic never reallocates.
 	multi []bool
 	mhead int
-	// in-progress multi-line accumulation
-	items []Item
+	// in-progress multi-line accumulation: the items, and the bytes of
+	// their keys and values (a VALUE block may arrive in an earlier Feed
+	// than its reply's END, so its bytes cannot stay in buf)
+	items []ReplyItem
+	held  []byte
 	// fields is the VALUE-line tokenizer scratch.
 	fields [][]byte
 }
@@ -56,8 +68,8 @@ func (p *ReplyParser) Expect(multiLine bool) {
 }
 
 // FeedFunc consumes bytes and invokes fn for each completed reply, in
-// order, without building a reply slice. fn must not retain the Reply's
-// Items beyond the call if it recycles them (the parser itself does not).
+// order, without building a reply slice. The Reply's Items are lent for
+// the call only: the parser reuses their arrays for the next reply.
 func (p *ReplyParser) FeedFunc(data []byte, fn func(Reply)) {
 	p.buf.Write(data)
 	for p.mhead < len(p.multi) {
@@ -66,6 +78,7 @@ func (p *ReplyParser) FeedFunc(data []byte, fn func(Reply)) {
 			break
 		}
 		fn(r)
+		p.items, p.held = p.items[:0], p.held[:0]
 	}
 }
 
@@ -108,16 +121,20 @@ func (p *ReplyParser) step() (Reply, bool) {
 				return Reply{}, false
 			}
 			flags, _ := parseUintField(fields[2], 32)
-			p.items = append(p.items, Item{
-				Key:   string(fields[1]),
+			// A grow of held may move it; the items taken before keep the
+			// old array, whose bytes do not change.
+			at := len(p.held)
+			p.held = append(append(p.held, fields[1]...), raw[nl+2:nl+2+size]...)
+			kv := p.held[at:len(p.held):len(p.held)]
+			p.items = append(p.items, ReplyItem{
+				Key:   kv[:len(fields[1]):len(fields[1])],
 				Flags: uint32(flags),
-				Value: append([]byte(nil), raw[nl+2:nl+2+size]...),
+				Value: kv[len(fields[1]):],
 			})
 			p.buf.Next(need)
 			continue
 		}
 		p.buf.Next(nl + 2)
-		p.items = nil
 		p.consumeExpect()
 		return r, true
 	}

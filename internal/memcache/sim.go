@@ -175,6 +175,7 @@ type SimClient struct {
 // to fail over).
 func DialSim(host *netsim.Host, server netsim.HostPort, cfg tcp.Config, onDown func()) *SimClient {
 	c := &SimClient{parser: &ReplyParser{}, onDown: onDown}
+	net := host.Network()
 	c.onReply = func(r Reply) {
 		if c.phead == len(c.pending) {
 			return
@@ -188,6 +189,12 @@ func DialSim(host *netsim.Host, server netsim.HostPort, cfg tcp.Config, onDown f
 		}
 		if cb != nil {
 			cb(SimResult{Reply: r})
+		}
+		// The items were lent for the call: under PoisonReleasedBufs a
+		// late reader of them sees 0xDD.
+		for _, it := range r.Items {
+			net.ScrubReleased(it.Key)
+			net.ScrubReleased(it.Value)
 		}
 	}
 	c.conn = tcp.Dial(host, server, tcp.Callbacks{
@@ -255,7 +262,8 @@ func (c *SimClient) SetMulti(kvs []KV, exptime int, cb func(SimResult)) {
 	c.send(c.scratch, 1, false, cb)
 }
 
-// Get fetches key; the callback's Reply.Items is empty on a miss.
+// Get fetches key; the callback's Reply.Items is empty on a miss, and a
+// hit's item is lent for the call only (ReplyParser.FeedFunc).
 func (c *SimClient) Get(key []byte, cb func(SimResult)) {
 	c.scratch = append(append(append(c.scratch[:0], "get "...), key...), '\r', '\n')
 	c.send(c.scratch, 1, true, cb)

@@ -1,6 +1,7 @@
 package memcache
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -24,15 +25,21 @@ func TestSimClientSetGetDelete(t *testing.T) {
 	n, srv, cl := simSetup(1)
 	var setR, getR, delR, missR *SimResult
 	cl.Set([]byte("flow:1"), []byte("state-bytes"), 0, 60, func(r SimResult) { setR = &r })
-	cl.Get([]byte("flow:1"), func(r SimResult) { getR = &r })
+	var got []byte
+	cl.Get([]byte("flow:1"), func(r SimResult) {
+		getR = &r
+		if len(r.Reply.Items) == 1 {
+			got = bytes.Clone(r.Reply.Items[0].Value) // lent for the call
+		}
+	})
 	cl.Delete([]KV{{Key: []byte("flow:1")}}, func(r SimResult) { delR = &r })
 	cl.Get([]byte("flow:1"), func(r SimResult) { missR = &r })
 	n.RunUntilIdle(10000)
 	if setR == nil || setR.Err != nil || setR.Reply.Type != ReplyStored {
 		t.Fatalf("set: %+v", setR)
 	}
-	if getR == nil || len(getR.Reply.Items) != 1 || string(getR.Reply.Items[0].Value) != "state-bytes" {
-		t.Fatalf("get: %+v", getR)
+	if getR == nil || string(got) != "state-bytes" {
+		t.Fatalf("get: %+v %q", getR, got)
 	}
 	if delR == nil || delR.Reply.Type != ReplyDeleted {
 		t.Fatalf("delete: %+v", delR)
@@ -42,6 +49,33 @@ func TestSimClientSetGetDelete(t *testing.T) {
 	}
 	if srv.Ops < 4 {
 		t.Fatalf("server ops = %d", srv.Ops)
+	}
+}
+
+// TestSimClientScrubsLentValues: a get hit's key and value are lent from
+// the reply parser's scratch for the callback only. Under
+// PoisonReleasedBufs the client scrubs them when the callback returns, so
+// a caller that keeps the slices reads 0xDD instead of whatever the next
+// reply writes there.
+func TestSimClientScrubsLentValues(t *testing.T) {
+	n, _, cl := simSetup(1)
+	n.PoisonReleasedBufs()
+	var key, value []byte
+	cl.Set([]byte("flow:1"), []byte("state-bytes"), 0, 60, func(SimResult) {})
+	cl.Get([]byte("flow:1"), func(r SimResult) {
+		if len(r.Reply.Items) == 1 {
+			key, value = r.Reply.Items[0].Key, r.Reply.Items[0].Value
+			if string(value) != "state-bytes" {
+				t.Errorf("value in the callback: %q", value)
+			}
+		}
+	})
+	n.RunUntilIdle(10000)
+	if len(value) != len("state-bytes") {
+		t.Fatalf("no hit: %q", value)
+	}
+	if len(bytes.Trim(key, "\xdd")) != 0 || len(bytes.Trim(value, "\xdd")) != 0 {
+		t.Fatalf("after the callback the lent key reads %q and the value %q, want 0xDD", key, value)
 	}
 }
 

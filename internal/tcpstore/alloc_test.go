@@ -116,3 +116,48 @@ func TestDeleteAllocFree(t *testing.T) {
 		t.Fatalf("stats after the deletes (replica servers of both keys: %d): %+v", len(union), st)
 	}
 }
+
+// TestGetAllocFree: an adopter's store read runs on a recycled getOp, its
+// reply and timeout callbacks bound once, and the hit's value is lent
+// from the reply parser. Warm, a hit and a miss allocate nothing; both
+// replicas answer, so the first hit wins and the second reply only
+// finishes the op's delivery before the op is reused.
+func TestGetAllocFree(t *testing.T) {
+	w := newSimWorld(24, 5, DefaultConfig()) // K=2
+	key := []byte("yoda:f:c0a80001:9c40:0a0000fe:0050")
+	missing := []byte("yoda:f:0a000020:1f90:0a0000fe:4e21")
+	value := make([]byte, 51)
+	for i := range value {
+		value[i] = byte('a' + i%26)
+	}
+	w.store.Set(key, value, func(error) {})
+	w.net.RunUntilIdle(1 << 20)
+	hits, misses := 0, 0
+	onHit := func(v []byte, ok bool, err error) {
+		if ok && err == nil && string(v) == string(value) {
+			hits++
+		}
+	}
+	onMiss := func(_ []byte, ok bool, err error) {
+		if !ok && err == nil {
+			misses++
+		}
+	}
+	op := func() {
+		w.store.Get(key, onHit)
+		w.store.Get(missing, onMiss)
+		w.net.RunUntilIdle(1 << 20)
+	}
+	for i := 0; i < 64; i++ {
+		op()
+	}
+	if allocs := testing.AllocsPerRun(100, op); allocs != 0 {
+		t.Fatalf("a Get hit and miss allocate %.1f objects, want 0", allocs)
+	}
+	if hits != 64+101 || misses != 64+101 {
+		t.Fatalf("%d hits and %d misses in %d rounds", hits, misses, 64+101)
+	}
+	if st := w.store.Stats; st.Gets != 2*(64+101) || st.Hits != 64+101 || st.RoundTrips != 2+4*(64+101) || st.Timeouts != 0 {
+		t.Fatalf("stats after the gets: %+v", st)
+	}
+}

@@ -97,6 +97,7 @@ type Store struct {
 	pickBufs [][]netsim.HostPort
 	freeOps  []*multiOp
 	freeBats []*batchState
+	freeGets []*getOp
 
 	Stats Stats
 }
@@ -459,26 +460,9 @@ func resetInts(buf []int, n int) []int {
 	return buf
 }
 
-// armOpTimeout schedules the operation bound; on expiry it marks the op
-// done and runs resolve. Returns a stoppable timer (the inert zero
-// Timer when disabled).
-func (s *Store) armOpTimeout(done *bool, resolve func()) netsim.Timer {
-	if s.cfg.OpTimeout <= 0 {
-		return netsim.Timer{}
-	}
-	return s.host.Network().Schedule(s.cfg.OpTimeout, func() {
-		if *done {
-			return
-		}
-		*done = true
-		s.Stats.Timeouts++
-		resolve()
-	})
-}
-
 // Get fetches key: the operation goes to all replicas concurrently and
 // the first hit wins. ok=false with nil error means a clean miss on
-// every reachable replica.
+// every reachable replica. A hit's value is lent for the call only.
 func (s *Store) Get(key []byte, cb func(value []byte, ok bool, err error)) {
 	s.Stats.Gets++
 	replicas := s.ring.PickInto(s.takePickBuf(), key, s.cfg.Replicas)
@@ -488,44 +472,102 @@ func (s *Store) Get(key []byte, cb func(value []byte, ok bool, err error)) {
 		return
 	}
 	s.Stats.RoundTrips += uint64(len(replicas))
-	n := len(replicas)
-	misses, errs, done := 0, 0, false
-	timer := s.armOpTimeout(&done, func() {
-		if misses > 0 {
-			cb(nil, false, nil) // a reachable replica answered "no such key"
-		} else {
-			cb(nil, false, ErrAllReplicasFailed)
-		}
-	})
+	op := s.takeGetOp()
+	op.cb, op.n = cb, len(replicas)
+	if s.cfg.OpTimeout > 0 {
+		op.timer = s.host.Network().Schedule(s.cfg.OpTimeout, op.timeoutFn)
+	}
 	for _, server := range replicas {
-		s.conn(server).Get(key, func(r memcache.SimResult) {
-			if done {
-				return
-			}
-			switch {
-			case r.Err == nil && len(r.Reply.Items) > 0:
-				done = true
-				timer.Stop()
-				s.Stats.Hits++
-				cb(r.Reply.Items[0].Value, true, nil)
-			case r.Err != nil:
-				errs++
-				s.Stats.ReplicaErrors++
-			default:
-				misses++
-			}
-			if !done && misses+errs == n {
-				done = true
-				timer.Stop()
-				if errs == n {
-					cb(nil, false, ErrAllReplicasFailed)
-				} else {
-					cb(nil, false, nil)
-				}
-			}
-		})
+		s.conn(server).Get(key, op.replyFn)
 	}
 	s.putPickBuf(replicas)
+}
+
+// getOp is the pooled in-flight state of one Get, its reply and timeout
+// callbacks bound once, as a multiOp's are. It is recycled once every
+// replica has answered or failed, never earlier: a late reply must not
+// reach the op's next Get.
+type getOp struct {
+	store        *Store
+	cb           func(value []byte, ok bool, err error)
+	n, delivered int // replicas asked, replies (or failures) delivered
+	misses, errs int
+	done         bool
+	timer        netsim.Timer
+	replyFn      func(memcache.SimResult)
+	timeoutFn    func()
+}
+
+func (s *Store) takeGetOp() *getOp {
+	if n := len(s.freeGets); n > 0 {
+		op := s.freeGets[n-1]
+		s.freeGets = s.freeGets[:n-1]
+		return op
+	}
+	op := &getOp{store: s}
+	op.replyFn, op.timeoutFn = op.reply, op.timeout
+	return op
+}
+
+// finish resolves the op with cb's arguments, recycling it first when
+// every replica has answered, so cb may start the next Get on it.
+func (op *getOp) finish(value []byte, ok bool, err error) {
+	op.done = true
+	op.timer.Stop()
+	cb := op.cb
+	op.recycleIfDelivered()
+	cb(value, ok, err)
+}
+
+func (op *getOp) recycleIfDelivered() {
+	if op.delivered < op.n {
+		return
+	}
+	s := op.store
+	*op = getOp{store: s, replyFn: op.replyFn, timeoutFn: op.timeoutFn}
+	if len(s.freeGets) < 32 {
+		s.freeGets = append(s.freeGets, op)
+	}
+}
+
+func (op *getOp) reply(r memcache.SimResult) {
+	op.delivered++
+	if op.done {
+		op.recycleIfDelivered()
+		return
+	}
+	switch {
+	case r.Err == nil && len(r.Reply.Items) > 0:
+		op.store.Stats.Hits++
+		op.finish(r.Reply.Items[0].Value, true, nil)
+		return
+	case r.Err != nil:
+		op.errs++
+		op.store.Stats.ReplicaErrors++
+	default:
+		op.misses++
+	}
+	switch {
+	case op.misses+op.errs < op.n:
+	case op.errs == op.n:
+		op.finish(nil, false, ErrAllReplicasFailed)
+	default:
+		op.finish(nil, false, nil)
+	}
+}
+
+// timeout resolves the op at OpTimeout with what has answered: a clean
+// miss if a reachable replica said "no such key", else a failure.
+func (op *getOp) timeout() {
+	if op.done {
+		return
+	}
+	op.store.Stats.Timeouts++
+	if op.misses > 0 {
+		op.finish(nil, false, nil)
+	} else {
+		op.finish(nil, false, ErrAllReplicasFailed)
+	}
 }
 
 // Latency measurement helper: TimedSet behaves like Set and reports the

@@ -1,6 +1,7 @@
 package tcpstore
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -220,7 +221,7 @@ func TestStoreSetGetDelete(t *testing.T) {
 	}
 	var got []byte
 	var ok bool
-	w.store.Get([]byte("flow:abc"), func(v []byte, o bool, err error) { got, ok = v, o })
+	w.store.Get([]byte("flow:abc"), func(v []byte, o bool, err error) { got, ok = bytes.Clone(v), o }) // lent for the call
 	w.net.RunUntilIdle(100000)
 	if !ok || string(got) != "tcp-state" {
 		t.Fatalf("get: %q ok=%v", got, ok)
@@ -272,7 +273,7 @@ func TestStoreSurvivesOneReplicaFailure(t *testing.T) {
 	var got []byte
 	found := false
 	done := false
-	w.store.Get([]byte("flow:x"), func(v []byte, o bool, err error) { got, found, done = v, o, true })
+	w.store.Get([]byte("flow:x"), func(v []byte, o bool, err error) { got, found, done = bytes.Clone(v), o, true })
 	// Allow time for the dead replica's connection to fail over.
 	w.net.RunFor(10 * time.Minute)
 	if !done {

@@ -2,15 +2,23 @@ package yoda_test
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"runtime"
+	"runtime/metrics"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	yoda "repro"
+	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/httpsim"
+	"repro/internal/memcache"
 	"repro/internal/netsim"
+	"repro/internal/tcp"
+	"repro/internal/tcpstore"
 )
 
 // ledgerLayers are the rows of the request allocation ledger, in the
@@ -74,7 +82,8 @@ func TestRequestAllocLedger(t *testing.T) {
 }
 
 // allocsByLayer returns the objects allocated so far, as the memory
-// profile has them, by the innermost internal package on each stack.
+// profile has them, by the innermost internal package on each stack, and
+// under newFlowRow those core's newFlow made.
 func allocsByLayer() map[string]int {
 	for range 3 { // the profile publishes a cycle's allocations two cycles on
 		runtime.GC()
@@ -89,9 +98,29 @@ func allocsByLayer() map[string]int {
 	for _, r := range recs[:n] {
 		if layer := layerOf(r.Stack()); layer != "" {
 			by[layer] += int(r.AllocObjects)
+			if onStack(r.Stack(), "repro/internal/core.(*Instance).newFlow") {
+				by[newFlowRow] += int(r.AllocObjects)
+			}
 		}
 	}
 	return by
+}
+
+// newFlowRow is allocsByLayer's count of the objects core's newFlow made
+// (the flow and its bound timers), which its core row includes.
+const newFlowRow = "newFlow"
+
+// onStack reports whether fn is a frame of stack.
+func onStack(stack []uintptr, fn string) bool {
+	frames := runtime.CallersFrames(stack)
+	for more := true; more; {
+		var f runtime.Frame
+		f, more = frames.Next()
+		if f.Function == fn {
+			return true
+		}
+	}
+	return false
 }
 
 // layerOf returns the ledger layer x of the innermost frame of stack in
@@ -118,4 +147,280 @@ func layerOf(stack []uintptr) string {
 		}
 	}
 	return layer
+}
+
+// TestAdoptionAllocLedger is the allocation ledger of one adoption
+// (DESIGN.md, "What an adoption allocates"): a warm bed of four
+// instances holds idle keep-alive flows, one instance is killed and
+// withdrawn from the muxes, and each of its flows sends one request,
+// which a survivor adopts: an orphan packet parked, a store read, a flow
+// installed, the request relayed. The same flows then send one more
+// request to their adopters, with nothing to adopt: that phase is the
+// probe, and an adoption costs what the first phase allocates beyond it.
+// A first kill before the measured one warms the adoption path's pools;
+// the held flows outnumber what the warm-up closed, so newFlow finds no
+// spare, as in a storm. Each row charges the difference to a layer
+// (layerOf), and the rows sum to the total runtime/metrics counts. The
+// profile cannot see a tiny allocation packed into a block another made,
+// so runtime/metrics' count of those is a row of its own, "tiny".
+// Store commands per adoption are counted the same way. It logs "ledger
+// adoption_allocs_<row>_<mode>", the total, what newFlow made and
+// "ledger adoption_store_cmds_<mode>", which scripts/bench.sh records
+// and ci.sh gates.
+func TestAdoptionAllocLedger(t *testing.T) {
+	for _, mode := range []string{"paper", "hybrid"} {
+		t.Run(mode, func(t *testing.T) {
+			t.Logf("ledger adoption_wall_ns_%s %.0f", mode, measureAdoption(t, mode == "hybrid", false).wallNs)
+			defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+			runtime.MemProfileRate = 1
+			l := measureAdoption(t, mode == "hybrid", true)
+			sum := 0.0
+			for _, row := range adoptionRows {
+				t.Logf("ledger adoption_allocs_%s_%s %.2f", row, mode, l.rows[row])
+				sum += l.rows[row]
+			}
+			t.Logf("ledger adoption_allocs_%s %.2f", mode, l.total)
+			t.Logf("ledger adoption_allocs_newflow_%s %.2f", mode, l.newFlow)
+			t.Logf("ledger adoption_store_cmds_%s %.2f", mode, l.storeCmds)
+			t.Logf("%d adoptions", l.adoptions)
+			if math.Abs(sum-l.total) > 1e-9 {
+				t.Fatalf("the ledger's rows sum to %.2f allocations per adoption, runtime/metrics counts %.2f", sum, l.total)
+			}
+			// A paper-mode adoption allocates the flow it creates and the
+			// array of the payload it relays, and at most one more object.
+			if mode == "paper" && l.total > l.newFlow+2 {
+				t.Errorf("an adoption allocates %.2f objects, %.2f of them newFlow's: more than 2 beyond the flow", l.total, l.newFlow)
+			}
+		})
+	}
+}
+
+// adoptionRows are the adoption ledger's rows: the request ledger's
+// layers and the unprofiled tiny allocations.
+var adoptionRows = append(slices.Clone(ledgerLayers), "tiny")
+
+// adoptionLedger is what measureAdoption reports, per adoption.
+type adoptionLedger struct {
+	rows           map[string]float64
+	total, newFlow float64
+	storeCmds      float64
+	adoptions      int
+	// wallNs is the adoption phase's wall time beyond the probe's, per
+	// adoption: noisy, and not gated.
+	wallNs float64
+}
+
+// phaseCount is what one phase of measureAdoption allocated and sent.
+type phaseCount struct {
+	rows      map[string]int // by adoptionRows, and newFlowRow
+	objects   int            // heap objects, tiny allocations included
+	storeCmds int
+	wall      time.Duration
+}
+
+// measureAdoption builds the bed, kills twice, and measures the second
+// storm's adoptions against the probe. With profile, MemProfileRate must
+// be 1 and the allocation rows are filled in.
+func measureAdoption(t testing.TB, hybrid, profile bool) adoptionLedger {
+	b := newAdoptionBed(hybrid)
+	b.openAll(256)
+	b.kill(0)
+	b.requestAll(b.orphans)
+	b.kill(1)
+	orphans := b.orphans
+	if len(orphans) == 0 {
+		t.Fatal("the killed instance held no flow")
+	}
+	phase := func() (c phaseCount) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		var before map[string]int
+		if profile {
+			before = allocsByLayer()
+		}
+		cmds0 := b.storeCmds()
+		objects0, tiny0 := heapObjects()
+		start := time.Now()
+		b.requestAll(orphans)
+		c.wall = time.Since(start)
+		objects, tiny := heapObjects()
+		c.objects = int(objects - objects0)
+		c.storeCmds = int(b.storeCmds() - cmds0)
+		if profile {
+			after := allocsByLayer()
+			c.rows = map[string]int{"tiny": int(tiny - tiny0)}
+			for _, row := range append(ledgerLayers, newFlowRow) {
+				c.rows[row] = after[row] - before[row]
+			}
+		}
+		return c
+	}
+	adopted0 := b.adopted()
+	a := phase()
+	n := int(b.adopted() - adopted0)
+	if n != len(orphans) {
+		t.Fatalf("%d orphans, %d adoptions", len(orphans), n)
+	}
+	p := phase()
+	if b.adopted()-adopted0 != uint64(n) {
+		t.Fatal("the probe adopted a flow")
+	}
+	per := func(a, p int) float64 { return float64(a-p) / float64(n) }
+	l := adoptionLedger{
+		adoptions: n,
+		total:     per(a.objects, p.objects),
+		storeCmds: per(a.storeCmds, p.storeCmds),
+		wallNs:    float64(a.wall-p.wall) / float64(n),
+	}
+	if profile {
+		l.newFlow = per(a.rows[newFlowRow], p.rows[newFlowRow])
+		l.rows = map[string]float64{}
+		for _, row := range adoptionRows {
+			l.rows[row] = per(a.rows[row], p.rows[row])
+		}
+	}
+	return l
+}
+
+// heapObjects returns the heap objects allocated so far, tiny
+// allocations included (runtime.MemStats.Mallocs, exact: reading it
+// flushes every P's counts), and runtime/metrics' count of the tiny
+// allocations packed into blocks, which the profile does not see.
+func heapObjects() (objects, tiny uint64) {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	s := []metrics.Sample{{Name: "/gc/heap/tiny/allocs:objects"}}
+	metrics.Read(s)
+	return ms.Mallocs, s[0].Value.Uint64()
+}
+
+// adoptionBed is the adoption ledger's cluster: four instances, two
+// backends serving one 2 KiB object, two store servers, one VIP, and raw
+// keep-alive client flows that send one request at a time.
+type adoptionBed struct {
+	c       *cluster.Cluster
+	vip     netsim.HostPort
+	body    []byte
+	req     []byte
+	hosts   []*netsim.Host
+	flows   []*adoptionFlow
+	orphans []*adoptionFlow // the flows the last kill orphaned
+	waiting int
+	failed  int
+}
+
+type adoptionFlow struct {
+	conn   *tcp.Conn
+	parser httpsim.ResponseParser
+}
+
+func newAdoptionBed(hybrid bool) *adoptionBed {
+	c := cluster.New(7)
+	if hybrid {
+		c.EnableHybrid(0x9e3779b97f4a7c15)
+	}
+	body := bytes.Repeat([]byte("A"), 2<<10)
+	objects := map[string][]byte{"/obj": body}
+	c.AddBackend("srv-1", objects, httpsim.DefaultServerConfig())
+	c.AddBackend("srv-2", objects, httpsim.DefaultServerConfig())
+	c.AddStoreServers(2, memcache.DefaultSimServerConfig())
+	cfg := core.DefaultConfig()
+	cfg.FlowIdleTimeout = 10 * time.Minute // the held flows outlive the test
+	c.AddYodaN(4, cfg, tcpstore.DefaultConfig())
+	vip := c.AddVIP("svc")
+	c.InstallPolicy(vip, c.SimpleSplitRules("srv-1", "srv-2"), nil)
+	b := &adoptionBed{c: c, vip: netsim.HostPort{IP: vip, Port: 80}, body: body,
+		req: httpsim.NewRequest("/obj", "svc").Marshal()}
+	for range 8 {
+		b.hosts = append(b.hosts, c.ClientHost())
+	}
+	return b
+}
+
+// openAll warms the bed with 64 flows that fetch once and close, then
+// opens n keep-alive flows that fetch once and stay open.
+func (b *adoptionBed) openAll(n int) {
+	for i := range 64 + n {
+		f := &adoptionFlow{}
+		b.waiting++
+		f.conn = tcp.Dial(b.hosts[i%len(b.hosts)], b.vip, tcp.Callbacks{
+			OnEstablished: func(c *tcp.Conn) { c.Write(b.req) },
+			OnData:        func(c *tcp.Conn, data []byte) { b.onData(f, data) },
+			OnPeerClose:   func(c *tcp.Conn) { c.Close() },
+			OnFail:        func(*tcp.Conn, error) { b.failed++ },
+		}, tcp.DefaultConfig())
+		if i < 64 {
+			b.settle()
+			f.conn.Close()
+			continue
+		}
+		b.flows = append(b.flows, f)
+	}
+	b.settle()
+	b.c.Net.RunFor(5 * time.Second) // the warm flows' closes linger out
+}
+
+func (b *adoptionBed) onData(f *adoptionFlow, data []byte) {
+	resps, err := f.parser.Feed(data)
+	if err != nil {
+		b.failed++
+		return
+	}
+	for _, r := range resps {
+		if r.StatusCode != 200 || !bytes.Equal(r.Body, b.body) {
+			b.failed++
+		}
+		b.waiting--
+	}
+}
+
+// settle runs the bed until every request has its response.
+func (b *adoptionBed) settle() {
+	for end := b.c.Net.Now() + time.Minute; b.waiting > 0 && b.c.Net.Now() < end; {
+		b.c.Net.RunFor(10 * time.Millisecond)
+	}
+	if b.waiting > 0 || b.failed > 0 {
+		panic(fmt.Sprintf("adoption bed: %d responses outstanding, %d failed", b.waiting, b.failed))
+	}
+}
+
+// requestAll sends one request on each flow, 200 µs apart as
+// held-failover paces its resume, and runs until every response has
+// arrived.
+func (b *adoptionBed) requestAll(flows []*adoptionFlow) {
+	for i, f := range flows {
+		b.waiting++
+		b.c.Net.Schedule(time.Duration(i)*200*time.Microsecond, func() { f.conn.Write(b.req) })
+	}
+	b.settle()
+}
+
+// kill fails instance i and withdraws it from the muxes at once, as the
+// controller's monitor would, once the last responses' ACKs have landed;
+// orphans become the flows it held.
+func (b *adoptionBed) kill(i int) {
+	b.c.Net.RunFor(100 * time.Millisecond)
+	ip := b.c.Yoda[i].IP()
+	b.orphans = nil
+	for _, f := range b.flows {
+		if h, ok := b.c.L4.Holder(netsim.FourTuple{Src: f.conn.LocalAddr(), Dst: b.vip}); ok && h == ip {
+			b.orphans = append(b.orphans, f)
+		}
+	}
+	b.c.KillYoda(i)
+	b.c.L4.RemoveInstance(ip)
+}
+
+func (b *adoptionBed) adopted() (n uint64) {
+	for _, in := range b.c.Yoda {
+		n += in.Recovered + in.DerivedRecoveries
+	}
+	return n
+}
+
+// storeCmds is the store commands the instances have sent.
+func (b *adoptionBed) storeCmds() (n uint64) {
+	for _, in := range b.c.Yoda {
+		n += in.Store().Stats.RoundTrips
+	}
+	return n
 }

@@ -84,6 +84,31 @@ want flowmap_lookup_ns_op flowmap_map_baseline_lookup_ns_op flowmap_lookup_alloc
 LEDGER_ROWS=(netsim l4lb core tcp tcpstore memcache httpsim other)
 want request_allocs "${LEDGER_ROWS[@]/#/request_allocs_}" &&
   go test -count=1 -run '^TestRequestAllocLedger$' -v . | tee -a "$MICRO_LOG"
+# The adoption ledger: objects and store commands one adoption costs beyond
+# a no-kill probe of the same flows, per mode, charged layer by layer
+# (ledger_test.go; "tiny" is the unprofiled tiny allocations), and its
+# wall ns per adoption (noisy, not gated).
+ADOPTION_ROWS=("${LEDGER_ROWS[@]}" tiny)
+ADOPTION_FIELDS=()
+for mode in paper hybrid; do
+  ADOPTION_FIELDS+=("adoption_allocs_$mode" "adoption_allocs_newflow_$mode" "adoption_store_cmds_$mode" "adoption_wall_ns_$mode")
+  for row in "${ADOPTION_ROWS[@]}"; do ADOPTION_FIELDS+=("adoption_allocs_${row}_$mode"); done
+done
+want "${ADOPTION_FIELDS[@]}" &&
+  go test -count=1 -run '^TestAdoptionAllocLedger$' -v . | tee -a "$MICRO_LOG"
+# mflow's storm, both modes: virtual time from each orphan's probe send
+# to the first response byte its adopter forwarded (the summary's "storm
+# probe to first byte" line, in ms; a live flow's probe takes 60.6 ms).
+STORM_FIELDS=()
+for mode in paper hybrid; do
+  for q in p50 p99 max; do STORM_FIELDS+=("mflow_storm_probe_to_byte_ms_${q}_$mode"); done
+done
+if want "${STORM_FIELDS[@]}"; then
+  for mode in paper hybrid; do
+    go run ./cmd/yodasim -exp mflow -recovery "${mode/paper/}" |
+      awk -v mode="$mode" '/storm probe to first byte:/ { print "storm", mode, $0 }' | tee -a "$MICRO_LOG"
+  done
+fi
 want flowmap_bytes_per_flow flowmap_map_baseline_bytes_per_flow &&
   go test -run '^$' -bench 'BenchmarkFlowmapMemPerFlow' -benchtime 1x \
   ./internal/flowmap/ | tee -a "$MICRO_LOG"
@@ -157,6 +182,19 @@ LEDGER_JSON=""
 for row in "${LEDGER_ROWS[@]}"; do
   [[ -n "$LEDGER_JSON" ]] && LEDGER_JSON+=$'\n'
   LEDGER_JSON+="    \"request_allocs_$row\": $(jsonnum "$(ledger "request_allocs_$row")"),"
+done
+for field in "${ADOPTION_FIELDS[@]}"; do
+  LEDGER_JSON+=$'\n'"    \"$field\": $(jsonnum "$(ledger "$field")"),"
+done
+# storm <mode> <quantile>: one figure of mflow's storm line, in ms.
+storm() {
+  awk -v mode="$1" -v q="$2" '$1 == "storm" && $2 == mode {
+    for (i = 3; i <= NF; i++) if (index($i, q "=") == 1) { v = substr($i, length(q) + 2); sub(/ms$/, "", v); print v } }' "$MICRO_LOG"
+}
+for mode in paper hybrid; do
+  for q in p50 p99 max; do
+    LEDGER_JSON+=$'\n'"    \"mflow_storm_probe_to_byte_ms_${q}_$mode\": $(jsonnum "$(storm "$mode" "$q")"),"
+  done
 done
 
 FIG10_S=null; FIG12_S=null; FIG13_S=null

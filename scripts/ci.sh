@@ -77,6 +77,8 @@ echo "== bench regression gate (wall clock: median of 5 pairs vs the base commit
 # stack's heap bytes per mflow flow (read off the mflow runs above; the
 # store's items are about a third of it). `scripts/bench.sh --only
 # tcp_static_512k_B_op,tcp_idle_conn_pair_heap_bytes,client_fetch_512k_B_op,storage_roundtrips_per_flow_paper,request_allocs,mflow_mem_bytes_per_flow`
+# (and the adoption ledger's four gated figures, below, with
+# `--only adoption_allocs_paper,adoption_allocs_hybrid,adoption_store_cmds_paper,adoption_store_cmds_hybrid`)
 # re-records just those after an intentional change.
 #
 # gate <label> <unit> <new> <recorded> lower|higher: fail when new is more
@@ -179,6 +181,19 @@ NEW_REQ_ALLOCS=$(go test -count=1 -run '^TestRequestAllocLedger$' -v . |
 awk -v new="$NEW_REQ_ALLOCS" -v rec="$(recorded request_allocs)" 'BEGIN{
   if (new == "" || new+0 > rec+0) { printf "FAIL: allocations per request %s vs recorded %s (any rise fails)\n", new, rec; exit 1 }
   printf "allocations per request %s vs recorded %s: ok\n", new, rec }' || exit 1
+# And the adoption ledger's (ledger_test.go): objects and store commands
+# one adoption costs beyond a no-kill probe, per recovery mode, exact
+# counts of the simulation. Any rise fails; the test itself fails unless
+# its rows sum to its total and a paper adoption stays within 2 objects
+# of the flow it creates.
+ADOPTION_LOG=$(go test -count=1 -run '^TestAdoptionAllocLedger$' -v .) ||
+  { printf '%s\n' "$ADOPTION_LOG"; echo 'FAIL: TestAdoptionAllocLedger'; exit 1; }
+for field in adoption_allocs_paper adoption_allocs_hybrid adoption_store_cmds_paper adoption_store_cmds_hybrid; do
+  awk -v new="$(awk -v k="$field" '$2 == "ledger" && $3 == k { print $4 }' <<< "$ADOPTION_LOG")" \
+      -v rec="$(recorded "$field")" -v label="$field" 'BEGIN{
+    if (new == "" || new+0 > rec+0) { printf "FAIL: %s %s vs recorded %s (any rise fails)\n", label, new, rec; exit 1 }
+    printf "%s %s vs recorded %s: ok\n", label, new, rec }' || exit 1
+done
 
 echo "== format + vet clean sweep (gofmt -s -l, go vet ./...) =="
 # Formatting drift and vet findings are the cheapest checks in the file;
