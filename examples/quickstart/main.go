@@ -37,7 +37,7 @@ func main() {
 	// Now the headline feature: start a large transfer, kill the instance
 	// that carries it, and let TCPStore + VIP indirection recover the flow.
 	var big *yoda.FetchResult
-	tb.FetchAsync(vip, "/big.bin", func(r *yoda.FetchResult) { big = r })
+	tb.FetchAsync(vip, "/big.bin", func(r *yoda.FetchResult) { big = r.Clone() })
 	tb.Run(80 * time.Millisecond) // the transfer is mid-flight now
 
 	for i, inst := range tb.Cluster.Yoda {

@@ -30,7 +30,7 @@ func TestBackendFailureTerminatesFlows(t *testing.T) {
 	ccfg.Retries = 1
 	cl := c.NewClient(ccfg)
 	var res *httpsim.FetchResult
-	cl.Get(netsim.HostPort{IP: vip, Port: 80}, "/slow", func(r *httpsim.FetchResult) { res = r })
+	cl.Get(netsim.HostPort{IP: vip, Port: 80}, "/slow", func(r *httpsim.FetchResult) { res = r.Clone() })
 
 	// Kill whichever backend got the flow, mid-transfer.
 	c.Net.RunFor(200 * time.Millisecond)

@@ -39,15 +39,10 @@ func newTestbed(t *testing.T, seed int64, nYoda int) *testbed.Bed {
 	return tb
 }
 
-// keep returns a done that stores the fetch's result in *res with its
-// body copied out: Client.Fetch lends the body only until done returns.
+// keep returns a done that stores a clone of the fetch's result in
+// *res: Client.Fetch lends the result only until done returns.
 func keep(res **httpsim.FetchResult) func(*httpsim.FetchResult) {
-	return func(r *httpsim.FetchResult) {
-		if r.Resp != nil {
-			r.Resp.Body = bytes.Clone(r.Resp.Body)
-		}
-		*res = r
-	}
+	return func(r *httpsim.FetchResult) { *res = r.Clone() }
 }
 
 func TestEndToEndFetchThroughYoda(t *testing.T) {
@@ -126,7 +121,7 @@ func TestFlowStateCleanedAfterClose(t *testing.T) {
 	tb := newTestbed(t, 4, 1)
 	cl := tb.C.NewClient(httpsim.DefaultClientConfig())
 	var res *httpsim.FetchResult
-	cl.Get(tb.Addr, "/tiny", func(r *httpsim.FetchResult) { res = r })
+	cl.Get(tb.Addr, "/tiny", func(r *httpsim.FetchResult) { res = r.Clone() })
 	tb.C.Net.RunFor(10 * time.Second) // includes FinLinger
 	if res == nil || res.Err != nil {
 		t.Fatalf("res = %+v", res)
@@ -647,7 +642,7 @@ func TestRejectWhenNoRuleMatches(t *testing.T) {
 	c.InstallPolicy(vip, only, nil)
 	cl := c.NewClient(httpsim.DefaultClientConfig())
 	var res *httpsim.FetchResult
-	cl.Get(netsim.HostPort{IP: vip, Port: 80}, "/not-a-jpg", func(r *httpsim.FetchResult) { res = r })
+	cl.Get(netsim.HostPort{IP: vip, Port: 80}, "/not-a-jpg", func(r *httpsim.FetchResult) { res = r.Clone() })
 	c.Net.RunFor(5 * time.Second)
 	if res == nil {
 		t.Fatal("no response")
@@ -792,7 +787,7 @@ func TestVIPRemovalStopsTraffic(t *testing.T) {
 	tb.C.Yoda[0].RemoveRules(tb.VIP)
 	cl := tb.C.NewClient(httpsim.DefaultClientConfig())
 	var res *httpsim.FetchResult
-	cl.Get(tb.Addr, "/tiny", func(r *httpsim.FetchResult) { res = r })
+	cl.Get(tb.Addr, "/tiny", func(r *httpsim.FetchResult) { res = r.Clone() })
 	tb.C.Net.RunFor(5 * time.Second)
 	if res == nil {
 		t.Fatal("no result")

@@ -7,6 +7,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/rules"
 	"repro/internal/securesim"
+	"repro/internal/stateless"
 )
 
 // flow is the in-memory state for one balanced connection. Everything
@@ -675,13 +676,31 @@ type pendingQueue struct {
 	tuple  netsim.FourTuple
 	pkts   []*netsim.Packet // parked copies (parkCopy), owned by the queue
 	expire netsim.Timer
-	// miss is storeGet's miss continuation, lookup that the read is in
-	// flight.
-	miss     func(queued []*netsim.Packet)
-	lookup   bool
-	expireFn func()
-	lookupFn func(value []byte, ok bool, err error)
+	// miss is what a store miss does with the queue (storeGet), lookup
+	// that the read is in flight.
+	miss   missAction
+	lookup bool
+	// st and b are a client-side orphan's predicted server tuple and
+	// backend, for missDerive (hybridClientGet).
+	st netsim.FourTuple
+	b  stateless.Backend
+	// The callbacks, bound once per queue: expiry, the store read, a
+	// derived flow's repair commit (hybridRepair) and the end of a bare
+	// ACK's claim on st (hybridDerive).
+	expireFn  func()
+	lookupFn  func(value []byte, ok bool, err error)
+	repairFn  func(*flow)
+	releaseFn func()
 }
+
+// missAction is what a pending queue's store miss does (lookedUp).
+type missAction uint8
+
+const (
+	missReset  missAction = iota // the paper's: count the miss and RST the sender
+	missPark                     // a current-epoch knock parks quietly (hybridServerGet)
+	missDerive                   // a dead head's unpersisted flow (hybridDerive)
+)
 
 // The pending-queue bounds. Overflow and expiry drops count as
 // LookupMisses — the sender's retransmission retries.
@@ -700,6 +719,8 @@ func (in *Instance) park(tuple netsim.FourTuple, pkts ...*netsim.Packet) *pendin
 		q = &pendingQueue{}
 		q.expireFn = func() { in.expireQueue(q) }
 		q.lookupFn = func(value []byte, ok bool, err error) { in.lookedUp(q, value, ok, err) }
+		q.repairFn = func(*flow) { in.replayRepaired(q) }
+		q.releaseFn = func() { in.releaseClaim(q) }
 	}
 	q.tuple = tuple
 	q.pkts = append(q.pkts, pkts...)
@@ -786,7 +807,7 @@ func (in *Instance) recoverFlow(tuple netsim.FourTuple, pkt *netsim.Packet) {
 		in.hybridRecover(tuple, q)
 		return
 	}
-	in.storeGet(tuple, q, nil)
+	in.storeGet(tuple, q, missReset)
 }
 
 // installRecovered builds a local flow from a record read from TCPStore

@@ -104,7 +104,7 @@ func (in *Instance) hybridRecover(tuple netsim.FourTuple, q *pendingQueue) {
 	b, bok := t.DeriveBackend(tuple.Dst.IP, tuple)
 	port, pok := t.PreferredPort(head, tuple)
 	if !ok || !t.Dead(head) || !bok || !pok {
-		in.storeGet(tuple, q, nil)
+		in.storeGet(tuple, q, missReset)
 		return
 	}
 	// Knock check: a pending queue parked on the head's predicted server
@@ -158,10 +158,10 @@ func (in *Instance) dispatchQueued(queued []*netsim.Packet) {
 }
 
 // storeGet reads tuple's record from TCPStore for a pending queue — the
-// one place a store record becomes a flow (lookedUp). miss takes a miss's
-// queued packets; nil is the paper's answer, shared by the hybrid paths
-// that fall through to it: count the miss and RST the sender.
-func (in *Instance) storeGet(tuple netsim.FourTuple, q *pendingQueue, miss func(queued []*netsim.Packet)) {
+// one place a store record becomes a flow (lookedUp). miss is what a miss
+// does; missReset is the paper's answer, shared by the hybrid paths that
+// fall through to it: count the miss and RST the sender.
+func (in *Instance) storeGet(tuple netsim.FourTuple, q *pendingQueue, miss missAction) {
 	q.miss, q.lookup = miss, true
 	in.store.Get(in.flowKey(tuple), q.lookupFn)
 }
@@ -174,7 +174,7 @@ func (in *Instance) storeGet(tuple netsim.FourTuple, q *pendingQueue, miss func(
 // entry that brought it here.
 func (in *Instance) lookedUp(q *pendingQueue, value []byte, ok bool, err error) {
 	tuple, miss := q.tuple, q.miss
-	q.miss, q.lookup = nil, false
+	q.miss, q.lookup = missReset, false
 	queued, live := in.resolveQueue(tuple, q)
 	if !live {
 		in.freeQueue(q) // its resolver left it to the read
@@ -198,8 +198,12 @@ func (in *Instance) lookedUp(q *pendingQueue, value []byte, ok bool, err error) 
 		}
 		in.note(evLookupMiss, tuple)
 		in.dropParked(queued)
-	case miss != nil:
-		miss(in.handOff(q))
+	case miss == missPark:
+		in.note(evOrphanSuppressed, tuple)
+		in.park(tuple, in.handOff(q)...)
+		return
+	case miss == missDerive:
+		in.hybridDerive(q)
 		in.releaseOrphan(tuple)
 		return
 	default:
@@ -237,13 +241,10 @@ func (in *Instance) rstQueued(queued []*netsim.Packet) {
 // RST (those flows were persisted; a miss means the record is gone).
 func (in *Instance) hybridServerGet(tuple netsim.FourTuple, q *pendingQueue, current bool) {
 	if !current {
-		in.storeGet(tuple, q, nil)
+		in.storeGet(tuple, q, missReset)
 		return
 	}
-	in.storeGet(tuple, q, func(queued []*netsim.Packet) {
-		in.note(evOrphanSuppressed, tuple)
-		in.park(tuple, queued...)
-	})
+	in.storeGet(tuple, q, missPark)
 }
 
 // hybridClientGet consults the store for a client-side orphan whose head
@@ -258,31 +259,47 @@ func (in *Instance) hybridServerGet(tuple netsim.FourTuple, q *pendingQueue, cur
 // the client's next probe to confirm. A replay, a RST or an idle flow's
 // lifetime after the claim releases st, so a silent client pins nothing.
 func (in *Instance) hybridClientGet(tuple netsim.FourTuple, q *pendingQueue, st netsim.FourTuple, b stateless.Backend) {
-	in.storeGet(tuple, q, func(queued []*netsim.Packet) {
-		p0 := queued[0]
-		rst := p0.Flags.Has(netsim.FlagRST)
-		if !rst && p0.Ack != isnHash(tuple.Src, tuple.Dst)+1 {
-			in.hybridRepair(in.installDerivedTunnel(tuple, st, b, p0.Seq), queued, nil)
+	q.st, q.b = st, b
+	in.storeGet(tuple, q, missDerive)
+}
+
+// hybridDerive is hybridClientGet's clean miss, for q resolved with its
+// packets. q is freed here, or by the repair write's commit, or when the
+// claim on q.st ends (releaseClaim).
+func (in *Instance) hybridDerive(q *pendingQueue) {
+	tuple, st, queued := q.tuple, q.st, q.pkts
+	p0 := queued[0]
+	rst := p0.Flags.Has(netsim.FlagRST)
+	if !rst && p0.Ack != isnHash(tuple.Src, tuple.Dst)+1 {
+		in.hybridRepair(in.installDerivedTunnel(tuple, st, q.b, p0.Seq), q)
+		return
+	}
+	switch {
+	case rst:
+		in.note(evLookupMiss, tuple)
+		in.dropParked(queued)
+	case len(p0.Payload) == 0:
+		in.note(evOrphanSuppressed, tuple)
+		in.dropParked(queued)
+		if h, held := in.l4.Holder(st); !held || h != in.IP() {
+			in.l4.Claim(st, in.IP())
+			in.net.Schedule(max(in.cfg.FlowIdleTimeout, pendingExpiry), q.releaseFn)
 			return
 		}
-		switch {
-		case rst:
-			in.note(evLookupMiss, tuple)
-			in.dropParked(queued)
-		case len(p0.Payload) == 0:
-			in.note(evOrphanSuppressed, tuple)
-			in.dropParked(queued)
-			if h, held := in.l4.Holder(st); !held || h != in.IP() {
-				in.l4.Claim(st, in.IP())
-				in.net.Schedule(max(in.cfg.FlowIdleTimeout, pendingExpiry), func() { in.releaseOrphan(st) })
-			}
-			return
-		default:
-			in.installRecovered(&Record{Phase: PhaseConn, Client: tuple.Src, VIP: tuple.Dst, ClientISN: p0.Seq - 1}, evAdoptDerived)
-			in.dispatchQueued(queued)
-		}
-		in.l4.Release(st, in.IP())
-	})
+		in.freeQueue(q)
+		return
+	default:
+		in.installRecovered(&Record{Phase: PhaseConn, Client: tuple.Src, VIP: tuple.Dst, ClientISN: p0.Seq - 1}, evAdoptDerived)
+		in.dispatchQueued(queued)
+	}
+	in.freeQueue(q)
+	in.l4.Release(st, in.IP())
+}
+
+// releaseClaim ends a bare ACK's claim on q.st (hybridDerive) and frees q.
+func (in *Instance) releaseClaim(q *pendingQueue) {
+	in.releaseOrphan(q.st)
+	in.freeQueue(q)
 }
 
 // hybridKnockConfirm resolves a client-side orphan whose predicted
@@ -294,23 +311,27 @@ func (in *Instance) hybridKnockConfirm(tuple netsim.FourTuple, q *pendingQueue, 
 		return
 	}
 	// Detaching the knock queue cancels its in-flight store lookup (the
-	// callback checks queue identity).
-	var knocks []*netsim.Packet
-	if _, live := in.resolveQueue(st, kq); live {
-		knocks = in.handOff(kq)
+	// callback checks queue identity). Its packets replay after q's.
+	if knocks, live := in.resolveQueue(st, kq); live {
+		q.pkts = append(q.pkts, knocks...)
+		in.freeQueue(kq)
 	}
-	in.hybridRepair(in.installDerivedTunnel(tuple, st, b, queued[0].Seq), in.handOff(q), knocks)
+	in.hybridRepair(in.installDerivedTunnel(tuple, st, b, queued[0].Seq), q)
 }
 
 // hybridRepair persists a derived flow's record under both tuple
-// orientations, then replays the queues. The write-before-dispatch order
-// is what lets the backend-side successor converge: its next lookup for
-// the server tuple hits this record.
-func (in *Instance) hybridRepair(f *flow, queued, knocks []*netsim.Packet) {
-	in.writeBarrier(f, in.barrierEntries(f, PhaseTunnel, true), func(*flow) {
-		in.dispatchQueued(queued)
-		in.dispatchQueued(knocks)
-	}, nil)
+// orientations, then replays q, resolved (replayRepaired). The
+// write-before-dispatch order is what lets the backend-side successor
+// converge: its next lookup for the server tuple hits this record.
+func (in *Instance) hybridRepair(f *flow, q *pendingQueue) {
+	in.writeBarrier(f, in.barrierEntries(f, PhaseTunnel, true), q.repairFn, nil)
+}
+
+// replayRepaired is a repair write's commit: q's packets replay and q is
+// freed. A flow torn down mid-write leaves q to the collector.
+func (in *Instance) replayRepaired(q *pendingQueue) {
+	in.dispatchQueued(q.pkts)
+	in.freeQueue(q)
 }
 
 // installDerivedTunnel rebuilds a tunnel-phase flow entirely from the

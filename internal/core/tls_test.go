@@ -161,7 +161,7 @@ func TestTLSAndPlaintextCoexistOnOneVIP(t *testing.T) {
 	// only diverts streams that start with the protocol magic).
 	cl := b.C.NewClient(httpsim.DefaultClientConfig())
 	var plain *httpsim.FetchResult
-	cl.Get(b.Addr, "/secret", func(r *httpsim.FetchResult) { plain = r })
+	cl.Get(b.Addr, "/secret", func(r *httpsim.FetchResult) { plain = r.Clone() })
 	b.C.Net.RunFor(10 * time.Second)
 	if plain == nil || plain.Err != nil {
 		t.Fatalf("plain fetch on TLS VIP: %+v", plain)

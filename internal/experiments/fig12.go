@@ -228,14 +228,14 @@ func RunFig12b(seed int64) *Fig12bResult {
 	})
 
 	cl := b.C.NewClient(httpsim.DefaultClientConfig())
-	var fr *httpsim.FetchResult
-	cl.Get(b.Addr, "/big", func(r *httpsim.FetchResult) { fr = r })
+	fetched := false
+	cl.Fetch(b.Addr, httpsim.NewRequest("/big", b.Addr.IP.String()), func(r *httpsim.FetchResult) { fetched = r.Err == nil })
 	b.C.Net.RunFor(200 * time.Millisecond)
 	b.FailBusiest(1) // the one instance that carries the flow
 	res.FailAt = b.C.Net.Now()
 	res.Events = append(res.Events, Fig12bEvent{At: res.FailAt, Desc: "YODA instance fails (point a)"})
 	b.C.Net.RunFor(30 * time.Second)
-	res.Recovered = fr != nil && fr.Err == nil
+	res.Recovered = fetched
 	for i := range res.Events {
 		res.Events[i].Since = res.Events[i].At - res.FailAt
 	}

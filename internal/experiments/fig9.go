@@ -108,12 +108,13 @@ func fetchMany(c *cluster.Cluster, addr netsim.HostPort, n int) *metrics.Duratio
 	for i := range clients {
 		clients[i] = c.NewClient(httpsim.DefaultClientConfig())
 	}
+	req := httpsim.NewRequest("/obj", addr.IP.String())
 	var issue func(i int)
 	issue = func(i int) {
 		if i >= n {
 			return
 		}
-		clients[i%len(clients)].Get(addr, "/obj", func(r *httpsim.FetchResult) {
+		clients[i%len(clients)].Fetch(addr, req, func(r *httpsim.FetchResult) {
 			if r.Err == nil {
 				lat.Add(r.Elapsed())
 			}

@@ -80,7 +80,9 @@ func table1Arm(seed int64, site WebsiteProfile, yoda bool) (string, time.Duratio
 	}
 	cl := b.C.NewClient(ccfg)
 	var res *httpsim.FetchResult
-	cl.Get(b.Addr, "/stream", func(r *httpsim.FetchResult) { res = r })
+	cl.Fetch(b.Addr, httpsim.NewRequest("/stream", b.Addr.IP.String()), func(r *httpsim.FetchResult) {
+		res = &httpsim.FetchResult{Err: r.Err, Started: r.Started, Finished: r.Finished, TimedOut: r.TimedOut} // lent to done
+	})
 
 	// Baseline transfer time without failure, for the "+extra" column.
 	base := table1Baseline(seed, yoda, objSize)
@@ -116,7 +118,7 @@ func table1Baseline(seed int64, yoda bool, objSize int) time.Duration {
 	})
 	cl := b.C.NewClient(httpsim.DefaultClientConfig())
 	var base time.Duration
-	cl.Get(b.Addr, "/stream", func(r *httpsim.FetchResult) { base = r.Elapsed() })
+	cl.Fetch(b.Addr, httpsim.NewRequest("/stream", b.Addr.IP.String()), func(r *httpsim.FetchResult) { base = r.Elapsed() })
 	b.C.Net.RunFor(time.Minute)
 	return base
 }

@@ -24,7 +24,7 @@ func TestProxyEndToEnd(t *testing.T) {
 	var res *httpsim.FetchResult
 	intact := false // the body is lent to done: check it there
 	cl.Get(b.Addr, "/10k", func(r *httpsim.FetchResult) {
-		res, intact = r, r.Err == nil && bytes.Equal(r.Resp.Body, objs["/10k"])
+		res, intact = r.Clone(), r.Err == nil && bytes.Equal(r.Resp.Body, objs["/10k"])
 	})
 	b.C.Net.RunFor(5 * time.Second)
 	if res == nil || res.Err != nil {
@@ -70,7 +70,7 @@ func TestProxyFailureBreaksFlows(t *testing.T) {
 	cfg.Timeout = 10 * time.Second
 	cl := b.C.NewClient(cfg)
 	var res *httpsim.FetchResult
-	cl.Get(b.Addr, "/200k", func(r *httpsim.FetchResult) { res = r })
+	cl.Get(b.Addr, "/200k", func(r *httpsim.FetchResult) { res = r.Clone() })
 	b.C.Net.RunFor(200 * time.Millisecond) // mid-transfer
 	// Even with L4 withdrawal a ping interval later, the flow cannot be saved.
 	b.FailBusiest(1)
@@ -95,7 +95,7 @@ func TestProxyFailureWithRetryRecoversSlowly(t *testing.T) {
 	cfg.Retries = 1
 	cl := b.C.NewClient(cfg)
 	var res *httpsim.FetchResult
-	cl.Get(b.Addr, "/200k", func(r *httpsim.FetchResult) { res = r })
+	cl.Get(b.Addr, "/200k", func(r *httpsim.FetchResult) { res = r.Clone() })
 	b.C.Net.RunFor(200 * time.Millisecond)
 	// Monitor detection delay before the L4 mapping is fixed, as in the
 	// paper: by then the client is silently stalled waiting for response

@@ -1,8 +1,10 @@
 package httpsim
 
 import (
+	"bytes"
 	"errors"
 	"math/bits"
+	"slices"
 	"sync"
 	"time"
 
@@ -17,7 +19,8 @@ var (
 	ErrConnFailed  = errors.New("httpsim: connection failed")
 )
 
-// FetchResult reports the outcome of one object fetch.
+// FetchResult reports the outcome of one object fetch. Client.Fetch
+// lends it to done (see there): a caller that keeps it keeps a Clone.
 type FetchResult struct {
 	Resp     *Response
 	Err      error
@@ -34,6 +37,18 @@ type FetchResult struct {
 
 // Elapsed returns the end-to-end fetch duration.
 func (r *FetchResult) Elapsed() time.Duration { return r.Finished - r.Started }
+
+// Clone returns a copy of r that outlives done: its response, header
+// set and body copied, and no Conn.
+func (r *FetchResult) Clone() *FetchResult {
+	c := *r
+	c.Conn = nil
+	if r.Resp != nil {
+		c.Resp = &Response{Version: r.Resp.Version, StatusCode: r.Resp.StatusCode, Status: r.Resp.Status,
+			Body: bytes.Clone(r.Resp.Body), header: slices.Clone(r.Resp.header)}
+	}
+	return &c
+}
 
 // ClientConfig tunes the browser-style client.
 type ClientConfig struct {
@@ -59,6 +74,7 @@ type Client struct {
 	host   *netsim.Host
 	cfg    ClientConfig
 	spares netsim.Spares[*fetch] // fetches done with, for the next Fetch
+	res    FetchResult           // the outcome lent to done
 }
 
 // NewClient creates a client on the given host.
@@ -68,10 +84,12 @@ func NewClient(host *netsim.Host, cfg ClientConfig) *Client {
 
 // Fetch requests path from addr and invokes done with the outcome. It
 // drives the full TCP + HTTP exchange in virtual time. req is only read.
-// The result and its Resp are the caller's, but Resp.Body is lent: when
-// done returns, its array goes back to a pool and the next response is
-// parsed into it, so a done that keeps the bytes copies them; so is the
-// result's Conn. done may start the next Fetch.
+// The outcome is lent to done: the result is the client's, rewritten by
+// its next outcome, and when done returns the response, its header set
+// and its body's array go back to pools, cleared, and the next response
+// is parsed into them. A done that keeps any of it keeps r.Clone() or
+// what it copied; the result's Conn is valid only inside done too. done
+// may start the next Fetch.
 func (cl *Client) Fetch(addr netsim.HostPort, req *Request, done func(*FetchResult)) {
 	f := cl.spares.Take()
 	if f == nil {
@@ -79,7 +97,7 @@ func (cl *Client) Fetch(addr netsim.HostPort, req *Request, done func(*FetchResu
 		f.timeoutFn = f.timeout
 	}
 	f.addr, f.req, f.retries, f.done = addr, req, cl.cfg.Retries, done
-	f.res = &FetchResult{Started: cl.host.Network().Now()}
+	f.started = cl.host.Network().Now()
 	f.attempt()
 }
 
@@ -103,12 +121,15 @@ type fetch struct {
 	timeoutFn func()
 	parser    ResponseParser
 	body      bodyLoan
-	res       *FetchResult
+	// The result so far, copied into the client's at finish.
+	started  time.Duration
+	attempts int
+	timedOut bool
 }
 
-// attempt starts one try; the result so far is carried over in res.
+// attempt starts one try.
 func (f *fetch) attempt() {
-	f.res.Attempts++
+	f.attempts++
 	f.parser = ResponseParser{}
 	f.timer = f.cl.host.Network().Schedule(f.cl.cfg.Timeout, f.timeoutFn)
 	f.conn = tcp.Dial(f.cl.host, f.addr, tcp.Callbacks{
@@ -119,36 +140,43 @@ func (f *fetch) attempt() {
 		OnFail:        fetchFailed,
 		User:          f,
 	}, f.cl.cfg.TCP)
-	f.res.Conn = f.conn
 }
 
 func (f *fetch) timeout() {
-	f.res.TimedOut = true
+	f.timedOut = true
 	f.conn.Abort()
 	f.finish(nil, ErrHTTPTimeout)
 }
 
 // finish resolves the attempt: a failure with retries left starts the
 // next attempt, anything else is the fetch's outcome, and the fetch goes
-// back to the spares first, for a done that fetches again. The body array
-// goes back before the retry starts, or once done has returned; a failed
-// attempt's never reaches done. The conn is released once it has closed.
+// back to the spares first, for a done that fetches again. The response
+// shell and the body array go back before the retry starts, or once done
+// has returned; a failed attempt's never reach done. The conn is released
+// once it has closed.
 func (f *fetch) finish(resp *Response, err error) {
 	f.timer.Stop()
 	nw, c := f.cl.host.Network(), f.conn
+	shell := f.parser.p.cur // a failed attempt's response, parsed in part
+	if resp != nil {
+		shell = resp
+	}
 	if err != nil && f.retries > 0 {
 		f.body.giveBack(nw)
+		giveBackResponse(nw, shell)
 		c.Release()
 		f.retries--
 		f.attempt()
 		return
 	}
-	res, done, body := f.res, f.done, f.body
-	res.Resp, res.Err, res.Finished = resp, err, nw.Now()
-	*f = fetch{cl: f.cl, timeoutFn: f.timeoutFn}
-	f.cl.spares.Put(nw, f)
-	done(res)
+	cl, done, body := f.cl, f.done, f.body
+	cl.res = FetchResult{Resp: resp, Err: err, Started: f.started, Finished: nw.Now(),
+		Attempts: f.attempts, TimedOut: f.timedOut, Conn: c}
+	*f = fetch{cl: cl, timeoutFn: f.timeoutFn}
+	cl.spares.Put(nw, f)
+	done(&cl.res)
 	body.giveBack(nw)
+	giveBackResponse(nw, shell)
 	if c.State() == tcp.StateClosed {
 		c.Release()
 	}
@@ -165,7 +193,7 @@ func fetchData(c *tcp.Conn, d []byte) {
 	if f.conn != c {
 		return // bytes past the response the fetch finished with
 	}
-	resps, err := f.parser.p.feed(d, parseResponseHead, (*Response).done, &f.body) // Feed, bodies lent
+	resps, err := f.parser.p.feed(d, takeResponse, parseResponse, (*Response).done, &f.body) // Feed, responses lent
 	if err != nil {
 		c.Abort()
 		f.finish(nil, err)
@@ -196,6 +224,34 @@ func fetchClosed(c *tcp.Conn) {
 }
 
 func closeOnPeerClose(c *tcp.Conn) { c.Close() }
+
+// respShells holds the response shells Fetch has lent and taken back, for
+// any client's next response: only a response still being parsed or read
+// by done holds one, so an idle client pins none. Like bodyPools it is
+// shared and locked, as experiments run on several goroutines at once.
+var respShells struct {
+	sync.Mutex
+	netsim.Spares[*Response]
+}
+
+// takeResponse returns a shell from respShells, or nil if none is idle.
+func takeResponse() *Response {
+	respShells.Lock()
+	defer respShells.Unlock()
+	return respShells.Take()
+}
+
+// giveBackResponse reclaims a shell, if any, and files it in respShells
+// (under PoisonReleasedBufs it is cleared but never reused).
+func giveBackResponse(nw *netsim.Network, r *Response) {
+	if r == nil {
+		return
+	}
+	r.reclaim()
+	respShells.Lock()
+	respShells.Put(nw, r)
+	respShells.Unlock()
+}
 
 // bodyPools holds the response-body arrays Fetch has lent and taken back,
 // one bin per power-of-two size class: an array is filed under the power

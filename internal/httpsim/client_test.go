@@ -140,7 +140,7 @@ func TestFetchRetryAfterMidBodyReset(t *testing.T) {
 	var res *FetchResult
 	NewClient(ch, cfg).Get(netsim.HostPort{IP: sh.IP(), Port: 80}, "/obj", func(r *FetchResult) {
 		calls++
-		if res = r; r.Err != nil || !bytes.Equal(r.Resp.Body, obj) {
+		if res = r.Clone(); r.Err != nil || !bytes.Equal(r.Resp.Body, obj) {
 			t.Fatalf("retried fetch: %+v", r)
 		}
 	})
@@ -170,7 +170,7 @@ func TestClientHostileContentLength(t *testing.T) {
 	var res *FetchResult
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	NewClient(ch, cfg).Get(netsim.HostPort{IP: sh.IP(), Port: 80}, "/", func(r *FetchResult) { res = r })
+	NewClient(ch, cfg).Get(netsim.HostPort{IP: sh.IP(), Port: 80}, "/", func(r *FetchResult) { res = r.Clone() })
 	n.RunFor(2 * time.Second)
 	runtime.ReadMemStats(&after)
 	if res == nil || res.Err != ErrHTTPTimeout {

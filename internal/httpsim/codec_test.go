@@ -238,7 +238,8 @@ func allocBytesPerRun(runs int, f func()) float64 {
 // The parse budgets. Response: message, head copy, header set and body
 // (Feed returns the message in an array of its own), plus the scratch a
 // head that arrives in pieces needs. A request head parsed into a reused
-// Request: the head copy alone.
+// Request, and a message parsed into a lent shell (and array) as the
+// server and the client parse: the head copy alone.
 func TestParseAllocBudgets(t *testing.T) {
 	small := NewResponse(200, bytes.Repeat([]byte("s"), 2<<10)).Marshal()
 	var p ResponseParser
@@ -281,6 +282,34 @@ func TestParseAllocBudgets(t *testing.T) {
 	}); n > 3 {
 		t.Errorf("RequestParser.Feed of the bench GET: %v allocations, budget 3", n)
 	}
+
+	var spare *Request
+	takeReq := func() *Request { return spare }
+	if n := testing.AllocsPerRun(100, func() {
+		reqs, err := rp.p.feed(wire, takeReq, parseRequest, (*Request).done, nil)
+		if err != nil || len(reqs) != 1 || reqs[0].Path != "/obj" {
+			t.Fatal("bench GET did not parse")
+		}
+		spare = reqs[0]
+		spare.reclaim()
+	}); n > 1 {
+		t.Errorf("the bench GET parsed into a spare request: %v allocations, budget 1", n)
+	}
+	var shell *Response
+	var loan bodyLoan
+	takeResp := func() *Response { return shell }
+	nw := netsim.New(1)
+	if n := testing.AllocsPerRun(100, func() {
+		resps, err := p.p.feed(small, takeResp, parseResponse, (*Response).done, &loan)
+		if err != nil || len(resps) != 1 || len(resps[0].Body) != 2<<10 {
+			t.Fatal("2 KiB response did not parse")
+		}
+		shell = resps[0]
+		shell.reclaim()
+		loan.giveBack(nw)
+	}); n > 1 {
+		t.Errorf("2 KiB response parsed into a lent shell and array: %v allocations, budget 1", n)
+	}
 }
 
 // TestLargePostThroughServer: the 64 KiB limit is on the header block.
@@ -300,19 +329,14 @@ func TestLargePostThroughServer(t *testing.T) {
 	}, DefaultServerConfig())
 	req := NewRequest("/upload", "svc")
 	req.Method, req.Body = "POST", body
-	var res *FetchResult
-	var reply string // the body is lent to done: read it there
-	NewClient(ch, DefaultClientConfig()).Fetch(netsim.HostPort{IP: sh.IP(), Port: 80}, req, func(r *FetchResult) {
-		if res = r; r.Err == nil {
-			reply = string(r.Resp.Body)
-		}
-	})
+	var res *FetchResult // the outcome is lent to done: keep a clone
+	NewClient(ch, DefaultClientConfig()).Fetch(netsim.HostPort{IP: sh.IP(), Port: 80}, req, func(r *FetchResult) { res = r.Clone() })
 	n.RunUntilIdle(1000000)
 	if res == nil || res.Err != nil {
 		t.Fatalf("fetch: %+v", res)
 	}
-	if res.Resp.StatusCode != 200 || reply != fmt.Sprint(len(body)) {
-		t.Fatalf("status %d body %q", res.Resp.StatusCode, reply)
+	if res.Resp.StatusCode != 200 || string(res.Resp.Body) != fmt.Sprint(len(body)) {
+		t.Fatalf("status %d body %q", res.Resp.StatusCode, res.Resp.Body)
 	}
 	if srv.Requests != 1 {
 		t.Fatalf("server requests = %d", srv.Requests)

@@ -7,6 +7,8 @@
 // Yoda instance, be parsed out of raw segment payloads before a backend
 // is even chosen). The server never modifies a Handler's Response, and
 // a parser's Feed returns its messages in a slice valid until the next.
+// The server and the client recycle the messages they parse: a Handler's
+// request and a Fetch's response are lent for the call.
 package httpsim
 
 import (
@@ -98,7 +100,7 @@ type Request struct {
 	Path    string
 	Version string // "HTTP/1.0" or "HTTP/1.1"
 	// Body of a parsed request is the parser's own buffer, handed over
-	// without a copy; the request owns it.
+	// without a copy; the request owns it, and reclaim drops it unread.
 	Body []byte
 
 	header
@@ -116,6 +118,15 @@ func NewRequest(path, host string) *Request {
 		Version: "HTTP/1.1",
 		header:  header{{"Host", host}},
 	}
+}
+
+// reclaim empties a parsed request for the next parse: its strings are
+// cleared, so an idle shell pins no head, and its header and cookie
+// storage is kept.
+func (r *Request) reclaim() {
+	clear(r.header[:cap(r.header)])
+	clear(r.cookies.pairs[:cap(r.cookies.pairs)])
+	*r = Request{header: r.header[:0], cookies: cookieView{pairs: r.cookies.pairs[:0]}}
 }
 
 // Cookie returns the value of the named cookie from the Cookie header, or
@@ -173,11 +184,19 @@ type Response struct {
 	Status     string
 	// Body of a parsed response is the parser's own buffer, handed over
 	// without a copy; the response owns it — except in a Client.Fetch
-	// result, whose body is only lent to done (see Fetch).
+	// result, whose response is only lent to done, body and all (see
+	// Fetch).
 	Body []byte
 
 	header
 	ret [1]*Response // what ResponseParser.Feed returns the response in
+}
+
+// reclaim empties a parsed response for the next parse, as
+// Request.reclaim does; the body's array is its lender's business.
+func (r *Response) reclaim() {
+	clear(r.header[:cap(r.header)])
+	*r = Response{header: r.header[:0]}
 }
 
 // NewResponse builds a response with the given status carrying body.

@@ -117,14 +117,16 @@ func (p *parser[M]) headEnd(data []byte) int {
 }
 
 // feed consumes data and returns the messages it completes. parseHead
-// turns a header block (without its blank line) into a message and its
-// header set; done hands the finished message its body and returns its
-// own one-element array, emptied, to return it in: no slice is allocated
-// unless one call completes two, and the parser keeps no reference. An
-// array in the parser would pin an idle keep-alive connection's last
-// message, body and all (held-failover's heap per live flow: 3.1 → 5.5 KB).
-// A body's array comes from lend (see bodyLoan.array; nil makes one).
-func (p *parser[M]) feed(data []byte, parseHead func(string) (*M, header, error), done func(*M, []byte) []*M, lend *bodyLoan) ([]*M, error) {
+// fills a message from a header block (without its blank line) and
+// returns its header set; done hands the finished message its body and
+// returns its own one-element array, emptied, to return it in: no slice
+// is allocated unless one call completes two, and the parser keeps no
+// reference. An array in the parser would pin an idle keep-alive
+// connection's last message, body and all (held-failover's heap per live
+// flow: 3.1 → 5.5 KB). A message's shell, with its header storage, comes
+// from take (nil, or a nil from it, makes one); a body's array from lend
+// (see bodyLoan.array; nil makes one).
+func (p *parser[M]) feed(data []byte, take func() *M, parseHead func(*M, string) (header, error), done func(*M, []byte) []*M, lend *bodyLoan) ([]*M, error) {
 	var out []*M
 	for p.err == nil {
 		if p.cur == nil {
@@ -142,8 +144,14 @@ func (p *parser[M]) feed(data []byte, parseHead func(string) (*M, header, error)
 			if p.head != nil {
 				block = append(p.head, block...)
 			}
+			if take != nil {
+				p.cur = take()
+			}
+			if p.cur == nil {
+				p.cur = new(M)
+			}
 			var hdr header
-			if p.cur, hdr, p.err = parseHead(string(block[:len(block)-4])); p.err != nil {
+			if hdr, p.err = parseHead(p.cur, string(block[:len(block)-4])); p.err != nil {
 				break
 			}
 			if p.need, p.err = parseContentLength(hdr.Header(contentLength)); p.err != nil {
@@ -178,13 +186,12 @@ type RequestParser struct{ p parser[Request] }
 // valid only until the next Feed (the requests are the caller's). It
 // keeps no reference to data. After an error the parser stays failed.
 func (p *RequestParser) Feed(data []byte) ([]*Request, error) {
-	return p.p.feed(data, parseRequest, (*Request).done, nil)
+	return p.p.feed(data, nil, parseRequest, (*Request).done, nil)
 }
 
-func parseRequest(head string) (*Request, header, error) {
-	r := &Request{}
+func parseRequest(r *Request, head string) (header, error) {
 	err := r.parseHead(head)
-	return r, r.header, err
+	return r.header, err
 }
 
 func (r *Request) done(body []byte) []*Request {
@@ -233,7 +240,7 @@ type ResponseParser struct{ p parser[Response] }
 // slice valid only until the next Feed (the responses are the caller's).
 // It keeps no reference to data. After an error the parser stays failed.
 func (p *ResponseParser) Feed(data []byte) ([]*Response, error) {
-	return p.p.feed(data, parseResponseHead, (*Response).done, nil)
+	return p.p.feed(data, nil, parseResponse, (*Response).done, nil)
 }
 
 func (r *Response) done(body []byte) []*Response {
@@ -244,22 +251,25 @@ func (r *Response) done(body []byte) []*Response {
 // Buffered returns the number of unconsumed bytes held by the parser.
 func (p *ResponseParser) Buffered() int { return p.p.buffered() }
 
-func parseResponseHead(head string) (*Response, header, error) {
+// parseResponse fills r from a head without its blank line; of r's old
+// contents only the header storage survives, for reuse.
+func parseResponse(r *Response, head string) (header, error) {
 	line, lines, _ := strings.Cut(head, "\r\n")
 	version, line, ok := strings.Cut(line, " ")
 	if !ok || !strings.HasPrefix(version, "HTTP/") {
-		return nil, nil, ErrMalformed
+		return nil, ErrMalformed
 	}
 	codeText, status, _ := strings.Cut(line, " ")
 	code, err := strconv.Atoi(codeText)
 	if err != nil {
-		return nil, nil, ErrMalformed
+		return nil, ErrMalformed
 	}
-	hdr, err := parseFields(nil, lines)
+	hdr, err := parseFields(r.header[:0], lines)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return &Response{Version: version, StatusCode: code, Status: status, header: hdr}, hdr, nil
+	*r = Response{Version: version, StatusCode: code, Status: status, header: hdr}
+	return hdr, nil
 }
 
 // parseFields parses a head's header lines into hdr's storage, or a new

@@ -12,7 +12,9 @@ import (
 
 // Handler produces a response for a request. It runs inside the event
 // loop and must not block; the server applies processingDelay on its
-// behalf. The returned body is transmitted in place (tcp.Conn.WriteStatic),
+// behalf. req is lent for the call: the server parses its next request
+// into the same object, so a handler keeps only strings taken from it
+// and its Body, never req itself. The returned body is transmitted in place (tcp.Conn.WriteStatic),
 // not copied: do not modify it after returning, ever — packets in flight
 // and the peer's reassembly queue reference it past the connection's end.
 // Nor does the server modify the Response (a closing reply's Connection
@@ -57,11 +59,16 @@ type Server struct {
 
 	head   []byte                     // scratch for response heads; WriteStatic copies it out at once
 	spares netsim.Spares[*serverConn] // released serverConns, for the next accept
+	// reqs are answered requests, for any connection's next parse;
+	// takeReq is reqs.Take, bound once.
+	reqs    netsim.Spares[*Request]
+	takeReq func() *Request
 }
 
 // NewServer starts a server on host:port with the given handler.
 func NewServer(host *netsim.Host, port uint16, handler Handler, cfg ServerConfig) *Server {
 	s := &Server{host: host, handler: handler, CPU: metrics.NewCPUMeter(2)}
+	s.takeReq = s.reqs.Take
 	tcp.Listen(host, port, s.accept, cfg.TCP)
 	return s
 }
@@ -102,7 +109,7 @@ func (s *Server) accept(c *tcp.Conn) tcp.Callbacks {
 func serverConnData(c *tcp.Conn, d []byte) {
 	sc := c.User().(*serverConn)
 	s := sc.s
-	reqs, err := sc.parser.Feed(d)
+	reqs, err := sc.parser.p.feed(d, s.takeReq, parseRequest, (*Request).done, nil) // Feed, requests recycled
 	if err != nil {
 		s.send(c, NewResponse(400, []byte("bad request")), false)
 		c.Close()
@@ -145,6 +152,8 @@ func (sc *serverConn) sendNext() {
 	if !keepAlive {
 		sc.conn.Close()
 	}
+	req.reclaim()
+	sc.s.reqs.Put(sc.s.host.Network(), req)
 	sc.release()
 }
 

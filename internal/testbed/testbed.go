@@ -130,8 +130,9 @@ func (b *Bed) haproxy() bool { return len(b.C.HAProxy) > 0 }
 
 // OpenLoop starts n clients that together GET path from the VIP at rate()
 // requests per second — re-read at every request, so the load can step —
-// from now until virtual time until. done sees every result.
+// from now until virtual time until. done sees every result, lent.
 func (b *Bed) OpenLoop(n int, rate func() int, until time.Duration, path string, done func(*httpsim.FetchResult)) {
+	req := httpsim.NewRequest(path, b.Addr.IP.String())
 	clients := make([]*httpsim.Client, n)
 	for i := range clients {
 		clients[i] = b.C.NewClient(httpsim.DefaultClientConfig())
@@ -142,7 +143,7 @@ func (b *Bed) OpenLoop(n int, rate func() int, until time.Duration, path string,
 		if b.C.Net.Now() >= until {
 			return
 		}
-		clients[i%n].Get(b.Addr, path, done)
+		clients[i%n].Fetch(b.Addr, req, done)
 		i++
 		b.C.Net.Schedule(time.Second/time.Duration(rate()), tick)
 	}
@@ -157,21 +158,24 @@ const stagger = 37 * time.Millisecond
 // ClosedLoop starts procs client processes (§7.2) against vip: each GETs
 // path, waits for the result or the timeout, and goes again until virtual
 // time until. The k-th process the bed has started, counting across
-// calls, begins k×37 ms from now. done also gets the fetch's start time.
+// calls, begins k×37 ms from now. done also gets the fetch's start time;
+// the result is lent to it.
 func (b *Bed) ClosedLoop(vip netsim.IP, procs int, until time.Duration, ccfg httpsim.ClientConfig, path string, done func(started time.Duration, r *httpsim.FetchResult)) {
 	addr := netsim.HostPort{IP: vip, Port: 80}
+	req := httpsim.NewRequest(path, vip.String())
 	for p := 0; p < procs; p++ {
 		cl := b.C.NewClient(ccfg)
+		var started time.Duration
 		var loop func()
+		fetched := func(r *httpsim.FetchResult) {
+			done(started, r)
+			loop()
+		}
 		loop = func() {
-			started := b.C.Net.Now()
-			if started >= until {
+			if started = b.C.Net.Now(); started >= until {
 				return
 			}
-			cl.Get(addr, path, func(r *httpsim.FetchResult) {
-				done(started, r)
-				loop()
-			})
+			cl.Fetch(addr, req, fetched)
 		}
 		b.C.Net.Schedule(time.Duration(b.procs)*stagger, loop)
 		b.procs++

@@ -5,7 +5,9 @@
 #
 #   1. bench regression gate  the seven wall-clock figures against the base
 #                             commit, built and run in this same run; the
-#                             six exact figures against BENCH_core.json.
+#                             six exact figures (the request ledger's with
+#                             each of its layer rows) and the adoption
+#                             ledger's four against BENCH_core.json.
 #                             First, while the box is cold: behind the race
 #                             and fuzz stages the same binaries read 30-60 %
 #                             slower
@@ -73,9 +75,10 @@ echo "== bench regression gate (wall clock: median of 5 pairs vs the base commit
 # an idle TCP connection pair's heap, a warm client's 512 KiB fetch's
 # B/op (a body array made per response instead of lent from the client's
 # pool would be ~280 times it), TCPStore round trips per paper-mode flow
-# and allocations per request (counts: any rise fails), and the real
-# stack's heap bytes per mflow flow (read off the mflow runs above; the
-# store's items are about a third of it). `scripts/bench.sh --only
+# and allocations per request, in total and in each ledger layer's row
+# (counts: any rise fails), and the real stack's heap bytes per mflow flow
+# (read off the mflow runs above; the store's items are about a third of
+# it). `scripts/bench.sh --only
 # tcp_static_512k_B_op,tcp_idle_conn_pair_heap_bytes,client_fetch_512k_B_op,storage_roundtrips_per_flow_paper,request_allocs,mflow_mem_bytes_per_flow`
 # (and the adoption ledger's four gated figures, below, with
 # `--only adoption_allocs_paper,adoption_allocs_hybrid,adoption_store_cmds_paper,adoption_store_cmds_hybrid`)
@@ -173,14 +176,19 @@ NEW_RT_PAPER=$(cd internal/core && "$GATE_DIR/new/core.test" -test.run '^$' -tes
 awk -v new="$NEW_RT_PAPER" -v rec="$(recorded storage_roundtrips_per_flow_paper)" 'BEGIN{
   if (new == "" || new+0 > rec+0) { printf "FAIL: store round trips per paper flow %s vs recorded %s (any rise fails)\n", new, rec; exit 1 }
   printf "store round trips per paper flow %s vs recorded %s: ok\n", new, rec }' || exit 1
-# So is the request ledger's total — objects one warm 2 KiB request
-# allocates through the real stack (ledger_test.go) — and any rise fails
-# as well; the test itself fails unless its per-layer rows sum to it.
-NEW_REQ_ALLOCS=$(go test -count=1 -run '^TestRequestAllocLedger$' -v . |
-  awk '$2 == "ledger" && $3 == "request_allocs" { print $4 }')
-awk -v new="$NEW_REQ_ALLOCS" -v rec="$(recorded request_allocs)" 'BEGIN{
-  if (new == "" || new+0 > rec+0) { printf "FAIL: allocations per request %s vs recorded %s (any rise fails)\n", new, rec; exit 1 }
-  printf "allocations per request %s vs recorded %s: ok\n", new, rec }' || exit 1
+# So is the request ledger — objects one warm 2 KiB request allocates
+# through the real stack (ledger_test.go) — and a rise of its total or of
+# any layer's row fails as well, so an allocation that moves between
+# layers cannot hide a rise in one of them; the test itself fails unless
+# its rows sum to the total.
+REQUEST_LOG=$(go test -count=1 -run '^TestRequestAllocLedger$' -v .) ||
+  { printf '%s\n' "$REQUEST_LOG"; echo 'FAIL: TestRequestAllocLedger'; exit 1; }
+for field in request_allocs request_allocs_{netsim,l4lb,core,tcp,tcpstore,memcache,httpsim,other}; do
+  awk -v new="$(awk -v k="$field" '$2 == "ledger" && $3 == k { print $4 }' <<< "$REQUEST_LOG")" \
+      -v rec="$(recorded "$field")" -v label="$field" 'BEGIN{
+    if (new == "" || new+0 > rec+0) { printf "FAIL: %s %s vs recorded %s (any rise fails)\n", label, new, rec; exit 1 }
+    printf "%s %s vs recorded %s: ok\n", label, new, rec }' || exit 1
+done
 # And the adoption ledger's (ledger_test.go): objects and store commands
 # one adoption costs beyond a no-kill probe, per recovery mode, exact
 # counts of the simulation. Any rise fails; the test itself fails unless

@@ -18,8 +18,12 @@ import (
 // benchmarks behind its numbers, README.md its module map.
 var specDocs = []string{"DESIGN.md", "EXPERIMENTS.md", "README.md"}
 
-// specGolden is the figure golden EXPERIMENTS.md's figures table quotes.
-const specGolden = "internal/experiments/testdata/all_seed1.golden"
+// specGolden is the figure golden EXPERIMENTS.md's figures table quotes,
+// and specVerdicts the verdicts TestFigureClaims computes from it.
+const (
+	specGolden   = "internal/experiments/testdata/all_seed1.golden"
+	specVerdicts = "internal/experiments/testdata/figure_verdicts.txt"
+)
 
 // TestSpecLint keeps the documents true to the tree, in deadlint's
 // style: each check returns the problems it finds, and the test fails
@@ -62,6 +66,11 @@ func TestSpecLint(t *testing.T) {
 	problems = append(problems, guaranteeProblems(docs["DESIGN.md"], tests)...)
 	problems = append(problems, moduleMapProblems(docs["README.md"], moduleDirs(t))...)
 	problems = append(problems, figureGoldenProblems(docs["EXPERIMENTS.md"], string(golden), tests)...)
+	verdicts, err := os.ReadFile(specVerdicts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	problems = append(problems, figureVerdictProblems(docs["EXPERIMENTS.md"], string(verdicts))...)
 	if len(problems) > 0 {
 		t.Fatalf("%d places where the documents and the tree disagree:\n%s", len(problems), strings.Join(problems, "\n"))
 	}
@@ -366,6 +375,49 @@ func figureGoldenProblems(experiments, golden string, tests map[string]bool) []s
 	return problems
 }
 
+// figureVerdictProblems checks that the verdict cell of each row of
+// EXPERIMENTS.md's figures table that quotes golden lines opens with the
+// verdict TestFigureClaims computed for it (verdicts: "row\tverdict"
+// lines), and that every computed verdict has its row.
+func figureVerdictProblems(experiments, verdicts string) []string {
+	computed := map[string]string{}
+	for _, l := range strings.Split(strings.TrimSpace(verdicts), "\n") {
+		if row, v, ok := strings.Cut(l, "\t"); ok {
+			computed[row] = v
+		}
+	}
+	var problems []string
+	col := -1
+	for _, row := range strings.Split(section(experiments, "## Figures at HEAD"), "\n") {
+		cells := strings.Split(strings.Trim(row, "| "), " | ")
+		if !strings.HasPrefix(row, "|") || strings.HasPrefix(row, "|---") {
+			continue
+		}
+		if cells[0] == "figure" {
+			col = slices.Index(cells, "verdict")
+			continue
+		}
+		quotes := codeSpan.FindAllStringSubmatch(cells[len(cells)-1], -1)
+		if col < 0 || col >= len(cells) || len(quotes) == 0 || strings.HasPrefix(quotes[0][1], "Benchmark") {
+			continue // the golden-line check reports what is malformed
+		}
+		want, ok := computed[cells[0]]
+		delete(computed, cells[0])
+		word := strings.TrimRight(strings.Fields(cells[col] + " ?")[0], ":;,")
+		switch {
+		case !ok:
+			problems = append(problems, fmt.Sprintf("EXPERIMENTS.md: figures row %q has no verdict in %s (TestFigureClaims)", cells[0], specVerdicts))
+		case word != want:
+			problems = append(problems, fmt.Sprintf("EXPERIMENTS.md: figures row %q reads %q, but TestFigureClaims computes %q", cells[0], word, want))
+		}
+	}
+	for row := range computed {
+		problems = append(problems, fmt.Sprintf("%s: %q is no row of EXPERIMENTS.md's figures table", specVerdicts, row))
+	}
+	slices.Sort(problems)
+	return problems
+}
+
 // TestSpecLintCatches runs each check of TestSpecLint on a fixture that
 // holds the mistake the check guards against.
 func TestSpecLintCatches(t *testing.T) {
@@ -395,6 +447,12 @@ func TestSpecLintCatches(t *testing.T) {
 			"which is no line of"},
 		{"unknown flag", unknownFlags("EXPERIMENTS.md", "run `go run ./cmd/yodasim -exp all -parallel -seed 1 | diff - golden`", map[string]map[string]bool{"yodasim": {"exp": true, "seed": true}}),
 			"yodasim cites -parallel, which cmd/yodasim/main.go does not define"},
+		{"verdict differs", figureVerdictProblems("## Figures at HEAD\n\n| figure | verdict | golden line |\n|---|---|---|\n| Fig 6 | reproduced | `ratio = 2.99` |\n", "Fig 6\tdeviates\n"),
+			"but TestFigureClaims computes \"deviates\""},
+		{"verdict not computed", figureVerdictProblems("## Figures at HEAD\n\n| figure | verdict | golden line |\n|---|---|---|\n| Fig 6 | reproduced | `ratio = 2.99` |\n", ""),
+			"has no verdict"},
+		{"verdict of no row", figureVerdictProblems("## Figures at HEAD\n\n| figure | verdict | golden line |\n|---|---|---|\n", "Fig 7\treproduced\n"),
+			"is no row"},
 		{"benchmark not found", figureGoldenProblems("## Figures at HEAD\n\n| figure | measured | golden line |\n|---|---|---|\n| Fig 16 | 1 s | `BenchmarkGone` |\n", "", tests),
 			"BenchmarkGone, which is no benchmark"},
 	} {

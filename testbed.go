@@ -1,7 +1,6 @@
 package yoda
 
 import (
-	"bytes"
 	"fmt"
 	"time"
 
@@ -88,14 +87,12 @@ func (tb *Testbed) SetPolicy(vip netsim.IP, ruleText string) error {
 }
 
 // Fetch synchronously (in simulated time) fetches path from the VIP and
-// returns the result, its body the caller's. It advances the virtual
-// clock as needed.
+// returns the result, response and body the caller's. It advances the
+// virtual clock as needed.
 func (tb *Testbed) Fetch(vip netsim.IP, path string) *httpsim.FetchResult {
 	var res *httpsim.FetchResult
 	tb.client.Get(netsim.HostPort{IP: vip, Port: 80}, path, func(r *httpsim.FetchResult) {
-		if res = r; r.Resp != nil {
-			r.Resp.Body = bytes.Clone(r.Resp.Body) // lent only until done returns
-		}
+		res = r.Clone() // lent only until done returns
 	})
 	deadline := tb.Now() + httpsim.DefaultClientConfig().Timeout + time.Minute // no retries
 	for res == nil && tb.Now() < deadline {
@@ -107,8 +104,8 @@ func (tb *Testbed) Fetch(vip netsim.IP, path string) *httpsim.FetchResult {
 }
 
 // FetchAsync starts a fetch and returns immediately; done fires inside
-// the event loop when the fetch resolves, and the response body is
-// valid only until it returns (see httpsim.Client.Fetch).
+// the event loop when the fetch resolves, and the result is valid only
+// until it returns (see httpsim.Client.Fetch).
 func (tb *Testbed) FetchAsync(vip netsim.IP, path string, done func(*httpsim.FetchResult)) {
 	cl := tb.Cluster.NewClient(httpsim.DefaultClientConfig())
 	cl.Get(netsim.HostPort{IP: vip, Port: 80}, path, done)

@@ -31,7 +31,7 @@ func TestTestbedSurvivesInstanceFailure(t *testing.T) {
 		t.Fatalf("warmup fetch: %+v", r)
 	}
 	var mid *yoda.FetchResult
-	tb.FetchAsync(vip, "/x", func(r *yoda.FetchResult) { mid = r })
+	tb.FetchAsync(vip, "/x", func(r *yoda.FetchResult) { mid = r.Clone() })
 	tb.Run(50 * time.Millisecond) // request in flight
 	for i := range tb.Cluster.Yoda {
 		tb.KillInstance(i)
