@@ -12,8 +12,11 @@ import (
 
 // flow is the in-memory state for one balanced connection. Everything
 // needed to take the flow over after a failure is mirrored in TCPStore;
-// the rest (buffers, parsers, timers) is reconstructible.
+// the rest (buffers, parsers, timers) is reconstructible. The one-byte
+// fields share one word, so a flow fits the 256-byte size class
+// (TestLiveFlowHeapLedger).
 type flow struct {
+	in     *Instance       // the owner, for the flow's timers (idleDue, flowDue)
 	vip    netsim.HostPort // VIP:port the client connected to
 	client netsim.HostPort
 	server netsim.HostPort
@@ -38,19 +41,25 @@ type flow struct {
 	// stateless flows that skip their barriers stay false, which gates the
 	// teardown deletes (nothing to delete) and marks them for the
 	// epoch-bump flush.
-	persisted bool
-	retired   bool // torn down and filed for reuse (retire)
+	persisted  bool
+	retired    bool // torn down and filed for reuse (retire)
+	synAckSent bool
+	clientFin  bool
+	serverFin  bool
+	// idxRefs is the number of tuple orientations pointing at the flow's
+	// slot in the flow index (see flowindex.go), idxSlot that slot+1
+	// (0 = unindexed).
+	idxRefs uint8
+	idxSlot uint32
 
 	// The client's byte stream: the connection phase assembles it into
 	// reqBuf, keep-alive inspection into kaState.held.
 	reqBuf     []byte
 	fromClient assembler
-	synAckSent bool
 
-	// Tunneling bookkeeping.
-	toClientNext uint32 // next client-facing seq the server side will use
-	clientFin    bool
-	serverFin    bool
+	// Tunneling bookkeeping: the next client-facing seq the server side
+	// will use.
+	toClientNext uint32
 
 	// Keep-alive (inspected tunnel) state; see keepalive.go.
 	ka *kaState
@@ -58,25 +67,27 @@ type flow struct {
 	// TLS termination state; see tls.go.
 	tls *flowTLS
 
-	// Timers, all stored so unlink stops them. idleFn is the idle timer's
-	// callback and timerFn that of the lookup delay, the dial retries and
-	// linger, both bound once per flow object (newFlow).
+	// Timers, all stored so unlink stops them. The idle timer's owner is
+	// the flow as an idleDue; the lookup delay, the dial retries and the
+	// linger share the one as a flowDue (onFlowTimer).
 	idleTimer   netsim.Timer
-	idleFn      func()
-	timerFn     func()
 	dialTimer   netsim.Timer
 	lingerTimer netsim.Timer
 	dialTries   int
 
 	dialStart  time.Duration // backend selection began, for the Figure 9 breakdown
 	lastActive time.Duration
-
-	// Flow-index bookkeeping (see flowindex.go): idxSlot is the flow's
-	// slot+1 in the index's store (0 = unindexed), idxRefs the number of
-	// tuple orientations currently pointing at that slot.
-	idxSlot uint32
-	idxRefs uint8
 }
+
+// idleDue and flowDue are a flow as the owner of its idle timer and of
+// its other timers: arming one binds no closure.
+type (
+	idleDue flow
+	flowDue flow
+)
+
+func (t *idleDue) Fire() { f := (*flow)(t); f.in.onIdle(f) }
+func (t *flowDue) Fire() { f := (*flow)(t); f.in.onFlowTimer(f) }
 
 func (f *flow) clientTuple() netsim.FourTuple {
 	return netsim.FourTuple{Src: f.client, Dst: f.vip}
@@ -336,7 +347,7 @@ func (in *Instance) selectAndDial(f *flow, req *httpsim.Request) {
 	if ck := sessionCookie(req); ck != "" {
 		engine.Learn("cookie-table", ck, decision.Backend)
 	}
-	f.dialTimer = in.net.Schedule(lookup, f.timerFn) // the lookup delay: sendServerSyn when it is over
+	f.dialTimer = in.net.Arm(lookup, (*flowDue)(f)) // the lookup delay: sendServerSyn when it is over
 }
 
 // sessionCookie extracts the canonical session cookie if present.
@@ -371,7 +382,7 @@ func (in *Instance) sendServerSyn(f *flow) {
 	in.l4.SendViaSNAT(in.packet(f.snat, f.server, netsim.FlagSYN, f.dialBase()-1, 0, advWindow), in.IP())
 	f.dialTries++
 	f.dialTimer.Stop()
-	f.dialTimer = in.net.Schedule(3*time.Second, f.timerFn)
+	f.dialTimer = in.net.Arm(3*time.Second, (*flowDue)(f))
 }
 
 // onFlowTimer tells them apart by the flow's state. In Dialing the lookup
@@ -509,6 +520,7 @@ func (in *Instance) relay(f *flow, pkt *netsim.Packet, flags netsim.TCPFlags, wi
 	if pkt.Src == f.client {
 		p := in.packet(f.snat, f.server, flags, pkt.Seq, pkt.Ack-f.delta, win)
 		p.Payload = payload
+		pkt.MovePayload(p)
 		in.l4.SendViaSNAT(p, in.IP())
 		return
 	}
@@ -517,6 +529,7 @@ func (in *Instance) relay(f *flow, pkt *netsim.Packet, flags netsim.TCPFlags, wi
 	}
 	p := in.packet(f.vip, f.client, flags, pkt.Seq+f.delta, pkt.Ack, win)
 	p.Payload = payload
+	pkt.MovePayload(p)
 	in.net.Send(p)
 }
 
@@ -564,7 +577,7 @@ func (in *Instance) maybeFinish(f *flow) {
 	if !f.clientFin || !f.serverFin || f.lingerTimer.Active() {
 		return
 	}
-	f.lingerTimer = in.net.Schedule(finLinger, f.timerFn)
+	f.lingerTimer = in.net.Arm(finLinger, (*flowDue)(f))
 }
 
 // teardown removes flow state locally, from TCPStore, and from the L4
@@ -588,18 +601,16 @@ func (in *Instance) teardown(f *flow) {
 }
 
 // newFlow returns a flow set to init on a retired object, keeping its
-// generation and bound callbacks, or on a new one. It runs where a packet
-// or store reply finds no flow: no frame below still reads a retired one.
+// generation, or on a new one. It runs where a packet or store reply
+// finds no flow: no frame below still reads a retired one.
 func (in *Instance) newFlow(init flow) *flow {
 	f := in.spareFlows.Take()
 	if f == nil {
 		f = new(flow)
-		f.idleFn = func() { in.onIdle(f) }
-		f.timerFn = func() { in.onFlowTimer(f) }
 	}
-	gen, idleFn, timerFn := f.gen, f.idleFn, f.timerFn
+	gen := f.gen
 	*f = init
-	f.gen, f.idleFn, f.timerFn = gen, idleFn, timerFn
+	f.in, f.gen = in, gen
 	return f
 }
 
@@ -629,7 +640,7 @@ func (in *Instance) unlink(f *flow) {
 // FlowIdleTimeout and tears the flow down once it has sat idle that long.
 func (in *Instance) armIdle(f *flow) {
 	if in.cfg.FlowIdleTimeout > 0 {
-		f.idleTimer = in.net.Schedule(in.cfg.FlowIdleTimeout, f.idleFn)
+		f.idleTimer = in.net.Arm(in.cfg.FlowIdleTimeout, (*idleDue)(f))
 	}
 }
 
@@ -641,7 +652,7 @@ func (in *Instance) onIdle(f *flow) {
 		in.teardown(f)
 		return
 	}
-	f.idleTimer = in.net.Schedule(in.cfg.FlowIdleTimeout, f.idleFn)
+	f.idleTimer = in.net.Arm(in.cfg.FlowIdleTimeout, (*idleDue)(f))
 }
 
 // TerminateBackendFlows aborts every flow pinned to a failed backend
@@ -669,12 +680,12 @@ func (in *Instance) TerminateBackendFlows(backend netsim.HostPort) int {
 // consulted, or a parked knock (hybrid.go). Queues are bounded (per tuple
 // and instance-wide) and carry an expiry timer: an attacker spraying
 // orphan ACKs, or a wedged store lookup, must not grow memory unbounded.
-// A resolved queue goes back to the instance's spares with its expiry and
-// lookup callbacks bound (freeQueue), but not while its store read is in
+// A resolved queue goes back to the instance's spares with its lookup
+// callbacks bound (freeQueue), but not while its store read is in
 // flight: the read's callback would find the queue's next tuple.
 type pendingQueue struct {
 	tuple  netsim.FourTuple
-	pkts   []*netsim.Packet // parked copies (parkCopy), owned by the queue
+	pkts   []*netsim.Packet // parked copies (netsim.PooledClone), owned by the queue
 	expire netsim.Timer
 	// miss is what a store miss does with the queue (storeGet), lookup
 	// that the read is in flight.
@@ -684,14 +695,23 @@ type pendingQueue struct {
 	// backend, for missDerive (hybridClientGet).
 	st netsim.FourTuple
 	b  stateless.Backend
-	// The callbacks, bound once per queue: expiry, the store read, a
-	// derived flow's repair commit (hybridRepair) and the end of a bare
-	// ACK's claim on st (hybridDerive).
-	expireFn  func()
-	lookupFn  func(value []byte, ok bool, err error)
-	repairFn  func(*flow)
-	releaseFn func()
+	// The owner, for the queue's timers: its expiry (the queue itself)
+	// and the end of a bare ACK's claim on st (claimDue, hybridDerive).
+	in *Instance
+	// The callbacks, bound once per queue: the store read and a derived
+	// flow's repair commit (hybridRepair).
+	lookupFn func(value []byte, ok bool, err error)
+	repairFn func(*flow)
 }
+
+// Fire expires the queue.
+func (q *pendingQueue) Fire() { q.in.expireQueue(q) }
+
+// claimDue is a pending queue as the owner of the timer that ends its
+// claim on a predicted server tuple.
+type claimDue pendingQueue
+
+func (t *claimDue) Fire() { q := (*pendingQueue)(t); q.in.releaseClaim(q) }
 
 // missAction is what a pending queue's store miss does (lookedUp).
 type missAction uint8
@@ -716,17 +736,15 @@ const (
 func (in *Instance) park(tuple netsim.FourTuple, pkts ...*netsim.Packet) *pendingQueue {
 	q := in.spareQueues.Take()
 	if q == nil {
-		q = &pendingQueue{}
-		q.expireFn = func() { in.expireQueue(q) }
+		q = &pendingQueue{in: in}
 		q.lookupFn = func(value []byte, ok bool, err error) { in.lookedUp(q, value, ok, err) }
 		q.repairFn = func(*flow) { in.replayRepaired(q) }
-		q.releaseFn = func() { in.releaseClaim(q) }
 	}
 	q.tuple = tuple
 	q.pkts = append(q.pkts, pkts...)
 	in.pending[tuple] = q
 	in.pendingTotal += len(pkts)
-	q.expire = in.net.Schedule(pendingExpiry, q.expireFn)
+	q.expire = in.net.Arm(pendingExpiry, q)
 	return q
 }
 
@@ -754,32 +772,11 @@ func (in *Instance) freeQueue(q *pendingQueue) {
 	}
 }
 
-// parkCopy returns a pooled copy of pkt for a pending queue, its payload
-// in an array of the network's buffer pool: the packet itself goes back
-// to the pool when process returns, and its payload is its sender's.
-func (in *Instance) parkCopy(pkt *netsim.Packet) *netsim.Packet {
-	p := in.net.ShallowClone(pkt)
-	p.Payload = nil
-	if len(pkt.Payload) > 0 {
-		p.Payload = append(in.net.AllocBuf(len(pkt.Payload)), pkt.Payload...)
-	}
-	return p
-}
-
-// releaseParked returns a parked copy to the pools, its payload's array
-// too unless lent: a dispatch that may have put the payload on the wire
-// in place (a tunnel relays it) leaves the array to the segment.
-func (in *Instance) releaseParked(p *netsim.Packet, lent bool) {
-	if !lent && p.Payload != nil {
-		in.net.ReleaseBuf(p.Payload)
-	}
-	in.net.ReleasePacket(p)
-}
-
-// dropParked releases parked copies nothing dispatched.
+// dropParked releases parked copies, and each array a relay has not
+// taken on (netsim.PooledClone).
 func (in *Instance) dropParked(pkts []*netsim.Packet) {
 	for _, p := range pkts {
-		in.releaseParked(p, false)
+		in.net.ReleasePacket(p)
 	}
 }
 
@@ -791,7 +788,7 @@ func (in *Instance) recoverFlow(tuple netsim.FourTuple, pkt *netsim.Packet) {
 			in.note(evLookupMiss, tuple) // dropped: the sender's retransmit retries
 			return
 		}
-		q.pkts = append(q.pkts, in.parkCopy(pkt))
+		q.pkts = append(q.pkts, in.net.PooledClone(pkt))
 		in.pendingTotal++
 		return
 	}
@@ -799,7 +796,7 @@ func (in *Instance) recoverFlow(tuple netsim.FourTuple, pkt *netsim.Packet) {
 		in.note(evLookupMiss, tuple)
 		return
 	}
-	q := in.park(tuple, in.parkCopy(pkt))
+	q := in.park(tuple, in.net.PooledClone(pkt))
 	// Hybrid mode classifies the orphan (backend knock, dead-head
 	// derivation, residue) before deciding whether and how to consult the
 	// store; the paper-faithful mode always reads and RSTs a miss.

@@ -143,17 +143,15 @@ func (in *Instance) handOff(q *pendingQueue) []*netsim.Packet {
 }
 
 // dispatchQueued replays resolved parked copies into the flow table and
-// releases them. Only a flow in Tunnel, or one inspecting keep-alive
-// requests, may keep or forward a payload in place; every other state
-// copies what it keeps, so the payload's array goes back to the pool.
+// releases them. A tunnel relays a payload in place, and its segment
+// takes the array on (relay, netsim.MovePayload); every other array goes
+// back to the pool with its copy.
 func (in *Instance) dispatchQueued(queued []*netsim.Packet) {
 	for _, p := range queued {
-		lent := false
 		if cur := in.flows.get(p.Tuple()); cur != nil {
-			lent = cur.state == stateTunnel || cur.ka != nil
 			in.dispatch(cur, p)
 		}
-		in.releaseParked(p, lent)
+		in.net.ReleasePacket(p)
 	}
 }
 
@@ -283,7 +281,7 @@ func (in *Instance) hybridDerive(q *pendingQueue) {
 		in.dropParked(queued)
 		if h, held := in.l4.Holder(st); !held || h != in.IP() {
 			in.l4.Claim(st, in.IP())
-			in.net.Schedule(max(in.cfg.FlowIdleTimeout, pendingExpiry), q.releaseFn)
+			in.net.Arm(max(in.cfg.FlowIdleTimeout, pendingExpiry), (*claimDue)(q))
 			return
 		}
 		in.freeQueue(q)

@@ -33,8 +33,7 @@ type kaRequest struct {
 // flow back in Dialing at that request's first byte, where the first
 // dial's code runs again.
 type kaState struct {
-	held    []byte // in-order client bytes not yet framed into a request
-	heldSeq uint32 // client sequence number of held[0]
+	held []byte // in-order client bytes not yet framed into a request
 	// queue holds the framed requests not yet forwarded. During a re-dial
 	// its head is the request that chose the new backend.
 	queue []kaRequest
@@ -52,6 +51,10 @@ type kaState struct {
 	respBuf    []byte
 	respBody   int
 	fromServer assembler
+
+	// Declared here, next to the FIN's 32-bit fields, so that kaState
+	// fills the 128-byte size class (TestLiveFlowHeapLedger).
+	heldSeq uint32 // client sequence number of held[0]
 
 	// A client FIN that must be forwarded once all held data flushes.
 	finPending bool

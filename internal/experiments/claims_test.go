@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"flag"
 	"fmt"
 	"math"
 	"os"
@@ -104,7 +105,7 @@ var figureClaims = []claim{
 		{"instances +4.6–73 % over all-to-all",
 			`^16\(c\) instances vs all-to-all: \+([\d.]+)% mean`, 0, func(v []float64) bool { return within(v[0], 4.6, 73) }},
 		{"the limit costs at most +5 % instances over no-limit (+1.3 %)",
-			`limit vs no-limit: \+([\d.]+)% median`, 0, func(v []float64) bool { return v[0] <= 5 }},
+			`limit vs no-limit: ([+-][\d.]+)% median`, 0, func(v []float64) bool { return v[0] <= 5 }},
 	}},
 	{"Fig 16(d)", []check{
 		{"no transient overload under the limit (at most 1 %)",
@@ -174,12 +175,22 @@ func (c claim) verdict(golden []string) (string, []string, error) {
 	return "partly", report, nil
 }
 
+// claimsOutput, when set, names an `yodasim -exp all` output of another
+// seed: TestFigureClaims then logs every verdict on it and records
+// nothing (scripts/ci.sh runs seeds 2-5 through it).
+var claimsOutput = flag.String("claims.output", "", "judge this -exp all output instead of all_seed1.golden, and only log the verdicts")
+
 // TestFigureClaims computes every figure's verdict from all_seed1.golden
 // and holds it to figureVerdicts, which TestSpecLint holds EXPERIMENTS.md
 // to. A changed verdict is a changed file: delete it and rerun to
-// re-record, and the EXPERIMENTS.md row follows.
+// re-record, and the EXPERIMENTS.md row follows. With -claims.output it
+// logs each verdict on that output as "verdict <row>\t<verdict>".
 func TestFigureClaims(t *testing.T) {
-	b, err := os.ReadFile("testdata/all_seed1.golden")
+	path := "testdata/all_seed1.golden"
+	if *claimsOutput != "" {
+		path = *claimsOutput
+	}
+	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,6 +205,12 @@ func TestFigureClaims(t *testing.T) {
 			t.Log(r)
 		}
 		fmt.Fprintf(&out, "%s\t%s\n", c.row, v)
+	}
+	if *claimsOutput != "" {
+		for _, l := range strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n") {
+			t.Log("verdict " + l)
+		}
+		return
 	}
 	recorded, err := os.ReadFile(figureVerdicts)
 	if os.IsNotExist(err) {

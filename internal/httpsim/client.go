@@ -94,7 +94,6 @@ func (cl *Client) Fetch(addr netsim.HostPort, req *Request, done func(*FetchResu
 	f := cl.spares.Take()
 	if f == nil {
 		f = &fetch{cl: cl}
-		f.timeoutFn = f.timeout
 	}
 	f.addr, f.req, f.retries, f.done = addr, req, cl.cfg.Retries, done
 	f.started = cl.host.Network().Now()
@@ -106,21 +105,21 @@ func (cl *Client) Get(addr netsim.HostPort, path string, done func(*FetchResult)
 	cl.Fetch(addr, NewRequest(path, addr.IP.String()), done)
 }
 
-// fetch is one Fetch and the user word of its attempts' conns; timeoutFn
-// is its one closure. It is recycled as its outcome goes to done, while
-// its last conn may still be closing: a callback whose conn is no longer
-// the fetch's acts for nobody but releases the conn once it has closed.
+// fetch is one Fetch, the user word of its attempts' conns and the owner
+// of their timeout timer (Fire). It is recycled as its outcome goes to
+// done, while its last conn may still be closing: a callback whose conn
+// is no longer the fetch's acts for nobody but releases the conn once it
+// has closed.
 type fetch struct {
-	cl        *Client
-	addr      netsim.HostPort
-	req       *Request
-	retries   int // attempts still allowed after this one
-	done      func(*FetchResult)
-	conn      *tcp.Conn // the current attempt's
-	timer     netsim.Timer
-	timeoutFn func()
-	parser    ResponseParser
-	body      bodyLoan
+	cl      *Client
+	addr    netsim.HostPort
+	req     *Request
+	retries int // attempts still allowed after this one
+	done    func(*FetchResult)
+	conn    *tcp.Conn // the current attempt's
+	timer   netsim.Timer
+	parser  ResponseParser
+	body    bodyLoan
 	// The result so far, copied into the client's at finish.
 	started  time.Duration
 	attempts int
@@ -131,7 +130,7 @@ type fetch struct {
 func (f *fetch) attempt() {
 	f.attempts++
 	f.parser = ResponseParser{}
-	f.timer = f.cl.host.Network().Schedule(f.cl.cfg.Timeout, f.timeoutFn)
+	f.timer = f.cl.host.Network().Arm(f.cl.cfg.Timeout, f)
 	f.conn = tcp.Dial(f.cl.host, f.addr, tcp.Callbacks{
 		OnEstablished: fetchEstablished,
 		OnData:        fetchData,
@@ -142,7 +141,8 @@ func (f *fetch) attempt() {
 	}, f.cl.cfg.TCP)
 }
 
-func (f *fetch) timeout() {
+// Fire times the attempt out.
+func (f *fetch) Fire() {
 	f.timedOut = true
 	f.conn.Abort()
 	f.finish(nil, ErrHTTPTimeout)
@@ -172,7 +172,7 @@ func (f *fetch) finish(resp *Response, err error) {
 	cl, done, body := f.cl, f.done, f.body
 	cl.res = FetchResult{Resp: resp, Err: err, Started: f.started, Finished: nw.Now(),
 		Attempts: f.attempts, TimedOut: f.timedOut, Conn: c}
-	*f = fetch{cl: cl, timeoutFn: f.timeoutFn}
+	*f = fetch{cl: cl}
 	cl.spares.Put(nw, f)
 	done(&cl.res)
 	body.giveBack(nw)

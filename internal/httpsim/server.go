@@ -78,15 +78,14 @@ func (s *Server) Host() *netsim.Host { return s.host }
 
 // serverConn is an accepted connection's user word. pending holds the
 // requests waiting out processingDelay, inline until a pipelined burst
-// outgrows it; equal delays fire in order, so each respond answers the
-// oldest. respond is bound once per serverConn, which is recycled.
+// outgrows it; equal delays fire in order, so each of the serverConn's
+// timers answers the oldest (Fire).
 type serverConn struct {
 	s       *Server
 	conn    *tcp.Conn
 	parser  RequestParser
 	pending []*Request
 	inline  [1]*Request
-	respond func()
 }
 
 func (s *Server) accept(c *tcp.Conn) tcp.Callbacks {
@@ -94,7 +93,6 @@ func (s *Server) accept(c *tcp.Conn) tcp.Callbacks {
 	sc := s.spares.Take()
 	if sc == nil {
 		sc = &serverConn{s: s}
-		sc.respond = sc.sendNext
 	}
 	sc.conn, sc.pending = c, sc.inline[:0]
 	return tcp.Callbacks{
@@ -119,7 +117,7 @@ func serverConnData(c *tcp.Conn, d []byte) {
 		s.Requests++
 		s.CPU.Charge(s.host.Network().Now(), cpuPerRequest)
 		sc.pending = append(sc.pending, req)
-		s.host.Network().Schedule(processingDelay, sc.respond)
+		s.host.Network().Arm(processingDelay, sc)
 	}
 }
 
@@ -131,7 +129,8 @@ func serverConnClosed(c *tcp.Conn) {
 	sc.release()
 }
 
-// release recycles sc and its conn once it has closed and no respond waits.
+// release recycles sc and its conn once it has closed and no response
+// waits out its processingDelay.
 func (sc *serverConn) release() {
 	if len(sc.pending) == 0 && sc.conn.State() == tcp.StateClosed {
 		sc.conn.Release()
@@ -140,7 +139,9 @@ func (sc *serverConn) release() {
 	}
 }
 
-func (sc *serverConn) sendNext() {
+// Fire answers the oldest pending request once its processingDelay is
+// over.
+func (sc *serverConn) Fire() {
 	req := sc.pending[0]
 	sc.pending = slices.Delete(sc.pending, 0, 1)
 	keepAlive := req.KeepAlive()

@@ -70,15 +70,13 @@ func NewSimServer(host *netsim.Host, port uint16, cfg SimServerConfig) *SimServe
 func (s *SimServer) Host() *netsim.Host { return s.host }
 
 // schedReply is a pooled pending-response: the reply bytes for one input
-// chunk, scheduled to emit once the server's op queue drains. fire is
-// pre-bound at allocation so scheduling a reply does not allocate a
-// closure per data event.
+// chunk, and the owner of the timer that emits them once the server's op
+// queue drains (Fire), so scheduling a reply binds no closure.
 type schedReply struct {
 	srv  *SimServer
 	conn *tcp.Conn
 	sess *Session
 	resp []byte
-	fire func()
 }
 
 func (s *SimServer) takeReply() *schedReply {
@@ -87,16 +85,17 @@ func (s *SimServer) takeReply() *schedReply {
 		s.freeReplies = s.freeReplies[:n-1]
 		return r
 	}
-	r := &schedReply{srv: s}
-	r.fire = func() {
-		r.conn.Write(r.resp) // Write copies; the buffer can go back
-		r.sess.Release(r.resp)
-		r.conn, r.sess, r.resp = nil, nil, nil
-		if len(r.srv.freeReplies) < 32 {
-			r.srv.freeReplies = append(r.srv.freeReplies, r)
-		}
+	return &schedReply{srv: s}
+}
+
+// Fire sends the reply and files r for the next one.
+func (r *schedReply) Fire() {
+	r.conn.Write(r.resp) // Write copies; the buffer can go back
+	r.sess.Release(r.resp)
+	r.conn, r.sess, r.resp = nil, nil, nil
+	if len(r.srv.freeReplies) < 32 {
+		r.srv.freeReplies = append(r.srv.freeReplies, r)
 	}
-	return r
 }
 
 func (s *SimServer) accept(c *tcp.Conn) tcp.Callbacks {
@@ -123,7 +122,7 @@ func (s *SimServer) accept(c *tcp.Conn) tcp.Callbacks {
 			delay := s.queueFree - now
 			r := s.takeReply()
 			r.conn, r.sess, r.resp = c, sess, resp
-			net.Schedule(delay, r.fire)
+			net.Arm(delay, r)
 		},
 		OnPeerClose: func(c *tcp.Conn) { c.Close() },
 	}

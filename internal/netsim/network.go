@@ -210,18 +210,33 @@ func (n *Network) Attach(ip IP, node Node) {
 // dropped, which is how host failure is modelled.
 func (n *Network) Detach(ip IP) { delete(n.nodes, ip) }
 
-// Schedule runs fn after delay d of virtual time and returns a
+// Firer is the owner of a timer: Arm calls its Fire when the timer comes
+// due. An object with more than one timer arms each as a named type of
+// itself (type rtxDue Conn, say), so the record holds the owner's own
+// pointer and no closure is bound per object.
+type Firer interface{ Fire() }
+
+// callback is a one-off callback as a Firer (Schedule).
+type callback func()
+
+func (fn callback) Fire() { fn() }
+
+// Arm calls f.Fire after delay d of virtual time and returns a
 // cancellable timer. A negative delay is treated as zero.
-func (n *Network) Schedule(d time.Duration, fn func()) Timer {
+func (n *Network) Arm(d time.Duration, f Firer) Timer {
 	if d < 0 {
 		d = 0
 	}
 	e := n.allocEvent()
 	n.seq++
-	e.at, e.seq, e.kind, e.fn = n.now+d, n.seq, evFunc, fn
+	e.at, e.seq, e.what = n.now+d, n.seq, f
 	n.scheduleEvent(e)
 	return Timer{net: n, ev: e, seq: e.seq}
 }
+
+// Schedule runs fn after delay d of virtual time: Arm for a one-off
+// callback, which a func value holds without allocating.
+func (n *Network) Schedule(d time.Duration, fn func()) Timer { return n.Arm(d, callback(fn)) }
 
 // Send routes pkt toward its destination (Outer.Dst when encapsulated,
 // inner Dst otherwise) after the link latency. The packet must not be
@@ -259,7 +274,7 @@ func (n *Network) Send(pkt *Packet) {
 	}
 	e := n.allocEvent()
 	n.seq++
-	e.at, e.seq, e.kind, e.pkt, e.dst = at, n.seq, evDeliver, pkt, dst
+	e.at, e.seq, e.what, e.dst = at, n.seq, pkt, dst
 	n.scheduleEvent(e)
 	if !n.noCoalesce {
 		n.openTrain, n.openAt = e, at
@@ -310,13 +325,13 @@ func (n *Network) execute(e *event) {
 	if e == n.openTrain {
 		n.openTrain = nil
 	}
-	kind, fn, pkt, dst := e.kind, e.fn, e.pkt, e.dst
+	what, dst := e.what, e.dst
 	train := e.train
 	if train != nil {
 		e.train = nil
 	}
 	n.freeEvent(e)
-	if kind == evDeliver {
+	if pkt, ok := what.(*Packet); ok {
 		if train == nil {
 			if n.dropFn != nil && n.dropFn(pkt) {
 				n.dropByPolicy(pkt)
@@ -347,7 +362,7 @@ func (n *Network) execute(e *event) {
 		n.freeTrain(train)
 		return
 	}
-	fn()
+	what.(Firer).Fire()
 }
 
 // deliverRun delivers a run of same-destination packets carved out of a

@@ -66,17 +66,28 @@ type Packet struct {
 	Outer *Encap
 
 	// outerStore backs Outer for pooled packets so encapsulating a packet
-	// does not allocate. pooled marks packets eligible for recycling via
-	// Network.ReleasePacket; it is cleared while the packet sits on the
-	// freelist to catch double releases.
+	// does not allocate. pool marks packets eligible for recycling via
+	// Network.ReleasePacket, and those that own their payload's array
+	// (PooledClone); it is cleared while the packet sits on the freelist
+	// to catch double releases.
 	outerStore Encap
-	pooled     bool
+	pool       poolState
 }
+
+// poolState is where a packet came from, and what its release gives
+// back: one byte, so that ReleasePacket's common case tests one value.
+type poolState uint8
+
+const (
+	unpooled     poolState = iota // not from the pool, or released
+	pooled                        // from AllocPacket
+	pooledOwning                  // pooled, and owning its payload's pool array
+)
 
 // Pooled reports whether the packet came from the network's packet pool
 // and may therefore be mutated in place (the holder owns it) and must
 // eventually be released or re-sent.
-func (p *Packet) Pooled() bool { return p.pooled }
+func (p *Packet) Pooled() bool { return p.pool != unpooled }
 
 // SetOuter encapsulates the packet, storing the outer header inline to
 // avoid an allocation.
@@ -89,7 +100,7 @@ func (p *Packet) SetOuter(src, dst IP) {
 // not pooled and is never recycled.
 func (p *Packet) Clone() *Packet {
 	q := *p
-	q.pooled = false
+	q.pool = unpooled
 	if p.Payload != nil {
 		q.Payload = append([]byte(nil), p.Payload...)
 	}
@@ -98,6 +109,26 @@ func (p *Packet) Clone() *Packet {
 		q.Outer = &q.outerStore
 	}
 	return &q
+}
+
+// MovePayload passes the payload array p owns (PooledClone) to q when q
+// carries it in place, its payload starting where p's does: a relay that
+// forwards the bytes of p in a new segment hands the array on with them,
+// and it goes back to the pool when q is released instead of p.
+func (p *Packet) MovePayload(q *Packet) {
+	if p.pool == pooledOwning && q.pool == pooled && len(q.Payload) > 0 && len(p.Payload) > 0 && &q.Payload[0] == &p.Payload[0] {
+		p.pool, q.pool = pooled, pooledOwning
+	}
+}
+
+// KeepPayload is what a consumer that keeps p's payload past p's release
+// calls (a TCP endpoint parking an out-of-order segment): an array p
+// owned is then left to the keeper and the collector, not given back to
+// the pool while it is still read.
+func (p *Packet) KeepPayload() {
+	if p.pool == pooledOwning {
+		p.pool = pooled
+	}
 }
 
 // Tuple returns the connection tuple as seen on the wire (inner header).

@@ -30,34 +30,62 @@ func (n *Network) AllocPacket() *Packet {
 	if k := len(n.pktFree); k > 0 {
 		p := n.pktFree[k-1]
 		n.pktFree = n.pktFree[:k-1]
-		p.pooled = true
+		p.pool = pooled
 		return p
 	}
-	return &Packet{pooled: true}
+	return &Packet{pool: pooled}
 }
 
-// ReleasePacket returns a pooled packet to the pool. Releasing a
-// non-pooled (or already-released) packet is a no-op, so handlers can
-// call it unconditionally on every packet they terminate.
+// ReleasePacket returns a pooled packet to the pool, and the payload
+// array it owns (PooledClone) to the buffer pool. Releasing a non-pooled
+// (or already-released) packet is a no-op, so handlers can call it
+// unconditionally on every packet they terminate.
 func (n *Network) ReleasePacket(p *Packet) {
-	if p == nil || !p.pooled {
-		return
+	if p != nil && p.pool == pooled {
+		*p = Packet{} // drop payload and header refs; unpooled guards double release
+		n.pktFree = append(n.pktFree, p)
+	} else {
+		n.releaseOther(p)
 	}
-	*p = Packet{} // drop payload and header refs; pooled=false guards double release
-	n.pktFree = append(n.pktFree, p)
+}
+
+// releaseOther is ReleasePacket of a nil, unpooled or array-owning
+// packet, out of line so that the common case inlines.
+//
+//go:noinline
+func (n *Network) releaseOther(p *Packet) {
+	if p != nil && p.pool == pooledOwning {
+		n.ReleaseBuf(p.Payload)
+		*p = Packet{}
+		n.pktFree = append(n.pktFree, p)
+	}
 }
 
 // ShallowClone returns a pooled copy of p sharing its payload slice.
 // Used by forwarders that must not mutate a non-pooled original but do
-// not need a private copy of the bytes.
+// not need a private copy of the bytes. The copy owns no array.
 func (n *Network) ShallowClone(p *Packet) *Packet {
 	q := n.AllocPacket()
-	pooled := q.pooled
 	*q = *p
-	q.pooled = pooled
+	q.pool = pooled
 	if p.Outer != nil {
 		q.outerStore = *p.Outer
 		q.Outer = &q.outerStore
+	}
+	return q
+}
+
+// PooledClone returns a pooled copy of p whose payload is a copy in an
+// array of the buffer pool that the copy owns: ReleasePacket gives the
+// array back with the packet, unless a relay took it on (MovePayload) or
+// a consumer kept it (KeepPayload). A load balancer parks such copies
+// while it looks a flow up.
+func (n *Network) PooledClone(p *Packet) *Packet {
+	q := n.ShallowClone(p)
+	q.Payload = nil
+	if len(p.Payload) > 0 {
+		q.Payload = append(n.AllocBuf(len(p.Payload)), p.Payload...)
+		q.pool = pooledOwning
 	}
 	return q
 }

@@ -38,17 +38,15 @@ const (
 	inHeap    = -1                 // event.slot of a record held by curHeap
 )
 
-type eventKind uint8
-
-const (
-	evFunc    eventKind = iota // run fn()
-	evDeliver                  // deliver pkt to dst (typed fast path, no closure)
-)
-
 // event is a scheduled occurrence on the virtual clock. seq breaks ties
 // so that events scheduled earlier fire earlier, keeping runs
 // deterministic, and is zero while the record is in the pool. Never
 // reused, it is also what makes a stale Timer handle inert.
+//
+// what is the occurrence, in one interface word pair: a *Packet to
+// deliver to dst, or the Firer of a timer (Arm). Holding either in the
+// same two words keeps the record at one 64-byte cache line
+// (TestEventIsOneCacheLine).
 //
 // A delivery event may carry a train: additional packets due at the same
 // instant that ride this record instead of their own (see Network.Send).
@@ -64,18 +62,16 @@ const (
 type event struct {
 	at        time.Duration
 	seq       uint64
-	fn        func()
-	pkt       *Packet
+	what      any // *Packet or Firer
 	train     *trainBox
 	next      *event
 	pprev     **event
 	dst       IP
 	slot      int16
-	kind      eventKind
 	cancelled bool
 }
 
-// trainEntry is one extra delivery coalesced onto an open evDeliver
+// trainEntry is one extra delivery coalesced onto an open delivery
 // event. Entries never get Timer handles and are never cancelled.
 type trainEntry struct {
 	pkt *Packet
@@ -171,7 +167,7 @@ func (t Timer) Stop() {
 	}
 	if e.slot == inHeap {
 		e.cancelled = true
-		e.fn = nil
+		e.what = nil
 		n.cancelledPending++
 		return
 	}
@@ -204,8 +200,7 @@ func (n *Network) freeEvent(e *event) {
 		n.freeTrain(e.train)
 		e.train = nil
 	}
-	e.fn = nil
-	e.pkt = nil
+	e.what = nil
 	e.cancelled = false
 	e.seq = 0
 	n.evFree = append(n.evFree, e)

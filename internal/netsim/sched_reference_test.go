@@ -206,7 +206,13 @@ func newWheelWorld() *schedWorld {
 		}
 		return 0, false
 	}
+	// Odd timers are armed through their owner, even ones as callbacks:
+	// both take the one path and must interleave by (at, seq).
 	w.arm = func(d time.Duration, fn func()) (func(), func() bool) {
+		if len(w.stops)%2 == 1 {
+			tm := n.Arm(d, &testOwner{fn})
+			return tm.Stop, tm.Active
+		}
 		tm := n.Schedule(d, fn)
 		return tm.Stop, tm.Active
 	}
@@ -223,6 +229,11 @@ func newWheelWorld() *schedWorld {
 	}
 	return w
 }
+
+// testOwner is a timer owner for Arm.
+type testOwner struct{ fn func() }
+
+func (o *testOwner) Fire() { o.fn() }
 
 func newRefWorld() *schedWorld {
 	r := &refSched{}

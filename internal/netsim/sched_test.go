@@ -3,6 +3,7 @@ package netsim
 import (
 	"testing"
 	"time"
+	"unsafe"
 )
 
 const (
@@ -126,5 +127,18 @@ func TestStopFreesRecord(t *testing.T) {
 	}
 	if n.Step() {
 		t.Fatal("a stopped timer ran")
+	}
+}
+
+// TestEventIsOneCacheLine: an event record is 64 bytes, one cache line
+// and one size class, because a delivery's packet and a timer's owner
+// share one interface word pair. Every armed timer and in-flight packet
+// holds one, so a larger record moves yodabench's held-failover
+// heap_bytes_per_live_flow and TestLiveFlowHeapLedger's
+// flow_heap_bytes_netsim row.
+func TestEventIsOneCacheLine(t *testing.T) {
+	if sz := unsafe.Sizeof(event{}); sz != 64 {
+		t.Fatalf("netsim's event record is %d bytes, not 64: the scheduler's records leave their cache line and size class, "+
+			"which moves held-failover heap_bytes_per_live_flow and the flow_heap_bytes_netsim ledger row", sz)
 	}
 }

@@ -60,7 +60,7 @@ func (l *Listener) handleSegment(pkt *netsim.Packet) {
 	if l.cfg.ISNKey != 0 {
 		c.iss = DeterministicISN(l.cfg.ISNKey, c.local, c.remote)
 	} else {
-		c.iss = c.net.Rand().Uint32()
+		c.iss = l.host.Network().Rand().Uint32()
 	}
 	c.sndUna = c.iss
 	c.sndNxt = c.iss + 1

@@ -255,3 +255,27 @@ func TestIdleProbe(t *testing.T) {
 		t.Fatalf("after close: %v and %d timers pending, want the RST alone and none", sc.out, n.Pending())
 	}
 }
+
+// TestOutOfOrderSegmentKeepsItsArray: a segment whose packet owns its
+// payload's pool array (a load balancer's relayed parked copy,
+// netsim.PooledClone) and arrives out of order is parked by reference, so
+// the conn keeps the array (KeepPayload) rather than letting the packet's
+// release give it to the pool. Under poison a released array reads 0xDD
+// by the time the gap fills.
+func TestOutOfOrderSegmentKeepsItsArray(t *testing.T) {
+	n, c, sc := newScriptedConn(t, DefaultConfig())
+	var got []byte
+	c.cb.OnData = func(_ *Conn, d []byte) { got = append(got, d...) }
+	first, second := []byte("first-"), []byte("second")
+	n.Send(n.PooledClone(&netsim.Packet{
+		Src: netsim.HostPort{IP: sc.h.IP(), Port: 80}, Dst: c.LocalAddr(),
+		Flags: netsim.FlagACK | netsim.FlagPSH, Seq: peerISN + 1 + uint32(len(first)), Ack: c.ISN() + 1,
+		Window: 1 << 20, Payload: second,
+	}))
+	n.RunFor(2 * time.Millisecond)
+	sc.send(c.LocalAddr(), netsim.FlagACK|netsim.FlagPSH, peerISN+1, c.ISN()+1, first)
+	n.RunFor(2 * time.Millisecond)
+	if want := "first-second"; string(got) != want {
+		t.Fatalf("delivered %q, want %q: the parked segment's array went back to the pool", got, want)
+	}
+}

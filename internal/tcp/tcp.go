@@ -72,7 +72,7 @@ func DefaultConfig() Config {
 }
 
 // State is a TCP connection state.
-type State int
+type State uint8
 
 // Connection states. Only the states the simulator distinguishes are
 // modelled; TIME_WAIT is collapsed into Closed since the simulated port
@@ -200,64 +200,78 @@ type rtxBuf struct {
 	buf []byte
 }
 
-// Conn is one endpoint of a TCP connection.
+// Conn is one endpoint of a TCP connection. Its fields are laid out so
+// that it fits the allocator's 320-byte size class (TestConnSizeClass):
+// the 8-byte words first, then the 32-bit sequence state, then the
+// one-byte fields, which share the last word.
 type Conn struct {
 	host   *netsim.Host
-	net    *netsim.Network
-	cfg    Config
 	cb     Callbacks
 	local  netsim.HostPort
 	remote netsim.HostPort
 
-	state State
+	// The Config fields read after the handshake; newConn, DialFrom and
+	// the listener spend the others.
+	mss       int
+	idleProbe time.Duration // 0: no idle probes (Config.IdleProbe)
 
-	// Send side.
-	iss    uint32 // initial send sequence
-	sndUna uint32 // oldest unacknowledged
-	sndNxt uint32 // next to send
-	// sndBuf holds unsent+unacked payload; live bytes are
+	// Send side. sndBuf holds unsent+unacked payload; live bytes are
 	// sndBuf[sndHead:], and sndBuf[sndHead] is at seq bufSeq. The array
 	// comes from the network's buffer pool at the first Write that finds
 	// none and goes back the moment every byte in it is acknowledged
 	// (applyAck), so a connection with nothing in flight holds no send
 	// buffer and request/reply traffic still never allocates one.
-	sndBuf  []byte
-	sndHead int
+	sndBuf []byte
 	// sndTail is the borrowed tail: bytes that follow sndBuf[sndHead:] in
 	// stream order and lie in an array the caller of WriteStatic promised
 	// never to modify. It is only ever read and re-sliced, never appended
-	// to and never handed to ReleaseBuf. (Declared here, before the 32-bit
-	// fields, so that Conn stays in its size class: TestConnSizeClass.)
-	sndTail        []byte
-	bufSeq         uint32 // sequence number of the first live byte
-	peerWnd        uint32
-	cwnd           uint32
-	ssthresh       uint32
+	// to and never handed to ReleaseBuf.
+	sndTail  []byte
+	iss      uint32 // initial send sequence
+	sndUna   uint32 // oldest unacknowledged
+	sndNxt   uint32 // next to send
+	bufSeq   uint32 // sequence number of the first live byte
+	sndHead  int32
+	peerWnd  uint32
+	cwnd     uint32
+	ssthresh uint32
+	finSeq   uint32
+
+	// Receive side.
+	rcvNxt uint32
+	reasm  []reasmSeg
+
+	// Retransmission: rtxBufs are the pooled copies backing in-flight
+	// retransmits. Each timer's owner is c itself (rtxDue, probeDue).
+	rtxTimer netsim.Timer
+	rtxBufs  []rtxBuf
+	// Idle keepalive probing (idleProbe > 0 only).
+	probeTimer netsim.Timer
+
+	state          State
+	rtxBackoff     uint8
+	maxRetries     uint8 // Config.MaxRetries, at most 255
 	finQueued      bool
 	finSent        bool
 	released, busy bool // see Release and unwind
-	finSeq         uint32
-
-	// Receive side.
-	rcvNxt  uint32
-	peerFin bool // peer's FIN has been processed
-	reasm   []reasmSeg
-
-	// Retransmission.
-	rtxTimer   netsim.Timer
-	rtxBackoff int
-	rtxFn      func()   // c.onRtxTimeout, bound once to avoid per-arm allocation
-	rtxBufs    []rtxBuf // pooled copies backing in-flight retransmits
-
-	// Idle keepalive probing (Config.IdleProbe > 0 only).
-	probeTimer netsim.Timer
-	probeFn    func() // c.onProbeTimeout, bound once
+	peerFin        bool // peer's FIN has been processed
 
 	// Stats, exported for tests and experiments.
 	Retransmits int
 	BytesSent   uint64
 	BytesRecv   uint64
 }
+
+// rtxDue and probeDue are a Conn as the owner of its retransmission and
+// idle-probe timers: converting c costs nothing, so arming a timer binds
+// no closure.
+type (
+	rtxDue   Conn
+	probeDue Conn
+)
+
+func (t *rtxDue) Fire()   { (*Conn)(t).onRtxTimeout() }
+func (t *probeDue) Fire() { (*Conn)(t).onProbeTimeout() }
 
 // Dial opens an active connection from an ephemeral port on h to remote.
 func Dial(h *netsim.Host, remote netsim.HostPort, cb Callbacks, cfg Config) *Conn {
@@ -271,7 +285,7 @@ func DialFrom(h *netsim.Host, localPort uint16, remote netsim.HostPort, cb Callb
 	if cfg.ISNKey != 0 {
 		c.iss = DeterministicISN(cfg.ISNKey, c.local, c.remote)
 	} else {
-		c.iss = c.net.Rand().Uint32()
+		c.iss = h.Network().Rand().Uint32()
 	}
 	c.sndUna = c.iss
 	c.sndNxt = c.iss + 1
@@ -282,28 +296,23 @@ func DialFrom(h *netsim.Host, localPort uint16, remote netsim.HostPort, cb Callb
 	return c
 }
 
-// newConn re-initialises a released conn, keeping its bound callbacks.
+// newConn initialises a released conn, or a new one.
 func newConn(h *netsim.Host, local, remote netsim.HostPort, cb Callbacks, cfg Config) *Conn {
 	c, _ := h.Network().SpareConns().Take().(*Conn)
 	if c == nil {
 		c = new(Conn)
-		c.rtxFn = c.onRtxTimeout
 	}
 	*c = Conn{
-		host:     h,
-		net:      h.Network(),
-		cfg:      cfg,
-		cb:       cb,
-		local:    local,
-		remote:   remote,
-		peerWnd:  receiveWindow,
-		cwnd:     uint32(cfg.InitialCwnd * cfg.MSS),
-		ssthresh: cfg.InitialSsthresh,
-		rtxFn:    c.rtxFn,
-		probeFn:  c.probeFn,
-	}
-	if cfg.IdleProbe > 0 && c.probeFn == nil {
-		c.probeFn = c.onProbeTimeout
+		host:       h,
+		cb:         cb,
+		local:      local,
+		remote:     remote,
+		mss:        cfg.MSS,
+		idleProbe:  cfg.IdleProbe,
+		maxRetries: uint8(min(cfg.MaxRetries, 255)),
+		peerWnd:    receiveWindow,
+		cwnd:       uint32(cfg.InitialCwnd * cfg.MSS),
+		ssthresh:   cfg.InitialSsthresh,
 	}
 	return c
 }
@@ -320,7 +329,7 @@ func (c *Conn) Release() {
 	}
 	c.released, c.cb = true, Callbacks{}
 	if !c.busy {
-		c.net.SpareConns().Put(c.net, c)
+		c.host.Network().SpareConns().Put(c.host.Network(), c)
 	}
 }
 
@@ -335,16 +344,16 @@ func (c *Conn) mustLive() {
 // files c now.
 func (c *Conn) unwind() {
 	if c.busy = false; c.released {
-		c.net.SpareConns().Put(c.net, c)
+		c.host.Network().SpareConns().Put(c.host.Network(), c)
 	}
 }
 
 // armProbe starts the idle-probe timer once the connection establishes.
 func (c *Conn) armProbe() {
-	if c.cfg.IdleProbe <= 0 || c.probeTimer.Active() {
+	if c.idleProbe <= 0 || c.probeTimer.Active() {
 		return
 	}
-	c.probeTimer = c.net.Schedule(c.cfg.IdleProbe, c.probeFn)
+	c.probeTimer = c.host.Network().Arm(c.idleProbe, (*probeDue)(c))
 }
 
 // onProbeTimeout emits a bare ACK if the connection has been idle —
@@ -359,7 +368,7 @@ func (c *Conn) onProbeTimeout() {
 	if c.state == StateEstablished && c.inflight() == 0 && c.buffered() == 0 && !c.finQueued {
 		c.sendAck()
 	}
-	c.probeTimer = c.net.Schedule(c.cfg.IdleProbe, c.probeFn)
+	c.probeTimer = c.host.Network().Arm(c.idleProbe, (*probeDue)(c))
 }
 
 // State returns the connection state.
@@ -419,7 +428,7 @@ func (c *Conn) enqueue(tail []byte, bufs ...[]byte) {
 		if c.sndBuf == nil {
 			// Room as well for what the segment that straddles into the
 			// tail will bring over (see stream).
-			c.sndBuf = c.net.AllocBuf(max(own+min(len(tail), c.cfg.MSS), minSndBuf))
+			c.sndBuf = c.host.Network().AllocBuf(max(own+min(len(tail), c.mss), minSndBuf))
 		}
 		c.sndBuf = append(c.sndBuf, c.sndTail...)
 		for _, b := range bufs {
@@ -436,7 +445,7 @@ func (c *Conn) enqueue(tail []byte, bufs ...[]byte) {
 }
 
 // buffered returns the number of live stream bytes, owned then borrowed.
-func (c *Conn) buffered() int { return len(c.sndBuf) - c.sndHead + len(c.sndTail) }
+func (c *Conn) buffered() int { return len(c.sndBuf) - int(c.sndHead) + len(c.sndTail) }
 
 // unsent returns how many buffered bytes have not been transmitted yet:
 // those from sndNxt on.
@@ -453,7 +462,7 @@ func (c *Conn) unsent() int {
 // tail are appended to sndBuf, past anything already handed out, so the
 // stream is never described by more than the one split point.
 func (c *Conn) stream(rel, n int) []byte {
-	off := c.sndHead + rel
+	off := int(c.sndHead) + rel
 	if t := off - len(c.sndBuf); t >= 0 {
 		return c.sndTail[t : t+n : t+n]
 	}
@@ -514,7 +523,7 @@ func (c *Conn) teardown() {
 	// zero-copy segment still in flight (or parked at the peer) keeps the
 	// array alive by itself — and may still be read.
 	if seqLEQ(c.sndNxt, c.bufSeq) {
-		c.net.ReleaseBuf(c.sndBuf)
+		c.host.Network().ReleaseBuf(c.sndBuf)
 	}
 	c.sndBuf, c.sndHead, c.sndTail, c.reasm, c.rtxBufs = nil, 0, nil, nil, nil
 	c.host.Unregister(c.local.Port, c.remote)
@@ -534,7 +543,7 @@ func (c *Conn) sendSegment(flags netsim.TCPFlags, seq, ack uint32, payload []byt
 	if !c.host.Alive() {
 		return // a failed machine transmits nothing
 	}
-	pkt := c.net.AllocPacket()
+	pkt := c.host.Network().AllocPacket()
 	pkt.Src, pkt.Dst = c.local, c.remote
 	pkt.Flags, pkt.Seq, pkt.Ack = flags, seq, ack
 	pkt.Window = receiveWindow
@@ -542,7 +551,7 @@ func (c *Conn) sendSegment(flags netsim.TCPFlags, seq, ack uint32, payload []byt
 	if len(payload) > 0 {
 		c.BytesSent += uint64(len(payload))
 	}
-	c.net.Send(pkt)
+	c.host.Network().Send(pkt)
 }
 
 // inflight returns bytes sent but not yet acknowledged.
@@ -560,7 +569,7 @@ func (c *Conn) trySend() {
 			if c.inflight() >= wnd {
 				return
 			}
-			n := min(c.cfg.MSS, avail, int(wnd-c.inflight()))
+			n := min(c.mss, avail, int(wnd-c.inflight()))
 			// Zero-copy: hand out a capacity-capped sub-slice of sndBuf or
 			// of the borrowed tail. The tail is never written at all; sndBuf
 			// is safe because the head only advances on ACK, appends land
@@ -603,7 +612,7 @@ func (c *Conn) ensureRtx() {
 
 func (c *Conn) currentRTO() time.Duration {
 	rto := baseRTO
-	for i := 0; i < c.rtxBackoff; i++ {
+	for range c.rtxBackoff {
 		rto *= 2
 		if rto >= maxRTO {
 			return maxRTO
@@ -614,7 +623,7 @@ func (c *Conn) currentRTO() time.Duration {
 
 func (c *Conn) armRtx(d time.Duration) {
 	c.rtxTimer.Stop()
-	c.rtxTimer = c.net.Schedule(d, c.rtxFn)
+	c.rtxTimer = c.host.Network().Arm(d, (*rtxDue)(c))
 }
 
 func (c *Conn) onRtxTimeout() {
@@ -622,7 +631,7 @@ func (c *Conn) onRtxTimeout() {
 	if c.state == StateClosed {
 		return
 	}
-	if c.rtxBackoff >= c.cfg.MaxRetries {
+	if c.rtxBackoff >= c.maxRetries {
 		c.fail(ErrTimeout) // the last of tcp's frames to read c
 		return
 	}
@@ -640,10 +649,10 @@ func (c *Conn) onRtxTimeout() {
 	}
 	// Retransmit the oldest unacked segment; classic multiplicative decrease.
 	c.ssthresh = c.inflight() / 2
-	if min := uint32(2 * c.cfg.MSS); c.ssthresh < min {
+	if min := uint32(2 * c.mss); c.ssthresh < min {
 		c.ssthresh = min
 	}
-	c.cwnd = uint32(c.cfg.MSS)
+	c.cwnd = uint32(c.mss)
 	c.retransmitOldest()
 	c.armRtx(c.currentRTO())
 }
@@ -657,7 +666,7 @@ func (c *Conn) retransmitOldest() {
 	// peer window under one MSS cut it short) would draw an ACK that
 	// processAck rejects as out of range, every time.
 	rel := int(c.sndUna - c.bufSeq)
-	n := min(c.cfg.MSS, c.buffered()-rel, int(c.sndNxt-c.sndUna))
+	n := min(c.mss, c.buffered()-rel, int(c.sndNxt-c.sndUna))
 	if n <= 0 {
 		return
 	}
@@ -666,7 +675,7 @@ func (c *Conn) retransmitOldest() {
 	// below the append watermark) only has to hold for first
 	// transmissions. processAck recycles the copy once the cumulative
 	// ACK covers it.
-	seg := append(c.net.AllocBuf(n), c.stream(rel, n)...)
+	seg := append(c.host.Network().AllocBuf(n), c.stream(rel, n)...)
 	c.rtxBufs = append(c.rtxBufs, rtxBuf{end: c.sndUna + uint32(n), buf: seg})
 	c.sendSegment(netsim.FlagACK|netsim.FlagPSH, c.sndUna, c.rcvNxt, seg)
 }
@@ -679,7 +688,7 @@ func (c *Conn) retransmitOldest() {
 func (c *Conn) HandleSegment(pkt *netsim.Packet) {
 	c.busy = true
 	c.handleSegment(pkt)
-	c.net.ReleasePacket(pkt)
+	c.host.Network().ReleasePacket(pkt)
 	c.unwind()
 }
 
@@ -707,13 +716,13 @@ func (c *Conn) HandleSegmentBatch(pkts []*netsim.Packet) {
 		if j := c.bareAckRunEnd(pkts, i); j-i >= 2 {
 			c.processAckRun(pkts[i:j])
 			for _, p := range pkts[i:j] {
-				c.net.ReleasePacket(p)
+				c.host.Network().ReleasePacket(p)
 			}
 			i = j - 1
 			continue
 		}
 		c.handleSegment(pkts[i])
-		c.net.ReleasePacket(pkts[i])
+		c.host.Network().ReleasePacket(pkts[i])
 	}
 }
 
@@ -883,13 +892,13 @@ func (c *Conn) applyAck(ack uint32, growths int) {
 	}
 	if drop > 0 {
 		c.bufSeq += uint32(drop)
-		if past := c.sndHead + drop - len(c.sndBuf); past > 0 {
+		if past := int(c.sndHead) + drop - len(c.sndBuf); past > 0 {
 			drop -= past
 			c.trimTail(past)
 		}
-		c.sndHead += drop
+		c.sndHead += int32(drop)
 	}
-	if c.sndHead == len(c.sndBuf) && c.sndHead > 0 {
+	if int(c.sndHead) == len(c.sndBuf) && c.sndHead > 0 {
 		// Every owned byte is acknowledged, so the connection owns no send
 		// buffer until its next Write: the array goes back to the pool,
 		// where that Write — or another connection's — finds it warm. (An
@@ -900,7 +909,7 @@ func (c *Conn) applyAck(ack uint32, growths int) {
 		// entirely below the receiver's rcvNxt, and its bytes are trimmed
 		// without being read whoever overwrites them. The tail needs no
 		// such argument, nobody ever overwrites it.
-		c.sndBuf, c.sndHead = c.net.ReleaseBuf(c.sndBuf), 0
+		c.sndBuf, c.sndHead = c.host.Network().ReleaseBuf(c.sndBuf), 0
 	}
 	// Recycle retransmit copies the cumulative ACK now covers. Any
 	// still-in-flight duplicate referencing one is entirely below the
@@ -908,7 +917,7 @@ func (c *Conn) applyAck(ack uint32, growths int) {
 	if len(c.rtxBufs) > 0 {
 		i := 0
 		for i < len(c.rtxBufs) && seqLEQ(c.rtxBufs[i].end, c.sndUna) {
-			c.net.ReleaseBuf(c.rtxBufs[i].buf)
+			c.host.Network().ReleaseBuf(c.rtxBufs[i].buf)
 			c.rtxBufs[i].buf = nil
 			i++
 		}
@@ -919,9 +928,9 @@ func (c *Conn) applyAck(ack uint32, growths int) {
 	// Congestion window growth: slow start below ssthresh, else additive.
 	for i := 0; i < growths; i++ {
 		if c.cwnd < c.ssthresh {
-			c.cwnd += uint32(c.cfg.MSS)
+			c.cwnd += uint32(c.mss)
 		} else {
-			c.cwnd += uint32(c.cfg.MSS) * uint32(c.cfg.MSS) / c.cwnd
+			c.cwnd += uint32(c.mss) * uint32(c.mss) / c.cwnd
 		}
 	}
 	c.rtxTimer.Stop()
@@ -955,7 +964,9 @@ func (c *Conn) processData(pkt *netsim.Packet) {
 	}
 	if seq != c.rcvNxt {
 		// Out of order: park for reassembly. The slice is retained as-is
-		// (zero-copy); see reasmSeg for why that is safe.
+		// (zero-copy); see reasmSeg for why that is safe. An array the
+		// packet owned stays with the slice (KeepPayload).
+		pkt.KeepPayload()
 		c.stashReasm(reasmSeg{seq: seq, data: data, fin: fin})
 		return
 	}

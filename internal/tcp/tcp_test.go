@@ -267,7 +267,7 @@ func TestRetransmitAcrossBoundary(t *testing.T) {
 	}, DefaultConfig())
 	Dial(p.client, netsim.HostPort{IP: serverIP, Port: 80}, Callbacks{}, DefaultConfig())
 	// boundary is the stream offset at which the borrowed tail begins.
-	boundary := func() int { return int(srv.bufSeq-srv.iss-1) + len(srv.sndBuf) - srv.sndHead }
+	boundary := func() int { return int(srv.bufSeq-srv.iss-1) + len(srv.sndBuf) - int(srv.sndHead) }
 	p.net.RunFor(250 * time.Millisecond) // everything sent, all but the short segment acknowledged
 	start := 10*1460 - 300
 	if got := int(srv.sndUna - srv.iss - 1); !lost || got != start || boundary() != start+300 || srv.Retransmits != 0 {
@@ -373,14 +373,17 @@ func TestTeardownDropsBuffers(t *testing.T) {
 	}
 }
 
-// TestConnSizeClass: a Conn is 392 bytes, the two words of the
-// Callbacks.User interface included, and sits in the allocator's 416-byte
-// class with three words to spare: past 416 every connection costs 448.
+// TestConnSizeClass: a Conn, the two words of the Callbacks.User
+// interface included, fits the allocator's 320-byte size class. It keeps
+// of Config only what it reads after the handshake, reaches the network
+// through its host, arms its timers as their owner (rtxDue, probeDue)
+// and packs its one-byte fields into one word; past 320 every
+// connection costs 352.
 func TestConnSizeClass(t *testing.T) {
-	if sz := unsafe.Sizeof(Conn{}); sz > 416 {
-		t.Fatalf("tcp.Conn is %d bytes and has left the 416-byte size class: every connection now costs 448, "+
-			"which moves yodabench's held-failover heap_bytes_per_live_flow (two Conns per flow, bound 1%%) "+
-			"and BenchmarkIdleConnHeap's tcp_idle_conn_pair_heap_bytes", sz)
+	if sz := unsafe.Sizeof(Conn{}); sz > 320 {
+		t.Fatalf("tcp.Conn is %d bytes and has left the 320-byte size class: every connection now costs 352, "+
+			"which moves yodabench's held-failover heap_bytes_per_live_flow (two Conns per flow, bound 1%%), "+
+			"TestLiveFlowHeapLedger's flow_heap_bytes_tcp row and BenchmarkIdleConnHeap's tcp_idle_conn_pair_heap_bytes", sz)
 	}
 }
 
@@ -841,7 +844,7 @@ func TestSeqWraparoundTransfer(t *testing.T) {
 	// client side by dialing normally: the property test above plus a
 	// deterministic high-ISN unit test below cover the arithmetic.
 	_ = got
-	conn := &Conn{cfg: DefaultConfig()}
+	conn := &Conn{mss: DefaultConfig().MSS}
 	conn.iss = 0xFFFFFFF0
 	conn.sndUna = conn.iss + 1
 	conn.sndNxt = conn.iss + 1

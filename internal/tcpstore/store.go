@@ -102,10 +102,11 @@ type Store struct {
 	Stats Stats
 }
 
-// multiOp is the pooled in-flight state of one Set, SetMulti or Delete.
-// Set is the one-entry write and reports through errCb. A Delete reports
-// through errCb too (which may then be nil): every replica must answer,
-// and a reply acks every key of its command.
+// multiOp is the pooled in-flight state of one Set, SetMulti or Delete,
+// and the owner of its OpTimeout timer (Fire). Set is the one-entry write
+// and reports through errCb. A Delete reports through errCb too (which
+// may then be nil): every replica must answer, and a reply acks every key
+// of its command.
 type multiOp struct {
 	store     *Store
 	del       bool
@@ -117,7 +118,16 @@ type multiOp struct {
 	done      bool
 	res       SetResult
 	timer     netsim.Timer
-	timeoutFn func() // pre-bound OpTimeout callback
+}
+
+// Fire times the operation out.
+func (op *multiOp) Fire() {
+	if op.done {
+		return
+	}
+	op.done = true
+	op.store.Stats.Timeouts++
+	op.resolve(true)
 }
 
 // batchState is one command of an operation: the records routed to one
@@ -158,14 +168,6 @@ func (s *Store) takeOp() *multiOp {
 		s.freeOps = s.freeOps[:n-1]
 	} else {
 		op = &multiOp{store: s}
-		op.timeoutFn = func() {
-			if op.done {
-				return
-			}
-			op.done = true
-			op.store.Stats.Timeouts++
-			op.resolve(true)
-		}
 	}
 	op.batches = op.batches[:0]
 	op.delivered = 0
@@ -431,7 +433,7 @@ func (s *Store) issue(op *multiOp, entries []Entry) {
 	}
 	s.Stats.RoundTrips += uint64(len(op.batches))
 	if s.cfg.OpTimeout > 0 {
-		op.timer = s.host.Network().Schedule(s.cfg.OpTimeout, op.timeoutFn)
+		op.timer = s.host.Network().Arm(s.cfg.OpTimeout, op)
 	}
 	// Issue phase. The connection encodes keys and values into its own
 	// buffers before returning, so the entries' slices are not retained.
@@ -475,7 +477,7 @@ func (s *Store) Get(key []byte, cb func(value []byte, ok bool, err error)) {
 	op := s.takeGetOp()
 	op.cb, op.n = cb, len(replicas)
 	if s.cfg.OpTimeout > 0 {
-		op.timer = s.host.Network().Schedule(s.cfg.OpTimeout, op.timeoutFn)
+		op.timer = s.host.Network().Arm(s.cfg.OpTimeout, op)
 	}
 	for _, server := range replicas {
 		s.conn(server).Get(key, op.replyFn)
@@ -483,8 +485,9 @@ func (s *Store) Get(key []byte, cb func(value []byte, ok bool, err error)) {
 	s.putPickBuf(replicas)
 }
 
-// getOp is the pooled in-flight state of one Get, its reply and timeout
-// callbacks bound once, as a multiOp's are. It is recycled once every
+// getOp is the pooled in-flight state of one Get, its reply callback
+// bound once, and the owner of its OpTimeout timer (Fire), as a multiOp
+// is. It is recycled once every
 // replica has answered or failed, never earlier: a late reply must not
 // reach the op's next Get.
 type getOp struct {
@@ -495,7 +498,6 @@ type getOp struct {
 	done         bool
 	timer        netsim.Timer
 	replyFn      func(memcache.SimResult)
-	timeoutFn    func()
 }
 
 func (s *Store) takeGetOp() *getOp {
@@ -505,7 +507,7 @@ func (s *Store) takeGetOp() *getOp {
 		return op
 	}
 	op := &getOp{store: s}
-	op.replyFn, op.timeoutFn = op.reply, op.timeout
+	op.replyFn = op.reply
 	return op
 }
 
@@ -524,7 +526,7 @@ func (op *getOp) recycleIfDelivered() {
 		return
 	}
 	s := op.store
-	*op = getOp{store: s, replyFn: op.replyFn, timeoutFn: op.timeoutFn}
+	*op = getOp{store: s, replyFn: op.replyFn}
 	if len(s.freeGets) < 32 {
 		s.freeGets = append(s.freeGets, op)
 	}
@@ -558,7 +560,8 @@ func (op *getOp) reply(r memcache.SimResult) {
 
 // timeout resolves the op at OpTimeout with what has answered: a clean
 // miss if a reachable replica said "no such key", else a failure.
-func (op *getOp) timeout() {
+// Fire times the Get out.
+func (op *getOp) Fire() {
 	if op.done {
 		return
 	}

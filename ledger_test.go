@@ -85,17 +85,9 @@ func TestRequestAllocLedger(t *testing.T) {
 // profile has them, by the innermost internal package on each stack, and
 // under newFlowRow those core's newFlow made.
 func allocsByLayer() map[string]int {
-	for range 3 { // the profile publishes a cycle's allocations two cycles on
-		runtime.GC()
-	}
-	n, _ := runtime.MemProfile(nil, true)
-	recs := make([]runtime.MemProfileRecord, n+64)
-	n, ok := runtime.MemProfile(recs, true)
-	if !ok {
-		panic("memory profile grew past its buffer")
-	}
 	by := map[string]int{}
-	for _, r := range recs[:n] {
+	recs, _ := profile()
+	for _, r := range recs {
 		if layer := layerOf(r.Stack()); layer != "" {
 			by[layer] += int(r.AllocObjects)
 			if onStack(r.Stack(), "repro/internal/core.(*Instance).newFlow") {
@@ -106,8 +98,28 @@ func allocsByLayer() map[string]int {
 	return by
 }
 
+// profile returns the memory profile's records, brought up to date by
+// three collections, and runtime.MemStats.HeapAlloc as the collections
+// left it, before the records' own array. Under MemProfileRate 1 the
+// profile holds every allocation but the tiny ones packed into a block
+// another made.
+func profile() ([]runtime.MemProfileRecord, uint64) {
+	for range 3 { // the profile publishes a cycle's allocations two cycles on
+		runtime.GC()
+	}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	n, _ := runtime.MemProfile(nil, true)
+	recs := make([]runtime.MemProfileRecord, n+64)
+	n, ok := runtime.MemProfile(recs, true)
+	if !ok {
+		panic("memory profile grew past its buffer")
+	}
+	return recs[:n], ms.HeapAlloc
+}
+
 // newFlowRow is allocsByLayer's count of the objects core's newFlow made
-// (the flow and its bound timers), which its core row includes.
+// (the flow), which its core row includes.
 const newFlowRow = "newFlow"
 
 // onStack reports whether fn is a frame of stack.
@@ -128,7 +140,7 @@ func onStack(stack []uintptr, fn string) bool {
 // with no layer on it. A helper package that is no layer (metrics, say)
 // is passed over: its allocation is its caller's. An allocation no frame
 // of the module made (the runtime's, the testing package's) is no
-// request's, and nor are the ledger's own in allocsByLayer: "".
+// request's, and nor are the ledger's own (ledgerFuncs): "".
 func layerOf(stack []uintptr) string {
 	frames := runtime.CallersFrames(stack)
 	layer := ""
@@ -136,7 +148,7 @@ func layerOf(stack []uintptr) string {
 		var f runtime.Frame
 		f, more = frames.Next()
 		switch rest, internal := strings.CutPrefix(f.Function, "repro/internal/"); {
-		case strings.HasSuffix(f.Function, ".allocsByLayer"):
+		case slices.Contains(ledgerFuncs, f.Function):
 			return ""
 		case internal && (layer == "" || layer == "other"):
 			if pkg, _, _ := strings.Cut(rest, "."); slices.Contains(ledgerLayers, pkg) {
@@ -148,6 +160,10 @@ func layerOf(stack []uintptr) string {
 	}
 	return layer
 }
+
+// ledgerFuncs are the ledger's own functions, whose allocations are no
+// layer's.
+var ledgerFuncs = []string{"repro_test.profile", "repro_test.allocsByLayer", "repro_test.heapByLayer"}
 
 // TestAdoptionAllocLedger is the allocation ledger of one adoption
 // (DESIGN.md, "What an adoption allocates"): a warm bed of four
@@ -186,13 +202,71 @@ func TestAdoptionAllocLedger(t *testing.T) {
 			if math.Abs(sum-l.total) > 1e-9 {
 				t.Fatalf("the ledger's rows sum to %.2f allocations per adoption, runtime/metrics counts %.2f", sum, l.total)
 			}
-			// A paper-mode adoption allocates the flow it creates and the
-			// array of the payload it relays, and at most one more object.
-			if mode == "paper" && l.total > l.newFlow+2 {
-				t.Errorf("an adoption allocates %.2f objects, %.2f of them newFlow's: more than 2 beyond the flow", l.total, l.newFlow)
+			// A paper-mode adoption allocates the flow it creates and at
+			// most one more object: the payload it relays takes the parked
+			// copy's array on (netsim.MovePayload).
+			if mode == "paper" && l.total > l.newFlow+1 {
+				t.Errorf("an adoption allocates %.2f objects, %.2f of them newFlow's: more than 1 beyond the flow", l.total, l.newFlow)
 			}
 		})
 	}
+}
+
+// TestLiveFlowHeapLedger is the heap ledger of one idle keep-alive flow
+// (DESIGN.md, "What a live flow holds"): on the adoption bed in paper
+// mode, past a first 256 held flows that take every spare connection
+// and flow object the warm-up left, 2,048 more keep-alive flows fetch
+// once and stay open, and the heap they hold is charged, from the
+// profile's bytes in use, to the layer that allocated it (layerOf;
+// "other" is the test's own client objects). The rows must sum to
+// runtime.MemStats.HeapAlloc's growth per flow within heapLedgerSlack:
+// the profile cannot see a tiny allocation packed into a block another
+// made, nor the runtime's own, which no layer made. It logs "ledger
+// flow_heap_bytes_<layer>" and the total "ledger flow_heap_bytes", per
+// flow, which scripts/bench.sh records and ci.sh gates: a rise in the
+// total names its layer. yodabench's held-failover
+// heap_bytes_per_live_flow measures the same flows end to end.
+func TestLiveFlowHeapLedger(t *testing.T) {
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	const flows = 2048
+	b := newAdoptionBed(false)
+	b.openAll(256)
+	before, heap0 := heapByLayer()
+	b.openHeld(flows, 100*time.Microsecond) // held-failover's ramp pace
+	after, heap1 := heapByLayer()
+	runtime.KeepAlive(b)
+
+	total := float64(heap1-heap0) / flows
+	sum := 0.0
+	for _, layer := range ledgerLayers {
+		row := float64(after[layer]-before[layer]) / flows
+		t.Logf("ledger flow_heap_bytes_%s %.0f", layer, row)
+		sum += row
+	}
+	t.Logf("ledger flow_heap_bytes %.0f", total)
+	if math.Abs(sum-total) > heapLedgerSlack*total {
+		t.Fatalf("the ledger's rows sum to %.0f heap bytes per live flow, HeapAlloc grew %.0f: more than %.0f%% apart",
+			sum, total, 100*heapLedgerSlack)
+	}
+}
+
+// heapLedgerSlack is how far apart, as a fraction of the total,
+// TestLiveFlowHeapLedger lets its rows and HeapAlloc's growth be.
+const heapLedgerSlack = 0.01
+
+// heapByLayer returns the heap bytes in use, as the memory profile has
+// them, by the innermost internal package on each stack, and HeapAlloc
+// (profile).
+func heapByLayer() (map[string]int64, uint64) {
+	recs, heap := profile()
+	by := map[string]int64{}
+	for _, r := range recs {
+		if layer := layerOf(r.Stack()); layer != "" {
+			by[layer] += r.InUseBytes()
+		}
+	}
+	return by, heap
 }
 
 // adoptionRows are the adoption ledger's rows: the request ledger's
@@ -339,24 +413,39 @@ func newAdoptionBed(hybrid bool) *adoptionBed {
 // openAll warms the bed with 64 flows that fetch once and close, then
 // opens n keep-alive flows that fetch once and stay open.
 func (b *adoptionBed) openAll(n int) {
-	for i := range 64 + n {
-		f := &adoptionFlow{}
-		b.waiting++
-		f.conn = tcp.Dial(b.hosts[i%len(b.hosts)], b.vip, tcp.Callbacks{
-			OnEstablished: func(c *tcp.Conn) { c.Write(b.req) },
-			OnData:        func(c *tcp.Conn, data []byte) { b.onData(f, data) },
-			OnPeerClose:   func(c *tcp.Conn) { c.Close() },
-			OnFail:        func(*tcp.Conn, error) { b.failed++ },
-		}, tcp.DefaultConfig())
-		if i < 64 {
-			b.settle()
-			f.conn.Close()
-			continue
+	for i := range 64 {
+		f := b.dial(i)
+		b.settle()
+		f.conn.Close()
+	}
+	b.openHeld(n, 0)
+}
+
+// openHeld opens n more keep-alive flows that fetch once and stay open,
+// pace apart (at once if 0), and runs on until every close before them
+// has lingered out.
+func (b *adoptionBed) openHeld(n int, pace time.Duration) {
+	for range n {
+		b.flows = append(b.flows, b.dial(len(b.flows)))
+		if pace > 0 {
+			b.c.Net.RunFor(pace)
 		}
-		b.flows = append(b.flows, f)
 	}
 	b.settle()
-	b.c.Net.RunFor(5 * time.Second) // the warm flows' closes linger out
+	b.c.Net.RunFor(5 * time.Second)
+}
+
+// dial opens flow i, from client host i mod 8, and sends its request.
+func (b *adoptionBed) dial(i int) *adoptionFlow {
+	f := &adoptionFlow{}
+	b.waiting++
+	f.conn = tcp.Dial(b.hosts[i%len(b.hosts)], b.vip, tcp.Callbacks{
+		OnEstablished: func(c *tcp.Conn) { c.Write(b.req) },
+		OnData:        func(c *tcp.Conn, data []byte) { b.onData(f, data) },
+		OnPeerClose:   func(c *tcp.Conn) { c.Close() },
+		OnFail:        func(*tcp.Conn, error) { b.failed++ },
+	}, tcp.DefaultConfig())
+	return f
 }
 
 func (b *adoptionBed) onData(f *adoptionFlow, data []byte) {

@@ -96,6 +96,12 @@ for mode in paper hybrid; do
 done
 want "${ADOPTION_FIELDS[@]}" &&
   go test -count=1 -run '^TestAdoptionAllocLedger$' -v . | tee -a "$MICRO_LOG"
+# The heap ledger: heap bytes one idle keep-alive flow holds, in total
+# (HeapAlloc's growth) and charged layer by layer (ledger_test.go); the
+# rows sum to the total within the test's stated slack.
+HEAP_FIELDS=(flow_heap_bytes "${LEDGER_ROWS[@]/#/flow_heap_bytes_}")
+want "${HEAP_FIELDS[@]}" &&
+  go test -count=1 -run '^TestLiveFlowHeapLedger$' -v . | tee -a "$MICRO_LOG"
 # mflow's storm, both modes: virtual time from each orphan's probe send
 # to the first response byte its adopter forwarded (the summary's "storm
 # probe to first byte" line, in ms; a live flow's probe takes 60.6 ms).
@@ -176,14 +182,14 @@ HTTP_MARSHAL_B="$(metric "$MICRO_LOG" BenchmarkMarshal512K B/op)"
 CLIENT_FETCH_B="$(metric "$MICRO_LOG" 'BenchmarkClientFetch/512k' B/op)"
 
 jsonnum() { [[ -n "${1:-}" ]] && echo "$1" || echo "null"; }
-# ledger <field>: one row (or the total) of the request ledger.
+# ledger <field>: one row (or the total) of a ledger test.
 ledger() { awk -v k="$1" '$2 == "ledger" && $3 == k { print $4; exit }' "$MICRO_LOG"; }
 LEDGER_JSON=""
 for row in "${LEDGER_ROWS[@]}"; do
   [[ -n "$LEDGER_JSON" ]] && LEDGER_JSON+=$'\n'
   LEDGER_JSON+="    \"request_allocs_$row\": $(jsonnum "$(ledger "request_allocs_$row")"),"
 done
-for field in "${ADOPTION_FIELDS[@]}"; do
+for field in "${ADOPTION_FIELDS[@]}" "${HEAP_FIELDS[@]}"; do
   LEDGER_JSON+=$'\n'"    \"$field\": $(jsonnum "$(ledger "$field")"),"
 done
 # storm <mode> <quantile>: one figure of mflow's storm line, in ms.

@@ -6,8 +6,10 @@
 #   1. bench regression gate  the seven wall-clock figures against the base
 #                             commit, built and run in this same run; the
 #                             six exact figures (the request ledger's with
-#                             each of its layer rows) and the adoption
-#                             ledger's four against BENCH_core.json.
+#                             each of its layer rows), the adoption
+#                             ledger's four and the live-flow heap
+#                             ledger's total and rows against
+#                             BENCH_core.json.
 #                             First, while the box is cold: behind the race
 #                             and fuzz stages the same binaries read 30-60 %
 #                             slower
@@ -31,6 +33,9 @@
 #                             compiles yodabench against this tree
 #   7. figure golden          `yodasim -exp all -seed 1` is
 #                             byte-identical to the checked-in 655 lines
+#      figure claims, seeds 2-5
+#                             TestFigureClaims' verdict on each figure at
+#                             seeds 2 to 5, printed per seed
 #   8. mflow hybrid           `yodasim -exp mflow -recovery hybrid` (32,768
 #                             flows, 2 of 8 instances killed) ends PASS:
 #                             every orphan adopted once, and no flow
@@ -55,7 +60,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== bench regression gate (wall clock: median of 5 pairs vs the base commit, >15% fails; exact: >15% vs BENCH_core.json fails, any rise of the round-trip or request-allocation count) =="
+echo "== bench regression gate (wall clock: median of 5 pairs vs the base commit, >15% fails; exact: >15% vs BENCH_core.json fails, any rise of the round-trip count or of a ledger row) =="
 # The box this runs on swings 2x within an hour, so a wall-clock figure
 # recorded on another day gates nothing: the parent itself failed such
 # gates. The seven wall-clock figures — event loop and 64k-backlog timer
@@ -81,7 +86,8 @@ echo "== bench regression gate (wall clock: median of 5 pairs vs the base commit
 # it). `scripts/bench.sh --only
 # tcp_static_512k_B_op,tcp_idle_conn_pair_heap_bytes,client_fetch_512k_B_op,storage_roundtrips_per_flow_paper,request_allocs,mflow_mem_bytes_per_flow`
 # (and the adoption ledger's four gated figures, below, with
-# `--only adoption_allocs_paper,adoption_allocs_hybrid,adoption_store_cmds_paper,adoption_store_cmds_hybrid`)
+# `--only adoption_allocs_paper,adoption_allocs_hybrid,adoption_store_cmds_paper,adoption_store_cmds_hybrid`,
+# and the heap ledger's with `--only flow_heap_bytes`)
 # re-records just those after an intentional change.
 #
 # gate <label> <unit> <new> <recorded> lower|higher: fail when new is more
@@ -176,6 +182,19 @@ NEW_RT_PAPER=$(cd internal/core && "$GATE_DIR/new/core.test" -test.run '^$' -tes
 awk -v new="$NEW_RT_PAPER" -v rec="$(recorded storage_roundtrips_per_flow_paper)" 'BEGIN{
   if (new == "" || new+0 > rec+0) { printf "FAIL: store round trips per paper flow %s vs recorded %s (any rise fails)\n", new, rec; exit 1 }
   printf "store round trips per paper flow %s vs recorded %s: ok\n", new, rec }' || exit 1
+# no_rise <log> <field>...: fail when a "ledger <field> <value>" line of
+# log is missing or its value is above the field's BENCH_core.json record.
+no_rise() {
+  local log=$1 field
+  shift
+  for field; do
+    awk -v new="$(awk -v k="$field" '$2 == "ledger" && $3 == k { print $4 }' <<< "$log")" \
+        -v rec="$(recorded "$field")" -v label="$field" 'BEGIN{
+      if (new == "" || new+0 > rec+0) { printf "FAIL: %s %s vs recorded %s (any rise fails)\n", label, new, rec; exit 1 }
+      printf "%s %s vs recorded %s: ok\n", label, new, rec }' || exit 1
+  done
+}
+LAYERS=(netsim l4lb core tcp tcpstore memcache httpsim other)
 # So is the request ledger — objects one warm 2 KiB request allocates
 # through the real stack (ledger_test.go) — and a rise of its total or of
 # any layer's row fails as well, so an allocation that moves between
@@ -183,25 +202,22 @@ awk -v new="$NEW_RT_PAPER" -v rec="$(recorded storage_roundtrips_per_flow_paper)
 # its rows sum to the total.
 REQUEST_LOG=$(go test -count=1 -run '^TestRequestAllocLedger$' -v .) ||
   { printf '%s\n' "$REQUEST_LOG"; echo 'FAIL: TestRequestAllocLedger'; exit 1; }
-for field in request_allocs request_allocs_{netsim,l4lb,core,tcp,tcpstore,memcache,httpsim,other}; do
-  awk -v new="$(awk -v k="$field" '$2 == "ledger" && $3 == k { print $4 }' <<< "$REQUEST_LOG")" \
-      -v rec="$(recorded "$field")" -v label="$field" 'BEGIN{
-    if (new == "" || new+0 > rec+0) { printf "FAIL: %s %s vs recorded %s (any rise fails)\n", label, new, rec; exit 1 }
-    printf "%s %s vs recorded %s: ok\n", label, new, rec }' || exit 1
-done
+no_rise "$REQUEST_LOG" request_allocs "${LAYERS[@]/#/request_allocs_}"
 # And the adoption ledger's (ledger_test.go): objects and store commands
 # one adoption costs beyond a no-kill probe, per recovery mode, exact
 # counts of the simulation. Any rise fails; the test itself fails unless
-# its rows sum to its total and a paper adoption stays within 2 objects
+# its rows sum to its total and a paper adoption stays within 1 object
 # of the flow it creates.
 ADOPTION_LOG=$(go test -count=1 -run '^TestAdoptionAllocLedger$' -v .) ||
   { printf '%s\n' "$ADOPTION_LOG"; echo 'FAIL: TestAdoptionAllocLedger'; exit 1; }
-for field in adoption_allocs_paper adoption_allocs_hybrid adoption_store_cmds_paper adoption_store_cmds_hybrid; do
-  awk -v new="$(awk -v k="$field" '$2 == "ledger" && $3 == k { print $4 }' <<< "$ADOPTION_LOG")" \
-      -v rec="$(recorded "$field")" -v label="$field" 'BEGIN{
-    if (new == "" || new+0 > rec+0) { printf "FAIL: %s %s vs recorded %s (any rise fails)\n", label, new, rec; exit 1 }
-    printf "%s %s vs recorded %s: ok\n", label, new, rec }' || exit 1
-done
+no_rise "$ADOPTION_LOG" adoption_allocs_paper adoption_allocs_hybrid adoption_store_cmds_paper adoption_store_cmds_hybrid
+# And the heap ledger's (ledger_test.go): heap bytes one idle keep-alive
+# flow holds, in total and per layer, which the simulation makes the same
+# on every run of a tree. Any rise fails; the test itself fails unless
+# its rows sum to HeapAlloc's growth within the slack it states.
+HEAP_LOG=$(go test -count=1 -run '^TestLiveFlowHeapLedger$' -v .) ||
+  { printf '%s\n' "$HEAP_LOG"; echo 'FAIL: TestLiveFlowHeapLedger'; exit 1; }
+no_rise "$HEAP_LOG" flow_heap_bytes "${LAYERS[@]/#/flow_heap_bytes_}"
 
 echo "== format + vet clean sweep (gofmt -s -l, go vet ./...) =="
 # Formatting drift and vet findings are the cheapest checks in the file;
@@ -312,6 +328,19 @@ echo "== figure golden (yodasim -exp all -seed 1 vs testdata/all_seed1.golden) =
 # function of the code alone: any diff here is a behaviour change that has
 # to be explained, and a re-recorded golden is part of that change.
 go run ./cmd/yodasim -exp all -seed 1 | diff - internal/experiments/testdata/all_seed1.golden
+
+echo "== figure claims at seeds 2-5 (TestFigureClaims -claims.output, verdicts printed per seed) =="
+# The golden pins seed 1; EXPERIMENTS.md reports every verdict at seeds
+# 1-5 and names a verdict that flips between them. Each seed's output is
+# judged by the same checks; a check whose line is missing fails, a
+# verdict is only printed.
+go build -o "$GATE_DIR/yodasim" ./cmd/yodasim
+for seed in 2 3 4 5; do
+  "$GATE_DIR/yodasim" -exp all -seed "$seed" > "$GATE_DIR/all_seed$seed"
+  CLAIMS_LOG=$(go test -count=1 -run '^TestFigureClaims$' -v ./internal/experiments/ -claims.output="$GATE_DIR/all_seed$seed") ||
+    { printf '%s\n' "$CLAIMS_LOG"; echo "FAIL: TestFigureClaims at seed $seed"; exit 1; }
+  awk -v seed="$seed" '$2 == "verdict" { $1 = $2 = ""; sub(/^ +/, ""); print "seed " seed ": " $0 }' <<< "$CLAIMS_LOG"
+done
 
 echo "== mflow hybrid (yodasim -exp mflow -recovery hybrid must end PASS) =="
 # Hybrid recovery at scale: every flow of a two-instance storm is adopted

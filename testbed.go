@@ -103,12 +103,13 @@ func (tb *Testbed) Fetch(vip netsim.IP, path string) *httpsim.FetchResult {
 	return res
 }
 
-// FetchAsync starts a fetch and returns immediately; done fires inside
-// the event loop when the fetch resolves, and the result is valid only
-// until it returns (see httpsim.Client.Fetch).
+// FetchAsync starts a fetch from the testbed's client, as Fetch does,
+// and returns immediately; done fires inside the event loop when the
+// fetch resolves, and the result is valid only until it returns (see
+// httpsim.Client.Fetch). Fetches in flight at once each have their own
+// connection.
 func (tb *Testbed) FetchAsync(vip netsim.IP, path string, done func(*httpsim.FetchResult)) {
-	cl := tb.Cluster.NewClient(httpsim.DefaultClientConfig())
-	cl.Get(netsim.HostPort{IP: vip, Port: 80}, path, done)
+	tb.client.Get(netsim.HostPort{IP: vip, Port: 80}, path, done)
 }
 
 // KillInstance fails Yoda instance i; the controller's monitor will

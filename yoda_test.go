@@ -47,6 +47,35 @@ func TestTestbedSurvivesInstanceFailure(t *testing.T) {
 	}
 }
 
+// TestFetchAsyncAttachesNoHost: every fetch of the testbed comes from its
+// one client, so a pump of asynchronous fetches (yodactl serve starts one
+// every 50 ms) attaches no host per fetch, and a long run never wraps the
+// cluster's client addresses onto hosts already attached. Two client
+// hosts made around the pump are consecutive.
+func TestFetchAsyncAttachesNoHost(t *testing.T) {
+	tb := yoda.NewTestbed(yoda.TestbedConfig{Seed: 3, DisableController: true})
+	defer tb.Close()
+	vip := tb.AddService("svc", map[string][]byte{"/x": []byte("y")}, 2)
+	before := tb.Cluster.ClientHost().IP()
+	const fetches = 200
+	ok := 0
+	for range fetches {
+		tb.FetchAsync(vip, "/x", func(r *yoda.FetchResult) {
+			if r.Err == nil && string(r.Resp.Body) == "y" {
+				ok++
+			}
+		})
+		tb.Run(50 * time.Millisecond)
+	}
+	tb.Run(5 * time.Second)
+	if after := tb.Cluster.ClientHost().IP(); after != before+1<<8 {
+		t.Errorf("%d asynchronous fetches attached hosts: the client host made before them is %v, the one after %v", fetches, before, after)
+	}
+	if ok != fetches {
+		t.Errorf("%d of %d asynchronous fetches succeeded", ok, fetches)
+	}
+}
+
 func TestTestbedPolicyText(t *testing.T) {
 	tb := yoda.NewTestbed(yoda.TestbedConfig{Seed: 3})
 	defer tb.Close()
