@@ -368,8 +368,6 @@ var writeOnlyAllowlist = map[string]string{
 	"reconfig.Wave.PlannedMigratedFrac": "TestPlanInvariantsOverTraceDay: no unforced wave migrates more than δ",
 	"reconfig.Wave.Forced":              "TestPlanInvariantsOverTraceDay: only a forced wave may breach the caps",
 	"rules.Decision.Rule":               "FuzzSelectDifferential holds the indexed select to SelectLinear, rule included",
-	"tcp.Conn.BytesSent":                "FuzzBatchDispatchDifferential compares batch and scalar conns byte for byte",
-	"tcp.Conn.BytesRecv":                "FuzzBatchDispatchDifferential compares batch and scalar conns byte for byte",
 	"tcpstore.Stats.Deletes":            "TestDeleteUnderReplicaFailure counts the deletes a failing replica set resolves",
 	"tcpstore.SetResult.Acked":          "TestSetMultiReplicatesEveryEntry: every entry acked by each of its replicas",
 }

@@ -270,7 +270,7 @@ func (ct *Controller) Start() {
 func (ct *Controller) Stop() {
 	ct.running = false
 	for _, t := range ct.timers {
-		t.Stop()
+		ct.C.Net.Stop(t)
 	}
 }
 

@@ -1,11 +1,20 @@
 package core
 
-import "repro/internal/netsim"
+import (
+	"math/bits"
+
+	"repro/internal/netsim"
+)
 
 // PendingQueues and SNATPortsInUse let the external kill sweep check that
 // no recovery queue and no SNAT port outlives the flows that needed them.
-func (in *Instance) PendingQueues() int  { return len(in.pending) }
-func (in *Instance) SNATPortsInUse() int { return len(in.snatInUse) }
+func (in *Instance) PendingQueues() int { return len(in.pending) }
+func (in *Instance) SNATPortsInUse() (n int) {
+	for _, w := range in.snatInUse {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
 
 // FlowInfo is a snapshot of one live flow, for the hybrid tests: the
 // differential oracle compares these against the stateless derivation.

@@ -381,7 +381,7 @@ func (f *flow) dialBase() uint32 {
 func (in *Instance) sendServerSyn(f *flow) {
 	in.l4.SendViaSNAT(in.packet(f.snat, f.server, netsim.FlagSYN, f.dialBase()-1, 0, advWindow), in.IP())
 	f.dialTries++
-	f.dialTimer.Stop()
+	in.net.Stop(f.dialTimer)
 	f.dialTimer = in.net.Arm(3*time.Second, (*flowDue)(f))
 }
 
@@ -415,7 +415,7 @@ func (in *Instance) serverHandshakePacket(f *flow, pkt *netsim.Packet) {
 	if !pkt.Flags.Has(netsim.FlagSYN|netsim.FlagACK) || pkt.Ack != f.dialBase() || f.dialTries == 0 {
 		return // stale handshake
 	}
-	f.dialTimer.Stop()
+	in.net.Stop(f.dialTimer)
 	f.dialTries = 0
 	f.s = pkt.Seq
 	// Translation: the backend's first data byte (S+1) must surface at the
@@ -631,9 +631,9 @@ func (in *Instance) unlink(f *flow) {
 	if f.server.IP != 0 {
 		in.flows.del(f.serverTuple(), f)
 	}
-	f.idleTimer.Stop()
-	f.dialTimer.Stop()
-	f.lingerTimer.Stop()
+	in.net.Stop(f.idleTimer)
+	in.net.Stop(f.dialTimer)
+	in.net.Stop(f.lingerTimer)
 }
 
 // armIdle starts the flow's idle timer: it comes round every

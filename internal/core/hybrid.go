@@ -129,7 +129,7 @@ func (in *Instance) resolveQueue(tuple netsim.FourTuple, q *pendingQueue) ([]*ne
 	queued := q.pkts
 	delete(in.pending, tuple)
 	in.pendingTotal -= len(queued)
-	q.expire.Stop()
+	in.net.Stop(q.expire)
 	return queued, true
 }
 

@@ -87,7 +87,7 @@ type Instance struct {
 	pending      map[netsim.FourTuple]*pendingQueue // packets awaiting a TCPStore lookup
 	pendingTotal int                                // packets across all pending queues
 	snatNext     uint16
-	snatInUse    map[uint16]bool
+	snatInUse    portSet // the SNAT range's ports a flow holds
 	dead         bool
 
 	CPU *metrics.CPUMeter
@@ -160,7 +160,7 @@ func NewInstance(host *netsim.Host, lb *l4lb.LB, store *tcpstore.Store, cfg Conf
 		tlsIdents:  make(map[netsim.IP]*securesim.Identity),
 		pending:    make(map[netsim.FourTuple]*pendingQueue),
 		snatNext:   cfg.SNATBase,
-		snatInUse:  make(map[uint16]bool),
+		snatInUse:  newPortSet(cfg.SNATCount),
 		CPU:        metrics.NewCPUMeter(cfg.Cores),
 		StorageLat: metrics.NewDurationHistogram(),
 		ConnLat:    metrics.NewDurationHistogram(),
@@ -170,7 +170,7 @@ func NewInstance(host *netsim.Host, lb *l4lb.LB, store *tcpstore.Store, cfg Conf
 	inst.abandonFn = func(f *flow, _ error) { inst.teardown(f) }
 	inst.unpersistedFn = func(f *flow, _ error) { inst.reject(f, 503, "flow state not persisted") }
 	inst.flows.init()
-	host.Default = inst
+	host.SetDefault(inst)
 	return inst
 }
 
@@ -350,10 +350,11 @@ func isnHash(client, vip netsim.HostPort) uint32 {
 // rather than reuse: handing a live flow's port to a second flow makes
 // both map to the same backend tuple and corrupts the SNAT table.
 func (in *Instance) allocSNATPort() (port uint16, ok bool) {
-	for i := uint16(0); i < in.cfg.SNATCount; i++ {
-		p := in.cfg.SNATBase + (in.snatNext-in.cfg.SNATBase+i)%in.cfg.SNATCount
-		if !in.snatInUse[p] {
-			in.snatInUse[p] = true
+	n, start := int(in.cfg.SNATCount), int(in.snatNext-in.cfg.SNATBase)
+	for i := range n {
+		if j := (start + i) % n; !in.snatInUse.has(j) {
+			in.snatInUse.add(j)
+			p := in.cfg.SNATBase + uint16(j)
 			in.snatNext = p + 1
 			return p, true
 		}
@@ -367,15 +368,37 @@ func (in *Instance) allocSNATPort() (port uint16, ok bool) {
 // layer predicts; a flow that had to fall back simply fails the write-time
 // self-check and stays persisted.
 func (in *Instance) allocSNATPortPreferred(pref uint16) (port uint16, ok bool) {
-	if pref >= in.cfg.SNATBase && uint32(pref) < uint32(in.cfg.SNATBase)+uint32(in.cfg.SNATCount) &&
-		!in.snatInUse[pref] {
-		in.snatInUse[pref] = true
+	if j, ok := in.snatIndex(pref); ok && !in.snatInUse.has(j) {
+		in.snatInUse.add(j)
 		return pref, true
 	}
 	return in.allocSNATPort()
 }
 
-func (in *Instance) releaseSNATPort(p uint16) { delete(in.snatInUse, p) }
+// releaseSNATPort frees p, if this instance's range holds it: an adopted
+// flow's port lies in its dead owner's.
+func (in *Instance) releaseSNATPort(p uint16) {
+	if j, ok := in.snatIndex(p); ok {
+		in.snatInUse.remove(j)
+	}
+}
+
+// snatIndex returns p's index in the instance's SNAT range, and whether
+// the range holds p.
+func (in *Instance) snatIndex(p uint16) (int, bool) {
+	j := int(p) - int(in.cfg.SNATBase)
+	return j, j >= 0 && j < int(in.cfg.SNATCount)
+}
+
+// portSet is a set of indexes into the SNAT range, one bit each: an
+// array the size of the range instead of a map that grows with the flows.
+type portSet []uint64
+
+func newPortSet(size uint16) portSet { return make(portSet, (int(size)+63)/64) }
+
+func (s portSet) has(i int) bool { return s[i/64]&(1<<(i%64)) != 0 }
+func (s portSet) add(i int)      { s[i/64] |= 1 << (i % 64) }
+func (s portSet) remove(i int)   { s[i/64] &^= 1 << (i % 64) }
 
 // handlePacket is the packet driver entry point: every balanced packet
 // the L4 LB forwards to this instance lands here (memcached traffic is

@@ -147,12 +147,13 @@ func TestOneLifecycleSeam(t *testing.T) {
 	}
 }
 
-// TestFlowSizeClass: the stateless bit rides in padding, so a flow still
-// fits the 288-byte size class; one more word moves every flow to the
-// next class.
+// TestFlowSizeClass: a flow fits the allocator's 240-byte size class:
+// its bools ride in padding and its three timers are two-word handles.
+// One more word moves every flow to the 256-byte class.
 func TestFlowSizeClass(t *testing.T) {
-	if sz := unsafe.Sizeof(flow{}); sz > 288 {
-		t.Fatalf("flow is %d bytes, want <= 288", sz)
+	if sz := unsafe.Sizeof(flow{}); sz > 240 {
+		t.Fatalf("core's flow is %d bytes and has left the 240-byte size class: every flow now costs 256, "+
+			"which moves yodabench's held-failover heap_bytes_per_live_flow (bound 1%%) and TestLiveFlowHeapLedger's flow_heap_bytes_core row", sz)
 	}
 }
 

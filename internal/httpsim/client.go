@@ -155,8 +155,8 @@ func (f *fetch) Fire() {
 // has returned; a failed attempt's never reach done. The conn is released
 // once it has closed.
 func (f *fetch) finish(resp *Response, err error) {
-	f.timer.Stop()
 	nw, c := f.cl.host.Network(), f.conn
+	nw.Stop(f.timer)
 	shell := f.parser.p.cur // a failed attempt's response, parsed in part
 	if resp != nil {
 		shell = resp

@@ -52,7 +52,7 @@ func BenchmarkNetsimTimerChurn(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			t := n.Schedule(300*time.Millisecond, nop)
-			t.Stop()
+			n.Stop(t)
 			n.Step() // drain the cancelled event
 		}
 	})
@@ -62,7 +62,7 @@ func BenchmarkNetsimTimerChurn(b *testing.B) {
 		lcg := uint64(42)
 		churn := func(i int) {
 			if i%10 != 0 {
-				ring[i%len(ring)].Stop()
+				n.Stop(ring[i%len(ring)])
 			}
 			lcg = lcg*6364136223846793005 + 1442695040888963407
 			d := 300*time.Millisecond + time.Duration(lcg>>33)%(4700*time.Millisecond)
@@ -143,7 +143,7 @@ func TestTimerHandleSurvivesReuse(t *testing.T) {
 	}
 	// The freed record is recycled for the next schedule.
 	n.Schedule(time.Millisecond, func() { fired2 = true })
-	t1.Stop() // stale handle: must NOT cancel the second timer
+	n.Stop(t1) // stale handle: must NOT cancel the second timer
 	if t1.Active() {
 		t.Fatal("stale handle reports active")
 	}
@@ -165,7 +165,7 @@ func TestPendingWithCancelled(t *testing.T) {
 		t.Fatalf("Pending = %d, want 10", n.Pending())
 	}
 	for _, tm := range timers[:4] {
-		tm.Stop()
+		n.Stop(tm)
 	}
 	if n.Pending() != 6 {
 		t.Fatalf("Pending after 4 Stops = %d, want 6", n.Pending())
@@ -223,7 +223,7 @@ func BenchmarkHostAllocPort(b *testing.B) {
 	n := New(42)
 	h := NewHost(n, IPv4(10, 0, 0, 2))
 	remote := HostPort{IP: IPv4(10, 0, 0, 1), Port: 80}
-	sink := PortHandlerFunc(func(pkt *Packet) {})
+	sink := &batchSink{n: n} // held as it is, as a transport's connection is
 	for i := 0; i < 8192; i++ {
 		h.Register(h.AllocPort(), remote, sink)
 	}

@@ -22,16 +22,45 @@ func (f PortHandlerFunc) HandleSegment(pkt *Packet) { f(pkt) }
 // handler must push the remainder back through Host.Demux — see
 // tcp.Conn.HandleSegmentBatch. The slice is scratch owned by the host
 // and must not be retained.
+//
+// A handler's kind is settled when it is registered (RegisterBatch, or
+// Register's check) or set (SetDefault), never per run: an interface
+// type assertion on the packet path would fill the runtime's per-site
+// assertion cache at random moments, so the same run would allocate
+// differently from one process to the next.
 type BatchPortHandler interface {
 	PortHandler
 	HandleSegmentBatch(pkts []*Packet)
 }
 
+// scalarHandler is a handler that takes no runs, as the host holds it: a
+// run goes through Demux one segment at a time, as handling each may
+// change where the next demuxes (a listener's accept registers a
+// connection).
+type scalarHandler struct {
+	PortHandler
+	host *Host
+}
+
+func (s *scalarHandler) HandleSegmentBatch(pkts []*Packet) {
+	for _, p := range pkts {
+		s.host.Demux(p)
+	}
+}
+
+// asBatch returns handler as the host holds it: itself if it takes runs,
+// else wrapped in a scalarHandler, allocated here.
+func (h *Host) asBatch(handler PortHandler) BatchPortHandler {
+	if bh, ok := handler.(BatchPortHandler); ok {
+		return bh
+	}
+	return &scalarHandler{handler, h}
+}
+
 // connKey demuxes established connections: local port plus remote
 // endpoint, packed into one word (local port << 48 | remote IP << 16 |
-// remote port) so the conns map takes the runtime's 64-bit key path
-// instead of a generated struct hash. Listeners are keyed by local port
-// alone.
+// remote port), the key of the host's connTable. Listeners are keyed by
+// local port alone.
 type connKey uint64
 
 func mkConnKey(localPort uint16, remote HostPort) connKey {
@@ -45,22 +74,20 @@ func (k connKey) localPort() uint16 { return uint16(k >> 48) }
 // kernel demuxes to sockets. TCP endpoints and simulated servers build on
 // it.
 type Host struct {
-	net       *Network
-	ip        IP
-	conns     map[connKey]PortHandler
+	net *Network
+	ip  IP
+	// conns holds the established connections and counts them per local
+	// port, so AllocPort is O(1) instead of a scan of every connection.
+	conns     connTable
 	listeners map[uint16]PortHandler
-	// portRefs counts live connection registrations per local port so
-	// AllocPort is O(1) instead of scanning conns (which holds every
-	// established connection of the host).
-	portRefs map[uint16]int
-	nextPort uint16
-	dead     bool
+	nextPort  uint16
+	dead      bool
 	// batchScratch backs the sub-run slice HandleBatch hands to a
 	// BatchPortHandler; reused across runs, never retained by handlers.
 	batchScratch []*Packet
-	// Default, when non-nil, receives packets that match no connection or
-	// listener (used to emit RSTs or to implement raw packet drivers).
-	Default PortHandler
+	// def, when non-nil, receives packets that match no connection or
+	// listener (SetDefault).
+	def BatchPortHandler
 }
 
 // NewHost creates a host, attaches it to the network at ip, and returns
@@ -69,9 +96,7 @@ func NewHost(n *Network, ip IP) *Host {
 	h := &Host{
 		net:       n,
 		ip:        ip,
-		conns:     make(map[connKey]PortHandler),
 		listeners: make(map[uint16]PortHandler),
-		portRefs:  make(map[uint16]int),
 		nextPort:  32768,
 	}
 	n.Attach(ip, h)
@@ -100,7 +125,7 @@ func (h *Host) AllocPort() uint16 {
 			continue
 		}
 		// A port is reusable when no connection currently uses it locally.
-		if h.portRefs[p] == 0 {
+		if h.conns.refs(p) == 0 {
 			return p
 		}
 	}
@@ -116,24 +141,39 @@ func (h *Host) Listen(port uint16, handler PortHandler) {
 // Unlisten removes the listener on port.
 func (h *Host) Unlisten(port uint16) { delete(h.listeners, port) }
 
-// Register binds an established-connection handler for segments arriving
-// at localPort from remote.
+// Register binds an established-connection handler, which must not be
+// nil, for segments arriving at localPort from remote. A handler that is
+// a BatchPortHandler takes runs, as with RegisterBatch; any other is
+// wrapped, at one allocation.
 func (h *Host) Register(localPort uint16, remote HostPort, handler PortHandler) {
-	k := mkConnKey(localPort, remote)
-	if _, existed := h.conns[k]; !existed {
-		h.portRefs[localPort]++
+	if handler == nil {
+		panic("netsim: Register of a nil handler")
 	}
-	h.conns[k] = handler
+	h.RegisterBatch(localPort, remote, h.asBatch(handler))
+}
+
+// RegisterBatch is Register of a handler that takes runs, without a
+// check of its kind: the one a transport calls per connection.
+func (h *Host) RegisterBatch(localPort uint16, remote HostPort, handler BatchPortHandler) {
+	if h.conns.put(mkConnKey(localPort, remote), handler) {
+		h.conns.ref(localPort)
+	}
+}
+
+// SetDefault makes handler (nil for none) receive what matches no
+// connection or listener: a machine's RSTs, or a raw packet driver. A
+// handler that is a BatchPortHandler takes runs.
+func (h *Host) SetDefault(handler PortHandler) {
+	h.def = nil
+	if handler != nil {
+		h.def = h.asBatch(handler)
+	}
 }
 
 // Unregister removes an established-connection binding.
 func (h *Host) Unregister(localPort uint16, remote HostPort) {
-	k := mkConnKey(localPort, remote)
-	if _, existed := h.conns[k]; existed {
-		delete(h.conns, k)
-		if h.portRefs[localPort]--; h.portRefs[localPort] == 0 {
-			delete(h.portRefs, localPort)
-		}
+	if h.conns.del(mkConnKey(localPort, remote)) {
+		h.conns.unref(localPort)
 	}
 }
 
@@ -158,10 +198,9 @@ func (h *Host) Reattach() {
 // without the reset, handlers of the previous incarnation would keep
 // receiving packets addressed to their old connections.
 func (h *Host) Reset() {
-	h.conns = make(map[connKey]PortHandler)
+	h.conns = connTable{}
 	h.listeners = make(map[uint16]PortHandler)
-	h.portRefs = make(map[uint16]int)
-	h.Default = nil
+	h.def = nil
 }
 
 // Alive reports whether the host is attached (not failed).
@@ -191,7 +230,7 @@ func (h *Host) decap(pkt *Packet) *Packet {
 // connection that closes itself) can re-route the run's remaining
 // segments exactly as scalar delivery would have.
 func (h *Host) Demux(pkt *Packet) {
-	if c, ok := h.conns[mkConnKey(pkt.Dst.Port, pkt.Src)]; ok {
+	if c := h.conns.get(mkConnKey(pkt.Dst.Port, pkt.Src)); c != nil {
 		c.HandleSegment(pkt)
 		return
 	}
@@ -199,8 +238,8 @@ func (h *Host) Demux(pkt *Packet) {
 		l.HandleSegment(pkt)
 		return
 	}
-	if h.Default != nil {
-		h.Default.HandleSegment(pkt)
+	if h.def != nil {
+		h.def.HandleSegment(pkt)
 		return
 	}
 	h.net.ReleasePacket(pkt)
@@ -237,10 +276,10 @@ func (h *Host) HandleBatch(pkts []*Packet) {
 	h.batchScratch = run[:0]
 }
 
-// flushRun dispatches one same-connKey run. Runs of length ≥ 2 whose
-// handler — the registered connection, or the default handler when the
-// key matches neither a connection nor a listener — implements
-// BatchPortHandler are handed over in one call; everything else goes
+// flushRun dispatches one same-connKey run. A run of length ≥ 2 goes to
+// its handler — the registered connection, or the default handler when
+// the key matches neither a connection nor a listener — in one call,
+// which a scalarHandler replays segment by segment; everything else goes
 // through per-segment Demux, which re-probes per segment exactly like
 // scalar delivery.
 func (h *Host) flushRun(run []*Packet, k connKey) {
@@ -248,14 +287,14 @@ func (h *Host) flushRun(run []*Packet, k connKey) {
 		return
 	}
 	if len(run) > 1 {
-		target, isConn := h.conns[k]
-		if !isConn {
+		target := h.conns.get(k)
+		if target == nil {
 			if _, listening := h.listeners[k.localPort()]; !listening {
-				target = h.Default
+				target = h.def
 			}
 		}
-		if bh, ok := target.(BatchPortHandler); ok {
-			bh.HandleSegmentBatch(run)
+		if target != nil {
+			target.HandleSegmentBatch(run)
 			return
 		}
 	}

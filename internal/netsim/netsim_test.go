@@ -130,15 +130,15 @@ func TestTimerStop(t *testing.T) {
 	n := New(1)
 	fired := false
 	tm := n.Schedule(time.Millisecond, func() { fired = true })
-	tm.Stop()
+	n.Stop(tm)
 	n.RunUntilIdle(10)
 	if fired {
 		t.Fatal("stopped timer fired")
 	}
 	// Stopping again must be harmless, as must stopping a zero timer.
-	tm.Stop()
+	n.Stop(tm)
 	var zeroTimer Timer
-	zeroTimer.Stop()
+	n.Stop(zeroTimer)
 	if zeroTimer.Active() {
 		t.Fatal("zero timer reports active")
 	}
@@ -158,7 +158,7 @@ func TestStoppedTimerReleasesCallback(t *testing.T) {
 		captured := new([1 << 16]byte)
 		runtime.SetFinalizer(captured, func(*[1 << 16]byte) { close(collected) })
 		tm := n.Schedule(time.Hour, func() { captured[0]++ })
-		tm.Stop()
+		n.Stop(tm)
 	}()
 	if n.Pending() != 0 {
 		t.Fatalf("Pending = %d after Stop, want 0", n.Pending())
@@ -367,7 +367,7 @@ func TestHostDemux(t *testing.T) {
 	h.Listen(80, PortHandlerFunc(func(p *Packet) { listenerGot++ }))
 	remote := HostPort{IPv4(10, 0, 0, 6), 999}
 	h.Register(80, remote, PortHandlerFunc(func(p *Packet) { connGot++ }))
-	h.Default = PortHandlerFunc(func(p *Packet) { defaultGot++ })
+	h.SetDefault(PortHandlerFunc(func(p *Packet) { defaultGot++ }))
 
 	send := func(src HostPort, dstPort uint16) {
 		n.Send(&Packet{Src: src, Dst: HostPort{h.IP(), dstPort}})
@@ -404,13 +404,13 @@ func (c *countingBatch) HandleSegmentBatch(ps []*Packet) {
 // TestHostConnKeyExtremes: the one-word demux key keeps local port,
 // remote IP and remote port apart at the edges of their ranges — ports
 // 0, 1 and 65535, IP 0xFFFFFFFF, remotes that differ only in the port —
-// in Register, Unregister, Demux, the batch path and portRefs.
+// in Register, Unregister, Demux, the batch path and the port refs.
 func TestHostConnKeyExtremes(t *testing.T) {
 	n := New(1)
 	h := NewHost(n, IPv4(10, 0, 0, 5))
 	got := map[string]int{}
 	def := &countingBatch{}
-	h.Default = def
+	h.SetDefault(def)
 	regs := []struct {
 		name   string
 		local  uint16
@@ -430,8 +430,8 @@ func TestHostConnKeyExtremes(t *testing.T) {
 	}
 	h.Register(80, regs[4].remote, PortHandlerFunc(func(*Packet) { got[regs[4].name]++ })) // a rebind
 	wantRefs := map[uint16]int{0: 1, 1: 1, 65535: 2, 80: 3}
-	if !maps.Equal(h.portRefs, wantRefs) {
-		t.Fatalf("portRefs = %v, want %v", h.portRefs, wantRefs)
+	if !maps.Equal(portRefsOf(h), wantRefs) {
+		t.Fatalf("port refs = %v, want %v", portRefsOf(h), wantRefs)
 	}
 	for _, r := range regs {
 		h.Demux(&Packet{Src: r.remote, Dst: HostPort{h.IP(), r.local}})
@@ -465,8 +465,9 @@ func TestHostConnKeyExtremes(t *testing.T) {
 		h.Unregister(r.local, r.remote)
 		h.Unregister(r.local, r.remote) // a second time is a no-op
 	}
-	if len(h.conns) != 0 || len(h.portRefs) != 0 {
-		t.Fatalf("after unregistering all: %d conns, portRefs %v", len(h.conns), h.portRefs)
+	if len(connsOf(h)) != 0 || h.conns.nconns != 0 || len(portRefsOf(h)) != 0 || h.conns.nports != 0 {
+		t.Fatalf("after unregistering all: %d conns (%d counted), port refs %v (%d counted)",
+			len(connsOf(h)), h.conns.nconns, portRefsOf(h), h.conns.nports)
 	}
 	h.Demux(&Packet{Src: regs[0].remote, Dst: HostPort{h.IP(), 0}})
 	if got[regs[0].name] != 1 || def.segs != 5 {
@@ -478,7 +479,7 @@ func TestHostDecapsulates(t *testing.T) {
 	n := New(1)
 	h := NewHost(n, IPv4(10, 0, 0, 5))
 	var got *Packet
-	h.Default = PortHandlerFunc(func(p *Packet) { got = p })
+	h.SetDefault(PortHandlerFunc(func(p *Packet) { got = p }))
 	n.Send(&Packet{
 		Src:   HostPort{IPv4(10, 0, 0, 1), 1},
 		Dst:   HostPort{IPv4(10, 0, 0, 99), 80}, // inner dst is elsewhere (a VIP)

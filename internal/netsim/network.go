@@ -86,12 +86,16 @@ type Network struct {
 	openAt     time.Duration
 	noCoalesce bool
 
-	nodes   map[IP]Node
-	rng     *rand.Rand
-	latency LatencyFunc
-	jitter  float64 // fraction of latency, uniform ±jitter
-	dropFn  func(pkt *Packet) bool
-	tracer  func(TraceEvent)
+	nodes map[IP]Node
+	// batchNodes holds the nodes that are BatchNodes, found once, at
+	// Attach, not by an interface type assertion per run (see
+	// BatchPortHandler).
+	batchNodes map[IP]BatchNode
+	rng        *rand.Rand
+	latency    LatencyFunc
+	jitter     float64 // fraction of latency, uniform ±jitter
+	dropFn     func(pkt *Packet) bool
+	tracer     func(TraceEvent)
 
 	executed uint64 // events run so far, each train member counted as one
 
@@ -157,9 +161,10 @@ func DefaultLatency(src, dst IP) time.Duration {
 // model.
 func New(seed int64) *Network {
 	return &Network{
-		nodes:   make(map[IP]Node),
-		rng:     rand.New(rand.NewSource(seed)),
-		latency: DefaultLatency,
+		nodes:      make(map[IP]Node),
+		batchNodes: make(map[IP]BatchNode),
+		rng:        rand.New(rand.NewSource(seed)),
+		latency:    DefaultLatency,
 	}
 }
 
@@ -204,11 +209,18 @@ func (n *Network) Attach(ip IP, node Node) {
 		panic("netsim: cannot attach to the unspecified address")
 	}
 	n.nodes[ip] = node
+	delete(n.batchNodes, ip)
+	if bn, ok := node.(BatchNode); ok {
+		n.batchNodes[ip] = bn
+	}
 }
 
 // Detach removes the node at ip, if any. Subsequent packets to ip are
 // dropped, which is how host failure is modelled.
-func (n *Network) Detach(ip IP) { delete(n.nodes, ip) }
+func (n *Network) Detach(ip IP) {
+	delete(n.nodes, ip)
+	delete(n.batchNodes, ip)
+}
 
 // Firer is the owner of a timer: Arm calls its Fire when the timer comes
 // due. An object with more than one timer arms each as a named type of
@@ -221,6 +233,13 @@ type callback func()
 
 func (fn callback) Fire() { fn() }
 
+// delivery is a packet as an event's occurrence: execute tells it from a
+// timer's Firer by its concrete type, which costs no runtime call, and
+// never fires it.
+type delivery Packet
+
+func (*delivery) Fire() { panic("netsim: a delivery fired as a timer") }
+
 // Arm calls f.Fire after delay d of virtual time and returns a
 // cancellable timer. A negative delay is treated as zero.
 func (n *Network) Arm(d time.Duration, f Firer) Timer {
@@ -231,7 +250,7 @@ func (n *Network) Arm(d time.Duration, f Firer) Timer {
 	n.seq++
 	e.at, e.seq, e.what = n.now+d, n.seq, f
 	n.scheduleEvent(e)
-	return Timer{net: n, ev: e, seq: e.seq}
+	return Timer{ev: e, seq: e.seq}
 }
 
 // Schedule runs fn after delay d of virtual time: Arm for a one-off
@@ -274,7 +293,7 @@ func (n *Network) Send(pkt *Packet) {
 	}
 	e := n.allocEvent()
 	n.seq++
-	e.at, e.seq, e.what, e.dst = at, n.seq, pkt, dst
+	e.at, e.seq, e.what, e.dst = at, n.seq, (*delivery)(pkt), dst
 	n.scheduleEvent(e)
 	if !n.noCoalesce {
 		n.openTrain, n.openAt = e, at
@@ -331,7 +350,8 @@ func (n *Network) execute(e *event) {
 		e.train = nil
 	}
 	n.freeEvent(e)
-	if pkt, ok := what.(*Packet); ok {
+	if d, ok := what.(*delivery); ok {
+		pkt := (*Packet)(d)
 		if train == nil {
 			if n.dropFn != nil && n.dropFn(pkt) {
 				n.dropByPolicy(pkt)
@@ -362,7 +382,7 @@ func (n *Network) execute(e *event) {
 		n.freeTrain(train)
 		return
 	}
-	what.(Firer).Fire()
+	what.Fire()
 }
 
 // deliverRun delivers a run of same-destination packets carved out of a
@@ -396,7 +416,7 @@ func (n *Network) deliverRun(pkts []*Packet, dst IP) {
 // non-batch node, a missing route — goes packet by packet.
 func (n *Network) handOverRun(pkts []*Packet, dst IP) {
 	if len(pkts) >= 2 {
-		if bn, ok := n.nodes[dst].(BatchNode); ok {
+		if bn, ok := n.batchNodes[dst]; ok {
 			if n.tracer != nil {
 				for _, p := range pkts {
 					n.trace(p, false, "")

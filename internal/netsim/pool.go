@@ -99,19 +99,27 @@ func (n *Network) PooledClone(p *Packet) *Packet {
 //
 // What sits in the pool is memory that follows the peak number of
 // connections transmitting at once, not live bytes, so it is kept small
-// on both axes: a bin retains at most bufBinMax arrays, and an array of
-// 2^bufBins bytes or more (128 KiB: one would cost as much idle as the
-// records of dozens of flows) is not the pool's business at all —
-// AllocBuf does not make one and ReleaseBuf leaves it with its owner.
+// on both axes: a bin retains at most bufBinMax arrays, and past its
+// first at most bufBinBytes of them, counted at the bin's floor (the
+// arrays the store clients' pipelined writes grow in a burst of new
+// flows come back in the 2–8 KiB bins and would otherwise stay there);
+// and an array of 2^bufBins bytes or more
+// (128 KiB: one would cost as much idle as the records of dozens of
+// flows) is not the pool's business at all — AllocBuf does not make one
+// and ReleaseBuf leaves it with its owner.
 type bufPool struct {
 	bins   [bufBins][][]byte
 	poison bool
 }
 
 const (
-	bufBins   = 17
-	bufBinMax = 32
+	bufBins     = 17
+	bufBinMax   = 32
+	bufBinBytes = 32 << 10
 )
+
+// binKeeps is how many arrays bin k retains.
+func binKeeps(k int) int { return min(bufBinMax, max(1, bufBinBytes>>k)) }
 
 // bufBin returns the bin of an n-byte buffer, n > 0; bufBins or more
 // means too large to pool.
@@ -155,7 +163,7 @@ func (nw *Network) ReleaseBuf(b []byte) []byte {
 	if k >= bufBins {
 		return b[:0]
 	}
-	if len(nw.bufs.bins[k]) < bufBinMax {
+	if len(nw.bufs.bins[k]) < binKeeps(k) {
 		nw.bufs.bins[k] = append(nw.bufs.bins[k], b[:0])
 	}
 	return nil

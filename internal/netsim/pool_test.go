@@ -36,7 +36,8 @@ func TestBufPoolInterleavedSizes(t *testing.T) {
 }
 
 // TestBufPoolNeverReturnsShort: whatever sizes were released, a request
-// gets at least what it asked for, and a bin never outgrows its bound.
+// gets at least what it asked for, and a bin never outgrows its bounds:
+// bufBinMax arrays and, past one, bufBinBytes of them.
 func TestBufPoolNeverReturnsShort(t *testing.T) {
 	n := New(1)
 	rng := n.Rand()
@@ -60,8 +61,8 @@ func TestBufPoolNeverReturnsShort(t *testing.T) {
 		n.ReleaseBuf(b)
 	}
 	for i, bin := range n.bufs.bins {
-		if len(bin) > bufBinMax {
-			t.Fatalf("bin %d holds %d buffers, bound is %d", i, len(bin), bufBinMax)
+		if len(bin) > binKeeps(i) || len(bin) > 1 && len(bin)<<i > bufBinBytes {
+			t.Fatalf("bin %d holds %d buffers, bound is %d (and %d bytes of them past one)", i, len(bin), bufBinMax, bufBinBytes)
 		}
 		for _, b := range bin {
 			if bufBin(cap(b)) != i {

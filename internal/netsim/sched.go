@@ -14,7 +14,7 @@ import (
 // at any distance, every level-l record is due before every record of
 // a level above it, and a record moves down one level each time the
 // cursor enters the slot it sits in (enter), so only live timers ever
-// cascade: Timer.Stop unlinks a record from its slot and recycles it
+// cascade: Network.Stop unlinks a record from its slot and recycles it
 // on the spot.
 //
 // Events due at or before the cursor's slot live in curHeap, a small
@@ -43,10 +43,10 @@ const (
 // deterministic, and is zero while the record is in the pool. Never
 // reused, it is also what makes a stale Timer handle inert.
 //
-// what is the occurrence, in one interface word pair: a *Packet to
-// deliver to dst, or the Firer of a timer (Arm). Holding either in the
-// same two words keeps the record at one 64-byte cache line
-// (TestEventIsOneCacheLine).
+// what is the occurrence, in one interface word pair: a packet to
+// deliver to dst, as a *delivery, or the Firer of a timer (Arm). Holding
+// either in the same two words keeps the record at one 64-byte cache
+// line (TestEventIsOneCacheLine).
 //
 // A delivery event may carry a train: additional packets due at the same
 // instant that ride this record instead of their own (see Network.Send).
@@ -62,7 +62,7 @@ const (
 type event struct {
 	at        time.Duration
 	seq       uint64
-	what      any // *Packet or Firer
+	what      Firer // *delivery or a timer's owner
 	train     *trainBox
 	next      *event
 	pprev     **event
@@ -146,22 +146,24 @@ func siftDown(h []*event, i int) {
 	}
 }
 
-// Timer is a cancellable handle to a scheduled event. The zero value is
-// inert: Stop and Active on it are no-ops. Handles stay valid (and
-// become inert) after the event fires or is cancelled, even though the
-// underlying record is recycled — the sequence check detects reuse.
+// Timer is a cancellable handle to a scheduled event: two words, as its
+// owner already reaches the network that cancels it (Network.Stop). The
+// zero value is inert: Stop and Active on it are no-ops. Handles stay
+// valid (and become inert) after the event fires or is cancelled, even
+// though the underlying record is recycled — the sequence check detects
+// reuse.
 type Timer struct {
-	net *Network
 	ev  *event
 	seq uint64
 }
 
-// Stop prevents the timer from firing. Stopping an already-fired,
+// Stop prevents t from firing. Stopping an already-fired,
 // already-stopped, or zero timer is a no-op. A record waiting in a wheel
 // slot is unlinked and recycled at once; one already in curHeap is only
-// marked, and lets its callback go, until the heap pops it.
-func (t Timer) Stop() {
-	e, n := t.ev, t.net
+// marked, and lets its callback go, until the heap pops it. t must come
+// from n.
+func (n *Network) Stop(t Timer) {
+	e := t.ev
 	if e == nil || e.seq != t.seq || e.cancelled {
 		return
 	}

@@ -209,12 +209,13 @@ func newWheelWorld() *schedWorld {
 	// Odd timers are armed through their owner, even ones as callbacks:
 	// both take the one path and must interleave by (at, seq).
 	w.arm = func(d time.Duration, fn func()) (func(), func() bool) {
+		var tm Timer
 		if len(w.stops)%2 == 1 {
-			tm := n.Arm(d, &testOwner{fn})
-			return tm.Stop, tm.Active
+			tm = n.Arm(d, &testOwner{fn})
+		} else {
+			tm = n.Schedule(d, fn)
 		}
-		tm := n.Schedule(d, fn)
-		return tm.Stop, tm.Active
+		return func() { n.Stop(tm) }, tm.Active
 	}
 	dst := IPv4(10, 0, 0, 2)
 	n.Attach(dst, NodeFunc(func(p *Packet) {

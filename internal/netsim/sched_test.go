@@ -120,7 +120,7 @@ func TestStopFreesRecord(t *testing.T) {
 	for i := 0; i < 1_000_000; i++ {
 		tm := n.Schedule(300*time.Millisecond, nop)
 		n.RunFor(time.Microsecond)
-		tm.Stop()
+		n.Stop(tm)
 		if n.queued != 0 || len(n.evFree) != 1 {
 			t.Fatalf("cycle %d: %d records queued, %d pooled; want 0 and 1", i, n.queued, len(n.evFree))
 		}

@@ -66,9 +66,9 @@ func (w *diffWorld) dial() {
 // connState flattens the comparable state of a Conn — protocol variables
 // and stats, not timers or buffers — into one string.
 func connState(c *Conn) string {
-	return fmt.Sprintf("st=%v una=%d nxt=%d rcv=%d cwnd=%d ssth=%d pw=%d finQ=%v finS=%v peerFin=%v rtx=%d sent=%d recv=%d",
+	return fmt.Sprintf("st=%v una=%d nxt=%d rcv=%d cwnd=%d ssth=%d pw=%d finQ=%v finS=%v peerFin=%v rtx=%d",
 		c.state, c.sndUna-c.iss, c.sndNxt-c.iss, c.rcvNxt, c.cwnd, c.ssthresh, c.peerWnd,
-		c.finQueued, c.finSent, c.peerFin, c.Retransmits, c.BytesSent, c.BytesRecv)
+		c.finQueued, c.finSent, c.peerFin, c.Retransmits)
 }
 
 // FuzzBatchDispatchDifferential drives two identical TCP worlds through

@@ -67,7 +67,7 @@ func (l *Listener) handleSegment(pkt *netsim.Packet) {
 	c.bufSeq = c.iss + 1
 	c.rcvNxt = pkt.Seq + 1
 	c.cb = l.accept(c)
-	l.host.Register(pkt.Dst.Port, pkt.Src, c)
+	l.host.RegisterBatch(pkt.Dst.Port, pkt.Src, c)
 	c.sendSegment(netsim.FlagSYN|netsim.FlagACK, c.iss, c.rcvNxt, nil)
 	c.armRtx(synRTO)
 }

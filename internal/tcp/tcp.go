@@ -258,8 +258,6 @@ type Conn struct {
 
 	// Stats, exported for tests and experiments.
 	Retransmits int
-	BytesSent   uint64
-	BytesRecv   uint64
 }
 
 // rtxDue and probeDue are a Conn as the owner of its retransmission and
@@ -290,7 +288,7 @@ func DialFrom(h *netsim.Host, localPort uint16, remote netsim.HostPort, cb Callb
 	c.sndUna = c.iss
 	c.sndNxt = c.iss + 1
 	c.bufSeq = c.iss + 1
-	h.Register(localPort, remote, c)
+	h.RegisterBatch(localPort, remote, c)
 	c.sendSegment(netsim.FlagSYN, c.iss, 0, nil)
 	c.armRtx(synRTO)
 	return c
@@ -510,8 +508,9 @@ func (c *Conn) teardown() {
 		return
 	}
 	c.state = StateClosed
-	c.rtxTimer.Stop()
-	c.probeTimer.Stop()
+	nw := c.host.Network()
+	nw.Stop(c.rtxTimer)
+	nw.Stop(c.probeTimer)
 	// rtxBufs are NOT released to the pool here: retransmitted packets
 	// referencing them may still be in flight, and the conn going away
 	// does not stop their delivery. They are dropped, for the collector.
@@ -548,9 +547,6 @@ func (c *Conn) sendSegment(flags netsim.TCPFlags, seq, ack uint32, payload []byt
 	pkt.Flags, pkt.Seq, pkt.Ack = flags, seq, ack
 	pkt.Window = receiveWindow
 	pkt.Payload = payload
-	if len(payload) > 0 {
-		c.BytesSent += uint64(len(payload))
-	}
 	c.host.Network().Send(pkt)
 }
 
@@ -622,8 +618,9 @@ func (c *Conn) currentRTO() time.Duration {
 }
 
 func (c *Conn) armRtx(d time.Duration) {
-	c.rtxTimer.Stop()
-	c.rtxTimer = c.host.Network().Arm(d, (*rtxDue)(c))
+	nw := c.host.Network()
+	nw.Stop(c.rtxTimer)
+	c.rtxTimer = nw.Arm(d, (*rtxDue)(c))
 }
 
 func (c *Conn) onRtxTimeout() {
@@ -803,7 +800,7 @@ func (c *Conn) handleSynSent(pkt *netsim.Packet) {
 	c.rcvNxt = pkt.Seq + 1
 	c.sndUna = pkt.Ack
 	c.rtxBackoff = 0
-	c.rtxTimer.Stop()
+	c.host.Network().Stop(c.rtxTimer)
 	c.state = StateEstablished
 	c.armProbe()
 	c.sendSegment(netsim.FlagACK, c.sndNxt, c.rcvNxt, nil)
@@ -824,7 +821,7 @@ func (c *Conn) handleSynReceived(pkt *netsim.Packet) {
 	}
 	c.sndUna = pkt.Ack
 	c.rtxBackoff = 0
-	c.rtxTimer.Stop()
+	c.host.Network().Stop(c.rtxTimer)
 	c.state = StateEstablished
 	c.armProbe()
 	if c.cb.OnEstablished != nil {
@@ -933,7 +930,7 @@ func (c *Conn) applyAck(ack uint32, growths int) {
 			c.cwnd += uint32(c.mss) * uint32(c.mss) / c.cwnd
 		}
 	}
-	c.rtxTimer.Stop()
+	c.host.Network().Stop(c.rtxTimer)
 	if c.inflight() > 0 {
 		c.armRtx(c.currentRTO())
 	}
@@ -1010,7 +1007,6 @@ func (c *Conn) stashReasm(s reasmSeg) {
 func (c *Conn) ingest(data []byte, fin bool) {
 	if len(data) > 0 {
 		c.rcvNxt += uint32(len(data))
-		c.BytesRecv += uint64(len(data))
 		if c.cb.OnData != nil {
 			c.cb.OnData(c, data)
 		}

@@ -284,7 +284,7 @@ func (op *multiOp) handleReply(b *batchState, r memcache.SimResult) {
 	}
 	if op.delivered == len(op.batches) {
 		op.done = true
-		op.timer.Stop()
+		op.store.host.Network().Stop(op.timer)
 		op.resolve(false)
 	}
 }
@@ -515,7 +515,7 @@ func (s *Store) takeGetOp() *getOp {
 // every replica has answered, so cb may start the next Get on it.
 func (op *getOp) finish(value []byte, ok bool, err error) {
 	op.done = true
-	op.timer.Stop()
+	op.store.host.Network().Stop(op.timer)
 	cb := op.cb
 	op.recycleIfDelivered()
 	cb(value, ok, err)

@@ -9,7 +9,8 @@
 #                             each of its layer rows), the adoption
 #                             ledger's four and the live-flow heap
 #                             ledger's total and rows against
-#                             BENCH_core.json.
+#                             BENCH_core.json; then each ledger three
+#                             times, every row the same in every run.
 #                             First, while the box is cold: behind the race
 #                             and fuzz stages the same binaries read 30-60 %
 #                             slower
@@ -212,12 +213,29 @@ ADOPTION_LOG=$(go test -count=1 -run '^TestAdoptionAllocLedger$' -v .) ||
   { printf '%s\n' "$ADOPTION_LOG"; echo 'FAIL: TestAdoptionAllocLedger'; exit 1; }
 no_rise "$ADOPTION_LOG" adoption_allocs_paper adoption_allocs_hybrid adoption_store_cmds_paper adoption_store_cmds_hybrid
 # And the heap ledger's (ledger_test.go): heap bytes one idle keep-alive
-# flow holds, in total and per layer, which the simulation makes the same
-# on every run of a tree. Any rise fails; the test itself fails unless
-# its rows sum to HeapAlloc's growth within the slack it states.
+# flow holds, in total and per layer, which read the same on every run of
+# a tree (the repeatability stage below checks it). Any rise fails; the
+# test itself fails unless its rows sum to HeapAlloc's growth, less the
+# runtime's own allocations, within the slack it states.
 HEAP_LOG=$(go test -count=1 -run '^TestLiveFlowHeapLedger$' -v .) ||
   { printf '%s\n' "$HEAP_LOG"; echo 'FAIL: TestLiveFlowHeapLedger'; exit 1; }
 no_rise "$HEAP_LOG" flow_heap_bytes "${LAYERS[@]/#/flow_heap_bytes_}"
+
+echo "== ledger repeatability (each ledger 3 times in one process: every row and total the same in every run) =="
+# The gates above compare one run with BENCH_core.json, which is only
+# sound if a tree reads the same every time. It does because the packet
+# path makes no interface type assertion (the runtime fills its
+# assertion caches at random moments) and holds no Go map (whose layout
+# follows a per-process hash seed), and the heap ledger leaves out what
+# the runtime allocates for itself; a change that brings one back moves
+# a row between runs, and fails here. The adoption ledger's wall time is
+# the one ungated, noisy line.
+REPEAT_LOG=$(go test -count=3 -run '^(TestRequestAllocLedger|TestAdoptionAllocLedger|TestLiveFlowHeapLedger)$' -v .) ||
+  { printf '%s\n' "$REPEAT_LOG"; echo 'FAIL: a ledger test'; exit 1; }
+awk '$2 == "ledger" && $3 !~ /^adoption_wall_ns_/ {
+    if (($3 in v) && v[$3] != $4) { printf "FAIL: ledger %s read %s and then %s on one tree\n", $3, v[$3], $4; bad = 1 }
+    v[$3] = $4; n++ }
+  END { if (!bad) printf "%d ledger readings over 3 runs, each row the same in every run: ok\n", n; exit bad }' <<< "$REPEAT_LOG" || exit 1
 
 echo "== format + vet clean sweep (gofmt -s -l, go vet ./...) =="
 # Formatting drift and vet findings are the cheapest checks in the file;

@@ -18,6 +18,11 @@ import (
 // benchmarks behind its numbers, README.md its module map.
 var specDocs = []string{"DESIGN.md", "EXPERIMENTS.md", "README.md"}
 
+// specCeilings are the byte sizes DESIGN.md and EXPERIMENTS.md may not
+// pass: a change that adds to either cuts as much elsewhere, and history
+// goes to CHANGES.md.
+var specCeilings = map[string]int{"DESIGN.md": 55_000, "EXPERIMENTS.md": 37_500}
+
 // specGolden is the figure golden EXPERIMENTS.md's figures table quotes,
 // and specVerdicts the verdicts TestFigureClaims computes from it.
 const (
@@ -43,6 +48,7 @@ const (
 //     benchmark that measures it.
 //   - Every flag specDocs cite for yodasim or yodactl is one the
 //     command's main.go defines.
+//   - DESIGN.md and EXPERIMENTS.md are no larger than specCeilings.
 func TestSpecLint(t *testing.T) {
 	tests := repoTestFuncs(t)
 	docs := map[string]string{}
@@ -62,6 +68,7 @@ func TestSpecLint(t *testing.T) {
 	for _, name := range specDocs {
 		problems = append(problems, unknownTestNames(name, docs[name], tests)...)
 		problems = append(problems, unknownFlags(name, docs[name], flags)...)
+		problems = append(problems, sizeProblems(name, docs[name], specCeilings[name])...)
 	}
 	problems = append(problems, guaranteeProblems(docs["DESIGN.md"], tests)...)
 	problems = append(problems, moduleMapProblems(docs["README.md"], moduleDirs(t))...)
@@ -418,6 +425,14 @@ func figureVerdictProblems(experiments, verdicts string) []string {
 	return problems
 }
 
+// sizeProblems reports a document larger than its ceiling (0: none).
+func sizeProblems(name, doc string, ceiling int) []string {
+	if ceiling > 0 && len(doc) > ceiling {
+		return []string{fmt.Sprintf("%s is %d bytes, past its ceiling of %d: cut as much as you add, and move history to CHANGES.md", name, len(doc), ceiling)}
+	}
+	return nil
+}
+
 // TestSpecLintCatches runs each check of TestSpecLint on a fixture that
 // holds the mistake the check guards against.
 func TestSpecLintCatches(t *testing.T) {
@@ -453,6 +468,8 @@ func TestSpecLintCatches(t *testing.T) {
 			"has no verdict"},
 		{"verdict of no row", figureVerdictProblems("## Figures at HEAD\n\n| figure | verdict | golden line |\n|---|---|---|\n", "Fig 7\treproduced\n"),
 			"is no row"},
+		{"document past its ceiling", sizeProblems("DESIGN.md", strings.Repeat("x", 11), 10),
+			"DESIGN.md is 11 bytes, past its ceiling of 10"},
 		{"benchmark not found", figureGoldenProblems("## Figures at HEAD\n\n| figure | measured | golden line |\n|---|---|---|\n| Fig 16 | 1 s | `BenchmarkGone` |\n", "", tests),
 			"BenchmarkGone, which is no benchmark"},
 	} {
