@@ -1,7 +1,10 @@
+//go:build go1.24
+
 package core
 
 import (
 	"math/bits"
+	"weak"
 
 	"repro/internal/netsim"
 )
@@ -34,5 +37,47 @@ func (in *Instance) SnapshotFlows() []FlowInfo {
 			Persisted: f.persisted,
 		})
 	})
+	return out
+}
+
+// HeldObject is a flow or a pending queue an instance holds, for
+// TestKilledInstanceHoldsNothing: what it is ("idle", "dialing",
+// "lingering" or "queue"), how many timers it holds armed, and whether
+// the collector has yet to free it (through a weak pointer, which holds
+// nothing).
+type HeldObject struct {
+	Kind   string
+	Timers int
+	Live   func() bool
+}
+
+// HeldObjects lists the instance's flows, in slot order, and its pending
+// queues.
+func (in *Instance) HeldObjects() []HeldObject {
+	var out []HeldObject
+	held := func(kind string, live func() bool, timers ...netsim.Timer) {
+		o := HeldObject{Kind: kind, Live: live}
+		for _, t := range timers {
+			if t.Active() {
+				o.Timers++
+			}
+		}
+		out = append(out, o)
+	}
+	in.flows.forEach(func(f *flow) {
+		kind := "idle"
+		switch {
+		case f.state == stateDialing:
+			kind = "dialing"
+		case f.lingerTimer.Active():
+			kind = "lingering"
+		}
+		w := weak.Make(f)
+		held(kind, func() bool { return w.Value() != nil }, f.idleTimer, f.dialTimer, f.lingerTimer)
+	})
+	for _, q := range in.pending {
+		w := weak.Make(q)
+		held("queue", func() bool { return w.Value() != nil }, q.expire)
+	}
 	return out
 }

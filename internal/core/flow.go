@@ -578,6 +578,9 @@ func (in *Instance) maybeFinish(f *flow) {
 		return
 	}
 	f.lingerTimer = in.net.Arm(finLinger, (*flowDue)(f))
+	if in.cfg.FlowIdleTimeout >= finLinger {
+		in.net.Stop(f.idleTimer) // the linger tears the flow down first
+	}
 }
 
 // teardown removes flow state locally, from TCPStore, and from the L4
@@ -631,6 +634,11 @@ func (in *Instance) unlink(f *flow) {
 	if f.server.IP != 0 {
 		in.flows.del(f.serverTuple(), f)
 	}
+	in.stopTimers(f)
+}
+
+// stopTimers stops f's timers, so the scheduler no longer holds it.
+func (in *Instance) stopTimers(f *flow) {
 	in.net.Stop(f.idleTimer)
 	in.net.Stop(f.dialTimer)
 	in.net.Stop(f.lingerTimer)
@@ -763,11 +771,12 @@ func (in *Instance) expireQueue(q *pendingQueue) {
 
 // freeQueue files a resolved queue, its packets already released or
 // handed on, among the spares; one whose store read is still in flight
-// is filed by the read's callback (lookedUp).
+// is filed by the read's callback (lookedUp), and a dead instance files
+// none: it will park nothing again.
 func (in *Instance) freeQueue(q *pendingQueue) {
 	clear(q.pkts)
 	q.pkts = q.pkts[:0]
-	if !q.lookup {
+	if !q.lookup && !in.dead {
 		in.spareQueues.Put(in.net, q)
 	}
 }

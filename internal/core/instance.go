@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/httpsim"
@@ -311,10 +313,33 @@ func (in *Instance) statsFor(vip netsim.IP) *VIPStats {
 func (in *Instance) Fail() {
 	in.dead = true
 	in.host.Detach()
+	// The flows live on in TCPStore, for the survivors; locally nothing
+	// may hold them. Their timers stop (unlink's local half: teardown's
+	// deletes would destroy what the survivors recover from), and so do
+	// the pending queues', whose parked copies go back to the pool in
+	// tuple order, so the pool's state is the same on every run.
+	in.flows.forEach(in.stopTimers)
+	tuples := make([]netsim.FourTuple, 0, len(in.pending))
+	for t := range in.pending {
+		tuples = append(tuples, t)
+	}
+	slices.SortFunc(tuples, cmpTuple)
+	for _, t := range tuples {
+		q := in.pending[t]
+		in.net.Stop(q.expire)
+		in.dropParked(q.pkts)
+		in.freeQueue(q)
+	}
 	in.flows.init()
 	in.pending = make(map[netsim.FourTuple]*pendingQueue)
 	in.pendingTotal = 0
 	clear(in.snatInUse)
+}
+
+// cmpTuple orders tuples by source, then destination.
+func cmpTuple(a, b netsim.FourTuple) int {
+	return cmp.Or(cmp.Compare(a.Src.IP, b.Src.IP), cmp.Compare(a.Src.Port, b.Src.Port),
+		cmp.Compare(a.Dst.IP, b.Dst.IP), cmp.Compare(a.Dst.Port, b.Dst.Port))
 }
 
 // FNV-1a constants, inlined to keep the per-SYN hash allocation-free

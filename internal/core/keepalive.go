@@ -117,6 +117,9 @@ func (ka *kaState) pop() kaRequest {
 	next := ka.queue[0]
 	ka.queue[0] = kaRequest{} // an idle flow keeps none of its last request
 	ka.queue = ka.queue[1:]
+	if cap(ka.queue) == 0 {
+		ka.queue = nil // nor the drained array: the next request allocates anyway
+	}
 	return next
 }
 

@@ -241,8 +241,9 @@ type Conn struct {
 	rcvNxt uint32
 	reasm  []reasmSeg
 
-	// Retransmission: rtxBufs are the pooled copies backing in-flight
-	// retransmits. Each timer's owner is c itself (rtxDue, probeDue).
+	// Retransmission: rtxBufs are the pooled arrays in-flight segments
+	// may still read, retransmit copies and outgrown send arrays (regrow).
+	// Each timer's owner is c itself (rtxDue, probeDue).
 	rtxTimer netsim.Timer
 	rtxBufs  []rtxBuf
 	// Idle keepalive probing (idleProbe > 0 only).
@@ -427,6 +428,8 @@ func (c *Conn) enqueue(tail []byte, bufs ...[]byte) {
 			// Room as well for what the segment that straddles into the
 			// tail will bring over (see stream).
 			c.sndBuf = c.host.Network().AllocBuf(max(own+min(len(tail), c.mss), minSndBuf))
+		} else if len(c.sndBuf)+own > cap(c.sndBuf) {
+			c.regrow(own)
 		}
 		c.sndBuf = append(c.sndBuf, c.sndTail...)
 		for _, b := range bufs {
@@ -440,6 +443,26 @@ func (c *Conn) enqueue(tail []byte, bufs ...[]byte) {
 	if c.state == StateEstablished || c.state == StateCloseWait {
 		c.trySend()
 	}
+}
+
+// regrow moves the live owned bytes to a pool array with room for n more,
+// twice the old one's size at least, as append would grow it. Segments
+// in flight may still point into the old array, so it retires like a
+// retransmit copy: processAck releases it at the ACK that covers what
+// was sent from it. Past what the pool holds, append grows the array.
+func (c *Conn) regrow(n int) {
+	nw := c.host.Network()
+	live := c.sndBuf[c.sndHead:]
+	buf := nw.AllocBuf(max(2*cap(c.sndBuf), len(live)+n))
+	if buf == nil {
+		return
+	}
+	if sent := int(int32(c.sndNxt - c.bufSeq)); sent > 0 {
+		c.rtxBufs = append(c.rtxBufs, rtxBuf{end: c.bufSeq + uint32(min(sent, len(live))), buf: c.sndBuf})
+	} else {
+		nw.ReleaseBuf(c.sndBuf)
+	}
+	c.sndBuf, c.sndHead = append(buf, live...), 0
 }
 
 // buffered returns the number of live stream bytes, owned then borrowed.

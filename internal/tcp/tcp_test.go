@@ -484,6 +484,35 @@ func TestLargeSendBufferStaysWithConn(t *testing.T) {
 	}
 }
 
+// TestOutgrownSendArrayRetiresAtItsACK: a write that overflows the send
+// array moves the live bytes to a larger pool array. The old one still
+// backs segments in flight, so it goes back to the pool only at the ACK
+// that covers them: with poisoning on, an early return scribbles over
+// bytes the peer has yet to read.
+func TestOutgrownSendArrayRetiresAtItsACK(t *testing.T) {
+	p := newPair(20)
+	first, second := object(600, 1), object(4<<10, 2)
+	var got []byte
+	Listen(p.server, 80, func(c *Conn) Callbacks {
+		return Callbacks{OnData: func(c *Conn, d []byte) { got = append(got, d...) }}
+	}, DefaultConfig())
+	c := Dial(p.client, netsim.HostPort{IP: serverIP, Port: 80}, Callbacks{}, DefaultConfig())
+	p.net.RunUntilIdle(100)
+	c.Write(first) // sent at once
+	old := c.sndBuf
+	c.Write(second)
+	if aliases(c.sndBuf, old) || len(c.rtxBufs) != 1 || !aliases(c.rtxBufs[0].buf, old) || c.rtxBufs[0].end != c.sndUna+uint32(len(first)) {
+		t.Fatalf("the outgrown array did not retire behind the %d bytes sent from it: %d retired copies", len(first), len(c.rtxBufs))
+	}
+	p.net.RunUntilIdle(1_000_000)
+	if !bytes.Equal(got, join(first, second)) {
+		t.Fatalf("peer read %d bytes, corrupted or short, of %d", len(got), len(first)+len(second))
+	}
+	if reuse := p.net.AllocBuf(cap(old)); len(c.rtxBufs) != 0 || c.sndBuf != nil || !aliases(reuse[:1], old) {
+		t.Fatalf("after the full ACK: %d retired copies, send buffer cap %d, the outgrown array pooled: %v", len(c.rtxBufs), cap(c.sndBuf), aliases(reuse[:1], old))
+	}
+}
+
 // TestTeardownWithUnackedDataDoesNotPoolBuffer: a conn torn down with
 // transmitted, unacknowledged bytes must not hand their array to the
 // pool — the segments are still in flight and the peer will read them —

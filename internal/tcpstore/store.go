@@ -512,11 +512,14 @@ func (s *Store) takeGetOp() *getOp {
 }
 
 // finish resolves the op with cb's arguments, recycling it first when
-// every replica has answered, so cb may start the next Get on it.
+// every replica has answered, so cb may start the next Get on it. An op
+// still waiting for a late reply lets cb go: a reply that never comes (a
+// dead client's) must not hold what cb holds.
 func (op *getOp) finish(value []byte, ok bool, err error) {
 	op.done = true
 	op.store.host.Network().Stop(op.timer)
 	cb := op.cb
+	op.cb = nil
 	op.recycleIfDelivered()
 	cb(value, ok, err)
 }

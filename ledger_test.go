@@ -238,7 +238,13 @@ func TestAdoptionAllocLedger(t *testing.T) {
 // flow, which scripts/bench.sh records and ci.sh gates: a rise in the
 // total names its layer, and both read the same on every run of a tree.
 // yodabench's held-failover heap_bytes_per_live_flow measures the same
-// flows end to end.
+// flows end to end. Then every one of the flows fetches once more and
+// idles again, and the ledger is taken a second time, as "ledger
+// flow_heap_bytes_again_<layer>" and "ledger flow_heap_bytes_again": a
+// flow that has served two requests may hold no more than one that has
+// served one (a drained keep-alive queue keeps no array, say), within
+// heapLedgerSlack: what the buffer pool's bins hold is no flow's, and
+// the second round leaves arrays of other sizes in them (5 B a flow).
 func TestLiveFlowHeapLedger(t *testing.T) {
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
 	runtime.MemProfileRate = 1
@@ -247,25 +253,38 @@ func TestLiveFlowHeapLedger(t *testing.T) {
 	b.openAll(256)
 	before, heap0 := heapByLayer()
 	b.openHeld(flows, 100*time.Microsecond) // held-failover's ramp pace
-	after, heap1 := heapByLayer()
+	total := logHeapLedger(t, "flow_heap_bytes", flows, before, heap0)
+	b.fetchAgain(b.flows[len(b.flows)-flows:], 100*time.Microsecond)
+	if again := logHeapLedger(t, "flow_heap_bytes_again", flows, before, heap0); again > (1+heapLedgerSlack)*total {
+		t.Errorf("a flow holds %.0f heap bytes after its second request, %.0f after its first", again, total)
+	}
 	runtime.KeepAlive(b)
+}
 
-	total := float64(int64(heap1-heap0)-(after[runtimeRow]-before[runtimeRow])) / flows
+// logHeapLedger logs the heap ledger of n flows opened since before and
+// heap0 were read, as "ledger <name>_<layer>" rows and the "ledger
+// <name>" total, per flow, and returns the total. It fails the test
+// unless the rows sum to the total within heapLedgerSlack.
+func logHeapLedger(t *testing.T, name string, n int, before map[string]int64, heap0 uint64) float64 {
+	after, heap1 := heapByLayer()
+	total := float64(int64(heap1-heap0)-(after[runtimeRow]-before[runtimeRow])) / float64(n)
 	sum := 0.0
 	for _, layer := range ledgerLayers {
-		row := float64(after[layer]-before[layer]) / flows
-		t.Logf("ledger flow_heap_bytes_%s %.0f", layer, row)
+		row := float64(after[layer]-before[layer]) / float64(n)
+		t.Logf("ledger %s_%s %.0f", name, layer, row)
 		sum += row
 	}
-	t.Logf("ledger flow_heap_bytes %.0f", total)
+	t.Logf("ledger %s %.0f", name, total)
 	if math.Abs(sum-total) > heapLedgerSlack*total {
 		t.Fatalf("the ledger's rows sum to %.0f heap bytes per live flow, HeapAlloc grew %.0f beyond the runtime's own: more than %.0f%% apart",
 			sum, total, 100*heapLedgerSlack)
 	}
+	return total
 }
 
 // heapLedgerSlack is how far apart, as a fraction of the total,
-// TestLiveFlowHeapLedger lets its rows and HeapAlloc's growth be.
+// TestLiveFlowHeapLedger lets its rows and HeapAlloc's growth be, and
+// how far its second reading may exceed its first.
 const heapLedgerSlack = 0.01
 
 // heapByLayer returns the heap bytes in use, as the memory profile has
@@ -443,6 +462,18 @@ func (b *adoptionBed) openHeld(n int, pace time.Duration) {
 		if pace > 0 {
 			b.c.Net.RunFor(pace)
 		}
+	}
+	b.settle()
+	b.c.Net.RunFor(5 * time.Second)
+}
+
+// fetchAgain sends one more request on each of flows, pace apart, and
+// runs on as openHeld does.
+func (b *adoptionBed) fetchAgain(flows []*adoptionFlow, pace time.Duration) {
+	for _, f := range flows {
+		b.waiting++
+		f.conn.Write(b.req)
+		b.c.Net.RunFor(pace)
 	}
 	b.settle()
 	b.c.Net.RunFor(5 * time.Second)
