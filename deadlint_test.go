@@ -353,6 +353,7 @@ var writeOnlyAllowlist = map[string]string{
 	"core.Instance.Reselections":        "TestKeepAlivePipelinedAcrossBackends; item 1's outcome table owns it",
 	"core.Instance.SNATQuarantined":     "TestReleaseVIPFlowsQuarantinesPorts; item 1's outcome table owns it",
 	"core.Instance.FlowsClosed":         "TestClientResetMidTunnel counts the reset flow's close; item 1's outcome table owns it",
+	"core.VIPStats.NewFlows":            "TestInstanceCountersAndStats and TestManyConcurrentFetches count a VIP's new flows; item 1's outcome table owns it",
 	"experiments.Table1Row.YodaExtra":   "TestTable1Impact bounds the delay Yoda adds to a failed-over fetch",
 	"haproxy.Instance.Connections":      "TestProxySpreadsConnections: every proxy instance gets connections",
 	"l4lb.LB.NoInstanceDrops":           "TestNoInstancesDrops: a VIP with no instance drops, and counts it",

@@ -42,7 +42,6 @@ type Cluster struct {
 	StoreAddrs   []netsim.HostPort
 
 	Backends map[string]*Backend // by name
-	VIPs     map[string]netsim.IP
 
 	Health *rules.StaticInfo // shared backend health/load view
 
@@ -75,7 +74,6 @@ func New(seed int64) *Cluster {
 		Net:      n,
 		L4:       l4lb.New(n, l4lb.DefaultConfig()),
 		Backends: make(map[string]*Backend),
-		VIPs:     make(map[string]netsim.IP),
 		Health:   &rules.StaticInfo{Dead: map[string]bool{}, Loads: map[string]float64{}},
 	}
 }
@@ -257,12 +255,11 @@ func (c *Cluster) AddBackend(name string, objects map[string][]byte, cfg httpsim
 	return b
 }
 
-// AddVIP allocates a VIP for a named service and announces it at the L4
-// LB.
+// AddVIP allocates a VIP and announces it at the L4 LB. The service name
+// only labels the call: the cluster keeps no name index.
 func (c *Cluster) AddVIP(service string) netsim.IP {
 	c.nextVIP++
 	vip := vipIP(c.nextVIP)
-	c.VIPs[service] = vip
 	c.L4.AddVIP(vip)
 	return vip
 }

@@ -2,9 +2,9 @@
 // that pings instances, Memcached servers and backends every 600 ms and
 // repairs the L4 mappings on failure; the traffic-statistics reader; the
 // policy (user-interface) component that installs rules; the scaling loop
-// that adds instances under CPU pressure (§7.3); and the assignment
-// updater that applies a new VIP→instance assignment to a live cluster
-// (§4.5).
+// that adds instances under CPU pressure (§7.3); and the rolling upgrade
+// (§7.5), which drains and re-admits instances through the live
+// reconfiguration engine.
 package controller
 
 import (
@@ -41,9 +41,9 @@ type Config struct {
 	// 4.1 s horizon.
 	ScaleInterval time.Duration
 
-	// Reconfig tunes the live reconfiguration engine assignments are
-	// applied through (δ migration bound, drain timings). The zero value
-	// means single-wave rollouts with default drain timings.
+	// Reconfig tunes the live reconfiguration engine a rolling upgrade
+	// drains through (δ migration bound, drain timings). The zero value
+	// means single-wave drains with default drain timings.
 	Reconfig reconfig.Options
 }
 
@@ -74,9 +74,9 @@ type Controller struct {
 	timers         [nLoops]netsim.Timer // each loop's one pending tick
 	running        bool
 
-	// exec is the live reconfiguration engine, the one driver of target
-	// mappings and rolling upgrades; upgradeCfg and upgradeStoreCfg are
-	// the configs the running upgrade restarts instances under.
+	// exec is the live reconfiguration engine that drives rolling
+	// upgrades; upgradeCfg and upgradeStoreCfg are the configs the running
+	// upgrade restarts instances under.
 	exec            *reconfig.Executor
 	upgradeCfg      core.Config
 	upgradeStoreCfg tcpstore.Config
@@ -85,8 +85,6 @@ type Controller struct {
 	// one. Defaults to cluster.AddYoda with default configs.
 	Provision func() *core.Instance
 
-	// Traffic accumulates per-VIP request counts from instance stats.
-	Traffic map[netsim.IP]uint64
 	// SNATExhausted accumulates dials rejected for lack of SNAT ports
 	// across the cluster (from instance stats; a non-zero rate means the
 	// per-instance port slices need widening).
@@ -95,10 +93,6 @@ type Controller struct {
 	Detections int
 	// Revivals counts dead instances detected alive again and re-admitted.
 	Revivals int
-	// ScaleOuts counts scale-out actions taken.
-	ScaleOuts int
-	// InstancesAdded counts instances added by scaling.
-	InstancesAdded int
 }
 
 // New creates a controller over a cluster.
@@ -109,7 +103,6 @@ func New(c *cluster.Cluster, cfg Config) *Controller {
 		policies:      make(map[netsim.IP][]rules.Rule),
 		vipInstances:  make(map[netsim.IP][]netsim.IP),
 		deadInstances: make(map[netsim.IP][]netsim.IP),
-		Traffic:       make(map[netsim.IP]uint64),
 	}
 	ct.Provision = func() *core.Instance {
 		return c.AddYoda(core.DefaultConfig(), tcpstore.DefaultConfig())
@@ -160,18 +153,6 @@ func (ct *Controller) UpdatePolicy(vip netsim.IP, rs []rules.Rule) {
 	ct.C.HybridRecordPolicy(vip, rs)
 }
 
-// ApplyTarget moves the cluster to the given VIP→instance mapping
-// through the reconfiguration engine: rules are installed on newly
-// assigned instances first, then the L4 mappings are switched
-// (staggered, as real muxes update non-atomically), then — once the
-// losing instances' residual flows have drained — the losers' rules are
-// removed, reclaiming their rule capacity. Waves respect the configured
-// δ migration bound. VIPs absent from target keep their current mapping.
-// Returns reconfig.ErrBusy while a reconfiguration or an upgrade runs.
-func (ct *Controller) ApplyTarget(target map[netsim.IP][]netsim.IP) error {
-	return ct.exec.Apply(target)
-}
-
 // hybridWaveStart re-points the derivation table's entries for the VIPs
 // a reconfig wave moves at their TARGET mappings, then bumps the epoch
 // and flushes unpersisted flows — before any rule install or mapping
@@ -196,14 +177,14 @@ func (ct *Controller) hybridWaveStart(moves []reconfig.Move) {
 	ct.C.HybridBumpFlush()
 }
 
-// ReconfigStats returns the current (or last finished) reconfiguration
-// or rolling upgrade's stats.
+// ReconfigStats returns the current (or last finished) rolling upgrade's
+// stats.
 func (ct *Controller) ReconfigStats() reconfig.Stats { return ct.exec.Stats() }
 
 // StartRollingUpgrade upgrades every currently live instance, one at a
 // time: drain through a δ-bounded reconfig plan, restart under the new
 // configs after restartDelay (0 = the default 2 s), re-admit. Returns
-// reconfig.ErrBusy while a reconfiguration or an upgrade runs.
+// reconfig.ErrBusy while an upgrade runs.
 func (ct *Controller) StartRollingUpgrade(cfg core.Config, storeCfg tcpstore.Config, restartDelay time.Duration) error {
 	if ct.exec.Running() {
 		return reconfig.ErrBusy
@@ -394,8 +375,7 @@ func removeIP(ips []netsim.IP, dead netsim.IP) []netsim.IP {
 // statsTick reads every live instance's per-VIP counters.
 func (ct *Controller) statsTick() {
 	for _, in := range ct.liveInstances() {
-		for vip, st := range in.ReadStats() {
-			ct.Traffic[vip] += st.NewFlows
+		for _, st := range in.ReadStats() {
 			ct.SNATExhausted += st.SNATExhausted
 		}
 	}
@@ -424,8 +404,6 @@ func (ct *Controller) scaleTick() {
 	if need <= 0 {
 		return
 	}
-	ct.ScaleOuts++
-	ct.InstancesAdded += need
 	for i := 0; i < need; i++ {
 		in := ct.Provision()
 		for vip, rs := range ct.policies {

@@ -126,11 +126,8 @@ func TestScaleOutUnderLoad(t *testing.T) {
 	pump(gen, 28)
 	w.c.Net.RunFor(6 * time.Second)
 	stop = true
-	if w.ct.ScaleOuts == 0 {
-		t.Fatal("controller never scaled out")
-	}
 	if len(w.c.Yoda) <= before {
-		t.Fatalf("instances: %d -> %d", before, len(w.c.Yoda))
+		t.Fatalf("controller never scaled out: instances %d -> %d", before, len(w.c.Yoda))
 	}
 	// New instances must carry the policy and appear in the mapping.
 	newcomer := w.c.Yoda[len(w.c.Yoda)-1]
@@ -204,18 +201,6 @@ func TestBackendFailureMarksHealth(t *testing.T) {
 	w.c.Net.RunFor(time.Second)
 	if w.c.Health.Dead["srv-2"] {
 		t.Fatal("recovered backend still marked dead")
-	}
-}
-
-func TestStatsAccumulate(t *testing.T) {
-	w := newWorld(7, 2)
-	done, errs := 0, 0
-	for i := 0; i < 5; i++ {
-		w.fetch(&done, &errs)
-	}
-	w.c.Net.RunFor(5 * time.Second)
-	if w.ct.Traffic[w.vip] != 5 {
-		t.Fatalf("traffic stat = %d, want 5", w.ct.Traffic[w.vip])
 	}
 }
 

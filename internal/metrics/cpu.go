@@ -60,9 +60,6 @@ func (c *CPUMeter) Charge(now, cost time.Duration) {
 	c.busy += cost
 }
 
-// BusyTotal returns the total core-time charged so far.
-func (c *CPUMeter) BusyTotal() time.Duration { return c.busy }
-
 // busyBefore returns the busy time charged in buckets that start before t.
 // t must be 0 or lie within cpuHorizon buckets of the newest charge.
 func (c *CPUMeter) busyBefore(t time.Duration) time.Duration {

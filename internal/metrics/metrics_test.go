@@ -162,8 +162,8 @@ func TestCPUMeterUtilization(t *testing.T) {
 	if u := c.Utilization(time.Second, time.Second); u != 0 {
 		t.Fatalf("empty window utilization = %v", u)
 	}
-	if c.BusyTotal() != time.Second {
-		t.Fatalf("BusyTotal = %v", c.BusyTotal())
+	if c.busy != time.Second {
+		t.Fatalf("busy = %v", c.busy)
 	}
 }
 
@@ -259,8 +259,8 @@ func TestCPUMeterBucketsMatchLog(t *testing.T) {
 			queries++
 		}
 	}
-	if c.BusyTotal() != total {
-		t.Fatalf("BusyTotal = %v, want %v", c.BusyTotal(), total)
+	if c.busy != total {
+		t.Fatalf("busy = %v, want %v", c.busy, total)
 	}
 	if now < 20*horizon {
 		t.Fatalf("stream covered %v, want many %v horizons", now, horizon)
@@ -363,7 +363,7 @@ func TestCPUMeterIgnoresNonPositive(t *testing.T) {
 	c := NewCPUMeter(1)
 	c.Charge(0, 0)
 	c.Charge(0, -time.Second)
-	if c.BusyTotal() != 0 {
+	if c.busy != 0 {
 		t.Fatal("non-positive charges should be ignored")
 	}
 }

@@ -29,13 +29,13 @@ func BenchmarkReconfigMigration(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := w.exec.Start(plan, nil); err != nil {
+		if err := w.exec.Start(plan); err != nil {
 			b.Fatal(err)
 		}
 		w.c.Net.RunFor(30 * time.Second)
 		stats := w.exec.Stats()
-		if !stats.Done || w.failed != 0 {
-			b.Fatalf("run %d: done=%v failed=%d", i, stats.Done, w.failed)
+		if stats.Running || w.failed != 0 {
+			b.Fatalf("run %d: running=%v failed=%d", i, stats.Running, w.failed)
 		}
 		migrated += stats.MigratedFlows
 		virtualDur += stats.Duration

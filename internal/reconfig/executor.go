@@ -27,13 +27,12 @@ const (
 	defaultRestartDelay = 2 * time.Second
 )
 
-// Executor is the one driver of mapping changes. It runs one operation
-// at a time — a plan (Start, Apply) or a rolling upgrade (Upgrade) —
-// and rejects a second with ErrBusy until the first has finished, an
-// upgrade's restart and ready-wait included. Each plan runs wave by
-// wave. All work happens on the simulation's event loop via scheduled
-// callbacks, so the executor composes with any workload the network is
-// carrying.
+// Executor is the one driver of mapping changes. It runs one rolling
+// upgrade (Upgrade) at a time and rejects a second with ErrBusy until
+// the first has finished, its restarts and ready-waits included. Each
+// plan runs wave by wave. All work happens on the simulation's event
+// loop via scheduled callbacks, so the executor composes with any
+// workload the network is carrying.
 type Executor struct {
 	env Env
 	opt Options
@@ -41,7 +40,6 @@ type Executor struct {
 	stats   Stats
 	plan    *Plan
 	waveIdx int
-	onDone  func(Stats)
 
 	// recoveredBase snapshots Recovered per instance at a plan's start,
 	// so ResurrectedFlows counts only that plan's recoveries.
@@ -68,29 +66,6 @@ func (e *Executor) Stats() Stats { return e.stats }
 // begin opens an operation.
 func (e *Executor) begin(instances int) {
 	e.stats = Stats{Running: true, Start: e.env.Net.Now(), Instances: instances}
-}
-
-// Start runs plan as one operation. onDone, when non-nil, fires once the
-// last wave has drained. Returns ErrBusy while an operation is running.
-func (e *Executor) Start(plan *Plan, onDone func(Stats)) error {
-	if e.stats.Running {
-		return ErrBusy
-	}
-	e.begin(0)
-	e.onDone = onDone
-	e.runPlan(plan)
-	return nil
-}
-
-// Apply moves the cluster to target — VIPs absent from it keep their
-// current mapping — through one δ-bounded plan.
-func (e *Executor) Apply(target map[netsim.IP][]netsim.IP) error {
-	st := State{Current: e.env.Mappings(), Target: target, Flows: e.flowSnapshot(target)}
-	plan, err := NewPlan(st, e.opt)
-	if err != nil {
-		return err
-	}
-	return e.Start(plan, nil)
 }
 
 // Upgrade performs a zero-downtime rolling upgrade (§7.5) of the
@@ -124,8 +99,8 @@ func (e *Executor) runPlan(plan *Plan) {
 	for _, in := range e.env.Instances() {
 		e.recoveredBase[in] = in.Recovered
 	}
-	// Run on the event loop, never synchronously inside Start: callers
-	// (controller ticks, admin API handlers) expect to regain control.
+	// Run on the event loop, never synchronously inside the caller's
+	// event: it expects to regain control.
 	e.env.Net.Schedule(0, e.runWave)
 }
 
@@ -170,7 +145,6 @@ func (e *Executor) runWave() {
 		if e.env.OnMapping != nil {
 			e.env.OnMapping(mv.VIP, to)
 		}
-		e.stats.MovesApplied++
 		// 3. Snapshot the losers' residual flows: these are the migrants.
 		for _, ip := range mv.Losers {
 			in := byIP[ip]
@@ -179,9 +153,7 @@ func (e *Executor) runWave() {
 			}
 			n := in.VIPFlowCount(mv.VIP)
 			migrated += n
-			ws.drains = append(ws.drains, &drainState{
-				inst: in, vip: mv.VIP, flowsAtFlip: n,
-			})
+			ws.drains = append(ws.drains, &drainState{inst: in, vip: mv.VIP})
 		}
 		ws.converge = append(ws.converge, convergeTarget{vip: mv.VIP, want: to})
 	}
@@ -210,10 +182,9 @@ type convergeTarget struct {
 
 // drainState tracks one (loser instance, VIP) pair through the drain.
 type drainState struct {
-	inst        *core.Instance
-	vip         netsim.IP
-	flowsAtFlip int
-	done        bool
+	inst *core.Instance
+	vip  netsim.IP
+	done bool
 }
 
 // settle polls until every mux has applied every flip of the wave, then
@@ -263,7 +234,6 @@ func (e *Executor) drain(wave *Wave, ws *waveState) {
 		}
 		n := d.inst.VIPFlowCount(d.vip)
 		if n == 0 {
-			e.stats.DrainedFlows += uint64(d.flowsAtFlip)
 			e.removeRules(d)
 			continue
 		}
@@ -276,11 +246,7 @@ func (e *Executor) drain(wave *Wave, ws *waveState) {
 		if !quiet && timedOut {
 			e.stats.BrokenFlows += uint64(n)
 		}
-		released := d.inst.ReleaseVIPFlows(d.vip)
-		e.stats.ReleasedFlows += uint64(released)
-		if d.flowsAtFlip > released {
-			e.stats.DrainedFlows += uint64(d.flowsAtFlip - released)
-		}
+		d.inst.ReleaseVIPFlows(d.vip)
 		e.removeRules(d)
 	}
 	if !allDone {
@@ -337,7 +303,7 @@ func (e *Executor) liveOnly(ips []netsim.IP, byIP map[netsim.IP]*core.Instance) 
 
 // planDone closes out the running plan and continues its operation: an
 // upgrade's drain goes on to the restart, its re-admission to the next
-// instance; a lone plan ends the operation.
+// instance; a lone plan (a test's) ends the operation.
 func (e *Executor) planDone() {
 	for in, base := range e.recoveredBase {
 		if in.Recovered > base {
@@ -489,16 +455,11 @@ func (e *Executor) flowSnapshot(vips map[netsim.IP][]netsim.IP) map[netsim.IP]ma
 	return out
 }
 
-// finish closes out the operation and fires Start's onDone.
+// finish closes out the operation.
 func (e *Executor) finish() {
 	e.stats.Running = false
-	e.stats.Done = true
 	e.stats.Current = 0
 	e.stats.Phase = ""
 	e.stats.Duration = e.env.Net.Now() - e.stats.Start
 	e.order = nil
-	if cb := e.onDone; cb != nil {
-		e.onDone = nil
-		cb(e.stats)
-	}
 }

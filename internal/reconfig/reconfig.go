@@ -23,11 +23,10 @@
 //     then remove the losers' rules, so the per-instance rule capacity
 //     R_y is actually reclaimed.
 //
-// The executor runs one operation at a time: a target mapping (one
-// plan), or a zero-downtime rolling upgrade (§7.5) that, per instance,
-// drains it through a plan, restarts its host under a new configuration
-// and re-admits it through a second plan. Either way one Stats reports
-// the whole operation.
+// The executor runs one zero-downtime rolling upgrade (§7.5) at a time.
+// Per instance it drains the instance through a plan, restarts its host
+// under a new configuration and re-admits it through a second plan. One
+// Stats reports the whole upgrade.
 package reconfig
 
 import (
@@ -122,24 +121,17 @@ type Plan struct {
 }
 
 // Stats is the observable state of the current (or last finished)
-// operation, exposed through the controller and the admin API. The wave,
-// flow and rule counters sum over every plan of the operation.
+// operation, exposed through the controller. The wave, flow and rule
+// counters sum over every plan of the operation.
 type Stats struct {
-	// Waves is how many waves have completed; MovesApplied counts VIP
-	// mapping changes executed.
-	Waves        int
-	MovesApplied int
+	// Waves is how many waves have completed.
+	Waves int
 
 	// MigratedFlows counts flows present on losing instances at their
 	// wave's mapping flip — the Eq. 6–7 numerator, measured (not
-	// planned). DrainedFlows is the subset that completed on the loser
-	// during the drain window (through still-stale muxes); ReleasedFlows
-	// is the subset whose local state was dropped after going quiet
-	// (ownership moved to a gainer); BrokenFlows counts flows that were
-	// still seeing packets when the drain timeout fired.
+	// planned). BrokenFlows counts flows that were still seeing packets
+	// when the drain timeout fired.
 	MigratedFlows uint64
-	DrainedFlows  uint64
-	ReleasedFlows uint64
 	BrokenFlows   uint64
 
 	// ResurrectedFlows is the increase of the gaining instances' TCPStore
@@ -175,15 +167,14 @@ type Stats struct {
 	Err string
 
 	// Start is virtual time when the operation began; Duration is filled
-	// when Done.
+	// when it ends and Running turns false.
 	Start    time.Duration
 	Duration time.Duration
 	Running  bool
-	Done     bool
 }
 
 // Env binds the engine to a live cluster. Instances and RulesFor must be
-// non-nil; Mappings is needed by Apply and Upgrade, Restart by Upgrade.
+// non-nil; Mappings and Restart are needed by Upgrade.
 type Env struct {
 	Net *netsim.Network
 	L4  *l4lb.LB

@@ -121,13 +121,13 @@ func TestMigrationRespectsDeltaAndResurrectsFlows(t *testing.T) {
 	if len(plan.Waves) != 2 {
 		t.Fatalf("waves = %d, want 2", len(plan.Waves))
 	}
-	if err := w.exec.Start(plan, nil); err != nil {
+	if err := w.exec.Start(plan); err != nil {
 		t.Fatal(err)
 	}
 	w.c.Net.RunFor(40 * time.Second)
 
 	stats := w.exec.Stats()
-	if !stats.Done || stats.Running {
+	if stats.Running {
 		t.Fatalf("executor not done: %+v", stats)
 	}
 	if stats.MaxWaveMigratedFrac > opt.Delta+0.1 {
@@ -181,14 +181,14 @@ func TestExecutorRejectsConcurrentStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.exec.Start(plan, nil); err != nil {
+	if err := w.exec.Start(plan); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.exec.Start(plan, nil); err != reconfig.ErrBusy {
+	if err := w.exec.Start(plan); err != reconfig.ErrBusy {
 		t.Fatalf("second Start = %v, want ErrBusy", err)
 	}
 	w.c.Net.RunFor(20 * time.Second)
-	if !w.exec.Stats().Done {
+	if w.exec.Stats().Running {
 		t.Fatal("first run never finished")
 	}
 	// After completion a new run is accepted.
@@ -200,7 +200,7 @@ func TestExecutorRejectsConcurrentStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.exec.Start(plan2, nil); err != nil {
+	if err := w.exec.Start(plan2); err != nil {
 		t.Fatalf("restart after done: %v", err)
 	}
 	w.c.Net.RunFor(20 * time.Second)

@@ -260,9 +260,6 @@ func (e *Engine) evictStale() {
 	}
 }
 
-// Len returns the number of rules.
-func (e *Engine) Len() int { return len(e.rules) }
-
 // Learn records a sticky-table binding (cookie value → backend).
 func (e *Engine) Learn(table, key string, b Backend) {
 	t, ok := e.tables[table]

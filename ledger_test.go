@@ -224,9 +224,15 @@ func TestAdoptionAllocLedger(t *testing.T) {
 // TestLiveFlowHeapLedger is the heap ledger of one idle keep-alive flow
 // (DESIGN.md, "What a live flow holds"): on the adoption bed in paper
 // mode, past a first 256 held flows that take every spare connection
-// and flow object the warm-up left, 2,048 more keep-alive flows fetch
-// once and stay open, and the heap they hold is charged, from the
-// profile's bytes in use, to the layer that allocated it (layerOf;
+// and flow object the warm-up left, and past a first ramp of the same
+// size and pace that brings the scheduler's and packet pools' free
+// lists to the ramp's peak, 2,048 more keep-alive flows fetch once and
+// stay open. The window then allocates the event records and train
+// boxes its flows hold, not a burst's high water, however the warm-up
+// peaked. The first ramp stays open: closed, it would also hand the
+// window its slab chunks and index slots. The heap the 2,048 hold is
+// charged, from the profile's bytes in use, to the layer that allocated
+// it (layerOf;
 // "other" is the test's own client objects). The total is
 // runtime.MemStats.HeapAlloc's growth per flow less what the runtime
 // allocated for itself meanwhile (runtimeRow, from the same profile):
@@ -251,6 +257,7 @@ func TestLiveFlowHeapLedger(t *testing.T) {
 	const flows = 2048
 	b := newAdoptionBed(false)
 	b.openAll(256)
+	b.openHeld(flows, 100*time.Microsecond)
 	before, heap0 := heapByLayer()
 	b.openHeld(flows, 100*time.Microsecond) // held-failover's ramp pace
 	total := logHeapLedger(t, "flow_heap_bytes", flows, before, heap0)

@@ -252,21 +252,20 @@ if unformatted=$(gofmt -s -l *.go cmd examples internal scripts 2>/dev/null); [ 
 fi
 go vet ./...
 
-echo "== dataplane fast-fail (vet + race on flowmap/rules/httpsim/core/l4lb/tcpstore/memcache/reconfig/controller/adminapi/stateless/tcp/netsim/metrics) =="
+FASTFAIL_PKGS="./internal/flowmap/ ./internal/rules/ ./internal/httpsim/ ./internal/core/ ./internal/l4lb/ ./internal/tcpstore/ ./internal/memcache/ ./internal/reconfig/ ./internal/controller/ ./internal/stateless/ ./internal/tcp/ ./internal/netsim/ ./internal/metrics/"
+echo "== dataplane fast-fail (vet + race on $FASTFAIL_PKGS) =="
 # The compact flow-map layer, the compiled rule engine, the request
 # parser it reads through, the write-barrier dataplane, the L4 mux
 # refactored onto the flow map, its store client, the zero-copy
 # memcached protocol+engine under it, the live reconfiguration engine
-# with the controller and admin server that share its single-flight
-# state (the server drives it from HTTP goroutines under its lock),
-# the stateless derivation table the hybrid recovery mode trusts, the
-# TCP endpoint and event loop every packet of every one of them crosses,
-# and the histograms and meters every layer records into are where
-# regressions bite hardest; vet and race them first so a broken index,
-# barrier, parser, cookie decode, ACK or quantile fails in seconds, not
-# after the full suite.
-go vet ./internal/flowmap/ ./internal/rules/ ./internal/httpsim/ ./internal/core/ ./internal/l4lb/ ./internal/tcpstore/ ./internal/memcache/ ./internal/reconfig/ ./internal/controller/ ./internal/adminapi/ ./internal/stateless/ ./internal/tcp/ ./internal/netsim/ ./internal/metrics/
-go test -race ./internal/flowmap/ ./internal/rules/ ./internal/httpsim/ ./internal/core/ ./internal/l4lb/ ./internal/tcpstore/ ./internal/memcache/ ./internal/reconfig/ ./internal/controller/ ./internal/adminapi/ ./internal/stateless/ ./internal/tcp/ ./internal/netsim/ ./internal/metrics/
+# and the controller that drives it, the stateless derivation table the
+# hybrid recovery mode trusts, the TCP endpoint and event loop every
+# packet of every one of them crosses, and the histograms and meters
+# every layer records into are where regressions bite hardest; vet and
+# race them first so a broken index, barrier, parser, cookie decode, ACK
+# or quantile fails in seconds, not after the full suite.
+go vet $FASTFAIL_PKGS
+go test -race $FASTFAIL_PKGS
 # Every client, backend and instance reads HTTP through one streaming
 # codec; ten seconds of new-vs-reference fuzzing over fresh inputs is
 # cheap next to what a framing bug costs everything downstream.

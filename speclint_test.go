@@ -46,7 +46,7 @@ const (
 //   - Every row of EXPERIMENTS.md's "## Figures at HEAD" table quotes the
 //     all_seed1.golden line its measured value comes from, or names the
 //     benchmark that measures it.
-//   - Every flag specDocs cite for yodasim or yodactl is one the
+//   - Every flag specDocs cite for a command under cmd/ is one the
 //     command's main.go defines.
 //   - DESIGN.md and EXPERIMENTS.md are no larger than specCeilings.
 func TestSpecLint(t *testing.T) {
@@ -245,15 +245,20 @@ func moduleDirs(t *testing.T) []string {
 	return dirs
 }
 
-// specCommands are the commands whose flags the documents cite.
-var specCommands = []string{"yodasim", "yodactl"}
-
-// commandFlags returns, per command of specCommands, the flags its
-// main.go defines: the first string argument of each flag.* call.
+// commandFlags returns, per command under cmd/, the flags its main.go
+// defines: the first string argument of each flag.* call.
 func commandFlags(t *testing.T) map[string]map[string]bool {
 	t.Helper()
+	entries, err := os.ReadDir("cmd")
+	if err != nil {
+		t.Fatal(err)
+	}
 	out := map[string]map[string]bool{}
-	for _, cmd := range specCommands {
+	for _, e := range entries {
+		if !e.IsDir() {
+			continue
+		}
+		cmd := e.Name()
 		f, err := parser.ParseFile(token.NewFileSet(), filepath.Join("cmd", cmd, "main.go"), nil, parser.SkipObjectResolution)
 		if err != nil {
 			t.Fatal(err)
@@ -284,14 +289,17 @@ func commandFlags(t *testing.T) map[string]map[string]bool {
 // A flag citation runs from a command's name, then a space, to the end
 // of its line, a backtick, a pipe, a # comment or &&; in it, a flag is a
 // -name or --name after a space or an opening bracket.
-var (
-	flagCitation = regexp.MustCompile("\\b(" + strings.Join(specCommands, "|") + ") ([^`|#&\n]*)")
-	flagName     = regexp.MustCompile(`(?:^|[\s\[])--?([a-z][a-z0-9]*)`)
-)
+var flagName = regexp.MustCompile(`(?:^|[\s\[])--?([a-z][a-z0-9]*)`)
 
 // unknownFlags reports each distinct flag a document cites for a command
-// that the command does not define.
+// of flags that the command does not define.
 func unknownFlags(doc, text string, flags map[string]map[string]bool) []string {
+	var cmds []string
+	for cmd := range flags {
+		cmds = append(cmds, cmd)
+	}
+	slices.Sort(cmds)
+	flagCitation := regexp.MustCompile("\\b(" + strings.Join(cmds, "|") + ") ([^`|#&\n]*)")
 	var problems []string
 	seen := map[string]bool{}
 	for _, c := range flagCitation.FindAllStringSubmatch(text, -1) {
@@ -478,8 +486,8 @@ func TestSpecLintCatches(t *testing.T) {
 		}
 	}
 	// And the clean fixtures pass.
-	if p := unknownFlags("README.md", "`yodasim -exp mflow [-seed N] [--recovery hybrid] | diff - x` and `yodactl -addr a fail 0 && b -parallel`, see cmd/yodasim/main.go -x",
-		map[string]map[string]bool{"yodasim": {"exp": true, "seed": true, "recovery": true}, "yodactl": {"addr": true}}); len(p) > 0 {
+	if p := unknownFlags("README.md", "`yodasim -exp mflow [-seed N] [--recovery hybrid] | diff - x` and `yodasim -exp all && b -parallel`, see cmd/yodasim/main.go -x",
+		map[string]map[string]bool{"yodasim": {"exp": true, "seed": true, "recovery": true}}); len(p) > 0 {
 		t.Errorf("well-formed flag citations reported %q", p)
 	}
 	if p := guaranteeProblems("## Guarantees\n\n### G1. Claim\n\n**Precondition.** none.\n\n**Tests.** `TestReal`.\n\n**Exception (g).** `TestReal/hybrid` pins it.\n\n## Next\n", tests); len(p) > 0 {

@@ -48,10 +48,10 @@ func TestTestbedSurvivesInstanceFailure(t *testing.T) {
 }
 
 // TestFetchAsyncAttachesNoHost: every fetch of the testbed comes from its
-// one client, so a pump of asynchronous fetches (yodactl serve starts one
-// every 50 ms) attaches no host per fetch, and a long run never wraps the
-// cluster's client addresses onto hosts already attached. Two client
-// hosts made around the pump are consecutive.
+// one client, so a pump of asynchronous fetches (one every 50 ms)
+// attaches no host per fetch, and a long run never wraps the cluster's
+// client addresses onto hosts already attached. Two client hosts made
+// around the pump are consecutive.
 func TestFetchAsyncAttachesNoHost(t *testing.T) {
 	tb := yoda.NewTestbed(yoda.TestbedConfig{Seed: 3, DisableController: true})
 	defer tb.Close()
