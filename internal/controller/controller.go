@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/reconfig"
 	"repro/internal/rules"
@@ -36,9 +37,7 @@ type Config struct {
 	// most this delay (600 ms in the paper).
 	PingInterval time.Duration
 	// ScaleInterval is how often the scaling policy runs; scaling is
-	// disabled when it is 0. It must not exceed 4 s: the policy reads CPU
-	// over the last interval, and a CPU meter answers windows within its
-	// 4.1 s horizon.
+	// disabled when it is 0.
 	ScaleInterval time.Duration
 
 	// Reconfig tunes the live reconfiguration engine a rolling upgrade
@@ -73,6 +72,10 @@ type Controller struct {
 	lastStoreCount int
 	timers         [nLoops]netsim.Timer // each loop's one pending tick
 	running        bool
+	// cpuRead is each instance's CPU reading (BusyBefore) at the last
+	// scaling tick, or at Start, by meter: a restarted instance's new
+	// incarnation has a meter of its own, which starts from 0.
+	cpuRead map[*metrics.CPUMeter]time.Duration
 
 	// exec is the live reconfiguration engine that drives rolling
 	// upgrades; upgradeCfg and upgradeStoreCfg are the configs the running
@@ -243,6 +246,7 @@ func (ct *Controller) Start() {
 	ct.every(loopMonitor, ct.cfg.PingInterval, ct.monitorTick)
 	ct.every(loopStats, statsInterval, ct.statsTick)
 	if ct.cfg.ScaleInterval > 0 {
+		ct.readCPU()
 		ct.every(loopScaling, ct.cfg.ScaleInterval, ct.scaleTick)
 	}
 }
@@ -381,20 +385,30 @@ func (ct *Controller) statsTick() {
 	}
 }
 
+// readCPU takes every instance's CPU reading now into cpuRead and
+// returns the readings it replaces.
+func (ct *Controller) readCPU() map[*metrics.CPUMeter]time.Duration {
+	last, now := ct.cpuRead, ct.C.Net.Now()
+	ct.cpuRead = make(map[*metrics.CPUMeter]time.Duration, len(ct.C.Yoda))
+	for _, in := range ct.C.Yoda {
+		ct.cpuRead[in.CPU] = in.CPU.BusyBefore(now)
+	}
+	return last
+}
+
 // scaleTick implements the §7.3 behaviour: when average instance CPU over
 // the last interval exceeds cpuHigh, add enough instances to bring the
 // projected utilization down to cpuTarget, give them every VIP's rules,
 // and update the L4 mappings.
 func (ct *Controller) scaleTick() {
+	last := ct.readCPU()
 	live := ct.liveInstances()
 	if len(live) == 0 || ct.Provision == nil {
 		return
 	}
-	now := ct.C.Net.Now()
-	from := now - ct.cfg.ScaleInterval
 	avg := 0.0
 	for _, in := range live {
-		avg += in.CPU.UtilizationClamped(from, now)
+		avg += in.CPU.UtilizationClamped(ct.cpuRead[in.CPU]-last[in.CPU], ct.cfg.ScaleInterval)
 	}
 	avg /= float64(len(live))
 	if avg <= cpuHigh {

@@ -11,6 +11,7 @@ import (
 	"repro/internal/httpsim"
 	"repro/internal/netsim"
 	"repro/internal/rules"
+	"repro/internal/tcpstore"
 	"repro/internal/testbed"
 )
 
@@ -146,6 +147,50 @@ func TestScaleOutUnderLoad(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("newcomer not in L4 mapping")
+	}
+}
+
+// TestScaleTickReadsRestartedInstanceFromZero: the scaling loop keeps
+// each instance's last CPU reading by meter, so the tick after a restart
+// charges its window only what the new incarnation was charged. One
+// single-core instance serves ~18 % load for 3.5 s, restarts mid-interval
+// under that load, and its new incarnation is charged 0.8 s in [3 s, 4 s):
+// the 4 s tick reads 80 % and adds one instance. A reading kept by slot
+// would subtract the old incarnation's 3 s reading (~0.6 s) and see ~20 %.
+func TestScaleTickReadsRestartedInstanceFromZero(t *testing.T) {
+	slowCfg := core.DefaultConfig()
+	slowCfg.Cores = 1
+	slowCfg.CPUConnPhase = 5 * time.Millisecond
+	slowCfg.CPUPerPacket = 100 * time.Microsecond
+	w := newWorldWith(5, 1, 4*1024, &slowCfg)
+	stop := false
+	var pump func()
+	done, errs := 0, 0
+	pump = func() {
+		if stop {
+			return
+		}
+		for i := 0; i < 3; i++ {
+			w.fetch(&done, &errs)
+		}
+		w.c.Net.Schedule(100*time.Millisecond, pump)
+	}
+	pump() // 30 req/s at ~6 ms each
+	w.c.Net.Run(3 * time.Second)
+	if busy := w.c.Yoda[0].CPU.BusyBefore(3 * time.Second); busy < 300*time.Millisecond {
+		t.Fatalf("the old incarnation was busy %v before 3 s, too little to tell a slot's reading from the meter's", busy)
+	}
+	w.c.Net.RunFor(500 * time.Millisecond)
+	if len(w.c.Yoda) != 1 {
+		t.Fatalf("scaled out to %d instances before the restart", len(w.c.Yoda))
+	}
+	fresh := w.c.RestartYoda(0, slowCfg, tcpstore.DefaultConfig())
+	w.c.Net.RunFor(100 * time.Millisecond)
+	fresh.CPU.Charge(w.c.Net.Now(), 800*time.Millisecond)
+	w.c.Net.RunFor(450 * time.Millisecond) // past the 4 s tick
+	stop = true
+	if got := len(w.c.Yoda); got != 2 {
+		t.Fatalf("%d instances after the 4 s tick, want 2", got)
 	}
 }
 

@@ -774,7 +774,7 @@ func TestInstanceCountersAndStats(t *testing.T) {
 	if !in.HasVIP(tb.VIP) {
 		t.Fatal("HasVIP false")
 	}
-	if in.CPU.Utilization(0, tb.C.Net.Now()) == 0 {
+	if in.CPU.BusyBefore(tb.C.Net.Now()) == 0 {
 		t.Fatal("no CPU charged")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/httpsim"
+	"repro/internal/metrics"
 	"repro/internal/testbed"
 )
 
@@ -72,10 +73,13 @@ func runCPUCell(cfg CPUConfig, rate int, yoda bool) float64 {
 	// Open-loop Apache-bench-style load from a pool of client hosts.
 	b.OpenLoop(8, func() int { return rate }, cfg.Duration, "/obj", func(*httpsim.FetchResult) {})
 	b.C.Net.Run(cfg.Duration)
+	var cpu *metrics.CPUMeter
 	if yoda {
-		return b.C.Yoda[0].CPU.UtilizationClamped(0, cfg.Duration)
+		cpu = b.C.Yoda[0].CPU
+	} else {
+		cpu = b.C.HAProxy[0].CPU
 	}
-	return b.C.HAProxy[0].CPU.UtilizationClamped(0, cfg.Duration)
+	return cpu.UtilizationClamped(cpu.BusyBefore(cfg.Duration), cfg.Duration)
 }
 
 // String prints the utilization sweep.

@@ -183,13 +183,14 @@ func runFig10Cell(cfg Fig10Config, replicas, ratePerServer, opRate int) Fig10Poi
 		n.Schedule(interval, tick)
 	}
 	tick()
-	n.Run(cfg.Duration + 500*time.Millisecond)
-
+	n.Run(cfg.Duration)
 	cpu := 0.0
 	for _, s := range servers {
-		cpu += s.CPU.UtilizationClamped(0, cfg.Duration)
+		cpu += s.CPU.UtilizationClamped(s.CPU.BusyBefore(cfg.Duration), cfg.Duration)
 	}
 	cpu /= float64(len(servers))
+	n.Run(cfg.Duration + 500*time.Millisecond)
+
 	return Fig10Point{
 		RatePerServer: ratePerServer,
 		Replicas:      replicas,

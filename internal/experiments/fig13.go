@@ -7,6 +7,7 @@ import (
 	"repro/internal/controller"
 	"repro/internal/core"
 	"repro/internal/httpsim"
+	"repro/internal/metrics"
 	"repro/internal/testbed"
 )
 
@@ -93,7 +94,10 @@ func RunFig13(cfg Fig13Config) *Fig13Result {
 		}
 	})
 
-	// Sample the series once per second.
+	// Sample the series once per second. Each sample reads every
+	// instance's meter and keeps the reading for the next, by meter: an
+	// instance the controller adds has a meter of its own, from 0.
+	read := map[*metrics.CPUMeter]time.Duration{}
 	var sample func()
 	sample = func() {
 		now := c.Net.Now()
@@ -103,11 +107,14 @@ func RunFig13(cfg Fig13Config) *Fig13Result {
 		live := 0
 		cpu := 0.0
 		for _, in := range c.Yoda {
+			busy := in.CPU.BusyBefore(now)
+			last := read[in.CPU]
+			read[in.CPU] = busy
 			if !in.Host().Alive() {
 				continue
 			}
 			live++
-			cpu += in.CPU.UtilizationClamped(now-time.Second, now)
+			cpu += in.CPU.UtilizationClamped(busy-last, time.Second)
 		}
 		if live > 0 {
 			cpu /= float64(live)

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/tcp"
 )
@@ -22,15 +21,11 @@ import (
 // *Response to every request, as MapHandler does, is the intended use.
 type Handler func(req *Request) *Response
 
-// The testbed's dual-core Apache backends: processingDelay is charged
-// (in virtual time) between receiving a complete request and emitting the
-// response, modelling application work — the paper's baseline latency
-// (133 ms end to end) is dominated by Internet RTT plus this — and
-// cpuPerRequest is the virtual CPU cost of serving one request.
-const (
-	processingDelay = 5 * time.Millisecond
-	cpuPerRequest   = 100 * time.Microsecond
-)
+// The testbed's Apache backends: processingDelay is charged (in virtual
+// time) between receiving a complete request and emitting the response,
+// modelling application work — the paper's baseline latency (133 ms end
+// to end) is dominated by Internet RTT plus this.
+const processingDelay = 5 * time.Millisecond
 
 // ServerConfig tunes an origin server.
 type ServerConfig struct {
@@ -50,8 +45,6 @@ type Server struct {
 	host    *netsim.Host
 	handler Handler
 
-	CPU *metrics.CPUMeter
-
 	// Requests counts requests served.
 	Requests int
 	// ActiveConns tracks currently open connections.
@@ -67,7 +60,7 @@ type Server struct {
 
 // NewServer starts a server on host:port with the given handler.
 func NewServer(host *netsim.Host, port uint16, handler Handler, cfg ServerConfig) *Server {
-	s := &Server{host: host, handler: handler, CPU: metrics.NewCPUMeter(2)}
+	s := &Server{host: host, handler: handler}
 	s.takeReq = s.reqs.Take
 	tcp.Listen(host, port, s.accept, cfg.TCP)
 	return s
@@ -115,7 +108,6 @@ func serverConnData(c *tcp.Conn, d []byte) {
 	}
 	for _, req := range reqs {
 		s.Requests++
-		s.CPU.Charge(s.host.Network().Now(), cpuPerRequest)
 		sc.pending = append(sc.pending, req)
 		s.host.Network().Arm(processingDelay, sc)
 	}

@@ -150,16 +150,17 @@ func TestCPUMeterUtilization(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		c.Charge(time.Duration(i)*100*time.Millisecond, 100*time.Millisecond)
 	}
-	got := c.Utilization(0, time.Second)
+	busy := c.BusyBefore(time.Second)
+	got := c.Utilization(busy, time.Second)
 	if math.Abs(got-0.5) > 1e-9 {
 		t.Fatalf("Utilization = %v, want 0.5", got)
 	}
 	// Window with no charges.
-	if u := c.Utilization(2*time.Second, 3*time.Second); u != 0 {
+	if u := c.Utilization(c.BusyBefore(3*time.Second)-c.BusyBefore(2*time.Second), time.Second); u != 0 {
 		t.Fatalf("idle window utilization = %v", u)
 	}
 	// Degenerate window.
-	if u := c.Utilization(time.Second, time.Second); u != 0 {
+	if u := c.Utilization(busy, 0); u != 0 {
 		t.Fatalf("empty window utilization = %v", u)
 	}
 	if c.busy != time.Second {
@@ -170,10 +171,11 @@ func TestCPUMeterUtilization(t *testing.T) {
 func TestCPUMeterOversubscribedAndClamp(t *testing.T) {
 	c := NewCPUMeter(1)
 	c.Charge(0, 2*time.Second) // 2s of work charged at t=0
-	if u := c.Utilization(0, time.Second); u != 2 {
+	busy := c.BusyBefore(time.Second)
+	if u := c.Utilization(busy, time.Second); u != 2 {
 		t.Fatalf("oversubscribed utilization = %v, want 2", u)
 	}
-	if u := c.UtilizationClamped(0, time.Second); u != 1 {
+	if u := c.UtilizationClamped(busy, time.Second); u != 1 {
 		t.Fatalf("clamped = %v, want 1", u)
 	}
 }
@@ -181,26 +183,31 @@ func TestCPUMeterOversubscribedAndClamp(t *testing.T) {
 func TestCPUMeterWindowing(t *testing.T) {
 	c := NewCPUMeter(1)
 	c.Charge(100*time.Millisecond, 10*time.Millisecond)
+	from := c.BusyBefore(400 * time.Millisecond)
 	c.Charge(500*time.Millisecond, 10*time.Millisecond)
+	to := c.BusyBefore(600 * time.Millisecond)
 	c.Charge(900*time.Millisecond, 10*time.Millisecond)
 	// Window [400ms, 600ms) should see only the middle charge.
-	got := c.Utilization(400*time.Millisecond, 600*time.Millisecond)
+	got := c.Utilization(to-from, 200*time.Millisecond)
 	want := 10.0 / 200.0
 	if math.Abs(got-want) > 1e-9 {
 		t.Fatalf("windowed utilization = %v, want %v", got, want)
 	}
 }
 
-// TestCPUMeterBucketsMatchLog: folding charges into a ring of running
-// totals must be invisible to every window the contract allows — checked
+// TestCPUMeterBucketsMatchLog: keeping only a running total and the
+// newest bucket's start must be invisible to a reader that takes
+// BusyBefore at its window edges as virtual time reaches them — checked
 // against the unfolded per-charge log kept here, which counts a charge in
 // the window its bucket's start falls in. The stream repeats instants the
 // way packet trains do, leaves whole buckets idle, now and then falls
-// silent for longer than the horizon, and runs for many horizons; the
-// queries come along the way, [0, t) and [from, to) with every nonzero end
-// inside the horizon, aligned to buckets or not.
+// silent for up to 12 s, and runs for minutes; the readings come along
+// the way, at instants aligned to buckets or not, and each window between
+// two readings is checked too. A reading at or before the start of the
+// bucket before the newest charge's panics instead of answering.
 func TestCPUMeterBucketsMatchLog(t *testing.T) {
 	type charge struct{ bucketAt, cum time.Duration } // cum: busy so far, this charge included
+	const gap = 4 * time.Second
 	rng := rand.New(rand.NewSource(1))
 	c := NewCPUMeter(4)
 	var ref []charge
@@ -213,8 +220,8 @@ func TestCPUMeterBucketsMatchLog(t *testing.T) {
 		}
 		return ref[i-1].cum
 	}
-	horizon := time.Duration(cpuHorizon) * cpuBucket
-	queries := 0
+	var lastAt, lastBusy time.Duration
+	readings, aligned, panics := 0, 0, 0
 	for i := 0; i < 400000; i++ {
 		switch rng.Intn(8) {
 		case 0, 1:
@@ -223,8 +230,10 @@ func TestCPUMeterBucketsMatchLog(t *testing.T) {
 			now += time.Duration(1 + rng.Intn(20000))
 		case 5:
 			if rng.Intn(2000) == 0 {
-				now += time.Duration(rng.Int63n(int64(3 * horizon)))
+				now += time.Duration(rng.Int63n(int64(3 * gap)))
 			}
+		case 6:
+			now += cpuBucket - now%cpuBucket // the next bucket's start
 		}
 		cost := time.Duration(rng.Intn(50)) // 0 is ignored
 		c.Charge(now, cost)
@@ -232,77 +241,85 @@ func TestCPUMeterBucketsMatchLog(t *testing.T) {
 			total += cost
 			ref = append(ref, charge{now - now%cpuBucket, total})
 		}
-		if i%500 != 0 {
+		if rng.Intn(100) != 0 {
 			continue
 		}
-		// The oldest bucket still in the ring starts at oldest; an end
-		// just past it is allowed, and so is any end up to a little
-		// after now.
-		oldest := max(0, now-now%cpuBucket-horizon+cpuBucket)
-		span := int64(now + 3*cpuBucket - oldest)
-		for q := 0; q < 4; q++ {
-			from := oldest + time.Duration(rng.Int63n(span))
-			to := from + time.Duration(rng.Int63n(int64(now+3*cpuBucket-from)))
-			switch q {
-			case 0:
-				from = 0
-			case 1:
-				from, to = from-from%cpuBucket, to-to%cpuBucket
+		got, want := c.BusyBefore(now), busyBefore(now)
+		if got != want {
+			t.Fatalf("BusyBefore(%v) = %v, unfolded log says %v", now, got, want)
+		}
+		if window := now - lastAt; window > 0 {
+			if u, w := c.Utilization(got-lastBusy, window), float64(want-lastBusy)/(float64(window)*4); u != w {
+				t.Fatalf("window [%v, %v): Utilization = %v, unfolded log says %v", lastAt, now, u, w)
 			}
-			want := 0.0
-			if to > from {
-				want = float64(busyBefore(to)-busyBefore(from)) / (float64(to-from) * 4)
+		}
+		lastAt, lastBusy = now, got
+		readings++
+		if now%cpuBucket == 0 {
+			aligned++
+		}
+		// The bucket before the newest charge's: a reading just after its
+		// start answers, one at or before its start panics.
+		prev := time.Duration(c.newest-1) * cpuBucket
+		if prev >= 0 {
+			if got := c.BusyBefore(prev + 1); got != busyBefore(prev+1) {
+				t.Fatalf("BusyBefore(%v) = %v, unfolded log says %v", prev+1, got, busyBefore(prev+1))
 			}
-			if got := c.Utilization(from, to); got != want {
-				t.Fatalf("after %v: Utilization(%v, %v) = %v, unfolded log says %v", now, from, to, got, want)
+			for _, stale := range []time.Duration{prev, prev - time.Duration(rng.Int63n(int64(prev)+1))} {
+				func() {
+					defer func() {
+						if recover() != nil {
+							panics++
+						}
+					}()
+					c.BusyBefore(stale)
+					t.Fatalf("BusyBefore(%v) answered with the newest charge in bucket %d", stale, c.newest)
+				}()
 			}
-			queries++
 		}
 	}
 	if c.busy != total {
 		t.Fatalf("busy = %v, want %v", c.busy, total)
 	}
-	if now < 20*horizon {
-		t.Fatalf("stream covered %v, want many %v horizons", now, horizon)
+	if now < 20*gap {
+		t.Fatalf("stream covered %v, want many %v gaps", now, gap)
 	}
-	t.Logf("%d charges over %v, %d windows checked", len(ref), now, queries)
-}
-
-// meterBytes is what a meter holds: the struct and its ring.
-func meterBytes(c *CPUMeter) int {
-	return int(unsafe.Sizeof(*c)) + cap(c.before)*int(unsafe.Sizeof(time.Duration(0)))
+	if aligned == 0 || aligned == readings || panics == 0 {
+		t.Fatalf("%d readings, %d of them bucket-aligned, %d stale readings panicked: want both kinds, and panics", readings, aligned, panics)
+	}
+	t.Logf("%d charges over %v, %d readings (%d bucket-aligned), %d stale readings panicked", len(ref), now, readings, aligned, panics)
 }
 
 // TestCPUMeterFootprintConstant: a meter's size does not follow the time
 // it was busy for. One charged for 10 virtual minutes, a packet's cost
-// every 50 µs with idle stretches, holds exactly what it held after 5 s.
+// every 50 µs with idle stretches, is four words and holds nothing else
+// (no pointer field to hold it with).
 func TestCPUMeterFootprintConstant(t *testing.T) {
 	c := NewCPUMeter(8)
-	var at5s int
+	last := 10*time.Minute - 5*time.Second // the end of the last busy second
+	var from, to time.Duration
 	for now := time.Duration(0); now < 10*time.Minute; now += 50 * time.Microsecond {
+		switch now {
+		case last - time.Second:
+			from = c.BusyBefore(now)
+		case last:
+			to = c.BusyBefore(now)
+		}
 		if now%(20*time.Second) >= 15*time.Second {
 			continue // idle
 		}
 		c.Charge(now, 20*time.Microsecond)
-		if at5s == 0 && now >= 5*time.Second {
-			at5s = meterBytes(c)
-		}
 	}
-	if got := meterBytes(c); got != at5s {
-		t.Fatalf("meter holds %d B after 10 minutes, %d B after 5 s", got, at5s)
+	if got, want := unsafe.Sizeof(*c), 4*unsafe.Sizeof(0); got != want {
+		t.Fatalf("meter is %d B, want %d", got, want)
 	}
-	if want := int(unsafe.Sizeof(*c)) + cpuHorizon*8; at5s != want {
-		t.Fatalf("meter holds %d B, want %d", at5s, want)
-	}
-	last := 10*time.Minute - 5*time.Second // the last busy second
-	if u := c.Utilization(last-time.Second, last); u != 20.0/50/8 {
+	if u := c.Utilization(to-from, time.Second); u != 20.0/50/8 {
 		t.Fatalf("Utilization of the last busy second = %v", u)
 	}
 }
 
-// TestCPUMeterChargeAllocFree: after the first charge gives a meter its
-// ring, charging allocates nothing — across buckets, idle gaps and gaps
-// longer than the horizon.
+// TestCPUMeterChargeAllocFree: charging allocates nothing — across
+// buckets, idle gaps and gaps of many seconds.
 func TestCPUMeterChargeAllocFree(t *testing.T) {
 	c := NewCPUMeter(8)
 	c.Charge(0, time.Microsecond)
@@ -311,7 +328,7 @@ func TestCPUMeterChargeAllocFree(t *testing.T) {
 		i++
 		switch {
 		case i%1000 == 0:
-			now += 2 * time.Duration(cpuHorizon) * cpuBucket
+			now += 8 * time.Second
 		case i%10 == 0:
 			now += 7 * cpuBucket
 		default:
@@ -324,31 +341,9 @@ func TestCPUMeterChargeAllocFree(t *testing.T) {
 	}
 }
 
-// TestCPUMeterHorizonPanics: a window end older than the horizon is a
-// caller bug, and the meter says so instead of answering 0; an end of 0
-// and one just inside the horizon are fine.
-func TestCPUMeterHorizonPanics(t *testing.T) {
-	c := NewCPUMeter(1)
-	now := 10 * time.Second
-	c.Charge(now, time.Millisecond)
-	oldest := now - time.Duration(cpuHorizon-1)*cpuBucket // start of the oldest bucket kept
-	if u := c.Utilization(0, now+cpuBucket); u != float64(time.Millisecond)/float64(now+cpuBucket) {
-		t.Fatalf("Utilization(0, now) = %v", u)
-	}
-	if u := c.Utilization(oldest, now); u != 0 {
-		t.Fatalf("Utilization(oldest, now) = %v", u)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("a window end older than the horizon did not panic")
-		}
-	}()
-	c.Utilization(oldest-cpuBucket, now)
-}
-
 // BenchmarkCPUMeterCharge charges one packet's cost every 10 µs of
 // virtual time, the rate of an instance forwarding 100K packets a
-// second, and reports the bytes the meter holds — a constant, however
+// second, and reports the bytes the meter holds — its struct, however
 // long it ran. bench.sh records it as cpumeter_bytes_held.
 func BenchmarkCPUMeterCharge(b *testing.B) {
 	const every = 10 * time.Microsecond
@@ -356,7 +351,7 @@ func BenchmarkCPUMeterCharge(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c.Charge(time.Duration(i)*every, 20*time.Microsecond)
 	}
-	b.ReportMetric(float64(meterBytes(c)), "B/meter")
+	b.ReportMetric(float64(unsafe.Sizeof(*c)), "B/meter")
 }
 
 func TestCPUMeterIgnoresNonPositive(t *testing.T) {

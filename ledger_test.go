@@ -37,30 +37,10 @@ var ledgerLayers = []string{"netsim", "l4lb", "core", "tcp", "tcpstore", "memcac
 // rise in the total names its layer. It logs the rows as "ledger <name>
 // <count>" lines, which scripts/bench.sh records and ci.sh gates.
 func TestRequestAllocLedger(t *testing.T) {
-	tb := yoda.NewTestbed(yoda.TestbedConfig{Seed: 5, DisableController: true})
-	defer tb.Close()
-	body := bytes.Repeat([]byte("L"), 2<<10)
-	addr := netsim.HostPort{IP: tb.AddService("ledger", map[string][]byte{"/obj": body}, 2), Port: 80}
-	cl := tb.Cluster.NewClient(httpsim.DefaultClientConfig())
-	req := httpsim.NewRequest("/obj", "ledger")
-	ok := false
-	done := func(r *httpsim.FetchResult) { ok = r.Err == nil && bytes.Equal(r.Resp.Body, body) }
-	fetch := func() {
-		ok = false
-		cl.Fetch(addr, req, done)
-		tb.Run(3 * time.Second) // the close, finLinger and the records' deletes
-		if !ok {
-			t.Fatal("fetch failed")
-		}
-	}
-
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
 	runtime.MemProfileRate = 1
-	for range 2000 {
-		// Warm the pools, the spares and the store connections, and let
-		// the latency histograms see every distinct value they will see.
-		fetch()
-	}
+	tb, fetch := warmLedgerTestbed(t)
+	defer tb.Close()
 	const runs = 100
 	before := allocsByLayer()
 	total := testing.AllocsPerRun(runs, fetch)
@@ -78,6 +58,66 @@ func TestRequestAllocLedger(t *testing.T) {
 	t.Logf("ledger request_allocs %v", total)
 	if float64(sum) != total {
 		t.Fatalf("the ledger's rows sum to %d allocations per request, testing.AllocsPerRun counts %v", sum, total)
+	}
+}
+
+// warmLedgerTestbed builds the request ledger's testbed, a 2 KiB object
+// behind the facade's default cluster with no controller, and runs 2,000
+// fetches of it from one client, each until its connection has closed
+// and its flow has lingered out. It returns the testbed and that fetch.
+func warmLedgerTestbed(t *testing.T) (*yoda.Testbed, func()) {
+	tb := yoda.NewTestbed(yoda.TestbedConfig{Seed: 5, DisableController: true})
+	body := bytes.Repeat([]byte("L"), 2<<10)
+	addr := netsim.HostPort{IP: tb.AddService("ledger", map[string][]byte{"/obj": body}, 2), Port: 80}
+	cl := tb.Cluster.NewClient(httpsim.DefaultClientConfig())
+	req := httpsim.NewRequest("/obj", "ledger")
+	ok := false
+	done := func(r *httpsim.FetchResult) { ok = r.Err == nil && bytes.Equal(r.Resp.Body, body) }
+	fetch := func() {
+		ok = false
+		cl.Fetch(addr, req, done)
+		tb.Run(3 * time.Second) // the close, finLinger and the records' deletes
+		if !ok {
+			t.Fatal("fetch failed")
+		}
+	}
+	for range 2000 {
+		// Warm the pools, the spares and the store connections, and let
+		// the latency histograms see every distinct value they will see.
+		fetch()
+	}
+	return tb, fetch
+}
+
+// TestClusterHeapLedger is the heap ledger of the set-up (DESIGN.md G8):
+// the heap the request ledger's testbed holds once its 2,000 warm
+// fetches have run — instances, muxes, store servers, backends, the
+// client and what the fetches left in pools and slabs — charged, from
+// the profile's bytes in use, to the layer that allocated it (layerOf). A benchmark that divides a warmed cluster's
+// heap by the flows it serves, as yodabench's short-paper
+// heap_bytes_per_live_flow does, reads mostly this. The total is
+// runtime.MemStats.HeapAlloc's growth less what the runtime allocated for
+// itself meanwhile, and the rows must sum to it within heapLedgerSlack.
+// A first pass, the same but unlogged, takes what a process allocates
+// once: read in the first cluster a process builds, the total moves by
+// 16-48 B from run to run. One P runs both, so no tiny allocation packs
+// into a block another P started. It logs "ledger
+// cluster_heap_bytes_<layer>" and the total "ledger cluster_heap_bytes",
+// which scripts/bench.sh records and ci.sh gates; both read the same on
+// every run of a tree.
+func TestClusterHeapLedger(t *testing.T) {
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for pass := range 2 {
+		before, heap0 := heapByLayer()
+		tb, _ := warmLedgerTestbed(t)
+		if pass == 0 {
+			heapByLayer()
+		} else {
+			logHeapLedger(t, "cluster_heap_bytes", 1, before, heap0)
+		}
+		runtime.KeepAlive(tb)
 	}
 }
 
@@ -268,10 +308,10 @@ func TestLiveFlowHeapLedger(t *testing.T) {
 	runtime.KeepAlive(b)
 }
 
-// logHeapLedger logs the heap ledger of n flows opened since before and
-// heap0 were read, as "ledger <name>_<layer>" rows and the "ledger
-// <name>" total, per flow, and returns the total. It fails the test
-// unless the rows sum to the total within heapLedgerSlack.
+// logHeapLedger logs the heap ledger of n flows (or of one cluster)
+// opened since before and heap0 were read, as "ledger <name>_<layer>"
+// rows and the "ledger <name>" total, per flow, and returns the total. It
+// fails the test unless the rows sum to the total within heapLedgerSlack.
 func logHeapLedger(t *testing.T, name string, n int, before map[string]int64, heap0 uint64) float64 {
 	after, heap1 := heapByLayer()
 	total := float64(int64(heap1-heap0)-(after[runtimeRow]-before[runtimeRow])) / float64(n)

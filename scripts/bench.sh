@@ -105,6 +105,11 @@ HEAP_FIELDS=(flow_heap_bytes "${LEDGER_ROWS[@]/#/flow_heap_bytes_}"
   flow_heap_bytes_again "${LEDGER_ROWS[@]/#/flow_heap_bytes_again_}")
 want "${HEAP_FIELDS[@]}" &&
   go test -count=1 -run '^TestLiveFlowHeapLedger$' -v . | tee -a "$MICRO_LOG"
+# The set-up heap ledger: heap bytes the request ledger's testbed holds
+# once warm, in total and charged layer by layer (ledger_test.go).
+CLUSTER_FIELDS=(cluster_heap_bytes "${LEDGER_ROWS[@]/#/cluster_heap_bytes_}")
+want "${CLUSTER_FIELDS[@]}" &&
+  go test -count=1 -run '^TestClusterHeapLedger$' -v . | tee -a "$MICRO_LOG"
 # mflow's storm, both modes: virtual time from each orphan's probe send
 # to the first response byte its adopter forwarded (the summary's "storm
 # probe to first byte" line, in ms; a live flow's probe takes 60.6 ms).
@@ -192,7 +197,7 @@ for row in "${LEDGER_ROWS[@]}"; do
   [[ -n "$LEDGER_JSON" ]] && LEDGER_JSON+=$'\n'
   LEDGER_JSON+="    \"request_allocs_$row\": $(jsonnum "$(ledger "request_allocs_$row")"),"
 done
-for field in "${ADOPTION_FIELDS[@]}" "${HEAP_FIELDS[@]}"; do
+for field in "${ADOPTION_FIELDS[@]}" "${HEAP_FIELDS[@]}" "${CLUSTER_FIELDS[@]}"; do
   LEDGER_JSON+=$'\n'"    \"$field\": $(jsonnum "$(ledger "$field")"),"
 done
 # storm <mode> <quantile>: one figure of mflow's storm line, in ms.

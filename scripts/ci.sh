@@ -7,10 +7,11 @@
 #                             commit, built and run in this same run; the
 #                             six exact figures (the request ledger's with
 #                             each of its layer rows), the adoption
-#                             ledger's four and the live-flow heap
-#                             ledger's total and rows against
-#                             BENCH_core.json; then each ledger three
-#                             times, every row the same in every run.
+#                             ledger's four, the live-flow and set-up
+#                             heap ledgers' totals and rows and a CPU
+#                             meter's bytes against BENCH_core.json;
+#                             then each ledger three times, every row
+#                             the same in every run.
 #                             First, while the box is cold: behind the race
 #                             and fuzz stages the same binaries read 30-60 %
 #                             slower
@@ -88,8 +89,10 @@ echo "== bench regression gate (wall clock: median of 5 pairs vs the base commit
 # tcp_static_512k_B_op,tcp_idle_conn_pair_heap_bytes,client_fetch_512k_B_op,storage_roundtrips_per_flow_paper,request_allocs,mflow_mem_bytes_per_flow`
 # (and the adoption ledger's four gated figures, below, with
 # `--only adoption_allocs_paper,adoption_allocs_hybrid,adoption_store_cmds_paper,adoption_store_cmds_hybrid`,
-# and the heap ledger's with `--only flow_heap_bytes,flow_heap_bytes_again`)
-# re-records just those after an intentional change.
+# the heap ledgers' with `--only flow_heap_bytes,flow_heap_bytes_again`
+# and `--only cluster_heap_bytes` (each with its layer rows), and a CPU
+# meter's with `--only cpumeter_bytes_held`) re-records just those after
+# an intentional change.
 #
 # gate <label> <unit> <new> <recorded> lower|higher: fail when new is more
 # than 15% worse than recorded in the direction that is better; a field
@@ -183,6 +186,14 @@ NEW_RT_PAPER=$(cd internal/core && "$GATE_DIR/new/core.test" -test.run '^$' -tes
 awk -v new="$NEW_RT_PAPER" -v rec="$(recorded storage_roundtrips_per_flow_paper)" 'BEGIN{
   if (new == "" || new+0 > rec+0) { printf "FAIL: store round trips per paper flow %s vs recorded %s (any rise fails)\n", new, rec; exit 1 }
   printf "store round trips per paper flow %s vs recorded %s: ok\n", new, rec }' || exit 1
+# So is the bytes a CPU meter holds: its struct, however long it has
+# been charged. Any rise fails: a meter that keeps history again is
+# 14 of them in every yodabench cluster.
+NEW_CPUMETER_B=$(go test -run '^$' -bench 'BenchmarkCPUMeterCharge$' -benchtime 1000x ./internal/metrics/ |
+  awk '$1 ~ /^BenchmarkCPUMeterCharge/ { for (i = 1; i < NF; i++) if ($(i+1) == "B/meter") print $i }')
+awk -v new="$NEW_CPUMETER_B" -v rec="$(recorded cpumeter_bytes_held)" 'BEGIN{
+  if (new == "" || new+0 > rec+0) { printf "FAIL: CPU meter holds %s B vs recorded %s (any rise fails)\n", new, rec; exit 1 }
+  printf "CPU meter holds %s B vs recorded %s: ok\n", new, rec }' || exit 1
 # no_rise <log> <field>...: fail when a "ledger <field> <value>" line of
 # log is missing or its value is above the field's BENCH_core.json record.
 no_rise() {
@@ -223,6 +234,13 @@ HEAP_LOG=$(go test -count=1 -run '^TestLiveFlowHeapLedger$' -v .) ||
   { printf '%s\n' "$HEAP_LOG"; echo 'FAIL: TestLiveFlowHeapLedger'; exit 1; }
 no_rise "$HEAP_LOG" flow_heap_bytes "${LAYERS[@]/#/flow_heap_bytes_}" \
   flow_heap_bytes_again "${LAYERS[@]/#/flow_heap_bytes_again_}"
+# And the set-up heap ledger's (ledger_test.go): heap bytes the request
+# ledger's testbed holds once warm, in total and per layer. Any rise
+# fails; the test itself fails unless its rows sum to HeapAlloc's growth,
+# less the runtime's own allocations, within the same slack.
+CLUSTER_LOG=$(go test -count=1 -run '^TestClusterHeapLedger$' -v .) ||
+  { printf '%s\n' "$CLUSTER_LOG"; echo 'FAIL: TestClusterHeapLedger'; exit 1; }
+no_rise "$CLUSTER_LOG" cluster_heap_bytes "${LAYERS[@]/#/cluster_heap_bytes_}"
 
 echo "== ledger repeatability (each ledger 3 times in one process: every row and total the same in every run) =="
 # Every "ledger" line counts, the heap ledger's second reading
@@ -235,7 +253,7 @@ echo "== ledger repeatability (each ledger 3 times in one process: every row and
 # the runtime allocates for itself; a change that brings one back moves
 # a row between runs, and fails here. The adoption ledger's wall time is
 # the one ungated, noisy line.
-REPEAT_LOG=$(go test -count=3 -run '^(TestRequestAllocLedger|TestAdoptionAllocLedger|TestLiveFlowHeapLedger)$' -v .) ||
+REPEAT_LOG=$(go test -count=3 -run '^(TestRequestAllocLedger|TestAdoptionAllocLedger|TestLiveFlowHeapLedger|TestClusterHeapLedger)$' -v .) ||
   { printf '%s\n' "$REPEAT_LOG"; echo 'FAIL: a ledger test'; exit 1; }
 awk '$2 == "ledger" && $3 !~ /^adoption_wall_ns_/ {
     if (($3 in v) && v[$3] != $4) { printf "FAIL: ledger %s read %s and then %s on one tree\n", $3, v[$3], $4; bad = 1 }
