@@ -40,6 +40,12 @@ type Cluster struct {
 	HAProxy      []*haproxy.Instance
 	StoreServers []*memcache.SimServer
 	StoreAddrs   []netsim.HostPort
+	// StoreRing is the consistent-hash ring over the store servers in
+	// use: every instance's TCPStore client shares it, one added or
+	// restarted later included. AddStoreServers builds it over every
+	// server; the controller replaces it when its monitor sees the live
+	// set change.
+	StoreRing *tcpstore.Ring
 
 	Backends map[string]*Backend // by name
 
@@ -71,10 +77,11 @@ type Backend struct {
 func New(seed int64) *Cluster {
 	n := netsim.New(seed)
 	return &Cluster{
-		Net:      n,
-		L4:       l4lb.New(n, l4lb.DefaultConfig()),
-		Backends: make(map[string]*Backend),
-		Health:   &rules.StaticInfo{Dead: map[string]bool{}, Loads: map[string]float64{}},
+		Net:       n,
+		L4:        l4lb.New(n, l4lb.DefaultConfig()),
+		StoreRing: tcpstore.NewRing(nil),
+		Backends:  make(map[string]*Backend),
+		Health:    &rules.StaticInfo{Dead: map[string]bool{}, Loads: map[string]float64{}},
 	}
 }
 
@@ -146,17 +153,18 @@ func (c *Cluster) AddStoreServers(n int, cfg memcache.SimServerConfig) []netsim.
 		c.StoreServers = append(c.StoreServers, srv)
 		c.StoreAddrs = append(c.StoreAddrs, netsim.HostPort{IP: h.IP(), Port: memcache.DefaultPort})
 	}
+	c.StoreRing = tcpstore.NewRing(c.StoreAddrs)
 	return c.StoreAddrs
 }
 
 // AddYoda starts one Yoda instance wired to the cluster's L4 LB and
-// TCPStore servers, and returns it. SNAT ranges are partitioned per
-// instance automatically.
+// TCPStore servers (StoreRing), and returns it. SNAT ranges are
+// partitioned per instance automatically.
 func (c *Cluster) AddYoda(cfg core.Config, storeCfg tcpstore.Config) *core.Instance {
 	c.nextYoda++
 	cfg.SNATBase = c.snatBase(cfg.SNATCount)
 	h := netsim.NewHost(c.Net, netsim.IPv4(10, 0, yodaSubnet, byte(c.nextYoda)))
-	st := tcpstore.New(h, c.StoreAddrs, storeCfg)
+	st := tcpstore.NewOnRing(h, c.StoreRing, storeCfg)
 	if c.Hybrid != nil {
 		cfg.Hybrid = c.Hybrid
 		c.Hybrid.RegisterRange(h.IP(), cfg.SNATBase, cfg.SNATCount)
@@ -211,7 +219,7 @@ func (c *Cluster) RestartYoda(i int, cfg core.Config, storeCfg tcpstore.Config) 
 		c.Hybrid.RegisterRange(h.IP(), cfg.SNATBase, cfg.SNATCount)
 		c.Hybrid.Revive(h.IP())
 	}
-	st := tcpstore.New(h, c.StoreAddrs, storeCfg)
+	st := tcpstore.NewOnRing(h, c.StoreRing, storeCfg)
 	inst := core.NewInstance(h, c.L4, st, cfg)
 	inst.SetBackendInfo(c.Health)
 	h.Reattach()

@@ -8,6 +8,7 @@
 package controller
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -68,10 +69,9 @@ type Controller struct {
 
 	// deadInstances maps a detected-dead instance to the (sorted) VIPs it
 	// held at detection time, so a later revival can re-admit it.
-	deadInstances  map[netsim.IP][]netsim.IP
-	lastStoreCount int
-	timers         [nLoops]netsim.Timer // each loop's one pending tick
-	running        bool
+	deadInstances map[netsim.IP][]netsim.IP
+	timers        [nLoops]netsim.Timer // each loop's one pending tick
+	running       bool
 	// cpuRead is each instance's CPU reading (BusyBefore) at the last
 	// scaling tick, or at Start, by meter: a restarted instance's new
 	// incarnation has a meter of its own, which starts from 0.
@@ -338,21 +338,22 @@ func (ct *Controller) monitorTick() {
 			}
 		}
 	}
-	// Memcached servers: when the live set changes, push the new server
-	// list into every instance's TCPStore client so new keys avoid dead
-	// replicas (§6: the monitor pings the Memcached servers too; the paper
-	// does not re-replicate existing keys, and neither do we — flows
-	// finish faster than replication would).
+	// Memcached servers: when the live set changes, push a ring over it
+	// into every instance's TCPStore client, and into the cluster for
+	// instances started later, so new keys avoid dead replicas (§6: the
+	// monitor pings the Memcached servers too; the paper does not
+	// re-replicate existing keys, and neither do we — flows finish faster
+	// than replication would).
 	live := make([]netsim.HostPort, 0, len(ct.C.StoreServers))
 	for i, srv := range ct.C.StoreServers {
 		if srv.Host().Alive() {
 			live = append(live, ct.C.StoreAddrs[i])
 		}
 	}
-	if len(live) != ct.lastStoreCount {
-		ct.lastStoreCount = len(live)
+	if !slices.Equal(live, ct.C.StoreRing.Servers()) {
+		ct.C.StoreRing = tcpstore.NewRing(live)
 		for _, in := range ct.C.Yoda {
-			in.Store().SetServers(live)
+			in.Store().SetRing(ct.C.StoreRing)
 		}
 	}
 }

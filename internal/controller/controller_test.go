@@ -2,6 +2,7 @@ package controller_test
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
@@ -256,5 +257,42 @@ func TestControllerStop(t *testing.T) {
 	w.c.Net.RunFor(5 * time.Second)
 	if w.ct.Detections != 0 {
 		t.Fatal("stopped controller still monitoring")
+	}
+}
+
+// TestStoresBuiltAfterAStoreDiesAvoidIt: once the monitor has seen a
+// store server die, an instance the scaling loop provisions and one a
+// restart brings up must replicate over the live servers only. Each
+// writes 10^4 keys; every key must be acknowledged by both of its
+// replicas, and no write may wait out the operation timeout on the dead
+// server.
+func TestStoresBuiltAfterAStoreDiesAvoidIt(t *testing.T) {
+	w := newWorld(56, 3)
+	w.c.Net.RunFor(time.Second)
+	w.c.StoreServers[0].Host().Detach()
+	w.c.Net.RunFor(time.Second) // the monitor sees it and pushes the live ring
+	added := w.ct.Provision()
+	restarted := w.c.RestartYoda(1, core.DefaultConfig(), tcpstore.DefaultConfig())
+	for i, in := range []*core.Instance{added, restarted} {
+		name := [...]string{"provisioned", "restarted"}[i]
+		st := in.Store()
+		acked, timedOut := 0, 0
+		for b := range 100 {
+			entries := make([]tcpstore.Entry, 100)
+			for i := range entries {
+				entries[i] = tcpstore.Entry{Key: fmt.Appendf(nil, "%s:%d", name, 100*b+i), Value: []byte("v")}
+			}
+			st.SetMulti(entries, func(r tcpstore.SetResult) {
+				acked += r.Acked
+				if r.TimedOut {
+					timedOut++
+				}
+			})
+		}
+		w.c.Net.RunFor(3 * time.Second)
+		if want := 2 * 100 * 100; acked != want || timedOut != 0 {
+			t.Errorf("%s instance: %d of %d replica writes acknowledged, %d of 100 batches timed out on the dead server",
+				name, acked, want, timedOut)
+		}
 	}
 }

@@ -51,8 +51,8 @@ type HeldObject struct {
 	Live   func() bool
 }
 
-// HeldObjects lists the instance's flows, in slot order, and its pending
-// queues.
+// HeldObjects lists the instance's flows, in slot order, its pending
+// queues and its claims.
 func (in *Instance) HeldObjects() []HeldObject {
 	var out []HeldObject
 	held := func(kind string, live func() bool, timers ...netsim.Timer) {
@@ -79,5 +79,13 @@ func (in *Instance) HeldObjects() []HeldObject {
 		w := weak.Make(q)
 		held("queue", func() bool { return w.Value() != nil }, q.expire)
 	}
+	for _, q := range in.claims {
+		w := weak.Make(q)
+		held("claim", func() bool { return w.Value() != nil }, q.expire)
+	}
 	return out
 }
+
+// ISNToClient is the ISN every instance answers a SYN from client to vip
+// with.
+func ISNToClient(client, vip netsim.HostPort) uint32 { return isnHash(client, vip) }

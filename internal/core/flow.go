@@ -692,8 +692,10 @@ func (in *Instance) TerminateBackendFlows(backend netsim.HostPort) int {
 // callbacks bound (freeQueue), but not while its store read is in
 // flight: the read's callback would find the queue's next tuple.
 type pendingQueue struct {
-	tuple  netsim.FourTuple
-	pkts   []*netsim.Packet // parked copies (netsim.PooledClone), owned by the queue
+	tuple netsim.FourTuple
+	pkts  []*netsim.Packet // parked copies (netsim.PooledClone), owned by the queue
+	// expire is the queue's expiry timer, and once the queue is resolved
+	// into a claim (Instance.claims) the claim's.
 	expire netsim.Timer
 	// miss is what a store miss does with the queue (storeGet), lookup
 	// that the read is in flight.

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/netsim"
 	"repro/internal/stateless"
 	"repro/internal/tcp"
@@ -281,7 +283,8 @@ func (in *Instance) hybridDerive(q *pendingQueue) {
 		in.dropParked(queued)
 		if h, held := in.l4.Holder(st); !held || h != in.IP() {
 			in.l4.Claim(st, in.IP())
-			in.net.Arm(max(in.cfg.FlowIdleTimeout, pendingExpiry), (*claimDue)(q))
+			q.expire = in.net.Arm(max(in.cfg.FlowIdleTimeout, pendingExpiry), (*claimDue)(q))
+			in.claims = append(in.claims, q)
 			return
 		}
 		in.freeQueue(q)
@@ -296,6 +299,8 @@ func (in *Instance) hybridDerive(q *pendingQueue) {
 
 // releaseClaim ends a bare ACK's claim on q.st (hybridDerive) and frees q.
 func (in *Instance) releaseClaim(q *pendingQueue) {
+	i := slices.Index(in.claims, q)
+	in.claims = slices.Delete(in.claims, i, i+1)
 	in.releaseOrphan(q.st)
 	in.freeQueue(q)
 }

@@ -88,15 +88,20 @@ type Instance struct {
 	flows        flowIndex                          // tuple → flow, compact (see flowindex.go)
 	pending      map[netsim.FourTuple]*pendingQueue // packets awaiting a TCPStore lookup
 	pendingTotal int                                // packets across all pending queues
-	snatNext     uint16
-	snatInUse    portSet // the SNAT range's ports a flow holds
-	dead         bool
+	// claims are resolved queues whose bare ACK holds a claim on their
+	// predicted server tuple until its timer ends it (hybridDerive).
+	claims    []*pendingQueue
+	snatNext  uint16
+	snatInUse portSet // the SNAT range's ports a flow holds
+	dead      bool
 
 	CPU *metrics.CPUMeter
 
 	// StorageLat records the latency of every TCPStore write performed
 	// during connection establishment (storage-a and storage-b); Figure 9
-	// reports its median as the "Storage" component.
+	// reports its median as the "Storage" component. Both latency
+	// histograms keep at most latencyRuns runs, however long the
+	// instance serves.
 	StorageLat *metrics.DurationHistogram
 	// ConnLat records SYN arrival → tunnel entry per flow, the
 	// "Connection" component of Figure 9.
@@ -147,6 +152,11 @@ type Instance struct {
 	abandonFn, unpersistedFn func(*flow, error)
 }
 
+// latencyRuns bounds each latency histogram's runs: a flow's latencies
+// fall on a grid of a few hundred values under load, and merging the
+// rarest of them keeps the medians Figure 9 and yodabench read exact.
+const latencyRuns = 64
+
 // NewInstance creates a Yoda instance on host, using the given L4 LB for
 // SNAT and the given TCPStore client for state decoupling. The instance
 // installs itself as the host's default packet handler.
@@ -164,8 +174,8 @@ func NewInstance(host *netsim.Host, lb *l4lb.LB, store *tcpstore.Store, cfg Conf
 		snatNext:   cfg.SNATBase,
 		snatInUse:  newPortSet(cfg.SNATCount),
 		CPU:        metrics.NewCPUMeter(cfg.Cores),
-		StorageLat: metrics.NewDurationHistogram(),
-		ConnLat:    metrics.NewDurationHistogram(),
+		StorageLat: metrics.NewBoundedDurationHistogram(latencyRuns),
+		ConnLat:    metrics.NewBoundedDurationHistogram(latencyRuns),
 		Stats:      make(map[netsim.IP]*VIPStats),
 	}
 	inst.synAckFn, inst.tunnelFn = inst.sendSynAck, inst.enterTunnel
@@ -307,7 +317,8 @@ func (in *Instance) Fail() {
 	// may hold them. Their timers stop (unlink's local half: teardown's
 	// deletes would destroy what the survivors recover from), and so do
 	// the pending queues', whose parked copies go back to the pool in
-	// tuple order, so the pool's state is the same on every run.
+	// tuple order, so the pool's state is the same on every run, and the
+	// claims'.
 	in.flows.forEach(in.stopTimers)
 	tuples := make([]netsim.FourTuple, 0, len(in.pending))
 	for t := range in.pending {
@@ -320,6 +331,11 @@ func (in *Instance) Fail() {
 		in.dropParked(q.pkts)
 		in.freeQueue(q)
 	}
+	for _, q := range in.claims {
+		in.net.Stop(q.expire)
+		in.freeQueue(q)
+	}
+	in.claims = nil
 	in.flows.init()
 	in.pending = make(map[netsim.FourTuple]*pendingQueue)
 	in.pendingTotal = 0

@@ -20,9 +20,10 @@ import (
 // TCPStore only, so locally they are garbage. The instance holds an idle
 // keep-alive flow, a flow whose backend SYNs go unanswered, a flow
 // lingering after both FINs and two orphans' queues parked behind their
-// store reads; the kill stops every timer they hold, so the scheduler's
-// count falls by exactly those, and a second later the collector has
-// freed them all.
+// store reads, and in hybrid mode the claim a dead head's ambiguous bare
+// ACK left on its predicted server tuple; the kill stops every timer
+// they hold, so the scheduler's count falls by exactly those, and a
+// second later the collector has freed them all.
 func TestKilledInstanceHoldsNothing(t *testing.T) {
 	for _, mode := range []string{"paper", "hybrid"} {
 		t.Run(mode, func(t *testing.T) {
@@ -33,9 +34,11 @@ func TestKilledInstanceHoldsNothing(t *testing.T) {
 			body := bytes.Repeat([]byte("K"), 2<<10)
 			srv := c.AddBackend("srv-1", map[string][]byte{"/obj": body}, httpsim.DefaultServerConfig())
 			c.AddStoreServers(2, memcache.DefaultSimServerConfig())
-			c.AddYodaN(1, core.DefaultConfig(), tcpstore.DefaultConfig())
+			// A second instance serves nothing: in hybrid mode it is the
+			// dead head of the ambiguous probe below.
+			c.AddYodaN(2, core.DefaultConfig(), tcpstore.DefaultConfig())
 			vip := netsim.HostPort{IP: c.AddVIP("svc"), Port: 80}
-			c.InstallPolicy(vip.IP, c.SimpleSplitRules("srv-1"), nil)
+			c.InstallPolicy(vip.IP, c.SimpleSplitRules("srv-1"), c.Yoda[:1])
 			in, client, net := c.Yoda[0], c.ClientHost(), c.Net
 			req := httpsim.NewRequest("/obj", "svc").Marshal()
 			replied := 0
@@ -61,6 +64,27 @@ func TestKilledInstanceHoldsNothing(t *testing.T) {
 			net.SetDropFunc(func(p *netsim.Packet) bool { return p.Dst == srv.Rec.Addr && p.Flags.Has(netsim.FlagSYN) })
 			open(func(*tcp.Conn) {})
 			net.RunFor(100 * time.Millisecond)
+			want := []string{"dialing", "idle", "lingering", "queue", "queue"}
+			if mode == "hybrid" {
+				// A bare ACK at the instances' ISN + 1 from a client whose
+				// head is dead: the store misses, and the instance claims
+				// the predicted server tuple until FlowIdleTimeout ends it.
+				e, _ := c.Hybrid.VIP(vip.IP)
+				e.Instances = append(e.Instances, c.Yoda[1].IP())
+				c.Hybrid.SetVIP(vip.IP, e)
+				c.Hybrid.MarkDead(c.Yoda[1].IP())
+				ct := netsim.FourTuple{Src: netsim.HostPort{IP: client.IP(), Port: 62000}, Dst: vip}
+				for ; ; ct.Src.Port++ {
+					if head, _ := c.Hybrid.Head(vip.IP, ct); head == c.Yoda[1].IP() {
+						break
+					}
+				}
+				p := net.AllocPacket()
+				p.Src, p.Dst, p.Flags, p.Seq, p.Ack = ct.Src, ct.Dst, netsim.FlagACK, 5000, core.ISNToClient(ct.Src, ct.Dst)+1
+				net.Send(p)
+				net.RunFor(100 * time.Millisecond)
+				want = append([]string{"claim"}, want...)
+			}
 			// Two orphan segments: no flow holds their tuples, so each
 			// parks while the store is read, and the kill comes first.
 			for port := uint16(61000); port < 61002; port++ {
@@ -83,7 +107,7 @@ func TestKilledInstanceHoldsNothing(t *testing.T) {
 				timers += o.Timers
 			}
 			slices.Sort(kinds)
-			if want := []string{"dialing", "idle", "lingering", "queue", "queue"}; !slices.Equal(kinds, want) {
+			if !slices.Equal(kinds, want) {
 				t.Fatalf("the instance holds %v, want %v", kinds, want)
 			}
 			pending := net.Pending()

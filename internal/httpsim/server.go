@@ -122,11 +122,12 @@ func serverConnClosed(c *tcp.Conn) {
 }
 
 // release recycles sc and its conn once it has closed and no response
-// waits out its processingDelay.
+// waits out its processingDelay. A spare keeps no conn: the released one
+// is the network's spare, or garbage once that list is full.
 func (sc *serverConn) release() {
 	if len(sc.pending) == 0 && sc.conn.State() == tcp.StateClosed {
 		sc.conn.Release()
-		sc.parser = RequestParser{}
+		sc.conn, sc.parser = nil, RequestParser{}
 		sc.s.spares.Put(sc.s.host.Network(), sc)
 	}
 }

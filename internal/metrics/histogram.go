@@ -26,23 +26,33 @@ import (
 // no counts and no cache, and one that has never folded only its
 // buffer. NaN sorts below every number and -0 and +0 share a run, as in
 // slices.Sort.
+//
+// A bounded histogram (NewBoundedDurationHistogram) keeps at most
+// maxRuns runs, so a long-lived one holds as much after a day as after
+// a minute: a fold that leaves more merges, one pair at a time, the two
+// adjacent interior runs with the fewest samples between them into one
+// run at the value of the larger. The first and last runs never merge,
+// so the minimum and Max stay exact, as do Count and Mean; a quantile
+// whose order statistics no merged pair holds is exact too, and merging
+// the rarest pairs keeps merges in the tails, away from the median.
 type Histogram struct {
 	vals   []float64 // distinct values, ascending
 	counts []uint32  // counts[i] samples had vals[i]; nil while every count is 1
 	buf    []float64 // samples not yet counted in the runs
 	// hot holds 1 + the run position of a value recently counted, in the
-	// slot its bits hash to; 0 is empty. Runs only grow, so a position
-	// stays in range; one a later fold moved fails Add's value check.
-	// It comes with counts.
-	hot *[hotSlots]uint16
-	n   int
-	sum float64
+	// slot its bits hash to; 0 is empty. Runs only grow, but in bound,
+	// which empties it, so a position stays in range; one a later fold
+	// moved fails Add's value check. It comes with counts.
+	hot     *[hotSlots]uint16
+	n       int
+	sum     float64
+	maxRuns int // 0: unbounded
 }
 
 const (
 	// foldEvery is the most samples the buffer holds before a fold.
-	foldEvery = 256
-	hotBits   = 9
+	foldEvery = 32
+	hotBits   = 6
 	hotSlots  = 1 << hotBits
 )
 
@@ -88,6 +98,31 @@ func (h *Histogram) fold() {
 	slices.Sort(h.buf)
 	h.merge(h.buf, nil)
 	h.buf = h.buf[:0]
+	h.bound()
+}
+
+// bound merges runs of a bounded histogram until at most maxRuns remain
+// (see Histogram), and empties the cache, whose positions it moved.
+func (h *Histogram) bound() {
+	if h.maxRuns == 0 || len(h.vals) <= h.maxRuns {
+		return
+	}
+	h.ensureCounts()
+	for len(h.vals) > h.maxRuns {
+		i := 1
+		for j := 2; j+2 < len(h.vals); j++ {
+			if uint64(h.counts[j])+uint64(h.counts[j+1]) < uint64(h.counts[i])+uint64(h.counts[i+1]) {
+				i = j
+			}
+		}
+		if h.counts[i+1] > h.counts[i] {
+			h.vals[i] = h.vals[i+1]
+		}
+		h.counts[i] = addCount(h.counts[i], h.counts[i+1])
+		h.vals = slices.Delete(h.vals, i+1, i+2)
+		h.counts = slices.Delete(h.counts, i+1, i+2)
+	}
+	*h.hot = [hotSlots]uint16{}
 }
 
 // merge adds vs to the runs, vs[i] counted cs[i] times (once when cs is
@@ -246,6 +281,7 @@ func (h *Histogram) Merge(o *Histogram) {
 	h.n += o.n
 	h.sum += o.sum
 	h.merge(o.vals, o.counts)
+	h.bound()
 }
 
 // DurationHistogram wraps Histogram with time.Duration samples, the common
@@ -256,6 +292,16 @@ type DurationHistogram struct {
 
 // NewDurationHistogram returns an empty duration histogram.
 func NewDurationHistogram() *DurationHistogram { return &DurationHistogram{} }
+
+// NewBoundedDurationHistogram returns an empty duration histogram that
+// keeps at most maxRuns (at least 3) runs: the latency record of a
+// component that lives as long as the run does.
+func NewBoundedDurationHistogram(maxRuns int) *DurationHistogram {
+	if maxRuns < 3 {
+		panic("metrics: a bounded histogram needs at least 3 runs")
+	}
+	return &DurationHistogram{h: Histogram{maxRuns: maxRuns}}
+}
 
 // Add records one latency sample.
 func (d *DurationHistogram) Add(v time.Duration) { d.h.Add(float64(v)) }

@@ -226,3 +226,57 @@ func BenchmarkHistogramAdd(b *testing.B) {
 		}
 	})
 }
+
+// TestBoundedHistogramMergesRareRuns holds a bounded histogram to the
+// sample-keeping oracle. While it has seen no more distinct values than
+// its bound, every quantile is exact. Past it, samples like a loaded
+// instance's latencies (a dense grid of 40 values and a tail of rare
+// ones, 3,000 of them distinct) keep it at its bound, and Count, the
+// minimum, Max, the median and P90, which the dense values hold, stay
+// exact. Once its arrays have grown, a stream of new values allocates
+// nothing.
+func TestBoundedHistogramMergesRareRuns(t *testing.T) {
+	const runs = 64
+	bounded := func() *Histogram { return &NewBoundedDurationHistogram(runs).h }
+	p := &histPair{h: bounded(), ref: &refHistogram{}}
+	rng := rand.New(rand.NewSource(56))
+	for i := 0; i < 5000; i++ {
+		p.add(float64(300_000 + 11_000*rng.Intn(runs)))
+		if i%97 == 0 {
+			p.check(t, "within the bound")
+		}
+	}
+	p = &histPair{h: bounded(), ref: &refHistogram{}}
+	tail := 0
+	for i := 0; i < 100_000; i++ {
+		if i%33 == 0 {
+			tail++
+			p.add(float64(3_000_000 + 1_000*tail)) // each seen once
+		} else {
+			p.add(float64(300_000 + 11_000*rng.Intn(40)))
+		}
+		if i%1000 == 999 {
+			h, ref := p.h, p.ref
+			if h.Count() != ref.Count() || h.Quantile(0) != ref.Quantile(0) || h.Max() != ref.Max() {
+				t.Fatalf("after %d samples: count %d min %v max %v, oracle %d %v %v",
+					i+1, h.Count(), h.Quantile(0), h.Max(), ref.Count(), ref.Quantile(0), ref.Max())
+			}
+			for _, q := range []float64{0.5, 0.9} {
+				if got, want := h.Quantile(q), ref.Quantile(q); got != want {
+					t.Fatalf("after %d samples: Quantile(%v) = %v, oracle %v", i+1, q, got, want)
+				}
+			}
+			if len(h.vals) > runs {
+				t.Fatalf("after %d samples: %d runs, bound %d", i+1, len(h.vals), runs)
+			}
+		}
+	}
+	h := p.h
+	if allocs := testing.AllocsPerRun(1000, func() {
+		tail++
+		h.Add(float64(3_000_000 + 1_000*tail))
+		h.Median()
+	}); allocs != 0 {
+		t.Fatalf("a bounded histogram at its bound allocates %v objects per new value", allocs)
+	}
+}

@@ -115,7 +115,10 @@ type Network struct {
 	pktFree   []*Packet
 	bufs      bufPool
 	trainFree []*trainBox
-	conns     Spares[PortHandler] // released transport endpoints (SpareConns)
+	// trainArrays holds, by size, the arrays freed trains grew into past
+	// their boxes' own (growTrain), for the next long train.
+	trainArrays [trainClasses][][]trainEntry
+	conns       Spares[PortHandler] // released transport endpoints (SpareConns)
 
 	// Stats counters.
 	Delivered       uint64
@@ -283,9 +286,12 @@ func (n *Network) Send(pkt *Packet) {
 		if t.train == nil {
 			t.train = n.allocTrain()
 		}
-		if len(t.train.entries) < trainMax-1 {
+		if tb := t.train; len(tb.entries) < trainMax-1 {
 			n.seq++
-			t.train.entries = append(t.train.entries, trainEntry{pkt: pkt, dst: dst})
+			if len(tb.entries) == cap(tb.entries) {
+				n.growTrain(tb)
+			}
+			tb.entries = append(tb.entries, trainEntry{pkt: pkt, dst: dst})
 			n.queued++
 			n.Coalesced++
 			return

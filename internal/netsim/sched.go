@@ -80,15 +80,26 @@ type trainEntry struct {
 
 // trainBox holds a train's entries behind one pointer, keeping the event
 // record at a single cache line for the (overwhelmingly common) untrained
-// case.
+// case. The entries start in the box's own array, allocated with it; a
+// train that outgrows it moves to an array twice the size (growTrain),
+// which goes back to Network.trainArrays when the box is freed, so a free
+// box holds its own array only, however long the trains it carried.
 type trainBox struct {
 	entries []trainEntry
+	own     [trainOwn]trainEntry
 }
 
-// trainMax bounds how many deliveries one event record may carry, so
-// pooled train slices stay cache-friendly and a pathological burst cannot
-// grow one unbounded backing array.
-const trainMax = 256
+const (
+	// trainMax bounds how many deliveries one event record may carry, so
+	// pooled train slices stay cache-friendly and a pathological burst
+	// cannot grow one unbounded backing array.
+	trainMax = 256
+	// trainOwn is the entries a box holds in its own array. The larger
+	// arrays, of 2, 4, 8 and 16 times that, wait in Network.trainArrays
+	// by size.
+	trainOwn     = 16
+	trainClasses = 4
+)
 
 func eventLess(a, b *event) bool {
 	if a.at != b.at {
@@ -215,17 +226,48 @@ func (n *Network) allocTrain() *trainBox {
 		n.trainFree = n.trainFree[:k-1]
 		return t
 	}
-	return &trainBox{entries: make([]trainEntry, 0, 16)}
+	t := &trainBox{}
+	t.entries = t.own[:0]
+	return t
 }
+
+// growTrain moves a full train's entries to an array twice as large,
+// taken from trainArrays when a freed train left one there, and files
+// the array it leaves unless that is the box's own.
+func (n *Network) growTrain(t *trainBox) {
+	c := trainClass(2 * cap(t.entries))
+	var a []trainEntry
+	if k := len(n.trainArrays[c]); k > 0 {
+		a = n.trainArrays[c][k-1]
+		n.trainArrays[c] = n.trainArrays[c][:k-1]
+	} else {
+		a = make([]trainEntry, 0, 2*cap(t.entries))
+	}
+	a = append(a, t.entries...)
+	n.fileTrainArray(t)
+	t.entries = a
+}
+
+// fileTrainArray drops t's entries, filing their array in trainArrays
+// unless it is t's own.
+func (n *Network) fileTrainArray(t *trainBox) {
+	clear(t.entries)
+	if cap(t.entries) > trainOwn {
+		c := trainClass(cap(t.entries))
+		n.trainArrays[c] = append(n.trainArrays[c], t.entries[:0])
+	}
+	t.entries = t.own[:0]
+}
+
+// trainClass is trainArrays' index of an array of size entries: 0 for
+// twice trainOwn, up to trainClasses-1 for trainMax.
+func trainClass(size int) int { return bits.Len(uint(size/trainOwn)) - 2 }
 
 // freeTrain recycles a train box, dropping its packet references. One
 // pool operation retires the whole burst — pool maintenance batches at
 // the same granularity the deliveries did.
 func (n *Network) freeTrain(t *trainBox) {
-	for i := range t.entries {
-		t.entries[i] = trainEntry{}
-	}
-	t.entries = t.entries[:0]
+	n.fileTrainArray(t)
 	n.trainFree = append(n.trainFree, t)
 }
 

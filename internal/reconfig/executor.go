@@ -40,6 +40,9 @@ type Executor struct {
 	stats   Stats
 	plan    *Plan
 	waveIdx int
+	// then is what the running plan's end continues with: an upgrade's
+	// restart after its drain, its next instance after its re-admission.
+	then func()
 
 	// recoveredBase snapshots Recovered per instance at a plan's start,
 	// so ResurrectedFlows counts only that plan's recoveries.
@@ -63,11 +66,6 @@ func (e *Executor) Running() bool { return e.stats.Running }
 // Stats returns a snapshot of the current (or last finished) operation.
 func (e *Executor) Stats() Stats { return e.stats }
 
-// begin opens an operation.
-func (e *Executor) begin(instances int) {
-	e.stats = Stats{Running: true, Start: e.env.Net.Now(), Instances: instances}
-}
-
 // Upgrade performs a zero-downtime rolling upgrade (§7.5) of the
 // instances in order, one at a time: drain the instance through a
 // δ-bounded plan (live connections migrate gradually and resurrect via
@@ -86,14 +84,15 @@ func (e *Executor) Upgrade(order []netsim.IP, restartDelay time.Duration) error 
 	}
 	e.order = append([]netsim.IP(nil), order...)
 	e.restartDelay = restartDelay
-	e.begin(len(e.order))
+	e.stats = Stats{Running: true, Start: e.env.Net.Now(), Instances: len(e.order)}
 	e.env.Net.Schedule(0, e.upgradeNext)
 	return nil
 }
 
-// runPlan starts executing plan within the running operation.
-func (e *Executor) runPlan(plan *Plan) {
-	e.plan = plan
+// runPlan starts executing plan within the running operation, to go on
+// with then once its last wave is done.
+func (e *Executor) runPlan(plan *Plan, then func()) {
+	e.plan, e.then = plan, then
 	e.waveIdx = 0
 	e.recoveredBase = make(map[*core.Instance]uint64)
 	for _, in := range e.env.Instances() {
@@ -301,9 +300,7 @@ func (e *Executor) liveOnly(ips []netsim.IP, byIP map[netsim.IP]*core.Instance) 
 	return out
 }
 
-// planDone closes out the running plan and continues its operation: an
-// upgrade's drain goes on to the restart, its re-admission to the next
-// instance; a lone plan (a test's) ends the operation.
+// planDone closes out the running plan and continues its operation.
 func (e *Executor) planDone() {
 	for in, base := range e.recoveredBase {
 		if in.Recovered > base {
@@ -311,15 +308,9 @@ func (e *Executor) planDone() {
 		}
 	}
 	e.recoveredBase = nil
-	e.plan = nil
-	switch e.stats.Phase {
-	case "drain":
-		e.scheduleRestart()
-	case "readmit":
-		e.completeInstance()
-	default:
-		e.finish()
-	}
+	then := e.then
+	e.plan, e.then = nil, nil
+	then()
 }
 
 // upgradeNext starts the cycle for the next instance of the upgrade.
@@ -355,7 +346,7 @@ func (e *Executor) upgradeNext() {
 		e.scheduleRestart()
 		return
 	}
-	e.runUpgradePlan(State{Current: cur, Target: target, Flows: e.flowSnapshot(cur)})
+	e.runUpgradePlan(State{Current: cur, Target: target, Flows: e.flowSnapshot(cur)}, e.scheduleRestart)
 }
 
 // scheduleRestart fires Env.Restart after the reboot delay, then waits
@@ -397,19 +388,19 @@ func (e *Executor) readmit() {
 		e.completeInstance()
 		return
 	}
-	e.runUpgradePlan(State{Current: e.env.Mappings(), Target: saved, Flows: e.flowSnapshot(saved)})
+	e.runUpgradePlan(State{Current: e.env.Mappings(), Target: saved, Flows: e.flowSnapshot(saved)}, e.completeInstance)
 }
 
 // runUpgradePlan plans and runs one of an upgrade's two plans per
 // instance; a planner error stops the upgrade.
-func (e *Executor) runUpgradePlan(st State) {
+func (e *Executor) runUpgradePlan(st State, then func()) {
 	plan, err := NewPlan(st, e.opt)
 	if err != nil {
 		e.stats.Err = err.Error()
 		e.finish()
 		return
 	}
-	e.runPlan(plan)
+	e.runPlan(plan, then)
 }
 
 // completeInstance closes out the current instance's cycle.

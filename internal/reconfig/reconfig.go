@@ -152,10 +152,10 @@ type Stats struct {
 	// did).
 	RulesRemoved int
 
-	// Instances is the fleet size a rolling upgrade targets (0 for a
-	// target-mapping operation); Upgraded counts instances fully cycled
-	// (drained, restarted, re-admitted); Skipped counts instances
-	// abandoned because their restart never came back in time.
+	// Instances is the fleet size a rolling upgrade targets; Upgraded
+	// counts instances fully cycled (drained, restarted, re-admitted);
+	// Skipped counts instances abandoned because their restart never
+	// came back in time.
 	Instances int
 	Upgraded  int
 	Skipped   int

@@ -26,6 +26,8 @@ type ringPoint struct {
 // Ring is a consistent-hash ring with virtual nodes. Replica i of a key
 // is located by hashing the key with salt i and walking the ring to the
 // first point owned by a server not already chosen for replicas < i.
+// A ring never changes once built, so every store client over one
+// server set shares one ring (cluster.Cluster.StoreRing).
 type Ring struct {
 	points  []ringPoint
 	servers []netsim.HostPort
@@ -34,9 +36,6 @@ type Ring struct {
 	// search starts there instead of binary-searching points.
 	index []uint16
 	shift uint // 64 - log2(len(index))
-	// used is PickInto's distinct-server scratch, reused per call (the
-	// ring is only driven from the instance's single-threaded event loop).
-	used []bool
 }
 
 // VirtualNodes is the number of ring points per server. More points give
@@ -47,10 +46,16 @@ const VirtualNodes = 128
 // about one point per bucket up to 8 servers, a few beyond.
 const maxIndexBits = 10
 
-// NewRing builds a ring over the given servers.
+// NewRing builds a ring over the given servers, which must be distinct.
 func NewRing(servers []netsim.HostPort) *Ring {
-	r := &Ring{servers: append([]netsim.HostPort(nil), servers...)}
+	r := &Ring{
+		servers: slices.Clone(servers),
+		points:  make([]ringPoint, 0, len(servers)*VirtualNodes),
+	}
 	for i, s := range r.servers {
+		if slices.Contains(r.servers[:i], s) {
+			panic("tcpstore: a server listed twice on one ring")
+		}
 		for v := 0; v < VirtualNodes; v++ {
 			r.points = append(r.points, ringPoint{
 				hash:   pointHash(s, v),
@@ -78,11 +83,15 @@ func NewRing(servers []netsim.HostPort) *Ring {
 	return r
 }
 
+// Servers returns the ring's server set, which the caller must not modify.
+func (r *Ring) Servers() []netsim.HostPort { return r.servers }
+
 // PickInto appends the servers for the K replicas of key to dst (usually
 // caller-owned scratch). It guarantees the replicas are distinct servers
 // as long as K ≤ the server count; if K exceeds the server count every server is
 // returned once. Replica i hashes the key with salt i and walks the ring
-// to the first point owned by a server not already chosen.
+// to the first point owned by a server not already chosen: the servers
+// are distinct, so one already in dst's new tail is one already chosen.
 func (r *Ring) PickInto(dst []netsim.HostPort, key []byte, k int) []netsim.HostPort {
 	if len(r.servers) == 0 || k <= 0 {
 		return dst
@@ -91,22 +100,14 @@ func (r *Ring) PickInto(dst []netsim.HostPort, key []byte, k int) []netsim.HostP
 		k = len(r.servers)
 	}
 	base := len(dst)
-	if r.used == nil || cap(r.used) < len(r.servers) {
-		r.used = make([]bool, len(r.servers))
-	}
-	used := r.used[:len(r.servers)]
-	for i := range used {
-		used[i] = false
-	}
 	for replica := 0; len(dst)-base < k; replica++ {
 		h := keyHash(key, replica)
 		idx := r.search(h)
-		// Walk forward past already-used servers.
+		// Walk forward past already-chosen servers.
 		for tries := 0; tries < len(r.points); tries++ {
-			p := r.points[(idx+tries)%len(r.points)]
-			if !used[p.server] {
-				used[p.server] = true
-				dst = append(dst, r.servers[p.server])
+			s := r.servers[r.points[(idx+tries)%len(r.points)].server]
+			if !slices.Contains(dst[base:], s) {
+				dst = append(dst, s)
 				break
 			}
 		}

@@ -2,6 +2,7 @@ package tcpstore
 
 import (
 	"errors"
+	"slices"
 	"sort"
 	"time"
 
@@ -289,33 +290,36 @@ func (op *multiOp) handleReply(b *batchState, r memcache.SimResult) {
 	}
 }
 
-// New creates a store client over the given Memcached servers.
+// New creates a store client over the given Memcached servers, on a
+// ring of its own.
 func New(host *netsim.Host, servers []netsim.HostPort, cfg Config) *Store {
+	return NewOnRing(host, NewRing(servers), cfg)
+}
+
+// NewOnRing creates a store client over ring's servers, sharing the ring.
+func NewOnRing(host *netsim.Host, ring *Ring, cfg Config) *Store {
 	if cfg.Replicas <= 0 {
 		cfg.Replicas = 1
 	}
 	return &Store{
 		host:  host,
 		cfg:   cfg,
-		ring:  NewRing(servers),
+		ring:  ring,
 		conns: make(map[netsim.HostPort]*memcache.SimClient),
 	}
 }
 
-// SetServers replaces the server set (controller-driven reconfiguration).
-// Existing connections to removed servers are closed.
-func (s *Store) SetServers(servers []netsim.HostPort) {
-	s.ring = NewRing(servers)
-	keep := make(map[netsim.HostPort]bool, len(servers))
-	for _, sv := range servers {
-		keep[sv] = true
-	}
-	for hp, c := range s.conns {
-		if !keep[hp] {
+// SetRing replaces the server set with ring's (controller-driven
+// reconfiguration). Existing connections to removed servers are closed,
+// in the old ring's order: every connection is to a server of the ring.
+func (s *Store) SetRing(ring *Ring) {
+	for _, hp := range s.ring.Servers() {
+		if c, ok := s.conns[hp]; ok && !slices.Contains(ring.Servers(), hp) {
 			c.Close()
 			delete(s.conns, hp)
 		}
 	}
+	s.ring = ring
 }
 
 // Close aborts every open server connection — instance shutdown. The

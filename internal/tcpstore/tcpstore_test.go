@@ -163,6 +163,63 @@ func TestRingPickMatchesBinarySearch(t *testing.T) {
 	}
 }
 
+// TestRingSharedPicksAsFresh: every store client over one server set
+// picks on one shared ring, so a ring that has served any number of
+// picks, for any K, must place a key where a fresh ring over the same
+// set places it (the index-bitmap pickOracle) — at every server count
+// from 1 to 70, past 64 too, so that distinctness has no width limit —
+// and with K at the server count every server comes out once.
+func TestRingSharedPicksAsFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(56))
+	key := make([]byte, 20)
+	var picked []netsim.HostPort
+	for n := 1; n <= 70; n++ {
+		shared, fresh := NewRing(mkServers(n)), NewRing(mkServers(n))
+		for i := 0; i < 2000; i++ {
+			rng.Read(key)
+			k := 1 + rng.Intn(n+1)
+			picked = shared.PickInto(picked[:0], key, k)
+			if want := pickOracle(fresh, key, k); !slices.Equal(picked, want) {
+				t.Fatalf("%d servers: key %x, K=%d: shared ring picked %v, a fresh one %v", n, key, k, picked, want)
+			}
+		}
+		all := shared.PickInto(nil, key, n)
+		distinct := slices.Clone(all)
+		slices.SortFunc(distinct, cmpHostPort)
+		if len(all) != n || len(slices.Compact(distinct)) != n {
+			t.Fatalf("%d servers: K=%d picked %d distinct of %v", n, n, len(all), all)
+		}
+	}
+}
+
+func cmpHostPort(a, b netsim.HostPort) int {
+	if a.IP != b.IP {
+		return int(a.IP) - int(b.IP)
+	}
+	return int(a.Port) - int(b.Port)
+}
+
+// TestRingPickAllocFree: PickInto into a caller's scratch allocates
+// nothing, so a shared ring needs no scratch of its own.
+func TestRingPickAllocFree(t *testing.T) {
+	r := NewRing(mkServers(70))
+	dst := make([]netsim.HostPort, 0, 70)
+	key := []byte("flow:1")
+	for _, k := range []int{1, 2, 70} {
+		if allocs := testing.AllocsPerRun(100, func() { dst = r.PickInto(dst[:0], key, k) }); allocs != 0 {
+			t.Errorf("PickInto of %d replicas allocates %v objects", k, allocs)
+		}
+	}
+}
+
+// TestRingExactPoints: a ring's points array is as long as its points.
+func TestRingExactPoints(t *testing.T) {
+	r := NewRing(mkServers(3))
+	if len(r.points) != 3*VirtualNodes || cap(r.points) != len(r.points) {
+		t.Fatalf("3 servers: %d points in an array of %d", len(r.points), cap(r.points))
+	}
+}
+
 func TestRingMonotonicity(t *testing.T) {
 	// Removing one server must not move keys between surviving servers.
 	servers := mkServers(10)
@@ -493,7 +550,7 @@ func TestStoreParallelReplicaWritesOverlap(t *testing.T) {
 	}
 }
 
-func TestStoreSetServersClosesRemoved(t *testing.T) {
+func TestStoreSetRingClosesRemoved(t *testing.T) {
 	w := newSimWorld(8, 4, DefaultConfig())
 	w.store.Set([]byte("k"), []byte("v"), func(error) {})
 	w.net.RunUntilIdle(100000)
@@ -502,7 +559,7 @@ func TestStoreSetServersClosesRemoved(t *testing.T) {
 	}
 	// Shrink to one server.
 	keep := []netsim.HostPort{{IP: w.servers[0].Host().IP(), Port: memcache.DefaultPort}}
-	w.store.SetServers(keep)
+	w.store.SetRing(NewRing(keep))
 	for hp := range w.store.conns {
 		if hp != keep[0] {
 			t.Fatalf("connection to removed server %v retained", hp)

@@ -121,6 +121,111 @@ func TestClusterHeapLedger(t *testing.T) {
 	}
 }
 
+// TestLongRunHeapLedger is the heap ledger of a cluster's uptime
+// (DESIGN.md G8): on the facade's testbed, 256 closed-loop clients fetch
+// a 2 KiB object for six phases of 10 s, each opened by every client at
+// once and ended by stopping them and letting every flow close and
+// linger out. After each phase the heap is read at zero live flows and
+// charged to the layer that allocated it (layerOf), and the
+// least-squares slope of the readings after phases 2-6 against the
+// requests served is logged, per 10^5 requests, as "ledger
+// longrun_heap_bytes_per_1e5_req_<layer>" and the total "ledger
+// longrun_heap_bytes_per_1e5_req" (HeapAlloc less the runtime's own, as
+// the other heap ledgers take it); the rows must sum to the total.
+// scripts/bench.sh records them and ci.sh gates the total. Phase 1's
+// opening burst takes the free lists and tables to the load's peak, so
+// a cluster whose heap follows its flows reads a slope near zero: the
+// capped pools (the buffer pool's bins, the store clients' spare ops)
+// settle by a few KB either way after it, which is the ledger's noise.
+// Each phase is 10 s, not 20, because profiling every allocation makes
+// the run 2.5 times as slow (22 s with 20 s phases on 2 vCPUs).
+func TestLongRunHeapLedger(t *testing.T) {
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const (
+		clients = 256
+		phases  = 6
+		phase   = 10 * time.Second
+	)
+	tb := yoda.NewTestbed(yoda.TestbedConfig{Seed: 5, DisableController: true})
+	defer tb.Close()
+	body := bytes.Repeat([]byte("L"), 2<<10)
+	addr := netsim.HostPort{IP: tb.AddService("ledger", map[string][]byte{"/obj": body}, 2), Port: 80}
+	req := httpsim.NewRequest("/obj", "ledger")
+	stop, inflight, served := false, 0, 0
+	loops := make([]func(), clients)
+	for p := range loops {
+		cl := tb.Cluster.NewClient(httpsim.DefaultClientConfig())
+		var done func(*httpsim.FetchResult)
+		loops[p] = func() {
+			if !stop {
+				inflight++
+				cl.Fetch(addr, req, done)
+			}
+		}
+		done = func(r *httpsim.FetchResult) {
+			inflight--
+			if r.Err != nil || !bytes.Equal(r.Resp.Body, body) {
+				t.Fatalf("a fetch failed: %v", r.Err)
+			}
+			served++
+			loops[p]()
+		}
+	}
+	// A reading keeps its rows by ledgerLayers' index, not heapByLayer's
+	// map, which the next reading's HeapAlloc would count.
+	type reading struct {
+		served int
+		rows   [8]int64
+		heap   float64
+	}
+	readings := make([]reading, 0, phases)
+	drain := func() {
+		for inflight > 0 {
+			tb.Run(time.Second)
+		}
+		tb.Run(3 * time.Second) // the closes, finLinger and the records' deletes
+	}
+	for range phases {
+		stop = false
+		for _, loop := range loops {
+			loop() // every client at once: the phase opens with a burst
+		}
+		tb.Run(phase)
+		stop = true
+		drain()
+		by, heap := heapByLayer()
+		r := reading{served: served, heap: float64(int64(heap) - by[runtimeRow])}
+		for i, layer := range ledgerLayers {
+			r.rows[i] = by[layer]
+		}
+		readings = append(readings, r)
+	}
+	fit := readings[1:]
+	slope := func(y func(reading) float64) float64 {
+		var sx, sy, sxx, sxy float64
+		for _, r := range fit {
+			x := float64(r.served)
+			sx, sy, sxx, sxy = sx+x, sy+y(r), sxx+x*x, sxy+x*y(r)
+		}
+		n := float64(len(fit))
+		return 1e5 * (n*sxy - sx*sy) / (n*sxx - sx*sx)
+	}
+	sum := 0.0
+	for i, layer := range ledgerLayers {
+		row := slope(func(r reading) float64 { return float64(r.rows[i]) })
+		t.Logf("ledger longrun_heap_bytes_per_1e5_req_%s %.0f", layer, row)
+		sum += row
+	}
+	total := slope(func(r reading) float64 { return r.heap })
+	t.Logf("ledger longrun_heap_bytes_per_1e5_req %.0f", total)
+	t.Logf("%d requests, %d in the last phase", served, fit[len(fit)-1].served-fit[len(fit)-2].served)
+	if math.Abs(sum-total) > 16 {
+		t.Fatalf("the ledger's rows sum to %.0f heap bytes per 10^5 requests, HeapAlloc's slope is %.0f", sum, total)
+	}
+}
+
 // allocsByLayer returns the objects allocated so far, as the memory
 // profile has them, by the innermost internal package on each stack, and
 // under newFlowRow those core's newFlow made.

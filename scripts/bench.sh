@@ -110,6 +110,12 @@ want "${HEAP_FIELDS[@]}" &&
 CLUSTER_FIELDS=(cluster_heap_bytes "${LEDGER_ROWS[@]/#/cluster_heap_bytes_}")
 want "${CLUSTER_FIELDS[@]}" &&
   go test -count=1 -run '^TestClusterHeapLedger$' -v . | tee -a "$MICRO_LOG"
+# The long-run heap ledger: heap bytes a cluster serving 256 closed-loop
+# clients gains per 10^5 requests at zero live flows, over phases 2-6 of
+# six, in total and charged layer by layer (ledger_test.go).
+LONGRUN_FIELDS=(longrun_heap_bytes_per_1e5_req "${LEDGER_ROWS[@]/#/longrun_heap_bytes_per_1e5_req_}")
+want "${LONGRUN_FIELDS[@]}" &&
+  go test -count=1 -run '^TestLongRunHeapLedger$' -v . | tee -a "$MICRO_LOG"
 # mflow's storm, both modes: virtual time from each orphan's probe send
 # to the first response byte its adopter forwarded (the summary's "storm
 # probe to first byte" line, in ms; a live flow's probe takes 60.6 ms).
@@ -197,7 +203,7 @@ for row in "${LEDGER_ROWS[@]}"; do
   [[ -n "$LEDGER_JSON" ]] && LEDGER_JSON+=$'\n'
   LEDGER_JSON+="    \"request_allocs_$row\": $(jsonnum "$(ledger "request_allocs_$row")"),"
 done
-for field in "${ADOPTION_FIELDS[@]}" "${HEAP_FIELDS[@]}" "${CLUSTER_FIELDS[@]}"; do
+for field in "${ADOPTION_FIELDS[@]}" "${HEAP_FIELDS[@]}" "${CLUSTER_FIELDS[@]}" "${LONGRUN_FIELDS[@]}"; do
   LEDGER_JSON+=$'\n'"    \"$field\": $(jsonnum "$(ledger "$field")"),"
 done
 # storm <mode> <quantile>: one figure of mflow's storm line, in ms.

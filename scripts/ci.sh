@@ -9,9 +9,11 @@
 #                             each of its layer rows), the adoption
 #                             ledger's four, the live-flow and set-up
 #                             heap ledgers' totals and rows and a CPU
-#                             meter's bytes against BENCH_core.json;
-#                             then each ledger three times, every row
-#                             the same in every run.
+#                             meter's bytes against BENCH_core.json,
+#                             and the long-run heap ledger's slope
+#                             against a 1 KB per 10^5 requests ceiling;
+#                             then each gated-exactly ledger three
+#                             times, every row the same in every run.
 #                             First, while the box is cold: behind the race
 #                             and fuzz stages the same binaries read 30-60 %
 #                             slower
@@ -89,8 +91,9 @@ echo "== bench regression gate (wall clock: median of 5 pairs vs the base commit
 # tcp_static_512k_B_op,tcp_idle_conn_pair_heap_bytes,client_fetch_512k_B_op,storage_roundtrips_per_flow_paper,request_allocs,mflow_mem_bytes_per_flow`
 # (and the adoption ledger's four gated figures, below, with
 # `--only adoption_allocs_paper,adoption_allocs_hybrid,adoption_store_cmds_paper,adoption_store_cmds_hybrid`,
-# the heap ledgers' with `--only flow_heap_bytes,flow_heap_bytes_again`
-# and `--only cluster_heap_bytes` (each with its layer rows), and a CPU
+# the heap ledgers' with `--only flow_heap_bytes,flow_heap_bytes_again`,
+# `--only cluster_heap_bytes` and `--only longrun_heap_bytes_per_1e5_req`
+# (each with its layer rows), and a CPU
 # meter's with `--only cpumeter_bytes_held`) re-records just those after
 # an intentional change.
 #
@@ -241,6 +244,21 @@ no_rise "$HEAP_LOG" flow_heap_bytes "${LAYERS[@]/#/flow_heap_bytes_}" \
 CLUSTER_LOG=$(go test -count=1 -run '^TestClusterHeapLedger$' -v .) ||
   { printf '%s\n' "$CLUSTER_LOG"; echo 'FAIL: TestClusterHeapLedger'; exit 1; }
 no_rise "$CLUSTER_LOG" cluster_heap_bytes "${LAYERS[@]/#/cluster_heap_bytes_}"
+# And the long-run heap ledger's (ledger_test.go): heap bytes per 10^5
+# requests a cluster serving 256 closed-loop clients gains at zero live
+# flows over phases 2-6 of six, the slope of five readings. A cluster
+# whose heap follows its flows reads near zero, but the capped pools
+# (the buffer pool's bins, the store clients' spare ops) settle by a few
+# KB either way after the first phase's burst: on this tree seeds 5-8 read
+# -2.7 to -10.9 KB, and a tree that moves event order moves it as much.
+# So the total is held to an absolute ceiling, not to its recorded value;
+# a leak or a ratchet of 1 KB per 10^5 requests fails it.
+LONGRUN_LOG=$(go test -count=1 -run '^TestLongRunHeapLedger$' -v .) ||
+  { printf '%s\n' "$LONGRUN_LOG"; echo 'FAIL: TestLongRunHeapLedger'; exit 1; }
+awk '$2 == "ledger" && $3 == "longrun_heap_bytes_per_1e5_req" { seen = 1
+    if ($4 + 0 > 1024) { printf "FAIL: %s %s B, past the ceiling of 1024 B per 10^5 requests\n", $3, $4; exit 1 }
+    printf "%s %s B vs ceiling 1024 B per 10^5 requests: ok\n", $3, $4 }
+  END { if (!seen) { print "FAIL: no longrun_heap_bytes_per_1e5_req line"; exit 1 } }' <<< "$LONGRUN_LOG" || exit 1
 
 echo "== ledger repeatability (each ledger 3 times in one process: every row and total the same in every run) =="
 # Every "ledger" line counts, the heap ledger's second reading
