@@ -360,7 +360,6 @@ var writeOnlyAllowlist = map[string]string{
 	"memcache.ReplyItem.Flags":          "TestReplyParserValues: a get reply's flags parse as the VALUE line sent them",
 	"memcache.Stats.GetHits":            "TestEngineDifferential holds the slab engine's stats to refEngine's",
 	"memcache.Stats.GetMisses":          "TestEngineDifferential holds the slab engine's stats to refEngine's",
-	"reconfig.Stats.Phase":              "TestUpgradeReportsItsPhases: an upgrade reports drain, restart and readmit in order; TestReconfigRejectedDuringUpgrade waits for its restart window",
 	"memcache.Stats.Sets":               "TestEngineDifferential holds the slab engine's stats to refEngine's",
 	"memcache.Stats.Deletes":            "TestEngineDifferential holds the slab engine's stats to refEngine's",
 	"memcache.Stats.Evictions":          "TestEngineDifferential holds the slab engine's stats to refEngine's",

@@ -2,6 +2,7 @@ package controller_test
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -130,18 +131,34 @@ func TestRollingUpgradeZeroFailures(t *testing.T) {
 // over the running one, whose re-admission plan restores the pre-drain
 // mapping.
 func TestReconfigRejectedDuringUpgrade(t *testing.T) {
-	w := newWorld(14, 3)
-	w.c.Net.RunFor(time.Second)
-	before := w.c.L4.Mapping(w.vip)
-
-	if err := w.ct.StartRollingUpgrade(core.DefaultConfig(), tcpstore.DefaultConfig(), 2*time.Second); err != nil {
-		t.Fatal(err)
+	const restartDelay = 2 * time.Second
+	start := func() *world {
+		w := newWorld(14, 3)
+		w.c.Net.RunFor(time.Second)
+		if err := w.ct.StartRollingUpgrade(core.DefaultConfig(), tcpstore.DefaultConfig(), restartDelay); err != nil {
+			t.Fatal(err)
+		}
+		return w
 	}
-	for w.ct.ReconfigStats().Phase != "restart" {
+	// A first run finds when the first instance reboots. The simulator is
+	// deterministic, so a second run is inside that instance's restart
+	// window restartDelay/2 before then: drained, not yet rebooted.
+	w := start()
+	first := w.c.Yoda[0]
+	for w.c.Yoda[0] == first {
 		if w.c.Net.Now() > 30*time.Second {
-			t.Fatalf("upgrade never reached its restart: %+v", w.ct.ReconfigStats())
+			t.Fatalf("upgrade never restarted its first instance: %+v", w.ct.ReconfigStats())
 		}
 		w.c.Net.Step()
+	}
+	rebootAt := w.c.Net.Now()
+
+	w = start()
+	first = w.c.Yoda[0]
+	before := w.c.L4.Mapping(w.vip)
+	w.c.Net.RunFor(rebootAt - restartDelay/2 - w.c.Net.Now())
+	if w.c.Yoda[0] != first || slices.Contains(w.c.L4.Mapping(w.vip), first.IP()) {
+		t.Fatalf("at %v the first instance is not in its restart window (mapping %v)", w.c.Net.Now(), w.c.L4.Mapping(w.vip))
 	}
 	if !w.ct.ReconfigStats().Running {
 		t.Fatal("executor idle during the upgrade's restart window")

@@ -701,6 +701,8 @@ type pendingQueue struct {
 	// that the read is in flight.
 	miss   missAction
 	lookup bool
+	// claim is the queue's index in Instance.claims while it is a claim.
+	claim int32
 	// st and b are a client-side orphan's predicted server tuple and
 	// backend, for missDerive (hybridClientGet).
 	st netsim.FourTuple

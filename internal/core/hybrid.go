@@ -1,8 +1,6 @@
 package core
 
 import (
-	"slices"
-
 	"repro/internal/netsim"
 	"repro/internal/stateless"
 	"repro/internal/tcp"
@@ -284,6 +282,7 @@ func (in *Instance) hybridDerive(q *pendingQueue) {
 		if h, held := in.l4.Holder(st); !held || h != in.IP() {
 			in.l4.Claim(st, in.IP())
 			q.expire = in.net.Arm(max(in.cfg.FlowIdleTimeout, pendingExpiry), (*claimDue)(q))
+			q.claim = int32(len(in.claims))
 			in.claims = append(in.claims, q)
 			return
 		}
@@ -297,10 +296,14 @@ func (in *Instance) hybridDerive(q *pendingQueue) {
 	in.l4.Release(st, in.IP())
 }
 
-// releaseClaim ends a bare ACK's claim on q.st (hybridDerive) and frees q.
+// releaseClaim ends a bare ACK's claim on q.st (hybridDerive) and frees
+// q, moving the last claim into its place in in.claims.
 func (in *Instance) releaseClaim(q *pendingQueue) {
-	i := slices.Index(in.claims, q)
-	in.claims = slices.Delete(in.claims, i, i+1)
+	n := len(in.claims) - 1
+	last := in.claims[n]
+	in.claims[q.claim], last.claim = last, q.claim
+	in.claims[n] = nil
+	in.claims = in.claims[:n]
 	in.releaseOrphan(q.st)
 	in.freeQueue(q)
 }

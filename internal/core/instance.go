@@ -100,8 +100,8 @@ type Instance struct {
 	// StorageLat records the latency of every TCPStore write performed
 	// during connection establishment (storage-a and storage-b); Figure 9
 	// reports its median as the "Storage" component. Both latency
-	// histograms keep at most latencyRuns runs, however long the
-	// instance serves.
+	// histograms are bounded (metrics.NewBoundedDurationHistogram), so
+	// they hold as much however long the instance serves.
 	StorageLat *metrics.DurationHistogram
 	// ConnLat records SYN arrival → tunnel entry per flow, the
 	// "Connection" component of Figure 9.
@@ -152,11 +152,6 @@ type Instance struct {
 	abandonFn, unpersistedFn func(*flow, error)
 }
 
-// latencyRuns bounds each latency histogram's runs: a flow's latencies
-// fall on a grid of a few hundred values under load, and merging the
-// rarest of them keeps the medians Figure 9 and yodabench read exact.
-const latencyRuns = 64
-
 // NewInstance creates a Yoda instance on host, using the given L4 LB for
 // SNAT and the given TCPStore client for state decoupling. The instance
 // installs itself as the host's default packet handler.
@@ -174,8 +169,8 @@ func NewInstance(host *netsim.Host, lb *l4lb.LB, store *tcpstore.Store, cfg Conf
 		snatNext:   cfg.SNATBase,
 		snatInUse:  newPortSet(cfg.SNATCount),
 		CPU:        metrics.NewCPUMeter(cfg.Cores),
-		StorageLat: metrics.NewBoundedDurationHistogram(latencyRuns),
-		ConnLat:    metrics.NewBoundedDurationHistogram(latencyRuns),
+		StorageLat: metrics.NewBoundedDurationHistogram(),
+		ConnLat:    metrics.NewBoundedDurationHistogram(),
 		Stats:      make(map[netsim.IP]*VIPStats),
 	}
 	inst.synAckFn, inst.tunnelFn = inst.sendSynAck, inst.enterTunnel

@@ -66,22 +66,9 @@ func TestKilledInstanceHoldsNothing(t *testing.T) {
 			net.RunFor(100 * time.Millisecond)
 			want := []string{"dialing", "idle", "lingering", "queue", "queue"}
 			if mode == "hybrid" {
-				// A bare ACK at the instances' ISN + 1 from a client whose
-				// head is dead: the store misses, and the instance claims
-				// the predicted server tuple until FlowIdleTimeout ends it.
-				e, _ := c.Hybrid.VIP(vip.IP)
-				e.Instances = append(e.Instances, c.Yoda[1].IP())
-				c.Hybrid.SetVIP(vip.IP, e)
-				c.Hybrid.MarkDead(c.Yoda[1].IP())
-				ct := netsim.FourTuple{Src: netsim.HostPort{IP: client.IP(), Port: 62000}, Dst: vip}
-				for ; ; ct.Src.Port++ {
-					if head, _ := c.Hybrid.Head(vip.IP, ct); head == c.Yoda[1].IP() {
-						break
-					}
-				}
-				p := net.AllocPacket()
-				p.Src, p.Dst, p.Flags, p.Seq, p.Ack = ct.Src, ct.Dst, netsim.FlagACK, 5000, core.ISNToClient(ct.Src, ct.Dst)+1
-				net.Send(p)
+				// The claim an ambiguous bare ACK leaves (ambiguousAck).
+				headDies(c, vip)
+				ambiguousAck(c, vip, 62000)
 				net.RunFor(100 * time.Millisecond)
 				want = append([]string{"claim"}, want...)
 			}
@@ -124,5 +111,71 @@ func TestKilledInstanceHoldsNothing(t *testing.T) {
 			}
 			runtime.KeepAlive(c) // the cluster, dead instance included, outlives the check
 		})
+	}
+}
+
+// headDies adds c.Yoda[1] to vip's hybrid instance list and marks it
+// dead, so a client whose head it is sends orphans no store record
+// resolves.
+func headDies(c *cluster.Cluster, vip netsim.HostPort) {
+	e, _ := c.Hybrid.VIP(vip.IP)
+	e.Instances = append(e.Instances, c.Yoda[1].IP())
+	c.Hybrid.SetVIP(vip.IP, e)
+	c.Hybrid.MarkDead(c.Yoda[1].IP())
+}
+
+// ambiguousAck sends a bare ACK at the instances' ISN + 1 from the first
+// client port from port on whose head is the dead c.Yoda[1] (headDies):
+// the store misses, and the receiving instance claims the predicted
+// server tuple until FlowIdleTimeout ends it. It returns the port used.
+func ambiguousAck(c *cluster.Cluster, vip netsim.HostPort, port uint16) uint16 {
+	ct := netsim.FourTuple{Src: netsim.HostPort{IP: c.ClientHost().IP(), Port: port}, Dst: vip}
+	for ; ; ct.Src.Port++ {
+		if head, _ := c.Hybrid.Head(vip.IP, ct); head == c.Yoda[1].IP() {
+			break
+		}
+	}
+	p := c.Net.AllocPacket()
+	p.Src, p.Dst, p.Flags, p.Seq, p.Ack = ct.Src, ct.Dst, netsim.FlagACK, 5000, core.ISNToClient(ct.Src, ct.Dst)+1
+	c.Net.Send(p)
+	return ct.Src.Port
+}
+
+// TestHybridClaimsExpireInTurn: the claims three ambiguous bare ACKs
+// leave, 10 s apart, end one at a time as their timers fire, each end
+// leaving the later claims held, until none is.
+func TestHybridClaimsExpireInTurn(t *testing.T) {
+	c := cluster.New(12)
+	c.EnableHybrid(0x9e3779b97f4a7c15)
+	c.AddBackend("srv-1", map[string][]byte{"/obj": []byte("x")}, httpsim.DefaultServerConfig())
+	c.AddStoreServers(2, memcache.DefaultSimServerConfig())
+	c.AddYodaN(2, core.DefaultConfig(), tcpstore.DefaultConfig())
+	vip := netsim.HostPort{IP: c.AddVIP("svc"), Port: 80}
+	c.InstallPolicy(vip.IP, c.SimpleSplitRules("srv-1"), c.Yoda[:1])
+	headDies(c, vip)
+	claims := func() int {
+		n := 0
+		for _, o := range c.Yoda[0].HeldObjects() {
+			if o.Kind == "claim" && o.Timers == 1 {
+				n++
+			}
+		}
+		return n
+	}
+	port := uint16(62000)
+	for range 3 {
+		port = ambiguousAck(c, vip, port) + 1
+		c.Net.RunFor(10 * time.Second)
+	}
+	idle := core.DefaultConfig().FlowIdleTimeout
+	// The claims end at idle + 0, 10 and 20 s.
+	for _, step := range []struct {
+		until time.Duration
+		want  int
+	}{{30 * time.Second, 3}, {idle + 5*time.Second, 2}, {idle + 15*time.Second, 1}, {idle + 25*time.Second, 0}} {
+		c.Net.RunFor(step.until - c.Net.Now())
+		if got := claims(); got != step.want {
+			t.Fatalf("at %v the instance holds %d claims, want %d", c.Net.Now(), got, step.want)
+		}
 	}
 }

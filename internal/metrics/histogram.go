@@ -28,32 +28,40 @@ import (
 // slices.Sort.
 //
 // A bounded histogram (NewBoundedDurationHistogram) keeps at most
-// maxRuns runs, so a long-lived one holds as much after a day as after
-// a minute: a fold that leaves more merges, one pair at a time, the two
-// adjacent interior runs with the fewest samples between them into one
-// run at the value of the larger. The first and last runs never merge,
-// so the minimum and Max stay exact, as do Count and Mean; a quantile
-// whose order statistics no merged pair holds is exact too, and merging
-// the rarest pairs keeps merges in the tails, away from the median.
+// boundedRuns runs, so a long-lived one holds as much after a day as
+// after a minute: a fold that leaves more merges, one pair at a time,
+// the two adjacent interior runs with the fewest samples between them
+// into one run at the value of the larger. The first and last runs never
+// merge, so the minimum and Max stay exact, as do Count and Mean; a
+// quantile whose order statistics no merged pair holds is exact too, and
+// merging the rarest pairs keeps merges in the tails, away from the
+// median. With so few runs it finds a value's run by binary search, not
+// through a cache, and folds a smaller buffer.
 type Histogram struct {
 	vals   []float64 // distinct values, ascending
 	counts []uint32  // counts[i] samples had vals[i]; nil while every count is 1
 	buf    []float64 // samples not yet counted in the runs
 	// hot holds 1 + the run position of a value recently counted, in the
-	// slot its bits hash to; 0 is empty. Runs only grow, but in bound,
-	// which empties it, so a position stays in range; one a later fold
-	// moved fails Add's value check. It comes with counts.
+	// slot its bits hash to; 0 is empty. Runs only grow, so a position
+	// stays in range; one a later fold moved fails Add's value check. It
+	// comes with counts, in an unbounded histogram.
 	hot     *[hotSlots]uint16
 	n       int
 	sum     float64
-	maxRuns int // 0: unbounded
+	bounded bool
 }
 
 const (
-	// foldEvery is the most samples the buffer holds before a fold.
-	foldEvery = 32
-	hotBits   = 6
-	hotSlots  = 1 << hotBits
+	// foldEvery is the most samples the buffer holds before a fold, in a
+	// bounded histogram foldEveryBounded.
+	foldEvery, foldEveryBounded = 256, 32
+	hotBits                     = 9
+	hotSlots                    = 1 << hotBits
+	// boundedRuns is the most runs a bounded histogram keeps: a loaded
+	// instance's latencies fall on a grid of a few dozen values, and
+	// merging the rarest runs past it keeps the medians Figure 9 and
+	// yodabench read exact.
+	boundedRuns = 64
 )
 
 func hotSlot(v float64) uint {
@@ -72,8 +80,13 @@ func (h *Histogram) Add(v float64) {
 			h.counts[r-1]++
 			return
 		}
+	} else if h.bounded && h.counts != nil {
+		if i, ok := slices.BinarySearch(h.vals, v); ok && h.counts[i] < math.MaxUint32 {
+			h.counts[i]++
+			return
+		}
 	}
-	if len(h.buf) == foldEvery {
+	if len(h.buf) == foldEvery || h.bounded && len(h.buf) == foldEveryBounded {
 		h.fold()
 	}
 	h.buf = append(h.buf, v)
@@ -101,14 +114,14 @@ func (h *Histogram) fold() {
 	h.bound()
 }
 
-// bound merges runs of a bounded histogram until at most maxRuns remain
-// (see Histogram), and empties the cache, whose positions it moved.
+// bound merges runs of a bounded histogram until at most boundedRuns
+// remain (see Histogram).
 func (h *Histogram) bound() {
-	if h.maxRuns == 0 || len(h.vals) <= h.maxRuns {
+	if !h.bounded || len(h.vals) <= boundedRuns {
 		return
 	}
 	h.ensureCounts()
-	for len(h.vals) > h.maxRuns {
+	for len(h.vals) > boundedRuns {
 		i := 1
 		for j := 2; j+2 < len(h.vals); j++ {
 			if uint64(h.counts[j])+uint64(h.counts[j+1]) < uint64(h.counts[i])+uint64(h.counts[i+1]) {
@@ -122,7 +135,6 @@ func (h *Histogram) bound() {
 		h.vals = slices.Delete(h.vals, i+1, i+2)
 		h.counts = slices.Delete(h.counts, i+1, i+2)
 	}
-	*h.hot = [hotSlots]uint16{}
 }
 
 // merge adds vs to the runs, vs[i] counted cs[i] times (once when cs is
@@ -146,7 +158,7 @@ func (h *Histogram) merge(vs []float64, cs []uint32) {
 		case j < len(h.vals) && cmp.Compare(h.vals[j], vs[i]) == 0:
 			h.ensureCounts()
 			h.counts[j] = addCount(h.counts[j], count(i))
-			if j < math.MaxUint16 {
+			if h.hot != nil && j < math.MaxUint16 {
 				h.hot[hotSlot(vs[i])] = uint16(j + 1)
 			}
 			continue
@@ -197,8 +209,8 @@ func addCount(a, b uint32) uint32 {
 	return a + b
 }
 
-// ensureCounts gives every run an explicit count, and the histogram its
-// cache, the first time a run needs a count above 1.
+// ensureCounts gives every run an explicit count, and an unbounded
+// histogram its cache, the first time a run needs a count above 1.
 func (h *Histogram) ensureCounts() {
 	if h.counts != nil {
 		return
@@ -207,7 +219,9 @@ func (h *Histogram) ensureCounts() {
 	for i := range h.counts {
 		h.counts[i] = 1
 	}
-	h.hot = new([hotSlots]uint16)
+	if !h.bounded {
+		h.hot = new([hotSlots]uint16)
+	}
 }
 
 // grow lengthens the runs to n, keeping counts as long as vals.
@@ -294,13 +308,10 @@ type DurationHistogram struct {
 func NewDurationHistogram() *DurationHistogram { return &DurationHistogram{} }
 
 // NewBoundedDurationHistogram returns an empty duration histogram that
-// keeps at most maxRuns (at least 3) runs: the latency record of a
-// component that lives as long as the run does.
-func NewBoundedDurationHistogram(maxRuns int) *DurationHistogram {
-	if maxRuns < 3 {
-		panic("metrics: a bounded histogram needs at least 3 runs")
-	}
-	return &DurationHistogram{h: Histogram{maxRuns: maxRuns}}
+// keeps at most boundedRuns runs (see Histogram): the latency record of
+// a component that lives as long as the run does.
+func NewBoundedDurationHistogram() *DurationHistogram {
+	return &DurationHistogram{h: Histogram{bounded: true}}
 }
 
 // Add records one latency sample.

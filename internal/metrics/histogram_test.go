@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -200,22 +201,33 @@ func TestHistogramHoldsRunsNotSamples(t *testing.T) {
 // BenchmarkHistogramAdd adds latency-like samples (40 values) to a
 // histogram that starts afresh every 20,000 — about what one instance
 // records in a benchmark round — against the append of the sample-keeping
-// oracle; neither is queried.
+// oracle; neither is queried. "runs-distinct" adds 4,096 distinct values
+// instead, each about five times a round, and "bounded" the 40 values to
+// a bounded histogram.
 func BenchmarkHistogramAdd(b *testing.B) {
-	vals := make([]float64, 40)
-	for i := range vals {
-		vals[i] = float64(1_000_000 + 50_000*i)
-	}
-	const round = 20_000
-	b.Run("runs", func(b *testing.B) {
-		var h *Histogram
-		for i := 0; i < b.N; i++ {
-			if i%round == 0 {
-				h = NewHistogram()
-			}
-			h.Add(vals[i*7%len(vals)])
+	grid := func(n int) []float64 {
+		vals := make([]float64, n)
+		for i := range vals {
+			vals[i] = float64(1_000_000 + 50_000*i)
 		}
-	})
+		return vals
+	}
+	vals := grid(40)
+	const round = 20_000
+	runs := func(vals []float64, fresh func() *Histogram) func(b *testing.B) {
+		return func(b *testing.B) {
+			var h *Histogram
+			for i := 0; i < b.N; i++ {
+				if i%round == 0 {
+					h = fresh()
+				}
+				h.Add(vals[i*7%len(vals)])
+			}
+		}
+	}
+	b.Run("runs", runs(vals, NewHistogram))
+	b.Run("runs-distinct", runs(grid(4096), NewHistogram))
+	b.Run("bounded", runs(vals, func() *Histogram { return &NewBoundedDurationHistogram().h }))
 	b.Run("samples", func(b *testing.B) {
 		var h *refHistogram
 		for i := 0; i < b.N; i++ {
@@ -233,44 +245,63 @@ func BenchmarkHistogramAdd(b *testing.B) {
 // instance's latencies (a dense grid of 40 values and a tail of rare
 // ones, 3,000 of them distinct) keep it at its bound, and Count, the
 // minimum, Max, the median and P90, which the dense values hold, stay
-// exact. Once its arrays have grown, a stream of new values allocates
-// nothing.
+// exact. So do they in an unbounded histogram that merges four such
+// instances whose grids interleave, as Figure 9 and yodabench merge an
+// instance histogram per instance. Once its arrays have grown, a stream
+// of new values allocates nothing.
 func TestBoundedHistogramMergesRareRuns(t *testing.T) {
-	const runs = 64
-	bounded := func() *Histogram { return &NewBoundedDurationHistogram(runs).h }
-	p := &histPair{h: bounded(), ref: &refHistogram{}}
+	bounded := func() *histPair { return &histPair{h: &NewBoundedDurationHistogram().h, ref: &refHistogram{}} }
+	p := bounded()
 	rng := rand.New(rand.NewSource(56))
 	for i := 0; i < 5000; i++ {
-		p.add(float64(300_000 + 11_000*rng.Intn(runs)))
+		p.add(float64(300_000 + 11_000*rng.Intn(boundedRuns)))
 		if i%97 == 0 {
 			p.check(t, "within the bound")
 		}
 	}
-	p = &histPair{h: bounded(), ref: &refHistogram{}}
-	tail := 0
-	for i := 0; i < 100_000; i++ {
-		if i%33 == 0 {
-			tail++
-			p.add(float64(3_000_000 + 1_000*tail)) // each seen once
-		} else {
-			p.add(float64(300_000 + 11_000*rng.Intn(40)))
+	checkDense := func(where string, p *histPair) {
+		t.Helper()
+		h, ref := p.h, p.ref
+		if h.Count() != ref.Count() || h.Quantile(0) != ref.Quantile(0) || h.Max() != ref.Max() {
+			t.Fatalf("%s: count %d min %v max %v, oracle %d %v %v",
+				where, h.Count(), h.Quantile(0), h.Max(), ref.Count(), ref.Quantile(0), ref.Max())
 		}
-		if i%1000 == 999 {
-			h, ref := p.h, p.ref
-			if h.Count() != ref.Count() || h.Quantile(0) != ref.Quantile(0) || h.Max() != ref.Max() {
-				t.Fatalf("after %d samples: count %d min %v max %v, oracle %d %v %v",
-					i+1, h.Count(), h.Quantile(0), h.Max(), ref.Count(), ref.Quantile(0), ref.Max())
-			}
-			for _, q := range []float64{0.5, 0.9} {
-				if got, want := h.Quantile(q), ref.Quantile(q); got != want {
-					t.Fatalf("after %d samples: Quantile(%v) = %v, oracle %v", i+1, q, got, want)
-				}
-			}
-			if len(h.vals) > runs {
-				t.Fatalf("after %d samples: %d runs, bound %d", i+1, len(h.vals), runs)
+		for _, q := range []float64{0.5, 0.9} {
+			if got, want := h.Quantile(q), ref.Quantile(q); got != want {
+				t.Fatalf("%s: Quantile(%v) = %v, oracle %v", where, q, got, want)
 			}
 		}
 	}
+	// fill feeds p the instance-like stream: grid values shifted by
+	// shift, and every 33rd sample a tail value no other sample has.
+	tail := 0
+	fill := func(p *histPair, n int, shift float64, where string) {
+		for i := 0; i < n; i++ {
+			if i%33 == 0 {
+				tail++
+				p.add(float64(3_000_000 + 1_000*tail))
+			} else {
+				p.add(shift + float64(300_000+11_000*rng.Intn(40)))
+			}
+			if i%1000 == 999 {
+				checkDense(fmt.Sprintf("%s after %d samples", where, i+1), p)
+				if len(p.h.vals) > boundedRuns {
+					t.Fatalf("%s after %d samples: %d runs, bound %d", where, i+1, len(p.h.vals), boundedRuns)
+				}
+			}
+		}
+	}
+	p = bounded()
+	fill(p, 100_000, 0, "one instance")
+
+	all := newHistPair()
+	for k := range 4 {
+		inst := bounded()
+		fill(inst, 25_000+1_000*k, 2_750*float64(k), fmt.Sprintf("instance %d", k))
+		all.merge(inst)
+	}
+	checkDense("four instances merged", all)
+
 	h := p.h
 	if allocs := testing.AllocsPerRun(1000, func() {
 		tail++

@@ -115,9 +115,9 @@ type Network struct {
 	pktFree   []*Packet
 	bufs      bufPool
 	trainFree []*trainBox
-	// trainArrays holds, by size, the arrays freed trains grew into past
+	// trainArrays holds the trainMax arrays freed trains grew into past
 	// their boxes' own (growTrain), for the next long train.
-	trainArrays [trainClasses][][]trainEntry
+	trainArrays [][]trainEntry
 	conns       Spares[PortHandler] // released transport endpoints (SpareConns)
 
 	// Stats counters.

@@ -81,9 +81,11 @@ type trainEntry struct {
 // trainBox holds a train's entries behind one pointer, keeping the event
 // record at a single cache line for the (overwhelmingly common) untrained
 // case. The entries start in the box's own array, allocated with it; a
-// train that outgrows it moves to an array twice the size (growTrain),
-// which goes back to Network.trainArrays when the box is freed, so a free
-// box holds its own array only, however long the trains it carried.
+// train that outgrows it moves to a trainMax array (growTrain), which
+// goes back to Network.trainArrays when the box is freed, so a free box
+// holds its own array only, however long the trains it carried. One
+// move, not a doubling series, keeps a long train's copying to its first
+// trainOwn entries.
 type trainBox struct {
 	entries []trainEntry
 	own     [trainOwn]trainEntry
@@ -94,11 +96,8 @@ const (
 	// pooled train slices stay cache-friendly and a pathological burst
 	// cannot grow one unbounded backing array.
 	trainMax = 256
-	// trainOwn is the entries a box holds in its own array. The larger
-	// arrays, of 2, 4, 8 and 16 times that, wait in Network.trainArrays
-	// by size.
-	trainOwn     = 16
-	trainClasses = 4
+	// trainOwn is the entries a box holds in its own array.
+	trainOwn = 16
 )
 
 func eventLess(a, b *event) bool {
@@ -231,43 +230,31 @@ func (n *Network) allocTrain() *trainBox {
 	return t
 }
 
-// growTrain moves a full train's entries to an array twice as large,
-// taken from trainArrays when a freed train left one there, and files
-// the array it leaves unless that is the box's own.
+// growTrain moves a train that filled its box's own array to a trainMax
+// array, one a freed train left in trainArrays when there is one.
 func (n *Network) growTrain(t *trainBox) {
-	c := trainClass(2 * cap(t.entries))
 	var a []trainEntry
-	if k := len(n.trainArrays[c]); k > 0 {
-		a = n.trainArrays[c][k-1]
-		n.trainArrays[c] = n.trainArrays[c][:k-1]
+	if k := len(n.trainArrays); k > 0 {
+		a = n.trainArrays[k-1]
+		n.trainArrays = n.trainArrays[:k-1]
 	} else {
-		a = make([]trainEntry, 0, 2*cap(t.entries))
+		a = make([]trainEntry, 0, trainMax)
 	}
 	a = append(a, t.entries...)
-	n.fileTrainArray(t)
+	clear(t.entries)
 	t.entries = a
 }
 
-// fileTrainArray drops t's entries, filing their array in trainArrays
-// unless it is t's own.
-func (n *Network) fileTrainArray(t *trainBox) {
+// freeTrain recycles a train box, dropping its packet references and
+// filing a trainMax array it grew into in trainArrays. One pool
+// operation retires the whole burst — pool maintenance batches at the
+// same granularity the deliveries did.
+func (n *Network) freeTrain(t *trainBox) {
 	clear(t.entries)
-	if cap(t.entries) > trainOwn {
-		c := trainClass(cap(t.entries))
-		n.trainArrays[c] = append(n.trainArrays[c], t.entries[:0])
+	if cap(t.entries) == trainMax {
+		n.trainArrays = append(n.trainArrays, t.entries[:0])
 	}
 	t.entries = t.own[:0]
-}
-
-// trainClass is trainArrays' index of an array of size entries: 0 for
-// twice trainOwn, up to trainClasses-1 for trainMax.
-func trainClass(size int) int { return bits.Len(uint(size/trainOwn)) - 2 }
-
-// freeTrain recycles a train box, dropping its packet references. One
-// pool operation retires the whole burst — pool maintenance batches at
-// the same granularity the deliveries did.
-func (n *Network) freeTrain(t *trainBox) {
-	n.fileTrainArray(t)
 	n.trainFree = append(n.trainFree, t)
 }
 

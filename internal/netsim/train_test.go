@@ -197,17 +197,17 @@ func TestTrainAllocFree(t *testing.T) {
 }
 
 // TestFreeTrainsHoldOwnArrays: a box that carried a long train goes
-// back to the free list with its own array only, the longer array
-// waiting by size for the next long train, so what the free lists hold
-// follows the most trains of each size in flight at once, not every box
-// that ever carried a long one. A round of four trains at four instants
+// back to the free list with its own array only, the trainMax array
+// waiting for the next long train, so what the free lists hold follows
+// the most long trains in flight at once, not every box that ever
+// carried one. A round of four trains at four instants
 // whose lengths rotate over the rounds must allocate nothing once warm.
 func TestFreeTrainsHoldOwnArrays(t *testing.T) {
 	n := New(1)
 	dst := IPv4(10, 0, 0, 2)
 	n.Attach(dst, NodeFunc(func(p *Packet) { n.ReleasePacket(p) }))
 	// Each train carries all but its head as entries: 19, 59, 99 and
-	// 255, one train per array size, and a spill of 10 on its own box.
+	// 255, each past a box's own array, and a spill of 10 on its own box.
 	sizes := []int{20, 60, 100, trainMax + 10}
 	round := func(k int) {
 		for j := range sizes {
@@ -228,12 +228,9 @@ func TestFreeTrainsHoldOwnArrays(t *testing.T) {
 			t.Fatalf("a free train box holds an array of %d entries, not %d", cap(b.entries), trainOwn)
 		}
 	}
-	// At most two trains held an array of one size at once: the train
-	// that ends in it and the 255 one growing through it.
-	for c, arrays := range n.trainArrays {
-		if len(arrays) > 2 {
-			t.Errorf("%d arrays of %d entries wait, but at most two trains held one at a time", len(arrays), trainOwn<<(c+1))
-		}
+	// At most the four long trains of a round held an array at once.
+	if got := len(n.trainArrays); got > len(sizes) {
+		t.Errorf("%d arrays of %d entries wait, but at most %d trains held one at a time", got, trainMax, len(sizes))
 	}
 	k := 0
 	if allocs := testing.AllocsPerRun(20, func() { round(k); k++ }); allocs > 0 {

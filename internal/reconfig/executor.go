@@ -321,7 +321,6 @@ func (e *Executor) upgradeNext() {
 	}
 	ip := e.order[e.stats.Upgraded+e.stats.Skipped]
 	e.stats.Current = ip
-	e.stats.Phase = "drain"
 
 	cur := e.env.Mappings()
 	target := make(map[netsim.IP][]netsim.IP)
@@ -352,11 +351,9 @@ func (e *Executor) upgradeNext() {
 // scheduleRestart fires Env.Restart after the reboot delay, then waits
 // for the instance to come back.
 func (e *Executor) scheduleRestart() {
-	e.stats.Phase = "restart"
 	ip := e.stats.Current
 	e.env.Net.Schedule(e.restartDelay, func() {
 		e.env.Restart(ip)
-		e.stats.Phase = "ready-wait"
 		e.pollReady(e.env.Net.Now() + readyTimeout)
 	})
 }
@@ -381,7 +378,6 @@ func (e *Executor) pollReady(deadline time.Duration) {
 // readmit restores the instance's pre-drain mappings through a second
 // plan (the instance gets its rules back as a gainer).
 func (e *Executor) readmit() {
-	e.stats.Phase = "readmit"
 	saved := e.saved
 	e.saved = nil
 	if len(saved) == 0 {
@@ -450,7 +446,6 @@ func (e *Executor) flowSnapshot(vips map[netsim.IP][]netsim.IP) map[netsim.IP]ma
 func (e *Executor) finish() {
 	e.stats.Running = false
 	e.stats.Current = 0
-	e.stats.Phase = ""
 	e.stats.Duration = e.env.Net.Now() - e.stats.Start
 	e.order = nil
 }

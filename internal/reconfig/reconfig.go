@@ -159,10 +159,8 @@ type Stats struct {
 	Instances int
 	Upgraded  int
 	Skipped   int
-	// Current is the instance being upgraded; Phase is one of "drain",
-	// "restart", "ready-wait", "readmit" (empty when idle).
+	// Current is the instance being upgraded (0 when idle).
 	Current netsim.IP
-	Phase   string
 	// Err records a fatal upgrade error (the upgrade stops early).
 	Err string
 

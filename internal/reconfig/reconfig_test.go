@@ -2,7 +2,6 @@ package reconfig_test
 
 import (
 	"bytes"
-	"slices"
 	"testing"
 	"time"
 
@@ -12,7 +11,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/reconfig"
 	"repro/internal/rules"
-	"repro/internal/tcpstore"
 	"repro/internal/testbed"
 )
 
@@ -206,45 +204,4 @@ func TestExecutorRejectsConcurrentStart(t *testing.T) {
 		t.Fatalf("restart after done: %v", err)
 	}
 	w.c.Net.RunFor(20 * time.Second)
-}
-
-// TestUpgradeReportsItsPhases: a rolling upgrade of one instance reports
-// where it is — draining, waiting out the reboot, re-admitting (the
-// restarted host is up at once, so the ready wait passes inside one
-// event) — in that order, and no phase once it has finished.
-func TestUpgradeReportsItsPhases(t *testing.T) {
-	w := newMigrationWorld(t, 21, 3, reconfig.Options{})
-	c := w.c
-	exec := reconfig.NewExecutor(reconfig.Env{
-		Net:       c.Net,
-		L4:        c.L4,
-		Instances: func() []*core.Instance { return c.Yoda },
-		RulesFor:  func(netsim.IP) []rules.Rule { return w.rs },
-		OnMapping: func(vip netsim.IP, insts []netsim.IP) { w.mapping[vip] = slices.Clone(insts) },
-		Mappings: func() map[netsim.IP][]netsim.IP {
-			return map[netsim.IP][]netsim.IP{w.vip: slices.Clone(w.mapping[w.vip])}
-		},
-		Restart: func(ip netsim.IP) {
-			i := slices.IndexFunc(c.Yoda, func(in *core.Instance) bool { return in.IP() == ip })
-			c.RestartYoda(i, core.DefaultConfig(), tcpstore.DefaultConfig())
-		},
-	}, reconfig.Options{})
-	w.load(8, 5*time.Second)
-	c.Net.RunFor(time.Second)
-	if err := exec.Upgrade([]netsim.IP{c.Yoda[0].IP()}, time.Second); err != nil {
-		t.Fatal(err)
-	}
-	phases := []string{exec.Stats().Phase}
-	for exec.Running() && c.Net.Now() < time.Minute {
-		c.Net.Step()
-		if p := exec.Stats().Phase; p != phases[len(phases)-1] {
-			phases = append(phases, p)
-		}
-	}
-	if want := []string{"", "drain", "restart", "readmit", ""}; !slices.Equal(phases, want) {
-		t.Fatalf("the upgrade reported phases %q, want %q", phases, want)
-	}
-	if st := exec.Stats(); st.Upgraded != 1 || st.Err != "" {
-		t.Fatalf("upgrade = %+v, want 1 upgraded", st)
-	}
 }
