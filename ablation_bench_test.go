@@ -148,7 +148,7 @@ func BenchmarkAblationMonitorInterval(b *testing.B) {
 			Backends: 1, Stores: 2, LBs: 2, Controller: &ctCfg,
 		})
 		var res *httpsim.FetchResult
-		tb.C.NewClient(httpsim.DefaultClientConfig()).Get(tb.Addr, "/o", func(r *httpsim.FetchResult) { res = r })
+		tb.C.NewClient(httpsim.DefaultClientConfig()).Get(tb.Addr, "/o", func(r *httpsim.FetchResult) { res = r.Clone() })
 		tb.C.Net.RunFor(200 * time.Millisecond)
 		tb.FailBusiest(1)
 		tb.C.Net.RunFor(time.Minute)

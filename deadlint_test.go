@@ -349,11 +349,6 @@ func baseIdent(e ast.Expr) *ast.Ident {
 // type for a field of one ("package.Type.Outer.Field").
 var writeOnlyAllowlist = map[string]string{
 	"assignment.solverState.openCount":  "TestGreedyOptimalityGap: SolveExhaustive, the reference solver, prunes on it",
-	"core.BarrierStats.Skipped":         "TestFlowAllocBudget counts hybrid's skipped barriers; item 1's outcome table owns it",
-	"core.Instance.Reselections":        "TestKeepAlivePipelinedAcrossBackends; item 1's outcome table owns it",
-	"core.Instance.SNATQuarantined":     "TestReleaseVIPFlowsQuarantinesPorts; item 1's outcome table owns it",
-	"core.Instance.FlowsClosed":         "TestClientResetMidTunnel counts the reset flow's close; item 1's outcome table owns it",
-	"core.VIPStats.NewFlows":            "TestInstanceCountersAndStats and TestManyConcurrentFetches count a VIP's new flows; item 1's outcome table owns it",
 	"experiments.Table1Row.YodaExtra":   "TestTable1Impact bounds the delay Yoda adds to a failed-over fetch",
 	"haproxy.Instance.Connections":      "TestProxySpreadsConnections: every proxy instance gets connections",
 	"l4lb.LB.NoInstanceDrops":           "TestNoInstancesDrops: a VIP with no instance drops, and counts it",

@@ -62,6 +62,13 @@ func TestSolvedAssignmentRoutesPerVIP(t *testing.T) {
 	}
 
 	// Traffic for each VIP must flow (and land on assigned instances).
+	type opened struct{ inst, vip netsim.IP }
+	newFlows := map[opened]bool{}
+	c.Net.SetTracer(func(ev netsim.TraceEvent) {
+		if ev.Note == "new flow" {
+			newFlows[opened{ev.Node, ev.Tuple.Dst.IP}] = true
+		}
+	})
 	fetch := func(vip netsim.IP, n int) int {
 		ok := 0
 		for i := 0; i < n; i++ {
@@ -80,12 +87,19 @@ func TestSolvedAssignmentRoutesPerVIP(t *testing.T) {
 			t.Fatalf("vip %v fetches = %d", vip, got)
 		}
 	}
-	for i, in := range c.Yoda {
-		st := in.ReadStats()
-		for vid, vip := range vips {
-			if st[vip] != nil && st[vip].NewFlows > 0 && !a.Has(vid, i) {
+	for vid, vip := range vips {
+		served := 0
+		for i, in := range c.Yoda {
+			if !newFlows[opened{in.IP(), vip}] {
+				continue
+			}
+			if !a.Has(vid, i) {
 				t.Fatalf("instance %d served vip %v without being assigned", i, vip)
 			}
+			served++
+		}
+		if served == 0 {
+			t.Fatalf("no instance noted a new flow for vip %v", vip)
 		}
 	}
 }

@@ -36,10 +36,6 @@ type BarrierStats struct {
 	Aborted uint64
 	// Timeouts: the store resolved at OpTimeout rather than by replies.
 	Timeouts uint64
-	// Skipped: barriers elided entirely in hybrid recovery mode because
-	// the stateless derivation reproduces the record exactly (the commit
-	// continuation ran synchronously, no store write was issued).
-	Skipped uint64
 }
 
 // writeBarrier persists entries in one batched store round trip, then

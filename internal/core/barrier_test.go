@@ -103,8 +103,8 @@ func TestStrictPersistDropsUnrecoverableHandshakes(t *testing.T) {
 
 // TestSNATExhaustionRejectsDials is the regression test for the silent
 // port-reuse bug: with a single-port SNAT slice, concurrent dials past
-// the first must be rejected with a 503 and counted, never spliced onto
-// the in-use port.
+// the first must be rejected with a 503 and counted in the VIP's stats,
+// which ReadStats resets, never spliced onto the in-use port.
 func TestSNATExhaustionRejectsDials(t *testing.T) {
 	coreCfg := core.DefaultConfig()
 	coreCfg.SNATCount = 1
@@ -138,11 +138,14 @@ func TestSNATExhaustionRejectsDials(t *testing.T) {
 	if rejected == 0 {
 		t.Fatal("no flow was rejected: concurrent dials shared the one SNAT port")
 	}
-	st := c.Yoda[0].Stats[tb.VIP]
+	st := c.Yoda[0].ReadStats()[tb.VIP]
 	if st == nil || st.SNATExhausted == 0 {
 		t.Fatalf("SNATExhausted not counted (stats: %+v)", st)
 	}
 	if int(st.SNATExhausted) != rejected {
 		t.Fatalf("SNATExhausted = %d, want %d (one per rejected dial)", st.SNATExhausted, rejected)
+	}
+	if again := c.Yoda[0].ReadStats(); len(again) != 0 {
+		t.Fatalf("a second ReadStats returned %d VIPs' stats, want none: a read resets", len(again))
 	}
 }

@@ -159,6 +159,7 @@ func BenchmarkStorageWritePath(b *testing.B) {
 func TestOneLingerTimerPerClose(t *testing.T) {
 	n := netsim.New(7)
 	in, f := benchTunnelSetup(n)
+	notes := CountNotes(n, nil)
 	send := func(src, dst netsim.HostPort, flags netsim.TCPFlags) {
 		pkt := n.AllocPacket()
 		pkt.Src, pkt.Dst, pkt.Flags = src, dst, flags
@@ -177,12 +178,12 @@ func TestOneLingerTimerPerClose(t *testing.T) {
 		t.Fatalf("%d timers pending after the close, want the one linger timer", n.Pending())
 	}
 	n.Run(closed + finLinger - 1)
-	if in.FlowsClosed != 0 {
+	if notes.Of(in.IP(), "close") != 0 {
 		t.Fatal("flow torn down before finLinger had passed")
 	}
 	n.Run(closed + finLinger)
-	if in.FlowsClosed != 1 || n.Pending() != 0 {
-		t.Fatalf("finLinger after the second FIN: %d flows closed, %d events pending; want 1 and 0", in.FlowsClosed, n.Pending())
+	if flows := notes.Of(in.IP(), "close"); flows != 1 || n.Pending() != 0 {
+		t.Fatalf("finLinger after the second FIN: %d flows closed, %d events pending; want 1 and 0", flows, n.Pending())
 	}
 }
 
@@ -202,12 +203,13 @@ func TestIdleTimerPeriodAndAllocs(t *testing.T) {
 	}
 	// Last touched half a period before the timer came round: it must
 	// come round once more, a full period later, and only then close.
+	notes := CountNotes(n, nil)
 	n.RunFor(idle - 1)
-	if in.FlowsClosed != 0 || n.Pending() != 1 {
-		t.Fatalf("before the second period ends: %d flows closed, %d timers pending; want 0 and 1", in.FlowsClosed, n.Pending())
+	if closed := notes.Of(in.IP(), "close"); closed != 0 || n.Pending() != 1 {
+		t.Fatalf("before the second period ends: %d flows closed, %d timers pending; want 0 and 1", closed, n.Pending())
 	}
 	n.RunFor(1)
-	if in.FlowsClosed != 1 || n.Pending() != 0 {
-		t.Fatalf("a full idle period after the last re-arm: %d flows closed, %d timers pending; want 1 and 0", in.FlowsClosed, n.Pending())
+	if closed := notes.Of(in.IP(), "close"); closed != 1 || n.Pending() != 0 {
+		t.Fatalf("a full idle period after the last re-arm: %d flows closed, %d timers pending; want 1 and 0", closed, n.Pending())
 	}
 }

@@ -83,6 +83,7 @@ func TestFetchLargeObject(t *testing.T) {
 
 func TestManyConcurrentFetches(t *testing.T) {
 	tb := newTestbed(t, 3, 3)
+	notes := core.CountNotes(tb.C.Net, nil)
 	const N = 40
 	done := 0
 	var errs []error
@@ -105,10 +106,7 @@ func TestManyConcurrentFetches(t *testing.T) {
 	// Traffic must be spread across instances.
 	busy := 0
 	for _, in := range tb.C.Yoda {
-		if in.FlowCount() >= 0 { // flows are cleaned up; check stats instead
-		}
-		st := in.ReadStats()
-		if st[tb.VIP] != nil && st[tb.VIP].NewFlows > 0 {
+		if notes.To(in.IP(), "new flow", tb.VIP) > 0 {
 			busy++
 		}
 	}
@@ -657,6 +655,7 @@ func TestRejectWhenNoRuleMatches(t *testing.T) {
 
 func TestKeepAliveMultipleRequestsSameBackend(t *testing.T) {
 	tb := newTestbed(t, 9, 1)
+	notes := core.CountNotes(tb.C.Net, nil)
 	host := tb.C.ClientHost()
 	parser := &httpsim.ResponseParser{}
 	var bodies [][]byte
@@ -691,8 +690,8 @@ func TestKeepAliveMultipleRequestsSameBackend(t *testing.T) {
 			t.Fatalf("body = %q", b)
 		}
 	}
-	if tb.C.Yoda[0].Reselections != 0 {
-		t.Fatalf("unexpected backend switch: %d", tb.C.Yoda[0].Reselections)
+	if n := notes.Of(tb.C.Yoda[0].IP(), "reselect"); n != 0 {
+		t.Fatalf("unexpected backend switch: %d", n)
 	}
 }
 
@@ -713,6 +712,7 @@ func TestKeepAliveBackendReselection(t *testing.T) {
 	}
 	c.InstallPolicy(vip, rs, nil)
 
+	notes := core.CountNotes(c.Net, nil)
 	host := c.ClientHost()
 	parser := &httpsim.ResponseParser{}
 	var bodies []string
@@ -742,8 +742,8 @@ func TestKeepAliveBackendReselection(t *testing.T) {
 	if bodies[0] != "from-php-pool" || bodies[1] != "from-css-pool" {
 		t.Fatalf("bodies = %v", bodies)
 	}
-	if c.Yoda[0].Reselections != 1 {
-		t.Fatalf("reselections = %d, want 1", c.Yoda[0].Reselections)
+	if n := notes.Of(c.Yoda[0].IP(), "reselect"); n != 1 {
+		t.Fatalf("reselections = %d, want 1", n)
 	}
 	if c.Backends["srv-1"].Server.Requests != 1 || c.Backends["srv-2"].Server.Requests != 1 {
 		t.Fatalf("request counts: php=%d css=%d",
@@ -753,6 +753,7 @@ func TestKeepAliveBackendReselection(t *testing.T) {
 
 func TestInstanceCountersAndStats(t *testing.T) {
 	tb := newTestbed(t, 11, 1)
+	notes := core.CountNotes(tb.C.Net, nil)
 	cl := tb.C.NewClient(httpsim.DefaultClientConfig())
 	done := false
 	cl.Get(tb.Addr, "/tiny", func(r *httpsim.FetchResult) { done = r.Err == nil })
@@ -761,15 +762,8 @@ func TestInstanceCountersAndStats(t *testing.T) {
 		t.Fatal("fetch failed")
 	}
 	in := tb.C.Yoda[0]
-	st := in.ReadStats()
-	vs := st[tb.VIP]
-	if vs == nil || vs.NewFlows != 1 {
-		t.Fatalf("stats: %+v", vs)
-	}
-	// ReadStats resets.
-	st2 := in.ReadStats()
-	if st2[tb.VIP] != nil {
-		t.Fatal("stats not reset")
+	if n := notes.To(in.IP(), "new flow", tb.VIP); n != 1 {
+		t.Fatalf("%d new flows noted for the VIP, want 1", n)
 	}
 	if !in.HasVIP(tb.VIP) {
 		t.Fatal("HasVIP false")
@@ -822,10 +816,10 @@ func BenchmarkEventsPerFlow(b *testing.B) {
 			})
 		}
 		c.Net.RunFor(60 * time.Second)
-		if closed := c.Yoda[0].FlowsClosed; done != flows || closed == 0 {
-			b.Fatalf("done = %d/%d, %d flows closed", done, flows, closed)
+		if done != flows {
+			b.Fatalf("done = %d/%d", done, flows)
 		}
-		b.ReportMetric(float64(c.Net.Executed()-base)/float64(c.Yoda[0].FlowsClosed), "events/flow")
+		b.ReportMetric(float64(c.Net.Executed()-base)/flows, "events/flow")
 	}
 }
 
@@ -839,7 +833,7 @@ func TestClientResetMidTunnel(t *testing.T) {
 		backends[b.Rec.Addr] = true
 	}
 	var resets []*netsim.Packet
-	tb.C.Net.SetTracer(func(ev netsim.TraceEvent) {
+	notes := core.CountNotes(tb.C.Net, func(ev netsim.TraceEvent) {
 		if p := ev.Packet; p != nil && backends[p.Dst] && p.Flags.Has(netsim.FlagRST) {
 			resets = append(resets, p.Clone())
 		}
@@ -860,8 +854,8 @@ func TestClientResetMidTunnel(t *testing.T) {
 	if len(resets) == 0 || resets[0].Flags != netsim.FlagRST || resets[0].Src.IP != tb.VIP {
 		t.Fatalf("RSTs toward the backend %v, want the client's, relayed from the VIP, first", resets)
 	}
-	if in.FlowCount() != 0 || in.FlowsClosed != 1 {
-		t.Fatalf("%d flow entries left, %d closed; want 0 and 1", in.FlowCount(), in.FlowsClosed)
+	if closed := notes.Of(in.IP(), "close"); in.FlowCount() != 0 || closed != 1 {
+		t.Fatalf("%d flow entries left, %d closed; want 0 and 1", in.FlowCount(), closed)
 	}
 	requireStoreEmpty(t, tb.C)
 	if n := tb.C.L4.AffinityCount(); n != 0 {
@@ -874,13 +868,14 @@ func TestClientResetMidTunnel(t *testing.T) {
 // SYN-ACK went out, leaves neither the record nor a mux entry behind.
 func TestClientResetAfterHandshake(t *testing.T) {
 	tb := newTestbed(t, 13, 1)
+	notes := core.CountNotes(tb.C.Net, nil)
 	tcp.Dial(tb.C.ClientHost(), tb.Addr, tcp.Callbacks{
 		OnEstablished: func(c *tcp.Conn) { c.Abort() },
 	}, tcp.DefaultConfig())
 	tb.C.Net.RunFor(10 * time.Second)
 	in := tb.C.Yoda[0]
-	if in.FlowCount() != 0 || in.FlowsClosed != 1 {
-		t.Fatalf("%d flow entries left, %d closed; want 0 and 1", in.FlowCount(), in.FlowsClosed)
+	if closed := notes.Of(in.IP(), "close"); in.FlowCount() != 0 || closed != 1 {
+		t.Fatalf("%d flow entries left, %d closed; want 0 and 1", in.FlowCount(), closed)
 	}
 	requireStoreEmpty(t, tb.C)
 	if n := tb.C.L4.AffinityCount(); n != 0 {

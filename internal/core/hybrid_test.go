@@ -51,6 +51,7 @@ func probeClientConfig() httpsim.ClientConfig {
 // elided by derivation and teardown has nothing to delete.
 func TestHybridVanillaFlowSkipsStore(t *testing.T) {
 	tb := newHybridTestbed(t, 21, 1)
+	notes := core.CountNotes(tb.C.Net, nil)
 	cl := tb.C.NewClient(httpsim.DefaultClientConfig())
 	var res *httpsim.FetchResult
 	cl.Get(tb.Addr, "/10k", keep(&res))
@@ -62,8 +63,8 @@ func TestHybridVanillaFlowSkipsStore(t *testing.T) {
 		t.Fatal("body corrupted")
 	}
 	in := tb.C.Yoda[0]
-	if in.Barrier.Skipped < 2 {
-		t.Fatalf("Barrier.Skipped = %d, want >= 2 (storage-a and storage-b)", in.Barrier.Skipped)
+	if n := notes.Of(in.IP(), "barrier skip"); n < 2 {
+		t.Fatalf("%d barriers skipped, want >= 2 (storage-a and storage-b)", n)
 	}
 	if rt := in.Store().Stats.RoundTrips; rt != 0 {
 		t.Fatalf("store round trips = %d, want 0 for a derivable flow", rt)
@@ -77,8 +78,9 @@ func TestHybridVanillaFlowSkipsStore(t *testing.T) {
 // derivation reconstructs — same backend, same SNAT tuple, same C, S,
 // Delta, same serialization.
 func TestHybridDifferentialOracle(t *testing.T) {
-	runOnce := func(seed int64) (skipped, roundTrips uint64) {
+	runOnce := func(seed int64) (skipped int, roundTrips uint64) {
 		tb := newHybridTestbed(t, seed, 1)
+		notes := core.CountNotes(tb.C.Net, nil)
 		in := tb.C.Yoda[0]
 		host := tb.C.ClientHost()
 		req := httpsim.NewRequest("/100k", "mysite")
@@ -150,7 +152,7 @@ func TestHybridDifferentialOracle(t *testing.T) {
 			t.Fatalf("derived record differs from stored:\n  derived: %x\n  stored:  %x", got, stored)
 		}
 		tb.C.Net.RunFor(10 * time.Second)
-		return in.Barrier.Skipped, in.Store().Stats.RoundTrips
+		return notes.Of(in.IP(), "barrier skip"), in.Store().Stats.RoundTrips
 	}
 
 	// Residue classification must be stable across identical runs.
@@ -421,6 +423,7 @@ func TestHybridRoundTripsHalved(t *testing.T) {
 func TestHybridKeepAliveSwitchPersists(t *testing.T) {
 	tb := newHybridTestbed(t, 32, 2)
 	c := tb.C
+	notes := core.CountNotes(c.Net, nil)
 	servedBy := func(before map[string]int) string {
 		for name, b := range c.Backends {
 			if b.Server.Requests != before[name] {
@@ -444,8 +447,8 @@ func TestHybridKeepAliveSwitchPersists(t *testing.T) {
 		before = counts()
 		conn.Write(httpsim.NewRequest("/tiny", "mysite").Marshal())
 	}
-	switched := func() bool {
-		return c.Yoda[0].Reselections+c.Yoda[1].Reselections > 0
+	switches := func() int {
+		return notes.Of(c.Yoda[0].IP(), "reselect") + notes.Of(c.Yoda[1].IP(), "reselect")
 	}
 	conn = tcp.Dial(c.ClientHost(), tb.Addr, tcp.Callbacks{
 		OnEstablished: func(*tcp.Conn) { send() },
@@ -456,7 +459,7 @@ func TestHybridKeepAliveSwitchPersists(t *testing.T) {
 			}
 			for range resps {
 				served = append(served, servedBy(before))
-				if !switched() && len(served) < 20 {
+				if switches() == 0 && len(served) < 20 {
 					send()
 				}
 			}
@@ -468,8 +471,8 @@ func TestHybridKeepAliveSwitchPersists(t *testing.T) {
 		owner = 1
 	}
 	in := c.Yoda[owner]
-	if !switched() || in.Barrier.Skipped != 2 || in.Barrier.Commits != 1 {
-		t.Fatalf("after %d requests: %d switches, %d barriers skipped, %d written; want 1, 2 (storage-a, the first storage-b) and 1 (the re-dial's)", len(served), in.Reselections, in.Barrier.Skipped, in.Barrier.Commits)
+	if skipped := notes.Of(in.IP(), "barrier skip"); switches() != 1 || skipped != 2 || in.Barrier.Commits != 1 {
+		t.Fatalf("after %d requests: %d switches, %d barriers skipped, %d written; want 1, 2 (storage-a, the first storage-b) and 1 (the re-dial's)", len(served), switches(), skipped, in.Barrier.Commits)
 	}
 	tb.FailLB(owner)
 	c.Net.RunFor(time.Second)

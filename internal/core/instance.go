@@ -63,7 +63,6 @@ func DefaultConfig() Config {
 // VIPStats aggregates per-VIP counters an instance reports to the
 // controller.
 type VIPStats struct {
-	NewFlows uint64
 	// SNATExhausted counts dials rejected because the instance's SNAT
 	// port slice had no free port (the flow gets a 503, never a silently
 	// spliced port).
@@ -115,7 +114,6 @@ type Instance struct {
 	Stats        map[netsim.IP]*VIPStats
 	Recovered    uint64 // flows resurrected from TCPStore
 	LookupMisses uint64 // orphan packets with no recoverable state, or dropped while queued
-	Reselections uint64 // HTTP/1.1 backend switches
 	// DerivedRecoveries counts flows rebuilt by stateless derivation
 	// (hybrid mode) — no store record was read for them.
 	DerivedRecoveries uint64
@@ -124,12 +122,6 @@ type Instance struct {
 	// sender's retransmission (a backend knock racing the client-side
 	// repair write, or a payloadless client probe).
 	SuppressedOrphans uint64
-	// SNATQuarantined counts SNAT ports left reserved by flows whose state
-	// migrated to another instance (see ReleaseVIPFlows); they return to
-	// the pool only when the instance restarts.
-	SNATQuarantined uint64
-	// FlowsClosed counts flows this instance tore down (any reason).
-	FlowsClosed uint64
 
 	// Store scratch, reused across barrier writes, key renders and the
 	// decode of a store read (lookedUp). Safe because the instance runs

@@ -132,17 +132,19 @@ func TestPendingQueueWaitsForItsRead(t *testing.T) {
 func TestReleaseVIPFlowsQuarantinesPorts(t *testing.T) {
 	n := netsim.New(5)
 	in, f := benchTunnelSetup(n)
+	notes := CountNotes(n, nil)
 	held := int(f.snat.Port - in.cfg.SNATBase)
 	in.snatInUse.add(held)
 	f.touch(3 * time.Second)
 	if last, ok := in.VIPLastActive(f.vip.IP); in.VIPFlowCount(f.vip.IP) != 1 || !ok || last != 3*time.Second {
 		t.Fatalf("VIPFlowCount %d, VIPLastActive %v %v; want 1, 3s true", in.VIPFlowCount(f.vip.IP), last, ok)
 	}
-	if got := in.ReleaseVIPFlows(f.vip.IP); got != 1 || in.FlowCount() != 0 || in.SNATQuarantined != 1 || !in.snatInUse.has(held) {
-		t.Fatalf("released %d, %d entries left, %d quarantined, port held %v; want 1, 0, 1, true", got, in.FlowCount(), in.SNATQuarantined, in.snatInUse.has(held))
+	got := in.ReleaseVIPFlows(f.vip.IP)
+	if quarantined := notes.Of(in.IP(), "snat quarantine"); got != 1 || in.FlowCount() != 0 || quarantined != 1 || !in.snatInUse.has(held) {
+		t.Fatalf("released %d, %d entries left, %d quarantined, port held %v; want 1, 0, 1, true", got, in.FlowCount(), quarantined, in.snatInUse.has(held))
 	}
-	if _, ok := in.VIPLastActive(f.vip.IP); ok || in.FlowsClosed != 0 {
-		t.Fatalf("a released flow is still active, or counted closed (%d)", in.FlowsClosed)
+	if _, ok := in.VIPLastActive(f.vip.IP); ok || notes.Of(in.IP(), "close") != 0 {
+		t.Fatalf("a released flow is still active, or noted closed (%d)", notes.Of(in.IP(), "close"))
 	}
 }
 

@@ -85,6 +85,7 @@ func TestKeepAlivePipelinedAcrossBackends(t *testing.T) {
 	// Three pipelined requests alternating pools: responses must come back
 	// in order despite two backend switches (§5.2's in-order requirement).
 	b := newKABed(21, 1)
+	notes := core.CountNotes(b.C.Net, nil)
 	bodies := driveKA(t, b, true, "/a.php", "/b.css", "/c.php")
 	want := []string{"PHP-A", "CSS-B", "PHP-C"}
 	if len(bodies) != 3 {
@@ -95,13 +96,14 @@ func TestKeepAlivePipelinedAcrossBackends(t *testing.T) {
 			t.Fatalf("response %d = %q, want %q (order violated)", i, bodies[i], want[i])
 		}
 	}
-	if b.C.Yoda[0].Reselections != 2 {
-		t.Fatalf("reselections = %d, want 2", b.C.Yoda[0].Reselections)
+	if n := notes.Of(b.C.Yoda[0].IP(), "reselect"); n != 2 {
+		t.Fatalf("reselections = %d, want 2", n)
 	}
 }
 
 func TestKeepAliveSequentialAcrossBackends(t *testing.T) {
 	b := newKABed(22, 1)
+	notes := core.CountNotes(b.C.Net, nil)
 	bodies := driveKA(t, b, false, "/a.php", "/b.css", "/a.php")
 	want := []string{"PHP-A", "CSS-B", "PHP-A"}
 	if len(bodies) != 3 {
@@ -113,8 +115,8 @@ func TestKeepAliveSequentialAcrossBackends(t *testing.T) {
 		}
 	}
 	// php -> css -> php again: two switches.
-	if b.C.Yoda[0].Reselections != 2 {
-		t.Fatalf("reselections = %d", b.C.Yoda[0].Reselections)
+	if n := notes.Of(b.C.Yoda[0].IP(), "reselect"); n != 2 {
+		t.Fatalf("reselections = %d", n)
 	}
 }
 
@@ -165,7 +167,7 @@ func TestKeepAliveSwitchToDeadBackend(t *testing.T) {
 	net.Detach(dead.IP)
 	var syns []time.Duration
 	var rejects []string
-	net.SetTracer(func(ev netsim.TraceEvent) {
+	notes := core.CountNotes(net, func(ev netsim.TraceEvent) {
 		p := ev.Packet
 		if p == nil {
 			return
@@ -190,8 +192,9 @@ func TestKeepAliveSwitchToDeadBackend(t *testing.T) {
 		t.Fatalf("replies closing the flow %q, want one 503 backend unreachable", rejects)
 	}
 	in := b.C.Yoda[0]
-	if in.FlowCount() != 0 || in.FlowsClosed != 1 || in.Reselections != 1 {
-		t.Fatalf("%d flow entries, %d flows closed, %d reselections; want 0, 1, 1", in.FlowCount(), in.FlowsClosed, in.Reselections)
+	closed, switches := notes.Of(in.IP(), "close"), notes.Of(in.IP(), "reselect")
+	if in.FlowCount() != 0 || closed != 1 || switches != 1 {
+		t.Fatalf("%d flow entries, %d flows closed, %d reselections; want 0, 1, 1", in.FlowCount(), closed, switches)
 	}
 }
 
@@ -263,7 +266,7 @@ func TestKeepAliveSwitchToRefusingBackend(t *testing.T) {
 		net.ReleasePacket(p)
 	}))
 	var rejects []string
-	net.SetTracer(func(ev netsim.TraceEvent) {
+	notes := core.CountNotes(net, func(ev netsim.TraceEvent) {
 		if p := ev.Packet; p != nil && p.Src == b.Addr && p.Flags.Has(netsim.FlagFIN) && len(p.Payload) > 0 {
 			rejects = append(rejects, string(p.Payload))
 		}
@@ -277,8 +280,8 @@ func TestKeepAliveSwitchToRefusingBackend(t *testing.T) {
 		t.Fatalf("replies closing the flow %q, want one 503 backend refused", rejects)
 	}
 	in := b.C.Yoda[0]
-	if in.FlowCount() != 0 || in.Reselections != 1 {
-		t.Fatalf("%d flow entries, %d reselections; want 0 and 1", in.FlowCount(), in.Reselections)
+	if switches := notes.Of(in.IP(), "reselect"); in.FlowCount() != 0 || switches != 1 {
+		t.Fatalf("%d flow entries, %d reselections; want 0 and 1", in.FlowCount(), switches)
 	}
 }
 
@@ -317,6 +320,7 @@ func TestKeepAliveReorderedSegmentsFrame(t *testing.T) {
 	}
 	parser := &httpsim.ResponseParser{}
 	got := 0
+	notes := core.CountNotes(c.Net, nil)
 	tcp.Dial(c.ClientHost(), netsim.HostPort{IP: vip, Port: 80}, tcp.Callbacks{
 		OnEstablished: func(conn *tcp.Conn) { conn.Write(reqs[0].Marshal()) },
 		OnData: func(conn *tcp.Conn, d []byte) {
@@ -341,7 +345,7 @@ func TestKeepAliveReorderedSegmentsFrame(t *testing.T) {
 	}, tcp.DefaultConfig())
 	c.Net.RunFor(time.Minute)
 	in := c.Yoda[0]
-	if got != len(reqs) || in.Reselections != 3 || in.FlowCount() != 0 {
-		t.Fatalf("%d of %d responses, %d reselections, %d flow entries left; want all, 3, 0", got, len(reqs), in.Reselections, in.FlowCount())
+	if switches := notes.Of(in.IP(), "reselect"); got != len(reqs) || switches != 3 || in.FlowCount() != 0 {
+		t.Fatalf("%d of %d responses, %d reselections, %d flow entries left; want all, 3, 0", got, len(reqs), switches, in.FlowCount())
 	}
 }

@@ -18,10 +18,9 @@ import (
 // seamCounters are the fields only note may increment: the lifecycle
 // outcome counters of BarrierStats, VIPStats and Instance.
 var seamCounters = map[string]bool{
-	"Commits": true, "Degraded": true, "Aborted": true, "Timeouts": true, "Skipped": true,
+	"Commits": true, "Degraded": true, "Aborted": true, "Timeouts": true,
 	"Recovered": true, "DerivedRecoveries": true, "SuppressedOrphans": true, "LookupMisses": true,
-	"Reselections": true, "FlowsClosed": true, "SNATQuarantined": true,
-	"NewFlows": true, "SNATExhausted": true,
+	"SNATExhausted": true,
 }
 
 // hybridSeams are the only functions that may test cfg.Hybrid — or a
@@ -38,8 +37,11 @@ var tunnelBarrierWriters = map[string]bool{"serverHandshakePacket": true, "hybri
 // TestOneLifecycleSeam keeps the lifecycle one seam (state.go): in the
 // package's non-test files, only setState writes a flow's state — by
 // assignment or in a composite literal — only note writes an outcome
-// counter, and only the hybridSeams ask whether hybrid mode is on. It
-// also keeps the keep-alive fork from coming back: flowState has three
+// counter, and only the hybridSeams ask whether hybrid mode is on. Every
+// event has a name of its own in eventNames, because tests count
+// outcomes by the note's name (CountNotes): a missing or shared name
+// would read as zero or as another outcome. It also keeps the
+// keep-alive fork from coming back: flowState has three
 // values (Conn, Dialing, Tunnel), storage-b has one dataplane call site
 // outside hybrid.go, and no segment is a packet literal — every one the
 // instance sends comes from the pool, through packet.
@@ -50,7 +52,7 @@ func TestOneLifecycleSeam(t *testing.T) {
 	}
 	fset := token.NewFileSet()
 	var bad []string
-	states := 0
+	states, events := 0, 0
 	for _, name := range files {
 		if strings.HasSuffix(name, "_test.go") {
 			continue
@@ -61,8 +63,11 @@ func TestOneLifecycleSeam(t *testing.T) {
 		}
 		for _, d := range file.Decls {
 			if gd, ok := d.(*ast.GenDecl); ok && gd.Tok == token.CONST {
-				if vs := gd.Specs[0].(*ast.ValueSpec); fmt.Sprint(vs.Type) == "flowState" {
+				switch vs := gd.Specs[0].(*ast.ValueSpec); fmt.Sprint(vs.Type) {
+				case "flowState":
 					states = len(gd.Specs)
+				case "event":
+					events = len(gd.Specs)
 				}
 			}
 			fn, ok := d.(*ast.FuncDecl)
@@ -142,8 +147,20 @@ func TestOneLifecycleSeam(t *testing.T) {
 	if states != 3 {
 		bad = append(bad, fmt.Sprintf("flowState has %d values, want 3: Conn, Dialing, Tunnel", states))
 	}
+	if len(eventNames) != events {
+		bad = append(bad, fmt.Sprintf("%d events and %d eventNames, want one name per event", events, len(eventNames)))
+	}
+	named := map[string]int{}
+	for ev, name := range eventNames {
+		if prev, dup := named[name]; dup {
+			bad = append(bad, fmt.Sprintf("events %d and %d share the name %q", prev, ev, name))
+		} else if name == "" {
+			bad = append(bad, fmt.Sprintf("event %d has no name", ev))
+		}
+		named[name] = ev
+	}
 	if len(bad) > 0 {
-		t.Fatalf("the lifecycle seam leaks — transitions go through setState, outcome counts through note, the hybrid mode through a flow's stateless bit:\n%s", strings.Join(bad, "\n"))
+		t.Fatalf("the lifecycle seam leaks — transitions go through setState, outcome counts through note under a name of their own, the hybrid mode through a flow's stateless bit:\n%s", strings.Join(bad, "\n"))
 	}
 }
 

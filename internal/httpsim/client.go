@@ -84,12 +84,12 @@ func NewClient(host *netsim.Host, cfg ClientConfig) *Client {
 
 // Fetch requests path from addr and invokes done with the outcome. It
 // drives the full TCP + HTTP exchange in virtual time. req is only read.
-// The outcome is lent to done: the result is the client's, rewritten by
-// its next outcome, and when done returns the response, its header set
-// and its body's array go back to pools, cleared, and the next response
-// is parsed into them. A done that keeps any of it keeps r.Clone() or
-// what it copied; the result's Conn is valid only inside done too. done
-// may start the next Fetch.
+// The outcome is lent to done: the result is the client's, cleared when
+// done returns and lent again with the next outcome, and the response,
+// its header set and its body's array then go back to pools, cleared,
+// and the next response is parsed into them. A done that keeps any of
+// it keeps r.Clone() or what it copied; the result's Conn is valid only
+// inside done too. done may start the next Fetch.
 func (cl *Client) Fetch(addr netsim.HostPort, req *Request, done func(*FetchResult)) {
 	f := cl.spares.Take()
 	if f == nil {
@@ -152,8 +152,9 @@ func (f *fetch) Fire() {
 // next attempt, anything else is the fetch's outcome, and the fetch goes
 // back to the spares first, for a done that fetches again. The response
 // shell and the body array go back before the retry starts, or once done
-// has returned; a failed attempt's never reach done. The conn is released
-// once it has closed.
+// has returned; a failed attempt's never reach done. The outcome is
+// cleared once done has returned, so an idle client holds neither the
+// conn nor the shell. The conn is released once it has closed.
 func (f *fetch) finish(resp *Response, err error) {
 	nw, c := f.cl.host.Network(), f.conn
 	nw.Stop(f.timer)
@@ -175,6 +176,7 @@ func (f *fetch) finish(resp *Response, err error) {
 	*f = fetch{cl: cl}
 	cl.spares.Put(nw, f)
 	done(&cl.res)
+	cl.res = FetchResult{}
 	body.giveBack(nw)
 	giveBackResponse(nw, shell)
 	if c.State() == tcp.StateClosed {

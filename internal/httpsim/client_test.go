@@ -37,6 +37,27 @@ func TestFetchBodyLentToDone(t *testing.T) {
 	}
 }
 
+// TestIdleClientHoldsNoOutcome: once done has returned, the client holds
+// nothing of the outcome it lent: not its conn, which the network's spares
+// or the collector then own, nor its response shell.
+func TestIdleClientHoldsNoOutcome(t *testing.T) {
+	w := newWorld(16, map[string][]byte{"/obj": []byte("idle")})
+	done := false
+	w.client.Get(w.srvHP, "/obj", func(r *FetchResult) {
+		if r.Err != nil || r.Conn == nil || r.Resp == nil {
+			t.Fatalf("inside done: %+v", r)
+		}
+		done = true
+	})
+	w.net.RunUntilIdle(1 << 20)
+	if !done {
+		t.Fatal("fetch never completed")
+	}
+	if res := w.client.res; res != (FetchResult{}) {
+		t.Fatalf("an idle client still holds its last outcome: %+v", res)
+	}
+}
+
 // TestFetchRecyclesBody: a warm client parses its next 512 KiB response
 // into the array the last one was lent in, so the fetch allocates what
 // its endpoints do, not the body — also when collections ran in between,

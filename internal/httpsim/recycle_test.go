@@ -177,24 +177,25 @@ func TestPoisonedShellsAreNeverReused(t *testing.T) {
 }
 
 // TestKeptResultIsRewritten documents the loan of a Fetch's outcome: a
-// done that keeps its *FetchResult past return sees it rewritten by the
-// client's next outcome, and its response emptied, while a Clone taken
+// done that keeps its *FetchResult past return sees it cleared, and the
+// client's next outcome lent in the same result, while a Clone taken
 // inside done keeps what it copied.
 func TestKeptResultIsRewritten(t *testing.T) {
 	w := newWorld(45, map[string][]byte{"/obj": []byte("kept")})
 	var kept, clone *FetchResult
 	w.client.Get(w.srvHP, "/obj", func(r *FetchResult) { kept, clone = r, r.Clone() })
 	w.net.RunUntilIdle(1 << 20)
-	if kept == nil || kept.Resp.StatusCode != 0 {
-		t.Fatalf("after done the kept response reads %+v, want it emptied", kept)
+	if kept == nil || *kept != (FetchResult{}) {
+		t.Fatalf("after done the kept result reads %+v, want it cleared", kept)
 	}
-	first := kept.Started
+	first := clone.Started
 	w.net.RunFor(time.Second)
 	var second *FetchResult
-	w.client.Get(w.srvHP, "/missing", func(r *FetchResult) { second = r })
+	var started time.Duration
+	w.client.Get(w.srvHP, "/missing", func(r *FetchResult) { second, started = r, r.Started })
 	w.net.RunUntilIdle(1 << 20)
-	if second != kept || kept.Started == first || kept.Resp == nil {
-		t.Fatalf("the kept result %+v was not rewritten by the next outcome", kept)
+	if second != kept || started == first {
+		t.Fatalf("the next outcome (started %v) was not lent in the kept result", started)
 	}
 	if clone.Err != nil || clone.Started != first || clone.Resp.StatusCode != 200 || string(clone.Resp.Body) != "kept" || clone.Resp.Header("Content-Length") != "4" {
 		t.Fatalf("the clone changed: %+v", clone.Resp)

@@ -80,7 +80,7 @@ func TestFailBusiestAndRepair(t *testing.T) {
 		b := newBed(tc.cfg)
 		net := b.C.Net
 		var res *httpsim.FetchResult
-		b.C.NewClient(httpsim.DefaultClientConfig()).Get(b.Addr, "/big", func(r *httpsim.FetchResult) { res = r })
+		b.C.NewClient(httpsim.DefaultClientConfig()).Get(b.Addr, "/big", func(r *httpsim.FetchResult) { res = r.Clone() })
 		net.RunFor(200 * time.Millisecond)
 
 		flows := func(i int) int { return b.C.Yoda[i].FlowCount() }

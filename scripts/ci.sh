@@ -339,7 +339,8 @@ fi
 # golden (speclint_test.go).
 go test -run 'TestNoDeadExports|TestNoWriteOnlyState|TestWriteOnlyClassifier|TestNoOneValuedOption|TestOneValuedOptionClassifier|TestNoStrayRNGConstruction|TestSpecLint|TestSpecLintCatches' .
 # In core, only setState writes a flow's state and only note increments a
-# lifecycle outcome counter (internal/core/seam_test.go).
+# lifecycle outcome counter; every event has a name of its own in
+# eventNames, the name tests count its notes by (internal/core/seam_test.go).
 go test -run 'TestOneLifecycleSeam' ./internal/core/
 
 echo "== coverage ratchet (no internal/core or internal/l4lb function at 0.0 % under its own package's tests, outside the allowlist) =="
