@@ -140,6 +140,12 @@ func (in *Instance) flowEntries(f *flow, value []byte, bothTuples bool) []tcpsto
 	return entries
 }
 
+// deleteKey deletes t's record, its one entry in instance scratch.
+func (in *Instance) deleteKey(t netsim.FourTuple) {
+	in.entScratch[0] = tcpstore.Entry{Key: in.flowKey(t)}
+	in.store.Delete(in.entScratch[:1], nil)
+}
+
 // flowKey renders t's store key into the instance's reused key scratch.
 // The slice is valid until the next flowKey or flowEntries call.
 func (in *Instance) flowKey(t netsim.FourTuple) []byte {

@@ -190,19 +190,17 @@ func TestFailoverDuringTunnelPhase(t *testing.T) {
 	}
 }
 
-// killArm is one recovery mode of the kill sweeps: its bed, its client
-// and defect (g)'s window of kill steps, whose timeline
-// TestDefectTimelines checks.
+// killArm is one recovery mode of the kill sweeps: its bed and its
+// client.
 type killArm struct {
-	name    string
-	bed     func(t *testing.T, seed int64, nYoda int) *testbed.Bed
-	client  httpsim.ClientConfig
-	lingers func(k int) bool // defect (g)
+	name   string
+	bed    func(t *testing.T, seed int64, nYoda int) *testbed.Bed
+	client httpsim.ClientConfig
 }
 
 var killArms = []killArm{
-	{"paper", newTestbed, httpsim.DefaultClientConfig(), func(int) bool { return false }},
-	{"hybrid", newHybridTestbed, probeClientConfig(), func(k int) bool { return k == 34 || k == 35 }},
+	{"paper", newTestbed, httpsim.DefaultClientConfig()},
+	{"hybrid", newHybridTestbed, probeClientConfig()},
 }
 
 // killRun is one settled run of a kill sweep.
@@ -352,21 +350,6 @@ func adoptions(tb *testbed.Bed) uint64 {
 	return sumYoda(tb, func(in *core.Instance) uint64 { return in.Recovered + in.DerivedRecoveries })
 }
 
-// copies counts the client flows left on the instances.
-func (r *killRun) copies() uint64 {
-	return sumYoda(r.tb, func(in *core.Instance) uint64 { return uint64(in.ClientFlowCount()) })
-}
-
-// linger checks that the run left defect (g)'s one lingering copy after
-// its settle, and lets the idle sweep collect it.
-func (r *killRun) linger(t *testing.T, where string) {
-	t.Helper()
-	if n := r.copies(); n != 1 {
-		t.Fatalf("%s: %d flows left after settling, want the one lingering copy of defect (g) — if it is fixed, drop the window", where, n)
-	}
-	r.tb.C.Net.RunFor(core.DefaultConfig().FlowIdleTimeout)
-}
-
 // settle checks the paper's claim on a settled run of the kill sweeps:
 // the body arrives intact; every instance, the dead one too, ends with no
 // flow state, no recovery queue and no SNAT port; the store and the muxes'
@@ -426,10 +409,9 @@ func logTimelineOnFailure(t *testing.T, rerun *func() *timeline) {
 // at the mux.
 //
 // The hybrid arm runs the same sweep with its flows stateless and a
-// probing client. It pins one window, defect (g), whose checked timeline
-// is TestDefectTimelines's: the copy the survivor derives outlives the
-// 3-minute settle and is collected by the idle sweep one idle timeout
-// later.
+// probing client. A survivor that adopts the flow after the dead owner
+// relayed the backend's FIN tears its copy down finLinger after the
+// client's FIN.
 func TestKillOwnerAtEveryStep(t *testing.T) {
 	for _, arm := range killArms {
 		t.Run(arm.name, func(t *testing.T) {
@@ -443,9 +425,6 @@ func TestKillOwnerAtEveryStep(t *testing.T) {
 					rerun = func() *timeline { return arm.run(t, seed, k, -1, dropPacket, true).tl }
 					r := arm.run(t, seed, k, -1, dropPacket, false)
 					lines = append(lines, r.routeLine(seed))
-					if arm.lingers(k) {
-						r.linger(t, where)
-					}
 					if adopted, late := settle(t, r, where); adopted > 1 || late > 0 {
 						t.Fatalf("%s: the survivors adopted the flow %d times, %d after its first close", where, adopted, late)
 					}
@@ -481,13 +460,6 @@ var defectK = map[[3]int]bool{
 // already on the wire, the backend's and client's retransmissions, the
 // adopter's store reads and writes. Every point must pass
 // TestKillOwnerAtEveryStep's checks, defect (k)'s pinned points aside.
-//
-// A lost packet moves defect (g) off its kill steps, and into paper mode:
-// when the lost segment is the last one ahead of a FIN the dead owner
-// relayed, the adopter never sees that FIN either. So any point may leave
-// (g)'s one lingering copy after the 3-minute settle; it must be the only
-// flow left, and the idle sweep must collect it. The test logs how many
-// points did.
 func TestKillThenDropEveryPacket(t *testing.T) {
 	killFaultSweep(t, dropPacket, 2, defectK)
 }
@@ -496,7 +468,7 @@ func TestKillThenDropEveryPacket(t *testing.T) {
 // after the kill delivered twice: a dead owner's store write or its
 // relayed segment, a store reply or a retransmission that an adopter
 // sees again one link latency later. Every point must pass the same
-// checks; any point may leave (g)'s lingering copy, as under loss.
+// checks.
 func TestKillThenDuplicateEveryPacket(t *testing.T) {
 	killFaultSweep(t, duplicatePacket, 1, nil)
 }
@@ -517,7 +489,7 @@ func TestKillThenKillHolderEveryPacket(t *testing.T) {
 // arrives behind packets sent after it: a dead owner's store write
 // behind its other replica's, a backend segment behind the next, a store
 // reply behind the adopter's next read. Every point must pass the same
-// checks; any point may leave (g)'s lingering copy, as under loss.
+// checks.
 func TestKillThenReorderEveryPacket(t *testing.T) {
 	killFaultSweep(t, reorderPacket, 1, nil)
 }
@@ -550,7 +522,7 @@ func killFaultSweep(t *testing.T, fault packetFault, dflt int, pinned map[[3]int
 		t.Run(arm.name, func(t *testing.T) {
 			var rerun func() *timeline
 			defer logTimelineOnFailure(t, &rerun)
-			runs, lingered, twice := 0, 0, 0
+			runs, twice := 0, 0
 			for seed := int64(11); seed < 11+int64(seeds); seed++ {
 				total := arm.run(t, seed, -1, -1, fault, false).steps
 				for k := 0; k <= total; k++ {
@@ -565,10 +537,6 @@ func killFaultSweep(t *testing.T, fault packetFault, dflt int, pinned map[[3]int
 						runs++
 						where := fmt.Sprintf("seed %d, kill after step %d of %d, %s packet %d after it", seed, k, total, fault, j)
 						rerun = func() *timeline { return arm.run(t, seed, k, j, fault, true).tl }
-						if r.copies() > 0 {
-							r.linger(t, where)
-							lingered++
-						}
 						adopted, late := settle(t, r, where)
 						if arm.name == "paper" && pinned[[3]int{int(seed), k, j}] {
 							if adopted != 2 || late != 1 {
@@ -586,7 +554,7 @@ func killFaultSweep(t *testing.T, fault packetFault, dflt int, pinned map[[3]int
 				}
 			}
 			rerun = nil
-			t.Logf("%d kill-then-%s runs, %d left defect (g)'s lingering copy, %d adopted the flow twice", runs, fault, lingered, twice)
+			t.Logf("%d kill-then-%s runs, %d adopted the flow twice", runs, fault, twice)
 		})
 	}
 }

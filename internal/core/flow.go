@@ -13,22 +13,31 @@ import (
 // flow is the in-memory state for one balanced connection. Everything
 // needed to take the flow over after a failure is mirrored in TCPStore;
 // the rest (buffers, parsers, timers) is reconstructible. The one-byte
-// fields share one word, so a flow fits the 256-byte size class
-// (TestLiveFlowHeapLedger).
+// fields share one word, so a flow fits the 240-byte size class
+// (TestFlowSizeClass).
 type flow struct {
 	in     *Instance       // the owner, for the flow's timers (idleDue, flowDue)
 	vip    netsim.HostPort // VIP:port the client connected to
 	client netsim.HostPort
 	server netsim.HostPort
 	snat   netsim.HostPort // VIP-side endpoint toward the backend
+	// A keep-alive switch's old backend and SNAT port (oldServerTuple),
+	// held from the re-dial to storage-b's commit; oldServerIP is 0
+	// outside a switch. Three fields, not two HostPorts, to fit one word.
+	oldServerIP   netsim.IP
+	oldServerPort uint16
+	oldSNATPort   uint16
 
 	clientISN uint32
 	c         uint32 // our ISN facing the client
 	s         uint32 // backend ISN
 	delta     uint32 // seqToClient = seqFromServer + delta
 
-	state       flowState // see state.go
-	gen         uint32    // lives this object has ended (retire)
+	state flowState // see state.go
+	// adopted marks a flow installRecovered built: its dead owner may
+	// have relayed the backend's FIN (halfClosedCopy).
+	adopted     bool
+	gen         uint32 // lives this object has ended (retire)
 	backendName string
 	keepAlive   bool
 	// stateless is decided once, at the SYN: hybrid mode is on and this
@@ -95,6 +104,15 @@ func (f *flow) clientTuple() netsim.FourTuple {
 
 func (f *flow) serverTuple() netsim.FourTuple {
 	return netsim.FourTuple{Src: f.server, Dst: f.snat}
+}
+
+// oldServerTuple is a keep-alive switch's old server tuple; its SNAT IP
+// is the VIP's, as every SNAT endpoint's is.
+func (f *flow) oldServerTuple() netsim.FourTuple {
+	return netsim.FourTuple{
+		Src: netsim.HostPort{IP: f.oldServerIP, Port: f.oldServerPort},
+		Dst: netsim.HostPort{IP: f.vip.IP, Port: f.oldSNATPort},
+	}
 }
 
 func (f *flow) touch(now time.Duration) { f.lastActive = now }
@@ -166,6 +184,8 @@ func (in *Instance) newClientFlow(pkt *netsim.Packet) {
 
 func (in *Instance) sendSynAck(f *flow) {
 	f.synAckSent = true
+	// G1′: barrier or derivation — storage-a's commit; a stateless flow's C
+	// and ClientISN are the tuple hash and the first retransmitted byte.
 	in.net.Send(in.packet(f.vip, f.client, netsim.FlagSYN|netsim.FlagACK, f.c, f.clientISN+1, advWindow))
 }
 
@@ -197,6 +217,7 @@ func (in *Instance) connPhaseClientPacket(f *flow, pkt *netsim.Packet) {
 	}
 	if pkt.Flags.Has(netsim.FlagFIN) && len(pkt.Payload) == 0 {
 		// Client gave up before sending a request.
+		// G1′: no state — the flow ends here.
 		in.net.Send(in.packet(f.vip, f.client, netsim.FlagFIN|netsim.FlagACK, f.c+1, pkt.SeqEnd(), 0))
 		in.teardown(f)
 		return
@@ -234,6 +255,8 @@ func (in *Instance) tryDispatchRequest(f *flow) {
 	if !complete {
 		// Header incomplete: ACK what we have so the client can keep
 		// sending beyond its initial window.
+		// G1′: no state — outside G2's precondition: no record holds the
+		// header bytes it acknowledges, so a successor cannot rebuild them.
 		in.net.Send(in.packet(f.vip, f.client, netsim.FlagACK, f.toClientDataBase(), f.fromClient.next, 0))
 		return
 	}
@@ -379,6 +402,8 @@ func (f *flow) dialBase() uint32 {
 }
 
 func (in *Instance) sendServerSyn(f *flow) {
+	// G1′: no state — a SYN commits the backend to nothing a successor
+	// must rebuild; a SYN-ACK that no record names finds no flow.
 	in.l4.SendViaSNAT(in.packet(f.snat, f.server, netsim.FlagSYN, f.dialBase()-1, 0, advWindow), in.IP())
 	f.dialTries++
 	in.net.Stop(f.dialTimer)
@@ -439,6 +464,11 @@ func (in *Instance) serverHandshakePacket(f *flow, pkt *netsim.Packet) {
 		in.enterTunnel(f)
 		return
 	}
+	if f.oldServerIP != 0 && f.persisted {
+		// A keep-alive switch: the old server key goes in the same event as
+		// the sets that replace it (redial).
+		in.deleteKey(f.oldServerTuple())
+	}
 	in.writeBarrier(f, in.barrierEntries(f, PhaseTunnel, true), in.tunnelFn, in.unpersistedFn)
 }
 
@@ -449,8 +479,10 @@ func (in *Instance) enterTunnel(f *flow) {
 	}
 	base, data := f.dialBase(), f.reqBuf
 	if ka := f.ka; ka != nil {
-		// A re-dial: forward the request that chose this backend, and
-		// follow the new backend's responses from its first byte.
+		// A re-dial: reset the old backend, forward the request that chose
+		// this backend, and follow the new backend's responses from its
+		// first byte.
+		in.closeOld(f)
 		data = ka.pop().raw
 		ka.respOutstanding++
 		ka.fromServer = assembler{next: f.s + 1}
@@ -470,6 +502,8 @@ func (in *Instance) enterTunnel(f *flow) {
 	in.setState(f, stateTunnel)
 	// ACK the SYN-ACK and forward the request bytes in the client's own
 	// sequence space.
+	// G1′: barrier or derivation — storage-b's commit, or the derivation
+	// that a stateless flow's storage-b skip checked (hybridDerivable).
 	in.l4.SendViaSNAT(in.packet(f.snat, f.server, netsim.FlagACK, base, f.s+1, advWindow), in.IP())
 	in.forwardClientBytes(f, base, data)
 	f.reqBuf = nil
@@ -485,6 +519,7 @@ func (in *Instance) forwardClientBytes(f *flow, seq uint32, data []byte) {
 	for off := 0; off < len(data); off += mss {
 		end := min(off+mss, len(data))
 		in.CPU.Charge(in.net.Now(), in.cfg.CPUPerPacket)
+		// G1′: after commit — storage-b's: the tunnel carries client bytes.
 		pkt := in.packet(f.snat, f.server, netsim.FlagACK|netsim.FlagPSH, seq+uint32(off), f.s+1, advWindow)
 		pkt.Payload = data[off:end:end]
 		in.l4.SendViaSNAT(pkt, in.IP())
@@ -503,6 +538,7 @@ func (in *Instance) reject(f *flow, code int, reason string) {
 		payload = securesim.KeystreamXOR(f.tls.key, securesim.DirServerToClient,
 			uint64(f.toClientNext-f.toClientDataBase()), payload)
 	}
+	// G1′: no state — the flow ends here.
 	p := in.packet(f.vip, f.client, netsim.FlagACK|netsim.FlagPSH|netsim.FlagFIN, f.toClientNext, f.fromClient.next, 0)
 	p.Payload = payload
 	in.net.Send(p)
@@ -518,6 +554,8 @@ func (in *Instance) reject(f *flow, code int, reason string) {
 // sequence number follows.
 func (in *Instance) relay(f *flow, pkt *netsim.Packet, flags netsim.TCPFlags, win uint32, payload []byte) {
 	if pkt.Src == f.client {
+		// G1′: after commit — storage-b's: a tunnel relays the endpoints'
+		// own segments, which they retransmit to a successor.
 		p := in.packet(f.snat, f.server, flags, pkt.Seq, pkt.Ack-f.delta, win)
 		p.Payload = payload
 		pkt.MovePayload(p)
@@ -527,6 +565,7 @@ func (in *Instance) relay(f *flow, pkt *netsim.Packet, flags netsim.TCPFlags, wi
 	if end := pkt.SeqEnd() + f.delta; seqDiff(end, f.toClientNext) > 0 {
 		f.toClientNext = end
 	}
+	// G1′: after commit — as toward the backend.
 	p := in.packet(f.vip, f.client, flags, pkt.Seq+f.delta, pkt.Ack, win)
 	p.Payload = payload
 	pkt.MovePayload(p)
@@ -543,6 +582,10 @@ func (in *Instance) abort(f *flow, pkt *netsim.Packet) {
 func (in *Instance) tunnelFromClient(f *flow, pkt *netsim.Packet) {
 	if pkt.Flags.Has(netsim.FlagFIN) {
 		f.clientFin = true
+		if f.halfClosedCopy() {
+			in.net.Stop(f.idleTimer) // the idle check now waits finLinger (onIdle)
+			f.idleTimer = in.net.Arm(finLinger, (*idleDue)(f))
+		}
 	}
 	in.relay(f, pkt, pkt.Flags, pkt.Window, f.tlsDecryptFromClient(pkt.Seq, pkt.Payload))
 	in.maybeFinish(f)
@@ -553,6 +596,7 @@ func (in *Instance) tunnelFromClient(f *flow, pkt *netsim.Packet) {
 func (in *Instance) tunnelFromServer(f *flow, pkt *netsim.Packet) {
 	if pkt.Flags.Has(netsim.FlagSYN) {
 		// Retransmitted SYN-ACK: our ACK got lost. Re-ACK.
+		// G1′: after commit — storage-b's, which the first ACK waited for.
 		in.l4.SendViaSNAT(in.packet(f.snat, f.server, netsim.FlagACK, f.clientDataBase(), f.s+1, 0), in.IP())
 		return
 	}
@@ -594,12 +638,16 @@ func (in *Instance) teardown(f *flow) {
 	// Hybrid flows that never persisted have nothing to delete.
 	if f.persisted {
 		in.store.Delete(in.flowEntries(f, nil, bound), nil)
+		if f.oldServerIP != 0 {
+			in.deleteKey(f.oldServerTuple()) // a switch's; storage-b's event may have deleted it
+		}
 	}
 	in.l4.Release(f.clientTuple(), in.IP())
 	if bound {
 		in.releaseSNATPort(f.snat.Port)
 		in.l4.Release(f.serverTuple(), in.IP())
 	}
+	in.closeOld(f)
 	in.retire(f)
 }
 
@@ -634,6 +682,9 @@ func (in *Instance) unlink(f *flow) {
 	if f.server.IP != 0 {
 		in.flows.del(f.serverTuple(), f)
 	}
+	if f.oldServerIP != 0 {
+		in.flows.del(f.oldServerTuple(), f)
+	}
 	in.stopTimers(f)
 }
 
@@ -652,16 +703,32 @@ func (in *Instance) armIdle(f *flow) {
 	}
 }
 
+// onIdle tears f down once it has sat idle FlowIdleTimeout, and a
+// half-closed adopted copy once it has sat idle finLinger.
 func (in *Instance) onIdle(f *flow) {
 	if in.flows.get(f.clientTuple()) != f {
 		return
 	}
-	if in.net.Now()-f.lastActive >= in.cfg.FlowIdleTimeout {
+	wait, idle, half := in.cfg.FlowIdleTimeout, in.net.Now()-f.lastActive, f.halfClosedCopy()
+	if half {
+		wait = finLinger
+	}
+	if idle >= wait {
 		in.teardown(f)
 		return
 	}
-	f.idleTimer = in.net.Arm(in.cfg.FlowIdleTimeout, (*idleDue)(f))
+	if half {
+		wait -= idle // finLinger after its last packet
+	}
+	f.idleTimer = in.net.Arm(wait, (*idleDue)(f))
 }
+
+// halfClosedCopy reports whether f is an adopted flow that has relayed
+// the client's FIN and not seen the backend's. Its dead owner may have
+// relayed that FIN already, and then no packet will show it: so the copy
+// takes a backend silent for finLinger to have closed (G2's
+// precondition), and any packet restarts the wait.
+func (f *flow) halfClosedCopy() bool { return f.adopted && f.clientFin && !f.serverFin }
 
 // TerminateBackendFlows aborts every flow pinned to a failed backend
 // (§5.2: "when a server fails, its connections with YODA instances are
@@ -676,6 +743,7 @@ func (in *Instance) TerminateBackendFlows(backend netsim.HostPort) int {
 		}
 	})
 	for _, f := range victims {
+		// G1′: no state — the flow ends here.
 		in.net.Send(in.packet(f.vip, f.client, netsim.FlagRST, f.toClientNext, f.fromClient.next, 0))
 		in.teardown(f)
 	}
@@ -842,6 +910,7 @@ func (in *Instance) installRecovered(rec *Record, ev event) *flow {
 		persisted:  ev != evAdoptDerived,
 		lastActive: in.net.Now(),
 		synAckSent: true,
+		adopted:    true,
 	})
 	if rec.TLS != nil {
 		f.tls = &flowTLS{key: rec.TLS.Key, serverHelloLen: int(rec.TLS.ServerHelloLen), committed: true}

@@ -20,7 +20,8 @@ import (
 // on a maybe-hit.
 //
 // A flow occupies one slot regardless of how many tuple orientations
-// point at it (client-side always, server-side once dialing); the slot
+// point at it (client-side always, server-side once dialing, and a
+// keep-alive switch's old server side until its commit); the slot
 // is freed when its last tuple entry is removed. Slot allocation is
 // free-list based, so steady-state churn neither allocates nor grows
 // the store, and slot order — the iteration order of forEach — is
@@ -58,7 +59,8 @@ func (x *flowIndex) get(t netsim.FourTuple) *flow {
 	if f == nil {
 		return nil
 	}
-	if t == f.clientTuple() || (f.server.IP != 0 && t == f.serverTuple()) {
+	if t == f.clientTuple() || (f.server.IP != 0 && t == f.serverTuple()) ||
+		(f.oldServerIP != 0 && t == f.oldServerTuple()) {
 		return f
 	}
 	return nil // tag alias: treat as a miss

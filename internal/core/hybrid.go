@@ -227,6 +227,7 @@ func (in *Instance) rstQueued(queued []*netsim.Packet) {
 		return
 	}
 	p := queued[0]
+	// G1′: no state — no record or derivation holds the flow.
 	in.net.Send(in.packet(p.Dst, p.Src, netsim.FlagRST|netsim.FlagACK, p.Ack, p.SeqEnd(), 0))
 }
 

@@ -4,16 +4,15 @@ import (
 	"repro/internal/httpsim"
 	"repro/internal/netsim"
 	"repro/internal/rules"
-	"repro/internal/tcpstore"
 )
 
 // Keep-alive (HTTP/1.1) support, §5.2 of the paper: a single client
 // connection can carry multiple requests that may match different rules
 // and therefore different backends. The instance keeps inspecting client
 // payloads in the tunneling phase; when a request selects a new backend
-// it closes the old server connection, dials the new one reusing the
-// client's current sequence position, rebases the translation delta, and
-// updates the mapping in TCPStore.
+// it dials the new one reusing the client's current sequence position,
+// rebases the translation delta, updates the mapping in TCPStore, and
+// only then closes the old server connection.
 //
 // To keep responses in order (the paper's pipelining requirement),
 // requests are framed and forwarded one at a time: request N+1 is held
@@ -29,9 +28,8 @@ type kaRequest struct {
 // kaState is the inspected-tunnel bookkeeping of a keep-alive flow. It
 // marks the flow's inspection sub-state of Tunnel, as f.tls marks the
 // TLS sub-state of Conn, and it stays through a re-dial: a request that
-// selects a new backend closes the old server connection and puts the
-// flow back in Dialing at that request's first byte, where the first
-// dial's code runs again.
+// selects a new backend puts the flow back in Dialing at that request's
+// first byte, where the first dial's code runs again.
 type kaState struct {
 	held []byte // in-order client bytes not yet framed into a request
 	// queue holds the framed requests not yet forwarded. During a re-dial
@@ -195,33 +193,43 @@ func (in *Instance) kaFlush(f *flow) {
 	in.kaFlush(f)
 }
 
-// redial closes the current server connection and dials backend for the
-// request at the head of the queue, preserving the client's sequence
-// position: the flow re-enters Dialing, and the first dial's SYN
-// retries, storage-b barrier and tunnel entry run from there (§5.2). The
-// SYN goes out at once; the rule scan was the request's lookup.
+// redial dials backend for the request at the head of the queue,
+// preserving the client's sequence position: the flow re-enters Dialing,
+// and the first dial's SYN retries, storage-b barrier and tunnel entry
+// run from there (§5.2). The SYN goes out at once; the rule scan was the
+// request's lookup. The old server connection, its store key and its
+// mux entry stay until the switch's storage-b: the key's delete rides
+// storage-b's sets, and the commit resets the old backend (closeOld), so
+// a successor finds either the whole old state or the whole new one.
 func (in *Instance) redial(f *flow, backend rules.Backend) {
 	in.note(evReselect, f.clientTuple())
-	// Abort the old server connection and release its SNAT binding.
-	in.l4.SendViaSNAT(in.packet(f.snat, f.server, netsim.FlagRST, f.dialBase(), f.s+1, 0), in.IP())
-	oldServerTuple := f.serverTuple()
-	in.flows.del(oldServerTuple, f)
-	if f.persisted {
-		in.store.Delete([]tcpstore.Entry{{Key: in.flowKey(oldServerTuple)}}, nil)
-	}
-	in.l4.Release(oldServerTuple, in.IP())
-	in.releaseSNATPort(f.snat.Port)
-
-	// Releasing first means a re-dial can always reclaim its own port even
-	// when the range is otherwise full.
 	port, ok := in.allocSNATPort()
 	if !ok {
 		in.note(evSNATExhausted, f.clientTuple())
 		in.reject(f, 503, "snat ports exhausted")
 		return
 	}
+	f.oldServerIP, f.oldServerPort, f.oldSNATPort = f.server.IP, f.server.Port, f.snat.Port
 	in.dial(f, backend, port)
 	in.sendServerSyn(f)
+}
+
+// closeOld ends a keep-alive switch's hold on its old backend, at the
+// switch's commit or at the flow's teardown: it resets the old server
+// connection and releases the old tuple's index entry, mux entry and
+// SNAT port.
+func (in *Instance) closeOld(f *flow) {
+	if f.oldServerIP == 0 {
+		return
+	}
+	old := f.oldServerTuple()
+	// G1′: after commit — storage-b's, whose record names the new
+	// backend, or teardown's deletes.
+	in.l4.SendViaSNAT(in.packet(old.Dst, old.Src, netsim.FlagRST, f.dialBase(), 0, 0), in.IP())
+	in.flows.del(old, f)
+	in.l4.Release(old, in.IP())
+	in.releaseSNATPort(old.Dst.Port)
+	f.oldServerIP = 0
 }
 
 // kaTrackServer follows the raw server byte stream to detect response
@@ -282,6 +290,7 @@ func (in *Instance) kaMaybeForwardFin(f *flow) {
 	}
 	ka.finPending = false
 	f.clientFin = true
+	// G1′: after commit — storage-b's: the client's own FIN, relayed.
 	in.l4.SendViaSNAT(in.packet(f.snat, f.server, netsim.FlagFIN|netsim.FlagACK, ka.finSeq, ka.finAck-f.delta, 0), in.IP())
 	in.maybeFinish(f)
 }

@@ -34,8 +34,7 @@ import (
 //     what they sent: store-conn or store-tunnel (adopted from a store
 //     record of that phase), derived (rebuilt by the hybrid derivation),
 //     parked (an orphan held for a knock), rst (a survivor reset an
-//     endpoint), none; linger marks defect (g)'s copy left after the
-//     3-minute settle.
+//     endpoint), none.
 //   - adopter: the survivor that adopted the flow, or -.
 //   - store: the commands the survivors sent to the store servers after
 //     the kill, by verb (one per replica server and segment).
@@ -171,8 +170,7 @@ func describe(names map[netsim.IP]string, pkt *netsim.Packet) string {
 	return b.String()
 }
 
-// routeLine is r's line of the route table; call it at the settle, before
-// linger runs the idle sweep.
+// routeLine is r's line of the route table.
 func (r *killRun) routeLine(seed int64) string {
 	a := &r.route
 	ran := "timer"
@@ -186,9 +184,8 @@ func (r *killRun) routeLine(seed int64) string {
 		}
 	}
 	a.parts["rst"] = a.rsts > 0
-	a.parts["linger"] = r.copies() > 0
 	var route []string
-	for _, part := range []string{"store-conn", "store-tunnel", "derived", "parked", "rst", "linger"} {
+	for _, part := range []string{"store-conn", "store-tunnel", "derived", "parked", "rst"} {
 		if a.parts[part] {
 			route = append(route, part)
 		}

@@ -31,9 +31,13 @@ var scenarioObjects = map[string][]byte{
 
 // newScenarioBed is three instances, three store servers and two backends
 // behind one VIP whose rules send *.php to php-1 and *.css to css-1, with
-// TLS terminated on every instance and released buffers poisoned.
-func newScenarioBed(seed int64) (*testbed.Bed, *securesim.Identity) {
+// TLS terminated on every instance and released buffers poisoned, in
+// hybrid recovery mode when hybrid is set.
+func newScenarioBed(seed int64, hybrid bool) (*testbed.Bed, *securesim.Identity) {
 	c := cluster.New(seed)
+	if hybrid {
+		c.EnableHybrid(hybridSecret)
+	}
 	c.Net.PoisonReleasedBufs()
 	c.AddStoreServers(3, memcache.DefaultSimServerConfig())
 	c.AddBackend("php-1", scenarioObjects, httpsim.DefaultServerConfig())
@@ -72,9 +76,15 @@ const scenarioGap = 3 * time.Second
 // second Dialing window — and closes; scenarioGap later one TLS flow
 // fetches /tls.php. Steps count while a connection waits for a response;
 // after kill of them (none when kill < 0) instance victim fails, and the
-// cluster settles for 3 minutes. An explained run keeps its timeline.
-func runScenario(seed int64, kill, victim int, explain bool) *scenarioRun {
-	tb, id := newScenarioBed(seed)
+// cluster settles for 3 minutes. In hybrid mode the keep-alive
+// connection probes when idle, as probeClientConfig's client does. An
+// explained run keeps its timeline.
+func runScenario(seed int64, hybrid bool, kill, victim int, explain bool) *scenarioRun {
+	tb, id := newScenarioBed(seed, hybrid)
+	cfg := tcp.DefaultConfig()
+	if hybrid {
+		cfg.IdleProbe = probeClientConfig().TCP.IdleProbe
+	}
 	r := &scenarioRun{tb: tb}
 	net := tb.C.Net
 	if explain {
@@ -103,7 +113,7 @@ func runScenario(seed int64, kill, victim int, explain bool) *scenarioRun {
 			}
 		},
 		OnPeerClose: func(c *tcp.Conn) { c.Close() },
-	}, tcp.DefaultConfig())
+	}, cfg)
 	for !finished && r.steps != kill {
 		counted := active
 		if !net.Step() {
@@ -121,19 +131,6 @@ func runScenario(seed int64, kill, victim int, explain bool) *scenarioRun {
 	return r
 }
 
-// scenarioDefects pins the points of TestKillEachInstanceThroughScenario
-// that break a flow, as (killed instance, kill step), with the defect
-// each shows. Seeds 11-15 run the same timeline, so the points hold for
-// all five. Each is ROADMAP item 3's, and its points must keep failing
-// the way the defect says until it is fixed; then its window goes.
-//
-//   - (l) A keep-alive switch's re-dial window is not recoverable: the
-//     second response never comes. TestDefectTimelines checks its
-//     timeline at (instance 1, step 40).
-var scenarioDefects = map[[2]int]byte{
-	{1, 40}: 'l', {1, 41}: 'l', {1, 42}: 'l', {1, 43}: 'l', {1, 44}: 'l', {1, 45}: 'l',
-}
-
 // TestKillEachInstanceThroughScenario is the kill sweep over a richer
 // life than one fetch: a keep-alive connection's connection phase,
 // tunnel, backend switch (a second Dialing window and storage-b) and
@@ -143,32 +140,35 @@ var scenarioDefects = map[[2]int]byte{
 // point must pass the kill sweep's settle checks with the flow alive at
 // the kill adopted at most once; a failing point logs its timeline. An
 // adopted keep-alive flow is a pinned tunnel, so its second request may
-// be served by php-1: both backends serve both paths.
+// be served by php-1: both backends serve both paths. The hybrid arm runs
+// the same bed and checks in hybrid mode.
 func TestKillEachInstanceThroughScenario(t *testing.T) {
 	wantBodies := fmt.Sprint([]string{"200 PHP-A", "200 CSS-B"})
-	var rerun func() *timeline
-	defer logTimelineOnFailure(t, &rerun)
-	for seed := int64(11); seed < 11+int64(cmp.Or(*killDropSeeds, 1)); seed++ {
-		total := runScenario(seed, -1, 0, false).steps
-		for k := 0; k <= total; k++ {
-			for victim := range 3 {
-				where := fmt.Sprintf("seed %d, instance %d killed after step %d of %d", seed, victim, k, total)
-				rerun = func() *timeline { return runScenario(seed, k, victim, true).tl }
-				r := runScenario(seed, k, victim, false)
-				requireSettled(t, r.tb, where)
-				switch defect := scenarioDefects[[2]int{victim, k}]; {
-				case defect == 'l' && len(r.bodies) == 1 && r.tls == nil:
-				case defect != 0:
-					t.Fatalf("%s: defect (%c) is pinned here but did not show — if it is fixed, drop its window", where, defect)
-				case fmt.Sprint(r.bodies) != wantBodies:
-					t.Fatalf("%s: keep-alive responses %v, want %s", where, r.bodies, wantBodies)
-				case r.tls == nil || r.tls.Err != nil || !bytes.Equal(r.tls.Resp.Body, scenarioObjects["/tls.php"]):
-					t.Fatalf("%s: TLS fetch %+v", where, r.tls)
-				}
-				if n := adoptions(r.tb); n > 1 {
-					t.Fatalf("%s: the survivors adopted %d flows, want at most the one alive at the kill", where, n)
+	for _, arm := range []string{"paper", "hybrid"} {
+		hybrid := arm == "hybrid"
+		t.Run(arm, func(t *testing.T) {
+			var rerun func() *timeline
+			defer logTimelineOnFailure(t, &rerun)
+			for seed := int64(11); seed < 11+int64(cmp.Or(*killDropSeeds, 1)); seed++ {
+				total := runScenario(seed, hybrid, -1, 0, false).steps
+				for k := 0; k <= total; k++ {
+					for victim := range 3 {
+						where := fmt.Sprintf("seed %d, instance %d killed after step %d of %d", seed, victim, k, total)
+						rerun = func() *timeline { return runScenario(seed, hybrid, k, victim, true).tl }
+						r := runScenario(seed, hybrid, k, victim, false)
+						requireSettled(t, r.tb, where)
+						switch {
+						case fmt.Sprint(r.bodies) != wantBodies:
+							t.Fatalf("%s: keep-alive responses %v, want %s", where, r.bodies, wantBodies)
+						case r.tls == nil || r.tls.Err != nil || !bytes.Equal(r.tls.Resp.Body, scenarioObjects["/tls.php"]):
+							t.Fatalf("%s: TLS fetch %+v", where, r.tls)
+						}
+						if n := adoptions(r.tb); n > 1 {
+							t.Fatalf("%s: the survivors adopted %d flows, want at most the one alive at the kill", where, n)
+						}
+					}
 				}
 			}
-		}
+		})
 	}
 }

@@ -72,8 +72,10 @@ func (in *Instance) dispatch(f *flow, pkt *netsim.Packet) {
 	switch {
 	case f.state == stateConn:
 		// No backend connection exists yet: a server packet is stale.
-	case f.state == stateDialing:
+	case f.state == stateDialing && pkt.Dst == f.snat:
 		in.serverHandshakePacket(f, pkt)
+	case f.state == stateDialing:
+		// A keep-alive switch's old backend, which the commit resets.
 	case pkt.Flags.Has(netsim.FlagRST):
 		in.abort(f, pkt)
 	default:

@@ -15,7 +15,7 @@ import (
 // dropped, per note and per fault the run injects, in virtual-time
 // order; a packet shows at its delivery. It is kept when a run is
 // explained: a failing sweep point is re-run with one and logs it, and
-// TestDefectTimelines holds three to the lines that show their defects.
+// TestDefectTimelines holds each open defect's to the lines that show it.
 // Its methods do nothing on a nil timeline.
 type timeline struct {
 	names map[netsim.IP]string
@@ -67,15 +67,14 @@ func (tl *timeline) String() string {
 	return b.String()
 }
 
-// TestDefectTimelines prints the timelines of the three open defects the
-// sweeps pin, and holds each to the lines that show it, in order; a line
-// after "never" must not follow the last of them. -v prints them.
+// TestDefectTimelines prints the timeline of each open defect the sweeps
+// pin, and holds it to the lines that show the defect, in order. -v
+// prints them.
 func TestDefectTimelines(t *testing.T) {
 	for _, d := range []struct {
-		name  string
-		run   func() *timeline
-		want  []string
-		never string
+		name string
+		run  func() *timeline
+		want []string
 	}{{
 		// The dead owner's storage-b write to one replica is lost while
 		// the other took it; the first survivor to ask takes the first
@@ -95,35 +94,6 @@ func TestDefectTimelines(t *testing.T) {
 			`store\d>yoda2 ACK\|PSH VALUE \d+B$`,
 			`yoda2 adopt store tunnel client>vip$`,
 		},
-	}, {
-		// The dead owner relayed the backend's FIN; the survivor derives
-		// the flow from the client's ACK of it and relays that, so the
-		// backend never sends its FIN again and the copy lingers.
-		name: "(g) hybrid, seed 11, kill after step 34",
-		run:  func() *timeline { return killArms[1].run(t, 11, 34, -1, dropPacket, true).tl },
-		want: []string{
-			`srv-\d>vip>yoda1 ACK\|FIN$`,
-			`kill yoda1$`,
-			`vip>client ACK\|FIN$`,
-			`yoda\d adopt derived client>vip$`,
-		},
-		never: `srv-\d>vip.* FIN`,
-	}, {
-		// The owner dies after resetting the old backend connection of a
-		// keep-alive switch and before the new dial's storage-b: the
-		// record still names the old backend, the adopter tunnels the
-		// client's second request there, and relays the backend's RST.
-		name: "(l) scenario, seed 11, instance 1 killed after step 40",
-		run:  func() *timeline { return runScenario(11, 40, 1, true).tl },
-		want: []string{
-			`yoda1 reselect client>vip$`,
-			`kill yoda1$`,
-			`vip>php-1 RST$`,
-			`yoda\d adopt store tunnel client>vip$`,
-			`vip>php-1 ACK\|PSH \d+B$`,
-			`php-1>vip>yoda\d ACK\|RST$`,
-			`vip>client RST$`,
-		},
 	}} {
 		tl := d.run()
 		t.Logf("defect %s:\n%s", d.name, tl)
@@ -137,14 +107,6 @@ func TestDefectTimelines(t *testing.T) {
 				t.Fatalf("defect %s: no line %q in order", d.name, w)
 			}
 			i++
-		}
-		if d.never == "" {
-			continue
-		}
-		for _, line := range tl.lines[i:] {
-			if regexp.MustCompile(d.never).MatchString(line) {
-				t.Fatalf("defect %s: %q after the adoption", d.name, line)
-			}
 		}
 	}
 }

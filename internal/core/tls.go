@@ -82,6 +82,8 @@ func (in *Instance) tlsAdvance(f *flow, prevLen int) bool {
 	}
 	if !complete {
 		// ACK what we have and wait for the rest of the hello.
+		// G1′: no state — outside G2's precondition, as a partial request
+		// header's ACK.
 		in.net.Send(in.packet(f.vip, f.client, netsim.FlagACK, f.c+1, f.fromClient.next, 0))
 		return true
 	}
@@ -115,6 +117,8 @@ func (in *Instance) tlsAdvance(f *flow, prevLen int) bool {
 
 // sendServerHello emits the deterministic handshake reply.
 func (in *Instance) sendServerHello(f *flow, serverHello []byte) {
+	// G1′: barrier — the TLS key's commit (tlsAdvance), or a key adopted
+	// from the store (resendServerHello).
 	p := in.packet(f.vip, f.client, netsim.FlagACK|netsim.FlagPSH, f.c+1, f.fromClient.next, advWindow)
 	p.Payload = serverHello
 	in.net.Send(p)

@@ -23,8 +23,8 @@
 #                             the packet trains', the TCP batch path's
 #                             and the memcached session's differential
 #                             fuzzers, and the RNG, dead-export,
-#                             write-only-state, one-valued-option, spec
-#                             and lifecycle-seam lints (the spec lint
+#                             write-only-state, one-valued-option, spec,
+#                             lifecycle-seam and G1′ lints (the spec lint
 #                             holds DESIGN.md, EXPERIMENTS.md and
 #                             README.md to the tree)
 #      coverage ratchet       every function of internal/core and
@@ -54,9 +54,9 @@
 #                             sweeps two of drops, one of the others);
 #                             and each instance in turn killed after
 #                             every step of a keep-alive switch and a
-#                             TLS flow, over the same five (go test:
-#                             one); and the checked timelines of
-#                             defects (k), (g) and (l)
+#                             TLS flow, in both recovery modes, over the
+#                             same five (go test: one); and the checked
+#                             timeline of defect (k)
 #  10. go test -race          full suite under the race detector
 #  11. benchmarks             every Benchmark* compiles and runs one
 #      iteration (the heavy figure benchmarks are excluded by name; run
@@ -321,7 +321,7 @@ go test -run '^$' -fuzz 'FuzzBatchDispatchDifferential' -fuzztime 10s -fuzzminim
 # reference parser: same replies, same engine state.
 go test -run '^$' -fuzz 'FuzzMemcacheSessionDifferential' -fuzztime 10s -fuzzminimizetime 2s ./internal/memcache/
 
-echo "== rng + dead-export + write-only-state + one-valued-option + spec + lifecycle-seam lints (grep fast-fail; TestNoStrayRNGConstruction, TestNoDeadExports, TestNoWriteOnlyState, TestNoOneValuedOption, TestSpecLint and TestOneLifecycleSeam are the test halves) =="
+echo "== rng + dead-export + write-only-state + one-valued-option + spec + lifecycle-seam + G1′ lints (grep fast-fail; TestNoStrayRNGConstruction, TestNoDeadExports, TestNoWriteOnlyState, TestNoOneValuedOption, TestSpecLint, TestOneLifecycleSeam and TestG1PrimeLint are the test halves) =="
 # Only netsim (the network's RNG) and the trial-level drivers may construct
 # generators; dataplane components must cache Network.Rand at build time.
 if grep -rn --include='*.go' 'rand\.New(' cmd examples internal *.go 2>/dev/null \
@@ -341,7 +341,10 @@ go test -run 'TestNoDeadExports|TestNoWriteOnlyState|TestWriteOnlyClassifier|Tes
 # In core, only setState writes a flow's state and only note increments a
 # lifecycle outcome counter; every event has a name of its own in
 # eventNames, the name tests count its notes by (internal/core/seam_test.go).
+# Beside it, every in.packet call in core names what covers the segment
+# under G1′ (barrier, derivation, after commit or no state; g1lint_test.go).
 go test -run 'TestOneLifecycleSeam' ./internal/core/
+go test -run 'TestG1PrimeLint' .
 
 echo "== coverage ratchet (no internal/core or internal/l4lb function at 0.0 % under its own package's tests, outside the allowlist) =="
 # The dataplane's code paths each have a test that runs them: a function
@@ -414,12 +417,11 @@ echo "== kill-then-fault sweeps (TestKillThen{Drop,Duplicate,KillHolder,Reorder,
 # go test sweeps seeds 11-12 of drops and seed 11 of the other faults
 # and of the scenario; this stage takes the five seeds the kill sweep
 # uses, for all six. Every point passes TestKillOwnerAtEveryStep's
-# settle checks and adopts the flow at most once per death, never after
-# its first close, but defect (k)'s pinned points
-# (internal/core/e2e_test.go, defectK) and defect (l)'s
-# (internal/core/scenario_test.go, scenarioDefects); a failing point
-# logs its timeline. TestDefectTimelines holds the timelines of (k),
-# (g) and (l) to the lines that show them.
+# settle checks, with no flow left on any instance, and adopts the flow
+# at most once per death, never after its first close, but defect (k)'s
+# pinned points (internal/core/e2e_test.go, defectK); a failing point
+# logs its timeline. TestDefectTimelines holds the timeline of (k) to
+# the lines that show it.
 go test -count=1 -run 'TestKillThen(Drop|Duplicate|KillHolder|Reorder|KillStoreServer)EveryPacket|TestKillEachInstanceThroughScenario|TestDefectTimelines' ./internal/core/ -killdrop.seeds=5
 
 echo "== go test -race =="
