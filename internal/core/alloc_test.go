@@ -282,6 +282,7 @@ func flowAllocs(t *testing.T, hybrid, keepAlive bool) float64 {
 	if closed != counted || skipped != wantSkipped || switches != wantSwitches {
 		t.Fatalf("%d flows closed, %d barriers skipped and %d backend switches over %d flows, want %d, %d and %d", closed, skipped, switches, counted, counted, wantSkipped, wantSwitches)
 	}
+	notes.Check(t)
 	return allocs
 }
 
@@ -327,5 +328,6 @@ func TestOneBarrierPerDial(t *testing.T) {
 		if got != want || closed != 1 || in.FlowCount() != 0 {
 			t.Fatalf("keepAlive=%v: %d barrier writes, %d flows closed, %d flow entries left; want %d, 1, 0", keepAlive, got, closed, in.FlowCount(), want)
 		}
+		notes.Check(t)
 	}
 }

@@ -185,6 +185,7 @@ func TestOneLingerTimerPerClose(t *testing.T) {
 	if flows := notes.Of(in.IP(), "close"); flows != 1 || n.Pending() != 0 {
 		t.Fatalf("finLinger after the second FIN: %d flows closed, %d events pending; want 1 and 0", flows, n.Pending())
 	}
+	notes.Check(t)
 }
 
 // TestIdleTimerPeriodAndAllocs: the idle timer comes round every
@@ -212,4 +213,5 @@ func TestIdleTimerPeriodAndAllocs(t *testing.T) {
 	if closed := notes.Of(in.IP(), "close"); closed != 1 || n.Pending() != 0 {
 		t.Fatalf("a full idle period after the last re-arm: %d flows closed, %d timers pending; want 1 and 0", closed, n.Pending())
 	}
+	notes.Check(t)
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/controller"
+	"repro/internal/core"
 	"repro/internal/httpsim"
 	"repro/internal/testbed"
 	"repro/internal/workload"
@@ -52,6 +53,7 @@ func runFailureInjection(t *testing.T, seed int64) {
 	})
 	c, vipHP := tb.C, tb.Addr
 	c.Net.PoisonReleasedBufs()
+	notes := core.CountNotes(c.Net, nil)
 
 	// Closed-loop clients with random staggers and random objects.
 	const duration = 15 * time.Second
@@ -104,6 +106,7 @@ func runFailureInjection(t *testing.T, seed int64) {
 	for _, in := range c.Yoda {
 		recovered += in.Recovered
 	}
+	notes.Check(t)
 	t.Logf("seed %d: %d flows, %d kills, %d recoveries, 0 broken", seed, done, kills, recovered)
 }
 

@@ -253,11 +253,8 @@ func (in *Instance) tryDispatchRequest(f *flow) {
 		return
 	}
 	if !complete {
-		// Header incomplete: ACK what we have so the client can keep
-		// sending beyond its initial window.
-		// G1′: no state — outside G2's precondition: no record holds the
-		// header bytes it acknowledges, so a successor cannot rebuild them.
-		in.net.Send(in.packet(f.vip, f.client, netsim.FlagACK, f.toClientDataBase(), f.fromClient.next, 0))
+		// No record holds a partial header, so nothing acknowledges it:
+		// the client keeps it in its window and resends it to a successor.
 		return
 	}
 	in.selectAndDial(f, &in.req)

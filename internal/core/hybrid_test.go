@@ -70,6 +70,7 @@ func TestHybridVanillaFlowSkipsStore(t *testing.T) {
 		t.Fatalf("store round trips = %d, want 0 for a derivable flow", rt)
 	}
 	requireStoreEmpty(t, tb.C) // nothing is written for a derivable flow
+	notes.Check(t)
 }
 
 // TestHybridDifferentialOracle is the oracle check: the record the
@@ -152,6 +153,7 @@ func TestHybridDifferentialOracle(t *testing.T) {
 			t.Fatalf("derived record differs from stored:\n  derived: %x\n  stored:  %x", got, stored)
 		}
 		tb.C.Net.RunFor(10 * time.Second)
+		notes.Check(t)
 		return notes.Of(in.IP(), "barrier skip"), in.Store().Stats.RoundTrips
 	}
 
@@ -483,6 +485,7 @@ func TestHybridKeepAliveSwitchPersists(t *testing.T) {
 	if n < 3 || served[n-1] != served[n-2] || survivor.Recovered != 1 || survivor.DerivedRecoveries != 0 {
 		t.Fatalf("served by %v; survivor recovered %d from the store, %d by derivation; want the last two by one backend, 1 and 0", served, survivor.Recovered, survivor.DerivedRecoveries)
 	}
+	notes.Check(t)
 }
 
 // TestHybridIdleProbe: a client completes its handshake, loses its head,

@@ -146,6 +146,7 @@ func TestReleaseVIPFlowsQuarantinesPorts(t *testing.T) {
 	if _, ok := in.VIPLastActive(f.vip.IP); ok || notes.Of(in.IP(), "close") != 0 {
 		t.Fatalf("a released flow is still active, or noted closed (%d)", notes.Of(in.IP(), "close"))
 	}
+	notes.Check(t)
 }
 
 // TestLateAdopterHandsPacketsBack: two survivors look an orphan up at

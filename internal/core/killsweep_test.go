@@ -63,12 +63,13 @@ var routeOf = map[string]string{
 	"orphan suppressed":  "parked",
 }
 
-// trace installs r's tracer, for a run that kills after kill steps.
+// trace installs r's monitor and tracer, for a run that kills after
+// kill steps.
 func (r *killRun) trace(kill int) {
 	names := hostNames(r.tb)
 	a := &r.route
 	a.parts, a.adopter, a.store = map[string]bool{}, -1, map[string]int{}
-	r.tb.C.Net.SetTracer(func(ev netsim.TraceEvent) {
+	r.notes = core.CountNotes(r.tb.C.Net, func(ev netsim.TraceEvent) {
 		r.tl.add(ev)
 		switch pkt := ev.Packet; {
 		case pkt == nil:
@@ -107,12 +108,9 @@ func (r *killRun) afterKill(at time.Duration, pkt *netsim.Packet) {
 	}
 }
 
-// noted keeps what r reads of a note: the adoptions made before the
-// flow's first close, and the route parts and adopter the notes name.
+// noted keeps what r reads of a note: the route parts and adopter the
+// notes name.
 func (r *killRun) noted(ev netsim.TraceEvent) {
-	if ev.Note == "close" && r.atClose < 0 {
-		r.atClose = int64(adoptions(r.tb))
-	}
 	part, ok := routeOf[ev.Note]
 	if !ok {
 		return

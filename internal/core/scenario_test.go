@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"cmp"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -62,8 +63,9 @@ type scenarioRun struct {
 	tb     *testbed.Bed
 	bodies []string // the keep-alive connection's responses
 	tls    *securesim.FetchResult
-	steps  int       // active steps run before the kill, or in all without one
-	tl     *timeline // an explained run's
+	steps  int           // active steps run before the kill, or in all without one
+	notes  *core.Monitor // holds the run to G1 and G3
+	tl     *timeline     // an explained run's
 }
 
 // scenarioGap separates the keep-alive connection's last response from
@@ -89,8 +91,8 @@ func runScenario(seed int64, hybrid bool, kill, victim int, explain bool) *scena
 	net := tb.C.Net
 	if explain {
 		r.tl = newTimeline(tb)
-		net.SetTracer(r.tl.add)
 	}
+	r.notes = core.CountNotes(net, r.tl.add)
 	active, finished := true, false
 	parser := &httpsim.ResponseParser{}
 	tcp.Dial(tb.C.ClientHost(), tb.Addr, tcp.Callbacks{
@@ -137,8 +139,8 @@ func runScenario(seed int64, hybrid bool, kill, victim int, explain bool) *scena
 // close, then a TLS flow's handshake, key barrier, tunnel and close. Each
 // of the three instances in turn is killed after every step, the flows'
 // owners and bystanders alike, with released buffers poisoned, and every
-// point must pass the kill sweep's settle checks with the flow alive at
-// the kill adopted at most once; a failing point logs its timeline. An
+// point must pass the kill sweep's settle checks, its monitor seeing no
+// breach of G1 or G3; a failing point logs its timeline. An
 // adopted keep-alive flow is a pinned tunnel, so its second request may
 // be served by php-1: both backends serve both paths. The hybrid arm runs
 // the same bed and checks in hybrid mode.
@@ -163,8 +165,8 @@ func TestKillEachInstanceThroughScenario(t *testing.T) {
 						case r.tls == nil || r.tls.Err != nil || !bytes.Equal(r.tls.Resp.Body, scenarioObjects["/tls.php"]):
 							t.Fatalf("%s: TLS fetch %+v", where, r.tls)
 						}
-						if n := adoptions(r.tb); n > 1 {
-							t.Fatalf("%s: the survivors adopted %d flows, want at most the one alive at the kill", where, n)
+						if v := r.notes.Violations(); len(v) > 0 {
+							t.Fatalf("%s: %s", where, strings.Join(v, "; "))
 						}
 					}
 				}

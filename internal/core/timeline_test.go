@@ -68,13 +68,14 @@ func (tl *timeline) String() string {
 }
 
 // TestDefectTimelines prints the timeline of each open defect the sweeps
-// pin, and holds it to the lines that show the defect, in order. -v
-// prints them.
+// pin, and holds it to the lines that show the defect, in order, and the
+// run's monitor to the breaches it must see. -v prints them.
 func TestDefectTimelines(t *testing.T) {
 	for _, d := range []struct {
-		name string
-		run  func() *timeline
-		want []string
+		name     string
+		run      func() *killRun
+		want     []string // the timeline's lines that show it, in order
+		breaches []string // the monitor's, in order
 	}{{
 		// The dead owner's storage-b write to one replica is lost while
 		// the other took it; the first survivor to ask takes the first
@@ -82,7 +83,7 @@ func TestDefectTimelines(t *testing.T) {
 		// backend's retransmitted SYN-ACK then finds the server-tuple
 		// key the first teardown left behind, adopted after the close.
 		name: "(k) paper, seed 13, kill after step 18, drop packet 0",
-		run:  func() *timeline { return killArms[0].run(t, 13, 18, 0, dropPacket, true).tl },
+		run:  func() *killRun { return killArms[0].run(t, 13, 18, 0, dropPacket, true) },
 		want: []string{
 			`kill yoda1$`,
 			`yoda1>store\d ACK\|PSH set \d+B \(dropped: policy drop\)$`,
@@ -94,19 +95,28 @@ func TestDefectTimelines(t *testing.T) {
 			`store\d>yoda2 ACK\|PSH VALUE \d+B$`,
 			`yoda2 adopt store tunnel client>vip$`,
 		},
+		breaches: []string{`G3: .* adopted after the close$`, `G3: .*: 2 adoptions, 1 withdrawals$`},
 	}} {
-		tl := d.run()
-		t.Logf("defect %s:\n%s", d.name, tl)
-		i := 0
-		for _, w := range d.want {
-			re := regexp.MustCompile(w)
-			for i < len(tl.lines) && !re.MatchString(tl.lines[i]) {
-				i++
-			}
-			if i == len(tl.lines) {
-				t.Fatalf("defect %s: no line %q in order", d.name, w)
-			}
+		r := d.run()
+		t.Logf("defect %s:\n%s", d.name, r.tl)
+		requireInOrder(t, d.name+" timeline", r.tl.lines, d.want)
+		requireInOrder(t, d.name+" breaches", r.notes.Violations(), d.breaches)
+	}
+}
+
+// requireInOrder fails unless lines has a line matching each of want, in
+// order.
+func requireInOrder(t *testing.T, what string, lines, want []string) {
+	t.Helper()
+	i := 0
+	for _, w := range want {
+		re := regexp.MustCompile(w)
+		for i < len(lines) && !re.MatchString(lines[i]) {
 			i++
 		}
+		if i == len(lines) {
+			t.Fatalf("defect %s: no line %q in order in %q", what, w, lines)
+		}
+		i++
 	}
 }

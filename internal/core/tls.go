@@ -81,11 +81,7 @@ func (in *Instance) tlsAdvance(f *flow, prevLen int) bool {
 		return false // plaintext HTTP on a TLS-enabled VIP is still served
 	}
 	if !complete {
-		// ACK what we have and wait for the rest of the hello.
-		// G1′: no state — outside G2's precondition, as a partial request
-		// header's ACK.
-		in.net.Send(in.packet(f.vip, f.client, netsim.FlagACK, f.c+1, f.fromClient.next, 0))
-		return true
+		return true // unacknowledged, as a partial request header
 	}
 	serverHello, key, err := id.ServerAccept(f.reqBuf[:securesim.ClientHelloSize])
 	if err != nil {

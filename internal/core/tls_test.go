@@ -134,6 +134,7 @@ func TestTLSFlowSurvivesInstanceFailure(t *testing.T) {
 	// a surviving instance — session key from TCPStore, keystream offsets
 	// from sequence numbers — without the client noticing.
 	b := newTLSBed(t, 75, 2)
+	notes := core.CountNotes(b.C.Net, nil)
 	host := b.C.ClientHost()
 	var res *securesim.FetchResult
 	securesim.Fetch(host, b.Addr, b.id.Cert,
@@ -141,6 +142,7 @@ func TestTLSFlowSurvivesInstanceFailure(t *testing.T) {
 	b.C.Net.RunFor(200 * time.Millisecond) // mid-transfer
 	victim := b.FailBusiest(1)[0]
 	b.C.Net.RunFor(30 * time.Second)
+	notes.Check(t)
 	if res == nil {
 		t.Fatal("secure fetch never resolved")
 	}
@@ -195,35 +197,18 @@ func TestTLSRecordRoundTrip(t *testing.T) {
 // TestTLSHelloUnacknowledgedUntilKeyStored holds the key barrier to
 // persist-before-ACK: with every store server dead the barrier resolves
 // only at OpTimeout, the client retransmits its hello meanwhile, and no
-// segment may acknowledge the hello before the ServerHello does — a
-// client whose hello was ACKed never resends it, so an owner that died
-// then would leave nothing to rebuild the key from.
+// segment may acknowledge the hello before the key barrier resolves (the
+// monitor's G1 (b)) — a client whose hello was ACKed never resends it, so
+// an owner that died then would leave nothing to rebuild the key from.
 func TestTLSHelloUnacknowledgedUntilKeyStored(t *testing.T) {
 	b := newTLSBed(t, 77, 1)
 	for _, s := range b.C.StoreServers {
 		s.Host().Detach()
 	}
-	var clientISN uint32
-	var acks, hellos int // hello-acknowledging segments before the ServerHello, ServerHellos
-	b.C.Net.SetTracer(func(ev netsim.TraceEvent) {
-		p := ev.Packet
-		switch {
-		case p == nil:
-		case p.Dst == b.Addr && p.Flags.Has(netsim.FlagSYN):
-			clientISN = p.Seq
-		case p.Src == b.Addr && seqAfter(p.Ack, clientISN+1) && len(p.Payload) > 0:
-			hellos++
-		case p.Src == b.Addr && seqAfter(p.Ack, clientISN+1) && hellos == 0:
-			acks++
-		}
-	})
+	notes := core.CountNotes(b.C.Net, nil)
 	res := b.fetch(t, "/secret", b.id.Cert, 20*time.Second)
 	if res.Err != nil || !bytes.Equal(res.Resp.Body, b.objs["/secret"]) {
 		t.Fatalf("fetch %+v", res)
 	}
-	if hellos == 0 || acks > 0 {
-		t.Fatalf("%d segments acknowledged the hello before the first of %d ServerHellos", acks, hellos)
-	}
+	notes.Check(t)
 }
-
-func seqAfter(a, b uint32) bool { return int32(a-b) > 0 }

@@ -86,12 +86,11 @@ want request_allocs "${LEDGER_ROWS[@]/#/request_allocs_}" &&
   go test -count=1 -run '^TestRequestAllocLedger$' -v . | tee -a "$MICRO_LOG"
 # The adoption ledger: objects and store commands one adoption costs beyond
 # a no-kill probe of the same flows, per mode, charged layer by layer
-# (ledger_test.go; "tiny" is the unprofiled tiny allocations), and its
-# wall ns per adoption (noisy, not gated).
+# (ledger_test.go; "tiny" is the unprofiled tiny allocations).
 ADOPTION_ROWS=("${LEDGER_ROWS[@]}" tiny)
 ADOPTION_FIELDS=()
 for mode in paper hybrid; do
-  ADOPTION_FIELDS+=("adoption_allocs_$mode" "adoption_allocs_newflow_$mode" "adoption_store_cmds_$mode" "adoption_wall_ns_$mode")
+  ADOPTION_FIELDS+=("adoption_allocs_$mode" "adoption_allocs_newflow_$mode" "adoption_store_cmds_$mode")
   for row in "${ADOPTION_ROWS[@]}"; do ADOPTION_FIELDS+=("adoption_allocs_${row}_$mode"); done
 done
 want "${ADOPTION_FIELDS[@]}" &&

@@ -26,7 +26,8 @@
 #                             write-only-state, one-valued-option, spec,
 #                             lifecycle-seam and G1′ lints (the spec lint
 #                             holds DESIGN.md, EXPERIMENTS.md and
-#                             README.md to the tree)
+#                             README.md to the tree), and the G1/G3 trace
+#                             monitor's catches test
 #      coverage ratchet       every function of internal/core and
 #                             internal/l4lb runs under its own package's
 #                             tests, or is allowlisted with its reason
@@ -269,11 +270,10 @@ echo "== ledger repeatability (each ledger 3 times in one process: every row and
 # assertion caches at random moments) and holds no Go map (whose layout
 # follows a per-process hash seed), and the heap ledger leaves out what
 # the runtime allocates for itself; a change that brings one back moves
-# a row between runs, and fails here. The adoption ledger's wall time is
-# the one ungated, noisy line.
+# a row between runs, and fails here.
 REPEAT_LOG=$(go test -count=3 -run '^(TestRequestAllocLedger|TestAdoptionAllocLedger|TestLiveFlowHeapLedger|TestClusterHeapLedger)$' -v .) ||
   { printf '%s\n' "$REPEAT_LOG"; echo 'FAIL: a ledger test'; exit 1; }
-awk '$2 == "ledger" && $3 !~ /^adoption_wall_ns_/ {
+awk '$2 == "ledger" {
     if (($3 in v) && v[$3] != $4) { printf "FAIL: ledger %s read %s and then %s on one tree\n", $3, v[$3], $4; bad = 1 }
     v[$3] = $4; n++ }
   END { if (!bad) printf "%d ledger readings over 3 runs, each row the same in every run: ok\n", n; exit bad }' <<< "$REPEAT_LOG" || exit 1
@@ -321,7 +321,7 @@ go test -run '^$' -fuzz 'FuzzBatchDispatchDifferential' -fuzztime 10s -fuzzminim
 # reference parser: same replies, same engine state.
 go test -run '^$' -fuzz 'FuzzMemcacheSessionDifferential' -fuzztime 10s -fuzzminimizetime 2s ./internal/memcache/
 
-echo "== rng + dead-export + write-only-state + one-valued-option + spec + lifecycle-seam + G1′ lints (grep fast-fail; TestNoStrayRNGConstruction, TestNoDeadExports, TestNoWriteOnlyState, TestNoOneValuedOption, TestSpecLint, TestOneLifecycleSeam and TestG1PrimeLint are the test halves) =="
+echo "== rng + dead-export + write-only-state + one-valued-option + spec + lifecycle-seam + G1′ lints + trace monitor (grep fast-fail; TestNoStrayRNGConstruction, TestNoDeadExports, TestNoWriteOnlyState, TestNoOneValuedOption, TestSpecLint, TestOneLifecycleSeam and TestG1PrimeLint are the test halves; TestMonitorCatches holds the G1/G3 monitor to hand-built traces) =="
 # Only netsim (the network's RNG) and the trial-level drivers may construct
 # generators; dataplane components must cache Network.Rand at build time.
 if grep -rn --include='*.go' 'rand\.New(' cmd examples internal *.go 2>/dev/null \
@@ -342,8 +342,11 @@ go test -run 'TestNoDeadExports|TestNoWriteOnlyState|TestWriteOnlyClassifier|Tes
 # lifecycle outcome counter; every event has a name of its own in
 # eventNames, the name tests count its notes by (internal/core/seam_test.go).
 # Beside it, every in.packet call in core names what covers the segment
-# under G1′ (barrier, derivation, after commit or no state; g1lint_test.go).
-go test -run 'TestOneLifecycleSeam' ./internal/core/
+# under G1′ (barrier, derivation, after commit or no state; g1lint_test.go),
+# and the trace monitor the e2e tests and sweeps run under raises exactly
+# one breach of each of its rules on a hand-built trace, and none on a
+# clean one (internal/core/notes_test.go).
+go test -run 'TestOneLifecycleSeam|TestMonitorCatches' ./internal/core/
 go test -run 'TestG1PrimeLint' .
 
 echo "== coverage ratchet (no internal/core or internal/l4lb function at 0.0 % under its own package's tests, outside the allowlist) =="
@@ -417,11 +420,13 @@ echo "== kill-then-fault sweeps (TestKillThen{Drop,Duplicate,KillHolder,Reorder,
 # go test sweeps seeds 11-12 of drops and seed 11 of the other faults
 # and of the scenario; this stage takes the five seeds the kill sweep
 # uses, for all six. Every point passes TestKillOwnerAtEveryStep's
-# settle checks, with no flow left on any instance, and adopts the flow
-# at most once per death, never after its first close, but defect (k)'s
-# pinned points (internal/core/e2e_test.go, defectK); a failing point
-# logs its timeline. TestDefectTimelines holds the timeline of (k) to
-# the lines that show it.
+# settle checks, with no flow left on any instance, and its trace monitor
+# (internal/core/notes_test.go) sees no breach of G1 or G3: nothing
+# acknowledged before its barrier, at most one adoption per withdrawn
+# instance and none after the flow's first close. Defect (k)'s pinned
+# points (internal/core/e2e_test.go, defectK) must show its breaches of
+# G3 instead; a failing point logs its timeline. TestDefectTimelines
+# holds the timeline of (k), and its breaches, to the lines that show it.
 go test -count=1 -run 'TestKillThen(Drop|Duplicate|KillHolder|Reorder|KillStoreServer)EveryPacket|TestKillEachInstanceThroughScenario|TestDefectTimelines' ./internal/core/ -killdrop.seeds=5
 
 echo "== go test -race =="
