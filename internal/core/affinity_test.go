@@ -173,7 +173,7 @@ func TestSegmentsToTheBackendRepinTheReturnPath(t *testing.T) {
 		}
 		checked = true
 	}
-	notes := core.CountNotes(net, func(ev netsim.TraceEvent) {
+	core.CountNotes(t, net, func(ev netsim.TraceEvent) {
 		p := ev.Packet
 		switch {
 		case p == nil || relayed:
@@ -196,5 +196,4 @@ func TestSegmentsToTheBackendRepinTheReturnPath(t *testing.T) {
 	if !checked {
 		t.Fatalf("dropped the return path: %v; a client segment reached its owner after it: %v", dropped, relayed)
 	}
-	notes.Check(t)
 }

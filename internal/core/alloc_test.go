@@ -263,7 +263,7 @@ func flowAllocs(t *testing.T, hybrid, keepAlive bool) float64 {
 		sc.run() // warm the pools, the flow index and the store's connection
 	}
 	allocs := testing.AllocsPerRun(100, sc.run)
-	in, notes, measured := sc.in, CountNotes(sc.n, nil), sc.flows
+	in, notes, measured := sc.in, CountNotes(t, sc.n, nil), sc.flows
 	for i := 0; i < 8; i++ {
 		sc.run()
 	}
@@ -282,7 +282,6 @@ func flowAllocs(t *testing.T, hybrid, keepAlive bool) float64 {
 	if closed != counted || skipped != wantSkipped || switches != wantSwitches {
 		t.Fatalf("%d flows closed, %d barriers skipped and %d backend switches over %d flows, want %d, %d and %d", closed, skipped, switches, counted, counted, wantSkipped, wantSwitches)
 	}
-	notes.Check(t)
 	return allocs
 }
 
@@ -317,7 +316,7 @@ func TestFlowAllocBudget(t *testing.T) {
 func TestOneBarrierPerDial(t *testing.T) {
 	for _, keepAlive := range []bool{false, true} {
 		sc := newScript(t, false, keepAlive, true)
-		notes := CountNotes(sc.n, nil)
+		notes := CountNotes(t, sc.n, nil)
 		sc.run()
 		want := uint64(2)
 		if keepAlive {
@@ -328,6 +327,5 @@ func TestOneBarrierPerDial(t *testing.T) {
 		if got != want || closed != 1 || in.FlowCount() != 0 {
 			t.Fatalf("keepAlive=%v: %d barrier writes, %d flows closed, %d flow entries left; want %d, 1, 0", keepAlive, got, closed, in.FlowCount(), want)
 		}
-		notes.Check(t)
 	}
 }

@@ -253,11 +253,30 @@ func (in *Instance) tryDispatchRequest(f *flow) {
 		return
 	}
 	if !complete {
-		// No record holds a partial header, so nothing acknowledges it:
-		// the client keeps it in its window and resends it to a successor.
+		in.persistHeader(f)
 		return
 	}
 	in.selectAndDial(f, &in.req)
+}
+
+// persistHeader writes a connection-phase record that holds the partial
+// header in reqBuf, then acknowledges those bytes, which a successor
+// rebuilds from the record. Without the ACK a segment lost past the
+// header's first is never resent: the client, with no SACK, resends from
+// its oldest unacknowledged byte. Each segment that leaves the header
+// incomplete, a retransmission too, writes again, which answers a lost
+// ACK; under StrictPersist a write no replica took acknowledges nothing.
+func (in *Instance) persistHeader(f *flow) {
+	n := uint32(len(f.reqBuf))
+	f.fillRecord(&in.recRecord, &in.recTLS, PhaseConn)
+	in.recRecord.header = string(f.reqBuf)
+	in.recScratch = in.recRecord.AppendMarshal(in.recScratch[:0])
+	in.writeBarrier(f, in.flowEntries(f, in.recScratch, false), func(f *flow) {
+		if f.state == stateConn {
+			// G1′: barrier — the partial header's commit.
+			in.net.Send(in.packet(f.vip, f.client, netsim.FlagACK, f.toClientDataBase(), f.clientDataBase()+n, advWindow))
+		}
+	}, func(*flow, error) {})
 }
 
 // assembler puts one direction of a flow's byte stream back in order.
@@ -914,6 +933,10 @@ func (in *Instance) installRecovered(rec *Record, ev event) *flow {
 		// The record carries the key, so the hello was consumed; the client
 		// stream resumes at the application base.
 		f.fromClient.next = f.clientDataBase()
+	}
+	if rec.header != "" {
+		f.reqBuf = append(f.reqBuf, rec.header...)
+		f.fromClient.next += uint32(len(rec.header))
 	}
 	switch rec.Phase { // UnmarshalRecord admits no other phase
 	case PhaseConn:

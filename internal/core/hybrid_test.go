@@ -51,7 +51,7 @@ func probeClientConfig() httpsim.ClientConfig {
 // elided by derivation and teardown has nothing to delete.
 func TestHybridVanillaFlowSkipsStore(t *testing.T) {
 	tb := newHybridTestbed(t, 21, 1)
-	notes := core.CountNotes(tb.C.Net, nil)
+	notes := core.CountNotes(t, tb.C.Net, nil)
 	cl := tb.C.NewClient(httpsim.DefaultClientConfig())
 	var res *httpsim.FetchResult
 	cl.Get(tb.Addr, "/10k", keep(&res))
@@ -70,7 +70,6 @@ func TestHybridVanillaFlowSkipsStore(t *testing.T) {
 		t.Fatalf("store round trips = %d, want 0 for a derivable flow", rt)
 	}
 	requireStoreEmpty(t, tb.C) // nothing is written for a derivable flow
-	notes.Check(t)
 }
 
 // TestHybridDifferentialOracle is the oracle check: the record the
@@ -81,7 +80,7 @@ func TestHybridVanillaFlowSkipsStore(t *testing.T) {
 func TestHybridDifferentialOracle(t *testing.T) {
 	runOnce := func(seed int64) (skipped int, roundTrips uint64) {
 		tb := newHybridTestbed(t, seed, 1)
-		notes := core.CountNotes(tb.C.Net, nil)
+		notes := core.CountNotes(t, tb.C.Net, nil)
 		in := tb.C.Yoda[0]
 		host := tb.C.ClientHost()
 		req := httpsim.NewRequest("/100k", "mysite")
@@ -153,7 +152,6 @@ func TestHybridDifferentialOracle(t *testing.T) {
 			t.Fatalf("derived record differs from stored:\n  derived: %x\n  stored:  %x", got, stored)
 		}
 		tb.C.Net.RunFor(10 * time.Second)
-		notes.Check(t)
 		return notes.Of(in.IP(), "barrier skip"), in.Store().Stats.RoundTrips
 	}
 
@@ -425,7 +423,7 @@ func TestHybridRoundTripsHalved(t *testing.T) {
 func TestHybridKeepAliveSwitchPersists(t *testing.T) {
 	tb := newHybridTestbed(t, 32, 2)
 	c := tb.C
-	notes := core.CountNotes(c.Net, nil)
+	notes := core.CountNotes(t, c.Net, nil)
 	servedBy := func(before map[string]int) string {
 		for name, b := range c.Backends {
 			if b.Server.Requests != before[name] {
@@ -485,7 +483,6 @@ func TestHybridKeepAliveSwitchPersists(t *testing.T) {
 	if n < 3 || served[n-1] != served[n-2] || survivor.Recovered != 1 || survivor.DerivedRecoveries != 0 {
 		t.Fatalf("served by %v; survivor recovered %d from the store, %d by derivation; want the last two by one backend, 1 and 0", served, survivor.Recovered, survivor.DerivedRecoveries)
 	}
-	notes.Check(t)
 }
 
 // TestHybridIdleProbe: a client completes its handshake, loses its head,

@@ -69,7 +69,7 @@ func (r *killRun) trace(kill int) {
 	names := hostNames(r.tb)
 	a := &r.route
 	a.parts, a.adopter, a.store = map[string]bool{}, -1, map[string]int{}
-	r.notes = core.CountNotes(r.tb.C.Net, func(ev netsim.TraceEvent) {
+	r.notes = core.CountNotesUnchecked(r.tb.C.Net, func(ev netsim.TraceEvent) {
 		r.tl.add(ev)
 		switch pkt := ev.Packet; {
 		case pkt == nil:

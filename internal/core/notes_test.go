@@ -33,7 +33,7 @@ import (
 // the trace delivers or drops it, by the instant it was sent: the
 // trace's instant less netsim.DefaultLatency of its link. That holds only
 // under the default latency with no jitter, so a test that sets jitter
-// must not Check.
+// takes an unchecked monitor.
 type Monitor struct {
 	counts      map[noteKey]int
 	flows       map[endpoints]*watch
@@ -72,10 +72,19 @@ type watch struct {
 	firstByte uint32        // the lowest sequence number of one
 }
 
-// CountNotes installs a Monitor as n's tracer, which then hands each
-// event, note or packet, on to next: the tracer the test installed
-// itself, or nil.
-func CountNotes(n *netsim.Network, next func(netsim.TraceEvent)) *Monitor {
+// CountNotes installs a Monitor as n's tracer (CountNotesUnchecked) and
+// fails t, when it ends, on any breach of G1 or G3 the monitor saw.
+func CountNotes(t testing.TB, n *netsim.Network, next func(netsim.TraceEvent)) *Monitor {
+	m := CountNotesUnchecked(n, next)
+	t.Cleanup(func() { m.check(t) })
+	return m
+}
+
+// CountNotesUnchecked installs a Monitor as n's tracer, which then hands
+// each event, note or packet, on to next: the tracer the test installed
+// itself, or nil. It fails nothing: a sweep that pins points reads
+// Violations, and a test that sets jitter must not be checked.
+func CountNotesUnchecked(n *netsim.Network, next func(netsim.TraceEvent)) *Monitor {
 	m := newMonitor()
 	n.SetTracer(func(ev netsim.TraceEvent) {
 		m.see(ev)
@@ -124,8 +133,8 @@ func (m *Monitor) To(node netsim.IP, note string, dst netsim.IP) int {
 // order.
 func (m *Monitor) Violations() []string { return m.violations }
 
-// Check fails t on any breach of G1 or G3 the monitor saw.
-func (m *Monitor) Check(t testing.TB) {
+// check fails t on any breach of G1 or G3 the monitor saw.
+func (m *Monitor) check(t testing.TB) {
 	t.Helper()
 	if v := m.violations; len(v) > 0 {
 		t.Errorf("%d breaches of G1 or G3, the first %d:\n%s", len(v), min(len(v), 10), strings.Join(v[:min(len(v), 10)], "\n"))

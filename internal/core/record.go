@@ -62,6 +62,12 @@ type Record struct {
 	// hello, so the hello's contents (the key material) would otherwise
 	// be unrecoverable after a failure.
 	TLS *TLSState
+
+	// header is a connection-phase flow's partial request header, the
+	// client bytes the instance acknowledged before the header was whole
+	// (persistHeader); empty in every other record. It is the encoding's
+	// tail, after the TLS section.
+	header string
 }
 
 // TLSState is the recoverable secure-session state.
@@ -80,7 +86,7 @@ const recordMagic = 0xF7
 // Marshal encodes the record into the compact binary format stored in
 // TCPStore.
 func (r *Record) Marshal() []byte {
-	size := 2 + 12 + 4
+	size := 2 + 12 + 4 + len(r.header)
 	if r.Phase == PhaseTunnel {
 		size += 12 + 4 + 4 + 4 + 1 + 2 + len(r.BackendName)
 	}
@@ -116,6 +122,9 @@ func (r *Record) AppendMarshal(b []byte) []byte {
 		b = binary.BigEndian.AppendUint16(b, r.TLS.ServerHelloLen)
 	} else {
 		b = append(b, 0)
+	}
+	if r.Phase == PhaseConn {
+		b = append(b, r.header...)
 	}
 	return b
 }
@@ -155,7 +164,9 @@ func (r *Record) unmarshal(b []byte, ts *TLSState, ns *names) error {
 	r.ClientISN = binary.BigEndian.Uint32(p)
 	p = p[4:]
 	if r.Phase == PhaseConn {
-		return readTLSTrailer(r, ts, p)
+		rest, err := readTLSTrailer(r, ts, p)
+		r.header = string(rest) // no allocation when empty
+		return err
 	}
 	if r.Server, p, ok = readHostPort(p); !ok {
 		return ErrBadRecord
@@ -176,7 +187,8 @@ func (r *Record) unmarshal(b []byte, ts *TLSState, ns *names) error {
 		return ErrBadRecord
 	}
 	r.BackendName = ns.intern(p[:nameLen])
-	return readTLSTrailer(r, ts, p[nameLen:])
+	_, err := readTLSTrailer(r, ts, p[nameLen:])
+	return err
 }
 
 // names holds the backend names an instance's adoptions have decoded, at
@@ -202,25 +214,25 @@ func (ns *names) intern(b []byte) string {
 	return s
 }
 
-// readTLSTrailer decodes the optional TLS section at the record's tail
-// into ts.
-func readTLSTrailer(r *Record, ts *TLSState, p []byte) error {
+// readTLSTrailer decodes the optional TLS section that follows the
+// record's fields into ts, and returns what follows it.
+func readTLSTrailer(r *Record, ts *TLSState, p []byte) ([]byte, error) {
 	if len(p) < 1 {
-		return ErrBadRecord
+		return nil, ErrBadRecord
 	}
 	switch p[0] {
 	case 0:
-		return nil
+		return p[1:], nil
 	case 1:
 		if len(p) < 1+32+2 {
-			return ErrBadRecord
+			return nil, ErrBadRecord
 		}
 		copy(ts.Key[:], p[1:33])
 		ts.ServerHelloLen = binary.BigEndian.Uint16(p[33:35])
 		r.TLS = ts
-		return nil
+		return p[35:], nil
 	default:
-		return ErrBadRecord
+		return nil, ErrBadRecord
 	}
 }
 

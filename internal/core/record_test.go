@@ -8,18 +8,28 @@ import (
 )
 
 func TestRecordRoundTripConnPhase(t *testing.T) {
-	r := &Record{
-		Phase:     PhaseConn,
-		Client:    netsim.HostPort{IP: netsim.IPv4(100, 1, 2, 3), Port: 41000},
-		VIP:       netsim.HostPort{IP: netsim.IPv4(10, 255, 0, 1), Port: 80},
-		ClientISN: 0xDEADBEEF,
-	}
-	got, err := UnmarshalRecord(r.Marshal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *got != *r {
-		t.Fatalf("round trip: %+v != %+v", got, r)
+	for _, header := range []string{"", "GET /10k HTTP/1.1\r\n"} {
+		for _, tls := range []*TLSState{nil, {Key: [32]byte{7}, ServerHelloLen: 300}} {
+			r := &Record{
+				Phase:     PhaseConn,
+				Client:    netsim.HostPort{IP: netsim.IPv4(100, 1, 2, 3), Port: 41000},
+				VIP:       netsim.HostPort{IP: netsim.IPv4(10, 255, 0, 1), Port: 80},
+				ClientISN: 0xDEADBEEF,
+				TLS:       tls,
+				header:    header,
+			}
+			got, err := UnmarshalRecord(r.Marshal())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.header != r.header || (got.TLS == nil) != (tls == nil) || tls != nil && *got.TLS != *tls {
+				t.Fatalf("round trip: %+v != %+v", got, r)
+			}
+			got.TLS, r.TLS = nil, nil
+			if *got != *r {
+				t.Fatalf("round trip: %+v != %+v", got, r)
+			}
+		}
 	}
 }
 

@@ -92,7 +92,7 @@ func runScenario(seed int64, hybrid bool, kill, victim int, explain bool) *scena
 	if explain {
 		r.tl = newTimeline(tb)
 	}
-	r.notes = core.CountNotes(net, r.tl.add)
+	r.notes = core.CountNotesUnchecked(net, r.tl.add)
 	active, finished := true, false
 	parser := &httpsim.ResponseParser{}
 	tcp.Dial(tb.C.ClientHost(), tb.Addr, tcp.Callbacks{

@@ -81,7 +81,7 @@ func (in *Instance) tlsAdvance(f *flow, prevLen int) bool {
 		return false // plaintext HTTP on a TLS-enabled VIP is still served
 	}
 	if !complete {
-		return true // unacknowledged, as a partial request header
+		return true // unacknowledged: it fits one segment, which a retransmission resends whole
 	}
 	serverHello, key, err := id.ServerAccept(f.reqBuf[:securesim.ClientHelloSize])
 	if err != nil {

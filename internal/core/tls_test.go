@@ -134,7 +134,7 @@ func TestTLSFlowSurvivesInstanceFailure(t *testing.T) {
 	// a surviving instance — session key from TCPStore, keystream offsets
 	// from sequence numbers — without the client noticing.
 	b := newTLSBed(t, 75, 2)
-	notes := core.CountNotes(b.C.Net, nil)
+	core.CountNotes(t, b.C.Net, nil)
 	host := b.C.ClientHost()
 	var res *securesim.FetchResult
 	securesim.Fetch(host, b.Addr, b.id.Cert,
@@ -142,7 +142,6 @@ func TestTLSFlowSurvivesInstanceFailure(t *testing.T) {
 	b.C.Net.RunFor(200 * time.Millisecond) // mid-transfer
 	victim := b.FailBusiest(1)[0]
 	b.C.Net.RunFor(30 * time.Second)
-	notes.Check(t)
 	if res == nil {
 		t.Fatal("secure fetch never resolved")
 	}
@@ -205,10 +204,9 @@ func TestTLSHelloUnacknowledgedUntilKeyStored(t *testing.T) {
 	for _, s := range b.C.StoreServers {
 		s.Host().Detach()
 	}
-	notes := core.CountNotes(b.C.Net, nil)
+	core.CountNotes(t, b.C.Net, nil)
 	res := b.fetch(t, "/secret", b.id.Cert, 20*time.Second)
 	if res.Err != nil || !bytes.Equal(res.Resp.Body, b.objs["/secret"]) {
 		t.Fatalf("fetch %+v", res)
 	}
-	notes.Check(t)
 }

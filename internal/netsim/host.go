@@ -24,10 +24,10 @@ func (f PortHandlerFunc) HandleSegment(pkt *Packet) { f(pkt) }
 // and must not be retained.
 //
 // A handler's kind is settled when it is registered (RegisterBatch, or
-// Register's check) or set (SetDefault, which takes runs only), never per
-// run: an interface type assertion on the packet path would fill the
-// runtime's per-site assertion cache at random moments, so the same run
-// would allocate differently from one process to the next.
+// Register's check) or set (SetDefault), never per run: an interface
+// type assertion on the packet path would fill the runtime's per-site
+// assertion cache at random moments, so the same run would allocate
+// differently from one process to the next.
 type BatchPortHandler interface {
 	PortHandler
 	HandleSegmentBatch(pkts []*Packet)
@@ -161,10 +161,14 @@ func (h *Host) RegisterBatch(localPort uint16, remote HostPort, handler BatchPor
 }
 
 // SetDefault makes handler (nil for none) receive what matches no
-// connection or listener: a raw packet driver such as a load-balancer
-// instance. It takes a BatchPortHandler, as RegisterBatch does, so that
-// setting it asserts no interface (see BatchPortHandler).
-func (h *Host) SetDefault(handler BatchPortHandler) { h.def = handler }
+// connection or listener: a machine's RSTs, or a raw packet driver. A
+// handler that is a BatchPortHandler takes runs.
+func (h *Host) SetDefault(handler PortHandler) {
+	h.def = nil
+	if handler != nil {
+		h.def = h.asBatch(handler)
+	}
+}
 
 // Unregister removes an established-connection binding.
 func (h *Host) Unregister(localPort uint16, remote HostPort) {

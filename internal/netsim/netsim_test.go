@@ -367,7 +367,7 @@ func TestHostDemux(t *testing.T) {
 	h.Listen(80, PortHandlerFunc(func(p *Packet) { listenerGot++ }))
 	remote := HostPort{IPv4(10, 0, 0, 6), 999}
 	h.Register(80, remote, PortHandlerFunc(func(p *Packet) { connGot++ }))
-	h.SetDefault(&scalarHandler{PortHandlerFunc(func(p *Packet) { defaultGot++ }), h})
+	h.SetDefault(PortHandlerFunc(func(p *Packet) { defaultGot++ }))
 
 	send := func(src HostPort, dstPort uint16) {
 		n.Send(&Packet{Src: src, Dst: HostPort{h.IP(), dstPort}})
@@ -479,7 +479,7 @@ func TestHostDecapsulates(t *testing.T) {
 	n := New(1)
 	h := NewHost(n, IPv4(10, 0, 0, 5))
 	var got *Packet
-	h.SetDefault(&scalarHandler{PortHandlerFunc(func(p *Packet) { got = p }), h})
+	h.SetDefault(PortHandlerFunc(func(p *Packet) { got = p }))
 	n.Send(&Packet{
 		Src:   HostPort{IPv4(10, 0, 0, 1), 1},
 		Dst:   HostPort{IPv4(10, 0, 0, 99), 80}, // inner dst is elsewhere (a VIP)

@@ -699,24 +699,12 @@ func TestSynRetransmitAt3s(t *testing.T) {
 	}
 }
 
-// rstResponder is what a kernel answers for a closed port, as a host's
-// default handler.
-type rstResponder struct{ net *netsim.Network }
-
-func (r rstResponder) HandleSegment(pkt *netsim.Packet) {
-	sendRST(r.net, pkt)
-	r.net.ReleasePacket(pkt)
-}
-
-func (r rstResponder) HandleSegmentBatch(pkts []*netsim.Packet) {
-	for _, pkt := range pkts {
-		r.HandleSegment(pkt)
-	}
-}
-
 func TestConnectToClosedPortFails(t *testing.T) {
 	p := newPair(7)
-	p.server.SetDefault(rstResponder{p.net})
+	p.server.SetDefault(netsim.PortHandlerFunc(func(pkt *netsim.Packet) {
+		sendRST(p.net, pkt) // what a kernel answers for a closed port
+		p.net.ReleasePacket(pkt)
+	}))
 	var failErr error
 	Dial(p.client, netsim.HostPort{IP: serverIP, Port: 81}, Callbacks{
 		OnFail: func(c *Conn, err error) { failErr = err },

@@ -320,9 +320,10 @@ const runtimeRow = "runtime"
 
 // runtimeOwn are the runtime frames under which it allocates for itself,
 // whichever module code called it: an interface type assertion's cache,
-// which the runtime rebuilds at random on a miss (netsim's Attach asserts
-// BatchNode, so about 1 process in 25 read the set-up ledger 48 B high),
-// and the table runtime/metrics builds on its first read in a process.
+// which the runtime rebuilds at random on a miss (netsim's Attach,
+// Register and SetDefault assert a handler's kind at set-up, so about 1
+// process in 25 read the set-up ledger 48 B high), and the table
+// runtime/metrics builds on its first read in a process.
 var runtimeOwn = []string{"runtime.typeAssert", "runtime.initMetrics"}
 
 // ledgerFuncs are the ledger's own functions, whose allocations are no
