@@ -798,7 +798,6 @@ func TestWriteOnlyClassifier(t *testing.T) {
 // needs the field. Keys are "package.Type.Field".
 var oneValueAllowlist = map[string]string{
 	"controller.Config.PingInterval":       "bench/measure.go times held-failover's kill off it; BenchmarkAblationMonitorInterval sweeps it",
-	"core.Config.StrictPersist":            "TestStrictPersistDropsUnrecoverableHandshakes turns it on",
 	"httpsim.ClientConfig.TCP":             "TestHybridFailoverTunnelDerived's clients probe when idle (probeClientConfig)",
 	"l4lb.Config.UpdateStagger":            "TestStaggeredMappingUpdate sets a 400 ms stagger",
 	"memcache.SimServerConfig.ServiceTime": "bench/ builds its stores from DefaultSimServerConfig",

@@ -75,7 +75,7 @@ func barrierWriteAllocs(t *testing.T, phase FlowPhase, bothTuples bool) float64 
 	commit := func(*flow) { done = true }
 	write := func() {
 		done = false
-		in.writeBarrier(f, in.barrierEntries(f, phase, bothTuples), commit, nil)
+		in.writeBarrier(f, in.barrierEntries(f, phase, bothTuples), commit)
 		for !done {
 			n.Step()
 		}
@@ -125,7 +125,7 @@ func TestBarrierBatchFitsOneMSS(t *testing.T) {
 		}
 	})
 	committed := false
-	in.writeBarrier(f, in.barrierEntries(f, PhaseTunnel, true), func(*flow) { committed = true }, nil)
+	in.writeBarrier(f, in.barrierEntries(f, PhaseTunnel, true), func(*flow) { committed = true })
 	n.RunUntilIdle(1 << 16)
 
 	if !committed || in.Barrier.Commits != 1 {
@@ -323,7 +323,7 @@ func TestOneBarrierPerDial(t *testing.T) {
 			want = 3
 		}
 		in := sc.in
-		got, closed := in.Barrier.Commits+in.Barrier.Degraded+in.Barrier.Aborted, notes.Of(in.IP(), "close")
+		got, closed := in.Barrier.Commits+in.Barrier.Degraded, notes.Of(in.IP(), "close")
 		if got != want || closed != 1 || in.FlowCount() != 0 {
 			t.Fatalf("keepAlive=%v: %d barrier writes, %d flows closed, %d flow entries left; want %d, 1, 0", keepAlive, got, closed, in.FlowCount(), want)
 		}

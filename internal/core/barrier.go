@@ -14,46 +14,39 @@ import (
 // the acknowledgement (SYN-ACK, ACK-to-server, ServerHello) lives in the
 // commit continuation, so it structurally cannot be sent early.
 //
-// Failure policy. By default the barrier degrades: if the store is
-// unreachable it counts the loss and runs the commit anyway, because
-// availability of new connections beats recoverability (a dead TCPStore
-// degrades Yoda to HAProxy semantics — the paper assumes the store is
-// up). With Config.StrictPersist the barrier instead takes the failure
-// path when no replica stored a record, so the flow is never
-// acknowledged in a state the cluster cannot recover.
+// Failure policy: the barrier degrades. If the store is unreachable it
+// counts the loss and runs the commit anyway, because availability of
+// new connections beats recoverability (a dead TCPStore degrades Yoda to
+// HAProxy semantics — the paper assumes the store is up).
 
-// BarrierStats counts barrier resolutions. Commits, Degraded and
-// Aborted are disjoint; Timeouts is counted in addition (a timed-out
-// barrier also resolves as one of the other three).
+// BarrierStats counts barrier resolutions. Commits and Degraded are
+// disjoint; Timeouts is counted in addition (a timed-out barrier also
+// resolves as one of the other two).
 type BarrierStats struct {
 	// Commits: every record reached every replica.
 	Commits uint64
-	// Degraded: some replica write failed but the commit ran anyway
-	// (default policy, or the record is still on ≥1 replica).
+	// Degraded: some replica write failed but the commit ran anyway.
 	Degraded uint64
-	// Aborted: StrictPersist and a record is unrecoverable — the failure
-	// continuation ran and the acknowledgement was never sent.
+	// Aborted is always 0: no barrier aborts. It stays because the
+	// frozen benchmark module reads it.
 	Aborted uint64
 	// Timeouts: the store resolved at OpTimeout rather than by replies.
 	Timeouts uint64
 }
 
 // writeBarrier persists entries in one batched store round trip, then
-// runs commit — or fail, when StrictPersist is set and some record
-// ended up on zero replicas. Exactly one of commit/fail runs, with f,
-// and only if f is still the live flow for its client tuple in the same
-// life (a flow torn down meanwhile gets neither, whatever its object
-// serves by then). fail may be nil,
-// which forces the degrade path even under StrictPersist (used where no
-// sensible abort exists). Handed the flow, storage-a and storage-b pass
-// methods bound once per instance; rarer barriers pass closures.
-func (in *Instance) writeBarrier(f *flow, entries []tcpstore.Entry, commit func(*flow), fail func(*flow, error)) {
+// runs commit with f, whatever the store answered, but only if f is
+// still the live flow for its client tuple in the same life (a flow torn
+// down meanwhile gets nothing, whatever its object serves by then).
+// Handed the flow, storage-a and storage-b pass methods bound once per
+// instance; rarer barriers pass closures.
+func (in *Instance) writeBarrier(f *flow, entries []tcpstore.Entry, commit func(*flow)) {
 	// The flow may now have store state (even a degraded write can have
 	// reached a replica), so teardown must issue deletes and the hybrid
 	// epoch flush can skip it.
 	f.persisted = true
 	op := in.takeBarrierOp()
-	op.f, op.gen, op.commit, op.fail = f, f.gen, commit, fail
+	op.f, op.gen, op.commit = f, f.gen, commit
 	op.storeStart = in.net.Now()
 	in.store.SetMulti(entries, op.cb)
 }
@@ -68,7 +61,6 @@ type barrierOp struct {
 	f          *flow
 	gen        uint32 // f's generation when the write went out
 	commit     func(*flow)
-	fail       func(*flow, error)
 	storeStart time.Duration
 	cb         func(tcpstore.SetResult)
 }
@@ -85,9 +77,9 @@ func (in *Instance) takeBarrierOp() *barrierOp {
 }
 
 func (op *barrierOp) resolve(res tcpstore.SetResult) {
-	in, f, gen, commit, fail := op.in, op.f, op.gen, op.commit, op.fail
+	in, f, gen, commit := op.in, op.f, op.gen, op.commit
 	storeStart := op.storeStart
-	op.f, op.commit, op.fail = nil, nil, nil
+	op.f, op.commit = nil, nil
 	if len(in.freeBarrierOps) < 32 {
 		in.freeBarrierOps = append(in.freeBarrierOps, op)
 	}
@@ -98,14 +90,9 @@ func (op *barrierOp) resolve(res tcpstore.SetResult) {
 	if res.TimedOut {
 		in.note(evBarrierTimeout, f.clientTuple())
 	}
-	switch {
-	case res.Err != nil && in.cfg.StrictPersist && fail != nil:
-		in.note(evBarrierAbort, f.clientTuple())
-		fail(f, res.Err)
-		return
-	case res.Err != nil || res.Failed > 0:
+	if res.Err != nil || res.Failed > 0 {
 		in.note(evBarrierDegrade, f.clientTuple())
-	default:
+	} else {
 		in.note(evBarrierCommit, f.clientTuple())
 	}
 	commit(f)

@@ -68,36 +68,6 @@ func TestBarrierDelaysSynAckDuringStoreOutage(t *testing.T) {
 	}
 }
 
-// TestStrictPersistDropsUnrecoverableHandshakes flips the barrier's
-// failure path on: with StrictPersist and a dead store, the SYN is never
-// answered — the flow aborts instead of being acknowledged in a state
-// the cluster cannot recover.
-func TestStrictPersistDropsUnrecoverableHandshakes(t *testing.T) {
-	coreCfg := core.DefaultConfig()
-	coreCfg.StrictPersist = true
-	c, vipHP := barrierTestbed(t, coreCfg, tcpstore.DefaultConfig())
-
-	h := c.ClientHost()
-	established := false
-	c.Net.Schedule(10*time.Millisecond, func() {
-		tcp.Dial(h, vipHP, tcp.Callbacks{
-			OnEstablished: func(*tcp.Conn) { established = true },
-		}, tcp.DefaultConfig())
-	})
-	c.Net.RunFor(5 * time.Second)
-
-	if established {
-		t.Fatal("StrictPersist handshake completed despite an unrecoverable flow record")
-	}
-	in := c.Yoda[0]
-	if in.Barrier.Aborted == 0 {
-		t.Fatalf("no aborted barriers accounted: %+v", in.Barrier)
-	}
-	if in.FlowCount() != 0 {
-		t.Fatalf("aborted flows leaked: FlowCount = %d", in.FlowCount())
-	}
-}
-
 // TestSNATExhaustionRejectsDials is the regression test for the silent
 // port-reuse bug: with a single-port SNAT slice, concurrent dials past
 // the first must be rejected with a 503 and counted in the VIP's stats,

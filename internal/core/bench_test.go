@@ -145,7 +145,7 @@ func BenchmarkStorageWritePath(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		done = false
-		in.writeBarrier(f, in.barrierEntries(f, PhaseTunnel, true), commit, nil)
+		in.writeBarrier(f, in.barrierEntries(f, PhaseTunnel, true), commit)
 		for !done {
 			n.Step()
 		}

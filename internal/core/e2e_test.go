@@ -2,8 +2,6 @@ package core_test
 
 import (
 	"bytes"
-	"cmp"
-	"flag"
 	"fmt"
 	"strings"
 	"testing"
@@ -189,344 +187,6 @@ func TestFailoverDuringTunnelPhase(t *testing.T) {
 	// and the adopter releases the entries that pinned it there.
 	if n := tb.C.L4.AffinityCount(); n != 0 {
 		t.Fatalf("the adopted flow left %d affinity entries", n)
-	}
-}
-
-// killArm is one recovery mode of the kill sweeps: its bed and its
-// client.
-type killArm struct {
-	name   string
-	bed    func(t *testing.T, seed int64, nYoda int) *testbed.Bed
-	client httpsim.ClientConfig
-}
-
-var killArms = []killArm{
-	{"paper", newTestbed, httpsim.DefaultClientConfig()},
-	{"hybrid", newHybridTestbed, probeClientConfig()},
-}
-
-// killRun is one settled run of a kill sweep.
-type killRun struct {
-	tb    *testbed.Bed
-	res   *httpsim.FetchResult
-	steps int // event steps run before the kill, or to the fetch's end without one
-	// faulted says the packet to fault was delivered, storeDown that the
-	// fault detached a store server.
-	faulted, storeDown bool
-	// The instance killed (-1 before the kill) and when.
-	killed int
-	killAt time.Duration
-	// What the run's tracer (killsweep_test.go) keeps: the monitor that
-	// holds the run to G1 and G3, what the route line reads, and the
-	// timeline of an explained run.
-	notes *core.Monitor
-	route routeTrace
-	tl    *timeline
-}
-
-// packetFault is what a kill sweep does at one packet delivered after
-// the kill: lose it, deliver it and send a copy of it after it, deliver
-// it and then kill a second instance, hold it back behind the next
-// delivery, or deliver it and then kill the store server it came from or
-// went to.
-type packetFault int
-
-const (
-	dropPacket packetFault = iota
-	duplicatePacket
-	killHolder
-	reorderPacket
-	killStoreServer
-)
-
-func (f packetFault) String() string {
-	return [...]string{"drop", "duplicate", "kill-holder", "reorder", "kill-store-server"}[f]
-}
-
-// run fetches /100k on a fresh bed of seed, kills the busiest instance
-// after kill event steps (no kill when kill < 0), applies fault at the
-// j-th packet delivered after the kill (none when j < 0) and settles for
-// 3 minutes. A duplicate is a clone of the packet sent again from the
-// point of delivery, so it arrives one link latency after the original;
-// a reordered packet is dropped and its clone sent the same way at the
-// next delivery. killHolder fails, as the next event, the live instance
-// the muxes name for the client tuple (l4lb.Holder), or the busiest
-// survivor when they name none or a dead one; killStoreServer detaches,
-// as the next event, the store server the packet came from or went to,
-// if any. An explained run keeps its timeline.
-func (arm killArm) run(t *testing.T, seed int64, kill, j int, fault packetFault, explain bool) *killRun {
-	r := &killRun{tb: arm.bed(t, seed, 3), killed: -1}
-	if explain {
-		r.tl = newTimeline(r.tb)
-	}
-	r.trace(kill)
-	net := r.tb.C.Net
-	delivered := -1 // since the kill
-	var client netsim.FourTuple
-	var held *netsim.Packet
-	net.SetDropFunc(func(pkt *netsim.Packet) bool {
-		if pkt.Dst == r.tb.Addr {
-			client = pkt.Tuple()
-		}
-		if held != nil {
-			net.Send(held)
-			held = nil
-		}
-		if delivered < 0 {
-			return false
-		}
-		delivered++
-		if delivered-1 != j {
-			return false
-		}
-		r.faulted = true
-		switch fault {
-		case duplicatePacket:
-			net.Send(pkt.Clone())
-		case killHolder:
-			net.Schedule(0, func() {
-				i := holderOrBusiest(r.tb, client)
-				r.tl.mark(net.Now(), fmt.Sprintf("kill yoda%d", i))
-				r.tb.FailLB(i)
-			})
-		case reorderPacket:
-			held = pkt.Clone()
-			return true
-		case killStoreServer:
-			for i, a := range r.tb.C.StoreAddrs {
-				if a == pkt.Src || a == pkt.Dst {
-					r.storeDown = true
-					net.Schedule(0, func() {
-						r.tl.mark(net.Now(), fmt.Sprintf("detach store%d", i))
-						r.tb.C.StoreServers[i].Host().Detach()
-					})
-				}
-			}
-		default:
-			return true
-		}
-		return false
-	})
-	r.tb.C.NewClient(arm.client).Get(r.tb.Addr, "/100k", keep(&r.res))
-	for r.res == nil && r.steps != kill && net.Step() {
-		r.steps++
-	}
-	if kill >= 0 {
-		r.killed, r.killAt = r.tb.FailBusiest(1)[0], net.Now()
-		r.tl.mark(r.killAt, fmt.Sprintf("kill yoda%d", r.killed))
-		delivered = 0
-	}
-	net.RunFor(3 * time.Minute)
-	return r
-}
-
-// holderOrBusiest returns the index of the live instance the muxes name
-// for tuple, or else of the live instance with the most flows, lowest
-// index first among equals.
-func holderOrBusiest(tb *testbed.Bed, tuple netsim.FourTuple) int {
-	holder, _ := tb.C.L4.Holder(tuple)
-	best := -1
-	for i, in := range tb.C.Yoda {
-		switch {
-		case !in.Host().Alive():
-		case in.IP() == holder:
-			return i
-		case best < 0 || in.FlowCount() > tb.C.Yoda[best].FlowCount():
-			best = i
-		}
-	}
-	return best
-}
-
-// settle checks the paper's claim on a settled run of the kill sweeps:
-// the body arrives intact; every instance, the dead one too, ends with no
-// flow state, no recovery queue and no SNAT port; the store and the muxes'
-// affinity tables end empty; and the run's monitor saw no breach of G1 or
-// G3, or, where defectK pins the point, exactly defect (k)'s two.
-func settle(t *testing.T, r *killRun, where string, pinned bool) {
-	t.Helper()
-	tb, res := r.tb, r.res
-	if res == nil || res.Err != nil || !bytes.Equal(res.Resp.Body, e2eObjects["/100k"]) {
-		t.Fatalf("%s: fetch %+v", where, res)
-	}
-	requireSettled(t, tb, where)
-	switch v := r.notes.Violations(); {
-	case pinned:
-		requireBreaches(t, where, v, defectKBreaches)
-	case len(v) > 0:
-		t.Fatalf("%s: %s", where, strings.Join(v, "; "))
-	}
-}
-
-// requireSettled is settle's check of what a settled cluster holds: no
-// flow entry, recovery queue or SNAT port on any instance, the dead ones
-// too, and no record in the store or affinity entry at the muxes. A
-// detached store server's records died with it and are not checked.
-func requireSettled(t *testing.T, tb *testbed.Bed, where string) {
-	t.Helper()
-	for i, in := range tb.C.Yoda {
-		if n, q, p := in.FlowCount(), in.PendingQueues(), in.SNATPortsInUse(); n+q+p != 0 {
-			t.Fatalf("%s: instance %d holds %d flow entries, %d recovery queues, %d SNAT ports", where, i, n, q, p)
-		}
-	}
-	for i, s := range tb.C.StoreServers {
-		if items := s.Engine.Stats().CurrItems; items != 0 && s.Host().Alive() {
-			t.Fatalf("%s: store server %d holds %d records", where, i, items)
-		}
-	}
-	if n := tb.C.L4.AffinityCount(); n != 0 {
-		t.Fatalf("%s: the muxes hold %d affinity entries", where, n)
-	}
-}
-
-// logTimelineOnFailure, deferred by a sweep, logs the timeline of the
-// point the sweep failed at, re-run explained by rerun.
-func logTimelineOnFailure(t *testing.T, rerun *func() *timeline) {
-	if t.Failed() && *rerun != nil {
-		t.Logf("the failing point, re-run traced:\n%s", (*rerun)())
-	}
-}
-
-// TestKillOwnerAtEveryStep kills the instance that owns one /100k fetch
-// after each event step of the fetch's life in turn — the connection
-// phase, both barriers, the tunnel and the close — and checks the paper's
-// claim at every one (settle), with the run's monitor holding it to G1
-// and to G3: adopted at most once across the survivors, for the one
-// withdrawal, and never after its first close. The client's segments and
-// the backend's are remapped independently, so the single adoption holds
-// only because the first adopter claims both tuples at the mux.
-//
-// The hybrid arm runs the same sweep with its flows stateless and a
-// probing client. A survivor that adopts the flow after the dead owner
-// relayed the backend's FIN tears its copy down finLinger after the
-// client's FIN.
-func TestKillOwnerAtEveryStep(t *testing.T) {
-	for _, arm := range killArms {
-		t.Run(arm.name, func(t *testing.T) {
-			var rerun func() *timeline
-			defer logTimelineOnFailure(t, &rerun)
-			var lines []string
-			for seed := int64(11); seed <= 15; seed++ {
-				total := arm.run(t, seed, -1, -1, dropPacket, false).steps
-				for k := 0; k <= total; k++ {
-					where := fmt.Sprintf("seed %d, kill after step %d of %d", seed, k, total)
-					rerun = func() *timeline { return arm.run(t, seed, k, -1, dropPacket, true).tl }
-					r := arm.run(t, seed, k, -1, dropPacket, false)
-					lines = append(lines, r.routeLine(seed))
-					settle(t, r, where, false)
-				}
-			}
-			rerun = nil
-			checkRouteGolden(t, arm.name, lines)
-		})
-	}
-}
-
-// killDropSeeds is how many seeds, from 11, each kill-then-fault sweep
-// and TestKillEachInstanceThroughScenario cover; ci.sh runs five. 0 means
-// the go test default: two seeds of drops, one of the other faults and
-// of the scenario.
-var killDropSeeds = flag.Int("killdrop.seeds", 0, "seeds (from 11) each kill-then-fault sweep and the scenario kill sweep cover; 0 runs 2 for drops and 1 for the other faults and the scenario")
-
-// defectK is defect (k)'s window in the kill-then-drop sweep, paper arm,
-// as (seed, kill step, dropped packet). TestDefectTimelines checks its
-// timeline at (13, 18, 0): the lost storage-b write, the first adoption
-// from the other replica's stale record, and the second, late adoption,
-// which the monitor sees as two adoptions for one withdrawal and one
-// after the close. Owner: ROADMAP item 5, a read rule for replicas that
-// disagree; when it lands these points pass and the window goes.
-var defectK = map[[3]int]bool{
-	{13, 18, 0}: true,
-	{14, 18, 0}: true,
-}
-
-// TestKillThenDropEveryPacket: the kill sweep with one lost packet. After
-// the busiest instance is killed at step k, the j-th packet delivered
-// after the kill is dropped, for every j < 24: the dead owner's writes
-// already on the wire, the backend's and client's retransmissions, the
-// adopter's store reads and writes. Every point must pass
-// TestKillOwnerAtEveryStep's checks, defect (k)'s pinned points aside.
-func TestKillThenDropEveryPacket(t *testing.T) {
-	killFaultSweep(t, dropPacket, 2, defectK)
-}
-
-// TestKillThenDuplicateEveryPacket is the same sweep with the j-th packet
-// after the kill delivered twice: a dead owner's store write or its
-// relayed segment, a store reply or a retransmission that an adopter
-// sees again one link latency later. Every point must pass the same
-// checks.
-func TestKillThenDuplicateEveryPacket(t *testing.T) {
-	killFaultSweep(t, duplicatePacket, 1, nil)
-}
-
-// TestKillThenKillHolderEveryPacket is a bounded double-crash sweep: after
-// the busiest instance is killed at step k, the instance holding the
-// client tuple at the muxes (most often the flow's adopter, or the
-// owner-to-be of a flow still in its connection phase) is killed too at
-// the j-th packet delivered after the first kill, for every j < 24. Each
-// withdrawal may cost one adoption (G3), so the survivors may adopt the
-// flow twice, never after its first close; every other check is the
-// other sweeps'.
-func TestKillThenKillHolderEveryPacket(t *testing.T) {
-	killFaultSweep(t, killHolder, 1, nil)
-}
-
-// TestKillThenReorderEveryPacket is the same sweep with the j-th packet
-// after the kill held back and sent again at the next delivery, so it
-// arrives behind packets sent after it: a dead owner's store write
-// behind its other replica's, a backend segment behind the next, a store
-// reply behind the adopter's next read. Every point must pass the same
-// checks.
-func TestKillThenReorderEveryPacket(t *testing.T) {
-	killFaultSweep(t, reorderPacket, 1, nil)
-}
-
-// TestKillThenKillStoreServerEveryPacket is the same sweep with a second
-// kill on the store side: when the j-th packet after the kill came from
-// or went to a store server, that server is detached next, the replica
-// an adopter reads or writes included. Only the points where it hit a
-// store server run the checks, which skip the detached server's records;
-// the flow's store copy on the other replica must serve the adopter.
-func TestKillThenKillStoreServerEveryPacket(t *testing.T) {
-	killFaultSweep(t, killStoreServer, 1, nil)
-}
-
-// killFaultSweep runs both arms' kill sweeps with fault applied at each
-// of the 24 packets after the kill in turn, over seeds from 11 (dflt
-// unless -killdrop.seeds says). pinned names the paper arm's points, as
-// (seed, kill step, packet), whose monitor must see defect (k)'s breaches
-// of G3 instead. A failing point is re-run traced and its timeline
-// logged. Both arms' beds poison released buffers, so an adopter that
-// reads a parked packet's copy or a lent store reply after its release
-// breaks the fetch at that point.
-func killFaultSweep(t *testing.T, fault packetFault, dflt int, pinned map[[3]int]bool) {
-	seeds := cmp.Or(*killDropSeeds, dflt)
-	for _, arm := range killArms {
-		t.Run(arm.name, func(t *testing.T) {
-			var rerun func() *timeline
-			defer logTimelineOnFailure(t, &rerun)
-			runs := 0
-			for seed := int64(11); seed < 11+int64(seeds); seed++ {
-				total := arm.run(t, seed, -1, -1, fault, false).steps
-				for k := 0; k <= total; k++ {
-					for j := 0; j < 24; j++ {
-						r := arm.run(t, seed, k, j, fault, false)
-						if !r.faulted {
-							break // the kill saw no j+1 packets, so no later j faults one
-						}
-						if fault == killStoreServer && !r.storeDown {
-							continue // TestKillOwnerAtEveryStep's run
-						}
-						runs++
-						where := fmt.Sprintf("seed %d, kill after step %d of %d, %s packet %d after it", seed, k, total, fault, j)
-						rerun = func() *timeline { return arm.run(t, seed, k, j, fault, true).tl }
-						settle(t, r, where, arm.name == "paper" && pinned[[3]int{int(seed), k, j}])
-					}
-				}
-			}
-			rerun = nil
-			t.Logf("%d kill-then-%s runs", runs, fault)
-		})
 	}
 }
 

@@ -162,8 +162,6 @@ func (in *Instance) newClientFlow(pkt *netsim.Packet) {
 	in.armIdle(f)
 	// storage-a: the SYN header goes to TCPStore before the SYN-ACK, so a
 	// failed instance's successor can regenerate the handshake state.
-	// Under StrictPersist an unrecoverable flow is dropped unanswered —
-	// the client's SYN retransmission retries the whole sequence.
 	//
 	// A stateless flow skips storage-a entirely: everything a PhaseConn
 	// record carries is derivable (C is the tuple hash any instance
@@ -179,7 +177,7 @@ func (in *Instance) newClientFlow(pkt *netsim.Packet) {
 		in.sendSynAck(f)
 		return
 	}
-	in.writeBarrier(f, in.barrierEntries(f, PhaseConn, false), in.synAckFn, in.abandonFn)
+	in.writeBarrier(f, in.barrierEntries(f, PhaseConn, false), in.synAckFn)
 }
 
 func (in *Instance) sendSynAck(f *flow) {
@@ -265,7 +263,7 @@ func (in *Instance) tryDispatchRequest(f *flow) {
 // header's first is never resent: the client, with no SACK, resends from
 // its oldest unacknowledged byte. Each segment that leaves the header
 // incomplete, a retransmission too, writes again, which answers a lost
-// ACK; under StrictPersist a write no replica took acknowledges nothing.
+// ACK.
 func (in *Instance) persistHeader(f *flow) {
 	n := uint32(len(f.reqBuf))
 	f.fillRecord(&in.recRecord, &in.recTLS, PhaseConn)
@@ -276,7 +274,7 @@ func (in *Instance) persistHeader(f *flow) {
 			// G1′: barrier — the partial header's commit.
 			in.net.Send(in.packet(f.vip, f.client, netsim.FlagACK, f.toClientDataBase(), f.clientDataBase()+n, advWindow))
 		}
-	}, func(*flow, error) {})
+	})
 }
 
 // assembler puts one direction of a flow's byte stream back in order.
@@ -485,7 +483,7 @@ func (in *Instance) serverHandshakePacket(f *flow, pkt *netsim.Packet) {
 		// the sets that replace it (redial).
 		in.deleteKey(f.oldServerTuple())
 	}
-	in.writeBarrier(f, in.barrierEntries(f, PhaseTunnel, true), in.tunnelFn, in.unpersistedFn)
+	in.writeBarrier(f, in.barrierEntries(f, PhaseTunnel, true), in.tunnelFn)
 }
 
 // enterTunnel is storage-b's commit: ACK the SYN-ACK, forward the request.

@@ -71,5 +71,7 @@ func TestAdoptedHalfClosedCopyWaitsForTheBackend(t *testing.T) {
 	if failed != nil || !peerClosed || !bytes.Equal(got, want) {
 		t.Fatalf("client got %d of %d bytes, the backend's FIN %v, error %v", len(got), len(want), peerClosed, failed)
 	}
-	requireSettled(t, tb, "10 s after the client's FIN")
+	if err := settled(tb); err != nil {
+		t.Fatalf("10 s after the client's FIN: %v", err)
+	}
 }

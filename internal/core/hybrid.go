@@ -331,7 +331,7 @@ func (in *Instance) hybridKnockConfirm(tuple netsim.FourTuple, q *pendingQueue, 
 // write-before-dispatch order is what lets the backend-side successor
 // converge: its next lookup for the server tuple hits this record.
 func (in *Instance) hybridRepair(f *flow, q *pendingQueue) {
-	in.writeBarrier(f, in.barrierEntries(f, PhaseTunnel, true), q.repairFn, nil)
+	in.writeBarrier(f, in.barrierEntries(f, PhaseTunnel, true), q.repairFn)
 }
 
 // replayRepaired is a repair write's commit: q's packets replay and q is
@@ -374,7 +374,7 @@ func (in *Instance) FlushUnpersisted() int {
 		if f.state == stateTunnel || f.ka != nil { // a keep-alive re-dial is tunnel phase
 			phase, both = PhaseTunnel, true
 		}
-		in.writeBarrier(f, in.barrierEntries(f, phase, both), func(*flow) {}, nil)
+		in.writeBarrier(f, in.barrierEntries(f, phase, both), func(*flow) {})
 	}
 	return len(victims)
 }

@@ -35,11 +35,6 @@ type Config struct {
 	// FlowIdleTimeout garbage-collects flows that stopped moving packets
 	// (broken clients, lost FINs).
 	FlowIdleTimeout time.Duration
-	// StrictPersist makes the write barrier take its failure path when a
-	// record reached zero replicas, instead of the default
-	// degrade-and-proceed (see barrier.go). Off by default: the paper
-	// favours availability over recoverability when the store is down.
-	StrictPersist bool
 	// Hybrid selects the hybrid stateful/stateless recovery mode: flows
 	// whose state the shared derivation table reproduces exactly skip
 	// their storage writes, and recovery tries derivation before (or
@@ -140,8 +135,7 @@ type Instance struct {
 	backendNames   names                        // the names decoded records gave
 	req            httpsim.Request              // connection-phase header-parse scratch
 	// The per-flow barriers' continuations (see writeBarrier), bound once.
-	synAckFn, tunnelFn       func(*flow)
-	abandonFn, unpersistedFn func(*flow, error)
+	synAckFn, tunnelFn func(*flow)
 }
 
 // NewInstance creates a Yoda instance on host, using the given L4 LB for
@@ -166,8 +160,6 @@ func NewInstance(host *netsim.Host, lb *l4lb.LB, store *tcpstore.Store, cfg Conf
 		Stats:      make(map[netsim.IP]*VIPStats),
 	}
 	inst.synAckFn, inst.tunnelFn = inst.sendSynAck, inst.enterTunnel
-	inst.abandonFn = func(f *flow, _ error) { inst.teardown(f) }
-	inst.unpersistedFn = func(f *flow, _ error) { inst.reject(f, 503, "flow state not persisted") }
 	inst.flows.init()
 	host.SetDefault(inst)
 	return inst

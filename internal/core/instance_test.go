@@ -183,7 +183,7 @@ func TestLateAdopterHandsPacketsBack(t *testing.T) {
 		n.Attach(ip, netsim.NodeFunc(func(p *netsim.Packet) { got[p.Dst.IP]++; n.ReleasePacket(p) }))
 	}
 	// The dead owner's storage-b record, under both tuples.
-	ins[0].writeBarrier(f, ins[0].barrierEntries(f, PhaseTunnel, true), nil, nil)
+	ins[0].writeBarrier(f, ins[0].barrierEntries(f, PhaseTunnel, true), nil)
 	n.RunFor(time.Second)
 	send := func(src, dst netsim.HostPort, seq, ack uint32) {
 		p := n.AllocPacket()

@@ -19,8 +19,8 @@ import (
 	"repro/internal/testbed"
 )
 
-// The kill sweep's route table. TestKillOwnerAtEveryStep writes one line
-// per (seed, kill step) and holds the lines to
+// The kill sweep's route table. TestKillSchedules' owner-kill shape
+// writes one line per (seed, kill step) and holds the lines to
 // testdata/killsweep_{paper,hybrid}.golden, so a change in how a flow
 // recovers shows as a diff even when every check still passes. A line
 // reads
@@ -63,8 +63,8 @@ var routeOf = map[string]string{
 	"orphan suppressed":  "parked",
 }
 
-// trace installs r's monitor and tracer, for a run that kills after
-// kill steps.
+// trace installs r's monitor and tracer, for a run whose first fault
+// fires after kill steps.
 func (r *killRun) trace(kill int) {
 	names := hostNames(r.tb)
 	a := &r.route
@@ -169,7 +169,7 @@ func describe(names map[netsim.IP]string, pkt *netsim.Packet) string {
 }
 
 // routeLine is r's line of the route table.
-func (r *killRun) routeLine(seed int64) string {
+func (r *killRun) routeLine() string {
 	a := &r.route
 	ran := "timer"
 	switch {
@@ -209,7 +209,7 @@ func (r *killRun) routeLine(seed int64) string {
 		fwd = fmt.Sprintf("%.3fms", float64(a.fwd)/float64(time.Millisecond))
 	}
 	return fmt.Sprintf("seed=%d step=%d ran=%s killed=%d route=%s adopter=%s store=%s fwd=%s",
-		seed, r.steps, ran, r.killed, strings.Join(route, "+"), adopter, store, fwd)
+		r.s.seed, r.steps, ran, r.killed, strings.Join(route, "+"), adopter, store, fwd)
 }
 
 // checkRouteGolden holds lines to testdata/killsweep_<arm>.golden,

@@ -181,7 +181,7 @@ func TestFlowSizeClass(t *testing.T) {
 func TestAdoptionCountedOnce(t *testing.T) {
 	n := netsim.New(7)
 	owner, f := benchStorageSetup(n, 3)
-	owner.writeBarrier(f, owner.barrierEntries(f, PhaseTunnel, true), func(*flow) {}, nil)
+	owner.writeBarrier(f, owner.barrierEntries(f, PhaseTunnel, true), func(*flow) {})
 	n.RunUntilIdle(1 << 16)
 
 	var servers []netsim.HostPort // benchStorageSetup's memcached servers
@@ -211,7 +211,7 @@ func TestBarrierIgnoresReusedFlow(t *testing.T) {
 	n := netsim.New(7)
 	in, f := benchStorageSetup(n, 3)
 	ran := 0
-	in.writeBarrier(f, in.barrierEntries(f, PhaseTunnel, true), func(*flow) { ran++ }, func(*flow, error) { ran++ })
+	in.writeBarrier(f, in.barrierEntries(f, PhaseTunnel, true), func(*flow) { ran++ })
 	in.teardown(f)
 	g := in.newFlow(flow{vip: f.vip, client: netsim.HostPort{IP: 0xc0a80002, Port: 40001}})
 	if g != f {

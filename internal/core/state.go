@@ -93,8 +93,7 @@ const (
 	evSNATExhausted                 // VIPStats.SNATExhausted: a dial found no free SNAT port
 	evBarrierCommit                 // Barrier.Commits
 	evBarrierDegrade                // Barrier.Degraded
-	evBarrierAbort                  // Barrier.Aborted
-	evBarrierTimeout                // Barrier.Timeouts, besides one of the three above
+	evBarrierTimeout                // Barrier.Timeouts, besides one of the two above
 	evBarrierSkip                   // hybrid mode elided the write
 	evAdoptConn                     // Recovered: a connection-phase store record became a flow
 	evAdoptTunnel                   // Recovered: a tunnel-phase store record became a flow
@@ -113,7 +112,6 @@ var eventNames = [...]string{
 	evSNATExhausted:    "snat exhausted",
 	evBarrierCommit:    "barrier commit",
 	evBarrierDegrade:   "barrier degrade",
-	evBarrierAbort:     "barrier abort",
 	evBarrierTimeout:   "barrier timeout",
 	evBarrierSkip:      "barrier skip",
 	evAdoptConn:        "adopt store conn",
@@ -141,8 +139,6 @@ func (in *Instance) note(ev event, tuple netsim.FourTuple) {
 		in.Barrier.Commits++
 	case evBarrierDegrade:
 		in.Barrier.Degraded++
-	case evBarrierAbort:
-		in.Barrier.Aborted++
 	case evBarrierTimeout:
 		in.Barrier.Timeouts++
 	case evAdoptConn, evAdoptTunnel:

@@ -3,6 +3,7 @@ package core_test
 import (
 	"fmt"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -14,7 +15,7 @@ import (
 // timeline is a run's trace as lines, one per packet delivered or
 // dropped, per note and per fault the run injects, in virtual-time
 // order; a packet shows at its delivery. It is kept when a run is
-// explained: a failing sweep point is re-run with one and logs it, and
+// explained: a failing schedule is re-run with one and logs it, and
 // TestDefectTimelines holds each open defect's to the lines that show it.
 // Its methods do nothing on a nil timeline.
 type timeline struct {
@@ -67,62 +68,83 @@ func (tl *timeline) String() string {
 	return b.String()
 }
 
-// TestDefectTimelines prints the timeline of each open defect the sweeps
-// pin, and holds it to the lines that show the defect, in order, and the
-// run's monitor to the breaches it must see. -v prints them.
+// defects are the open defects, by the name pins give them, each with
+// the monitor's breaches at its pins, in order.
+var defects = map[string][]string{
+	// A stale record's second adoption comes after the close, and beyond
+	// the one withdrawal.
+	"(k)": {`G3: .* adopted after the close$`, `G3: .*: 2 adoptions, 1 withdrawals$`},
+}
+
+// defectKTimeline is defect (k)'s timeline: the dead owner's storage-b
+// write to one replica is lost; the first adopter takes the other's stale
+// connection-phase record and re-dials, and second adopts the key its
+// teardown left behind from the backend's retransmitted SYN-ACK.
+func defectKTimeline(second string) []string {
+	return []string{
+		`kill yoda1$`,
+		`yoda1>store\d ACK\|PSH set \d+B \(dropped: policy drop\)$`,
+		`store\d>yoda2 ACK\|PSH VALUE \d+B$`,
+		`yoda2 adopt store conn client>vip$`,
+		`vip>srv-\d SYN$`,
+		`yoda2 close client>vip$`,
+		`srv-\d>vip SYN\|ACK$`,
+		`store\d>` + second + ` ACK\|PSH VALUE \d+B$`,
+		second + ` adopt store tunnel client>vip$`,
+	}
+}
+
+// TestDefectTimelines replays each pin's schedule explained, prints its
+// timeline (-v), and holds it to the lines that show its defect, in
+// order, and the run's monitor to the defect's breaches. It fails on a
+// pin with no case here and on a case with no pin, so the two tables
+// cannot drift apart.
 func TestDefectTimelines(t *testing.T) {
-	for _, d := range []struct {
-		name     string
-		run      func() *killRun
-		want     []string // the timeline's lines that show it, in order
-		breaches []string // the monitor's, in order
-	}{{
-		// The dead owner's storage-b write to one replica is lost while
-		// the other took it; the first survivor to ask takes the first
-		// hit, the stale connection-phase record, and re-dials. The
-		// backend's retransmitted SYN-ACK then finds the server-tuple
-		// key the first teardown left behind, adopted after the close.
-		name: "(k) paper, seed 13, kill after step 18, drop packet 0",
-		run:  func() *killRun { return killArms[0].run(t, 13, 18, 0, dropPacket, true) },
-		want: []string{
-			`kill yoda1$`,
-			`yoda1>store\d ACK\|PSH set \d+B \(dropped: policy drop\)$`,
-			`store\d>yoda2 ACK\|PSH VALUE \d+B$`,
-			`yoda2 adopt store conn client>vip$`,
-			`vip>srv-\d SYN$`,
-			`yoda2 close client>vip$`,
-			`srv-\d>vip SYN\|ACK$`,
-			`store\d>yoda2 ACK\|PSH VALUE \d+B$`,
-			`yoda2 adopt store tunnel client>vip$`,
-		},
-		breaches: defectKBreaches,
-	}} {
-		r := d.run()
-		t.Logf("defect %s:\n%s", d.name, r.tl)
-		requireInOrder(t, d.name+" timeline", r.tl.lines, d.want)
-		requireBreaches(t, d.name, r.notes.Violations(), d.breaches)
+	cases := map[string][]string{ // the timeline's lines, by pin
+		"fetch/paper seed=13 kill@step18 drop@pkt0": defectKTimeline("yoda2"),
+		"fetch/paper seed=14 kill@step18 drop@pkt0": defectKTimeline("yoda0"),
+	}
+	var lines []string
+	for line := range pins {
+		if cases[line] == nil {
+			t.Errorf("pin %q has no timeline case", line)
+		}
+		lines = append(lines, line)
+	}
+	for line := range cases {
+		if pins[line] == "" {
+			t.Errorf("timeline case %q has no pin", line)
+		}
+	}
+	slices.Sort(lines)
+	for _, line := range lines {
+		s, err := parseSchedule(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := s.run(t, true)
+		t.Logf("defect %s, %s:\n%s", pins[line], line, r.tl)
+		if err := inOrder(r.tl.lines, cases[line]); err != nil {
+			t.Errorf("%s: timeline: %v", line, err)
+		}
+		if err := breachesAre(r.notes.Violations(), defects[pins[line]]); err != nil {
+			t.Errorf("%s: %v", line, err)
+		}
 	}
 }
 
-// defectKBreaches are the monitor's breaches where defect (k) shows: the
-// stale record's second adoption comes after the close, and beyond the
-// one withdrawal.
-var defectKBreaches = []string{`G3: .* adopted after the close$`, `G3: .*: 2 adoptions, 1 withdrawals$`}
-
-// requireBreaches fails unless the monitor's breaches v are want's, one
-// each, in order.
-func requireBreaches(t *testing.T, what string, v, want []string) {
-	t.Helper()
+// breachesAre returns an error unless the monitor's breaches v are
+// want's, one each, in order.
+func breachesAre(v, want []string) error {
 	if len(v) != len(want) {
-		t.Fatalf("defect %s: breaches %q, want %d, %q in order — if it is fixed, drop its window", what, v, len(want), want)
+		return fmt.Errorf("breaches %q, want %q in order", v, want)
 	}
-	requireInOrder(t, what+" breaches", v, want)
+	return inOrder(v, want)
 }
 
-// requireInOrder fails unless lines has a line matching each of want, in
-// order.
-func requireInOrder(t *testing.T, what string, lines, want []string) {
-	t.Helper()
+// inOrder returns an error unless lines has a line matching each of want,
+// in order.
+func inOrder(lines, want []string) error {
 	i := 0
 	for _, w := range want {
 		re := regexp.MustCompile(w)
@@ -130,8 +152,9 @@ func requireInOrder(t *testing.T, what string, lines, want []string) {
 			i++
 		}
 		if i == len(lines) {
-			t.Fatalf("defect %s: no line %q in order in %q", what, w, lines)
+			return fmt.Errorf("no line %q in order in %q", w, lines)
 		}
 		i++
 	}
+	return nil
 }

@@ -98,16 +98,13 @@ func (in *Instance) tlsAdvance(f *flow, prevLen int) bool {
 	}
 	// Persist the session key before the ServerHello acknowledges the
 	// hello (the hello will never be retransmitted once ACKed, and the
-	// key cannot be recomputed without it). Under StrictPersist a flow
-	// whose key is unrecoverable is dropped before the hello is ACKed:
-	// the client's hello retransmissions hit a dead tuple and it retries
-	// with a fresh connection.
+	// key cannot be recomputed without it).
 	in.writeBarrier(f, in.barrierEntries(f, PhaseConn, false), func(f *flow) {
 		f.tls.committed = true
 		in.sendServerHello(f, serverHello)
 		// Early data may already contain the full request.
 		in.tryDispatchRequest(f)
-	}, in.abandonFn)
+	})
 	return true
 }
 
