@@ -286,13 +286,7 @@ func (r *killRun) kill(f fault, client netsim.FourTuple) {
 // run's monitor saw no breach of G1 or G3, or, where a pin names the
 // schedule, exactly its defect's.
 func (r *killRun) breach() error {
-	if err := r.intact(); err != nil {
-		return err
-	}
-	if err := settled(r.tb); err != nil {
-		return err
-	}
-	return breachesAre(r.notes.Violations(), defects[pins[r.s.String()]])
+	return cmp.Or(r.intact(), settled(r.tb), breachesAre(r.notes.Violations(), defects[pins[r.s.String()]]))
 }
 
 // settled is breach's check of what a settled cluster holds. A detached
@@ -314,11 +308,9 @@ func settled(tb *testbed.Bed) error {
 	return nil
 }
 
-// pins are the schedules where an open defect shows, by schedule line,
-// each naming its defect: there the monitor must see exactly the
-// defect's breaches (defects), and TestDefectTimelines replays each.
-// When the defect is fixed, its pins, its breaches and its timeline
-// cases go.
+// pins name, by schedule line, the open defect each schedule shows: there
+// the monitor must see exactly its breaches (defects), and
+// TestDefectTimelines replays each. A fixed defect's pins and cases go.
 var pins = map[string]string{
 	// Owner: ROADMAP item 5, a read rule for replicas that disagree.
 	"fetch/paper seed=13 kill@step18 drop@pkt0": "(k)",
