@@ -16,8 +16,10 @@ import (
 //
 // Inserts relocate entries with a bounded, deterministic kick sequence
 // and grow the bucket array (rehashing in place, dropping dead
-// entries) when placement fails, so individual operations never
-// allocate in steady state; growth is amortized. All behaviour is
+// entries) when placement fails; a delete that leaves no more than a
+// quarter of the slots live rebuilds it at half the size, never below
+// floorBuckets. So individual operations never allocate in steady
+// state, and growth and shrinking are amortized. All behaviour is
 // deterministic: no RNG, map iteration, or address-dependent state.
 type Compact struct {
 	buckets []bucket
@@ -46,6 +48,10 @@ type bucket struct {
 
 // maxKicks bounds the cuckoo relocation chain before the table grows.
 const maxKicks = 32
+
+// floorBuckets is the fewest buckets a table shrinks to: a warm bed's
+// flows, at a sized table's load.
+const floorBuckets = 64
 
 // hintLoad is the load factor a capacity hint is sized for. Two-choice
 // four-way cuckoo sustains ~0.95; sizing to 0.8 keeps kick chains
@@ -286,7 +292,20 @@ func (c *Compact) Delete(ft netsim.FourTuple) bool {
 		c.liveByVal[s.val]--
 	}
 	*s = slot{}
+	if uint64(c.live) <= c.nb && c.nb > floorBuckets {
+		c.shrink()
+	}
 	return wasLive
+}
+
+// shrink rebuilds the table at half its bucket count, dropping dead
+// entries. A rebuild that cannot place every entry (at half load, not
+// seen) keeps the table as it was.
+func (c *Compact) shrink() {
+	old, nb := c.buckets, c.nb
+	if !c.rebuild(old, max(floorBuckets, nb/2)) {
+		c.buckets, c.nb = old, nb
+	}
 }
 
 // EvictValue invalidates every live entry mapping to v in O(1): the

@@ -1,6 +1,12 @@
 package flowmap
 
-import "repro/internal/netsim"
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"repro/internal/netsim"
+)
 
 // Table is the flow-mapping contract shared by the compact structure
 // and the plain-map reference oracle; only the differential tests and
@@ -98,3 +104,32 @@ func (t *Map) Len() int { return len(t.m) }
 
 // Epoch returns the eviction-bump count.
 func (t *Map) Epoch() uint64 { return t.epoch }
+
+// TestCompactShrinksBack: a storm inserts about 4K flows, a value is
+// evicted and the rest are deleted in random order down to 3; the table
+// is held to the Map after every step, and its bucket array ends back at
+// its floor.
+func TestCompactShrinksBack(t *testing.T) {
+	const universe = 4096
+	c, m := NewCompact(0), NewMap()
+	for i := 0; i < universe; i++ {
+		c.Insert(tupleN(i), Value(i%8))
+		m.Insert(tupleN(i), Value(i%8))
+		checkAgree(t, c, m, universe, fmt.Sprintf("insert %d", i))
+	}
+	peak := c.nb
+	c.EvictValue(5)
+	m.EvictValue(5)
+	checkAgree(t, c, m, universe, "evict")
+	order := rand.New(rand.NewSource(1)).Perm(universe)
+	for k, i := range order[:universe-3] {
+		if cd, md := c.Delete(tupleN(i)), m.Delete(tupleN(i)); cd != md {
+			t.Fatalf("delete %d: compact=%v map=%v", i, cd, md)
+		}
+		checkAgree(t, c, m, universe, fmt.Sprintf("delete %d", k))
+	}
+	checkAgree(t, c, m, universe, "final")
+	if c.nb != floorBuckets || len(c.buckets) != floorBuckets {
+		t.Fatalf("%d flows hold %d buckets (%d at the peak), want %d", c.Len(), c.nb, peak, floorBuckets)
+	}
+}

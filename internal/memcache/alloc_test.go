@@ -2,6 +2,7 @@ package memcache
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 )
@@ -83,5 +84,43 @@ func TestEngineFlowRecordChurnAllocFree(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
 		t.Fatalf("flow record churn allocates %.1f objects/cycle, want 0", allocs)
+	}
+}
+
+// TestEngineSteadyChurnAllocFree: after a storm's deletes have repacked
+// a class, a steady set/delete at constant live count neither allocates
+// a page nor gives one back.
+func TestEngineSteadyChurnAllocFree(t *testing.T) {
+	e := NewEngine(0, func() time.Duration { return 0 })
+	key := func(i int) []byte { return []byte(fmt.Sprintf("yoda:f:%08x", i)) }
+	value := make([]byte, 51)
+	const n, live = 3000, 300
+	for i := 0; i < n; i++ {
+		e.setBytes(key(i), value, 0, 0)
+	}
+	for i := 0; i < n-live; i++ {
+		e.deleteBytes(key(i))
+	}
+	keys := make([][]byte, 2*n)
+	for i := range keys {
+		keys[i] = key(i)
+	}
+	next := n
+	churn := func() {
+		e.setBytes(keys[next%len(keys)], value, 0, 0)
+		if !e.deleteBytes(keys[(next-live)%len(keys)]) {
+			t.Fatal("churned key missing")
+		}
+		next++
+	}
+	for i := 0; i < 2*live; i++ {
+		churn()
+	}
+	pages := pageBytes(e)
+	if allocs := testing.AllocsPerRun(2000, churn); allocs != 0 {
+		t.Fatalf("steady churn allocates %.2f objects/op, want 0", allocs)
+	}
+	if got := pageBytes(e); got != pages || e.count != live {
+		t.Fatalf("steady churn moved the pages %d -> %d B (%d items)", pages, got, e.count)
 	}
 }

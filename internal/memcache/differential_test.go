@@ -172,6 +172,7 @@ func FuzzMemcacheSessionDifferential(f *testing.F) {
 	}
 	f.Add([]byte("set k 0 0 5\r\nab\r\nc\r\nget k\r\n"), uint8(1))
 	f.Add([]byte("mset 2\r\na 0 0 1\r\nx\r\n"), uint8(2))
+	f.Add(stormInput(), uint8(0))
 	pre, post, mids := retiredVerbTranscripts()
 	for _, mid := range mids {
 		f.Add([]byte(pre+mid+post), uint8(5))
@@ -194,6 +195,28 @@ func FuzzMemcacheSessionDifferential(f *testing.F) {
 			t.Fatalf("engine state diverges (split=%d):\n new:\n%s ref:\n%s", split, newFP, refFP)
 		}
 	})
+}
+
+// stormInput fills one size class over several pages with mset, deletes
+// nine keys in ten so the class repacks, and reads the rest back.
+func stormInput() []byte {
+	var b bytes.Buffer
+	const n = 1200
+	for i := 0; i < n; i += 100 {
+		b.WriteString("mset 100\r\n")
+		for j := i; j < i+100; j++ {
+			fmt.Fprintf(&b, "yoda:f:%08x 0 0 51\r\n%051d\r\n", j, j)
+		}
+	}
+	for i := 0; i < n; i++ {
+		if i%10 != 3 {
+			fmt.Fprintf(&b, "delete yoda:f:%08x\r\n", (i*7)%n)
+		}
+	}
+	for i := 0; i < n; i += 10 {
+		fmt.Fprintf(&b, "get yoda:f:%08x\r\nset yoda:f:%08x 0 0 3\r\nabc\r\n", i, i+1)
+	}
+	return b.Bytes()
 }
 
 // TestResponseNotAliasedToEngine locks in the copy boundary between the
@@ -328,6 +351,96 @@ func TestEngineDifferential(t *testing.T) {
 	if total.Evictions == 0 || total.Expirations == 0 || total.Deletes == 0 || total.GetHits == 0 {
 		t.Fatalf("the operations missed a path: %+v", total)
 	}
+	t.Run("storm", testEngineStormDifferential)
+}
+
+// testEngineStormDifferential is a failover storm's shape: one class
+// filled over several pages, 90 % of it deleted in random order (so its
+// newest pages repack into the ones it keeps), then sets, gets and
+// overwrites that move items into another class and back, all held to
+// the reference engine, whole LRU included, after every operation.
+func testEngineStormDifferential(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var clock time.Duration
+		now := func() time.Duration { return clock }
+		e, ref := NewEngine(0, now), newRefEngine(0, now)
+		check := func(op string) {
+			t.Helper()
+			if g, w := e.Stats(), ref.Stats(); g != w {
+				t.Fatalf("seed %d %s: stats %+v, reference %+v", seed, op, g, w)
+			}
+			if err := sameLRU(e, ref); err != "" {
+				t.Fatalf("seed %d %s: %s", seed, op, err)
+			}
+		}
+		const n = 3000
+		key := func(i int) []byte { return []byte(fmt.Sprintf("yoda:f:%08x", i)) }
+		value := func(size int) []byte {
+			v := make([]byte, size)
+			rng.Read(v)
+			return v
+		}
+		for i := 0; i < n; i++ {
+			k, v := key(i), value(51)
+			e.setBytes(k, v, uint32(i), 0)
+			ref.setBytes(k, v, uint32(i), 0)
+			check(fmt.Sprintf("fill %d", i))
+		}
+		c := classFor(hdrSize + len(key(0)) + 51)
+		pages := 0
+		for p := e.classes[c].page; p != 0; p = e.below[p] {
+			pages++
+		}
+		if pages < 6 {
+			t.Fatalf("seed %d: the fill took %d pages, want several", seed, pages)
+		}
+		peak := pageBytes(e)
+		order := rng.Perm(n)
+		for _, i := range order[:n*9/10] {
+			got, want := e.deleteBytes(key(i)), ref.deleteBytes(key(i))
+			if got != want {
+				t.Fatalf("seed %d delete %d: got %v, reference %v", seed, i, got, want)
+			}
+			check(fmt.Sprintf("delete %d", i))
+		}
+		if after := pageBytes(e); after >= peak/2 {
+			t.Fatalf("seed %d: pages hold %d B after the deletes, %d B at the peak", seed, after, peak)
+		}
+		for op := 0; op < 4000; op++ {
+			i := order[rng.Intn(n)]
+			k := key(i)
+			var got, want string
+			switch rng.Intn(4) {
+			case 0, 1:
+				size := 51
+				if rng.Intn(2) == 0 {
+					size = 200 + rng.Intn(100)
+				}
+				v := value(size)
+				e.setBytes(k, v, uint32(op), 0)
+				ref.setBytes(k, v, uint32(op), 0)
+			case 2:
+				got = string(appendValue(nil, e.getBytes(k)))
+				want = string(appendValue(nil, refChunk(ref.getBytes(k))))
+			default:
+				got, want = fmt.Sprint(e.deleteBytes(k)), fmt.Sprint(ref.deleteBytes(k))
+			}
+			if got != want {
+				t.Fatalf("seed %d op %d on %q: got %s, reference %s", seed, op, k, got, want)
+			}
+			check(fmt.Sprintf("op %d", op))
+		}
+	}
+}
+
+// pageBytes is what e's slab classes hold in pages.
+func pageBytes(e *Engine) int {
+	n := 0
+	for _, cl := range e.classes {
+		n += int(cl.bytes)
+	}
+	return n
 }
 
 // sameLRU walks both engines' LRU lists from the most recently used end

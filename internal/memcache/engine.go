@@ -55,7 +55,7 @@ const (
 
 // Chunk header layout, little-endian. prev and next link the global LRU
 // list (prev toward the most recently used end); a free chunk threads its
-// class's free list through next.
+// class's free list through both, and its class byte reads freeChunk.
 const (
 	hdrPrev    = 0  // ref
 	hdrNext    = 4  // ref
@@ -70,15 +70,18 @@ const (
 // Size classes: chunk sizes from minChunk growing by about ×1.25 up to
 // maxChunk. A chunk that needs more than maxChunk bytes gets an array of
 // its own (bigClass). A class's pages start at minPage bytes and double up
-// to maxPage; they are kept at their peak, as memcached keeps its slabs,
-// so the footprint follows the most items each class ever held at once,
-// not the history.
+// to maxPage. A class gives its newest page back once the pages before it
+// would still be at most half full and hold classFloor bytes (shrink), so
+// the footprint follows the items a class holds now, within a factor of
+// about two, not the most it ever held.
 const (
-	minChunk = 48
-	maxChunk = 16 << 10
-	minPage  = 1 << 10
-	maxPage  = 64 << 10
-	bigClass = 0xff
+	minChunk   = 48
+	maxChunk   = 16 << 10
+	minPage    = 1 << 10
+	maxPage    = 64 << 10
+	classFloor = 32 << 10
+	bigClass   = 0xff
+	freeChunk  = 0xfe
 )
 
 // classSize lists the chunk size of each class.
@@ -95,15 +98,21 @@ func sizeClasses() []int32 {
 // slabClass is one size class's allocator: a free list of released
 // chunks, then a bump pointer into its newest page.
 type slabClass struct {
-	free     ref   // released chunks, chained through hdrNext
-	page     int32 // index of the newest page; 0 before the first
+	free     ref   // released chunks, doubly linked through hdrNext and hdrPrev
+	page     int32 // index of the newest page (Engine.below chains the rest); 0 before the first
 	off      int32 // next unused byte in that page
 	nextPage int32 // size of the page the class allocates next; 0 = minPage
+	live     int32 // chunks in use
+	bytes    int32 // bytes the class's pages hold
 }
 
-// Index table bounds: the table starts at minSlots and doubles when it
-// is three quarters full. Like the pages, it is kept at its peak.
-const minSlots = 16
+// Index table bounds: the table starts at minSlots, doubles when it is
+// three quarters full and halves when it is a quarter full, never below
+// slotFloor.
+const (
+	minSlots  = 16
+	slotFloor = 1 << 10
+)
 
 // Engine is the storage engine: a hash index over slab-allocated chunks
 // with one LRU list under a memory cap. It is not safe for concurrent
@@ -114,9 +123,10 @@ const minSlots = 16
 // the byte-keyed forms the protocol session calls differ only in how the
 // key arrives.
 type Engine struct {
-	pages     [][]byte // slab pages and own-array chunks; pages[0] is nil
-	freePages []int32  // indexes of released own-array chunks
-	classes   []slabClass
+	pages     [][]byte    // slab pages and own-array chunks; pages[0] is nil
+	below     []int32     // per page, the page its class added before it (0 = none)
+	freePages []int32     // indexes of released pages and own-array chunks
+	classes   []slabClass // up to the largest class used so far
 
 	// slots is the open-addressing index: hash<<32 | ref, 0 = empty,
 	// linear probing with backward-shift deletion.
@@ -140,7 +150,7 @@ func NewEngine(maxBytes int, now func() time.Duration) *Engine {
 	}
 	return &Engine{
 		pages:    [][]byte{nil},
-		classes:  make([]slabClass, len(classSize)),
+		below:    make([]int32, 1, 4), // 16 B: never a tiny allocation
 		slots:    make([]uint64, minSlots),
 		maxBytes: maxBytes,
 		now:      now,
@@ -216,37 +226,124 @@ func (e *Engine) alloc(size int) ref {
 		e.hdr(r)[hdrClass] = bigClass
 		return r
 	}
+	if int(c) >= len(e.classes) {
+		e.classes = append(e.classes, make([]slabClass, int(c)+1-len(e.classes))...)
+	}
 	cl := &e.classes[c]
 	sz := classSize[c]
 	r := cl.free
 	if r != 0 {
-		cl.free = e.next(r)
+		e.unlinkFree(cl, r)
 	} else {
 		if cl.page == 0 || int(cl.off+sz) > len(e.pages[cl.page]) {
 			n := max(cl.nextPage, minPage, sz)
-			cl.page = e.addPage(make([]byte, n/sz*sz))
+			p := e.addPage(make([]byte, n/sz*sz))
+			e.below[p], cl.page = cl.page, p
 			cl.off = 0
 			cl.nextPage = min(2*n, max(maxPage, sz))
+			cl.bytes += n / sz * sz
 		}
 		r = ref(cl.page<<offBits | cl.off)
 		cl.off += sz
 	}
+	cl.live++
 	e.hdr(r)[hdrClass] = c
 	return r
 }
 
-// release gives r's chunk back: a slab chunk to its class's free list, an
-// own array to the collector.
+// release gives r's chunk back: a slab chunk to the front of its class's
+// free list, an own array to the collector. The class shrinks only once
+// the operation is over (shrink).
 func (e *Engine) release(r ref) {
-	c := e.hdr(r)[hdrClass]
+	h := e.hdr(r)
+	c := h[hdrClass]
 	if c == bigClass {
 		p := int32(r >> offBits)
 		e.pages[p] = nil
 		e.freePages = append(e.freePages, p)
 		return
 	}
-	e.setNext(r, e.classes[c].free)
-	e.classes[c].free = r
+	cl := &e.classes[c]
+	h[hdrClass] = freeChunk
+	e.setPrev(r, 0)
+	e.setNext(r, cl.free)
+	if cl.free != 0 {
+		e.setPrev(cl.free, r)
+	}
+	cl.free = r
+	cl.live--
+}
+
+// unlinkFree takes the free chunk r off cl's free list.
+func (e *Engine) unlinkFree(cl *slabClass, r ref) {
+	p, n := e.prev(r), e.next(r)
+	if p != 0 {
+		e.setNext(p, n)
+	} else {
+		cl.free = n
+	}
+	if n != 0 {
+		e.setPrev(n, p)
+	}
+}
+
+// shrink gives back class c's newest page while the pages before it
+// would still be at most half full and hold classFloor bytes: memcached's
+// slab mover, in the order pages were added. Each live chunk of the page
+// moves into a free chunk of a page that stays, and its index slot and
+// LRU neighbours follow it, so the cost is one pass over the page. A
+// class that grows back starts again from the size of the page it gave
+// up.
+func (e *Engine) shrink(c uint8) {
+	if c == bigClass {
+		return
+	}
+	cl := &e.classes[c]
+	sz := classSize[c]
+	for cl.page != 0 {
+		p := cl.page
+		page := e.pages[p]
+		rest := cl.bytes - int32(len(page))
+		if rest < classFloor || rest/sz < 2*cl.live {
+			return
+		}
+		for o := int32(0); o < cl.off; o += sz {
+			if r := ref(p<<offBits | o); page[o+hdrClass] == freeChunk {
+				e.unlinkFree(cl, r)
+			}
+		}
+		for o := int32(0); o < cl.off; o += sz {
+			if r := ref(p<<offBits | o); page[o+hdrClass] != freeChunk {
+				e.move(cl, r, sz)
+			}
+		}
+		e.pages[p] = nil
+		e.freePages = append(e.freePages, p)
+		cl.page = e.below[p]
+		cl.off = int32(len(e.pages[cl.page]))
+		cl.nextPage = int32(len(page))
+		cl.bytes = rest
+	}
+}
+
+// move copies the live chunk r of sz bytes into the head of cl's free
+// list and points r's index slot and LRU neighbours at the copy.
+func (e *Engine) move(cl *slabClass, r ref, sz int32) {
+	d := cl.free
+	e.unlinkFree(cl, d)
+	copy(e.hdr(d)[:sz], e.hdr(r)[:sz])
+	if p := e.prev(d); p != 0 {
+		e.setNext(p, d)
+	} else {
+		e.head = d
+	}
+	if n := e.next(d); n != 0 {
+		e.setPrev(n, d)
+	} else {
+		e.tail = d
+	}
+	i := e.slotOf(r)
+	e.slots[i] = e.slots[i]&^(1<<32-1) | uint64(uint32(d))
 }
 
 // addPage files p in the page table, in a released own array's slot if
@@ -262,6 +359,7 @@ func (e *Engine) addPage(p []byte) int32 {
 		panic("memcache: slab page table full")
 	}
 	e.pages = append(e.pages, p)
+	e.below = append(e.below, 0)
 	return int32(len(e.pages) - 1)
 }
 
@@ -351,11 +449,15 @@ func (e *Engine) slotOf(r ref) int {
 func (e *Engine) index(i int, h uint32, r ref) {
 	e.slots[i] = uint64(h)<<32 | uint64(uint32(r))
 	e.count++
-	if e.count*4 <= len(e.slots)*3 {
-		return
+	if e.count*4 > len(e.slots)*3 {
+		e.rehash(2 * len(e.slots))
 	}
+}
+
+// rehash moves the index into a table of n slots.
+func (e *Engine) rehash(n int) {
 	old := e.slots
-	e.slots = make([]uint64, 2*len(old))
+	e.slots = make([]uint64, n)
 	mask := len(e.slots) - 1
 	for _, s := range old {
 		if s == 0 {
@@ -409,12 +511,14 @@ func (e *Engine) hit(i int, r ref) ref {
 // the byte cap.
 func (e *Engine) store(i int, h uint32, r ref, key, value []byte, flags uint32, expires time.Duration) {
 	size := hdrSize + len(key) + len(value)
+	moved := uint8(bigClass)
 	switch {
 	case r == 0:
 		r = e.alloc(size)
 		e.index(i, h, r)
 		e.pushFront(r)
 	case !e.fits(r, size):
+		moved = e.hdr(r)[hdrClass]
 		e.used -= itemSize(e.chunk(r))
 		e.unlink(r)
 		e.release(r)
@@ -436,6 +540,7 @@ func (e *Engine) store(i int, h uint32, r ref, key, value []byte, flags uint32, 
 		e.drop(e.slotOf(e.tail), e.tail)
 		e.stats.Evictions++
 	}
+	e.shrink(moved)
 	e.stats.Sets++
 }
 
@@ -454,12 +559,19 @@ func (e *Engine) remove(i int, r ref) bool {
 	return !expired
 }
 
-// drop takes r out of the index and the list and releases its chunk.
+// drop takes r out of the index and the list and releases its chunk,
+// then lets r's class and the index shrink: no slot or chunk the caller
+// looked up is used after a drop.
 func (e *Engine) drop(i int, r ref) {
+	c := e.hdr(r)[hdrClass]
 	e.used -= itemSize(e.chunk(r))
 	e.unindex(i)
 	e.unlink(r)
 	e.release(r)
+	e.shrink(c)
+	if e.count*4 <= len(e.slots) && len(e.slots) > slotFloor {
+		e.rehash(max(slotFloor, len(e.slots)/2))
+	}
 }
 
 // --- entry points: string keys for callers, byte keys for the session ---

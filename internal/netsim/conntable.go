@@ -9,8 +9,12 @@ import "math/bits"
 // tombstone is ever left and a steady register/unregister never
 // allocates. They hash with a fixed multiplier instead of a per-process
 // seed, so the same run lays the same tables out and allocates the same
-// objects every time. A table starts empty (no array) and doubles once
-// past three quarters full; it never shrinks, as a Go map does not.
+// objects every time. A table starts empty (no array), doubles once
+// past three quarters full and, unlike a Go map, gives a storm's slots
+// back with its flows: once an eighth full it moves to a quarter of its
+// size (half full), never below tableFloor slots. Every host of a
+// failover storm shrinks at once, so the step is a quarter, not a half:
+// halving passes each table through twice as many arrays.
 type connTable struct {
 	conns  []connSlot // len 0 or a power of two
 	nconns int
@@ -31,8 +35,12 @@ type portSlot struct {
 	refs uint32
 }
 
-// minTable is a table's first size.
-const minTable = 8
+// minTable is a table's first size; a table shrinks no further than
+// tableFloor.
+const (
+	minTable   = 8
+	tableFloor = 64
+)
 
 // slotOf is the home slot of key x in a table of mask+1 slots, a power
 // of two: a Fibonacci hash (the product's top bits) of x with its high
@@ -107,12 +115,18 @@ func (t *connTable) del(k connKey) bool {
 	}
 	t.conns[i] = connSlot{}
 	t.nconns--
+	if 8*t.nconns <= len(t.conns) && len(t.conns) > tableFloor {
+		t.resizeConns(max(tableFloor, len(t.conns)/4))
+	}
 	return true
 }
 
-func (t *connTable) growConns() {
+func (t *connTable) growConns() { t.resizeConns(max(minTable, 2*len(t.conns))) }
+
+// resizeConns moves the registrations into a table of n slots.
+func (t *connTable) resizeConns(n int) {
 	old := t.conns
-	t.conns = make([]connSlot, max(minTable, 2*len(old)))
+	t.conns = make([]connSlot, n)
 	mask := len(t.conns) - 1
 	for _, s := range old {
 		if s.h != nil {
@@ -180,11 +194,17 @@ func (t *connTable) unref(p uint16) {
 	}
 	t.ports[i] = portSlot{}
 	t.nports--
+	if 8*t.nports <= len(t.ports) && len(t.ports) > tableFloor {
+		t.resizePorts(max(tableFloor, len(t.ports)/4))
+	}
 }
 
-func (t *connTable) growPorts() {
+func (t *connTable) growPorts() { t.resizePorts(max(minTable, 2*len(t.ports))) }
+
+// resizePorts moves the port counts into a table of n slots.
+func (t *connTable) resizePorts(n int) {
 	old := t.ports
-	t.ports = make([]portSlot, max(minTable, 2*len(old)))
+	t.ports = make([]portSlot, n)
 	mask := len(t.ports) - 1
 	for _, s := range old {
 		if s.refs != 0 {

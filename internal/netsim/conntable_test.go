@@ -342,3 +342,55 @@ func TestTimerIsTwoWords(t *testing.T) {
 			"which moves held-failover heap_bytes_per_live_flow and the flow_heap_bytes_tcp and flow_heap_bytes_core ledger rows", sz)
 	}
 }
+
+// TestConnTableShrinksBack: a storm registers about 4K connections, on
+// distinct local ports and on one shared one, and unregisters them in
+// random order down to 3; the host is held to a Go map after every step,
+// and both arrays end back at tableFloor.
+func TestConnTableShrinksBack(t *testing.T) {
+	h := NewHost(New(1), IPv4(10, 0, 0, 5))
+	handler := &countingBatch{}
+	want, wantPorts := map[connKey]PortHandler{}, map[uint16]int{}
+	type reg struct {
+		port   uint16
+		remote HostPort
+	}
+	var regs []reg
+	for i := range 4096 {
+		r := reg{uint16(1024 + i/2), HostPort{IPv4(10, 1, byte(i>>8), byte(i)), 80}}
+		if i%4 == 0 {
+			r.port = 80
+		}
+		regs = append(regs, r)
+	}
+	check := func(step string) {
+		t.Helper()
+		if got := connsOf(h); !maps.Equal(got, want) {
+			t.Fatalf("%s: %d registrations, want %d", step, len(got), len(want))
+		}
+		if got := portRefsOf(h); !maps.Equal(got, wantPorts) {
+			t.Fatalf("%s: port counts %v, want %v", step, len(got), len(wantPorts))
+		}
+	}
+	for i, r := range regs {
+		h.RegisterBatch(r.port, r.remote, handler)
+		want[mkConnKey(r.port, r.remote)] = handler
+		wantPorts[r.port]++
+		check(fmt.Sprintf("register %d", i))
+	}
+	peak := len(h.conns.conns)
+	rng := rand.New(rand.NewSource(1))
+	rng.Shuffle(len(regs), func(i, j int) { regs[i], regs[j] = regs[j], regs[i] })
+	for i, r := range regs[:len(regs)-3] {
+		h.Unregister(r.port, r.remote)
+		delete(want, mkConnKey(r.port, r.remote))
+		if wantPorts[r.port]--; wantPorts[r.port] == 0 {
+			delete(wantPorts, r.port)
+		}
+		check(fmt.Sprintf("unregister %d", i))
+	}
+	if len(h.conns.conns) != tableFloor || len(h.conns.ports) != tableFloor {
+		t.Fatalf("3 registrations hold %d connection and %d port slots (%d at the peak), want %d each",
+			len(h.conns.conns), len(h.conns.ports), peak, tableFloor)
+	}
+}

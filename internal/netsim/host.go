@@ -273,6 +273,9 @@ func (h *Host) HandleBatch(pkts []*Packet) {
 		runKey = k
 	}
 	h.flushRun(run, runKey)
+	// Drop the run's packets: a packet the pool let go must not stay
+	// reachable from here.
+	clear(run[:min(len(pkts), cap(run))])
 	h.batchScratch = run[:0]
 }
 

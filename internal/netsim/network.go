@@ -115,6 +115,9 @@ type Network struct {
 	pktFree   []*Packet
 	bufs      bufPool
 	trainFree []*trainBox
+	// pkts and trains count the pooled packets and train boxes made and
+	// not cut from their free lists: those out are these less the free.
+	pkts, trains int
 	// trainArrays holds the trainMax arrays freed trains grew into past
 	// their boxes' own (growTrain), for the next long train.
 	trainArrays [][]trainEntry
@@ -384,6 +387,7 @@ func (n *Network) execute(e *event) {
 			run = append(run, entries[i].pkt)
 		}
 		n.deliverRun(run, runDst)
+		clear(run[:min(1+len(entries), cap(run))]) // as Host.HandleBatch does
 		n.runScratch = run[:0]
 		n.freeTrain(train)
 		return

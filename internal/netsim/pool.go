@@ -33,6 +33,7 @@ func (n *Network) AllocPacket() *Packet {
 		p.pool = pooled
 		return p
 	}
+	n.pkts++
 	return &Packet{pool: pooled}
 }
 
@@ -59,6 +60,56 @@ func (n *Network) releaseOther(p *Packet) {
 		*p = Packet{}
 		n.pktFree = append(n.pktFree, p)
 	}
+}
+
+// The record free lists follow the dataplane's shrink rule: each time
+// the scheduler's cursor enters a slot (trimFree), a list is cut to as
+// many released records as the network has in use (pending events,
+// pooled packets out, trains on pending events), never fewer than a warm
+// bed's (the floors below), so a storm's records go back to the
+// collector once the storm is over, and a steady load's never do. The
+// event floor is the highest: a released event record stays reachable
+// through the stale Timer handles of the connections and flows that
+// armed it, so while they live, dropping it frees nothing and the next
+// timer allocates one more.
+const (
+	evFloor    = 4096
+	pktFloor   = 1024
+	trainFloor = 256
+)
+
+// trimFree applies the shrink rule to the record free lists, out of the
+// path that releases records. No list is cut to below its floor, so the
+// common case is three compares.
+func (n *Network) trimFree() {
+	if len(n.evFree) > evFloor || len(n.pktFree) > pktFloor || len(n.trainFree) > trainFloor {
+		n.cutFree()
+	}
+}
+
+func (n *Network) cutFree() {
+	n.evFree = cut(n.evFree, max(n.queued, evFloor))
+	k := len(n.pktFree)
+	n.pktFree = cut(n.pktFree, max(n.pkts-k, pktFloor))
+	n.pkts -= k - len(n.pktFree)
+	k = len(n.trainFree)
+	n.trainFree = cut(n.trainFree, max(n.trains-k, trainFloor))
+	n.trains -= k - len(n.trainFree)
+}
+
+// cut drops the records of free past the first keep, and halves its
+// array to twice keep once it is four times as large: it costs what it
+// drops.
+func cut[T any](free []*T, keep int) []*T {
+	if len(free) <= keep {
+		return free
+	}
+	clear(free[keep:])
+	free = free[:keep]
+	if cap(free) > 4*keep {
+		free = append(make([]*T, 0, 2*keep), free...)
+	}
+	return free
 }
 
 // ShallowClone returns a pooled copy of p sharing its payload slice.

@@ -1,6 +1,9 @@
 package netsim
 
-import "testing"
+import (
+	"testing"
+	"time"
+)
 
 // TestBufPoolInterleavedSizes: the free list this pool replaced looked
 // only at its top entry, so one small buffer released last made every
@@ -129,5 +132,70 @@ func TestTracedRunRecycles(t *testing.T) {
 	if tracedAllocs != plainAllocs || tracedFree != plainFree {
 		t.Fatalf("traced run: %.0f allocs per round, %d packets in the pool; untraced: %.0f and %d",
 			tracedAllocs, tracedFree, plainAllocs, plainFree)
+	}
+}
+
+// TestFreeListsFollowLiveRecords: a storm of timers grows the event free
+// list past its floor, a storm of packets the packet list, and trains of
+// them the train box list; once it is over the lists hold no more than
+// their floors. The fired timers stay inert, those whose records were
+// dropped from the list as well as those whose records the deliveries
+// went on to reuse: Active is false and Stop does nothing, to the record
+// or to the scheduler.
+func TestFreeListsFollowLiveRecords(t *testing.T) {
+	n := New(1)
+	a, b := IPv4(10, 0, 0, 1), IPv4(10, 0, 0, 2)
+	n.Attach(b, NodeFunc(func(p *Packet) { n.ReleasePacket(p) }))
+	nop := func() {}
+	const storm = 4 * pktFloor
+	timers := make([]Timer, 2*evFloor)
+	for i := range timers {
+		timers[i] = n.Schedule(0, nop)
+	}
+	n.RunFor(time.Millisecond)
+	peak, peakTrains := 0, 0
+	for i := range storm {
+		q := n.AllocPacket()
+		q.Src.IP, q.Dst.IP = a, b
+		n.Send(q)
+		if i%2 == 1 { // a train of two every 100 ns, 150 µs in flight
+			n.RunFor(100 * time.Nanosecond)
+		}
+		peak, peakTrains = max(peak, n.pkts-len(n.pktFree)), max(peakTrains, n.trains-len(n.trainFree))
+	}
+	n.RunFor(time.Second)
+	if out, trains := n.pkts-len(n.pktFree), n.trains-len(n.trainFree); peak <= pktFloor || peakTrains <= trainFloor || out != 0 || trains != 0 {
+		t.Fatalf("%d packets and %d trains out at the peak; %d and %d after it", peak, peakTrains, out, trains)
+	}
+	if len(n.pktFree) > pktFloor || len(n.trainFree) > trainFloor {
+		t.Fatalf("free lists hold %d packets and %d trains; floors %d and %d",
+			len(n.pktFree), len(n.trainFree), pktFloor, trainFloor)
+	}
+	if cap(n.pktFree) > 4*pktFloor {
+		t.Fatalf("the packet free list's array holds %d slots, want at most %d", cap(n.pktFree), 4*pktFloor)
+	}
+	free := map[*event]bool{}
+	for _, e := range n.evFree {
+		free[e] = true
+	}
+	dropped := 0
+	for _, tm := range timers {
+		if !free[tm.ev] {
+			dropped++
+		}
+	}
+	if len(n.evFree) > evFloor || dropped < len(timers)-evFloor {
+		t.Fatalf("the event free list holds %d records (floor %d); %d of the %d fired timers' records left it",
+			len(n.evFree), evFloor, dropped, len(timers))
+	}
+	late := n.Schedule(time.Millisecond, nop)
+	for i, tm := range timers {
+		if tm.Active() {
+			t.Fatalf("timer %d is active after it fired", i)
+		}
+		n.Stop(tm)
+	}
+	if !late.Active() || n.Pending() != 1 {
+		t.Fatalf("stale Stops disturbed a live timer: active %v, %d pending", late.Active(), n.Pending())
 	}
 }

@@ -225,6 +225,7 @@ func (n *Network) allocTrain() *trainBox {
 		n.trainFree = n.trainFree[:k-1]
 		return t
 	}
+	n.trains++
 	t := &trainBox{}
 	t.entries = t.own[:0]
 	return t
@@ -371,6 +372,7 @@ func (n *Network) advance(limit int64) bool {
 // due in pos itself lands in curHeap. Only safe when no live event is
 // due in a slot between the old cursor and pos.
 func (n *Network) enter(pos int64) {
+	n.trimFree()
 	leftSpan := n.curSlot>>(levels*wheelBits) != pos>>(levels*wheelBits)
 	n.curSlot = pos
 	if leftSpan {

@@ -96,11 +96,52 @@ type Store struct {
 	// a take/put pool rather than a single buffer, and multi-op state is
 	// recycled only once every batch reply has been delivered.
 	pickBufs [][]netsim.HostPort
-	freeOps  []*multiOp
-	freeBats []*batchState
-	freeGets []*getOp
+	freeOps  spares[multiOp] // each keeps the batches it last used
+	freeGets spares[getOp]
 
 	Stats Stats
+}
+
+// spares is a free list of in-flight records under the dataplane's
+// shrink rule: it keeps what the most records in flight at once needed,
+// and once no more than a quarter of its records are in flight it cuts
+// itself to as many spares as there are records in flight, never below
+// spareFloor. A burst then reuses what the load has in flight, and a
+// storm's records go back once it is over.
+type spares[T any] struct {
+	free []*T
+	out  int // records taken and not put back
+}
+
+const spareFloor = 16
+
+// take returns the record put back last, or nil for the caller to make.
+func (s *spares[T]) take() *T {
+	s.out++
+	k := len(s.free) - 1
+	if k < 0 {
+		return nil
+	}
+	x := s.free[k]
+	s.free[k] = nil
+	s.free = s.free[:k]
+	return x
+}
+
+// put files x, released.
+func (s *spares[T]) put(x *T) {
+	s.out--
+	s.free = append(s.free, x)
+	if n := len(s.free); 4*s.out <= n+s.out && n > spareFloor {
+		// As netsim's free lists cut, here so that the heap ledgers
+		// charge the array to this layer.
+		keep := max(s.out, spareFloor)
+		clear(s.free[keep:])
+		s.free = s.free[:keep]
+		if cap(s.free) > 4*keep {
+			s.free = append(make([]*T, 0, 2*keep), s.free...)
+		}
+	}
 }
 
 // multiOp is the pooled in-flight state of one Set, SetMulti or Delete,
@@ -163,11 +204,8 @@ func (s *Store) putPickBuf(b []netsim.HostPort) {
 }
 
 func (s *Store) takeOp() *multiOp {
-	var op *multiOp
-	if n := len(s.freeOps); n > 0 {
-		op = s.freeOps[n-1]
-		s.freeOps = s.freeOps[:n-1]
-	} else {
+	op := s.freeOps.take()
+	if op == nil {
 		op = &multiOp{store: s}
 	}
 	op.batches = op.batches[:0]
@@ -178,15 +216,19 @@ func (s *Store) takeOp() *multiOp {
 	return op
 }
 
-func (s *Store) takeBatch(op *multiOp, server netsim.HostPort) *batchState {
+// addBatch starts a command to server: a batch the op kept from its last
+// use, or a new one.
+func (op *multiOp) addBatch(server netsim.HostPort) *batchState {
+	n := len(op.batches)
 	var b *batchState
-	if n := len(s.freeBats); n > 0 {
-		b = s.freeBats[n-1]
-		s.freeBats = s.freeBats[:n-1]
-	} else {
-		b = &batchState{}
+	if n < cap(op.batches) {
+		b = op.batches[:n+1][n]
+	}
+	if b == nil {
+		b = &batchState{idxs: make([]int, 0, 2)} // 16 B, as resetInts
 		b.handle = func(r memcache.SimResult) { b.op.handleReply(b, r) }
 	}
+	op.batches = append(op.batches, b)
 	b.op = op
 	b.server = server
 	b.kvs = b.kvs[:0]
@@ -206,23 +248,17 @@ func (op *multiOp) openBatch(server netsim.HostPort) *batchState {
 	return nil
 }
 
-// recycle returns the op and its batches to the pools. Called only once
-// every batch reply (or connection failure) has been delivered — a
+// recycle returns the op, with its batches, to the pool. Called only
+// once every batch reply (or connection failure) has been delivered — a
 // SimClient fires each pending callback exactly once, so recycling
 // earlier could let a late reply from this op corrupt its successor.
 func (op *multiOp) recycle() {
-	s := op.store
 	for _, b := range op.batches {
 		b.op = nil
-		if len(s.freeBats) < 16 {
-			s.freeBats = append(s.freeBats, b)
-		}
 	}
 	op.batches = op.batches[:0]
 	op.cb, op.errCb = nil, nil
-	if len(s.freeOps) < 8 {
-		s.freeOps = append(s.freeOps, op)
-	}
+	op.store.freeOps.put(op)
 }
 
 // resolve reports the operation outcome. Recycling happens separately,
@@ -422,8 +458,7 @@ func (s *Store) issue(op *multiOp, entries []Entry) {
 		for _, server := range replicas {
 			b := op.openBatch(server)
 			if b == nil || memcache.CmdLen(len(b.kvs)+1, b.body+n, op.del) > storeTCP.MSS {
-				b = s.takeBatch(op, server)
-				op.batches = append(op.batches, b)
+				b = op.addBatch(server)
 			}
 			b.kvs = append(b.kvs, kv)
 			b.idxs = append(b.idxs, i)
@@ -457,7 +492,10 @@ func (s *Store) issue(op *multiOp, entries []Entry) {
 // resetInts returns buf resized to n with every element zeroed.
 func resetInts(buf []int, n int) []int {
 	if cap(buf) < n {
-		return make([]int, n)
+		// At least 16 B: a smaller pointer-free array is a tiny
+		// allocation, which the heap ledgers charge to whichever site
+		// started its block.
+		return make([]int, n, max(n, 2))
 	}
 	buf = buf[:n]
 	for i := range buf {
@@ -505,9 +543,7 @@ type getOp struct {
 }
 
 func (s *Store) takeGetOp() *getOp {
-	if n := len(s.freeGets); n > 0 {
-		op := s.freeGets[n-1]
-		s.freeGets = s.freeGets[:n-1]
+	if op := s.freeGets.take(); op != nil {
 		return op
 	}
 	op := &getOp{store: s}
@@ -534,9 +570,7 @@ func (op *getOp) recycleIfDelivered() {
 	}
 	s := op.store
 	*op = getOp{store: s, replyFn: op.replyFn}
-	if len(s.freeGets) < 32 {
-		s.freeGets = append(s.freeGets, op)
-	}
+	s.freeGets.put(op)
 }
 
 func (op *getOp) reply(r memcache.SimResult) {

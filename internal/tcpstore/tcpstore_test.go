@@ -458,7 +458,7 @@ func TestDeleteBatchLosesOneReplica(t *testing.T) {
 	if len(shared) == 0 {
 		t.Fatal("no server holds both keys")
 	}
-	freeOps := len(w.store.freeOps)
+	freeOps := len(w.store.freeOps.free)
 	calls := 0
 	var err error
 	w.store.Delete(entries, func(e error) { calls, err = calls+1, e })
@@ -474,8 +474,8 @@ func TestDeleteBatchLosesOneReplica(t *testing.T) {
 	if st := w.store.Stats; st.ReplicaErrors != 2 || st.Timeouts != 0 {
 		t.Fatalf("stats after losing one command of two keys: %+v", st)
 	}
-	if len(w.store.freeOps) != freeOps {
-		t.Fatalf("%d pooled ops after the delete, %d before: its state leaked", len(w.store.freeOps), freeOps)
+	if len(w.store.freeOps.free) != freeOps {
+		t.Fatalf("%d pooled ops after the delete, %d before: its state leaked", len(w.store.freeOps.free), freeOps)
 	}
 }
 

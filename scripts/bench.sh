@@ -115,6 +115,12 @@ want "${CLUSTER_FIELDS[@]}" &&
 LONGRUN_FIELDS=(longrun_heap_bytes_per_1e5_req "${LEDGER_ROWS[@]/#/longrun_heap_bytes_per_1e5_req_}")
 want "${LONGRUN_FIELDS[@]}" &&
   go test -count=1 -run '^TestLongRunHeapLedger$' -v . | tee -a "$MICRO_LOG"
+# The storm heap ledger: heap bytes a failover storm of 4,096 keep-alive
+# flows leaves behind at zero live flows, beyond the warm bed's, in total
+# and charged layer by layer (ledger_test.go).
+STORM_HEAP_FIELDS=(storm_heap_bytes "${LEDGER_ROWS[@]/#/storm_heap_bytes_}")
+want "${STORM_HEAP_FIELDS[@]}" &&
+  go test -count=1 -run '^TestStormHeapLedger$' -v . | tee -a "$MICRO_LOG"
 # mflow's storm, both modes: virtual time from each orphan's probe send
 # to the first response byte its adopter forwarded (the summary's "storm
 # probe to first byte" line, in ms; a live flow's probe takes 60.6 ms).
@@ -202,7 +208,7 @@ for row in "${LEDGER_ROWS[@]}"; do
   [[ -n "$LEDGER_JSON" ]] && LEDGER_JSON+=$'\n'
   LEDGER_JSON+="    \"request_allocs_$row\": $(jsonnum "$(ledger "request_allocs_$row")"),"
 done
-for field in "${ADOPTION_FIELDS[@]}" "${HEAP_FIELDS[@]}" "${CLUSTER_FIELDS[@]}" "${LONGRUN_FIELDS[@]}"; do
+for field in "${ADOPTION_FIELDS[@]}" "${HEAP_FIELDS[@]}" "${CLUSTER_FIELDS[@]}" "${LONGRUN_FIELDS[@]}" "${STORM_HEAP_FIELDS[@]}"; do
   LEDGER_JSON+=$'\n'"    \"$field\": $(jsonnum "$(ledger "$field")"),"
 done
 # storm <mode> <quantile>: one figure of mflow's storm line, in ms.
